@@ -88,11 +88,13 @@ echo "==> remote-eval batching gate: pipelined batches vs sequential round trips
 # must show a clean run — zero failed clients, zero server-side eval
 # errors — and, when the host has the cores to fan a batch out (>= 4), a
 # >= 2.0x throughput speedup. On starved runners the ratio is reported
-# but not asserted (the parallel dispatch has nothing to run on).
+# but not asserted (the parallel dispatch has nothing to run on). The run
+# uses the default thread count: batch members are `par` pool tasks, so
+# pinning one thread would serialize the batch.
 # --faults additionally sweeps the fault-injection kinds (clean baseline,
 # bisected poison, shed deadline) against dedicated chaos servers; a
 # result that differs from the local reference fails the run.
-CHOCO_THREADS=1 timeout 300 ./target/release/choco-serve-bench \
+timeout 300 ./target/release/choco-serve-bench \
     --smoke --batch 4 --faults --json /tmp/bench_serve_batch.json
 grep -q '"failed_clients": 0' /tmp/bench_serve_batch.json \
     || { cat /tmp/bench_serve_batch.json; echo "ci: batch bench had failed clients"; exit 1; }
@@ -118,7 +120,10 @@ echo "==> kernel bench reporter (smoke mode + generic-core and simd gates)"
 # monomorphized, so any measurable gap is a regression. It also gates the
 # SIMD forward-NTT peak speedup at >= 2.0x over the scalar kernel whenever
 # a vector backend (AVX2/AVX-512/NEON) is active; on scalar-only hosts the
-# gate is skipped gracefully (a note in the report, not a failure).
+# gate is skipped gracefully (a note in the report, not a failure). Its
+# par section times every call site still routed through the worker pool
+# against its one-thread loop and fails on a ratio < 1.0 — skipped, with a
+# note, while the host is not running two threads faster than one.
 cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json /tmp/bench_kernels_smoke.json
 
 echo "==> choco-lint (secret-independence, lazy-reduction, panic/unsafe audit)"

@@ -8,7 +8,11 @@
 //! entry point against a hand-inlined twin for both BFV and CKKS, and
 //! fails (exit 1) if the trait indirection costs more than measurement
 //! noise — the generic core is monomorphized, so there is no dyn dispatch
-//! to pay for. `--json <path>` additionally writes a machine-readable
+//! to pay for. A `par` section times the worker pool's dispatch cost and
+//! every call site still routed through it against its own one-thread
+//! loop, and fails on a site the pool does not speed up (skipped, with a
+//! note, while the host is not running two threads faster than one).
+//! `--json <path>` additionally writes a machine-readable
 //! report (the committed baseline lives in `BENCH_kernels.json`);
 //! `--smoke` shrinks the measurement windows so CI can run the reporter
 //! as a gate without inflating wall-clock time.
@@ -19,14 +23,18 @@ use std::hint::black_box;
 use choco_bench::{header, measure, note, time_str};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext, CkksGaloisKeys};
+use choco_he::keyswitch::{generate_ksk, hoist_decompose, hoisted_accumulate};
 use choco_he::params::HeParams;
+use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::ntt::NttTable;
+use choco_math::par;
 use choco_math::prime::generate_ntt_primes;
+use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 
 struct Entry {
-    name: &'static str,
+    name: String,
     seconds: f64,
     iters: usize,
 }
@@ -35,10 +43,60 @@ fn record(entries: &mut Vec<Entry>, window_ms: f64, name: &'static str, f: impl 
     let (seconds, iters) = measure(window_ms, f);
     println!("{name:<44} {:>12} ({iters} iters)", time_str(seconds));
     entries.push(Entry {
-        name,
+        name: name.into(),
         seconds,
         iters,
     });
+}
+
+/// Times `f` through the pool (default thread count) and at one thread (the
+/// plain-loop branch of every `par_*` call): `[pooled, seq]`, each side the
+/// best of three interleaved windows.
+fn pooled_and_seq(window_ms: f64, mut f: impl FnMut()) -> [(f64, usize); 2] {
+    let mut best = [(f64::INFINITY, 0usize); 2];
+    for _ in 0..3 {
+        for (threads, slot) in [0usize, 1].into_iter().zip(&mut best) {
+            par::set_num_threads(threads);
+            let timing = measure(window_ms, &mut f);
+            if timing.0 < slot.0 {
+                *slot = timing;
+            }
+        }
+    }
+    par::set_num_threads(0);
+    best
+}
+
+/// Records `<site>_pooled` and `<site>_seq` and returns `seq / pooled`.
+fn pooled_vs_seq(entries: &mut Vec<Entry>, window_ms: f64, site: &str, f: impl FnMut()) -> f64 {
+    let [pooled, seq] = pooled_and_seq(window_ms, f);
+    for (side, (seconds, iters)) in [("pooled", pooled), ("seq", seq)] {
+        let name = format!("{site}_{side}");
+        println!("{name:<44} {:>12} ({iters} iters)", time_str(seconds));
+        entries.push(Entry {
+            name,
+            seconds,
+            iters,
+        });
+    }
+    seq.0 / pooled.0
+}
+
+/// How much faster the host runs one compute-bound task per thread through
+/// the pool than in a loop: ~`threads` on idle cores, ~1.0 when the cores
+/// are shared out to someone else — in which case no `par` call site can
+/// win and the per-site gate has nothing to measure.
+fn par_capacity(threads: usize) -> f64 {
+    fn spin(slot: &mut u64) {
+        for i in 0..1_000_000u64 {
+            *slot = slot.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+        }
+    }
+    let mut slots = vec![1u64; threads];
+    let [pooled, seq] = pooled_and_seq(5.0, || {
+        par::par_for_each_mut(black_box(&mut slots), |_, s| spin(s))
+    });
+    seq.0 / pooled.0
 }
 
 fn seconds_of(entries: &[Entry], name: &str) -> f64 {
@@ -80,7 +138,7 @@ fn write_json(
         let sep = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"seconds_per_iter\": {:.9}, \"iters\": {}}}{sep}\n",
-            json_escape_free(e.name),
+            json_escape_free(&e.name),
             e.seconds,
             e.iters
         ));
@@ -403,6 +461,75 @@ fn main() {
         black_box(Ckks::dot_diagonals(&cctx, black_box(&cct), &diags_ckks, &cgks).unwrap());
     });
 
+    header("par pool: dispatch cost; kept call sites, pooled vs one thread (set A, n=8192)");
+    // One empty task per thread: publish, wake, claim, join.
+    let mut empty_tasks = vec![0u8; threads];
+    record(&mut entries, window_ms, "par_dispatch", || {
+        par::par_for_each_mut(black_box(&mut empty_tasks), |_, _| {})
+    });
+    let par_dispatch_us = seconds_of(&entries, "par_dispatch") * 1e6;
+    let capacity_before = par_capacity(threads);
+    // Every call site that still goes through `par_*` (DESIGN.md §6), at
+    // the shape the served workloads give it: two data primes plus the
+    // special prime, 8 terms per dot product.
+    let pa = HeParams::set_a();
+    let ks_basis = RnsBasis::new(pa.degree(), pa.primes()).unwrap();
+    let level_basis = ks_basis.prefix(ks_basis.len() - 1);
+    let mut prng = Blake3Rng::from_seed(b"bench kernels par");
+    let x = RnsPoly::sample_uniform(&mut prng, &level_basis);
+    let y = RnsPoly::sample_uniform(&mut prng, &level_basis);
+    let small: Vec<u64> = (0..pa.degree() as u64).map(|i| i % 65_537).collect();
+    let sk = RnsPoly::sample_ternary(&mut prng, &ks_basis);
+    let sk2 = sk.mul_poly(&sk, &ks_basis);
+    let ksk = generate_ksk(&sk, &sk2, &ks_basis, &level_basis, &mut prng);
+    let hoisted = hoist_decompose(&x, &ks_basis, &level_basis);
+    let ctx_a = BfvContext::new(&pa).unwrap();
+    let keys_a = ctx_a.keygen(&mut prng);
+    let steps_a: Vec<i64> = (1..8).collect();
+    let gks_a = ctx_a
+        .galois_keys(keys_a.secret_key(), &steps_a, &mut prng)
+        .unwrap();
+    let vals_a: Vec<u64> = (0..pa.degree() as u64).map(|i| i % 17).collect();
+    let pt_a = ctx_a.batch_encoder().unwrap().encode(&vals_a).unwrap();
+    let ct_a = ctx_a
+        .encryptor(keys_a.public_key())
+        .encrypt(&pt_a, &mut prng);
+    let eval_a = ctx_a.evaluator();
+    let cts_a = vec![ct_a.clone(); 8];
+    let pts_a = vec![pt_a.clone(); 8];
+    let pairs_a: Vec<(i64, Plaintext)> = (0..8).map(|d| (d, pt_a.clone())).collect();
+    let mut par_speedups: Vec<(String, f64)> = Vec::new();
+    let mut site = |name: &str, f: &dyn Fn()| {
+        let ratio = pooled_vs_seq(&mut entries, window_ms, name, f);
+        par_speedups.push((format!("{name}_par_speedup"), ratio));
+    };
+    site("rns_mul_poly", &|| {
+        black_box(x.mul_poly(black_box(&y), &level_basis));
+    });
+    site("rns_mul_small_poly", &|| {
+        black_box(x.mul_small_poly(black_box(&small), &level_basis));
+    });
+    site("hoist_decompose", &|| {
+        black_box(hoist_decompose(black_box(&x), &ks_basis, &level_basis));
+    });
+    site("hoisted_accumulate", &|| {
+        black_box(hoisted_accumulate(
+            black_box(&hoisted),
+            None,
+            &ksk,
+            &ks_basis,
+        ));
+    });
+    site("dot_plain", &|| {
+        black_box(eval_a.dot_plain(black_box(&cts_a), &pts_a).unwrap());
+    });
+    site("dot_rotations_plain", &|| {
+        let out = eval_a.dot_rotations_plain(black_box(&ct_a), &pairs_a, &gks_a);
+        black_box(out.unwrap());
+    });
+    // Shared hosts give and take cores by the minute: bracket the rows.
+    let capacity = capacity_before.min(par_capacity(threads));
+
     // Gate measurement: a second, interleaved window per path; the min of
     // the two windows filters out scheduler/allocator noise that a single
     // back-to-back measurement is exposed to.
@@ -455,6 +582,25 @@ fn main() {
     } else {
         note("scalar backend active: simd >= 2.0x gate skipped");
     }
+    header("par pool (one thread / pooled; gate: every kept site >= 1.0x)");
+    println!("par_dispatch  {par_dispatch_us:.1} us");
+    println!("par_capacity  {capacity:.2}x  (one spin task per thread, {threads} threads)");
+    for (name, ratio) in &par_speedups {
+        println!("{name:<34} {ratio:.2}x");
+    }
+    if threads > 1 && capacity >= 1.4 {
+        // ROADMAP's rule: a call site that does not beat its plain loop on
+        // the bench becomes one. Min-of-rounds timing on both sides.
+        for (name, ratio) in &par_speedups {
+            assert!(
+                *ratio >= 1.0,
+                "{name} is {ratio:.2}x at {threads} threads: make the site a plain loop \
+                 (gate: >= 1.0x)"
+            );
+        }
+    } else {
+        note("host ran the pool's threads at < 1.4x one thread: par gate skipped");
+    }
     header("generic-core overhead (generic / hand-inlined; gate: < 1.25x)");
     println!("bfv_matvec    {bfv_overhead:.3}x");
     println!("ckks_matvec   {ckks_overhead:.3}x");
@@ -472,22 +618,23 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        write_json(
-            &path,
-            mode,
-            threads,
-            backend.name(),
-            &entries,
-            &[
-                ("ntt_forward_speedup", fwd),
-                ("ntt_inverse_speedup", inv),
-                ("simd_ntt_speedup", simd_ntt_speedup),
-                ("dyadic_mul_speedup", dyadic),
-                ("rotation_speedup", rot),
-                ("matvec_speedup", mv),
-                ("bfv_generic_overhead", bfv_overhead),
-                ("ckks_generic_overhead", ckks_overhead),
-            ],
+        let mut derived = vec![
+            ("ntt_forward_speedup", fwd),
+            ("ntt_inverse_speedup", inv),
+            ("simd_ntt_speedup", simd_ntt_speedup),
+            ("dyadic_mul_speedup", dyadic),
+            ("rotation_speedup", rot),
+            ("matvec_speedup", mv),
+            ("bfv_generic_overhead", bfv_overhead),
+            ("ckks_generic_overhead", ckks_overhead),
+            ("par_dispatch_us", par_dispatch_us),
+            ("par_capacity", capacity),
+        ];
+        derived.extend(
+            par_speedups
+                .iter()
+                .map(|(name, ratio)| (name.as_str(), *ratio)),
         );
+        write_json(&path, mode, threads, backend.name(), &entries, &derived);
     }
 }

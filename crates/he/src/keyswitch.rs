@@ -263,7 +263,7 @@ pub fn apply_ksk_hoisted_ntt(
 /// out with [`mod_down`] / [`mod_down_ntt`] — immediately, or (second
 /// hoisting) after summing several switched terms, paying one rounding for
 /// the whole sum.
-pub(crate) fn hoisted_accumulate(
+pub fn hoisted_accumulate(
     hoisted: &HoistedDigits,
     perm: Option<&[usize]>,
     ksk: &KswitchKey,
@@ -341,7 +341,7 @@ pub fn mod_down(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) -> Rns
     let n = ks_basis.degree();
     let p = ks_basis.primes()[k - 1];
     let xp = x.row(k - 1);
-    let rows = par::par_map_range(level_basis.len(), |i| {
+    let rows = (0..level_basis.len()).map(|i| {
         let qi = level_basis.primes()[i];
         let inv_p = inv_mod(p % qi, qi);
         let inv_p_shoup = shoup_precompute(inv_p, qi);
@@ -358,7 +358,7 @@ pub fn mod_down(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) -> Rns
         PolyPool::recycle(delta);
         row
     });
-    RnsPoly::from_rows(rows)
+    RnsPoly::from_rows(rows.collect())
 }
 
 /// NTT-domain [`mod_down`]: takes `x` in the evaluation domain over the ks
@@ -372,7 +372,7 @@ pub fn mod_down_ntt(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) ->
     let p = ks_basis.primes()[k - 1];
     let mut xp = PolyPool::take_copy(x.row(k - 1));
     ks_basis.ntt_tables()[k - 1].inverse(&mut xp);
-    let rows = par::par_map_range(level_basis.len(), |i| {
+    let rows = (0..level_basis.len()).map(|i| {
         let qi = level_basis.primes()[i];
         let inv_p = inv_mod(p % qi, qi);
         let inv_p_shoup = shoup_precompute(inv_p, qi);
@@ -387,8 +387,9 @@ pub fn mod_down_ntt(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) ->
         PolyPool::recycle(delta);
         row
     });
+    let out = RnsPoly::from_rows(rows.collect());
     PolyPool::recycle(xp);
-    RnsPoly::from_rows(rows)
+    out
 }
 
 /// The Galois element for a row rotation by `steps` slots: `3^steps mod 2N`

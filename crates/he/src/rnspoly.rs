@@ -175,27 +175,24 @@ impl RnsPoly {
     /// `self += rhs` over `basis`.
     pub fn add_assign_poly(&mut self, rhs: &RnsPoly, basis: &RnsBasis) {
         self.check_match(rhs);
-        let primes = basis.primes();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            add_assign(row, &rhs.rows[i], primes[i]);
-        });
+        for ((row, r), &q) in self.rows.iter_mut().zip(&rhs.rows).zip(basis.primes()) {
+            add_assign(row, r, q);
+        }
     }
 
     /// `self -= rhs` over `basis`.
     pub fn sub_assign_poly(&mut self, rhs: &RnsPoly, basis: &RnsBasis) {
         self.check_match(rhs);
-        let primes = basis.primes();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            sub_assign(row, &rhs.rows[i], primes[i]);
-        });
+        for ((row, r), &q) in self.rows.iter_mut().zip(&rhs.rows).zip(basis.primes()) {
+            sub_assign(row, r, q);
+        }
     }
 
     /// `self = -self` over `basis`.
     pub fn neg_assign_poly(&mut self, basis: &RnsBasis) {
-        let primes = basis.primes();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            neg_assign(row, primes[i]);
-        });
+        for (row, &q) in self.rows.iter_mut().zip(basis.primes()) {
+            neg_assign(row, q);
+        }
     }
 
     /// Negacyclic product `self * rhs` over `basis` (NTT per residue).
@@ -231,22 +228,25 @@ impl RnsPoly {
     /// `Δ` is precomputed per residue).
     pub fn scalar_mul_per_row(&mut self, scalars: &[u64], basis: &RnsBasis) {
         assert_eq!(scalars.len(), self.rows.len(), "scalar count mismatch");
-        let primes = basis.primes();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            scalar_mul_assign(row, scalars[i], primes[i]);
-        });
+        for ((row, &s), &q) in self.rows.iter_mut().zip(scalars).zip(basis.primes()) {
+            scalar_mul_assign(row, s, q);
+        }
     }
 
     /// Applies the Galois automorphism `x → x^e` to every residue row.
     pub fn galois(&self, e: u64, basis: &RnsBasis) -> RnsPoly {
         let n = self.degree();
-        let primes = basis.primes();
-        let rows = par::par_map_range(self.rows.len(), |i| {
-            // apply_galois zero-fills before scattering, so scratch is fine.
-            let mut out = PolyPool::take_scratch(n);
-            apply_galois(&self.rows[i], e, primes[i], &mut out);
-            out
-        });
+        let rows = self
+            .rows
+            .iter()
+            .zip(basis.primes())
+            .map(|(row, &q)| {
+                // apply_galois zero-fills before scattering, so scratch is fine.
+                let mut out = PolyPool::take_scratch(n);
+                apply_galois(row, e, q, &mut out);
+                out
+            })
+            .collect();
         RnsPoly { rows }
     }
 
@@ -257,26 +257,24 @@ impl RnsPoly {
     pub fn dyadic_accumulate(&mut self, a: &RnsPoly, b: &RnsPoly, basis: &RnsBasis) {
         self.check_match(a);
         self.check_match(b);
-        let primes = basis.primes();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            dyadic_acc_assign(row, &a.rows[i], &b.rows[i], primes[i]);
-        });
+        let operands = a.rows.iter().zip(&b.rows);
+        for ((row, (x, y)), &q) in self.rows.iter_mut().zip(operands).zip(basis.primes()) {
+            dyadic_acc_assign(row, x, y, q);
+        }
     }
 
     /// Forward NTT on every row.
     pub fn ntt_forward(&mut self, basis: &RnsBasis) {
-        let tables = basis.ntt_tables();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            tables[i].forward(row);
-        });
+        for (row, table) in self.rows.iter_mut().zip(basis.ntt_tables()) {
+            table.forward(row);
+        }
     }
 
     /// Inverse NTT on every row.
     pub fn ntt_inverse(&mut self, basis: &RnsBasis) {
-        let tables = basis.ntt_tables();
-        par::par_for_each_mut(&mut self.rows, |i, row| {
-            tables[i].inverse(row);
-        });
+        for (row, table) in self.rows.iter_mut().zip(basis.ntt_tables()) {
+            table.inverse(row);
+        }
     }
 
     /// Composes coefficient `j` into its centered big-integer value
@@ -303,25 +301,29 @@ impl RnsPoly {
 /// Convenience: `out = a + b`, built row-wise without an intermediate clone.
 pub fn add(a: &RnsPoly, b: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
     a.check_match(b);
-    let primes = basis.primes();
-    let rows = par::par_map_range(a.rows.len(), |i| {
-        let mut row = PolyPool::take_copy(&a.rows[i]);
-        add_assign(&mut row, &b.rows[i], primes[i]);
+    let rows = a.rows.iter().zip(&b.rows).zip(basis.primes());
+    let rows = rows.map(|((x, y), &q)| {
+        let mut row = PolyPool::take_copy(x);
+        add_assign(&mut row, y, q);
         row
     });
-    RnsPoly { rows }
+    RnsPoly {
+        rows: rows.collect(),
+    }
 }
 
 /// Convenience: `out = a - b`, built row-wise without an intermediate clone.
 pub fn sub(a: &RnsPoly, b: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
     a.check_match(b);
-    let primes = basis.primes();
-    let rows = par::par_map_range(a.rows.len(), |i| {
-        let mut row = PolyPool::take_copy(&a.rows[i]);
-        sub_assign(&mut row, &b.rows[i], primes[i]);
+    let rows = a.rows.iter().zip(&b.rows).zip(basis.primes());
+    let rows = rows.map(|((x, y), &q)| {
+        let mut row = PolyPool::take_copy(x);
+        sub_assign(&mut row, y, q);
         row
     });
-    RnsPoly { rows }
+    RnsPoly {
+        rows: rows.collect(),
+    }
 }
 
 /// Scalar helper used during mod-down: `x mod q` for a centered `i64`.

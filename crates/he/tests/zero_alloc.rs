@@ -3,7 +3,8 @@
 //! rotation dot products) performs **zero fresh polynomial-buffer
 //! allocations** — every row and scratch buffer is served from the pool's
 //! free lists. The pool's global counters make this directly observable:
-//! over a warm evaluation loop, `fresh` must not move while `reused` must.
+//! over a warm evaluation loop, `fresh` must not move while `reused` must —
+//! on the plain-loop path (one thread) and through the `par` pool (two).
 //!
 //! Scope note: "zero-alloc" is a statement about polynomial buffers (the
 //! `Vec<u64>` rows and `Vec<u128>` accumulators that dominate steady-state
@@ -15,6 +16,7 @@
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
+use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_prng::Blake3Rng;
 
@@ -82,40 +84,63 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         *out ^= r2.part(0).row(0)[0];
     };
 
-    // Warm the pool: the first passes populate every size class the loop
-    // touches (including per-thread shard spill patterns).
+    // The property must hold on the plain-loop path and through the `par`
+    // pool alike: standing workers keep their home shards, and a take that
+    // misses at home finds what another thread recycled.
     let mut sink = 0u64;
-    for _ in 0..2 {
-        bfv_round(&mut sink);
-        ckks_round(&mut sink);
-    }
+    for threads in [1usize, 2] {
+        par::set_num_threads(threads);
+        if threads > 1 {
+            // A task that runs beside another needs its scratch while the
+            // other still holds its own, so the high-water mark depends on
+            // which chunks happen to overlap. Stock one spare working set
+            // per size class the loop uses (both contexts share one degree)
+            // up front; what is asserted is then schedule-independent.
+            let n = ctx.degree();
+            assert_eq!(n, cctx.degree());
+            let spare: Vec<_> = (0..32)
+                .map(|_| (PolyPool::take_scratch(n), PolyPool::take_zeroed_u128(n)))
+                .collect();
+            for (row, acc) in spare {
+                PolyPool::recycle(row);
+                PolyPool::recycle_u128(acc);
+            }
+        }
+        // Warm the pool: the first passes populate every size class the
+        // loop touches.
+        for _ in 0..2 {
+            bfv_round(&mut sink);
+            ckks_round(&mut sink);
+        }
 
-    let before = PolyPool::stats();
-    for _ in 0..4 {
-        bfv_round(&mut sink);
-        ckks_round(&mut sink);
+        let before = PolyPool::stats();
+        for _ in 0..8 {
+            bfv_round(&mut sink);
+            ckks_round(&mut sink);
+        }
+        let after = PolyPool::stats();
+
+        assert_eq!(
+            after.fresh - before.fresh,
+            0,
+            "warm evaluation loop hit the allocator for polynomial buffers at {threads} \
+             thread(s) (fresh {} -> {}, reused {} -> {})",
+            before.fresh,
+            after.fresh,
+            before.reused,
+            after.reused
+        );
+        assert!(
+            after.reused > before.reused,
+            "warm loop should be served from the pool (reused {} -> {})",
+            before.reused,
+            after.reused
+        );
+        assert!(
+            after.recycled > before.recycled,
+            "warm loop should return buffers to the pool"
+        );
     }
-    let after = PolyPool::stats();
+    par::set_num_threads(0);
     assert!(sink != u64::MAX, "keep the results alive");
-
-    assert_eq!(
-        after.fresh - before.fresh,
-        0,
-        "warm evaluation loop hit the allocator for polynomial buffers \
-         (fresh {} -> {}, reused {} -> {})",
-        before.fresh,
-        after.fresh,
-        before.reused,
-        after.reused
-    );
-    assert!(
-        after.reused > before.reused,
-        "warm loop should be served from the pool (reused {} -> {})",
-        before.reused,
-        after.reused
-    );
-    assert!(
-        after.recycled > before.recycled,
-        "warm loop should return buffers to the pool"
-    );
 }

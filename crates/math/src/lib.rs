@@ -12,7 +12,7 @@
 //! * Residue Number System bases with CRT composition ([`rns`])
 //! * a complex FFT for the CKKS canonical embedding ([`fft`])
 //! * polynomial helpers over a single modulus ([`poly`])
-//! * a dependency-free scoped-thread worker pool for slice-parallel kernels
+//! * a dependency-free persistent worker pool for slice-parallel kernels
 //!   ([`par`])
 //! * runtime-dispatched SIMD butterflies and dyadic ops ([`simd`])
 //! * a size-classed buffer pool for zero-allocation steady state ([`pool`])
@@ -34,11 +34,12 @@
 //! assert_eq!(a, orig);
 //! ```
 
-// Deny (not forbid) so that exactly one audited module — `simd`, which
-// confines `core::arch` intrinsics behind runtime feature detection — can
-// opt back in with a module-local allow. Every unsafe token is pinned by
-// count in lint.toml (UNSAFE001/UNSAFE002); all other modules remain
-// unsafe-free.
+// Deny (not forbid) so that exactly two audited modules can opt back in
+// with a module-local allow: `simd`, which confines `core::arch` intrinsics
+// behind runtime feature detection, and `par`, for the one lifetime erasure
+// that lets standing pool workers call a borrowed closure. Every unsafe
+// token is pinned by count in lint.toml (UNSAFE001/UNSAFE002); all other
+// modules remain unsafe-free.
 #![deny(unsafe_code)]
 // Reference-style loops index multiple arrays in lockstep; the index
 // form is clearer than zipped iterators for these numeric kernels.

@@ -11,12 +11,15 @@
 //!
 //! Design points:
 //!
-//! * **Thread-aware sharding.** The [`crate::par`] runtime spawns fresh
-//!   scoped workers per call, so a `thread_local!` cache would never stay
-//!   warm. Instead the pool is a process-global set of mutex-guarded
-//!   shards; each thread is assigned a shard round-robin on first use, so
-//!   concurrent workers rarely contend on the same lock and buffers
-//!   recycled by one worker generation are reused by the next.
+//! * **Thread-aware sharding.** The pool is a process-global set of
+//!   mutex-guarded shards; each thread is assigned a home shard round-robin
+//!   on first use. The [`crate::par`] workers are standing threads, so
+//!   their home shards are stable and concurrent workers rarely contend on
+//!   the same lock. A `thread_local!` cache would not do: a row filled by a
+//!   worker is dropped by the caller that collects it (and connection
+//!   threads come and go), so buffers migrate between threads — which is
+//!   why a take that misses at home probes the sibling shards before it
+//!   allocates.
 //! * **Exact size classes.** HE rows come in a handful of lengths (the
 //!   ring degree per parameter set, occasionally a digit count), so classes
 //!   are keyed by exact element count — no rounding waste, no
@@ -113,9 +116,9 @@ impl PolyPool {
             return Vec::new();
         }
         let p = pool();
-        // Probe the home shard first, then steal from siblings: workers
-        // spawned by `par` are short-lived, so a buffer recycled under one
-        // shard must stay reachable from the next worker generation.
+        // Probe the home shard first, then steal from siblings: rows are
+        // filled on one thread and dropped on another, so a buffer recycled
+        // under one shard must stay reachable from every thread.
         for probe in 0..SHARD_COUNT {
             let shard = &p.shards[(home_shard() + probe) % SHARD_COUNT];
             let mut classes = lock(&shard.u64s);

@@ -1,8 +1,9 @@
 //! Runtime-dispatched SIMD backends for the Harvey lazy NTT butterflies and
 //! the dyadic coefficient-wise ops.
 //!
-//! This is the **only** module in the workspace that contains `unsafe`
-//! code, and every unsafe token in it is one of exactly two shapes:
+//! Apart from the single lifetime erasure in [`crate::par`], this is the
+//! only module in the workspace that contains `unsafe` code, and every
+//! unsafe token in it is one of exactly two shapes:
 //!
 //! 1. an unaligned vector load/store through a length-checked slice
 //!    pointer (`_mm256_loadu_si256` / `vld1q_u64` and their stores), and

@@ -5,7 +5,8 @@
 //! collects jobs for a short window, groups them by
 //! `(params_hash, program_ref)`, and executes each group as **one batch**:
 //! every member shares the same `Arc<CachedProgram>` (compiled schedule +
-//! encoded-operand cache), and members run concurrently on scoped threads.
+//! encoded-operand cache), and members run concurrently as tasks of the
+//! `choco_math::par` worker pool.
 //! That is what coalescing buys: N compatible requests — from one
 //! pipelining client or from N different tenants — pay for one program
 //! resolution and one warm operand set, and their kernel work overlaps.
@@ -39,7 +40,9 @@
 
 use crate::chaos::{EvalChaosState, EvalStage};
 use crate::isolate::Isolation;
+use choco_math::par;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -147,8 +150,8 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-/// The scheduler: one dispatcher thread, scoped execution threads per
-/// batch. See the module docs.
+/// The scheduler: one dispatcher thread that fans each batch out through
+/// the `par` pool. See the module docs.
 pub struct BatchScheduler {
     inner: Arc<Inner>,
     dispatcher: Option<JoinHandle<()>>,
@@ -362,32 +365,23 @@ fn execute(inner: &Inner, mut jobs: Vec<Job>) {
     }
 }
 
-/// Runs every job in the (sub-)batch, concurrently when there is more
-/// than one. A panicking job becomes a poison fault instead of taking the
-/// dispatcher down.
+/// Runs every job in the (sub-)batch as tasks of the `par` pool: up to
+/// `par::num_threads()` members run at once, each with its row-level
+/// `par_*` calls inline, while a batch of one stays on the dispatcher and
+/// keeps row-level fan-out. A panicking job becomes a poison fault instead
+/// of taking the dispatcher down.
 fn run_all(jobs: &[Job]) -> Vec<JobOutcome> {
-    let panicked = || JobOutcome {
-        response: Vec::new(),
-        fault: Some(JobFault {
-            reason: "job panicked".into(),
-            poison: true,
-        }),
-    };
-    if let [job] = jobs {
-        return vec![(job.run)()];
-    }
-    thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|job| {
-                let run = &*job.run;
-                scope.spawn(run)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| panicked()))
-            .collect()
+    // `Job` is not `Sync` (its `deliver` is a plain `FnOnce + Send`); the
+    // `run` closures are.
+    let runs: Vec<_> = jobs.iter().map(|job| &*job.run).collect();
+    par::par_map(&runs, |_, run| {
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| JobOutcome {
+            response: Vec::new(),
+            fault: Some(JobFault {
+                reason: "job panicked".into(),
+                poison: true,
+            }),
+        })
     })
 }
 
@@ -546,6 +540,61 @@ mod tests {
             isolation.check_quarantine(&group).as_deref(),
             Some("poison")
         );
+    }
+
+    #[test]
+    fn panicking_batch_member_is_a_poison_fault_and_the_rest_deliver() {
+        let isolation = Arc::new(Isolation::default());
+        let sched = BatchScheduler::with_hooks(
+            30,
+            SchedHooks {
+                isolation: Arc::clone(&isolation),
+                ..SchedHooks::default()
+            },
+        );
+        let (tx, rx) = mpsc::channel();
+        let group = ([7; 32], [8; 32]);
+        for i in 0..4u8 {
+            let tx = tx.clone();
+            sched.submit(job(
+                group,
+                move || {
+                    assert!(i != 1, "job {i} blew up");
+                    ok_outcome(i)
+                },
+                move |resp| {
+                    let _ = tx.send((i, resp));
+                },
+            ));
+        }
+        assert!(sched.flush(Duration::from_secs(5)));
+        let mut got: Vec<(u8, Vec<u8>)> = rx.try_iter().collect();
+        got.sort();
+        // The panicking member gets the empty poison response; the three
+        // healthy members their own results, re-run after bisection.
+        assert_eq!(
+            got,
+            vec![(0, vec![0]), (1, vec![]), (2, vec![2]), (3, vec![3])]
+        );
+        assert_eq!(sched.stats().max_batch, 4, "all four coalesced");
+        let stats = isolation.stats();
+        assert!(stats.bisections >= 1, "a poisoned batch of 4 must bisect");
+        assert_eq!(stats.faults, 1, "exactly one isolated fault");
+        assert_eq!(
+            isolation.check_quarantine(&group).as_deref(),
+            Some("job panicked")
+        );
+        // The dispatcher and the pool survived the panic.
+        let (tx2, rx2) = mpsc::channel();
+        sched.submit(job(
+            ([9; 32], [9; 32]),
+            || ok_outcome(9),
+            move |resp| {
+                let _ = tx2.send(resp);
+            },
+        ));
+        assert!(sched.flush(Duration::from_secs(5)));
+        assert_eq!(rx2.try_iter().collect::<Vec<_>>(), vec![vec![9]]);
     }
 
     #[test]
