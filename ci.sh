@@ -32,11 +32,11 @@ CHOCO_THREADS=4 cargo test -q -p choco-math --test prop_math
 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 
 echo "==> simd/scalar equivalence suite (CHOCO_SIMD=0 and =1, both thread counts)"
-# The dispatched NTT and dyadic kernels must be bit-identical whichever
-# backend runs them (crates/math/tests/prop_math.rs asserts simd == scalar
-# == strict in-process; running the suites under both CHOCO_SIMD settings
-# additionally proves the forced-scalar build computes the same bits the
-# vectorized build does, at every thread count).
+# The dispatched forward NTT and modular add/sub must be bit-identical
+# whichever backend runs them (crates/math/tests/prop_math.rs asserts simd
+# == scalar == strict in-process; running the suites under both CHOCO_SIMD
+# settings additionally proves the forced-scalar build computes the same
+# bits the vectorized build does, at every thread count).
 CHOCO_SIMD=0 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_SIMD=0 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 CHOCO_SIMD=1 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
@@ -117,13 +117,15 @@ echo "==> kernel bench reporter (smoke mode + generic-core and simd gates)"
 # Besides the kernel timings, bench_kernels asserts that the scheme-generic
 # HeScheme::dot_diagonals path stays within noise (< 1.25x) of a
 # hand-inlined twin for both BFV and CKKS — the generic protocol core is
-# monomorphized, so any measurable gap is a regression. It also gates the
-# SIMD forward-NTT peak speedup at >= 2.0x over the scalar kernel whenever
-# a vector backend (AVX2/AVX-512/NEON) is active; on scalar-only hosts the
-# gate is skipped gracefully (a note in the report, not a failure). Its
-# par section times every call site still routed through the worker pool
-# against its one-thread loop and fails on a ratio < 1.0 — skipped, with a
-# note, while the host is not running two threads faster than one.
+# monomorphized, so any measurable gap is a regression. Its simd section
+# times every vector kernel (forward NTT, modular add, modular sub; N = 4096
+# and 8192) against its scalar twin and fails on a ratio < 1.0, and on a
+# forward NTT whose better size reads < 2.0x, whenever the AVX2 backend is
+# active; on scalar-only hosts the gate is skipped (a note in the report,
+# not a failure). Its par section times every call site still routed
+# through the worker pool against its one-thread loop and fails on a ratio
+# < 1.0 — skipped, with a note, while the host is not running two threads
+# faster than one.
 cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json /tmp/bench_kernels_smoke.json
 
 echo "==> choco-lint (secret-independence, lazy-reduction, panic/unsafe audit)"

@@ -14,7 +14,8 @@
 //! * polynomial helpers over a single modulus ([`poly`])
 //! * a dependency-free persistent worker pool for slice-parallel kernels
 //!   ([`par`])
-//! * runtime-dispatched SIMD butterflies and dyadic ops ([`simd`])
+//! * the AVX2 forward-NTT, modular add and modular subtract kernels,
+//!   runtime-dispatched ([`simd`])
 //! * a size-classed buffer pool for zero-allocation steady state ([`pool`])
 //!
 //! Everything is implemented from scratch; no external arithmetic crates are

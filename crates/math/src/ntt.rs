@@ -153,10 +153,9 @@ impl NttTable {
     /// Panics if `a.len() != self.size()`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "ntt input length mismatch");
-        if crate::simd::ntt_forward_lazy(a, &self.psi_rev, &self.psi_rev_shoup, self.q) {
-            return;
+        if !crate::simd::ntt_forward_lazy(a, &self.psi_rev, &self.psi_rev_shoup, self.q) {
+            self.forward_scalar(a);
         }
-        self.forward_scalar_body(a);
     }
 
     /// The scalar lazy forward transform, bypassing SIMD dispatch. Public
@@ -168,10 +167,6 @@ impl NttTable {
     /// Panics if `a.len() != self.size()`.
     pub fn forward_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "ntt input length mismatch");
-        self.forward_scalar_body(a);
-    }
-
-    fn forward_scalar_body(&self, a: &mut [u64]) {
         let q = self.q;
         // choco-lint: lazy-domain
         let two_q = 2 * q;
@@ -220,39 +215,13 @@ impl NttTable {
     ///
     /// Uses lazy (Harvey) reduction: values stay in `[0, 2q)` between
     /// stages and the final `1/n` scaling multiply fully reduces, so the
-    /// output is bit-identical to [`Self::inverse_strict`]. Dispatches to
-    /// the vectorized [`crate::simd`] kernel when a backend is active.
+    /// output is bit-identical to [`Self::inverse_strict`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.size()`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "intt input length mismatch");
-        if crate::simd::ntt_inverse_lazy(
-            a,
-            &self.inv_psi_rev,
-            &self.inv_psi_rev_shoup,
-            self.n_inv,
-            self.n_inv_shoup,
-            self.q,
-        ) {
-            return;
-        }
-        self.inverse_scalar_body(a);
-    }
-
-    /// The scalar lazy inverse transform, bypassing SIMD dispatch (see
-    /// [`Self::forward_scalar`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.size()`.
-    pub fn inverse_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "intt input length mismatch");
-        self.inverse_scalar_body(a);
-    }
-
-    fn inverse_scalar_body(&self, a: &mut [u64]) {
         let q = self.q;
         // choco-lint: lazy-domain
         let two_q = 2 * q;

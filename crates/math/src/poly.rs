@@ -4,7 +4,9 @@
 //! modulo `q`; the ring structure (`x^N + 1`) is supplied by the caller via
 //! [`crate::ntt::NttTable`] where products are needed.
 
-use crate::modops::{add_mod, mul_add_mod, mul_mod, neg_mod, sub_mod};
+use crate::modops::{
+    add_mod, mul_add_mod, mul_mod, mul_mod_shoup, neg_mod, shoup_precompute, sub_mod,
+};
 
 /// `a += b (mod q)` element-wise.
 ///
@@ -62,8 +64,10 @@ pub fn dyadic_acc_assign(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
 /// `a *= s (mod q)` for a scalar `s`.
 pub fn scalar_mul_assign(a: &mut [u64], s: u64, q: u64) {
     let s = s % q;
-    let s_shoup = crate::modops::shoup_precompute(s, q);
-    crate::simd::scalar_mul_shoup_slices(a, s, s_shoup, q);
+    let s_shoup = shoup_precompute(s, q);
+    for x in a.iter_mut() {
+        *x = mul_mod_shoup(*x, s, s_shoup, q);
+    }
 }
 
 /// Applies the Galois automorphism `x → x^e` to a polynomial in coefficient

@@ -267,10 +267,11 @@ const SIMD_MOD_BITS: [u32; 6] = [30, 45, 55, 58, 60, 61];
 
 #[test]
 fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
-    // The dispatched transforms (`forward`/`inverse`) must agree bit-for-bit
-    // with both the scalar lazy path and the fully-reduced strict reference,
-    // whatever backend `CHOCO_SIMD`/detection selected for this process
-    // (ci.sh runs this suite under CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4).
+    // The dispatched forward transform must agree bit-for-bit with both the
+    // scalar lazy path and the fully-reduced strict reference, whatever
+    // backend `CHOCO_SIMD`/detection selected for this process (ci.sh runs
+    // this suite under CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4); the inverse
+    // has one (scalar lazy) path, checked against strict and the round trip.
     let mut tables = Vec::new();
     for log_n in 10..=14 {
         let n = 1usize << log_n;
@@ -296,9 +297,6 @@ fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
 
             let mut inv = fwd.clone();
             t.inverse(&mut inv);
-            let mut inv_scalar = fwd.clone();
-            t.inverse_scalar(&mut inv_scalar);
-            assert_eq!(inv, inv_scalar, "inverse simd != scalar: {ctx}");
             let mut inv_strict = fwd.clone();
             t.inverse_strict(&mut inv_strict);
             assert_eq!(inv, inv_strict, "inverse lazy != strict: {ctx}");
@@ -309,7 +307,6 @@ fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
 
 #[test]
 fn simd_slice_ops_match_scalar_reference() {
-    use choco_math::modops::{mul_mod_shoup, shoup_precompute};
     use choco_math::simd;
     // Odd lengths exercise the vector tails; length < lane width exercises
     // the all-tail case.
@@ -329,23 +326,5 @@ fn simd_slice_ops_match_scalar_reference() {
         simd::sub_mod_slices(&mut got, &b, q);
         let want: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| sub_mod(x, y, q)).collect();
         assert_eq!(got, want, "sub_mod_slices (len {len}, q {q})");
-
-        let s = g.u64_below(q);
-        let s_sh = shoup_precompute(s, q);
-        let mut got = a.clone();
-        simd::scalar_mul_shoup_slices(&mut got, s, s_sh, q);
-        let want: Vec<u64> = a.iter().map(|&x| mul_mod_shoup(x, s, s_sh, q)).collect();
-        assert_eq!(got, want, "scalar_mul_shoup_slices (len {len}, q {q})");
-
-        let b_sh: Vec<u64> = b.iter().map(|&y| shoup_precompute(y, q)).collect();
-        let mut got = a.clone();
-        simd::dyadic_mul_shoup_slices(&mut got, &b, &b_sh, q);
-        let want: Vec<u64> = a
-            .iter()
-            .zip(&b)
-            .zip(&b_sh)
-            .map(|((&x, &y), &ysh)| mul_mod_shoup(x, y, ysh, q))
-            .collect();
-        assert_eq!(got, want, "dyadic_mul_shoup_slices (len {len}, q {q})");
     });
 }
