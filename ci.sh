@@ -128,6 +128,21 @@ echo "==> kernel bench reporter (smoke mode + generic-core and simd gates)"
 # faster than one.
 cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json /tmp/bench_kernels_smoke.json
 
+echo "==> benchmark package: build, unit tests, 1-second smoke of all four workloads"
+# benchmark/ is a package of its own (not a workspace member), so nothing
+# above compiles it: a signature change in choco-apps / choco / choco-serve
+# would break it silently. Build it, run its unit tests, and run every
+# workload untraced + traced for one second. run.sh exits non-zero when any
+# op or check failed; each of the eight runs must also end in a result line
+# that reads correct with zero failed ops. Read-only: writes only the
+# git-ignored benchmark/target and benchmark/out.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --seconds 1 > /tmp/bench_smoke.out
+clean_runs=$(grep -c '^{"correct":true,"attempted":[0-9]*,"failed":0,' /tmp/bench_smoke.out || true)
+[ "$clean_runs" -eq 8 ] \
+    || { grep '^{"correct"' /tmp/bench_smoke.out | cut -c1-80; echo "ci: benchmark smoke: $clean_runs of 8 runs correct with zero failed ops"; exit 1; }
+
 echo "==> choco-lint (secret-independence, lazy-reduction, panic/unsafe audit)"
 # The committed lint.toml pins every allowlisted site by exact count; any
 # drift (new or removed sites) fails here. To regenerate after an audited

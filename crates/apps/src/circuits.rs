@@ -108,7 +108,7 @@ pub fn dnn_conv_program(in_ch: usize, h: usize, w: usize, f: usize) -> Program {
     let mut prog = Program::new();
     let x = prog.input("channels");
     let mut acc = None;
-    for tap in conv_taps(&weights, in_ch, f, w) {
+    for tap in conv_taps(&weights, 0, in_ch, f, w) {
         let mask: Vec<f64> = (0..width)
             .map(|j| {
                 let ch = (j / layout.stride()) % in_ch;

@@ -19,10 +19,14 @@
 //! | stacked dimension-major| ⌈d/stack⌉      | 1 dense   | rotate tree   |
 //! | collapsed point-major  | 1              | 1 dense   | masks + rots  |
 
+use crate::resumable::{
+    bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_f64s, read_ct, read_f64s,
+    ResumableWorkload,
+};
 use choco::protocol::{CommLedger, Server};
 use choco::transport::{Channel, Session, TransportError};
 use choco_he::ckks::CkksCiphertext;
-use choco_he::{Ckks, HeError, HeScheme};
+use choco_he::{Ckks, HeError};
 
 /// Packing variants of Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,9 +80,9 @@ pub struct DistanceResult {
     pub decryptions: u64,
     /// Homomorphic operation count on the server (rough server-cost proxy).
     pub server_ops: u64,
-    /// Serialized reply ciphertext as delivered — the bit-identity witness
-    /// resumable drivers store in their checkpoint progress.
-    pub reply_wire: Vec<u8>,
+    /// The reply ciphertext as delivered — the bit-identity witness
+    /// [`ResumableKmeans`] keeps for its checkpoint progress.
+    pub reply: CkksCiphertext,
 }
 
 fn block_stride(dims: usize) -> usize {
@@ -281,7 +285,7 @@ fn point_major<C: Channel>(
         encryptions: session.client_mut().encryption_count(),
         decryptions: session.client_mut().decryption_count(),
         server_ops,
-        reply_wire: Ckks::ct_to_wire(&back),
+        reply: back,
     })
 }
 
@@ -394,7 +398,7 @@ fn dimension_major<C: Channel>(
         encryptions: session.client_mut().encryption_count(),
         decryptions: session.client_mut().decryption_count(),
         server_ops,
-        reply_wire: Ckks::ct_to_wire(&back),
+        reply: back,
     })
 }
 
@@ -475,11 +479,166 @@ pub struct KMeansRun {
     pub ledger: CommLedger,
 }
 
-/// Runs K-Means to convergence with encrypted distance computation: each
-/// iteration, the client encrypts every centroid, the server returns
-/// encrypted distances to all points, and the client performs the
-/// assignment + centroid update in plaintext (§5.1: "K-Means iterates
-/// client-server interaction until convergence").
+const KMEANS_MAGIC: &[u8; 4] = b"RKM1";
+
+/// Client-aided K-Means over encrypted distances as a round-granular state
+/// machine: each step is one full iteration — the client encrypts every
+/// centroid, the server returns encrypted distances to all points, and the
+/// client performs the assignment + centroid update in plaintext (§5.1:
+/// "K-Means iterates client-server interaction until convergence").
+///
+/// The run converges when no centroid moved by `tolerance` or more: the
+/// maximum over centroids of the squared Euclidean movement is below
+/// `tolerance²`.
+#[derive(Debug, Clone)]
+pub struct ResumableKmeans {
+    variant: PackingVariant,
+    points: Vec<Vec<f64>>,
+    max_iterations: u32,
+    tolerance: f64,
+    centroids: Vec<Vec<f64>>,
+    iterations: u32,
+    converged: bool,
+    finished: bool,
+    last_reply: Option<CkksCiphertext>,
+}
+
+impl ResumableKmeans {
+    /// Starts a fresh clustering run.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] (wrapped) for empty points or centroids.
+    pub fn new(
+        variant: PackingVariant,
+        points: &[Vec<f64>],
+        initial_centroids: &[Vec<f64>],
+        max_iterations: u32,
+        tolerance: f64,
+    ) -> Result<Self, TransportError> {
+        if points.is_empty() || initial_centroids.is_empty() {
+            return Err(HeError::Mismatch(
+                "k-means needs at least one point and one centroid".into(),
+            )
+            .into());
+        }
+        Ok(ResumableKmeans {
+            variant,
+            points: points.to_vec(),
+            max_iterations,
+            tolerance,
+            centroids: initial_centroids.to_vec(),
+            iterations: 0,
+            converged: false,
+            finished: max_iterations == 0,
+            last_reply: None,
+        })
+    }
+
+    /// Current centroids (final once done).
+    pub fn centroids(&self) -> &[Vec<f64>] {
+        &self.centroids
+    }
+
+    /// Iterations executed so far (each = one encrypted distance round per
+    /// centroid + one plaintext update).
+    pub fn iterations(&self) -> u32 {
+        self.iterations
+    }
+
+    /// Whether the run converged within tolerance.
+    pub fn converged(&self) -> bool {
+        self.converged
+    }
+}
+
+impl ResumableWorkload for ResumableKmeans {
+    type Scheme = Ckks;
+
+    /// Runs one K-Means iteration.
+    fn step<C: Channel>(&mut self, session: &mut Session<Ckks, C>) -> Result<(), TransportError> {
+        if self.is_done() {
+            return Ok(());
+        }
+        let mut dists = Vec::with_capacity(self.centroids.len());
+        for c in &self.centroids {
+            session.compute_tick()?;
+            let res = encrypted_distances(self.variant, session, c, &self.points)?;
+            dists.push(res.distances);
+            self.last_reply = Some(res.reply);
+        }
+        self.iterations += 1;
+        let updated = kmeans_update(&self.points, &dists);
+        let movement = self
+            .centroids
+            .iter()
+            .zip(&updated)
+            .map(|(a, b)| distances_plain(a, std::slice::from_ref(b))[0])
+            .fold(0.0f64, f64::max);
+        self.centroids = updated;
+        self.converged = movement < self.tolerance * self.tolerance;
+        self.finished = self.converged || self.iterations >= self.max_iterations;
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.finished
+    }
+
+    fn progress(&self) -> Vec<u8> {
+        let mut out = KMEANS_MAGIC.to_vec();
+        out.extend_from_slice(&self.iterations.to_le_bytes());
+        out.push(self.converged as u8);
+        out.push(self.finished as u8);
+        out.extend_from_slice(&(self.centroids.len() as u32).to_le_bytes());
+        for c in &self.centroids {
+            put_f64s(&mut out, c);
+        }
+        put_ct::<Ckks>(&mut out, self.last_reply.as_ref());
+        out
+    }
+
+    fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
+        let mut r = progress_cursor(progress, KMEANS_MAGIC)?;
+        let iterations = r.take_u32()?;
+        let converged = r.take_u8()?;
+        let finished = r.take_u8()?;
+        let k = r.take_u32()? as usize;
+        if k != self.centroids.len() {
+            return Err(bad_progress("centroid count mismatch"));
+        }
+        let d = self.points.first().map_or(0, Vec::len);
+        let mut centroids = Vec::with_capacity(k);
+        for _ in 0..k {
+            let c = read_f64s(&mut r)?;
+            if c.len() != d {
+                return Err(bad_progress("centroid dimension mismatch"));
+            }
+            centroids.push(c);
+        }
+        let last_reply = read_ct::<Ckks>(&mut r)?;
+        finish_progress(&r)?;
+        if converged > 1 || finished > 1 {
+            return Err(bad_progress("flag byte out of range"));
+        }
+        if iterations > self.max_iterations {
+            return Err(bad_progress("iteration counter exceeds the budget"));
+        }
+        self.iterations = iterations;
+        self.converged = converged == 1;
+        self.finished = finished == 1;
+        self.centroids = centroids;
+        self.last_reply = last_reply;
+        Ok(self)
+    }
+
+    fn final_ct_wire(&self) -> Vec<u8> {
+        ct_wire::<Ckks>(self.last_reply.as_ref())
+    }
+}
+
+/// Runs K-Means ([`ResumableKmeans`]) to convergence over the session's
+/// link. The reported ledger covers only this call.
 ///
 /// # Errors
 ///
@@ -493,40 +652,20 @@ pub fn kmeans_encrypted<C: Channel>(
     max_iterations: u32,
     tolerance: f64,
 ) -> Result<KMeansRun, TransportError> {
-    if points.is_empty() || initial_centroids.is_empty() {
-        return Err(
-            HeError::Mismatch("k-means needs at least one point and one centroid".into()).into(),
-        );
-    }
-    let mut centroids = initial_centroids.to_vec();
-    let mut ledger = CommLedger::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    while iterations < max_iterations {
-        iterations += 1;
-        let mut dists = Vec::with_capacity(centroids.len());
-        for c in &centroids {
-            let res = encrypted_distances(variant, session, c, points)?;
-            ledger.merge(&res.ledger);
-            dists.push(res.distances);
-        }
-        let updated = kmeans_update(points, &dists);
-        let movement = centroids
-            .iter()
-            .zip(&updated)
-            .map(|(a, b)| distances_plain(a, std::slice::from_ref(b))[0])
-            .fold(0.0f64, f64::max);
-        centroids = updated;
-        if movement < tolerance * tolerance {
-            converged = true;
-            break;
-        }
-    }
+    let mut run = ResumableKmeans::new(
+        variant,
+        points,
+        initial_centroids,
+        max_iterations,
+        tolerance,
+    )?;
+    let before = *session.ledger();
+    run.run(session)?;
     Ok(KMeansRun {
-        centroids,
-        iterations,
-        converged,
-        ledger,
+        centroids: run.centroids,
+        iterations: run.iterations,
+        converged: run.converged,
+        ledger: ledger_delta(session.ledger(), &before),
     })
 }
 
@@ -738,6 +877,33 @@ mod tests {
         assert!((c1[0] - 2.0).abs() < 0.1, "cluster 1 centroid {c1:?}");
         assert!(run.ledger.total_bytes() > 0);
         assert!(run.iterations >= 2);
+    }
+
+    #[test]
+    fn kmeans_converges_on_euclidean_not_per_coordinate_movement() {
+        // One centroid owns every point, so it lands on their mean after
+        // the first iteration whatever the (approximate) distances read.
+        // Starting 0.6·tolerance away in each of four coordinates it moves
+        // 1.2·tolerance in Euclidean norm: iteration 1 must not count as
+        // converged, although no single coordinate moved by the tolerance.
+        let tolerance = 0.1;
+        let points = vec![vec![0.9, 1.0, 1.1, 1.0], vec![1.1, 1.0, 0.9, 1.0]];
+        let init = vec![vec![1.0 - 0.6 * tolerance; 4]];
+        let mut session = setup(4, 2);
+        let run = kmeans_encrypted(
+            PackingVariant::DimensionMajor,
+            &mut session,
+            &points,
+            &init,
+            5,
+            tolerance,
+        )
+        .unwrap();
+        assert!(run.converged);
+        assert_eq!(run.iterations, 2);
+        for x in &run.centroids[0] {
+            assert!((x - 1.0).abs() < 1e-12, "centroid {:?}", run.centroids[0]);
+        }
     }
 
     #[test]

@@ -17,13 +17,17 @@
 //! exercises the full stack (packing → encryption → server conv →
 //! accumulation → decryption → unpacking) against a plaintext reference.
 
+use crate::resumable::{
+    bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
+    ResumableWorkload,
+};
 use choco::linalg::{accumulate_channels, stacked_conv, ConvTap};
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 use choco::transport::{Channel, Session, TransportError};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
-use choco_he::{Bfv, HeError};
+use choco_he::{Bfv, HeError, HeScheme};
 
 /// One layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -755,13 +759,215 @@ pub fn conv2d_plain_circular(
     out
 }
 
-/// Runs one encrypted convolution layer end to end through the client-aided
-/// protocol session and returns the per-output-channel feature maps.
+const CONV_MAGIC: &[u8; 4] = b"RCV1";
+
+/// One encrypted convolution layer as a channel-granular state machine:
+/// step 0 packs + encrypts + uploads the stacked input; each later step
+/// computes one output channel server-side (watchdog guard → filter taps →
+/// stacked conv → channel accumulation), downloads it and extracts the
+/// feature map.
 ///
-/// Input: `in_ch` channel maps of `h·w` 4-bit values; weights
-/// `[out_ch][in_ch][f·f]` 4-bit values. The result matches
-/// [`conv2d_plain_circular`] exactly (the client would discard border
-/// pixels for `valid` semantics).
+/// The input normally fits one ciphertext;
+/// [`run_encrypted_conv_layer_multi`] builds the same machine over several
+/// channel groups, one ciphertext each, whose per-group partial sums (all
+/// aligned at channel block 0) are added server-side before the download.
+///
+/// Because the input ciphertexts live on the (crashed) server across
+/// steps, resuming requires [`recover`](ResumableWorkload::recover), which
+/// re-uploads them billed to `recovery_bytes` — never re-encrypting, so
+/// the client RNG stream stays on the uninterrupted run's schedule.
+#[derive(Debug, Clone)]
+pub struct ResumableConvLayer {
+    /// Input channels partitioned into equally sized groups, one
+    /// ciphertext per group.
+    groups: Vec<Vec<Vec<u64>>>,
+    weights: Vec<Vec<Vec<u64>>>,
+    h: usize,
+    w: usize,
+    f: usize,
+    /// The input ciphertexts as the server holds them (empty = not yet
+    /// uploaded). A guard that refreshes replaces its entry.
+    resident: Vec<Ciphertext>,
+    maps: Vec<Vec<u64>>,
+    last_reply: Option<Ciphertext>,
+}
+
+impl ResumableConvLayer {
+    /// Starts a fresh layer run. Input: `in_ch` channel maps of `h·w`
+    /// 4-bit values; weights `[out_ch][in_ch][f·f]` 4-bit values.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] (wrapped) for empty inputs or weights.
+    pub fn new(
+        input: &[Vec<u64>],
+        weights: &[Vec<Vec<u64>>],
+        h: usize,
+        w: usize,
+        f: usize,
+    ) -> Result<Self, TransportError> {
+        Self::grouped(input, weights, h, w, f, input.len())
+    }
+
+    /// [`Self::new`] with the input channels split into groups of `per_ct`
+    /// (the tail group zero-padded).
+    fn grouped(
+        input: &[Vec<u64>],
+        weights: &[Vec<Vec<u64>>],
+        h: usize,
+        w: usize,
+        f: usize,
+        per_ct: usize,
+    ) -> Result<Self, TransportError> {
+        if input.is_empty() || weights.is_empty() {
+            return Err(HeError::Mismatch("empty conv input or weights".into()).into());
+        }
+        let groups = input
+            .chunks(per_ct)
+            .map(|chunk| {
+                let mut g = chunk.to_vec();
+                g.resize_with(per_ct, || vec![0u64; h * w]);
+                g
+            })
+            .collect();
+        Ok(ResumableConvLayer {
+            groups,
+            weights: weights.to_vec(),
+            h,
+            w,
+            f,
+            resident: Vec::new(),
+            maps: Vec::new(),
+            last_reply: None,
+        })
+    }
+
+    fn per_ct(&self) -> usize {
+        self.groups.first().map_or(0, Vec::len)
+    }
+
+    fn layout(&self) -> StackedLayout {
+        let red = (self.f / 2) * (self.w + 1);
+        StackedLayout::new(self.per_ct(), RedundantLayout::new(self.h * self.w, red))
+    }
+
+    /// Per-output-channel feature maps computed so far (all of them once
+    /// done). Each matches [`conv2d_plain_circular`] exactly (the client
+    /// would discard border pixels for `valid` semantics).
+    pub fn maps(&self) -> &[Vec<u64>] {
+        &self.maps
+    }
+}
+
+impl ResumableWorkload for ResumableConvLayer {
+    type Scheme = Bfv;
+
+    /// Runs the next step: the initial upload, or one output channel.
+    /// A layer too large for its ciphertexts is [`HeError::Mismatch`].
+    fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
+        if self.is_done() {
+            return Ok(());
+        }
+        let layout = self.layout();
+        if self.resident.is_empty() {
+            if !layout.fits(session.server().context().degree() / 2) {
+                return Err(HeError::Mismatch(
+                    "layer too large for one ciphertext; split across ciphertexts".into(),
+                )
+                .into());
+            }
+            // Client: pack + encrypt + upload (framed, retried), one
+            // ciphertext per group.
+            let mut resident = Vec::with_capacity(self.groups.len());
+            for group in &self.groups {
+                let ct = session.client_mut().encrypt_slots(&layout.pack(group))?;
+                resident.push(session.upload(&ct)?);
+            }
+            self.resident = resident;
+            return Ok(());
+        }
+
+        // Server: stacked conv + accumulation for this output channel, the
+        // watchdog checking each input's remaining budget before its pass.
+        let per_ct = self.per_ct();
+        let out_weights = &self.weights[self.maps.len()];
+        let mut total: Option<Ciphertext> = None;
+        for (g, at_server) in self.resident.iter_mut().enumerate() {
+            *at_server = session.guard(at_server)?;
+            session.compute_tick()?;
+            let taps = conv_taps(out_weights, g * per_ct, per_ct, self.f, self.w);
+            let conv = stacked_conv(session.server(), at_server, &layout, &taps)?;
+            let acc = accumulate_channels(session.server(), &conv, &layout)?;
+            total = Some(match total {
+                None => acc,
+                Some(t) => session.server().add(&t, &acc)?,
+            });
+        }
+        let total =
+            total.ok_or_else(|| HeError::Mismatch("conv layer has no channel groups".into()))?;
+        let back = session.download(&total)?;
+        let slots = session.client_mut().decrypt_slots(&back)?;
+        self.maps.push(layout.extract(&slots)[0].clone());
+        self.last_reply = Some(back);
+        if self.is_done() {
+            session.ledger_mut().end_round();
+        }
+        Ok(())
+    }
+
+    /// Re-uploads the resident input ciphertexts through
+    /// [`Session::recover_upload`] (billed to `recovery_bytes`), if the
+    /// upload step had completed.
+    fn recover<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
+        for at_server in &mut self.resident {
+            *at_server = session.recover_upload(&Bfv::ct_to_wire(at_server))?;
+        }
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.maps.len() == self.weights.len()
+    }
+
+    fn progress(&self) -> Vec<u8> {
+        let mut out = CONV_MAGIC.to_vec();
+        for g in 0..self.groups.len() {
+            put_ct::<Bfv>(&mut out, self.resident.get(g));
+        }
+        put_maps(&mut out, &self.maps);
+        put_ct::<Bfv>(&mut out, self.last_reply.as_ref());
+        out
+    }
+
+    fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
+        let mut r = progress_cursor(progress, CONV_MAGIC)?;
+        let mut resident = Vec::with_capacity(self.groups.len());
+        for _ in 0..self.groups.len() {
+            resident.extend(read_ct::<Bfv>(&mut r)?);
+        }
+        if !resident.is_empty() && resident.len() != self.groups.len() {
+            return Err(bad_progress("only some input groups were uploaded"));
+        }
+        let maps = read_maps(&mut r, self.weights.len(), self.h * self.w)?;
+        let last_reply = read_ct::<Bfv>(&mut r)?;
+        finish_progress(&r)?;
+        if !maps.is_empty() && resident.is_empty() {
+            return Err(bad_progress("channel maps recorded before any upload"));
+        }
+        self.resident = resident;
+        self.maps = maps;
+        self.last_reply = last_reply;
+        Ok(self)
+    }
+
+    fn final_ct_wire(&self) -> Vec<u8> {
+        ct_wire::<Bfv>(self.last_reply.as_ref())
+    }
+}
+
+/// Runs one encrypted convolution layer ([`ResumableConvLayer`]) end to end
+/// through the client-aided protocol session and returns the
+/// per-output-channel feature maps.
 ///
 /// Every ciphertext crosses the session's framed channels with retries, and
 /// the noise watchdog guards the input ciphertext before each output
@@ -781,42 +987,18 @@ pub fn run_encrypted_conv_layer<C: Channel>(
     w: usize,
     f: usize,
 ) -> Result<Vec<Vec<u64>>, TransportError> {
-    let in_ch = input.len();
-    let red = (f / 2) * (w + 1);
-    let layout = StackedLayout::new(in_ch, RedundantLayout::new(h * w, red));
-    if !layout.fits(session.server().context().degree() / 2) {
-        return Err(HeError::Mismatch(
-            "layer too large for one ciphertext; split across ciphertexts".into(),
-        )
-        .into());
-    }
-
-    // Client: pack + encrypt + upload (framed, retried).
-    let slots = layout.pack(input);
-    let ct = session.client_mut().encrypt_slots(&slots)?;
-    let mut at_server = session.upload(&ct)?;
-
-    // Server: stacked conv + accumulation per output channel, with the
-    // watchdog checking the input's remaining budget before each pass.
-    let mut maps = Vec::new();
-    for out_weights in weights {
-        at_server = session.guard(&at_server)?;
-        let taps = conv_taps(out_weights, in_ch, f, w);
-        let conv = stacked_conv(session.server(), &at_server, &layout, &taps)?;
-        let acc = accumulate_channels(session.server(), &conv, &layout)?;
-        let back = session.download(&acc)?;
-        let slots = session.client_mut().decrypt_slots(&back)?;
-        maps.push(layout.extract(&slots)[0].clone());
-    }
-    session.ledger_mut().end_round();
-    Ok(maps)
+    let mut layer = ResumableConvLayer::new(input, weights, h, w, f)?;
+    layer.run(session)?;
+    Ok(layer.maps)
 }
 
-/// Filter taps for one output channel: per-tap shift plus the per-input-
-/// channel weight vector.
+/// Filter taps for one output channel over the `per_ct` input channels
+/// starting at `first_ch`: per-tap shift plus the per-input-channel weight
+/// vector (zero for channels past the end of `out_weights`).
 pub(crate) fn conv_taps(
     out_weights: &[Vec<u64>],
-    in_ch: usize,
+    first_ch: usize,
+    per_ct: usize,
     f: usize,
     w: usize,
 ) -> Vec<ConvTap> {
@@ -825,8 +1007,9 @@ pub(crate) fn conv_taps(
     for dy in 0..f {
         for dx in 0..f {
             let shift = (dy as i64 - pad as i64) * w as i64 + (dx as i64 - pad as i64);
-            let channel_weights: Vec<u64> =
-                (0..in_ch).map(|c| out_weights[c][dy * f + dx]).collect();
+            let channel_weights: Vec<u64> = (first_ch..first_ch + per_ct)
+                .map(|c| out_weights.get(c).map_or(0, |wc| wc[dy * f + dx]))
+                .collect();
             taps.push(ConvTap {
                 shift,
                 channel_weights,
@@ -838,11 +1021,11 @@ pub(crate) fn conv_taps(
 
 /// Runs an encrypted convolution layer whose input channels may exceed one
 /// ciphertext: channels are partitioned into power-of-two groups that each
-/// fit a ciphertext row, each group is convolved and accumulated
-/// independently, and the per-group partial sums (all aligned at channel
-/// block 0) are added ciphertext-to-ciphertext server-side.
+/// fit a ciphertext row, and the same [`ResumableConvLayer`] pass convolves
+/// and accumulates each group and sums the per-group partials
+/// ciphertext-to-ciphertext server-side.
 ///
-/// Falls back to the single-ciphertext path when everything fits.
+/// Falls back to the single-ciphertext layer when everything fits.
 ///
 /// # Errors
 ///
@@ -857,8 +1040,7 @@ pub fn run_encrypted_conv_layer_multi<C: Channel>(
     f: usize,
 ) -> Result<Vec<Vec<u64>>, TransportError> {
     let in_ch = input.len();
-    let pad = f / 2;
-    let red = pad * (w + 1);
+    let red = (f / 2) * (w + 1);
     let row = session.server().context().degree() / 2;
     let stride = (h * w + 2 * red).next_power_of_two();
     if stride > row {
@@ -866,74 +1048,12 @@ pub fn run_encrypted_conv_layer_multi<C: Channel>(
     }
     // Largest power-of-two channel-group size that fits the row.
     let per_ct = (1usize << (row / stride).ilog2()).min(in_ch.next_power_of_two());
-
     if in_ch <= per_ct {
         return run_encrypted_conv_layer(session, input, weights, h, w, f);
     }
-
-    // Partition channels into groups of `per_ct` (zero-padding the tail).
-    let groups: Vec<Vec<Vec<u64>>> = input
-        .chunks(per_ct)
-        .map(|chunk| {
-            let mut g = chunk.to_vec();
-            while g.len() < per_ct {
-                g.push(vec![0u64; h * w]);
-            }
-            g
-        })
-        .collect();
-    let layout = StackedLayout::new(per_ct, RedundantLayout::new(h * w, red));
-
-    // Client: one upload per group.
-    let mut uploaded = Vec::with_capacity(groups.len());
-    for g in &groups {
-        let ct = {
-            let packed = layout.pack(g);
-            session.client_mut().encrypt_slots(&packed)?
-        };
-        uploaded.push(session.upload(&ct)?);
-    }
-
-    // Server: per output channel, conv + accumulate each group, then sum
-    // the aligned group partials.
-    let mut maps = Vec::with_capacity(weights.len());
-    for out_weights in weights {
-        let mut total: Option<Ciphertext> = None;
-        for (gi, ct) in uploaded.iter().enumerate() {
-            let base = gi * per_ct;
-            let mut taps = Vec::new();
-            for dy in 0..f {
-                for dx in 0..f {
-                    let shift = (dy as i64 - pad as i64) * w as i64 + (dx as i64 - pad as i64);
-                    let channel_weights: Vec<u64> = (0..per_ct)
-                        .map(|c| {
-                            out_weights
-                                .get(base + c)
-                                .map(|wc| wc[dy * f + dx])
-                                .unwrap_or(0)
-                        })
-                        .collect();
-                    taps.push(ConvTap {
-                        shift,
-                        channel_weights,
-                    });
-                }
-            }
-            let conv = stacked_conv(session.server(), ct, &layout, &taps)?;
-            let acc = accumulate_channels(session.server(), &conv, &layout)?;
-            total = Some(match total {
-                None => acc,
-                Some(t) => session.server().add(&t, &acc)?,
-            });
-        }
-        let total =
-            total.ok_or_else(|| HeError::Mismatch("conv layer has no channel groups".into()))?;
-        let back = session.download(&total)?;
-        let slots = session.client_mut().decrypt_slots(&back)?;
-        maps.push(layout.extract(&slots)[0].clone());
-    }
-    session.ledger_mut().end_round();
-    Ok(maps)
+    let mut layer = ResumableConvLayer::grouped(input, weights, h, w, f, per_ct)?;
+    layer.run(session)?;
+    Ok(layer.maps)
 }
 
 /// Galois rotation steps a conv layer of this shape needs (filter taps plus

@@ -13,6 +13,12 @@
 //! * [`distance`] — KNN / K-Means distance kernels in CKKS with the five
 //!   packing variants of Figure 9 (point-major, dimension-major, their
 //!   stacked forms, and collapsed point-major);
+//! * [`pipeline`] — the whole LeNet-style network chained from the conv
+//!   layer, the client-side non-linear stages and the encrypted FC matvec;
+//! * [`resumable`] — the step-granular contract the four client-aided
+//!   workloads above are written against ([`resumable::ResumableWorkload`]:
+//!   one state machine per workload, which the one-shot runners loop over
+//!   and the crash-recovery harnesses checkpoint between steps);
 //! * [`circuits`] — compiler-IR twins of the four workload kernels, the
 //!   programs `choco-verify` statically certifies before upload;
 //! * [`protocols`] — analytic communication models of the seven prior

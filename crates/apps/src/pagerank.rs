@@ -11,9 +11,13 @@
 //! matrix-vector kernel) and the analytic communication model behind
 //! Figure 13 live here.
 
+use crate::resumable::{
+    bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_f64s, read_ct, read_f64s,
+    ResumableWorkload,
+};
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::CommLedger;
-use choco::transport::{LinkConfig, Session, TransportError};
+use choco::transport::{Channel, LinkConfig, Session, TransportError};
 use choco_he::params::{max_coeff_bits_128, HeParams, SchemeType, WORD_BYTES};
 use choco_he::{HeError, HeScheme};
 
@@ -92,8 +96,11 @@ pub fn pagerank_rotation_steps(n: usize) -> Vec<i64> {
     steps
 }
 
-/// Runs client-aided PageRank over the given link, generic over the HE
-/// scheme.
+const PAGERANK_MAGIC: &[u8; 4] = b"RPG1";
+
+/// Client-aided PageRank as a burst-granular state machine, generic over
+/// the HE scheme: each step is one refresh burst — quantize + encrypt +
+/// upload, `burst` encrypted iterations, download, decrypt + renormalize.
 ///
 /// Under BFV the matrix and ranks are quantized with `scale_bits`
 /// fractional bits via [`HeScheme::quantize`]: every encrypted iteration
@@ -103,66 +110,126 @@ pub fn pagerank_rotation_steps(n: usize) -> Vec<i64> {
 /// quantize hooks are the identity (`scale_bits` is ignored — ciphertexts
 /// carry the scale natively) and each iteration consumes rescale levels
 /// instead, so a refresh restores the level chain.
-///
-/// A [`LinkConfig::direct`] link is the fault-free paper protocol; any
-/// other link adds framed retries (billed to `retransmit_bytes`) and arms
-/// the health watchdog before each burst without changing the ranks: under
-/// any fault schedule within the retry budget the result is bit-identical
-/// to the direct run.
-///
-/// # Errors
-///
-/// Transport errors when the link defeats the retry policy; HE-layer
-/// failures — including insufficient CKKS levels when `iters_per_refresh`
-/// exceeds what the prime chain supports, the Figure 13 tradeoff surfacing
-/// as an API error — wrapped in [`TransportError::He`]. Oversized graphs
-/// and a zero refresh cadence are reported as [`HeError::Mismatch`].
-pub fn pagerank_encrypted<S: HeScheme>(
-    graph: &Graph,
+#[derive(Debug)]
+pub struct ResumablePagerank<S: HeScheme> {
+    graph: Graph,
     damping: f64,
     total_iterations: u32,
     iters_per_refresh: u32,
-    params: &HeParams,
     scale_bits: u32,
-    link: LinkConfig,
-) -> Result<EncryptedPageRank, TransportError> {
-    if iters_per_refresh < 1 {
-        return Err(HeError::Mismatch("need at least one iteration per refresh".into()).into());
-    }
-    let n = graph.len();
-    let mut session =
-        Session::<S>::with_link(params, b"pagerank", &pagerank_rotation_steps(n), link)?;
-    let width = session.server().slot_width();
-    if 2 * n > width {
-        return Err(HeError::Mismatch("graph too large for one ciphertext row".into()).into());
-    }
-    let ctx = session.server().context().clone();
+    ranks: Vec<f64>,
+    done: u32,
+    last_reply: Option<S::Ciphertext>,
+    /// Server-side plaintext operands, quantized on the first step (they
+    /// need the session's context) and reused by every later burst; not
+    /// part of the progress blob.
+    operands: Option<BurstOperands<S>>,
+}
 
-    // Damped transition matrix at fixed-point depth 1 (identity under CKKS).
-    let qm: Vec<Vec<S::Value>> = graph
-        .transition
-        .iter()
-        .map(|row| {
-            let damped: Vec<f64> = row.iter().map(|&v| damping * v).collect();
-            S::quantize(&ctx, &damped, scale_bits, 1)
+/// The damped transition matrix at fixed-point depth 1 and the
+/// re-replication mask at depth 0 (both identity-quantized under CKKS).
+#[derive(Debug)]
+struct BurstOperands<S: HeScheme> {
+    matrix: Vec<Vec<S::Value>>,
+    mask: Vec<S::Value>,
+}
+
+impl<S: HeScheme> ResumablePagerank<S> {
+    /// Starts a fresh run at the uniform rank vector.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] (wrapped) for a zero refresh cadence or an
+    /// empty graph.
+    pub fn new(
+        graph: &Graph,
+        damping: f64,
+        total_iterations: u32,
+        iters_per_refresh: u32,
+        scale_bits: u32,
+    ) -> Result<Self, TransportError> {
+        if iters_per_refresh < 1 {
+            return Err(HeError::Mismatch("need at least one iteration per refresh".into()).into());
+        }
+        if graph.is_empty() {
+            return Err(HeError::Mismatch("empty graph".into()).into());
+        }
+        let n = graph.len();
+        Ok(ResumablePagerank {
+            graph: graph.clone(),
+            damping,
+            total_iterations,
+            iters_per_refresh,
+            scale_bits,
+            ranks: vec![1.0 / n as f64; n],
+            done: 0,
+            last_reply: None,
+            operands: None,
         })
-        .collect();
-    let teleport = (1.0 - damping) / n as f64;
-    let mask_plain: Vec<S::Value> = {
+    }
+
+    /// Current rank vector (final answer once done).
+    pub fn ranks(&self) -> &[f64] {
+        &self.ranks
+    }
+
+    fn burst_operands(
+        &self,
+        ctx: &S::Context,
+        width: usize,
+    ) -> Result<BurstOperands<S>, TransportError> {
+        let n = self.graph.len();
+        if 2 * n > width {
+            return Err(HeError::Mismatch("graph too large for one ciphertext row".into()).into());
+        }
+        let matrix = self
+            .graph
+            .transition
+            .iter()
+            .map(|row| {
+                let damped: Vec<f64> = row.iter().map(|&v| self.damping * v).collect();
+                S::quantize(ctx, &damped, self.scale_bits, 1)
+            })
+            .collect();
         let mut mask = vec![0.0f64; width];
         for s in mask.iter_mut().take(n) {
             *s = 1.0;
         }
-        S::quantize(&ctx, &mask, scale_bits, 0)
-    };
+        Ok(BurstOperands {
+            matrix,
+            mask: S::quantize(ctx, &mask, self.scale_bits, 0),
+        })
+    }
+}
 
-    let mut ranks: Vec<f64> = vec![1.0 / n as f64; n];
-    let mut done = 0u32;
-    while done < total_iterations {
-        let burst = iters_per_refresh.min(total_iterations - done);
+impl<S: HeScheme> ResumableWorkload for ResumablePagerank<S> {
+    type Scheme = S;
+
+    /// Runs one refresh burst.
+    ///
+    /// HE-layer failures include insufficient CKKS levels when
+    /// `iters_per_refresh` exceeds what the prime chain supports — the
+    /// Figure 13 tradeoff surfacing as an API error; an oversized graph is
+    /// [`HeError::Mismatch`].
+    fn step<C: Channel>(&mut self, session: &mut Session<S, C>) -> Result<(), TransportError> {
+        if self.is_done() {
+            return Ok(());
+        }
+        let n = self.graph.len();
+        let width = session.server().slot_width();
+        let operands = match self.operands.take() {
+            Some(ready) => ready,
+            None => self.burst_operands(session.server().context(), width)?,
+        };
+        let BurstOperands { matrix, mask } = self.operands.insert(operands);
+        let burst = self
+            .iters_per_refresh
+            .min(self.total_iterations - self.done);
+        let teleport = (1.0 - self.damping) / n as f64;
+
         // Client: quantize at depth 1, replicate for the diagonal kernel,
         // encrypt, upload.
-        let qr = S::quantize(&ctx, &ranks, scale_bits, 1);
+        let qr = S::quantize(session.server().context(), &self.ranks, self.scale_bits, 1);
         let replicated = replicate_for_matvec(&qr, width);
         let ct = session.client_mut().encrypt(&replicated)?;
         let uploaded = session.upload(&ct)?;
@@ -172,20 +239,21 @@ pub fn pagerank_encrypted<S: HeScheme>(
         // term carries depth `it + 2`, so teleport constants are injected
         // at the matching depth and everything meets at depth `burst + 1`
         // for the client to strip.
+        session.compute_tick()?;
         for it in 0..burst {
-            at_server = matvec_diagonals(session.server(), &at_server, &qm)?;
+            at_server = matvec_diagonals(session.server(), &at_server, matrix)?;
             let mut tvec = vec![0.0f64; width];
             for s in tvec.iter_mut().take(n) {
                 *s = teleport;
             }
-            let tq = S::quantize(&ctx, &tvec, scale_bits, it + 2);
+            let tq = S::quantize(session.server().context(), &tvec, self.scale_bits, it + 2);
             at_server = session.server().add_plain(&at_server, &tq)?;
             if it + 1 < burst {
                 // Continuous encrypted operation must re-replicate the rank
                 // vector for the next diagonal product: one masking multiply
                 // plus one rotation — exactly the noise/level tax that makes
                 // long bursts lose to frequent refresh (§5.6).
-                let masked = session.server().mul_plain(&at_server, &mask_plain)?;
+                let masked = session.server().mul_plain(&at_server, mask)?;
                 let copy = session.server().rotate(&masked, -(n as i64))?;
                 at_server = session.server().add(&masked, &copy)?;
             }
@@ -196,18 +264,93 @@ pub fn pagerank_encrypted<S: HeScheme>(
         // Client: decrypt, strip the accumulated depth, renormalize to a
         // probability vector.
         let slots = session.client_mut().decrypt(&back)?;
-        let stripped = S::dequantize(&ctx, &slots[..n], scale_bits, burst + 1);
-        ranks.copy_from_slice(&stripped);
-        let sum: f64 = ranks.iter().sum();
-        for r in ranks.iter_mut() {
+        let ctx = session.server().context();
+        let stripped = S::dequantize(ctx, &slots[..n], self.scale_bits, burst + 1);
+        self.ranks.copy_from_slice(&stripped);
+        let sum: f64 = self.ranks.iter().sum();
+        for r in self.ranks.iter_mut() {
             *r /= sum;
         }
-        done += burst;
+        self.last_reply = Some(back);
+        self.done += burst;
+        Ok(())
     }
 
+    fn is_done(&self) -> bool {
+        self.done >= self.total_iterations
+    }
+
+    fn progress(&self) -> Vec<u8> {
+        let mut out = PAGERANK_MAGIC.to_vec();
+        out.extend_from_slice(&self.done.to_le_bytes());
+        put_f64s(&mut out, &self.ranks);
+        put_ct::<S>(&mut out, self.last_reply.as_ref());
+        out
+    }
+
+    fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
+        let mut r = progress_cursor(progress, PAGERANK_MAGIC)?;
+        let done = r.take_u32()?;
+        let ranks = read_f64s(&mut r)?;
+        let last_reply = read_ct::<S>(&mut r)?;
+        finish_progress(&r)?;
+        if done > self.total_iterations {
+            return Err(bad_progress("iteration counter exceeds the schedule"));
+        }
+        if ranks.len() != self.graph.len() {
+            return Err(bad_progress("rank vector does not match the graph"));
+        }
+        if ranks.iter().any(|x| !x.is_finite()) {
+            return Err(bad_progress("non-finite rank"));
+        }
+        self.done = done;
+        self.ranks = ranks;
+        self.last_reply = last_reply;
+        Ok(self)
+    }
+
+    fn final_ct_wire(&self) -> Vec<u8> {
+        ct_wire::<S>(self.last_reply.as_ref())
+    }
+}
+
+/// Runs client-aided PageRank ([`ResumablePagerank`]) to completion over
+/// the given link, generic over the HE scheme.
+///
+/// A [`LinkConfig::direct`] link is the fault-free paper protocol; any
+/// other link adds framed retries (billed to `retransmit_bytes`) and arms
+/// the health watchdog before each burst without changing the ranks: under
+/// any fault schedule within the retry budget the result is bit-identical
+/// to the direct run.
+///
+/// # Errors
+///
+/// A zero refresh cadence and an empty graph are [`HeError::Mismatch`],
+/// reported before any key is generated. Transport errors when the link
+/// defeats the retry policy; HE-layer failures as
+/// [`ResumablePagerank::step`], wrapped in [`TransportError::He`].
+pub fn pagerank_encrypted<S: HeScheme>(
+    graph: &Graph,
+    damping: f64,
+    total_iterations: u32,
+    iters_per_refresh: u32,
+    params: &HeParams,
+    scale_bits: u32,
+    link: LinkConfig,
+) -> Result<EncryptedPageRank, TransportError> {
+    let mut run = ResumablePagerank::<S>::new(
+        graph,
+        damping,
+        total_iterations,
+        iters_per_refresh,
+        scale_bits,
+    )?;
+    let steps = pagerank_rotation_steps(graph.len());
+    let mut session = Session::<S>::with_link(params, b"pagerank", &steps, link)?;
+    run.run(&mut session)?;
     let (client, _server, ledger) = session.into_parts();
     Ok(EncryptedPageRank {
-        ranks,
+        ranks: run.ranks,
         encryptions: client.encryption_count(),
         decryptions: client.decryption_count(),
         ledger,
@@ -348,6 +491,21 @@ mod tests {
         assert_eq!(enc.encryptions, 6);
         assert_eq!(enc.decryptions, 6);
         assert_eq!(enc.ledger.rounds, 6);
+    }
+
+    #[test]
+    fn empty_graph_is_rejected_before_any_key_is_generated() {
+        // The parameters are never looked at: the graph check comes first.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap();
+        let empty = Graph {
+            transition: Vec::new(),
+        };
+        let err = pagerank_encrypted::<Bfv>(&empty, 0.85, 2, 1, &params, 10, LinkConfig::direct())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::He(HeError::Mismatch("empty graph".into()))
+        );
     }
 
     #[test]

@@ -8,16 +8,22 @@
 //! counted. The plaintext twin ([`run_plain`]) applies bit-identical integer
 //! arithmetic, so the encrypted pipeline must match it *exactly*.
 //!
-//! There is one encrypted implementation, [`run_encrypted`], generic over
-//! the transport: a [`LinkConfig::direct`] link is the fault-free paper
+//! There is one encrypted implementation, the stage-granular
+//! [`ResumablePipeline`] that [`run_encrypted`] steps to completion, generic
+//! over the transport: a [`LinkConfig::direct`] link is the fault-free paper
 //! protocol, any other link adds framed retries and watchdog refreshes
 //! without changing the numbers.
 
 pub use crate::client_ops::{max_pool2x2, requantize};
 use crate::dnn::{conv2d_plain_circular, conv_rotation_steps, run_encrypted_conv_layer};
+use crate::resumable::{
+    bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, put_u64s, read_ct,
+    read_maps, read_u64s, ResumableWorkload,
+};
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::CommLedger;
-use choco::transport::{LinkConfig, Session, TransportError};
+use choco::transport::{Channel, LinkConfig, Session, TransportError, WireCursor};
+use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError};
 use choco_prng::Blake3Rng;
@@ -110,8 +116,8 @@ pub struct PipelineRun {
 }
 
 /// All rotation steps any pipeline stage needs, provisioned once (offline
-/// setup). Public so resumable drivers and chaos harnesses can provision a
-/// session before stepping the pipeline through it.
+/// setup). Public so chaos harnesses can provision a session before
+/// stepping a [`ResumablePipeline`] through it.
 pub fn all_rotation_steps(spec: &LenetLikeSpec, row: usize) -> Vec<i64> {
     let p1 = spec.img / 2;
     let mut steps = conv_rotation_steps(1, spec.img, spec.img, spec.filter);
@@ -123,9 +129,224 @@ pub fn all_rotation_steps(spec: &LenetLikeSpec, row: usize) -> Vec<i64> {
     steps
 }
 
-/// Runs the full encrypted pipeline over the given link. The plaintext
-/// modulus must hold `15·15·conv2_ch·f²` accumulations (e.g. 18 bits for
-/// the tiny spec).
+const PIPELINE_MAGIC: &[u8; 4] = b"RPL1";
+
+/// Whole-network LeNet-style inference as a stage-granular state machine:
+/// step 0 runs the first encrypted convolution (plus client
+/// requantize/pool), step 1 the second, step 2 the fully-connected layer.
+/// The FC download goes through [`Session::download_checked`] with the
+/// class-0 logit as a sentinel — the client can compute it exactly from its
+/// own plaintext features, so a server returning an inconsistent result
+/// surfaces as [`TransportError::SentinelMismatch`] instead of a silently
+/// wrong argmax.
+#[derive(Debug, Clone)]
+pub struct ResumablePipeline {
+    spec: LenetLikeSpec,
+    weights: LenetLikeWeights,
+    image: Vec<u64>,
+    stage: u8,
+    pooled1: Vec<Vec<u64>>,
+    pooled2: Vec<Vec<u64>>,
+    logits: Vec<u64>,
+    last_reply: Option<Ciphertext>,
+}
+
+impl ResumablePipeline {
+    /// Starts a fresh inference. The plaintext modulus of the sessions it
+    /// runs over must hold `15·15·conv2_ch·f²` accumulations (e.g. 18 bits
+    /// for the tiny spec).
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] (wrapped) when the image does not match the
+    /// spec geometry or the spec has no output class.
+    pub fn new(
+        spec: &LenetLikeSpec,
+        weights: &LenetLikeWeights,
+        image: &[u64],
+    ) -> Result<Self, TransportError> {
+        if image.len() != spec.img * spec.img {
+            return Err(HeError::Mismatch(format!(
+                "image has {} pixels, spec wants {}x{}",
+                image.len(),
+                spec.img,
+                spec.img
+            ))
+            .into());
+        }
+        if spec.classes == 0 {
+            return Err(HeError::Mismatch("need at least one output class".into()).into());
+        }
+        Ok(ResumablePipeline {
+            spec: *spec,
+            weights: weights.clone(),
+            image: image.to_vec(),
+            stage: 0,
+            pooled1: Vec::new(),
+            pooled2: Vec::new(),
+            logits: Vec::new(),
+            last_reply: None,
+        })
+    }
+
+    /// Raw class scores (complete once done).
+    pub fn logits(&self) -> &[u64] {
+        &self.logits
+    }
+
+    /// Predicted class (argmax of the logits).
+    pub fn class(&self) -> usize {
+        argmax(&self.logits)
+    }
+}
+
+fn argmax(logits: &[u64]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, v)| *v)
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
+/// Client-side stage boundary: requantize + pool every channel map.
+fn pool_maps(maps: &[Vec<u64>], side: usize) -> Vec<Vec<u64>> {
+    maps.iter()
+        .map(|m| max_pool2x2(&requantize(m), side, side))
+        .collect()
+}
+
+impl ResumableWorkload for ResumablePipeline {
+    type Scheme = Bfv;
+
+    /// Runs the next network stage.
+    fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
+        let spec = self.spec;
+        let p1 = spec.img / 2;
+        match self.stage {
+            0 => {
+                // Encrypted conv over the single input channel.
+                let maps1 = run_encrypted_conv_layer(
+                    session,
+                    std::slice::from_ref(&self.image),
+                    &self.weights.conv1,
+                    spec.img,
+                    spec.img,
+                    spec.filter,
+                )?;
+                self.pooled1 = pool_maps(&maps1, spec.img);
+                self.stage = 1;
+            }
+            1 => {
+                // Encrypted conv over conv1_ch channels.
+                let maps2 = run_encrypted_conv_layer(
+                    session,
+                    &self.pooled1,
+                    &self.weights.conv2,
+                    p1,
+                    p1,
+                    spec.filter,
+                )?;
+                self.pooled2 = pool_maps(&maps2, p1);
+                self.stage = 2;
+            }
+            2 => {
+                // Encrypted fully-connected layer over the flattened
+                // features.
+                let row = session.server().context().degree() / 2;
+                let t = session.server().context().plain_modulus();
+                let features = self.pooled2.concat();
+                // The sentinel: class 0's logit, computed exactly in
+                // plaintext (mod t, u128 accumulation) from state the
+                // client already holds.
+                let class0 =
+                    self.weights.fc.first().ok_or_else(|| {
+                        HeError::Mismatch("FC layer has no class weight rows".into())
+                    })?;
+                let expected0 = class0.iter().zip(&features).fold(0u64, |acc, (w, x)| {
+                    ((acc as u128 + (*w as u128 * *x as u128) % t as u128) % t as u128) as u64
+                });
+                let ct = session
+                    .client_mut()
+                    .encrypt_slots(&replicate_for_matvec(&features, row))?;
+                let uploaded = session.upload(&ct)?;
+                let at_server = session.guard(&uploaded)?;
+                session.compute_tick()?;
+                let logits_ct = matvec_diagonals(session.server(), &at_server, &self.weights.fc)?;
+                let (back, slots) = session.download_checked(&logits_ct, &[(0, expected0)], 0.0)?;
+                session.ledger_mut().end_round();
+                self.logits = slots[..spec.classes].to_vec();
+                self.last_reply = Some(back);
+                self.stage = 3;
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.stage >= 3
+    }
+
+    fn progress(&self) -> Vec<u8> {
+        let mut out = PIPELINE_MAGIC.to_vec();
+        out.push(self.stage);
+        if self.stage >= 1 {
+            put_maps(&mut out, &self.pooled1);
+        }
+        if self.stage >= 2 {
+            put_maps(&mut out, &self.pooled2);
+        }
+        if self.stage >= 3 {
+            put_u64s(&mut out, &self.logits);
+        }
+        put_ct::<Bfv>(&mut out, self.last_reply.as_ref());
+        out
+    }
+
+    fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
+        let spec = self.spec;
+        let mut r = progress_cursor(progress, PIPELINE_MAGIC)?;
+        let stage = r.take_u8()?;
+        if stage > 3 {
+            return Err(bad_progress("unknown pipeline stage"));
+        }
+        // A completed stage stores exactly one pooled map per channel.
+        let stage_maps = |r: &mut WireCursor, channels: usize, pixels: usize| {
+            let maps = read_maps(r, channels, pixels)?;
+            if maps.len() != channels {
+                return Err(bad_progress("pooled map count mismatch"));
+            }
+            Ok(maps)
+        };
+        let p1 = spec.img / 2;
+        let p2 = p1 / 2;
+        if stage >= 1 {
+            self.pooled1 = stage_maps(&mut r, spec.conv1_ch, p1 * p1)?;
+        }
+        if stage >= 2 {
+            self.pooled2 = stage_maps(&mut r, spec.conv2_ch, p2 * p2)?;
+        }
+        if stage >= 3 {
+            let logits = read_u64s(&mut r)?;
+            if logits.len() != spec.classes {
+                return Err(bad_progress("logit count mismatch"));
+            }
+            self.logits = logits;
+        }
+        self.last_reply = read_ct::<Bfv>(&mut r)?;
+        finish_progress(&r)?;
+        self.stage = stage;
+        Ok(self)
+    }
+
+    fn final_ct_wire(&self) -> Vec<u8> {
+        ct_wire::<Bfv>(self.last_reply.as_ref())
+    }
+}
+
+/// Runs the full encrypted pipeline ([`ResumablePipeline`]) over the given
+/// link.
 ///
 /// A [`LinkConfig::direct`] link is the fault-free paper protocol. Under
 /// any fault schedule within the retry budget this returns logits
@@ -134,8 +355,10 @@ pub fn all_rotation_steps(spec: &LenetLikeSpec, row: usize) -> Vec<i64> {
 ///
 /// # Errors
 ///
-/// Transport errors when the link defeats the retry policy; HE-layer
-/// failures wrapped in [`TransportError::He`].
+/// Transport errors when the link defeats the retry policy — including
+/// [`TransportError::SentinelMismatch`] when the FC reply contradicts the
+/// client-computed class-0 logit; HE-layer failures wrapped in
+/// [`TransportError::He`].
 pub fn run_encrypted(
     spec: &LenetLikeSpec,
     weights: &LenetLikeWeights,
@@ -144,77 +367,14 @@ pub fn run_encrypted(
     seed: &[u8],
     link: LinkConfig,
 ) -> Result<PipelineRun, TransportError> {
-    if image.len() != spec.img * spec.img {
-        return Err(HeError::Mismatch(format!(
-            "image has {} pixels, spec wants {}x{}",
-            image.len(),
-            spec.img,
-            spec.img
-        ))
-        .into());
-    }
-    if spec.classes == 0 {
-        return Err(HeError::Mismatch("need at least one output class".into()).into());
-    }
-    let row = params.degree() / 2;
-    let p1 = spec.img / 2;
-
-    let steps = all_rotation_steps(spec, row);
+    let mut run = ResumablePipeline::new(spec, weights, image)?;
+    let steps = all_rotation_steps(spec, params.degree() / 2);
     let mut session = Session::<Bfv>::with_link(params, seed, &steps, link)?;
-
-    // Stage 1: encrypted conv over the single input channel.
-    let maps1 = run_encrypted_conv_layer(
-        &mut session,
-        &[image.to_vec()],
-        &weights.conv1,
-        spec.img,
-        spec.img,
-        spec.filter,
-    )?;
-    // Client: requantize + pool per channel.
-    let pooled1: Vec<Vec<u64>> = maps1
-        .iter()
-        .map(|m| max_pool2x2(&requantize(m), spec.img, spec.img))
-        .collect();
-
-    // Stage 2: encrypted conv over conv1_ch channels.
-    let maps2 =
-        run_encrypted_conv_layer(&mut session, &pooled1, &weights.conv2, p1, p1, spec.filter)?;
-    let p2 = p1 / 2;
-    let pooled2: Vec<Vec<u64>> = maps2
-        .iter()
-        .map(|m| max_pool2x2(&requantize(m), p1, p1))
-        .collect();
-
-    // Stage 3: encrypted fully-connected layer over the flattened features.
-    let mut features = Vec::with_capacity(spec.fc_inputs());
-    for m in &pooled2 {
-        features.extend_from_slice(m);
-    }
-    debug_assert_eq!(features.len(), spec.conv2_ch * p2 * p2);
-    let ct = session
-        .client_mut()
-        .encrypt_slots(&replicate_for_matvec(&features, row))?;
-    let uploaded = session.upload(&ct)?;
-    let at_server = session.guard(&uploaded)?;
-    let logits_ct = matvec_diagonals(session.server(), &at_server, &weights.fc)?;
-    let reply = session.download(&logits_ct)?;
-    session.ledger_mut().end_round();
-    let slots = session.client_mut().decrypt_slots(&reply)?;
-    let logits = slots[..spec.classes].to_vec();
-
-    let class = logits
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, v)| *v)
-        .map(|(i, _)| i)
-        .ok_or_else(|| {
-            TransportError::from(HeError::Mismatch("need at least one output class".into()))
-        })?;
+    run.run(&mut session)?;
     let (client, _server, ledger) = session.into_parts();
     Ok(PipelineRun {
-        logits,
-        class,
+        class: run.class(),
+        logits: run.logits,
         crypto_ops: (client.encryption_count(), client.decryption_count()),
         ledger,
     })
@@ -236,20 +396,10 @@ pub fn run_plain(
         spec.filter,
         t,
     );
-    let pooled1: Vec<Vec<u64>> = maps1
-        .iter()
-        .map(|m| max_pool2x2(&requantize(m), spec.img, spec.img))
-        .collect();
+    let pooled1 = pool_maps(&maps1, spec.img);
     let p1 = spec.img / 2;
     let maps2 = conv2d_plain_circular(&pooled1, &weights.conv2, p1, p1, spec.filter, t);
-    let pooled2: Vec<Vec<u64>> = maps2
-        .iter()
-        .map(|m| max_pool2x2(&requantize(m), p1, p1))
-        .collect();
-    let mut features = Vec::new();
-    for m in &pooled2 {
-        features.extend_from_slice(m);
-    }
+    let features = pool_maps(&maps2, p1).concat();
     let logits: Vec<u64> = weights
         .fc
         .iter()
@@ -259,12 +409,7 @@ pub fn run_plain(
                 .fold(0u64, |acc, (w, x)| (acc + w * x) % t)
         })
         .collect();
-    let class = logits
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, v)| *v)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+    let class = argmax(&logits);
     (logits, class)
 }
 
@@ -334,6 +479,10 @@ mod tests {
         assert_eq!(enc.class, class);
         // Boundaries: conv1 down, conv2 up+down, fc up+down.
         assert!(enc.ledger.rounds >= 3);
-        assert!(enc.crypto_ops.0 >= 3 && enc.crypto_ops.1 >= spec.conv2_ch as u64);
+        // One encryption per stage; one decryption per conv output channel
+        // plus one for the FC reply — the sentinel check decrypts the
+        // reply once, not in addition.
+        let decryptions = (spec.conv1_ch + spec.conv2_ch + 1) as u64;
+        assert_eq!(enc.crypto_ops, (3, decryptions));
     }
 }

@@ -26,12 +26,11 @@ use choco::transport::{
     Channel, CrashOp, CrashPlan, DirectChannel, FaultPlan, FaultyChannel, RetryPolicy, Session,
     TransportError,
 };
-use choco_apps::distance::{distance_rotation_steps, PackingVariant};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
-use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec};
-use choco_apps::resumable::{
-    ResumableConvLayer, ResumableKmeans, ResumablePagerank, ResumablePipeline, ResumableWorkload,
-};
+use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
+use choco_apps::dnn::ResumableConvLayer;
+use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
+use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec, ResumablePipeline};
+use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, Ckks, HeScheme};
 
@@ -61,30 +60,24 @@ fn assert_primary_lines_match(label: &str, base: &CommLedger, got: &CommLedger) 
 ///
 /// `make_session` builds the session a fresh run starts from (the same
 /// construction for baseline and crashed runs); `resume_channel` builds
-/// one fresh post-crash channel per direction; `restore` rebuilds the
-/// workload driver from a checkpointed progress blob; `recover` is the
-/// workload's post-resume hook (re-upload of server-resident state).
-#[allow(clippy::too_many_arguments)]
-fn sweep<S, C, W>(
+/// one fresh post-crash channel per direction; `make_workload` builds the
+/// workload a fresh run starts from — and, after a crash, the instance the
+/// checkpointed progress blob is restored into.
+fn sweep<C, W>(
     label: &str,
-    make_session: impl Fn() -> Session<S, C>,
+    make_session: impl Fn() -> Session<W::Scheme, C>,
     resume_channel: impl Fn(&'static str) -> C,
     make_workload: impl Fn() -> W,
-    restore: impl Fn(&[u8]) -> Result<W, TransportError>,
-    mut step: impl FnMut(&mut W, &mut Session<S, C>) -> Result<(), TransportError>,
-    mut recover: impl FnMut(&mut W, &mut Session<S, C>) -> Result<(), TransportError>,
 ) where
-    S: HeScheme,
     C: Channel,
     W: ResumableWorkload,
 {
     // Uninterrupted baseline.
     let mut session = make_session();
     let mut w = make_workload();
-    while !w.is_done() {
-        step(&mut w, &mut session).unwrap_or_else(|e| panic!("{label}: baseline step: {e}"));
-    }
-    let base_wire = w.final_ct_wire().to_vec();
+    w.run(&mut session)
+        .unwrap_or_else(|e| panic!("{label}: baseline step: {e}"));
+    let base_wire = w.final_ct_wire();
     assert!(
         !base_wire.is_empty(),
         "{label}: baseline produced no result ciphertext"
@@ -118,7 +111,7 @@ fn sweep<S, C, W>(
             let mut ckpt = session.checkpoint(&w.progress());
             let mut crashes = 0u32;
             loop {
-                match step(&mut w, &mut session) {
+                match w.step(&mut session) {
                     Ok(()) => {
                         if w.is_done() {
                             break;
@@ -132,8 +125,10 @@ fn sweep<S, C, W>(
                             Session::resume(&ckpt, resume_channel("up"), resume_channel("down"))
                                 .unwrap_or_else(|e| panic!("{point}: resume: {e}"));
                         session = resumed;
-                        w = restore(&progress).unwrap_or_else(|e| panic!("{point}: restore: {e}"));
-                        recover(&mut w, &mut session)
+                        w = make_workload()
+                            .restore(&progress)
+                            .unwrap_or_else(|e| panic!("{point}: restore: {e}"));
+                        w.recover(&mut session)
                             .unwrap_or_else(|e| panic!("{point}: recover: {e}"));
                     }
                     Err(e) => panic!("{point}: unexpected error: {e}"),
@@ -142,7 +137,7 @@ fn sweep<S, C, W>(
             assert_eq!(crashes, 1, "{point}: armed crash never fired");
             assert_eq!(
                 w.final_ct_wire(),
-                &base_wire[..],
+                base_wire,
                 "{point}: final ciphertext differs from the uninterrupted run"
             );
             assert_primary_lines_match(&point, &base_ledger, session.ledger());
@@ -168,9 +163,6 @@ fn pagerank_sweep_over<S: HeScheme>(label: &str, params: &HeParams, burst: u32, 
         || Session::<S>::direct(params, b"chaos-pagerank", &steps).unwrap(),
         |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
         || ResumablePagerank::<S>::new(&g, 0.85, 4, burst, scale_bits).unwrap(),
-        |progress| ResumablePagerank::<S>::restore(&g, 0.85, 4, burst, scale_bits, progress),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }
 
@@ -221,9 +213,6 @@ fn chaos_pagerank_bfv_over_faulty_links() {
         },
         |dir| FaultyChannel::new(dir.as_bytes(), plan),
         || ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap(),
-        |progress| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, progress),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }
 
@@ -248,9 +237,6 @@ fn chaos_conv_layer_bfv_with_forced_refreshes() {
         },
         |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
         || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap(),
-        |progress| ResumableConvLayer::restore(&input, &weights, 8, 8, 3, progress),
-        |w, s| w.step(s),
-        |w, s| w.recover(s),
     );
 }
 
@@ -268,9 +254,6 @@ fn chaos_pipeline_bfv() {
         || Session::<Bfv>::direct(&params, b"chaos-pipe", &steps).unwrap(),
         |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
         || ResumablePipeline::new(&spec, &weights, &image).unwrap(),
-        |progress| ResumablePipeline::restore(&spec, &weights, &image, progress),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }
 
@@ -292,17 +275,5 @@ fn chaos_kmeans_ckks() {
         || Session::<Ckks>::direct(&params, b"chaos-kmeans", &steps).unwrap(),
         |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
         || ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6).unwrap(),
-        |progress| {
-            ResumableKmeans::restore(
-                PackingVariant::DimensionMajor,
-                &points,
-                &init,
-                2,
-                1e-6,
-                progress,
-            )
-        },
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }

@@ -26,12 +26,11 @@ use choco::transport::frame::{encode_frame, FrameKind};
 use choco::transport::tcp::{TcpOptions, HELLO_BYTES};
 use choco::transport::{CrashOp, CrashPlan, Redialer, Session, TagKey, TcpChannel, TransportError};
 use choco_apps::circuits::all_workloads;
-use choco_apps::distance::{distance_rotation_steps, PackingVariant};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
+use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
+use choco_apps::dnn::ResumableConvLayer;
+use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_apps::resumable::{
-    ResumableConvLayer, ResumableKmeans, ResumablePagerank, ResumableWorkload,
-};
+use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::{HeParams, SchemeType};
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_serve::{ChaosPlan, ChaosProxy, OffloadServer, ServeConfig, TenantRegistry};
@@ -107,19 +106,12 @@ fn dial(
 /// Runs one workload through the kill → redial → resume sweep over real
 /// TCP. Crash points alternate between "socket teardown only" and "socket
 /// teardown plus full server restart".
-#[allow(clippy::too_many_arguments)]
-fn sweep_tcp<S, W>(
+fn sweep_tcp<W: ResumableWorkload>(
     label: &str,
     seed: &'static [u8],
-    make_session: impl Fn(TcpChannel, TcpChannel) -> Session<S, TcpChannel>,
+    make_session: impl Fn(TcpChannel, TcpChannel) -> Session<W::Scheme, TcpChannel>,
     make_workload: impl Fn() -> W,
-    restore: impl Fn(&[u8]) -> Result<W, TransportError>,
-    mut step: impl FnMut(&mut W, &mut Session<S, TcpChannel>) -> Result<(), TransportError>,
-    mut recover: impl FnMut(&mut W, &mut Session<S, TcpChannel>) -> Result<(), TransportError>,
-) where
-    S: HeScheme,
-    W: ResumableWorkload,
-{
+) {
     let dir = scratch_dir(label);
     let mut server = Some(bind_server(seed, &dir));
 
@@ -127,10 +119,9 @@ fn sweep_tcp<S, W>(
     let (up, down) = dial(running(&server), seed, 0, false);
     let mut session = make_session(up, down);
     let mut w = make_workload();
-    while !w.is_done() {
-        step(&mut w, &mut session).unwrap_or_else(|e| panic!("{label}: baseline step: {e}"));
-    }
-    let base_wire = w.final_ct_wire().to_vec();
+    w.run(&mut session)
+        .unwrap_or_else(|e| panic!("{label}: baseline step: {e}"));
+    let base_wire = w.final_ct_wire();
     assert!(
         !base_wire.is_empty(),
         "{label}: baseline produced no result"
@@ -168,7 +159,7 @@ fn sweep_tcp<S, W>(
             let mut ckpt = session.checkpoint(&w.progress());
             let mut crashes = 0u32;
             loop {
-                match step(&mut w, &mut session) {
+                match w.step(&mut session) {
                     Ok(()) => {
                         if w.is_done() {
                             break;
@@ -199,11 +190,13 @@ fn sweep_tcp<S, W>(
                             restarts += 1;
                         }
                         let (up, down) = dial(running(&server), seed, session_id, true);
-                        let (resumed, progress) = Session::<S, TcpChannel>::resume(&ckpt, up, down)
+                        let (resumed, progress) = Session::resume(&ckpt, up, down)
                             .unwrap_or_else(|e| panic!("{point}: resume: {e}"));
                         session = resumed;
-                        w = restore(&progress).unwrap_or_else(|e| panic!("{point}: restore: {e}"));
-                        recover(&mut w, &mut session)
+                        w = make_workload()
+                            .restore(&progress)
+                            .unwrap_or_else(|e| panic!("{point}: restore: {e}"));
+                        w.recover(&mut session)
                             .unwrap_or_else(|e| panic!("{point}: recover: {e}"));
                     }
                     Err(e) => panic!("{point}: unexpected error: {e}"),
@@ -212,7 +205,7 @@ fn sweep_tcp<S, W>(
             assert_eq!(crashes, 1, "{point}: armed crash never fired");
             assert_eq!(
                 w.final_ct_wire(),
-                &base_wire[..],
+                base_wire,
                 "{point}: final ciphertext differs from the uninterrupted run"
             );
             assert_primary_lines_match(&point, &base_ledger, session.ledger());
@@ -369,9 +362,6 @@ fn chaos_tcp_pagerank_bfv() {
             .unwrap()
         },
         || ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap(),
-        |progress| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, progress),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }
 
@@ -395,9 +385,6 @@ fn chaos_tcp_pagerank_ckks() {
             .unwrap()
         },
         || ResumablePagerank::<Ckks>::new(&g, 0.85, 4, 1, 0).unwrap(),
-        |progress| ResumablePagerank::<Ckks>::restore(&g, 0.85, 4, 1, 0, progress),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }
 
@@ -428,9 +415,6 @@ fn chaos_tcp_conv_layer_bfv_with_forced_refreshes() {
             .with_refresh_floor(10_000.0)
         },
         || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap(),
-        |progress| ResumableConvLayer::restore(&input, &weights, 8, 8, 3, progress),
-        |w, s| w.step(s),
-        |w, s| w.recover(s),
     );
 }
 
@@ -462,17 +446,5 @@ fn chaos_tcp_kmeans_ckks() {
             .unwrap()
         },
         || ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6).unwrap(),
-        |progress| {
-            ResumableKmeans::restore(
-                PackingVariant::DimensionMajor,
-                &points,
-                &init,
-                2,
-                1e-6,
-                progress,
-            )
-        },
-        |w, s| w.step(s),
-        |_, _| Ok(()),
     );
 }

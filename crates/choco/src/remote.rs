@@ -31,7 +31,7 @@ use crate::compiler::{CompilerOptions, CompilerScheme, NodeId, Op, Program};
 use crate::protocol::CommLedger;
 use crate::transport::frame::{decode_frame, encode_frame, FrameKind};
 use crate::transport::tcp::{dial_io, BlobIo, Redialer, TcpOptions};
-use crate::transport::{RetryPolicy, TagKey, TransportError};
+use crate::transport::{put_blob, RetryPolicy, TagKey, TransportError, WireCursor};
 use choco_he::params::{HeParams, SchemeType};
 use choco_prng::blake3;
 use std::collections::BTreeSet;
@@ -60,55 +60,6 @@ pub const MAX_PROGRAM_NODES: usize = 1 << 20;
 
 fn bad(msg: impl Into<String>) -> TransportError {
     TransportError::Malformed(msg.into())
-}
-
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], TransportError> {
-    if rest.len() < n {
-        return Err(TransportError::Truncated {
-            need: n,
-            have: rest.len(),
-        });
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Ok(head)
-}
-
-fn take_u8(rest: &mut &[u8]) -> Result<u8, TransportError> {
-    Ok(take(rest, 1)?[0])
-}
-
-fn take_u16(rest: &mut &[u8]) -> Result<u16, TransportError> {
-    let b = take(rest, 2)?;
-    let mut buf = [0u8; 2];
-    buf.copy_from_slice(b);
-    Ok(u16::from_le_bytes(buf))
-}
-
-fn take_u32(rest: &mut &[u8]) -> Result<u32, TransportError> {
-    let b = take(rest, 4)?;
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(b);
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn take_u64(rest: &mut &[u8]) -> Result<u64, TransportError> {
-    let b = take(rest, 8)?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(b);
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Reads a `u32`-length-prefixed byte field, bounds-checked against the
-/// remaining input so a hostile length cannot over-allocate.
-fn take_blob<'a>(rest: &mut &'a [u8]) -> Result<&'a [u8], TransportError> {
-    let len = take_u32(rest)? as usize;
-    take(rest, len)
-}
-
-fn push_blob(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,53 +94,36 @@ pub fn params_to_wire(params: &HeParams) -> Vec<u8> {
 /// [`TransportError::Truncated`]/[`TransportError::Malformed`] on bad
 /// bytes, or when the deterministic rebuild disagrees with the recipe.
 pub fn params_from_wire(rest: &mut &[u8]) -> Result<HeParams, TransportError> {
-    let scheme = match take_u8(rest)? {
+    let mut cursor = WireCursor::new(rest);
+    let params = read_params(&mut cursor)?;
+    *rest = cursor.rest();
+    Ok(params)
+}
+
+fn read_params(rest: &mut WireCursor) -> Result<HeParams, TransportError> {
+    let scheme = match rest.take_u8()? {
         1 => SchemeType::Bfv,
         2 => SchemeType::Ckks,
         other => return Err(bad(format!("unknown scheme byte {other}"))),
     };
-    let checked = match take_u8(rest)? {
+    let checked = match rest.take_u8()? {
         0 => false,
         1 => true,
         other => return Err(bad(format!("bad security flag {other}"))),
     };
-    let n = take_u32(rest)? as usize;
-    let plain_modulus = take_u64(rest)?;
-    let scale_bits = take_u32(rest)?;
-    let prime_count = take_u16(rest)? as usize;
+    let n = rest.take_u32()? as usize;
+    let plain_modulus = rest.take_u64()?;
+    let scale_bits = rest.take_u32()?;
+    let prime_count = rest.take_u16()? as usize;
     if prime_count > 64 {
         return Err(bad(format!("implausible prime count {prime_count}")));
     }
     let mut prime_bits = Vec::with_capacity(prime_count);
     for _ in 0..prime_count {
-        prime_bits.push(take_u32(rest)?);
+        prime_bits.push(rest.take_u32()?);
     }
-    let params = match scheme {
-        SchemeType::Bfv => {
-            let plain_bits = 64 - plain_modulus.leading_zeros();
-            if checked {
-                HeParams::bfv(n, &prime_bits, plain_bits)
-            } else {
-                HeParams::bfv_insecure(n, &prime_bits, plain_bits)
-            }
-        }
-        SchemeType::Ckks => {
-            if checked {
-                HeParams::ckks(n, &prime_bits, scale_bits)
-            } else {
-                HeParams::ckks_insecure(n, &prime_bits, scale_bits)
-            }
-        }
-    }
-    .map_err(|e| bad(format!("parameter recipe rejected: {e}")))?;
-    let consistent = match scheme {
-        SchemeType::Bfv => params.plain_modulus() == plain_modulus,
-        SchemeType::Ckks => params.scale_bits() == scale_bits,
-    };
-    if !consistent || params.degree() != n {
-        return Err(bad("rebuilt parameters disagree with recipe"));
-    }
-    Ok(params)
+    HeParams::from_recipe(scheme, checked, n, &prime_bits, plain_modulus, scale_bits)
+        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))
 }
 
 /// The cache key component identifying a parameter set: BLAKE3 over its
@@ -283,14 +217,14 @@ pub fn program_to_wire(program: &Program) -> Result<Vec<u8>, TransportError> {
 /// out-of-range operand references, or implausible node counts. Never
 /// panics.
 pub fn program_from_wire(bytes: &[u8]) -> Result<Program, TransportError> {
-    let mut rest = bytes;
-    let node_count = take_u32(&mut rest)? as usize;
+    let mut rest = WireCursor::new(bytes);
+    let node_count = rest.take_u32()? as usize;
     if node_count > MAX_PROGRAM_NODES {
         return Err(bad(format!("implausible node count {node_count}")));
     }
     let mut prog = Program::new();
-    let operand = |rest: &mut &[u8], built: usize| -> Result<NodeId, TransportError> {
-        let idx = take_u32(rest)? as usize;
+    let operand = |rest: &mut WireCursor, built: usize| -> Result<NodeId, TransportError> {
+        let idx = rest.take_u32()? as usize;
         if idx >= built {
             return Err(bad(format!(
                 "operand {idx} references node {built} or later"
@@ -299,21 +233,21 @@ pub fn program_from_wire(bytes: &[u8]) -> Result<Program, TransportError> {
         Ok(NodeId::new(idx))
     };
     for i in 0..node_count {
-        match take_u8(&mut rest)? {
+        match rest.take_u8()? {
             0 => {
-                let len = take_u16(&mut rest)? as usize;
-                let name = std::str::from_utf8(take(&mut rest, len)?)
+                let len = rest.take_u16()? as usize;
+                let name = std::str::from_utf8(rest.take(len)?)
                     .map_err(|_| bad(format!("node {i}: input name is not UTF-8")))?;
                 prog.input(name);
             }
             1 => {
-                let len = take_u32(&mut rest)? as usize;
-                if len > rest.len() / 8 + 1 {
+                let len = rest.take_u32()? as usize;
+                if len > rest.rest().len() / 8 + 1 {
                     return Err(bad(format!("node {i}: constant length overruns input")));
                 }
                 let mut values = Vec::with_capacity(len);
                 for _ in 0..len {
-                    values.push(f64::from_bits(take_u64(&mut rest)?));
+                    values.push(f64::from_bits(rest.take_u64()?));
                 }
                 prog.constant(&values);
             }
@@ -339,18 +273,18 @@ pub fn program_from_wire(bytes: &[u8]) -> Result<Program, TransportError> {
             }
             7 => {
                 let a = operand(&mut rest, i)?;
-                let s = take_u64(&mut rest)? as i64;
+                let s = rest.take_u64()? as i64;
                 prog.rotate(a, s);
             }
             other => return Err(bad(format!("node {i}: unknown op tag {other}"))),
         }
     }
-    let output_count = take_u32(&mut rest)? as usize;
+    let output_count = rest.take_u32()? as usize;
     if output_count > node_count {
         return Err(bad("more outputs than nodes"));
     }
     for _ in 0..output_count {
-        let idx = take_u32(&mut rest)? as usize;
+        let idx = rest.take_u32()? as usize;
         if idx >= node_count {
             return Err(bad(format!("output references missing node {idx}")));
         }
@@ -376,10 +310,10 @@ fn options_to_wire(options: &CompilerOptions) -> [u8; 12] {
     out
 }
 
-fn options_from_wire(rest: &mut &[u8]) -> Result<CompilerOptions, TransportError> {
-    let scale_bits = take_u32(rest)?;
-    let prime_bits = take_u32(rest)?;
-    let max_levels = take_u32(rest)? as usize;
+fn options_from_wire(rest: &mut WireCursor) -> Result<CompilerOptions, TransportError> {
+    let scale_bits = rest.take_u32()?;
+    let prime_bits = rest.take_u32()?;
+    let max_levels = rest.take_u32()? as usize;
     if max_levels == 0 || max_levels > 64 {
         return Err(bad(format!("implausible level count {max_levels}")));
     }
@@ -457,8 +391,8 @@ impl SessionSetup {
         );
         out.extend_from_slice(SETUP_MAGIC);
         out.extend_from_slice(&params);
-        push_blob(&mut out, &self.relin_wire);
-        push_blob(&mut out, &self.galois_wire);
+        put_blob(&mut out, &self.relin_wire);
+        put_blob(&mut out, &self.galois_wire);
         out
     }
 
@@ -470,13 +404,13 @@ impl SessionSetup {
     ///
     /// Typed [`TransportError`]s; never panics.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, TransportError> {
-        let mut rest = bytes;
-        if take(&mut rest, 4)? != SETUP_MAGIC {
+        let mut rest = WireCursor::new(bytes);
+        if rest.take(4)? != SETUP_MAGIC {
             return Err(bad("bad setup magic"));
         }
-        let params = params_from_wire(&mut rest)?;
-        let relin_wire = take_blob(&mut rest)?.to_vec();
-        let galois_wire = take_blob(&mut rest)?.to_vec();
+        let params = read_params(&mut rest)?;
+        let relin_wire = rest.take_blob()?.to_vec();
+        let galois_wire = rest.take_blob()?.to_vec();
         if !rest.is_empty() {
             return Err(bad("trailing bytes after setup"));
         }
@@ -548,7 +482,7 @@ impl EvalRequest {
         match &self.program {
             Some((wire, options)) => {
                 out.push(1);
-                push_blob(&mut out, wire);
+                put_blob(&mut out, wire);
                 out.extend_from_slice(&options_to_wire(options));
             }
             None => out.push(0),
@@ -557,7 +491,7 @@ impl EvalRequest {
         for (name, ct) in &self.inputs {
             out.extend_from_slice(&(name.len() as u16).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
-            push_blob(&mut out, ct);
+            put_blob(&mut out, ct);
         }
         out
     }
@@ -570,22 +504,22 @@ impl EvalRequest {
     /// whose hash disagrees with `program_ref` is rejected here, so cache
     /// poisoning by reference/body mismatch is impossible.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, TransportError> {
-        let mut rest = bytes;
-        if take(&mut rest, 4)? != REQUEST_MAGIC {
+        let mut rest = WireCursor::new(bytes);
+        if rest.take(4)? != REQUEST_MAGIC {
             return Err(bad("bad request magic"));
         }
-        let request_id = take_u64(&mut rest)?;
+        let request_id = rest.take_u64()?;
         let mut program_ref = [0u8; 32];
-        program_ref.copy_from_slice(take(&mut rest, 32)?);
-        let deadline_ms = match take_u8(&mut rest)? {
+        program_ref.copy_from_slice(rest.take(32)?);
+        let deadline_ms = match rest.take_u8()? {
             0 => None,
-            1 => Some(take_u64(&mut rest)?),
+            1 => Some(rest.take_u64()?),
             other => return Err(bad(format!("bad deadline flag {other}"))),
         };
-        let program = match take_u8(&mut rest)? {
+        let program = match rest.take_u8()? {
             0 => None,
             1 => {
-                let wire = take_blob(&mut rest)?.to_vec();
+                let wire = rest.take_blob()?.to_vec();
                 let options = options_from_wire(&mut rest)?;
                 if program_ref_of(&wire, &options) != program_ref {
                     return Err(bad("program body does not hash to its reference"));
@@ -594,14 +528,14 @@ impl EvalRequest {
             }
             other => return Err(bad(format!("bad program flag {other}"))),
         };
-        let input_count = take_u16(&mut rest)? as usize;
+        let input_count = rest.take_u16()? as usize;
         let mut inputs = Vec::with_capacity(input_count.min(64));
         for _ in 0..input_count {
-            let name_len = take_u16(&mut rest)? as usize;
-            let name = std::str::from_utf8(take(&mut rest, name_len)?)
+            let name_len = rest.take_u16()? as usize;
+            let name = std::str::from_utf8(rest.take(name_len)?)
                 .map_err(|_| bad("input name is not UTF-8"))?
                 .to_string();
-            let ct = take_blob(&mut rest)?.to_vec();
+            let ct = rest.take_blob()?.to_vec();
             inputs.push((name, ct));
         }
         if !rest.is_empty() {
@@ -689,7 +623,7 @@ impl EvalResponse {
                 out.extend_from_slice(&request_id.to_le_bytes());
                 out.extend_from_slice(&(outputs.len() as u16).to_le_bytes());
                 for ct in outputs {
-                    push_blob(&mut out, ct);
+                    put_blob(&mut out, ct);
                 }
             }
             EvalResponse::NeedProgram { request_id } => {
@@ -702,7 +636,7 @@ impl EvalResponse {
             } => {
                 out.push(3);
                 out.extend_from_slice(&request_id.to_le_bytes());
-                push_blob(&mut out, message.as_bytes());
+                put_blob(&mut out, message.as_bytes());
             }
             EvalResponse::DeadlineExceeded { request_id } => {
                 out.push(4);
@@ -719,7 +653,7 @@ impl EvalResponse {
             EvalResponse::Quarantined { request_id, reason } => {
                 out.push(6);
                 out.extend_from_slice(&request_id.to_le_bytes());
-                push_blob(&mut out, reason.as_bytes());
+                put_blob(&mut out, reason.as_bytes());
             }
             EvalResponse::DeadRequests { request_ids } => {
                 out.push(7);
@@ -738,12 +672,12 @@ impl EvalResponse {
     /// decode. `None` for ill-formed payloads and id-less responses
     /// (`SetupOk`, `DeadRequests`).
     pub fn peek_request_id(payload: &[u8]) -> Option<u64> {
-        let mut rest = payload;
-        if take(&mut rest, 4).ok()? != RESPONSE_MAGIC {
+        let mut rest = WireCursor::new(payload);
+        if rest.take(4).ok()? != RESPONSE_MAGIC {
             return None;
         }
-        let code = take_u8(&mut rest).ok()?;
-        let id = take_u64(&mut rest).ok()?;
+        let code = rest.take_u8().ok()?;
+        let id = rest.take_u64().ok()?;
         matches!(code, 1..=6).then_some(id)
     }
 
@@ -753,19 +687,19 @@ impl EvalResponse {
     ///
     /// Typed [`TransportError`]s; never panics.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, TransportError> {
-        let mut rest = bytes;
-        if take(&mut rest, 4)? != RESPONSE_MAGIC {
+        let mut rest = WireCursor::new(bytes);
+        if rest.take(4)? != RESPONSE_MAGIC {
             return Err(bad("bad response magic"));
         }
-        let code = take_u8(&mut rest)?;
-        let request_id = take_u64(&mut rest)?;
+        let code = rest.take_u8()?;
+        let request_id = rest.take_u64()?;
         let resp = match code {
             0 => EvalResponse::SetupOk,
             1 => {
-                let count = take_u16(&mut rest)? as usize;
+                let count = rest.take_u16()? as usize;
                 let mut outputs = Vec::with_capacity(count.min(64));
                 for _ in 0..count {
-                    outputs.push(take_blob(&mut rest)?.to_vec());
+                    outputs.push(rest.take_blob()?.to_vec());
                 }
                 EvalResponse::Outputs {
                     request_id,
@@ -774,7 +708,7 @@ impl EvalResponse {
             }
             2 => EvalResponse::NeedProgram { request_id },
             3 => {
-                let msg = String::from_utf8_lossy(take_blob(&mut rest)?).into_owned();
+                let msg = String::from_utf8_lossy(rest.take_blob()?).into_owned();
                 EvalResponse::Error {
                     request_id,
                     message: msg,
@@ -783,20 +717,20 @@ impl EvalResponse {
             4 => EvalResponse::DeadlineExceeded { request_id },
             5 => EvalResponse::Unavailable {
                 request_id,
-                retry_after_ms: take_u64(&mut rest)?,
+                retry_after_ms: rest.take_u64()?,
             },
             6 => {
-                let reason = String::from_utf8_lossy(take_blob(&mut rest)?).into_owned();
+                let reason = String::from_utf8_lossy(rest.take_blob()?).into_owned();
                 EvalResponse::Quarantined { request_id, reason }
             }
             7 => {
-                let count = take_u32(&mut rest)? as usize;
+                let count = rest.take_u32()? as usize;
                 if count > MAX_DEAD_IDS {
                     return Err(bad(format!("implausible dead-id count {count}")));
                 }
                 let mut request_ids = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    request_ids.push(take_u64(&mut rest)?);
+                    request_ids.push(rest.take_u64()?);
                 }
                 EvalResponse::DeadRequests { request_ids }
             }

@@ -1,6 +1,7 @@
 //! The byte-pipe abstraction frames travel over.
 
 use super::fault::FaultStats;
+use super::wire::{put_blob, WireCursor};
 use super::TransportError;
 use std::collections::VecDeque;
 
@@ -123,19 +124,17 @@ impl Channel for DirectChannel {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.queue.len() as u32).to_le_bytes());
         for wire in &self.queue {
-            out.extend_from_slice(&(wire.len() as u32).to_le_bytes());
-            out.extend_from_slice(wire);
+            put_blob(&mut out, wire);
         }
         out
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        let mut rest = bytes;
-        let count = state_u32(&mut rest, "direct channel")? as usize;
+        let mut rest = WireCursor::sealed(bytes, "direct channel state");
+        let count = rest.take_u32()? as usize;
         let mut queue = VecDeque::with_capacity(count.min(1024));
         for _ in 0..count {
-            let len = state_u32(&mut rest, "direct channel")? as usize;
-            queue.push_back(state_take(&mut rest, len, "direct channel")?.to_vec());
+            queue.push_back(rest.take_blob()?.to_vec());
         }
         if !rest.is_empty() {
             return Err(TransportError::BadCheckpoint(
@@ -145,38 +144,6 @@ impl Channel for DirectChannel {
         self.queue = queue;
         Ok(())
     }
-}
-
-/// Consumes `n` bytes from the front of a channel-state blob.
-pub(crate) fn state_take<'a>(
-    rest: &mut &'a [u8],
-    n: usize,
-    who: &str,
-) -> Result<&'a [u8], TransportError> {
-    if rest.len() < n {
-        return Err(TransportError::BadCheckpoint(format!(
-            "{who}: truncated state"
-        )));
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Ok(head)
-}
-
-/// Reads a little-endian `u32` from the front of a channel-state blob.
-pub(crate) fn state_u32(rest: &mut &[u8], who: &str) -> Result<u32, TransportError> {
-    let b = state_take(rest, 4, who)?;
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(b);
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Reads a little-endian `u64` from the front of a channel-state blob.
-pub(crate) fn state_u64(rest: &mut &[u8], who: &str) -> Result<u64, TransportError> {
-    let b = state_take(rest, 8, who)?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(b);
-    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]

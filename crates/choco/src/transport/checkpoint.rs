@@ -17,7 +17,7 @@
 //!   floor and the full [`CommLedger`];
 //! * opaque channel state (in-flight queue + fault-RNG offset) from
 //!   [`Channel::export_state`](super::channel::Channel::export_state); and
-//! * an opaque per-workload progress blob owned by the resumable driver.
+//! * an opaque per-workload progress blob owned by the workload.
 //!
 //! The body is sealed by a trailing unkeyed BLAKE3 hash (a *keyed* tag is
 //! impossible — the session seed itself travels inside the blob), so any
@@ -27,6 +27,7 @@
 //! server.
 
 use super::session::RetryPolicy;
+use super::wire::{put_blob, WireCursor};
 use super::TransportError;
 use crate::protocol::CommLedger;
 use choco_he::params::{HeParams, SchemeType};
@@ -38,9 +39,6 @@ const MAGIC: [u8; 4] = *b"CKP1";
 const VERSION: u16 = 1;
 /// BLAKE3 seal length.
 const HASH_BYTES: usize = 32;
-/// Upper bound on any embedded variable-length field, to reject absurd
-/// length prefixes before allocating.
-const MAX_FIELD_BYTES: usize = 1 << 28;
 
 /// Everything a [`Session`](super::session::Session) needs to resume,
 /// in plain decoded form. Produced by [`SessionCheckpoint::from_bytes`] and
@@ -97,65 +95,6 @@ fn bad(msg: impl Into<String>) -> TransportError {
     TransportError::BadCheckpoint(msg.into())
 }
 
-fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// A bounds-checked reader over the checkpoint body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| bad("truncated body"))?;
-        let out = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, TransportError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TransportError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, TransportError> {
-        let b = self.take(4)?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(b);
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    fn u64(&mut self) -> Result<u64, TransportError> {
-        let b = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn f64(&mut self) -> Result<f64, TransportError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes_field(&mut self) -> Result<Vec<u8>, TransportError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FIELD_BYTES {
-            return Err(bad("implausible field length"));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-}
-
 impl SessionCheckpoint {
     /// Serializes the checkpoint: `CKP1` header, body, 32-byte BLAKE3 seal.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -174,7 +113,7 @@ impl SessionCheckpoint {
         for &b in &self.prime_bits {
             out.extend_from_slice(&b.to_le_bytes());
         }
-        push_bytes(&mut out, &self.seed);
+        put_blob(&mut out, &self.seed);
         out.extend_from_slice(&self.client_rng_drawn.to_le_bytes());
         out.extend_from_slice(&self.enc_ops.to_le_bytes());
         out.extend_from_slice(&self.dec_ops.to_le_bytes());
@@ -194,12 +133,12 @@ impl SessionCheckpoint {
         out.extend_from_slice(&self.ledger.retransmit_bytes.to_le_bytes());
         out.extend_from_slice(&self.ledger.refresh_rounds.to_le_bytes());
         out.extend_from_slice(&self.ledger.recovery_bytes.to_le_bytes());
-        push_bytes(&mut out, &self.keys_wire);
-        push_bytes(&mut out, &self.relin_wire);
-        push_bytes(&mut out, &self.galois_wire);
-        push_bytes(&mut out, &self.uplink_state);
-        push_bytes(&mut out, &self.downlink_state);
-        push_bytes(&mut out, &self.progress);
+        put_blob(&mut out, &self.keys_wire);
+        put_blob(&mut out, &self.relin_wire);
+        put_blob(&mut out, &self.galois_wire);
+        put_blob(&mut out, &self.uplink_state);
+        put_blob(&mut out, &self.downlink_state);
+        put_blob(&mut out, &self.progress);
         let seal = blake3::hash(&out);
         out.extend_from_slice(&seal);
         out
@@ -223,72 +162,69 @@ impl SessionCheckpoint {
         if blake3::hash(body) != seal {
             return Err(bad("BLAKE3 seal mismatch (truncated or tampered)"));
         }
-        let mut r = Reader {
-            bytes: body,
-            off: 0,
-        };
+        let mut r = WireCursor::sealed(body, "checkpoint body");
         if r.take(4)? != MAGIC {
             return Err(bad("bad magic"));
         }
-        let version = r.u16()?;
+        let version = r.take_u16()?;
         if version != VERSION {
             return Err(bad(format!("unsupported version {version}")));
         }
-        let scheme = match r.u8()? {
+        let scheme = match r.take_u8()? {
             1 => SchemeType::Bfv,
             2 => SchemeType::Ckks,
             other => return Err(bad(format!("unknown scheme marker {other}"))),
         };
-        let degree = r.u32()?;
-        let security_checked = match r.u8()? {
+        let degree = r.take_u32()?;
+        let security_checked = match r.take_u8()? {
             0 => false,
             1 => true,
             other => return Err(bad(format!("bad security flag {other}"))),
         };
-        let plain_modulus = r.u64()?;
-        let scale_bits = r.u32()?;
-        let prime_count = r.u32()? as usize;
+        let plain_modulus = r.take_u64()?;
+        let scale_bits = r.take_u32()?;
+        let prime_count = r.take_u32()? as usize;
         if prime_count == 0 || prime_count > 64 {
             return Err(bad("implausible prime count"));
         }
         let mut prime_bits = Vec::with_capacity(prime_count);
         for _ in 0..prime_count {
-            prime_bits.push(r.u32()?);
+            prime_bits.push(r.take_u32()?);
         }
-        let seed = r.bytes_field()?;
-        let client_rng_drawn = r.u64()?;
-        let enc_ops = r.u64()?;
-        let dec_ops = r.u64()?;
+        let seed = r.take_blob()?.to_vec();
+        let client_rng_drawn = r.take_u64()?;
+        let enc_ops = r.take_u64()?;
+        let dec_ops = r.take_u64()?;
         let policy = RetryPolicy {
-            max_attempts: r.u32()?,
-            base_backoff_ms: r.u64()?,
-            max_backoff_ms: r.u64()?,
-            round_timeout_ms: r.u64()?,
+            max_attempts: r.take_u32()?,
+            base_backoff_ms: r.take_u64()?,
+            max_backoff_ms: r.take_u64()?,
+            round_timeout_ms: r.take_u64()?,
         };
-        let clock_ms = r.u64()?;
-        let next_seq = r.u64()?;
-        let jitter_drawn = r.u64()?;
-        let refresh_floor = r.f64()?;
+        let clock_ms = r.take_u64()?;
+        let next_seq = r.take_u64()?;
+        let jitter_drawn = r.take_u64()?;
+        let refresh_floor = f64::from_bits(r.take_u64()?);
         if !refresh_floor.is_finite() {
             return Err(bad("non-finite refresh floor"));
         }
         let ledger = CommLedger {
-            upload_bytes: r.u64()?,
-            download_bytes: r.u64()?,
-            uploads: r.u32()?,
-            downloads: r.u32()?,
-            rounds: r.u32()?,
-            retransmit_bytes: r.u64()?,
-            refresh_rounds: r.u32()?,
-            recovery_bytes: r.u64()?,
+            upload_bytes: r.take_u64()?,
+            download_bytes: r.take_u64()?,
+            uploads: r.take_u32()?,
+            downloads: r.take_u32()?,
+            rounds: r.take_u32()?,
+            retransmit_bytes: r.take_u64()?,
+            refresh_rounds: r.take_u32()?,
+            recovery_bytes: r.take_u64()?,
         };
-        let keys_wire = r.bytes_field()?;
-        let relin_wire = r.bytes_field()?;
-        let galois_wire = r.bytes_field()?;
-        let uplink_state = r.bytes_field()?;
-        let downlink_state = r.bytes_field()?;
-        let progress = r.bytes_field()?;
-        if r.off != body.len() {
+        let keys_wire = r.take_blob()?.to_vec();
+        let relin_wire = r.take_blob()?.to_vec();
+        let galois_wire = r.take_blob()?.to_vec();
+        let uplink_state = r.take_blob()?.to_vec();
+        let downlink_state = r.take_blob()?.to_vec();
+        let progress = r.take_blob()?.to_vec();
+        if !r.is_empty() {
             return Err(bad("trailing bytes in body"));
         }
         Ok(SessionCheckpoint {
@@ -340,35 +276,15 @@ impl SessionCheckpoint {
     /// Returns [`TransportError::BadCheckpoint`] if the recipe is invalid or
     /// the deterministic rebuild disagrees with the recorded values.
     pub(crate) fn rebuild_params(&self) -> Result<HeParams, TransportError> {
-        let n = self.degree as usize;
-        let params = match self.scheme {
-            SchemeType::Bfv => {
-                let plain_bits = 64 - self.plain_modulus.leading_zeros();
-                if self.security_checked {
-                    HeParams::bfv(n, &self.prime_bits, plain_bits)
-                } else {
-                    HeParams::bfv_insecure(n, &self.prime_bits, plain_bits)
-                }
-            }
-            SchemeType::Ckks => {
-                if self.security_checked {
-                    HeParams::ckks(n, &self.prime_bits, self.scale_bits)
-                } else {
-                    HeParams::ckks_insecure(n, &self.prime_bits, self.scale_bits)
-                }
-            }
-        }
-        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))?;
-        // Parameter construction is deterministic, so the rebuilt set must
-        // reproduce the recorded derived values bit-for-bit.
-        let consistent = match self.scheme {
-            SchemeType::Bfv => params.plain_modulus() == self.plain_modulus,
-            SchemeType::Ckks => params.scale_bits() == self.scale_bits,
-        };
-        if !consistent || params.degree() != n {
-            return Err(bad("rebuilt parameters disagree with recorded recipe"));
-        }
-        Ok(params)
+        HeParams::from_recipe(
+            self.scheme,
+            self.security_checked,
+            self.degree as usize,
+            &self.prime_bits,
+            self.plain_modulus,
+            self.scale_bits,
+        )
+        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))
     }
 }
 

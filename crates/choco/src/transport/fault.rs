@@ -5,7 +5,8 @@
 //! `(seed, plan)` pair replays the exact same fault schedule — failing runs
 //! are reproducible by construction.
 
-use super::channel::{state_take, state_u64, Channel, Delivery};
+use super::channel::{Channel, Delivery};
+use super::wire::{put_blob, WireCursor};
 use super::TransportError;
 use choco_prng::Blake3Rng;
 use std::collections::VecDeque;
@@ -229,15 +230,14 @@ impl Channel for FaultyChannel {
         out.extend_from_slice(&(self.queue.len() as u32).to_le_bytes());
         for d in &self.queue {
             out.extend_from_slice(&d.latency_ms.to_le_bytes());
-            out.extend_from_slice(&(d.wire.len() as u32).to_le_bytes());
-            out.extend_from_slice(&d.wire);
+            put_blob(&mut out, &d.wire);
         }
         out
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        let mut rest = bytes;
-        let drawn = state_u64(&mut rest, "faulty channel")?;
+        let mut rest = WireCursor::sealed(bytes, "faulty channel state");
+        let drawn = rest.take_u64()?;
         let mut stats = FaultStats::default();
         for c in [
             &mut stats.delivered,
@@ -246,14 +246,13 @@ impl Channel for FaultyChannel {
             &mut stats.truncated,
             &mut stats.duplicated,
         ] {
-            *c = state_u64(&mut rest, "faulty channel")?;
+            *c = rest.take_u64()?;
         }
-        let count = super::channel::state_u32(&mut rest, "faulty channel")? as usize;
+        let count = rest.take_u32()? as usize;
         let mut queue = VecDeque::with_capacity(count.min(1024));
         for _ in 0..count {
-            let latency_ms = state_u64(&mut rest, "faulty channel")?;
-            let len = super::channel::state_u32(&mut rest, "faulty channel")? as usize;
-            let wire = state_take(&mut rest, len, "faulty channel")?.to_vec();
+            let latency_ms = rest.take_u64()?;
+            let wire = rest.take_blob()?.to_vec();
             queue.push_back(Delivery { wire, latency_ms });
         }
         if !rest.is_empty() {

@@ -42,6 +42,7 @@ pub mod fault;
 pub mod frame;
 pub mod session;
 pub mod tcp;
+pub mod wire;
 
 pub use channel::{Channel, Delivery, DirectChannel};
 pub use checkpoint::SessionCheckpoint;
@@ -49,6 +50,7 @@ pub use fault::{FaultPlan, FaultStats, FaultyChannel};
 pub use frame::{Frame, FrameKind, TagKey};
 pub use session::{CrashOp, CrashPlan, LinkConfig, RetryPolicy, Session};
 pub use tcp::{dial, HelloStatus, Redialer, TcpChannel, MAX_FRAME_BYTES};
+pub use wire::{put_blob, WireCursor};
 
 use choco_he::HeError;
 

@@ -492,7 +492,7 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
     }
 
     /// Marks one server-side compute step so a [`CrashPlan`] can target
-    /// `CrashOp::Compute`. Resumable drivers call this before each major
+    /// `CrashOp::Compute`. Workload steps call this before each major
     /// server kernel.
     ///
     /// # Errors

@@ -25,6 +25,7 @@
 use super::channel::{Channel, Delivery};
 use super::frame::TagKey;
 use super::session::RetryPolicy;
+use super::wire::{put_blob, WireCursor};
 use super::TransportError;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -66,32 +67,6 @@ fn elapsed_ms(start: Instant) -> u64 {
 
 fn le_u32(bytes: &[u8]) -> Option<u32> {
     bytes.get(..4)?.try_into().ok().map(u32::from_le_bytes)
-}
-
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], TransportError> {
-    if rest.len() < n {
-        return Err(TransportError::Truncated {
-            need: n,
-            have: rest.len(),
-        });
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Ok(head)
-}
-
-fn take_u64(rest: &mut &[u8]) -> Result<u64, TransportError> {
-    let b: [u8; 8] = take(rest, 8)?
-        .try_into()
-        .map_err(|_| TransportError::Malformed("bad u64 field".into()))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn take_u32(rest: &mut &[u8]) -> Result<u32, TransportError> {
-    let b: [u8; 4] = take(rest, 4)?
-        .try_into()
-        .map_err(|_| TransportError::Malformed("bad u32 field".into()))?;
-    Ok(u32::from_le_bytes(b))
 }
 
 /// Length-prefixed blob I/O over one [`TcpStream`]: partial reads are
@@ -374,8 +349,7 @@ impl Channel for TcpChannel {
         out.extend_from_slice(&(self.queue.len() as u32).to_le_bytes());
         for d in &self.queue {
             out.extend_from_slice(&d.latency_ms.to_le_bytes());
-            out.extend_from_slice(&(d.wire.len() as u32).to_le_bytes());
-            out.extend_from_slice(&d.wire);
+            put_blob(&mut out, &d.wire);
         }
         out
     }
@@ -385,15 +359,12 @@ impl Channel for TcpChannel {
             self.queue.clear();
             return Ok(());
         }
-        let mut rest = bytes;
-        let count = take_u32(&mut rest)
-            .map_err(|_| TransportError::BadCheckpoint("tcp channel: truncated state".into()))?;
+        let mut rest = WireCursor::sealed(bytes, "tcp channel state");
+        let count = rest.take_u32()?;
         let mut queue = VecDeque::new();
         for _ in 0..count {
-            let err = || TransportError::BadCheckpoint("tcp channel: truncated state".into());
-            let latency_ms = take_u64(&mut rest).map_err(|_| err())?;
-            let len = take_u32(&mut rest).map_err(|_| err())? as usize;
-            let wire = take(&mut rest, len).map_err(|_| err())?.to_vec();
+            let latency_ms = rest.take_u64()?;
+            let wire = rest.take_blob()?.to_vec();
             queue.push_back(Delivery { wire, latency_ms });
         }
         if !rest.is_empty() {
@@ -469,23 +440,21 @@ pub fn encode_hello(key: &TagKey, tenant: u64, session: u64, resume: bool) -> Ve
 /// [`TransportError::Malformed`] on bad magic/version,
 /// [`TransportError::Truncated`] if bytes are missing.
 pub fn decode_hello(bytes: &[u8]) -> Result<Hello, TransportError> {
-    let mut rest = bytes;
-    if take(&mut rest, 4)? != HELLO_MAGIC {
+    let mut rest = WireCursor::new(bytes);
+    if rest.take(4)? != HELLO_MAGIC {
         return Err(TransportError::Malformed("bad hello magic".into()));
     }
-    let ver: [u8; 2] = take(&mut rest, 2)?
-        .try_into()
-        .map_err(|_| TransportError::Malformed("bad hello version".into()))?;
-    if u16::from_le_bytes(ver) != HELLO_VERSION {
+    let ver = rest.take_u16()?;
+    if ver != HELLO_VERSION {
         return Err(TransportError::Malformed(format!(
-            "unsupported hello version {}",
-            u16::from_le_bytes(ver)
+            "unsupported hello version {ver}"
         )));
     }
-    let tenant = take_u64(&mut rest)?;
-    let session = take_u64(&mut rest)?;
-    let resume = take(&mut rest, 1)? != [0];
-    let auth: [u8; 32] = take(&mut rest, 32)?
+    let tenant = rest.take_u64()?;
+    let session = rest.take_u64()?;
+    let resume = rest.take_u8()? != 0;
+    let auth: [u8; 32] = rest
+        .take(32)?
         .try_into()
         .map_err(|_| TransportError::Malformed("bad hello auth".into()))?;
     Ok(Hello {
@@ -540,13 +509,13 @@ pub fn encode_ack(status: HelloStatus) -> Vec<u8> {
 /// [`TransportError::Malformed`] on bad magic or status code,
 /// [`TransportError::Truncated`] if bytes are missing.
 pub fn decode_ack(bytes: &[u8]) -> Result<HelloStatus, TransportError> {
-    let mut rest = bytes;
-    if take(&mut rest, 4)? != ACK_MAGIC {
+    let mut rest = WireCursor::new(bytes);
+    if rest.take(4)? != ACK_MAGIC {
         return Err(TransportError::Malformed("bad ack magic".into()));
     }
-    let code = take(&mut rest, 1)?.first().copied().unwrap_or(u8::MAX);
-    let active = take_u32(&mut rest)?;
-    let limit = take_u32(&mut rest)?;
+    let code = rest.take_u8()?;
+    let active = rest.take_u32()?;
+    let limit = rest.take_u32()?;
     Ok(match code {
         0 => HelloStatus::Ok,
         1 => HelloStatus::Overloaded { active, limit },

@@ -173,6 +173,45 @@ impl HeParams {
         })
     }
 
+    /// Rebuilds a parameter set from its recorded recipe — the form session
+    /// checkpoints and the remote-evaluation setup message carry instead of
+    /// the primes themselves — and cross-checks the values construction
+    /// derives (plain modulus under BFV, scale bits under CKKS, degree)
+    /// against the recorded ones. Construction is deterministic, so a
+    /// faithful recipe reproduces the original set exactly.
+    ///
+    /// # Errors
+    ///
+    /// Fails like the constructors on an invalid shape, and with
+    /// [`HeError::InvalidParameters`] when the rebuilt set disagrees with
+    /// the recorded values.
+    pub fn from_recipe(
+        scheme: SchemeType,
+        security_checked: bool,
+        n: usize,
+        prime_bits: &[u32],
+        plain_modulus: u64,
+        scale_bits: u32,
+    ) -> Result<Self, HeError> {
+        let params = match scheme {
+            SchemeType::Bfv => {
+                let plain_bits = 64 - plain_modulus.leading_zeros();
+                Self::build(scheme, n, prime_bits, plain_bits, 0, security_checked)
+            }
+            SchemeType::Ckks => Self::build(scheme, n, prime_bits, 0, scale_bits, security_checked),
+        }?;
+        let consistent = match scheme {
+            SchemeType::Bfv => params.plain_modulus == plain_modulus,
+            SchemeType::Ckks => params.scale_bits == scale_bits,
+        };
+        if !consistent || params.n != n {
+            return Err(HeError::InvalidParameters(
+                "rebuilt parameters disagree with the recorded recipe".into(),
+            ));
+        }
+        Ok(params)
+    }
+
     /// Paper Table 3, set **A**: BFV, `N = 8192`, `{58,58,59}`, 23-bit `t`.
     pub fn set_a() -> Self {
         Self::bfv(8192, &[58, 58, 59], 23).expect("paper set A is valid")
@@ -275,6 +314,35 @@ mod tests {
         assert_eq!(p.data_prime_count(), 2);
         assert_eq!(p.ciphertext_bytes(), 262_144);
         assert_eq!(64 - p.plain_modulus().leading_zeros(), 23);
+    }
+
+    #[test]
+    fn recipe_rebuilds_every_constructor_and_rejects_disagreement() {
+        let sets = [
+            HeParams::set_a(),
+            HeParams::set_c(),
+            HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap(),
+            HeParams::ckks_insecure(256, &[45, 45, 46], 38).unwrap(),
+        ];
+        for p in &sets {
+            let rebuild = |plain_modulus, scale_bits| {
+                HeParams::from_recipe(
+                    p.scheme(),
+                    p.is_security_checked(),
+                    p.degree(),
+                    p.prime_bits(),
+                    plain_modulus,
+                    scale_bits,
+                )
+            };
+            assert_eq!(&rebuild(p.plain_modulus(), p.scale_bits()).unwrap(), p);
+            // A recorded value the deterministic rebuild does not reproduce.
+            let wrong = match p.scheme() {
+                SchemeType::Bfv => rebuild(p.plain_modulus() + 2, 0),
+                SchemeType::Ckks => rebuild(0, p.scale_bits() + 100),
+            };
+            assert!(matches!(wrong, Err(HeError::InvalidParameters(_))));
+        }
     }
 
     #[test]

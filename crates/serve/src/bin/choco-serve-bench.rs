@@ -31,16 +31,15 @@
 
 use choco::remote::RemoteEvaluator;
 use choco::transport::tcp::TcpOptions;
-use choco::transport::{Redialer, RetryPolicy, Session, TcpChannel};
-use choco_apps::distance::{distance_rotation_steps, PackingVariant};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
-use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec};
+use choco::transport::{Redialer, RetryPolicy, Session, TcpChannel, TransportError};
+use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
+use choco_apps::dnn::ResumableConvLayer;
+use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
+use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec, ResumablePipeline};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_apps::resumable::{
-    drive_over_tcp, ResumableConvLayer, ResumableKmeans, ResumablePagerank, ResumablePipeline,
-};
+use choco_apps::resumable::{drive_over_tcp, ResumableWorkload};
 use choco_he::params::{HeParams, SchemeType};
-use choco_he::{Bfv, Ckks, HeScheme};
+use choco_he::{Bfv, HeScheme};
 use choco_serve::{EvalChaos, OffloadServer, ServeConfig, ServeStats, TenantRegistry};
 use std::time::Instant;
 
@@ -83,100 +82,69 @@ fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
 
-/// One workload run over its own TCP session. Returns an error string on
-/// failure (the bench reports failures, it does not panic).
-fn run_workload(kind: usize, addr: &str, tenant: u64, session_id: u64) -> Result<(), String> {
+/// Drives `workload` to completion over its own TCP session (fresh keys
+/// from `params`, up to two redials).
+fn drive<W: ResumableWorkload>(
+    redialer: &Redialer,
+    seed: &[u8],
+    params: &HeParams,
+    rotation_steps: &[i64],
+    workload: W,
+) -> Result<(), TransportError> {
+    let (up, down) = redialer.dial_fresh()?;
+    let session = Session::<W::Scheme, TcpChannel>::over(
+        params,
+        seed,
+        rotation_steps,
+        up,
+        down,
+        RetryPolicy::default(),
+    )?;
+    drive_over_tcp(redialer, session, workload, 2)?;
+    Ok(())
+}
+
+/// One workload run over its own TCP session. Failures are returned (the
+/// bench reports them, it does not panic).
+fn run_workload(
+    kind: usize,
+    addr: &str,
+    tenant: u64,
+    session_id: u64,
+) -> Result<(), TransportError> {
     let seed = tenant_seed(tenant);
-    let redialer = Redialer::new(addr, seed.as_bytes(), tenant, session_id);
-    let dial = |r: &Redialer| r.dial_fresh().map_err(err_str);
+    let seed = seed.as_bytes();
+    let redialer = Redialer::new(addr, seed, tenant, session_id);
+    let bfv = |plain_bits| HeParams::bfv_insecure(1024, &[45, 45, 46], plain_bits);
     match kind {
         0 => {
             let g = Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]]);
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).map_err(err_str)?;
             let steps = pagerank_rotation_steps(g.len());
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, p),
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
+            let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10);
+            drive(&redialer, seed, &bfv(24)?, &steps, w?)
         }
         1 => {
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).map_err(err_str)?;
             let input: Vec<Vec<u64>> = vec![(0..64).map(|i| (i * 5 + 1) % 16).collect()];
             let weights: Vec<Vec<Vec<u64>>> = (0..2)
                 .map(|c| vec![(0..9).map(|i| ((i + c * 3) % 16) as u64).collect()])
                 .collect();
             let steps = choco_apps::dnn::conv_rotation_steps(1, 8, 8, 3);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumableConvLayer::new(&input, &weights, 8, 8, 3).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumableConvLayer::restore(&input, &weights, 8, 8, 3, p),
-                |w, s| w.step(s),
-                |w, s| w.recover(s),
-                2,
-            )
-            .map_err(err_str)?;
+            let w = ResumableConvLayer::new(&input, &weights, 8, 8, 3);
+            drive(&redialer, seed, &bfv(18)?, &steps, w?)
         }
         2 => {
-            let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).map_err(err_str)?;
+            let params = bfv(18)?;
             let spec = LenetLikeSpec::tiny();
             let weights = seeded_weights(&spec, b"serve-bench pipe");
             let image: Vec<u64> = (0..spec.img * spec.img)
                 .map(|i| ((i * 7 + 3) % 16) as u64)
                 .collect();
             let steps = all_rotation_steps(&spec, params.degree() / 2);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Bfv, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumablePipeline::new(&spec, &weights, &image).map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| ResumablePipeline::restore(&spec, &weights, &image, p),
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
+            let w = ResumablePipeline::new(&spec, &weights, &image);
+            drive(&redialer, seed, &params, &steps, w?)
         }
         _ => {
-            let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).map_err(err_str)?;
+            let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38)?;
             let points = vec![
                 vec![0.0, 0.1, 0.0, 0.0],
                 vec![0.1, 0.0, 0.1, 0.1],
@@ -187,40 +155,10 @@ fn run_workload(kind: usize, addr: &str, tenant: u64, session_id: u64) -> Result
             ];
             let init = vec![vec![0.5; 4], vec![1.5; 4]];
             let steps = distance_rotation_steps(4, points.len(), 512);
-            let (up, down) = dial(&redialer)?;
-            let session = Session::<Ckks, TcpChannel>::over(
-                &params,
-                seed.as_bytes(),
-                &steps,
-                up,
-                down,
-                RetryPolicy::default(),
-            )
-            .map_err(err_str)?;
-            let w = ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6)
-                .map_err(err_str)?;
-            drive_over_tcp(
-                &redialer,
-                session,
-                w,
-                |p| {
-                    ResumableKmeans::restore(
-                        PackingVariant::DimensionMajor,
-                        &points,
-                        &init,
-                        2,
-                        1e-6,
-                        p,
-                    )
-                },
-                |w, s| w.step(s),
-                |_, _| Ok(()),
-                2,
-            )
-            .map_err(err_str)?;
+            let w = ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6);
+            drive(&redialer, seed, &params, &steps, w?)
         }
     }
-    Ok(())
 }
 
 fn percentile(sorted_ms: &[u64], pct: u64) -> u64 {
@@ -710,7 +648,7 @@ fn main() {
             let mut runs: Vec<(usize, u64, Result<(), String>)> = Vec::new();
             for rep in 0..reps {
                 let t0 = Instant::now();
-                let outcome = run_workload(kind, &addr, tenant, rep);
+                let outcome = run_workload(kind, &addr, tenant, rep).map_err(err_str);
                 let ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
                 runs.push((kind, ms, outcome));
             }

@@ -1,4 +1,5 @@
-//! `choco-serve` — run a verified-relay offload server on a real socket.
+//! `choco-serve` — run the offload server on a real socket: the batching,
+//! caching remote HE evaluator, which also relays `Session` frames.
 //!
 //! ```text
 //! choco-serve --addr 127.0.0.1:7470 --tenant 1=my-session-seed
@@ -18,7 +19,7 @@ use std::io::BufRead;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
-choco-serve: verified-relay offload server
+choco-serve: offload server (remote HE evaluator + session frame relay)
 
 USAGE:
   choco-serve [--addr HOST:PORT] [--max-sessions N] [--io-timeout-ms MS]

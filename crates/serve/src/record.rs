@@ -16,7 +16,7 @@
 //! | blake3(prior bytes) 32 B |
 //! ```
 
-use choco::transport::TransportError;
+use choco::transport::{TransportError, WireCursor};
 use choco_prng::blake3;
 use std::fs;
 use std::io;
@@ -51,24 +51,6 @@ pub struct SessionRecord {
     pub payload_bytes: u64,
     /// Total wire bytes received, duplicates and overhead included.
     pub wire_bytes: u64,
-}
-
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], TransportError> {
-    if rest.len() < n {
-        return Err(TransportError::BadCheckpoint(
-            "session record: truncated".into(),
-        ));
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Ok(head)
-}
-
-fn take_u64(rest: &mut &[u8]) -> Result<u64, TransportError> {
-    let b: [u8; 8] = take(rest, 8)?
-        .try_into()
-        .map_err(|_| TransportError::BadCheckpoint("session record: bad u64".into()))?;
-    Ok(u64::from_le_bytes(b))
 }
 
 impl SessionRecord {
@@ -127,21 +109,21 @@ impl SessionRecord {
                 "session record: seal mismatch".into(),
             ));
         }
-        let mut rest = body;
-        if take(&mut rest, 4)? != RECORD_MAGIC {
+        let mut rest = WireCursor::sealed(body, "session record");
+        if rest.take(4)? != RECORD_MAGIC {
             return Err(TransportError::BadCheckpoint(
                 "session record: bad magic".into(),
             ));
         }
         Ok(SessionRecord {
-            tenant: take_u64(&mut rest)?,
-            session: take_u64(&mut rest)?,
-            seen_below: take_u64(&mut rest)?,
-            frames: take_u64(&mut rest)?,
-            dup_frames: take_u64(&mut rest)?,
-            bad_frames: take_u64(&mut rest)?,
-            payload_bytes: take_u64(&mut rest)?,
-            wire_bytes: take_u64(&mut rest)?,
+            tenant: rest.take_u64()?,
+            session: rest.take_u64()?,
+            seen_below: rest.take_u64()?,
+            frames: rest.take_u64()?,
+            dup_frames: rest.take_u64()?,
+            bad_frames: rest.take_u64()?,
+            payload_bytes: rest.take_u64()?,
+            wire_bytes: rest.take_u64()?,
         })
     }
 

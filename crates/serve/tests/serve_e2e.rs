@@ -15,10 +15,8 @@
 use choco::transport::tcp::TcpOptions;
 use choco::transport::TagKey;
 use choco::transport::{dial, Redialer, RetryPolicy, Session, TcpChannel, TransportError};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph};
-use choco_apps::resumable::{
-    drive_over_tcp, is_reconnectable, ResumablePagerank, ResumableWorkload,
-};
+use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
+use choco_apps::resumable::{drive_over_tcp, is_reconnectable, ResumableWorkload};
 use choco_he::params::HeParams;
 use choco_he::Bfv;
 use choco_serve::{ChaosPlan, ChaosProxy, OffloadServer, ServeConfig, TenantRegistry};
@@ -74,16 +72,8 @@ fn run_pagerank(
         RetryPolicy::default(),
     )?;
     let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10)?;
-    let (session, w) = drive_over_tcp(
-        &redialer,
-        session,
-        w,
-        |p| ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, p),
-        |w, s| w.step(s),
-        |_, _| Ok(()),
-        max_reconnects,
-    )?;
-    Ok((*session.ledger(), w.final_ct_wire().to_vec()))
+    let (session, w) = drive_over_tcp(&redialer, session, w, max_reconnects)?;
+    Ok((*session.ledger(), w.final_ct_wire()))
 }
 
 #[test]
@@ -261,7 +251,10 @@ fn drain_restart_and_resume_is_bit_identical() {
     redialer2.opts = fast_opts;
     let (up, down) = redialer2.redial().unwrap();
     let (mut session, progress) = Session::<Bfv, TcpChannel>::resume(&ckpt, up, down).unwrap();
-    let mut w = ResumablePagerank::<Bfv>::restore(&g, 0.85, 4, 2, 10, &progress).unwrap();
+    let mut w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10)
+        .unwrap()
+        .restore(&progress)
+        .unwrap();
     while !w.is_done() {
         w.step(&mut session).unwrap();
     }
