@@ -1,7 +1,8 @@
 //! Op-level kernel timing reporter for the parallel HE runtime.
 //!
 //! Times the kernels the runtime rework targets — strict vs. lazy NTT,
-//! BFV multiply, naive vs. hoisted rotation batches, and the
+//! BFV multiply and decrypt in RNS against their big-integer reference,
+//! naive vs. hoisted rotation batches, and the
 //! diagonal-method matvec through both the per-rotation path and the
 //! fused double-hoisted `dot_rotations_plain` path — and reports the
 //! speedups. It also times the scheme-generic [`HeScheme::dot_diagonals`]
@@ -10,10 +11,12 @@
 //! noise — the generic core is monomorphized, so there is no dyn dispatch
 //! to pay for. A simd section times every kernel `choco_math::simd`
 //! vectorizes against its scalar twin and fails on one the vector code does
-//! not speed up. A `par` section times the worker pool's dispatch cost and
-//! every call site still routed through it against its own one-thread
-//! loop, and fails on a site the pool does not speed up (skipped, with a
-//! note, while the host is not running two threads faster than one).
+//! not speed up; the RNS multiply and decrypt are gated the same way against
+//! the reference (>= 3.0x and >= 2.0x). A `par` section times the worker
+//! pool's dispatch cost and every call site still routed through it against
+//! its own one-thread loop, and fails on a site the pool does not speed up
+//! (skipped, with a note, while the host is not running two threads faster
+//! than one).
 //! `--json <path>` additionally writes a machine-readable
 //! report (the committed baseline lives in `BENCH_kernels.json`);
 //! `--smoke` shrinks the measurement windows so CI can run the reporter
@@ -33,9 +36,10 @@ use choco_math::modops::{add_mod, sub_mod};
 use choco_math::ntt::NttTable;
 use choco_math::par;
 use choco_math::prime::generate_ntt_primes;
-use choco_math::rns::RnsBasis;
+use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::simd;
 use choco_prng::Blake3Rng;
+use std::sync::Arc;
 
 struct Entry {
     name: String,
@@ -346,12 +350,81 @@ fn main() {
         });
     }
 
+    header("BFV multiply+relin and decrypt: RNS base conversion vs big-integer reference");
+    // The production paths against the per-coefficient CRT oracle they
+    // replaced, at the degrees of paper sets A (8192) and B (4096). ROADMAP's
+    // rule: the RNS path exists because it beats the reference; below the
+    // gate the reference is the simpler code to ship.
+    let mut rns_speedups: Vec<(String, f64)> = Vec::new();
+    for (tag, set) in [("a", HeParams::set_a()), ("b", HeParams::set_b())] {
+        let ctx = BfvContext::new(&set).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"bench kernels bfv rns");
+        let keys = ctx.keygen(&mut rng);
+        let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
+        let values: Vec<u64> = (0..set.degree() as u64).map(|i| i % 17).collect();
+        let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
+        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let (eval, dec) = (ctx.evaluator(), ctx.decryptor(keys.secret_key()));
+        let mut twins = |kernel: &str, gate: f64, rns: &dyn Fn(), bigint: &dyn Fn()| {
+            let timings = best_of_three(|side| measure(window_ms, [rns, bigint][side]));
+            let name = format!("{kernel}_{tag}");
+            let ratio = record_twins(&mut entries, &name, ["rns", "bigint"], timings);
+            assert!(
+                ratio >= gate,
+                "{name} is {ratio:.2}x the big-integer reference (gate: >= {gate:.1}x)"
+            );
+            rns_speedups.push((format!("{name}_speedup"), ratio));
+        };
+        twins(
+            "bfv_multiply_relin",
+            3.0,
+            &|| {
+                black_box(eval.multiply_relin(black_box(&ct), &ct, &rk).unwrap());
+            },
+            &|| {
+                let prod = eval.multiply_reference(black_box(&ct), &ct).unwrap();
+                black_box(eval.relinearize(&prod, &rk).unwrap());
+            },
+        );
+        twins(
+            "bfv_decrypt",
+            2.0,
+            &|| {
+                black_box(dec.decrypt(black_box(&ct)));
+            },
+            &|| {
+                black_box(dec.decrypt_reference(black_box(&ct)));
+            },
+        );
+    }
+    // The primitive itself at set A's shapes: the lift into the 5-prime
+    // tensor basis and the way back.
+    let mut rns_convert_ns: Vec<(String, f64)> = Vec::new();
+    {
+        let pa = HeParams::set_a();
+        let n = pa.degree();
+        let data = Arc::new(RnsBasis::new(n, &pa.primes()[..2]).unwrap());
+        let ext = Arc::new(RnsBasis::new(n, &generate_ntt_primes(59, n, 5)).unwrap());
+        let mut rng = Blake3Rng::from_seed(b"bench kernels convert");
+        for (name, from, to) in [
+            ("rns_convert_2to5", &data, &ext),
+            ("rns_convert_5to2", &ext, &data),
+        ] {
+            let conv = BaseConverter::new(from.clone(), to.primes());
+            let x = RnsPoly::sample_uniform(&mut rng, from);
+            record(&mut entries, window_ms, name, || {
+                black_box(black_box(&x).convert_centered(&conv));
+            });
+            let ns = seconds_of(&entries, name) * 1e9 / n as f64;
+            rns_convert_ns.push((format!("{name}_ns_per_coeff"), ns));
+        }
+    }
+
     header("kernel timings: BFV ops (paper set B)");
     let params = HeParams::set_b();
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"bench kernels bfv");
     let keys = ctx.keygen(&mut rng);
-    let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     let cols = 16usize;
     let steps: Vec<i64> = (1..cols as i64).collect();
     let gks = ctx
@@ -362,9 +435,6 @@ fn main() {
     let pt = encoder.encode(&values).unwrap();
     let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
     let eval = ctx.evaluator();
-    record(&mut entries, window_ms, "bfv_multiply_relin", || {
-        black_box(eval.multiply_relin(black_box(&ct), &ct, &rk).unwrap());
-    });
 
     header("kernel timings: rotation batch (15 steps)");
     record(&mut entries, window_ms, "rotations_naive", || {
@@ -565,6 +635,10 @@ fn main() {
     } else {
         note("scalar backend active: both twins ran the scalar loop, simd gate skipped");
     }
+    header("rns speedups (bigint / rns; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x)");
+    for (name, value) in rns_speedups.iter().chain(&rns_convert_ns) {
+        println!("{name:<34} {value:.2}");
+    }
     header("par pool (one thread / pooled; gate: every kept site >= 1.0x)");
     println!("par_dispatch  {par_dispatch_us:.1} us");
     println!("par_capacity  {capacity:.2}x  (one spin task per thread, {threads} threads)");
@@ -615,6 +689,8 @@ fn main() {
         derived.extend(
             simd_speedups
                 .iter()
+                .chain(&rns_speedups)
+                .chain(&rns_convert_ns)
                 .chain(&par_speedups)
                 .map(|(name, ratio)| (name.as_str(), *ratio)),
         );

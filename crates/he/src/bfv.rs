@@ -10,8 +10,11 @@
 //! the last prime is reserved for key switching. Ciphertext–ciphertext
 //! multiplication lifts operands exactly into an auxiliary NTT basis wide
 //! enough to hold the integer tensor product, then scales by `t/q` with
-//! big-integer rounding — mathematically equivalent to SEAL's BEHZ base
-//! conversion, chosen here for auditability.
+//! exact rounding. Both it and decryption stay in RNS: every change of
+//! basis is a [`BaseConverter`] pass, which is exact (not BEHZ's
+//! approximate conversion plus correction), so the results are bit-for-bit
+//! those of the big-integer CRT formulation kept as
+//! [`Evaluator::multiply_reference`] / [`Decryptor::decrypt_reference`].
 
 use crate::batch::BatchEncoder;
 use crate::error::HeError;
@@ -20,13 +23,13 @@ use crate::keyswitch::{
     hoist_decompose, hoisted_accumulate, mod_down_ntt, KswitchKey,
 };
 use crate::params::{HeParams, SchemeType};
-use crate::rnspoly::RnsPoly;
-use choco_math::modops::add_mod;
+use crate::rnspoly::{dot_with_key_powers, RnsPoly};
+use choco_math::modops::{add_mod, inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::ntt::galois_ntt_permutation;
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::generate_ntt_primes;
-use choco_math::rns::RnsBasis;
+use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::UBig;
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
@@ -231,6 +234,14 @@ pub struct BfvContext {
     level_bases: Vec<Arc<RnsBasis>>,
     /// ⌊q_level/t⌋ per level, aligned with `level_bases`.
     level_deltas: Vec<UBig>,
+    /// Per level: the `q_level → {t}` conversion and `−q_level^{-1} mod t`,
+    /// which turn `[t·x]_q` into the decrypted coefficient.
+    level_to_plain: Vec<(BaseConverter, u64)>,
+    /// `q → ext` and `ext → q` conversions of the ct×ct multiply.
+    to_ext: BaseConverter,
+    from_ext: BaseConverter,
+    /// `q^{-1}` modulo each ext prime.
+    q_inv_mod_ext: Vec<u64>,
     t: u64,
     batch: Option<Arc<BatchEncoder>>,
 }
@@ -250,15 +261,24 @@ impl BfvContext {
         }
         let n = params.degree();
         let primes = params.primes();
+        let t = params.plain_modulus();
         let full = Arc::new(RnsBasis::new(n, primes)?);
         let data = if primes.len() == 1 {
             full.clone()
         } else {
             Arc::new(full.prefix(primes.len() - 1))
         };
-        // Extended basis for exact tensor products: needs
-        // 2·log2(q) + log2(N) + 2 bits.
-        let needed_bits = 2.0 * data.modulus_bits() + (n as f64).log2() + 2.0;
+        if data.primes().contains(&t) {
+            return Err(HeError::InvalidParameters(
+                "plain modulus divides the coefficient modulus".into(),
+            ));
+        }
+        // Extended basis for exact tensor products, with two bits of
+        // headroom: the product is below N·q²/2 and its t/q scaling below
+        // N·q·t/2 + 1, so 2·log2(q) + log2(N) + 2 bits (log2(t) in place of
+        // one log2(q) for a parameter set with t > q).
+        let q_bits = data.modulus_bits();
+        let needed_bits = q_bits + q_bits.max((t as f64).log2()) + (n as f64).log2() + 2.0;
         let mut ext_primes = Vec::new();
         let mut bits = 0.0;
         let pool = generate_ntt_primes(
@@ -277,11 +297,18 @@ impl BfvContext {
             }
         }
         let ext = Arc::new(RnsBasis::new(n, &ext_primes)?);
-        let t = params.plain_modulus();
+        let to_ext = BaseConverter::new(data.clone(), ext.primes());
+        let from_ext = BaseConverter::new(ext.clone(), data.primes());
+        let q_inv_mod_ext = ext
+            .primes()
+            .iter()
+            .map(|&p| inv_mod(data.modulus().rem_u64(p), p))
+            .collect();
         let delta = data.modulus().divrem_u64(t).0;
         let delta_mod_qi = data.primes().iter().map(|&q| delta.rem_u64(q)).collect();
         let mut level_bases = Vec::with_capacity(data.len());
         let mut level_deltas = Vec::with_capacity(data.len());
+        let mut level_to_plain = Vec::with_capacity(data.len());
         for l in 1..=data.len() {
             let basis = if l == data.len() {
                 data.clone()
@@ -289,6 +316,8 @@ impl BfvContext {
                 Arc::new(data.prefix(l))
             };
             level_deltas.push(basis.modulus().divrem_u64(t).0);
+            let q_inv = inv_mod(basis.modulus().rem_u64(t), t);
+            level_to_plain.push((BaseConverter::new(basis.clone(), &[t]), t - q_inv));
             level_bases.push(basis);
         }
         let batch = BatchEncoder::new(n, t).ok().map(Arc::new);
@@ -300,6 +329,10 @@ impl BfvContext {
             delta_mod_qi,
             level_bases,
             level_deltas,
+            level_to_plain,
+            to_ext,
+            from_ext,
+            q_inv_mod_ext,
             t,
             batch,
         })
@@ -528,22 +561,35 @@ impl Decryptor<'_> {
     }
 
     /// Computes `x = c0 + c1·s (+ c2·s²)` over the ciphertext's basis.
-    // choco-lint: secret
+    // choco-lint: secret (public: ct)
     fn dot_with_secret(&self, ct: &Ciphertext) -> RnsPoly {
         let basis = self.basis_of(ct);
         let s = self.sk.full.prefix(basis.len());
-        let mut x = ct.parts[0].clone();
-        let mut s_pow = s.clone();
-        for part in &ct.parts[1..] {
-            x.add_assign_poly(&part.mul_poly(&s_pow, basis), basis);
-            s_pow = s_pow.mul_poly(&s, basis);
-        }
-        x
+        dot_with_key_powers(&ct.parts[0], &ct.parts[1..], &s, basis)
     }
 
     /// Decrypts: `m = ⌊t·x/q⌉ mod t` per coefficient.
-    // choco-lint: secret
+    ///
+    /// With `r = [t·x]_q` centered, `⌊t·x/q⌉ = (t·x − r)/q ≡ −r·q^{-1}`
+    /// modulo `t`, so one exact `q → {t}` conversion of `r` does it.
+    // choco-lint: secret (public: ct)
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
+        let t = self.ctx.t;
+        let (to_plain, neg_q_inv) = &self.ctx.level_to_plain[ct.parts[0].row_count() - 1];
+        let mut x = self.dot_with_secret(ct);
+        x.scalar_mul(t, self.basis_of(ct));
+        let r = x.convert_centered(to_plain);
+        let shoup = shoup_precompute(*neg_q_inv, t);
+        let scale = |&v: &u64| mul_mod_shoup(v, *neg_q_inv, shoup, t);
+        Plaintext::from_coeffs(r.row(0).iter().map(scale).collect())
+    }
+
+    /// [`Self::decrypt`] by big-integer CRT composition and Knuth division
+    /// of every coefficient: the independent oracle the RNS path is tested
+    /// (and benchmarked) against. Not a production path.
+    #[doc(hidden)]
+    // choco-lint: secret (public: ct)
+    pub fn decrypt_reference(&self, ct: &Ciphertext) -> Plaintext {
         let ctx = self.ctx;
         let basis = self.basis_of(ct);
         let x = self.dot_with_secret(ct);
@@ -686,8 +732,51 @@ impl Evaluator<'_> {
     /// # Errors
     ///
     /// Returns [`HeError::InvalidCiphertext`] unless both inputs have 2
-    /// components.
+    /// components, and [`HeError::Mismatch`] unless both are at the full
+    /// data modulus (not modulus-switched).
     pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
+        let ctx = self.ctx;
+        self.multiply_with(
+            a,
+            b,
+            |p| p.convert_centered(&ctx.to_ext),
+            |d| ctx.scale_from_ext(d),
+        )
+    }
+
+    /// [`Self::multiply`] with the lift and the `t/q` scaling done by
+    /// big-integer CRT composition of every coefficient: the independent
+    /// oracle the RNS path is tested (and benchmarked) against. Not a
+    /// production path.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::multiply`].
+    #[doc(hidden)]
+    pub fn multiply_reference(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+    ) -> Result<Ciphertext, HeError> {
+        let ctx = self.ctx;
+        self.multiply_with(
+            a,
+            b,
+            |p| ctx.lift_to_ext_reference(p),
+            |d| ctx.scale_from_ext_reference(&d),
+        )
+    }
+
+    /// The tensor product over the extended basis, between a `lift` of the
+    /// four operand polynomials into it and a `scale` of the three exact
+    /// product polynomials by `t/q` back out of it.
+    fn multiply_with(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        lift: impl Fn(&RnsPoly) -> RnsPoly,
+        scale: impl Fn(RnsPoly) -> RnsPoly,
+    ) -> Result<Ciphertext, HeError> {
         if a.size() != 2 || b.size() != 2 {
             return Err(HeError::InvalidCiphertext(
                 "multiply requires 2-component operands".into(),
@@ -695,33 +784,37 @@ impl Evaluator<'_> {
         }
         let ctx = self.ctx;
         let ext = &*ctx.ext;
-        // Lift all four polynomials exactly into the extended basis.
-        let mut lifted: Vec<RnsPoly> = [&a.parts[0], &a.parts[1], &b.parts[0], &b.parts[1]]
+        let rows = ctx.data.len();
+        if a.parts
             .iter()
-            .map(|p| ctx.lift_to_ext(p))
-            .collect();
-        for p in lifted.iter_mut() {
-            p.ntt_forward(ext);
+            .chain(&b.parts)
+            .any(|p| p.row_count() != rows)
+        {
+            return Err(HeError::Mismatch(
+                "multiply requires operands at the full data modulus".into(),
+            ));
         }
-        let (a0, a1, b0, b1) = (&lifted[0], &lifted[1], &lifted[2], &lifted[3]);
+        let [a0, a1, b0, b1] = [&a.parts[0], &a.parts[1], &b.parts[0], &b.parts[1]].map(|p| {
+            let mut p = lift(p);
+            p.ntt_forward(ext);
+            p
+        });
         let k = ext.len();
         let n = ctx.degree();
         let mut d0 = RnsPoly::zero(k, n);
         let mut d1 = RnsPoly::zero(k, n);
         let mut d2 = RnsPoly::zero(k, n);
-        d0.dyadic_accumulate(a0, b0, ext);
-        d1.dyadic_accumulate(a0, b1, ext);
-        d1.dyadic_accumulate(a1, b0, ext);
-        d2.dyadic_accumulate(a1, b1, ext);
-        for d in [&mut d0, &mut d1, &mut d2] {
-            d.ntt_inverse(ext);
-        }
-        // Scale each exact tensor component by t/q with rounding.
-        let parts = vec![
-            ctx.scale_from_ext(&d0),
-            ctx.scale_from_ext(&d1),
-            ctx.scale_from_ext(&d2),
-        ];
+        d0.dyadic_accumulate(&a0, &b0, ext);
+        d1.dyadic_accumulate(&a0, &b1, ext);
+        d1.dyadic_accumulate(&a1, &b0, ext);
+        d2.dyadic_accumulate(&a1, &b1, ext);
+        let parts = [d0, d1, d2]
+            .into_iter()
+            .map(|mut d| {
+                d.ntt_inverse(ext);
+                scale(d)
+            })
+            .collect();
         Ok(Ciphertext { parts })
     }
 
@@ -1171,9 +1264,24 @@ impl Evaluator<'_> {
 }
 
 impl BfvContext {
+    /// Scales an extended-basis polynomial of exact signed integers `d` by
+    /// `t/q` with rounding, into the data basis. With `r = [t·d]_q`
+    /// centered, `⌊t·d/q⌉ = (t·d − r)/q` is an exact division, which over
+    /// the ext primes (where `q` is invertible) is a multiplication.
+    fn scale_from_ext(&self, mut d: RnsPoly) -> RnsPoly {
+        let (data, ext) = (&*self.data, &*self.ext);
+        let mut td = d.convert_centered(&self.from_ext);
+        td.scalar_mul(self.t, data);
+        let r = td.convert_centered(&self.to_ext);
+        d.scalar_mul(self.t, ext);
+        d.sub_assign_poly(&r, ext);
+        d.scalar_mul_per_row(&self.q_inv_mod_ext, ext);
+        d.convert_centered(&self.from_ext)
+    }
+
     /// Exactly lifts a data-basis polynomial (centered) into the extended
-    /// multiplication basis.
-    fn lift_to_ext(&self, p: &RnsPoly) -> RnsPoly {
+    /// multiplication basis, one big-integer composition per coefficient.
+    fn lift_to_ext_reference(&self, p: &RnsPoly) -> RnsPoly {
         let n = self.degree();
         let ext = &*self.ext;
         let data = &*self.data;
@@ -1189,8 +1297,8 @@ impl BfvContext {
     }
 
     /// Composes an extended-basis polynomial (exact signed integers), scales
-    /// by `t/q` with rounding, and reduces into the data basis.
-    fn scale_from_ext(&self, p: &RnsPoly) -> RnsPoly {
+    /// by `t/q` with big-integer rounding, and reduces into the data basis.
+    fn scale_from_ext_reference(&self, p: &RnsPoly) -> RnsPoly {
         let n = self.degree();
         let ext = &*self.ext;
         let data = &*self.data;

@@ -16,7 +16,7 @@ use crate::keyswitch::{
     apply_ksk, apply_ksk_hoisted, galois_element_ckks, generate_ksk, hoist_decompose, KswitchKey,
 };
 use crate::params::{HeParams, SchemeType};
-use crate::rnspoly::RnsPoly;
+use crate::rnspoly::{dot_with_key_powers, RnsPoly};
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
@@ -465,14 +465,8 @@ impl CkksContext {
     pub fn decrypt(&self, ct: &CkksCiphertext, sk: &CkksSecretKey) -> CkksPlaintext {
         let basis = self.level_basis(ct.level);
         let s = sk.full.prefix(ct.level);
-        let mut x = ct.parts[0].clone();
-        let mut s_pow = s.clone();
-        for part in &ct.parts[1..] {
-            x.add_assign_poly(&part.mul_poly(&s_pow, basis), basis);
-            s_pow = s_pow.mul_poly(&s, basis);
-        }
         CkksPlaintext {
-            poly: x,
+            poly: dot_with_key_powers(&ct.parts[0], &ct.parts[1..], &s, basis),
             level: ct.level,
             scale: ct.scale,
         }

@@ -12,7 +12,7 @@ use choco_math::poly::{
     add_assign, apply_galois, dyadic_acc_assign, neg_assign, scalar_mul_assign, sub_assign,
 };
 use choco_math::pool::PolyPool;
-use choco_math::rns::RnsBasis;
+use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_prng::sampler::{sample_error_signed, sample_ternary_signed};
 use choco_prng::Blake3Rng;
 
@@ -233,6 +233,29 @@ impl RnsPoly {
         }
     }
 
+    /// Multiplies every row by the scalar `s` (reduced into each prime).
+    pub fn scalar_mul(&mut self, s: u64, basis: &RnsBasis) {
+        for (row, &q) in self.rows.iter_mut().zip(basis.primes()) {
+            scalar_mul_assign(row, s, q);
+        }
+    }
+
+    /// Carries the polynomial to `conv`'s target moduli: row `j` of the
+    /// result holds each coefficient's centered value over the source basis,
+    /// reduced modulo target `j` — [`Self::coeff_centered`] plus a signed
+    /// decomposition for every coefficient, exactly, without big integers.
+    pub fn convert_centered(&self, conv: &BaseConverter) -> RnsPoly {
+        assert_eq!(self.rows.len(), conv.source_len(), "row count mismatch");
+        let n = self.degree();
+        let mut out = RnsPoly {
+            rows: (0..conv.target_len())
+                .map(|_| PolyPool::take_scratch(n))
+                .collect(),
+        };
+        conv.convert_centered(&self.rows, &mut out.rows);
+        out
+    }
+
     /// Applies the Galois automorphism `x → x^e` to every residue row.
     pub fn galois(&self, e: u64, basis: &RnsBasis) -> RnsPoly {
         let n = self.degree();
@@ -296,6 +319,26 @@ impl RnsPoly {
         }
         max
     }
+}
+
+/// `c0 + higher[0]·s + higher[1]·s² + …` over `basis`: the inner product
+/// with the secret's powers that every decryption starts from. A power is
+/// computed only when a component uses it.
+// choco-lint: secret (public: c0, higher, basis)
+pub fn dot_with_key_powers(
+    c0: &RnsPoly,
+    higher: &[RnsPoly],
+    s: &RnsPoly,
+    basis: &RnsBasis,
+) -> RnsPoly {
+    let mut x = c0.clone();
+    let mut s_pow: Option<RnsPoly> = None;
+    for part in higher {
+        let p = s_pow.map_or_else(|| s.clone(), |prev| prev.mul_poly(s, basis));
+        x.add_assign_poly(&part.mul_poly(&p, basis), basis);
+        s_pow = Some(p);
+    }
+    x
 }
 
 /// Convenience: `out = a + b`, built row-wise without an intermediate clone.

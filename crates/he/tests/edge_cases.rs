@@ -140,6 +140,41 @@ fn rotating_a_three_part_ciphertext_is_rejected() {
 }
 
 #[test]
+fn multiplying_a_modulus_switched_ciphertext_is_a_clean_error() {
+    // A 1-residue ciphertext parses off the wire, so a tenant can send one
+    // to a ct×ct multiply: it must be refused, not panic in the lift.
+    let ctx = ctx();
+    let mut rng = Blake3Rng::from_seed(b"low level");
+    let keys = ctx.keygen(&mut rng);
+    let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
+    let full = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let eval = ctx.evaluator();
+    let low = eval.mod_switch_to_next(&full).unwrap();
+    for (a, b) in [(&low, &low), (&low, &full), (&full, &low)] {
+        assert!(matches!(
+            eval.multiply(a, b).unwrap_err(),
+            HeError::Mismatch(_)
+        ));
+        assert!(matches!(
+            eval.multiply_reference(a, b).unwrap_err(),
+            HeError::Mismatch(_)
+        ));
+    }
+    assert!(eval.multiply(&full, &full).is_ok());
+}
+
+#[test]
+fn plain_modulus_dividing_the_coefficient_modulus_is_rejected() {
+    // Same bit size for a data prime and t picks the same prime: q has no
+    // inverse modulo t, which decryption needs.
+    let params = HeParams::bfv_insecure(64, &[30, 31], 30).unwrap();
+    assert!(matches!(
+        BfvContext::new(&params).unwrap_err(),
+        HeError::InvalidParameters(_)
+    ));
+}
+
+#[test]
 fn keygen_is_deterministic_per_seed() {
     let ctx = ctx();
     let ct_a = {

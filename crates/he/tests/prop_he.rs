@@ -1,9 +1,11 @@
 //! Property-based tests of the HE schemes' homomorphic invariants
 //! (deterministic quickprop harness).
 
-use choco_he::bfv::BfvContext;
+use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
+use choco_he::rnspoly::RnsPoly;
+use choco_he::serialize::ciphertext_to_bytes;
 use choco_prng::Blake3Rng;
 use choco_quickprop::run_cases;
 
@@ -168,7 +170,7 @@ fn ckks_encoder_is_linear() {
 #[test]
 fn serialization_roundtrips_any_fresh_ciphertext() {
     run_cases("serialization roundtrip", 12, |g| {
-        use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes};
+        use choco_he::serialize::ciphertext_from_bytes;
         let ctx = bfv_ctx();
         let seed = g.u64();
         let mut rng = Blake3Rng::from_seed(&seed.to_le_bytes());
@@ -363,4 +365,94 @@ fn bfv_noise_budget_never_increases_under_ops() {
         let mul = ctx.evaluator().multiply_plain(&ct, &pt);
         assert!(dec.invariant_noise_budget(&mul) < fresh);
     });
+}
+
+/// `multiply` ≡ `multiply_reference` and `decrypt` ≡ `decrypt_reference`,
+/// byte for byte, on everything a ciphertext can be: fresh, squared twice
+/// (budget spent on the smaller sets), 3-part, at every modulus-switched
+/// level, and uniformly random rows (no budget at all).
+fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &str) {
+    let ctx = BfvContext::new(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(label.as_bytes());
+    let keys = ctx.keygen(&mut rng);
+    let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
+    let eval = ctx.evaluator();
+    let dec = ctx.decryptor(keys.secret_key());
+    let encoder = ctx.batch_encoder().unwrap();
+    let t = ctx.plain_modulus();
+    let mut encrypt = |salt: u64| {
+        let values: Vec<u64> = (0..ctx.degree() as u64)
+            .map(|i| i.wrapping_mul(salt).wrapping_add(salt >> 3) % t)
+            .collect();
+        let pt = encoder.encode(&values).unwrap();
+        ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng)
+    };
+    let same_product = |a: &Ciphertext, b: &Ciphertext, what: &str| {
+        let fast = eval.multiply(a, b).unwrap();
+        let reference = eval.multiply_reference(a, b).unwrap();
+        assert!(
+            ciphertext_to_bytes(&fast) == ciphertext_to_bytes(&reference),
+            "{label}: multiply differs from the reference on {what}"
+        );
+        fast
+    };
+    let same_plaintext_at_every_level = |ct: &Ciphertext, what: &str| {
+        let mut ct = ct.clone();
+        loop {
+            let rows = ct.part(0).row_count();
+            assert!(
+                dec.decrypt(&ct) == dec.decrypt_reference(&ct),
+                "{label}: decrypt differs from the reference on {what} at {rows} residue(s)"
+            );
+            match eval.mod_switch_to_next(&ct) {
+                Ok(next) => ct = next,
+                Err(_) => break,
+            }
+        }
+    };
+
+    let (a, b) = (encrypt(0x9E37_79B9), encrypt(0x85EB_CA6B));
+    same_plaintext_at_every_level(&a, "a fresh ciphertext");
+    let ab = same_product(&a, &b, "fresh operands");
+    same_plaintext_at_every_level(&ab, "a 3-part product");
+    let mut squared = a;
+    for round in ["squared once", "squared twice"] {
+        let product = same_product(&squared, &squared, round);
+        squared = eval.relinearize(&product, &rk).unwrap();
+        same_plaintext_at_every_level(&squared, round);
+    }
+
+    let mut garbage = |parts: usize| {
+        let rows = (0..parts).map(|_| RnsPoly::sample_uniform(&mut rng, ctx.data_basis()));
+        Ciphertext::from_parts(rows.collect())
+    };
+    let (g, h) = (garbage(2), garbage(2));
+    assert!(
+        dec.invariant_noise_budget(&g) < 1.0,
+        "{label}: uniform rows have no budget"
+    );
+    same_plaintext_at_every_level(&g, "uniform rows");
+    same_plaintext_at_every_level(&garbage(3), "uniform rows, 3 parts");
+    let gh = same_product(&g, &h, "uniform rows");
+    same_plaintext_at_every_level(&gh, "a product of uniform rows");
+}
+
+#[test]
+fn rns_multiply_and_decrypt_match_reference_small_set() {
+    let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
+    assert_rns_paths_match_the_big_integer_reference(&params, "insecure N=256");
+    // One data prime, and a plain modulus wider than it (t > q): the ext
+    // basis is sized by log2(t), not log2(q).
+    let params = HeParams::bfv_insecure(64, &[20, 30], 40).unwrap();
+    assert_rns_paths_match_the_big_integer_reference(&params, "insecure N=64, t > q");
+}
+
+#[test]
+fn rns_multiply_and_decrypt_match_reference_set_a() {
+    assert_rns_paths_match_the_big_integer_reference(&HeParams::set_a(), "set A");
+}
+
+#[test]
+fn rns_multiply_and_decrypt_match_reference_set_b() {
+    assert_rns_paths_match_the_big_integer_reference(&HeParams::set_b(), "set B");
 }

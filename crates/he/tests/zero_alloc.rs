@@ -1,17 +1,18 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
-//! warm, the kernel hot path (key switching, hoisted rotation, fused
-//! rotation dot products) performs **zero fresh polynomial-buffer
-//! allocations** — every row and scratch buffer is served from the pool's
-//! free lists. The pool's global counters make this directly observable:
-//! over a warm evaluation loop, `fresh` must not move while `reused` must —
-//! on the plain-loop path (one thread) and through the `par` pool (two).
+//! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
+//! rotation, fused rotation dot products, decryption) performs **zero fresh
+//! polynomial-buffer allocations** — every row and scratch buffer is served
+//! from the pool's free lists. The pool's global counters make this directly
+//! observable: over a warm evaluation loop, `fresh` must not move while
+//! `reused` must — on the plain-loop path (one thread) and through the `par`
+//! pool (two).
 //!
 //! Scope note: "zero-alloc" is a statement about polynomial buffers (the
 //! `Vec<u64>` rows and `Vec<u128>` accumulators that dominate steady-state
 //! traffic), not about every allocation in the process. Small bookkeeping
 //! allocations — ciphertext part vectors, galois permutation tables, the
-//! big-integer temporaries of BFV's exact tensor scaling — are outside the
-//! pool by design (see DESIGN.md §12).
+//! plaintext a decryption returns — are outside the pool by design (see
+//! DESIGN.md §12).
 
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
@@ -38,6 +39,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
     let pt = encoder.encode(&values).unwrap();
     let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
     let eval = ctx.evaluator();
+    let dec = ctx.decryptor(keys.secret_key());
     let pairs: Vec<_> = [0i64, 1, 2]
         .iter()
         .map(|&s| {
@@ -49,9 +51,9 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         .collect();
 
     let bfv_round = |out: &mut u64| {
-        // Keyswitch: ct·ct multiply + relinearization.
-        let prod = eval.multiply(&ct, &ct).unwrap();
-        let relin = eval.relinearize(&prod, &rk).unwrap();
+        // ct·ct multiply (base conversions in and out of the tensor
+        // basis) + relinearization (key switch).
+        let relin = eval.multiply_relin(&ct, &ct, &rk).unwrap();
         // Hoisted rotation: one shared decomposition, several rotations.
         let rots = eval.rotate_rows_many(&relin, &steps, &gks).unwrap();
         // Matvec kernel: double-hoisted rotation dot product + NTT dot.
@@ -59,8 +61,10 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         let dot = eval
             .dot_plain(&[ct.clone(), fused], &[pt.clone(), pt.clone()])
             .unwrap();
+        // Client side: decrypt the reply.
+        let reply = dec.decrypt(&dot);
         // Keep results observable so nothing is optimised away.
-        *out ^= rots[0].part(0).row(0)[0] ^ dot.part(0).row(0)[0];
+        *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0];
     };
 
     // ---- CKKS: multiply+relin (keyswitch) → rescale → rotations ----

@@ -4,12 +4,16 @@
 //! NTT-friendly primes and are stored as `k` independent residues (one per
 //! prime). [`RnsBasis`] bundles the primes with their NTT tables and the CRT
 //! constants needed to compose residues back into exact integers — the
-//! operation behind BFV decryption, noise measurement, and the exact
-//! tensor-product multiply.
+//! operation behind noise measurement and the reference decrypt/multiply.
+//! [`BaseConverter`] carries a whole polynomial from one basis to another
+//! without composing it: the primitive BFV decryption and the exact
+//! tensor-product multiply are built on.
 
 use crate::bigint::UBig;
-use crate::modops::{inv_mod, mul_mod};
+use crate::modops::{inv_mod, mul_mod, mul_mod_shoup, mul_mod_shoup_lazy, shoup_precompute};
 use crate::ntt::{NttError, NttTable};
+use crate::pool::PolyPool;
+use std::sync::Arc;
 
 /// A basis of distinct NTT-friendly primes for ring degree `n`.
 #[derive(Debug, Clone)]
@@ -187,16 +191,199 @@ impl RnsBasis {
     pub fn decompose_signed(&self, magnitude: &UBig, negative: bool) -> Vec<u64> {
         self.primes
             .iter()
-            .map(|&q| {
-                let r = magnitude.rem_u64(q);
-                if negative && r != 0 {
-                    q - r
-                } else {
-                    r
-                }
-            })
+            .map(|&q| signed_residue(magnitude, negative, q))
             .collect()
     }
+}
+
+/// `±magnitude mod q` in `[0, q)`.
+fn signed_residue(magnitude: &UBig, negative: bool, q: u64) -> u64 {
+    let r = magnitude.rem_u64(q);
+    if negative && r != 0 {
+        q - r
+    } else {
+        r
+    }
+}
+
+/// Constants of one source prime `a_i` of a [`BaseConverter`].
+#[derive(Debug, Clone)]
+struct SourcePrime {
+    prime: u64,
+    /// `(A/a_i)^{-1} mod a_i` and its Shoup constant.
+    inv_punctured: u64,
+    inv_punctured_shoup: u64,
+    /// `⌊2^128 / a_i⌋`, high and low word.
+    recip_hi: u64,
+    recip_lo: u64,
+}
+
+/// Constants of one target modulus `b_j` of a [`BaseConverter`].
+#[derive(Debug, Clone)]
+struct TargetModulus {
+    modulus: u64,
+    /// `(weight, Shoup constant)` of the rounded overflow count, `−A mod b_j`,
+    /// then of each `y_i`, `A/a_i mod b_j`: the row order of the scratch.
+    weights: Vec<(u64, u64)>,
+}
+
+/// Exact centered base conversion: carries every coefficient of a
+/// polynomial from residues modulo the source basis `A = a_1 ⋯ a_k` to the
+/// residues, modulo each target modulus, of its representative in
+/// `(−A/2, A/2)` — what [`RnsBasis::compose_centered`] followed by
+/// [`RnsBasis::decompose_signed`] computes, without leaving 64-bit words.
+///
+/// With `y_i = x_i·(A/a_i)^{-1} mod a_i`, the representative in `[0, A)` is
+/// `Σ y_i·(A/a_i) − ⌊Σ y_i/a_i⌋·A`, and the centered one subtracts
+/// `⌊Σ y_i/a_i + 1/2⌋·A` instead (`A` is odd, so there is no tie). The
+/// rounded sum comes from a fixed-point accumulation with 64 fraction bits
+/// that under-estimates each term by less than `2^-63`; a coefficient whose
+/// sum lands within `k·2^-63` below a rounding boundary — its value within
+/// that fraction of `±A/2` — is the only kind the estimate can get wrong,
+/// and those are recomputed with the big-integer composition. The result is
+/// therefore exact on every coefficient.
+///
+/// Target moduli need not be prime, only below `2^62` (the sums are kept
+/// in `[0, 2b)` between corrections); NTT primes are below `2^61`.
+#[derive(Debug, Clone)]
+pub struct BaseConverter {
+    from: Arc<RnsBasis>,
+    source: Vec<SourcePrime>,
+    target: Vec<TargetModulus>,
+}
+
+impl BaseConverter {
+    /// Precomputes the `O(k·k′)` constants for converting from `from` to the
+    /// moduli `to`.
+    pub fn new(from: Arc<RnsBasis>, to: &[u64]) -> Self {
+        let source = from
+            .primes
+            .iter()
+            .zip(&from.inv_punctured)
+            .map(|(&prime, &inv_punctured)| {
+                let recip = u128::MAX / u128::from(prime);
+                SourcePrime {
+                    prime,
+                    inv_punctured,
+                    inv_punctured_shoup: shoup_precompute(inv_punctured, prime),
+                    recip_hi: (recip >> 64) as u64,
+                    recip_lo: recip as u64,
+                }
+            })
+            .collect();
+        let target = to
+            .iter()
+            .map(|&modulus| {
+                debug_assert!(modulus < 1 << 62, "target modulus too wide");
+                let neg_source = (modulus - from.modulus.rem_u64(modulus)) % modulus;
+                let punctured = from.punctured.iter().map(|p| p.rem_u64(modulus));
+                let weights = std::iter::once(neg_source)
+                    .chain(punctured)
+                    .map(|w| (w, shoup_precompute(w, modulus)))
+                    .collect();
+                TargetModulus { modulus, weights }
+            })
+            .collect();
+        BaseConverter {
+            from,
+            source,
+            target,
+        }
+    }
+
+    /// Number of source primes (rows [`Self::convert_centered`] reads).
+    pub fn source_len(&self) -> usize {
+        self.source.len()
+    }
+
+    /// Number of target moduli (rows [`Self::convert_centered`] writes).
+    pub fn target_len(&self) -> usize {
+        self.target.len()
+    }
+
+    /// Converts the polynomial whose row `i` holds residues modulo source
+    /// prime `i` into `dst`, whose row `j` receives the centered value of
+    /// each coefficient modulo target modulus `j`. Rows are processed whole,
+    /// one (source, target) pair at a time; scratch comes from [`PolyPool`].
+    ///
+    /// Returns how many coefficients sat in the ambiguity band and were
+    /// recomputed with big integers (about `k·2^-62` of uniformly random
+    /// ones).
+    pub fn convert_centered(&self, src: &[Vec<u64>], dst: &mut [Vec<u64>]) -> usize {
+        debug_assert_eq!(src.len(), self.source.len(), "source row count");
+        debug_assert_eq!(dst.len(), self.target.len(), "target row count");
+        let n = src.first().map_or(0, Vec::len);
+        debug_assert!(src.iter().chain(dst.iter()).all(|row| row.len() == n));
+        if n == 0 {
+            return 0;
+        }
+        // One row for the rounded overflow count, then the y_i rows.
+        let mut scratch = PolyPool::take_scratch((1 + self.source.len()) * n);
+        let mut sums = PolyPool::take_zeroed_u128(n);
+        let (overflow, ys) = scratch.split_at_mut(n);
+        for ((y_row, x_row), a) in ys.chunks_exact_mut(n).zip(src).zip(&self.source) {
+            for ((y, &x), sum) in y_row.iter_mut().zip(x_row).zip(sums.iter_mut()) {
+                *y = mul_mod_shoup(x, a.inv_punctured, a.inv_punctured_shoup, a.prime);
+                *sum += u128::from(a.fraction(*y));
+            }
+        }
+        // Each of the k terms is short by less than 2 (in units of 2^-64).
+        let band = 2 * self.source.len() as u64;
+        let mut ambiguous = 0;
+        for (count, &sum) in overflow.iter_mut().zip(sums.iter()) {
+            let (rounded, unsure) = round_overflow(sum, band);
+            *count = rounded;
+            ambiguous += usize::from(unsure);
+        }
+        for (out, b) in dst.iter_mut().zip(&self.target) {
+            // Σ y_i·(A/a_i) − overflow·A, kept in [0, 2b) until the last pass.
+            // The corrections are `min`s: on uniform residues a branch would
+            // mispredict every other coefficient.
+            let twice = 2 * b.modulus;
+            out.fill(0);
+            for (row, &(w, w_shoup)) in scratch.chunks_exact(n).zip(&b.weights) {
+                for (o, &v) in out.iter_mut().zip(row) {
+                    let sum = *o + mul_mod_shoup_lazy(v, w, w_shoup, b.modulus);
+                    *o = sum.min(sum.wrapping_sub(twice));
+                }
+            }
+            for o in out.iter_mut() {
+                *o = (*o).min(o.wrapping_sub(b.modulus));
+            }
+        }
+        if ambiguous > 0 {
+            let unsure = sums.iter().map(|&sum| round_overflow(sum, band).1);
+            for (c, _) in unsure.enumerate().filter(|&(_, unsure)| unsure) {
+                let residues: Vec<u64> = src.iter().filter_map(|row| row.get(c)).copied().collect();
+                let (magnitude, negative) = self.from.compose_centered(&residues);
+                for (out, b) in dst.iter_mut().zip(&self.target) {
+                    if let Some(o) = out.get_mut(c) {
+                        *o = signed_residue(&magnitude, negative, b.modulus);
+                    }
+                }
+            }
+        }
+        PolyPool::recycle(scratch);
+        PolyPool::recycle_u128(sums);
+        ambiguous
+    }
+}
+
+impl SourcePrime {
+    /// `y/a_i` as a 64-bit fixed-point fraction, for `y < a_i`: at most the
+    /// true `y·2^64/a_i` and less than 2 below it.
+    fn fraction(&self, y: u64) -> u64 {
+        debug_assert!(y < self.prime);
+        y * self.recip_hi + ((u128::from(y) * u128::from(self.recip_lo)) >> 64) as u64
+    }
+}
+
+/// Rounds a fixed-point sum (64 fraction bits) that under-estimates the
+/// true value by less than `band·2^-64` to the nearest integer, and tells
+/// whether the true value could round differently.
+fn round_overflow(sum: u128, band: u64) -> (u64, bool) {
+    let biased = sum + (1u128 << 63);
+    ((biased >> 64) as u64, biased as u64 > u64::MAX - band)
 }
 
 #[cfg(test)]
@@ -257,6 +444,33 @@ mod tests {
         let (mag, neg) = b.compose_centered(&residues);
         assert!(neg);
         assert_eq!(mag.to_u64(), 77);
+    }
+
+    #[test]
+    fn fixed_point_fraction_is_short_by_less_than_two() {
+        let conv = BaseConverter::new(Arc::new(basis()), &[97]);
+        for a in &conv.source {
+            for y in [0, 1, a.prime / 3, a.prime / 2, a.prime - 2, a.prime - 1] {
+                let exact = (u128::from(y) << 64) / u128::from(a.prime);
+                let got = u128::from(a.fraction(y));
+                assert!(
+                    got <= exact && exact - got < 2,
+                    "y = {y}, prime {}",
+                    a.prime
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_rounding_flags_only_the_band_below_a_boundary() {
+        let band = 6;
+        let just_below = (3u128 << 64) + (1 << 63) - 1;
+        assert_eq!(round_overflow(just_below, band), (3, true));
+        assert_eq!(round_overflow(just_below - 5, band), (3, true));
+        assert_eq!(round_overflow(just_below - 6, band), (3, false));
+        assert_eq!(round_overflow(just_below + 1, band), (4, false));
+        assert_eq!(round_overflow(0, band), (0, false));
     }
 
     #[test]

@@ -7,8 +7,9 @@ use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
 use choco_math::par;
 use choco_math::poly::apply_galois;
 use choco_math::prime::generate_ntt_primes;
-use choco_math::rns::RnsBasis;
+use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_quickprop::run_cases;
+use std::sync::Arc;
 
 const Q: u64 = 1_152_921_504_606_830_593; // 60-bit prime
 
@@ -259,6 +260,131 @@ fn rns_compose_is_additive() {
             .1;
         assert_eq!(composed, expect);
     });
+}
+
+/// The (source, target) shapes of the base-conversion oracle tests: the ring
+/// degree, a source basis of `k` primes and `k2` target moduli disjoint from
+/// it — the BFV lift (2→5) and scale-back (5→2) of set A, decryption's
+/// q→{t} (2→1, a 23-bit target), and the extremes on either side.
+fn converter_shapes() -> Vec<(Arc<RnsBasis>, Vec<u64>)> {
+    let n = 64usize;
+    [
+        (2usize, 5usize, 59u32),
+        (5, 2, 55),
+        (2, 1, 23),
+        (3, 7, 61),
+        (1, 3, 40),
+    ]
+    .into_iter()
+    .map(|(k, k2, target_bits)| {
+        let source_bits = if target_bits == 59 { 55 } else { 59 };
+        let from = RnsBasis::new(n, &generate_ntt_primes(source_bits, n, k)).unwrap();
+        (Arc::new(from), generate_ntt_primes(target_bits, n, k2))
+    })
+    .collect()
+}
+
+/// The oracle: big-integer centered composition and signed reduction of
+/// every coefficient.
+fn convert_by_composition(from: &RnsBasis, to: &[u64], src: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    let mut out = vec![Vec::new(); to.len()];
+    for c in 0..src[0].len() {
+        let residues: Vec<u64> = src.iter().map(|row| row[c]).collect();
+        let (mag, neg) = from.compose_centered(&residues);
+        for (row, &b) in out.iter_mut().zip(to) {
+            let r = mag.rem_u64(b);
+            row.push(if neg && r != 0 { b - r } else { r });
+        }
+    }
+    out
+}
+
+/// Rows of residues for the given integers (one coefficient each).
+fn residue_rows(from: &RnsBasis, values: &[UBig]) -> Vec<Vec<u64>> {
+    let mut rows = vec![Vec::new(); from.len()];
+    for v in values {
+        for (row, r) in rows.iter_mut().zip(from.decompose(v)) {
+            row.push(r);
+        }
+    }
+    rows
+}
+
+#[test]
+fn base_conversion_matches_big_integer_composition_on_random_residues() {
+    let shapes = converter_shapes();
+    run_cases("base conversion vs composition", 8, |g| {
+        for (from, to) in &shapes {
+            let conv = BaseConverter::new(from.clone(), to);
+            let n = from.degree();
+            let src: Vec<Vec<u64>> = from
+                .primes()
+                .iter()
+                .map(|&a| g.vec_u64_below(n, a))
+                .collect();
+            let mut dst = vec![vec![0u64; n]; to.len()];
+            let fallbacks = conv.convert_centered(&src, &mut dst);
+            let shape = format!("{} -> {}", from.len(), to.len());
+            assert_eq!(dst, convert_by_composition(from, to, &src), "{shape}");
+            // ~k·2^-62 of uniform coefficients are ambiguous: none here.
+            assert_eq!(fallbacks, 0, "{shape}");
+        }
+    });
+}
+
+#[test]
+fn base_conversion_is_exact_at_the_centering_boundary() {
+    for (from, to) in &converter_shapes() {
+        let conv = BaseConverter::new(from.clone(), to);
+        let shape = format!("{} -> {}", from.len(), to.len());
+        let modulus = from.modulus();
+        let half = modulus.shr(1); // ⌊A/2⌋, the largest positive value
+        let ends = [
+            UBig::zero(),
+            UBig::one(),
+            half.clone(),              // +⌊A/2⌋
+            half.add_u64(1),           // −⌊A/2⌋
+            modulus.sub(&UBig::one()), // −1
+        ];
+        // Values whose distance below A/2 is under 2^-64·A: the fixed-point
+        // sum cannot tell which side they are on, so each must be flagged.
+        // (Under one prime no integer is that close: ⌊A/2⌋/A is 1/(2A) >
+        // 2^-62 short of 1/2, and the fast path alone gets it right.)
+        let flagged = if modulus.bit_len() > 70 {
+            let below = [UBig::zero(), UBig::one(), modulus.shr(66)];
+            below.iter().map(|d| half.sub(d)).collect()
+        } else {
+            Vec::new()
+        };
+        // Within 2^-60·A on either side: flagged or not, still exact.
+        let mut near = Vec::new();
+        for shift in [60, 61, 63, 64, 70] {
+            let d = modulus.shr(shift);
+            near.push(half.sub(&d));
+            near.push(half.add_u64(1).add(&d));
+        }
+        let exact = |values: &[UBig]| {
+            let src = residue_rows(from, values);
+            let mut dst = vec![vec![0u64; values.len()]; to.len()];
+            let fallbacks = conv.convert_centered(&src, &mut dst);
+            assert_eq!(dst, convert_by_composition(from, to, &src), "{shape}");
+            fallbacks
+        };
+        exact(&ends);
+        exact(&near);
+        assert_eq!(
+            exact(&flagged),
+            flagged.len(),
+            "{shape}: fallback not taken"
+        );
+        // Mixed into an otherwise ordinary polynomial, only the flagged
+        // coefficients take the fallback.
+        let mut mixed = vec![UBig::zero(), modulus.sub(&UBig::one())];
+        mixed.extend(flagged.iter().cloned());
+        // Odd multiples of ⌊A/128⌋: spread over the range, never near A/2.
+        mixed.extend((0..50u64).map(|i| modulus.shr(7).mul_u64(2 * i + 1)));
+        assert_eq!(exact(&mixed), flagged.len(), "{shape}");
+    }
 }
 
 /// Moduli sizes matched to the bench suite's parameter sets, plus the
