@@ -15,7 +15,7 @@ fn main() {
     let mut rng = Blake3Rng::from_seed(b"bench ckks");
     let keys = ctx.keygen(&mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng);
-    let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng);
+    let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let values: Vec<f64> = (0..ctx.slot_count())
         .map(|i| (i as f64 * 0.01).sin())
         .collect();

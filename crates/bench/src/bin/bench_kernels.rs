@@ -27,9 +27,10 @@ use std::hint::black_box;
 
 use choco_bench::{header, measure, note, time_str};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
-use choco_he::ckks::{CkksCiphertext, CkksContext, CkksGaloisKeys};
+use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::keyswitch::{generate_ksk, hoist_decompose, hoisted_accumulate};
 use choco_he::params::HeParams;
+use choco_he::rlwe::GaloisKeys;
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::modops::{add_mod, sub_mod};
@@ -185,7 +186,7 @@ fn matvec_naive(
     ctx: &BfvContext,
     ct: &Ciphertext,
     pts: &[Plaintext],
-    gks: &choco_he::bfv::GaloisKeys,
+    gks: &GaloisKeys,
 ) -> Ciphertext {
     let eval = ctx.evaluator();
     let mut acc = eval.multiply_plain(ct, &pts[0]);
@@ -202,7 +203,7 @@ fn matvec_hoisted(
     ctx: &BfvContext,
     ct: &Ciphertext,
     pts: &[Plaintext],
-    gks: &choco_he::bfv::GaloisKeys,
+    gks: &GaloisKeys,
 ) -> Ciphertext {
     let pairs: Vec<(i64, Plaintext)> = pts
         .iter()
@@ -221,7 +222,7 @@ fn bfv_matvec_direct(
     ctx: &BfvContext,
     ct: &Ciphertext,
     diagonals: &[(i64, Vec<u64>)],
-    gks: &choco_he::bfv::GaloisKeys,
+    gks: &GaloisKeys,
 ) -> Ciphertext {
     let encoder = ctx.batch_encoder().unwrap();
     let pairs: Vec<(i64, Plaintext)> = diagonals
@@ -239,7 +240,7 @@ fn ckks_matvec_direct(
     ctx: &CkksContext,
     ct: &CkksCiphertext,
     diagonals: &[(i64, Vec<f64>)],
-    gks: &CkksGaloisKeys,
+    gks: &GaloisKeys,
 ) -> CkksCiphertext {
     let steps: Vec<i64> = diagonals
         .iter()
@@ -481,7 +482,9 @@ fn main() {
     let ckeys = cctx.keygen(&mut crng);
     let ccols = 8usize;
     let csteps: Vec<i64> = (1..ccols as i64).collect();
-    let cgks = cctx.galois_keys(ckeys.secret_key(), &csteps, &mut crng);
+    let cgks = cctx
+        .galois_keys(ckeys.secret_key(), &csteps, &mut crng)
+        .unwrap();
     let cvalues: Vec<f64> = (0..cctx.slot_count())
         .map(|i| (i % 17) as f64 * 0.25)
         .collect();

@@ -145,7 +145,7 @@ impl CompilerScheme for Ckks {
         ctx: &CkksContext,
         a: &CkksCiphertext,
         b: &CkksCiphertext,
-        relin: &choco_he::ckks::CkksRelinKey,
+        relin: &choco_he::rlwe::RelinKey,
     ) -> Result<CkksCiphertext, HeError> {
         ctx.multiply_relin(a, b, relin)
     }
@@ -210,7 +210,7 @@ impl CompilerScheme for Bfv {
         ctx: &choco_he::bfv::BfvContext,
         a: &choco_he::bfv::Ciphertext,
         b: &choco_he::bfv::Ciphertext,
-        relin: &choco_he::bfv::RelinKey,
+        relin: &choco_he::rlwe::RelinKey,
     ) -> Result<choco_he::bfv::Ciphertext, HeError> {
         ctx.evaluator().multiply_relin(a, b, relin)
     }
@@ -1381,7 +1381,9 @@ mod tests {
         let mut rng = Blake3Rng::from_seed(b"compiler test");
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
-        let galois = ctx.galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng);
+        let galois = ctx
+            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .unwrap();
 
         let x_vals: Vec<f64> = (0..8).map(|i| (i as f64 - 3.0) / 4.0).collect();
         let mut plain_in = HashMap::new();
@@ -1521,7 +1523,9 @@ mod tests {
         let mut rng = Blake3Rng::from_seed(b"cache test");
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
-        let galois = ctx.galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng);
+        let galois = ctx
+            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .unwrap();
         let mut inputs = HashMap::new();
         let pt = ctx.encode(&[1.0; 8]).unwrap();
         inputs.insert(

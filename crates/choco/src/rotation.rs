@@ -17,7 +17,8 @@
 //! verified against each other; Table 4's bench contrasts their noise
 //! behaviour.
 
-use choco_he::bfv::{BfvContext, Ciphertext, GaloisKeys};
+use choco_he::bfv::{BfvContext, Ciphertext};
+use choco_he::rlwe::GaloisKeys;
 use choco_he::HeError;
 
 /// A packing of a `window`-element vector with `redundancy` wrap-around
@@ -236,7 +237,7 @@ mod tests {
     use choco_he::params::HeParams;
     use choco_prng::Blake3Rng;
 
-    fn setup() -> (BfvContext, choco_he::bfv::KeyBundle, GaloisKeys, Blake3Rng) {
+    fn setup() -> (BfvContext, choco_he::rlwe::KeyBundle, GaloisKeys, Blake3Rng) {
         let params = HeParams::bfv_insecure(1024, &[40, 40, 41], 17).unwrap();
         let ctx = BfvContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"rotation tests");

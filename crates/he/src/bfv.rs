@@ -19,10 +19,10 @@
 use crate::batch::BatchEncoder;
 use crate::error::HeError;
 use crate::keyswitch::{
-    apply_ksk, apply_ksk_hoisted, galois_element_columns, galois_element_rows, generate_ksk,
-    hoist_decompose, hoisted_accumulate, mod_down_ntt, KswitchKey,
+    galois_element_columns, galois_element_rows, hoist_decompose, hoisted_accumulate, mod_down_ntt,
 };
 use crate::params::{HeParams, SchemeType};
+use crate::rlwe::{self, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::{dot_with_key_powers, RnsPoly};
 use choco_math::modops::{add_mod, inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::ntt::galois_ntt_permutation;
@@ -32,7 +32,6 @@ use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::UBig;
 use choco_prng::Blake3Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A BFV plaintext: `N` coefficients modulo `t`.
@@ -90,130 +89,6 @@ impl Ciphertext {
     /// Serialized size in bytes: `size · N · k_data · 8`.
     pub fn byte_size(&self) -> usize {
         self.parts.len() * self.parts[0].row_count() * self.parts[0].degree() * 8
-    }
-}
-
-/// The secret key (ternary polynomial, kept over the full basis so key
-/// switching material can be generated).
-#[derive(Debug, Clone)]
-pub struct SecretKey {
-    full: RnsPoly,
-}
-
-impl SecretKey {
-    /// The key polynomial over the full basis (exposed for key-switching
-    /// material generation and tests).
-    pub fn key_poly(&self) -> &RnsPoly {
-        &self.full
-    }
-
-    /// Reassembles a secret key from its full-basis polynomial (checkpoint
-    /// deserialization).
-    // choco-lint: secret
-    pub fn from_poly(full: RnsPoly) -> Self {
-        SecretKey { full }
-    }
-}
-
-/// The public encryption key `(P0, P1) = (−(a·s + e), a)` over the data basis.
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    p0: RnsPoly,
-    p1: RnsPoly,
-}
-
-impl PublicKey {
-    /// Serialized size in bytes (two data-basis polynomials).
-    pub fn byte_size(&self) -> usize {
-        2 * self.p0.row_count() * self.p0.degree() * 8
-    }
-
-    /// The `(P0, P1)` component polynomials (wire serialization).
-    pub fn parts(&self) -> (&RnsPoly, &RnsPoly) {
-        (&self.p0, &self.p1)
-    }
-
-    /// Reassembles a public key from raw components (deserialization).
-    pub fn from_parts(p0: RnsPoly, p1: RnsPoly) -> Self {
-        PublicKey { p0, p1 }
-    }
-}
-
-/// Secret/public key pair produced by [`BfvContext::keygen`].
-#[derive(Debug, Clone)]
-pub struct KeyBundle {
-    secret: SecretKey,
-    public: PublicKey,
-}
-
-impl KeyBundle {
-    /// The secret key.
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.secret
-    }
-
-    /// The public key.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.public
-    }
-
-    /// Reassembles a bundle from its keys (checkpoint deserialization).
-    // choco-lint: secret
-    pub fn from_keys(secret: SecretKey, public: PublicKey) -> Self {
-        KeyBundle { secret, public }
-    }
-}
-
-/// Relinearization key (switches `s²`-keyed components back to `s`).
-#[derive(Debug, Clone)]
-pub struct RelinKey {
-    ksk: KswitchKey,
-}
-
-impl RelinKey {
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.ksk.size_bytes()
-    }
-
-    /// The underlying key-switching key (wire serialization).
-    pub fn ksk(&self) -> &KswitchKey {
-        &self.ksk
-    }
-
-    /// Reassembles a relinearization key (deserialization).
-    pub fn from_ksk(ksk: KswitchKey) -> Self {
-        RelinKey { ksk }
-    }
-}
-
-/// A set of Galois keys, one per automorphism element.
-#[derive(Debug, Clone)]
-pub struct GaloisKeys {
-    keys: HashMap<u64, KswitchKey>,
-}
-
-impl GaloisKeys {
-    /// The Galois elements covered by this key set.
-    pub fn elements(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.keys.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Serialized size in bytes of all keys.
-    pub fn size_bytes(&self) -> usize {
-        self.keys.values().map(|k| k.size_bytes()).sum()
-    }
-
-    /// The key for one Galois element, if provisioned.
-    pub fn key_for(&self, element: u64) -> Option<&KswitchKey> {
-        self.keys.get(&element)
-    }
-
-    /// Reassembles a key set from per-element keys (deserialization).
-    pub fn from_map(keys: HashMap<u64, KswitchKey>) -> Self {
-        GaloisKeys { keys }
     }
 }
 
@@ -377,18 +252,7 @@ impl BfvContext {
     /// Generates a fresh secret/public key pair.
     // choco-lint: secret
     pub fn keygen(&self, rng: &mut Blake3Rng) -> KeyBundle {
-        let s_full = RnsPoly::sample_ternary(rng, &self.full);
-        let a = RnsPoly::sample_uniform(rng, &self.data);
-        let e = RnsPoly::sample_error(rng, &self.data);
-        let s_data = s_full.prefix(self.data.len());
-        // p0 = -(a·s + e)
-        let mut p0 = a.mul_poly(&s_data, &self.data);
-        p0.add_assign_poly(&e, &self.data);
-        p0.neg_assign_poly(&self.data);
-        KeyBundle {
-            secret: SecretKey { full: s_full },
-            public: PublicKey { p0, p1: a },
-        }
+        rlwe::keygen(&self.full, &self.data, rng)
     }
 
     /// Generates a relinearization key for `s²`.
@@ -398,9 +262,7 @@ impl BfvContext {
     /// Returns [`HeError::NoSpecialPrime`] for single-prime parameter sets.
     pub fn relin_key(&self, sk: &SecretKey, rng: &mut Blake3Rng) -> Result<RelinKey, HeError> {
         self.require_special_prime()?;
-        let s2 = sk.full.mul_poly(&sk.full, &self.full);
-        let ksk = generate_ksk(&sk.full, &s2, &self.full, &self.data, rng);
-        Ok(RelinKey { ksk })
+        Ok(rlwe::relin_key(sk, &self.full, &self.data, rng))
     }
 
     /// Generates Galois keys for the given rotation steps (rows) plus the
@@ -408,7 +270,9 @@ impl BfvContext {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::NoSpecialPrime`] for single-prime parameter sets.
+    /// Returns [`HeError::NoSpecialPrime`] for single-prime parameter sets
+    /// and [`HeError::InvalidParameters`] for a step that is zero or not
+    /// below `N/2` in magnitude.
     pub fn galois_keys(
         &self,
         sk: &SecretKey,
@@ -416,17 +280,19 @@ impl BfvContext {
         rng: &mut Blake3Rng,
     ) -> Result<GaloisKeys, HeError> {
         self.require_special_prime()?;
-        let n = self.degree();
-        let mut elements: Vec<u64> = steps.iter().map(|&s| galois_element_rows(s, n)).collect();
-        elements.push(galois_element_columns(n));
+        let mut elements = self.row_elements(steps)?;
+        elements.push(galois_element_columns(self.degree()));
         elements.sort_unstable();
         elements.dedup();
-        let mut keys = HashMap::new();
-        for e in elements {
-            let s_e = sk.full.galois(e, &self.full);
-            keys.insert(e, generate_ksk(&sk.full, &s_e, &self.full, &self.data, rng));
-        }
-        Ok(GaloisKeys { keys })
+        Ok(rlwe::galois_keys(
+            sk, &elements, &self.full, &self.data, rng,
+        ))
+    }
+
+    /// The Galois element of each row-rotation step.
+    fn row_elements(&self, steps: &[i64]) -> Result<Vec<u64>, HeError> {
+        let n = self.degree();
+        steps.iter().map(|&s| galois_element_rows(s, n)).collect()
     }
 
     fn require_special_prime(&self) -> Result<(), HeError> {
@@ -435,6 +301,14 @@ impl BfvContext {
         } else {
             Ok(())
         }
+    }
+
+    /// `Δ·m` over the data basis: the plaintext lifted into each residue,
+    /// then scaled by `Δ mod q_i`.
+    fn scaled_message(&self, pt: &Plaintext) -> RnsPoly {
+        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), &self.data);
+        dm.scalar_mul_per_row(&self.delta_mod_qi, &self.data);
+        dm
     }
 
     /// An encryptor bound to `pk`.
@@ -452,30 +326,16 @@ impl BfvContext {
         sk: &SecretKey,
         rng: &mut Blake3Rng,
     ) -> SeededCiphertext {
-        let data = &*self.data;
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        let mut a_rng = Blake3Rng::from_seed_labeled(&seed, "bfv-seeded-c1");
-        let a = RnsPoly::sample_uniform(&mut a_rng, data);
-        let e = RnsPoly::sample_error(rng, data);
-        let s = sk.full.prefix(data.len());
-        // c0 = -(a·s + e) + Δ·m
-        let mut c0 = a.mul_poly(&s, data);
-        c0.add_assign_poly(&e, data);
-        c0.neg_assign_poly(data);
-        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), data);
-        dm.scalar_mul_per_row(&self.delta_mod_qi, data);
-        c0.add_assign_poly(&dm, data);
+        let (c0, seed) =
+            rlwe::encrypt_symmetric_seeded(sk, &self.scaled_message(pt), &self.data, rng);
         SeededCiphertext { c0, seed }
     }
 
     /// Expands a seed-compressed ciphertext back to a standard two-component
     /// ciphertext (the server does this on receipt).
     pub fn expand_seeded(&self, ct: &SeededCiphertext) -> Ciphertext {
-        let mut a_rng = Blake3Rng::from_seed_labeled(&ct.seed, "bfv-seeded-c1");
-        let c1 = RnsPoly::sample_uniform(&mut a_rng, &self.data);
         Ciphertext {
-            parts: vec![ct.c0.clone(), c1],
+            parts: vec![ct.c0.clone(), rlwe::expand_seed(&ct.seed, &self.data)],
         }
     }
 
@@ -522,20 +382,8 @@ impl Encryptor<'_> {
     // choco-lint: secret
     pub fn encrypt(&self, pt: &Plaintext, rng: &mut Blake3Rng) -> Ciphertext {
         let ctx = self.ctx;
-        let data = &*ctx.data;
-        let u = RnsPoly::sample_ternary(rng, data);
-        let e1 = RnsPoly::sample_error(rng, data);
-        let e2 = RnsPoly::sample_error(rng, data);
-        let mut c0 = self.pk.p0.mul_poly(&u, data);
-        c0.add_assign_poly(&e1, data);
-        // Δ·m: plaintext lifted into each residue then scaled by Δ mod q_i.
-        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), data);
-        dm.scalar_mul_per_row(&ctx.delta_mod_qi, data);
-        c0.add_assign_poly(&dm, data);
-        let mut c1 = self.pk.p1.mul_poly(&u, data);
-        c1.add_assign_poly(&e2, data);
         Ciphertext {
-            parts: vec![c0, c1],
+            parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt), &ctx.data, rng),
         }
     }
 
@@ -646,45 +494,33 @@ pub struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Homomorphic addition.
+    /// The basis `a` lives in: the data modulus, or the prefix of it a
+    /// modulus-switched ciphertext was taken down to.
+    fn level_basis(&self, a: &Ciphertext) -> Result<&RnsBasis, HeError> {
+        let rows = a.parts.first().map_or(0, RnsPoly::row_count);
+        let basis = self.ctx.level_bases.get(rows.wrapping_sub(1));
+        basis
+            .map(|b| &**b)
+            .ok_or_else(|| HeError::Mismatch(format!("no modulus level with {rows} residues")))
+    }
+
+    /// Homomorphic addition (operands at the same modulus level).
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] when sizes differ.
+    /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
-        if a.size() != b.size() {
-            return Err(HeError::Mismatch(format!(
-                "ciphertext sizes {} vs {}",
-                a.size(),
-                b.size()
-            )));
-        }
-        let data = &*self.ctx.data;
-        let parts = a
-            .parts
-            .iter()
-            .zip(&b.parts)
-            .map(|(x, y)| crate::rnspoly::add(x, y, data))
-            .collect();
+        let parts = rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
         Ok(Ciphertext { parts })
     }
 
-    /// Homomorphic subtraction.
+    /// Homomorphic subtraction (operands at the same modulus level).
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] when sizes differ.
+    /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
-        if a.size() != b.size() {
-            return Err(HeError::Mismatch("size mismatch".into()));
-        }
-        let data = &*self.ctx.data;
-        let parts = a
-            .parts
-            .iter()
-            .zip(&b.parts)
-            .map(|(x, y)| crate::rnspoly::sub(x, y, data))
-            .collect();
+        let parts = rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
         Ok(Ciphertext { parts })
     }
 
@@ -706,11 +542,8 @@ impl Evaluator<'_> {
     /// Adds a plaintext: `c0 += Δ·m`.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let ctx = self.ctx;
-        let data = &*ctx.data;
-        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), data);
-        dm.scalar_mul_per_row(&ctx.delta_mod_qi, data);
         let mut out = a.clone();
-        out.parts[0].add_assign_poly(&dm, data);
+        out.parts[0].add_assign_poly(&ctx.scaled_message(pt), &ctx.data);
         out
     }
 
@@ -822,22 +655,12 @@ impl Evaluator<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::InvalidCiphertext`] for other sizes.
+    /// Returns [`HeError::InvalidCiphertext`] for other sizes and
+    /// [`HeError::Mismatch`] for a modulus-switched input.
     pub fn relinearize(&self, a: &Ciphertext, rk: &RelinKey) -> Result<Ciphertext, HeError> {
-        if a.size() != 3 {
-            return Err(HeError::InvalidCiphertext(
-                "relinearize requires a 3-component ciphertext".into(),
-            ));
-        }
         let ctx = self.ctx;
-        let (k0, k1) = apply_ksk(&a.parts[2], &rk.ksk, &ctx.full, &ctx.data);
-        let mut c0 = a.parts[0].clone();
-        c0.add_assign_poly(&k0, &ctx.data);
-        let mut c1 = a.parts[1].clone();
-        c1.add_assign_poly(&k1, &ctx.data);
-        Ok(Ciphertext {
-            parts: vec![c0, c1],
-        })
+        let parts = rlwe::relinearize(&a.parts, rk, &ctx.full, &ctx.data)?;
+        Ok(Ciphertext { parts })
     }
 
     /// Convenience: multiply then relinearize.
@@ -855,102 +678,27 @@ impl Evaluator<'_> {
         self.relinearize(&prod, rk)
     }
 
-    /// Applies a raw Galois automorphism with key switching.
-    ///
-    /// # Errors
-    ///
-    /// [`HeError::MissingGaloisKey`] if `gk` lacks the element;
-    /// [`HeError::InvalidCiphertext`] for non-2-component inputs.
-    pub fn apply_galois(
-        &self,
-        a: &Ciphertext,
-        element: u64,
-        gk: &GaloisKeys,
-    ) -> Result<Ciphertext, HeError> {
-        if a.size() != 2 {
-            return Err(HeError::InvalidCiphertext(
-                "galois requires a 2-component ciphertext (relinearize first)".into(),
-            ));
-        }
-        let ksk = gk
-            .keys
-            .get(&element)
-            .ok_or(HeError::MissingGaloisKey(element))?;
-        let ctx = self.ctx;
-        let data = &*ctx.data;
-        let c0g = a.parts[0].galois(element, data);
-        let c1g = a.parts[1].galois(element, data);
-        let (k0, k1) = apply_ksk(&c1g, ksk, &ctx.full, data);
-        let mut c0 = c0g;
-        c0.add_assign_poly(&k0, data);
-        Ok(Ciphertext {
-            parts: vec![c0, k1],
-        })
-    }
-
-    /// Applies many Galois automorphisms to the *same* ciphertext with one
-    /// shared ("hoisted") decomposition: the expensive digit decomposition +
-    /// forward NTTs of `c1` run once, and each element costs only a cheap
-    /// NTT-domain permutation plus multiply-accumulate against its key.
-    ///
-    /// The outputs decrypt identically to [`Evaluator::apply_galois`] on
-    /// each element, with the same noise growth (the permuted digits have
-    /// the same magnitudes as freshly decomposed ones).
-    ///
-    /// # Errors
-    ///
-    /// [`HeError::MissingGaloisKey`] if `gk` lacks any element;
-    /// [`HeError::InvalidCiphertext`] for non-2-component inputs.
-    pub fn apply_galois_many(
-        &self,
-        a: &Ciphertext,
-        elements: &[u64],
-        gk: &GaloisKeys,
-    ) -> Result<Vec<Ciphertext>, HeError> {
-        if a.size() != 2 {
-            return Err(HeError::InvalidCiphertext(
-                "galois requires a 2-component ciphertext (relinearize first)".into(),
-            ));
-        }
-        let ctx = self.ctx;
-        let data = &*ctx.data;
-        let n = ctx.degree();
-        // Decompose c1 once; every element below reuses these digits.
-        let hoisted = hoist_decompose(&a.parts[1], &ctx.full, data);
-        elements
-            .iter()
-            .map(|&element| {
-                let ksk = gk
-                    .keys
-                    .get(&element)
-                    .ok_or(HeError::MissingGaloisKey(element))?;
-                let perm = galois_ntt_permutation(n, element);
-                let (k0, k1) = apply_ksk_hoisted(&hoisted, Some(&perm), ksk, &ctx.full, data);
-                let mut c0 = a.parts[0].galois(element, data);
-                c0.add_assign_poly(&k0, data);
-                Ok(Ciphertext {
-                    parts: vec![c0, k1],
-                })
-            })
-            .collect()
-    }
-
     /// Rotates batched rows by each of `steps` (positive = left) from the
-    /// same input, sharing one hoisted decomposition across all rotations —
-    /// the fast path for diagonal-method matvec and rotate-reduce kernels.
+    /// same input, sharing one hoisted decomposition across all rotations
+    /// ([`rlwe::apply_galois_many`]) — the fast path for diagonal-method
+    /// matvec and rotate-reduce kernels.
     ///
     /// # Errors
     ///
-    /// Propagates [`Evaluator::apply_galois_many`] errors.
+    /// As [`Evaluator::rotate_rows`], for any of the steps.
     pub fn rotate_rows_many(
         &self,
         a: &Ciphertext,
         steps: &[i64],
         gk: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, HeError> {
-        let n = self.ctx.degree();
-        let elements: Vec<u64> = steps.iter().map(|&s| galois_element_rows(s, n)).collect();
-        self.apply_galois_many(a, &elements, gk)
+        let ctx = self.ctx;
+        let elements = ctx.row_elements(steps)?;
+        let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, &ctx.full, &ctx.data)?;
+        Ok(rotated
+            .into_iter()
+            .map(|parts| Ciphertext { parts })
+            .collect())
     }
 
     /// Inner product against plaintext vectors: `Σ_i ct_i · pt_i` computed
@@ -1109,11 +857,8 @@ impl Evaluator<'_> {
             let switched = if *step == 0 {
                 None
             } else {
-                let element = galois_element_rows(*step, n);
-                let ksk = gk
-                    .keys
-                    .get(&element)
-                    .ok_or(HeError::MissingGaloisKey(element))?;
+                let element = galois_element_rows(*step, n)?;
+                let ksk = gk.key_for(element)?;
                 let perm = galois_ntt_permutation(n, element);
                 let (s0, s1) = hoisted_accumulate(&hoisted, Some(&perm), ksk, ks_basis);
                 Some((s0, s1, perm))
@@ -1237,29 +982,37 @@ impl Evaluator<'_> {
         Ok(Ciphertext { parts })
     }
 
+    /// Applies the Galois automorphism `x → x^element` with key switching.
+    fn galois(&self, a: &Ciphertext, element: u64, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
+        let ctx = self.ctx;
+        let parts = rlwe::apply_galois(&a.parts, element, gk, &ctx.full, &ctx.data)?;
+        Ok(Ciphertext { parts })
+    }
+
     /// Rotates batched rows by `steps` (positive = left).
     ///
     /// # Errors
     ///
-    /// Propagates [`Evaluator::apply_galois`] errors.
+    /// [`HeError::InvalidParameters`] for a step that is zero or not below
+    /// `N/2` in magnitude, [`HeError::MissingGaloisKey`] if `gk` lacks the
+    /// step, [`HeError::InvalidCiphertext`] for non-2-component inputs and
+    /// [`HeError::Mismatch`] for a modulus-switched input.
     pub fn rotate_rows(
         &self,
         a: &Ciphertext,
         steps: i64,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
-        let e = galois_element_rows(steps, self.ctx.degree());
-        self.apply_galois(a, e, gk)
+        self.galois(a, galois_element_rows(steps, self.ctx.degree())?, gk)
     }
 
     /// Swaps the two batched rows.
     ///
     /// # Errors
     ///
-    /// Propagates [`Evaluator::apply_galois`] errors.
+    /// As [`Evaluator::rotate_rows`], less the step check.
     pub fn rotate_columns(&self, a: &Ciphertext, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
-        let e = galois_element_columns(self.ctx.degree());
-        self.apply_galois(a, e, gk)
+        self.galois(a, galois_element_columns(self.ctx.degree()), gk)
     }
 }
 

@@ -12,15 +12,13 @@
 //! same generator convention as HEAAN/SEAL.
 
 use crate::error::HeError;
-use crate::keyswitch::{
-    apply_ksk, apply_ksk_hoisted, galois_element_ckks, generate_ksk, hoist_decompose, KswitchKey,
-};
+use crate::keyswitch::galois_element_ckks;
 use crate::params::{HeParams, SchemeType};
+use crate::rlwe::{self, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::{dot_with_key_powers, RnsPoly};
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A CKKS plaintext: an integer polynomial at some level and scale.
@@ -85,127 +83,6 @@ impl CkksCiphertext {
     /// Serialized size in bytes at the current level.
     pub fn byte_size(&self) -> usize {
         self.parts.len() * self.level * self.parts[0].degree() * 8
-    }
-}
-
-/// CKKS secret/public key pair.
-#[derive(Debug, Clone)]
-pub struct CkksKeyBundle {
-    secret: CkksSecretKey,
-    public: CkksPublicKey,
-}
-
-impl CkksKeyBundle {
-    /// The secret key.
-    pub fn secret_key(&self) -> &CkksSecretKey {
-        &self.secret
-    }
-
-    /// The public key.
-    pub fn public_key(&self) -> &CkksPublicKey {
-        &self.public
-    }
-
-    /// Reassembles a bundle from its keys (checkpoint deserialization).
-    // choco-lint: secret
-    pub fn from_keys(secret: CkksSecretKey, public: CkksPublicKey) -> Self {
-        CkksKeyBundle { secret, public }
-    }
-}
-
-/// CKKS secret key over the full basis.
-#[derive(Debug, Clone)]
-pub struct CkksSecretKey {
-    full: RnsPoly,
-}
-
-impl CkksSecretKey {
-    /// The key polynomial over the full basis (wire serialization).
-    pub fn key_poly(&self) -> &RnsPoly {
-        &self.full
-    }
-
-    /// Reassembles a secret key from its full-basis polynomial.
-    // choco-lint: secret
-    pub fn from_poly(full: RnsPoly) -> Self {
-        CkksSecretKey { full }
-    }
-}
-
-/// CKKS public key over the data basis.
-#[derive(Debug, Clone)]
-pub struct CkksPublicKey {
-    p0: RnsPoly,
-    p1: RnsPoly,
-}
-
-impl CkksPublicKey {
-    /// Serialized size in bytes (two top-level polynomials).
-    pub fn byte_size(&self) -> usize {
-        2 * self.p0.row_count() * self.p0.degree() * 8
-    }
-
-    /// The `(P0, P1)` component polynomials (wire serialization).
-    pub fn parts(&self) -> (&RnsPoly, &RnsPoly) {
-        (&self.p0, &self.p1)
-    }
-
-    /// Reassembles a public key from raw components (deserialization).
-    pub fn from_parts(p0: RnsPoly, p1: RnsPoly) -> Self {
-        CkksPublicKey { p0, p1 }
-    }
-}
-
-/// CKKS relinearization key.
-#[derive(Debug, Clone)]
-pub struct CkksRelinKey {
-    ksk: KswitchKey,
-}
-
-impl CkksRelinKey {
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.ksk.size_bytes()
-    }
-
-    /// The underlying key-switching key (wire serialization).
-    pub fn ksk(&self) -> &KswitchKey {
-        &self.ksk
-    }
-
-    /// Reassembles a relinearization key (deserialization).
-    pub fn from_ksk(ksk: KswitchKey) -> Self {
-        CkksRelinKey { ksk }
-    }
-}
-
-/// CKKS Galois (rotation) keys.
-#[derive(Debug, Clone)]
-pub struct CkksGaloisKeys {
-    keys: HashMap<u64, KswitchKey>,
-}
-
-impl CkksGaloisKeys {
-    /// Serialized size in bytes of all keys.
-    pub fn size_bytes(&self) -> usize {
-        self.keys.values().map(|k| k.size_bytes()).sum()
-    }
-
-    /// The Galois elements covered by this key set, in sorted order.
-    pub fn elements(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.keys.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// The key for one Galois element, if provisioned.
-    pub fn key_for(&self, element: u64) -> Option<&KswitchKey> {
-        self.keys.get(&element)
-    }
-
-    /// Reassembles a key set from per-element keys (deserialization).
-    pub fn from_map(keys: HashMap<u64, KswitchKey>) -> Self {
-        CkksGaloisKeys { keys }
     }
 }
 
@@ -384,46 +261,36 @@ impl CkksContext {
 
     /// Generates a fresh key pair.
     // choco-lint: secret
-    pub fn keygen(&self, rng: &mut Blake3Rng) -> CkksKeyBundle {
-        let s_full = RnsPoly::sample_ternary(rng, &self.full);
-        let top = self.level_basis(self.top_level());
-        let a = RnsPoly::sample_uniform(rng, top);
-        let e = RnsPoly::sample_error(rng, top);
-        let s_data = s_full.prefix(top.len());
-        let mut p0 = a.mul_poly(&s_data, top);
-        p0.add_assign_poly(&e, top);
-        p0.neg_assign_poly(top);
-        CkksKeyBundle {
-            secret: CkksSecretKey { full: s_full },
-            public: CkksPublicKey { p0, p1: a },
-        }
+    pub fn keygen(&self, rng: &mut Blake3Rng) -> KeyBundle {
+        rlwe::keygen(&self.full, self.level_basis(self.top_level()), rng)
     }
 
     /// Generates the relinearization key.
-    pub fn relin_key(&self, sk: &CkksSecretKey, rng: &mut Blake3Rng) -> CkksRelinKey {
-        let s2 = sk.full.mul_poly(&sk.full, &self.full);
-        let data = self.level_basis(self.top_level());
-        CkksRelinKey {
-            ksk: generate_ksk(&sk.full, &s2, &self.full, data, rng),
-        }
+    pub fn relin_key(&self, sk: &SecretKey, rng: &mut Blake3Rng) -> RelinKey {
+        rlwe::relin_key(sk, &self.full, self.level_basis(self.top_level()), rng)
     }
 
     /// Generates Galois keys for the given rotation steps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::InvalidParameters`] for a step that is zero or
+    /// not below `N/2` in magnitude.
     pub fn galois_keys(
         &self,
-        sk: &CkksSecretKey,
+        sk: &SecretKey,
         steps: &[i64],
         rng: &mut Blake3Rng,
-    ) -> CkksGaloisKeys {
+    ) -> Result<GaloisKeys, HeError> {
+        let top = self.level_basis(self.top_level());
+        let elements = self.slot_elements(steps)?;
+        Ok(rlwe::galois_keys(sk, &elements, &self.full, top, rng))
+    }
+
+    /// The Galois element of each slot-rotation step.
+    fn slot_elements(&self, steps: &[i64]) -> Result<Vec<u64>, HeError> {
         let n = self.degree();
-        let data = self.level_basis(self.top_level());
-        let mut keys = HashMap::new();
-        for &s in steps {
-            let e = galois_element_ckks(s, n);
-            let s_e = sk.full.galois(e, &self.full);
-            keys.insert(e, generate_ksk(&sk.full, &s_e, &self.full, data, rng));
-        }
-        CkksGaloisKeys { keys }
+        steps.iter().map(|&s| galois_element_ckks(s, n)).collect()
     }
 
     /// Encrypts a plaintext (must be at the top level).
@@ -435,7 +302,7 @@ impl CkksContext {
     pub fn encrypt(
         &self,
         pt: &CkksPlaintext,
-        pk: &CkksPublicKey,
+        pk: &PublicKey,
         rng: &mut Blake3Rng,
     ) -> Result<CkksCiphertext, HeError> {
         // choco-lint: allow(SEC001) level is public ciphertext metadata, not payload
@@ -444,17 +311,8 @@ impl CkksContext {
                 "encryption requires a top-level plaintext".into(),
             ));
         }
-        let basis = self.level_basis(pt.level);
-        let u = RnsPoly::sample_ternary(rng, basis);
-        let e1 = RnsPoly::sample_error(rng, basis);
-        let e2 = RnsPoly::sample_error(rng, basis);
-        let mut c0 = pk.p0.mul_poly(&u, basis);
-        c0.add_assign_poly(&e1, basis);
-        c0.add_assign_poly(&pt.poly, basis);
-        let mut c1 = pk.p1.mul_poly(&u, basis);
-        c1.add_assign_poly(&e2, basis);
         Ok(CkksCiphertext {
-            parts: vec![c0, c1],
+            parts: rlwe::encrypt(pk, &pt.poly, self.level_basis(pt.level), rng),
             level: pt.level,
             scale: pt.scale,
         })
@@ -462,7 +320,7 @@ impl CkksContext {
 
     /// Decrypts to a plaintext at the ciphertext's level/scale.
     // choco-lint: secret
-    pub fn decrypt(&self, ct: &CkksCiphertext, sk: &CkksSecretKey) -> CkksPlaintext {
+    pub fn decrypt(&self, ct: &CkksCiphertext, sk: &SecretKey) -> CkksPlaintext {
         let basis = self.level_basis(ct.level);
         let s = sk.full.prefix(ct.level);
         CkksPlaintext {
@@ -493,21 +351,11 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] on level/scale mismatch.
+    /// Returns [`HeError::Mismatch`] on level/scale/size mismatch.
     pub fn add(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
         self.check_compatible(a, b)?;
-        if a.size() != b.size() {
-            return Err(HeError::Mismatch("ciphertext sizes differ".into()));
-        }
-        let basis = self.level_basis(a.level);
-        let parts = a
-            .parts
-            .iter()
-            .zip(&b.parts)
-            .map(|(x, y)| crate::rnspoly::add(x, y, basis))
-            .collect();
         Ok(CkksCiphertext {
-            parts,
+            parts: rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
             level: a.level,
             scale: a.scale,
         })
@@ -517,18 +365,11 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] on level/scale mismatch.
+    /// Returns [`HeError::Mismatch`] on level/scale/size mismatch.
     pub fn sub(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
         self.check_compatible(a, b)?;
-        let basis = self.level_basis(a.level);
-        let parts = a
-            .parts
-            .iter()
-            .zip(&b.parts)
-            .map(|(x, y)| crate::rnspoly::sub(x, y, basis))
-            .collect();
         Ok(CkksCiphertext {
-            parts,
+            parts: rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
             level: a.level,
             scale: a.scale,
         })
@@ -589,7 +430,7 @@ impl CkksContext {
         &self,
         a: &CkksCiphertext,
         b: &CkksCiphertext,
-        rk: &CkksRelinKey,
+        rk: &RelinKey,
     ) -> Result<CkksCiphertext, HeError> {
         if a.level != b.level {
             return Err(HeError::Mismatch("levels differ".into()));
@@ -605,13 +446,8 @@ impl CkksContext {
         let mut d1 = a.parts[0].mul_poly(&b.parts[1], basis);
         d1.add_assign_poly(&a.parts[1].mul_poly(&b.parts[0], basis), basis);
         let d2 = a.parts[1].mul_poly(&b.parts[1], basis);
-        let (k0, k1) = apply_ksk(&d2, &rk.ksk, &self.ks_bases[level - 1], basis);
-        let mut c0 = d0;
-        c0.add_assign_poly(&k0, basis);
-        let mut c1 = d1;
-        c1.add_assign_poly(&k1, basis);
         Ok(CkksCiphertext {
-            parts: vec![c0, c1],
+            parts: rlwe::relinearize(&[d0, d1, d2], rk, &self.ks_bases[level - 1], basis)?,
             level,
             scale: a.scale * b.scale,
         })
@@ -670,74 +506,48 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::MissingGaloisKey`] when the key set lacks the
-    /// rotation, [`HeError::InvalidCiphertext`] for 3-part inputs.
+    /// Returns [`HeError::InvalidParameters`] for a step that is zero or
+    /// not below `N/2` in magnitude, [`HeError::MissingGaloisKey`] when the
+    /// key set lacks the rotation, [`HeError::InvalidCiphertext`] for
+    /// 3-part inputs.
     pub fn rotate(
         &self,
         a: &CkksCiphertext,
         steps: i64,
-        gk: &CkksGaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<CkksCiphertext, HeError> {
-        if a.size() != 2 {
-            return Err(HeError::InvalidCiphertext(
-                "rotation requires a 2-component ciphertext".into(),
-            ));
-        }
-        let e = galois_element_ckks(steps, self.degree());
-        let ksk = gk.keys.get(&e).ok_or(HeError::MissingGaloisKey(e))?;
-        let basis = self.level_basis(a.level);
-        let c0g = a.parts[0].galois(e, basis);
-        let c1g = a.parts[1].galois(e, basis);
-        let (k0, k1) = apply_ksk(&c1g, ksk, &self.ks_bases[a.level - 1], basis);
-        let mut c0 = c0g;
-        c0.add_assign_poly(&k0, basis);
+        let e = galois_element_ckks(steps, self.degree())?;
+        let (ks_basis, basis) = (&self.ks_bases[a.level - 1], self.level_basis(a.level));
         Ok(CkksCiphertext {
-            parts: vec![c0, k1],
+            parts: rlwe::apply_galois(&a.parts, e, gk, ks_basis, basis)?,
             level: a.level,
             scale: a.scale,
         })
     }
 
     /// Rotates the same ciphertext by many step counts with one shared
-    /// ("hoisted") decomposition of `c1` — the fast path for CKKS
-    /// diagonal-method matvec. Each output decrypts identically to
-    /// [`CkksContext::rotate`] with the same noise growth.
+    /// ("hoisted") decomposition of `c1` ([`rlwe::apply_galois_many`]) — the
+    /// fast path for CKKS diagonal-method matvec. Each output decrypts
+    /// identically to [`CkksContext::rotate`] with the same noise growth.
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::MissingGaloisKey`] when the key set lacks any
-    /// rotation, [`HeError::InvalidCiphertext`] for 3-part inputs.
+    /// As [`CkksContext::rotate`], for any of the steps.
     pub fn rotate_many(
         &self,
         a: &CkksCiphertext,
         steps: &[i64],
-        gk: &CkksGaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<Vec<CkksCiphertext>, HeError> {
-        if a.size() != 2 {
-            return Err(HeError::InvalidCiphertext(
-                "rotation requires a 2-component ciphertext".into(),
-            ));
-        }
-        let basis = self.level_basis(a.level);
-        let ks_basis = &self.ks_bases[a.level - 1];
-        let n = self.degree();
-        let hoisted = hoist_decompose(&a.parts[1], ks_basis, basis);
-        steps
-            .iter()
-            .map(|&s| {
-                let e = galois_element_ckks(s, n);
-                let ksk = gk.keys.get(&e).ok_or(HeError::MissingGaloisKey(e))?;
-                let perm = choco_math::ntt::galois_ntt_permutation(n, e);
-                let (k0, k1) = apply_ksk_hoisted(&hoisted, Some(&perm), ksk, ks_basis, basis);
-                let mut c0 = a.parts[0].galois(e, basis);
-                c0.add_assign_poly(&k0, basis);
-                Ok(CkksCiphertext {
-                    parts: vec![c0, k1],
-                    level: a.level,
-                    scale: a.scale,
-                })
-            })
-            .collect()
+        let elements = self.slot_elements(steps)?;
+        let (ks_basis, basis) = (&self.ks_bases[a.level - 1], self.level_basis(a.level));
+        let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, ks_basis, basis)?;
+        let at_level = |parts| CkksCiphertext {
+            parts,
+            level: a.level,
+            scale: a.scale,
+        };
+        Ok(rotated.into_iter().map(at_level).collect())
     }
 }
 
@@ -851,7 +661,9 @@ mod tests {
         let ctx = ctx();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
-        let gk = ctx.galois_keys(keys.secret_key(), &[1, 2], &mut rng);
+        let gk = ctx
+            .galois_keys(keys.secret_key(), &[1, 2], &mut rng)
+            .unwrap();
         let values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64).collect();
         let ct = ctx
             .encrypt(&ctx.encode(&values).unwrap(), keys.public_key(), &mut rng)

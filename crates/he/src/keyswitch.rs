@@ -17,6 +17,7 @@
 //! as decomposition digits, accumulates `Σ_j D_j·(b_j, a_j)` over the active
 //! primes plus `P`, and divides by `P` with rounding.
 
+use crate::error::HeError;
 use crate::rnspoly::RnsPoly;
 use choco_math::modops::{add_mod, center, inv_mod, mul_mod, pow_mod, reduce_signed};
 use choco_math::ntt::apply_galois_ntt;
@@ -384,21 +385,32 @@ pub fn mod_down_ntt(x: &RnsPoly, ks_basis: &RnsBasis, level_basis: &RnsBasis) ->
     out
 }
 
-/// The Galois element for a row rotation by `steps` slots: `3^steps mod 2N`
-/// (negative steps wrap around the half-row order `N/2`).
+/// `generator^steps mod 2N`, negative steps wrapping around the rotation
+/// group's order `N/2`. A step of zero or of magnitude `≥ N/2` names no
+/// rotation and is an error: steps arrive in wire programs.
+fn rotation_element(generator: u64, steps: i64, n: usize) -> Result<u64, HeError> {
+    let half = (n / 2) as u64;
+    // `unsigned_abs`: `i64::MIN` has no `abs`.
+    if steps == 0 || steps.unsigned_abs() >= half {
+        return Err(HeError::InvalidParameters(format!(
+            "rotation step {steps} is not a nonzero step below {half}"
+        )));
+    }
+    Ok(pow_mod(
+        generator,
+        steps.rem_euclid(half as i64) as u64,
+        2 * n as u64,
+    ))
+}
+
+/// The Galois element for a BFV row rotation by `steps` slots:
+/// `3^steps mod 2N`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `|steps| >= n/2` or `steps == 0`.
-pub fn galois_element_rows(steps: i64, n: usize) -> u64 {
-    let half = (n / 2) as i64;
-    assert!(
-        steps != 0 && steps.abs() < half,
-        "rotation step out of range"
-    );
-    let s = steps.rem_euclid(half) as u64;
-    let m = 2 * n as u64;
-    pow_mod(3, s, m)
+/// [`HeError::InvalidParameters`] if `steps == 0` or `|steps| >= n/2`.
+pub fn galois_element_rows(steps: i64, n: usize) -> Result<u64, HeError> {
+    rotation_element(3, steps, n)
 }
 
 /// The Galois element for the row-swap (column rotation): `2N − 1`.
@@ -408,18 +420,11 @@ pub fn galois_element_columns(n: usize) -> u64 {
 
 /// The Galois element for a CKKS slot rotation by `steps`: `5^steps mod 2N`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `|steps| >= n/2` or `steps == 0`.
-pub fn galois_element_ckks(steps: i64, n: usize) -> u64 {
-    let half = (n / 2) as i64;
-    assert!(
-        steps != 0 && steps.abs() < half,
-        "rotation step out of range"
-    );
-    let s = steps.rem_euclid(half) as u64;
-    let m = 2 * n as u64;
-    pow_mod(5, s, m)
+/// [`HeError::InvalidParameters`] if `steps == 0` or `|steps| >= n/2`.
+pub fn galois_element_ckks(steps: i64, n: usize) -> Result<u64, HeError> {
+    rotation_element(5, steps, n)
 }
 
 #[cfg(test)]
@@ -554,7 +559,7 @@ mod tests {
     fn galois_elements_are_odd_and_in_range() {
         let n = 8192;
         for steps in [1i64, 2, 5, -1, -7, 4095] {
-            let e = galois_element_rows(steps, n);
+            let e = galois_element_rows(steps, n).unwrap();
             assert_eq!(e % 2, 1);
             assert!(e < 2 * n as u64);
         }
@@ -564,14 +569,21 @@ mod tests {
     #[test]
     fn galois_rows_inverse_steps_compose_to_identity() {
         let n = 1024;
-        let e1 = galois_element_rows(3, n);
-        let e2 = galois_element_rows(-3, n);
+        let e1 = galois_element_rows(3, n).unwrap();
+        let e2 = galois_element_rows(-3, n).unwrap();
         assert_eq!((e1 as u128 * e2 as u128 % (2 * n as u128)) as u64, 1);
     }
 
     #[test]
-    #[should_panic(expected = "rotation step out of range")]
-    fn galois_rejects_zero_step() {
-        galois_element_rows(0, 1024);
+    fn galois_rejects_steps_that_name_no_rotation() {
+        for element_of in [galois_element_rows, galois_element_ckks] {
+            for steps in [0, 512, -512, 600, i64::MAX, i64::MIN] {
+                assert!(matches!(
+                    element_of(steps, 1024),
+                    Err(HeError::InvalidParameters(_))
+                ));
+            }
+            assert!(element_of(511, 1024).is_ok() && element_of(-511, 1024).is_ok());
+        }
     }
 }

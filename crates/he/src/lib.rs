@@ -10,6 +10,10 @@
 //! * **CKKS** ([`ckks`]) — approximate fixed-point arithmetic with the
 //!   canonical-embedding encoder, rescaling, and rotations.
 //!
+//! Both sit on one RLWE core ([`rlwe`]): key types, key generation, the
+//! Eq. 2 encryption, Galois/relinearization key switching and add/sub over
+//! ciphertext parts exist once, and the schemes add only what differs.
+//!
 //! Ciphertext coefficients are stored in RNS form over NTT-friendly primes
 //! ([`params`]); the last prime of a parameter set is the *special prime*
 //! reserved for key switching, exactly as in SEAL, so a parameter set
@@ -53,6 +57,7 @@ pub mod ckks;
 pub mod error;
 pub mod keyswitch;
 pub mod params;
+pub mod rlwe;
 pub mod rnspoly;
 pub mod scheme;
 pub mod serialize;

@@ -1,0 +1,369 @@
+//! The RLWE core under both schemes.
+//!
+//! BFV and CKKS are the same ring-LWE computation below their encoders:
+//! keys are `(s, (−(a·s + e), a))`, public-key encryption is the paper's
+//! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), and every evaluation-key
+//! operation — Galois automorphism, hoisted multi-rotation, relinearization
+//! — is a key switch over a `(ks_basis, basis)` pair. This module holds that
+//! computation once, as plain functions over ciphertext *parts*
+//! (`&[RnsPoly]`) and the bases the calling context already owns. The
+//! schemes keep what differs: how a message becomes the polynomial `msg`
+//! (BFV scales by `Δ`, CKKS embeds at a scale), which basis a ciphertext
+//! lives in (BFV: the data modulus; CKKS: its level), the step → Galois
+//! element map, and everything specific to one scheme (BFV's scale-and-round
+//! multiply and noise budget, CKKS `rescale`).
+//!
+//! Every entry point that takes ciphertext parts checks their count and
+//! shape against the basis it is handed and answers a malformed operand
+//! with [`HeError::InvalidCiphertext`] / [`HeError::Mismatch`]: parts parse
+//! off the wire, so a wrong shape is input, not a bug.
+//!
+//! RNG draw order is part of the contract (checkpoints replay it): `s`, `a`,
+//! `e` for a key pair; `u`, `e1`, `e2` for an encryption; one
+//! [`generate_ksk`] per Galois element in list order.
+
+use crate::error::HeError;
+use crate::keyswitch::{apply_ksk, apply_ksk_hoisted, generate_ksk, hoist_decompose, KswitchKey};
+use crate::rnspoly::{self, RnsPoly};
+use choco_math::ntt::galois_ntt_permutation;
+use choco_math::rns::RnsBasis;
+use choco_prng::Blake3Rng;
+use std::collections::HashMap;
+
+/// The secret key: a ternary polynomial, kept over the full basis so key
+/// switching material can be generated.
+#[derive(Debug, Clone)]
+pub struct SecretKey {
+    pub(crate) full: RnsPoly,
+}
+
+/// The public encryption key `(P0, P1) = (−(a·s + e), a)` over the top
+/// ciphertext basis.
+#[derive(Debug, Clone)]
+pub struct PublicKey {
+    pub(crate) p0: RnsPoly,
+    pub(crate) p1: RnsPoly,
+}
+
+impl PublicKey {
+    /// Serialized size in bytes (two top-basis polynomials).
+    pub fn byte_size(&self) -> usize {
+        2 * self.p0.row_count() * self.p0.degree() * 8
+    }
+}
+
+/// Secret/public key pair produced by [`keygen`].
+#[derive(Debug, Clone)]
+pub struct KeyBundle {
+    pub(crate) secret: SecretKey,
+    pub(crate) public: PublicKey,
+}
+
+impl KeyBundle {
+    /// The secret key.
+    pub fn secret_key(&self) -> &SecretKey {
+        &self.secret
+    }
+
+    /// The public key.
+    pub fn public_key(&self) -> &PublicKey {
+        &self.public
+    }
+}
+
+/// Relinearization key (switches `s²`-keyed components back to `s`).
+#[derive(Debug, Clone)]
+pub struct RelinKey {
+    pub(crate) ksk: KswitchKey,
+}
+
+impl RelinKey {
+    /// Serialized size in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.ksk.size_bytes()
+    }
+}
+
+/// A set of Galois keys, one per automorphism element.
+#[derive(Debug, Clone)]
+pub struct GaloisKeys {
+    pub(crate) keys: HashMap<u64, KswitchKey>,
+}
+
+impl GaloisKeys {
+    /// The Galois elements covered by this key set, in sorted order.
+    pub fn elements(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.keys.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Serialized size in bytes of all keys.
+    pub fn size_bytes(&self) -> usize {
+        self.keys.values().map(|k| k.size_bytes()).sum()
+    }
+
+    /// The key for `element`, or [`HeError::MissingGaloisKey`].
+    pub(crate) fn key_for(&self, element: u64) -> Result<&KswitchKey, HeError> {
+        self.keys
+            .get(&element)
+            .ok_or(HeError::MissingGaloisKey(element))
+    }
+}
+
+/// An RLWE encryption of zero under `s` with the given mask:
+/// `−(a·s + e)` for a fresh error `e`.
+// choco-lint: secret (public: basis)
+fn masked_zero(a: &RnsPoly, s: &RnsPoly, basis: &RnsBasis, rng: &mut Blake3Rng) -> RnsPoly {
+    let e = RnsPoly::sample_error(rng, basis);
+    let mut b = a.mul_poly(s, basis);
+    b.add_assign_poly(&e, basis);
+    b.neg_assign_poly(basis);
+    b
+}
+
+/// Generates a fresh key pair: the secret over `full` (data primes plus the
+/// special prime), the public key over `top`, the basis of a fresh
+/// ciphertext.
+// choco-lint: secret (public: full, top)
+pub fn keygen(full: &RnsBasis, top: &RnsBasis, rng: &mut Blake3Rng) -> KeyBundle {
+    let s_full = RnsPoly::sample_ternary(rng, full);
+    let a = RnsPoly::sample_uniform(rng, top);
+    let p0 = masked_zero(&a, &s_full.prefix(top.len()), top, rng);
+    KeyBundle {
+        secret: SecretKey { full: s_full },
+        public: PublicKey { p0, p1: a },
+    }
+}
+
+/// Generates the relinearization key (for `s²`). `full` must be `top` plus
+/// the special prime.
+// choco-lint: secret (public: full, top)
+pub fn relin_key(sk: &SecretKey, full: &RnsBasis, top: &RnsBasis, rng: &mut Blake3Rng) -> RelinKey {
+    let s2 = sk.full.mul_poly(&sk.full, full);
+    RelinKey {
+        ksk: generate_ksk(&sk.full, &s2, full, top, rng),
+    }
+}
+
+/// Generates one Galois key per element of `elements`, in list order (the
+/// order fixes the RNG stream); an element seen twice is generated once.
+// choco-lint: secret (public: elements, full, top)
+pub fn galois_keys(
+    sk: &SecretKey,
+    elements: &[u64],
+    full: &RnsBasis,
+    top: &RnsBasis,
+    rng: &mut Blake3Rng,
+) -> GaloisKeys {
+    let mut keys = HashMap::new();
+    for &element in elements {
+        keys.entry(element).or_insert_with(|| {
+            let s_e = sk.full.galois(element, full);
+            generate_ksk(&sk.full, &s_e, full, top, rng)
+        });
+    }
+    GaloisKeys { keys }
+}
+
+/// Public-key encryption (paper Eq. 2 / Fig. 5 dataflow) of the
+/// already-scaled message polynomial `msg` over `basis`:
+/// `c0 = P0·u + e1 + msg`, `c1 = P1·u + e2`.
+// choco-lint: secret (public: basis)
+pub fn encrypt(
+    pk: &PublicKey,
+    msg: &RnsPoly,
+    basis: &RnsBasis,
+    rng: &mut Blake3Rng,
+) -> Vec<RnsPoly> {
+    let u = RnsPoly::sample_ternary(rng, basis);
+    let e1 = RnsPoly::sample_error(rng, basis);
+    let e2 = RnsPoly::sample_error(rng, basis);
+    let mut c0 = pk.p0.mul_poly(&u, basis);
+    c0.add_assign_poly(&e1, basis);
+    c0.add_assign_poly(msg, basis);
+    let mut c1 = pk.p1.mul_poly(&u, basis);
+    c1.add_assign_poly(&e2, basis);
+    vec![c0, c1]
+}
+
+/// Symmetric, seed-compressed encryption of `msg`: `c1 = a` is derived from
+/// a fresh 32-byte seed, `c0 = −(a·s + e) + msg`, and only `(c0, seed)`
+/// travels; [`expand_seed`] regenerates `c1` on the other side.
+// choco-lint: secret (public: basis)
+pub fn encrypt_symmetric_seeded(
+    sk: &SecretKey,
+    msg: &RnsPoly,
+    basis: &RnsBasis,
+    rng: &mut Blake3Rng,
+) -> (RnsPoly, [u8; 32]) {
+    let mut seed = [0u8; 32];
+    rng.fill_bytes(&mut seed);
+    let a = expand_seed(&seed, basis);
+    let mut c0 = masked_zero(&a, &sk.full.prefix(basis.len()), basis, rng);
+    c0.add_assign_poly(msg, basis);
+    (c0, seed)
+}
+
+/// The uniform `c1` component a seed stands for.
+// choco-lint: ct-safe
+pub fn expand_seed(seed: &[u8; 32], basis: &RnsBasis) -> RnsPoly {
+    // The label is part of the seeded-ciphertext format.
+    let mut a_rng = Blake3Rng::from_seed_labeled(seed, "bfv-seeded-c1");
+    RnsPoly::sample_uniform(&mut a_rng, basis)
+}
+
+/// Rejects parts that are not polynomials over `basis`.
+fn check_shape(parts: &[RnsPoly], basis: &RnsBasis) -> Result<(), HeError> {
+    match parts
+        .iter()
+        .find(|p| p.row_count() != basis.len() || p.degree() != basis.degree())
+    {
+        Some(p) => Err(HeError::Mismatch(format!(
+            "ciphertext component of {} residues × degree {} where the operation runs over {} × {}",
+            p.row_count(),
+            p.degree(),
+            basis.len(),
+            basis.degree()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The `(c0, c1)` of a key-switchable (2-component) ciphertext over `basis`.
+fn two_parts<'a>(
+    parts: &'a [RnsPoly],
+    basis: &RnsBasis,
+) -> Result<(&'a RnsPoly, &'a RnsPoly), HeError> {
+    let [c0, c1] = parts else {
+        return Err(HeError::InvalidCiphertext(
+            "galois requires a 2-component ciphertext (relinearize first)".into(),
+        ));
+    };
+    check_shape(parts, basis)?;
+    Ok((c0, c1))
+}
+
+/// `op` applied component-wise to two ciphertexts of one size over `basis`.
+fn zip_parts(
+    a: &[RnsPoly],
+    b: &[RnsPoly],
+    basis: &RnsBasis,
+    op: fn(&RnsPoly, &RnsPoly, &RnsBasis) -> RnsPoly,
+) -> Result<Vec<RnsPoly>, HeError> {
+    if a.len() != b.len() {
+        return Err(HeError::Mismatch(format!(
+            "ciphertext sizes {} vs {}",
+            a.len(),
+            b.len()
+        )));
+    }
+    check_shape(a, basis)?;
+    check_shape(b, basis)?;
+    Ok(a.iter().zip(b).map(|(x, y)| op(x, y, basis)).collect())
+}
+
+/// Component-wise `a + b` over `basis`.
+///
+/// # Errors
+///
+/// [`HeError::Mismatch`] when the component counts differ or a component is
+/// not over `basis`.
+pub fn add_parts(a: &[RnsPoly], b: &[RnsPoly], basis: &RnsBasis) -> Result<Vec<RnsPoly>, HeError> {
+    zip_parts(a, b, basis, rnspoly::add)
+}
+
+/// Component-wise `a − b` over `basis`.
+///
+/// # Errors
+///
+/// As [`add_parts`].
+pub fn sub_parts(a: &[RnsPoly], b: &[RnsPoly], basis: &RnsBasis) -> Result<Vec<RnsPoly>, HeError> {
+    zip_parts(a, b, basis, rnspoly::sub)
+}
+
+/// Applies the Galois automorphism `x → x^element` with key switching.
+/// `ks_basis` is `basis` plus the special prime.
+///
+/// # Errors
+///
+/// [`HeError::InvalidCiphertext`] for non-2-component inputs,
+/// [`HeError::Mismatch`] for parts not over `basis`, and
+/// [`HeError::MissingGaloisKey`] if `gk` lacks the element.
+pub fn apply_galois(
+    parts: &[RnsPoly],
+    element: u64,
+    gk: &GaloisKeys,
+    ks_basis: &RnsBasis,
+    basis: &RnsBasis,
+) -> Result<Vec<RnsPoly>, HeError> {
+    let (c0, c1) = two_parts(parts, basis)?;
+    let ksk = gk.key_for(element)?;
+    let (k0, k1) = apply_ksk(&c1.galois(element, basis), ksk, ks_basis, basis);
+    let mut c0 = c0.galois(element, basis);
+    c0.add_assign_poly(&k0, basis);
+    Ok(vec![c0, k1])
+}
+
+/// Applies many Galois automorphisms to the *same* ciphertext with one
+/// shared ("hoisted") decomposition: the expensive digit decomposition +
+/// forward NTTs of `c1` run once, and each element costs only a cheap
+/// NTT-domain permutation plus multiply-accumulate against its key.
+///
+/// The outputs decrypt identically to [`apply_galois`] on each element,
+/// with the same noise growth (the permuted digits have the same magnitudes
+/// as freshly decomposed ones).
+///
+/// # Errors
+///
+/// As [`apply_galois`], for any of the elements.
+pub fn apply_galois_many(
+    parts: &[RnsPoly],
+    elements: &[u64],
+    gk: &GaloisKeys,
+    ks_basis: &RnsBasis,
+    basis: &RnsBasis,
+) -> Result<Vec<Vec<RnsPoly>>, HeError> {
+    let (c0, c1) = two_parts(parts, basis)?;
+    let n = basis.degree();
+    // Decompose c1 once; every element below reuses these digits.
+    let hoisted = hoist_decompose(c1, ks_basis, basis);
+    elements
+        .iter()
+        .map(|&element| {
+            let ksk = gk.key_for(element)?;
+            let perm = galois_ntt_permutation(n, element);
+            let (k0, k1) = apply_ksk_hoisted(&hoisted, Some(&perm), ksk, ks_basis, basis);
+            let mut c0 = c0.galois(element, basis);
+            c0.add_assign_poly(&k0, basis);
+            Ok(vec![c0, k1])
+        })
+        .collect()
+}
+
+/// Folds the `s²`-keyed third component of `(c0, c1, c2)` back into a
+/// 2-component ciphertext: `(c0 + k0, c1 + k1)` with `(k0, k1)` the key
+/// switch of `c2`.
+///
+/// # Errors
+///
+/// [`HeError::InvalidCiphertext`] unless there are exactly 3 components,
+/// [`HeError::Mismatch`] for parts not over `basis`.
+pub fn relinearize(
+    parts: &[RnsPoly],
+    rk: &RelinKey,
+    ks_basis: &RnsBasis,
+    basis: &RnsBasis,
+) -> Result<Vec<RnsPoly>, HeError> {
+    let [c0, c1, c2] = parts else {
+        return Err(HeError::InvalidCiphertext(
+            "relinearize requires a 3-component ciphertext".into(),
+        ));
+    };
+    check_shape(parts, basis)?;
+    let (k0, k1) = apply_ksk(c2, &rk.ksk, ks_basis, basis);
+    Ok(vec![
+        rnspoly::add(c0, &k0, basis),
+        rnspoly::add(c1, &k1, basis),
+    ])
+}

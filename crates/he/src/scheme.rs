@@ -28,6 +28,7 @@
 use crate::bfv::{self, BfvContext};
 use crate::ckks::{self, CkksContext};
 use crate::params::{HeParams, SchemeType};
+use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey};
 use crate::serialize;
 use crate::HeError;
 use choco_prng::Blake3Rng;
@@ -289,10 +290,10 @@ impl HeScheme for Bfv {
     type Value = u64;
     type Context = BfvContext;
     type Ciphertext = bfv::Ciphertext;
-    type KeyBundle = bfv::KeyBundle;
-    type PublicKey = bfv::PublicKey;
-    type RelinKey = bfv::RelinKey;
-    type GaloisKeys = bfv::GaloisKeys;
+    type KeyBundle = KeyBundle;
+    type PublicKey = PublicKey;
+    type RelinKey = RelinKey;
+    type GaloisKeys = GaloisKeys;
 
     const SCHEME: SchemeType = SchemeType::Bfv;
     /// Noise-budget bits below which a session refreshes.
@@ -303,37 +304,37 @@ impl HeScheme for Bfv {
     }
 
     // choco-lint: secret
-    fn keygen(ctx: &BfvContext, rng: &mut Blake3Rng) -> bfv::KeyBundle {
+    fn keygen(ctx: &BfvContext, rng: &mut Blake3Rng) -> KeyBundle {
         ctx.keygen(rng)
     }
 
-    fn public_key(keys: &bfv::KeyBundle) -> &bfv::PublicKey {
+    fn public_key(keys: &KeyBundle) -> &PublicKey {
         keys.public_key()
     }
 
     // choco-lint: secret (public: ctx)
     fn relin_key(
         ctx: &BfvContext,
-        keys: &bfv::KeyBundle,
+        keys: &KeyBundle,
         rng: &mut Blake3Rng,
-    ) -> Result<bfv::RelinKey, HeError> {
+    ) -> Result<RelinKey, HeError> {
         ctx.relin_key(keys.secret_key(), rng)
     }
 
     // choco-lint: secret (public: ctx, steps)
     fn galois_keys(
         ctx: &BfvContext,
-        keys: &bfv::KeyBundle,
+        keys: &KeyBundle,
         steps: &[i64],
         rng: &mut Blake3Rng,
-    ) -> Result<bfv::GaloisKeys, HeError> {
+    ) -> Result<GaloisKeys, HeError> {
         ctx.galois_keys(keys.secret_key(), steps, rng)
     }
 
     // choco-lint: secret (public: ctx, values)
     fn encrypt(
         ctx: &BfvContext,
-        keys: &bfv::KeyBundle,
+        keys: &KeyBundle,
         values: &[u64],
         rng: &mut Blake3Rng,
     ) -> Result<bfv::Ciphertext, HeError> {
@@ -344,7 +345,7 @@ impl HeScheme for Bfv {
     // choco-lint: secret (public: ctx, ct)
     fn decrypt(
         ctx: &BfvContext,
-        keys: &bfv::KeyBundle,
+        keys: &KeyBundle,
         ct: &bfv::Ciphertext,
     ) -> Result<Vec<u64>, HeError> {
         let pt = ctx.decryptor(keys.secret_key()).decrypt(ct);
@@ -352,7 +353,7 @@ impl HeScheme for Bfv {
     }
 
     // choco-lint: secret (public: ctx, ct)
-    fn health(ctx: &BfvContext, keys: &bfv::KeyBundle, ct: &bfv::Ciphertext) -> f64 {
+    fn health(ctx: &BfvContext, keys: &KeyBundle, ct: &bfv::Ciphertext) -> f64 {
         ctx.decryptor(keys.secret_key()).invariant_noise_budget(ct)
     }
 
@@ -372,15 +373,15 @@ impl HeScheme for Bfv {
         ct.byte_size()
     }
 
-    fn public_key_bytes(pk: &bfv::PublicKey) -> usize {
+    fn public_key_bytes(pk: &PublicKey) -> usize {
         pk.byte_size()
     }
 
-    fn relin_key_bytes(rk: &bfv::RelinKey) -> usize {
+    fn relin_key_bytes(rk: &RelinKey) -> usize {
         rk.size_bytes()
     }
 
-    fn galois_keys_bytes(gk: &bfv::GaloisKeys) -> usize {
+    fn galois_keys_bytes(gk: &GaloisKeys) -> usize {
         gk.size_bytes()
     }
 
@@ -422,7 +423,7 @@ impl HeScheme for Bfv {
         ctx: &BfvContext,
         ct: &bfv::Ciphertext,
         step: i64,
-        gk: &bfv::GaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<bfv::Ciphertext, HeError> {
         ctx.evaluator().rotate_rows(ct, step, gk)
     }
@@ -431,7 +432,7 @@ impl HeScheme for Bfv {
         ctx: &BfvContext,
         ct: &bfv::Ciphertext,
         diagonals: &[(i64, Vec<u64>)],
-        gk: &bfv::GaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<bfv::Ciphertext, HeError> {
         let encoder = ctx.batch_encoder()?;
         let pairs: Vec<(i64, bfv::Plaintext)> = diagonals
@@ -456,29 +457,29 @@ impl HeScheme for Bfv {
     }
 
     // choco-lint: secret
-    fn keys_to_wire(keys: &bfv::KeyBundle) -> Vec<u8> {
-        serialize::bfv_keys_to_bytes(keys)
+    fn keys_to_wire(keys: &KeyBundle) -> Vec<u8> {
+        serialize::keys_to_bytes(Self::SCHEME, keys)
     }
 
     // choco-lint: secret
-    fn keys_from_wire(bytes: &[u8]) -> Result<bfv::KeyBundle, HeError> {
-        serialize::bfv_keys_from_bytes(bytes)
+    fn keys_from_wire(bytes: &[u8]) -> Result<KeyBundle, HeError> {
+        serialize::keys_from_bytes(Self::SCHEME, bytes)
     }
 
-    fn relin_to_wire(rk: &bfv::RelinKey) -> Vec<u8> {
-        serialize::bfv_relin_to_bytes(rk)
+    fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {
+        serialize::relin_to_bytes(Self::SCHEME, rk)
     }
 
-    fn relin_from_wire(bytes: &[u8]) -> Result<bfv::RelinKey, HeError> {
-        serialize::bfv_relin_from_bytes(bytes)
+    fn relin_from_wire(bytes: &[u8]) -> Result<RelinKey, HeError> {
+        serialize::relin_from_bytes(Self::SCHEME, bytes)
     }
 
-    fn galois_to_wire(gk: &bfv::GaloisKeys) -> Vec<u8> {
-        serialize::bfv_galois_to_bytes(gk)
+    fn galois_to_wire(gk: &GaloisKeys) -> Vec<u8> {
+        serialize::galois_to_bytes(Self::SCHEME, gk)
     }
 
-    fn galois_from_wire(bytes: &[u8]) -> Result<bfv::GaloisKeys, HeError> {
-        serialize::bfv_galois_from_bytes(bytes)
+    fn galois_from_wire(bytes: &[u8]) -> Result<GaloisKeys, HeError> {
+        serialize::galois_from_bytes(Self::SCHEME, bytes)
     }
 
     fn value_matches(got: u64, want: u64, _tol: f64) -> bool {
@@ -490,10 +491,10 @@ impl HeScheme for Ckks {
     type Value = f64;
     type Context = CkksContext;
     type Ciphertext = ckks::CkksCiphertext;
-    type KeyBundle = ckks::CkksKeyBundle;
-    type PublicKey = ckks::CkksPublicKey;
-    type RelinKey = ckks::CkksRelinKey;
-    type GaloisKeys = ckks::CkksGaloisKeys;
+    type KeyBundle = KeyBundle;
+    type PublicKey = PublicKey;
+    type RelinKey = RelinKey;
+    type GaloisKeys = GaloisKeys;
 
     const SCHEME: SchemeType = SchemeType::Ckks;
     /// Remaining levels below which a session refreshes.
@@ -504,37 +505,37 @@ impl HeScheme for Ckks {
     }
 
     // choco-lint: secret
-    fn keygen(ctx: &CkksContext, rng: &mut Blake3Rng) -> ckks::CkksKeyBundle {
+    fn keygen(ctx: &CkksContext, rng: &mut Blake3Rng) -> KeyBundle {
         ctx.keygen(rng)
     }
 
-    fn public_key(keys: &ckks::CkksKeyBundle) -> &ckks::CkksPublicKey {
+    fn public_key(keys: &KeyBundle) -> &PublicKey {
         keys.public_key()
     }
 
     // choco-lint: secret (public: ctx)
     fn relin_key(
         ctx: &CkksContext,
-        keys: &ckks::CkksKeyBundle,
+        keys: &KeyBundle,
         rng: &mut Blake3Rng,
-    ) -> Result<ckks::CkksRelinKey, HeError> {
+    ) -> Result<RelinKey, HeError> {
         Ok(ctx.relin_key(keys.secret_key(), rng))
     }
 
     // choco-lint: secret (public: ctx, steps)
     fn galois_keys(
         ctx: &CkksContext,
-        keys: &ckks::CkksKeyBundle,
+        keys: &KeyBundle,
         steps: &[i64],
         rng: &mut Blake3Rng,
-    ) -> Result<ckks::CkksGaloisKeys, HeError> {
-        Ok(ctx.galois_keys(keys.secret_key(), steps, rng))
+    ) -> Result<GaloisKeys, HeError> {
+        ctx.galois_keys(keys.secret_key(), steps, rng)
     }
 
     // choco-lint: secret (public: ctx, values)
     fn encrypt(
         ctx: &CkksContext,
-        keys: &ckks::CkksKeyBundle,
+        keys: &KeyBundle,
         values: &[f64],
         rng: &mut Blake3Rng,
     ) -> Result<ckks::CkksCiphertext, HeError> {
@@ -545,14 +546,14 @@ impl HeScheme for Ckks {
     // choco-lint: secret (public: ctx, ct)
     fn decrypt(
         ctx: &CkksContext,
-        keys: &ckks::CkksKeyBundle,
+        keys: &KeyBundle,
         ct: &ckks::CkksCiphertext,
     ) -> Result<Vec<f64>, HeError> {
         let pt = ctx.decrypt(ct, keys.secret_key());
         Ok(ctx.decode(&pt))
     }
 
-    fn health(_ctx: &CkksContext, _keys: &ckks::CkksKeyBundle, ct: &ckks::CkksCiphertext) -> f64 {
+    fn health(_ctx: &CkksContext, _keys: &KeyBundle, ct: &ckks::CkksCiphertext) -> f64 {
         ct.level() as f64
     }
 
@@ -572,15 +573,15 @@ impl HeScheme for Ckks {
         ct.byte_size()
     }
 
-    fn public_key_bytes(pk: &ckks::CkksPublicKey) -> usize {
+    fn public_key_bytes(pk: &PublicKey) -> usize {
         pk.byte_size()
     }
 
-    fn relin_key_bytes(rk: &ckks::CkksRelinKey) -> usize {
+    fn relin_key_bytes(rk: &RelinKey) -> usize {
         rk.size_bytes()
     }
 
-    fn galois_keys_bytes(gk: &ckks::CkksGaloisKeys) -> usize {
+    fn galois_keys_bytes(gk: &GaloisKeys) -> usize {
         gk.size_bytes()
     }
 
@@ -622,7 +623,7 @@ impl HeScheme for Ckks {
         ctx: &CkksContext,
         ct: &ckks::CkksCiphertext,
         step: i64,
-        gk: &ckks::CkksGaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<ckks::CkksCiphertext, HeError> {
         ctx.rotate(ct, step, gk)
     }
@@ -631,7 +632,7 @@ impl HeScheme for Ckks {
         ctx: &CkksContext,
         ct: &ckks::CkksCiphertext,
         diagonals: &[(i64, Vec<f64>)],
-        gk: &ckks::CkksGaloisKeys,
+        gk: &GaloisKeys,
     ) -> Result<ckks::CkksCiphertext, HeError> {
         if diagonals.is_empty() {
             return Err(HeError::Mismatch("dot_diagonals needs terms".into()));
@@ -674,29 +675,29 @@ impl HeScheme for Ckks {
     }
 
     // choco-lint: secret
-    fn keys_to_wire(keys: &ckks::CkksKeyBundle) -> Vec<u8> {
-        serialize::ckks_keys_to_bytes(keys)
+    fn keys_to_wire(keys: &KeyBundle) -> Vec<u8> {
+        serialize::keys_to_bytes(Self::SCHEME, keys)
     }
 
     // choco-lint: secret
-    fn keys_from_wire(bytes: &[u8]) -> Result<ckks::CkksKeyBundle, HeError> {
-        serialize::ckks_keys_from_bytes(bytes)
+    fn keys_from_wire(bytes: &[u8]) -> Result<KeyBundle, HeError> {
+        serialize::keys_from_bytes(Self::SCHEME, bytes)
     }
 
-    fn relin_to_wire(rk: &ckks::CkksRelinKey) -> Vec<u8> {
-        serialize::ckks_relin_to_bytes(rk)
+    fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {
+        serialize::relin_to_bytes(Self::SCHEME, rk)
     }
 
-    fn relin_from_wire(bytes: &[u8]) -> Result<ckks::CkksRelinKey, HeError> {
-        serialize::ckks_relin_from_bytes(bytes)
+    fn relin_from_wire(bytes: &[u8]) -> Result<RelinKey, HeError> {
+        serialize::relin_from_bytes(Self::SCHEME, bytes)
     }
 
-    fn galois_to_wire(gk: &ckks::CkksGaloisKeys) -> Vec<u8> {
-        serialize::ckks_galois_to_bytes(gk)
+    fn galois_to_wire(gk: &GaloisKeys) -> Vec<u8> {
+        serialize::galois_to_bytes(Self::SCHEME, gk)
     }
 
-    fn galois_from_wire(bytes: &[u8]) -> Result<ckks::CkksGaloisKeys, HeError> {
-        serialize::ckks_galois_from_bytes(bytes)
+    fn galois_from_wire(bytes: &[u8]) -> Result<GaloisKeys, HeError> {
+        serialize::galois_from_bytes(Self::SCHEME, bytes)
     }
 
     fn value_matches(got: f64, want: f64, tol: f64) -> bool {

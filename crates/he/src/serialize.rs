@@ -15,10 +15,12 @@
 //! frames) is layered above via the transport's keyed BLAKE3 tags;
 //! [`ciphertext_from_bytes`] alone accepts any well-formed frame.
 
-use crate::bfv::{self, Ciphertext};
-use crate::ckks::{self, CkksCiphertext};
+use crate::bfv::Ciphertext;
+use crate::ckks::CkksCiphertext;
 use crate::error::HeError;
 use crate::keyswitch::KswitchKey;
+use crate::params::SchemeType;
+use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::RnsPoly;
 use std::collections::HashMap;
 
@@ -28,23 +30,17 @@ const MAGIC: [u8; 4] = *b"CHO1";
 /// Magic tag for CKKS ciphertext frames.
 const CKKS_MAGIC: [u8; 4] = *b"CHO2";
 
-/// Magic tag for BFV key-bundle blobs.
-const BFV_KEYS_MAGIC: [u8; 4] = *b"CHB1";
-
-/// Magic tag for CKKS key-bundle blobs.
-const CKKS_KEYS_MAGIC: [u8; 4] = *b"CHB2";
-
-/// Magic tag for BFV relinearization-key blobs.
-const BFV_RELIN_MAGIC: [u8; 4] = *b"CHR1";
-
-/// Magic tag for CKKS relinearization-key blobs.
-const CKKS_RELIN_MAGIC: [u8; 4] = *b"CHR2";
-
-/// Magic tag for BFV Galois-key-set blobs.
-const BFV_GALOIS_MAGIC: [u8; 4] = *b"CHG1";
-
-/// Magic tag for CKKS Galois-key-set blobs.
-const CKKS_GALOIS_MAGIC: [u8; 4] = *b"CHG2";
+/// Magic of a key blob: `CH`, the kind (`B`undle, `R`elin, `G`alois), then
+/// `1` for BFV or `2` for CKKS — the only byte in which the two schemes'
+/// key wires differ.
+// choco-lint: ct-safe
+fn key_magic(kind: u8, scheme: SchemeType) -> [u8; 4] {
+    let scheme = match scheme {
+        SchemeType::Bfv => b'1',
+        SchemeType::Ckks => b'2',
+    };
+    [b'C', b'H', kind, scheme]
+}
 
 /// BFV header size in bytes (magic, parts, rows, degree).
 pub const HEADER_BYTES: usize = 16;
@@ -245,15 +241,35 @@ fn bad_keys(msg: &str) -> HeError {
     HeError::InvalidKeyMaterial(msg.into())
 }
 
-/// Shared key-bundle wire core: magic, secret-key rows (full basis), public
-/// rows (data basis), degree, then secret ‖ P0 ‖ P1 residues.
+/// Opens a key blob: checks the magic, leaves the reader at the header words.
 // choco-lint: ct-safe
-fn keys_to_bytes_impl(magic: [u8; 4], secret: &RnsPoly, p0: &RnsPoly, p1: &RnsPoly) -> Vec<u8> {
+fn open_key_blob(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, HeError> {
+    let mut r = Reader::new(bytes);
+    match r.take(4) {
+        Ok(m) if m == magic => Ok(r),
+        Ok(_) => Err(bad_keys("bad key-blob magic")),
+        Err(_) => Err(bad_keys("truncated key-blob header")),
+    }
+}
+
+/// Reads one `u32` header word of a key blob.
+// choco-lint: ct-safe
+fn header_word(r: &mut Reader<'_>) -> Result<usize, HeError> {
+    let word = r.u32().map_err(|_| bad_keys("truncated key-blob header"))?;
+    Ok(word as usize)
+}
+
+/// Serializes a secret/public key bundle (`CHB1` / `CHB2` blob): magic,
+/// secret-key rows (full basis), public rows (top basis), degree, then
+/// secret ‖ P0 ‖ P1 residues.
+// choco-lint: secret (public: scheme)
+pub fn keys_to_bytes(scheme: SchemeType, keys: &KeyBundle) -> Vec<u8> {
+    let (secret, p0, p1) = (&keys.secret.full, &keys.public.p0, &keys.public.p1);
     let full_rows = secret.row_count();
     let data_rows = p0.row_count();
     let n = secret.degree();
     let mut out = Vec::with_capacity(16 + (full_rows + 2 * data_rows) * n * 8);
-    out.extend_from_slice(&magic);
+    out.extend_from_slice(&key_magic(b'B', scheme));
     out.extend_from_slice(&(full_rows as u32).to_le_bytes());
     out.extend_from_slice(&(data_rows as u32).to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
@@ -263,27 +279,18 @@ fn keys_to_bytes_impl(magic: [u8; 4], secret: &RnsPoly, p0: &RnsPoly, p1: &RnsPo
     out
 }
 
+/// Deserializes a key bundle of the given scheme.
+///
+/// # Errors
+///
+/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
+/// blob of the other scheme. Never panics.
 // choco-lint: ct-safe
-fn keys_from_bytes_impl(
-    magic: [u8; 4],
-    bytes: &[u8],
-) -> Result<(RnsPoly, RnsPoly, RnsPoly), HeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)
-        .map_err(|_| bad_keys("truncated key-bundle header"))?
-        != magic
-    {
-        return Err(bad_keys("bad key-bundle magic"));
-    }
-    let full_rows = r
-        .u32()
-        .map_err(|_| bad_keys("truncated key-bundle header"))? as usize;
-    let data_rows = r
-        .u32()
-        .map_err(|_| bad_keys("truncated key-bundle header"))? as usize;
-    let n = r
-        .u32()
-        .map_err(|_| bad_keys("truncated key-bundle header"))? as usize;
+pub fn keys_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<KeyBundle, HeError> {
+    let mut r = open_key_blob(bytes, key_magic(b'B', scheme))?;
+    let full_rows = header_word(&mut r)?;
+    let data_rows = header_word(&mut r)?;
+    let n = header_word(&mut r)?;
     if full_rows == 0
         || full_rows > 33
         || data_rows == 0
@@ -298,56 +305,24 @@ fn keys_from_bytes_impl(
         return Err(bad_keys("key-bundle length mismatch"));
     }
     let read = |r: &mut Reader<'_>, rows: usize| -> Result<RnsPoly, HeError> {
-        read_polys(r, 1, rows, n)?
-            .pop()
-            .ok_or_else(|| bad_keys("missing key polynomial"))
+        read_polys(r, 1, rows, n)
+            .ok()
+            .and_then(|mut p| p.pop())
+            .ok_or_else(|| bad_keys("truncated key polynomial"))
     };
-    let secret = read(&mut r, full_rows).map_err(|_| bad_keys("truncated secret key"))?;
-    let p0 = read(&mut r, data_rows).map_err(|_| bad_keys("truncated public key"))?;
-    let p1 = read(&mut r, data_rows).map_err(|_| bad_keys("truncated public key"))?;
-    Ok((secret, p0, p1))
+    let full = read(&mut r, full_rows)?;
+    let p0 = read(&mut r, data_rows)?;
+    let p1 = read(&mut r, data_rows)?;
+    Ok(KeyBundle {
+        secret: SecretKey { full },
+        public: PublicKey { p0, p1 },
+    })
 }
 
-/// Serializes a BFV secret/public key bundle (`CHB1` blob).
-// choco-lint: secret (public: none)
-pub fn bfv_keys_to_bytes(keys: &bfv::KeyBundle) -> Vec<u8> {
-    let (p0, p1) = keys.public_key().parts();
-    keys_to_bytes_impl(BFV_KEYS_MAGIC, keys.secret_key().key_poly(), p0, p1)
-}
-
-/// Deserializes a BFV key bundle.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-// choco-lint: ct-safe
-pub fn bfv_keys_from_bytes(bytes: &[u8]) -> Result<bfv::KeyBundle, HeError> {
-    let (secret, p0, p1) = keys_from_bytes_impl(BFV_KEYS_MAGIC, bytes)?;
-    Ok(bfv::KeyBundle::from_keys(
-        bfv::SecretKey::from_poly(secret),
-        bfv::PublicKey::from_parts(p0, p1),
-    ))
-}
-
-/// Serializes a CKKS secret/public key bundle (`CHB2` blob).
-// choco-lint: secret (public: none)
-pub fn ckks_keys_to_bytes(keys: &ckks::CkksKeyBundle) -> Vec<u8> {
-    let (p0, p1) = keys.public_key().parts();
-    keys_to_bytes_impl(CKKS_KEYS_MAGIC, keys.secret_key().key_poly(), p0, p1)
-}
-
-/// Deserializes a CKKS key bundle.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-// choco-lint: ct-safe
-pub fn ckks_keys_from_bytes(bytes: &[u8]) -> Result<ckks::CkksKeyBundle, HeError> {
-    let (secret, p0, p1) = keys_from_bytes_impl(CKKS_KEYS_MAGIC, bytes)?;
-    Ok(ckks::CkksKeyBundle::from_keys(
-        ckks::CkksSecretKey::from_poly(secret),
-        ckks::CkksPublicKey::from_parts(p0, p1),
-    ))
+/// The `(digits, full prime count, degree)` header of a key-switching key.
+fn ksk_shape(ksk: &KswitchKey) -> (usize, usize, usize) {
+    let n = ksk.pairs().first().map_or(0, |(b, _)| b.degree());
+    (ksk.digit_count(), ksk.full_prime_count(), n)
 }
 
 /// Writes one key-switching key's digit pairs (`b_j` then `a_j`, per digit).
@@ -384,114 +359,71 @@ fn check_ksk_shape(digits: usize, fpc: usize, n: usize) -> Result<(), HeError> {
     Ok(())
 }
 
-fn relin_to_bytes_impl(magic: [u8; 4], ksk: &KswitchKey) -> Vec<u8> {
-    let digits = ksk.digit_count();
-    let fpc = ksk.full_prime_count();
-    let n = ksk.pairs()[0].0.degree();
+/// Serializes a relinearization key (`CHR1` / `CHR2` blob).
+pub fn relin_to_bytes(scheme: SchemeType, rk: &RelinKey) -> Vec<u8> {
+    let (digits, fpc, n) = ksk_shape(&rk.ksk);
     let mut out = Vec::with_capacity(16 + digits * 2 * fpc * n * 8);
-    out.extend_from_slice(&magic);
+    out.extend_from_slice(&key_magic(b'R', scheme));
     out.extend_from_slice(&(digits as u32).to_le_bytes());
     out.extend_from_slice(&(fpc as u32).to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    write_ksk_pairs(&mut out, ksk);
+    write_ksk_pairs(&mut out, &rk.ksk);
     out
 }
 
-fn relin_from_bytes_impl(magic: [u8; 4], bytes: &[u8]) -> Result<KswitchKey, HeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)
-        .map_err(|_| bad_keys("truncated relin-key header"))?
-        != magic
-    {
-        return Err(bad_keys("bad relin-key magic"));
-    }
-    let digits = r
-        .u32()
-        .map_err(|_| bad_keys("truncated relin-key header"))? as usize;
-    let fpc = r
-        .u32()
-        .map_err(|_| bad_keys("truncated relin-key header"))? as usize;
-    let n = r
-        .u32()
-        .map_err(|_| bad_keys("truncated relin-key header"))? as usize;
+/// Deserializes a relinearization key of the given scheme.
+///
+/// # Errors
+///
+/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
+/// blob of the other scheme. Never panics.
+pub fn relin_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<RelinKey, HeError> {
+    let mut r = open_key_blob(bytes, key_magic(b'R', scheme))?;
+    let digits = header_word(&mut r)?;
+    let fpc = header_word(&mut r)?;
+    let n = header_word(&mut r)?;
     check_ksk_shape(digits, fpc, n)?;
     let expect = 16 + digits * 2 * fpc * n * 8;
     if bytes.len() != expect {
         return Err(bad_keys("relin-key length mismatch"));
     }
-    read_ksk(&mut r, digits, fpc, n).map_err(|_| bad_keys("truncated relin-key payload"))
+    let ksk =
+        read_ksk(&mut r, digits, fpc, n).map_err(|_| bad_keys("truncated relin-key payload"))?;
+    Ok(RelinKey { ksk })
 }
 
-/// Serializes a BFV relinearization key (`CHR1` blob).
-pub fn bfv_relin_to_bytes(rk: &bfv::RelinKey) -> Vec<u8> {
-    relin_to_bytes_impl(BFV_RELIN_MAGIC, rk.ksk())
-}
-
-/// Deserializes a BFV relinearization key.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-pub fn bfv_relin_from_bytes(bytes: &[u8]) -> Result<bfv::RelinKey, HeError> {
-    Ok(bfv::RelinKey::from_ksk(relin_from_bytes_impl(
-        BFV_RELIN_MAGIC,
-        bytes,
-    )?))
-}
-
-/// Serializes a CKKS relinearization key (`CHR2` blob).
-pub fn ckks_relin_to_bytes(rk: &ckks::CkksRelinKey) -> Vec<u8> {
-    relin_to_bytes_impl(CKKS_RELIN_MAGIC, rk.ksk())
-}
-
-/// Deserializes a CKKS relinearization key.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-pub fn ckks_relin_from_bytes(bytes: &[u8]) -> Result<ckks::CkksRelinKey, HeError> {
-    Ok(ckks::CkksRelinKey::from_ksk(relin_from_bytes_impl(
-        CKKS_RELIN_MAGIC,
-        bytes,
-    )?))
-}
-
-/// Galois-key sets are written in **sorted element order**, so serialization
-/// is deterministic regardless of map iteration order — a requirement for
-/// bit-identical checkpoints.
-fn galois_header(magic: [u8; 4], count: usize, digits: usize, fpc: usize, n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + count * (8 + digits * 2 * fpc * n * 8));
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
+/// Serializes a Galois key set (`CHG1` / `CHG2` blob). Keys are written in
+/// **sorted element order**, so serialization is deterministic regardless
+/// of map iteration order — a requirement for bit-identical checkpoints.
+pub fn galois_to_bytes(scheme: SchemeType, gk: &GaloisKeys) -> Vec<u8> {
+    let mut keys: Vec<(&u64, &KswitchKey)> = gk.keys.iter().collect();
+    keys.sort_unstable_by_key(|(e, _)| **e);
+    let (digits, fpc, n) = keys.first().map_or((0, 0, 0), |(_, k)| ksk_shape(k));
+    let mut out = Vec::with_capacity(20 + keys.len() * (8 + digits * 2 * fpc * n * 8));
+    out.extend_from_slice(&key_magic(b'G', scheme));
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
     out.extend_from_slice(&(digits as u32).to_le_bytes());
     out.extend_from_slice(&(fpc as u32).to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
+    for (e, k) in keys {
+        out.extend_from_slice(&e.to_le_bytes());
+        write_ksk_pairs(&mut out, k);
+    }
     out
 }
 
-fn galois_from_bytes_impl(
-    magic: [u8; 4],
-    bytes: &[u8],
-) -> Result<HashMap<u64, KswitchKey>, HeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)
-        .map_err(|_| bad_keys("truncated galois-set header"))?
-        != magic
-    {
-        return Err(bad_keys("bad galois-set magic"));
-    }
-    let count = r
-        .u32()
-        .map_err(|_| bad_keys("truncated galois-set header"))? as usize;
-    let digits = r
-        .u32()
-        .map_err(|_| bad_keys("truncated galois-set header"))? as usize;
-    let fpc = r
-        .u32()
-        .map_err(|_| bad_keys("truncated galois-set header"))? as usize;
-    let n = r
-        .u32()
-        .map_err(|_| bad_keys("truncated galois-set header"))? as usize;
+/// Deserializes a Galois key set of the given scheme.
+///
+/// # Errors
+///
+/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
+/// blob of the other scheme. Never panics.
+pub fn galois_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<GaloisKeys, HeError> {
+    let mut r = open_key_blob(bytes, key_magic(b'G', scheme))?;
+    let count = header_word(&mut r)?;
+    let digits = header_word(&mut r)?;
+    let fpc = header_word(&mut r)?;
+    let n = header_word(&mut r)?;
     if count > 4096 {
         return Err(bad_keys("implausible galois-set size"));
     }
@@ -499,14 +431,16 @@ fn galois_from_bytes_impl(
         if bytes.len() != 20 || digits != 0 || fpc != 0 {
             return Err(bad_keys("malformed empty galois set"));
         }
-        return Ok(HashMap::new());
+        return Ok(GaloisKeys {
+            keys: HashMap::new(),
+        });
     }
     check_ksk_shape(digits, fpc, n)?;
     let expect = 20 + count * (8 + digits * 2 * fpc * n * 8);
     if bytes.len() != expect {
         return Err(bad_keys("galois-set length mismatch"));
     }
-    let mut map = HashMap::with_capacity(count);
+    let mut keys = HashMap::with_capacity(count);
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let elem = r.u64().map_err(|_| bad_keys("truncated galois element"))?;
@@ -515,77 +449,9 @@ fn galois_from_bytes_impl(
         }
         prev = Some(elem);
         let ksk = read_ksk(&mut r, digits, fpc, n).map_err(|_| bad_keys("truncated galois key"))?;
-        map.insert(elem, ksk);
+        keys.insert(elem, ksk);
     }
-    Ok(map)
-}
-
-/// Serializes a BFV Galois key set (`CHG1` blob), elements sorted.
-pub fn bfv_galois_to_bytes(gk: &bfv::GaloisKeys) -> Vec<u8> {
-    let elements = gk.elements();
-    let shape = elements.first().and_then(|&e| gk.key_for(e));
-    let (digits, fpc, n) = match shape {
-        Some(k) => (
-            k.digit_count(),
-            k.full_prime_count(),
-            k.pairs()[0].0.degree(),
-        ),
-        None => (0, 0, 0),
-    };
-    let mut out = galois_header(BFV_GALOIS_MAGIC, elements.len(), digits, fpc, n);
-    for &e in &elements {
-        if let Some(k) = gk.key_for(e) {
-            out.extend_from_slice(&e.to_le_bytes());
-            write_ksk_pairs(&mut out, k);
-        }
-    }
-    out
-}
-
-/// Deserializes a BFV Galois key set.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-pub fn bfv_galois_from_bytes(bytes: &[u8]) -> Result<bfv::GaloisKeys, HeError> {
-    Ok(bfv::GaloisKeys::from_map(galois_from_bytes_impl(
-        BFV_GALOIS_MAGIC,
-        bytes,
-    )?))
-}
-
-/// Serializes a CKKS Galois key set (`CHG2` blob), elements sorted.
-pub fn ckks_galois_to_bytes(gk: &ckks::CkksGaloisKeys) -> Vec<u8> {
-    let elements = gk.elements();
-    let shape = elements.first().and_then(|&e| gk.key_for(e));
-    let (digits, fpc, n) = match shape {
-        Some(k) => (
-            k.digit_count(),
-            k.full_prime_count(),
-            k.pairs()[0].0.degree(),
-        ),
-        None => (0, 0, 0),
-    };
-    let mut out = galois_header(CKKS_GALOIS_MAGIC, elements.len(), digits, fpc, n);
-    for &e in &elements {
-        if let Some(k) = gk.key_for(e) {
-            out.extend_from_slice(&e.to_le_bytes());
-            write_ksk_pairs(&mut out, k);
-        }
-    }
-    out
-}
-
-/// Deserializes a CKKS Galois key set.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs. Never panics.
-pub fn ckks_galois_from_bytes(bytes: &[u8]) -> Result<ckks::CkksGaloisKeys, HeError> {
-    Ok(ckks::CkksGaloisKeys::from_map(galois_from_bytes_impl(
-        CKKS_GALOIS_MAGIC,
-        bytes,
-    )?))
+    Ok(GaloisKeys { keys })
 }
 
 #[cfg(test)]
@@ -596,7 +462,7 @@ mod tests {
     use crate::params::HeParams;
     use choco_prng::Blake3Rng;
 
-    fn sample_ct() -> (BfvContext, crate::bfv::KeyBundle, Ciphertext) {
+    fn sample_ct() -> (BfvContext, KeyBundle, Ciphertext) {
         let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
         let ctx = BfvContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"serialize");
@@ -606,7 +472,7 @@ mod tests {
         (ctx, keys, ct)
     }
 
-    fn sample_ckks() -> (CkksContext, crate::ckks::CkksKeyBundle, CkksCiphertext) {
+    fn sample_ckks() -> (CkksContext, KeyBundle, CkksCiphertext) {
         let params = HeParams::ckks_insecure(256, &[45, 45, 46], 38).unwrap();
         let ctx = CkksContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"ckks serialize");
@@ -730,128 +596,173 @@ mod tests {
         assert!(ckks_ciphertext_from_bytes(&nan).is_err());
     }
 
-    #[test]
-    fn bfv_key_bundle_roundtrips_exactly() {
-        let (ctx, keys, ct) = sample_ct();
-        let bytes = bfv_keys_to_bytes(&keys);
-        let back = bfv_keys_from_bytes(&bytes).unwrap();
-        // Bit-exact re-serialization proves the round trip lost nothing.
-        assert_eq!(bfv_keys_to_bytes(&back), bytes);
-        // The restored secret key must decrypt ciphertexts made under the
-        // original bundle.
-        let out = ctx.decryptor(back.secret_key()).decrypt(&ct);
-        assert_eq!(out.coeffs()[5], 5);
+    const SCHEMES: [SchemeType; 2] = [SchemeType::Bfv, SchemeType::Ckks];
+
+    fn other(scheme: SchemeType) -> SchemeType {
+        match scheme {
+            SchemeType::Bfv => SchemeType::Ckks,
+            SchemeType::Ckks => SchemeType::Bfv,
+        }
+    }
+
+    /// One scheme's key material from its sample context: the bundle, a
+    /// relinearization key and Galois keys for `steps`.
+    fn key_material(scheme: SchemeType, steps: &[i64]) -> (KeyBundle, RelinKey, GaloisKeys) {
+        let mut rng = Blake3Rng::from_seed(b"serialize key material");
+        match scheme {
+            SchemeType::Bfv => {
+                let (ctx, keys, _) = sample_ct();
+                let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
+                let gk = ctx.galois_keys(keys.secret_key(), steps, &mut rng).unwrap();
+                (keys, rk, gk)
+            }
+            SchemeType::Ckks => {
+                let (ctx, keys, _) = sample_ckks();
+                let rk = ctx.relin_key(keys.secret_key(), &mut rng);
+                let gk = ctx.galois_keys(keys.secret_key(), steps, &mut rng).unwrap();
+                (keys, rk, gk)
+            }
+        }
+    }
+
+    /// A key-wire decoder with its output dropped.
+    type Decoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
+
+    /// The three key blobs of one scheme, each with its decoder.
+    fn key_blobs(scheme: SchemeType) -> [(Vec<u8>, Decoder); 3] {
+        let (keys, rk, gk) = key_material(scheme, &[1, 2]);
+        [
+            (keys_to_bytes(scheme, &keys), |s, b| {
+                keys_from_bytes(s, b).map(drop)
+            }),
+            (relin_to_bytes(scheme, &rk), |s, b| {
+                relin_from_bytes(s, b).map(drop)
+            }),
+            (galois_to_bytes(scheme, &gk), |s, b| {
+                galois_from_bytes(s, b).map(drop)
+            }),
+        ]
     }
 
     #[test]
-    fn ckks_key_bundle_roundtrips_exactly() {
-        let (ctx, keys, ct) = sample_ckks();
-        let bytes = ckks_keys_to_bytes(&keys);
-        let back = ckks_keys_from_bytes(&bytes).unwrap();
-        assert_eq!(ckks_keys_to_bytes(&back), bytes);
-        let out = ctx.decode(&ctx.decrypt(&ct, back.secret_key()));
-        assert!((out[8] - 1.0).abs() < 1e-2);
+    fn key_bundle_roundtrips_exactly() {
+        for scheme in SCHEMES {
+            let (keys, _, _) = key_material(scheme, &[]);
+            let bytes = keys_to_bytes(scheme, &keys);
+            let back = keys_from_bytes(scheme, &bytes).unwrap();
+            // Bit-exact re-serialization proves the round trip lost nothing.
+            assert_eq!(keys_to_bytes(scheme, &back), bytes);
+            // The restored secret key must decrypt ciphertexts made under
+            // the original bundle.
+            match scheme {
+                SchemeType::Bfv => {
+                    let (ctx, _, ct) = sample_ct();
+                    let out = ctx.decryptor(back.secret_key()).decrypt(&ct);
+                    assert_eq!(out.coeffs()[5], 5);
+                }
+                SchemeType::Ckks => {
+                    let (ctx, _, ct) = sample_ckks();
+                    let out = ctx.decode(&ctx.decrypt(&ct, back.secret_key()));
+                    assert!((out[8] - 1.0).abs() < 1e-2);
+                }
+            }
+        }
     }
 
     #[test]
     fn relin_keys_roundtrip_and_still_relinearize() {
-        let (ctx, keys, ct) = sample_ct();
-        let mut rng = Blake3Rng::from_seed(b"serialize rk");
-        let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
-        let bytes = bfv_relin_to_bytes(&rk);
-        let back = bfv_relin_from_bytes(&bytes).unwrap();
-        assert_eq!(bfv_relin_to_bytes(&back), bytes);
-        let sq = ctx.evaluator().multiply_relin(&ct, &ct, &back).unwrap();
-        assert_eq!(sq.size(), 2);
-
-        let (ckks_ctx, ckks_keys, _) = sample_ckks();
-        let mut rng = Blake3Rng::from_seed(b"ckks serialize rk");
-        let crk = ckks_ctx.relin_key(ckks_keys.secret_key(), &mut rng);
-        let cbytes = ckks_relin_to_bytes(&crk);
-        let cback = ckks_relin_from_bytes(&cbytes).unwrap();
-        assert_eq!(ckks_relin_to_bytes(&cback), cbytes);
+        for scheme in SCHEMES {
+            let (_, rk, _) = key_material(scheme, &[]);
+            let bytes = relin_to_bytes(scheme, &rk);
+            let back = relin_from_bytes(scheme, &bytes).unwrap();
+            assert_eq!(relin_to_bytes(scheme, &back), bytes);
+            match scheme {
+                SchemeType::Bfv => {
+                    let (ctx, _, ct) = sample_ct();
+                    let sq = ctx.evaluator().multiply_relin(&ct, &ct, &back).unwrap();
+                    assert_eq!(sq.size(), 2);
+                }
+                SchemeType::Ckks => {
+                    let (ctx, _, ct) = sample_ckks();
+                    assert_eq!(ctx.multiply_relin(&ct, &ct, &back).unwrap().size(), 2);
+                }
+            }
+        }
     }
 
     #[test]
     fn galois_keys_roundtrip_sorted_and_deterministic() {
-        let (ctx, keys, ct) = sample_ct();
-        let mut rng = Blake3Rng::from_seed(b"serialize gk");
-        let gk = ctx
-            .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
-            .unwrap();
-        let bytes = bfv_galois_to_bytes(&gk);
-        let back = bfv_galois_from_bytes(&bytes).unwrap();
-        assert_eq!(back.elements(), gk.elements());
-        // Serialization is sorted-by-element, so it is deterministic even
-        // though the underlying storage is a HashMap.
-        assert_eq!(bfv_galois_to_bytes(&back), bytes);
-        let rotated = ctx.evaluator().rotate_rows(&ct, 1, &back).unwrap();
-        assert_eq!(rotated.size(), 2);
+        for scheme in SCHEMES {
+            let (_, _, gk) = key_material(scheme, &[1, 3, -2]);
+            let bytes = galois_to_bytes(scheme, &gk);
+            let back = galois_from_bytes(scheme, &bytes).unwrap();
+            assert_eq!(back.elements(), gk.elements());
+            // Serialization is sorted-by-element, so it is deterministic
+            // even though the underlying storage is a HashMap.
+            assert_eq!(galois_to_bytes(scheme, &back), bytes);
+            match scheme {
+                SchemeType::Bfv => {
+                    let (ctx, _, ct) = sample_ct();
+                    let rotated = ctx.evaluator().rotate_rows(&ct, 1, &back).unwrap();
+                    assert_eq!(rotated.size(), 2);
+                }
+                SchemeType::Ckks => {
+                    let (ctx, _, ct) = sample_ckks();
+                    assert_eq!(ctx.rotate(&ct, 1, &back).unwrap().size(), 2);
+                }
+            }
+        }
     }
 
     #[test]
     fn empty_galois_set_roundtrips() {
-        // CKKS sessions constructed with no rotation steps carry a genuinely
+        // Sessions constructed with no rotation steps carry a genuinely
         // empty Galois set; the wire format must survive that shape.
-        let (ckks_ctx, ckks_keys, _) = sample_ckks();
-        let mut rng = Blake3Rng::from_seed(b"ckks serialize gk");
-        let cgk = ckks_ctx.galois_keys(ckks_keys.secret_key(), &[], &mut rng);
-        let cbytes = ckks_galois_to_bytes(&cgk);
-        assert_eq!(cbytes.len(), 20);
-        let cback = ckks_galois_from_bytes(&cbytes).unwrap();
-        assert!(cback.elements().is_empty());
-        assert_eq!(ckks_galois_to_bytes(&cback), cbytes);
-        // Non-empty CKKS sets round-trip too.
-        let full = ckks_ctx.galois_keys(ckks_keys.secret_key(), &[1, 4], &mut rng);
-        let fbytes = ckks_galois_to_bytes(&full);
-        let fback = ckks_galois_from_bytes(&fbytes).unwrap();
-        assert_eq!(fback.elements(), full.elements());
-        assert_eq!(ckks_galois_to_bytes(&fback), fbytes);
+        for scheme in SCHEMES {
+            let empty = GaloisKeys {
+                keys: HashMap::new(),
+            };
+            let bytes = galois_to_bytes(scheme, &empty);
+            assert_eq!(bytes.len(), 20);
+            let back = galois_from_bytes(scheme, &bytes).unwrap();
+            assert!(back.elements().is_empty());
+            assert_eq!(galois_to_bytes(scheme, &back), bytes);
+        }
     }
 
     #[test]
     fn rejects_malformed_key_material() {
-        let (ctx, keys, _) = sample_ct();
-        let mut rng = Blake3Rng::from_seed(b"serialize reject");
-        let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
-        let gk = ctx
-            .galois_keys(keys.secret_key(), &[1, 2], &mut rng)
-            .unwrap();
-        let blobs: Vec<Vec<u8>> = vec![
-            bfv_keys_to_bytes(&keys),
-            bfv_relin_to_bytes(&rk),
-            bfv_galois_to_bytes(&gk),
-        ];
-        let parsers: Vec<fn(&[u8]) -> bool> = vec![
-            |b| bfv_keys_from_bytes(b).is_err(),
-            |b| bfv_relin_from_bytes(b).is_err(),
-            |b| bfv_galois_from_bytes(b).is_err(),
-        ];
-        for (blob, rejects) in blobs.iter().zip(&parsers) {
-            // Bad magic.
-            let mut bad = blob.clone();
-            bad[0] = b'X';
-            assert!(rejects(&bad));
-            // Truncations at several cut points — typed error, never a panic.
-            for cut in [0, 3, blob.len() / 2, blob.len() - 1] {
-                assert!(rejects(&blob[..cut]));
+        let bad = |r: Result<(), HeError>| matches!(r, Err(HeError::InvalidKeyMaterial(_)));
+        for scheme in SCHEMES {
+            for (blob, decode) in key_blobs(scheme) {
+                assert_eq!(decode(scheme, &blob), Ok(()));
+                // Bad magic.
+                let mut wrong = blob.clone();
+                wrong[0] = b'X';
+                assert!(bad(decode(scheme, &wrong)));
+                // One decoder serves both schemes: the other scheme's blob
+                // (`CHG1` to the CKKS decoder, `CHB2` to the BFV one, …) is
+                // refused, never accepted.
+                assert!(bad(decode(other(scheme), &blob)));
+                // Truncations at several cut points — typed error, never a
+                // panic.
+                for cut in [0, 3, blob.len() / 2, blob.len() - 1] {
+                    assert!(bad(decode(scheme, &blob[..cut])));
+                }
+                // Trailing garbage fails the exact-length check.
+                let mut long = blob.clone();
+                long.push(0);
+                assert!(bad(decode(scheme, &long)));
+                // Implausible header shape.
+                let mut weird = blob.clone();
+                weird[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+                assert!(bad(decode(scheme, &weird)));
             }
-            // Trailing garbage fails the exact-length check.
-            let mut long = blob.clone();
-            long.push(0);
-            assert!(rejects(&long));
-            // Implausible header shape.
-            let mut weird = blob.clone();
-            weird[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(rejects(&weird));
+            // Galois elements must be strictly increasing (sorted + deduped).
+            let [_, _, (mut unsorted, decode)] = key_blobs(scheme);
+            // Swap the first element id for u64::MAX so ordering breaks later.
+            unsorted[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(bad(decode(scheme, &unsorted)));
         }
-        // Wrong-scheme magic: a BFV bundle must not parse as CKKS.
-        assert!(ckks_keys_from_bytes(&bfv_keys_to_bytes(&keys)).is_err());
-        // Galois elements must be strictly increasing (sorted + deduped).
-        let gbytes = bfv_galois_to_bytes(&gk);
-        let mut unsorted = gbytes.clone();
-        // Swap the first element id for u64::MAX so ordering breaks later.
-        unsorted[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(bfv_galois_from_bytes(&unsorted).is_err());
     }
 }

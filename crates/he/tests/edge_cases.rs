@@ -2,6 +2,7 @@
 //! exhausted budgets, cross-context misuse, and boundary plaintexts.
 
 use choco_he::bfv::{BfvContext, Plaintext};
+use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::params::HeParams;
 use choco_he::HeError;
 use choco_prng::Blake3Rng;
@@ -200,4 +201,156 @@ fn relin_key_size_accounting() {
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     // 2 digits × 2 polys × 3 full-basis residues × 512 coeffs × 8 B.
     assert_eq!(rk.size_bytes(), 2 * 2 * 3 * 512 * 8);
+}
+
+fn ckks_ctx() -> CkksContext {
+    let params = HeParams::ckks_insecure(512, &[45, 45, 45, 46], 30).unwrap();
+    CkksContext::new(&params).unwrap()
+}
+
+/// Steps that name no rotation at ring degree 512: zero, `±N/2`, beyond,
+/// and `i64::MIN` (which has no absolute value).
+const BAD_STEPS: [i64; 6] = [0, 256, -256, 300, i64::MAX, i64::MIN];
+
+#[test]
+fn out_of_range_rotation_steps_are_clean_errors_bfv() {
+    // Steps arrive in wire programs; a bad one must be refused, not panic.
+    let ctx = ctx();
+    let mut rng = Blake3Rng::from_seed(b"bad steps");
+    let keys = ctx.keygen(&mut rng);
+    let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
+    let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
+    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let eval = ctx.evaluator();
+    let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
+    for step in BAD_STEPS {
+        assert!(bad(eval.rotate_rows(&ct, step, &gks).unwrap_err()));
+        assert!(bad(eval
+            .rotate_rows_many(&ct, &[1, step], &gks)
+            .unwrap_err()));
+        assert!(bad(ctx
+            .galois_keys(keys.secret_key(), &[1, step], &mut rng)
+            .unwrap_err()));
+        // Step 0 means "the ciphertext itself" to the fused dot.
+        if step != 0 {
+            let pairs = [(step, pt.clone())];
+            assert!(bad(eval
+                .dot_rotations_plain(&ct, &pairs, &gks)
+                .unwrap_err()));
+        }
+    }
+    assert!(eval.rotate_rows(&ct, 1, &gks).is_ok());
+}
+
+#[test]
+fn out_of_range_rotation_steps_are_clean_errors_ckks() {
+    let ctx = ckks_ctx();
+    let mut rng = Blake3Rng::from_seed(b"bad steps ckks");
+    let keys = ctx.keygen(&mut rng);
+    let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
+    let ct = ctx
+        .encrypt(&ctx.encode(&[1.0]).unwrap(), keys.public_key(), &mut rng)
+        .unwrap();
+    let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
+    for step in BAD_STEPS {
+        assert!(bad(ctx.rotate(&ct, step, &gks).unwrap_err()));
+        assert!(bad(ctx.rotate_many(&ct, &[1, step], &gks).unwrap_err()));
+        assert!(bad(ctx
+            .galois_keys(keys.secret_key(), &[1, step], &mut rng)
+            .unwrap_err()));
+    }
+    assert!(ctx.rotate(&ct, 1, &gks).is_ok());
+}
+
+#[test]
+fn mixed_level_and_mixed_size_operands_are_clean_errors_bfv() {
+    // A 1-residue or 3-component ciphertext parses off the wire: add, sub
+    // and rotations must refuse the combinations they cannot serve.
+    let ctx = ctx();
+    let mut rng = Blake3Rng::from_seed(b"mixed bfv");
+    let keys = ctx.keygen(&mut rng);
+    let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
+    let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
+    let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
+    let full = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let eval = ctx.evaluator();
+    let low = eval.mod_switch_to_next(&full).unwrap();
+    let three = eval.multiply(&full, &full).unwrap();
+    let mismatch = |e: HeError| matches!(e, HeError::Mismatch(_));
+    for (a, b) in [
+        (&low, &full),
+        (&full, &low),
+        (&three, &full),
+        (&full, &three),
+    ] {
+        assert!(mismatch(eval.add(a, b).unwrap_err()));
+        assert!(mismatch(eval.sub(a, b).unwrap_err()));
+    }
+    // Both at the same lower level is ordinary arithmetic.
+    let dec = ctx.decryptor(keys.secret_key());
+    let sum = eval.add(&low, &low).unwrap();
+    assert!(dec.decrypt(&sum).coeffs().iter().all(|&c| c == 4));
+    let diff = eval.sub(&sum, &low).unwrap();
+    assert!(dec.decrypt(&diff).coeffs().iter().all(|&c| c == 2));
+    // Key switching exists at the full data modulus only.
+    assert!(mismatch(eval.rotate_rows(&low, 1, &gks).unwrap_err()));
+    assert!(mismatch(eval.rotate_columns(&low, &gks).unwrap_err()));
+    assert!(mismatch(
+        eval.rotate_rows_many(&low, &[1], &gks).unwrap_err()
+    ));
+    let low_three = eval.mod_switch_to_next(&three).unwrap();
+    assert!(mismatch(eval.relinearize(&low_three, &rk).unwrap_err()));
+}
+
+#[test]
+fn mixed_level_and_mixed_size_operands_are_clean_errors_ckks() {
+    let ctx = ckks_ctx();
+    let mut rng = Blake3Rng::from_seed(b"mixed ckks");
+    let keys = ctx.keygen(&mut rng);
+    let two = ctx
+        .encrypt(&ctx.encode(&[1.5]).unwrap(), keys.public_key(), &mut rng)
+        .unwrap();
+    // A 3-component CKKS ciphertext never comes out of the evaluator
+    // (multiply relinearizes at once) but parses off the wire.
+    let parts = vec![
+        two.part(0).clone(),
+        two.part(1).clone(),
+        two.part(1).clone(),
+    ];
+    let three = CkksCiphertext::from_parts(parts, two.level(), two.scale());
+    let low = ctx.mod_switch_to(&two, 2).unwrap();
+    let mismatch = |e: HeError| matches!(e, HeError::Mismatch(_));
+    for (a, b) in [(&three, &two), (&two, &three), (&low, &two), (&two, &low)] {
+        assert!(mismatch(ctx.add(a, b).unwrap_err()));
+        assert!(mismatch(ctx.sub(a, b).unwrap_err()));
+    }
+    // A level that lies about its rows (hand-built; the wire parser ties
+    // the two) is caught by the same check.
+    let lying = CkksCiphertext::from_parts(
+        vec![low.part(0).clone(), low.part(1).clone()],
+        3,
+        two.scale(),
+    );
+    assert!(mismatch(ctx.add(&lying, &two).unwrap_err()));
+    // Both low is ordinary arithmetic.
+    let sum = ctx.add(&low, &low).unwrap();
+    let out = ctx.decode(&ctx.decrypt(&ctx.sub(&sum, &low).unwrap(), keys.secret_key()));
+    assert!((out[0] - 1.5).abs() < 1e-3);
+}
+
+#[test]
+fn a_rotation_step_listed_twice_is_keyed_once() {
+    // CKKS hands its steps over in caller order, duplicates included; the
+    // second occurrence must neither draw from the RNG nor replace the key.
+    let ctx = ckks_ctx();
+    let keygen = |steps: &[i64]| {
+        let mut rng = Blake3Rng::from_seed(b"dup steps");
+        let keys = ctx.keygen(&mut rng);
+        let gks = ctx.galois_keys(keys.secret_key(), steps, &mut rng).unwrap();
+        (
+            choco_he::serialize::galois_to_bytes(choco_he::SchemeType::Ckks, &gks),
+            rng.next_u64(),
+        )
+    };
+    assert!(keygen(&[1, 2, 1]) == keygen(&[1, 2]));
 }

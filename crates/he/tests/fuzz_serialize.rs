@@ -5,15 +5,18 @@
 //! mangle reaches them verbatim. The contract is *never panic* — every
 //! mutated frame either fails with a typed [`HeError`] or parses as some
 //! well-formed ciphertext (semantic integrity is the transport tag's job,
-//! one layer up).
+//! one layer up). Key blobs (bundle, relinearization key, Galois set) go
+//! through one decoder per kind for both schemes, so both schemes' blobs are
+//! driven through each from one table.
 
 use choco_he::bfv::{BfvContext, Plaintext};
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
 use choco_he::serialize::{
     ciphertext_from_bytes, ciphertext_to_bytes, ckks_ciphertext_from_bytes,
-    ckks_ciphertext_to_bytes,
+    ckks_ciphertext_to_bytes, galois_from_bytes, keys_from_bytes, relin_from_bytes,
 };
+use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
 use choco_prng::Blake3Rng;
 use choco_quickprop::{run_cases, Gen};
 
@@ -114,5 +117,76 @@ fn truncations_always_yield_typed_errors() {
             ckks_ciphertext_from_bytes(&frame[..len]).is_err(),
             "ckks prefix of {len} bytes parsed"
         );
+    }
+}
+
+/// A key-wire decoder with its output dropped.
+type KeyDecoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
+
+/// One scheme's three key blobs, each with the decoder that reads it.
+fn key_blobs<S: HeScheme>(params: &HeParams) -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
+    let ctx = S::context(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"fuzz serialize keys");
+    let keys = S::keygen(&ctx, &mut rng);
+    let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
+    let gk = S::galois_keys(&ctx, &keys, &[1, 2], &mut rng).unwrap();
+    vec![
+        (S::SCHEME, S::keys_to_wire(&keys), |s, b| {
+            keys_from_bytes(s, b).map(drop)
+        }),
+        (S::SCHEME, S::relin_to_wire(&rk), |s, b| {
+            relin_from_bytes(s, b).map(drop)
+        }),
+        (S::SCHEME, S::galois_to_wire(&gk), |s, b| {
+            galois_from_bytes(s, b).map(drop)
+        }),
+    ]
+}
+
+/// Both schemes' key blobs: the table every key-wire property runs over.
+fn all_key_blobs() -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
+    let bfv = HeParams::bfv_insecure(64, &[40, 40, 41], 14).unwrap();
+    let ckks = HeParams::ckks_insecure(64, &[45, 45, 46], 38).unwrap();
+    let mut table = key_blobs::<Bfv>(&bfv);
+    table.extend(key_blobs::<Ckks>(&ckks));
+    table
+}
+
+#[test]
+fn key_decoders_never_panic_and_answer_only_typed_key_errors() {
+    for (scheme, blob, decode) in all_key_blobs() {
+        assert_eq!(decode(scheme, &blob), Ok(()));
+        run_cases("key blob mutation fuzz", 128, |g| {
+            let bytes = mutate(g, &blob);
+            for s in [SchemeType::Bfv, SchemeType::Ckks] {
+                if let Err(e) = decode(s, &bytes) {
+                    assert!(matches!(e, HeError::InvalidKeyMaterial(_)), "{e}");
+                }
+            }
+        });
+        // Every strict prefix fails cleanly.
+        for len in (0..blob.len())
+            .step_by(97)
+            .chain(blob.len() - 24..blob.len())
+        {
+            assert!(decode(scheme, &blob[..len]).is_err(), "prefix {len} parsed");
+        }
+    }
+}
+
+#[test]
+fn a_key_blob_of_one_scheme_is_never_accepted_as_the_others() {
+    // One decoder serves both schemes, so the scheme byte of the magic is
+    // the only thing between a `CHG1` blob and the CKKS decoder (or a
+    // `CHB2` blob and the BFV one).
+    for (scheme, blob, decode) in all_key_blobs() {
+        let other = match scheme {
+            SchemeType::Bfv => SchemeType::Ckks,
+            SchemeType::Ckks => SchemeType::Bfv,
+        };
+        assert!(matches!(
+            decode(other, &blob),
+            Err(HeError::InvalidKeyMaterial(_))
+        ));
     }
 }

@@ -6,6 +6,7 @@ use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
 use choco_he::rnspoly::RnsPoly;
 use choco_he::serialize::ciphertext_to_bytes;
+use choco_he::{Bfv, Ckks, HeScheme};
 use choco_prng::Blake3Rng;
 use choco_quickprop::run_cases;
 
@@ -455,4 +456,144 @@ fn rns_multiply_and_decrypt_match_reference_set_a() {
 #[test]
 fn rns_multiply_and_decrypt_match_reference_set_b() {
     assert_rns_paths_match_the_big_integer_reference(&HeParams::set_b(), "set B");
+}
+
+/// Short hex BLAKE3 digest of the concatenated wire blobs.
+fn digest(blobs: &[&[u8]]) -> String {
+    let mut h = choco_prng::blake3::Hasher::new();
+    for b in blobs {
+        h.update(b);
+    }
+    let hash = h.finalize();
+    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Digests of everything a session persists or replays, from one fixed
+/// seed: the three key wires (Galois steps `[1, 3, −2]`), a fresh
+/// encryption, and the wires of `rotate(3)`, the hoisted many-rotation,
+/// `add`, `sub` and `multiply_relin`. The two operations `HeScheme` does
+/// not carry come in as closures.
+fn wire_digests<S: HeScheme>(
+    params: &HeParams,
+    values: [Vec<S::Value>; 2],
+    rotate_many: impl Fn(&S::Context, &S::Ciphertext, &S::GaloisKeys) -> Vec<S::Ciphertext>,
+    multiply_relin: impl Fn(&S::Context, [&S::Ciphertext; 2], &S::RelinKey) -> S::Ciphertext,
+) -> [String; 7] {
+    let ctx = S::context(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
+    let keys = S::keygen(&ctx, &mut rng);
+    let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
+    let gk = S::galois_keys(&ctx, &keys, &[1, 3, -2], &mut rng).unwrap();
+    let a = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
+    let b = S::encrypt(&ctx, &keys, &values[1], &mut rng).unwrap();
+    let many = rotate_many(&ctx, &a, &gk);
+    let many: Vec<Vec<u8>> = many.iter().map(S::ct_to_wire).collect();
+    let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
+    [
+        digest(&[
+            &S::keys_to_wire(&keys),
+            &S::relin_to_wire(&rk),
+            &S::galois_to_wire(&gk),
+        ]),
+        digest(&[&S::ct_to_wire(&a)]),
+        digest(&[&S::ct_to_wire(&S::rotate(&ctx, &a, 3, &gk).unwrap())]),
+        digest(&many),
+        digest(&[&S::ct_to_wire(&S::add(&ctx, &a, &b).unwrap())]),
+        digest(&[&S::ct_to_wire(&S::sub(&ctx, &a, &b).unwrap())]),
+        digest(&[&S::ct_to_wire(&multiply_relin(&ctx, [&a, &b], &rk))]),
+    ]
+}
+
+fn bfv_wire_digests(params: &HeParams) -> [String; 7] {
+    let t = params.plain_modulus();
+    let n = params.degree() as u64;
+    wire_digests::<Bfv>(
+        params,
+        [
+            (0..n).map(|i| i * 7 % t).collect(),
+            (0..n).map(|i| (i * i + 3) % t).collect(),
+        ],
+        |ctx, ct, gk| {
+            let eval = ctx.evaluator();
+            eval.rotate_rows_many(ct, &[1, 3, -2], gk).unwrap()
+        },
+        |ctx, [a, b], rk| ctx.evaluator().multiply_relin(a, b, rk).unwrap(),
+    )
+}
+
+fn ckks_wire_digests(params: &HeParams) -> [String; 7] {
+    let slots = params.degree() / 2;
+    wire_digests::<Ckks>(
+        params,
+        [
+            (0..slots).map(|i| (i % 17) as f64 / 4.0).collect(),
+            (0..slots).map(|i| 2.0 - (i % 5) as f64).collect(),
+        ],
+        |ctx, ct, gk| ctx.rotate_many(ct, &[1, 3, -2], gk).unwrap(),
+        |ctx, [a, b], rk| ctx.multiply_relin(a, b, rk).unwrap(),
+    )
+}
+
+/// Persisted key material and replayed encryptions must not change from one
+/// build to the next: a checkpoint written by an older build resumes on this
+/// one. The digests below were recorded on the commit before BFV and CKKS
+/// were moved onto the shared `rlwe` core (this test, unchanged, passed
+/// there); a change to RNG draw order, operation order or a wire layout
+/// moves them. Re-record them only for a change that means to break that
+/// compatibility, and say so.
+#[test]
+fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
+    // keys ‖ relin ‖ galois, fresh, rotate(3), rotate-many, add, sub,
+    // multiply_relin — at the N = 1024 shapes `apps::remote` pins and at
+    // paper sets A and C.
+    let bfv_1024 = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+    let ckks_1024 = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+    assert_eq!(
+        bfv_wire_digests(&bfv_1024),
+        [
+            "5ac09d871b9190b0",
+            "67dfee1749bfaf94",
+            "f036aa7c52d87815",
+            "29517e00754cec55",
+            "78be086e40a1a59b",
+            "d3eb3430d26604a0",
+            "fa9b7cd6039b5222"
+        ]
+    );
+    assert_eq!(
+        bfv_wire_digests(&HeParams::set_a()),
+        [
+            "bb9b6ec9003555bd",
+            "9f4c82ec9e51b9e4",
+            "7fa09bace1c3eb8f",
+            "1d79a540ef8830f5",
+            "018c31680dac43ab",
+            "d2516ab964fa8eb8",
+            "6405109bdca112a0"
+        ]
+    );
+    assert_eq!(
+        ckks_wire_digests(&ckks_1024),
+        [
+            "5680516af1659e0c",
+            "3a898403e83d6610",
+            "fbcebc1ca0ca55b4",
+            "d8b46e3e6bc232a9",
+            "fb36894b18e35b9e",
+            "c5ae99831bd7407f",
+            "5654e1c772e49440"
+        ]
+    );
+    assert_eq!(
+        ckks_wire_digests(&HeParams::set_c()),
+        [
+            "ebb38a27f73b2d05",
+            "3f282289bc997eee",
+            "b579db808932d901",
+            "d80424af9dcf005c",
+            "431367c6565aed69",
+            "da946f4c0d5c032f",
+            "f44806e07411cc4f"
+        ]
+    );
 }

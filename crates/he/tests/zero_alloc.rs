@@ -73,7 +73,9 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
     let mut crng = Blake3Rng::from_seed(b"zero-alloc-ckks");
     let ckeys = cctx.keygen(&mut crng);
     let crk = cctx.relin_key(ckeys.secret_key(), &mut crng);
-    let cgks = cctx.galois_keys(ckeys.secret_key(), &[1, 2], &mut crng);
+    let cgks = cctx
+        .galois_keys(ckeys.secret_key(), &[1, 2], &mut crng)
+        .unwrap();
     let vals: Vec<f64> = (0..cctx.slot_count())
         .map(|i| (i % 7) as f64 / 8.0)
         .collect();

@@ -383,3 +383,49 @@ fn drain_mid_batch_delivers_results_before_persisting_records() {
     assert_eq!(book.upload_bytes, ledger.upload_bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A wire program whose rotation step names no rotation at the session's
+/// ring degree (`|step| ≥ N/2`, or `i64::MIN`) is refused with a typed
+/// `execution failed` error, not a dropped connection — and the same
+/// connection goes on serving.
+fn assert_bad_rotation_step_is_refused<S: choco::compiler::CompilerScheme>(scheme: SchemeType) {
+    let (server, addr) = bind(ServeConfig::default(), 1);
+    let params = workload_params(scheme).unwrap();
+    let rotate_by = |name: &'static str, step: i64| {
+        let mut program = choco::compiler::Program::new();
+        let x = program.input("x");
+        let y = program.rotate(x, step);
+        program.output(y);
+        let circuit = WorkloadCircuit {
+            name,
+            program,
+            galois_steps: vec![1],
+        };
+        RemoteWorkload::<S>::prepare(&circuit, &params, b"bad rotation step").unwrap()
+    };
+    let good = rotate_by("rotate by 1", 1);
+    let mut client = connect::<S>(&addr, 1, &good);
+    for step in [600, -512, i64::MIN] {
+        let bad = rotate_by("rotate out of range", step);
+        match client.evaluate(&bad.prepared, &bad.input_refs()) {
+            Err(choco::transport::TransportError::Rejected(m)) => {
+                assert!(m.contains("execution failed"), "step {step}: {m}")
+            }
+            other => panic!("step {step}: expected a typed refusal, got {other:?}"),
+        }
+        let served = client.evaluate(&good.prepared, &good.input_refs());
+        let served = served.unwrap_or_else(|e| panic!("step {step}: connection lost: {e}"));
+        assert_eq!(wires::<S>(&served), good.local_output_wires().unwrap());
+    }
+    let stats = server.shutdown();
+    assert_eq!(
+        stats.eval.isolation.faults, 3,
+        "one isolated fault per bad program"
+    );
+}
+
+#[test]
+fn out_of_range_rotation_step_is_a_typed_refusal_on_a_live_connection() {
+    assert_bad_rotation_step_is_refused::<Bfv>(SchemeType::Bfv);
+    assert_bad_rotation_step_is_refused::<Ckks>(SchemeType::Ckks);
+}
