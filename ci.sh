@@ -81,37 +81,29 @@ echo "==> loopback serve smoke: real server process + load generator"
 # guards CI against a hung accept loop or a drain that never converges.
 timeout 120 ./scripts/serve_smoke.sh
 
-echo "==> remote-eval batching gate: pipelined batches vs sequential round trips"
-# The batching scheduler must coalesce a pipelined batch of 4 evaluate
-# requests into shared kernel dispatches and beat 4 sequential round trips
-# on throughput. The report (same shape as the committed BENCH_serve.json)
-# must show a clean run — zero failed clients, zero server-side eval
-# errors — and, when the host has the cores to fan a batch out (>= 4), a
-# >= 2.0x throughput speedup. On starved runners the ratio is reported
-# but not asserted (the parallel dispatch has nothing to run on). The run
-# uses the default thread count: batch members are `par` pool tasks, so
-# pinning one thread would serialize the batch.
+echo "==> remote-eval batching gate: a pipelined batch is one dispatch, a lone request is its own"
+# One client alternates 4 sequential evaluate round trips with one pipelined
+# `evaluate_batch` of 4, three times, after one warm-up request. What must
+# stay true is counted, not timed: every pipelined batch runs as exactly one
+# dispatch of 4 and every lone request as a dispatch of its own — 25
+# requests in 1 + 3 x (4 + 1) = 16 batches, 12 of them coalesced, none
+# larger than 4 — with zero failed clients and zero server-side eval
+# errors. The batched/sequential throughput ratio is printed, not gated: a
+# sequential round trip no longer pays a fixed wait, so the ratio is what
+# the host's cores make of a batch of 4 and nothing else. The run uses the
+# default thread count: batch members are `par` pool tasks.
 # --faults additionally sweeps the fault-injection kinds (clean baseline,
 # bisected poison, shed deadline) against dedicated chaos servers; a
 # result that differs from the local reference fails the run.
 timeout 300 ./target/release/choco-serve-bench \
-    --smoke --batch 4 --faults --json /tmp/bench_serve_batch.json
-grep -q '"failed_clients": 0' /tmp/bench_serve_batch.json \
-    || { cat /tmp/bench_serve_batch.json; echo "ci: batch bench had failed clients"; exit 1; }
-grep -q '"errors": 0' /tmp/bench_serve_batch.json \
-    || { cat /tmp/bench_serve_batch.json; echo "ci: server reported eval errors"; exit 1; }
-grep -q '"wrong_results": 0' /tmp/bench_serve_batch.json \
-    || { cat /tmp/bench_serve_batch.json; echo "ci: injected faults produced wrong results"; exit 1; }
-grep -q '"failed_rounds": 0' /tmp/bench_serve_batch.json \
-    || { cat /tmp/bench_serve_batch.json; echo "ci: fault-injection rounds failed"; exit 1; }
+    --clients 1 --reps 3 --batch 4 --faults --json /tmp/bench_serve_batch.json
+for must in '"failed_clients": 0' '"errors": 0' '"wrong_results": 0' '"failed_rounds": 0' \
+    '"requests": 25' '"batches": 16' '"coalesced": 12' '"max_batch": 4'; do
+    grep -q "$must" /tmp/bench_serve_batch.json \
+        || { cat /tmp/bench_serve_batch.json; echo "ci: batch bench: expected $must"; exit 1; }
+done
 speedup=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' /tmp/bench_serve_batch.json)
-if [ "$(nproc)" -ge 4 ]; then
-    awk -v s="$speedup" 'BEGIN { exit !(s >= 2.0) }' \
-        || { cat /tmp/bench_serve_batch.json; echo "ci: batch-4 speedup ${speedup}x < 2.0x"; exit 1; }
-    echo "ci: batch-4 throughput speedup ${speedup}x (gate: >= 2.0x)"
-else
-    echo "ci: nproc $(nproc) < 4 — speedup ratio measured at ${speedup}x, not asserted"
-fi
+echo "ci: batch-4 / sequential throughput ${speedup}x on $(nproc) cores (reported, not gated)"
 
 echo "==> kernel bench reporter (smoke mode + generic-core and simd gates)"
 # Besides the kernel timings, bench_kernels asserts that the scheme-generic

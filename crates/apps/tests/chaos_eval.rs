@@ -7,7 +7,7 @@
 //! process dying mid-batch, at every stage of a request's life:
 //!
 //! * **Accept** — journaled but never scheduled;
-//! * **Coalesce** — queued, died in the batching window;
+//! * **Coalesce** — queued, died as its round formed batches;
 //! * **MidEval** — died with the kernel invocation in flight;
 //! * **PreReply** — evaluated, died before the response write.
 //!
@@ -73,7 +73,6 @@ fn bind_server(dir: &Path, tenants: u64, eval_chaos: EvalChaos) -> OffloadServer
     }
     let config = ServeConfig {
         checkpoint_dir: Some(dir.to_path_buf()),
-        batch_window_ms: 60,
         eval_chaos,
         ..ServeConfig::default()
     };
@@ -90,8 +89,8 @@ fn policy() -> RetryPolicy {
 }
 
 /// Client options with a widened recv deadline. Chaos-eval clients spend
-/// long stretches waiting on an open-but-silent connection (batch windows,
-/// bisection re-runs, injected dispatch stalls), and under heavy test
+/// long stretches waiting on an open-but-silent connection (bisection
+/// re-runs, injected dispatch stalls), and under heavy test
 /// parallelism the default 2 s deadline can fire from CPU starvation alone.
 fn wide_opts() -> TcpOptions {
     TcpOptions {
@@ -285,9 +284,13 @@ fn poison_job_is_bisected_out_and_quarantined_healthy_tenants_unharmed() {
         registry.register(t, tenant_seed(t).as_bytes());
     }
     let config = ServeConfig {
-        // A wide window so all four tenants' requests coalesce into one
-        // scheduler dispatch.
-        batch_window_ms: 300,
+        // The first round stalls until all four tenants (released off one
+        // barrier) have a request queued: one dispatch of four, whichever
+        // tenant's frame arrives first.
+        eval_chaos: EvalChaos {
+            stall: Some((1, 300)),
+            ..EvalChaos::default()
+        },
         ..ServeConfig::default()
     };
     let server = OffloadServer::bind("127.0.0.1:0", config, registry).unwrap();
@@ -393,7 +396,7 @@ fn poison_job_is_bisected_out_and_quarantined_healthy_tenants_unharmed() {
         "poison job was never co-batched: {:?}",
         stats.eval
     );
-    assert!(stats.eval.sched.max_batch >= 2, "{:?}", stats.eval.sched);
+    assert_eq!(stats.eval.sched.max_batch, 4, "{:?}", stats.eval.sched);
     // Healthy tenants billed exactly: book equals each client's own ledger.
     for (tenant, ledger) in ledgers.iter().enumerate() {
         let tenant = tenant as u64 + 1;
@@ -425,7 +428,6 @@ fn stalled_dispatch_sheds_past_deadline_jobs_and_client_retries() {
     let mut registry = TenantRegistry::new();
     registry.register(TENANT, tenant_seed(TENANT).as_bytes());
     let config = ServeConfig {
-        batch_window_ms: 10,
         eval_chaos: EvalChaos {
             stall: Some((1, 400)),
             ..EvalChaos::default()
@@ -508,7 +510,6 @@ fn error_storm_trips_breaker_and_half_open_probe_recovers() {
     let mut registry = TenantRegistry::new();
     registry.register(TENANT, tenant_seed(TENANT).as_bytes());
     let config = ServeConfig {
-        batch_window_ms: 5,
         isolation: IsolationConfig {
             breaker_threshold: 2,
             breaker_window: 8,

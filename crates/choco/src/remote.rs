@@ -1155,14 +1155,27 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
         // send-flush phase with reading one response, recovering across
         // redial whenever the connection (or the server) goes away.
         while coll.pending() > 0 {
-            if let Some(&(slot, with_body, bill)) = to_send.last() {
-                let inputs = batch
-                    .get(slot)
-                    .ok_or_else(|| bad("send plan slot out of range"))?;
-                let req = self.build_request(prog, inputs, coll.live_id(slot), with_body);
-                match self.send_payload(&req.to_wire(), bill) {
+            if !to_send.is_empty() {
+                // Every queued request goes out in one write, so the
+                // server finds the next request on the socket behind each
+                // one it reads and schedules the whole batch as one round.
+                let mut burst = Vec::new();
+                let mut sent = Vec::with_capacity(to_send.len());
+                for &(slot, with_body, bill) in to_send.iter().rev() {
+                    let inputs = batch
+                        .get(slot)
+                        .ok_or_else(|| bad("send plan slot out of range"))?;
+                    let req = self.build_request(prog, inputs, coll.live_id(slot), with_body);
+                    let payload = req.to_wire();
+                    burst.extend_from_slice(&self.frame(&payload));
+                    sent.push((payload.len(), bill));
+                }
+                match self.io.write_all(&burst) {
                     Ok(()) => {
-                        to_send.pop();
+                        for (payload_len, bill) in sent {
+                            self.bill_sent(payload_len, bill);
+                        }
+                        to_send.clear();
                         continue;
                     }
                     Err(e) if is_transient(&e) && self.reconnect.is_some() => {
@@ -1174,7 +1187,7 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                             });
                         }
                         let dead = self.recover()?;
-                        // Slots still queued here were never successfully
+                        // Slots still queued here were never billed as
                         // transmitted: they keep their original bill (the
                         // primary upload line must match a fault-free run
                         // exactly) and body flag. Only already-sent,
@@ -1370,18 +1383,29 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
     }
 
     fn send_payload(&mut self, payload: &[u8], bill: Bill) -> Result<(), TransportError> {
+        let wire = self.frame(payload);
+        self.io.write_all(&wire)?;
+        self.bill_sent(payload.len(), bill);
+        Ok(())
+    }
+
+    /// Encodes `payload` as the connection's next `EvalRequest` frame.
+    fn frame(&mut self, payload: &[u8]) -> Vec<u8> {
         let wire = encode_frame(FrameKind::EvalRequest, self.seq, payload, &self.key);
         self.seq += 1;
-        self.io.write_all(&wire)?;
-        // Billed only after the socket accepted the bytes, so a send into
-        // a dead connection is retried, not double-billed.
+        wire
+    }
+
+    /// Bills one request payload. Called only after the socket accepted
+    /// the bytes, so a send into a dead connection is retried, not
+    /// double-billed.
+    fn bill_sent(&mut self, payload_len: usize, bill: Bill) {
         match bill {
-            Bill::Upload => self.ledger.record_upload(payload.len()),
-            Bill::Retransmit => self.ledger.record_retransmit(payload.len()),
-            Bill::Recovery => self.ledger.record_recovery(payload.len()),
+            Bill::Upload => self.ledger.record_upload(payload_len),
+            Bill::Retransmit => self.ledger.record_retransmit(payload_len),
+            Bill::Recovery => self.ledger.record_recovery(payload_len),
             Bill::Download => {}
         }
-        Ok(())
     }
 
     fn read_response(&mut self) -> Result<EvalResponse, TransportError> {

@@ -70,13 +70,29 @@ fn le_u32(bytes: &[u8]) -> Option<u32> {
 }
 
 /// Length-prefixed blob I/O over one [`TcpStream`]: partial reads are
-/// buffered across calls, length prefixes are bounds-checked before
+/// kept across calls, length prefixes are bounds-checked before
 /// allocating, and every failure is a typed [`TransportError`]. This is the
 /// shared read/write core of [`TcpChannel`] and the `choco-serve` worker
 /// loop.
+///
+/// Reads never run ahead: a message is read into its own buffer, exactly
+/// to its end, so whatever the peer sent behind it is still in the socket
+/// (see [`BlobIo::bytes_pending`]).
+///
+/// **Deadlines are coarse.** A read deadline is the socket's
+/// `SO_RCVTIMEO`, which the kernel rounds up to scheduler ticks: a 2 ms
+/// deadline measures 4–8 ms. Use deadlines to bound how long a dead peer
+/// is waited for, never to poll at millisecond granularity. A call may
+/// also overrun its deadline by up to one more deadline when bytes keep
+/// trickling in.
 pub struct BlobIo {
     stream: TcpStream,
+    /// The message being assembled: `buf[..have]` has arrived.
     buf: Vec<u8>,
+    have: usize,
+    /// The `SO_RCVTIMEO` last set on the socket, in milliseconds (0 = not
+    /// set yet), so a caller reusing one deadline pays no `setsockopt`.
+    read_timeout_ms: u64,
     max_frame_bytes: u64,
 }
 
@@ -88,6 +104,8 @@ impl BlobIo {
         BlobIo {
             stream,
             buf: Vec::new(),
+            have: 0,
+            read_timeout_ms: 0,
             max_frame_bytes,
         }
     }
@@ -97,46 +115,68 @@ impl BlobIo {
         &self.stream
     }
 
-    /// Buffers socket bytes until at least `n` are available. `Ok(false)`
-    /// means the deadline passed first (partial bytes stay buffered for the
-    /// next call).
+    /// Whether the peer has already sent bytes behind the last message
+    /// read — a pipelining client's next request. Never blocks.
+    ///
+    /// The probe flips the socket to non-blocking for one `peek`, and that
+    /// mode is shared by every clone of the stream: a thread writing
+    /// through a clone meanwhile must use [`write_all_beside_probe`].
+    pub fn bytes_pending(&self) -> bool {
+        if self.have > 0 {
+            return true;
+        }
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let pending = matches!(self.stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+        let _ = self.stream.set_nonblocking(false);
+        pending
+    }
+
+    /// Reads socket bytes straight into `buf` until it holds `n`.
+    /// `Ok(false)` means the deadline passed first (what arrived stays in
+    /// `buf` for the next call); a zero deadline never touches the socket.
     fn fill(&mut self, n: usize, deadline_ms: u64) -> Result<bool, TransportError> {
-        if self.buf.len() >= n {
+        if self.have >= n {
             return Ok(true);
         }
-        let start = Instant::now();
-        let mut chunk = [0u8; 16 * 1024];
-        while self.buf.len() < n {
-            let left = deadline_ms.saturating_sub(elapsed_ms(start));
-            if left == 0 {
-                return Ok(false);
-            }
+        if deadline_ms == 0 {
+            return Ok(false);
+        }
+        if self.read_timeout_ms != deadline_ms {
             self.stream
-                .set_read_timeout(Some(Duration::from_millis(left)))
+                .set_read_timeout(Some(Duration::from_millis(deadline_ms)))
                 .map_err(|e| TransportError::Disconnected(format!("set read timeout: {e}")))?;
-            match self.stream.read(&mut chunk) {
+            self.read_timeout_ms = deadline_ms;
+        }
+        self.buf.resize(n, 0);
+        let start = Instant::now();
+        while self.have < n {
+            let room = self.buf.get_mut(self.have..).unwrap_or_default();
+            match self.stream.read(room) {
                 Ok(0) => {
                     return Err(TransportError::Disconnected(
                         "peer closed the connection".into(),
                     ))
                 }
-                Ok(got) => {
-                    if let Some(bytes) = chunk.get(..got) {
-                        self.buf.extend_from_slice(bytes);
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue;
+                Ok(got) => self.have += got,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(false)
                 }
                 Err(e) => return Err(TransportError::Disconnected(format!("read: {e}"))),
             }
+            if self.have < n && elapsed_ms(start) >= deadline_ms {
+                return Ok(false);
+            }
         }
         Ok(true)
+    }
+
+    /// Hands out the assembled message and resets for the next one.
+    fn take_msg(&mut self) -> Vec<u8> {
+        self.have = 0;
+        std::mem::take(&mut self.buf)
     }
 
     /// Reads one length-prefixed blob (prefix included in the returned
@@ -160,12 +200,10 @@ impl BlobIo {
                 max: self.max_frame_bytes,
             });
         }
-        let total = declared as usize + 4;
-        if !self.fill(total, deadline_ms)? {
+        if !self.fill(declared as usize + 4, deadline_ms)? {
             return Ok(None);
         }
-        let rest = self.buf.split_off(total);
-        Ok(Some(std::mem::replace(&mut self.buf, rest)))
+        Ok(Some(self.take_msg()))
     }
 
     /// Reads exactly `n` raw bytes (no length prefix) — used for the
@@ -182,8 +220,7 @@ impl BlobIo {
         if !self.fill(n, deadline_ms)? {
             return Ok(None);
         }
-        let rest = self.buf.split_off(n);
-        Ok(Some(std::mem::replace(&mut self.buf, rest)))
+        Ok(Some(self.take_msg()))
     }
 
     /// Writes all of `bytes` to the socket.
@@ -199,6 +236,38 @@ impl BlobIo {
             .and_then(|_| self.stream.flush())
             .map_err(|e| TransportError::Disconnected(format!("write: {e}")))
     }
+}
+
+/// `write_all` for a clone of a stream whose owner calls
+/// [`BlobIo::bytes_pending`]. While the probe has the socket non-blocking
+/// a write into a full send buffer fails with `WouldBlock` at once instead
+/// of waiting; that is retried. Only `timeout` (the socket's write
+/// timeout) without a byte accepted is the peer not reading.
+///
+/// # Errors
+///
+/// The socket's own error, `WriteZero` if it stops accepting bytes.
+pub fn write_all_beside_probe(
+    mut stream: &TcpStream,
+    mut bytes: &[u8],
+    timeout: Duration,
+) -> std::io::Result<()> {
+    let mut progressed = Instant::now();
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                bytes = bytes.get(n..).unwrap_or_default();
+                progressed = Instant::now();
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock && progressed.elapsed() < timeout => {
+                std::thread::yield_now();
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 struct TcpConn {
@@ -237,8 +306,7 @@ pub struct TcpChannel {
 
 impl TcpChannel {
     /// Splits a connected stream into an (uplink, downlink) channel pair
-    /// sharing the connection. `io` may already hold buffered bytes (e.g.
-    /// frames that arrived right behind the handshake ack).
+    /// sharing the connection.
     pub fn pair_from_io(io: BlobIo, opts: &TcpOptions) -> (TcpChannel, TcpChannel) {
         let _ = io
             .stream()
@@ -312,8 +380,9 @@ impl Channel for TcpChannel {
         if c.error.is_some() {
             return None;
         }
-        // Block for the echo only when one is expected; otherwise a 1 ms
-        // poll keeps drain loops (resume, stale-duplicate sweeps) fast.
+        // Block for the echo only when one is expected; otherwise the
+        // shortest poll there is (one scheduler tick, see `BlobIo`) keeps
+        // drain loops (resume, stale-duplicate sweeps) fast.
         let deadline = if c.awaiting_echo {
             c.recv_deadline_ms.max(1)
         } else {

@@ -5,14 +5,14 @@
 //! workload kinds round-robin over real TCP sessions — PageRank (BFV),
 //! a conv layer (BFV), the LeNet-like pipeline (BFV) and K-Means (CKKS) —
 //! and reports wall-clock percentiles per kind plus server-side totals as
-//! JSON (`--json PATH`, e.g. the committed `BENCH_serve.json`).
+//! JSON (`--json PATH`).
 //!
 //! With `--batch N` the bench switches to the remote-evaluation protocol:
 //! each client uploads its evaluation keys once, warms the server's
 //! program/operand caches, then alternates measured **sequential** rounds
 //! (N evaluate requests, one blocking round trip each) against measured
 //! **batched** rounds (one pipelined `evaluate_batch` of N that the server
-//! coalesces into a single kernel dispatch). The report records per-round
+//! runs as a single kernel dispatch). The report records per-round
 //! latency percentiles, request throughput for both modes, and their
 //! ratio (`speedup`), plus the server's cache counters — steady-state
 //! rounds show zero compiles and zero operand encodes.
@@ -318,9 +318,6 @@ fn run_batch_phase(clients: usize, reps: u64, batch: usize, addr: &str) -> (Stri
 struct FaultKind {
     label: &'static str,
     chaos: EvalChaos,
-    /// Coalescing window for this kind's servers — generous for the
-    /// bisection kind so the pipelined batch lands in one dispatch.
-    batch_window_ms: u64,
     /// Client-side dispatch deadline, for the shedding kind.
     deadline_ms: Option<u64>,
 }
@@ -335,7 +332,6 @@ fn fault_kinds() -> [FaultKind; 3] {
         FaultKind {
             label: "clean",
             chaos: EvalChaos::default(),
-            batch_window_ms: 80,
             deadline_ms: None,
         },
         FaultKind {
@@ -348,7 +344,6 @@ fn fault_kinds() -> [FaultKind; 3] {
                 fail_job: Some(1),
                 ..EvalChaos::default()
             },
-            batch_window_ms: 80,
             deadline_ms: None,
         },
         FaultKind {
@@ -360,7 +355,6 @@ fn fault_kinds() -> [FaultKind; 3] {
                 stall: Some((1, 400)),
                 ..EvalChaos::default()
             },
-            batch_window_ms: 10,
             deadline_ms: Some(80),
         },
     ]
@@ -390,7 +384,6 @@ fn run_fault_round(
     registry.register(1, seed.as_bytes());
     let config = ServeConfig {
         max_sessions: 4,
-        batch_window_ms: kind.batch_window_ms,
         eval_chaos: kind.chaos,
         ..ServeConfig::default()
     };

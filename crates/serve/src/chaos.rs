@@ -225,7 +225,7 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, count_f
 pub enum EvalStage {
     /// The request was admitted (and journaled) but not yet scheduled.
     Accept,
-    /// The scheduler closed a coalescing window and formed batches.
+    /// The scheduler started a round and formed its batches.
     Coalesce,
     /// A batch's jobs are being evaluated.
     MidEval,
@@ -245,6 +245,8 @@ pub struct EvalChaos {
     pub fail_job: Option<u32>,
     /// Stall the nth dispatch round by this many milliseconds before the
     /// deadline check runs, forcing queued jobs past their deadline.
+    /// Whatever is submitted during the stall joins the round, which is
+    /// how tests put requests from several connections into one batch.
     pub stall: Option<(u32, u64)>,
 }
 

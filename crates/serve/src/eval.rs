@@ -6,7 +6,7 @@
 //! Galois keys, and pins an [`EvalSession`] to the connection. Subsequent
 //! [`EvalRequest`] payloads resolve their program through the global
 //! [`ServeCache`] and are submitted to the [`BatchScheduler`]; the
-//! executed response comes back to the connection worker over its reply
+//! executed response goes to the connection's writer over its reply
 //! channel, which writes it to the socket and bills the download.
 //!
 //! Admission is fault-isolated: a quarantined `(params_hash,
@@ -25,8 +25,9 @@
 use crate::cache::{EvalScheme, ProgramLookup, ServeCache};
 use crate::chaos::{EvalChaosState, EvalStage};
 use crate::isolate::{Admission, Isolation};
-use crate::journal::{input_digest, JournalSet};
+use crate::journal::JournalSet;
 use crate::sched::{BatchScheduler, Job, JobFault, JobOutcome};
+use crate::server::Outbound;
 use choco::remote::{
     EvalRequest, EvalResponse, SessionSetup, JOURNAL_MAGIC, REQUEST_MAGIC, SETUP_MAGIC,
 };
@@ -94,8 +95,8 @@ pub struct EvalContext<'a> {
     pub sched: &'a BatchScheduler,
     /// Shared protocol counters.
     pub counters: &'a Mutex<EvalCounters>,
-    /// The connection's reply channel (scheduler → worker).
-    pub reply: &'a Sender<Vec<u8>>,
+    /// The connection's reply channel (scheduler → writer).
+    pub reply: &'a Sender<Outbound>,
     /// The authenticated tenant behind this connection.
     pub tenant: u64,
     /// The connection's session id (journal key, with the tenant).
@@ -262,7 +263,7 @@ fn submit_eval<S: EvalScheme>(
         ctx.conn_session,
         request_id,
         &req.program_ref,
-        &input_digest(&req.inputs),
+        &req.inputs,
     );
     if let Some(chaos) = ctx.chaos {
         if chaos.kill_at(EvalStage::Accept) {
@@ -300,7 +301,7 @@ fn submit_eval<S: EvalScheme>(
         }),
         deliver: Box::new(move |payload| {
             // A dead receiver means the connection is gone; nothing to do.
-            let _ = reply.send(payload);
+            let _ = reply.send(Outbound::Response(payload));
         }),
     });
     lock(ctx.counters).requests += 1;

@@ -144,7 +144,7 @@ fn parse(bytes: &[u8]) -> Vec<DeadRequest> {
 
 /// BLAKE3 over a request's input ciphertext wires (name + blob, length
 /// prefixed) — the digest journaled with each accepted request.
-pub fn input_digest(inputs: &[(String, Vec<u8>)]) -> [u8; 32] {
+fn input_digest(inputs: &[(String, Vec<u8>)]) -> [u8; 32] {
     let mut h = blake3::Hasher::new();
     for (name, wire) in inputs {
         h.update(&(name.len() as u64).to_le_bytes());
@@ -229,6 +229,8 @@ impl JournalSet {
     }
 
     /// Journals one accepted request *before* it enters the scheduler.
+    /// The inputs are hashed only when the journal persists: without a
+    /// checkpoint directory the entry would be dropped, digest and all.
     /// Write failures disable nothing — the journal is best-effort, and a
     /// lost entry only costs the client a guess it already had to make.
     pub fn accept(
@@ -237,13 +239,12 @@ impl JournalSet {
         session: u64,
         request_id: u64,
         program_ref: &[u8; 32],
-        digest: &[u8; 32],
+        inputs: &[(String, Vec<u8>)],
     ) {
-        self.append(
-            tenant,
-            session,
-            &accept_entry(request_id, program_ref, digest),
-        );
+        if self.active() {
+            let entry = accept_entry(request_id, program_ref, &input_digest(inputs));
+            self.append(tenant, session, &entry);
+        }
         lock(&self.inner).stats.accepted += 1;
     }
 
@@ -317,10 +318,11 @@ mod tests {
     fn accepted_minus_delivered_survives_restart() {
         let dir = scratch("basic");
         let j = JournalSet::open(Some(&dir));
-        j.accept(1, 2, 10, &[7; 32], &[8; 32]);
-        j.accept(1, 2, 11, &[7; 32], &[9; 32]);
+        let inputs = [("x".to_string(), vec![8u8; 40])];
+        j.accept(1, 2, 10, &[7; 32], &[]);
+        j.accept(1, 2, 11, &[7; 32], &inputs);
         j.deliver(1, 2, 10);
-        j.accept(3, 4, 50, &[1; 32], &[2; 32]);
+        j.accept(3, 4, 50, &[1; 32], &[]);
         drop(j);
 
         // "Restart": a fresh set over the same directory.
@@ -329,6 +331,7 @@ mod tests {
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].request_id, 11);
         assert_eq!(dead[0].program_ref, [7; 32]);
+        assert_eq!(dead[0].input_digest, input_digest(&inputs));
         // Consumed on first query.
         assert!(j2.dead_requests(1, 2).is_empty());
         assert_eq!(j2.dead_requests(3, 4).len(), 1);
@@ -359,7 +362,7 @@ mod tests {
     fn inactive_journal_is_a_no_op() {
         let j = JournalSet::open(None);
         assert!(!j.active());
-        j.accept(1, 1, 1, &[0; 32], &[0; 32]);
+        j.accept(1, 1, 1, &[0; 32], &[]);
         assert!(j.dead_requests(1, 1).is_empty());
     }
 }

@@ -20,11 +20,13 @@
 //!   rejected before any frame is exchanged),
 //! * admission control with a typed `Overloaded` refusal instead of
 //!   silent queueing,
-//! * per-connection worker threads that verify frame batches on the
-//!   `choco-math::par` pool,
+//! * a reader and a writer thread per connection: the reader verifies,
+//!   bills and dispatches frames, the writer sends every response the
+//!   moment it exists,
 //! * the global [`cache::ServeCache`] (LRU over `(params_hash,
 //!   program_ref)` with hit/miss/eviction counters) and the
-//!   [`sched::BatchScheduler`] (windowed cross-connection coalescing),
+//!   [`sched::BatchScheduler`] (cross-connection coalescing that never
+//!   makes a lone request wait),
 //! * graceful drain: scheduled batches are flushed and pending results
 //!   delivered *before* live per-session state is checkpointed to disk as
 //!   sealed [`record::SessionRecord`]s, so a restarted server keeps exact

@@ -1,18 +1,24 @@
 //! The cross-connection batching scheduler, with fault isolation.
 //!
 //! Connection workers do not execute HE kernels on their own threads —
-//! they submit jobs here and block on a reply channel. The scheduler
-//! collects jobs for a short window, groups them by
-//! `(params_hash, program_ref)`, and executes each group as **one batch**:
-//! every member shares the same `Arc<CachedProgram>` (compiled schedule +
-//! encoded-operand cache), and members run concurrently as tasks of the
-//! `choco_math::par` worker pool.
+//! they submit jobs here and the result comes back on the connection's
+//! reply channel. One dispatcher thread runs **rounds**: it takes every
+//! queued job, groups them by `(params_hash, program_ref)`, and executes
+//! each group as **one batch**: every member shares the same
+//! `Arc<CachedProgram>` (compiled schedule + encoded-operand cache), and
+//! members run concurrently as tasks of the `choco_math::par` worker pool.
 //! That is what coalescing buys: N compatible requests — from one
 //! pipelining client or from N different tenants — pay for one program
 //! resolution and one warm operand set, and their kernel work overlaps.
 //!
-//! The window trades latency for coalescing: a lone request waits at most
-//! `window_ms` before it runs. Batching never changes results (each job
+//! A round starts the moment the dispatcher is free and a job is queued:
+//! a request that arrives at an idle scheduler waits for nothing. Batches
+//! form in two ways. Under load, everything submitted while the previous
+//! round ran is one round. And a submitter that knows more is coming (a
+//! connection with the next pipelined request already on its socket)
+//! takes a [`Hold`], which keeps the round open until it is dropped —
+//! never longer than `window_ms`, the upper bound on how long queued
+//! work waits for company. Batching never changes results (each job
 //! still evaluates its own inputs; the shared cache is bit-transparent)
 //! and never changes billing (each tenant is billed exactly its own
 //! request/response payloads by its connection worker).
@@ -30,7 +36,7 @@
 //! `n · (log₂ n + 1)` job evaluations for a poisoned batch of `n`.
 //!
 //! Jobs may also carry a dispatch **deadline**: a job whose deadline has
-//! passed when its window closes is shed with its pre-built typed
+//! passed when its round starts is shed with its pre-built typed
 //! response instead of evaluated — load shedding that never counts
 //! against the tenant's circuit breaker.
 //!
@@ -43,8 +49,7 @@ use crate::isolate::Isolation;
 use choco_math::par;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -123,23 +128,50 @@ pub struct SchedStats {
     /// Jobs executed (shed jobs included; bisection re-runs are not
     /// double-counted).
     pub jobs: u64,
-    /// Batches executed (one per group per window).
+    /// Batches executed (one per group per round).
     pub batches: u64,
     /// Jobs that shared a batch with at least one other job — the count
     /// of kernel invocations *saved* relative to sequential dispatch.
     pub coalesced: u64,
     /// Largest batch executed so far.
     pub max_batch: u64,
+    /// Microseconds jobs spent queued, submit → round start, summed over
+    /// `jobs`. With `run_us` it answers "was this request waiting or
+    /// computing" from the server's own output.
+    pub queue_wait_us: u64,
+    /// Microseconds from round start to a job's delivery, summed over
+    /// evaluated jobs: its own evaluation, the batches run ahead of it in
+    /// the same round, and any bisection re-runs. Shed jobs add nothing.
+    pub run_us: u64,
+    /// Rounds the dispatcher kept open for a [`Hold`]. A client that
+    /// sends one request at a time never causes one.
+    pub held_rounds: u64,
+}
+
+/// What the dispatcher sleeps on.
+#[derive(Default)]
+struct State {
+    /// Queued jobs with their submit times.
+    queue: Vec<(Instant, Job)>,
+    /// Outstanding [`Hold`]s.
+    holds: u32,
+    /// Submitted but not yet finished executing (queued + running).
+    in_flight: u64,
+    /// Callers inside [`BatchScheduler::flush`]; holds are ignored while
+    /// there is one.
+    flushing: u32,
+    stop: bool,
 }
 
 struct Inner {
-    queue: Mutex<Vec<Job>>,
+    state: Mutex<State>,
+    /// Wakes the dispatcher (its only waiter): a job was queued, a hold
+    /// dropped, a flush or the stop began.
     wake: Condvar,
-    stop: AtomicBool,
-    /// Submitted but not yet finished executing (queued + running).
-    in_flight: AtomicU64,
+    /// Wakes flushers: `in_flight` reached zero.
+    idle: Condvar,
     stats: Mutex<SchedStats>,
-    window_ms: u64,
+    window: Duration,
     hooks: SchedHooks,
 }
 
@@ -147,6 +179,36 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+impl Inner {
+    /// Marks one job finished (delivered, shed or discarded).
+    fn finish_one(&self) {
+        let mut state = lock(&self.state);
+        state.in_flight -= 1;
+        if state.in_flight == 0 {
+            self.idle.notify_all();
+        }
+    }
+}
+
+/// Keeps the scheduler's current round — or, if none is open, its next —
+/// from starting until dropped. Taken by a submitter that knows another
+/// of its jobs is about to follow, so the two run as one batch. Bounded:
+/// the dispatcher never waits on holds longer than the window.
+pub struct Hold {
+    inner: Arc<Inner>,
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        lock(&self.inner.state).holds -= 1;
+        self.inner.wake.notify_one();
     }
 }
 
@@ -158,22 +220,21 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// Starts the dispatcher with the given coalescing window and no-op
-    /// hooks.
+    /// Starts the dispatcher with the given hold bound and no-op hooks.
     pub fn new(window_ms: u64) -> Self {
         BatchScheduler::with_hooks(window_ms, SchedHooks::default())
     }
 
     /// Starts the dispatcher with shared isolation state and (optional)
-    /// chaos hooks.
+    /// chaos hooks. `window_ms` bounds how long a round stays open for
+    /// [`Hold`]s; 0 ignores them.
     pub fn with_hooks(window_ms: u64, hooks: SchedHooks) -> Self {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(Vec::new()),
+            state: Mutex::new(State::default()),
             wake: Condvar::new(),
-            stop: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
+            idle: Condvar::new(),
             stats: Mutex::new(SchedStats::default()),
-            window_ms,
+            window: Duration::from_millis(window_ms),
             hooks,
         });
         let run_inner = Arc::clone(&inner);
@@ -184,30 +245,44 @@ impl BatchScheduler {
         }
     }
 
-    /// Queues a job. It will run within roughly one window, batched with
-    /// every other queued job sharing its group.
+    /// Queues a job. It runs in the next round, batched with every other
+    /// queued job sharing its group.
     pub fn submit(&self, job: Job) {
-        self.inner.in_flight.fetch_add(1, Ordering::SeqCst);
-        lock(&self.inner.queue).push(job);
+        let submitted = Instant::now();
+        let mut state = lock(&self.inner.state);
+        state.in_flight += 1;
+        state.queue.push((submitted, job));
+        drop(state);
         self.inner.wake.notify_one();
     }
 
-    /// Blocks until every job submitted so far has finished executing, or
-    /// `budget` elapses. Returns whether the scheduler went idle.
-    pub fn flush(&self, budget: Duration) -> bool {
-        let start = Instant::now();
-        while self.inner.in_flight.load(Ordering::SeqCst) > 0 {
-            if start.elapsed() >= budget {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(1));
+    /// Takes a [`Hold`] on the round.
+    pub fn hold(&self) -> Hold {
+        lock(&self.inner.state).holds += 1;
+        Hold {
+            inner: Arc::clone(&self.inner),
         }
-        true
+    }
+
+    /// Blocks until every job submitted so far has finished executing, or
+    /// `budget` elapses. Returns whether the scheduler went idle. Holds do
+    /// not delay a flush.
+    pub fn flush(&self, budget: Duration) -> bool {
+        let mut state = lock(&self.inner.state);
+        state.flushing += 1;
+        self.inner.wake.notify_one();
+        let (mut state, _) = self
+            .inner
+            .idle
+            .wait_timeout_while(state, budget, |s| s.in_flight > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.flushing -= 1;
+        state.in_flight == 0
     }
 
     /// Jobs submitted but not yet executed.
     pub fn in_flight(&self) -> u64 {
-        self.inner.in_flight.load(Ordering::SeqCst)
+        lock(&self.inner.state).in_flight
     }
 
     /// Counter snapshot.
@@ -218,67 +293,70 @@ impl BatchScheduler {
 
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.wake.notify_all();
+        lock(&self.inner.state).stop = true;
+        self.inner.wake.notify_one();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
     }
 }
 
-fn dispatch_loop(inner: &Arc<Inner>) {
-    loop {
-        // Wait for work (or stop).
-        let mut queue = lock(&inner.queue);
-        while queue.is_empty() && !inner.stop.load(Ordering::SeqCst) {
-            let (q, _) = match inner.wake.wait_timeout(queue, Duration::from_millis(50)) {
-                Ok(r) => r,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            queue = q;
-        }
-        if queue.is_empty() && inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        drop(queue);
+/// Blocks until there is a round to run and returns its jobs; `None` once
+/// the scheduler is stopped and the queue is empty (stop is a flush, not
+/// an abort).
+fn next_round(inner: &Inner) -> Option<Vec<(Instant, Job)>> {
+    let mut state = inner
+        .wake
+        .wait_while(lock(&inner.state), |s| s.queue.is_empty() && !s.stop)
+        .unwrap_or_else(PoisonError::into_inner);
+    if state.queue.is_empty() {
+        return None;
+    }
+    // The round is open. It closes now unless a submitter holds it for
+    // the rest of its pipeline, and then within the window at the latest.
+    let holding = |s: &mut State| s.holds > 0 && !s.stop && s.flushing == 0;
+    if holding(&mut state) && !inner.window.is_zero() {
+        lock(&inner.stats).held_rounds += 1;
+        (state, _) = inner
+            .wake
+            .wait_timeout_while(state, inner.window, holding)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    Some(std::mem::take(&mut state.queue))
+}
 
-        // Coalescing window: let concurrent submitters land in this round.
-        // Skipped on stop so the final drain flushes promptly.
-        if inner.window_ms > 0 && !inner.stop.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(inner.window_ms));
-        }
+fn dispatch_loop(inner: &Arc<Inner>) {
+    while let Some(mut jobs) = next_round(inner) {
         // Chaos: a stalled round sleeps past its jobs' deadlines, before
-        // the shed check below runs. Rounds only fire with queued jobs,
-        // so the occurrence count is deterministic.
+        // the shed check below runs, and whatever is submitted meanwhile
+        // joins it. Rounds only fire with queued jobs, so the occurrence
+        // count is deterministic.
         if let Some(chaos) = inner.hooks.chaos.as_deref() {
             if let Some(stall) = chaos.stall_this_round() {
                 thread::sleep(stall);
+                jobs.append(&mut lock(&inner.state).queue);
             }
         }
-
-        let jobs = std::mem::take(&mut *lock(&inner.queue));
 
         // Deadline shedding at dispatch: deliver the typed response
         // without evaluating. Sheds never count against the tenant's
         // breaker — load is not the tenant's error.
-        let now = Instant::now();
-        let mut live = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            if job.deadline.is_some_and(|d| now > d) {
+        let started = Instant::now();
+        let mut queue_wait_us = 0;
+        let mut groups: BTreeMap<GroupKey, Vec<Job>> = BTreeMap::new();
+        for (submitted, job) in jobs {
+            queue_wait_us += micros(started.saturating_duration_since(submitted));
+            if job.deadline.is_some_and(|d| started > d) {
                 inner.hooks.isolation.count_shed();
                 lock(&inner.stats).jobs += 1;
                 let shed = job.shed_response;
                 (job.deliver)(shed);
-                inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+                inner.finish_one();
             } else {
-                live.push(job);
+                groups.entry(job.group).or_default().push(job);
             }
         }
-
-        let mut groups: BTreeMap<GroupKey, Vec<Job>> = BTreeMap::new();
-        for job in live {
-            groups.entry(job.group).or_default().push(job);
-        }
+        lock(&inner.stats).queue_wait_us += queue_wait_us;
         if groups.is_empty() {
             continue;
         }
@@ -301,7 +379,7 @@ fn dispatch_loop(inner: &Arc<Inner>) {
                 discard(inner, batch.into_iter());
                 continue;
             }
-            execute(inner, batch);
+            execute(inner, batch, started);
         }
     }
 }
@@ -326,13 +404,14 @@ fn kill_at(inner: &Inner, stage: EvalStage) -> bool {
 fn discard(inner: &Inner, jobs: impl Iterator<Item = Job>) {
     for job in jobs {
         drop(job);
-        inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        inner.finish_one();
     }
 }
 
 /// Executes one batch with fate-sharing, bisecting around poison faults;
 /// every job is delivered exactly once (or dropped by design on kill).
-fn execute(inner: &Inner, mut jobs: Vec<Job>) {
+/// `started` is when the batch's round began (the origin of `run_us`).
+fn execute(inner: &Inner, mut jobs: Vec<Job>, started: Instant) {
     let outcomes = run_all(&jobs);
     let poisoned = outcomes
         .iter()
@@ -343,8 +422,8 @@ fn execute(inner: &Inner, mut jobs: Vec<Job>) {
         // still succeed.
         inner.hooks.isolation.count_bisection();
         let right = jobs.split_off(jobs.len() / 2);
-        execute(inner, jobs);
-        execute(inner, right);
+        execute(inner, jobs, started);
+        execute(inner, right, started);
         return;
     }
     for (job, outcome) in jobs.into_iter().zip(outcomes) {
@@ -361,7 +440,8 @@ fn execute(inner: &Inner, mut jobs: Vec<Job>) {
             None => inner.hooks.isolation.record_outcome(job.tenant, true),
         }
         (job.deliver)(outcome.response);
-        inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        lock(&inner.stats).run_us += micros(started.elapsed());
+        inner.finish_one();
     }
 }
 
@@ -388,7 +468,7 @@ fn run_all(jobs: &[Job]) -> Vec<JobOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     fn ok_outcome(tag: u8) -> JobOutcome {
@@ -423,9 +503,14 @@ mod tests {
         }
     }
 
+    /// A window no test outlives: anything that waits it out hangs the
+    /// suite, so every prompt delivery below is prompt because of the
+    /// scheduler's logic, not because a short window happened to lapse.
+    const NEVER_MS: u64 = 10_000;
+
     #[test]
     fn jobs_execute_and_flush_waits_for_all() {
-        let sched = BatchScheduler::new(2);
+        let sched = BatchScheduler::new(NEVER_MS);
         let hits = Arc::new(AtomicUsize::new(0));
         for i in 0..8u8 {
             let hits = Arc::clone(&hits);
@@ -446,37 +531,110 @@ mod tests {
     }
 
     #[test]
-    fn same_group_jobs_coalesce_into_one_batch() {
-        let sched = BatchScheduler::new(20);
+    fn lone_job_runs_at_once_whatever_the_window() {
+        let sched = BatchScheduler::new(NEVER_MS);
         let (tx, rx) = mpsc::channel();
-        for i in 0..4u8 {
+        for i in 0..3u8 {
             let tx = tx.clone();
             sched.submit(job(
-                ([9; 32], [9; 32]),
+                ([2; 32], [2; 32]),
                 move || ok_outcome(i),
                 move |resp| {
                     let _ = tx.send(resp);
                 },
             ));
+            let got = rx.recv_timeout(Duration::from_secs(1));
+            assert_eq!(got, Ok(vec![i]), "a lone job must not wait out the window");
         }
+        let stats = sched.stats();
+        assert_eq!((stats.jobs, stats.batches, stats.coalesced), (3, 3, 0));
+        assert_eq!(stats.held_rounds, 0, "nothing asked for a hold");
+    }
+
+    #[test]
+    fn jobs_submitted_under_one_hold_run_as_exactly_one_batch() {
+        let sched = BatchScheduler::new(NEVER_MS);
+        let (tx, rx) = mpsc::channel();
+        let hold = sched.hold();
+        for i in 0..4u8 {
+            let tx = tx.clone();
+            sched.submit(job(
+                ([9; 32], [9; 32]),
+                move || {
+                    thread::sleep(Duration::from_millis(5));
+                    ok_outcome(i)
+                },
+                move |resp| {
+                    let _ = tx.send(resp);
+                },
+            ));
+            // Arbitrary gaps: the dispatcher has long since seen the queue.
+            thread::sleep(Duration::from_millis(u64::from(i) * 7));
+        }
+        assert!(rx.try_recv().is_err(), "the hold kept the round open");
+        drop(hold);
         assert!(sched.flush(Duration::from_secs(5)));
         let mut got: Vec<u8> = rx.try_iter().map(|r| r[0]).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
         let stats = sched.stats();
         assert_eq!(stats.jobs, 4);
-        assert_eq!(stats.batches, 1, "window should coalesce all four");
+        assert_eq!(stats.batches, 1, "one hold, one batch");
         assert_eq!(stats.max_batch, 4);
         assert_eq!(stats.coalesced, 4);
+        assert_eq!(stats.held_rounds, 1);
+        // Job 0 sat in the queue through every gap (7 + 14 + 21 ms), and
+        // every job's own evaluation took 5 ms.
+        assert!(stats.queue_wait_us >= 42_000, "{stats:?}");
+        assert!(stats.run_us >= 4 * 5_000, "{stats:?}");
     }
 
     #[test]
-    fn drop_with_queued_jobs_still_runs_them() {
-        // Stop is a flush, not an abort: pending jobs execute before the
-        // dispatcher exits (drain correctness depends on this).
+    fn hold_never_released_is_bounded_by_the_window() {
+        let sched = BatchScheduler::new(40);
+        let (tx, rx) = mpsc::channel();
+        let _hold = sched.hold();
+        let submitted = Instant::now();
+        sched.submit(job(
+            ([4; 32], [4; 32]),
+            || ok_outcome(4),
+            move |resp| {
+                let _ = tx.send(resp);
+            },
+        ));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(vec![4]));
+        assert!(submitted.elapsed() >= Duration::from_millis(40));
+        assert_eq!(sched.stats().held_rounds, 1);
+    }
+
+    #[test]
+    fn flush_does_not_wait_for_an_outstanding_hold() {
+        let sched = BatchScheduler::new(NEVER_MS);
         let hits = Arc::new(AtomicUsize::new(0));
-        {
-            let sched = BatchScheduler::new(50);
+        let _hold = sched.hold();
+        for _ in 0..3 {
+            let hits = Arc::clone(&hits);
+            sched.submit(job(
+                ([1; 32], [1; 32]),
+                || ok_outcome(0),
+                move |_| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                },
+            ));
+        }
+        assert!(sched.flush(Duration::from_secs(5)), "flush overrides holds");
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn drop_with_queued_jobs_and_a_hold_still_runs_them() {
+        // Stop is a flush, not an abort: pending jobs execute before the
+        // dispatcher exits (drain correctness depends on this), hold or no
+        // hold.
+        let hits = Arc::new(AtomicUsize::new(0));
+        let hold = {
+            let sched = BatchScheduler::new(NEVER_MS);
+            let hold = sched.hold();
             for _ in 0..3 {
                 let hits = Arc::clone(&hits);
                 sched.submit(job(
@@ -487,16 +645,18 @@ mod tests {
                     },
                 ));
             }
-            // Dropped immediately: dispatcher must still drain the queue.
-        }
+            hold
+            // Dropped here: the dispatcher must still drain the queue.
+        };
         assert_eq!(hits.load(Ordering::SeqCst), 3);
+        drop(hold);
     }
 
     #[test]
     fn bisection_isolates_the_poison_job_and_quarantines_it() {
         let isolation = Arc::new(Isolation::default());
         let sched = BatchScheduler::with_hooks(
-            30,
+            NEVER_MS,
             SchedHooks {
                 isolation: Arc::clone(&isolation),
                 ..SchedHooks::default()
@@ -504,6 +664,7 @@ mod tests {
         );
         let (tx, rx) = mpsc::channel();
         let group = ([3; 32], [4; 32]);
+        let hold = sched.hold();
         for i in 0..4u8 {
             let tx = tx.clone();
             sched.submit(Job {
@@ -523,6 +684,7 @@ mod tests {
                 }),
             });
         }
+        drop(hold);
         assert!(sched.flush(Duration::from_secs(5)));
         let mut got: Vec<(u8, Vec<u8>)> = rx.try_iter().collect();
         got.sort();
@@ -533,7 +695,7 @@ mod tests {
             vec![(0, vec![0]), (1, vec![1]), (2, vec![2]), (3, vec![3])]
         );
         let stats = isolation.stats();
-        assert!(stats.bisections >= 1, "a poisoned batch of 4 must bisect");
+        assert_eq!(stats.bisections, 2, "4 → 2 + 2 → 1 + 1");
         assert_eq!(stats.faults, 1, "exactly one isolated fault");
         assert_eq!(stats.quarantined, 1);
         assert_eq!(
@@ -546,7 +708,7 @@ mod tests {
     fn panicking_batch_member_is_a_poison_fault_and_the_rest_deliver() {
         let isolation = Arc::new(Isolation::default());
         let sched = BatchScheduler::with_hooks(
-            30,
+            NEVER_MS,
             SchedHooks {
                 isolation: Arc::clone(&isolation),
                 ..SchedHooks::default()
@@ -554,6 +716,7 @@ mod tests {
         );
         let (tx, rx) = mpsc::channel();
         let group = ([7; 32], [8; 32]);
+        let hold = sched.hold();
         for i in 0..4u8 {
             let tx = tx.clone();
             sched.submit(job(
@@ -567,6 +730,7 @@ mod tests {
                 },
             ));
         }
+        drop(hold);
         assert!(sched.flush(Duration::from_secs(5)));
         let mut got: Vec<(u8, Vec<u8>)> = rx.try_iter().collect();
         got.sort();
@@ -578,7 +742,7 @@ mod tests {
         );
         assert_eq!(sched.stats().max_batch, 4, "all four coalesced");
         let stats = isolation.stats();
-        assert!(stats.bisections >= 1, "a poisoned batch of 4 must bisect");
+        assert_eq!(stats.bisections, 2, "4 → 2 + 2 → 1 + 1");
         assert_eq!(stats.faults, 1, "exactly one isolated fault");
         assert_eq!(
             isolation.check_quarantine(&group).as_deref(),
@@ -601,7 +765,7 @@ mod tests {
     fn expired_deadline_sheds_with_the_prebuilt_response() {
         let isolation = Arc::new(Isolation::default());
         let sched = BatchScheduler::with_hooks(
-            5,
+            NEVER_MS,
             SchedHooks {
                 isolation: Arc::clone(&isolation),
                 ..SchedHooks::default()
@@ -637,7 +801,7 @@ mod tests {
         let killed = Arc::new(AtomicBool::new(false));
         let killed_hook = Arc::clone(&killed);
         let sched = BatchScheduler::with_hooks(
-            5,
+            NEVER_MS,
             SchedHooks {
                 chaos: Some(Arc::new(EvalChaosState::new(EvalChaos {
                     kill: Some((EvalStage::Coalesce, 1)),

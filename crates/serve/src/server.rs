@@ -4,11 +4,10 @@
 //! with the authenticated hello handshake from
 //! [`choco::transport::tcp`]: the server looks the tenant up in its
 //! [`TenantRegistry`], checks the keyed auth tag, applies admission
-//! control, and answers with a typed ack. Admitted connections get a
-//! dedicated worker thread that reads length-prefixed frames, verifies
-//! their keyed-BLAKE3 tags (batches are verified on the `choco-math::par`
-//! pool), bills them to a per-tenant [`LedgerBook`], and then dispatches
-//! by frame kind:
+//! control, and answers with a typed ack. An admitted connection gets two
+//! threads. The **reader** blocks on the socket: it reads length-prefixed
+//! frames, verifies their keyed-BLAKE3 tags, bills them to a per-tenant
+//! [`LedgerBook`], and then dispatches by frame kind:
 //!
 //! * Relay kinds (ciphertext/plaintext/key/control) are echoed back — the
 //!   acknowledgement the client's session layer treats as delivery.
@@ -18,9 +17,14 @@
 //!   resolved through the global program/operand cache
 //!   ([`crate::cache::ServeCache`]) and coalesced across connections by
 //!   the [`crate::sched::BatchScheduler`] before real kernel work runs.
-//!   Responses come back to the worker over a reply channel and are
-//!   written as `EvalResponse` frames under a server-side sequence
-//!   counter.
+//!
+//! The **writer** blocks on the connection's reply channel, which carries
+//! everything the server sends ([`Outbound`]): echoes and immediate
+//! answers from the reader, evaluation results straight from the
+//! scheduler's jobs. A result is written, billed and journaled the moment
+//! its job delivers it — nothing on the path polls — and because one
+//! thread writes, `EvalResponse` frames leave in the order of their
+//! server-side sequence counter.
 //!
 //! **Ledger semantics.** The server cannot see inside the relay protocol —
 //! a frame is a frame, whether the client's session counts it as an
@@ -43,9 +47,11 @@
 //!
 //! **Drain.** [`OffloadServer::drain`] stops admitting, flushes every
 //! scheduled batch through the [`crate::sched::BatchScheduler`], lets
-//! every worker deliver its pending eval responses and finish its current
-//! read, and only then persists all session records (in parallel) to the
-//! checkpoint directory, returning once the server is idle. Records are
+//! every reader finish its current read and every writer run dry (a
+//! writer exits when the reader and the last in-flight job have dropped
+//! their ends of the reply channel), and only then persists all session
+//! records (in parallel) to the checkpoint directory, returning once the
+//! server is idle. Records are
 //! written strictly after results are delivered, so a drained server never
 //! persists accounting for work a client did not receive. A server bound
 //! later over the same directory resumes the records, so duplicate
@@ -53,31 +59,29 @@
 
 use crate::cache::{EvalCacheStats, ServeCache};
 use crate::chaos::{EvalChaos, EvalChaosState, EvalStage};
-use crate::eval::{handle_eval_payload, EvalContext, EvalCounters, EvalOutcome, EvalSession};
+use crate::eval::{handle_eval_payload, EvalContext, EvalCounters, EvalOutcome};
 use crate::isolate::{Isolation, IsolationConfig, IsolationStats};
 use crate::journal::{JournalSet, JournalStats};
 use crate::record::SessionRecord;
 use crate::registry::TenantRegistry;
-use crate::sched::{BatchScheduler, SchedHooks, SchedStats};
+use crate::sched::{BatchScheduler, Hold, SchedHooks, SchedStats};
 use choco::remote::EvalResponse;
 use choco::transport::frame::{decode_frame, encode_frame, FrameKind};
-use choco::transport::tcp::{decode_hello, encode_ack, BlobIo, HelloStatus, HELLO_BYTES};
+use choco::transport::tcp::{
+    decode_hello, encode_ack, write_all_beside_probe, BlobIo, HelloStatus, HELLO_BYTES,
+};
 use choco::transport::{TagKey, MAX_FRAME_BYTES};
 use choco::LedgerBook;
 use choco_math::par;
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
-
-/// How many already-buffered frames a worker verifies as one parallel
-/// batch before echoing.
-const VERIFY_BATCH: usize = 32;
+use std::time::Duration;
 
 /// Server tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,8 +91,8 @@ pub struct ServeConfig {
     pub max_sessions: u32,
     /// Handshake read/write timeout, in milliseconds.
     pub io_timeout_ms: u64,
-    /// Worker read poll, in milliseconds: the granularity at which idle
-    /// workers notice a drain request.
+    /// Reader poll, in milliseconds: the granularity at which a reader
+    /// blocked on a silent socket notices a drain request.
     pub worker_poll_ms: u64,
     /// Per-frame size bound (prefixes beyond it are rejected before any
     /// allocation).
@@ -99,8 +103,9 @@ pub struct ServeConfig {
     /// Compiled programs cached per scheme before LRU eviction kicks in
     /// (0 = unbounded).
     pub program_cache_capacity: usize,
-    /// Batch coalescing window: how long the scheduler lets compatible
-    /// evaluate requests accumulate before executing them as one batch.
+    /// Upper bound on how long the scheduler keeps a round open for a
+    /// connection whose next pipelined request is still arriving. Not a
+    /// delay: a request with nothing behind it dispatches at once.
     pub batch_window_ms: u64,
     /// Quarantine/circuit-breaker tuning.
     pub isolation: IsolationConfig,
@@ -184,7 +189,8 @@ impl ServeStats {
                 "\"cache\":{{\"program_hits\":{},\"program_misses\":{},",
                 "\"compiles\":{},\"operand_hits\":{},\"operand_misses\":{}}},",
                 "\"sched\":{{\"jobs\":{},\"batches\":{},\"coalesced\":{},",
-                "\"max_batch\":{}}},",
+                "\"max_batch\":{},\"queue_wait_us\":{},\"run_us\":{},",
+                "\"held_rounds\":{}}},",
                 "\"isolation\":{{\"quarantined\":{},\"quarantine_refusals\":{},",
                 "\"open_breakers\":{},\"breaker_refusals\":{},\"bisections\":{},",
                 "\"shed_deadline\":{},\"faults\":{}}},",
@@ -217,6 +223,9 @@ impl ServeStats {
             s.batches,
             s.coalesced,
             s.max_batch,
+            s.queue_wait_us,
+            s.run_us,
+            s.held_rounds,
             i.quarantined,
             i.quarantine_refusals,
             i.open_breakers,
@@ -255,6 +264,8 @@ struct Shared {
     stop: AtomicBool,
     draining: AtomicBool,
     active: Mutex<u32>,
+    /// Wakes [`OffloadServer::drain`] when `active` reaches zero.
+    idle: Condvar,
     counters: Mutex<Counters>,
     sessions: Mutex<BTreeMap<(u64, u64), SessionRecord>>,
     book: Mutex<LedgerBook>,
@@ -317,6 +328,15 @@ impl Shared {
             .or_insert_with(|| SessionRecord::new(tenant, session));
         rec.bad_frames += 1;
         rec.wire_bytes += wire_len as u64;
+    }
+
+    /// Gives an admission slot back.
+    fn release_slot(&self) {
+        let mut active = lock(&self.active);
+        *active -= 1;
+        if *active == 0 {
+            self.idle.notify_all();
+        }
     }
 
     fn persist_session(&self, tenant: u64, session: u64) {
@@ -382,6 +402,7 @@ impl OffloadServer {
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             active: Mutex::new(0),
+            idle: Condvar::new(),
             counters: Mutex::new(Counters::default()),
             sessions: Mutex::new(sessions),
             book: Mutex::new(LedgerBook::new()),
@@ -445,10 +466,10 @@ impl OffloadServer {
     }
 
     /// Stops admitting, flushes every scheduled batch, waits for every
-    /// worker to deliver pending responses and exit (bounded by the worker
-    /// poll plus the handshake timeout), then persists all session records
-    /// in parallel on the `choco-math::par` pool — strictly after results
-    /// were delivered.
+    /// connection's writer to run dry and its reader to exit (bounded by
+    /// the reader poll plus the handshake timeout), then persists all
+    /// session records in parallel on the `choco-math::par` pool —
+    /// strictly after results were delivered.
     pub fn drain(&self) {
         if self.shared.hard_killed.load(Ordering::SeqCst) {
             // A dead process drains nothing; its journal is the only
@@ -459,14 +480,16 @@ impl OffloadServer {
         let budget = Duration::from_millis(
             self.shared.config.io_timeout_ms + 4 * self.shared.config.worker_poll_ms + 1_000,
         );
-        // Scheduled batches first: workers exiting on the drain flag block
-        // on their in-flight responses, which only arrive once the
-        // scheduler has executed them.
+        // Scheduled batches first: a connection is done once its writer
+        // has seen its last in-flight response, which only arrives once
+        // the scheduler has executed it.
         let _ = self.shared.sched.flush(budget);
-        let start = Instant::now();
-        while *lock(&self.shared.active) > 0 && start.elapsed() < budget {
-            thread::sleep(Duration::from_millis(2));
-        }
+        let active = lock(&self.shared.active);
+        drop(
+            self.shared
+                .idle
+                .wait_timeout_while(active, budget, |active| *active > 0),
+        );
         if let Some(dir) = self.shared.config.checkpoint_dir.as_deref() {
             let records: Vec<SessionRecord> =
                 lock(&self.shared.sessions).values().copied().collect();
@@ -512,8 +535,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Runs the hello handshake; on admission, runs the echo worker loop on
-/// this same thread until the connection dies or the server drains.
+/// Runs the hello handshake; on admission, runs the connection's reader
+/// on this thread and its writer beside it until the connection dies or
+/// the server drains.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut io = BlobIo::new(stream, shared.config.max_frame_bytes);
     let _ = io.stream().set_write_timeout(Some(Duration::from_millis(
@@ -564,9 +588,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
         *active += 1;
     }
+    let Ok(out) = io.stream().try_clone() else {
+        return shared.release_slot();
+    };
     if io.write_all(&encode_ack(HelloStatus::Ok)).is_err() {
-        *lock(&shared.active) -= 1;
-        return;
+        return shared.release_slot();
     }
     {
         let mut c = lock(&shared.counters);
@@ -576,228 +602,176 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
 
-    conn_worker(&mut io, shared, hello.tenant, hello.session, &key);
-
-    // Records are persisted only after the worker has delivered (or given
-    // up on) every pending result — never for undelivered work, and never
-    // by a "dead" process.
+    let conn = Arc::new(Conn {
+        shared: Arc::clone(shared),
+        tenant: hello.tenant,
+        session: hello.session,
+        key,
+    });
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let writer_conn = Arc::clone(&conn);
+    let writer = thread::spawn(move || conn_writer(&writer_conn, &out, &reply_rx));
+    conn_reader(&mut io, &conn, reply_tx);
+    // The writer returns once the reader and every in-flight job have
+    // dropped their senders, so each result is written (or refused by a
+    // dead socket) before the record below persists — never accounting
+    // for undelivered work, and never by a "dead" process.
+    let _ = writer.join();
     if !shared.hard_killed.load(Ordering::SeqCst) {
         shared.persist_session(hello.tenant, hello.session);
     }
-    *lock(&shared.active) -= 1;
+    shared.release_slot();
 }
 
-/// Per-connection state the worker threads through its loop: the eval
-/// session (set by key upload), the reply channel eval jobs answer on,
-/// and the server-side response sequence counter.
-struct ConnState {
-    eval_session: Option<EvalSession>,
-    reply_tx: mpsc::Sender<Vec<u8>>,
-    reply_rx: mpsc::Receiver<Vec<u8>>,
-    /// Jobs submitted to the scheduler whose responses are not yet
-    /// written back.
-    pending: u64,
-    /// Sequence counter for server-originated `EvalResponse` frames.
-    resp_seq: u64,
+/// What a connection's writer sends, in the order it was queued.
+pub enum Outbound {
+    /// An `EvalResponse` payload: framed under the connection's response
+    /// sequence counter, then billed as download and journaled.
+    Response(Vec<u8>),
+    /// A verified relay frame, echoed verbatim.
+    Echo(Vec<u8>),
 }
 
-impl ConnState {
-    fn new() -> Self {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        ConnState {
-            eval_session: None,
-            reply_tx,
-            reply_rx,
-            pending: 0,
-            resp_seq: 0,
+/// One admitted connection, as both of its threads see it.
+struct Conn {
+    shared: Arc<Shared>,
+    tenant: u64,
+    session: u64,
+    key: TagKey,
+}
+
+impl Conn {
+    /// Writes to the connection's write half `out`, a clone of the socket
+    /// the reader probes (hence the probe-tolerant write).
+    fn write(&self, out: &TcpStream, wire: &[u8]) -> Result<(), ()> {
+        if self.shared.hard_killed.load(Ordering::SeqCst) {
+            return Err(());
         }
+        let timeout = Duration::from_millis(self.shared.config.io_timeout_ms.max(1));
+        write_all_beside_probe(out, wire, timeout).map_err(|_| ())
+    }
+
+    /// Writes one `EvalResponse` frame under the server's own sequence
+    /// counter. The download is billed — and the delivery journaled — only
+    /// *after* the socket accepted the bytes, so a hard kill can never
+    /// bill a response the client had no chance to receive.
+    fn write_response(
+        &self,
+        out: &TcpStream,
+        resp_seq: &mut u64,
+        payload: &[u8],
+    ) -> Result<(), ()> {
+        let shared = &self.shared;
+        let request_id = EvalResponse::peek_request_id(payload);
+        if request_id.is_some() {
+            // PreReply kill-point: the response exists but the process
+            // dies before the write — the write below is what refuses it,
+            // so whatever this function did ahead of its write would show.
+            // Only evaluation answers count occurrences — setup acks and
+            // journal answers are not replies to jobs.
+            if let Some(chaos) = shared.chaos.as_deref() {
+                if chaos.kill_at(EvalStage::PreReply) {
+                    shared.hard_killed.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        let wire = encode_frame(FrameKind::EvalResponse, *resp_seq, payload, &self.key);
+        *resp_seq += 1;
+        self.write(out, &wire)?;
+        shared.bill_download(self.tenant, payload.len());
+        if let Some(id) = request_id {
+            shared.journals.deliver(self.tenant, self.session, id);
+        }
+        Ok(())
     }
 }
 
-/// The per-connection loop: read frames, verify batches in parallel, bill,
-/// then echo (relay kinds) or evaluate (`EvalRequest` kinds). Exits on
-/// disconnect, I/O error, or drain — after flushing pending eval
-/// responses, so draining mid-batch never abandons delivered-but-unwritten
-/// results.
-fn conn_worker(io: &mut BlobIo, shared: &Arc<Shared>, tenant: u64, session: u64, key: &TagKey) {
+/// The connection's read half: read a frame, verify, bill, then echo
+/// (relay kinds) or evaluate (`EvalRequest` kinds). Exits on disconnect,
+/// I/O error, drain or kill; results still in flight are the writer's.
+fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Outbound>) {
+    let shared = &conn.shared;
+    let (tenant, session) = (conn.tenant, conn.session);
     let poll = shared.config.worker_poll_ms.max(1);
-    let mut conn = ConnState::new();
+    let mut eval_session = None;
+    // Held from a request that has another right behind it until one that
+    // has not: a pipelined batch reaches the scheduler as one round.
+    let mut hold: Option<Hold> = None;
     loop {
-        // Deliver any eval responses that finished since the last read.
-        if flush_ready_responses(io, shared, tenant, session, key, &mut conn).is_err() {
-            break;
-        }
         if shared.stop.load(Ordering::SeqCst)
             || shared.draining.load(Ordering::SeqCst)
             || shared.hard_killed.load(Ordering::SeqCst)
         {
             break;
         }
-        // While evaluations are in flight their results land on the reply
-        // channel, not the socket — poll short so a finished response is
-        // written within milliseconds instead of waiting out the full
-        // read deadline (which would bound every evaluate round trip from
-        // below by `worker_poll_ms`).
-        let deadline = if conn.pending > 0 { poll.min(2) } else { poll };
-        let first = match io.read_blob(deadline) {
+        let wire = match io.read_blob(poll) {
             Ok(Some(wire)) => wire,
-            Ok(None) => continue,
+            Ok(None) => {
+                // Whatever was behind the last request has stalled.
+                hold = None;
+                continue;
+            }
             Err(_) => break,
         };
-        // Opportunistically batch frames that are already buffered so the
-        // tag checks run data-parallel on the par pool — and so a client
-        // pipelining evaluate requests gets them submitted to the batch
-        // scheduler in one round.
-        let mut batch = vec![first];
-        while batch.len() < VERIFY_BATCH {
-            match io.read_blob(0) {
-                Ok(Some(wire)) => batch.push(wire),
-                _ => break,
+        let Ok(frame) = decode_frame(&wire, &conn.key) else {
+            shared.bill_bad_frame(tenant, session, wire.len());
+            continue;
+        };
+        shared.bill_frame(tenant, session, frame.seq, frame.payload.len(), wire.len());
+        let out = if frame.kind == FrameKind::EvalRequest {
+            let more = io.bytes_pending();
+            if more && hold.is_none() {
+                hold = Some(shared.sched.hold());
             }
-        }
-        let verified = par::par_map(&batch, |_, wire| decode_frame(wire, key));
-        let mut dead = false;
-        for (wire, decoded) in batch.iter().zip(verified) {
-            match decoded {
-                Ok(frame) => {
-                    shared.bill_frame(tenant, session, frame.seq, frame.payload.len(), wire.len());
-                    if frame.kind == FrameKind::EvalRequest {
-                        let hard_killed = Arc::clone(&shared.hard_killed);
-                        let hard_kill = move || hard_killed.store(true, Ordering::SeqCst);
-                        let mut ctx = EvalContext {
-                            session: &mut conn.eval_session,
-                            cache: &shared.eval_cache,
-                            sched: &shared.sched,
-                            counters: &shared.eval_counters,
-                            reply: &conn.reply_tx,
-                            tenant,
-                            conn_session: session,
-                            isolation: &shared.isolation,
-                            journal: &shared.journals,
-                            chaos: shared.chaos.as_ref(),
-                            hard_kill: &hard_kill,
-                        };
-                        match handle_eval_payload(&frame.payload, &mut ctx) {
-                            EvalOutcome::Immediate(payload) => {
-                                if write_response(
-                                    io, shared, tenant, session, key, &mut conn, &payload,
-                                )
-                                .is_err()
-                                {
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                            EvalOutcome::Submitted => conn.pending += 1,
-                            EvalOutcome::Dropped => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        // Echo duplicates too: a client resuming from a
-                        // checkpoint legitimately resends frames it
-                        // already sent, and its session blocks on the
-                        // echo.
-                        if io.write_all(wire).is_err() {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-                Err(_) => shared.bill_bad_frame(tenant, session, wire.len()),
+            let hard_kill = || shared.hard_killed.store(true, Ordering::SeqCst);
+            let mut ctx = EvalContext {
+                session: &mut eval_session,
+                cache: &shared.eval_cache,
+                sched: &shared.sched,
+                counters: &shared.eval_counters,
+                reply: &reply,
+                tenant,
+                conn_session: session,
+                isolation: &shared.isolation,
+                journal: &shared.journals,
+                chaos: shared.chaos.as_ref(),
+                hard_kill: &hard_kill,
+            };
+            let outcome = handle_eval_payload(&frame.payload, &mut ctx);
+            if !more {
+                hold = None;
             }
-        }
-        if dead {
+            match outcome {
+                EvalOutcome::Immediate(payload) => Outbound::Response(payload),
+                EvalOutcome::Submitted => continue,
+                EvalOutcome::Dropped => break,
+            }
+        } else {
+            // Echo duplicates too: a client resuming from a checkpoint
+            // legitimately resends frames it already sent, and its session
+            // blocks on the echo.
+            Outbound::Echo(wire)
+        };
+        if reply.send(out).is_err() {
             break;
         }
     }
-    if !shared.hard_killed.load(Ordering::SeqCst) {
-        drain_pending_responses(io, shared, tenant, session, key, &mut conn);
-    }
 }
 
-/// Writes one `EvalResponse` frame under the server's own sequence
-/// counter. The download is billed — and the delivery journaled — only
-/// *after* the socket accepted the bytes, so a hard kill can never bill a
-/// response the client had no chance to receive.
-#[allow(clippy::too_many_arguments)]
-fn write_response(
-    io: &mut BlobIo,
-    shared: &Arc<Shared>,
-    tenant: u64,
-    session: u64,
-    key: &TagKey,
-    conn: &mut ConnState,
-    payload: &[u8],
-) -> Result<(), ()> {
-    if shared.hard_killed.load(Ordering::SeqCst) {
-        return Err(());
-    }
-    let request_id = EvalResponse::peek_request_id(payload);
-    if request_id.is_some() {
-        // PreReply kill-point: the response exists but the process dies
-        // before the write. Only evaluation answers count occurrences —
-        // setup acks and journal answers are not replies to jobs.
-        if let Some(chaos) = shared.chaos.as_deref() {
-            if chaos.kill_at(EvalStage::PreReply) {
-                shared.hard_killed.store(true, Ordering::SeqCst);
-                return Err(());
-            }
-        }
-    }
-    let wire = encode_frame(FrameKind::EvalResponse, conn.resp_seq, payload, key);
-    conn.resp_seq += 1;
-    io.write_all(&wire).map_err(|_| ())?;
-    shared.bill_download(tenant, payload.len());
-    if let Some(id) = request_id {
-        shared.journals.deliver(tenant, session, id);
-    }
-    Ok(())
-}
-
-/// Delivers already-completed eval responses without blocking.
-fn flush_ready_responses(
-    io: &mut BlobIo,
-    shared: &Arc<Shared>,
-    tenant: u64,
-    session: u64,
-    key: &TagKey,
-    conn: &mut ConnState,
-) -> Result<(), ()> {
-    while let Ok(payload) = conn.reply_rx.try_recv() {
-        conn.pending -= 1;
-        write_response(io, shared, tenant, session, key, conn, &payload)?;
-    }
-    Ok(())
-}
-
-/// Blocks until every submitted job has answered (bounded by the I/O
-/// timeout per response) and writes the results out. Runs on every worker
-/// exit path — including drain — so scheduled batches are never abandoned
-/// with a client still waiting. Write failures keep draining the channel
-/// (the jobs still finish; there is just no one to tell).
-fn drain_pending_responses(
-    io: &mut BlobIo,
-    shared: &Arc<Shared>,
-    tenant: u64,
-    session: u64,
-    key: &TagKey,
-    conn: &mut ConnState,
-) {
-    let budget = Duration::from_millis(shared.config.io_timeout_ms.max(1));
-    let mut sink_only = false;
-    while conn.pending > 0 {
-        match conn.reply_rx.recv_timeout(budget) {
-            Ok(payload) => {
-                conn.pending -= 1;
-                if !sink_only
-                    && write_response(io, shared, tenant, session, key, conn, &payload).is_err()
-                {
-                    sink_only = true;
-                }
-            }
-            Err(_) => break,
+/// The connection's write half: everything the server sends, in channel
+/// order, until the last sender is gone. The first refused write (dead
+/// socket, dead server) shuts the socket, which ends the reader too; jobs
+/// still in flight then find the channel closed and drop their results.
+fn conn_writer(conn: &Conn, out: &TcpStream, replies: &mpsc::Receiver<Outbound>) {
+    let mut resp_seq = 0;
+    for msg in replies {
+        let sent = match msg {
+            Outbound::Response(payload) => conn.write_response(out, &mut resp_seq, &payload),
+            Outbound::Echo(wire) => conn.write(out, &wire),
+        };
+        if sent.is_err() {
+            let _ = out.shutdown(Shutdown::Both);
+            return;
         }
     }
 }
@@ -808,6 +782,7 @@ mod tests {
     use choco::transport::frame::{encode_frame, FrameKind};
     use choco::transport::tcp::{dial, Redialer, TcpOptions};
     use choco::transport::{Channel, TransportError};
+    use std::time::Instant;
 
     fn registry() -> TenantRegistry {
         let mut reg = TenantRegistry::new();
@@ -862,6 +837,9 @@ mod tests {
             "\"upload_bytes\":",
             "\"eval\":{",
             "\"sched\":{",
+            "\"queue_wait_us\":",
+            "\"run_us\":",
+            "\"held_rounds\":",
             "\"isolation\":{\"quarantined\":",
             "\"journal\":{\"accepted\":",
         ] {

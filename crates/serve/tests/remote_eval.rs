@@ -14,16 +14,30 @@
 //!   match *its own* local reference) and per-tenant billed (each book
 //!   ledger equals that client's own ledger, exactly);
 //! * **drain** — draining mid-batch still delivers every scheduled
-//!   result, and session records are persisted only after delivery.
+//!   result, and session records are persisted only after delivery;
+//! * **no waiting** — a request with nothing behind it is a round of its
+//!   own that the scheduler never holds open, while a pipelined batch is
+//!   exactly one round, both at `ServeConfig::default()`;
+//! * **one writer** — immediate and scheduled responses interleaved on
+//!   one connection leave under strictly increasing sequence numbers,
+//!   and a response the writer never wrote is neither billed nor
+//!   journaled.
+//!
+//! Where a test needs requests from *different* connections in one batch
+//! it stalls the scheduler's first round (`EvalChaos::stall`) and starts
+//! the clients off a barrier, instead of widening a window and hoping.
 
-use choco::remote::RemoteEvaluator;
-use choco::transport::tcp::TcpOptions;
+use choco::remote::{EvalRequest, EvalResponse, RemoteEvaluator, SessionSetup, JOURNAL_MAGIC};
+use choco::transport::frame::{decode_frame, encode_frame, FrameKind};
+use choco::transport::tcp::{dial_io, BlobIo, TcpOptions};
+use choco::transport::TagKey;
 use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_params, RemoteWorkload};
 use choco_he::params::SchemeType;
-use choco_he::{Bfv, Ckks};
-use choco_serve::{OffloadServer, ServeConfig, TenantRegistry};
+use choco_he::{Bfv, Ckks, HeScheme};
+use choco_serve::{EvalChaos, EvalStage, OffloadServer, ServeConfig, TenantRegistry};
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn tenant_seed(tenant: u64) -> String {
@@ -219,13 +233,17 @@ fn program_eviction_at_capacity_answers_need_program_and_recovers() {
 
 #[test]
 fn coalesced_cross_tenant_batches_stay_per_tenant_correct_and_billed() {
-    // A wide window so both tenants' pipelined requests land in one
-    // scheduler dispatch.
+    // The first round stalls until both tenants' pipelined requests are
+    // queued: one dispatch of four.
     let config = ServeConfig {
-        batch_window_ms: 100,
+        eval_chaos: EvalChaos {
+            stall: Some((1, 250)),
+            ..EvalChaos::default()
+        },
         ..ServeConfig::default()
     };
     let (server, addr) = bind(config, 2);
+    let barrier = Arc::new(Barrier::new(2));
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
     let params = workload_params(SchemeType::Bfv).unwrap();
@@ -238,6 +256,7 @@ fn coalesced_cross_tenant_batches_stay_per_tenant_correct_and_billed() {
             let addr = addr.clone();
             let circuit = circuit.clone();
             let params = params.clone();
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let seed = format!("tenant {tenant} inputs");
                 let w = RemoteWorkload::<Bfv>::prepare(&circuit, &params, seed.as_bytes()).unwrap();
@@ -245,6 +264,7 @@ fn coalesced_cross_tenant_batches_stay_per_tenant_correct_and_billed() {
                 let mut client = connect::<Bfv>(&addr, tenant, &w);
                 let inputs = w.input_refs();
                 let batch = [inputs.as_slice(), inputs.as_slice()];
+                barrier.wait();
                 let results = client.evaluate_batch(&w.prepared, &batch).unwrap();
                 for outs in &results {
                     assert_eq!(
@@ -286,15 +306,13 @@ fn coalesced_cross_tenant_batches_stay_per_tenant_correct_and_billed() {
     assert_eq!(ledgers[0].upload_bytes, ledgers[1].upload_bytes);
     assert_eq!(stats.eval.cache.compiles, 1);
     assert_eq!(stats.eval.counters.errors, 0);
+    let sched = stats.eval.sched;
+    assert_eq!((sched.batches, sched.max_batch), (1, 4), "{sched:?}");
 }
 
 #[test]
-fn pipelined_batch_coalesces_into_one_kernel_dispatch() {
-    let config = ServeConfig {
-        batch_window_ms: 150,
-        ..ServeConfig::default()
-    };
-    let (server, addr) = bind(config, 1);
+fn pipelined_batch_of_four_is_one_kernel_dispatch_and_lone_requests_never_hold() {
+    let (server, addr) = bind(ServeConfig::default(), 1);
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
     let params = workload_params(SchemeType::Bfv).unwrap();
@@ -303,26 +321,204 @@ fn pipelined_batch_coalesces_into_one_kernel_dispatch() {
     let mut client = connect::<Bfv>(&addr, 1, &w);
     let inputs = w.input_refs();
 
-    // Warm the program cache so the batch itself is pure evaluation.
-    client.evaluate(&w.prepared, &inputs).unwrap();
-    let batch = [
-        inputs.as_slice(),
-        inputs.as_slice(),
-        inputs.as_slice(),
-        inputs.as_slice(),
-    ];
+    // One request at a time: each is a round of its own, and the
+    // scheduler never once keeps a round open.
+    for _ in 0..5 {
+        client.evaluate(&w.prepared, &inputs).unwrap();
+    }
+    let lone = server.stats().eval.sched;
+    assert_eq!((lone.jobs, lone.batches, lone.coalesced), (5, 5, 0));
+    assert_eq!(lone.held_rounds, 0, "a lone request waited: {lone:?}");
+
+    // Four pipelined: the next request is on the socket behind each of
+    // the first three, so the round stays open for exactly this batch.
+    let batch = [inputs.as_slice(); 4];
     let results = client.evaluate_batch(&w.prepared, &batch).unwrap();
     for outs in &results {
         assert_eq!(wires::<Bfv>(outs), local);
     }
 
+    let sched = server.shutdown().eval.sched;
+    assert_eq!(sched.max_batch, 4, "{sched:?}");
+    assert_eq!((sched.jobs, sched.batches, sched.coalesced), (9, 6, 4));
+    // (At most: the dispatcher may only get to look once all four are in.)
+    assert!(sched.held_rounds <= 1, "{sched:?}");
+}
+
+/// A hand-driven connection: the tests below need to pipeline payloads
+/// `RemoteEvaluator` never mixes and to see the response frames' own
+/// sequence numbers.
+struct RawClient {
+    io: BlobIo,
+    key: TagKey,
+    seq: u64,
+    uploaded: u64,
+    downloaded: u64,
+}
+
+impl RawClient {
+    fn connect(addr: &str, tenant: u64, w: &RemoteWorkload<Bfv>) -> Self {
+        let key = TagKey::from_session_seed(tenant_seed(tenant).as_bytes());
+        let io = dial_io(addr, &key, tenant, 0, false, &TcpOptions::default()).unwrap();
+        let mut client = RawClient {
+            io,
+            key,
+            seq: 0,
+            uploaded: 0,
+            downloaded: 0,
+        };
+        let setup = SessionSetup {
+            params: w.params.clone(),
+            relin_wire: Bfv::relin_to_wire(&w.relin),
+            galois_wire: Bfv::galois_to_wire(&w.galois),
+        };
+        client.send(&setup.to_wire());
+        assert!(matches!(client.recv(), (0, EvalResponse::SetupOk)));
+        client
+    }
+
+    fn send(&mut self, payload: &[u8]) {
+        let wire = encode_frame(FrameKind::EvalRequest, self.seq, payload, &self.key);
+        self.seq += 1;
+        self.io.write_all(&wire).unwrap();
+        self.uploaded += payload.len() as u64;
+    }
+
+    /// The next response frame: its sequence number and its message.
+    fn recv(&mut self) -> (u64, EvalResponse) {
+        let wire = self.io.read_blob(30_000).unwrap().expect("a response");
+        let frame = decode_frame(&wire, &self.key).unwrap();
+        assert_eq!(frame.kind, FrameKind::EvalResponse);
+        self.downloaded += frame.payload.len() as u64;
+        (frame.seq, EvalResponse::from_wire(&frame.payload).unwrap())
+    }
+}
+
+fn request(w: &RemoteWorkload<Bfv>, request_id: u64, with_body: bool) -> EvalRequest {
+    EvalRequest {
+        request_id,
+        program_ref: w.prepared.program_ref,
+        program: with_body.then(|| (w.prepared.wire.clone(), w.prepared.options)),
+        deadline_ms: None,
+        inputs: w
+            .inputs
+            .iter()
+            .map(|(name, ct)| (name.clone(), Bfv::ct_to_wire(ct)))
+            .collect(),
+    }
+}
+
+#[test]
+fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exactly() {
+    let (server, addr) = bind(ServeConfig::default(), 2);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let handles: Vec<_> = [1u64, 2u64]
+        .into_iter()
+        .map(|tenant| {
+            let addr = addr.clone();
+            let circuit = circuit.clone();
+            let params = params.clone();
+            std::thread::spawn(move || {
+                let seed = format!("writer tenant {tenant}");
+                let w = RemoteWorkload::<Bfv>::prepare(&circuit, &params, seed.as_bytes()).unwrap();
+                let local = w.local_output_wires().unwrap();
+                let mut client = RawClient::connect(&addr, tenant, &w);
+                // Everything goes out before anything is read: evaluations
+                // (answered by scheduler jobs) with journal queries and a
+                // reference to a program nobody uploaded (both answered by
+                // the reader on the spot) in between.
+                let unknown = EvalRequest {
+                    program_ref: [0xAA; 32],
+                    ..request(&w, 2, false)
+                };
+                client.send(&request(&w, 0, true).to_wire());
+                client.send(JOURNAL_MAGIC);
+                client.send(&request(&w, 1, false).to_wire());
+                client.send(&unknown.to_wire());
+                client.send(JOURNAL_MAGIC);
+                client.send(&request(&w, 3, false).to_wire());
+                let mut evaluated = Vec::new();
+                let (mut journal_answers, mut need_program) = (0, 0);
+                for expect_seq in 1..=6 {
+                    let (seq, resp) = client.recv();
+                    assert_eq!(seq, expect_seq, "tenant {tenant}: response out of sequence");
+                    match resp {
+                        EvalResponse::Outputs {
+                            request_id,
+                            outputs,
+                        } => {
+                            assert_eq!(outputs, local, "tenant {tenant} request {request_id}");
+                            evaluated.push(request_id);
+                        }
+                        EvalResponse::DeadRequests { request_ids } => {
+                            assert!(request_ids.is_empty());
+                            journal_answers += 1;
+                        }
+                        EvalResponse::NeedProgram { request_id } => {
+                            assert_eq!(request_id, 2);
+                            need_program += 1;
+                        }
+                        other => panic!("tenant {tenant}: unexpected {other:?}"),
+                    }
+                }
+                evaluated.sort_unstable();
+                assert_eq!(evaluated, vec![0, 1, 3]);
+                assert_eq!((journal_answers, need_program), (2, 1));
+                (client.uploaded, client.downloaded)
+            })
+        })
+        .collect();
+    let ledgers: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("tenant thread panicked"))
+        .collect();
     let stats = server.shutdown();
-    assert!(
-        stats.eval.sched.max_batch >= 2,
-        "pipelined requests never coalesced: {:?}",
-        stats.eval.sched
-    );
-    assert!(stats.eval.sched.coalesced >= 2);
+    for (tenant, (uploaded, downloaded)) in (1u64..).zip(ledgers) {
+        let book = stats.book.get(tenant).expect("tenant billed");
+        assert_eq!(book.upload_bytes, uploaded, "tenant {tenant} upload");
+        assert_eq!(book.download_bytes, downloaded, "tenant {tenant} download");
+        assert_eq!((book.uploads, book.downloads), (7, 7), "tenant {tenant}");
+    }
+    // Per tenant: three results and the `NeedProgram`.
+    assert_eq!(stats.eval.journal.delivered, 8);
+}
+
+#[test]
+fn response_the_writer_never_wrote_is_neither_billed_nor_journaled() {
+    // The server dies between the first and the second response of one
+    // batch: the second is refused at the socket, the third is still
+    // queued behind it.
+    let config = ServeConfig {
+        eval_chaos: EvalChaos {
+            kill: Some((EvalStage::PreReply, 2)),
+            ..EvalChaos::default()
+        },
+        ..ServeConfig::default()
+    };
+    let (server, addr) = bind(config, 1);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"unwritten").unwrap();
+    let mut client = connect::<Bfv>(&addr, 1, &w);
+    let inputs = w.input_refs();
+    let batch = [inputs.as_slice(); 3];
+    let lost = client.evaluate_batch(&w.prepared, &batch);
+    assert!(lost.is_err(), "two of three results died with the server");
+    assert!(server.was_hard_killed());
+
+    let stats = server.shutdown();
+    let journal = stats.eval.journal;
+    assert_eq!((journal.accepted, journal.delivered), (3, 1), "{journal:?}");
+    // The setup ack and the one result that reached the socket: exactly
+    // what the client counted coming in.
+    let book = stats.book.get(1).expect("tenant 1 billed");
+    let ledger = client.ledger();
+    assert_eq!(book.downloads, 2);
+    assert_eq!(book.download_bytes, ledger.download_bytes);
+    assert_eq!(book.upload_bytes, ledger.upload_bytes);
 }
 
 #[test]
