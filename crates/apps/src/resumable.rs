@@ -1,5 +1,4 @@
-//! The step-granular workload contract, its progress codec, and the TCP
-//! drive loop.
+//! The step-granular workload contract and its progress codec.
 //!
 //! Every client-aided workload of the suite is *defined* as a state machine
 //! that advances in discrete steps — one body per workload, in the module
@@ -24,8 +23,10 @@
 //! ([`TransportError::Crashed`] or a real process death), rebuilds session
 //! and workload from the last checkpoint with [`Session::resume`] +
 //! [`ResumableWorkload::restore`] + [`ResumableWorkload::recover`] and
-//! continues exactly where the run left off ([`drive_over_tcp`] is that
-//! loop over a real socket).
+//! continues exactly where the run left off. Client-aided workloads run in
+//! process (their sessions over [`choco::transport::DirectChannel`] or a
+//! [`choco::transport::FaultyChannel`]); what crosses a real socket is the
+//! remote evaluator's protocol ([`crate::remote`]).
 //!
 //! Determinism contract: a step is a pure function of the workload's
 //! progress state and the session state at the step boundary — every
@@ -45,9 +46,7 @@
 //! from the checkpoint seal around the whole blob; `restore` still
 //! validates shape and never panics on garbage.
 
-use choco::transport::{
-    put_blob, Channel, Redialer, Session, TcpChannel, TransportError, WireCursor,
-};
+use choco::transport::{put_blob, Channel, Session, TransportError, WireCursor};
 use choco_he::HeScheme;
 
 /// A client-aided workload as a step-granular state machine over a
@@ -228,73 +227,6 @@ pub(crate) fn read_ct<S: HeScheme>(
     S::ct_from_wire(wire)
         .map(Some)
         .map_err(|e| bad_progress(format!("stored ciphertext: {e}")))
-}
-
-// ---------------------------------------------------------------------------
-// TCP drive loop
-// ---------------------------------------------------------------------------
-
-/// Whether a step failure means "the link died — redial and resume" (as
-/// opposed to a protocol or HE error that a reconnect cannot fix).
-///
-/// Over a real socket, a dead connection surfaces either directly as
-/// [`TransportError::Disconnected`] or laundered through the session's
-/// retry machinery as [`TransportError::RetriesExhausted`] /
-/// [`TransportError::TimeoutExceeded`] (the sticky socket error makes
-/// every remaining attempt see a dry pipe).
-pub fn is_reconnectable(e: &TransportError) -> bool {
-    matches!(
-        e,
-        TransportError::Disconnected(_)
-            | TransportError::RetriesExhausted { .. }
-            | TransportError::TimeoutExceeded { .. }
-    )
-}
-
-/// Drives a workload over a real TCP session to completion, absorbing
-/// link failures: every successful step refreshes the client's checkpoint,
-/// and when the link dies the client redials (with the [`Redialer`]'s
-/// bounded backoff), rebuilds the session with [`Session::resume`] (the
-/// reconnect handshake is billed to
-/// [`choco::CommLedger::recovery_bytes`]), restores the workload from the
-/// checkpointed progress blob and runs its
-/// [`recover`](ResumableWorkload::recover) hook.
-///
-/// # Errors
-///
-/// The last step error once `max_reconnects` redials have been spent, any
-/// non-reconnectable step error, and redial/resume/restore failures.
-pub fn drive_over_tcp<W: ResumableWorkload>(
-    redialer: &Redialer,
-    session: Session<W::Scheme, TcpChannel>,
-    workload: W,
-    max_reconnects: u32,
-) -> Result<(Session<W::Scheme, TcpChannel>, W), TransportError> {
-    let mut session = session;
-    let mut workload = workload;
-    let mut ck = session.checkpoint(&workload.progress());
-    let mut reconnects = 0u32;
-    while !workload.is_done() {
-        match workload.step(&mut session) {
-            Ok(()) => ck = session.checkpoint(&workload.progress()),
-            Err(e) if is_reconnectable(&e) => {
-                if reconnects >= max_reconnects {
-                    return Err(e);
-                }
-                reconnects += 1;
-                // Drop the dead session first: closing its socket before
-                // redialing keeps the server's admission count honest.
-                drop(session);
-                let (up, down) = redialer.redial()?;
-                let (resumed, progress) = Session::resume(&ck, up, down)?;
-                session = resumed;
-                workload = workload.restore(&progress)?;
-                workload.recover(&mut session)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((session, workload))
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //! poison-job isolation, deadline shedding, and circuit-breaker recovery —
 //! all over real loopback TCP.
 //!
-//! `chaos_tcp.rs` proves the relay protocol survives socket loss. This
-//! suite proves the *remote-evaluation* protocol survives the server
+//! This suite proves the remote-evaluation protocol survives the server
 //! process dying mid-batch, at every stage of a request's life:
 //!
 //! * **Accept** — journaled but never scheduled;
@@ -24,19 +23,23 @@
 //! (second submission refused without entering the scheduler), a stalled
 //! dispatch sheds past-deadline jobs with a typed response the client
 //! retries through, and an error storm trips the tenant's breaker open —
-//! typed `Unavailable` — until a half-open probe succeeds.
+//! typed `Unavailable` — until a half-open probe succeeds. Last, a bit
+//! flipped in flight inside a request frame is rejected by its tag: a typed
+//! timeout for the client, never a wrong result.
 
 use choco::compiler::Program;
 use choco::protocol::CommLedger;
-use choco::remote::PreparedProgram;
-use choco::transport::tcp::TcpOptions;
-use choco::transport::{RetryPolicy, TransportError};
+use choco::remote::{PreparedProgram, RemoteEvaluator, SessionSetup};
+use choco::transport::frame::{encode_frame, FrameKind};
+use choco::transport::tcp::{TcpOptions, HELLO_BYTES};
+use choco::transport::{RetryPolicy, TagKey, TransportError};
 use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_options, workload_params, RemoteWorkload};
 use choco_he::params::SchemeType;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_serve::{
-    EvalChaos, EvalStage, IsolationConfig, OffloadServer, ServeConfig, TenantRegistry,
+    ChaosPlan, ChaosProxy, EvalChaos, EvalStage, IsolationConfig, OffloadServer, ServeConfig,
+    TenantRegistry,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier, Mutex};
@@ -243,10 +246,7 @@ fn kill_sweep<S: choco::compiler::CompilerScheme>(scheme: SchemeType, label: &st
             stats_b.eval.journal.reported_dead >= 1,
             "{point}: successor reported no dead requests"
         );
-        assert!(
-            stats_b.sessions.iter().all(|r| r.bad_frames == 0),
-            "{point}: successor saw bad frames"
-        );
+        assert_eq!(stats_b.bad_frames, 0, "{point}: successor saw bad frames");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -567,4 +567,93 @@ fn error_storm_trips_breaker_and_half_open_probe_recovers() {
         stats.eval.isolation
     );
     assert_eq!(stats.eval.isolation.quarantined, 2);
+}
+
+/// A bit flipped in-flight inside an eval request frame must surface as a
+/// typed error, never a panic and never a wrong result: the keyed-BLAKE3
+/// tag rejects the frame server-side (counted in `bad_frames`, connection
+/// left up), the client's receive deadline turns the missing answer into a
+/// typed `TimeoutExceeded`, and a clean follow-up connection still
+/// computes the bit-exact local reference.
+#[test]
+fn corrupted_eval_frame_is_typed_never_wrong() {
+    let seed = tenant_seed(TENANT);
+    let seed = seed.as_bytes();
+    let dir = scratch_dir("eval/corrupt");
+    let server = bind_server(&dir, 1, EvalChaos::default());
+
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"corrupt-frame keys").unwrap();
+    let local = w.local_output_wires().unwrap();
+
+    // Locate the first eval-request frame on the client→server stream:
+    // hello, then the session-setup frame (seq 0), then the request. The
+    // flip lands 200 bytes into the request frame, so session setup passes
+    // untouched and only the request is mangled.
+    let key = TagKey::from_session_seed(seed);
+    let setup = SessionSetup {
+        params: w.params.clone(),
+        relin_wire: Bfv::relin_to_wire(&w.relin),
+        galois_wire: Bfv::galois_to_wire(&w.galois),
+    };
+    let setup_frame = encode_frame(FrameKind::EvalRequest, 0, &setup.to_wire(), &key);
+    let plan = ChaosPlan {
+        corrupt_at_byte: Some((HELLO_BYTES + setup_frame.len() + 200) as u64),
+        corrupt_seed: 5,
+        ..ChaosPlan::default()
+    };
+    let proxy = ChaosProxy::spawn(server.addr(), plan).expect("spawn chaos proxy");
+
+    let opts = TcpOptions {
+        recv_deadline_ms: 500,
+        ..TcpOptions::default()
+    };
+    let mut through_proxy = RemoteEvaluator::<Bfv>::connect(
+        &proxy.addr().to_string(),
+        seed,
+        TENANT,
+        1,
+        &w.params,
+        &w.relin,
+        &w.galois,
+        &opts,
+    )
+    .expect("session setup must cross the proxy untouched");
+    let err = through_proxy
+        .evaluate(&w.prepared, &w.input_refs())
+        .expect_err("a corrupted request frame must not yield a result");
+    assert!(
+        matches!(err, TransportError::TimeoutExceeded { .. }),
+        "expected a typed timeout for the dropped frame, got {err}"
+    );
+    assert!(proxy.corrupted(), "the planned bit flip never fired");
+    drop(through_proxy);
+    proxy.stop();
+
+    // A clean, direct connection still computes the right answer — the
+    // corruption cost a round trip, never correctness.
+    let mut direct = RemoteEvaluator::<Bfv>::connect(
+        &server.addr().to_string(),
+        seed,
+        TENANT,
+        2,
+        &w.params,
+        &w.relin,
+        &w.galois,
+        &TcpOptions::default(),
+    )
+    .expect("clean connect after corruption");
+    let out = direct
+        .evaluate(&w.prepared, &w.input_refs())
+        .expect("clean evaluate after corruption");
+    let wires: Vec<Vec<u8>> = out.iter().map(Bfv::ct_to_wire).collect();
+    assert_eq!(wires, local, "clean retry must match the local reference");
+    drop(direct);
+
+    // Exactly the one mangled frame failed its tag; the clean session's
+    // frames all verified.
+    assert_eq!(server.shutdown().bad_frames, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

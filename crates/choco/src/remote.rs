@@ -20,17 +20,17 @@
 //! * **Responses** ([`EvalResponse`], magic `CRA1`): output ciphertexts,
 //!   or a typed error.
 //!
-//! Every message is carried inside the session's keyed-BLAKE3 frame format
-//! ([`FrameKind::EvalRequest`] / [`FrameKind::EvalResponse`]), so
-//! integrity, authentication, and duplicate accounting are inherited from
-//! the relay transport unchanged. All decoders are total: truncated,
+//! Every message is carried inside the transport's keyed-BLAKE3 frame
+//! format ([`FrameKind::EvalRequest`] / [`FrameKind::EvalResponse`], the
+//! only two kinds a served connection speaks), which is where integrity
+//! and authentication come from. All decoders are total: truncated,
 //! bit-flipped, oversized, or cross-scheme inputs surface as typed
 //! [`TransportError`]s, never panics.
 
 use crate::compiler::{CompilerOptions, CompilerScheme, NodeId, Op, Program};
 use crate::protocol::CommLedger;
 use crate::transport::frame::{decode_frame, encode_frame, FrameKind};
-use crate::transport::tcp::{dial_io, BlobIo, Redialer, TcpOptions};
+use crate::transport::tcp::{dial, BlobIo, Redialer, TcpOptions};
 use crate::transport::{put_blob, RetryPolicy, TagKey, TransportError, WireCursor};
 use choco_he::params::{HeParams, SchemeType};
 use choco_prng::blake3;
@@ -370,7 +370,7 @@ impl PreparedProgram {
 // Messages
 // ---------------------------------------------------------------------------
 
-/// The one-time key upload that turns an admitted relay connection into an
+/// The one-time key upload that turns an admitted connection into an
 /// evaluation session.
 #[derive(Debug, Clone)]
 pub struct SessionSetup {
@@ -995,33 +995,9 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
         opts: &TcpOptions,
     ) -> Result<Self, TransportError> {
         let key = TagKey::from_session_seed(seed);
-        let io = dial_io(addr, &key, tenant, session, false, opts)?;
-        let setup = SessionSetup {
-            params: params.clone(),
-            relin_wire: S::relin_to_wire(relin),
-            galois_wire: S::galois_to_wire(galois),
-        };
-        let mut client = RemoteEvaluator {
-            io,
-            key,
-            seq: 0,
-            next_id: 0,
-            ledger: CommLedger::new(),
-            sent_programs: BTreeSet::new(),
-            opts: *opts,
-            deadline_ms: None,
-            retry: RetryPolicy::default(),
-            reconnect: None,
-            _scheme: PhantomData,
-        };
-        client.send_request(&setup.to_wire())?;
-        match client.read_response()? {
-            EvalResponse::SetupOk => Ok(client),
-            EvalResponse::Error { message, .. } => Err(TransportError::Rejected(format!(
-                "session setup refused: {message}"
-            ))),
-            other => Err(bad(format!("unexpected setup response {other:?}"))),
-        }
+        let io = dial(addr, &key, tenant, session, false, opts)?;
+        let setup_wire = Self::setup_wire(params, relin, galois);
+        Self::start(io, key, &setup_wire, opts, RetryPolicy::default(), None)
     }
 
     /// [`RemoteEvaluator::connect`], but fault-tolerant: the address is a
@@ -1046,17 +1022,41 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
         opts: &TcpOptions,
         policy: RetryPolicy,
     ) -> Result<Self, TransportError> {
-        let key = TagKey::from_session_seed(seed);
-        let setup = SessionSetup {
-            params: params.clone(),
-            relin_wire: S::relin_to_wire(relin),
-            galois_wire: S::galois_to_wire(galois),
-        };
-        let setup_wire = Arc::new(setup.to_wire());
+        let setup_wire = Arc::new(Self::setup_wire(params, relin, galois));
         let io = Redialer::new(lock(&addr).clone(), seed, tenant, session)
             .with_policy(policy)
             .with_opts(*opts)
-            .dial_fresh_io()?;
+            .dial_fresh()?;
+        let reconnect = Reconnect {
+            addr,
+            seed: seed.to_vec(),
+            tenant,
+            session,
+            setup_wire: Arc::clone(&setup_wire),
+        };
+        let key = TagKey::from_session_seed(seed);
+        Self::start(io, key, &setup_wire, opts, policy, Some(reconnect))
+    }
+
+    fn setup_wire(params: &HeParams, relin: &S::RelinKey, galois: &S::GaloisKeys) -> Vec<u8> {
+        SessionSetup {
+            params: params.clone(),
+            relin_wire: S::relin_to_wire(relin),
+            galois_wire: S::galois_to_wire(galois),
+        }
+        .to_wire()
+    }
+
+    /// A client over the admitted connection `io`, once the server has
+    /// acknowledged the session setup.
+    fn start(
+        io: BlobIo,
+        key: TagKey,
+        setup_wire: &[u8],
+        opts: &TcpOptions,
+        retry: RetryPolicy,
+        reconnect: Option<Reconnect>,
+    ) -> Result<Self, TransportError> {
         let mut client = RemoteEvaluator {
             io,
             key,
@@ -1066,17 +1066,11 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
             sent_programs: BTreeSet::new(),
             opts: *opts,
             deadline_ms: None,
-            retry: policy,
-            reconnect: Some(Reconnect {
-                addr,
-                seed: seed.to_vec(),
-                tenant,
-                session,
-                setup_wire: Arc::clone(&setup_wire),
-            }),
+            retry,
+            reconnect,
             _scheme: PhantomData,
         };
-        client.send_request(&setup_wire)?;
+        client.send_request(setup_wire)?;
         match client.read_response()? {
             EvalResponse::SetupOk => Ok(client),
             EvalResponse::Error { message, .. } => Err(TransportError::Rejected(format!(
@@ -1334,7 +1328,7 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
             let redialer = Redialer::new(lock(&addr).clone(), &seed, tenant, session)
                 .with_policy(one)
                 .with_opts(self.opts);
-            self.io = match redialer.redial_io() {
+            self.io = match redialer.redial() {
                 Ok(io) => io,
                 Err(TransportError::RetriesExhausted { last: l, .. }) => {
                     last = TransportError::Disconnected(l);

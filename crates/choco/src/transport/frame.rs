@@ -40,8 +40,7 @@ pub enum FrameKind {
     Control,
     /// A remote-evaluation request (session setup, program upload, or an
     /// evaluate call — `choco::remote` payload magics discriminate). The
-    /// server answers these with [`FrameKind::EvalResponse`] frames
-    /// instead of echoing.
+    /// server answers these with [`FrameKind::EvalResponse`] frames.
     EvalRequest,
     /// A remote-evaluation response (server → client).
     EvalResponse,

@@ -49,7 +49,7 @@ pub use checkpoint::SessionCheckpoint;
 pub use fault::{FaultPlan, FaultStats, FaultyChannel};
 pub use frame::{Frame, FrameKind, TagKey};
 pub use session::{CrashOp, CrashPlan, LinkConfig, RetryPolicy, Session};
-pub use tcp::{dial, HelloStatus, Redialer, TcpChannel, MAX_FRAME_BYTES};
+pub use tcp::{dial, HelloStatus, Redialer, MAX_FRAME_BYTES};
 pub use wire::{put_blob, WireCursor};
 
 use choco_he::HeError;
@@ -116,8 +116,8 @@ pub enum TransportError {
     BadCheckpoint(String),
     /// A real socket closed underneath the session: EOF, connection reset,
     /// or an I/O error that ends the connection. The carried string is the
-    /// OS-level cause. Redial and [`Session::resume`](session::Session) to
-    /// continue.
+    /// OS-level cause. A `RemoteEvaluator` opened with `connect_reliable`
+    /// redials and resends.
     Disconnected(String),
     /// A length prefix on the wire declared a frame larger than the
     /// configured bound. Rejected *before* allocating, so a hostile or

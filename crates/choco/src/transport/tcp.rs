@@ -1,6 +1,6 @@
 //! Real-socket transport: length-prefixed frames over `std::net::TcpStream`.
 //!
-//! [`TcpChannel`] carries the exact same keyed-BLAKE3 frames as the
+//! A served connection carries the same keyed-BLAKE3 frames as the
 //! in-memory channels — a frame's own leading `u32` length field doubles as
 //! the socket-level length prefix, so the bytes on the wire are the encoded
 //! frame, verbatim. What changes is the failure model: real sockets add
@@ -8,29 +8,20 @@
 //! prefixes from corrupt or hostile peers. All of those surface as *typed*
 //! [`TransportError`] values, never panics and never unbounded allocations.
 //!
-//! The serving topology is a **verified relay**: the remote `choco-serve`
-//! process holds the tenant's tag key and acknowledges every frame it can
-//! verify by echoing it back. [`TcpChannel::send`] writes the frame to the
-//! socket; [`Channel::recv`] reads the echo. The session layer's retry,
-//! checkpoint and resume machinery is unchanged — an exchange only
-//! completes once the frame has crossed the network twice and verified at
-//! both ends (see DESIGN.md §11 for why this shape preserves the ledger
-//! and bit-identity invariants).
-//!
-//! One [`TcpStream`] backs both directions of a session: the uplink and
-//! downlink handles from [`TcpChannel::pair`] share the connection behind a
-//! mutex. Session exchanges are strictly sequential, so the two handles
-//! never interleave frames.
+//! This module is the socket layer under the remote evaluator
+//! (`choco::remote` on the client, `choco-serve` on the server): [`BlobIo`]
+//! reads and writes length-prefixed blobs, [`dial`] runs the authenticated
+//! hello handshake and hands back the admitted connection, and
+//! [`Redialer`] repeats the dial with bounded backoff. Which frames cross
+//! the connection, and what answers them, is the evaluator protocol's
+//! business, not this module's.
 
-use super::channel::{Channel, Delivery};
 use super::frame::TagKey;
 use super::session::RetryPolicy;
-use super::wire::{put_blob, WireCursor};
+use super::wire::WireCursor;
 use super::TransportError;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame accepted off the wire. A length prefix
@@ -41,9 +32,9 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 /// Socket tuning for one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpOptions {
-    /// How long [`Channel::recv`] waits for an expected echo before
-    /// reporting the pipe dry (the session layer then retries or times
-    /// out), in real milliseconds.
+    /// How long a client waits for an expected response before giving the
+    /// read up with [`TransportError::TimeoutExceeded`], in real
+    /// milliseconds.
     pub recv_deadline_ms: u64,
     /// Write timeout and handshake-read timeout, in real milliseconds.
     pub io_timeout_ms: u64,
@@ -71,9 +62,9 @@ fn le_u32(bytes: &[u8]) -> Option<u32> {
 
 /// Length-prefixed blob I/O over one [`TcpStream`]: partial reads are
 /// kept across calls, length prefixes are bounds-checked before
-/// allocating, and every failure is a typed [`TransportError`]. This is the
-/// shared read/write core of [`TcpChannel`] and the `choco-serve` worker
-/// loop.
+/// allocating, and every failure is a typed [`TransportError`]. Both ends
+/// of a served connection — `RemoteEvaluator` and the `choco-serve`
+/// connection threads — read and write through it.
 ///
 /// Reads never run ahead: a message is read into its own buffer, exactly
 /// to its end, so whatever the peer sent behind it is still in the socket
@@ -270,182 +261,6 @@ pub fn write_all_beside_probe(
     Ok(())
 }
 
-struct TcpConn {
-    io: BlobIo,
-    /// Sticky first error: once the connection fails, every later operation
-    /// reports dry/no-op and the typed cause stays inspectable via
-    /// [`TcpChannel::last_error`].
-    error: Option<TransportError>,
-    /// Set by `send`, cleared when a recv deadline expires: an echo is only
-    /// worth blocking for after we have written something.
-    awaiting_echo: bool,
-    recv_deadline_ms: u64,
-}
-
-impl TcpConn {
-    fn fail(&mut self, e: TransportError) {
-        if self.error.is_none() {
-            self.error = Some(e);
-        }
-        let _ = self.io.stream().shutdown(Shutdown::Both);
-    }
-}
-
-/// One direction of a [`Channel`] over a shared TCP connection, produced in
-/// uplink/downlink pairs by [`TcpChannel::pair`] or [`dial`].
-///
-/// The [`Channel`] contract has no error returns (`send` is infallible,
-/// `recv` yields `Option`), so socket failures are recorded as a sticky
-/// typed error: subsequent `recv`s report the pipe dry, the session layer's
-/// retry budget converts that into [`TransportError::RetriesExhausted`],
-/// and the root cause stays available via [`TcpChannel::last_error`].
-pub struct TcpChannel {
-    conn: Arc<Mutex<TcpConn>>,
-    queue: VecDeque<Delivery>,
-}
-
-impl TcpChannel {
-    /// Splits a connected stream into an (uplink, downlink) channel pair
-    /// sharing the connection.
-    pub fn pair_from_io(io: BlobIo, opts: &TcpOptions) -> (TcpChannel, TcpChannel) {
-        let _ = io
-            .stream()
-            .set_write_timeout(Some(Duration::from_millis(opts.io_timeout_ms.max(1))));
-        let conn = Arc::new(Mutex::new(TcpConn {
-            io,
-            error: None,
-            awaiting_echo: false,
-            recv_deadline_ms: opts.recv_deadline_ms,
-        }));
-        (
-            TcpChannel {
-                conn: Arc::clone(&conn),
-                queue: VecDeque::new(),
-            },
-            TcpChannel {
-                conn,
-                queue: VecDeque::new(),
-            },
-        )
-    }
-
-    /// [`TcpChannel::pair_from_io`] over a raw stream.
-    pub fn pair(stream: TcpStream, opts: &TcpOptions) -> (TcpChannel, TcpChannel) {
-        Self::pair_from_io(BlobIo::new(stream, opts.max_frame_bytes), opts)
-    }
-
-    fn lock(&self) -> MutexGuard<'_, TcpConn> {
-        match self.conn.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The first socket-level failure this connection hit, if any.
-    pub fn last_error(&self) -> Option<TransportError> {
-        self.lock().error.clone()
-    }
-
-    /// Whether the connection is still usable.
-    pub fn is_connected(&self) -> bool {
-        self.lock().error.is_none()
-    }
-
-    /// Hard-kills the connection from this end (both directions). Used by
-    /// the chaos tests to materialize a crash as a real socket teardown.
-    pub fn kill(&self) {
-        let mut c = self.lock();
-        c.fail(TransportError::Disconnected("killed locally".into()));
-    }
-}
-
-impl Channel for TcpChannel {
-    fn send(&mut self, wire: Vec<u8>) {
-        let mut c = self.lock();
-        if c.error.is_some() {
-            return;
-        }
-        if let Err(e) = c.io.write_all(&wire) {
-            c.fail(e);
-            return;
-        }
-        c.awaiting_echo = true;
-    }
-
-    fn recv(&mut self) -> Option<Delivery> {
-        if let Some(d) = self.queue.pop_front() {
-            return Some(d);
-        }
-        let mut c = self.lock();
-        if c.error.is_some() {
-            return None;
-        }
-        // Block for the echo only when one is expected; otherwise the
-        // shortest poll there is (one scheduler tick, see `BlobIo`) keeps
-        // drain loops (resume, stale-duplicate sweeps) fast.
-        let deadline = if c.awaiting_echo {
-            c.recv_deadline_ms.max(1)
-        } else {
-            1
-        };
-        let start = Instant::now();
-        match c.io.read_blob(deadline) {
-            Ok(Some(wire)) => Some(Delivery {
-                wire,
-                latency_ms: elapsed_ms(start),
-            }),
-            Ok(None) => {
-                c.awaiting_echo = false;
-                None
-            }
-            Err(e) => {
-                c.fail(e);
-                None
-            }
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        // Only frames already delivered into this handle's local queue can
-        // be checkpointed; bytes still inside the kernel's socket buffers
-        // die with the connection — exactly like frames lost to a crash,
-        // which the resume handshake is built to absorb.
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.queue.len() as u32).to_le_bytes());
-        for d in &self.queue {
-            out.extend_from_slice(&d.latency_ms.to_le_bytes());
-            put_blob(&mut out, &d.wire);
-        }
-        out
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        if bytes.is_empty() {
-            self.queue.clear();
-            return Ok(());
-        }
-        let mut rest = WireCursor::sealed(bytes, "tcp channel state");
-        let count = rest.take_u32()?;
-        let mut queue = VecDeque::new();
-        for _ in 0..count {
-            let latency_ms = rest.take_u64()?;
-            let wire = rest.take_blob()?.to_vec();
-            queue.push_back(Delivery { wire, latency_ms });
-        }
-        if !rest.is_empty() {
-            return Err(TransportError::BadCheckpoint(
-                "tcp channel: trailing bytes in state".into(),
-            ));
-        }
-        self.queue = queue;
-        Ok(())
-    }
-}
-
 /// Magic prefix of the client hello.
 pub const HELLO_MAGIC: &[u8; 4] = b"CHLO";
 /// Magic prefix of the server's hello ack.
@@ -464,9 +279,9 @@ pub struct Hello {
     /// Tenant whose key registry entry authenticates this connection.
     pub tenant: u64,
     /// Client-chosen session id (distinguishes a tenant's parallel
-    /// sessions and names its server-side state across restarts).
+    /// sessions and names its eval journal across server restarts).
     pub session: u64,
-    /// Whether the client is resuming from a checkpoint (after a redial).
+    /// Whether this is a redial of a session that lost its connection.
     pub resume: bool,
     /// Keyed BLAKE3 tag over the fields above under the tenant's tag key.
     pub auth: [u8; 32],
@@ -537,7 +352,7 @@ pub fn decode_hello(bytes: &[u8]) -> Result<Hello, TransportError> {
 /// The server's verdict on a client hello.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelloStatus {
-    /// Admitted: the connection switches to frame echo mode.
+    /// Admitted: the connection now carries evaluator frames.
     Ok,
     /// Refused: the server is at its session limit.
     Overloaded {
@@ -600,7 +415,7 @@ pub fn decode_ack(bytes: &[u8]) -> Result<HelloStatus, TransportError> {
 }
 
 /// Connects to a `choco-serve` instance, runs the authenticated hello
-/// handshake, and returns the session's (uplink, downlink) channel pair.
+/// handshake, and returns the admitted connection.
 ///
 /// # Errors
 ///
@@ -609,26 +424,6 @@ pub fn decode_ack(bytes: &[u8]) -> Result<HelloStatus, TransportError> {
 /// [`TransportError::Rejected`] for every other refusal (unknown tenant,
 /// bad auth, draining, ack timeout).
 pub fn dial(
-    addr: &str,
-    key: &TagKey,
-    tenant: u64,
-    session: u64,
-    resume: bool,
-    opts: &TcpOptions,
-) -> Result<(TcpChannel, TcpChannel), TransportError> {
-    let io = dial_io(addr, key, tenant, session, resume, opts)?;
-    Ok(TcpChannel::pair_from_io(io, opts))
-}
-
-/// [`dial`], but returning the raw handshaked [`BlobIo`] instead of the
-/// echo-relay channel pair. This is the entry point for protocols that are
-/// *not* echo-acknowledged — the remote evaluator (`choco::remote`)
-/// exchanges request/response frames over the same admitted connection.
-///
-/// # Errors
-///
-/// Same as [`dial`].
-pub fn dial_io(
     addr: &str,
     key: &TagKey,
     tenant: u64,
@@ -698,57 +493,22 @@ impl Redialer {
         self
     }
 
-    /// The dialed address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Repoints the redialer at a new address. A server that hard-crashed
-    /// and restarted may come back on a different port; the reconnect loop
-    /// re-reads the address on every attempt.
-    pub fn set_addr(&mut self, addr: impl Into<String>) {
-        self.addr = addr.into();
-    }
-
     /// Dials the initial (non-resume) connection, with retries.
     ///
     /// # Errors
     ///
     /// [`TransportError::RetriesExhausted`] once the attempt budget is
     /// spent; permanent refusals propagate immediately.
-    pub fn dial_fresh(&self) -> Result<(TcpChannel, TcpChannel), TransportError> {
-        let io = self.attempt(false)?;
-        Ok(TcpChannel::pair_from_io(io, &self.opts))
+    pub fn dial_fresh(&self) -> Result<BlobIo, TransportError> {
+        self.attempt(false)
     }
 
     /// Redials with the resume flag set (after a disconnect), with retries.
     ///
     /// # Errors
     ///
-    /// [`TransportError::RetriesExhausted`] once the attempt budget is
-    /// spent; permanent refusals propagate immediately.
-    pub fn redial(&self) -> Result<(TcpChannel, TcpChannel), TransportError> {
-        let io = self.attempt(true)?;
-        Ok(TcpChannel::pair_from_io(io, &self.opts))
-    }
-
-    /// [`Redialer::dial_fresh`], but returning the raw handshaked
-    /// [`BlobIo`] for non-echo protocols (the remote evaluator).
-    ///
-    /// # Errors
-    ///
     /// Same as [`Redialer::dial_fresh`].
-    pub fn dial_fresh_io(&self) -> Result<BlobIo, TransportError> {
-        self.attempt(false)
-    }
-
-    /// [`Redialer::redial`], but returning the raw handshaked [`BlobIo`]
-    /// for non-echo protocols (the remote evaluator).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Redialer::redial`].
-    pub fn redial_io(&self) -> Result<BlobIo, TransportError> {
+    pub fn redial(&self) -> Result<BlobIo, TransportError> {
         self.attempt(true)
     }
 
@@ -756,7 +516,7 @@ impl Redialer {
         let attempts = self.policy.max_attempts.max(1);
         let mut last = TransportError::Dropped;
         for attempt in 0..attempts {
-            match dial_io(
+            match dial(
                 &self.addr,
                 &self.key,
                 self.tenant,

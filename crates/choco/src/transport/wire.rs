@@ -3,8 +3,8 @@
 //!
 //! The remote-evaluation messages and the TCP hello report a short input
 //! as [`TransportError::Truncated`]; the sealed formats (`CKP1` session
-//! checkpoints, `CSR1` session records, workload progress blobs) report it
-//! as [`TransportError::BadCheckpoint`]. The constructor picks which; every
+//! checkpoints, workload progress blobs) report it as
+//! [`TransportError::BadCheckpoint`]. The constructor picks which; every
 //! read after that is the same code.
 
 use super::TransportError;

@@ -1,21 +1,16 @@
 //! `choco-serve-bench` — loopback load generator for `choco-serve`.
 //!
 //! Spawns N concurrent clients against one server (in-process by default,
-//! or an external one via `--addr`). Each client runs the paper's four
-//! workload kinds round-robin over real TCP sessions — PageRank (BFV),
-//! a conv layer (BFV), the LeNet-like pipeline (BFV) and K-Means (CKKS) —
-//! and reports wall-clock percentiles per kind plus server-side totals as
-//! JSON (`--json PATH`).
-//!
-//! With `--batch N` the bench switches to the remote-evaluation protocol:
-//! each client uploads its evaluation keys once, warms the server's
-//! program/operand caches, then alternates measured **sequential** rounds
-//! (N evaluate requests, one blocking round trip each) against measured
-//! **batched** rounds (one pipelined `evaluate_batch` of N that the server
-//! runs as a single kernel dispatch). The report records per-round
-//! latency percentiles, request throughput for both modes, and their
-//! ratio (`speedup`), plus the server's cache counters — steady-state
-//! rounds show zero compiles and zero operand encodes.
+//! or an external one via `--addr`). Each client uploads its evaluation
+//! keys once, warms the server's program/operand caches, then alternates
+//! measured **sequential** rounds (`--batch` evaluate requests, one
+//! blocking round trip each) against measured **batched** rounds (one
+//! pipelined `evaluate_batch` of the same size, which the server runs as a
+//! single kernel dispatch). The report (`--json PATH`) records per-round
+//! latency percentiles, request throughput for both modes, and their ratio
+//! (`speedup`); for an in-process server it also embeds the server's own
+//! stats line (`ServeStats::to_json_line`) — steady-state rounds show zero
+//! compiles and zero operand encodes.
 //!
 //! With `--faults` the bench additionally measures the fault-isolation
 //! machinery under injected evaluation faults: per round it boots a fresh
@@ -31,16 +26,10 @@
 
 use choco::remote::RemoteEvaluator;
 use choco::transport::tcp::TcpOptions;
-use choco::transport::{Redialer, RetryPolicy, Session, TcpChannel, TransportError};
-use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
-use choco_apps::dnn::ResumableConvLayer;
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
-use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec, ResumablePipeline};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_apps::resumable::{drive_over_tcp, ResumableWorkload};
-use choco_he::params::{HeParams, SchemeType};
+use choco_he::params::SchemeType;
 use choco_he::{Bfv, HeScheme};
-use choco_serve::{EvalChaos, OffloadServer, ServeConfig, ServeStats, TenantRegistry};
+use choco_serve::{EvalChaos, OffloadServer, ServeConfig, TenantRegistry};
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -52,22 +41,20 @@ USAGE:
 
 OPTIONS:
   --clients N   concurrent client threads (default 8)
-  --reps N      workload runs per client (default 3)
+  --reps N      measured rounds per mode per client (default 3)
   --addr A      benchmark an external choco-serve (tenants must be
-                registered as ID=serve-bench tenant ID); default is an
+                registered as ID=serve-bench-tenant-ID); default is an
                 in-process server
   --json PATH   write the report as JSON to PATH (default: stdout only)
-  --batch N     remote-evaluation mode: compare N sequential evaluate
-                round trips per round against one pipelined batch of N
-                (the PageRank circuit under BFV), report both latency
+  --batch N     requests per round (default 4): N sequential evaluate
+                round trips against one pipelined batch of N (the PageRank
+                circuit under BFV); the report has both latency
                 distributions and the throughput speedup
   --faults      fault-injection phase against dedicated in-process chaos
                 servers: per-kind latency percentiles for a clean round,
                 a bisected poison fault, and a shed-and-retried deadline,
                 asserting zero wrong results
   --smoke       tiny run (2 clients x 1 rep) for CI";
-
-const KINDS: [&str; 4] = ["pagerank_bfv", "conv_bfv", "pipeline_bfv", "kmeans_ckks"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("choco-serve-bench: {msg}\n\n{USAGE}");
@@ -82,85 +69,6 @@ fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
 
-/// Drives `workload` to completion over its own TCP session (fresh keys
-/// from `params`, up to two redials).
-fn drive<W: ResumableWorkload>(
-    redialer: &Redialer,
-    seed: &[u8],
-    params: &HeParams,
-    rotation_steps: &[i64],
-    workload: W,
-) -> Result<(), TransportError> {
-    let (up, down) = redialer.dial_fresh()?;
-    let session = Session::<W::Scheme, TcpChannel>::over(
-        params,
-        seed,
-        rotation_steps,
-        up,
-        down,
-        RetryPolicy::default(),
-    )?;
-    drive_over_tcp(redialer, session, workload, 2)?;
-    Ok(())
-}
-
-/// One workload run over its own TCP session. Failures are returned (the
-/// bench reports them, it does not panic).
-fn run_workload(
-    kind: usize,
-    addr: &str,
-    tenant: u64,
-    session_id: u64,
-) -> Result<(), TransportError> {
-    let seed = tenant_seed(tenant);
-    let seed = seed.as_bytes();
-    let redialer = Redialer::new(addr, seed, tenant, session_id);
-    let bfv = |plain_bits| HeParams::bfv_insecure(1024, &[45, 45, 46], plain_bits);
-    match kind {
-        0 => {
-            let g = Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]]);
-            let steps = pagerank_rotation_steps(g.len());
-            let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10);
-            drive(&redialer, seed, &bfv(24)?, &steps, w?)
-        }
-        1 => {
-            let input: Vec<Vec<u64>> = vec![(0..64).map(|i| (i * 5 + 1) % 16).collect()];
-            let weights: Vec<Vec<Vec<u64>>> = (0..2)
-                .map(|c| vec![(0..9).map(|i| ((i + c * 3) % 16) as u64).collect()])
-                .collect();
-            let steps = choco_apps::dnn::conv_rotation_steps(1, 8, 8, 3);
-            let w = ResumableConvLayer::new(&input, &weights, 8, 8, 3);
-            drive(&redialer, seed, &bfv(18)?, &steps, w?)
-        }
-        2 => {
-            let params = bfv(18)?;
-            let spec = LenetLikeSpec::tiny();
-            let weights = seeded_weights(&spec, b"serve-bench pipe");
-            let image: Vec<u64> = (0..spec.img * spec.img)
-                .map(|i| ((i * 7 + 3) % 16) as u64)
-                .collect();
-            let steps = all_rotation_steps(&spec, params.degree() / 2);
-            let w = ResumablePipeline::new(&spec, &weights, &image);
-            drive(&redialer, seed, &params, &steps, w?)
-        }
-        _ => {
-            let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38)?;
-            let points = vec![
-                vec![0.0, 0.1, 0.0, 0.0],
-                vec![0.1, 0.0, 0.1, 0.1],
-                vec![0.05, 0.05, 0.0, 0.1],
-                vec![2.0, 2.1, 2.0, 1.9],
-                vec![2.1, 2.0, 1.9, 2.0],
-                vec![1.9, 1.9, 2.1, 2.1],
-            ];
-            let init = vec![vec![0.5; 4], vec![1.5; 4]];
-            let steps = distance_rotation_steps(4, points.len(), 512);
-            let w = ResumableKmeans::new(PackingVariant::DimensionMajor, &points, &init, 2, 1e-6);
-            drive(&redialer, seed, &params, &steps, w?)
-        }
-    }
-}
-
 fn percentile(sorted_ms: &[u64], pct: u64) -> u64 {
     if sorted_ms.is_empty() {
         return 0;
@@ -173,23 +81,34 @@ fn percentile(sorted_ms: &[u64], pct: u64) -> u64 {
         .unwrap_or(0)
 }
 
-fn kind_json(label: &str, ms: &mut [u64], failed: u64) -> String {
-    ms.sort_unstable();
-    let mean = if ms.is_empty() {
-        0
-    } else {
-        ms.iter().sum::<u64>() / ms.len() as u64
-    };
-    format!(
-        "    \"{label}\": {{ \"runs\": {}, \"failed\": {failed}, \"p50_ms\": {}, \
-         \"p90_ms\": {}, \"p99_ms\": {}, \"mean_ms\": {mean}, \"min_ms\": {}, \"max_ms\": {} }}",
-        ms.len(),
-        percentile(ms, 50),
-        percentile(ms, 90),
-        percentile(ms, 99),
-        ms.first().copied().unwrap_or(0),
-        ms.last().copied().unwrap_or(0),
+/// The PageRank circuit under BFV with `tenant`'s own keys and inputs.
+fn pagerank_workload(tenant: u64) -> Result<RemoteWorkload<Bfv>, String> {
+    let circuits = choco_apps::circuits::all_workloads();
+    let circuit = circuits
+        .iter()
+        .find(|w| w.name == "pagerank")
+        .ok_or("pagerank circuit missing")?;
+    let params = workload_params(SchemeType::Bfv).map_err(err_str)?;
+    RemoteWorkload::prepare(circuit, &params, tenant_seed(tenant).as_bytes()).map_err(err_str)
+}
+
+/// An evaluation session for `tenant` (session id 0) with `w`'s keys.
+fn connect(
+    addr: &str,
+    tenant: u64,
+    w: &RemoteWorkload<Bfv>,
+) -> Result<RemoteEvaluator<Bfv>, String> {
+    RemoteEvaluator::connect(
+        addr,
+        tenant_seed(tenant).as_bytes(),
+        tenant,
+        0,
+        &w.params,
+        &w.relin,
+        &w.galois,
+        &TcpOptions::default(),
     )
+    .map_err(err_str)
 }
 
 /// One client's measured remote-eval rounds: per-round wall times for the
@@ -200,27 +119,8 @@ fn run_batch_client(
     reps: u64,
     batch: usize,
 ) -> Result<(Vec<u64>, Vec<u64>), String> {
-    let circuits = choco_apps::circuits::all_workloads();
-    let circuit = circuits
-        .iter()
-        .find(|w| w.name == "pagerank")
-        .ok_or("pagerank circuit missing")?;
-    let params = workload_params(SchemeType::Bfv).map_err(err_str)?;
-    let seed = tenant_seed(tenant);
-    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, seed.as_bytes()).map_err(err_str)?;
-    // Session ids above the relay phase's rep counter, so a combined run
-    // gives the eval connection its own dedup cursor.
-    let mut client = RemoteEvaluator::<Bfv>::connect(
-        addr,
-        seed.as_bytes(),
-        tenant,
-        10_000,
-        &w.params,
-        &w.relin,
-        &w.galois,
-        &TcpOptions::default(),
-    )
-    .map_err(err_str)?;
+    let w = pagerank_workload(tenant)?;
+    let mut client = connect(addr, tenant, &w)?;
     let inputs = w.input_refs();
 
     // Warm-up: uploads the program body and fills the operand cache, so
@@ -271,9 +171,9 @@ fn mode_json(label: &str, ms: &mut [u64], requests_per_round: u64) -> (String, f
     (json, throughput)
 }
 
-/// The `--batch N` phase: remote evaluation, sequential vs pipelined,
-/// against the already-running server. Returns the `remote_eval` JSON
-/// section and the number of failed clients.
+/// The measured phase: remote evaluation, sequential vs pipelined, against
+/// the already-running server. Returns the `remote_eval` JSON section and
+/// the number of failed clients.
 fn run_batch_phase(clients: usize, reps: u64, batch: usize, addr: &str) -> (String, u64) {
     let wall = Instant::now();
     let handles: Vec<_> = (0..clients)
@@ -376,29 +276,17 @@ fn run_fault_round(
     kind: &FaultKind,
     w: &RemoteWorkload<Bfv>,
     local: &[Vec<u8>],
-    session_id: u64,
     totals: &mut FaultTotals,
 ) -> Result<(u64, u64), String> {
-    let seed = tenant_seed(1);
     let mut registry = TenantRegistry::new();
-    registry.register(1, seed.as_bytes());
+    registry.register(1, tenant_seed(1).as_bytes());
     let config = ServeConfig {
         max_sessions: 4,
         eval_chaos: kind.chaos,
         ..ServeConfig::default()
     };
     let server = OffloadServer::bind("127.0.0.1:0", config, registry).map_err(err_str)?;
-    let mut client = RemoteEvaluator::<Bfv>::connect(
-        &server.addr().to_string(),
-        seed.as_bytes(),
-        1,
-        session_id,
-        &w.params,
-        &w.relin,
-        &w.galois,
-        &TcpOptions::default(),
-    )
-    .map_err(err_str)?;
+    let mut client = connect(&server.addr().to_string(), 1, w)?;
     client.set_deadline_ms(kind.deadline_ms);
     let inputs = w.input_refs();
     let round: Vec<_> = (0..FAULT_BATCH).map(|_| inputs.as_slice()).collect();
@@ -434,19 +322,11 @@ fn run_faults_phase(reps: u64) -> (String, u64, u64) {
         "choco-serve-bench: fault-injection phase — {rounds} rounds x 3 kinds, \
          batch {FAULT_BATCH}, one poison fault or stalled dispatch per chaos round"
     );
-    let setup = || -> Result<(RemoteWorkload<Bfv>, Vec<Vec<u8>>), String> {
-        let circuits = choco_apps::circuits::all_workloads();
-        let circuit = circuits
-            .iter()
-            .find(|w| w.name == "pagerank")
-            .ok_or("pagerank circuit missing")?;
-        let params = workload_params(SchemeType::Bfv).map_err(err_str)?;
-        let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, tenant_seed(1).as_bytes())
-            .map_err(err_str)?;
+    let setup = pagerank_workload(1).and_then(|w| {
         let local = w.local_output_wires().map_err(err_str)?;
         Ok((w, local))
-    };
-    let (w, local) = match setup() {
+    });
+    let (w, local) = match setup {
         Ok(p) => p,
         Err(e) => {
             eprintln!("choco-serve-bench: faults phase setup failed: {e}");
@@ -460,18 +340,16 @@ fn run_faults_phase(reps: u64) -> (String, u64, u64) {
     let mut wrong_total = 0u64;
     let mut injected = 0u64;
     let mut totals = FaultTotals::default();
-    for (k, kind) in fault_kinds().iter().enumerate() {
+    for kind in &fault_kinds() {
         let mut ms = Vec::with_capacity(rounds as usize);
-        let mut kind_failed = 0u64;
         for round in 0..rounds {
-            let session_id = 20_000 + (k as u64) * 1_000 + round;
-            match run_fault_round(kind, &w, &local, session_id, &mut totals) {
+            match run_fault_round(kind, &w, &local, &mut totals) {
                 Ok((elapsed, wrong)) => {
                     ms.push(elapsed);
                     wrong_total += wrong;
                 }
                 Err(e) => {
-                    kind_failed += 1;
+                    failed += 1;
                     eprintln!(
                         "choco-serve-bench: faults round {round} ({}) failed: {e}",
                         kind.label
@@ -482,8 +360,7 @@ fn run_faults_phase(reps: u64) -> (String, u64, u64) {
                 injected += 1;
             }
         }
-        failed += kind_failed;
-        kind_lines.push(kind_json(kind.label, &mut ms, kind_failed));
+        kind_lines.push(mode_json(kind.label, &mut ms, FAULT_BATCH as u64).0);
     }
     let wall_ms = u64::try_from(wall.elapsed().as_millis()).unwrap_or(u64::MAX);
 
@@ -507,51 +384,12 @@ fn run_faults_phase(reps: u64) -> (String, u64, u64) {
     (section, failed, wrong_total)
 }
 
-/// Server-side evaluator counters: cache effectiveness and coalescing.
-fn eval_json(stats: &ServeStats) -> String {
-    let e = &stats.eval;
-    format!(
-        "  \"eval\": {{ \"requests\": {}, \"errors\": {}, \"compiles\": {}, \
-         \"program_hits\": {}, \"program_misses\": {}, \"program_evictions\": {}, \
-         \"operand_hits\": {}, \"operand_misses\": {}, \"batches\": {}, \
-         \"coalesced\": {}, \"max_batch\": {} }}",
-        e.counters.requests,
-        e.counters.errors,
-        e.cache.compiles,
-        e.cache.programs.hits,
-        e.cache.programs.misses,
-        e.cache.programs.evictions,
-        e.cache.operands.hits,
-        e.cache.operands.misses,
-        e.sched.batches,
-        e.sched.coalesced,
-        e.sched.max_batch,
-    )
-}
-
-fn server_json(stats: &ServeStats) -> String {
-    let total = stats.book.combined();
-    format!(
-        "  \"server\": {{ \"accepted\": {}, \"resumed\": {}, \"rejected_overload\": {}, \
-         \"tenants\": {}, \"fresh_frames\": {}, \"fresh_payload_bytes\": {}, \
-         \"retransmit_bytes\": {}, \"sessions\": {} }}",
-        stats.accepted,
-        stats.resumed,
-        stats.rejected_overload,
-        stats.book.tenants(),
-        total.uploads,
-        total.upload_bytes,
-        total.retransmit_bytes,
-        stats.sessions.len(),
-    )
-}
-
 fn main() {
     let mut clients: usize = 8;
     let mut reps: u64 = 3;
     let mut addr: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut batch: Option<usize> = None;
+    let mut batch: usize = 4;
     let mut faults = false;
 
     let mut args = std::env::args().skip(1);
@@ -574,11 +412,9 @@ fn main() {
             "--addr" => addr = Some(need("--addr")),
             "--json" => json_path = Some(need("--json")),
             "--batch" => {
-                batch = Some(
-                    need("--batch")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--batch: not a number")),
-                );
+                batch = need("--batch")
+                    .parse()
+                    .unwrap_or_else(|_| fail("--batch: not a number"));
             }
             "--faults" => faults = true,
             "--smoke" => {
@@ -592,134 +428,46 @@ fn main() {
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
-    if clients == 0 || reps == 0 {
-        fail("--clients and --reps must be positive");
-    }
-    if batch == Some(0) {
-        fail("--batch must be positive");
+    if clients == 0 || reps == 0 || batch == 0 {
+        fail("--clients, --reps and --batch must be positive");
     }
 
     // In-process server unless an external address was given.
-    let mut registry = TenantRegistry::new();
-    for i in 0..clients {
-        let tenant = i as u64 + 1;
-        registry.register(tenant, tenant_seed(tenant).as_bytes());
-    }
-    let server = match addr {
-        Some(_) => None,
+    let (server, addr) = match addr {
+        Some(addr) => (None, addr),
         None => {
+            let mut registry = TenantRegistry::new();
+            for tenant in 1..=clients as u64 {
+                registry.register(tenant, tenant_seed(tenant).as_bytes());
+            }
             let config = ServeConfig {
                 max_sessions: clients as u32 + 4,
                 ..ServeConfig::default()
             };
-            Some(
-                OffloadServer::bind("127.0.0.1:0", config, registry)
-                    .unwrap_or_else(|e| fail(&format!("bind in-process server: {e}"))),
-            )
+            let server = OffloadServer::bind("127.0.0.1:0", config, registry)
+                .unwrap_or_else(|e| fail(&format!("bind in-process server: {e}")));
+            let addr = server.addr().to_string();
+            (Some(server), addr)
         }
     };
-    let addr = addr.unwrap_or_else(|| {
-        server
-            .as_ref()
-            .map(|s| s.addr().to_string())
-            .unwrap_or_else(|| fail("no server"))
-    });
 
     eprintln!(
-        "choco-serve-bench: {clients} clients x {reps} reps against {addr} \
-         ({} threads in the par pool)",
+        "choco-serve-bench: {clients} clients against {addr}, {reps} rounds of \
+         {batch} sequential vs one batch of {batch} ({} threads in the par pool)",
         choco_math::par::num_threads()
     );
-
-    let wall = Instant::now();
-    let mut handles = Vec::new();
-    for i in 0..clients {
-        let addr = addr.clone();
-        handles.push(std::thread::spawn(move || {
-            let tenant = i as u64 + 1;
-            let kind = i % KINDS.len();
-            let mut runs: Vec<(usize, u64, Result<(), String>)> = Vec::new();
-            for rep in 0..reps {
-                let t0 = Instant::now();
-                let outcome = run_workload(kind, &addr, tenant, rep).map_err(err_str);
-                let ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-                runs.push((kind, ms, outcome));
-            }
-            runs
-        }));
-    }
-    let mut runs: Vec<(usize, u64, Result<(), String>)> = Vec::new();
-    for handle in handles {
-        match handle.join() {
-            Ok(mut r) => runs.append(&mut r),
-            Err(_) => fail("a client thread panicked"),
-        }
-    }
-    let wall_ms = u64::try_from(wall.elapsed().as_millis()).unwrap_or(u64::MAX);
-
-    let mut failed_total = 0u64;
-    for (kind, _, outcome) in &runs {
-        if let Err(e) = outcome {
-            failed_total += 1;
-            eprintln!(
-                "choco-serve-bench: {} run failed: {e}",
-                KINDS.get(*kind).copied().unwrap_or("?")
-            );
-        }
-    }
-
-    let mut kind_lines = Vec::new();
-    for (kind, label) in KINDS.iter().enumerate() {
-        let mut ms: Vec<u64> = runs
-            .iter()
-            .filter(|(k, _, outcome)| *k == kind && outcome.is_ok())
-            .map(|(_, ms, _)| *ms)
-            .collect();
-        let failed = runs
-            .iter()
-            .filter(|(k, _, outcome)| *k == kind && outcome.is_err())
-            .count() as u64;
-        if !ms.is_empty() || failed > 0 {
-            kind_lines.push(kind_json(label, &mut ms, failed));
-        }
-    }
-
-    // The remote-eval phase reuses the same server (and its registry) so
-    // its counters land in the same report.
-    let batch_phase = batch.map(|n| {
-        eprintln!(
-            "choco-serve-bench: remote-eval phase — {clients} clients, \
-             {reps} rounds of {n} sequential vs one batch of {n}"
-        );
-        run_batch_phase(clients, reps, n, &addr)
-    });
+    let (eval_section, failed_clients) = run_batch_phase(clients, reps, batch, &addr);
 
     // The faults phase boots its own chaos servers, so it runs regardless
-    // of --addr, after the shared-server phases are done measuring.
+    // of --addr, after the shared server is done measuring.
     let faults_phase = faults.then(|| run_faults_phase(reps));
 
-    let stats = server.map(OffloadServer::shutdown);
-    let total_runs = runs.len() as u64;
-    let throughput_per_s = if wall_ms == 0 {
-        0.0
-    } else {
-        (total_runs - failed_total) as f64 * 1_000.0 / wall_ms as f64
-    };
     let mut sections = vec![
         format!(
             "  \"config\": {{ \"clients\": {clients}, \"reps\": {reps}, \"addr\": \"{addr}\" }}"
         ),
-        format!(
-            "  \"total\": {{ \"runs\": {total_runs}, \"failed\": {failed_total}, \
-             \"wall_ms\": {wall_ms}, \"throughput_per_s\": {throughput_per_s:.3} }}"
-        ),
-        format!("  \"workloads\": {{\n{}\n  }}", kind_lines.join(",\n")),
+        eval_section,
     ];
-    let mut failed_batch_clients = 0u64;
-    if let Some((section, failed)) = batch_phase {
-        sections.push(section);
-        failed_batch_clients = failed;
-    }
     let mut failed_fault_rounds = 0u64;
     let mut wrong_results = 0u64;
     if let Some((section, failed, wrong)) = faults_phase {
@@ -727,11 +475,11 @@ fn main() {
         failed_fault_rounds = failed;
         wrong_results = wrong;
     }
-    if let Some(stats) = &stats {
-        sections.push(server_json(stats));
-        if batch.is_some() {
-            sections.push(eval_json(stats));
-        }
+    if let Some(server) = server {
+        sections.push(format!(
+            "  \"server\": {}",
+            server.shutdown().to_json_line()
+        ));
     }
     let report = format!("{{\n{}\n}}\n", sections.join(",\n"));
 
@@ -748,8 +496,7 @@ fn main() {
              differed from the local reference under injected faults"
         );
     }
-    if failed_total > 0 || failed_batch_clients > 0 || failed_fault_rounds > 0 || wrong_results > 0
-    {
+    if failed_clients > 0 || failed_fault_rounds > 0 || wrong_results > 0 {
         std::process::exit(1);
     }
 }

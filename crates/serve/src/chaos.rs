@@ -8,16 +8,18 @@
 //! middle of a frame* or delay individual TCP segments: exactly the
 //! failures a real network produces and the frame layer must absorb.
 //!
-//! The kill fires once, on the client→server direction of the first
-//! connection that crosses the byte threshold; connections dialed after
-//! the kill pass through clean, so a client redial/resume succeeds. The
+//! The kill fires once, on the first connection that crosses a byte
+//! threshold — counted on the client→server bytes (a cut inside a
+//! request) or on the server→client bytes (a cut inside a response);
+//! connections dialed after the kill pass through clean, so a client
+//! redial succeeds. The
 //! bit-flip corruption mode likewise fires once, at a byte offset, but
 //! leaves the connection up — the frame tag, not EOF, must reject it.
 //!
 //! [`EvalChaos`]/[`EvalChaosState`] are the *in-process* counterpart:
 //! deterministic nth-occurrence triggers inside the evaluation pipeline
 //! (hard-kill at a stage, fault the nth job, stall the nth dispatch
-//! round), mirroring the `CrashPlan` idiom used for session records.
+//! round), mirroring the `CrashPlan` idiom of `choco::transport::Session`.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -33,8 +35,11 @@ pub struct ChaosPlan {
     /// forwarded (counted across connections; fires once). Choose a value
     /// inside a frame to simulate a mid-frame connection loss.
     pub kill_after_bytes: Option<u64>,
+    /// The same cut, counted on server→client bytes: choose a value
+    /// inside a response frame.
+    pub kill_after_reply_bytes: Option<u64>,
     /// Sleep this long before forwarding each chunk, both directions —
-    /// a crude high-latency link (delayed ACK/echo delivery).
+    /// a crude high-latency link.
     pub delay_ms: u64,
     /// Flip one bit of the client→server byte at this offset (counted
     /// across connections; fires once), leaving the connection up — a
@@ -49,6 +54,7 @@ struct ProxyState {
     plan: ChaosPlan,
     stop: AtomicBool,
     forwarded_c2s: AtomicU64,
+    forwarded_s2c: AtomicU64,
     killed: AtomicBool,
     corrupted: AtomicBool,
 }
@@ -75,6 +81,7 @@ impl ChaosProxy {
             plan,
             stop: AtomicBool::new(false),
             forwarded_c2s: AtomicU64::new(0),
+            forwarded_s2c: AtomicU64::new(0),
             killed: AtomicBool::new(false),
             corrupted: AtomicBool::new(false),
         });
@@ -151,11 +158,21 @@ fn spawn_pump(client: TcpStream, server: TcpStream, state: &Arc<ProxyState>) {
     thread::spawn(move || pump(server2, client2, &s2c_state, false));
 }
 
-/// Copies bytes `from` → `to`, applying the plan. `count_for_kill` marks
-/// the client→server direction, the only one the byte-kill counts.
-fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, count_for_kill: bool) {
+/// Copies bytes `from` → `to`, applying the plan. `c2s` marks the
+/// client→server direction: each direction counts its own bytes against
+/// its own kill threshold, and only client→server bytes are corrupted.
+fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, c2s: bool) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = to.set_nodelay(true);
+    let plan = state.plan;
+    let (kill_after, corrupt_at, forwarded) = if c2s {
+        let forwarded = &state.forwarded_c2s;
+        (plan.kill_after_bytes, plan.corrupt_at_byte, forwarded)
+    } else {
+        let forwarded = &state.forwarded_s2c;
+        (plan.kill_after_reply_bytes, None, forwarded)
+    };
+    let counted = kill_after.is_some() || corrupt_at.is_some();
     let mut buf = [0u8; 4096];
     loop {
         if state.stop.load(Ordering::SeqCst) {
@@ -174,15 +191,14 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, count_f
             }
             Err(_) => break,
         };
-        if state.plan.delay_ms > 0 {
-            thread::sleep(Duration::from_millis(state.plan.delay_ms));
+        if plan.delay_ms > 0 {
+            thread::sleep(Duration::from_millis(plan.delay_ms));
         }
         let mut owned: Vec<u8>;
         let mut chunk = buf.get(..got).unwrap_or(&[]);
-        let counted = state.plan.kill_after_bytes.is_some() || state.plan.corrupt_at_byte.is_some();
-        if count_for_kill && counted && !state.killed.load(Ordering::SeqCst) {
-            let before = state.forwarded_c2s.fetch_add(got as u64, Ordering::SeqCst);
-            if let Some(offset) = state.plan.corrupt_at_byte {
+        if counted && !state.killed.load(Ordering::SeqCst) {
+            let before = forwarded.fetch_add(got as u64, Ordering::SeqCst);
+            if let Some(offset) = corrupt_at {
                 if offset >= before
                     && offset < before + got as u64
                     && !state.corrupted.swap(true, Ordering::SeqCst)
@@ -192,12 +208,12 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, count_f
                     owned = chunk.to_vec();
                     let idx = (offset - before) as usize;
                     if let Some(byte) = owned.get_mut(idx) {
-                        *byte ^= 1u8 << (state.plan.corrupt_seed % 8);
+                        *byte ^= 1u8 << (plan.corrupt_seed % 8);
                     }
                     chunk = owned.as_slice();
                 }
             }
-            if let Some(threshold) = state.plan.kill_after_bytes {
+            if let Some(threshold) = kill_after {
                 if before + got as u64 >= threshold && !state.killed.swap(true, Ordering::SeqCst) {
                     // Forward only up to the threshold, then cut both
                     // directions mid-frame.
@@ -234,7 +250,7 @@ pub enum EvalStage {
 }
 
 /// Deterministic in-process fault plan for the evaluation pipeline — the
-/// eval-side sibling of the server's `CrashPlan`. Every trigger is an
+/// eval-side sibling of the session layer's `CrashPlan`. Every trigger is an
 /// "nth occurrence" (1-based) so a sweep can walk kill-points one by one
 /// and replay bit-identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -349,24 +365,30 @@ mod tests {
 
     #[test]
     fn kill_fires_once_and_later_connections_pass() {
-        let plan = ChaosPlan {
+        let request_side = ChaosPlan {
             kill_after_bytes: Some(4),
             ..ChaosPlan::default()
         };
-        let proxy = ChaosProxy::spawn(echo_upstream(), plan).unwrap();
-        let mut first = TcpStream::connect(proxy.addr()).unwrap();
-        first.write_all(b"0123456789").unwrap();
-        // The cut drops the connection: reads end in EOF or reset.
-        let mut sink = Vec::new();
-        let _ = first.read_to_end(&mut sink);
-        assert!(sink.len() <= 4, "at most 4 bytes may cross, got {sink:?}");
-        assert!(proxy.killed());
+        let reply_side = ChaosPlan {
+            kill_after_reply_bytes: Some(4),
+            ..ChaosPlan::default()
+        };
+        for plan in [request_side, reply_side] {
+            let proxy = ChaosProxy::spawn(echo_upstream(), plan).unwrap();
+            let mut first = TcpStream::connect(proxy.addr()).unwrap();
+            first.write_all(b"0123456789").unwrap();
+            // The cut drops the connection: reads end in EOF or reset.
+            let mut sink = Vec::new();
+            let _ = first.read_to_end(&mut sink);
+            assert!(sink.len() <= 4, "at most 4 bytes may cross, got {sink:?}");
+            assert!(proxy.killed());
 
-        let mut second = TcpStream::connect(proxy.addr()).unwrap();
-        second.write_all(b"after the kill").unwrap();
-        let mut got = [0u8; 14];
-        second.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"after the kill");
+            let mut second = TcpStream::connect(proxy.addr()).unwrap();
+            second.write_all(b"after the kill").unwrap();
+            let mut got = [0u8; 14];
+            second.read_exact(&mut got).unwrap();
+            assert_eq!(&got, b"after the kill");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-connection remote-evaluation state and request handling.
 //!
-//! A connection is promoted from relay to evaluator by its first
+//! An admitted connection becomes an evaluation session with its first
 //! [`SessionSetup`] payload: the server rebuilds the tenant's parameter
 //! set from the recipe, deserializes the uploaded relinearization and
 //! Galois keys, and pins an [`EvalSession`] to the connection. Subsequent
@@ -27,10 +27,10 @@ use crate::chaos::{EvalChaosState, EvalStage};
 use crate::isolate::{Admission, Isolation};
 use crate::journal::JournalSet;
 use crate::sched::{BatchScheduler, Job, JobFault, JobOutcome};
-use crate::server::Outbound;
 use choco::remote::{
     EvalRequest, EvalResponse, SessionSetup, JOURNAL_MAGIC, REQUEST_MAGIC, SETUP_MAGIC,
 };
+use choco::transport::FrameKind;
 use choco_he::params::SchemeType;
 use choco_he::{Bfv, Ckks};
 use std::collections::HashMap;
@@ -96,7 +96,7 @@ pub struct EvalContext<'a> {
     /// Shared protocol counters.
     pub counters: &'a Mutex<EvalCounters>,
     /// The connection's reply channel (scheduler → writer).
-    pub reply: &'a Sender<Outbound>,
+    pub reply: &'a Sender<Vec<u8>>,
     /// The authenticated tenant behind this connection.
     pub tenant: u64,
     /// The connection's session id (journal key, with the tenant).
@@ -142,25 +142,29 @@ pub fn handle_eval_payload(payload: &[u8], ctx: &mut EvalContext) -> EvalOutcome
             .to_wire(),
         );
     }
-    lock(ctx.counters).errors += 1;
-    EvalOutcome::Immediate(
-        EvalResponse::Error {
-            request_id: 0,
-            message: "unrecognized eval payload magic".into(),
-        }
-        .to_wire(),
-    )
+    error_response(ctx.counters, 0, "unrecognized eval payload magic".into())
+}
+
+/// The typed answer to a verified frame that is not an `EvalRequest`: a
+/// served connection speaks the evaluator protocol only, and says so
+/// instead of leaving the client to wait out its receive deadline.
+pub fn refuse_frame_kind(kind: FrameKind, counters: &Mutex<EvalCounters>) -> Vec<u8> {
+    let message = format!("unsupported frame kind {kind:?}: send EvalRequest frames");
+    error_wire(counters, 0, message)
+}
+
+/// Counts and serializes one typed error response.
+fn error_wire(counters: &Mutex<EvalCounters>, request_id: u64, message: String) -> Vec<u8> {
+    lock(counters).errors += 1;
+    EvalResponse::Error {
+        request_id,
+        message,
+    }
+    .to_wire()
 }
 
 fn error_response(counters: &Mutex<EvalCounters>, request_id: u64, message: String) -> EvalOutcome {
-    lock(counters).errors += 1;
-    EvalOutcome::Immediate(
-        EvalResponse::Error {
-            request_id,
-            message,
-        }
-        .to_wire(),
-    )
+    EvalOutcome::Immediate(error_wire(counters, request_id, message))
 }
 
 fn handle_setup(
@@ -301,7 +305,7 @@ fn submit_eval<S: EvalScheme>(
         }),
         deliver: Box::new(move |payload| {
             // A dead receiver means the connection is gone; nothing to do.
-            let _ = reply.send(Outbound::Response(payload));
+            let _ = reply.send(payload);
         }),
     });
     lock(ctx.counters).requests += 1;

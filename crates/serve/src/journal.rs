@@ -1,8 +1,7 @@
 //! The in-flight eval journal: crash recovery for accepted requests.
 //!
-//! Session records (`CSR1`) persist only on graceful drain — a hard kill
-//! loses them, and with them every accepted-but-unanswered eval request.
-//! The journal closes that gap with an *append-only* per-session log
+//! A hard-killed server takes every accepted-but-unanswered eval request
+//! with it. The journal is what survives: an *append-only* per-session log
 //! written **before** a request enters the scheduler and appended again
 //! when its response is actually written back. A restarted server loads
 //! the directory, diffs accepted against delivered, and can tell a
@@ -11,8 +10,7 @@
 //! guessing.
 //!
 //! Each entry is individually sealed, so a record torn by the crash is
-//! detected and parsing stops at the last good entry (the same trust
-//! model as `CSR1`, adapted to an append-only file):
+//! detected and parsing stops at the last good entry:
 //!
 //! ```text
 //! accepted:  | "CEJA" | request_id u64 | program_ref 32 B |
@@ -20,8 +18,8 @@
 //! delivered: | "CEJD" | request_id u64 | blake3(prior bytes) 32 B |
 //! ```
 //!
-//! File name: `t<tenant>_s<session>.cej`, kept alongside the `.csr`
-//! records in the checkpoint directory.
+//! File name: `t<tenant>_s<session>.cej`, in the server's
+//! `checkpoint_dir` — the only thing kept there.
 
 use choco_prng::blake3;
 use std::collections::BTreeMap;

@@ -1,19 +1,16 @@
 //! `choco-serve`: the offload protocol's remote peer over real TCP.
 //!
-//! The [`crate::server::OffloadServer`] plays two roles. For the relay
-//! protocol it is a **verified relay**: it holds each tenant's frame-tag
-//! key, verifies every keyed-BLAKE3 frame a client sends, bills it to a
-//! per-tenant [`choco::LedgerBook`], and acknowledges by echoing the
-//! verified frame bytes back (the HE state machine stays inside the
-//! client process's [`choco::Session`]; the paper's client-aided model
-//! keeps the secret key there anyway). For the remote-evaluation protocol
-//! (`choco::remote`) it is a **batching, caching HE evaluator**: clients
-//! upload their evaluation keys once, then stream evaluate requests that
-//! reference compiled programs by hash; the server coalesces compatible
-//! requests across connections and tenants into batched kernel
-//! invocations and caches compiled programs plus NTT-domain plaintext
-//! operands so steady-state traffic does zero recompilation and zero
-//! re-encoding. What the server adds around both loops:
+//! The [`crate::server::OffloadServer`] is the paper's server: a
+//! **batching, caching HE evaluator**. Clients upload their evaluation
+//! keys once, then stream evaluate requests that reference compiled
+//! programs by hash (`choco::remote` — the one protocol a served
+//! connection speaks); the server coalesces compatible requests across
+//! connections and tenants into batched kernel invocations and caches
+//! compiled programs plus NTT-domain plaintext operands so steady-state
+//! traffic does zero recompilation and zero re-encoding. The secret key
+//! stays with the client; client-aided `choco::Session` workloads run in
+//! the client's process, not through this server. What the server adds
+//! around the evaluation loop:
 //!
 //! * a per-tenant key [`registry::TenantRegistry`] and an authenticated
 //!   hello handshake (a client that does not know the tenant seed is
@@ -23,27 +20,30 @@
 //! * a reader and a writer thread per connection: the reader verifies,
 //!   bills and dispatches frames, the writer sends every response the
 //!   moment it exists,
+//! * a per-tenant [`choco::LedgerBook`] billed by direction — verified
+//!   request payloads as upload, written response payloads as download —
+//!   so it equals each client's own ledger by construction,
 //! * the global [`cache::ServeCache`] (LRU over `(params_hash,
 //!   program_ref)` with hit/miss/eviction counters) and the
 //!   [`sched::BatchScheduler`] (cross-connection coalescing that never
 //!   makes a lone request wait),
-//! * graceful drain: scheduled batches are flushed and pending results
-//!   delivered *before* live per-session state is checkpointed to disk as
-//!   sealed [`record::SessionRecord`]s, so a restarted server keeps exact
-//!   duplicate/retransmit accounting across the restart,
+//! * graceful drain: admission stops, scheduled batches are flushed and
+//!   every pending result is written before the drain returns,
 //! * fault isolation ([`isolate::Isolation`]): poison-program quarantine
 //!   with batch bisection in the scheduler (healthy co-batched jobs still
 //!   succeed), per-tenant circuit breakers with typed
 //!   `Unavailable { retry_after_ms }` refusals, and per-job dispatch
 //!   deadlines with typed `DeadlineExceeded` shedding,
-//! * the in-flight eval [`journal::JournalSet`]: accepted requests are
-//!   journaled before scheduling and marked off after delivery, so a
-//!   hard-killed server's successor can tell a resuming client exactly
-//!   which requests died and must be resent, and
+//! * the in-flight eval [`journal::JournalSet`] — the one thing kept in
+//!   `checkpoint_dir`: accepted requests are journaled before scheduling
+//!   and marked off after delivery, so a hard-killed server's successor
+//!   can tell a resuming client exactly which requests died and must be
+//!   resent, and
 //! * [`chaos::ChaosProxy`], a socket-level fault injector for the chaos
-//!   tests (mid-frame connection kills, per-chunk delays, seeded
-//!   bit-flips), plus [`chaos::EvalChaos`], the in-process eval-pipeline
-//!   fault plan (stage kills, injected job faults, dispatch stalls).
+//!   tests (mid-frame connection kills on either byte stream, per-chunk
+//!   delays, seeded bit-flips), plus [`chaos::EvalChaos`], the in-process
+//!   eval-pipeline fault plan (stage kills, injected job faults, dispatch
+//!   stalls).
 
 #![forbid(unsafe_code)]
 // Panics hide protocol bugs: outside tests, prefer typed errors (PR 1's
@@ -56,7 +56,6 @@ pub mod chaos;
 pub mod eval;
 pub mod isolate;
 pub mod journal;
-pub mod record;
 pub mod registry;
 pub mod sched;
 pub mod server;
@@ -66,7 +65,6 @@ pub use chaos::{ChaosPlan, ChaosProxy, EvalChaos, EvalChaosState, EvalStage};
 pub use eval::{EvalCounters, EvalSession};
 pub use isolate::{Isolation, IsolationConfig, IsolationStats};
 pub use journal::{DeadRequest, JournalSet, JournalStats};
-pub use record::SessionRecord;
 pub use registry::TenantRegistry;
 pub use sched::{BatchScheduler, SchedStats};
 pub use server::{EvalStats, OffloadServer, ServeConfig, ServeStats};

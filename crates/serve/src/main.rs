@@ -1,5 +1,5 @@
 //! `choco-serve` — run the offload server on a real socket: the batching,
-//! caching remote HE evaluator, which also relays `Session` frames.
+//! caching remote HE evaluator.
 //!
 //! ```text
 //! choco-serve --addr 127.0.0.1:7470 --tenant 1=my-session-seed
@@ -7,19 +7,20 @@
 //!
 //! The process serves until it reads `drain` (or EOF — the
 //! SIGTERM-equivalent in this libc-free build) on stdin, then drains
-//! gracefully: admission stops, live sessions are checkpointed to the
-//! `--checkpoint-dir`, and a later `choco-serve` over the same directory
-//! resumes their records so reconnecting clients get exact duplicate
-//! accounting.
+//! gracefully: admission stops, scheduled batches are flushed and their
+//! results delivered, and the final stats are printed as one JSON line.
+//! With `--checkpoint-dir` the eval journal is kept there, so a later
+//! `choco-serve` over the same directory can tell reconnecting clients
+//! which requests died with this process.
 
 #![forbid(unsafe_code)]
 
-use choco_serve::{OffloadServer, ServeConfig, ServeStats, TenantRegistry};
+use choco_serve::{OffloadServer, ServeConfig, TenantRegistry};
 use std::io::BufRead;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
-choco-serve: offload server (remote HE evaluator + session frame relay)
+choco-serve: offload server (batching, caching remote HE evaluator)
 
 USAGE:
   choco-serve [--addr HOST:PORT] [--max-sessions N] [--io-timeout-ms MS]
@@ -31,14 +32,14 @@ OPTIONS:
   --max-sessions N      admission limit; further hellos get a typed
                         Overloaded ack (default 64)
   --io-timeout-ms MS    handshake/write timeout (default 5000)
-  --checkpoint-dir DIR  persist per-session records here on drain and load
-                        them at startup
+  --checkpoint-dir DIR  keep the eval journal here: a restarted server
+                        reports the requests its predecessor left unanswered
   --tenant ID=SEED      register a tenant (repeatable); the seed must equal
                         the client's session seed
 
 Runtime commands on stdin: `stats` prints a one-line JSON snapshot (serve,
 eval, cache, scheduler, isolation, and journal counters), `drain` (or EOF)
-drains gracefully and exits.";
+drains gracefully, prints the same line for the final state, and exits.";
 
 fn fail(msg: &str) -> ! {
     eprintln!("choco-serve: {msg}\n\n{USAGE}");
@@ -54,40 +55,6 @@ fn parse_u64(value: &str, flag: &str) -> u64 {
     value
         .parse()
         .unwrap_or_else(|_| fail(&format!("{flag}: {value:?} is not a number")))
-}
-
-fn print_stats(stats: &ServeStats, active: u32) {
-    let total = stats.book.combined();
-    println!(
-        "active={active} accepted={} resumed={} overloaded={} unknown_tenant={} \
-         bad_auth={} draining={} malformed={}",
-        stats.accepted,
-        stats.resumed,
-        stats.rejected_overload,
-        stats.rejected_unknown_tenant,
-        stats.rejected_bad_auth,
-        stats.rejected_draining,
-        stats.rejected_malformed,
-    );
-    println!(
-        "tenants={} fresh_frames={} fresh_payload_bytes={} retransmit_bytes={}",
-        stats.book.tenants(),
-        total.uploads,
-        total.upload_bytes,
-        total.retransmit_bytes,
-    );
-    for rec in &stats.sessions {
-        println!(
-            "  tenant {} session {}: frames={} dup={} bad={} payload_bytes={} wire_bytes={}",
-            rec.tenant,
-            rec.session,
-            rec.frames,
-            rec.dup_frames,
-            rec.bad_frames,
-            rec.payload_bytes,
-            rec.wire_bytes,
-        );
-    }
 }
 
 fn main() {
@@ -152,7 +119,6 @@ fn main() {
     }
 
     println!("choco-serve: draining...");
-    let stats = server.shutdown();
-    print_stats(&stats, 0);
+    println!("{}", server.shutdown().to_json_line());
     println!("choco-serve: drained");
 }

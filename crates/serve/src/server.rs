@@ -1,68 +1,58 @@
-//! The offload server: verified relay + remote HE evaluator.
+//! The offload server: a batching, caching remote HE evaluator.
 //!
 //! [`OffloadServer`] listens on a real TCP socket. Each connection starts
 //! with the authenticated hello handshake from
 //! [`choco::transport::tcp`]: the server looks the tenant up in its
 //! [`TenantRegistry`], checks the keyed auth tag, applies admission
-//! control, and answers with a typed ack. An admitted connection gets two
-//! threads. The **reader** blocks on the socket: it reads length-prefixed
-//! frames, verifies their keyed-BLAKE3 tags, bills them to a per-tenant
-//! [`LedgerBook`], and then dispatches by frame kind:
-//!
-//! * Relay kinds (ciphertext/plaintext/key/control) are echoed back — the
-//!   acknowledgement the client's session layer treats as delivery.
-//! * `EvalRequest` frames carry the remote-evaluation protocol
-//!   (`choco::remote`): a session-key upload promotes the connection to
-//!   an evaluator ([`crate::eval::EvalSession`]), and evaluate calls are
-//!   resolved through the global program/operand cache
-//!   ([`crate::cache::ServeCache`]) and coalesced across connections by
-//!   the [`crate::sched::BatchScheduler`] before real kernel work runs.
+//! control, and answers with a typed ack. An admitted connection speaks
+//! one protocol, `choco::remote`: `EvalRequest` frames in, `EvalResponse`
+//! frames out. It gets two threads. The **reader** blocks on the socket:
+//! it reads length-prefixed frames, verifies their keyed-BLAKE3 tags,
+//! bills them to a per-tenant [`LedgerBook`], and hands the payload to
+//! [`crate::eval`]: a session-key upload gives the connection its
+//! [`crate::eval::EvalSession`], and evaluate calls are resolved through
+//! the global program/operand cache ([`crate::cache::ServeCache`]) and
+//! coalesced across connections by the [`crate::sched::BatchScheduler`]
+//! before real kernel work runs. A verified frame of any other kind is
+//! answered with a typed error, never dropped. A frame whose tag does not
+//! verify cannot be answered (nothing in it can be trusted, its kind
+//! included): it is counted in [`ServeStats::bad_frames`] and skipped.
 //!
 //! The **writer** blocks on the connection's reply channel, which carries
-//! everything the server sends ([`Outbound`]): echoes and immediate
-//! answers from the reader, evaluation results straight from the
-//! scheduler's jobs. A result is written, billed and journaled the moment
-//! its job delivers it — nothing on the path polls — and because one
-//! thread writes, `EvalResponse` frames leave in the order of their
-//! server-side sequence counter.
+//! every response payload the server sends: immediate answers from the
+//! reader, evaluation results straight from the scheduler's jobs. A result
+//! is written, billed and journaled the moment its job delivers it —
+//! nothing on the path polls — and because one thread writes,
+//! `EvalResponse` frames leave in the order of their server-side sequence
+//! counter.
 //!
-//! **Ledger semantics.** The server cannot see inside the relay protocol —
-//! a frame is a frame, whether the client's session counts it as an
-//! upload, a download, a refresh leg or recovery traffic. The server book
-//! therefore bills every *fresh* frame's payload as `upload_bytes` (all
-//! physical traffic is client → server) and every duplicate's wire bytes
-//! as `retransmit_bytes`. On a clean loopback run the invariant that ties
-//! the two views together is exact frame counts: server fresh frames ==
-//! client `uploads + downloads` (+ recovery transfers after a resume), and
-//! server `retransmit` is zero.
-//!
-//! **Eval billing under batching.** Remote evaluation adds server → client
-//! traffic: every `EvalResponse` payload is billed to its tenant as
-//! `download_bytes`. The attribution rule is per-request, not per-batch:
-//! each tenant is billed exactly its own request payloads (upload, via the
-//! fresh-frame rule above) and its own response payloads (download),
-//! regardless of how the scheduler coalesced the compute. Batching shares
-//! kernels and caches — never bytes — so the per-tenant book is identical
-//! whether requests ran batched or sequentially.
+//! **Billing.** The book bills a frame by what it is: the payload of every
+//! verified frame a client sent is that tenant's `upload`, the payload of
+//! every response the socket accepted is its `download` — the same two
+//! lines, counted at the same two moments, as the client's own
+//! `RemoteEvaluator` ledger, so book and ledger agree by construction. The
+//! server does not second-guess a payload's role: a request the client
+//! resends after a redial is an upload like any other (the client is the
+//! one who knows it was recovery traffic and bills it so on its side).
+//! Attribution is per request, not per batch: batching shares kernels and
+//! caches — never bytes — so the per-tenant book is identical whether
+//! requests ran batched or sequentially.
 //!
 //! **Drain.** [`OffloadServer::drain`] stops admitting, flushes every
 //! scheduled batch through the [`crate::sched::BatchScheduler`], lets
 //! every reader finish its current read and every writer run dry (a
 //! writer exits when the reader and the last in-flight job have dropped
-//! their ends of the reply channel), and only then persists all session
-//! records (in parallel) to the checkpoint directory, returning once the
-//! server is idle. Records are
-//! written strictly after results are delivered, so a drained server never
-//! persists accounting for work a client did not receive. A server bound
-//! later over the same directory resumes the records, so duplicate
-//! accounting is exact even across a full server restart.
+//! their ends of the reply channel), and returns once the server is idle.
+//! The eval journal marks a request delivered only after its response was
+//! written, so a drained server's journal (under `checkpoint_dir`) holds a
+//! deliver line for every request it accepted, and a server bound later
+//! over the same directory reports nothing dead.
 
 use crate::cache::{EvalCacheStats, ServeCache};
 use crate::chaos::{EvalChaos, EvalChaosState, EvalStage};
-use crate::eval::{handle_eval_payload, EvalContext, EvalCounters, EvalOutcome};
+use crate::eval::{handle_eval_payload, refuse_frame_kind, EvalContext, EvalCounters, EvalOutcome};
 use crate::isolate::{Isolation, IsolationConfig, IsolationStats};
 use crate::journal::{JournalSet, JournalStats};
-use crate::record::SessionRecord;
 use crate::registry::TenantRegistry;
 use crate::sched::{BatchScheduler, Hold, SchedHooks, SchedStats};
 use choco::remote::EvalResponse;
@@ -72,8 +62,6 @@ use choco::transport::tcp::{
 };
 use choco::transport::{TagKey, MAX_FRAME_BYTES};
 use choco::LedgerBook;
-use choco_math::par;
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -97,8 +85,9 @@ pub struct ServeConfig {
     /// Per-frame size bound (prefixes beyond it are rejected before any
     /// allocation).
     pub max_frame_bytes: u64,
-    /// Where to persist session records on drain (and load them at bind).
-    /// `None` disables persistence.
+    /// The eval journal's directory: accepted and delivered requests are
+    /// logged here, and a server bound over it reports what its
+    /// predecessor left unanswered. `None` disables the journal.
     pub checkpoint_dir: Option<PathBuf>,
     /// Compiled programs cached per scheme before LRU eviction kicks in
     /// (0 = unbounded).
@@ -130,7 +119,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Hello/admission counters.
+/// Hello/admission counters, and frames refused at the tag check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Counters {
     accepted: u64,
@@ -140,6 +129,7 @@ struct Counters {
     rejected_bad_auth: u64,
     rejected_draining: u64,
     rejected_malformed: u64,
+    bad_frames: u64,
 }
 
 /// A point-in-time (or final) view of the server's accounting.
@@ -159,17 +149,19 @@ pub struct ServeStats {
     pub rejected_draining: u64,
     /// Connections dropped before a well-formed hello arrived.
     pub rejected_malformed: u64,
+    /// Frames on admitted connections that failed tag verification
+    /// (corrupted in flight, or forged): skipped, billed to nobody.
+    pub bad_frames: u64,
     /// Per-tenant traffic ledgers (see the module docs for semantics).
     pub book: LedgerBook,
-    /// Per-session records, `(tenant, session)` order.
-    pub sessions: Vec<SessionRecord>,
     /// Remote-evaluation accounting.
     pub eval: EvalStats,
 }
 
 impl ServeStats {
     /// Renders the stats as one machine-readable JSON line — what the
-    /// `choco-serve` `stats` stdin command prints. Hand-rolled (the
+    /// `choco-serve` `stats` stdin command and its drain summary print,
+    /// and what `choco-serve-bench` embeds in its report. Hand-rolled (the
     /// workspace takes no serialization dependency); every value is an
     /// unsigned integer, so no escaping is ever needed.
     pub fn to_json_line(&self) -> String {
@@ -181,7 +173,7 @@ impl ServeStats {
         let j = &self.eval.journal;
         format!(
             concat!(
-                "{{\"accepted\":{},\"resumed\":{},\"rejected\":{},",
+                "{{\"accepted\":{},\"resumed\":{},\"rejected\":{},\"bad_frames\":{},",
                 "\"tenants\":{},\"upload_bytes\":{},\"download_bytes\":{},",
                 "\"retransmit_bytes\":{},\"recovery_bytes\":{},",
                 "\"eval\":{{\"setups\":{},\"requests\":{},\"need_program\":{},",
@@ -204,6 +196,7 @@ impl ServeStats {
                 + self.rejected_bad_auth
                 + self.rejected_draining
                 + self.rejected_malformed,
+            self.bad_frames,
             self.book.tenants(),
             total.upload_bytes,
             total.download_bytes,
@@ -267,7 +260,6 @@ struct Shared {
     /// Wakes [`OffloadServer::drain`] when `active` reaches zero.
     idle: Condvar,
     counters: Mutex<Counters>,
-    sessions: Mutex<BTreeMap<(u64, u64), SessionRecord>>,
     book: Mutex<LedgerBook>,
     eval_cache: Arc<ServeCache>,
     eval_counters: Mutex<EvalCounters>,
@@ -289,45 +281,14 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Shared {
-    /// Bills one verified frame: fresh payload as upload, duplicate wire
-    /// bytes as retransmit. Returns whether the frame was fresh.
-    fn bill_frame(&self, tenant: u64, session: u64, seq: u64, payload_len: usize, wire_len: usize) {
-        let mut sessions = lock(&self.sessions);
-        let rec = sessions
-            .entry((tenant, session))
-            .or_insert_with(|| SessionRecord::new(tenant, session));
-        let fresh = seq >= rec.seen_below;
-        rec.wire_bytes += wire_len as u64;
-        if fresh {
-            rec.seen_below = seq + 1;
-            rec.frames += 1;
-            rec.payload_bytes += payload_len as u64;
-        } else {
-            rec.dup_frames += 1;
-        }
-        drop(sessions);
-        let mut book = lock(&self.book);
-        if fresh {
-            book.bill(tenant).record_upload(payload_len);
-        } else {
-            book.bill(tenant).record_retransmit(wire_len);
-        }
+    /// Bills one verified frame's payload as the tenant's upload.
+    fn bill_upload(&self, tenant: u64, payload_len: usize) {
+        lock(&self.book).bill(tenant).record_upload(payload_len);
     }
 
-    /// Bills one delivered eval-response payload as tenant download
-    /// traffic. Responses are server-originated, so they never touch the
-    /// (client → server) session record — only the ledger book.
+    /// Bills one written response payload as the tenant's download.
     fn bill_download(&self, tenant: u64, payload_len: usize) {
         lock(&self.book).bill(tenant).record_download(payload_len);
-    }
-
-    fn bill_bad_frame(&self, tenant: u64, session: u64, wire_len: usize) {
-        let mut sessions = lock(&self.sessions);
-        let rec = sessions
-            .entry((tenant, session))
-            .or_insert_with(|| SessionRecord::new(tenant, session));
-        rec.bad_frames += 1;
-        rec.wire_bytes += wire_len as u64;
     }
 
     /// Gives an admission slot back.
@@ -336,16 +297,6 @@ impl Shared {
         *active -= 1;
         if *active == 0 {
             self.idle.notify_all();
-        }
-    }
-
-    fn persist_session(&self, tenant: u64, session: u64) {
-        let Some(dir) = self.config.checkpoint_dir.as_deref() else {
-            return;
-        };
-        let rec = lock(&self.sessions).get(&(tenant, session)).copied();
-        if let Some(rec) = rec {
-            let _ = rec.save(dir);
         }
     }
 }
@@ -359,9 +310,9 @@ pub struct OffloadServer {
 }
 
 impl OffloadServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), loads any
-    /// persisted session records from the checkpoint directory, and starts
-    /// accepting connections.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), loads the
+    /// dead-request sets a predecessor's journal left in the checkpoint
+    /// directory, and starts accepting connections.
     ///
     /// # Errors
     ///
@@ -370,12 +321,6 @@ impl OffloadServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let mut sessions = BTreeMap::new();
-        if let Some(dir) = config.checkpoint_dir.as_deref() {
-            for rec in SessionRecord::load_dir(dir) {
-                sessions.insert((rec.tenant, rec.session), rec);
-            }
-        }
         let isolation = Arc::new(Isolation::new(config.isolation));
         let journals = Arc::new(JournalSet::open(config.checkpoint_dir.as_deref()));
         let chaos = (config.eval_chaos != EvalChaos::default())
@@ -404,7 +349,6 @@ impl OffloadServer {
             active: Mutex::new(0),
             idle: Condvar::new(),
             counters: Mutex::new(Counters::default()),
-            sessions: Mutex::new(sessions),
             book: Mutex::new(LedgerBook::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -437,8 +381,8 @@ impl OffloadServer {
             rejected_bad_auth: c.rejected_bad_auth,
             rejected_draining: c.rejected_draining,
             rejected_malformed: c.rejected_malformed,
+            bad_frames: c.bad_frames,
             book: lock(&self.shared.book).clone(),
-            sessions: lock(&self.shared.sessions).values().copied().collect(),
             eval: EvalStats {
                 counters: *lock(&self.shared.eval_counters),
                 cache: self.shared.eval_cache.stats(),
@@ -465,11 +409,9 @@ impl OffloadServer {
         self.shared.hard_killed.store(true, Ordering::SeqCst);
     }
 
-    /// Stops admitting, flushes every scheduled batch, waits for every
+    /// Stops admitting, flushes every scheduled batch, and waits for every
     /// connection's writer to run dry and its reader to exit (bounded by
-    /// the reader poll plus the handshake timeout), then persists all
-    /// session records in parallel on the `choco-math::par` pool —
-    /// strictly after results were delivered.
+    /// the reader poll plus the handshake timeout).
     pub fn drain(&self) {
         if self.shared.hard_killed.load(Ordering::SeqCst) {
             // A dead process drains nothing; its journal is the only
@@ -490,12 +432,6 @@ impl OffloadServer {
                 .idle
                 .wait_timeout_while(active, budget, |active| *active > 0),
         );
-        if let Some(dir) = self.shared.config.checkpoint_dir.as_deref() {
-            let records: Vec<SessionRecord> =
-                lock(&self.shared.sessions).values().copied().collect();
-            let saved: Vec<bool> = par::par_map(&records, |_, rec| rec.save(dir).is_ok());
-            let _ = saved;
-        }
     }
 
     /// Graceful shutdown: [`OffloadServer::drain`], stop the accept loop,
@@ -614,22 +550,9 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     conn_reader(&mut io, &conn, reply_tx);
     // The writer returns once the reader and every in-flight job have
     // dropped their senders, so each result is written (or refused by a
-    // dead socket) before the record below persists — never accounting
-    // for undelivered work, and never by a "dead" process.
+    // dead socket) before the slot is given back and a drain can return.
     let _ = writer.join();
-    if !shared.hard_killed.load(Ordering::SeqCst) {
-        shared.persist_session(hello.tenant, hello.session);
-    }
     shared.release_slot();
-}
-
-/// What a connection's writer sends, in the order it was queued.
-pub enum Outbound {
-    /// An `EvalResponse` payload: framed under the connection's response
-    /// sequence counter, then billed as download and journaled.
-    Response(Vec<u8>),
-    /// A verified relay frame, echoed verbatim.
-    Echo(Vec<u8>),
 }
 
 /// One admitted connection, as both of its threads see it.
@@ -641,20 +564,12 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes to the connection's write half `out`, a clone of the socket
-    /// the reader probes (hence the probe-tolerant write).
-    fn write(&self, out: &TcpStream, wire: &[u8]) -> Result<(), ()> {
-        if self.shared.hard_killed.load(Ordering::SeqCst) {
-            return Err(());
-        }
-        let timeout = Duration::from_millis(self.shared.config.io_timeout_ms.max(1));
-        write_all_beside_probe(out, wire, timeout).map_err(|_| ())
-    }
-
     /// Writes one `EvalResponse` frame under the server's own sequence
-    /// counter. The download is billed — and the delivery journaled — only
-    /// *after* the socket accepted the bytes, so a hard kill can never
-    /// bill a response the client had no chance to receive.
+    /// counter to the connection's write half `out`, a clone of the socket
+    /// the reader probes (hence the probe-tolerant write). The download is
+    /// billed — and the delivery journaled — only *after* the socket
+    /// accepted the bytes, so a hard kill can never bill a response the
+    /// client had no chance to receive.
     fn write_response(
         &self,
         out: &TcpStream,
@@ -677,7 +592,11 @@ impl Conn {
         }
         let wire = encode_frame(FrameKind::EvalResponse, *resp_seq, payload, &self.key);
         *resp_seq += 1;
-        self.write(out, &wire)?;
+        if shared.hard_killed.load(Ordering::SeqCst) {
+            return Err(());
+        }
+        let timeout = Duration::from_millis(shared.config.io_timeout_ms.max(1));
+        write_all_beside_probe(out, &wire, timeout).map_err(|_| ())?;
         shared.bill_download(self.tenant, payload.len());
         if let Some(id) = request_id {
             shared.journals.deliver(self.tenant, self.session, id);
@@ -686,10 +605,10 @@ impl Conn {
     }
 }
 
-/// The connection's read half: read a frame, verify, bill, then echo
-/// (relay kinds) or evaluate (`EvalRequest` kinds). Exits on disconnect,
-/// I/O error, drain or kill; results still in flight are the writer's.
-fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Outbound>) {
+/// The connection's read half: read a frame, verify, bill, then hand the
+/// payload to the evaluator. Exits on disconnect, I/O error, drain or
+/// kill; results still in flight are the writer's.
+fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Vec<u8>>) {
     let shared = &conn.shared;
     let (tenant, session) = (conn.tenant, conn.session);
     let poll = shared.config.worker_poll_ms.max(1);
@@ -714,62 +633,59 @@ fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Outbound>) {
             Err(_) => break,
         };
         let Ok(frame) = decode_frame(&wire, &conn.key) else {
-            shared.bill_bad_frame(tenant, session, wire.len());
+            lock(&shared.counters).bad_frames += 1;
             continue;
         };
-        shared.bill_frame(tenant, session, frame.seq, frame.payload.len(), wire.len());
-        let out = if frame.kind == FrameKind::EvalRequest {
-            let more = io.bytes_pending();
-            if more && hold.is_none() {
-                hold = Some(shared.sched.hold());
+        shared.bill_upload(tenant, frame.payload.len());
+        if frame.kind != FrameKind::EvalRequest {
+            let refusal = refuse_frame_kind(frame.kind, &shared.eval_counters);
+            if reply.send(refusal).is_err() {
+                break;
             }
-            let hard_kill = || shared.hard_killed.store(true, Ordering::SeqCst);
-            let mut ctx = EvalContext {
-                session: &mut eval_session,
-                cache: &shared.eval_cache,
-                sched: &shared.sched,
-                counters: &shared.eval_counters,
-                reply: &reply,
-                tenant,
-                conn_session: session,
-                isolation: &shared.isolation,
-                journal: &shared.journals,
-                chaos: shared.chaos.as_ref(),
-                hard_kill: &hard_kill,
-            };
-            let outcome = handle_eval_payload(&frame.payload, &mut ctx);
-            if !more {
-                hold = None;
-            }
-            match outcome {
-                EvalOutcome::Immediate(payload) => Outbound::Response(payload),
-                EvalOutcome::Submitted => continue,
-                EvalOutcome::Dropped => break,
-            }
-        } else {
-            // Echo duplicates too: a client resuming from a checkpoint
-            // legitimately resends frames it already sent, and its session
-            // blocks on the echo.
-            Outbound::Echo(wire)
+            continue;
+        }
+        let more = io.bytes_pending();
+        if more && hold.is_none() {
+            hold = Some(shared.sched.hold());
+        }
+        let hard_kill = || shared.hard_killed.store(true, Ordering::SeqCst);
+        let mut ctx = EvalContext {
+            session: &mut eval_session,
+            cache: &shared.eval_cache,
+            sched: &shared.sched,
+            counters: &shared.eval_counters,
+            reply: &reply,
+            tenant,
+            conn_session: session,
+            isolation: &shared.isolation,
+            journal: &shared.journals,
+            chaos: shared.chaos.as_ref(),
+            hard_kill: &hard_kill,
         };
-        if reply.send(out).is_err() {
-            break;
+        let outcome = handle_eval_payload(&frame.payload, &mut ctx);
+        if !more {
+            hold = None;
+        }
+        match outcome {
+            EvalOutcome::Immediate(payload) => {
+                if reply.send(payload).is_err() {
+                    break;
+                }
+            }
+            EvalOutcome::Submitted => {}
+            EvalOutcome::Dropped => break,
         }
     }
 }
 
-/// The connection's write half: everything the server sends, in channel
-/// order, until the last sender is gone. The first refused write (dead
-/// socket, dead server) shuts the socket, which ends the reader too; jobs
-/// still in flight then find the channel closed and drop their results.
-fn conn_writer(conn: &Conn, out: &TcpStream, replies: &mpsc::Receiver<Outbound>) {
+/// The connection's write half: every response payload, in channel order,
+/// until the last sender is gone. The first refused write (dead socket,
+/// dead server) shuts the socket, which ends the reader too; jobs still in
+/// flight then find the channel closed and drop their results.
+fn conn_writer(conn: &Conn, out: &TcpStream, replies: &mpsc::Receiver<Vec<u8>>) {
     let mut resp_seq = 0;
-    for msg in replies {
-        let sent = match msg {
-            Outbound::Response(payload) => conn.write_response(out, &mut resp_seq, &payload),
-            Outbound::Echo(wire) => conn.write(out, &wire),
-        };
-        if sent.is_err() {
+    for payload in replies {
+        if conn.write_response(out, &mut resp_seq, &payload).is_err() {
             let _ = out.shutdown(Shutdown::Both);
             return;
         }
@@ -779,9 +695,9 @@ fn conn_writer(conn: &Conn, out: &TcpStream, replies: &mpsc::Receiver<Outbound>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choco::transport::frame::{encode_frame, FrameKind};
+    use choco::remote::JOURNAL_MAGIC;
     use choco::transport::tcp::{dial, Redialer, TcpOptions};
-    use choco::transport::{Channel, TransportError};
+    use choco::transport::TransportError;
     use std::time::Instant;
 
     fn registry() -> TenantRegistry {
@@ -791,36 +707,44 @@ mod tests {
     }
 
     #[test]
-    fn echoes_verified_frames_and_bills_per_tenant() {
+    fn bills_request_and_response_payloads_per_tenant() {
         let server =
             OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry()).unwrap();
         let key = TagKey::from_session_seed(b"serve unit tenant 1");
         let opts = TcpOptions::default();
-        let (mut up, _down) = dial(&server.addr().to_string(), &key, 1, 1, false, &opts).unwrap();
-        let wire = encode_frame(FrameKind::Control, 0, b"payload bytes", &key);
-        up.send(wire.clone());
-        let echo = loop {
-            if let Some(d) = up.recv() {
-                break d;
-            }
+        let mut io = dial(&server.addr().to_string(), &key, 1, 1, false, &opts).unwrap();
+        // A journal query needs no session setup and is answered on the spot.
+        let wire = encode_frame(FrameKind::EvalRequest, 0, JOURNAL_MAGIC, &key);
+        let mut downloaded = 0;
+        let mut exchange = |io: &mut BlobIo, expect_seq: u64| {
+            io.write_all(&wire).unwrap();
+            let answer = io.read_blob(5_000).unwrap().expect("an answer");
+            let frame = decode_frame(&answer, &key).unwrap();
+            assert_eq!(
+                (frame.kind, frame.seq),
+                (FrameKind::EvalResponse, expect_seq)
+            );
+            downloaded += frame.payload.len() as u64;
         };
-        assert_eq!(echo.wire, wire);
-        // Duplicate (same seq) echoes again but bills retransmit.
-        up.send(wire.clone());
-        loop {
-            if up.recv().is_some() {
-                break;
-            }
-        }
+        exchange(&mut io, 0);
+        // The same bytes again (same sequence number): one more request,
+        // billed as the upload it is.
+        exchange(&mut io, 1);
+        // A frame whose tag fails is counted and skipped, and the
+        // connection goes on serving.
+        let mut forged = wire.clone();
+        *forged.last_mut().unwrap() ^= 1;
+        io.write_all(&forged).unwrap();
+        exchange(&mut io, 2);
+        drop(io);
         let stats = server.shutdown();
-        assert_eq!(stats.accepted, 1);
+        assert_eq!((stats.accepted, stats.bad_frames), (1, 1));
         let ledger = stats.book.get(1).copied().unwrap();
-        assert_eq!(ledger.uploads, 1);
-        assert_eq!(ledger.upload_bytes, b"payload bytes".len() as u64);
-        assert_eq!(ledger.retransmit_bytes, wire.len() as u64);
-        assert_eq!(stats.sessions.len(), 1);
-        assert_eq!(stats.sessions[0].frames, 1);
-        assert_eq!(stats.sessions[0].dup_frames, 1);
+        assert_eq!((ledger.uploads, ledger.downloads), (3, 3));
+        assert_eq!(ledger.upload_bytes, 3 * JOURNAL_MAGIC.len() as u64);
+        assert_eq!(ledger.download_bytes, downloaded);
+        assert_eq!(ledger.retransmit_bytes, 0);
+        assert_eq!(stats.eval.counters.journal_queries, 3);
     }
 
     #[test]
@@ -834,6 +758,7 @@ mod tests {
         assert_eq!(line.matches('"').count() % 2, 0, "quotes must balance");
         for field in [
             "\"accepted\":",
+            "\"bad_frames\":",
             "\"upload_bytes\":",
             "\"eval\":{",
             "\"sched\":{",

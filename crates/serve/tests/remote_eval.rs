@@ -14,7 +14,13 @@
 //!   match *its own* local reference) and per-tenant billed (each book
 //!   ledger equals that client's own ledger, exactly);
 //! * **drain** — draining mid-batch still delivers every scheduled
-//!   result, and session records are persisted only after delivery;
+//!   result, and the journal marks every one of them delivered before the
+//!   drain returns;
+//! * **billing by direction** — a request is an upload and a response a
+//!   download whatever its sequence number: a `(tenant, session)` id used
+//!   again, in one server's life or across a restart, bills like the first
+//!   time, and a frame of a kind the evaluator does not speak is billed,
+//!   refused with a typed error, and leaves the connection serving;
 //! * **no waiting** — a request with nothing behind it is a round of its
 //!   own that the scheduler never holds open, while a pipelined batch is
 //!   exactly one round, both at `ServeConfig::default()`;
@@ -29,12 +35,13 @@
 
 use choco::remote::{EvalRequest, EvalResponse, RemoteEvaluator, SessionSetup, JOURNAL_MAGIC};
 use choco::transport::frame::{decode_frame, encode_frame, FrameKind};
-use choco::transport::tcp::{dial_io, BlobIo, TcpOptions};
+use choco::transport::tcp::{dial, BlobIo, TcpOptions};
 use choco::transport::TagKey;
 use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_params, RemoteWorkload};
 use choco_he::params::SchemeType;
 use choco_he::{Bfv, Ckks, HeScheme};
+use choco_serve::journal::{ACCEPT_BYTES, DELIVER_BYTES};
 use choco_serve::{EvalChaos, EvalStage, OffloadServer, ServeConfig, TenantRegistry};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -359,7 +366,7 @@ struct RawClient {
 impl RawClient {
     fn connect(addr: &str, tenant: u64, w: &RemoteWorkload<Bfv>) -> Self {
         let key = TagKey::from_session_seed(tenant_seed(tenant).as_bytes());
-        let io = dial_io(addr, &key, tenant, 0, false, &TcpOptions::default()).unwrap();
+        let io = dial(addr, &key, tenant, 0, false, &TcpOptions::default()).unwrap();
         let mut client = RawClient {
             io,
             key,
@@ -378,7 +385,11 @@ impl RawClient {
     }
 
     fn send(&mut self, payload: &[u8]) {
-        let wire = encode_frame(FrameKind::EvalRequest, self.seq, payload, &self.key);
+        self.send_kind(FrameKind::EvalRequest, payload);
+    }
+
+    fn send_kind(&mut self, kind: FrameKind, payload: &[u8]) {
+        let wire = encode_frame(kind, self.seq, payload, &self.key);
         self.seq += 1;
         self.io.write_all(&wire).unwrap();
         self.uploaded += payload.len() as u64;
@@ -486,6 +497,81 @@ fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exac
 }
 
 #[test]
+fn reused_session_id_bills_every_request_as_an_upload_within_and_across_a_restart() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("choco-remote-eval-reuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"reused id").unwrap();
+    // Two server lives over one checkpoint directory; in each, two clients
+    // in a row on the same (tenant 1, session 0), sequence numbers and
+    // request ids starting over every time.
+    for life in 0..2 {
+        let config = ServeConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let (server, addr) = bind(config, 1);
+        let mut sum = choco::CommLedger::new();
+        for _ in 0..2 {
+            let mut client = connect::<Bfv>(&addr, 1, &w);
+            for _ in 0..2 {
+                client.evaluate(&w.prepared, &w.input_refs()).unwrap();
+            }
+            sum.merge(client.ledger());
+        }
+        let stats = server.shutdown();
+        let book = stats.book.get(1).expect("tenant 1 billed");
+        assert_eq!(
+            (book.uploads, book.upload_bytes),
+            (sum.uploads, sum.upload_bytes),
+            "life {life}: uploads"
+        );
+        assert_eq!(
+            (book.downloads, book.download_bytes),
+            (sum.downloads, sum.download_bytes),
+            "life {life}: downloads"
+        );
+        assert_eq!(book.retransmit_bytes, 0, "life {life}");
+        assert_eq!(stats.eval.journal.reported_dead, 0, "life {life}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unsupported_frame_kind_is_billed_refused_with_a_typed_error_and_the_connection_serves_on() {
+    let (server, addr) = bind(ServeConfig::default(), 1);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"wrong kind").unwrap();
+    let local = w.local_output_wires().unwrap();
+    let mut client = RawClient::connect(&addr, 1, &w);
+    client.send_kind(FrameKind::Control, b"a session-layer control frame");
+    match client.recv() {
+        (1, EvalResponse::Error { message, .. }) => {
+            assert!(message.contains("unsupported frame kind"), "{message}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    client.send(&request(&w, 0, true).to_wire());
+    match client.recv() {
+        (2, EvalResponse::Outputs { outputs, .. }) => assert_eq!(outputs, local),
+        other => panic!("expected the evaluation's outputs, got {other:?}"),
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.eval.counters.errors, 1);
+    let book = stats.book.get(1).expect("tenant 1 billed");
+    assert_eq!((book.uploads, book.upload_bytes), (3, client.uploaded));
+    assert_eq!(
+        (book.downloads, book.download_bytes),
+        (3, client.downloaded)
+    );
+}
+
+#[test]
 fn response_the_writer_never_wrote_is_neither_billed_nor_journaled() {
     // The server dies between the first and the second response of one
     // batch: the second is refused at the socket, the third is still
@@ -522,7 +608,7 @@ fn response_the_writer_never_wrote_is_neither_billed_nor_journaled() {
 }
 
 #[test]
-fn drain_mid_batch_delivers_results_before_persisting_records() {
+fn drain_mid_batch_delivers_results_before_the_journal_calls_them_delivered() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("choco-remote-eval-drain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -531,7 +617,7 @@ fn drain_mid_batch_delivers_results_before_persisting_records() {
         batch_window_ms: 120,
         ..ServeConfig::default()
     };
-    let (server, addr) = bind(config, 1);
+    let (server, addr) = bind(config.clone(), 1);
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pipeline").unwrap();
     let params = workload_params(SchemeType::Bfv).unwrap();
@@ -568,15 +654,32 @@ fn drain_mid_batch_delivers_results_before_persisting_records() {
     assert!(start.elapsed() < Duration::from_secs(10));
 
     let stats = server_handle.join().expect("server thread panicked");
-    // The session record was persisted (after delivery), and the book
-    // billed every response the client actually received.
-    assert_eq!(stats.sessions.len(), 1);
-    let persisted = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert!(persisted >= 1, "no session record persisted to {dir:?}");
+    // The book billed every response the client actually received, and
+    // once the drain has returned the journal on disk holds a deliver line
+    // for each of the four requests it accepted.
     let book = stats.book.get(1).expect("tenant 1 billed");
     let ledger = client.ledger();
     assert_eq!(book.download_bytes, ledger.download_bytes);
     assert_eq!(book.upload_bytes, ledger.upload_bytes);
+    let journal = stats.eval.journal;
+    assert_eq!((journal.accepted, journal.delivered), (4, 4), "{journal:?}");
+    let on_disk = std::fs::metadata(dir.join("t1_s0.cej")).map(|m| m.len());
+    assert_eq!(
+        on_disk.ok(),
+        Some(4 * (ACCEPT_BYTES + DELIVER_BYTES) as u64)
+    );
+    drop(client);
+
+    // A server re-bound over the same directory has nothing to report dead.
+    let (successor, addr) = bind(config, 1);
+    let mut resumed = RawClient::connect(&addr, 1, &w);
+    resumed.send(JOURNAL_MAGIC);
+    match resumed.recv() {
+        (1, EvalResponse::DeadRequests { request_ids }) => assert!(request_ids.is_empty()),
+        other => panic!("expected the journal's answer, got {other:?}"),
+    }
+    drop(resumed);
+    assert_eq!(successor.shutdown().eval.journal.reported_dead, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

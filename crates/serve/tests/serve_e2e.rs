@@ -1,35 +1,32 @@
-//! End-to-end serving tests over real loopback TCP.
+//! End-to-end serving tests over real loopback TCP, driven through the
+//! evaluator protocol (`RemoteWorkload` + `connect_reliable`).
 //!
-//! * concurrency: ≥ 8 simultaneous client sessions complete real HE
-//!   workloads with zero failures, and the per-tenant book's fresh frame
-//!   counts reconcile exactly against each client's ledger;
+//! * concurrency: 8 simultaneous client sessions evaluate with zero
+//!   failures, every result bit-identical to the local reference, and each
+//!   tenant's book entry equals that client's own ledger — in bytes, both
+//!   directions;
 //! * admission: the session over the limit gets a *typed*
 //!   `Overloaded { active, limit }`, and capacity freed by a disconnect is
 //!   reusable;
-//! * drain/restart: a server drain mid-workload kills the client's link;
-//!   the client redials a restarted server (same checkpoint directory) and
-//!   resumes to a bit-identical result, billing only recovery bytes extra;
-//! * chaos proxy: a mid-frame connection cut is absorbed by redial +
-//!   resume, and a uniformly delayed link merely slows the run down.
+//! * chaos proxy: a mid-frame connection cut — inside a request, and inside
+//!   a response — is absorbed by redial + resend with the uncut run's
+//!   outputs and primary ledger lines, and a uniformly delayed link merely
+//!   slows the run down.
 
-use choco::transport::tcp::TcpOptions;
-use choco::transport::TagKey;
-use choco::transport::{dial, Redialer, RetryPolicy, Session, TcpChannel, TransportError};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
-use choco_apps::resumable::{drive_over_tcp, is_reconnectable, ResumableWorkload};
-use choco_he::params::HeParams;
-use choco_he::Bfv;
-use choco_serve::{ChaosPlan, ChaosProxy, OffloadServer, ServeConfig, TenantRegistry};
-use std::path::PathBuf;
+use choco::protocol::CommLedger;
+use choco::remote::{EvalResponse, SessionSetup};
+use choco::transport::frame::{encode_frame, FrameKind};
+use choco::transport::tcp::{TcpOptions, ACK_BYTES, HELLO_BYTES};
+use choco::transport::{dial, RetryPolicy, TagKey, TransportError};
+use choco_apps::circuits::all_workloads;
+use choco_apps::remote::{workload_params, RemoteWorkload};
+use choco_he::params::SchemeType;
+use choco_he::{Bfv, HeScheme};
+use choco_serve::{ChaosPlan, ChaosProxy, OffloadServer, ServeConfig, ServeStats, TenantRegistry};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn graph() -> Graph {
-    Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]])
-}
-
-fn params() -> HeParams {
-    HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap()
-}
+const COPIES: usize = 3;
 
 fn tenant_seed(tenant: u64) -> String {
     format!("e2e tenant {tenant}")
@@ -43,37 +40,59 @@ fn registry(tenants: u64) -> TenantRegistry {
     reg
 }
 
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("choco-serve-e2e-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The PageRank circuit under BFV with `tenant`'s own keys and inputs.
+fn workload(tenant: u64) -> RemoteWorkload<Bfv> {
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let seed = format!("e2e keys {tenant}");
+    RemoteWorkload::<Bfv>::prepare(circuit, &params, seed.as_bytes()).unwrap()
 }
 
-/// Runs one full PageRank workload for `tenant` against `addr`; returns the
-/// client's final primary ledger lines and result wire.
-fn run_pagerank(
+/// One client session against `addr`: a pipelined batch of [`COPIES`]
+/// evaluations, each compared with the local reference. Returns the
+/// client's ledger.
+fn run_session(
+    w: &RemoteWorkload<Bfv>,
     addr: &str,
     tenant: u64,
-    session_id: u64,
-    max_reconnects: u32,
-) -> Result<(choco::CommLedger, Vec<u8>), TransportError> {
-    let g = graph();
-    let params = params();
-    let steps = pagerank_rotation_steps(g.len());
-    let seed = tenant_seed(tenant);
-    let redialer = Redialer::new(addr, seed.as_bytes(), tenant, session_id);
-    let (up, down) = redialer.dial_fresh()?;
-    let session = Session::<Bfv, TcpChannel>::over(
-        &params,
-        seed.as_bytes(),
-        &steps,
-        up,
-        down,
+    session: u64,
+) -> Result<CommLedger, TransportError> {
+    let local = w.local_output_wires().map_err(TransportError::He)?;
+    let mut client = w.connect_reliable(
+        Arc::new(Mutex::new(addr.to_string())),
+        tenant_seed(tenant).as_bytes(),
+        tenant,
+        session,
+        &TcpOptions::default(),
         RetryPolicy::default(),
     )?;
-    let w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10)?;
-    let (session, w) = drive_over_tcp(&redialer, session, w, max_reconnects)?;
-    Ok((*session.ledger(), w.final_ct_wire()))
+    for copy in w.drive_to_completion(&mut client, COPIES)? {
+        assert_eq!(copy, local, "tenant {tenant}: remote != local");
+    }
+    Ok(*client.ledger())
+}
+
+fn assert_book_equals_ledger(stats: &ServeStats, tenant: u64, ledger: &CommLedger) {
+    let book = stats.book.get(tenant).copied().unwrap_or_default();
+    assert_eq!(
+        (book.uploads, book.upload_bytes),
+        (ledger.uploads, ledger.upload_bytes),
+        "tenant {tenant}: uploads"
+    );
+    assert_eq!(
+        (book.downloads, book.download_bytes),
+        (ledger.downloads, ledger.download_bytes),
+        "tenant {tenant}: downloads"
+    );
+    assert_eq!(book.retransmit_bytes, 0, "tenant {tenant}");
+}
+
+fn assert_primary_lines_match(base: &CommLedger, got: &CommLedger) {
+    assert_eq!(got.upload_bytes, base.upload_bytes, "upload_bytes");
+    assert_eq!(got.download_bytes, base.download_bytes, "download_bytes");
+    assert_eq!(got.uploads, base.uploads, "uploads");
+    assert_eq!(got.downloads, base.downloads, "downloads");
 }
 
 #[test]
@@ -88,48 +107,28 @@ fn eight_concurrent_sessions_complete_with_zero_failures() {
     let handles: Vec<_> = (1..=8u64)
         .map(|tenant| {
             let addr = addr.clone();
-            std::thread::spawn(move || run_pagerank(&addr, tenant, 0, 0))
+            std::thread::spawn(move || run_session(&workload(tenant), &addr, tenant, 0))
         })
         .collect();
-    let mut ledgers = Vec::new();
-    for (i, handle) in handles.into_iter().enumerate() {
-        let outcome = handle.join().expect("client thread panicked");
-        let (ledger, wire) = outcome.unwrap_or_else(|e| panic!("client {} failed: {e}", i + 1));
-        assert!(!wire.is_empty());
-        ledgers.push(ledger);
-    }
-
-    // All 8 clients ran the same deterministic workload: identical primary
-    // ledgers, no retransmissions, no recovery.
-    for ledger in &ledgers {
-        assert_eq!(ledger.retransmit_bytes, 0);
-        assert_eq!(ledger.recovery_bytes, 0);
-        assert_eq!(ledger.uploads, ledgers[0].uploads);
-        assert_eq!(ledger.downloads, ledgers[0].downloads);
-    }
+    let ledgers: Vec<CommLedger> = handles
+        .into_iter()
+        .zip(1u64..)
+        .map(|(handle, tenant)| {
+            let outcome = handle.join().expect("client thread panicked");
+            outcome.unwrap_or_else(|e| panic!("client {tenant} failed: {e}"))
+        })
+        .collect();
 
     let stats = server.shutdown();
-    assert_eq!(stats.accepted, 8);
-    assert_eq!(stats.rejected_overload, 0);
-    assert_eq!(stats.book.tenants(), 8);
-    // Per-tenant reconciliation: every physical frame the server verified
-    // fresh is one client transfer (the relay cannot tell uploads from
-    // downloads apart — it sees their sum), and nothing was retransmitted
-    // or rejected.
-    for (tenant, ledger) in ledgers.iter().enumerate() {
-        let tenant = tenant as u64 + 1;
-        let server_side = stats.book.get(tenant).copied().unwrap();
-        assert_eq!(
-            server_side.uploads,
-            ledger.uploads + ledger.downloads,
-            "tenant {tenant}: server fresh frames vs client transfers"
-        );
-        assert_eq!(server_side.retransmit_bytes, 0, "tenant {tenant}");
+    assert_eq!((stats.accepted, stats.rejected_overload), (8, 0));
+    assert_eq!((stats.book.tenants(), stats.bad_frames), (8, 0));
+    assert_eq!(stats.eval.counters.errors, 0);
+    for (tenant, ledger) in (1u64..).zip(&ledgers) {
+        // Same circuit, same shapes: identical traffic, nothing recovered.
+        assert_primary_lines_match(&ledgers[0], ledger);
+        assert_eq!((ledger.retransmit_bytes, ledger.recovery_bytes), (0, 0));
+        assert_book_equals_ledger(&stats, tenant, ledger);
     }
-    assert!(stats
-        .sessions
-        .iter()
-        .all(|r| r.bad_frames == 0 && r.dup_frames == 0));
 }
 
 #[test]
@@ -183,137 +182,51 @@ fn session_over_the_limit_gets_typed_overloaded_and_capacity_recovers() {
 }
 
 #[test]
-fn drain_restart_and_resume_is_bit_identical() {
-    let dir = scratch_dir("drain-restart");
-    let g = graph();
-    let params = params();
-    let steps = pagerank_rotation_steps(g.len());
-    let seed = tenant_seed(1);
-    let config = || ServeConfig {
-        max_sessions: 4,
-        worker_poll_ms: 10,
-        checkpoint_dir: Some(dir.clone()),
-        ..ServeConfig::default()
+fn mid_frame_connection_cut_is_absorbed_by_redial_and_resend() {
+    let w = workload(1);
+    let key = TagKey::from_session_seed(tenant_seed(1).as_bytes());
+    // Where the first evaluate request and the first result start on the
+    // two byte streams: behind the hello and the session-setup frame going
+    // up, behind the ack and the setup acknowledgement coming down.
+    let setup = SessionSetup {
+        params: w.params.clone(),
+        relin_wire: Bfv::relin_to_wire(&w.relin),
+        galois_wire: Bfv::galois_to_wire(&w.galois),
     };
-
-    // Uninterrupted baseline against its own session id.
-    let server = OffloadServer::bind("127.0.0.1:0", config(), registry(1)).unwrap();
-    let (base_ledger, base_wire) = run_pagerank(&server.addr().to_string(), 1, 0, 0).unwrap();
-
-    // Interrupted run: two steps against the first server...
-    let redial_policy = RetryPolicy {
-        max_attempts: 3,
-        base_backoff_ms: 5,
-        max_backoff_ms: 50,
-        round_timeout_ms: 10_000,
-    };
-    // A short recv deadline keeps the failing step quick: once the server
-    // drains, every retry sees a dry pipe until the budget is spent.
-    let fast_opts = TcpOptions {
-        recv_deadline_ms: 100,
-        ..TcpOptions::default()
-    };
-    let mut redialer = Redialer::new(server.addr().to_string(), seed.as_bytes(), 1, 1);
-    redialer.opts = fast_opts;
-    let (up, down) = redialer.dial_fresh().unwrap();
-    let mut session =
-        Session::<Bfv, TcpChannel>::over(&params, seed.as_bytes(), &steps, up, down, redial_policy)
-            .unwrap();
-    let mut w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap();
-    w.step(&mut session).unwrap();
-    assert!(!w.is_done(), "workload too small to interrupt");
-    let ckpt = session.checkpoint(&w.progress());
-
-    // ... then the server drains and shuts down underneath the client.
-    let stats1 = server.shutdown();
-    assert_eq!(stats1.accepted, 2);
-    let rec1 = stats1
-        .sessions
-        .iter()
-        .find(|r| r.session == 1)
-        .copied()
-        .expect("drained server persisted the live session record");
-    assert!(rec1.frames > 0);
-
-    let err = loop {
-        match w.step(&mut session) {
-            Ok(()) => continue,
-            Err(e) => break e,
-        }
-    };
-    assert!(is_reconnectable(&err), "expected a link error, got {err}");
-    drop(session);
-
-    // A restarted server over the same checkpoint directory picks the
-    // session record back up; the client redials and resumes.
-    let server2 = OffloadServer::bind("127.0.0.1:0", config(), registry(1)).unwrap();
-    let mut redialer2 = Redialer::new(server2.addr().to_string(), seed.as_bytes(), 1, 1);
-    redialer2.opts = fast_opts;
-    let (up, down) = redialer2.redial().unwrap();
-    let (mut session, progress) = Session::<Bfv, TcpChannel>::resume(&ckpt, up, down).unwrap();
-    let mut w = ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10)
-        .unwrap()
-        .restore(&progress)
-        .unwrap();
-    while !w.is_done() {
-        w.step(&mut session).unwrap();
-    }
-
-    assert_eq!(w.final_ct_wire(), &base_wire[..], "result diverged");
-    let ledger = session.ledger();
-    assert_eq!(ledger.upload_bytes, base_ledger.upload_bytes);
-    assert_eq!(ledger.download_bytes, base_ledger.download_bytes);
-    assert_eq!(ledger.uploads, base_ledger.uploads);
-    assert_eq!(ledger.downloads, base_ledger.downloads);
-    assert_eq!(ledger.rounds, base_ledger.rounds);
-    assert!(ledger.recovery_bytes > 0, "resume billed no recovery bytes");
-    assert_eq!(base_ledger.recovery_bytes, 0);
-
-    let stats2 = server2.shutdown();
-    assert!(stats2.resumed >= 1, "resume hello not counted");
-    let rec2 = stats2
-        .sessions
-        .iter()
-        .find(|r| r.session == 1)
-        .copied()
-        .expect("restarted server kept the session record");
-    assert!(
-        rec2.seen_below > rec1.seen_below,
-        "dedup cursor did not advance across the restart"
+    let setup_frame = encode_frame(FrameKind::EvalRequest, 0, &setup.to_wire(), &key);
+    let setup_ok = encode_frame(
+        FrameKind::EvalResponse,
+        0,
+        &EvalResponse::SetupOk.to_wire(),
+        &key,
     );
-    assert_eq!(rec2.bad_frames, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mid_frame_connection_cut_is_absorbed_by_redial_and_resume() {
-    let server = OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry(1)).unwrap();
-    // Baseline without the proxy.
-    let (base_ledger, base_wire) = run_pagerank(&server.addr().to_string(), 1, 0, 0).unwrap();
-
-    // Cut the first connection mid-frame: the threshold lands inside a
-    // ciphertext frame (tens of KB each), well past the 55-byte hello.
-    let plan = ChaosPlan {
-        kill_after_bytes: Some(40_000),
+    let inside_a_request = ChaosPlan {
+        kill_after_bytes: Some((HELLO_BYTES + setup_frame.len() + 1_000) as u64),
         ..ChaosPlan::default()
     };
-    let proxy = ChaosProxy::spawn(server.addr(), plan).unwrap();
-    let (ledger, wire) = run_pagerank(&proxy.addr().to_string(), 1, 1, 3).unwrap();
-    assert!(proxy.killed(), "the planned mid-frame cut never fired");
+    let inside_a_response = ChaosPlan {
+        kill_after_reply_bytes: Some((ACK_BYTES + setup_ok.len() + 1_000) as u64),
+        ..ChaosPlan::default()
+    };
 
-    assert_eq!(wire, base_wire, "result diverged after the mid-frame cut");
-    assert_eq!(ledger.upload_bytes, base_ledger.upload_bytes);
-    assert_eq!(ledger.download_bytes, base_ledger.download_bytes);
-    assert_eq!(ledger.uploads, base_ledger.uploads);
-    assert_eq!(ledger.downloads, base_ledger.downloads);
-    assert!(ledger.recovery_bytes > 0);
+    let server = OffloadServer::bind("127.0.0.1:0", ServeConfig::default(), registry(1)).unwrap();
+    // Baseline without the proxy.
+    let base = run_session(&w, &server.addr().to_string(), 1, 0).unwrap();
+    assert_eq!((base.retransmit_bytes, base.recovery_bytes), (0, 0));
+
+    for (session, plan) in (1u64..).zip([inside_a_request, inside_a_response]) {
+        let proxy = ChaosProxy::spawn(server.addr(), plan).unwrap();
+        let ledger = run_session(&w, &proxy.addr().to_string(), 1, session).unwrap();
+        assert!(proxy.killed(), "{plan:?}: the planned cut never fired");
+        assert_primary_lines_match(&base, &ledger);
+        assert!(ledger.recovery_bytes > 0, "{plan:?}: nothing recovered");
+    }
 
     let stats = server.shutdown();
-    // The truncated frame died inside the proxy, so the server never saw a
-    // bad tag; the resumed connection replayed in-flight frames, which the
-    // dedup cursor may bill as retransmissions — never as fresh uploads.
-    assert!(stats.sessions.iter().all(|r| r.bad_frames == 0));
-    assert!(stats.resumed >= 1);
+    // The truncated frames died inside the proxy: the server saw a
+    // connection end, never a bad tag, and two redials.
+    assert_eq!((stats.bad_frames, stats.resumed), (0, 2));
+    assert_eq!(stats.eval.counters.errors, 0);
 }
 
 #[test]
@@ -324,11 +237,9 @@ fn uniformly_delayed_link_completes_without_recovery() {
         ..ChaosPlan::default()
     };
     let proxy = ChaosProxy::spawn(server.addr(), plan).unwrap();
-    let (ledger, wire) = run_pagerank(&proxy.addr().to_string(), 1, 0, 0).unwrap();
-    assert!(!wire.is_empty());
-    assert_eq!(ledger.recovery_bytes, 0);
-    assert_eq!(ledger.retransmit_bytes, 0);
+    let ledger = run_session(&workload(1), &proxy.addr().to_string(), 1, 0).unwrap();
+    assert_eq!((ledger.retransmit_bytes, ledger.recovery_bytes), (0, 0));
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 1);
-    assert!(stats.sessions.iter().all(|r| r.dup_frames == 0));
+    assert_book_equals_ledger(&stats, 1, &ledger);
 }
