@@ -24,12 +24,15 @@ echo "==> cargo test (all workspace members)"
 cargo test -q --workspace
 
 echo "==> parallel/sequential equivalence suite (CHOCO_THREADS=1)"
+# prop_choco: the executor's fused dot groups against their unfused twins.
 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_THREADS=1 cargo test -q -p choco-he --test prop_he
+CHOCO_THREADS=1 cargo test -q -p choco --test prop_choco
 
 echo "==> parallel/sequential equivalence suite (CHOCO_THREADS=4)"
 CHOCO_THREADS=4 cargo test -q -p choco-math --test prop_math
 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
+CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 
 echo "==> simd/scalar equivalence suite (CHOCO_SIMD=0 and =1, both thread counts)"
 # The dispatched forward NTT and modular add/sub must be bit-identical
@@ -39,8 +42,10 @@ echo "==> simd/scalar equivalence suite (CHOCO_SIMD=0 and =1, both thread counts
 # bits the vectorized build does, at every thread count).
 CHOCO_SIMD=0 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_SIMD=0 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
+CHOCO_SIMD=0 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 CHOCO_SIMD=1 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
+CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 
 echo "==> zero-alloc steady state (PolyPool counters, both schemes)"
 # Warm keyswitch -> hoisted rotation -> matvec loops must not touch the
@@ -105,11 +110,19 @@ done
 speedup=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' /tmp/bench_serve_batch.json)
 echo "ci: batch-4 / sequential throughput ${speedup}x on $(nproc) cores (reported, not gated)"
 
-echo "==> kernel bench reporter (smoke mode + generic-core and simd gates)"
-# Besides the kernel timings, bench_kernels asserts that the scheme-generic
-# HeScheme::dot_diagonals path stays within noise (< 1.25x) of a
-# hand-inlined twin for both BFV and CKKS — the generic protocol core is
-# monomorphized, so any measurable gap is a regression. Its simd section
+echo "==> kernel bench reporter (smoke mode + fusion, generic-core, simd and par gates)"
+# Besides the kernel timings, bench_kernels asserts that what is fused beats
+# its unfused twin by >= 1.5x: the double-hoisted matvec against the
+# per-rotation composition under BFV (set B) and CKKS (set C), and the
+# compiled-program executor on pagerank (set A) and the conv layer (set C)
+# against the same program with every interior node declared an output,
+# which the fusion plan must then run node by node. It asserts that BFV's
+# scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
+# hand-inlined twin — the generic protocol core is monomorphized, so any
+# measurable gap is a regression (CKKS has no such twin any more: its
+# dot_diagonals is the three calls a hand copy would make). Every gated
+# ratio is the best of three interleaved windows per side, in smoke mode
+# too, where a window may hold a single iteration. Its simd section
 # times every vector kernel (forward NTT, modular add, modular sub; N = 4096
 # and 8192) against its scalar twin and fails on a ratio < 1.0, and on a
 # forward NTT whose better size reads < 2.0x, whenever the AVX2 backend is

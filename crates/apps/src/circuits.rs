@@ -235,6 +235,31 @@ mod tests {
     }
 
     #[test]
+    fn the_executor_fuses_exactly_the_dot_chain_of_each_workload() {
+        // A chain of m terms over one ciphertext — the diagonal-method
+        // matvec, the tap sum of a convolution — is one group covering its
+        // m − 1 adds, m products, m rescales and m − 1 rotations. The conv
+        // layer's two channel folds and every rotation of the distance
+        // kernel rotate the running accumulator, and stay nodes.
+        let m = LenetLikeSpec::tiny().fc_inputs();
+        let want = [
+            ("pipeline", 1, 4 * m - 2),
+            ("dnn_conv", 1, 4 * 9 - 2),
+            ("pagerank", 1, 4 * 8 - 2),
+            ("distance", 0, 0),
+        ];
+        for (w, (name, groups, nodes)) in all_workloads().iter().zip(want) {
+            assert_eq!(w.name, name);
+            let compiled = compile(&w.program, &opts()).unwrap();
+            assert_eq!(
+                (compiled.fused_groups(), compiled.fused_nodes()),
+                (groups, nodes),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn workload_programs_execute_plain() {
         // The IR twins are real programs, not just rotation manifests:
         // plaintext execution must succeed on shape-matched inputs.

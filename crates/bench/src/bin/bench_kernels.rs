@@ -2,21 +2,25 @@
 //!
 //! Times the kernels the runtime rework targets — strict vs. lazy NTT,
 //! BFV multiply and decrypt in RNS against their big-integer reference,
-//! naive vs. hoisted rotation batches, and the
-//! diagonal-method matvec through both the per-rotation path and the
-//! fused double-hoisted `dot_rotations_plain` path — and reports the
-//! speedups. It also times the scheme-generic [`HeScheme::dot_diagonals`]
-//! entry point against a hand-inlined twin for both BFV and CKKS, and
-//! fails (exit 1) if the trait indirection costs more than measurement
-//! noise — the generic core is monomorphized, so there is no dyn dispatch
-//! to pay for. A simd section times every kernel `choco_math::simd`
-//! vectorizes against its scalar twin and fails on one the vector code does
-//! not speed up; the RNS multiply and decrypt are gated the same way against
-//! the reference (>= 3.0x and >= 2.0x). A `par` section times the worker
-//! pool's dispatch cost and every call site still routed through it against
-//! its own one-thread loop, and fails on a site the pool does not speed up
-//! (skipped, with a note, while the host is not running two threads faster
-//! than one).
+//! naive vs. hoisted rotation batches, the diagonal-method matvec of both
+//! schemes through the per-rotation path and through the fused
+//! double-hoisted dot, and the compiled-program executor on the two served
+//! programs that contain a dot group against the same program with every
+//! interior node declared an output (which the fusion plan then leaves
+//! alone) — and reports the speedups. Every ratio the binary asserts on is
+//! taken from the best of three interleaved windows per side, in smoke mode
+//! too. It also times the scheme-generic [`HeScheme::dot_diagonals`] entry
+//! point against a hand-inlined twin for BFV, and fails (exit 1) if the
+//! trait indirection costs more than measurement noise — the generic core
+//! is monomorphized, so there is no dyn dispatch to pay for. A simd section
+//! times every kernel `choco_math::simd` vectorizes against its scalar twin
+//! and fails on one the vector code does not speed up; the RNS multiply and
+//! decrypt are gated the same way against the reference (at least 3.0x and
+//! 2.0x), the fused matvec and the fused executor against their unfused
+//! twins (at least 1.5x). A `par` section times the worker pool's dispatch cost
+//! and every call site still routed through it against its own one-thread
+//! loop, and fails on a site the pool does not speed up (skipped, with a
+//! note, while the host is not running two threads faster than one).
 //! `--json <path>` additionally writes a machine-readable
 //! report (the committed baseline lives in `BENCH_kernels.json`);
 //! `--smoke` shrinks the measurement windows so CI can run the reporter
@@ -25,6 +29,9 @@
 #![forbid(unsafe_code)]
 use std::hint::black_box;
 
+use choco::compiler::{compile, CompilerOptions, CompilerScheme, ExecCache, NodeId, Op, Program};
+use choco_apps::circuits::{dnn_conv_program, pagerank_program};
+use choco_apps::remote::workload_options;
 use choco_bench::{header, measure, note, time_str};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
@@ -40,6 +47,7 @@ use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::simd;
 use choco_prng::Blake3Rng;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Entry {
@@ -140,6 +148,24 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
+/// The CPU model and core count the numbers were taken on.
+fn host() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        });
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = model.unwrap_or_else(|| "unknown cpu".into());
+    // Keep the field escape-free whatever /proc says.
+    let model: String = model
+        .chars()
+        .filter(|c| c.is_ascii_alphanumeric() || " ()@.-_".contains(*c))
+        .collect();
+    format!("{model}, {cores} cores")
+}
+
 fn write_json(
     path: &str,
     mode: &str,
@@ -151,6 +177,7 @@ fn write_json(
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"choco-bench-kernels/1\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
+    out.push_str(&format!("  \"host\": \"{}\",\n", host()));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -234,38 +261,86 @@ fn bfv_matvec_direct(
         .unwrap()
 }
 
-/// Hand-inlined twin of `<Ckks as HeScheme>::dot_diagonals`: one hoisted
-/// decomposition across all shifts, then encode/multiply/accumulate.
-fn ckks_matvec_direct(
+/// The unfused CKKS composition: one full key switch per rotation, one
+/// encode / multiply / add per diagonal, one rescale (the shape
+/// `matvec_naive` has under BFV).
+fn ckks_matvec_naive(
     ctx: &CkksContext,
     ct: &CkksCiphertext,
     diagonals: &[(i64, Vec<f64>)],
     gks: &GaloisKeys,
 ) -> CkksCiphertext {
-    let steps: Vec<i64> = diagonals
-        .iter()
-        .map(|(s, _)| *s)
-        .filter(|&s| s != 0)
-        .collect();
-    let rotated = ctx.rotate_many(ct, &steps, gks).unwrap();
-    let mut by_step = rotated.into_iter();
     let mut acc: Option<CkksCiphertext> = None;
     for (shift, diag) in diagonals {
+        let rotated;
         let term_ct = if *shift == 0 {
-            ct.clone()
+            ct
         } else {
-            by_step.next().unwrap()
+            rotated = ctx.rotate(ct, *shift, gks).unwrap();
+            &rotated
         };
         let pt = ctx
             .encode_at(diag, term_ct.level(), ctx.default_scale())
             .unwrap();
-        let term = ctx.multiply_plain(&term_ct, &pt).unwrap();
+        let term = ctx.multiply_plain(term_ct, &pt).unwrap();
         acc = Some(match acc {
             None => term,
             Some(a) => ctx.add(&a, &term).unwrap(),
         });
     }
-    acc.unwrap()
+    ctx.rescale(&acc.unwrap()).unwrap()
+}
+
+/// `program` with every ciphertext node also declared an output: the same
+/// values node by node, and nothing the fusion plan may fuse (an interior
+/// node of a dot group must not be an output).
+fn with_every_node_an_output(program: &Program) -> Program {
+    let mut twin = program.clone();
+    for (i, op) in program.ops().iter().enumerate() {
+        if !matches!(op, Op::Constant(_)) {
+            twin.output(NodeId::new(i));
+        }
+    }
+    twin
+}
+
+/// Times the warm executor (operand cache filled) on `program` as compiled
+/// — dot groups fused — and on its every-node-an-output twin:
+/// `[fused, nodes]`.
+fn exec_fused_and_nodes<S: CompilerScheme>(
+    window_ms: f64,
+    params: &HeParams,
+    program: &Program,
+    options: &CompilerOptions,
+) -> [(f64, usize); 2] {
+    let ctx = S::context(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"bench kernels exec");
+    let keys = S::keygen(&ctx, &mut rng);
+    let relin = S::relin_key(&ctx, &keys, &mut rng).unwrap();
+    let fused = compile(program, options).unwrap();
+    let nodes = compile(&with_every_node_an_output(program), options).unwrap();
+    assert!(fused.fused_groups() > 0 && nodes.fused_groups() == 0);
+    let galois = S::galois_keys(&ctx, &keys, &fused.rotation_steps(), &mut rng).unwrap();
+    let reals: Vec<f64> = (0..S::slot_width(&ctx))
+        .map(|i| (i % 13) as f64 / 8.0 - 0.75)
+        .collect();
+    let values = S::quantize_const(&ctx, &reals, options.scale_bits);
+    let mut inputs = HashMap::new();
+    for op in program.ops() {
+        if let Op::Input(name) = op {
+            let ct = S::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
+            inputs.insert(name.clone(), ct);
+        }
+    }
+    let caches = [ExecCache::<S>::unbounded(), ExecCache::<S>::unbounded()];
+    best_of_three(|side| {
+        let (compiled, cache) = ([&fused, &nodes][side], &caches[side]);
+        measure(window_ms, || {
+            compiled
+                .execute_encrypted_cached::<S>(&ctx, black_box(&inputs), &relin, &galois, cache)
+                .unwrap()
+        })
+    })
 }
 
 fn main() {
@@ -454,12 +529,11 @@ fn main() {
             encoder.encode(&diag).unwrap()
         })
         .collect();
-    record(&mut entries, window_ms, "matvec_naive", || {
-        black_box(matvec_naive(&ctx, black_box(&ct), &pts, &gks));
+    let timings = best_of_three(|side| {
+        let f = [matvec_hoisted, matvec_naive][side];
+        measure(window_ms, || f(&ctx, black_box(&ct), &pts, &gks))
     });
-    record(&mut entries, window_ms, "matvec_hoisted", || {
-        black_box(matvec_hoisted(&ctx, black_box(&ct), &pts, &gks));
-    });
+    let mv = record_twins(&mut entries, "matvec", ["hoisted", "naive"], timings);
 
     header("kernel timings: generic scheme core vs hand-inlined (BFV set B)");
     let diags_bfv: Vec<(i64, Vec<u64>)> = (0..cols as u64)
@@ -468,14 +542,15 @@ fn main() {
             (d as i64, diag)
         })
         .collect();
-    record(&mut entries, window_ms, "bfv_matvec_direct", || {
-        black_box(bfv_matvec_direct(&ctx, black_box(&ct), &diags_bfv, &gks));
+    let timings = best_of_three(|side| {
+        measure(window_ms, || match side {
+            0 => bfv_matvec_direct(&ctx, black_box(&ct), &diags_bfv, &gks),
+            _ => Bfv::dot_diagonals(&ctx, black_box(&ct), &diags_bfv, &gks).unwrap(),
+        })
     });
-    record(&mut entries, window_ms, "bfv_matvec_generic", || {
-        black_box(Bfv::dot_diagonals(&ctx, black_box(&ct), &diags_bfv, &gks).unwrap());
-    });
+    let bfv_overhead = record_twins(&mut entries, "bfv_matvec", ["direct", "generic"], timings);
 
-    header("kernel timings: generic scheme core vs hand-inlined (CKKS set C)");
+    header("kernel timings: CKKS diagonal matvec, fused vs per-rotation (set C, 8 diagonals)");
     let cparams = HeParams::set_c();
     let cctx = CkksContext::new(&cparams).unwrap();
     let mut crng = Blake3Rng::from_seed(b"bench kernels ckks");
@@ -498,17 +573,35 @@ fn main() {
             (d as i64, diag)
         })
         .collect();
-    record(&mut entries, window_ms, "ckks_matvec_direct", || {
-        black_box(ckks_matvec_direct(
-            &cctx,
-            black_box(&cct),
-            &diags_ckks,
-            &cgks,
-        ));
+    let timings = best_of_three(|side| {
+        measure(window_ms, || match side {
+            0 => Ckks::dot_diagonals(&cctx, black_box(&cct), &diags_ckks, &cgks).unwrap(),
+            _ => ckks_matvec_naive(&cctx, black_box(&cct), &diags_ckks, &cgks),
+        })
     });
-    record(&mut entries, window_ms, "ckks_matvec_generic", || {
-        black_box(Ckks::dot_diagonals(&cctx, black_box(&cct), &diags_ckks, &cgks).unwrap());
-    });
+    let ckks_mv = record_twins(&mut entries, "ckks_matvec", ["fused", "naive"], timings);
+
+    header("compiled-program executor, warm: dot groups fused vs every node an output");
+    // The two served programs that contain a dot group, at the parameters
+    // `benchmark/` serves them with (`pagerank_remote`, `conv_batched`).
+    let timings = exec_fused_and_nodes::<Bfv>(
+        window_ms,
+        &HeParams::set_a(),
+        &pagerank_program(8),
+        &workload_options(),
+    );
+    let exec_pagerank = record_twins(&mut entries, "exec_pagerank_a", ["fused", "nodes"], timings);
+    let timings = exec_fused_and_nodes::<Ckks>(
+        window_ms,
+        &cparams,
+        &dnn_conv_program(4, 8, 8, 3),
+        &CompilerOptions {
+            scale_bits: cparams.scale_bits(),
+            prime_bits: cparams.prime_bits()[0],
+            max_levels: cparams.data_prime_count(),
+        },
+    );
+    let exec_conv = record_twins(&mut entries, "exec_conv_c", ["fused", "nodes"], timings);
 
     header("par pool: dispatch cost; kept call sites, pooled vs one thread (set A, n=8192)");
     // One empty task per thread: publish, wake, claim, join.
@@ -580,40 +673,29 @@ fn main() {
     // Shared hosts give and take cores by the minute: bracket the rows.
     let capacity = capacity_before.min(par_capacity(threads));
 
-    // Gate measurement: a second, interleaved window per path; the min of
-    // the two windows filters out scheduler/allocator noise that a single
-    // back-to-back measurement is exposed to.
-    let (bfv_direct2, _) = measure(window_ms, || {
-        black_box(bfv_matvec_direct(&ctx, black_box(&ct), &diags_bfv, &gks));
-    });
-    let (bfv_generic2, _) = measure(window_ms, || {
-        black_box(Bfv::dot_diagonals(&ctx, black_box(&ct), &diags_bfv, &gks).unwrap());
-    });
-    let (ckks_direct2, _) = measure(window_ms, || {
-        black_box(ckks_matvec_direct(
-            &cctx,
-            black_box(&cct),
-            &diags_ckks,
-            &cgks,
-        ));
-    });
-    let (ckks_generic2, _) = measure(window_ms, || {
-        black_box(Ckks::dot_diagonals(&cctx, black_box(&cct), &diags_ckks, &cgks).unwrap());
-    });
-
     let fwd = seconds_of(&entries, "ntt_forward_strict") / seconds_of(&entries, "ntt_forward_lazy");
     let inv = seconds_of(&entries, "ntt_inverse_strict") / seconds_of(&entries, "ntt_inverse_lazy");
     let rot = seconds_of(&entries, "rotations_naive") / seconds_of(&entries, "rotations_hoisted");
-    let mv = seconds_of(&entries, "matvec_naive") / seconds_of(&entries, "matvec_hoisted");
-    let bfv_overhead = seconds_of(&entries, "bfv_matvec_generic").min(bfv_generic2)
-        / seconds_of(&entries, "bfv_matvec_direct").min(bfv_direct2);
-    let ckks_overhead = seconds_of(&entries, "ckks_matvec_generic").min(ckks_generic2)
-        / seconds_of(&entries, "ckks_matvec_direct").min(ckks_direct2);
     header("speedups (old / new)");
     println!("ntt_forward   {fwd:.2}x");
     println!("ntt_inverse   {inv:.2}x");
     println!("rotations     {rot:.2}x");
-    println!("matvec        {mv:.2}x");
+    header("fusion speedups (unfused twin / fused; gate: every one >= 1.5x)");
+    let fusion_speedups = [
+        ("matvec_speedup", mv),
+        ("ckks_matvec_speedup", ckks_mv),
+        ("exec_pagerank_a_speedup", exec_pagerank),
+        ("exec_conv_c_speedup", exec_conv),
+    ];
+    for (name, ratio) in fusion_speedups {
+        println!("{name:<34} {ratio:.2}x");
+        // ROADMAP's rule: the fused path exists because it beats the
+        // node-by-node one; below the gate the simpler twin is what to ship.
+        assert!(
+            ratio >= 1.5,
+            "{name} is {ratio:.2}x its unfused twin (gate: >= 1.5x)"
+        );
+    }
     header("simd speedups (scalar / simd; gate: every kernel >= 1.0x, forward NTT peak >= 2.0x)");
     for (name, ratio) in &simd_speedups {
         println!("{name:<34} {ratio:.2}x");
@@ -663,18 +745,14 @@ fn main() {
     }
     header("generic-core overhead (generic / hand-inlined; gate: < 1.25x)");
     println!("bfv_matvec    {bfv_overhead:.3}x");
-    println!("ckks_matvec   {ckks_overhead:.3}x");
     note(&format!("worker threads: {threads}"));
     // The gate: HeScheme::dot_diagonals is monomorphized, so anything past
     // measurement noise means a real regression (accidental dyn dispatch,
-    // an extra clone on the hot path, ...).
+    // an extra clone on the hot path, ...). CKKS has no such twin: its
+    // dot_diagonals is the same three calls a hand copy would make.
     assert!(
         bfv_overhead < 1.25,
         "generic BFV matvec is {bfv_overhead:.3}x the hand-inlined path (gate: < 1.25x)"
-    );
-    assert!(
-        ckks_overhead < 1.25,
-        "generic CKKS matvec is {ckks_overhead:.3}x the hand-inlined path (gate: < 1.25x)"
     );
 
     if let Some(path) = json_path {
@@ -683,12 +761,11 @@ fn main() {
             ("ntt_inverse_speedup", inv),
             ("simd_ntt_speedup", simd_ntt_speedup),
             ("rotation_speedup", rot),
-            ("matvec_speedup", mv),
             ("bfv_generic_overhead", bfv_overhead),
-            ("ckks_generic_overhead", ckks_overhead),
             ("par_dispatch_us", par_dispatch_us),
             ("par_capacity", capacity),
         ];
+        derived.extend(fusion_speedups);
         derived.extend(
             simd_speedups
                 .iter()

@@ -22,13 +22,31 @@
 //! plain semantics. The encrypted executor's constant encodings are
 //! cacheable across calls via [`ExecCache`] — the hook the remote
 //! evaluation server uses to do zero re-encoding on warm traffic.
+//!
+//! The encrypted executor does not interpret every node on its own. A
+//! compiled program carries a *fusion plan*, derived from its op list when
+//! it is built: every maximal rotate → multiply → accumulate chain over one
+//! ciphertext — a tree of `Add`s over `Rescale^r(MulPlain(x | Rotate(x, s),
+//! Constant))` leaves whose inner nodes nobody else consumes — is a *dot
+//! group*, evaluated at its root as `Σ_k rot(x, s_k) ⊙ c_k` by one call of
+//! the double-hoisted kernel both schemes share
+//! ([`CompilerScheme::dot_operands`] → `choco_he::rlwe::dot_galois`): one
+//! key-switch decomposition and one key-switch rounding for the whole chain
+//! instead of one per rotation, then the `r` rescales once on the sum. The
+//! plan is a schedule, not IR — no [`Op`] names it, the program wire,
+//! [`OpCounts`] and the verifier never see it, and it cannot be switched
+//! off; a node that must be materialized is declared an output, which keeps
+//! it out of any group (tests obtain their unfused reference that way).
+//! [`CompiledProgram::fused_groups`] / [`CompiledProgram::fused_nodes`] say
+//! what the plan covers.
 
 use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
+use choco_he::rlwe::DotOperand;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_verify::{Circuit, CircuitOp, NodeClaim, VerifyError, VerifyOptions, VerifyReport};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The extra capability the compiled-program executor needs beyond
 /// [`HeScheme`]: explicit scale management and cacheable encoded operands.
@@ -48,6 +66,12 @@ pub trait CompilerScheme: HeScheme {
     /// A constant vector encoded into the scheme's evaluation domain at a
     /// specific use site — the unit the server-side operand cache stores.
     type Operand: Clone + Send + Sync + std::fmt::Debug;
+
+    /// Whether the scheme has a rescaling chain. Without one (BFV)
+    /// [`CompilerScheme::rescale`] and [`CompilerScheme::mod_switch_down`]
+    /// return their input, and the executor aliases such nodes to their
+    /// operand instead of copying a ciphertext through them.
+    const HAS_CHAIN: bool;
 
     /// Ciphertext × ciphertext with relinearization.
     ///
@@ -112,11 +136,40 @@ pub trait CompilerScheme: HeScheme {
         op: &Self::Operand,
     ) -> Result<Self::Ciphertext, HeError>;
 
+    /// Encodes a quantized constant as a factor of the fused dot against
+    /// `ct` ([`CompilerScheme::dot_operands`]): evaluation form over the
+    /// key-switch basis at `ct`'s level, at the same scale
+    /// [`CompilerScheme::encode_for_mul`] uses.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding failures.
+    fn encode_for_dot(
+        ctx: &Self::Context,
+        values: &[Self::Value],
+        ct: &Self::Ciphertext,
+    ) -> Result<DotOperand, HeError>;
+
+    /// `Σ_k rot(ct, step_k) ⊙ operand_k` (step 0 meaning `ct` itself) as one
+    /// double-hoisted kernel call, without rescaling — what a rotate →
+    /// [`CompilerScheme::mul_operand`] → add chain computes, with one
+    /// key-switch rounding for the sum.
+    ///
+    /// # Errors
+    ///
+    /// Propagates operand mismatches and missing Galois keys.
+    fn dot_operands(
+        ctx: &Self::Context,
+        ct: &Self::Ciphertext,
+        terms: &[(i64, &DotOperand)],
+        gk: &Self::GaloisKeys,
+    ) -> Result<Self::Ciphertext, HeError>;
+
     /// Cache discriminator of an encode site against `ct`: everything the
     /// encoded operand depends on besides the constant itself. CKKS
     /// operands depend on the ciphertext's level (and, for additions, its
     /// exact scale); BFV encoding is site-independent, so the key is
-    /// constant.
+    /// constant. Dot operands share the multiplication sites' key.
     fn operand_site(ct: &Self::Ciphertext, for_mul: bool) -> (u32, u64);
 
     /// Divides by the level's last prime (one chain level). Identity for
@@ -140,6 +193,7 @@ pub trait CompilerScheme: HeScheme {
 
 impl CompilerScheme for Ckks {
     type Operand = choco_he::ckks::CkksPlaintext;
+    const HAS_CHAIN: bool = true;
 
     fn mul_ct(
         ctx: &CkksContext,
@@ -186,6 +240,23 @@ impl CompilerScheme for Ckks {
         ctx.add_plain(ct, op)
     }
 
+    fn encode_for_dot(
+        ctx: &CkksContext,
+        values: &[f64],
+        ct: &CkksCiphertext,
+    ) -> Result<DotOperand, HeError> {
+        ctx.dot_operand(values, ct.level())
+    }
+
+    fn dot_operands(
+        ctx: &CkksContext,
+        ct: &CkksCiphertext,
+        terms: &[(i64, &DotOperand)],
+        gk: &choco_he::rlwe::GaloisKeys,
+    ) -> Result<CkksCiphertext, HeError> {
+        ctx.dot_rotations(ct, terms.iter().copied().map(Ok), gk)
+    }
+
     fn operand_site(ct: &CkksCiphertext, for_mul: bool) -> (u32, u64) {
         // Multiplication operands are encoded at the context's default
         // scale, so only the level discriminates; addition operands must
@@ -205,6 +276,9 @@ impl CompilerScheme for Ckks {
 
 impl CompilerScheme for Bfv {
     type Operand = choco_he::bfv::Plaintext;
+    // BFV carries no rescaling chain: the schedule's `Rescale` and
+    // `ModSwitch` nodes are scale bookkeeping only.
+    const HAS_CHAIN: bool = false;
 
     fn mul_ct(
         ctx: &choco_he::bfv::BfvContext,
@@ -255,6 +329,25 @@ impl CompilerScheme for Bfv {
         Ok(ctx.evaluator().add_plain(ct, op))
     }
 
+    fn encode_for_dot(
+        ctx: &choco_he::bfv::BfvContext,
+        values: &[u64],
+        _ct: &choco_he::bfv::Ciphertext,
+    ) -> Result<DotOperand, HeError> {
+        ctx.evaluator()
+            .dot_operand(&ctx.batch_encoder()?.encode(values)?)
+    }
+
+    fn dot_operands(
+        ctx: &choco_he::bfv::BfvContext,
+        ct: &choco_he::bfv::Ciphertext,
+        terms: &[(i64, &DotOperand)],
+        gk: &choco_he::rlwe::GaloisKeys,
+    ) -> Result<choco_he::bfv::Ciphertext, HeError> {
+        ctx.evaluator()
+            .dot_rotations(ct, terms.iter().copied().map(Ok), gk)
+    }
+
     fn operand_site(_ct: &choco_he::bfv::Ciphertext, _for_mul: bool) -> (u32, u64) {
         // BFV batch encoding depends only on the parameter set, never on
         // the ciphertext's position in a (nonexistent) chain.
@@ -265,8 +358,6 @@ impl CompilerScheme for Bfv {
         _ctx: &choco_he::bfv::BfvContext,
         ct: &choco_he::bfv::Ciphertext,
     ) -> Result<choco_he::bfv::Ciphertext, HeError> {
-        // BFV carries no rescaling chain: the schedule's `Rescale` nodes
-        // are scale bookkeeping only and the ciphertext passes through.
         Ok(ct.clone())
     }
 
@@ -444,6 +535,190 @@ pub struct OpCounts {
     pub mod_switches: u32,
 }
 
+/// One fused dot of the execution schedule: a tree of `Add` nodes whose
+/// leaves are `Rescale^r(MulPlain(src, Constant))` with `src` the common
+/// ciphertext `x` or a `Rotate(x, s)`. The executor evaluates the whole tree
+/// at its root as `Σ_k rot(x, s_k) ⊙ c_k` in one kernel call and applies
+/// the `r` rescales once to the sum.
+#[derive(Debug, Clone, PartialEq)]
+struct DotGroup {
+    /// The common ciphertext node `x`.
+    source: usize,
+    /// `Rescale` nodes on every leaf.
+    rescales: usize,
+    /// `(rotation step, constant node)` per leaf, left to right.
+    terms: Vec<(i64, usize)>,
+}
+
+/// What the executor does at a node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Role {
+    /// Runs through its own per-node arm.
+    Node,
+    /// Covered by a fused group: never materialized.
+    Interior,
+    /// The root `Add` of `groups[_]`: the fused call happens here.
+    Root(usize),
+}
+
+/// The fusion schedule of a compiled program — derived from the op list and
+/// the outputs, never serialized: both ends of a remote evaluation derive
+/// the same plan from the same program.
+#[derive(Debug, Clone, Default)]
+struct FusionPlan {
+    groups: Vec<DotGroup>,
+    /// One entry per node.
+    role: Vec<Role>,
+}
+
+impl FusionPlan {
+    /// Finds every maximal dot group in one forward pass plus one walk per
+    /// group. A node may be interior to a group only if it is consumed
+    /// exactly once and is not an output, so declaring a node an output
+    /// keeps it — and every `Add` above it — out of any group. Total on any
+    /// op list (`from_raw_parts` hands over unverified ones): a reference
+    /// that is not to an earlier node just does not fuse.
+    fn derive(ops: &[Op], outputs: &[NodeId]) -> FusionPlan {
+        #[derive(Clone, Copy)]
+        struct Leaf {
+            step: i64,
+            constant: usize,
+            rotate: Option<usize>,
+        }
+        // A node seen as a dot subtree: a leaf chain, or (`leaf: None`) a
+        // sum of at least two.
+        #[derive(Clone, Copy)]
+        struct Shape {
+            source: usize,
+            rescales: usize,
+            leaf: Option<Leaf>,
+        }
+        // Consumers per node, an output counting as one more: a count of
+        // exactly 1 means "consumed once and not an output".
+        let mut uses = vec![0u32; ops.len()];
+        let operands = ops.iter().flat_map(|op| match op {
+            Op::Input(_) | Op::Constant(_) => [None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MulPlain(a, b)
+            | Op::AddPlain(a, b) => [Some(a), Some(b)],
+            Op::Rotate(a, _) | Op::Rescale(a) | Op::ModSwitch(a) => [Some(a), None],
+        });
+        for id in operands.flatten().chain(outputs) {
+            if let Some(u) = uses.get_mut(id.0) {
+                *u += 1;
+            }
+        }
+        let single_use = |i: usize| uses.get(i) == Some(&1);
+
+        let mut shapes: Vec<Option<Shape>> = Vec::with_capacity(ops.len());
+        let mut absorbed = vec![false; ops.len()];
+        for (i, op) in ops.iter().enumerate() {
+            let shape_of = |id: &NodeId| shapes.get(id.0).copied().flatten();
+            let shape = match op {
+                Op::MulPlain(a, c) if a.0 < i && matches!(ops.get(c.0), Some(Op::Constant(_))) => {
+                    let (source, step, rotate) = match ops.get(a.0) {
+                        Some(Op::Rotate(x, s)) if x.0 < a.0 && single_use(a.0) => {
+                            (x.0, *s, Some(a.0))
+                        }
+                        _ => (a.0, 0, None),
+                    };
+                    let constant = c.0;
+                    Some(Shape {
+                        source,
+                        rescales: 0,
+                        leaf: Some(Leaf {
+                            step,
+                            constant,
+                            rotate,
+                        }),
+                    })
+                }
+                Op::Rescale(a) => shape_of(a)
+                    .filter(|inner| inner.leaf.is_some() && single_use(a.0))
+                    .map(|inner| Shape {
+                        rescales: inner.rescales + 1,
+                        ..inner
+                    }),
+                Op::Add(a, b) => match (shape_of(a), shape_of(b)) {
+                    (Some(l), Some(r))
+                        if l.source == r.source
+                            && l.rescales == r.rescales
+                            && single_use(a.0)
+                            && single_use(b.0) =>
+                    {
+                        for child in [a, b] {
+                            if let Some(flag) = absorbed.get_mut(child.0) {
+                                *flag = true;
+                            }
+                        }
+                        Some(Shape { leaf: None, ..l })
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            shapes.push(shape);
+        }
+
+        let mut groups = Vec::new();
+        let mut role = vec![Role::Node; ops.len()];
+        let mut assign = |node: usize, to: Role| {
+            if let Some(role) = role.get_mut(node) {
+                *role = to;
+            }
+        };
+        let roots = shapes.iter().zip(&absorbed).enumerate();
+        for (root, (shape, &taken)) in roots {
+            let Some(Shape {
+                source,
+                rescales,
+                leaf: None,
+            }) = *shape
+            else {
+                continue;
+            };
+            if taken {
+                continue;
+            }
+            // Walk the tree left to right; everything below the root is
+            // interior. (A loop, not recursion: a chain of adds is as deep
+            // as the program is long.)
+            let mut terms = Vec::new();
+            let mut stack = vec![root];
+            while let Some(node) = stack.pop() {
+                match (shapes.get(node).copied().flatten(), ops.get(node)) {
+                    (Some(Shape { leaf: None, .. }), Some(Op::Add(a, b))) => {
+                        assign(a.0, Role::Interior);
+                        assign(b.0, Role::Interior);
+                        stack.extend([b.0, a.0]);
+                    }
+                    (Some(Shape { leaf: Some(l), .. }), _) => {
+                        let mut below = node;
+                        while let Some(Op::Rescale(a)) = ops.get(below) {
+                            assign(a.0, Role::Interior);
+                            below = a.0;
+                        }
+                        if let Some(rotate) = l.rotate {
+                            assign(rotate, Role::Interior);
+                        }
+                        terms.push((l.step, l.constant));
+                    }
+                    _ => {}
+                }
+            }
+            assign(root, Role::Root(groups.len()));
+            groups.push(DotGroup {
+                source,
+                rescales,
+                terms,
+            });
+        }
+        FusionPlan { groups, role }
+    }
+}
+
 /// A program after scale/level assignment.
 ///
 /// Every value [`compile`] returns has already passed the static verifier
@@ -463,6 +738,8 @@ pub struct CompiledProgram {
     pub counts: OpCounts,
     /// The compiler configuration this program was scheduled against.
     pub options: CompilerOptions,
+    /// Which rotate → multiply → accumulate chains execute as one fused dot.
+    plan: FusionPlan,
 }
 
 /// The raw fields of a [`CompiledProgram`], exposed so verifier tooling and
@@ -792,6 +1069,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
         })
         .collect::<Result<Vec<_>, _>>()?;
     let compiled = CompiledProgram {
+        plan: FusionPlan::derive(&ops, &outputs),
         ops,
         outputs,
         meta,
@@ -873,6 +1151,7 @@ impl CompiledProgram {
     /// Run [`CompiledProgram::verify`] before trusting the result.
     pub fn from_raw_parts(parts: RawProgramParts) -> CompiledProgram {
         CompiledProgram {
+            plan: FusionPlan::derive(&parts.ops, &parts.outputs),
             ops: parts.ops,
             outputs: parts.outputs,
             meta: parts.meta,
@@ -891,6 +1170,21 @@ impl CompiledProgram {
     /// True when empty (never, for a compiled program).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Number of fused dot groups in the execution schedule: rotate →
+    /// multiply → accumulate chains over one ciphertext that
+    /// [`CompiledProgram::execute_encrypted`] runs as a single
+    /// double-hoisted kernel call each.
+    pub fn fused_groups(&self) -> usize {
+        self.plan.groups.len()
+    }
+
+    /// Number of compiled nodes those groups cover (their roots included):
+    /// nodes the executor never evaluates one by one.
+    pub fn fused_nodes(&self) -> usize {
+        let covered = |role: &&Role| !matches!(role, Role::Node);
+        self.plan.role.iter().filter(covered).count()
     }
 
     /// Rotation steps the program requests, derived directly from the
@@ -1034,97 +1328,175 @@ impl CompiledProgram {
             "execute_encrypted on a program that fails static verification: {:?}",
             self.verify().err()
         );
-        enum Slot<Ct, V> {
-            Ct(Ct),
-            Plain(Vec<V>),
+        // One slot per node. Operands are borrowed from this table, never
+        // copied out of it: inputs stay in the caller's map, constants in
+        // the op list, and a node that is the identity for the scheme is an
+        // alias of its operand.
+        enum Slot<'a, Ct> {
+            Owned(Ct),
+            Input(&'a Ct),
+            /// The same ciphertext as an earlier (non-alias) slot.
+            Alias(usize),
+            /// No ciphertext here: a constant (its values stay in the op
+            /// list) or a node interior to a fused group.
+            Absent,
         }
-        let mut vals: Vec<Slot<S::Ciphertext, S::Value>> = Vec::with_capacity(self.ops.len());
-        let ct = |s: Option<&Slot<S::Ciphertext, S::Value>>| -> Result<S::Ciphertext, HeError> {
-            match s {
-                Some(Slot::Ct(c)) => Ok(c.clone()),
-                Some(Slot::Plain(_)) => Err(HeError::Mismatch(
+        fn ct_at<'s, Ct>(vals: &'s [Slot<'_, Ct>], id: NodeId) -> Result<&'s Ct, HeError> {
+            let slot = match vals.get(id.0) {
+                Some(Slot::Alias(to)) => vals.get(*to),
+                slot => slot,
+            };
+            match slot {
+                Some(Slot::Owned(c)) => Ok(c),
+                Some(Slot::Input(c)) => Ok(c),
+                Some(_) => Err(HeError::Mismatch(
                     "compiler invariant violated: ciphertext operand expected".into(),
                 )),
                 None => Err(HeError::Mismatch(
                     "compiler invariant violated: operand references a missing node".into(),
                 )),
             }
+        }
+        fn alias_of<'a, Ct>(vals: &[Slot<'a, Ct>], id: NodeId) -> Result<Slot<'a, Ct>, HeError> {
+            ct_at(vals, id)?;
+            Ok(match vals.get(id.0) {
+                Some(Slot::Alias(to)) => Slot::Alias(*to),
+                _ => Slot::Alias(id.0),
+            })
+        }
+        let constant_at = |id: NodeId| match self.ops.get(id.0) {
+            Some(Op::Constant(values)) => Ok(values.as_slice()),
+            _ => Err(HeError::Mismatch(
+                "compiler invariant violated: constant operand expected".into(),
+            )),
         };
-        let plain = |s: Option<&Slot<S::Ciphertext, S::Value>>| -> Result<Vec<S::Value>, HeError> {
-            match s {
-                Some(Slot::Plain(p)) => Ok(p.clone()),
-                Some(Slot::Ct(_)) => Err(HeError::Mismatch(
-                    "compiler invariant violated: constant operand expected".into(),
-                )),
-                None => Err(HeError::Mismatch(
-                    "compiler invariant violated: operand references a missing node".into(),
-                )),
+        // Constants are quantized where they are encoded: on a cache miss.
+        let quantize = |values: &[f64]| S::quantize_const(ctx, values, self.options.scale_bits);
+
+        let mut vals: Vec<Slot<'_, S::Ciphertext>> = Vec::with_capacity(self.ops.len());
+        for (op, role) in self.ops.iter().zip(&self.plan.role) {
+            match role {
+                Role::Node => {}
+                Role::Interior => {
+                    vals.push(Slot::Absent);
+                    continue;
+                }
+                Role::Root(g) => {
+                    // One kernel call for the whole group, then the leaves'
+                    // rescales once on the sum.
+                    let group = self.plan.groups.get(*g).ok_or_else(|| {
+                        HeError::Mismatch("compiler invariant violated: no such group".into())
+                    })?;
+                    let x = ct_at(&vals, NodeId(group.source))?;
+                    let operands = group
+                        .terms
+                        .iter()
+                        .map(|&(_, c)| {
+                            let values = constant_at(NodeId(c))?;
+                            cache.dot_operand(c, x, || S::encode_for_dot(ctx, &quantize(values), x))
+                        })
+                        .collect::<Result<Vec<_>, HeError>>()?;
+                    let steps = group.terms.iter().map(|&(step, _)| step);
+                    let terms: Vec<(i64, &DotOperand)> =
+                        steps.zip(operands.iter().map(|op| &**op)).collect();
+                    let mut sum = S::dot_operands(ctx, x, &terms, galois)?;
+                    if S::HAS_CHAIN {
+                        for _ in 0..group.rescales {
+                            sum = S::rescale(ctx, &sum)?;
+                        }
+                    }
+                    vals.push(Slot::Owned(sum));
+                    continue;
+                }
             }
-        };
-        for op in &self.ops {
             let v = match op {
-                Op::Input(name) => Slot::Ct(
+                Op::Input(name) => Slot::Input(
                     inputs
                         .get(name)
-                        .ok_or_else(|| HeError::Mismatch(format!("missing input {name}")))?
-                        .clone(),
+                        .ok_or_else(|| HeError::Mismatch(format!("missing input {name}")))?,
                 ),
-                Op::Constant(c) => Slot::Plain(S::quantize_const(ctx, c, self.options.scale_bits)),
-                Op::Add(a, b) => Slot::Ct(S::add(ctx, &ct(vals.get(a.0))?, &ct(vals.get(b.0))?)?),
-                Op::Sub(a, b) => Slot::Ct(S::sub(ctx, &ct(vals.get(a.0))?, &ct(vals.get(b.0))?)?),
-                Op::Mul(a, b) => Slot::Ct(S::mul_ct(
-                    ctx,
-                    &ct(vals.get(a.0))?,
-                    &ct(vals.get(b.0))?,
-                    relin,
-                )?),
+                Op::Constant(_) => Slot::Absent,
+                Op::Add(a, b) => Slot::Owned(S::add(ctx, ct_at(&vals, *a)?, ct_at(&vals, *b)?)?),
+                Op::Sub(a, b) => Slot::Owned(S::sub(ctx, ct_at(&vals, *a)?, ct_at(&vals, *b)?)?),
+                Op::Mul(a, b) => {
+                    Slot::Owned(S::mul_ct(ctx, ct_at(&vals, *a)?, ct_at(&vals, *b)?, relin)?)
+                }
                 Op::MulPlain(a, c) => {
-                    let x = ct(vals.get(a.0))?;
-                    let p = plain(vals.get(c.0))?;
-                    let operand =
-                        cache.get_or_encode(c.0, true, &x, || S::encode_for_mul(ctx, &p, &x))?;
-                    Slot::Ct(S::mul_operand(ctx, &x, &operand)?)
+                    let x = ct_at(&vals, *a)?;
+                    let values = constant_at(*c)?;
+                    let operand = cache.site_operand(c.0, OperandUse::Mul, x, || {
+                        S::encode_for_mul(ctx, &quantize(values), x)
+                    })?;
+                    Slot::Owned(S::mul_operand(ctx, x, &operand)?)
                 }
                 Op::AddPlain(a, c) => {
-                    let x = ct(vals.get(a.0))?;
-                    let p = plain(vals.get(c.0))?;
-                    let operand =
-                        cache.get_or_encode(c.0, false, &x, || S::encode_for_add(ctx, &p, &x))?;
-                    Slot::Ct(S::add_operand(ctx, &x, &operand)?)
+                    let x = ct_at(&vals, *a)?;
+                    let values = constant_at(*c)?;
+                    let operand = cache.site_operand(c.0, OperandUse::Add, x, || {
+                        S::encode_for_add(ctx, &quantize(values), x)
+                    })?;
+                    Slot::Owned(S::add_operand(ctx, x, &operand)?)
                 }
-                Op::Rotate(a, s) => {
-                    let x = ct(vals.get(a.0))?;
-                    if *s == 0 {
-                        Slot::Ct(x)
-                    } else {
-                        Slot::Ct(S::rotate(ctx, &x, *s, galois)?)
-                    }
-                }
-                Op::Rescale(a) => Slot::Ct(S::rescale(ctx, &ct(vals.get(a.0))?)?),
-                Op::ModSwitch(a) => {
-                    let x = ct(vals.get(a.0))?;
-                    Slot::Ct(S::mod_switch_down(ctx, &x)?)
-                }
+                Op::Rotate(a, 0) => alias_of(&vals, *a)?,
+                Op::Rotate(a, s) => Slot::Owned(S::rotate(ctx, ct_at(&vals, *a)?, *s, galois)?),
+                Op::Rescale(a) | Op::ModSwitch(a) if !S::HAS_CHAIN => alias_of(&vals, *a)?,
+                Op::Rescale(a) => Slot::Owned(S::rescale(ctx, ct_at(&vals, *a)?)?),
+                Op::ModSwitch(a) => Slot::Owned(S::mod_switch_down(ctx, ct_at(&vals, *a)?)?),
             };
             vals.push(v);
         }
-        self.outputs.iter().map(|o| ct(vals.get(o.0))).collect()
+        self.outputs
+            .iter()
+            .map(|o| ct_at(&vals, *o).cloned())
+            .collect()
     }
 }
 
+/// What an encoded operand is for — part of its cache key, since one
+/// constant may meet ciphertexts in more than one way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum OperandUse {
+    Mul,
+    Add,
+    Dot,
+}
+
 /// Key of one encoded-operand cache entry: the constant's node index, the
-/// use kind (multiply vs. add site), and the scheme's site discriminator
+/// use kind, and the scheme's site discriminator
 /// ([`CompilerScheme::operand_site`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct OperandSlot {
     node: u32,
-    for_mul: bool,
+    usage: OperandUse,
     site: (u32, u64),
+}
+
+/// A cached encoding, shared: a hit is a reference-count bump, never a copy
+/// of the operand (the lookup runs under the program-wide mutex that the
+/// members of a batch contend for).
+#[derive(Debug)]
+enum Encoded<S: CompilerScheme> {
+    /// For [`CompilerScheme::mul_operand`] / [`CompilerScheme::add_operand`].
+    Site(Arc<S::Operand>),
+    /// For [`CompilerScheme::dot_operands`].
+    Dot(Arc<DotOperand>),
+}
+
+impl<S: CompilerScheme> Clone for Encoded<S> {
+    fn clone(&self) -> Self {
+        match self {
+            Encoded::Site(op) => Encoded::Site(Arc::clone(op)),
+            Encoded::Dot(op) => Encoded::Dot(Arc::clone(op)),
+        }
+    }
 }
 
 /// A thread-safe cache of encoded plaintext operands for *one* compiled
 /// program (keys are program node indices, so never share an `ExecCache`
-/// between different programs).
+/// between different programs). It holds both operand kinds the executor
+/// uses — per-site plaintexts for lone multiplies and adds, key-switch-basis
+/// factors for fused dots — under one capacity bound and one set of
+/// counters.
 ///
 /// The server keeps one of these per cached [`CompiledProgram`]; a batch
 /// of requests executing the same program concurrently shares the
@@ -1132,7 +1504,7 @@ struct OperandSlot {
 /// zero re-encoding.
 #[derive(Debug)]
 pub struct ExecCache<S: CompilerScheme> {
-    inner: Mutex<OperandCache<OperandSlot, S::Operand>>,
+    inner: Mutex<OperandCache<OperandSlot, Encoded<S>>>,
 }
 
 impl<S: CompilerScheme> ExecCache<S> {
@@ -1165,7 +1537,7 @@ impl<S: CompilerScheme> ExecCache<S> {
         self.lock().counters()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, OperandCache<OperandSlot, S::Operand>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, OperandCache<OperandSlot, Encoded<S>>> {
         match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -1175,16 +1547,46 @@ impl<S: CompilerScheme> ExecCache<S> {
     fn get_or_encode(
         &self,
         node: usize,
-        for_mul: bool,
+        usage: OperandUse,
         ct: &S::Ciphertext,
-        encode: impl FnOnce() -> Result<S::Operand, HeError>,
-    ) -> Result<S::Operand, HeError> {
+        encode: impl FnOnce() -> Result<Encoded<S>, HeError>,
+    ) -> Result<Encoded<S>, HeError> {
         let key = OperandSlot {
             node: node as u32,
-            for_mul,
-            site: S::operand_site(ct, for_mul),
+            usage,
+            site: S::operand_site(ct, usage != OperandUse::Add),
         };
         self.lock().get_or_insert_with(&key, encode)
+    }
+
+    /// The operand of a lone multiply or add (`usage`) of constant `node`
+    /// against `ct`.
+    fn site_operand(
+        &self,
+        node: usize,
+        usage: OperandUse,
+        ct: &S::Ciphertext,
+        encode: impl FnOnce() -> Result<S::Operand, HeError>,
+    ) -> Result<Arc<S::Operand>, HeError> {
+        let encode = || Ok(Encoded::Site(Arc::new(encode()?)));
+        match self.get_or_encode(node, usage, ct, encode)? {
+            Encoded::Site(op) => Ok(op),
+            Encoded::Dot(_) => Err(HeError::Mismatch("operand cache kind".into())),
+        }
+    }
+
+    /// The fused-dot factor of constant `node` against `ct`.
+    fn dot_operand(
+        &self,
+        node: usize,
+        ct: &S::Ciphertext,
+        encode: impl FnOnce() -> Result<DotOperand, HeError>,
+    ) -> Result<Arc<DotOperand>, HeError> {
+        let encode = || Ok(Encoded::Dot(Arc::new(encode()?)));
+        match self.get_or_encode(node, OperandUse::Dot, ct, encode)? {
+            Encoded::Dot(op) => Ok(op),
+            Encoded::Site(_) => Err(HeError::Mismatch("operand cache kind".into())),
+        }
     }
 }
 
@@ -1555,6 +1957,326 @@ mod tests {
         let wire = |ct: &CkksCiphertext| choco_he::serialize::ckks_ciphertext_to_bytes(ct);
         assert_eq!(wire(&cold[0]), wire(&warm[0]));
         assert_eq!(wire(&cold[0]), wire(&plainpath[0]));
+    }
+
+    /// `Σ_d rot(x, steps[d]) ⊙ c_d` the way the workload builders write it:
+    /// a left-leaning chain of adds, step 0 meaning `x` itself.
+    fn dot_chain(p: &mut Program, x: NodeId, steps: &[i64]) -> NodeId {
+        let mut acc = None;
+        for (d, &step) in steps.iter().enumerate() {
+            let c = p.constant(&[(d % 5) as f64 * 0.25; 4]);
+            let rot = if step == 0 { x } else { p.rotate(x, step) };
+            let term = p.mul_plain(rot, c);
+            acc = Some(acc.map_or(term, |a| p.add(a, term)));
+        }
+        acc.unwrap()
+    }
+
+    /// The waterline `apps::remote::workload_options` pins: a product sits at
+    /// 2^60 and takes one rescale.
+    fn served_opts() -> CompilerOptions {
+        CompilerOptions {
+            scale_bits: 30,
+            prime_bits: 45,
+            max_levels: 3,
+        }
+    }
+
+    #[test]
+    fn a_rotate_multiply_accumulate_chain_is_one_group() {
+        // The pagerank shape: an 8-diagonal matvec, a damping multiply, a
+        // teleport add.
+        let mut p = Program::new();
+        let x = p.input("x");
+        let matvec = dot_chain(&mut p, x, &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let damping = p.constant(&[0.85; 4]);
+        let damped = p.mul_plain(matvec, damping);
+        let teleport = p.constant(&[0.15; 4]);
+        let out = p.add_plain(damped, teleport);
+        p.output(out);
+        let c = compile(&p, &served_opts()).unwrap();
+
+        let constants: Vec<usize> = (0..c.len())
+            .filter(|&i| matches!(c.ops[i], Op::Constant(_)))
+            .collect();
+        let terms: Vec<(i64, usize)> = (0..8).map(|d| (d as i64, constants[d])).collect();
+        assert_eq!(
+            c.plan.groups,
+            vec![DotGroup {
+                source: 0,
+                rescales: 1,
+                terms
+            }]
+        );
+        // 7 adds + 8 products + 8 rescales + 7 rotations; the damping
+        // multiply and the teleport add stay nodes.
+        assert_eq!((c.fused_groups(), c.fused_nodes()), (1, 30));
+        assert_eq!(c.len(), 43);
+        // A schedule, not a rewrite: the program and its counts are what
+        // they were.
+        let counts = c.counts;
+        assert_eq!(
+            (
+                counts.rotations,
+                counts.pt_mults,
+                counts.adds,
+                counts.rescales
+            ),
+            (7, 9, 8, 8)
+        );
+    }
+
+    #[test]
+    fn groups_are_maximal_and_independent_of_tree_shape() {
+        // A balanced tree over x, and a chain over y, joined by an add: the
+        // join has leaves over two sources, so each side is its own group.
+        let mut p = Program::new();
+        let (x, y) = (p.input("x"), p.input("y"));
+        let left = dot_chain(&mut p, x, &[0, 1]);
+        let right = dot_chain(&mut p, x, &[2, 3]);
+        let over_x = p.add(left, right);
+        let over_y = dot_chain(&mut p, y, &[1, 0, 1]);
+        let out = p.add(over_x, over_y);
+        p.output(out);
+        let c = compile(&p, &served_opts()).unwrap();
+        let steps = |g: &DotGroup| g.terms.iter().map(|t| t.0).collect::<Vec<_>>();
+        assert_eq!(c.fused_groups(), 2);
+        assert_eq!(steps(&c.plan.groups[0]), [0, 1, 2, 3]);
+        assert_eq!(steps(&c.plan.groups[1]), [1, 0, 1]);
+        assert_eq!((c.plan.groups[0].source, c.plan.groups[1].source), (0, 1));
+
+        // Rotations of the running accumulator (rotate-and-add folds, the
+        // distance kernel's whole body) are not dots of one ciphertext.
+        let mut p = Program::new();
+        let x = p.input("x");
+        let mut acc = x;
+        for step in [1, 2, 4] {
+            let r = p.rotate(acc, step);
+            acc = p.add(acc, r);
+        }
+        p.output(acc);
+        assert_eq!(compile(&p, &served_opts()).unwrap().fused_groups(), 0);
+    }
+
+    /// The plan of a hand-written compiled op list (node `i` is `ops[i]`).
+    fn plan_of(ops: &[Op], output: usize) -> FusionPlan {
+        FusionPlan::derive(ops, &[NodeId(output)])
+    }
+
+    #[test]
+    fn near_misses_are_not_fused() {
+        let n = NodeId;
+        let input = || Op::Input("x".into());
+        let constant = || Op::Constant(vec![1.0]);
+        // The reference: x·c + rot(x, 1)·c, each product rescaled once.
+        let fusible = vec![
+            input(),
+            constant(),
+            Op::MulPlain(n(0), n(1)),
+            Op::Rescale(n(2)),
+            Op::Rotate(n(0), 1),
+            Op::MulPlain(n(4), n(1)),
+            Op::Rescale(n(5)),
+            Op::Add(n(3), n(6)),
+        ];
+        let plan = plan_of(&fusible, 7);
+        assert_eq!(
+            plan.groups,
+            vec![DotGroup {
+                source: 0,
+                rescales: 1,
+                terms: vec![(0, 1), (1, 1)]
+            }]
+        );
+        assert_eq!(plan.role[7], Role::Root(0));
+        assert!((2..7).all(|i| plan.role[i] == Role::Interior));
+        assert_eq!((plan.role[0], plan.role[1]), (Role::Node, Role::Node));
+
+        let unfused = |ops: &[Op], output: usize, why: &str| {
+            let plan = plan_of(ops, output);
+            assert!(plan.groups.is_empty(), "{why}: {:?}", plan.groups);
+            assert!(plan.role.iter().all(|r| *r == Role::Node), "{why}");
+        };
+
+        // A rotation with a second consumer must stay a node, and then the
+        // two leaves read two different ciphertexts.
+        let mut ops = fusible.clone();
+        ops.extend([Op::Add(n(7), n(4))]);
+        unfused(&ops, 8, "rotate with two consumers");
+
+        // A product that is also a program output must be materialized.
+        let plan = FusionPlan::derive(&fusible, &[n(7), n(6)]);
+        assert!(plan.groups.is_empty(), "product that is an output");
+
+        // Leaves over two different sources.
+        let mut ops = fusible.clone();
+        ops[4] = Op::Input("y".into());
+        unfused(&ops, 7, "two sources");
+
+        // A subtraction is not an accumulation.
+        let mut ops = fusible.clone();
+        ops[7] = Op::Sub(n(3), n(6));
+        unfused(&ops, 7, "sub in the tree");
+
+        // One leaf is a plaintext multiply, not a dot.
+        unfused(&fusible[..4], 3, "single leaf");
+
+        // Leaves at different rescale depth.
+        let mut ops = fusible.clone();
+        ops[7] = Op::Add(n(3), n(5));
+        ops.push(Op::Rescale(n(7)));
+        unfused(&ops, 8, "different rescale depth");
+
+        // x·c + x·c through the *same* product node: consumed twice.
+        let ops = vec![
+            input(),
+            constant(),
+            Op::MulPlain(n(0), n(1)),
+            Op::Add(n(2), n(2)),
+        ];
+        unfused(&ops, 3, "one product added to itself");
+
+        // Unverified op lists (`from_raw_parts`) may point anywhere: a
+        // forward or missing reference does not fuse and does not panic.
+        let mut ops = fusible.clone();
+        ops[2] = Op::MulPlain(n(6), n(1));
+        ops[5] = Op::MulPlain(n(99), n(98));
+        unfused(&ops, 7, "forward and missing references");
+        assert!(plan_of(&fusible, 99).groups.len() == 1);
+
+        // A near miss next to a dot costs only itself: with the third
+        // product an output, the first two still fuse under the outer add.
+        let mut ops = fusible.clone();
+        ops.extend([
+            Op::Rotate(n(0), 2),
+            Op::MulPlain(n(8), n(1)),
+            Op::Rescale(n(9)),
+            Op::Add(n(7), n(10)),
+        ]);
+        let plan = FusionPlan::derive(&ops, &[n(11), n(10)]);
+        assert_eq!(plan.groups.len(), 1);
+        assert_eq!(plan.groups[0].terms.len(), 2);
+        assert_eq!(plan.role[7], Role::Root(0));
+        assert!((8..12).all(|i| plan.role[i] == Role::Node));
+    }
+
+    /// `program` with every ciphertext node also declared an output: the
+    /// oracle for a fused execution. It computes the same values node by
+    /// node, because an interior node of a group may not be an output.
+    fn with_every_node_an_output(program: &Program) -> Program {
+        let mut twin = program.clone();
+        for (i, op) in program.ops().iter().enumerate() {
+            if !matches!(op, Op::Constant(_)) {
+                twin.output(NodeId(i));
+            }
+        }
+        twin
+    }
+
+    #[test]
+    fn a_forty_term_group_crosses_the_lazy_reduction_flush() {
+        // 40 terms over 4 keys: the kernel's unreduced u128 sums are flushed
+        // once, after term 32. BFV, so the answer is exact: the fused run,
+        // its every-node-an-output twin and the plain semantics agree slot
+        // for slot.
+        let steps: Vec<i64> = (0..40).map(|d| [0, 1, 3, -2][d % 4]).collect();
+        let mut p = Program::new();
+        let x = p.input("x");
+        let sum = dot_chain(&mut p, x, &steps);
+        p.output(sum);
+        // Constants are multiples of 1/4: scale 2^2 quantizes them exactly.
+        let copts = CompilerOptions {
+            scale_bits: 2,
+            prime_bits: 2,
+            max_levels: 3,
+        };
+        let fused = compile(&p, &copts).unwrap();
+        let twin = compile(&with_every_node_an_output(&p), &copts).unwrap();
+        assert_eq!((fused.fused_groups(), twin.fused_groups()), (1, 0));
+        assert_eq!(fused.plan.groups[0].terms.len(), 40);
+        assert_eq!(fused.plan.groups[0].rescales, 1);
+
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+        let ctx = <Bfv as HeScheme>::context(&params).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"forty terms");
+        let keys = <Bfv as HeScheme>::keygen(&ctx, &mut rng);
+        let relin = <Bfv as HeScheme>::relin_key(&ctx, &keys, &mut rng).unwrap();
+        let galois =
+            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &fused.rotation_steps, &mut rng).unwrap();
+        let width = <Bfv as HeScheme>::slot_width(&ctx);
+        let values: Vec<u64> = (0..width as u64).map(|i| i % 11).collect();
+        let mut inputs = HashMap::new();
+        inputs.insert(
+            "x".to_string(),
+            <Bfv as HeScheme>::encrypt(&ctx, &keys, &values, &mut rng).unwrap(),
+        );
+        let run = |c: &CompiledProgram| {
+            let out = c
+                .execute_encrypted::<Bfv>(&ctx, &inputs, &relin, &galois)
+                .unwrap();
+            <Bfv as HeScheme>::decrypt(&ctx, &keys, &out[0]).unwrap()
+        };
+        let got = run(&fused);
+        assert_eq!(got, run(&twin));
+        let t = ctx.plain_modulus();
+        // The constants are 4 slots wide (zero-padded beyond).
+        for (j, &slot) in got.iter().enumerate().take(4) {
+            let want: u64 = steps
+                .iter()
+                .enumerate()
+                .map(|(d, &s)| {
+                    (d as u64 % 5) * values[(j as i64 + s).rem_euclid(width as i64) as usize]
+                })
+                .sum();
+            assert_eq!(slot, want % t, "slot {j}");
+        }
+    }
+
+    #[test]
+    fn a_warm_fused_request_encodes_nothing_and_is_bit_identical() {
+        // Both operand kinds in one cache: eight dot factors, one lone
+        // multiply operand, one add operand.
+        let mut p = Program::new();
+        let x = p.input("x");
+        let matvec = dot_chain(&mut p, x, &[0, 1, 2, 3, 0, 1, 2, 3]);
+        let damping = p.constant(&[0.5; 4]);
+        let damped = p.mul_plain(matvec, damping);
+        let teleport = p.constant(&[0.25; 4]);
+        let out = p.add_plain(damped, teleport);
+        p.output(out);
+        let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+        let ctx = CkksContext::new(&params).unwrap();
+        let c = compile(&p, &served_opts()).unwrap();
+        assert_eq!(c.fused_groups(), 1);
+        let mut rng = Blake3Rng::from_seed(b"fused cache test");
+        let keys = ctx.keygen(&mut rng);
+        let relin = ctx.relin_key(keys.secret_key(), &mut rng);
+        let galois = ctx
+            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .unwrap();
+        let mut inputs = HashMap::new();
+        let pt = ctx.encode(&[0.5; 8]).unwrap();
+        inputs.insert(
+            "x".to_string(),
+            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+        );
+        let cache = ExecCache::<Ckks>::unbounded();
+        let run = || {
+            c.execute_encrypted_cached::<Ckks>(&ctx, &inputs, &relin, &galois, &cache)
+                .unwrap()
+        };
+        let cold = run();
+        let after_cold = cache.counters();
+        assert_eq!((after_cold.misses, after_cold.hits), (10, 0));
+        assert_eq!(cache.len(), 10);
+        let warm = run();
+        let after_warm = cache.counters();
+        assert_eq!((after_warm.misses, after_warm.hits), (10, 10));
+        let wire = |ct: &CkksCiphertext| choco_he::serialize::ckks_ciphertext_to_bytes(ct);
+        assert_eq!(wire(&cold[0]), wire(&warm[0]));
+        // The result sits where the schedule says: one level down, and at
+        // the product scale over the dropped prime.
+        assert_eq!(warm[0].level(), c.meta(c.outputs[0]).level);
     }
 
     #[test]

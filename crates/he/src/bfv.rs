@@ -18,20 +18,18 @@
 
 use crate::batch::BatchEncoder;
 use crate::error::HeError;
-use crate::keyswitch::{
-    galois_element_columns, galois_element_rows, hoist_decompose, hoisted_accumulate, mod_down_ntt,
-};
+use crate::keyswitch::{galois_element_columns, galois_element_rows};
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{self, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::{dot_with_key_powers, RnsPoly};
-use choco_math::modops::{add_mod, inv_mod, mul_mod_shoup, shoup_precompute};
-use choco_math::ntt::galois_ntt_permutation;
+use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::UBig;
 use choco_prng::Blake3Rng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A BFV plaintext: `N` coefficients modulo `t`.
@@ -785,14 +783,34 @@ impl Evaluator<'_> {
         })
     }
 
+    /// Encodes a plaintext as a fused-dot factor: its coefficients reduced
+    /// into every prime of the full basis (data primes and the special
+    /// prime), in the evaluation domain. Do this once for a plaintext that
+    /// meets many ciphertexts and hand the result to
+    /// [`Evaluator::dot_rotations`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::Mismatch`] unless `pt` has `N` coefficients.
+    pub fn dot_operand(&self, pt: &Plaintext) -> Result<DotOperand, HeError> {
+        let full = &*self.ctx.full;
+        if pt.coeffs().len() != full.degree() {
+            return Err(HeError::Mismatch("plaintext degree mismatch".into()));
+        }
+        Ok(DotOperand::encode(full, |q, row| {
+            for (x, &c) in row.iter_mut().zip(pt.coeffs()) {
+                *x = c % q;
+            }
+        }))
+    }
+
     /// Fused rotate-and-dot: computes `Σ_k rotate_rows(a, s_k) ⊙ pt_k`
-    /// (step 0 meaning `a` itself) with *double hoisting* — the key-switch
-    /// decomposition of `a` is shared by every rotation (first hoisting),
-    /// and the switched terms are summed over the extended ks basis while
-    /// still carrying the special-prime factor `P`, so the whole dot
-    /// product pays a single rounded `mod_down` (second hoisting) instead
-    /// of one per rotation. Everything stays in the NTT domain until the
-    /// final pair of inverse transforms.
+    /// (step 0 meaning `a` itself) with the double-hoisted kernel both
+    /// schemes share, [`rlwe::dot_galois`]: one key-switch decomposition of
+    /// `a` for every rotation, one rounded `mod_down` for the whole sum.
+    /// Operands are encoded one term at a time; a caller that reuses its
+    /// plaintexts encodes them once with [`Evaluator::dot_operand`] and
+    /// calls [`Evaluator::dot_rotations`].
     ///
     /// Decrypts to exactly the same plaintext as the equivalent
     /// `rotate_rows` / `multiply_plain` / `add` chain, with *less* noise:
@@ -801,9 +819,11 @@ impl Evaluator<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] for empty input or plaintext length
-    /// mismatches, [`HeError::InvalidCiphertext`] unless `a` has exactly two
-    /// components, and [`HeError::MissingGaloisKey`] when a step's key is
+    /// Returns [`HeError::Mismatch`] for empty input, plaintext length
+    /// mismatches or a modulus-switched input,
+    /// [`HeError::InvalidCiphertext`] unless `a` has exactly two
+    /// components, [`HeError::InvalidParameters`] for a step that names no
+    /// rotation, and [`HeError::MissingGaloisKey`] when a step's key is
     /// absent from `gk`.
     pub fn dot_rotations_plain(
         &self,
@@ -811,149 +831,29 @@ impl Evaluator<'_> {
         pairs: &[(i64, Plaintext)],
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
-        if pairs.is_empty() {
-            return Err(HeError::Mismatch("dot_rotations_plain needs terms".into()));
-        }
-        if a.size() != 2 {
-            return Err(HeError::InvalidCiphertext(
-                "dot_rotations_plain requires a 2-component ciphertext".into(),
-            ));
-        }
+        let terms = pairs
+            .iter()
+            .map(|(step, pt)| Ok((*step, self.dot_operand(pt)?)));
+        self.dot_rotations(a, terms, gk)
+    }
+
+    /// [`Evaluator::dot_rotations_plain`] over already-encoded operands
+    /// (owned or borrowed), drawn from an iterator.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::dot_rotations_plain`], plus the first error the
+    /// iterator yields.
+    pub fn dot_rotations<O: Borrow<DotOperand>>(
+        &self,
+        a: &Ciphertext,
+        terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
+        gk: &GaloisKeys,
+    ) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
-        let data = &*ctx.data;
-        let ks_basis = &*ctx.full;
-        let n = ctx.degree();
-        if pairs.iter().any(|(_, p)| p.coeffs().len() != n) {
-            return Err(HeError::Mismatch("plaintext degree mismatch".into()));
-        }
-        let rows = data.len();
-        let k = ks_basis.len();
-        let mut c0_ntt = a.parts[0].clone();
-        c0_ntt.ntt_forward(data);
-        let mut c1_ntt = a.parts[1].clone();
-        c1_ntt.ntt_forward(data);
-        let hoisted = hoist_decompose(&a.parts[1], ks_basis, data);
-        // Per ks prime: the P-scaled key-switch sums (sw0, sw1), and for the
-        // data primes also the unswitched sums Σ pt ⊙ perm(c0) / Σ pt ⊙ c1.
-        // u128 slots absorb up to 32 unreduced products (primes < 2^61).
-        struct RowAcc {
-            sw0: Vec<u128>,
-            sw1: Vec<u128>,
-            plain0: Vec<u128>,
-            plain1: Vec<u128>,
-        }
-        let mut acc: Vec<RowAcc> = (0..k)
-            .map(|i| {
-                let data_row = if i < rows { n } else { 0 };
-                RowAcc {
-                    sw0: PolyPool::take_zeroed_u128(n),
-                    sw1: PolyPool::take_zeroed_u128(n),
-                    plain0: PolyPool::take_zeroed_u128(data_row),
-                    plain1: PolyPool::take_zeroed_u128(data_row),
-                }
-            })
-            .collect();
-        for (term, (step, pt)) in pairs.iter().enumerate() {
-            let switched = if *step == 0 {
-                None
-            } else {
-                let element = galois_element_rows(*step, n)?;
-                let ksk = gk.key_for(element)?;
-                let perm = galois_ntt_permutation(n, element);
-                let (s0, s1) = hoisted_accumulate(&hoisted, Some(&perm), ksk, ks_basis);
-                Some((s0, s1, perm))
-            };
-            let flush = term > 0 && term % 32 == 0;
-            par::par_for_each_mut(&mut acc, |i, row| {
-                let q = ks_basis.primes()[i];
-                if flush {
-                    for v in row
-                        .sw0
-                        .iter_mut()
-                        .chain(row.sw1.iter_mut())
-                        .chain(row.plain0.iter_mut())
-                        .chain(row.plain1.iter_mut())
-                    {
-                        *v %= q as u128;
-                    }
-                }
-                let mut pt_ntt = PolyPool::take_scratch(n);
-                for (x, &c) in pt_ntt.iter_mut().zip(pt.coeffs()) {
-                    *x = c % q;
-                }
-                ks_basis.ntt_tables()[i].forward(&mut pt_ntt);
-                match &switched {
-                    None => {
-                        if i < rows {
-                            let (r0, r1) = (c0_ntt.row(i), c1_ntt.row(i));
-                            for c in 0..n {
-                                row.plain0[c] += pt_ntt[c] as u128 * r0[c] as u128;
-                                row.plain1[c] += pt_ntt[c] as u128 * r1[c] as u128;
-                            }
-                        }
-                    }
-                    Some((s0, s1, perm)) => {
-                        let (s0r, s1r) = (s0.row(i), s1.row(i));
-                        for c in 0..n {
-                            row.sw0[c] += pt_ntt[c] as u128 * s0r[c] as u128;
-                            row.sw1[c] += pt_ntt[c] as u128 * s1r[c] as u128;
-                        }
-                        if i < rows {
-                            let r0 = c0_ntt.row(i);
-                            for c in 0..n {
-                                row.plain0[c] += pt_ntt[c] as u128 * r0[perm[c]] as u128;
-                            }
-                        }
-                    }
-                }
-                PolyPool::recycle(pt_ntt);
-            });
-        }
-        // Second hoisting: one rounded mod_down for the whole switched sum.
-        let reduce = |acc: &[u128], q: u64| -> Vec<u64> {
-            let mut out = PolyPool::take_scratch(acc.len());
-            for (x, &v) in out.iter_mut().zip(acc) {
-                *x = (v % q as u128) as u64;
-            }
-            out
-        };
-        let sw0 = RnsPoly::from_rows(
-            (0..k)
-                .map(|i| reduce(&acc[i].sw0, ks_basis.primes()[i]))
-                .collect(),
-        );
-        let sw1 = RnsPoly::from_rows(
-            (0..k)
-                .map(|i| reduce(&acc[i].sw1, ks_basis.primes()[i]))
-                .collect(),
-        );
-        let m0 = mod_down_ntt(&sw0, ks_basis, data);
-        let m1 = mod_down_ntt(&sw1, ks_basis, data);
-        let out: Vec<(Vec<u64>, Vec<u64>)> = par::par_map_range(rows, |i| {
-            let q = data.primes()[i];
-            let table = &data.ntt_tables()[i];
-            let mut r0 = reduce(&acc[i].plain0, q);
-            let mut r1 = reduce(&acc[i].plain1, q);
-            for (dst, &m) in r0.iter_mut().zip(m0.row(i)) {
-                *dst = add_mod(*dst, m, q);
-            }
-            for (dst, &m) in r1.iter_mut().zip(m1.row(i)) {
-                *dst = add_mod(*dst, m, q);
-            }
-            table.inverse(&mut r0);
-            table.inverse(&mut r1);
-            (r0, r1)
-        });
-        for row_acc in acc {
-            PolyPool::recycle_u128(row_acc.sw0);
-            PolyPool::recycle_u128(row_acc.sw1);
-            PolyPool::recycle_u128(row_acc.plain0);
-            PolyPool::recycle_u128(row_acc.plain1);
-        }
-        let (rows0, rows1): (Vec<_>, Vec<_>) = out.into_iter().unzip();
-        Ok(Ciphertext {
-            parts: vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)],
-        })
+        let terms = rlwe::terms_of_steps(terms, ctx.degree(), galois_element_rows);
+        let parts = rlwe::dot_galois(&a.parts, terms, gk, &ctx.full, &ctx.data)?;
+        Ok(Ciphertext { parts })
     }
 
     /// Switches a ciphertext down one modulus level (drops the last data

@@ -14,11 +14,13 @@
 use crate::error::HeError;
 use crate::keyswitch::galois_element_ckks;
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{self, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::{dot_with_key_powers, RnsPoly};
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
+use choco_math::modops::reduce_signed;
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A CKKS plaintext: an integer polynomial at some level and scale.
@@ -187,6 +189,16 @@ impl CkksContext {
         &self.level_bases[level - 1]
     }
 
+    /// The `(ks_basis, basis)` pair of `level`, or a typed error for a level
+    /// outside the chain (ciphertext levels parse off the wire).
+    fn bases_at(&self, level: usize) -> Result<(&RnsBasis, &RnsBasis), HeError> {
+        let at = level.wrapping_sub(1);
+        match (self.ks_bases.get(at), self.level_bases.get(at)) {
+            (Some(ks_basis), Some(basis)) => Ok((ks_basis, basis)),
+            _ => Err(HeError::Mismatch(format!("no level {level} in the chain"))),
+        }
+    }
+
     /// Encodes real values into a plaintext at the top level and default
     /// scale.
     ///
@@ -210,6 +222,36 @@ impl CkksContext {
         level: usize,
         scale: f64,
     ) -> Result<CkksPlaintext, HeError> {
+        Ok(CkksPlaintext {
+            poly: RnsPoly::from_signed(&self.embed(values, scale)?, self.level_basis(level)),
+            level,
+            scale,
+        })
+    }
+
+    /// Encodes values as a fused-dot factor for a ciphertext at `level`:
+    /// the same integer polynomial [`CkksContext::encode_at`] produces at the
+    /// default scale, reduced into the level's *key-switch* basis (data
+    /// primes and the special prime) and taken to the evaluation domain.
+    /// Feed the result to [`CkksContext::dot_rotations`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::TooManyValues`] when more than `N/2` values are
+    /// given and [`HeError::Mismatch`] for a level outside the chain.
+    pub fn dot_operand(&self, values: &[f64], level: usize) -> Result<DotOperand, HeError> {
+        let (ks_basis, _) = self.bases_at(level)?;
+        let coeffs = self.embed(values, self.default_scale)?;
+        Ok(DotOperand::encode(ks_basis, |q, row| {
+            for (x, &c) in row.iter_mut().zip(&coeffs) {
+                *x = reduce_signed(c, q);
+            }
+        }))
+    }
+
+    /// The canonical embedding: the integer polynomial whose evaluations at
+    /// the slot roots are `values · scale`, rounded.
+    fn embed(&self, values: &[f64], scale: f64) -> Result<Vec<i64>, HeError> {
         let n = self.degree();
         let half = n / 2;
         if values.len() > half {
@@ -232,11 +274,7 @@ impl CkksContext {
             let c = evals[i] * self.zeta_pows[i].conj();
             coeffs[i] = (c.re * scale).round() as i64;
         }
-        Ok(CkksPlaintext {
-            poly: RnsPoly::from_signed(&coeffs, self.level_basis(level)),
-            level,
-            scale,
-        })
+        Ok(coeffs)
     }
 
     /// Decodes a plaintext back to `N/2` real values.
@@ -548,6 +586,34 @@ impl CkksContext {
             scale: a.scale,
         };
         Ok(rotated.into_iter().map(at_level).collect())
+    }
+
+    /// Fused rotate-and-dot: `Σ_k rotate(a, s_k) ⊙ m_k` (step 0 meaning `a`
+    /// itself) over operands from [`CkksContext::dot_operand`] at `a`'s
+    /// level, through the double-hoisted kernel both schemes share
+    /// ([`rlwe::dot_galois`]): one key-switch decomposition for every
+    /// rotation, one key-switch rounding for the whole sum. Like
+    /// [`CkksContext::multiply_plain`] it does not rescale: the result is at
+    /// `a`'s level with scale `a.scale · default_scale`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksContext::rotate`] for any nonzero step, [`HeError::Mismatch`]
+    /// for no terms or an operand encoded for another level, and the first
+    /// error the iterator yields.
+    pub fn dot_rotations<O: Borrow<DotOperand>>(
+        &self,
+        a: &CkksCiphertext,
+        terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
+        gk: &GaloisKeys,
+    ) -> Result<CkksCiphertext, HeError> {
+        let terms = rlwe::terms_of_steps(terms, self.degree(), galois_element_ckks);
+        let (ks_basis, basis) = self.bases_at(a.level)?;
+        Ok(CkksCiphertext {
+            parts: rlwe::dot_galois(&a.parts, terms, gk, ks_basis, basis)?,
+            level: a.level,
+            scale: a.scale * self.default_scale,
+        })
     }
 }
 

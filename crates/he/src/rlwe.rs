@@ -3,15 +3,18 @@
 //! BFV and CKKS are the same ring-LWE computation below their encoders:
 //! keys are `(s, (−(a·s + e), a))`, public-key encryption is the paper's
 //! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), and every evaluation-key
-//! operation — Galois automorphism, hoisted multi-rotation, relinearization
-//! — is a key switch over a `(ks_basis, basis)` pair. This module holds that
+//! operation — Galois automorphism, hoisted multi-rotation, the fused
+//! double-hoisted rotate-and-dot ([`dot_galois`]), relinearization — is a
+//! key switch over a `(ks_basis, basis)` pair. This module holds that
 //! computation once, as plain functions over ciphertext *parts*
 //! (`&[RnsPoly]`) and the bases the calling context already owns. The
 //! schemes keep what differs: how a message becomes the polynomial `msg`
 //! (BFV scales by `Δ`, CKKS embeds at a scale), which basis a ciphertext
 //! lives in (BFV: the data modulus; CKKS: its level), the step → Galois
-//! element map, and everything specific to one scheme (BFV's scale-and-round
-//! multiply and noise budget, CKKS `rescale`).
+//! element map, how a plaintext becomes a [`DotOperand`] (the same integer
+//! polynomial, reduced into the key-switch basis), and everything specific
+//! to one scheme (BFV's scale-and-round multiply and noise budget, CKKS
+//! `rescale`).
 //!
 //! Every entry point that takes ciphertext parts checks their count and
 //! shape against the basis it is handed and answers a malformed operand
@@ -23,11 +26,18 @@
 //! [`generate_ksk`] per Galois element in list order.
 
 use crate::error::HeError;
-use crate::keyswitch::{apply_ksk, apply_ksk_hoisted, generate_ksk, hoist_decompose, KswitchKey};
+use crate::keyswitch::{
+    apply_ksk, apply_ksk_hoisted, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt,
+    HoistedDigits, KswitchKey,
+};
 use crate::rnspoly::{self, RnsPoly};
-use choco_math::ntt::galois_ntt_permutation;
+use choco_math::modops::add_mod;
+use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
+use choco_math::par;
+use choco_math::pool::PolyPool;
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// The secret key: a ternary polynomial, kept over the full basis so key
@@ -339,6 +349,234 @@ pub fn apply_galois_many(
             Ok(vec![c0, k1])
         })
         .collect()
+}
+
+/// The Galois element of the identity automorphism: a [`dot_galois`] term
+/// carrying it multiplies the ciphertext as it stands, with no key switch.
+pub const IDENTITY_ELEMENT: u64 = 1;
+
+/// A plaintext factor of [`dot_galois`]: an integer polynomial in the
+/// evaluation (NTT) domain over a *key-switch* basis — the level's data
+/// primes plus the special prime `P`. The `P` residue is what second
+/// hoisting needs: the factor multiplies key-switched terms while they are
+/// still scaled by `P`, so it has to exist modulo `P` too, which an ordinary
+/// encoded plaintext (data primes only) does not. Built by the schemes'
+/// encoders ([`crate::bfv::Evaluator::dot_operand`],
+/// [`crate::ckks::CkksContext::dot_operand`]); immutable afterwards, so a
+/// server caches one per constant and use site.
+#[derive(Debug, Clone)]
+pub struct DotOperand {
+    ntt: RnsPoly,
+}
+
+impl DotOperand {
+    /// Builds an operand row by row over `ks_basis`: `residues(q, row)`
+    /// fills `row` with the coefficients modulo `q`, and the row is taken to
+    /// the evaluation domain. Rows are independent, so they run on the
+    /// worker pool (a caller that streams operands into [`dot_galois`] pays
+    /// this once per term).
+    pub(crate) fn encode(ks_basis: &RnsBasis, residues: impl Fn(u64, &mut [u64]) + Sync) -> Self {
+        let n = ks_basis.degree();
+        let tables = ks_basis.ntt_tables();
+        let rows = par::par_map(tables, |_, table| {
+            let mut row = PolyPool::take_scratch(n);
+            residues(table.modulus(), &mut row);
+            table.forward(&mut row);
+            row
+        });
+        DotOperand {
+            ntt: RnsPoly::from_rows(rows),
+        }
+    }
+}
+
+/// [`dot_galois`] terms from rotation steps: step 0 is the ciphertext itself
+/// ([`IDENTITY_ELEMENT`]), any other step goes through the scheme's
+/// `element_of(step, n)`.
+pub(crate) fn terms_of_steps<O>(
+    terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
+    n: usize,
+    element_of: fn(i64, usize) -> Result<u64, HeError>,
+) -> impl Iterator<Item = Result<(u64, O), HeError>> {
+    terms.into_iter().map(move |term| {
+        let (step, operand) = term?;
+        let element = match step {
+            0 => IDENTITY_ELEMENT,
+            _ => element_of(step, n)?,
+        };
+        Ok((element, operand))
+    })
+}
+
+/// `acc[j] += a[j] · b[j]`, unreduced.
+fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
+    for ((slot, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *slot += x as u128 * y as u128;
+    }
+}
+
+/// Canonical residues of an unreduced accumulator row.
+fn reduce_row(acc: &[u128], q: u64) -> Vec<u64> {
+    let mut out = PolyPool::take_scratch(acc.len());
+    for (x, &v) in out.iter_mut().zip(acc) {
+        *x = (v % q as u128) as u64;
+    }
+    out
+}
+
+/// Fused rotate-and-dot with *double hoisting*:
+/// `Σ_k σ_{e_k}(ct) ⊙ m_k` for Galois elements `e_k` of one 2-component
+/// ciphertext ([`IDENTITY_ELEMENT`] meaning the ciphertext itself) and
+/// plaintext factors `m_k`. The digit decomposition of `c1` is shared by
+/// every element (first hoisting: computed once, on the first element that
+/// needs a key switch); each switched term is multiplied by its factor and
+/// summed over the ks basis while it still carries the special-prime factor
+/// `P`, so the whole dot pays one rounded `mod_down` (second hoisting)
+/// instead of one per rotation; everything stays in the evaluation domain
+/// until one inverse transform per output row.
+///
+/// Decrypts to what the `apply_galois` / multiply / add chain decrypts to,
+/// with less noise: one key-switch rounding for the sum instead of one per
+/// term, each scaled by its factor. Sums are exact (unreduced `u128` slots,
+/// flushed every 32 terms), so the output does not depend on the thread
+/// count. Terms arrive through an iterator so a caller with nothing cached
+/// can encode one operand at a time.
+///
+/// # Errors
+///
+/// [`HeError::Mismatch`] for no terms, parts not over `basis` or an operand
+/// not over `ks_basis`; [`HeError::InvalidCiphertext`] for non-2-component
+/// inputs; [`HeError::MissingGaloisKey`] if `gk` lacks an element; and the
+/// first error the term iterator yields.
+pub fn dot_galois<O: Borrow<DotOperand>>(
+    parts: &[RnsPoly],
+    terms: impl IntoIterator<Item = Result<(u64, O), HeError>>,
+    gk: &GaloisKeys,
+    ks_basis: &RnsBasis,
+    basis: &RnsBasis,
+) -> Result<Vec<RnsPoly>, HeError> {
+    let (c0, c1) = two_parts(parts, basis)?;
+    let mut terms = terms.into_iter().peekable();
+    if terms.peek().is_none() {
+        return Err(HeError::Mismatch("a fused dot needs terms".into()));
+    }
+    let n = basis.degree();
+    let mut c0_ntt = c0.clone();
+    c0_ntt.ntt_forward(basis);
+    let mut c1_ntt = c1.clone();
+    c1_ntt.ntt_forward(basis);
+    // Per ks prime: the P-scaled key-switch sums; for the data primes also
+    // the ciphertext rows and the unswitched sums Σ m ⊙ σ(c0) and Σ m ⊙ c1
+    // (the latter from identity terms only).
+    struct DataRow<'a> {
+        table: &'a NttTable,
+        c0: &'a [u64],
+        c1: &'a [u64],
+        plain: (Vec<u128>, Vec<u128>),
+    }
+    struct RowAcc<'a> {
+        q: u64,
+        switched: (Vec<u128>, Vec<u128>),
+        data: Option<DataRow<'a>>,
+    }
+    let data_rows = basis.ntt_tables().iter().enumerate().map(|(i, table)| {
+        Some(DataRow {
+            table,
+            c0: c0_ntt.row(i),
+            c1: c1_ntt.row(i),
+            plain: (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n)),
+        })
+    });
+    let mut acc: Vec<RowAcc> = ks_basis
+        .primes()
+        .iter()
+        .zip(data_rows.chain(std::iter::repeat_with(|| None)))
+        .map(|(&q, data)| RowAcc {
+            q,
+            switched: (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n)),
+            data,
+        })
+        .collect();
+    let mut hoisted: Option<HoistedDigits> = None;
+    for (term, next) in terms.enumerate() {
+        let (element, operand) = next?;
+        let factor = &operand.borrow().ntt;
+        if factor.row_count() != ks_basis.len() || factor.degree() != n {
+            return Err(HeError::Mismatch(format!(
+                "dot operand of {} residues × degree {} where the key-switch basis is {} × {n}",
+                factor.row_count(),
+                factor.degree(),
+                ks_basis.len()
+            )));
+        }
+        let switched = if element == IDENTITY_ELEMENT {
+            None
+        } else {
+            let ksk = gk.key_for(element)?;
+            let digits = hoisted.get_or_insert_with(|| hoist_decompose(c1, ks_basis, basis));
+            let perm = galois_ntt_permutation(n, element);
+            let (s0, s1) = hoisted_accumulate(digits, Some(&perm), ksk, ks_basis);
+            Some((s0, s1, perm))
+        };
+        // Products stay below 2^122 (primes < 2^61): 32 fit a u128 slot.
+        let flush = term > 0 && term % 32 == 0;
+        par::par_for_each_mut(&mut acc, |i, row| {
+            if flush {
+                let plain = row.data.as_mut().map(|d| &mut d.plain);
+                for sums in [Some(&mut row.switched), plain].into_iter().flatten() {
+                    for v in sums.0.iter_mut().chain(sums.1.iter_mut()) {
+                        *v %= row.q as u128;
+                    }
+                }
+            }
+            let m = factor.row(i);
+            match &switched {
+                None => {
+                    if let Some(d) = &mut row.data {
+                        mac(&mut d.plain.0, m, d.c0);
+                        mac(&mut d.plain.1, m, d.c1);
+                    }
+                }
+                Some((s0, s1, perm)) => {
+                    mac(&mut row.switched.0, m, s0.row(i));
+                    mac(&mut row.switched.1, m, s1.row(i));
+                    if let Some(d) = &mut row.data {
+                        let mut rotated = PolyPool::take_scratch(n);
+                        apply_galois_ntt(d.c0, perm, &mut rotated);
+                        mac(&mut d.plain.0, m, &rotated);
+                        PolyPool::recycle(rotated);
+                    }
+                }
+            }
+        });
+    }
+    // Second hoisting: one rounded mod_down for the whole switched sum.
+    let down = |sums: Vec<Vec<u64>>| mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis);
+    let m0 = down(acc.iter().map(|r| reduce_row(&r.switched.0, r.q)).collect());
+    let m1 = down(acc.iter().map(|r| reduce_row(&r.switched.1, r.q)).collect());
+    let out = par::par_map(&acc, |i, row| {
+        let d = row.data.as_ref()?;
+        let finish = |plain: &[u128], down: &[u64]| {
+            let mut out = reduce_row(plain, row.q);
+            for (dst, &m) in out.iter_mut().zip(down) {
+                *dst = add_mod(*dst, m, row.q);
+            }
+            d.table.inverse(&mut out);
+            out
+        };
+        Some((finish(&d.plain.0, m0.row(i)), finish(&d.plain.1, m1.row(i))))
+    });
+    for row in acc {
+        for sums in [Some(row.switched), row.data.map(|d| d.plain)]
+            .into_iter()
+            .flatten()
+        {
+            PolyPool::recycle_u128(sums.0);
+            PolyPool::recycle_u128(sums.1);
+        }
+    }
+    let (rows0, rows1): (Vec<_>, Vec<_>) = out.into_iter().flatten().unzip();
+    Ok(vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)])
 }
 
 /// Folds the `s²`-keyed third component of `(c0, c1, c2)` back into a

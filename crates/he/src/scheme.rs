@@ -9,7 +9,8 @@
 //! * role setup (context, key generation, evaluation keys),
 //! * the client boundary (encrypt / decrypt / health probe),
 //! * the server-side linear algebra (`add`, `add_plain`, `mul_plain`,
-//!   rotations, and the fused diagonal dot kernel),
+//!   rotations, and the fused diagonal dot — one double-hoisted kernel,
+//!   [`crate::rlwe::dot_galois`], under both schemes),
 //! * wire serialization hooks for the transport layer, and
 //! * fixed-point **quantization hooks** that unify the two numeric models:
 //!   BFV carries an explicit scale `2^(scale_bits·depth)` modulo `t`, while
@@ -208,9 +209,11 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
         gk: &Self::GaloisKeys,
     ) -> Result<Self::Ciphertext, HeError>;
 
-    /// Fused diagonal dot kernel: `Σ_k rot(ct, shift_k) ⊙ diag_k`, routed
-    /// through each scheme's hoisted fast path (BFV `dot_rotations_plain`,
-    /// CKKS `rotate_many`). The workhorse of the diagonal-method matvec.
+    /// Fused diagonal dot kernel: `Σ_k rot(ct, shift_k) ⊙ diag_k` through
+    /// the one double-hoisted kernel both schemes share
+    /// ([`crate::rlwe::dot_galois`]); CKKS rescales the sum once, as
+    /// [`HeScheme::mul_plain`] rescales a product. The workhorse of the
+    /// diagonal-method matvec.
     ///
     /// # Errors
     ///
@@ -634,36 +637,11 @@ impl HeScheme for Ckks {
         diagonals: &[(i64, Vec<f64>)],
         gk: &GaloisKeys,
     ) -> Result<ckks::CkksCiphertext, HeError> {
-        if diagonals.is_empty() {
-            return Err(HeError::Mismatch("dot_diagonals needs terms".into()));
-        }
-        // One hoisted decomposition covers every nonzero shift.
-        let steps: Vec<i64> = diagonals
+        // One operand alive at a time; one rescale for the whole dot.
+        let terms = diagonals
             .iter()
-            .map(|(s, _)| *s)
-            .filter(|&s| s != 0)
-            .collect();
-        let rotated = ctx.rotate_many(ct, &steps, gk)?;
-        let mut by_step = rotated.into_iter();
-        let mut acc: Option<ckks::CkksCiphertext> = None;
-        for (shift, diag) in diagonals {
-            let term_ct = if *shift == 0 {
-                ct.clone()
-            } else {
-                by_step
-                    .next()
-                    .ok_or_else(|| HeError::Mismatch("rotation count mismatch".into()))?
-            };
-            let pt = ctx.encode_at(diag, term_ct.level(), ctx.default_scale())?;
-            let term = ctx.multiply_plain(&term_ct, &pt)?;
-            acc = Some(match acc {
-                None => term,
-                Some(a) => ctx.add(&a, &term)?,
-            });
-        }
-        // Checked non-empty above; one rescale for the whole dot.
-        let acc = acc.ok_or_else(|| HeError::Mismatch("dot_diagonals needs terms".into()))?;
-        ctx.rescale(&acc)
+            .map(|(shift, diag)| Ok((*shift, ctx.dot_operand(diag, ct.level())?)));
+        ctx.rescale(&ctx.dot_rotations(ct, terms, gk)?)
     }
 
     fn quantize(_ctx: &CkksContext, values: &[f64], _scale_bits: u32, _depth: u32) -> Vec<f64> {

@@ -597,3 +597,181 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
         ]
     );
 }
+
+/// `dot_rotations_plain` from one fixed seed: steps cycle through
+/// `[0, 1, 3, −2]` (step 0 is the unrotated term; a step may repeat), one
+/// distinct plaintext per term.
+fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
+    let ctx = BfvContext::new(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"cross-commit fused dot oracle");
+    let keys = ctx.keygen(&mut rng);
+    let gk = ctx
+        .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
+        .unwrap();
+    let encoder = ctx.batch_encoder().unwrap();
+    let t = ctx.plain_modulus();
+    let n = ctx.degree() as u64;
+    let values: Vec<u64> = (0..n).map(|i| i * 7 % t).collect();
+    let ct = ctx
+        .encryptor(keys.public_key())
+        .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+    let pairs: Vec<_> = (0..terms as u64)
+        .map(|k| {
+            let w: Vec<u64> = (0..n).map(|i| (i * (k + 3) + k * k) % t).collect();
+            (
+                [0i64, 1, 3, -2][k as usize % 4],
+                encoder.encode(&w).unwrap(),
+            )
+        })
+        .collect();
+    let fused = ctx.evaluator().dot_rotations_plain(&ct, &pairs, &gk);
+    digest(&[&ciphertext_to_bytes(&fused.unwrap())])
+}
+
+/// The fused dot is the kernel `lenet_direct` spends its server time in; it
+/// was lifted into `rlwe::dot_galois` for both schemes, and BFV's output must
+/// not have moved by a bit. Digests recorded on the commit before the lift
+/// (this test, unchanged, passed there): 40 terms cross the 32-term
+/// lazy-reduction flush.
+#[test]
+fn bfv_fused_dot_bytes_are_those_of_the_kernel_before_the_lift() {
+    let small = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+    assert_eq!(fused_dot_digest(&small, 40), "d7d99ba81a660eed");
+    assert_eq!(fused_dot_digest(&HeParams::set_a(), 5), "05a5aae17d1c912a");
+    assert_eq!(fused_dot_digest(&HeParams::set_b(), 9), "7ad8c423d4ac4e99");
+}
+
+/// A CKKS context, its keys (Galois steps `[1, 3, −2]`) and an encryption of
+/// a fixed vector, from one fixed seed.
+fn ckks_dot_fixture(
+    params: &HeParams,
+) -> (
+    CkksContext,
+    choco_he::rlwe::KeyBundle,
+    choco_he::rlwe::GaloisKeys,
+    choco_he::ckks::CkksCiphertext,
+    Vec<f64>,
+) {
+    let ctx = CkksContext::new(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"cross-commit fused dot oracle");
+    let keys = ctx.keygen(&mut rng);
+    let gk = ctx
+        .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
+        .unwrap();
+    let values: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| (i % 17) as f64 / 4.0 - 2.0)
+        .collect();
+    let pt = ctx.encode(&values).unwrap();
+    let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+    (ctx, keys, gk, ct, values)
+}
+
+/// `terms` diagonals over steps cycling through `[0, 1, 3, −2]`.
+fn ckks_diagonals(slots: usize, terms: usize) -> Vec<(i64, Vec<f64>)> {
+    (0..terms)
+        .map(|k| {
+            let diag = (0..slots).map(|i| ((i + 3 * k) % 9) as f64 / 8.0 - 0.5);
+            ([0i64, 1, 3, -2][k % 4], diag.collect())
+        })
+        .collect()
+}
+
+/// The other wrapper of the shared kernel. CKKS has no older bytes to match
+/// (its `dot_diagonals` was a per-rotation loop before the lift); these
+/// digests were recorded when the kernel landed and pin it from there: the
+/// same bits at every `CHOCO_THREADS` and `CHOCO_SIMD` setting ci.sh runs
+/// this file under, and on every later build.
+#[test]
+fn ckks_fused_dot_bytes_are_stable_across_builds_and_backends() {
+    let digest_of = |params: &HeParams, terms: usize| {
+        let (ctx, _, gk, ct, _) = ckks_dot_fixture(params);
+        let diagonals = ckks_diagonals(ctx.slot_count(), terms);
+        let out = Ckks::dot_diagonals(&ctx, &ct, &diagonals, &gk).unwrap();
+        digest(&[&Ckks::ct_to_wire(&out)])
+    };
+    let small = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+    assert_eq!(digest_of(&small, 40), "3f5da3aa7172ce05");
+    assert_eq!(digest_of(&HeParams::set_c(), 9), "ae87937927406ae8");
+}
+
+#[test]
+fn fused_dot_is_bit_identical_at_every_thread_count() {
+    let bfv = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+    let ckks = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+    let at = |threads: usize| {
+        choco_math::par::set_num_threads(threads);
+        let (ctx, _, gk, ct, _) = ckks_dot_fixture(&ckks);
+        let diagonals = ckks_diagonals(ctx.slot_count(), 40);
+        let out = Ckks::dot_diagonals(&ctx, &ct, &diagonals, &gk).unwrap();
+        let digests = (fused_dot_digest(&bfv, 40), Ckks::ct_to_wire(&out));
+        choco_math::par::set_num_threads(0); // restore the default
+        digests
+    };
+    let seq = at(1);
+    assert!(seq == at(2), "2 worker threads diverged");
+    assert!(seq == at(4), "4 worker threads diverged");
+}
+
+#[test]
+fn ckks_fused_dot_matches_the_composition_of_public_ops() {
+    // A 3-level and a 2-level chain; on the longer one also one level down.
+    // The dot ends in a rescale, so level 1 has nowhere to go.
+    let long = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
+    let short = HeParams::ckks_insecure(1024, &[45, 45, 46], 38).unwrap();
+    for (params, drop_to) in [(&long, None), (&long, Some(2)), (&short, None)] {
+        let (ctx, keys, gk, ct, values) = ckks_dot_fixture(params);
+        let ct = match drop_to {
+            Some(level) => ctx.mod_switch_to(&ct, level).unwrap(),
+            None => ct,
+        };
+        let slots = ctx.slot_count();
+        let diagonals = ckks_diagonals(slots, 6);
+        let fused = Ckks::dot_diagonals(&ctx, &ct, &diagonals, &gk).unwrap();
+        assert_eq!(fused.level(), ct.level() - 1);
+
+        let mut composed: Option<choco_he::ckks::CkksCiphertext> = None;
+        for (step, diag) in &diagonals {
+            let rotated = match step {
+                0 => ct.clone(),
+                _ => ctx.rotate(&ct, *step, &gk).unwrap(),
+            };
+            let pt = ctx
+                .encode_at(diag, rotated.level(), ctx.default_scale())
+                .unwrap();
+            let term = ctx.multiply_plain(&rotated, &pt).unwrap();
+            composed = Some(match composed {
+                None => term,
+                Some(acc) => ctx.add(&acc, &term).unwrap(),
+            });
+        }
+        let composed = ctx.rescale(&composed.unwrap()).unwrap();
+        assert_eq!(fused.level(), composed.level());
+        assert_eq!(fused.scale(), composed.scale());
+
+        let decode = |c| ctx.decode(&ctx.decrypt(c, keys.secret_key()));
+        let (got, want) = (decode(&fused), decode(&composed));
+        for j in 0..slots {
+            let plain: f64 = diagonals
+                .iter()
+                .map(|(s, d)| d[j] * values[(j as i64 + s).rem_euclid(slots as i64) as usize])
+                .sum();
+            assert!(
+                (got[j] - plain).abs() < 1e-4,
+                "slot {j}: {} vs {plain}",
+                got[j]
+            );
+            assert!(
+                (got[j] - want[j]).abs() < 1e-4,
+                "slot {j}: {} vs {}",
+                got[j],
+                want[j]
+            );
+        }
+
+        let bottom = ctx.mod_switch_to(&ct, 1).unwrap();
+        assert!(matches!(
+            Ckks::dot_diagonals(&ctx, &bottom, &diagonals, &gk),
+            Err(choco_he::HeError::Mismatch(_))
+        ));
+    }
+}

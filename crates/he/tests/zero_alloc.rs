@@ -1,8 +1,8 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
 //! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
-//! rotation, fused rotation dot products, decryption) performs **zero fresh
-//! polynomial-buffer allocations** — every row and scratch buffer is served
-//! from the pool's free lists. The pool's global counters make this directly
+//! rotation, fused rotation dot products under both schemes, decryption)
+//! performs **zero fresh polynomial-buffer allocations** — every row and
+//! scratch buffer is served from the pool's free lists. The pool's global counters make this directly
 //! observable: over a warm evaluation loop, `fresh` must not move while
 //! `reused` must — on the plain-loop path (one thread) and through the `par`
 //! pool (two).
@@ -17,6 +17,7 @@
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
+use choco_he::{Ckks, HeScheme};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_prng::Blake3Rng;
@@ -67,7 +68,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0];
     };
 
-    // ---- CKKS: multiply+relin (keyswitch) → rescale → rotations ----
+    // ---- CKKS: multiply+relin (keyswitch) → rescale → rotations → fused dot ----
     let cparams = HeParams::ckks_insecure(256, &[45, 45, 46], 38).unwrap();
     let cctx = CkksContext::new(&cparams).unwrap();
     let mut crng = Blake3Rng::from_seed(b"zero-alloc-ckks");
@@ -82,12 +83,19 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
     let cpt = cctx.encode(&vals).unwrap();
     let cct = cctx.encrypt(&cpt, ckeys.public_key(), &mut crng).unwrap();
 
+    let diagonals: Vec<(i64, Vec<f64>)> = [0i64, 1, 2]
+        .iter()
+        .map(|&s| (s, vals.iter().map(|v| v * 0.5 + s as f64).collect()))
+        .collect();
+
     let ckks_round = |out: &mut u64| {
         let prod = cctx.multiply_relin(&cct, &cct, &crk).unwrap();
         let scaled = cctx.rescale(&prod).unwrap();
         let r1 = cctx.rotate(&scaled, 1, &cgks).unwrap();
         let r2 = cctx.rotate(&r1, 2, &cgks).unwrap();
-        *out ^= r2.part(0).row(0)[0];
+        // The shared double-hoisted dot, operands encoded on the way in.
+        let dot = Ckks::dot_diagonals(&cctx, &cct, &diagonals, &cgks).unwrap();
+        *out ^= r2.part(0).row(0)[0] ^ dot.part(0).row(0)[0];
     };
 
     // The property must hold on the plain-loop path and through the `par`

@@ -101,6 +101,10 @@ pub struct EvalCacheStats {
     /// (`misses` = real encodes; evicted programs take their counters
     /// with them).
     pub operands: CacheCounters,
+    /// Fused dot groups in the execution schedules of the resident
+    /// programs ([`CompiledProgram::fused_groups`]): zero means every
+    /// rotation of every resident program key-switches on its own.
+    pub fused_groups: u64,
 }
 
 /// The server's global artifact cache (see module docs).
@@ -184,27 +188,23 @@ impl ServeCache {
 
     /// Aggregated counters (see [`EvalCacheStats`]).
     pub fn stats(&self) -> EvalCacheStats {
-        let mut programs = CacheCounters::default();
-        let mut operands = CacheCounters::default();
-        {
-            let bfv = lock(&self.bfv);
-            programs.absorb(&bfv.counters());
-            for prog in bfv.values() {
-                operands.absorb(&prog.operands.counters());
-            }
-        }
-        {
-            let ckks = lock(&self.ckks);
-            programs.absorb(&ckks.counters());
-            for prog in ckks.values() {
-                operands.absorb(&prog.operands.counters());
-            }
-        }
-        EvalCacheStats {
-            programs,
+        let mut stats = EvalCacheStats {
             compiles: *lock(&self.compiles),
-            operands,
+            ..EvalCacheStats::default()
+        };
+        fn absorb<S: CompilerScheme>(
+            stats: &mut EvalCacheStats,
+            slot: &OperandCache<ProgramKey, Arc<CachedProgram<S>>>,
+        ) {
+            stats.programs.absorb(&slot.counters());
+            for prog in slot.values() {
+                stats.operands.absorb(&prog.operands.counters());
+                stats.fused_groups += prog.compiled.fused_groups() as u64;
+            }
         }
+        absorb(&mut stats, &lock(&self.bfv));
+        absorb(&mut stats, &lock(&self.ckks));
+        stats
     }
 }
 

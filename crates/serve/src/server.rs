@@ -179,7 +179,8 @@ impl ServeStats {
                 "\"eval\":{{\"setups\":{},\"requests\":{},\"need_program\":{},",
                 "\"errors\":{},\"journal_queries\":{}}},",
                 "\"cache\":{{\"program_hits\":{},\"program_misses\":{},",
-                "\"compiles\":{},\"operand_hits\":{},\"operand_misses\":{}}},",
+                "\"compiles\":{},\"operand_hits\":{},\"operand_misses\":{},",
+                "\"fused_groups\":{}}},",
                 "\"sched\":{{\"jobs\":{},\"batches\":{},\"coalesced\":{},",
                 "\"max_batch\":{},\"queue_wait_us\":{},\"run_us\":{},",
                 "\"held_rounds\":{}}},",
@@ -212,6 +213,7 @@ impl ServeStats {
             cache.compiles,
             cache.operands.hits,
             cache.operands.misses,
+            cache.fused_groups,
             s.jobs,
             s.batches,
             s.coalesced,
@@ -761,6 +763,7 @@ mod tests {
             "\"bad_frames\":",
             "\"upload_bytes\":",
             "\"eval\":{",
+            "\"operand_misses\":0,\"fused_groups\":0}",
             "\"sched\":{",
             "\"queue_wait_us\":",
             "\"run_us\":",

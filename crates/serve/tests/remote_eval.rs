@@ -142,6 +142,9 @@ fn all_workloads_are_bit_identical_remote_vs_local_bfv() {
     assert_eq!(stats.eval.cache.compiles, 4);
     assert_eq!(stats.eval.counters.requests, 16);
     assert_eq!(stats.eval.counters.errors, 0);
+    // Three of them hold one dot chain; the distance kernel holds none.
+    assert_eq!(stats.eval.cache.fused_groups, 3);
+    assert!(stats.to_json_line().contains("\"fused_groups\":3}"));
 }
 
 #[test]
