@@ -25,6 +25,7 @@ cargo test -q --workspace
 
 echo "==> parallel/sequential equivalence suite (CHOCO_THREADS=1)"
 # prop_choco: the executor's fused dot groups against their unfused twins.
+# prop_he: an M-output fused dot against M one-output dots, byte for byte.
 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_THREADS=1 cargo test -q -p choco-he --test prop_he
 CHOCO_THREADS=1 cargo test -q -p choco --test prop_choco
@@ -110,13 +111,19 @@ done
 speedup=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' /tmp/bench_serve_batch.json)
 echo "ci: batch-4 / sequential throughput ${speedup}x on $(nproc) cores (reported, not gated)"
 
-echo "==> kernel bench reporter (smoke mode + fusion, generic-core, simd and par gates)"
+echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd and par gates)"
 # Besides the kernel timings, bench_kernels asserts that what is fused beats
 # its unfused twin by >= 1.5x: the double-hoisted matvec against the
 # per-rotation composition under BFV (set B) and CKKS (set C), and the
 # compiled-program executor on pagerank (set A) and the conv layer (set C)
 # against the same program with every interior node declared an output,
-# which the fusion plan must then run node by node. It asserts that BFV's
+# which the fusion plan must then run node by node. Two DNN-layer kernels
+# are gated the same way at set B, each against the plainer way to call the
+# one dot kernel: a conv layer's 8 output channels through one shared
+# hoisted pass (`conv_layer_shared`) against eight one-output passes
+# (>= 1.2x — the operand encodes both sides pay are most of the rest), and
+# the 10 x 128 FC through the hybrid matvec (`matvec_hybrid`, 16 diagonals +
+# 3 folds) against its 128 full diagonals (>= 2.0x). It asserts that BFV's
 # scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
 # hand-inlined twin — the generic protocol core is monomorphized, so any
 # measurable gap is a regression (CKKS has no such twin any more: its

@@ -23,6 +23,7 @@ use crate::dnn::{conv_rotation_steps, conv_taps};
 use crate::pagerank::pagerank_rotation_steps;
 use crate::pipeline::{all_rotation_steps, LenetLikeSpec};
 use choco::compiler::Program;
+use choco::linalg::matvec_hybrid_shape;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 
@@ -66,16 +67,19 @@ pub fn all_workloads() -> Vec<WorkloadCircuit> {
     ]
 }
 
-/// The pipeline's encrypted fully-connected stage: a diagonal-method
-/// matvec over `fc_inputs` features (one rotation + plaintext multiply per
-/// diagonal, rotate-and-accumulate) followed by a plaintext bias add.
-/// Multiplicative depth 1.
+/// The pipeline's encrypted fully-connected stage: the hybrid matvec of
+/// [`choco::linalg::matvec_diagonals`] over a `classes × fc_inputs` matrix
+/// at the kernel's own split ([`matvec_hybrid_shape`]) — one rotation +
+/// plaintext multiply per extended diagonal, accumulated, then one
+/// rotate-add per fold — followed by a plaintext bias add. Multiplicative
+/// depth 1.
 pub fn pipeline_program(spec: &LenetLikeSpec) -> Program {
     let m = spec.fc_inputs();
+    let (depth, folds) = matvec_hybrid_shape(spec.classes, m);
     let mut prog = Program::new();
     let x = prog.input("activations");
     let mut acc = None;
-    for d in 0..m {
+    for d in 0..depth {
         let diag: Vec<f64> = (0..m).map(|j| (((j + d) % 16) + 1) as f64).collect();
         let c = prog.constant(&diag);
         let rot = if d == 0 { x } else { prog.rotate(x, d as i64) };
@@ -85,7 +89,11 @@ pub fn pipeline_program(spec: &LenetLikeSpec) -> Program {
             Some(a) => prog.add(a, term),
         });
     }
-    let sum = acc.unwrap_or(x);
+    let mut sum = acc.unwrap_or(x);
+    for step in folds {
+        let r = prog.rotate(sum, step as i64);
+        sum = prog.add(sum, r);
+    }
     let bias: Vec<f64> = (0..m).map(|j| (j % 7) as f64).collect();
     let b = prog.constant(&bias);
     let out = prog.add_plain(sum, b);
@@ -236,14 +244,17 @@ mod tests {
 
     #[test]
     fn the_executor_fuses_exactly_the_dot_chain_of_each_workload() {
-        // A chain of m terms over one ciphertext — the diagonal-method
+        // A chain of m terms over one ciphertext — the diagonals of a
         // matvec, the tap sum of a convolution — is one group covering its
-        // m − 1 adds, m products, m rescales and m − 1 rotations. The conv
-        // layer's two channel folds and every rotation of the distance
-        // kernel rotate the running accumulator, and stay nodes.
-        let m = LenetLikeSpec::tiny().fc_inputs();
+        // m − 1 adds, m products, m rescales and m − 1 rotations. The FC
+        // matvec's and the conv layer's two folds each, and every rotation
+        // of the distance kernel, rotate the running accumulator and stay
+        // nodes.
+        let spec = LenetLikeSpec::tiny();
+        let (depth, folds) = matvec_hybrid_shape(spec.classes, spec.fc_inputs());
+        assert_eq!((depth, folds), (4, vec![8, 4]));
         let want = [
-            ("pipeline", 1, 4 * m - 2),
+            ("pipeline", 1, 4 * depth - 2),
             ("dnn_conv", 1, 4 * 9 - 2),
             ("pagerank", 1, 4 * 8 - 2),
             ("distance", 0, 0),

@@ -16,6 +16,9 @@
 //! A real encrypted convolution layer ([`run_encrypted_conv_layer`])
 //! exercises the full stack (packing → encryption → server conv →
 //! accumulation → decryption → unpacking) against a plaintext reference.
+//! The server convolves once per input ciphertext for the whole layer:
+//! every output channel rides the same hoisted tap rotations
+//! ([`ResumableConvLayer`]).
 
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
@@ -28,6 +31,7 @@ use choco::transport::{Channel, Session, TransportError};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError, HeScheme};
+use std::collections::VecDeque;
 
 /// One layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -761,21 +765,31 @@ pub fn conv2d_plain_circular(
 
 const CONV_MAGIC: &[u8; 4] = b"RCV1";
 
-/// One encrypted convolution layer as a channel-granular state machine:
+/// One encrypted convolution layer as a step-granular state machine:
 /// step 0 packs + encrypts + uploads the stacked input; each later step
-/// computes one output channel server-side (watchdog guard → filter taps →
-/// stacked conv → channel accumulation), downloads it and extracts the
-/// feature map.
+/// downloads one output channel and extracts its feature map. The server
+/// work is **one pass per input ciphertext for the whole layer**, run by
+/// the first download step: watchdog guard → compute tick → every output
+/// channel's filter taps over one shared set of hoisted rotations
+/// ([`stacked_conv`]) → per-output channel accumulation. The output
+/// ciphertexts wait server-side until their step downloads them.
 ///
 /// The input normally fits one ciphertext;
 /// [`run_encrypted_conv_layer_multi`] builds the same machine over several
 /// channel groups, one ciphertext each, whose per-group partial sums (all
 /// aligned at channel block 0) are added server-side before the download.
 ///
-/// Because the input ciphertexts live on the (crashed) server across
-/// steps, resuming requires [`recover`](ResumableWorkload::recover), which
-/// re-uploads them billed to `recovery_bytes` — never re-encrypting, so
-/// the client RNG stream stays on the uninterrupted run's schedule.
+/// Because the input ciphertexts — and the outputs not yet downloaded —
+/// live on the (crashed) server across steps, resuming requires
+/// [`recover`](ResumableWorkload::recover), which re-uploads the inputs
+/// billed to `recovery_bytes` — never re-encrypting, so the client RNG
+/// stream stays on the uninterrupted run's schedule. The waiting outputs
+/// are not checkpointed: the next step recomputes the pass from the
+/// re-uploaded inputs for the channels still to come (bit-identical — an
+/// output does not depend on which others share its pass) and does *not*
+/// guard again: the checkpointed inputs already are what the first pass's
+/// guard left, and a second refresh would draw client randomness the
+/// uninterrupted run never drew.
 #[derive(Debug, Clone)]
 pub struct ResumableConvLayer {
     /// Input channels partitioned into equally sized groups, one
@@ -788,6 +802,10 @@ pub struct ResumableConvLayer {
     /// The input ciphertexts as the server holds them (empty = not yet
     /// uploaded). A guard that refreshes replaces its entry.
     resident: Vec<Ciphertext>,
+    /// Server-side: the output ciphertexts of the channels not yet
+    /// downloaded, next first (empty = the pass has to run). Not part of
+    /// [`progress`](ResumableWorkload::progress).
+    pending: VecDeque<Ciphertext>,
     maps: Vec<Vec<u64>>,
     last_reply: Option<Ciphertext>,
 }
@@ -837,6 +855,7 @@ impl ResumableConvLayer {
             w,
             f,
             resident: Vec::new(),
+            pending: VecDeque::new(),
             maps: Vec::new(),
             last_reply: None,
         })
@@ -857,12 +876,54 @@ impl ResumableConvLayer {
     pub fn maps(&self) -> &[Vec<u64>] {
         &self.maps
     }
+
+    /// The layer's server work for every output channel not yet downloaded:
+    /// per input group one compute tick, one shared-rotation convolution
+    /// and the per-output channel accumulation, the groups' partials summed
+    /// per output. The watchdog checks each input's remaining budget before
+    /// its pass — on the layer's first pass only (see the type docs).
+    fn server_pass<C: Channel>(
+        &mut self,
+        session: &mut Session<Bfv, C>,
+        layout: &StackedLayout,
+    ) -> Result<VecDeque<Ciphertext>, TransportError> {
+        let per_ct = self.per_ct();
+        let first_pass = self.maps.is_empty();
+        let remaining = self.weights.iter().skip(self.maps.len());
+        let mut totals: Vec<Ciphertext> = Vec::new();
+        for (g, at_server) in self.resident.iter_mut().enumerate() {
+            if first_pass {
+                *at_server = session.guard(at_server)?;
+            }
+            session.compute_tick()?;
+            let taps: Vec<Vec<ConvTap>> = remaining
+                .clone()
+                .map(|out_weights| conv_taps(out_weights, g * per_ct, per_ct, self.f, self.w))
+                .collect();
+            let server = session.server();
+            let partials = stacked_conv(server, at_server, layout, &taps)?
+                .iter()
+                .map(|conv| accumulate_channels(server, conv, layout))
+                .collect::<Result<Vec<_>, HeError>>()?;
+            totals = if totals.is_empty() {
+                partials
+            } else {
+                totals
+                    .iter()
+                    .zip(&partials)
+                    .map(|(total, partial)| server.add(total, partial))
+                    .collect::<Result<_, HeError>>()?
+            };
+        }
+        Ok(totals.into())
+    }
 }
 
 impl ResumableWorkload for ResumableConvLayer {
     type Scheme = Bfv;
 
-    /// Runs the next step: the initial upload, or one output channel.
+    /// Runs the next step: the initial upload, or one output channel's
+    /// download (the first of which runs the layer's server pass).
     /// A layer too large for its ciphertexts is [`HeError::Mismatch`].
     fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
         if self.is_done() {
@@ -887,25 +948,15 @@ impl ResumableWorkload for ResumableConvLayer {
             return Ok(());
         }
 
-        // Server: stacked conv + accumulation for this output channel, the
-        // watchdog checking each input's remaining budget before its pass.
-        let per_ct = self.per_ct();
-        let out_weights = &self.weights[self.maps.len()];
-        let mut total: Option<Ciphertext> = None;
-        for (g, at_server) in self.resident.iter_mut().enumerate() {
-            *at_server = session.guard(at_server)?;
-            session.compute_tick()?;
-            let taps = conv_taps(out_weights, g * per_ct, per_ct, self.f, self.w);
-            let conv = stacked_conv(session.server(), at_server, &layout, &taps)?;
-            let acc = accumulate_channels(session.server(), &conv, &layout)?;
-            total = Some(match total {
-                None => acc,
-                Some(t) => session.server().add(&t, &acc)?,
-            });
+        if self.pending.is_empty() {
+            self.pending = self.server_pass(session, &layout)?;
         }
-        let total =
-            total.ok_or_else(|| HeError::Mismatch("conv layer has no channel groups".into()))?;
-        let back = session.download(&total)?;
+        let next = self
+            .pending
+            .front()
+            .ok_or_else(|| HeError::Mismatch("conv layer has no channel groups".into()))?;
+        let back = session.download(next)?;
+        self.pending.pop_front();
         let slots = session.client_mut().decrypt_slots(&back)?;
         self.maps.push(layout.extract(&slots)[0].clone());
         self.last_reply = Some(back);
@@ -917,7 +968,8 @@ impl ResumableWorkload for ResumableConvLayer {
 
     /// Re-uploads the resident input ciphertexts through
     /// [`Session::recover_upload`] (billed to `recovery_bytes`), if the
-    /// upload step had completed.
+    /// upload step had completed. The next step recomputes the outputs that
+    /// were waiting server-side.
     fn recover<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
         for at_server in &mut self.resident {
             *at_server = session.recover_upload(&Bfv::ct_to_wire(at_server))?;
@@ -955,6 +1007,7 @@ impl ResumableWorkload for ResumableConvLayer {
             return Err(bad_progress("channel maps recorded before any upload"));
         }
         self.resident = resident;
+        self.pending = VecDeque::new();
         self.maps = maps;
         self.last_reply = last_reply;
         Ok(self)
@@ -970,8 +1023,8 @@ impl ResumableWorkload for ResumableConvLayer {
 /// per-output-channel feature maps.
 ///
 /// Every ciphertext crosses the session's framed channels with retries, and
-/// the noise watchdog guards the input ciphertext before each output
-/// channel's server-side work. Over a
+/// the noise watchdog guards each input ciphertext once, before the layer's
+/// server pass. Over a
 /// [`DirectChannel`](choco::transport::DirectChannel) link this *is* the
 /// fault-free path, with identical primary ledger counters.
 ///

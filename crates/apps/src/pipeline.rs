@@ -20,7 +20,7 @@ use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, put_u64s, read_ct,
     read_maps, read_u64s, ResumableWorkload,
 };
-use choco::linalg::{matvec_diagonals, replicate_for_matvec};
+use choco::linalg::{matvec_diagonals, matvec_rotation_steps, replicate_for_matvec};
 use choco::protocol::CommLedger;
 use choco::transport::{Channel, LinkConfig, Session, TransportError, WireCursor};
 use choco_he::bfv::Ciphertext;
@@ -116,13 +116,16 @@ pub struct PipelineRun {
 }
 
 /// All rotation steps any pipeline stage needs, provisioned once (offline
-/// setup). Public so chaos harnesses can provision a session before
+/// setup): each conv layer's taps and channel folds, and the FC matvec's
+/// own step list for its `classes × fc_inputs` shape
+/// ([`matvec_rotation_steps`] — diagonals and folds, not one key per
+/// column). Public so chaos harnesses can provision a session before
 /// stepping a [`ResumablePipeline`] through it.
 pub fn all_rotation_steps(spec: &LenetLikeSpec, row: usize) -> Vec<i64> {
     let p1 = spec.img / 2;
     let mut steps = conv_rotation_steps(1, spec.img, spec.img, spec.filter);
     steps.extend(conv_rotation_steps(spec.conv1_ch, p1, p1, spec.filter));
-    steps.extend(1..spec.fc_inputs() as i64);
+    steps.extend(matvec_rotation_steps(spec.classes, spec.fc_inputs()));
     steps.sort_unstable();
     steps.dedup();
     steps.retain(|&s| s != 0 && s.unsigned_abs() < row as u64);
@@ -420,8 +423,8 @@ mod tests {
     #[test]
     fn pipeline_rotation_steps_cover_fc_matvec_rotations() {
         // The pipeline's FC-stage compiler-IR twin requests one rotation
-        // per matvec diagonal; the all-stage provisioning list must be a
-        // superset.
+        // per extended diagonal and one per fold of the hybrid matvec; the
+        // all-stage provisioning list must be a superset.
         use crate::circuits::pipeline_program;
         use choco::compiler::{compile, CompilerOptions};
         let spec = LenetLikeSpec::tiny();
@@ -440,6 +443,23 @@ mod tests {
                 "FC matvec requests rotation {s} that all_rotation_steps does not advertise"
             );
         }
+    }
+
+    #[test]
+    fn fc_keys_follow_the_matvec_shape_not_the_feature_count() {
+        // The benchmark's network: 34 distinct tap shifts and 2 channel
+        // folds for the convs, and of the 10 × 128 FC's 18 steps (15
+        // diagonals + 3 folds) the 7 the convs do not already need — not
+        // one key per feature (146 steps).
+        let spec = LenetLikeSpec {
+            img: 16,
+            conv1_ch: 4,
+            conv2_ch: 8,
+            filter: 5,
+            classes: 10,
+        };
+        assert_eq!(spec.fc_inputs(), 128);
+        assert_eq!(all_rotation_steps(&spec, 2048).len(), 43);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! * [`crate::pagerank::ResumablePagerank`] — one refresh burst per step
 //!   (BFV or CKKS);
 //! * [`crate::dnn::ResumableConvLayer`] — one upload step, then one output
-//!   channel per step; after a resume its
-//!   [`recover`](ResumableWorkload::recover) re-uploads the server-resident
-//!   input ciphertexts, billed to [`choco::CommLedger::recovery_bytes`];
+//!   channel's download per step (the first runs the layer's one server
+//!   pass); after a resume its [`recover`](ResumableWorkload::recover)
+//!   re-uploads the server-resident input ciphertexts, billed to
+//!   [`choco::CommLedger::recovery_bytes`], and the next step recomputes the
+//!   outputs that were waiting server-side;
 //! * [`crate::pipeline::ResumablePipeline`] — one network stage per step
 //!   (conv1, conv2, FC), the FC output sentinel-checked via
 //!   [`Session::download_checked`];

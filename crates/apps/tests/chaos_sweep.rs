@@ -240,6 +240,72 @@ fn chaos_conv_layer_bfv_with_forced_refreshes() {
     );
 }
 
+/// A crash between two downloads of one layer. The outputs still waiting
+/// server-side die with the server and are in no checkpoint: the resumed
+/// run re-uploads the (already refreshed) input, recomputes the pass for
+/// the channels still to come and must *not* guard again — under the forced
+/// floor a second guard would refresh a second time and draw client
+/// randomness the uninterrupted run never drew.
+#[test]
+fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
+    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+    let input: Vec<Vec<u64>> = (0..2)
+        .map(|c| (0..64).map(|i| (i * 5 + c + 1) % 16).collect())
+        .collect();
+    let weights: Vec<Vec<Vec<u64>>> = (0..3)
+        .map(|o| {
+            (0..2)
+                .map(|c| (0..9).map(|i| ((i + o * 3 + c) % 16) as u64).collect())
+                .collect()
+        })
+        .collect();
+    let steps = choco_apps::dnn::conv_rotation_steps(2, 8, 8, 3);
+    let make_session = || {
+        Session::<Bfv>::direct(&params, b"chaos-conv-mid", &steps)
+            .unwrap()
+            .with_refresh_floor(10_000.0)
+    };
+    let make_layer = || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap();
+
+    let mut session = make_session();
+    let mut base = make_layer();
+    base.run(&mut session).unwrap();
+    let base_ledger = *session.ledger();
+    assert_eq!(base_ledger.refresh_rounds, 1, "one guard per layer");
+    assert_eq!(session.op_count(CrashOp::Download), 4);
+    let base_encryptions = session.client_mut().encryption_count();
+
+    // Download 1 is the refresh's, 2 output channel 0, 3 output channel 1.
+    let mut session = make_session();
+    session.arm_crash(CrashPlan {
+        op: CrashOp::Download,
+        nth: 3,
+    });
+    let mut layer = make_layer();
+    let mut ckpt = session.checkpoint(&layer.progress());
+    let mut crashed_after = None;
+    while !layer.is_done() {
+        match layer.step(&mut session) {
+            Ok(()) => ckpt = session.checkpoint(&layer.progress()),
+            Err(TransportError::Crashed { .. }) => {
+                let channel = || Box::new(DirectChannel::new()) as Box<dyn Channel>;
+                let (resumed, progress) = Session::resume(&ckpt, channel(), channel()).unwrap();
+                session = resumed;
+                layer = make_layer().restore(&progress).unwrap();
+                crashed_after = Some(layer.maps().len());
+                layer.recover(&mut session).unwrap();
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert_eq!(crashed_after, Some(1), "crash fell between two downloads");
+    assert_eq!(layer.final_ct_wire(), base.final_ct_wire());
+    assert_eq!(layer.maps(), base.maps());
+    assert_primary_lines_match("conv/mid-layer", &base_ledger, session.ledger());
+    assert!(session.ledger().recovery_bytes > 0);
+    assert_eq!(session.client_mut().encryption_count(), base_encryptions);
+}
+
 #[test]
 fn chaos_pipeline_bfv() {
     let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();

@@ -1,0 +1,150 @@
+//! Cross-commit byte oracles for the two layer kernels a DNN round runs.
+//!
+//! The digests below were recorded on the commit *before* a conv layer's
+//! output channels shared one hoisted pass and before `matvec_diagonals`
+//! became the hybrid (rows-deep diagonals + folds) kernel; this file,
+//! unchanged, passed there. What they pin:
+//!
+//! * every ciphertext a conv layer downloads — one per output channel, in
+//!   order — is the ciphertext the per-output pass produced, bit for bit;
+//! * a matvec whose column count has no power-of-two factor to fold over
+//!   (square, or an odd column count) *is* the full-diagonal kernel, bit
+//!   for bit, under both schemes.
+//!
+//! Re-record them only for a change that means to move those bytes, and say
+//! so.
+
+use choco::linalg::{matvec_diagonals, replicate_for_matvec};
+use choco::protocol::Client;
+use choco::transport::Session;
+use choco_apps::dnn::{conv_rotation_steps, ResumableConvLayer};
+use choco_apps::resumable::ResumableWorkload;
+use choco_he::params::HeParams;
+use choco_he::{Bfv, Ckks, HeScheme};
+
+/// Short hex BLAKE3 digest of the concatenated wire blobs.
+fn digest(blobs: &[Vec<u8>]) -> String {
+    let mut h = choco_prng::blake3::Hasher::new();
+    for b in blobs {
+        h.update(b);
+    }
+    let hash = h.finalize();
+    hash[..8].iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Steps a conv layer to completion and digests every downloaded output
+/// ciphertext (the reply of each step after the upload), in order.
+fn conv_layer_digest(
+    params: &HeParams,
+    (in_ch, h, w, f, out_ch): (usize, usize, usize, usize, usize),
+) -> String {
+    let steps = conv_rotation_steps(in_ch, h, w, f);
+    let mut session = Session::<Bfv>::direct(params, b"cross-commit conv oracle", &steps).unwrap();
+    let input: Vec<Vec<u64>> = (0..in_ch)
+        .map(|c| (0..h * w).map(|i| ((i * 7 + c * 3) % 16) as u64).collect())
+        .collect();
+    let weights: Vec<Vec<Vec<u64>>> = (0..out_ch)
+        .map(|o| {
+            (0..in_ch)
+                .map(|c| {
+                    (0..f * f)
+                        .map(|i| ((i + 5 * o + 2 * c) % 16) as u64)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let mut layer = ResumableConvLayer::new(&input, &weights, h, w, f).unwrap();
+    let mut replies = Vec::new();
+    while !layer.is_done() {
+        layer.step(&mut session).unwrap();
+        let reply = layer.final_ct_wire();
+        if !reply.is_empty() {
+            replies.push(reply);
+        }
+    }
+    assert_eq!(replies.len(), out_ch, "one download per output channel");
+    assert_eq!(layer.maps().len(), out_ch);
+    digest(&replies)
+}
+
+#[test]
+fn conv_layer_output_bytes_are_those_of_the_per_output_pass() {
+    let small = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+    assert_eq!(
+        conv_layer_digest(&small, (4, 8, 8, 3, 3)),
+        "24ebc7b93035bc3a"
+    );
+    // The benchmark's conv2 shape at its parameter set.
+    assert_eq!(
+        conv_layer_digest(&HeParams::set_b(), (4, 8, 8, 5, 8)),
+        "b7ef04bbd60350ab"
+    );
+}
+
+/// `matrix · x` through `matvec_diagonals` from one fixed seed; the digest
+/// of the result ciphertext's wire.
+fn matvec_digest<S: HeScheme>(
+    params: &HeParams,
+    matrix: &[Vec<S::Value>],
+    x: &[S::Value],
+) -> String {
+    let mut client = Client::<S>::new(params, b"cross-commit matvec oracle").unwrap();
+    let steps: Vec<i64> = (1..x.len() as i64).collect();
+    let server = client.provision_server(&steps).unwrap();
+    let ct = client
+        .encrypt(&replicate_for_matvec(x, server.slot_width()))
+        .unwrap();
+    let y = matvec_diagonals(&server, &ct, matrix).unwrap();
+    digest(&[S::ct_to_wire(&y)])
+}
+
+#[test]
+fn matvec_with_nothing_to_fold_is_the_full_diagonal_kernel_byte_for_byte() {
+    let ints = |rows: usize, cols: usize| -> Vec<Vec<u64>> {
+        (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| ((r * 5 + c * 3 + 1) % 16) as u64)
+                    .collect()
+            })
+            .collect()
+    };
+    let reals = |rows: usize, cols: usize| -> Vec<Vec<f64>> {
+        (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| ((r * 5 + c * 3) % 9) as f64 / 8.0 - 0.5)
+                    .collect()
+            })
+            .collect()
+    };
+    let bfv = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+    let ckks = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
+    let x8: Vec<u64> = (0..8).map(|i| (i * 3 + 2) % 16).collect();
+    let x7: Vec<u64> = x8[..7].to_vec();
+    let r8: Vec<f64> = (0..8).map(|i| i as f64 / 4.0 - 1.0).collect();
+    // Square (PageRank's shape): a power of two and an odd prime.
+    assert_eq!(
+        matvec_digest::<Bfv>(&bfv, &ints(8, 8), &x8),
+        "9d9c1df458b13cf1"
+    );
+    assert_eq!(
+        matvec_digest::<Bfv>(&bfv, &ints(7, 7), &x7),
+        "7304b09042323051"
+    );
+    assert_eq!(
+        matvec_digest::<Ckks>(&ckks, &reals(8, 8), &r8),
+        "759cb48a29a0e9fe"
+    );
+    // Short and wide over an odd column count: still nothing to fold.
+    assert_eq!(
+        matvec_digest::<Bfv>(&bfv, &ints(3, 7), &x7),
+        "0682ad28c059b7e9"
+    );
+    // The paper's parameter set for the served PageRank.
+    assert_eq!(
+        matvec_digest::<Bfv>(&HeParams::set_a(), &ints(8, 8), &x8),
+        "b4051412c2a19ca7"
+    );
+}

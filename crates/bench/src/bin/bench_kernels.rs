@@ -7,20 +7,24 @@
 //! double-hoisted dot, and the compiled-program executor on the two served
 //! programs that contain a dot group against the same program with every
 //! interior node declared an output (which the fusion plan then leaves
-//! alone) — and reports the speedups. Every ratio the binary asserts on is
-//! taken from the best of three interleaved windows per side, in smoke mode
-//! too. It also times the scheme-generic [`HeScheme::dot_diagonals`] entry
-//! point against a hand-inlined twin for BFV, and fails (exit 1) if the
-//! trait indirection costs more than measurement noise — the generic core
-//! is monomorphized, so there is no dyn dispatch to pay for. A simd section
+//! alone), a conv layer's eight output channels through one shared hoisted
+//! pass against eight one-output passes, and the 10 × 128 FC through the
+//! hybrid matvec against its 128 full diagonals — and reports the speedups.
+//! Every ratio the binary asserts on is taken from the best of three
+//! interleaved windows per side, in smoke mode too. It also times the
+//! scheme-generic [`HeScheme::dot_diagonals`] entry point against a
+//! hand-inlined twin for BFV, and fails (exit 1) if the trait indirection
+//! costs more than measurement noise — the generic core is monomorphized,
+//! so there is no dyn dispatch to pay for. A simd section
 //! times every kernel `choco_math::simd` vectorizes against its scalar twin
 //! and fails on one the vector code does not speed up; the RNS multiply and
 //! decrypt are gated the same way against the reference (at least 3.0x and
 //! 2.0x), the fused matvec and the fused executor against their unfused
-//! twins (at least 1.5x). A `par` section times the worker pool's dispatch cost
-//! and every call site still routed through it against its own one-thread
-//! loop, and fails on a site the pool does not speed up (skipped, with a
-//! note, while the host is not running two threads faster than one).
+//! twins (at least 1.5x), the shared conv pass and the hybrid matvec against
+//! theirs (at least 1.2x and 2.0x). A `par` section times the worker pool's
+//! dispatch cost and every call site still routed through it against its own
+//! one-thread loop, and fails on a site the pool does not speed up (skipped,
+//! with a note, while the host is not running two threads faster than one).
 //! `--json <path>` additionally writes a machine-readable
 //! report (the committed baseline lives in `BENCH_kernels.json`);
 //! `--smoke` shrinks the measurement windows so CI can run the reporter
@@ -30,6 +34,10 @@
 use std::hint::black_box;
 
 use choco::compiler::{compile, CompilerOptions, CompilerScheme, ExecCache, NodeId, Op, Program};
+use choco::linalg::{matvec_diagonals, replicate_for_matvec, stacked_conv, ConvTap};
+use choco::protocol::Client;
+use choco::rotation::RedundantLayout;
+use choco::stacking::StackedLayout;
 use choco_apps::circuits::{dnn_conv_program, pagerank_program};
 use choco_apps::remote::workload_options;
 use choco_bench::{header, measure, note, time_str};
@@ -550,6 +558,85 @@ fn main() {
     });
     let bfv_overhead = record_twins(&mut entries, "bfv_matvec", ["direct", "generic"], timings);
 
+    header("DNN layer kernels, as `lenet_direct` calls them (BFV set B)");
+    // conv2's shape: 4 stacked 8x8 channels, a 5x5 filter (25 taps), 8 output
+    // channels. The twin is the same function called once per output — what
+    // the layer did before its outputs shared one pass.
+    let layout = StackedLayout::new(4, RedundantLayout::new(64, 2 * 9));
+    let tap_shifts: Vec<i64> = (-2..=2)
+        .flat_map(|dy| (-2..=2).map(move |dx| dy * 8 + dx))
+        .collect();
+    let mut fc_steps: Vec<i64> = (1..128).collect();
+    fc_steps.extend(tap_shifts.iter().filter(|s| **s < 0));
+    let mut lclient = Client::<Bfv>::new(&params, b"bench kernels layers").unwrap();
+    let lserver = lclient.provision_server(&fc_steps).unwrap();
+    let conv_outputs: Vec<Vec<ConvTap>> = (0..8u64)
+        .map(|o| {
+            let tap = |(k, &shift)| ConvTap {
+                shift,
+                channel_weights: (0..4).map(|c| (k as u64 + o + 2 * c) % 16).collect(),
+            };
+            tap_shifts.iter().enumerate().map(tap).collect()
+        })
+        .collect();
+    let channels: Vec<Vec<u64>> = (0..4)
+        .map(|c| (0..64).map(|i| (i * 7 + c * 3) % 16).collect())
+        .collect();
+    let conv_ct = lclient.encrypt_slots(&layout.pack(&channels)).unwrap();
+    let timings = best_of_three(|side| {
+        measure(window_ms, || match side {
+            0 => black_box(stacked_conv(
+                &lserver,
+                black_box(&conv_ct),
+                &layout,
+                &conv_outputs,
+            ))
+            .unwrap(),
+            _ => conv_outputs
+                .chunks(1)
+                .flat_map(|one| stacked_conv(&lserver, black_box(&conv_ct), &layout, one).unwrap())
+                .collect(),
+        })
+    });
+    let conv_shared = record_twins(
+        &mut entries,
+        "conv_layer",
+        ["shared", "per_output"],
+        timings,
+    );
+    // The FC: 10 x 128. The twin is the square-matrix diagonal method the
+    // layer went through before: 128 diagonals, 10 non-zero slots each.
+    let fc: Vec<Vec<u64>> = (0..10)
+        .map(|r| (0..128).map(|c| (r * 5 + c * 3 + 1) % 16).collect())
+        .collect();
+    let full_diagonals: Vec<(i64, Vec<u64>)> = (0..128usize)
+        .map(|d| {
+            let mut diag = vec![0u64; lserver.slot_width()];
+            for (i, row) in fc.iter().enumerate() {
+                diag[i] = row[(i + d) % 128];
+            }
+            (d as i64, diag)
+        })
+        .collect();
+    let features: Vec<u64> = (0..128).map(|i| (i * 11 + 5) % 16).collect();
+    let fc_ct = lclient
+        .encrypt_slots(&replicate_for_matvec(&features, lserver.slot_width()))
+        .unwrap();
+    let timings = best_of_three(|side| {
+        measure(window_ms, || match side {
+            0 => matvec_diagonals(&lserver, black_box(&fc_ct), &fc).unwrap(),
+            _ => lserver
+                .dot_diagonals(black_box(&fc_ct), &full_diagonals)
+                .unwrap(),
+        })
+    });
+    let mv_hybrid = record_twins(
+        &mut entries,
+        "matvec",
+        ["hybrid", "full_diagonals"],
+        timings,
+    );
+
     header("kernel timings: CKKS diagonal matvec, fused vs per-rotation (set C, 8 diagonals)");
     let cparams = HeParams::set_c();
     let cctx = CkksContext::new(&cparams).unwrap();
@@ -696,6 +783,22 @@ fn main() {
             "{name} is {ratio:.2}x its unfused twin (gate: >= 1.5x)"
         );
     }
+    header(
+        "layer speedups (twin / candidate; gates: shared conv pass >= 1.2x, hybrid matvec >= 2.0x)",
+    );
+    let layer_speedups = [
+        ("conv_layer_shared_speedup", conv_shared, 1.2),
+        ("matvec_hybrid_speedup", mv_hybrid, 2.0),
+    ];
+    for (name, ratio, gate) in layer_speedups {
+        println!("{name:<34} {ratio:.2}x");
+        // Same rule: a layer kernel that does not beat the plainer way to
+        // call the one dot kernel is not worth its shape logic.
+        assert!(
+            ratio >= gate,
+            "{name} is {ratio:.2}x its twin (gate: >= {gate:.1}x)"
+        );
+    }
     header("simd speedups (scalar / simd; gate: every kernel >= 1.0x, forward NTT peak >= 2.0x)");
     for (name, ratio) in &simd_speedups {
         println!("{name:<34} {ratio:.2}x");
@@ -766,6 +869,7 @@ fn main() {
             ("par_capacity", capacity),
         ];
         derived.extend(fusion_speedups);
+        derived.extend(layer_speedups.map(|(name, ratio, _)| (name, ratio)));
         derived.extend(
             simd_speedups
                 .iter()

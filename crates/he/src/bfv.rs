@@ -838,7 +838,8 @@ impl Evaluator<'_> {
     }
 
     /// [`Evaluator::dot_rotations_plain`] over already-encoded operands
-    /// (owned or borrowed), drawn from an iterator.
+    /// (owned or borrowed), drawn from an iterator: the one-output case of
+    /// [`Evaluator::dot_rotations_many`].
     ///
     /// # Errors
     ///
@@ -850,10 +851,38 @@ impl Evaluator<'_> {
         terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
+        let terms = terms
+            .into_iter()
+            .map(|term| term.map(|(step, operand)| (step, [operand])));
+        self.dot_rotations_many(a, 1, terms, gk)?
+            .pop()
+            .ok_or_else(|| HeError::Mismatch("a fused dot needs an output".into()))
+    }
+
+    /// Several fused rotate-and-dots over the *same* rotations of `a` in one
+    /// pass: each term carries one operand per output, and output `o` is
+    /// `Σ_k rotate_rows(a, s_k) ⊙ operand_{k,o}` — bit for bit what
+    /// [`Evaluator::dot_rotations`] returns for that output's operands
+    /// alone, with every rotation's key switch paid once instead of once
+    /// per output ([`rlwe::dot_galois`]). The shape of a convolution layer:
+    /// the taps shift one resident input, every output channel weighs them
+    /// differently.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::dot_rotations`]; a term whose operand count is not
+    /// `outputs`, or `outputs == 0`, is [`HeError::Mismatch`].
+    pub fn dot_rotations_many<O: Borrow<DotOperand>, T: AsRef<[O]>>(
+        &self,
+        a: &Ciphertext,
+        outputs: usize,
+        terms: impl IntoIterator<Item = Result<(i64, T), HeError>>,
+        gk: &GaloisKeys,
+    ) -> Result<Vec<Ciphertext>, HeError> {
         let ctx = self.ctx;
         let terms = rlwe::terms_of_steps(terms, ctx.degree(), galois_element_rows);
-        let parts = rlwe::dot_galois(&a.parts, terms, gk, &ctx.full, &ctx.data)?;
-        Ok(Ciphertext { parts })
+        let outs = rlwe::dot_galois(&a.parts, outputs, terms, gk, &ctx.full, &ctx.data)?;
+        Ok(outs.into_iter().map(|parts| Ciphertext { parts }).collect())
     }
 
     /// Switches a ciphertext down one modulus level (drops the last data

@@ -594,7 +594,8 @@ impl CkksContext {
     /// ([`rlwe::dot_galois`]): one key-switch decomposition for every
     /// rotation, one key-switch rounding for the whole sum. Like
     /// [`CkksContext::multiply_plain`] it does not rescale: the result is at
-    /// `a`'s level with scale `a.scale · default_scale`.
+    /// `a`'s level with scale `a.scale · default_scale`. The one-output case
+    /// of [`CkksContext::dot_rotations_many`].
     ///
     /// # Errors
     ///
@@ -607,13 +608,40 @@ impl CkksContext {
         terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
         gk: &GaloisKeys,
     ) -> Result<CkksCiphertext, HeError> {
+        let terms = terms
+            .into_iter()
+            .map(|term| term.map(|(step, operand)| (step, [operand])));
+        self.dot_rotations_many(a, 1, terms, gk)?
+            .pop()
+            .ok_or_else(|| HeError::Mismatch("a fused dot needs an output".into()))
+    }
+
+    /// Several fused rotate-and-dots over the *same* rotations of `a` in one
+    /// pass: each term carries one operand per output, and output `o` is,
+    /// bit for bit, what [`CkksContext::dot_rotations`] returns for that
+    /// output's operands alone — every rotation's key switch is paid once
+    /// instead of once per output.
+    ///
+    /// # Errors
+    ///
+    /// As [`CkksContext::dot_rotations`]; a term whose operand count is not
+    /// `outputs`, or `outputs == 0`, is [`HeError::Mismatch`].
+    pub fn dot_rotations_many<O: Borrow<DotOperand>, T: AsRef<[O]>>(
+        &self,
+        a: &CkksCiphertext,
+        outputs: usize,
+        terms: impl IntoIterator<Item = Result<(i64, T), HeError>>,
+        gk: &GaloisKeys,
+    ) -> Result<Vec<CkksCiphertext>, HeError> {
         let terms = rlwe::terms_of_steps(terms, self.degree(), galois_element_ckks);
         let (ks_basis, basis) = self.bases_at(a.level)?;
-        Ok(CkksCiphertext {
-            parts: rlwe::dot_galois(&a.parts, terms, gk, ks_basis, basis)?,
+        let outs = rlwe::dot_galois(&a.parts, outputs, terms, gk, ks_basis, basis)?;
+        let at_level = |parts| CkksCiphertext {
+            parts,
             level: a.level,
             scale: a.scale * self.default_scale,
-        })
+        };
+        Ok(outs.into_iter().map(at_level).collect())
     }
 }
 

@@ -4,8 +4,9 @@
 //! keys are `(s, (−(a·s + e), a))`, public-key encryption is the paper's
 //! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), and every evaluation-key
 //! operation — Galois automorphism, hoisted multi-rotation, the fused
-//! double-hoisted rotate-and-dot ([`dot_galois`]), relinearization — is a
-//! key switch over a `(ks_basis, basis)` pair. This module holds that
+//! double-hoisted rotate-and-dot ([`dot_galois`]: one output, or several
+//! sharing every rotation's key switch), relinearization — is a key switch
+//! over a `(ks_basis, basis)` pair. This module holds that
 //! computation once, as plain functions over ciphertext *parts*
 //! (`&[RnsPoly]`) and the bases the calling context already owns. The
 //! schemes keep what differs: how a message becomes the polynomial `msg`
@@ -424,50 +425,63 @@ fn reduce_row(acc: &[u128], q: u64) -> Vec<u64> {
     out
 }
 
-/// Fused rotate-and-dot with *double hoisting*:
-/// `Σ_k σ_{e_k}(ct) ⊙ m_k` for Galois elements `e_k` of one 2-component
-/// ciphertext ([`IDENTITY_ELEMENT`] meaning the ciphertext itself) and
-/// plaintext factors `m_k`. The digit decomposition of `c1` is shared by
-/// every element (first hoisting: computed once, on the first element that
-/// needs a key switch); each switched term is multiplied by its factor and
-/// summed over the ks basis while it still carries the special-prime factor
-/// `P`, so the whole dot pays one rounded `mod_down` (second hoisting)
-/// instead of one per rotation; everything stays in the evaluation domain
-/// until one inverse transform per output row.
+/// Fused rotate-and-dot with *double hoisting*, for one or many outputs
+/// over the same rotations: `out_o = Σ_k σ_{e_k}(ct) ⊙ m_{k,o}` for Galois
+/// elements `e_k` of one 2-component ciphertext ([`IDENTITY_ELEMENT`]
+/// meaning the ciphertext itself) and, per term, one plaintext factor per
+/// output. The digit decomposition of `c1` is shared by every element (first
+/// hoisting: computed once, on the first element that needs a key switch);
+/// each switched term is multiplied by its factors and summed over the ks
+/// basis while it still carries the special-prime factor `P`, so a whole dot
+/// pays one rounded `mod_down` (second hoisting) instead of one per
+/// rotation; everything stays in the evaluation domain until one inverse
+/// transform per output row.
+///
+/// The outputs axis is what a layer with several output channels over one
+/// resident input needs: a term's Galois permutation, key-switch inner
+/// product and rotated `c0` rows are computed once and multiply-accumulated
+/// into every output's sums; only the sums, the `mod_down` and the inverse
+/// transforms are per output. Each output is, bit for bit, what the same
+/// call with that output's factors alone returns.
 ///
 /// Decrypts to what the `apply_galois` / multiply / add chain decrypts to,
 /// with less noise: one key-switch rounding for the sum instead of one per
 /// term, each scaled by its factor. Sums are exact (unreduced `u128` slots,
 /// flushed every 32 terms), so the output does not depend on the thread
 /// count. Terms arrive through an iterator so a caller with nothing cached
-/// can encode one operand at a time.
+/// can encode one term's operands at a time (no set of rotated ciphertexts
+/// is ever materialized either).
 ///
 /// # Errors
 ///
-/// [`HeError::Mismatch`] for no terms, parts not over `basis` or an operand
-/// not over `ks_basis`; [`HeError::InvalidCiphertext`] for non-2-component
-/// inputs; [`HeError::MissingGaloisKey`] if `gk` lacks an element; and the
-/// first error the term iterator yields.
-pub fn dot_galois<O: Borrow<DotOperand>>(
+/// [`HeError::Mismatch`] for no terms, no outputs, a term whose operand
+/// count is not `outputs`, parts not over `basis` or an operand not over
+/// `ks_basis`; [`HeError::InvalidCiphertext`] for non-2-component inputs;
+/// [`HeError::MissingGaloisKey`] if `gk` lacks an element; and the first
+/// error the term iterator yields.
+pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
     parts: &[RnsPoly],
-    terms: impl IntoIterator<Item = Result<(u64, O), HeError>>,
+    outputs: usize,
+    terms: impl IntoIterator<Item = Result<(u64, T), HeError>>,
     gk: &GaloisKeys,
     ks_basis: &RnsBasis,
     basis: &RnsBasis,
-) -> Result<Vec<RnsPoly>, HeError> {
+) -> Result<Vec<Vec<RnsPoly>>, HeError> {
     let (c0, c1) = two_parts(parts, basis)?;
     let mut terms = terms.into_iter().peekable();
-    if terms.peek().is_none() {
-        return Err(HeError::Mismatch("a fused dot needs terms".into()));
+    if terms.peek().is_none() || outputs == 0 {
+        return Err(HeError::Mismatch(
+            "a fused dot needs terms and an output".into(),
+        ));
     }
     let n = basis.degree();
     let mut c0_ntt = c0.clone();
     c0_ntt.ntt_forward(basis);
     let mut c1_ntt = c1.clone();
     c1_ntt.ntt_forward(basis);
-    // Per ks prime: the P-scaled key-switch sums; for the data primes also
-    // the ciphertext rows and the unswitched sums Σ m ⊙ σ(c0) and Σ m ⊙ c1
-    // (the latter from identity terms only).
+    // Per ks prime and output: the P-scaled key-switch sums; for the data
+    // primes also the ciphertext rows and the unswitched sums Σ m ⊙ σ(c0)
+    // and Σ m ⊙ c1 (the latter from identity terms only).
     struct DataRow<'a> {
         table: &'a NttTable,
         c0: &'a [u64],
@@ -479,29 +493,46 @@ pub fn dot_galois<O: Borrow<DotOperand>>(
         switched: (Vec<u128>, Vec<u128>),
         data: Option<DataRow<'a>>,
     }
-    let data_rows = basis.ntt_tables().iter().enumerate().map(|(i, table)| {
-        Some(DataRow {
-            table,
-            c0: c0_ntt.row(i),
-            c1: c1_ntt.row(i),
-            plain: (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n)),
-        })
-    });
-    let mut acc: Vec<RowAcc> = ks_basis
+    let zeroed = || (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n));
+    let data_rows = basis
+        .ntt_tables()
+        .iter()
+        .enumerate()
+        .map(|(i, table)| Some((table, c0_ntt.row(i), c1_ntt.row(i))));
+    // Outer axis: ks primes (the parallel one); inner: the outputs, side by
+    // side because they share each term's rotated rows.
+    let mut acc: Vec<Vec<RowAcc>> = ks_basis
         .primes()
         .iter()
-        .zip(data_rows.chain(std::iter::repeat_with(|| None)))
-        .map(|(&q, data)| RowAcc {
-            q,
-            switched: (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n)),
-            data,
+        .zip(data_rows.chain(std::iter::repeat(None)))
+        .map(|(&q, data)| {
+            let cell = |_| RowAcc {
+                q,
+                switched: zeroed(),
+                data: data.map(|(table, c0, c1)| DataRow {
+                    table,
+                    c0,
+                    c1,
+                    plain: zeroed(),
+                }),
+            };
+            (0..outputs).map(cell).collect()
         })
         .collect();
     let mut hoisted: Option<HoistedDigits> = None;
     for (term, next) in terms.enumerate() {
-        let (element, operand) = next?;
-        let factor = &operand.borrow().ntt;
-        if factor.row_count() != ks_basis.len() || factor.degree() != n {
+        let (element, operands) = next?;
+        let factors: Vec<&RnsPoly> = operands.as_ref().iter().map(|o| &o.borrow().ntt).collect();
+        if factors.len() != outputs {
+            return Err(HeError::Mismatch(format!(
+                "dot term {term} carries {} operands for {outputs} outputs",
+                factors.len()
+            )));
+        }
+        if let Some(factor) = factors
+            .iter()
+            .find(|f| f.row_count() != ks_basis.len() || f.degree() != n)
+        {
             return Err(HeError::Mismatch(format!(
                 "dot operand of {} residues × degree {} where the key-switch basis is {} × {n}",
                 factor.row_count(),
@@ -520,63 +551,87 @@ pub fn dot_galois<O: Borrow<DotOperand>>(
         };
         // Products stay below 2^122 (primes < 2^61): 32 fit a u128 slot.
         let flush = term > 0 && term % 32 == 0;
-        par::par_for_each_mut(&mut acc, |i, row| {
-            if flush {
-                let plain = row.data.as_mut().map(|d| &mut d.plain);
-                for sums in [Some(&mut row.switched), plain].into_iter().flatten() {
-                    for v in sums.0.iter_mut().chain(sums.1.iter_mut()) {
-                        *v %= row.q as u128;
+        par::par_for_each_mut(&mut acc, |i, cells| {
+            // σ(c0) over this prime: once per term, whatever the outputs.
+            let c0_row = cells
+                .first()
+                .and_then(|cell| cell.data.as_ref())
+                .map(|d| d.c0);
+            let rotated = switched.as_ref().zip(c0_row).map(|((_, _, perm), c0)| {
+                let mut rotated = PolyPool::take_scratch(n);
+                apply_galois_ntt(c0, perm, &mut rotated);
+                rotated
+            });
+            for (row, factor) in cells.iter_mut().zip(&factors) {
+                if flush {
+                    let plain = row.data.as_mut().map(|d| &mut d.plain);
+                    for sums in [Some(&mut row.switched), plain].into_iter().flatten() {
+                        for v in sums.0.iter_mut().chain(sums.1.iter_mut()) {
+                            *v %= row.q as u128;
+                        }
+                    }
+                }
+                let m = factor.row(i);
+                match &switched {
+                    None => {
+                        if let Some(d) = &mut row.data {
+                            mac(&mut d.plain.0, m, d.c0);
+                            mac(&mut d.plain.1, m, d.c1);
+                        }
+                    }
+                    Some((s0, s1, _)) => {
+                        mac(&mut row.switched.0, m, s0.row(i));
+                        mac(&mut row.switched.1, m, s1.row(i));
+                        if let (Some(d), Some(rotated)) = (&mut row.data, &rotated) {
+                            mac(&mut d.plain.0, m, rotated);
+                        }
                     }
                 }
             }
-            let m = factor.row(i);
-            match &switched {
-                None => {
-                    if let Some(d) = &mut row.data {
-                        mac(&mut d.plain.0, m, d.c0);
-                        mac(&mut d.plain.1, m, d.c1);
-                    }
-                }
-                Some((s0, s1, perm)) => {
-                    mac(&mut row.switched.0, m, s0.row(i));
-                    mac(&mut row.switched.1, m, s1.row(i));
-                    if let Some(d) = &mut row.data {
-                        let mut rotated = PolyPool::take_scratch(n);
-                        apply_galois_ntt(d.c0, perm, &mut rotated);
-                        mac(&mut d.plain.0, m, &rotated);
-                        PolyPool::recycle(rotated);
-                    }
-                }
+            if let Some(rotated) = rotated {
+                PolyPool::recycle(rotated);
             }
         });
     }
-    // Second hoisting: one rounded mod_down for the whole switched sum.
-    let down = |sums: Vec<Vec<u64>>| mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis);
-    let m0 = down(acc.iter().map(|r| reduce_row(&r.switched.0, r.q)).collect());
-    let m1 = down(acc.iter().map(|r| reduce_row(&r.switched.1, r.q)).collect());
-    let out = par::par_map(&acc, |i, row| {
-        let d = row.data.as_ref()?;
-        let finish = |plain: &[u128], down: &[u64]| {
-            let mut out = reduce_row(plain, row.q);
-            for (dst, &m) in out.iter_mut().zip(down) {
-                *dst = add_mod(*dst, m, row.q);
-            }
-            d.table.inverse(&mut out);
-            out
-        };
-        Some((finish(&d.plain.0, m0.row(i)), finish(&d.plain.1, m1.row(i))))
-    });
-    for row in acc {
-        for sums in [Some(row.switched), row.data.map(|d| d.plain)]
-            .into_iter()
-            .flatten()
-        {
-            PolyPool::recycle_u128(sums.0);
-            PolyPool::recycle_u128(sums.1);
+    // From here every output is on its own: regroup by output.
+    let mut by_output: Vec<Vec<RowAcc>> = (0..outputs)
+        .map(|_| Vec::with_capacity(acc.len()))
+        .collect();
+    for cells in acc {
+        for (rows, cell) in by_output.iter_mut().zip(cells) {
+            rows.push(cell);
         }
     }
-    let (rows0, rows1): (Vec<_>, Vec<_>) = out.into_iter().flatten().unzip();
-    Ok(vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)])
+    // Second hoisting: one rounded mod_down for an output's whole switched sum.
+    let down = |sums: Vec<Vec<u64>>| mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis);
+    let finish_output = |acc: Vec<RowAcc>| {
+        let m0 = down(acc.iter().map(|r| reduce_row(&r.switched.0, r.q)).collect());
+        let m1 = down(acc.iter().map(|r| reduce_row(&r.switched.1, r.q)).collect());
+        let out = par::par_map(&acc, |i, row| {
+            let d = row.data.as_ref()?;
+            let finish = |plain: &[u128], down: &[u64]| {
+                let mut out = reduce_row(plain, row.q);
+                for (dst, &m) in out.iter_mut().zip(down) {
+                    *dst = add_mod(*dst, m, row.q);
+                }
+                d.table.inverse(&mut out);
+                out
+            };
+            Some((finish(&d.plain.0, m0.row(i)), finish(&d.plain.1, m1.row(i))))
+        });
+        for row in acc {
+            for sums in [Some(row.switched), row.data.map(|d| d.plain)]
+                .into_iter()
+                .flatten()
+            {
+                PolyPool::recycle_u128(sums.0);
+                PolyPool::recycle_u128(sums.1);
+            }
+        }
+        let (rows0, rows1): (Vec<_>, Vec<_>) = out.into_iter().flatten().unzip();
+        vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)]
+    };
+    Ok(by_output.into_iter().map(finish_output).collect())
 }
 
 /// Folds the `s²`-keyed third component of `(c0, c1, c2)` back into a

@@ -694,6 +694,168 @@ fn ckks_fused_dot_bytes_are_stable_across_builds_and_backends() {
     assert_eq!(digest_of(&HeParams::set_c(), 9), "ae87937927406ae8");
 }
 
+/// Steps of a `terms`-term many-output case: the identity first, then
+/// `1..=24`, cycling (so 25 terms use every key once and 40 repeat some).
+fn many_output_steps(terms: usize) -> Vec<i64> {
+    (0..terms).map(|k| (k % 25) as i64).collect()
+}
+
+/// An `M`-output dot must equal `M` one-output dots of the same kernel,
+/// byte for byte: `one(o)` is output `o`'s wire computed alone, `many(m)`
+/// the wires of the first `m` outputs computed in one pass.
+fn assert_many_outputs_equal_single_outputs(
+    label: &str,
+    one: impl Fn(usize) -> Vec<u8>,
+    many: impl Fn(usize) -> Vec<Vec<u8>>,
+) {
+    let ones: Vec<Vec<u8>> = (0..8).map(one).collect();
+    assert!(ones[0] != ones[1], "{label}: outputs must differ to tell");
+    for m in [1usize, 4, 8] {
+        assert!(
+            many(m) == ones[..m],
+            "{label}: the {m}-output dot differs from {m} one-output dots"
+        );
+    }
+}
+
+/// The conv layer's pass: several output channels over one set of hoisted
+/// rotations. 25 terms (a 5 × 5 filter, the unrotated centre tap among them)
+/// and 40 (across the 32-term lazy-reduction flush), at a small ring and at
+/// the benchmark's set B. Runs under every `CHOCO_THREADS` × `CHOCO_SIMD`
+/// setting ci.sh runs this file with.
+#[test]
+fn bfv_many_output_dot_equals_one_output_dots_byte_for_byte() {
+    let small = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+    for (label, params, terms) in [
+        ("insecure-1024, 25 terms", &small, 25),
+        ("insecure-1024, 40 terms", &small, 40),
+        ("set B, 25 terms", &HeParams::set_b(), 25),
+    ] {
+        let ctx = BfvContext::new(params).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"many-output dot oracle");
+        let keys = ctx.keygen(&mut rng);
+        let key_steps: Vec<i64> = (1..25).collect();
+        let gk = ctx
+            .galois_keys(keys.secret_key(), &key_steps, &mut rng)
+            .unwrap();
+        let encoder = ctx.batch_encoder().unwrap();
+        let (t, n) = (ctx.plain_modulus(), ctx.degree() as u64);
+        let values: Vec<u64> = (0..n).map(|i| i * 7 % t).collect();
+        let ct = ctx
+            .encryptor(keys.public_key())
+            .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+        let eval = ctx.evaluator();
+        let steps = many_output_steps(terms);
+        // operands[k][o]: term k's factor for output o.
+        let operands: Vec<Vec<_>> = (0..terms as u64)
+            .map(|k| {
+                (0..8u64)
+                    .map(|o| {
+                        let w: Vec<u64> = (0..n).map(|i| (i * (k + 3) + o * o + k) % t).collect();
+                        eval.dot_operand(&encoder.encode(&w).unwrap()).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let terms_of = || steps.iter().copied().zip(&operands);
+        assert_many_outputs_equal_single_outputs(
+            label,
+            |o| {
+                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[o])));
+                ciphertext_to_bytes(&eval.dot_rotations(&ct, terms, &gk).unwrap())
+            },
+            |m| {
+                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[..m])));
+                let outs = eval.dot_rotations_many(&ct, m, terms, &gk).unwrap();
+                outs.iter().map(ciphertext_to_bytes).collect()
+            },
+        );
+    }
+}
+
+#[test]
+fn ckks_many_output_dot_equals_one_output_dots_byte_for_byte() {
+    let small = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+    for (label, params, terms) in [
+        ("insecure-1024, 25 terms", &small, 25),
+        ("insecure-1024, 40 terms", &small, 40),
+        ("set C, 25 terms", &HeParams::set_c(), 25),
+    ] {
+        let ctx = CkksContext::new(params).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"many-output dot oracle");
+        let keys = ctx.keygen(&mut rng);
+        let key_steps: Vec<i64> = (1..25).collect();
+        let gk = ctx
+            .galois_keys(keys.secret_key(), &key_steps, &mut rng)
+            .unwrap();
+        let slots = ctx.slot_count();
+        let values: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 4.0 - 2.0).collect();
+        let pt = ctx.encode(&values).unwrap();
+        let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let steps = many_output_steps(terms);
+        let operands: Vec<Vec<_>> = (0..terms)
+            .map(|k| {
+                (0..8)
+                    .map(|o| {
+                        let diag: Vec<f64> = (0..slots)
+                            .map(|i| ((i + 3 * k + 5 * o) % 9) as f64 / 8.0 - 0.5)
+                            .collect();
+                        ctx.dot_operand(&diag, ct.level()).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let terms_of = || steps.iter().copied().zip(&operands);
+        assert_many_outputs_equal_single_outputs(
+            label,
+            |o| {
+                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[o])));
+                Ckks::ct_to_wire(&ctx.dot_rotations(&ct, terms, &gk).unwrap())
+            },
+            |m| {
+                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[..m])));
+                let outs = ctx.dot_rotations_many(&ct, m, terms, &gk).unwrap();
+                outs.iter().map(Ckks::ct_to_wire).collect()
+            },
+        );
+    }
+}
+
+/// Operand lists arrive from callers that transpose taps into terms, and
+/// steps from wire programs: a list of the wrong length, no output at all
+/// and a step without a key are refused, not indexed past.
+#[test]
+fn many_output_dot_rejects_miscounted_operands_and_missing_keys() {
+    use choco_he::HeError;
+    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+    let ctx = BfvContext::new(&params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"many-output dot errors");
+    let keys = ctx.keygen(&mut rng);
+    let gk = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
+    let encoder = ctx.batch_encoder().unwrap();
+    let pt = encoder.encode(&[3, 1, 4]).unwrap();
+    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let eval = ctx.evaluator();
+    let op = eval.dot_operand(&pt).unwrap();
+    let dot = |outputs: usize, terms: &[(i64, &[&choco_he::rlwe::DotOperand])]| {
+        let terms = terms.iter().copied().map(Ok);
+        eval.dot_rotations_many(&ct, outputs, terms, &gk)
+    };
+    assert_eq!(
+        dot(2, &[(0, &[&op, &op]), (1, &[&op, &op])]).unwrap().len(),
+        2
+    );
+    let mismatch = |r: Result<Vec<Ciphertext>, HeError>| matches!(r, Err(HeError::Mismatch(_)));
+    assert!(mismatch(dot(2, &[(0, &[&op, &op]), (1, &[&op])])));
+    assert!(mismatch(dot(2, &[(0, &[&op, &op, &op])])));
+    assert!(mismatch(dot(0, &[(0, &[])])));
+    assert!(mismatch(dot(1, &[])));
+    assert!(matches!(
+        dot(2, &[(0, &[&op, &op]), (2, &[&op, &op])]),
+        Err(HeError::MissingGaloisKey(_))
+    ));
+}
+
 #[test]
 fn fused_dot_is_bit_identical_at_every_thread_count() {
     let bfv = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();

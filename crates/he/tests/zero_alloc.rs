@@ -1,8 +1,9 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
 //! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
-//! rotation, fused rotation dot products under both schemes, decryption)
-//! performs **zero fresh polynomial-buffer allocations** — every row and
-//! scratch buffer is served from the pool's free lists. The pool's global counters make this directly
+//! rotation, fused rotation dot products under both schemes — one output,
+//! and eight over shared rotations —, decryption) performs **zero fresh
+//! polynomial-buffer allocations** — every row and scratch buffer is served
+//! from the pool's free lists. The pool's global counters make this directly
 //! observable: over a warm evaluation loop, `fresh` must not move while
 //! `reused` must — on the plain-loop path (one thread) and through the `par`
 //! pool (two).
@@ -51,6 +52,12 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         })
         .collect();
 
+    // A conv layer's pass: 8 output channels over the same three rotations.
+    let operands: Vec<Vec<_>> = pairs
+        .iter()
+        .map(|(_, pt)| (0..8).map(|_| eval.dot_operand(pt).unwrap()).collect())
+        .collect();
+
     let bfv_round = |out: &mut u64| {
         // ct·ct multiply (base conversions in and out of the tensor
         // basis) + relinearization (key switch).
@@ -59,13 +66,18 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         let rots = eval.rotate_rows_many(&relin, &steps, &gks).unwrap();
         // Matvec kernel: double-hoisted rotation dot product + NTT dot.
         let fused = eval.dot_rotations_plain(&ct, &pairs, &gks).unwrap();
+        let terms = pairs
+            .iter()
+            .zip(&operands)
+            .map(|((s, _), ops)| Ok((*s, ops)));
+        let layer = eval.dot_rotations_many(&ct, 8, terms, &gks).unwrap();
         let dot = eval
             .dot_plain(&[ct.clone(), fused], &[pt.clone(), pt.clone()])
             .unwrap();
         // Client side: decrypt the reply.
         let reply = dec.decrypt(&dot);
         // Keep results observable so nothing is optimised away.
-        *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0];
+        *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0] ^ layer[7].part(1).row(0)[0];
     };
 
     // ---- CKKS: multiply+relin (keyswitch) → rescale → rotations → fused dot ----
@@ -109,10 +121,13 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
             // other still holds its own, so the high-water mark depends on
             // which chunks happen to overlap. Stock one spare working set
             // per size class the loop uses (both contexts share one degree)
-            // up front; what is asserted is then schedule-independent.
+            // up front; what is asserted is then schedule-independent. The
+            // stock only adds buffers beyond what the one-thread pass left
+            // behind, so it has to be larger than the loop's biggest
+            // simultaneous hold — the 8-output dot's 80 accumulators.
             let n = ctx.degree();
             assert_eq!(n, cctx.degree());
-            let spare: Vec<_> = (0..32)
+            let spare: Vec<_> = (0..128)
                 .map(|_| (PolyPool::take_scratch(n), PolyPool::take_zeroed_u128(n)))
                 .collect();
             for (row, acc) in spare {

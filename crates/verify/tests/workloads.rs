@@ -43,17 +43,18 @@ fn all_workloads_verify_under_set_c_ckks() {
 #[test]
 fn set_b_budget_discriminates_between_workloads() {
     // Paper set B is the tight 4096-degree BFV chain (53-bit budget),
-    // sized for single shallow kernels: the conv layer fits, while the
-    // 16-diagonal FC matvec, the double plain-multiply of a PageRank
-    // iteration, and the ct×ct distance square all exceed the worst-case
-    // bound — and the *only* rule that fires is the noise budget. Evidence
-    // the bound is discriminating, not vacuously loose.
+    // sized for single shallow kernels: the conv layer and the FC's hybrid
+    // matvec (4 diagonals + 2 folds; the 16 full diagonals it replaced did
+    // not) fit, while the double plain-multiply of a PageRank iteration and
+    // the ct×ct distance square exceed the worst-case bound — and the
+    // *only* rule that fires is the noise budget. Evidence the bound is
+    // discriminating, not vacuously loose.
     use choco_verify::RuleId;
     let params = HeParams::set_b();
     for w in all_workloads() {
         let opts = VerifyOptions::for_params(&params).with_galois_steps(&w.galois_steps);
         let result = verify(&w.program.to_circuit(), &opts);
-        if w.name == "dnn_conv" {
+        if ["dnn_conv", "pipeline"].contains(&w.name) {
             result.unwrap_or_else(|e| panic!("{} rejected under set B: {e}", w.name));
         } else {
             let Err(err) = result else {
