@@ -118,11 +118,14 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # compiled-program executor on pagerank (set A) and the conv layer (set C)
 # against the same program with every interior node declared an output,
 # which the fusion plan must then run node by node. Two DNN-layer kernels
-# are gated the same way at set B, each against the plainer way to call the
-# one dot kernel: a conv layer's 8 output channels through one shared
-# hoisted pass (`conv_layer_shared`) against eight one-output passes
-# (>= 1.2x — the operand encodes both sides pay are most of the rest), and
-# the 10 x 128 FC through the hybrid matvec (`matvec_hybrid`, 16 diagonals +
+# are gated the same way at set B, each against the layer's previous
+# kernel: a 4 -> 8 channel 8 x 8 conv layer (25 taps) through its
+# channel-diagonal pass (`conv_layer_packed`: 16 blocks, 4 diagonals in one
+# shared hoisted pass, 3 rotate-adds, one output ciphertext) against the
+# shared pass with one channel sum per output (`conv_layer_shared`: 8
+# outputs in one shared hoisted pass, then 2 rotate-adds each; >= 1.4x —
+# 100 operand encodes and 3 key switches against 200 and 16), and the
+# 10 x 128 FC through the hybrid matvec (`matvec_hybrid`, 16 diagonals +
 # 3 folds) against its 128 full diagonals (>= 2.0x). It asserts that BFV's
 # scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
 # hand-inlined twin — the generic protocol core is monomorphized, so any

@@ -14,17 +14,22 @@
 //! the inputs to the CHOCO-TACO cost composition.
 //!
 //! A real encrypted convolution layer ([`run_encrypted_conv_layer`])
-//! exercises the full stack (packing → encryption → server conv →
-//! accumulation → decryption → unpacking) against a plaintext reference.
-//! The server convolves once per input ciphertext for the whole layer:
-//! every output channel rides the same hoisted tap rotations
-//! ([`ResumableConvLayer`]).
+//! exercises the full stack (packing → encryption → server conv → channel
+//! sum → decryption → unpacking) against a plaintext reference. Its packing
+//! is Gazelle's channel-diagonal one ([`ConvPacking`]): the client repeats
+//! an input group's channels across the whole slot row, the server
+//! convolves once per input ciphertext — every output channel rides the
+//! same hoisted tap rotations — and sums channels with the FC's hybrid
+//! split, so a layer's output channels come back packed, `row / stride` to
+//! a download ([`ResumableConvLayer`]) — the count [`client_aided_plan`]
+//! plans with, up to each map's power-of-two stride.
 
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
     ResumableWorkload,
 };
-use choco::linalg::{accumulate_channels, stacked_conv, ConvTap};
+use choco::linalg::{matvec_hybrid_shape, stacked_conv, ConvTap};
+use choco::protocol::Server;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 use choco::transport::{Channel, Session, TransportError};
@@ -765,35 +770,217 @@ pub fn conv2d_plain_circular(
 
 const CONV_MAGIC: &[u8; 4] = b"RCV1";
 
+/// Row-rotation distance of every tap of an `f × f` filter over `w`-wide
+/// maps, in tap order (row-major over the filter).
+fn tap_shifts(f: usize, w: usize) -> impl Iterator<Item = i64> {
+    let (f, w, pad) = (f as i64, w as i64, f as i64 / 2);
+    (0..f).flat_map(move |dy| (0..f).map(move |dx| (dy - pad) * w + (dx - pad)))
+}
+
+/// Gazelle's channel-diagonal packing of one conv layer in a `row`-slot
+/// ciphertext row — the FC's hybrid split ([`matvec_hybrid_shape`]) applied
+/// to channels.
+///
+/// The row holds `B = row / stride` channel blocks. An input group has `C'`
+/// channels (a power of two, `C' ≤ B`) and is packed *periodically*: block
+/// `b` holds group channel `b mod C'`. Output channels are taken `B` at a
+/// time, an *output group* each, and output `o` of a group comes back in
+/// block `o` of the group's one ciphertext — one download per `B` outputs.
+///
+/// For a group of `n` outputs, `(D, folds) = matvec_hybrid_shape(min(n,
+/// C'), C')`. The server convolves each input group once ([`stacked_conv`]),
+/// producing `D` *diagonals* per output group: diagonal `d` weighs block
+/// `b`'s channel for output `(b − d) mod P`, `P = B` without folds and `D`
+/// with them (zero past the group's outputs). The diagonals are summed over
+/// input groups, and each output group's `Σ_d rotate(X_d, d·stride)` runs as
+/// a rotate-add tree (`D − 1` rotations) followed by the folds by
+/// `stride·(C'/2 … D)`. Every rotation is by `stride·2^i` with `2^i < C'` —
+/// the channel steps of [`conv_rotation_steps`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvPacking {
+    /// The `B` blocks of the whole row.
+    layout: StackedLayout,
+    /// `C'`: channels per input group.
+    channels: usize,
+    f: usize,
+    w: usize,
+}
+
+impl ConvPacking {
+    /// The packing of `channels`-channel input groups (rounded up to a power
+    /// of two) of `h × w` maps under an `f × f` filter in a `row`-slot row.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] when one padded group does not fit the row.
+    pub fn new(channels: usize, h: usize, w: usize, f: usize, row: usize) -> Result<Self, HeError> {
+        let channels = channels.next_power_of_two();
+        let group = StackedLayout::new(channels, RedundantLayout::new(h * w, (f / 2) * (w + 1)));
+        if !group.fits(row) {
+            return Err(HeError::Mismatch(
+                "layer too large for one ciphertext; split across ciphertexts".into(),
+            ));
+        }
+        Ok(ConvPacking {
+            layout: StackedLayout::new(row / group.stride(), *group.channel_layout()),
+            channels,
+            f,
+            w,
+        })
+    }
+
+    /// `B`: the channel blocks of the row, i.e. the outputs one download
+    /// carries.
+    fn blocks(&self) -> usize {
+        self.layout.channels()
+    }
+
+    /// Packs an input group across the whole row: block `b` holds channel
+    /// `b mod C'`, a zero map for channels past the end of `group`.
+    pub fn pack(&self, group: &[Vec<u64>]) -> Vec<u64> {
+        let zero = vec![0u64; self.layout.channel_layout().window()];
+        let padded = group
+            .iter()
+            .chain(std::iter::repeat(&zero))
+            .take(self.channels);
+        let periodic: Vec<Vec<u64>> = padded.cycle().take(self.blocks()).cloned().collect();
+        self.layout.pack(&periodic)
+    }
+
+    /// `(D, folds)` of an output group of `outputs` channels.
+    fn shape(&self, outputs: usize) -> (usize, Vec<usize>) {
+        matvec_hybrid_shape(outputs.min(self.channels), self.channels)
+    }
+
+    /// The `D` diagonals' tap lists of one output group (`outputs`, weights
+    /// `[o][in][f·f]`) over input group `g`.
+    fn diagonal_taps(&self, outputs: &[Vec<Vec<u64>>], g: usize) -> Vec<Vec<ConvTap>> {
+        let (depth, folds) = self.shape(outputs.len());
+        let period = if folds.is_empty() {
+            self.blocks()
+        } else {
+            depth
+        };
+        let first = g * self.channels;
+        let weight = |b: usize, d: usize, k: usize| {
+            let o = (b + period - d) % period;
+            let c = first + b % self.channels;
+            let w_oc = outputs.get(o).and_then(|w_o| w_o.get(c));
+            w_oc.and_then(|w_oc| w_oc.get(k)).copied().unwrap_or(0)
+        };
+        (0..depth)
+            .map(|d| {
+                tap_shifts(self.f, self.w)
+                    .enumerate()
+                    .map(|(k, shift)| ConvTap {
+                        shift,
+                        channel_weights: (0..self.blocks()).map(|b| weight(b, d, k)).collect(),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One output group's `Σ_d rotate(X_d, d·stride)` as a rotate-add tree —
+    /// each level adds the upper half, rotated by its offset, onto the lower
+    /// — then its folds.
+    fn sum_diagonals(
+        &self,
+        server: &Server<Bfv>,
+        mut sums: Vec<Ciphertext>,
+        folds: &[usize],
+    ) -> Result<Ciphertext, HeError> {
+        let stride = self.layout.stride();
+        while sums.len() > 1 {
+            let upper = sums.split_off(sums.len() / 2);
+            let step = (upper.len() * stride) as i64;
+            sums = sums
+                .iter()
+                .zip(&upper)
+                .map(|(lo, hi)| server.add(lo, &server.rotate(hi, step)?))
+                .collect::<Result<_, HeError>>()?;
+        }
+        let mut acc = sums
+            .pop()
+            .ok_or_else(|| HeError::Mismatch("conv layer has no input group".into()))?;
+        for fold in folds {
+            acc = server.add(&acc, &server.rotate(&acc, (fold * stride) as i64)?)?;
+        }
+        Ok(acc)
+    }
+
+    /// The server half of a layer: input group `g` uploaded as
+    /// `inputs[g]` (channels `g·C'` onward, [`Self::pack`]ed), weights
+    /// `[out][in][f·f]`. One [`stacked_conv`] per input group, the groups'
+    /// diagonals summed, then each output group's tree and folds: one
+    /// ciphertext per `B` outputs, in order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates rotation (missing Galois key) and encoding errors; no
+    /// input group or no output is [`HeError::Mismatch`].
+    pub fn server_pass(
+        &self,
+        server: &Server<Bfv>,
+        inputs: &[Ciphertext],
+        weights: &[Vec<Vec<u64>>],
+    ) -> Result<Vec<Ciphertext>, HeError> {
+        let output_groups = || weights.chunks(self.blocks());
+        let mut diagonals: Vec<Ciphertext> = Vec::new();
+        for (g, ct) in inputs.iter().enumerate() {
+            let taps: Vec<Vec<ConvTap>> = output_groups()
+                .flat_map(|outputs| self.diagonal_taps(outputs, g))
+                .collect();
+            let partials = stacked_conv(server, ct, &self.layout, &taps)?;
+            diagonals = if diagonals.is_empty() {
+                partials
+            } else {
+                diagonals
+                    .iter()
+                    .zip(&partials)
+                    .map(|(total, partial)| server.add(total, partial))
+                    .collect::<Result<_, HeError>>()?
+            };
+        }
+        let mut diagonals = diagonals.into_iter();
+        output_groups()
+            .map(|outputs| {
+                let (depth, folds) = self.shape(outputs.len());
+                self.sum_diagonals(server, diagonals.by_ref().take(depth).collect(), &folds)
+            })
+            .collect()
+    }
+}
+
 /// One encrypted convolution layer as a step-granular state machine:
-/// step 0 packs + encrypts + uploads the stacked input; each later step
-/// downloads one output channel and extracts its feature map. The server
-/// work is **one pass per input ciphertext for the whole layer**, run by
-/// the first download step: watchdog guard → compute tick → every output
-/// channel's filter taps over one shared set of hoisted rotations
-/// ([`stacked_conv`]) → per-output channel accumulation. The output
-/// ciphertexts wait server-side until their step downloads them.
+/// step 0 packs + encrypts + uploads the input groups ([`ConvPacking`]);
+/// each later step downloads one *output group* — up to `B` output
+/// channels in one ciphertext — and extracts its feature maps. The server
+/// work is **one pass for the whole layer**, run by the first download
+/// step: per input ciphertext a watchdog guard and a compute tick, then
+/// [`ConvPacking::server_pass`]. The output ciphertexts wait server-side
+/// until their step downloads them.
 ///
 /// The input normally fits one ciphertext;
 /// [`run_encrypted_conv_layer_multi`] builds the same machine over several
-/// channel groups, one ciphertext each, whose per-group partial sums (all
-/// aligned at channel block 0) are added server-side before the download.
+/// channel groups, one ciphertext each, whose diagonals are added
+/// server-side before the channel sum.
 ///
-/// Because the input ciphertexts — and the outputs not yet downloaded —
-/// live on the (crashed) server across steps, resuming requires
-/// [`recover`](ResumableWorkload::recover), which re-uploads the inputs
-/// billed to `recovery_bytes` — never re-encrypting, so the client RNG
-/// stream stays on the uninterrupted run's schedule. The waiting outputs
+/// Because the input ciphertexts — and the output groups not yet
+/// downloaded — live on the (crashed) server across steps, resuming
+/// requires [`recover`](ResumableWorkload::recover), which re-uploads the
+/// inputs billed to `recovery_bytes` — never re-encrypting, so the client
+/// RNG stream stays on the uninterrupted run's schedule. The waiting outputs
 /// are not checkpointed: the next step recomputes the pass from the
-/// re-uploaded inputs for the channels still to come (bit-identical — an
-/// output does not depend on which others share its pass) and does *not*
-/// guard again: the checkpointed inputs already are what the first pass's
-/// guard left, and a second refresh would draw client randomness the
+/// re-uploaded inputs for the output groups still to come (bit-identical —
+/// an output group does not depend on which others share its pass) and does
+/// *not* guard again: the checkpointed inputs already are what the first
+/// pass's guard left, and a second refresh would draw client randomness the
 /// uninterrupted run never drew.
 #[derive(Debug, Clone)]
 pub struct ResumableConvLayer {
-    /// Input channels partitioned into equally sized groups, one
-    /// ciphertext per group.
+    /// Input channels partitioned into groups (the last may be short; the
+    /// packing zero-pads it), one ciphertext per group.
     groups: Vec<Vec<Vec<u64>>>,
     weights: Vec<Vec<Vec<u64>>>,
     h: usize,
@@ -802,8 +989,8 @@ pub struct ResumableConvLayer {
     /// The input ciphertexts as the server holds them (empty = not yet
     /// uploaded). A guard that refreshes replaces its entry.
     resident: Vec<Ciphertext>,
-    /// Server-side: the output ciphertexts of the channels not yet
-    /// downloaded, next first (empty = the pass has to run). Not part of
+    /// Server-side: one ciphertext per output group not yet downloaded,
+    /// next first (empty = the pass has to run). Not part of
     /// [`progress`](ResumableWorkload::progress).
     pending: VecDeque<Ciphertext>,
     maps: Vec<Vec<u64>>,
@@ -812,7 +999,8 @@ pub struct ResumableConvLayer {
 
 impl ResumableConvLayer {
     /// Starts a fresh layer run. Input: `in_ch` channel maps of `h·w`
-    /// 4-bit values; weights `[out_ch][in_ch][f·f]` 4-bit values.
+    /// 4-bit values (any count: [`ConvPacking`] zero-pads to a power of
+    /// two); weights `[out_ch][in_ch][f·f]` 4-bit values.
     ///
     /// # Errors
     ///
@@ -827,8 +1015,7 @@ impl ResumableConvLayer {
         Self::grouped(input, weights, h, w, f, input.len())
     }
 
-    /// [`Self::new`] with the input channels split into groups of `per_ct`
-    /// (the tail group zero-padded).
+    /// [`Self::new`] with the input channels split into groups of `per_ct`.
     fn grouped(
         input: &[Vec<u64>],
         weights: &[Vec<Vec<u64>>],
@@ -840,14 +1027,7 @@ impl ResumableConvLayer {
         if input.is_empty() || weights.is_empty() {
             return Err(HeError::Mismatch("empty conv input or weights".into()).into());
         }
-        let groups = input
-            .chunks(per_ct)
-            .map(|chunk| {
-                let mut g = chunk.to_vec();
-                g.resize_with(per_ct, || vec![0u64; h * w]);
-                g
-            })
-            .collect();
+        let groups = input.chunks(per_ct).map(<[_]>::to_vec).collect();
         Ok(ResumableConvLayer {
             groups,
             weights: weights.to_vec(),
@@ -865,11 +1045,6 @@ impl ResumableConvLayer {
         self.groups.first().map_or(0, Vec::len)
     }
 
-    fn layout(&self) -> StackedLayout {
-        let red = (self.f / 2) * (self.w + 1);
-        StackedLayout::new(self.per_ct(), RedundantLayout::new(self.h * self.w, red))
-    }
-
     /// Per-output-channel feature maps computed so far (all of them once
     /// done). Each matches [`conv2d_plain_circular`] exactly (the client
     /// would discard border pixels for `valid` semantics).
@@ -877,71 +1052,49 @@ impl ResumableConvLayer {
         &self.maps
     }
 
-    /// The layer's server work for every output channel not yet downloaded:
-    /// per input group one compute tick, one shared-rotation convolution
-    /// and the per-output channel accumulation, the groups' partials summed
-    /// per output. The watchdog checks each input's remaining budget before
-    /// its pass — on the layer's first pass only (see the type docs).
+    /// The layer's server work for every output group not yet downloaded:
+    /// per input group one compute tick, then the shared pass. The watchdog
+    /// checks each input's remaining budget before its tick — on the
+    /// layer's first pass only (see the type docs).
     fn server_pass<C: Channel>(
         &mut self,
         session: &mut Session<Bfv, C>,
-        layout: &StackedLayout,
+        packing: &ConvPacking,
     ) -> Result<VecDeque<Ciphertext>, TransportError> {
-        let per_ct = self.per_ct();
         let first_pass = self.maps.is_empty();
-        let remaining = self.weights.iter().skip(self.maps.len());
-        let mut totals: Vec<Ciphertext> = Vec::new();
-        for (g, at_server) in self.resident.iter_mut().enumerate() {
+        for at_server in &mut self.resident {
             if first_pass {
                 *at_server = session.guard(at_server)?;
             }
             session.compute_tick()?;
-            let taps: Vec<Vec<ConvTap>> = remaining
-                .clone()
-                .map(|out_weights| conv_taps(out_weights, g * per_ct, per_ct, self.f, self.w))
-                .collect();
-            let server = session.server();
-            let partials = stacked_conv(server, at_server, layout, &taps)?
-                .iter()
-                .map(|conv| accumulate_channels(server, conv, layout))
-                .collect::<Result<Vec<_>, HeError>>()?;
-            totals = if totals.is_empty() {
-                partials
-            } else {
-                totals
-                    .iter()
-                    .zip(&partials)
-                    .map(|(total, partial)| server.add(total, partial))
-                    .collect::<Result<_, HeError>>()?
-            };
         }
-        Ok(totals.into())
+        let remaining = self.weights.get(self.maps.len()..).unwrap_or_default();
+        Ok(packing
+            .server_pass(session.server(), &self.resident, remaining)?
+            .into())
     }
 }
 
 impl ResumableWorkload for ResumableConvLayer {
     type Scheme = Bfv;
 
-    /// Runs the next step: the initial upload, or one output channel's
+    /// Runs the next step: the initial upload, or one output group's
     /// download (the first of which runs the layer's server pass).
-    /// A layer too large for its ciphertexts is [`HeError::Mismatch`].
+    /// A layer too large for its ciphertexts is [`HeError::Mismatch`]; a
+    /// restored map count that ends inside an output group is
+    /// [`TransportError::BadCheckpoint`].
     fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
         if self.is_done() {
             return Ok(());
         }
-        let layout = self.layout();
+        let row = session.server().slot_width();
+        let packing = ConvPacking::new(self.per_ct(), self.h, self.w, self.f, row)?;
         if self.resident.is_empty() {
-            if !layout.fits(session.server().context().degree() / 2) {
-                return Err(HeError::Mismatch(
-                    "layer too large for one ciphertext; split across ciphertexts".into(),
-                )
-                .into());
-            }
             // Client: pack + encrypt + upload (framed, retried), one
             // ciphertext per group.
             let mut resident = Vec::with_capacity(self.groups.len());
             for group in &self.groups {
-                let ct = session.client_mut().encrypt_slots(&layout.pack(group))?;
+                let ct = session.client_mut().encrypt_slots(&packing.pack(group))?;
                 resident.push(session.upload(&ct)?);
             }
             self.resident = resident;
@@ -949,16 +1102,26 @@ impl ResumableWorkload for ResumableConvLayer {
         }
 
         if self.pending.is_empty() {
-            self.pending = self.server_pass(session, &layout)?;
+            // Output groups are `B` channels wide, which only the session's
+            // row fixes: `restore` cannot see a count that splits one.
+            if !self.maps.len().is_multiple_of(packing.blocks()) {
+                return Err(bad_progress(
+                    "channel maps end inside an output group of this row",
+                ));
+            }
+            self.pending = self.server_pass(session, &packing)?;
         }
         let next = self
             .pending
             .front()
-            .ok_or_else(|| HeError::Mismatch("conv layer has no channel groups".into()))?;
+            .ok_or_else(|| HeError::Mismatch("conv layer has no output group".into()))?;
         let back = session.download(next)?;
         self.pending.pop_front();
         let slots = session.client_mut().decrypt_slots(&back)?;
-        self.maps.push(layout.extract(&slots)[0].clone());
+        let outputs = self.weights.len() - self.maps.len();
+        let mut maps = packing.layout.extract(&slots);
+        maps.truncate(outputs);
+        self.maps.append(&mut maps);
         self.last_reply = Some(back);
         if self.is_done() {
             session.ledger_mut().end_round();
@@ -968,8 +1131,8 @@ impl ResumableWorkload for ResumableConvLayer {
 
     /// Re-uploads the resident input ciphertexts through
     /// [`Session::recover_upload`] (billed to `recovery_bytes`), if the
-    /// upload step had completed. The next step recomputes the outputs that
-    /// were waiting server-side.
+    /// upload step had completed. The next step recomputes the output
+    /// groups that were waiting server-side.
     fn recover<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
         for at_server in &mut self.resident {
             *at_server = session.recover_upload(&Bfv::ct_to_wire(at_server))?;
@@ -991,6 +1154,10 @@ impl ResumableWorkload for ResumableConvLayer {
         out
     }
 
+    /// Restores the uploaded inputs, the maps downloaded so far and the last
+    /// reply. Whether the map count ends on an output-group boundary depends
+    /// on the row width, so the next [`step`](ResumableWorkload::step)
+    /// checks that.
     fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
         let mut r = progress_cursor(progress, CONV_MAGIC)?;
         let mut resident = Vec::with_capacity(self.groups.len());
@@ -1026,7 +1193,8 @@ impl ResumableWorkload for ResumableConvLayer {
 /// the noise watchdog guards each input ciphertext once, before the layer's
 /// server pass. Over a
 /// [`DirectChannel`](choco::transport::DirectChannel) link this *is* the
-/// fault-free path, with identical primary ledger counters.
+/// fault-free path, with identical primary ledger counters. Any channel
+/// count works: the input is zero-padded to a power of two.
 ///
 /// # Errors
 ///
@@ -1075,8 +1243,8 @@ pub(crate) fn conv_taps(
 /// Runs an encrypted convolution layer whose input channels may exceed one
 /// ciphertext: channels are partitioned into power-of-two groups that each
 /// fit a ciphertext row, and the same [`ResumableConvLayer`] pass convolves
-/// and accumulates each group and sums the per-group partials
-/// ciphertext-to-ciphertext server-side.
+/// each group and sums the groups' diagonals ciphertext-to-ciphertext
+/// server-side before the channel sum.
 ///
 /// Falls back to the single-ciphertext layer when everything fits.
 ///
@@ -1109,21 +1277,13 @@ pub fn run_encrypted_conv_layer_multi<C: Channel>(
     Ok(layer.maps)
 }
 
-/// Galois rotation steps a conv layer of this shape needs (filter taps plus
-/// the channel-accumulation tree).
+/// Galois rotation steps a conv layer of this shape needs: the filter taps
+/// plus the channel steps `stride·2^i`, `2^i < in_ch`, of the channel sum.
 pub fn conv_rotation_steps(in_ch: usize, h: usize, w: usize, f: usize) -> Vec<i64> {
     let pad = f / 2;
     let red = pad * (w + 1);
     let layout = StackedLayout::new(in_ch, RedundantLayout::new(h * w, red));
-    let mut steps = Vec::new();
-    for dy in 0..f {
-        for dx in 0..f {
-            let s = (dy as i64 - pad as i64) * w as i64 + (dx as i64 - pad as i64);
-            if s != 0 {
-                steps.push(s);
-            }
-        }
-    }
+    let mut steps: Vec<i64> = tap_shifts(f, w).filter(|&s| s != 0).collect();
     let mut step = 1usize;
     while step < in_ch {
         steps.push((step * layout.stride()) as i64);
@@ -1135,7 +1295,7 @@ pub fn conv_rotation_steps(in_ch: usize, h: usize, w: usize, f: usize) -> Vec<i6
 }
 
 /// Rotation steps for the multi-ciphertext conv path: like
-/// [`conv_rotation_steps`] but with the accumulation tree sized to the
+/// [`conv_rotation_steps`] but with the channel steps sized to the
 /// per-ciphertext channel-group capacity of `row` slots.
 pub fn conv_rotation_steps_multi(
     in_ch: usize,
@@ -1287,9 +1447,10 @@ mod tests {
         let t = session.server().context().plain_modulus();
         let want = conv2d_plain_circular(&input, &weights, h, w, f, t);
         assert_eq!(got, want);
-        // Two uploads (one per group), one download per output channel.
+        // Two uploads (one per group), one download for both outputs (one
+        // output group of up to 4).
         assert_eq!(session.ledger().uploads, 2);
-        assert_eq!(session.ledger().downloads, out_ch as u32);
+        assert_eq!(session.ledger().downloads, 1);
     }
 
     #[test]
@@ -1336,10 +1497,165 @@ mod tests {
         let t = session.server().context().plain_modulus();
         let want = conv2d_plain_circular(&input, &weights, h, w, f, t);
         assert_eq!(got, want);
+        // Both output maps come back in one ciphertext (16 blocks of 64).
         assert_eq!(session.ledger().uploads, 1);
-        assert_eq!(session.ledger().downloads, out_ch as u32);
+        assert_eq!(session.ledger().downloads, 1);
         let (client, _server, _ledger) = session.into_parts();
         assert_eq!(client.encryption_count(), 1);
-        assert_eq!(client.decryption_count(), out_ch as u64);
+        assert_eq!(client.decryption_count(), 1);
+    }
+
+    /// Seeded 4-bit channel maps and `[out][in][f·f]` weights.
+    fn seeded_layer(
+        rng: &mut choco_prng::Blake3Rng,
+        (in_ch, out_ch, pixels, taps): (usize, usize, usize, usize),
+    ) -> (Vec<Vec<u64>>, Vec<Vec<Vec<u64>>>) {
+        let mut w4 = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_below(16)).collect() };
+        let input = (0..in_ch).map(|_| w4(pixels)).collect();
+        let weights = (0..out_ch)
+            .map(|_| (0..in_ch).map(|_| w4(taps)).collect())
+            .collect();
+        (input, weights)
+    }
+
+    fn is_missing_key(result: Result<Vec<Vec<u64>>, TransportError>) -> bool {
+        matches!(
+            result,
+            Err(TransportError::He(HeError::MissingGaloisKey(_)))
+        )
+    }
+
+    #[test]
+    fn packed_layer_equals_the_plain_conv_over_shapes() {
+        // Rows of 128 and 512 slots over 4 × 4 and 8 × 8 maps give 1 to 32
+        // blocks, so the cases cover the single-group path (with and
+        // without folds) and the grouped path (in_ch > B).
+        choco_quickprop::run_cases("packed conv layer", 24, |g| {
+            let degree = [256, 1024][g.usize_in(0, 2)];
+            let side = [4, 8][g.usize_in(0, 2)];
+            let f = [1, 3, 5][g.usize_in(0, 3)];
+            let in_ch = [1, 2, 3, 4, 8][g.usize_in(0, 5)];
+            let row = degree / 2;
+            let blocks = ConvPacking::new(1, side, side, f, row).unwrap().blocks();
+            let out_ch = [1, 2, 3, 5, 8, blocks + 1][g.usize_in(0, 6)];
+            let label = format!("N={degree} {side}x{side} f={f} {in_ch}->{out_ch} B={blocks}");
+            let params = HeParams::bfv_insecure(degree, &[45, 45, 46], 20).unwrap();
+            let mut rng = choco_prng::Blake3Rng::from_seed(label.as_bytes());
+            let (input, weights) = seeded_layer(&mut rng, (in_ch, out_ch, side * side, f * f));
+            let group_ch = in_ch.next_power_of_two().min(blocks);
+            let steps = conv_rotation_steps(group_ch, side, side, f);
+            let run = |steps: &[i64], single: bool| {
+                let mut session = Session::<Bfv>::direct(&params, b"packed", steps).unwrap();
+                let maps = if single {
+                    run_encrypted_conv_layer(&mut session, &input, &weights, side, side, f)
+                } else {
+                    run_encrypted_conv_layer_multi(&mut session, &input, &weights, side, side, f)
+                };
+                (maps, session.ledger().downloads)
+            };
+
+            let t = params.plain_modulus();
+            let want = conv2d_plain_circular(&input, &weights, side, side, f, t);
+            let single_fits = in_ch.next_power_of_two() <= blocks;
+            for single in [false, true].into_iter().filter(|&s| !s || single_fits) {
+                let (maps, downloads) = run(&steps, single);
+                assert_eq!(maps.unwrap(), want, "{label} single={single}");
+                assert_eq!(downloads as usize, out_ch.div_ceil(blocks), "{label}");
+            }
+            // Every channel step is load-bearing: tree or fold.
+            let stride = (row / blocks) as i64;
+            for (i, missing) in steps.iter().filter(|&&s| s >= stride).enumerate() {
+                let short: Vec<i64> = steps.iter().copied().filter(|s| s != missing).collect();
+                assert!(is_missing_key(run(&short, false).0), "{label}: step {i}");
+            }
+        });
+    }
+
+    #[test]
+    fn non_power_of_two_channel_counts_run_through_both_runners() {
+        // RGB-style first layers: the 3 input channels are padded to 4. At
+        // a 512-slot row one group of 4 fits (B = 4); at 128 slots B = 1 and
+        // the multi runner takes 3 groups of one.
+        let (h, w, f) = (8usize, 8usize, 3usize);
+        for out_ch in [2usize, 5] {
+            let mut rng = choco_prng::Blake3Rng::from_seed(b"rgb layer");
+            let (input, weights) = seeded_layer(&mut rng, (3, out_ch, h * w, f * f));
+            for degree in [1024usize, 256] {
+                let params = HeParams::bfv_insecure(degree, &[45, 45, 46], 20).unwrap();
+                let row = degree / 2;
+                let steps = conv_rotation_steps_multi(3, h, w, f, row);
+                let want = conv2d_plain_circular(&input, &weights, h, w, f, params.plain_modulus());
+                let mut session = Session::<Bfv>::direct(&params, b"rgb", &steps).unwrap();
+                let got = run_encrypted_conv_layer_multi(&mut session, &input, &weights, h, w, f);
+                assert_eq!(got.unwrap(), want, "multi, N={degree}, 3->{out_ch}");
+                if degree == 1024 {
+                    let got = run_encrypted_conv_layer(&mut session, &input, &weights, h, w, f);
+                    assert_eq!(got.unwrap(), want, "single, 3->{out_ch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_restored_map_count_inside_an_output_group_is_refused() {
+        // 8 × 8 at a 512-slot row: B = 4, so 6 outputs download as 4 + 2.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+        let mut rng = choco_prng::Blake3Rng::from_seed(b"mid-group");
+        let (input, weights) = seeded_layer(&mut rng, (2, 6, 64, 9));
+        let steps = conv_rotation_steps(2, 8, 8, 3);
+        let mut session = Session::<Bfv>::direct(&params, b"mid-group", &steps).unwrap();
+        let fresh = || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap();
+        let mut layer = fresh();
+        layer.step(&mut session).unwrap();
+        let blob_with = |maps: &[Vec<u64>]| {
+            let mut blob = CONV_MAGIC.to_vec();
+            put_ct::<Bfv>(&mut blob, layer.resident.first());
+            put_maps(&mut blob, maps);
+            put_ct::<Bfv>(&mut blob, None);
+            blob
+        };
+        let t = params.plain_modulus();
+        let want = conv2d_plain_circular(&input, &weights, 8, 8, 3, t);
+        let (first_group, _) = want.split_at(4);
+        // On a group boundary the layer resumes and finishes correctly.
+        let mut resumed = fresh().restore(&blob_with(first_group)).unwrap();
+        resumed.run(&mut session).unwrap();
+        assert_eq!(resumed.maps(), want);
+        // One map past it is refused before any server work.
+        let mut split = fresh().restore(&blob_with(&want[..5])).unwrap();
+        let downloads = session.ledger().downloads;
+        let err = split.step(&mut session).unwrap_err();
+        assert!(
+            matches!(err, TransportError::BadCheckpoint(ref m) if m.contains("inside an output group")),
+            "{err}"
+        );
+        assert_eq!(session.ledger().downloads, downloads);
+    }
+
+    #[test]
+    fn benchmark_conv_shapes_keep_a_decryption_margin_at_set_b() {
+        // `lenet_direct`'s conv1 (1 → 4 at 16 × 16) and conv2 (4 → 8 at
+        // 8 × 8), f = 5, at paper set B: one output group each, whose
+        // ciphertext must decrypt with room to spare.
+        let params = HeParams::set_b();
+        let t = params.plain_modulus();
+        for (in_ch, out_ch, side) in [(1usize, 4usize, 16usize), (4, 8, 8)] {
+            let steps = conv_rotation_steps(in_ch, side, side, 5);
+            let mut session = Session::<Bfv>::direct(&params, b"set b margin", &steps).unwrap();
+            let mut rng = choco_prng::Blake3Rng::from_seed(b"set b margin inputs");
+            for input_no in 0..8 {
+                let (input, weights) = seeded_layer(&mut rng, (in_ch, out_ch, side * side, 25));
+                let mut layer = ResumableConvLayer::new(&input, &weights, side, side, 5).unwrap();
+                layer.run(&mut session).unwrap();
+                let reply = layer.last_reply.as_ref().unwrap();
+                let budget = session.client_mut().noise_budget(reply);
+                assert!(
+                    budget >= 7.0,
+                    "{in_ch}->{out_ch} input {input_no}: {budget:.1} bits left"
+                );
+                let want = conv2d_plain_circular(&input, &weights, side, side, 5, t);
+                assert_eq!(layer.maps(), want);
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ use choco_prng::Blake3Rng;
 pub struct LenetLikeSpec {
     /// Input image height = width.
     pub img: usize,
-    /// Conv-1 output channels (must be a power of two).
+    /// Conv-1 output channels (conv 2 pads its input to a power of two).
     pub conv1_ch: usize,
     /// Conv-2 output channels.
     pub conv2_ch: usize,
@@ -499,10 +499,10 @@ mod tests {
         assert_eq!(enc.class, class);
         // Boundaries: conv1 down, conv2 up+down, fc up+down.
         assert!(enc.ledger.rounds >= 3);
-        // One encryption per stage; one decryption per conv output channel
-        // plus one for the FC reply — the sentinel check decrypts the
-        // reply once, not in addition.
-        let decryptions = (spec.conv1_ch + spec.conv2_ch + 1) as u64;
-        assert_eq!(enc.crypto_ops, (3, decryptions));
+        // One encryption and one decryption per stage: each conv layer's
+        // output channels come back in one ciphertext (2 of 4 blocks, 4 of
+        // 16), and the sentinel check decrypts the FC reply once, not in
+        // addition.
+        assert_eq!(enc.crypto_ops, (3, 3));
     }
 }

@@ -7,11 +7,12 @@
 //! * [`crate::pagerank::ResumablePagerank`] — one refresh burst per step
 //!   (BFV or CKKS);
 //! * [`crate::dnn::ResumableConvLayer`] — one upload step, then one output
-//!   channel's download per step (the first runs the layer's one server
+//!   group's download per step: up to `row / stride` output channels packed
+//!   in one ciphertext (the first download runs the layer's one server
 //!   pass); after a resume its [`recover`](ResumableWorkload::recover)
 //!   re-uploads the server-resident input ciphertexts, billed to
 //!   [`choco::CommLedger::recovery_bytes`], and the next step recomputes the
-//!   outputs that were waiting server-side;
+//!   output groups that were waiting server-side;
 //! * [`crate::pipeline::ResumablePipeline`] — one network stage per step
 //!   (conv1, conv2, FC), the FC output sentinel-checked via
 //!   [`Session::download_checked`];

@@ -240,11 +240,13 @@ fn chaos_conv_layer_bfv_with_forced_refreshes() {
     );
 }
 
-/// A crash between two downloads of one layer. The outputs still waiting
-/// server-side die with the server and are in no checkpoint: the resumed
-/// run re-uploads the (already refreshed) input, recomputes the pass for
-/// the channels still to come and must *not* guard again — under the forced
-/// floor a second guard would refresh a second time and draw client
+/// A crash between two downloads of one layer. A download carries one
+/// output group: 8 × 8 maps at a 512-slot row are 4 blocks of 128 slots, so
+/// the layer's 6 outputs come down as groups of 4 and 2. The group still
+/// waiting server-side dies with the server and is in no checkpoint: the
+/// resumed run re-uploads the (already refreshed) input, recomputes the
+/// pass for the group still to come and must *not* guard again — under the
+/// forced floor a second guard would refresh a second time and draw client
 /// randomness the uninterrupted run never drew.
 #[test]
 fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
@@ -252,7 +254,7 @@ fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
     let input: Vec<Vec<u64>> = (0..2)
         .map(|c| (0..64).map(|i| (i * 5 + c + 1) % 16).collect())
         .collect();
-    let weights: Vec<Vec<Vec<u64>>> = (0..3)
+    let weights: Vec<Vec<Vec<u64>>> = (0..6)
         .map(|o| {
             (0..2)
                 .map(|c| (0..9).map(|i| ((i + o * 3 + c) % 16) as u64).collect())
@@ -272,10 +274,10 @@ fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
     base.run(&mut session).unwrap();
     let base_ledger = *session.ledger();
     assert_eq!(base_ledger.refresh_rounds, 1, "one guard per layer");
-    assert_eq!(session.op_count(CrashOp::Download), 4);
+    assert_eq!(session.op_count(CrashOp::Download), 3);
     let base_encryptions = session.client_mut().encryption_count();
 
-    // Download 1 is the refresh's, 2 output channel 0, 3 output channel 1.
+    // Download 1 is the refresh's, 2 outputs 0-3, 3 outputs 4-5.
     let mut session = make_session();
     session.arm_crash(CrashPlan {
         op: CrashOp::Download,
@@ -298,7 +300,7 @@ fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert_eq!(crashed_after, Some(1), "crash fell between two downloads");
+    assert_eq!(crashed_after, Some(4), "crash fell between two downloads");
     assert_eq!(layer.final_ct_wire(), base.final_ct_wire());
     assert_eq!(layer.maps(), base.maps());
     assert_primary_lines_match("conv/mid-layer", &base_ledger, session.ledger());

@@ -1,12 +1,17 @@
 //! Cross-commit byte oracles for the two layer kernels a DNN round runs.
 //!
-//! The digests below were recorded on the commit *before* a conv layer's
-//! output channels shared one hoisted pass and before `matvec_diagonals`
-//! became the hybrid (rows-deep diagonals + folds) kernel; this file,
-//! unchanged, passed there. What they pin:
+//! The matvec digests were recorded on the commit *before*
+//! `matvec_diagonals` became the hybrid (rows-deep diagonals + folds)
+//! kernel; that part of this file, unchanged, passed there. The conv
+//! digests were re-recorded when a conv layer's packing became
+//! channel-diagonal: a download used to carry one output channel, the
+//! per-output pass's ciphertext; it now carries an output group — up to
+//! `B = row / stride` channels, summed by a rotate-add tree — so both the
+//! number of downloaded ciphertexts and their bytes moved on purpose. What
+//! the digests pin:
 //!
-//! * every ciphertext a conv layer downloads — one per output channel, in
-//!   order — is the ciphertext the per-output pass produced, bit for bit;
+//! * every ciphertext a conv layer downloads — one per output group, in
+//!   order — is the channel-diagonal pass's, bit for bit;
 //! * a matvec whose column count has no power-of-two factor to fold over
 //!   (square, or an odd column count) *is* the full-diagonal kernel, bit
 //!   for bit, under both schemes.
@@ -37,6 +42,7 @@ fn digest(blobs: &[Vec<u8>]) -> String {
 fn conv_layer_digest(
     params: &HeParams,
     (in_ch, h, w, f, out_ch): (usize, usize, usize, usize, usize),
+    output_groups: usize,
 ) -> String {
     let steps = conv_rotation_steps(in_ch, h, w, f);
     let mut session = Session::<Bfv>::direct(params, b"cross-commit conv oracle", &steps).unwrap();
@@ -63,22 +69,33 @@ fn conv_layer_digest(
             replies.push(reply);
         }
     }
-    assert_eq!(replies.len(), out_ch, "one download per output channel");
+    assert_eq!(
+        replies.len(),
+        output_groups,
+        "one download per output group"
+    );
     assert_eq!(layer.maps().len(), out_ch);
     digest(&replies)
 }
 
 #[test]
-fn conv_layer_output_bytes_are_those_of_the_per_output_pass() {
+fn conv_layer_output_group_bytes_are_pinned() {
+    // 4 blocks of 128 slots: 3 outputs are one group (4 diagonals, no
+    // fold); 6 are a group of 4 and a group of 2 (2 diagonals, one fold).
     let small = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
     assert_eq!(
-        conv_layer_digest(&small, (4, 8, 8, 3, 3)),
-        "24ebc7b93035bc3a"
+        conv_layer_digest(&small, (4, 8, 8, 3, 3), 1),
+        "66f6c8c17cca3d99"
     );
-    // The benchmark's conv2 shape at its parameter set.
     assert_eq!(
-        conv_layer_digest(&HeParams::set_b(), (4, 8, 8, 5, 8)),
-        "b7ef04bbd60350ab"
+        conv_layer_digest(&small, (4, 8, 8, 3, 6), 2),
+        "fc34b991b2771919"
+    );
+    // The benchmark's conv2 shape at its parameter set: 16 blocks, 4
+    // diagonals, no fold.
+    assert_eq!(
+        conv_layer_digest(&HeParams::set_b(), (4, 8, 8, 5, 8), 1),
+        "a99cac5dffb454e6"
     );
 }
 

@@ -7,9 +7,10 @@
 //! double-hoisted dot, and the compiled-program executor on the two served
 //! programs that contain a dot group against the same program with every
 //! interior node declared an output (which the fusion plan then leaves
-//! alone), a conv layer's eight output channels through one shared hoisted
-//! pass against eight one-output passes, and the 10 × 128 FC through the
-//! hybrid matvec against its 128 full diagonals — and reports the speedups.
+//! alone), a conv layer's eight output channels through its channel-diagonal
+//! pass (one output ciphertext) against the shared pass with one channel
+//! sum per output, and the 10 × 128 FC through the hybrid matvec against its
+//! 128 full diagonals — and reports the speedups.
 //! Every ratio the binary asserts on is taken from the best of three
 //! interleaved windows per side, in smoke mode too. It also times the
 //! scheme-generic [`HeScheme::dot_diagonals`] entry point against a
@@ -20,8 +21,8 @@
 //! and fails on one the vector code does not speed up; the RNS multiply and
 //! decrypt are gated the same way against the reference (at least 3.0x and
 //! 2.0x), the fused matvec and the fused executor against their unfused
-//! twins (at least 1.5x), the shared conv pass and the hybrid matvec against
-//! theirs (at least 1.2x and 2.0x). A `par` section times the worker pool's
+//! twins (at least 1.5x), the packed conv pass and the hybrid matvec against
+//! theirs (at least 1.4x and 2.0x). A `par` section times the worker pool's
 //! dispatch cost and every call site still routed through it against its own
 //! one-thread loop, and fails on a site the pool does not speed up (skipped,
 //! with a note, while the host is not running two threads faster than one).
@@ -39,6 +40,7 @@ use choco::protocol::Client;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 use choco_apps::circuits::{dnn_conv_program, pagerank_program};
+use choco_apps::dnn::{conv_rotation_steps, ConvPacking};
 use choco_apps::remote::workload_options;
 use choco_bench::{header, measure, note, time_str};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
@@ -559,22 +561,33 @@ fn main() {
     let bfv_overhead = record_twins(&mut entries, "bfv_matvec", ["direct", "generic"], timings);
 
     header("DNN layer kernels, as `lenet_direct` calls them (BFV set B)");
-    // conv2's shape: 4 stacked 8x8 channels, a 5x5 filter (25 taps), 8 output
-    // channels. The twin is the same function called once per output — what
-    // the layer did before its outputs shared one pass.
+    // conv2's shape: 4 input channels of 8x8, a 5x5 filter (25 taps), 8
+    // output channels. The candidate is the layer's channel-diagonal server
+    // pass: 16 blocks, 4 diagonals through one shared hoisted conv, 3
+    // rotate-adds, one output ciphertext. The twin is the pass it replaced:
+    // the 4 channels stacked once, all 8 outputs through one shared hoisted
+    // conv, then each output's log2(4) rotate-adds into its own ciphertext.
     let layout = StackedLayout::new(4, RedundantLayout::new(64, 2 * 9));
     let tap_shifts: Vec<i64> = (-2..=2)
         .flat_map(|dy| (-2..=2).map(move |dx| dy * 8 + dx))
         .collect();
-    let mut fc_steps: Vec<i64> = (1..128).collect();
-    fc_steps.extend(tap_shifts.iter().filter(|s| **s < 0));
+    let mut layer_steps: Vec<i64> = (1..128).collect();
+    layer_steps.extend(conv_rotation_steps(4, 8, 8, 5));
     let mut lclient = Client::<Bfv>::new(&params, b"bench kernels layers").unwrap();
-    let lserver = lclient.provision_server(&fc_steps).unwrap();
-    let conv_outputs: Vec<Vec<ConvTap>> = (0..8u64)
+    let lserver = lclient.provision_server(&layer_steps).unwrap();
+    let conv_weights: Vec<Vec<Vec<u64>>> = (0..8u64)
         .map(|o| {
+            (0..4u64)
+                .map(|c| (0..25u64).map(|k| (k + o + 2 * c) % 16).collect())
+                .collect()
+        })
+        .collect();
+    let conv_outputs: Vec<Vec<ConvTap>> = conv_weights
+        .iter()
+        .map(|w_o| {
             let tap = |(k, &shift)| ConvTap {
                 shift,
-                channel_weights: (0..4).map(|c| (k as u64 + o + 2 * c) % 16).collect(),
+                channel_weights: w_o.iter().map(|w_oc: &Vec<u64>| w_oc[k]).collect(),
             };
             tap_shifts.iter().enumerate().map(tap).collect()
         })
@@ -583,27 +596,33 @@ fn main() {
         .map(|c| (0..64).map(|i| (i * 7 + c * 3) % 16).collect())
         .collect();
     let conv_ct = lclient.encrypt_slots(&layout.pack(&channels)).unwrap();
+    let packing = ConvPacking::new(4, 8, 8, 5, lserver.slot_width()).unwrap();
+    let packed_ct = lclient.encrypt_slots(&packing.pack(&channels)).unwrap();
+    let stride = layout.stride() as i64;
     let timings = best_of_three(|side| {
         measure(window_ms, || match side {
-            0 => black_box(stacked_conv(
-                &lserver,
-                black_box(&conv_ct),
-                &layout,
-                &conv_outputs,
-            ))
-            .unwrap(),
-            _ => conv_outputs
-                .chunks(1)
-                .flat_map(|one| stacked_conv(&lserver, black_box(&conv_ct), &layout, one).unwrap())
+            0 => packing
+                .server_pass(
+                    &lserver,
+                    std::slice::from_ref(black_box(&packed_ct)),
+                    &conv_weights,
+                )
+                .unwrap(),
+            _ => stacked_conv(&lserver, black_box(&conv_ct), &layout, &conv_outputs)
+                .unwrap()
+                .into_iter()
+                .map(|mut acc| {
+                    for step in [stride, 2 * stride] {
+                        acc = lserver
+                            .add(&acc, &lserver.rotate(&acc, step).unwrap())
+                            .unwrap();
+                    }
+                    acc
+                })
                 .collect(),
         })
     });
-    let conv_shared = record_twins(
-        &mut entries,
-        "conv_layer",
-        ["shared", "per_output"],
-        timings,
-    );
+    let conv_packed = record_twins(&mut entries, "conv_layer", ["packed", "shared"], timings);
     // The FC: 10 x 128. The twin is the square-matrix diagonal method the
     // layer went through before: 128 diagonals, 10 non-zero slots each.
     let fc: Vec<Vec<u64>> = (0..10)
@@ -784,10 +803,10 @@ fn main() {
         );
     }
     header(
-        "layer speedups (twin / candidate; gates: shared conv pass >= 1.2x, hybrid matvec >= 2.0x)",
+        "layer speedups (twin / candidate; gates: packed conv pass >= 1.4x, hybrid matvec >= 2.0x)",
     );
     let layer_speedups = [
-        ("conv_layer_shared_speedup", conv_shared, 1.2),
+        ("conv_layer_packed_speedup", conv_packed, 1.4),
         ("matvec_hybrid_speedup", mv_hybrid, 2.0),
     ];
     for (name, ratio, gate) in layer_speedups {

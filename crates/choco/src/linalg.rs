@@ -1,13 +1,14 @@
 //! Encrypted linear algebra built on rotational redundancy (§3.3).
 //!
-//! Three kernels cover the paper's workloads:
+//! Two kernels cover the paper's workloads:
 //!
 //! * [`stacked_conv`] — convolution over channel-stacked, redundantly packed
 //!   inputs: one rotation per filter tap *for the whole layer* (every output
-//!   channel shares the pass) and one plaintext multiply per tap and output,
-//!   no masking multiplies (the headline win of rotational redundancy);
-//! * [`accumulate_channels`] — logarithmic rotate-add tree summing the
-//!   per-channel partial results into channel block 0;
+//!   shares the pass) and one plaintext multiply per tap and output, no
+//!   masking multiplies (the headline win of rotational redundancy). Its
+//!   weights are per channel *block*, so a conv layer's channel-diagonal
+//!   packing (`choco_apps::dnn::ConvPacking`) runs its diagonals through it
+//!   and sums channels with the same hybrid split as the FC below;
 //! * [`matvec_diagonals`] — diagonal matrix-vector product for
 //!   fully-connected layers and PageRank-style iterations, generic over the
 //!   scheme (`u64` slots under BFV, `f64` under CKKS). It is Gazelle's
@@ -24,18 +25,18 @@ use choco_he::bfv::Ciphertext;
 use choco_he::{Bfv, HeError, HeScheme};
 
 /// One convolution tap: rotate the stacked input by `shift` slots, then
-/// multiply by per-channel weights broadcast over each channel block.
+/// multiply by per-block weights broadcast over each channel block.
 #[derive(Debug, Clone)]
 pub struct ConvTap {
     /// Row-rotation distance (positive = left), bounded by the layout's
     /// redundancy.
     pub shift: i64,
-    /// One weight per input channel.
+    /// One weight per channel block of the layout.
     pub channel_weights: Vec<u64>,
 }
 
-/// Applies the taps of every output channel of a layer to one stacked
-/// ciphertext in a single pass: `out_o = Σ_taps rotate(ct, shift) ⊙ weights_o`
+/// Applies the taps of every output of a layer to one stacked ciphertext
+/// in a single pass: `out_o = Σ_taps rotate(ct, shift) ⊙ weights_o`
 /// for each tap list `outputs[o]`. All outputs shift the same input by the
 /// same distances (that is what makes them one layer), so each tap's
 /// rotation is key-switched once and multiply-accumulated into every
@@ -114,39 +115,6 @@ pub fn stacked_conv(
         Ok((tap.shift, operands))
     });
     eval.dot_rotations_many(ct, outputs.len(), terms, server.galois_keys())
-}
-
-/// Sums all channel blocks into block 0 with a rotate-add tree:
-/// `log2(channels)` rotations by multiples of the stride.
-///
-/// Requires Galois keys for steps `stride, 2·stride, 4·stride, …`.
-/// `channels` must be a power of two (pad with zero channels otherwise).
-///
-/// # Errors
-///
-/// Propagates rotation errors; a non-power-of-two channel count is
-/// reported as [`HeError::Mismatch`].
-pub fn accumulate_channels(
-    server: &Server<Bfv>,
-    ct: &Ciphertext,
-    layout: &StackedLayout,
-) -> Result<Ciphertext, HeError> {
-    let c = layout.channels();
-    if !c.is_power_of_two() {
-        return Err(HeError::Mismatch(
-            "channel count must be a power of two".into(),
-        ));
-    }
-    let eval = server.evaluator();
-    let mut acc = ct.clone();
-    let mut step = 1usize;
-    while step < c {
-        let rotated =
-            eval.rotate_rows(&acc, (step * layout.stride()) as i64, server.galois_keys())?;
-        acc = eval.add(&acc, &rotated)?;
-        step <<= 1;
-    }
-    Ok(acc)
 }
 
 /// Replicates an `n`-vector twice in a slot row so that row rotations by up
@@ -309,18 +277,6 @@ mod tests {
         };
         assert_eq!(got[0], reference(&ch0, &[1, 2, 3]));
         assert_eq!(got[1], reference(&ch1, &[2, 4, 6]));
-    }
-
-    #[test]
-    fn channel_accumulation_sums_into_block_zero() {
-        let layout = StackedLayout::new(4, RedundantLayout::new(4, 0));
-        let stride = layout.stride() as i64;
-        let (mut client, server) = setup(&[stride, 2 * stride]);
-        let channels: Vec<Vec<u64>> = (0..4).map(|c| vec![(c + 1) as u64; 4]).collect();
-        let ct = client.encrypt_slots(&layout.pack(&channels)).unwrap();
-        let summed = accumulate_channels(&server, &ct, &layout).unwrap();
-        let got = layout.extract(&client.decrypt_slots(&summed).unwrap());
-        assert_eq!(got[0], vec![10, 10, 10, 10]); // 1+2+3+4
     }
 
     #[test]
