@@ -47,9 +47,17 @@ CHOCO_SIMD=0 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 CHOCO_SIMD=1 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
+# client_bytes: the client's decrypted slots, decoded f64 bits, noise-budget
+# bits and RNG positions, pinned across builds — at every point of the matrix.
+for simd in 0 1; do
+    for threads in 1 4; do
+        CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q -p choco-he --test client_bytes
+    done
+done
 
 echo "==> zero-alloc steady state (PolyPool counters, both schemes)"
-# Warm keyswitch -> hoisted rotation -> matvec loops must not touch the
+# Warm keyswitch -> hoisted rotation -> matvec loops, and the client's
+# encrypt -> decrypt -> noise budget / decode round, must not touch the
 # allocator for polynomial buffers (crates/he/tests/zero_alloc.rs).
 cargo test -q --release -p choco-he --test zero_alloc
 
@@ -126,7 +134,15 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # outputs in one shared hoisted pass, then 2 rotate-adds each; >= 1.4x —
 # 100 operand encodes and 3 key switches against 200 and 16), and the
 # 10 x 128 FC through the hybrid matvec (`matvec_hybrid`, 16 diagonals +
-# 3 folds) against its 128 full diagonals (>= 2.0x). It asserts that BFV's
+# 3 folds) against its 128 full diagonals (>= 2.0x). The client's calls
+# are gated against their twins too (sets A and B, CKKS at C): the BFV
+# noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
+# CKKS decode (limb composition; >= 2.0x) against the big-integer loops they
+# replaced, next to the older multiply (>= 3.0x) and decrypt (>= 2.0x)
+# gates, and the BFV encrypt against the same encryption spelled with two
+# `mul_poly`s (>= 1.05x: `u` transformed once per prime into the key's
+# cached evaluation-domain rows, where the twin transforms `u` twice and
+# both key halves again). It asserts that BFV's
 # scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
 # hand-inlined twin — the generic protocol core is monomorphized, so any
 # measurable gap is a regression (CKKS has no such twin any more: its

@@ -1,8 +1,9 @@
 //! Op-level kernel timing reporter for the parallel HE runtime.
 //!
 //! Times the kernels the runtime rework targets — strict vs. lazy NTT,
-//! BFV multiply and decrypt in RNS against their big-integer reference,
-//! naive vs. hoisted rotation batches, the diagonal-method matvec of both
+//! BFV multiply, decrypt and noise budget and the CKKS decode against their
+//! big-integer references, the BFV encrypt against its two-`mul_poly`
+//! spelling, naive vs. hoisted rotation batches, the diagonal-method matvec of both
 //! schemes through the per-rotation path and through the fused
 //! double-hoisted dot, and the compiled-program executor on the two served
 //! programs that contain a dot group against the same program with every
@@ -18,14 +19,17 @@
 //! costs more than measurement noise — the generic core is monomorphized,
 //! so there is no dyn dispatch to pay for. A simd section
 //! times every kernel `choco_math::simd` vectorizes against its scalar twin
-//! and fails on one the vector code does not speed up; the RNS multiply and
-//! decrypt are gated the same way against the reference (at least 3.0x and
-//! 2.0x), the fused matvec and the fused executor against their unfused
-//! twins (at least 1.5x), the packed conv pass and the hybrid matvec against
-//! theirs (at least 1.4x and 2.0x). A `par` section times the worker pool's
-//! dispatch cost and every call site still routed through it against its own
-//! one-thread loop, and fails on a site the pool does not speed up (skipped,
-//! with a note, while the host is not running two threads faster than one).
+//! and fails on one the vector code does not speed up; the RNS multiply,
+//! decrypt and noise budget and the limb-composed CKKS decode are gated the
+//! same way against their big-integer references (at least 3.0x, 2.0x,
+//! 3.0x and 2.0x), the BFV encrypt against the same encryption spelled
+//! with two `mul_poly`s (at least 1.05x), the fused matvec and the fused
+//! executor against their unfused twins (at least 1.5x), the packed conv
+//! pass and the hybrid matvec against theirs (at least 1.4x and 2.0x). A
+//! `par` section times the worker pool's dispatch cost and every call site
+//! still routed through it against its own one-thread loop, and fails on a
+//! site the pool does not speed up (skipped, with a note, while the host is
+//! not running two threads faster than one).
 //! `--json <path>` additionally writes a machine-readable
 //! report (the committed baseline lives in `BENCH_kernels.json`);
 //! `--smoke` shrinks the measurement windows so CI can run the reporter
@@ -47,7 +51,7 @@ use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::keyswitch::{generate_ksk, hoist_decompose, hoisted_accumulate};
 use choco_he::params::HeParams;
-use choco_he::rlwe::GaloisKeys;
+use choco_he::rlwe::{GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::modops::{add_mod, sub_mod};
@@ -215,6 +219,34 @@ fn write_json(
     out.push_str("  }\n}\n");
     std::fs::write(path, out).expect("write JSON report");
     println!("\nwrote {path}");
+}
+
+/// BFV public-key encryption spelled with two `mul_poly` calls: the draws
+/// of [`choco_he::bfv::Encryptor::encrypt`] (`u`, `e1`, `e2`) and its
+/// result, with `u` and both key halves transformed again on every call —
+/// the twin of the encryption against the key's cached evaluation-domain
+/// rows.
+fn encrypt_by_mul_poly(
+    ctx: &BfvContext,
+    pk: &PublicKey,
+    pt: &Plaintext,
+    rng: &mut Blake3Rng,
+) -> Ciphertext {
+    let basis = ctx.data_basis();
+    let u = RnsPoly::sample_ternary(rng, basis);
+    let e1 = RnsPoly::sample_error(rng, basis);
+    let e2 = RnsPoly::sample_error(rng, basis);
+    let delta = basis.modulus().divrem_u64(ctx.plain_modulus()).0;
+    let delta: Vec<u64> = basis.primes().iter().map(|&q| delta.rem_u64(q)).collect();
+    let mut msg = RnsPoly::from_unsigned(pt.coeffs(), basis);
+    msg.scalar_mul_per_row(&delta, basis);
+    let (p0, p1) = pk.parts();
+    let mut c0 = p0.mul_poly(&u, basis);
+    c0.add_assign_poly(&e1, basis);
+    c0.add_assign_poly(&msg, basis);
+    let mut c1 = p1.mul_poly(&u, basis);
+    c1.add_assign_poly(&e2, basis);
+    Ciphertext::from_parts(vec![c0, c1])
 }
 
 /// Per-diagonal path: one key-switch decomposition per rotation, one
@@ -436,12 +468,31 @@ fn main() {
         });
     }
 
-    header("BFV multiply+relin and decrypt: RNS base conversion vs big-integer reference");
+    header("RNS vs big-integer, and the client's cached key transforms (sets A, B, C)");
     // The production paths against the per-coefficient CRT oracle they
-    // replaced, at the degrees of paper sets A (8192) and B (4096). ROADMAP's
-    // rule: the RNS path exists because it beats the reference; below the
-    // gate the reference is the simpler code to ship.
+    // replaced, at the degrees of paper sets A (8192) and B (4096) — BFV
+    // multiply, decrypt and noise budget — and the CKKS decode at set C.
+    // ROADMAP's rule: the RNS / limb path exists because it beats the
+    // reference; below the gate the reference is the simpler code to ship.
+    // The same rule holds the BFV encrypt to its cached evaluation-domain
+    // public key: its twin is the encryption spelled with two `mul_poly`s
+    // (the key and `u` transformed again on every call).
     let mut rns_speedups: Vec<(String, f64)> = Vec::new();
+    let mut gated_twins = |entries: &mut Vec<Entry>,
+                           name: String,
+                           labels: [&str; 2],
+                           gate: f64,
+                           mut sides: [&mut dyn FnMut(); 2]| {
+        let timings = best_of_three(|side| measure(window_ms, &mut *sides[side]));
+        let ratio = record_twins(entries, &name, labels, timings);
+        assert!(
+            ratio >= gate,
+            "{name} is {ratio:.2}x its {} twin (gate: >= {gate:.2}x)",
+            labels[1]
+        );
+        rns_speedups.push((format!("{name}_speedup"), ratio));
+    };
+    const RNS: [&str; 2] = ["rns", "bigint"];
     for (tag, set) in [("a", HeParams::set_a()), ("b", HeParams::set_b())] {
         let ctx = BfvContext::new(&set).unwrap();
         let mut rng = Blake3Rng::from_seed(b"bench kernels bfv rns");
@@ -449,38 +500,105 @@ fn main() {
         let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
         let values: Vec<u64> = (0..set.degree() as u64).map(|i| i % 17).collect();
         let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let enc = ctx.encryptor(keys.public_key());
+        let ct = enc.encrypt(&pt, &mut rng);
         let (eval, dec) = (ctx.evaluator(), ctx.decryptor(keys.secret_key()));
-        let mut twins = |kernel: &str, gate: f64, rns: &dyn Fn(), bigint: &dyn Fn()| {
-            let timings = best_of_three(|side| measure(window_ms, [rns, bigint][side]));
-            let name = format!("{kernel}_{tag}");
-            let ratio = record_twins(&mut entries, &name, ["rns", "bigint"], timings);
-            assert!(
-                ratio >= gate,
-                "{name} is {ratio:.2}x the big-integer reference (gate: >= {gate:.1}x)"
-            );
-            rns_speedups.push((format!("{name}_speedup"), ratio));
-        };
-        twins(
-            "bfv_multiply_relin",
+        gated_twins(
+            &mut entries,
+            format!("bfv_multiply_relin_{tag}"),
+            RNS,
             3.0,
-            &|| {
-                black_box(eval.multiply_relin(black_box(&ct), &ct, &rk).unwrap());
-            },
-            &|| {
-                let prod = eval.multiply_reference(black_box(&ct), &ct).unwrap();
-                black_box(eval.relinearize(&prod, &rk).unwrap());
-            },
+            [
+                &mut || {
+                    black_box(eval.multiply_relin(black_box(&ct), &ct, &rk).unwrap());
+                },
+                &mut || {
+                    let prod = eval.multiply_reference(black_box(&ct), &ct).unwrap();
+                    black_box(eval.relinearize(&prod, &rk).unwrap());
+                },
+            ],
         );
-        twins(
-            "bfv_decrypt",
+        gated_twins(
+            &mut entries,
+            format!("bfv_decrypt_{tag}"),
+            RNS,
             2.0,
-            &|| {
-                black_box(dec.decrypt(black_box(&ct)));
-            },
-            &|| {
-                black_box(dec.decrypt_reference(black_box(&ct)));
-            },
+            [
+                &mut || {
+                    black_box(dec.decrypt(black_box(&ct)));
+                },
+                &mut || {
+                    black_box(dec.decrypt_reference(black_box(&ct)));
+                },
+            ],
+        );
+        gated_twins(
+            &mut entries,
+            format!("bfv_noise_budget_{tag}"),
+            RNS,
+            3.0,
+            [
+                &mut || {
+                    black_box(dec.invariant_noise_budget(black_box(&ct)));
+                },
+                &mut || {
+                    black_box(dec.invariant_noise_budget_reference(black_box(&ct)));
+                },
+            ],
+        );
+        // The twin is a twin: same draws, same ciphertext.
+        let seed = b"bench kernels bfv encrypt";
+        let (mut cached_rng, mut twin_rng) =
+            (Blake3Rng::from_seed(seed), Blake3Rng::from_seed(seed));
+        assert_eq!(
+            enc.encrypt(&pt, &mut cached_rng),
+            encrypt_by_mul_poly(&ctx, keys.public_key(), &pt, &mut twin_rng)
+        );
+        gated_twins(
+            &mut entries,
+            format!("bfv_encrypt_{tag}"),
+            ["cached", "mul_poly"],
+            1.05,
+            [
+                &mut || {
+                    black_box(enc.encrypt(black_box(&pt), &mut cached_rng));
+                },
+                &mut || {
+                    black_box(encrypt_by_mul_poly(
+                        &ctx,
+                        keys.public_key(),
+                        black_box(&pt),
+                        &mut twin_rng,
+                    ));
+                },
+            ],
+        );
+    }
+    {
+        let cparams = HeParams::set_c();
+        let cctx = CkksContext::new(&cparams).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"bench kernels ckks decode");
+        let keys = cctx.keygen(&mut rng);
+        let values: Vec<f64> = (0..cctx.slot_count())
+            .map(|i| (i % 17) as f64 * 0.25)
+            .collect();
+        let ct = cctx
+            .encrypt(&cctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+            .unwrap();
+        let pt = cctx.decrypt(&ct, keys.secret_key());
+        gated_twins(
+            &mut entries,
+            "ckks_decode_c".into(),
+            RNS,
+            2.0,
+            [
+                &mut || {
+                    black_box(cctx.decode(black_box(&pt)));
+                },
+                &mut || {
+                    black_box(cctx.decode_reference(black_box(&pt)));
+                },
+            ],
         );
     }
     // The primitive itself at set A's shapes: the lift into the 5-prime
@@ -727,8 +845,11 @@ fn main() {
     let x = RnsPoly::sample_uniform(&mut prng, &level_basis);
     let y = RnsPoly::sample_uniform(&mut prng, &level_basis);
     let small: Vec<u64> = (0..pa.degree() as u64).map(|i| i % 65_537).collect();
-    let sk = RnsPoly::sample_ternary(&mut prng, &ks_basis);
-    let sk2 = sk.mul_poly(&sk, &ks_basis);
+    // Key-switch keys are generated over the keys' evaluation-domain rows.
+    let mut sk = RnsPoly::sample_ternary(&mut prng, &ks_basis);
+    sk.ntt_forward(&ks_basis);
+    let mut sk2 = RnsPoly::zero(ks_basis.len(), ks_basis.degree());
+    sk2.dyadic_accumulate(&sk, &sk, &ks_basis);
     let ksk = generate_ksk(&sk, &sk2, &ks_basis, &level_basis, &mut prng);
     let hoisted = hoist_decompose(&x, &ks_basis, &level_basis);
     let ctx_a = BfvContext::new(&pa).unwrap();
@@ -842,7 +963,10 @@ fn main() {
     } else {
         note("scalar backend active: both twins ran the scalar loop, simd gate skipped");
     }
-    header("rns speedups (bigint / rns; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x)");
+    header(
+        "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x, \
+         noise budget >= 3.0x, ckks decode >= 2.0x, encrypt >= 1.05x)",
+    );
     for (name, value) in rns_speedups.iter().chain(&rns_convert_ns) {
         println!("{name:<34} {value:.2}");
     }

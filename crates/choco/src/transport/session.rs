@@ -572,7 +572,7 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
         }
         let params = ck.rebuild_params()?;
         let ctx = S::context(&params)?;
-        let keys = S::keys_from_wire(&ck.keys_wire)?;
+        let keys = S::keys_from_wire(&ctx, &ck.keys_wire)?;
         let relin = S::relin_from_wire(&ck.relin_wire)?;
         let galois = S::galois_from_wire(&ck.galois_wire)?;
         let public = S::public_key(&keys).clone();

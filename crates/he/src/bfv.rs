@@ -21,13 +21,12 @@ use crate::error::HeError;
 use crate::keyswitch::{galois_element_columns, galois_element_rows};
 use crate::params::{HeParams, SchemeType};
 use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
-use crate::rnspoly::{dot_with_key_powers, RnsPoly};
+use crate::rnspoly::RnsPoly;
 use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
-use choco_math::UBig;
 use choco_prng::Blake3Rng;
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -100,13 +99,12 @@ pub struct BfvContext {
     data: Arc<RnsBasis>,
     /// Auxiliary basis wide enough for the exact integer tensor product.
     ext: Arc<RnsBasis>,
-    /// Δ = ⌊q/t⌋ reduced modulo each data prime.
-    delta_mod_qi: Vec<u64>,
     /// Prefix bases of the data primes (`level_bases[l-1]` has `l` primes),
     /// used by modulus-switched ciphertexts.
     level_bases: Vec<Arc<RnsBasis>>,
-    /// ⌊q_level/t⌋ per level, aligned with `level_bases`.
-    level_deltas: Vec<UBig>,
+    /// `Δ_l = ⌊q_l/t⌋` reduced modulo each prime of level `l`, aligned with
+    /// `level_bases`; the last entry is the fresh-ciphertext `Δ`.
+    level_deltas: Vec<Vec<u64>>,
     /// Per level: the `q_level → {t}` conversion and `−q_level^{-1} mod t`,
     /// which turn `[t·x]_q` into the decrypted coefficient.
     level_to_plain: Vec<(BaseConverter, u64)>,
@@ -177,8 +175,6 @@ impl BfvContext {
             .iter()
             .map(|&p| inv_mod(data.modulus().rem_u64(p), p))
             .collect();
-        let delta = data.modulus().divrem_u64(t).0;
-        let delta_mod_qi = data.primes().iter().map(|&q| delta.rem_u64(q)).collect();
         let mut level_bases = Vec::with_capacity(data.len());
         let mut level_deltas = Vec::with_capacity(data.len());
         let mut level_to_plain = Vec::with_capacity(data.len());
@@ -188,7 +184,8 @@ impl BfvContext {
             } else {
                 Arc::new(data.prefix(l))
             };
-            level_deltas.push(basis.modulus().divrem_u64(t).0);
+            let delta = basis.modulus().divrem_u64(t).0;
+            level_deltas.push(basis.primes().iter().map(|&q| delta.rem_u64(q)).collect());
             let q_inv = inv_mod(basis.modulus().rem_u64(t), t);
             level_to_plain.push((BaseConverter::new(basis.clone(), &[t]), t - q_inv));
             level_bases.push(basis);
@@ -199,7 +196,6 @@ impl BfvContext {
             full,
             data,
             ext,
-            delta_mod_qi,
             level_bases,
             level_deltas,
             level_to_plain,
@@ -229,6 +225,12 @@ impl BfvContext {
     /// The data-modulus RNS basis.
     pub fn data_basis(&self) -> &RnsBasis {
         &self.data
+    }
+
+    /// The full basis — data primes and the special prime — the secret key
+    /// and key-switch keys live over.
+    pub(crate) fn full_basis(&self) -> &RnsBasis {
+        &self.full
     }
 
     /// log2 of the data modulus `q`.
@@ -301,11 +303,14 @@ impl BfvContext {
         }
     }
 
-    /// `Δ·m` over the data basis: the plaintext lifted into each residue,
-    /// then scaled by `Δ mod q_i`.
-    fn scaled_message(&self, pt: &Plaintext) -> RnsPoly {
-        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), &self.data);
-        dm.scalar_mul_per_row(&self.delta_mod_qi, &self.data);
+    /// `Δ_l·m` over `basis`, the prefix basis of level `l` (the data basis
+    /// for a fresh ciphertext's message term): the plaintext lifted into
+    /// each residue, then scaled by `Δ_l mod q_i`.
+    fn scaled_message(&self, pt: &Plaintext, basis: &RnsBasis) -> RnsPoly {
+        let mut dm = RnsPoly::from_unsigned(pt.coeffs(), basis);
+        if let Some(delta) = self.level_deltas.get(basis.len().wrapping_sub(1)) {
+            dm.scalar_mul_per_row(delta, basis);
+        }
         dm
     }
 
@@ -324,8 +329,12 @@ impl BfvContext {
         sk: &SecretKey,
         rng: &mut Blake3Rng,
     ) -> SeededCiphertext {
-        let (c0, seed) =
-            rlwe::encrypt_symmetric_seeded(sk, &self.scaled_message(pt), &self.data, rng);
+        let (c0, seed) = rlwe::encrypt_symmetric_seeded(
+            sk,
+            &self.scaled_message(pt, &self.data),
+            &self.data,
+            rng,
+        );
         SeededCiphertext { c0, seed }
     }
 
@@ -381,7 +390,7 @@ impl Encryptor<'_> {
     pub fn encrypt(&self, pt: &Plaintext, rng: &mut Blake3Rng) -> Ciphertext {
         let ctx = self.ctx;
         Ciphertext {
-            parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt), &ctx.data, rng),
+            parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt, &ctx.data), &ctx.data, rng),
         }
     }
 
@@ -409,21 +418,24 @@ impl Decryptor<'_> {
     /// Computes `x = c0 + c1·s (+ c2·s²)` over the ciphertext's basis.
     // choco-lint: secret (public: ct)
     fn dot_with_secret(&self, ct: &Ciphertext) -> RnsPoly {
-        let basis = self.basis_of(ct);
-        let s = self.sk.full.prefix(basis.len());
-        dot_with_key_powers(&ct.parts[0], &ct.parts[1..], &s, basis)
+        rlwe::dot_with_secret(&ct.parts, self.sk, self.basis_of(ct))
     }
 
     /// Decrypts: `m = ⌊t·x/q⌉ mod t` per coefficient.
+    // choco-lint: secret (public: ct)
+    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
+        self.plaintext_of(self.dot_with_secret(ct), self.basis_of(ct))
+    }
+
+    /// The plaintext `⌊t·x/q⌉ mod t` of `x = c0 + c1·s (+ …)` over `basis`.
     ///
     /// With `r = [t·x]_q` centered, `⌊t·x/q⌉ = (t·x − r)/q ≡ −r·q^{-1}`
     /// modulo `t`, so one exact `q → {t}` conversion of `r` does it.
-    // choco-lint: secret (public: ct)
-    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
+    // choco-lint: secret (public: basis)
+    fn plaintext_of(&self, mut x: RnsPoly, basis: &RnsBasis) -> Plaintext {
         let t = self.ctx.t;
-        let (to_plain, neg_q_inv) = &self.ctx.level_to_plain[ct.parts[0].row_count() - 1];
-        let mut x = self.dot_with_secret(ct);
-        x.scalar_mul(t, self.basis_of(ct));
+        let (to_plain, neg_q_inv) = &self.ctx.level_to_plain[basis.len() - 1];
+        x.scalar_mul(t, basis);
         let r = x.convert_centered(to_plain);
         let shoup = shoup_precompute(*neg_q_inv, t);
         let scale = |&v: &u64| mul_mod_shoup(v, *neg_q_inv, shoup, t);
@@ -454,31 +466,54 @@ impl Decryptor<'_> {
     /// SEAL-style invariant noise budget in bits:
     /// `log2(q/t) − 1 − log2‖v‖∞` where `v = x − Δ·m (mod q)` centered.
     /// Returns 0 when the budget is exhausted.
+    ///
+    /// One `x = c0 + c1·s` serves both the decryption of `m` and the noise
+    /// `v`, which is formed residue-wise (`Δ mod q_i` per level) and measured
+    /// by limb composition.
+    // choco-lint: secret (public: ct)
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> f64 {
+        let basis = self.basis_of(ct);
+        let mut v = self.dot_with_secret(ct);
+        let m = self.plaintext_of(v.clone(), basis);
+        v.sub_assign_poly(&self.ctx.scaled_message(&m, basis), basis);
+        let max_log = v.centered_norm_log2(basis);
+        let t = self.ctx.t as f64;
+        let budget = basis.modulus_bits() - t.log2() - 1.0 - max_log.max(0.0);
+        budget.max(0.0)
+    }
+
+    /// [`Self::invariant_noise_budget`] by big-integer CRT composition of
+    /// every coefficient, with `Δ·m` formed as a big integer and the
+    /// difference reduced by Knuth division: the oracle the residue-wise,
+    /// limb-composed path is tested (and benchmarked) against. Not a
+    /// production path.
+    #[doc(hidden)]
+    pub fn invariant_noise_budget_reference(&self, ct: &Ciphertext) -> f64 {
         let ctx = self.ctx;
         let basis = self.basis_of(ct);
-        let delta = &ctx.level_deltas[ct.parts[0].row_count() - 1];
         let x = self.dot_with_secret(ct);
-        let m = self.decrypt(ct);
+        let m = self.decrypt_reference(ct);
         let q = basis.modulus();
+        let delta = q.divrem_u64(ctx.t).0;
         let half = q.shr(1);
-        let n = ctx.degree();
         let mut max_log = f64::NEG_INFINITY;
-        for j in 0..n {
-            let residues: Vec<u64> = (0..basis.len()).map(|i| x.row(i)[j]).collect();
-            let v = basis.compose(&residues);
-            // v_noise = x - Δ·m mod q, centered.
-            let dm = delta.mul_u64(m.coeffs()[j]);
+        for (j, &mj) in m.coeffs().iter().enumerate() {
+            // x's coefficient in [0, q).
+            let (magnitude, negative) = x.coeff_centered(j, basis);
+            let v = if negative {
+                q.sub(&magnitude)
+            } else {
+                magnitude
+            };
+            // v_noise = x − Δ·m mod q, centered.
+            let dm = delta.mul_u64(mj);
             let diff = if v >= dm {
                 v.sub(&dm)
             } else {
                 q.sub(&dm.sub(&v).divrem(q).1)
             };
             let centered = if diff > half { q.sub(&diff) } else { diff };
-            let l = centered.log2();
-            if l > max_log {
-                max_log = l;
-            }
+            max_log = max_log.max(centered.log2());
         }
         let budget = q.log2() - (ctx.t as f64).log2() - 1.0 - max_log.max(0.0);
         budget.max(0.0)
@@ -541,7 +576,7 @@ impl Evaluator<'_> {
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let ctx = self.ctx;
         let mut out = a.clone();
-        out.parts[0].add_assign_poly(&ctx.scaled_message(pt), &ctx.data);
+        out.parts[0].add_assign_poly(&ctx.scaled_message(pt, &ctx.data), &ctx.data);
         out
     }
 
@@ -1036,6 +1071,39 @@ mod tests {
         // q_data = 80 bits, t = 17 bits, noise ~ 2^9 → expect ~52 bits.
         assert!(budget > 30.0, "budget {budget}");
         assert!(budget < 70.0, "budget {budget}");
+    }
+
+    #[test]
+    fn noise_budget_is_the_big_integer_budget_bit_for_bit() {
+        // Fresh, after multiplies down to exhaustion, and switched down a
+        // level: every kind of noise the residue-wise path measures.
+        let ctx = ctx_small();
+        let mut rng = rng();
+        let keys = ctx.keygen(&mut rng);
+        let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
+        let dec = ctx.decryptor(keys.secret_key());
+        let eval = ctx.evaluator();
+        let pt = Plaintext::from_coeffs((0..ctx.degree() as u64).map(|i| i % 5).collect());
+        let fresh = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let mut cts = vec![fresh.clone()];
+        for _ in 0..3 {
+            let next = eval
+                .multiply_relin(cts.last().unwrap(), &fresh, &rk)
+                .unwrap();
+            cts.push(next);
+        }
+        cts.push(eval.mod_switch_to_next(&fresh).unwrap());
+        for ct in &cts {
+            let got = dec.invariant_noise_budget(ct);
+            assert_eq!(
+                got.to_bits(),
+                dec.invariant_noise_budget_reference(ct).to_bits()
+            );
+        }
+        assert!(
+            dec.invariant_noise_budget(&cts[3]) < 1.0,
+            "chain ran the budget out"
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::error::HeError;
 use crate::keyswitch::galois_element_ckks;
 use crate::params::{HeParams, SchemeType};
 use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
-use crate::rnspoly::{dot_with_key_powers, RnsPoly};
+use crate::rnspoly::RnsPoly;
+use choco_math::bigint::limbs_to_f64;
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
 use choco_math::modops::reduce_signed;
 use choco_math::rns::RnsBasis;
@@ -185,6 +186,12 @@ impl CkksContext {
         self.default_scale
     }
 
+    /// The full basis — data primes and the special prime — the secret key
+    /// and key-switch keys live over.
+    pub(crate) fn full_basis(&self) -> &RnsBasis {
+        &self.full
+    }
+
     fn level_basis(&self, level: usize) -> &RnsBasis {
         &self.level_bases[level - 1]
     }
@@ -277,24 +284,49 @@ impl CkksContext {
         Ok(coeffs)
     }
 
-    /// Decodes a plaintext back to `N/2` real values.
+    /// Decodes a plaintext back to `N/2` real values: each coefficient's
+    /// centered value (limb composition, `RnsPoly::for_each_centered`)
+    /// over the scale, then the forward embedding FFT.
     pub fn decode(&self, pt: &CkksPlaintext) -> Vec<f64> {
-        let n = self.degree();
         let basis = self.level_basis(pt.level);
-        let mut evals = vec![Complex::zero(); n];
-        for i in 0..n {
-            let (mag, neg) = pt.poly.coeff_centered(i, basis);
-            let mut v = mag.to_f64() / pt.scale;
-            if neg {
+        let mut evals = Vec::with_capacity(self.degree());
+        let mut zetas = self.zeta_pows.iter();
+        pt.poly.for_each_centered(basis, |magnitude, negative| {
+            let mut v = limbs_to_f64(magnitude) / pt.scale;
+            if negative {
                 v = -v;
             }
-            evals[i] = Complex::new(v, 0.0) * self.zeta_pows[i];
-        }
+            let zeta = zetas.next().copied().unwrap_or_else(Complex::zero);
+            evals.push(Complex::new(v, 0.0) * zeta);
+        });
+        self.slots_of(evals)
+    }
+
+    /// The slot values of the twisted coefficients `evals`: the forward
+    /// embedding FFT, read at each slot's bin.
+    fn slots_of(&self, mut evals: Vec<Complex>) -> Vec<f64> {
         fft_forward(&mut evals);
         self.slot_bins
             .iter()
             .map(|&(bin, _)| evals[bin].re)
             .collect()
+    }
+
+    /// [`Self::decode`] with every coefficient composed into a big integer
+    /// ([`RnsPoly::coeff_centered`]): the oracle the limb-composed path is
+    /// tested (and benchmarked) against. Not a production path.
+    #[doc(hidden)]
+    pub fn decode_reference(&self, pt: &CkksPlaintext) -> Vec<f64> {
+        let basis = self.level_basis(pt.level);
+        let evals: Vec<Complex> = (0..self.degree())
+            .zip(&self.zeta_pows)
+            .map(|(i, &zeta)| {
+                let (mag, neg) = pt.poly.coeff_centered(i, basis);
+                let v = mag.to_f64() / pt.scale;
+                Complex::new(if neg { -v } else { v }, 0.0) * zeta
+            })
+            .collect();
+        self.slots_of(evals)
     }
 
     /// Generates a fresh key pair.
@@ -359,10 +391,8 @@ impl CkksContext {
     /// Decrypts to a plaintext at the ciphertext's level/scale.
     // choco-lint: secret
     pub fn decrypt(&self, ct: &CkksCiphertext, sk: &SecretKey) -> CkksPlaintext {
-        let basis = self.level_basis(ct.level);
-        let s = sk.full.prefix(ct.level);
         CkksPlaintext {
-            poly: dot_with_key_powers(&ct.parts[0], &ct.parts[1..], &s, basis),
+            poly: rlwe::dot_with_secret(&ct.parts, sk, self.level_basis(ct.level)),
             level: ct.level,
             scale: ct.scale,
         }
@@ -676,6 +706,28 @@ mod tests {
         let pt = ctx.encode(&values).unwrap();
         let out = ctx.decode(&pt);
         assert_close(&out, &values, 1e-6);
+    }
+
+    #[test]
+    fn decode_is_the_big_integer_decode_bit_for_bit() {
+        let ctx = ctx();
+        let mut rng = rng();
+        let keys = ctx.keygen(&mut rng);
+        let rk = ctx.relin_key(keys.secret_key(), &mut rng);
+        let values: Vec<f64> = (0..ctx.slot_count())
+            .map(|i| (i as f64).cos() * 9.0)
+            .collect();
+        let ct = ctx
+            .encrypt(&ctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+            .unwrap();
+        let rescaled = ctx
+            .rescale(&ctx.multiply_relin(&ct, &ct, &rk).unwrap())
+            .unwrap();
+        for ct in [&ct, &rescaled] {
+            let pt = ctx.decrypt(ct, keys.secret_key());
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(ctx.decode(&pt)), bits(ctx.decode_reference(&pt)));
+        }
     }
 
     #[test]

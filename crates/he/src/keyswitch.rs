@@ -76,14 +76,20 @@ impl KswitchKey {
     }
 }
 
-/// Generates a key-switching key taking `s'`-keyed components to `s`.
+/// Generates a key-switching key taking `s'`-keyed components to `s`,
+/// directly in the evaluation domain the key is stored in.
 ///
-/// `s` and `s_prime` must be given over the full basis (all `k` primes,
-/// special last); `data` is the prefix basis of the first `k − 1` primes.
+/// `s_ntt` and `s_prime_ntt` are the two keys' NTT rows over the full basis
+/// (all `k` primes, special last); `data` is the prefix basis of the first
+/// `k − 1` primes. Per digit `j`, `a` and `e` are sampled (that order, the
+/// RNG contract) and transformed — two forward NTTs per row — and
+/// `b = −(a ⊙ s + e) + P·E_j ⊙ s'`, where the last term is nonzero only in
+/// row `j`, as `(P mod q_j)·s'`. By linearity this is, bit for bit, the
+/// transform of the same key formed in coefficient form.
 // choco-lint: secret (public: full, data)
 pub fn generate_ksk(
-    s: &RnsPoly,
-    s_prime: &RnsPoly,
+    s_ntt: &RnsPoly,
+    s_prime_ntt: &RnsPoly,
     full: &RnsBasis,
     data: &RnsBasis,
     rng: &mut Blake3Rng,
@@ -95,39 +101,35 @@ pub fn generate_ksk(
         "full basis must be data basis plus special prime"
     );
     // choco-lint: allow(SEC001) row_count is public geometry, not key material
-    assert_eq!(s.row_count(), k, "secret key must span the full basis");
+    assert_eq!(s_ntt.row_count(), k, "secret key must span the full basis");
     // choco-lint: allow(SEC001) row_count is public geometry, not key material
     assert_eq!(
-        s_prime.row_count(),
+        s_prime_ntt.row_count(),
         k,
         "target key must span the full basis"
     );
     let p_special = full.primes()[k - 1];
 
-    let mut pairs = Vec::with_capacity(d);
-    for j in 0..d {
-        let a = RnsPoly::sample_uniform(rng, full);
-        let e = RnsPoly::sample_error(rng, full);
-        // b = -(a*s + e)
-        let mut b = a.mul_poly(s, full);
-        b.add_assign_poly(&e, full);
-        b.neg_assign_poly(full);
-        // Add P·E_j·s', which is nonzero only in residue row j where it
-        // equals (P mod q_j)·s'.
-        let qj = data.primes()[j];
-        let w = p_special % qj;
-        let sp_row = s_prime.row(j).to_vec();
-        let row = b.row_mut(j);
-        for (x, &sv) in row.iter_mut().zip(&sp_row) {
-            *x = add_mod(*x, mul_mod(w, sv, qj), qj);
-        }
-        // Store in NTT form for fast application.
-        let mut b_ntt = b;
-        let mut a_ntt = a;
-        b_ntt.ntt_forward(full);
-        a_ntt.ntt_forward(full);
-        pairs.push((b_ntt, a_ntt));
-    }
+    let pairs = data
+        .primes()
+        .iter()
+        .enumerate()
+        .map(|(j, &qj)| {
+            let mut a = RnsPoly::sample_uniform(rng, full);
+            let mut b = RnsPoly::sample_error(rng, full);
+            a.ntt_forward(full);
+            b.ntt_forward(full);
+            // b = −(a ⊙ s + e)
+            b.dyadic_accumulate(&a, s_ntt, full);
+            b.neg_assign_poly(full);
+            // + (P mod q_j)·s' in row j.
+            let w = p_special % qj;
+            for (x, &sv) in b.row_mut(j).iter_mut().zip(s_prime_ntt.row(j)) {
+                *x = add_mod(*x, mul_mod(w, sv, qj), qj);
+            }
+            (b, a)
+        })
+        .collect();
     KswitchKey {
         pairs,
         full_prime_count: k,
@@ -432,6 +434,65 @@ mod tests {
     use super::*;
     use choco_math::prime::generate_ntt_primes;
 
+    fn ntt(p: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
+        let mut p = p.clone();
+        p.ntt_forward(basis);
+        p
+    }
+
+    /// The coefficient-domain construction `generate_ksk` replaced:
+    /// `b = −(a·s + e) + P·E_j·s'` formed with `mul_poly`, then transformed.
+    fn generate_ksk_by_coefficients(
+        s: &RnsPoly,
+        s_prime: &RnsPoly,
+        full: &RnsBasis,
+        data: &RnsBasis,
+        rng: &mut Blake3Rng,
+    ) -> Vec<(RnsPoly, RnsPoly)> {
+        let p = full.primes()[full.len() - 1];
+        (0..data.len())
+            .map(|j| {
+                let a = RnsPoly::sample_uniform(rng, full);
+                let e = RnsPoly::sample_error(rng, full);
+                let mut b = a.mul_poly(s, full);
+                b.add_assign_poly(&e, full);
+                b.neg_assign_poly(full);
+                let qj = data.primes()[j];
+                let sp: Vec<u64> = s_prime.row(j).to_vec();
+                for (x, sv) in b.row_mut(j).iter_mut().zip(sp) {
+                    *x = add_mod(*x, mul_mod(p % qj, sv, qj), qj);
+                }
+                (ntt(&b, full), ntt(&a, full))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn evaluation_domain_keys_are_the_transformed_coefficient_keys() {
+        let (full, data) = bases();
+        let mut rng = Blake3Rng::from_seed(b"ksk in ntt");
+        let s = RnsPoly::sample_ternary(&mut rng, &full);
+        // s² and a Galois image, the two targets the schemes switch from.
+        let targets = [s.mul_poly(&s, &full), s.galois(3, &full)];
+        let n = full.degree();
+        let target_ntts = [
+            {
+                let mut s2 = RnsPoly::zero(full.len(), n);
+                s2.dyadic_accumulate(&ntt(&s, &full), &ntt(&s, &full), &full);
+                s2
+            },
+            ntt(&s, &full).galois_ntt(&choco_math::ntt::galois_ntt_permutation(n, 3)),
+        ];
+        for (target, target_ntt) in targets.iter().zip(&target_ntts) {
+            let seed = b"ksk in ntt, per target";
+            let (mut a, mut b) = (Blake3Rng::from_seed(seed), Blake3Rng::from_seed(seed));
+            let want = generate_ksk_by_coefficients(&s, target, &full, &data, &mut a);
+            let got = generate_ksk(&ntt(&s, &full), target_ntt, &full, &data, &mut b);
+            assert_eq!(got.pairs(), &want[..]);
+            assert_eq!(a.bytes_drawn(), b.bytes_drawn());
+        }
+    }
+
     fn bases() -> (RnsBasis, RnsBasis) {
         let n = 256;
         let mut primes = generate_ntt_primes(40, n, 2);
@@ -449,7 +510,13 @@ mod tests {
         let s_prime = RnsPoly::sample_ternary(&mut rng, &full);
         let d_in = RnsPoly::sample_uniform(&mut rng, &data);
 
-        let ksk = generate_ksk(&s, &s_prime, &full, &data, &mut rng);
+        let ksk = generate_ksk(
+            &ntt(&s, &full),
+            &ntt(&s_prime, &full),
+            &full,
+            &data,
+            &mut rng,
+        );
         let (k0, k1) = apply_ksk(&d_in, &ksk, &full, &data);
 
         // k0 + k1·s should equal d·s' up to small noise (all mod data basis).
@@ -484,7 +551,13 @@ mod tests {
         let mut rng = Blake3Rng::from_seed(b"ks level");
         let s = RnsPoly::sample_ternary(&mut rng, &full);
         let s_prime = RnsPoly::sample_ternary(&mut rng, &full);
-        let ksk = generate_ksk(&s, &s_prime, &full, &data, &mut rng);
+        let ksk = generate_ksk(
+            &ntt(&s, &full),
+            &ntt(&s_prime, &full),
+            &full,
+            &data,
+            &mut rng,
+        );
 
         let d_in = RnsPoly::sample_uniform(&mut rng, &level1);
         let (k0, k1) = apply_ksk(&d_in, &ksk, &ks1, &level1);

@@ -25,6 +25,17 @@
 //! RNG draw order is part of the contract (checkpoints replay it): `s`, `a`,
 //! `e` for a key pair; `u`, `e1`, `e2` for an encryption; one
 //! [`generate_ksk`] per Galois element in list order.
+//!
+//! The client's side pays each transform once. Both keys carry their
+//! evaluation-domain rows beside the coefficient form that travels on the
+//! wire, built once where the key is built ([`keygen`],
+//! [`crate::serialize::keys_from_bytes`]): an encryption transforms `u` once
+//! per prime and multiplies it into both public-key halves (one forward and
+//! two inverse NTTs per prime), a decryption multiplies the ciphertext's
+//! transformed components into the secret's rows ([`dot_with_secret`]), and
+//! key-switch keys are formed over the secret's rows directly. A prefix of
+//! the secret's rows is the secret at any level, as an NTT row depends only
+//! on its prime.
 
 use crate::error::HeError;
 use crate::keyswitch::{
@@ -41,22 +52,62 @@ use choco_prng::Blake3Rng;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
+/// The evaluation-domain copy of a coefficient-form polynomial over `basis`.
+// choco-lint: secret (public: basis)
+fn to_ntt(poly: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
+    let mut ntt = poly.clone();
+    ntt.ntt_forward(basis);
+    ntt
+}
+
 /// The secret key: a ternary polynomial, kept over the full basis so key
-/// switching material can be generated.
+/// switching material can be generated, in coefficient form (the wire form)
+/// and as evaluation-domain rows.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     pub(crate) full: RnsPoly,
+    pub(crate) ntt: RnsPoly,
+}
+
+impl SecretKey {
+    /// The key whose coefficient form over `full` is `s`.
+    // choco-lint: secret (public: full)
+    pub(crate) fn new(s: RnsPoly, full: &RnsBasis) -> Self {
+        let ntt = to_ntt(&s, full);
+        SecretKey { full: s, ntt }
+    }
 }
 
 /// The public encryption key `(P0, P1) = (−(a·s + e), a)` over the top
-/// ciphertext basis.
+/// ciphertext basis, in coefficient form (the wire form) and as
+/// evaluation-domain rows.
 #[derive(Debug, Clone)]
 pub struct PublicKey {
     pub(crate) p0: RnsPoly,
     pub(crate) p1: RnsPoly,
+    p0_ntt: RnsPoly,
+    p1_ntt: RnsPoly,
 }
 
 impl PublicKey {
+    /// The key whose coefficient form over `top` is `(p0, p1)`. `top` may
+    /// also be a basis `top` is a prefix of: each row is transformed with
+    /// its own prime's table.
+    pub(crate) fn new(p0: RnsPoly, p1: RnsPoly, top: &RnsBasis) -> Self {
+        let (p0_ntt, p1_ntt) = (to_ntt(&p0, top), to_ntt(&p1, top));
+        PublicKey {
+            p0,
+            p1,
+            p0_ntt,
+            p1_ntt,
+        }
+    }
+
+    /// The coefficient form `(P0, P1)`.
+    pub fn parts(&self) -> (&RnsPoly, &RnsPoly) {
+        (&self.p0, &self.p1)
+    }
+
     /// Serialized size in bytes (two top-basis polynomials).
     pub fn byte_size(&self) -> usize {
         2 * self.p0.row_count() * self.p0.degree() * 8
@@ -122,12 +173,13 @@ impl GaloisKeys {
     }
 }
 
-/// An RLWE encryption of zero under `s` with the given mask:
-/// `−(a·s + e)` for a fresh error `e`.
+/// An RLWE encryption of zero under the secret with evaluation-domain rows
+/// `s_ntt` (a prefix of them is used) with the given mask: `−(a·s + e)` for
+/// a fresh error `e`.
 // choco-lint: secret (public: basis)
-fn masked_zero(a: &RnsPoly, s: &RnsPoly, basis: &RnsBasis, rng: &mut Blake3Rng) -> RnsPoly {
+fn masked_zero(a: &RnsPoly, s_ntt: &RnsPoly, basis: &RnsBasis, rng: &mut Blake3Rng) -> RnsPoly {
     let e = RnsPoly::sample_error(rng, basis);
-    let mut b = a.mul_poly(s, basis);
+    let [mut b] = a.mul_by_ntt([s_ntt], basis);
     b.add_assign_poly(&e, basis);
     b.neg_assign_poly(basis);
     b
@@ -138,27 +190,29 @@ fn masked_zero(a: &RnsPoly, s: &RnsPoly, basis: &RnsBasis, rng: &mut Blake3Rng) 
 /// ciphertext.
 // choco-lint: secret (public: full, top)
 pub fn keygen(full: &RnsBasis, top: &RnsBasis, rng: &mut Blake3Rng) -> KeyBundle {
-    let s_full = RnsPoly::sample_ternary(rng, full);
+    let secret = SecretKey::new(RnsPoly::sample_ternary(rng, full), full);
     let a = RnsPoly::sample_uniform(rng, top);
-    let p0 = masked_zero(&a, &s_full.prefix(top.len()), top, rng);
+    let p0 = masked_zero(&a, &secret.ntt, top, rng);
     KeyBundle {
-        secret: SecretKey { full: s_full },
-        public: PublicKey { p0, p1: a },
+        secret,
+        public: PublicKey::new(p0, a, top),
     }
 }
 
-/// Generates the relinearization key (for `s²`). `full` must be `top` plus
-/// the special prime.
+/// Generates the relinearization key (for `s²`, formed as `NTT(s) ⊙ NTT(s)`).
+/// `full` must be `top` plus the special prime.
 // choco-lint: secret (public: full, top)
 pub fn relin_key(sk: &SecretKey, full: &RnsBasis, top: &RnsBasis, rng: &mut Blake3Rng) -> RelinKey {
-    let s2 = sk.full.mul_poly(&sk.full, full);
+    let mut s2 = RnsPoly::zero(full.len(), full.degree());
+    s2.dyadic_accumulate(&sk.ntt, &sk.ntt, full);
     RelinKey {
-        ksk: generate_ksk(&sk.full, &s2, full, top, rng),
+        ksk: generate_ksk(&sk.ntt, &s2, full, top, rng),
     }
 }
 
 /// Generates one Galois key per element of `elements`, in list order (the
 /// order fixes the RNG stream); an element seen twice is generated once.
+/// `σ(s)` is the Galois NTT permutation of the secret's rows.
 // choco-lint: secret (public: elements, full, top)
 pub fn galois_keys(
     sk: &SecretKey,
@@ -170,8 +224,9 @@ pub fn galois_keys(
     let mut keys = HashMap::new();
     for &element in elements {
         keys.entry(element).or_insert_with(|| {
-            let s_e = sk.full.galois(element, full);
-            generate_ksk(&sk.full, &s_e, full, top, rng)
+            let perm = galois_ntt_permutation(full.degree(), element);
+            let s_e = sk.ntt.galois_ntt(&perm);
+            generate_ksk(&sk.ntt, &s_e, full, top, rng)
         });
     }
     GaloisKeys { keys }
@@ -179,7 +234,9 @@ pub fn galois_keys(
 
 /// Public-key encryption (paper Eq. 2 / Fig. 5 dataflow) of the
 /// already-scaled message polynomial `msg` over `basis`:
-/// `c0 = P0·u + e1 + msg`, `c1 = P1·u + e2`.
+/// `c0 = P0·u + e1 + msg`, `c1 = P1·u + e2`. `u` is transformed once per
+/// prime and multiplied into the key's evaluation-domain rows: one forward
+/// and two inverse NTTs per prime.
 // choco-lint: secret (public: basis)
 pub fn encrypt(
     pk: &PublicKey,
@@ -190,12 +247,23 @@ pub fn encrypt(
     let u = RnsPoly::sample_ternary(rng, basis);
     let e1 = RnsPoly::sample_error(rng, basis);
     let e2 = RnsPoly::sample_error(rng, basis);
-    let mut c0 = pk.p0.mul_poly(&u, basis);
+    let [mut c0, mut c1] = u.mul_by_ntt([&pk.p0_ntt, &pk.p1_ntt], basis);
     c0.add_assign_poly(&e1, basis);
     c0.add_assign_poly(msg, basis);
-    let mut c1 = pk.p1.mul_poly(&u, basis);
     c1.add_assign_poly(&e2, basis);
     vec![c0, c1]
+}
+
+/// `c0 + c1·s (+ c2·s² + …)` over `basis` for ciphertext `parts` of any
+/// size: the polynomial every decryption starts from, against the secret's
+/// evaluation-domain rows ([`rnspoly::dot_with_key_powers`]). BFV and CKKS
+/// decrypt through it.
+// choco-lint: secret (public: parts, basis)
+pub fn dot_with_secret(parts: &[RnsPoly], sk: &SecretKey, basis: &RnsBasis) -> RnsPoly {
+    match parts.split_first() {
+        Some((c0, higher)) => rnspoly::dot_with_key_powers(c0, higher, &sk.ntt, basis),
+        None => RnsPoly::zero(basis.len(), basis.degree()),
+    }
 }
 
 /// Symmetric, seed-compressed encryption of `msg`: `c1 = a` is derived from
@@ -211,7 +279,7 @@ pub fn encrypt_symmetric_seeded(
     let mut seed = [0u8; 32];
     rng.fill_bytes(&mut seed);
     let a = expand_seed(&seed, basis);
-    let mut c0 = masked_zero(&a, &sk.full.prefix(basis.len()), basis, rng);
+    let mut c0 = masked_zero(&a, &sk.ntt, basis, rng);
     c0.add_assign_poly(msg, basis);
     (c0, seed)
 }

@@ -1,19 +1,23 @@
 //! Polynomials in RNS representation over `Z_q[x]/(x^N + 1)`.
 //!
 //! An [`RnsPoly`] stores one residue row per prime of an [`RnsBasis`]
-//! (always in coefficient form — transforms happen inside operations). The
-//! row order always matches the basis prime order, and a polynomial modulo
-//! the data modulus is simply a prefix of the rows of one modulo the full
-//! modulus, because the key-switching prime is last.
+//! (in coefficient form unless a caller says otherwise — keys and key-switch
+//! material keep evaluation-domain copies, see `RnsPoly::mul_by_ntt`). The row
+//! order always matches the basis prime order, and a polynomial modulo the
+//! data modulus is simply a prefix of the rows of one modulo the full
+//! modulus, because the key-switching prime is last; the same holds in the
+//! evaluation domain, where a row depends only on its prime.
 
+use choco_math::bigint::limbs_log2;
 use choco_math::modops::{add_mod, mul_mod, reduce_signed};
+use choco_math::ntt::apply_galois_ntt;
 use choco_math::par;
 use choco_math::poly::{
     add_assign, apply_galois, dyadic_acc_assign, neg_assign, scalar_mul_assign, sub_assign,
 };
 use choco_math::pool::PolyPool;
 use choco_math::rns::{BaseConverter, RnsBasis};
-use choco_prng::sampler::{sample_error_signed, sample_ternary_signed};
+use choco_prng::sampler::{sample_error_signed, sample_ternary_signed, sample_uniform_into};
 use choco_prng::Blake3Rng;
 
 /// A polynomial with `k` RNS residue rows of `n` coefficients each.
@@ -45,6 +49,7 @@ impl Drop for RnsPoly {
 
 impl RnsPoly {
     /// The zero polynomial with `k` rows of `n` coefficients.
+    // choco-lint: ct-safe
     pub fn zero(k: usize, n: usize) -> Self {
         RnsPoly {
             rows: (0..k).map(|_| PolyPool::take_zeroed(n)).collect(),
@@ -114,7 +119,8 @@ impl RnsPoly {
     }
 
     /// Samples a uniform polynomial modulo the basis modulus (independent
-    /// uniform residues per prime — exactly uniform by CRT).
+    /// uniform residues per prime — exactly uniform by CRT), one bulk draw
+    /// per row.
     // choco-lint: secret (public: basis)
     pub fn sample_uniform(rng: &mut Blake3Rng, basis: &RnsBasis) -> Self {
         let n = basis.degree();
@@ -123,9 +129,7 @@ impl RnsPoly {
             .iter()
             .map(|&q| {
                 let mut row = PolyPool::take_scratch(n);
-                for x in row.iter_mut() {
-                    *x = rng.next_below(q);
-                }
+                sample_uniform_into(rng, q, &mut row);
                 row
             })
             .collect();
@@ -205,6 +209,43 @@ impl RnsPoly {
         RnsPoly { rows }
     }
 
+    /// Negacyclic products of `self` (coefficient form) with `K` factors
+    /// given in the evaluation domain, over `basis`, returned in coefficient
+    /// form. Per prime, in parallel: `self` is transformed once and
+    /// multiplied into every factor's row, one inverse transform per
+    /// product — `1 + K` NTTs per prime where `K` `mul_poly` calls pay
+    /// `3K`. A factor may carry more rows than `basis` (a key over a wider
+    /// basis): its leading rows are the polynomial over `basis`'s primes.
+    // choco-lint: secret (public: basis)
+    pub(crate) fn mul_by_ntt<const K: usize>(
+        &self,
+        factors: [&RnsPoly; K],
+        basis: &RnsBasis,
+    ) -> [RnsPoly; K] {
+        let per_prime = par::par_map(basis.ntt_tables(), |i, table| {
+            let q = table.modulus();
+            let mut x = PolyPool::take_copy(self.row(i));
+            table.forward(&mut x);
+            let products = factors.map(|factor| {
+                let mut out = PolyPool::take_scratch(x.len());
+                for ((o, &a), &b) in out.iter_mut().zip(&x).zip(factor.row(i)) {
+                    *o = mul_mod(a, b, q);
+                }
+                table.inverse(&mut out);
+                out
+            });
+            PolyPool::recycle(x);
+            products
+        });
+        let mut rows: [Vec<Vec<u64>>; K] = std::array::from_fn(|_| Vec::with_capacity(basis.len()));
+        for products in per_prime {
+            for (poly_rows, row) in rows.iter_mut().zip(products) {
+                poly_rows.push(row);
+            }
+        }
+        rows.map(|rows| RnsPoly { rows })
+    }
+
     /// Multiplies by a small-integer polynomial (e.g. a BFV plaintext with
     /// coefficients `< t`), reducing the multiplier into each prime.
     pub fn mul_small_poly(&self, plain: &[u64], basis: &RnsBasis) -> RnsPoly {
@@ -256,6 +297,21 @@ impl RnsPoly {
         out
     }
 
+    /// Applies a Galois NTT permutation
+    /// ([`choco_math::ntt::galois_ntt_permutation`]) to every row of an
+    /// evaluation-domain polynomial: the transform of [`Self::galois`] of
+    /// its coefficient form.
+    pub(crate) fn galois_ntt(&self, perm: &[usize]) -> RnsPoly {
+        let rows = self.rows.iter().map(|row| {
+            let mut out = PolyPool::take_scratch(row.len());
+            apply_galois_ntt(row, perm, &mut out);
+            out
+        });
+        RnsPoly {
+            rows: rows.collect(),
+        }
+    }
+
     /// Applies the Galois automorphism `x → x^e` to every residue row.
     pub fn galois(&self, e: u64, basis: &RnsBasis) -> RnsPoly {
         let n = self.degree();
@@ -301,44 +357,80 @@ impl RnsPoly {
     }
 
     /// Composes coefficient `j` into its centered big-integer value
-    /// `(magnitude, is_negative)` over `basis`.
+    /// `(magnitude, is_negative)` over `basis`: the oracle of
+    /// `for_each_centered` (limb composition), for tests and the `*_reference`
+    /// paths.
     pub fn coeff_centered(&self, j: usize, basis: &RnsBasis) -> (choco_math::UBig, bool) {
         let residues: Vec<u64> = self.rows.iter().map(|r| r[j]).collect();
         basis.compose_centered(&residues)
     }
 
+    /// Calls `f(magnitude, is_negative)` with each coefficient's centered
+    /// value over `basis`, in coefficient order: the magnitude as
+    /// little-endian limbs ([`RnsBasis::compose_centered_into`]) in one
+    /// buffer reused across the polynomial.
+    pub(crate) fn for_each_centered(&self, basis: &RnsBasis, mut f: impl FnMut(&[u64], bool)) {
+        let mut columns: Vec<std::slice::Iter<u64>> = self.rows.iter().map(|r| r.iter()).collect();
+        let mut limbs = vec![0; basis.compose_width()];
+        for _ in 0..self.degree() {
+            let residues = columns.iter_mut().map(|c| c.next().copied().unwrap_or(0));
+            let negative = basis.compose_centered_into(residues, &mut limbs);
+            f(&limbs, negative);
+        }
+    }
+
     /// Infinity norm of the centered coefficients (as log2; `-inf` for zero).
     pub fn centered_norm_log2(&self, basis: &RnsBasis) -> f64 {
         let mut max = f64::NEG_INFINITY;
-        for j in 0..self.degree() {
-            let (mag, _) = self.coeff_centered(j, basis);
-            let l = mag.log2();
-            if l > max {
-                max = l;
-            }
-        }
+        self.for_each_centered(basis, |magnitude, _| {
+            max = max.max(limbs_log2(magnitude));
+        });
         max
     }
 }
 
 /// `c0 + higher[0]·s + higher[1]·s² + …` over `basis`: the inner product
-/// with the secret's powers that every decryption starts from. A power is
-/// computed only when a component uses it.
+/// with the secret's powers that every decryption starts from, for any
+/// number of components. `s_ntt` is the secret in the evaluation domain
+/// (its leading `basis.len()` rows are used); per prime, each higher
+/// component pays one forward transform, the products (and the powers of
+/// `s`, formed only when a component uses them) are accumulated there, and
+/// one inverse transform brings the sum back before `c0` is added.
 // choco-lint: secret (public: c0, higher, basis)
 pub fn dot_with_key_powers(
     c0: &RnsPoly,
     higher: &[RnsPoly],
-    s: &RnsPoly,
+    s_ntt: &RnsPoly,
     basis: &RnsBasis,
 ) -> RnsPoly {
-    let mut x = c0.clone();
-    let mut s_pow: Option<RnsPoly> = None;
-    for part in higher {
-        let p = s_pow.map_or_else(|| s.clone(), |prev| prev.mul_poly(s, basis));
-        x.add_assign_poly(&part.mul_poly(&p, basis), basis);
-        s_pow = Some(p);
-    }
-    x
+    let n = c0.degree();
+    let rows = par::par_map(basis.ntt_tables(), |i, table| {
+        let q = table.modulus();
+        let s = s_ntt.row(i);
+        let mut acc = PolyPool::take_zeroed(n);
+        let mut power = PolyPool::take_copy(s);
+        let mut part_ntt = PolyPool::take_scratch(n);
+        for (k, part) in higher.iter().enumerate() {
+            if k > 0 {
+                for (p, &x) in power.iter_mut().zip(s) {
+                    *p = mul_mod(*p, x, q);
+                }
+            }
+            part_ntt.copy_from_slice(part.row(i));
+            table.forward(&mut part_ntt);
+            for ((a, &c), &p) in acc.iter_mut().zip(&part_ntt).zip(&power) {
+                *a = add_mod(*a, mul_mod(c, p, q), q);
+            }
+        }
+        table.inverse(&mut acc);
+        for (a, &c) in acc.iter_mut().zip(c0.row(i)) {
+            *a = add_mod(*a, c, q);
+        }
+        PolyPool::recycle(power);
+        PolyPool::recycle(part_ntt);
+        acc
+    });
+    RnsPoly { rows }
 }
 
 /// Convenience: `out = a + b`, built row-wise without an intermediate clone.

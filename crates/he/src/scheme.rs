@@ -249,12 +249,14 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     /// storage is trusted client territory only.
     fn keys_to_wire(keys: &Self::KeyBundle) -> Vec<u8>;
 
-    /// Deserializes a key bundle from a checkpoint blob.
+    /// Deserializes a key bundle of `ctx`'s parameter set from a
+    /// checkpoint blob (and rebuilds the keys' evaluation-domain rows).
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::InvalidKeyMaterial`] on malformed bytes.
-    fn keys_from_wire(bytes: &[u8]) -> Result<Self::KeyBundle, HeError>;
+    /// Returns [`HeError::InvalidKeyMaterial`] on malformed bytes or a
+    /// bundle of another parameter set.
+    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<Self::KeyBundle, HeError>;
 
     /// Serializes the relinearization key.
     fn relin_to_wire(rk: &Self::RelinKey) -> Vec<u8>;
@@ -465,8 +467,8 @@ impl HeScheme for Bfv {
     }
 
     // choco-lint: secret
-    fn keys_from_wire(bytes: &[u8]) -> Result<KeyBundle, HeError> {
-        serialize::keys_from_bytes(Self::SCHEME, bytes)
+    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<KeyBundle, HeError> {
+        serialize::keys_from_bytes(Self::SCHEME, ctx.full_basis(), bytes)
     }
 
     fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {
@@ -658,8 +660,8 @@ impl HeScheme for Ckks {
     }
 
     // choco-lint: secret
-    fn keys_from_wire(bytes: &[u8]) -> Result<KeyBundle, HeError> {
-        serialize::keys_from_bytes(Self::SCHEME, bytes)
+    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<KeyBundle, HeError> {
+        serialize::keys_from_bytes(Self::SCHEME, ctx.full_basis(), bytes)
     }
 
     fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {

@@ -22,6 +22,7 @@ use crate::keyswitch::KswitchKey;
 use crate::params::SchemeType;
 use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::RnsPoly;
+use choco_math::rns::RnsBasis;
 use std::collections::HashMap;
 
 /// Magic tag for BFV ciphertext frames.
@@ -279,14 +280,31 @@ pub fn keys_to_bytes(scheme: SchemeType, keys: &KeyBundle) -> Vec<u8> {
     out
 }
 
-/// Deserializes a key bundle of the given scheme.
+/// Whether every residue of `poly` is below its row's prime — a polynomial
+/// the NTT can take. Scans every residue whatever it finds.
+// choco-lint: ct-safe
+fn reduced_over(poly: &RnsPoly, primes: &[u64]) -> bool {
+    let rows = (0..poly.row_count()).map(|r| poly.row(r));
+    rows.zip(primes).fold(true, |ok, (row, &q)| {
+        row.iter().fold(ok, |ok, &x| ok & (x < q))
+    })
+}
+
+/// Deserializes a key bundle of the given scheme for the parameter set
+/// whose full basis (data primes and the special prime) is `full`, and
+/// builds the keys' evaluation-domain rows.
 ///
 /// # Errors
 ///
 /// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
-/// blob of the other scheme. Never panics.
+/// blob of the other scheme, one whose shape is not `full`'s and one with a
+/// residue not reduced modulo its prime. Never panics.
 // choco-lint: ct-safe
-pub fn keys_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<KeyBundle, HeError> {
+pub fn keys_from_bytes(
+    scheme: SchemeType,
+    full: &RnsBasis,
+    bytes: &[u8],
+) -> Result<KeyBundle, HeError> {
     let mut r = open_key_blob(bytes, key_magic(b'B', scheme))?;
     let full_rows = header_word(&mut r)?;
     let data_rows = header_word(&mut r)?;
@@ -300,6 +318,9 @@ pub fn keys_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<KeyBundle, He
     {
         return Err(bad_keys("implausible key-bundle shape"));
     }
+    if full_rows != full.len() || n != full.degree() {
+        return Err(bad_keys("key bundle of another parameter set"));
+    }
     let expect = 16 + (full_rows + 2 * data_rows) * n * 8;
     if bytes.len() != expect {
         return Err(bad_keys("key-bundle length mismatch"));
@@ -310,12 +331,18 @@ pub fn keys_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<KeyBundle, He
             .and_then(|mut p| p.pop())
             .ok_or_else(|| bad_keys("truncated key polynomial"))
     };
-    let full = read(&mut r, full_rows)?;
+    let secret = read(&mut r, full_rows)?;
     let p0 = read(&mut r, data_rows)?;
     let p1 = read(&mut r, data_rows)?;
+    if ![&secret, &p0, &p1]
+        .iter()
+        .fold(true, |ok, p| ok & reduced_over(p, full.primes()))
+    {
+        return Err(bad_keys("key residue not reduced modulo its prime"));
+    }
     Ok(KeyBundle {
-        secret: SecretKey { full },
-        public: PublicKey { p0, p1 },
+        secret: SecretKey::new(secret, full),
+        public: PublicKey::new(p0, p1, full),
     })
 }
 
@@ -628,12 +655,21 @@ mod tests {
     /// A key-wire decoder with its output dropped.
     type Decoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
 
-    /// The three key blobs of one scheme, each with its decoder.
+    /// The full basis of `scheme`'s sample context.
+    fn full_basis(scheme: SchemeType) -> RnsBasis {
+        match scheme {
+            SchemeType::Bfv => sample_ct().0.full_basis().clone(),
+            SchemeType::Ckks => sample_ckks().0.full_basis().clone(),
+        }
+    }
+
+    /// The three key blobs of one scheme, each with its decoder (bundles
+    /// decode against the scheme's sample parameter set).
     fn key_blobs(scheme: SchemeType) -> [(Vec<u8>, Decoder); 3] {
         let (keys, rk, gk) = key_material(scheme, &[1, 2]);
         [
             (keys_to_bytes(scheme, &keys), |s, b| {
-                keys_from_bytes(s, b).map(drop)
+                keys_from_bytes(s, &full_basis(s), b).map(drop)
             }),
             (relin_to_bytes(scheme, &rk), |s, b| {
                 relin_from_bytes(s, b).map(drop)
@@ -649,7 +685,7 @@ mod tests {
         for scheme in SCHEMES {
             let (keys, _, _) = key_material(scheme, &[]);
             let bytes = keys_to_bytes(scheme, &keys);
-            let back = keys_from_bytes(scheme, &bytes).unwrap();
+            let back = keys_from_bytes(scheme, &full_basis(scheme), &bytes).unwrap();
             // Bit-exact re-serialization proves the round trip lost nothing.
             assert_eq!(keys_to_bytes(scheme, &back), bytes);
             // The restored secret key must decrypt ciphertexts made under
@@ -666,6 +702,25 @@ mod tests {
                     assert!((out[8] - 1.0).abs() < 1e-2);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn key_bundles_refuse_another_shape_and_unreduced_residues() {
+        let bad = |r: Result<KeyBundle, HeError>| matches!(r, Err(HeError::InvalidKeyMaterial(_)));
+        for scheme in SCHEMES {
+            let (keys, _, _) = key_material(scheme, &[]);
+            let blob = keys_to_bytes(scheme, &keys);
+            let full = full_basis(scheme);
+            assert!(keys_from_bytes(scheme, &full, &blob).is_ok());
+            // A basis of another prime count or degree.
+            assert!(bad(keys_from_bytes(scheme, &full.prefix(2), &blob)));
+            let half = RnsBasis::new(full.degree() / 2, full.primes()).unwrap();
+            assert!(bad(keys_from_bytes(scheme, &half, &blob)));
+            // The first secret residue pushed past its prime.
+            let mut unreduced = blob.clone();
+            unreduced[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(bad(keys_from_bytes(scheme, &full, &unreduced)));
         }
     }
 

@@ -17,8 +17,10 @@ use choco_he::serialize::{
     ckks_ciphertext_to_bytes, galois_from_bytes, keys_from_bytes, relin_from_bytes,
 };
 use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
+use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 use choco_quickprop::{run_cases, Gen};
+use std::panic::RefUnwindSafe;
 
 fn bfv_frame() -> Vec<u8> {
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
@@ -121,25 +123,33 @@ fn truncations_always_yield_typed_errors() {
 }
 
 /// A key-wire decoder with its output dropped.
-type KeyDecoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
+type KeyDecoder = Box<dyn Fn(SchemeType, &[u8]) -> Result<(), HeError> + RefUnwindSafe>;
 
-/// One scheme's three key blobs, each with the decoder that reads it.
+/// One scheme's three key blobs, each with the decoder that reads it (the
+/// bundle against `params`' full basis).
 fn key_blobs<S: HeScheme>(params: &HeParams) -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
     let ctx = S::context(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"fuzz serialize keys");
     let keys = S::keygen(&ctx, &mut rng);
     let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
     let gk = S::galois_keys(&ctx, &keys, &[1, 2], &mut rng).unwrap();
+    let full = RnsBasis::new(params.degree(), params.primes()).unwrap();
     vec![
-        (S::SCHEME, S::keys_to_wire(&keys), |s, b| {
-            keys_from_bytes(s, b).map(drop)
-        }),
-        (S::SCHEME, S::relin_to_wire(&rk), |s, b| {
-            relin_from_bytes(s, b).map(drop)
-        }),
-        (S::SCHEME, S::galois_to_wire(&gk), |s, b| {
-            galois_from_bytes(s, b).map(drop)
-        }),
+        (
+            S::SCHEME,
+            S::keys_to_wire(&keys),
+            Box::new(move |s, b| keys_from_bytes(s, &full, b).map(drop)),
+        ),
+        (
+            S::SCHEME,
+            S::relin_to_wire(&rk),
+            Box::new(|s, b| relin_from_bytes(s, b).map(drop)),
+        ),
+        (
+            S::SCHEME,
+            S::galois_to_wire(&gk),
+            Box::new(|s, b| galois_from_bytes(s, b).map(drop)),
+        ),
     ]
 }
 

@@ -1,7 +1,9 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
 //! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
 //! rotation, fused rotation dot products under both schemes — one output,
-//! and eight over shared rotations —, decryption) performs **zero fresh
+//! and eight over shared rotations —, decryption) and the client's round
+//! (encrypt → decrypt → noise budget under BFV, encrypt → decrypt → decode
+//! under CKKS) perform **zero fresh
 //! polynomial-buffer allocations** — every row and scratch buffer is served
 //! from the pool's free lists. The pool's global counters make this directly
 //! observable: over a warm evaluation loop, `fresh` must not move while
@@ -12,13 +14,13 @@
 //! `Vec<u64>` rows and `Vec<u128>` accumulators that dominate steady-state
 //! traffic), not about every allocation in the process. Small bookkeeping
 //! allocations — ciphertext part vectors, galois permutation tables, the
-//! plaintext a decryption returns — are outside the pool by design (see
-//! DESIGN.md §12).
+//! plaintext a decryption returns, a sampler's byte buffer, a composition's
+//! limb buffer — are outside the pool by design (see DESIGN.md §12).
 
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
-use choco_he::{Ckks, HeScheme};
+use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_prng::Blake3Rng;
@@ -110,6 +112,18 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         *out ^= r2.part(0).row(0)[0] ^ dot.part(0).row(0)[0];
     };
 
+    // ---- the client's round: what a session pays per upload and download ----
+    let mut client_rng = Blake3Rng::from_seed(b"zero-alloc-client");
+    let slots: Vec<u64> = (0..ctx.degree() as u64 / 2).map(|i| i % 7).collect();
+    let client_round = |out: &mut u64, rng: &mut Blake3Rng| {
+        let up = Bfv::encrypt(&ctx, &keys, &slots, rng).unwrap();
+        let back = Bfv::decrypt(&ctx, &keys, &up).unwrap();
+        let health = Bfv::health(&ctx, &keys, &up);
+        let cup = Ckks::encrypt(&cctx, &ckeys, &vals, rng).unwrap();
+        let cback = Ckks::decrypt(&cctx, &ckeys, &cup).unwrap();
+        *out ^= back[1] ^ health.to_bits() ^ cback[1].to_bits();
+    };
+
     // The property must hold on the plain-loop path and through the `par`
     // pool alike: standing workers keep their home shards, and a take that
     // misses at home finds what another thread recycled.
@@ -140,12 +154,14 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         for _ in 0..2 {
             bfv_round(&mut sink);
             ckks_round(&mut sink);
+            client_round(&mut sink, &mut client_rng);
         }
 
         let before = PolyPool::stats();
         for _ in 0..8 {
             bfv_round(&mut sink);
             ckks_round(&mut sink);
+            client_round(&mut sink, &mut client_rng);
         }
         let after = PolyPool::stats();
 

@@ -5,6 +5,12 @@
 //! scale-and-round in BFV decryption and multiplication, and centered-norm
 //! noise measurement. [`UBig`] provides exactly those operations — schoolbook
 //! multiplication and Knuth Algorithm D division — with no dependencies.
+//!
+//! The hot paths do not allocate a `UBig` per value: they work on limb
+//! slices in a caller's buffer ([`crate::rns::RnsBasis::compose_centered_into`])
+//! through the free functions here, and `UBig`'s own `to_f64`, `log2` and
+//! `rem_u64` are thin wrappers over the same functions, so the two cannot
+//! disagree.
 
 use std::cmp::Ordering;
 
@@ -74,29 +80,15 @@ impl UBig {
     }
 
     /// Approximate base-2 logarithm (`-inf` is represented as `f64::NEG_INFINITY`
-    /// for the value 0).
+    /// for the value 0): [`limbs_log2`] of the limbs.
     pub fn log2(&self) -> f64 {
-        match self.limbs.len() {
-            0 => f64::NEG_INFINITY,
-            1 => (self.limbs[0] as f64).log2(),
-            len => {
-                // Use the top 128 bits for the mantissa.
-                let hi = self.limbs[len - 1];
-                let lo = self.limbs[len - 2];
-                let v = ((hi as u128) << 64) | lo as u128;
-                let exp = (len as i64 - 2) * 64;
-                (v as f64).log2() + exp as f64
-            }
-        }
+        limbs_log2(&self.limbs)
     }
 
-    /// Approximate conversion to `f64` (exact for values below 2^53).
+    /// Approximate conversion to `f64` (exact for values below 2^53):
+    /// [`limbs_to_f64`] of the limbs.
     pub fn to_f64(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for &l in self.limbs.iter().rev() {
-            acc = acc * 18446744073709551616.0 + l as f64;
-        }
-        acc
+        limbs_to_f64(&self.limbs)
     }
 
     fn normalize(&mut self) {
@@ -254,11 +246,7 @@ impl UBig {
     /// Panics if `d == 0`.
     pub fn rem_u64(&self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
-        let mut rem: u128 = 0;
-        for &l in self.limbs.iter().rev() {
-            rem = ((rem << 64) | l as u128) % d as u128;
-        }
-        rem as u64
+        limbs_rem(&self.limbs, d)
     }
 
     /// Quotient and remainder dividing by a `u64`.
@@ -361,6 +349,87 @@ impl UBig {
         } else {
             q
         }
+    }
+}
+
+/// Approximate `f64` value of little-endian `limbs` (high zero limbs
+/// allowed): Horner's rule from the top limb, exact below 2^53.
+pub fn limbs_to_f64(limbs: &[u64]) -> f64 {
+    limbs
+        .iter()
+        .rev()
+        .fold(0.0, |acc, &l| acc * 18446744073709551616.0 + l as f64)
+}
+
+/// Approximate base-2 logarithm of little-endian `limbs` (high zero limbs
+/// allowed; `f64::NEG_INFINITY` for zero): the top 128 significant bits as
+/// the mantissa, plus 64 per limb below them.
+pub fn limbs_log2(mut limbs: &[u64]) -> f64 {
+    while let [rest @ .., 0] = limbs {
+        limbs = rest;
+    }
+    match limbs {
+        [] => f64::NEG_INFINITY,
+        [x] => (*x as f64).log2(),
+        [.., lo, hi] => {
+            let v = (u128::from(*hi) << 64) | u128::from(*lo);
+            let exp = (limbs.len() as i64 - 2) * 64;
+            (v as f64).log2() + exp as f64
+        }
+    }
+}
+
+/// `limbs mod d` for little-endian `limbs`, `d > 0`.
+pub(crate) fn limbs_rem(limbs: &[u64], d: u64) -> u64 {
+    let rem = limbs.iter().rev().fold(0u128, |rem, &l| {
+        ((rem << 64) | u128::from(l)) % u128::from(d)
+    });
+    rem as u64
+}
+
+/// `acc += a · m` over little-endian limbs of one width; a carry out of
+/// the top limb is dropped (callers size `acc` for the sum).
+pub(crate) fn mac_limbs(acc: &mut [u64], a: &[u64], m: u64) {
+    let mut carry = 0u128;
+    for (slot, &x) in acc.iter_mut().zip(a) {
+        // ≤ (2^64 − 1) + (2^64 − 1)² + (2^64 − 1) = 2^128 − 1.
+        let cur = u128::from(*slot) + u128::from(x) * u128::from(m) + carry;
+        *slot = cur as u64;
+        carry = cur >> 64;
+    }
+}
+
+/// Whether `a < b`, for little-endian limb slices of one width, without a
+/// data-dependent branch: the borrow out of `a − b`, as 0 or 1.
+pub(crate) fn lt_limbs(a: &[u64], b: &[u64]) -> u64 {
+    a.iter().zip(b).fold(0, |borrow, (&x, &y)| {
+        let (d, b1) = x.overflowing_sub(y);
+        let (_, b2) = d.overflowing_sub(borrow);
+        u64::from(b1 | b2)
+    })
+}
+
+/// `a −= b & mask` over little-endian limbs of one width (`mask` all ones
+/// or zero): a subtraction selected without a branch.
+pub(crate) fn sub_limbs_masked(a: &mut [u64], b: &[u64], mask: u64) {
+    let mut borrow = 0;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y & mask);
+        let (d, b2) = d.overflowing_sub(borrow);
+        *x = d;
+        borrow = u64::from(b1 | b2);
+    }
+}
+
+/// `a = b − a` where `mask` is all ones, `a` unchanged where it is zero,
+/// over little-endian limbs of one width (`a ≤ b` where selected).
+pub(crate) fn negate_from_masked(a: &mut [u64], b: &[u64], mask: u64) {
+    let mut borrow = 0;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = y.overflowing_sub(*x);
+        let (d, b2) = d.overflowing_sub(borrow);
+        borrow = u64::from(b1 | b2);
+        *x = (d & mask) | (*x & !mask);
     }
 }
 

@@ -359,6 +359,7 @@ impl NttTable {
 /// # Panics
 ///
 /// Panics if `n` is not a power of two `>= 2` or `e` is even.
+// choco-lint: ct-safe
 pub fn galois_ntt_permutation(n: usize, e: u64) -> Vec<usize> {
     assert!(n.is_power_of_two() && n >= 2, "invalid ntt size {n}");
     assert!(e & 1 == 1, "galois element must be odd");

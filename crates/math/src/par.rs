@@ -362,7 +362,10 @@ where
     });
 }
 
-/// Maps `f(index, item)` over the slice in parallel, preserving order.
+/// Maps `f(index, item)` over the slice in parallel, preserving order. The
+/// chunking depends only on the item count and the thread count, never on
+/// the items.
+// choco-lint: ct-safe
 pub fn par_map<I, O, F>(items: &[I], f: F) -> Vec<O>
 where
     I: Sync,

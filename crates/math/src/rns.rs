@@ -3,13 +3,19 @@
 //! HE ciphertext coefficients live modulo a composite `q = q_1 ⋯ q_k` of
 //! NTT-friendly primes and are stored as `k` independent residues (one per
 //! prime). [`RnsBasis`] bundles the primes with their NTT tables and the CRT
-//! constants needed to compose residues back into exact integers — the
-//! operation behind noise measurement and the reference decrypt/multiply.
-//! [`BaseConverter`] carries a whole polynomial from one basis to another
-//! without composing it: the primitive BFV decryption and the exact
-//! tensor-product multiply are built on.
+//! constants needed to compose residues back into exact integers.
+//! Composition has one production form,
+//! [`RnsBasis::compose_centered_into`]: the centered value of one
+//! coefficient as limbs in a buffer the caller reuses across a polynomial,
+//! for any number of primes, with no heap big integer and no division —
+//! what CKKS decoding, the BFV noise budget and norm measurement run on.
+//! [`RnsBasis::compose`] / [`RnsBasis::compose_centered`] build a [`UBig`]
+//! per value and stay only as the oracle tests and the `*_reference` paths
+//! check against. [`BaseConverter`] carries a whole polynomial from one
+//! basis to another without composing it: the primitive BFV decryption and
+//! the exact tensor-product multiply are built on.
 
-use crate::bigint::UBig;
+use crate::bigint::{limbs_rem, lt_limbs, mac_limbs, negate_from_masked, sub_limbs_masked, UBig};
 use crate::modops::{inv_mod, mul_mod, mul_mod_shoup, mul_mod_shoup_lazy, shoup_precompute};
 use crate::ntt::{NttError, NttTable};
 use crate::pool::PolyPool;
@@ -27,6 +33,43 @@ pub struct RnsBasis {
     punctured: Vec<UBig>,
     /// (q / q_i)^{-1} mod q_i.
     inv_punctured: Vec<u64>,
+    /// `q`, `⌊q/2⌋` and every `q / q_i` as little-endian limbs, zero-padded
+    /// to [`Self::compose_width`].
+    limbs: ComposeLimbs,
+}
+
+/// The constants of [`RnsBasis::compose_centered_into`]: the limb runs are
+/// all `width` limbs wide, enough for the unreduced sum `< k·q`.
+#[derive(Debug, Clone)]
+struct ComposeLimbs {
+    width: usize,
+    /// Shoup constants of `(q / q_i)^{-1} mod q_i`.
+    inv_punctured_shoup: Vec<u64>,
+    modulus: Vec<u64>,
+    half: Vec<u64>,
+    /// `k` runs of `width` limbs, `q / q_i` in prime order.
+    punctured: Vec<u64>,
+}
+
+impl ComposeLimbs {
+    fn new(primes: &[u64], inv_punctured: &[u64], modulus: &UBig, punctured: &[UBig]) -> Self {
+        // k·q < 2^(bits(q) + bits(k)).
+        let k = punctured.len() as u64;
+        let width = (modulus.bit_len() + (u64::BITS - k.leading_zeros())).div_ceil(64) as usize;
+        let padded = |v: &UBig| {
+            let mut limbs = v.limbs().to_vec();
+            limbs.resize(width, 0);
+            limbs
+        };
+        let shoup = inv_punctured.iter().zip(primes);
+        ComposeLimbs {
+            width,
+            inv_punctured_shoup: shoup.map(|(&w, &q)| shoup_precompute(w, q)).collect(),
+            modulus: padded(modulus),
+            half: padded(&modulus.shr(1)),
+            punctured: punctured.iter().flat_map(padded).collect(),
+        }
+    }
 }
 
 /// Errors from [`RnsBasis::new`].
@@ -86,6 +129,7 @@ impl RnsBasis {
             .zip(&punctured)
             .map(|(&q, p)| inv_mod(p.rem_u64(q), q))
             .collect();
+        let limbs = ComposeLimbs::new(primes, &inv_punctured, &modulus, &punctured);
         Ok(RnsBasis {
             n,
             primes: primes.to_vec(),
@@ -93,6 +137,7 @@ impl RnsBasis {
             modulus,
             punctured,
             inv_punctured,
+            limbs,
         })
     }
 
@@ -151,7 +196,50 @@ impl RnsBasis {
         RnsBasis::new(self.n, &self.primes[..k]).expect("prefix of a valid basis is valid")
     }
 
-    /// CRT-composes one residue per prime into the unique integer in `[0, q)`.
+    /// Limbs a [`Self::compose_centered_into`] buffer holds: enough for
+    /// `k·q`.
+    pub fn compose_width(&self) -> usize {
+        self.limbs.width
+    }
+
+    /// The centered CRT composition [`Self::compose_centered`] computes,
+    /// into a caller's buffer instead of a fresh [`UBig`]: writes the
+    /// magnitude of the representative of `residues` (one per prime, in
+    /// prime order) in `(−q/2, q/2]` to `limbs` — little-endian,
+    /// [`Self::compose_width`] limbs, zero-padded — and returns whether it
+    /// is negative. Works for any number of primes and never divides:
+    /// `Σ yᵢ·(q/qᵢ)` with `yᵢ = rᵢ·(q/qᵢ)⁻¹ mod qᵢ` is below `k·q`, so `k − 1`
+    /// conditional subtractions of `q` reduce it, and a conditional
+    /// negation centers it. Each condition is a mask, so every value costs
+    /// the same sequence of limb operations. A caller composing a whole
+    /// polynomial reuses one buffer for it.
+    pub fn compose_centered_into(
+        &self,
+        residues: impl IntoIterator<Item = u64>,
+        limbs: &mut [u64],
+    ) -> bool {
+        let c = &self.limbs;
+        debug_assert_eq!(limbs.len(), c.width, "composition buffer width");
+        limbs.fill(0);
+        let inv = self.inv_punctured.iter().zip(&c.inv_punctured_shoup);
+        let constants = self.primes.iter().zip(inv);
+        let terms = residues.into_iter().zip(constants);
+        for ((r, (&q, (&w, &w_shoup))), punctured) in terms.zip(c.punctured.chunks_exact(c.width)) {
+            // Shoup's product takes any 64-bit `r`: y = r·w mod q.
+            mac_limbs(limbs, punctured, mul_mod_shoup(r, w, w_shoup, q));
+        }
+        for _ in 1..self.primes.len() {
+            let below = lt_limbs(limbs, &c.modulus);
+            sub_limbs_masked(limbs, &c.modulus, below.wrapping_sub(1));
+        }
+        let negative = lt_limbs(&c.half, limbs);
+        negate_from_masked(limbs, &c.modulus, negative.wrapping_neg());
+        negative == 1
+    }
+
+    /// CRT-composes one residue per prime into the unique integer in `[0, q)`
+    /// — the big-integer oracle: production code composes with
+    /// [`Self::compose_centered_into`].
     ///
     /// # Panics
     ///
@@ -176,7 +264,8 @@ impl RnsBasis {
     }
 
     /// Composes residues and centers the result: returns `(magnitude, is_negative)`
-    /// for the representative in `(-q/2, q/2]`.
+    /// for the representative in `(-q/2, q/2]` — the big-integer oracle of
+    /// [`Self::compose_centered_into`].
     pub fn compose_centered(&self, residues: &[u64]) -> (UBig, bool) {
         let v = self.compose(residues);
         let half = self.modulus.shr(1);
@@ -191,14 +280,14 @@ impl RnsBasis {
     pub fn decompose_signed(&self, magnitude: &UBig, negative: bool) -> Vec<u64> {
         self.primes
             .iter()
-            .map(|&q| signed_residue(magnitude, negative, q))
+            .map(|&q| signed_residue(magnitude.limbs(), negative, q))
             .collect()
     }
 }
 
-/// `±magnitude mod q` in `[0, q)`.
-fn signed_residue(magnitude: &UBig, negative: bool, q: u64) -> u64 {
-    let r = magnitude.rem_u64(q);
+/// `±magnitude mod q` in `[0, q)`, for a magnitude given as limbs.
+fn signed_residue(magnitude: &[u64], negative: bool, q: u64) -> u64 {
+    let r = limbs_rem(magnitude, q);
     if negative && r != 0 {
         q - r
     } else {
@@ -240,8 +329,9 @@ struct TargetModulus {
 /// that under-estimates each term by less than `2^-63`; a coefficient whose
 /// sum lands within `k·2^-63` below a rounding boundary — its value within
 /// that fraction of `±A/2` — is the only kind the estimate can get wrong,
-/// and those are recomputed with the big-integer composition. The result is
-/// therefore exact on every coefficient.
+/// and those are recomputed with the exact limb composition
+/// ([`RnsBasis::compose_centered_into`]). The result is therefore exact on
+/// every coefficient.
 ///
 /// Target moduli need not be prime, only below `2^62` (the sums are kept
 /// in `[0, 2b)` between corrections); NTT primes are below `2^61`.
@@ -307,7 +397,7 @@ impl BaseConverter {
     /// one (source, target) pair at a time; scratch comes from [`PolyPool`].
     ///
     /// Returns how many coefficients sat in the ambiguity band and were
-    /// recomputed with big integers (about `k·2^-62` of uniformly random
+    /// recomputed by exact composition (about `k·2^-62` of uniformly random
     /// ones).
     pub fn convert_centered(&self, src: &[Vec<u64>], dst: &mut [Vec<u64>]) -> usize {
         debug_assert_eq!(src.len(), self.source.len(), "source row count");
@@ -352,10 +442,11 @@ impl BaseConverter {
             }
         }
         if ambiguous > 0 {
+            let mut magnitude = vec![0; self.from.compose_width()];
             let unsure = sums.iter().map(|&sum| round_overflow(sum, band).1);
             for (c, _) in unsure.enumerate().filter(|&(_, unsure)| unsure) {
-                let residues: Vec<u64> = src.iter().filter_map(|row| row.get(c)).copied().collect();
-                let (magnitude, negative) = self.from.compose_centered(&residues);
+                let residues = src.iter().filter_map(|row| row.get(c)).copied();
+                let negative = self.from.compose_centered_into(residues, &mut magnitude);
                 for (out, b) in dst.iter_mut().zip(&self.target) {
                     if let Some(o) = out.get_mut(c) {
                         *o = signed_residue(&magnitude, negative, b.modulus);
@@ -435,6 +526,26 @@ mod tests {
         let (mag, neg) = b.compose_centered(&b.decompose(&UBig::from_u64(5)));
         assert!(!neg);
         assert_eq!(mag.to_u64(), 5);
+    }
+
+    #[test]
+    fn limb_composition_matches_the_oracle_at_the_centering_edges() {
+        let b = basis();
+        let modulus = b.modulus().clone();
+        let half = modulus.shr(1);
+        let mut limbs = vec![0; b.compose_width()];
+        for v in [
+            UBig::zero(),
+            UBig::one(),
+            half.clone(),
+            half.add_u64(1),
+            modulus.sub(&UBig::one()),
+        ] {
+            let residues = b.decompose(&v);
+            let (mag, neg) = b.compose_centered(&residues);
+            assert_eq!(b.compose_centered_into(residues, &mut limbs), neg);
+            assert_eq!(UBig::from_limbs(&limbs), mag, "value {v}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the arithmetic substrate (deterministic
 //! quickprop harness; each property runs seeded random cases).
 
-use choco_math::bigint::UBig;
+use choco_math::bigint::{limbs_log2, limbs_to_f64, UBig};
 use choco_math::modops::{add_mod, center, inv_mod, mul_mod, pow_mod, sub_mod};
 use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
 use choco_math::par;
@@ -259,6 +259,47 @@ fn rns_compose_is_additive() {
             .divrem(basis.modulus())
             .1;
         assert_eq!(composed, expect);
+    });
+}
+
+#[test]
+fn limb_composition_matches_big_integer_composition() {
+    // 1–5 primes of 30–61 bits; random residues (some unreduced) and the
+    // values where reduction and centering turn: 0, q − 1, ⌊q/2⌋, ⌊q/2⌋ + 1.
+    run_cases("limb composition vs UBig", 48, |g| {
+        let n = 64usize;
+        let bits = g.u64_in(30, 62) as u32;
+        let k = g.usize_in(1, 6);
+        let basis = RnsBasis::new(n, &generate_ntt_primes(bits, n, k)).unwrap();
+        let modulus = basis.modulus();
+        let half = modulus.shr(1);
+        let mut cases: Vec<Vec<u64>> = [
+            UBig::zero(),
+            modulus.sub(&UBig::one()),
+            half.clone(),
+            half.add_u64(1),
+        ]
+        .iter()
+        .map(|v| basis.decompose(v))
+        .collect();
+        cases.push(basis.primes().iter().map(|&q| g.u64_below(q)).collect());
+        cases.push(basis.primes().iter().map(|_| g.u64()).collect());
+        let mut limbs = vec![0u64; basis.compose_width()];
+        for residues in cases {
+            let (mag, neg) = basis.compose_centered(&residues);
+            let got_neg = basis.compose_centered_into(residues.iter().copied(), &mut limbs);
+            let ctx = format!("{k} primes of {bits} bits, residues {residues:?}");
+            assert_eq!(got_neg, neg, "sign: {ctx}");
+            let mut want = mag.limbs().to_vec();
+            want.resize(limbs.len(), 0);
+            assert_eq!(limbs, want, "limbs: {ctx}");
+            assert_eq!(
+                limbs_to_f64(&limbs).to_bits(),
+                mag.to_f64().to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(limbs_log2(&limbs).to_bits(), mag.log2().to_bits(), "{ctx}");
+        }
     });
 }
 

@@ -348,27 +348,49 @@ impl Hasher {
 }
 
 /// Streams XOF output 64 bytes at a time.
+///
+/// Output blocks are indexed by a counter, so the stream is seekable:
+/// [`XofReader::skip`] costs one block whatever the distance.
 pub struct XofReader {
     output: Output,
+    /// Index of the block after the one in `buf`.
     counter: u64,
     buf: [u8; 2 * OUT_LEN],
     buf_pos: usize,
 }
 
 impl XofReader {
-    /// Fills `out` with the next output bytes.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
+    /// Makes output block `index` the buffered one, read from `offset` on.
+    fn load(&mut self, index: u64, offset: usize) {
+        self.output.root_output_bytes(&mut self.buf, index);
+        self.counter = index + 1;
+        self.buf_pos = offset;
+    }
+
+    /// Fills `out` with the next output bytes, a buffered block's remainder
+    /// at a time.
+    pub fn fill(&mut self, mut out: &mut [u8]) {
+        while !out.is_empty() {
             if self.buf_pos == self.buf.len() {
-                let mut block = [0u8; 2 * OUT_LEN];
-                self.output.root_output_bytes(&mut block, self.counter);
-                self.buf = block;
-                self.counter += 1;
-                self.buf_pos = 0;
+                self.load(self.counter, 0);
             }
-            *byte = self.buf[self.buf_pos];
-            self.buf_pos += 1;
+            let (_, buffered) = self.buf.split_at(self.buf_pos);
+            let take = buffered.len().min(out.len());
+            let (head, tail) = std::mem::take(&mut out).split_at_mut(take);
+            head.copy_from_slice(buffered.split_at(take).0);
+            self.buf_pos += take;
+            out = tail;
         }
+    }
+
+    /// Advances the stream by `n` bytes without producing them: the block
+    /// the new position falls in is generated, nothing before it.
+    pub fn skip(&mut self, n: u64) {
+        let block = self.buf.len() as u64;
+        // The buffered block is `counter − 1`; a fresh reader (counter 0)
+        // holds an exhausted buffer, so this is 0 there.
+        let pos = self.counter * block - (block - self.buf_pos as u64) + n;
+        self.load(pos / block, (pos % block) as usize);
     }
 }
 
@@ -545,6 +567,24 @@ mod tests {
             got.extend_from_slice(&buf);
         }
         assert_eq!(&got[..200], &all[..]);
+    }
+
+    #[test]
+    fn xof_reader_skip_lands_on_every_offset() {
+        let mut h = Hasher::new();
+        h.update(b"seek me");
+        let mut all = [0u8; 300];
+        h.finalize_xof(&mut all);
+        for (first, gap) in [(0, 0), (0, 64), (3, 61), (10, 117), (64, 1), (63, 130)] {
+            let mut reader = h.finalize_xof_reader();
+            let mut head = vec![0u8; first];
+            reader.fill(&mut head);
+            reader.skip(gap as u64);
+            let mut rest = [0u8; 40];
+            reader.fill(&mut rest);
+            let at = first + gap;
+            assert_eq!(&rest[..], &all[at..at + 40], "read {first}, skip {gap}");
+        }
     }
 
     #[test]

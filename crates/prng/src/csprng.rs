@@ -76,22 +76,16 @@ impl Blake3Rng {
     /// Panics if `bound` is zero.
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
-        if bound.is_power_of_two() {
-            return self.next_u64() & (bound - 1);
-        }
-        // Largest multiple of bound that fits in u64.
-        let zone = u64::MAX - (u64::MAX % bound) - 1;
         loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
+            if let Some(v) = word_below(self.next_u64(), bound) {
+                return v;
             }
         }
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Total bytes drawn since construction.
@@ -99,21 +93,44 @@ impl Blake3Rng {
         self.bytes_drawn
     }
 
-    /// Fast-forwards the stream by `n` bytes (draw and discard).
+    /// Fast-forwards the stream by `n` bytes, counting them as drawn.
     ///
     /// A generator's state is fully determined by its seed and
     /// [`Blake3Rng::bytes_drawn`], so `from_seed(s)` + `skip(n)` restores a
     /// checkpointed stream exactly — the primitive session resume is built
-    /// on.
+    /// on. The XOF is seekable, so this costs one output block whatever `n`
+    /// is.
     pub fn skip(&mut self, n: u64) {
-        let mut buf = [0u8; 256];
-        let mut left = n;
-        while left > 0 {
-            let chunk = left.min(buf.len() as u64) as usize;
-            self.fill_bytes(&mut buf[..chunk]);
-            left -= chunk as u64;
-        }
+        self.reader.skip(n);
+        self.bytes_drawn += n;
     }
+}
+
+/// The value in `[0, bound)` one 64-bit draw stands for, or `None` when
+/// rejection sampling discards the draw (so there is no modulo bias): the
+/// rule [`Blake3Rng::next_below`] applies draw by draw and the bulk
+/// samplers in [`crate::sampler`] apply to a buffer of draws. `bound` must
+/// be positive.
+// choco-lint: secret (public: bound)
+pub(crate) fn word_below(word: u64, bound: u64) -> Option<u64> {
+    if bound.is_power_of_two() {
+        return Some(word & (bound - 1));
+    }
+    // Largest multiple of bound that fits in u64.
+    let zone = u64::MAX - (u64::MAX % bound) - 1;
+    // choco-lint: allow(SEC001) rejection sampling on fresh randomness
+    if word <= zone {
+        Some(word % bound)
+    } else {
+        None
+    }
+}
+
+/// The `f64` in `[0, 1)` one 64-bit draw stands for (its top 53 bits):
+/// [`Blake3Rng::next_f64`]'s conversion.
+// choco-lint: ct-safe
+pub(crate) fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -191,6 +208,46 @@ mod tests {
                 assert_eq!(restored.next_u64(), want, "cut {cut} draw {i}");
             }
         }
+        // Byte offsets on both sides of the 64-byte block boundaries, from
+        // a fresh generator and from one that has already drawn.
+        let mut reference = Blake3Rng::from_seed(b"skip bytes");
+        let mut stream = vec![0u8; 400];
+        reference.fill_bytes(&mut stream);
+        for (drawn_first, cut) in [
+            (0, 63),
+            (0, 64),
+            (0, 65),
+            (5, 59),
+            (5, 123),
+            (64, 64),
+            (70, 200),
+        ] {
+            let mut restored = Blake3Rng::from_seed(b"skip bytes");
+            let mut head = vec![0u8; drawn_first];
+            restored.fill_bytes(&mut head);
+            restored.skip(cut as u64 - drawn_first as u64);
+            assert_eq!(restored.bytes_drawn(), cut as u64);
+            let mut rest = [0u8; 70];
+            restored.fill_bytes(&mut rest);
+            assert_eq!(
+                &rest[..],
+                &stream[cut..cut + 70],
+                "drawn {drawn_first}, cut {cut}"
+            );
+        }
+        // A resume past gigabytes of stream seeks rather than replays: a
+        // byte-at-a-time skip of 3 GiB would not finish in a test run. One
+        // long skip lands where a shorter skip plus the drawn remainder
+        // does.
+        let far = 3u64 << 30;
+        let mut long = Blake3Rng::from_seed(b"skip far");
+        long.skip(far + 5);
+        assert_eq!(long.bytes_drawn(), far + 5);
+        let mut short = Blake3Rng::from_seed(b"skip far");
+        short.skip(far - 200);
+        let mut gap = [0u8; 205];
+        short.fill_bytes(&mut gap);
+        assert_eq!(long.next_u64(), short.next_u64());
     }
 
     #[test]
