@@ -54,6 +54,21 @@ for simd in 0 1; do
         CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q -p choco-he --test client_bytes
     done
 done
+# Conv layers as compiled programs, at every point of the matrix: the
+# executor's bundles bit-identical to their groups run alone and a shared
+# rotation inside its bundle (compiler unit tests); a layer's program byte
+# for byte the hand pass, a warm session encoding nothing, the LeNet layers'
+# rotations inside their key set (dnn unit tests); the download digests
+# pinned across builds (layer_bytes); and the crash-point sweep's conv cases.
+for simd in 0 1; do
+    for threads in 1 4; do
+        matrix=(env CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q)
+        "${matrix[@]}" -p choco --lib compiler::tests
+        "${matrix[@]}" -p choco-apps --lib -- layer_program warm_session lenet_layer_programs
+        "${matrix[@]}" -p choco-apps --test layer_bytes
+        "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
+    done
+done
 
 echo "==> zero-alloc steady state (PolyPool counters, both schemes)"
 # Warm keyswitch -> hoisted rotation -> matvec loops, and the client's
@@ -122,19 +137,21 @@ echo "ci: batch-4 / sequential throughput ${speedup}x on $(nproc) cores (reporte
 echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd and par gates)"
 # Besides the kernel timings, bench_kernels asserts that what is fused beats
 # its unfused twin by >= 1.5x: the double-hoisted matvec against the
-# per-rotation composition under BFV (set B) and CKKS (set C), and the
+# per-rotation composition under BFV (set B) and CKKS (set C), the
 # compiled-program executor on pagerank (set A) and the conv layer (set C)
 # against the same program with every interior node declared an output,
-# which the fusion plan must then run node by node. Two DNN-layer kernels
-# are gated the same way at set B, each against the layer's previous
-# kernel: a 4 -> 8 channel 8 x 8 conv layer (25 taps) through its
-# channel-diagonal pass (`conv_layer_packed`: 16 blocks, 4 diagonals in one
-# shared hoisted pass, 3 rotate-adds, one output ciphertext) against the
-# shared pass with one channel sum per output (`conv_layer_shared`: 8
-# outputs in one shared hoisted pass, then 2 rotate-adds each; >= 1.4x —
-# 100 operand encodes and 3 key switches against 200 and 16), and the
-# 10 x 128 FC through the hybrid matvec (`matvec_hybrid`, 16 diagonals +
-# 3 folds) against its 128 full diagonals (>= 2.0x). The client's calls
+# which the fusion plan must then run node by node, and a bundle of a conv
+# layer's 4 diagonals over 25 shared tap rotations (set B) as one kernel
+# call (`exec_conv_bundled`) against its 4 groups one call each
+# (`exec_conv_groups`). Two DNN-layer kernels are gated at set B, each
+# against the layer's previous kernel: a 4 -> 8 channel 8 x 8 conv layer
+# (25 taps) as its compiled program on the warm executor
+# (`conv_layer_program`: 16 blocks, 4 diagonals in one kernel call over
+# cached operands, 3 rotate-adds, one output ciphertext) against the same
+# channel-diagonal pass by hand (`conv_layer_packed`, 100 operand encodes
+# per call; >= 1.3x), and the 10 x 128 FC through the hybrid matvec
+# (`matvec_hybrid`, 16 diagonals + 3 folds) against its 128 full diagonals
+# (>= 2.0x). The client's calls
 # are gated against their twins too (sets A and B, CKKS at C): the BFV
 # noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
 # CKKS decode (limb composition; >= 2.0x) against the big-integer loops they

@@ -22,12 +22,15 @@
 //! same hoisted tap rotations — and sums channels with the FC's hybrid
 //! split, so a layer's output channels come back packed, `row / stride` to
 //! a download ([`ResumableConvLayer`]) — the count [`client_aided_plan`]
-//! plans with, up to each map's power-of-two stride.
+//! plans with, up to each map's power-of-two stride. The server half is a
+//! compiled program ([`ConvPacking::program`]) the session keeps with its
+//! encoded weights, so only a layer's first inference encodes them.
 
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
     ResumableWorkload,
 };
+use choco::compiler::{compile, CompiledProgram, CompilerOptions, NodeId, Program};
 use choco::linalg::{matvec_hybrid_shape, stacked_conv, ConvTap};
 use choco::protocol::Server;
 use choco::rotation::RedundantLayout;
@@ -36,7 +39,7 @@ use choco::transport::{Channel, Session, TransportError};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError, HeScheme};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// One layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -770,6 +773,15 @@ pub fn conv2d_plain_circular(
 
 const CONV_MAGIC: &[u8; 4] = b"RCV1";
 
+/// How a conv layer's program compiles: integer weights at scale `2^0`,
+/// where BFV's quantization is the identity on values below `t`, and no
+/// rescaling chain to schedule.
+const LAYER_OPTIONS: CompilerOptions = CompilerOptions {
+    scale_bits: 0,
+    prime_bits: 0,
+    max_levels: 1,
+};
+
 /// Row-rotation distance of every tap of an `f × f` filter over `w`-wide
 /// maps, in tap order (row-major over the filter).
 fn tap_shifts(f: usize, w: usize) -> impl Iterator<Item = i64> {
@@ -788,14 +800,22 @@ fn tap_shifts(f: usize, w: usize) -> impl Iterator<Item = i64> {
 /// block `o` of the group's one ciphertext — one download per `B` outputs.
 ///
 /// For a group of `n` outputs, `(D, folds) = matvec_hybrid_shape(min(n,
-/// C'), C')`. The server convolves each input group once ([`stacked_conv`]),
-/// producing `D` *diagonals* per output group: diagonal `d` weighs block
-/// `b`'s channel for output `(b − d) mod P`, `P = B` without folds and `D`
-/// with them (zero past the group's outputs). The diagonals are summed over
-/// input groups, and each output group's `Σ_d rotate(X_d, d·stride)` runs as
-/// a rotate-add tree (`D − 1` rotations) followed by the folds by
-/// `stride·(C'/2 … D)`. Every rotation is by `stride·2^i` with `2^i < C'` —
-/// the channel steps of [`conv_rotation_steps`].
+/// C'), C')`. The server convolves each input group once — one rotation per
+/// filter tap, shared by every output — producing `D` *diagonals* per output
+/// group: diagonal `d` weighs block `b`'s channel for output `(b − d) mod
+/// P`, `P = B` without folds and `D` with them (zero past the group's
+/// outputs). The diagonals are summed over input groups, and each output
+/// group's `Σ_d rotate(X_d, d·stride)` runs as a rotate-add tree (`D − 1`
+/// rotations) followed by the folds by `stride·(C'/2 … D)`. Every rotation
+/// is by `stride·2^i` with `2^i < C'` — the channel steps of
+/// [`conv_rotation_steps`].
+///
+/// [`Self::program`] is that server half as a compiled-IR program, the form
+/// a layer runs ([`ResumableConvLayer`]): the executor makes each input
+/// group's diagonals one kernel call and keeps the encoded weights across
+/// runs. [`Self::server_pass`] computes the same ciphertexts through
+/// [`stacked_conv`], encoding every weight on every call; it is kept as the
+/// program's bit-identity oracle and bench twin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvPacking {
     /// The `B` blocks of the whole row.
@@ -909,11 +929,122 @@ impl ConvPacking {
         Ok(acc)
     }
 
+    /// The name of input group `g` in [`Self::program`].
+    pub fn input_name(g: usize) -> String {
+        format!("group{g}")
+    }
+
+    /// The server half of a layer over `inputs` input groups as a program:
+    /// input [`Self::input_name`]`(g)` is group `g` (channels `g·C'` onward,
+    /// [`Self::pack`]ed), weights `[out][in][f·f]` are reduced mod `t`. Per
+    /// input group one rotation per filter tap, shared by every diagonal,
+    /// and one dot chain per diagonal in tap order over broadcast weight
+    /// constants; the diagonals summed across input groups; then per output
+    /// group the rotate-add tree and the folds, and one output per output
+    /// group — the ciphertexts [`Self::server_pass`] returns, in order.
+    pub fn program(&self, inputs: usize, weights: &[Vec<Vec<u64>>], t: u64) -> Program {
+        let mut p = Program::new();
+        let output_groups = || weights.chunks(self.blocks());
+        let mut diagonals: Vec<NodeId> = Vec::new();
+        for g in 0..inputs {
+            let x = p.input(&Self::input_name(g));
+            let taps: Vec<NodeId> = tap_shifts(self.f, self.w)
+                .map(|shift| if shift == 0 { x } else { p.rotate(x, shift) })
+                .collect();
+            let mut partials = Vec::new();
+            for diagonal in output_groups().flat_map(|outputs| self.diagonal_taps(outputs, g)) {
+                let mut acc = None;
+                for (tap, &rotated) in diagonal.iter().zip(&taps) {
+                    let broadcast = self.layout.broadcast_weights(&tap.channel_weights);
+                    let values: Vec<f64> = broadcast.iter().map(|&v| (v % t) as f64).collect();
+                    let c = p.constant(&values);
+                    let term = p.mul_plain(rotated, c);
+                    acc = Some(acc.map_or(term, |a| p.add(a, term)));
+                }
+                partials.extend(acc);
+            }
+            diagonals = if diagonals.is_empty() {
+                partials
+            } else {
+                let sums = diagonals.iter().zip(&partials);
+                sums.map(|(&total, &partial)| p.add(total, partial))
+                    .collect()
+            };
+        }
+        let stride = self.layout.stride();
+        let mut diagonals = diagonals.into_iter();
+        for outputs in output_groups() {
+            let (depth, folds) = self.shape(outputs.len());
+            // The tree and folds of `sum_diagonals`, node for node.
+            let mut sums: Vec<NodeId> = diagonals.by_ref().take(depth).collect();
+            while sums.len() > 1 {
+                let upper = sums.split_off(sums.len() / 2);
+                let step = (upper.len() * stride) as i64;
+                sums = sums
+                    .iter()
+                    .zip(&upper)
+                    .map(|(&lo, &hi)| {
+                        let rotated = p.rotate(hi, step);
+                        p.add(lo, rotated)
+                    })
+                    .collect();
+            }
+            if let Some(mut acc) = sums.pop() {
+                for fold in &folds {
+                    let rotated = p.rotate(acc, (fold * stride) as i64);
+                    acc = p.add(acc, rotated);
+                }
+                p.output(acc);
+            }
+        }
+        p
+    }
+
+    /// [`Self::program`], compiled.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::Mismatch`] for a layer with no input group or no output.
+    pub fn compile_layer(
+        &self,
+        inputs: usize,
+        weights: &[Vec<Vec<u64>>],
+        t: u64,
+    ) -> Result<CompiledProgram, HeError> {
+        compile(&self.program(inputs, weights, t), &LAYER_OPTIONS)
+            .map_err(|e| HeError::Mismatch(format!("conv layer program: {e}")))
+    }
+
+    /// What [`Self::program`] is a function of, exactly: the packing, the
+    /// input-group count and the raw weights with their shape — the key a
+    /// session keeps the compiled layer under. A few KB; the program's
+    /// constants are `B · stride` slots per weight.
+    fn layer_key(&self, inputs: usize, weights: &[Vec<Vec<u64>>]) -> Vec<u64> {
+        let geometry = [
+            self.blocks(),
+            self.layout.stride(),
+            self.channels,
+            self.f,
+            self.w,
+            inputs,
+        ];
+        let mut key: Vec<u64> = geometry.iter().map(|&v| v as u64).collect();
+        for w_o in weights {
+            key.push(w_o.len() as u64);
+            for w_oc in w_o {
+                key.push(w_oc.len() as u64);
+                key.extend(w_oc);
+            }
+        }
+        key
+    }
+
     /// The server half of a layer: input group `g` uploaded as
     /// `inputs[g]` (channels `g·C'` onward, [`Self::pack`]ed), weights
     /// `[out][in][f·f]`. One [`stacked_conv`] per input group, the groups'
     /// diagonals summed, then each output group's tree and folds: one
-    /// ciphertext per `B` outputs, in order.
+    /// ciphertext per `B` outputs, in order — byte for byte what
+    /// [`Self::program`] computes, with every weight encoded again.
     ///
     /// # Errors
     ///
@@ -957,9 +1088,12 @@ impl ConvPacking {
 /// each later step downloads one *output group* — up to `B` output
 /// channels in one ciphertext — and extracts its feature maps. The server
 /// work is **one pass for the whole layer**, run by the first download
-/// step: per input ciphertext a watchdog guard and a compute tick, then
-/// [`ConvPacking::server_pass`]. The output ciphertexts wait server-side
-/// until their step downloads them.
+/// step: per input ciphertext a watchdog guard and a compute tick, then the
+/// layer's compiled [`ConvPacking::program`], which the session keeps
+/// resident with its encoded weights
+/// ([`Session::run_resident`]) so a layer whose weights it has seen
+/// before encodes nothing. The output ciphertexts wait server-side until
+/// their step downloads them.
 ///
 /// The input normally fits one ciphertext;
 /// [`run_encrypted_conv_layer_multi`] builds the same machine over several
@@ -972,8 +1106,9 @@ impl ConvPacking {
 /// inputs billed to `recovery_bytes` — never re-encrypting, so the client
 /// RNG stream stays on the uninterrupted run's schedule. The waiting outputs
 /// are not checkpointed: the next step recomputes the pass from the
-/// re-uploaded inputs for the output groups still to come (bit-identical —
-/// an output group does not depend on which others share its pass) and does
+/// re-uploaded inputs and keeps the output groups still to come
+/// (bit-identical — an output group does not depend on which others share
+/// its pass) and does
 /// *not* guard again: the checkpointed inputs already are what the first
 /// pass's guard left, and a second refresh would draw client randomness the
 /// uninterrupted run never drew.
@@ -1053,9 +1188,13 @@ impl ResumableConvLayer {
     }
 
     /// The layer's server work for every output group not yet downloaded:
-    /// per input group one compute tick, then the shared pass. The watchdog
-    /// checks each input's remaining budget before its tick — on the
-    /// layer's first pass only (see the type docs).
+    /// per input group one compute tick, then the layer's program — looked
+    /// up in the session by the layer's definition, built and compiled on a
+    /// miss — through the executor and the program's operand cache. The
+    /// watchdog checks each input's remaining budget before its tick — on
+    /// the layer's first pass only (see the type docs). A pass after a
+    /// recovery runs the whole program and drops the output groups already
+    /// downloaded.
     fn server_pass<C: Channel>(
         &mut self,
         session: &mut Session<Bfv, C>,
@@ -1068,10 +1207,19 @@ impl ResumableConvLayer {
             }
             session.compute_tick()?;
         }
-        let remaining = self.weights.get(self.maps.len()..).unwrap_or_default();
-        Ok(packing
-            .server_pass(session.server(), &self.resident, remaining)?
-            .into())
+        let (inputs, weights) = (self.resident.len(), &self.weights);
+        let t = session.server().context().plain_modulus();
+        let named: HashMap<String, Ciphertext> = self
+            .resident
+            .iter()
+            .enumerate()
+            .map(|(g, ct)| (ConvPacking::input_name(g), ct.clone()))
+            .collect();
+        let key = packing.layer_key(inputs, weights);
+        let build = || packing.compile_layer(inputs, weights, t);
+        let outputs = session.run_resident(&key, build, &named)?;
+        let downloaded = self.maps.len() / packing.blocks();
+        Ok(outputs.into_iter().skip(downloaded).collect())
     }
 }
 
@@ -1261,14 +1409,8 @@ pub fn run_encrypted_conv_layer_multi<C: Channel>(
     f: usize,
 ) -> Result<Vec<Vec<u64>>, TransportError> {
     let in_ch = input.len();
-    let red = (f / 2) * (w + 1);
     let row = session.server().context().degree() / 2;
-    let stride = (h * w + 2 * red).next_power_of_two();
-    if stride > row {
-        return Err(HeError::Mismatch("one channel must fit a ciphertext row".into()).into());
-    }
-    // Largest power-of-two channel-group size that fits the row.
-    let per_ct = (1usize << (row / stride).ilog2()).min(in_ch.next_power_of_two());
+    let per_ct = channels_per_ct(in_ch, h, w, f, row)?;
     if in_ch <= per_ct {
         return run_encrypted_conv_layer(session, input, weights, h, w, f);
     }
@@ -1297,24 +1439,55 @@ pub fn conv_rotation_steps(in_ch: usize, h: usize, w: usize, f: usize) -> Vec<i6
 /// Rotation steps for the multi-ciphertext conv path: like
 /// [`conv_rotation_steps`] but with the channel steps sized to the
 /// per-ciphertext channel-group capacity of `row` slots.
+///
+/// # Errors
+///
+/// [`HeError::Mismatch`] when one channel does not fit a `row`-slot row, as
+/// [`run_encrypted_conv_layer_multi`] refuses the layer.
 pub fn conv_rotation_steps_multi(
     in_ch: usize,
     h: usize,
     w: usize,
     f: usize,
     row: usize,
-) -> Vec<i64> {
-    let pad = f / 2;
-    let red = pad * (w + 1);
+) -> Result<Vec<i64>, HeError> {
+    Ok(conv_rotation_steps(
+        channels_per_ct(in_ch, h, w, f, row)?,
+        h,
+        w,
+        f,
+    ))
+}
+
+/// The channel-group size of the multi-ciphertext path: the largest power
+/// of two of channels that fits a `row`-slot row, capped at `in_ch` rounded
+/// up to one.
+///
+/// # Errors
+///
+/// [`HeError::Mismatch`] when one channel does not fit the row.
+fn channels_per_ct(
+    in_ch: usize,
+    h: usize,
+    w: usize,
+    f: usize,
+    row: usize,
+) -> Result<usize, HeError> {
+    let red = (f / 2) * (w + 1);
     let stride = (h * w + 2 * red).next_power_of_two();
-    assert!(stride <= row, "one channel must fit a ciphertext row");
-    let per_ct = (1usize << (row / stride).ilog2()).min(in_ch.next_power_of_two());
-    conv_rotation_steps(per_ct, h, w, f)
+    if stride > row {
+        return Err(HeError::Mismatch(
+            "one channel must fit a ciphertext row".into(),
+        ));
+    }
+    Ok((1usize << (row / stride).ilog2()).min(in_ch.next_power_of_two()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use choco::compiler::Op;
+    use choco::protocol::Client;
 
     #[test]
     fn conv_rotation_steps_cover_every_kernel_rotation() {
@@ -1429,7 +1602,7 @@ mod tests {
         let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
         let (h, w, f, in_ch, out_ch) = (8usize, 8usize, 3usize, 8usize, 2usize);
         let row = params.degree() / 2;
-        let steps = conv_rotation_steps_multi(in_ch, h, w, f, row);
+        let steps = conv_rotation_steps_multi(in_ch, h, w, f, row).unwrap();
         let mut session = Session::<Bfv>::direct(&params, b"multi conv", &steps).unwrap();
 
         let input: Vec<Vec<u64>> = (0..in_ch)
@@ -1583,7 +1756,7 @@ mod tests {
             for degree in [1024usize, 256] {
                 let params = HeParams::bfv_insecure(degree, &[45, 45, 46], 20).unwrap();
                 let row = degree / 2;
-                let steps = conv_rotation_steps_multi(3, h, w, f, row);
+                let steps = conv_rotation_steps_multi(3, h, w, f, row).unwrap();
                 let want = conv2d_plain_circular(&input, &weights, h, w, f, params.plain_modulus());
                 let mut session = Session::<Bfv>::direct(&params, b"rgb", &steps).unwrap();
                 let got = run_encrypted_conv_layer_multi(&mut session, &input, &weights, h, w, f);
@@ -1630,6 +1803,131 @@ mod tests {
             "{err}"
         );
         assert_eq!(session.ledger().downloads, downloads);
+    }
+
+    #[test]
+    fn the_layer_program_is_byte_identical_to_the_hand_pass() {
+        // Rows of 512 slots over 4 × 4 and 8 × 8 maps: 4 to 32 blocks, so
+        // 1–8 channels per input group, 1–2 input groups, 1–2 output groups,
+        // with and without folds.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+        let (row, t) = (params.degree() / 2, params.plain_modulus());
+        choco_quickprop::run_cases("conv program vs hand pass", 24, |g| {
+            let side = [4, 8][g.usize_in(0, 2)];
+            let f = [1, 3, 5][g.usize_in(0, 3)];
+            let blocks = ConvPacking::new(1, side, side, f, row).unwrap().blocks();
+            let channels = g.usize_in(1, blocks.min(8) + 1);
+            let inputs = g.usize_in(1, 3);
+            let output_groups = g.usize_in(1, 3);
+            let out_ch = g.usize_in((output_groups - 1) * blocks + 1, output_groups * blocks + 1);
+            let label = format!("{side}x{side} f={f} {inputs}x{channels}->{out_ch} B={blocks}");
+            let packing = ConvPacking::new(channels, side, side, f, row).unwrap();
+            let mut rng = choco_prng::Blake3Rng::from_seed(label.as_bytes());
+            let shape = (inputs * channels, out_ch, side * side, f * f);
+            let (input, weights) = seeded_layer(&mut rng, shape);
+            let steps = conv_rotation_steps(channels.next_power_of_two(), side, side, f);
+            let mut client = Client::<Bfv>::new(&params, label.as_bytes()).unwrap();
+            let server = client.provision_server(&steps).unwrap();
+            let cts: Vec<Ciphertext> = input
+                .chunks(channels)
+                .map(|group| client.encrypt_slots(&packing.pack(group)).unwrap())
+                .collect();
+
+            let hand = packing.server_pass(&server, &cts, &weights).unwrap();
+            let compiled = packing.compile_layer(inputs, &weights, t).unwrap();
+            let named = cts
+                .iter()
+                .enumerate()
+                .map(|(i, ct)| (ConvPacking::input_name(i), ct.clone()))
+                .collect();
+            let program = compiled
+                .execute_encrypted::<Bfv>(
+                    server.context(),
+                    &named,
+                    server.relin_key(),
+                    server.galois_keys(),
+                )
+                .unwrap();
+            let wire = |cts: &[Ciphertext]| cts.iter().map(Bfv::ct_to_wire).collect::<Vec<_>>();
+            assert_eq!(wire(&program), wire(&hand), "{label}");
+            assert_eq!(program.len(), out_ch.div_ceil(blocks), "{label}");
+            // One kernel call per input group; a lone tap is a multiply.
+            let calls = if f == 1 { 0 } else { inputs };
+            assert_eq!(compiled.fused_bundles(), calls, "{label}");
+        });
+    }
+
+    #[test]
+    fn a_warm_session_encodes_a_layer_once_per_weight_set() {
+        // 4 → 6 channels of 8 × 8 at a 512-slot row (B = 4): two output
+        // groups, 4 + 2 diagonals of 9 taps.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+        let t = params.plain_modulus();
+        let (h, w, f) = (8usize, 8usize, 3usize);
+        let steps = conv_rotation_steps(4, h, w, f);
+        let mut session = Session::<Bfv>::direct(&params, b"warm layer", &steps).unwrap();
+        let mut rng = choco_prng::Blake3Rng::from_seed(b"warm layer inputs");
+        let shape = (4, 6, h * w, f * f);
+        let (_, weights) = seeded_layer(&mut rng, shape);
+        let (_, retrained) = seeded_layer(&mut rng, shape);
+        let packing = ConvPacking::new(4, h, w, f, 512).unwrap();
+        let program = packing.program(1, &weights, t);
+        let constants = program.ops().iter();
+        let constants = constants.filter(|op| matches!(op, Op::Constant(_))).count();
+        assert_eq!(constants, (4 + 2) * 9);
+
+        let mut infer = |weights: &[Vec<Vec<u64>>]| {
+            let (input, _) = seeded_layer(&mut rng, shape);
+            let maps = run_encrypted_conv_layer(&mut session, &input, weights, h, w, f).unwrap();
+            assert_eq!(maps, conv2d_plain_circular(&input, weights, h, w, f, t));
+            let (programs, operands) = session.resident_counters();
+            (programs.misses, operands.misses)
+        };
+        assert_eq!(infer(&weights), (1, constants as u64));
+        // Second and third images: nothing compiled, nothing encoded.
+        assert_eq!(infer(&weights), (1, constants as u64));
+        assert_eq!(infer(&weights), (1, constants as u64));
+        // New weights: one more program, its constants encoded once.
+        assert_eq!(infer(&retrained), (2, 2 * constants as u64));
+        assert_eq!(infer(&retrained), (2, 2 * constants as u64));
+        assert_eq!(infer(&weights), (2, 2 * constants as u64));
+    }
+
+    #[test]
+    fn lenet_layer_programs_rotate_only_by_conv_rotation_steps() {
+        // `lenet_direct`'s conv1 (1 → 4 at 16 × 16) and conv2 (4 → 8 at
+        // 8 × 8), f = 5, at paper set B: each one kernel call, and every
+        // rotation the program makes has a key in the layer's step list.
+        let params = HeParams::set_b();
+        let (row, t) = (params.degree() / 2, params.plain_modulus());
+        for (in_ch, out_ch, side) in [(1usize, 4usize, 16usize), (4, 8, 8)] {
+            let packing = ConvPacking::new(in_ch, side, side, 5, row).unwrap();
+            let weights = vec![vec![vec![1u64; 25]; in_ch]; out_ch];
+            let compiled = packing.compile_layer(1, &weights, t).unwrap();
+            assert_eq!(compiled.fused_bundles(), 1);
+            let provisioned = conv_rotation_steps(in_ch, side, side, 5);
+            for step in compiled.rotation_steps() {
+                assert!(
+                    provisioned.contains(&step),
+                    "{in_ch}->{out_ch}: rotation {step} has no key"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_channel_wider_than_the_row_is_refused() {
+        // 16 × 16 under a 5 × 5 filter packs 324 slots: a 512-slot stride,
+        // wider than a 256-slot row.
+        let err = conv_rotation_steps_multi(2, 16, 16, 5, 256).unwrap_err();
+        assert!(
+            matches!(err, HeError::Mismatch(ref m) if m.contains("fit a ciphertext row")),
+            "{err}"
+        );
+        assert_eq!(
+            conv_rotation_steps_multi(2, 16, 16, 5, 512).unwrap(),
+            conv_rotation_steps(1, 16, 16, 5)
+        );
     }
 
     #[test]

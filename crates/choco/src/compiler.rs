@@ -28,17 +28,23 @@
 //! it is built: every maximal rotate → multiply → accumulate chain over one
 //! ciphertext — a tree of `Add`s over `Rescale^r(MulPlain(x | Rotate(x, s),
 //! Constant))` leaves whose inner nodes nobody else consumes — is a *dot
-//! group*, evaluated at its root as `Σ_k rot(x, s_k) ⊙ c_k` by one call of
-//! the double-hoisted kernel both schemes share
-//! ([`CompilerScheme::dot_operands`] → `choco_he::rlwe::dot_galois`): one
-//! key-switch decomposition and one key-switch rounding for the whole chain
-//! instead of one per rotation, then the `r` rescales once on the sum. The
-//! plan is a schedule, not IR — no [`Op`] names it, the program wire,
-//! [`OpCounts`] and the verifier never see it, and it cannot be switched
-//! off; a node that must be materialized is declared an output, which keeps
-//! it out of any group (tests obtain their unfused reference that way).
-//! [`CompiledProgram::fused_groups`] / [`CompiledProgram::fused_nodes`] say
-//! what the plan covers.
+//! group*, `Σ_k rot(x, s_k) ⊙ c_k`. Groups over the same `x` with the same
+//! rescale count and step list — a conv layer's diagonals, one per output —
+//! form a *bundle*, evaluated at its first root by one call of the
+//! double-hoisted kernel both schemes share
+//! ([`CompilerScheme::dot_operands_many`] → `choco_he::rlwe::dot_galois`):
+//! one key-switch decomposition for the bundle and one key-switch rounding
+//! per group instead of one per rotation, then the `r` rescales once on
+//! each sum. A rotation read by several leaves (one per step, shared by
+//! every dot over it, as [`optimize`] leaves it) is part of the bundle when
+//! every reader is a leaf of it and the readers span two or more of its
+//! groups; otherwise shared rotations stay nodes. The plan is a schedule,
+//! not IR — no [`Op`] names it, the program wire, [`OpCounts`] and the
+//! verifier never see it, and it cannot be switched off; a node that must
+//! be materialized is declared an output, which keeps it out of any group
+//! (tests obtain their unfused reference that way).
+//! [`CompiledProgram::fused_groups`], [`CompiledProgram::fused_bundles`]
+//! and [`CompiledProgram::fused_nodes`] say what the plan covers.
 
 use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
@@ -137,8 +143,8 @@ pub trait CompilerScheme: HeScheme {
     ) -> Result<Self::Ciphertext, HeError>;
 
     /// Encodes a quantized constant as a factor of the fused dot against
-    /// `ct` ([`CompilerScheme::dot_operands`]): evaluation form over the
-    /// key-switch basis at `ct`'s level, at the same scale
+    /// `ct` ([`CompilerScheme::dot_operands_many`]): evaluation form over
+    /// the key-switch basis at `ct`'s level, at the same scale
     /// [`CompilerScheme::encode_for_mul`] uses.
     ///
     /// # Errors
@@ -150,20 +156,25 @@ pub trait CompilerScheme: HeScheme {
         ct: &Self::Ciphertext,
     ) -> Result<DotOperand, HeError>;
 
-    /// `Σ_k rot(ct, step_k) ⊙ operand_k` (step 0 meaning `ct` itself) as one
-    /// double-hoisted kernel call, without rescaling — what a rotate →
+    /// `outputs` dots over the same rotations of `ct` as one double-hoisted
+    /// kernel call, without rescaling: output `o` is `Σ_k rot(ct, step_k) ⊙
+    /// operand_{k,o}` (step 0 meaning `ct` itself), where term `k` is
+    /// `(step_k, [operand_{k,0}, …])`. Each output is what a rotate →
     /// [`CompilerScheme::mul_operand`] → add chain computes, with one
-    /// key-switch rounding for the sum.
+    /// key-switch rounding for its sum, and bit for bit what the call
+    /// returns for that output alone; one output is the case `outputs = 1`.
     ///
     /// # Errors
     ///
-    /// Propagates operand mismatches and missing Galois keys.
-    fn dot_operands(
+    /// Propagates operand mismatches and missing Galois keys; a term whose
+    /// operand count is not `outputs` is [`HeError::Mismatch`].
+    fn dot_operands_many(
         ctx: &Self::Context,
         ct: &Self::Ciphertext,
-        terms: &[(i64, &DotOperand)],
+        outputs: usize,
+        terms: &[(i64, Vec<Arc<DotOperand>>)],
         gk: &Self::GaloisKeys,
-    ) -> Result<Self::Ciphertext, HeError>;
+    ) -> Result<Vec<Self::Ciphertext>, HeError>;
 
     /// Cache discriminator of an encode site against `ct`: everything the
     /// encoded operand depends on besides the constant itself. CKKS
@@ -248,13 +259,15 @@ impl CompilerScheme for Ckks {
         ctx.dot_operand(values, ct.level())
     }
 
-    fn dot_operands(
+    fn dot_operands_many(
         ctx: &CkksContext,
         ct: &CkksCiphertext,
-        terms: &[(i64, &DotOperand)],
+        outputs: usize,
+        terms: &[(i64, Vec<Arc<DotOperand>>)],
         gk: &choco_he::rlwe::GaloisKeys,
-    ) -> Result<CkksCiphertext, HeError> {
-        ctx.dot_rotations(ct, terms.iter().copied().map(Ok), gk)
+    ) -> Result<Vec<CkksCiphertext>, HeError> {
+        let terms = terms.iter().map(|(step, ops)| Ok((*step, ops.as_slice())));
+        ctx.dot_rotations_many(ct, outputs, terms, gk)
     }
 
     fn operand_site(ct: &CkksCiphertext, for_mul: bool) -> (u32, u64) {
@@ -338,14 +351,15 @@ impl CompilerScheme for Bfv {
             .dot_operand(&ctx.batch_encoder()?.encode(values)?)
     }
 
-    fn dot_operands(
+    fn dot_operands_many(
         ctx: &choco_he::bfv::BfvContext,
         ct: &choco_he::bfv::Ciphertext,
-        terms: &[(i64, &DotOperand)],
+        outputs: usize,
+        terms: &[(i64, Vec<Arc<DotOperand>>)],
         gk: &choco_he::rlwe::GaloisKeys,
-    ) -> Result<choco_he::bfv::Ciphertext, HeError> {
-        ctx.evaluator()
-            .dot_rotations(ct, terms.iter().copied().map(Ok), gk)
+    ) -> Result<Vec<choco_he::bfv::Ciphertext>, HeError> {
+        let terms = terms.iter().map(|(step, ops)| Ok((*step, ops.as_slice())));
+        ctx.evaluator().dot_rotations_many(ct, outputs, terms, gk)
     }
 
     fn operand_site(_ct: &choco_he::bfv::Ciphertext, _for_mul: bool) -> (u32, u64) {
@@ -538,7 +552,7 @@ pub struct OpCounts {
 /// One fused dot of the execution schedule: a tree of `Add` nodes whose
 /// leaves are `Rescale^r(MulPlain(src, Constant))` with `src` the common
 /// ciphertext `x` or a `Rotate(x, s)`. The executor evaluates the whole tree
-/// at its root as `Σ_k rot(x, s_k) ⊙ c_k` in one kernel call and applies
+/// as `Σ_k rot(x, s_k) ⊙ c_k` in the kernel call of its bundle and applies
 /// the `r` rescales once to the sum.
 #[derive(Debug, Clone, PartialEq)]
 struct DotGroup {
@@ -557,7 +571,8 @@ enum Role {
     Node,
     /// Covered by a fused group: never materialized.
     Interior,
-    /// The root `Add` of `groups[_]`: the fused call happens here.
+    /// The root `Add` of `groups[_]`, where its sum is stored. The first
+    /// root of a bundle makes the bundle's kernel call.
     Root(usize),
 }
 
@@ -567,32 +582,43 @@ enum Role {
 #[derive(Debug, Clone, Default)]
 struct FusionPlan {
     groups: Vec<DotGroup>,
+    /// Groups that run as one kernel call — same source, same rescale count,
+    /// same step list — each in root order.
+    bundles: Vec<Vec<usize>>,
+    /// The bundle of each group.
+    bundle_of: Vec<usize>,
     /// One entry per node.
     role: Vec<Role>,
 }
 
+/// The groups one pass over an op list finds, and what each covers.
+#[derive(Default)]
+struct Found {
+    groups: Vec<DotGroup>,
+    /// Per group: its root node.
+    roots: Vec<usize>,
+    /// Per group: every node below its root.
+    covered: Vec<Vec<usize>>,
+    /// Per group: the `Rotate` node each leaf reads through, one entry per
+    /// such leaf.
+    rotations: Vec<Vec<usize>>,
+}
+
 impl FusionPlan {
-    /// Finds every maximal dot group in one forward pass plus one walk per
-    /// group. A node may be interior to a group only if it is consumed
-    /// exactly once and is not an output, so declaring a node an output
-    /// keeps it — and every `Add` above it — out of any group. Total on any
-    /// op list (`from_raw_parts` hands over unverified ones): a reference
-    /// that is not to an earlier node just does not fuse.
+    /// Finds every maximal dot group and bundles them. A node may be
+    /// interior to a group only if it is consumed exactly once and is not an
+    /// output, so declaring a node an output keeps it — and every `Add`
+    /// above it — out of any group. The one exception is a rotation of the
+    /// source read by several leaves — the form [`optimize`] leaves, one
+    /// rotation per step shared by every dot over it: it is interior when
+    /// every consumer is a leaf of one bundle and the leaves belong to two
+    /// or more of its groups, so the bundle's kernel call performs it. The
+    /// first pass reads through every rotation; if any shared one fails that
+    /// test, a second pass keeps every shared rotation as a node — the
+    /// single-use rule, which a program with no multi-group bundle plans by.
+    /// Total on any op list (`from_raw_parts` hands over unverified ones): a
+    /// reference that is not to an earlier node just does not fuse.
     fn derive(ops: &[Op], outputs: &[NodeId]) -> FusionPlan {
-        #[derive(Clone, Copy)]
-        struct Leaf {
-            step: i64,
-            constant: usize,
-            rotate: Option<usize>,
-        }
-        // A node seen as a dot subtree: a leaf chain, or (`leaf: None`) a
-        // sum of at least two.
-        #[derive(Clone, Copy)]
-        struct Shape {
-            source: usize,
-            rescales: usize,
-            leaf: Option<Leaf>,
-        }
         // Consumers per node, an output counting as one more: a count of
         // exactly 1 means "consumed once and not an output".
         let mut uses = vec![0u32; ops.len()];
@@ -610,7 +636,68 @@ impl FusionPlan {
                 *u += 1;
             }
         }
+        let mut found = Self::find_groups(ops, &uses, true);
+        let (mut bundles, mut bundle_of) = Self::bundle(&found.groups);
+        // Per rotation read through: the group of each leaf reading it.
+        let mut readers: HashMap<usize, Vec<usize>> = HashMap::new();
+        for (g, rotations) in found.rotations.iter().enumerate() {
+            for &rotation in rotations {
+                readers.entry(rotation).or_default().push(g);
+            }
+        }
+        let interior = readers.iter().all(|(&rotation, groups)| {
+            let first = groups.first().copied();
+            let bundle = first.and_then(|g| bundle_of.get(g));
+            let one_bundle = groups.iter().all(|&g| bundle_of.get(g) == bundle);
+            let several_groups = groups.iter().any(|&g| Some(g) != first);
+            uses.get(rotation) == Some(&(groups.len() as u32))
+                && one_bundle
+                && (groups.len() == 1 || several_groups)
+        });
+        if !interior {
+            found = Self::find_groups(ops, &uses, false);
+            (bundles, bundle_of) = Self::bundle(&found.groups);
+        }
+        let mut role = vec![Role::Node; ops.len()];
+        let mut assign = |node: usize, to: Role| {
+            if let Some(slot) = role.get_mut(node) {
+                *slot = to;
+            }
+        };
+        for (g, (&root, covered)) in found.roots.iter().zip(&found.covered).enumerate() {
+            for &node in covered {
+                assign(node, Role::Interior);
+            }
+            assign(root, Role::Root(g));
+        }
+        FusionPlan {
+            groups: found.groups,
+            bundles,
+            bundle_of,
+            role,
+        }
+    }
+
+    /// Every maximal dot group in one forward pass plus one walk per group,
+    /// reading leaves through a `Rotate` consumed once — or, with
+    /// `shared_rotations`, through any `Rotate`.
+    fn find_groups(ops: &[Op], uses: &[u32], shared_rotations: bool) -> Found {
+        #[derive(Clone, Copy)]
+        struct Leaf {
+            step: i64,
+            constant: usize,
+            rotate: Option<usize>,
+        }
+        // A node seen as a dot subtree: a leaf chain, or (`leaf: None`) a
+        // sum of at least two.
+        #[derive(Clone, Copy)]
+        struct Shape {
+            source: usize,
+            rescales: usize,
+            leaf: Option<Leaf>,
+        }
         let single_use = |i: usize| uses.get(i) == Some(&1);
+        let read_through = |rotation: usize| shared_rotations || single_use(rotation);
 
         let mut shapes: Vec<Option<Shape>> = Vec::with_capacity(ops.len());
         let mut absorbed = vec![false; ops.len()];
@@ -619,7 +706,7 @@ impl FusionPlan {
             let shape = match op {
                 Op::MulPlain(a, c) if a.0 < i && matches!(ops.get(c.0), Some(Op::Constant(_))) => {
                     let (source, step, rotate) = match ops.get(a.0) {
-                        Some(Op::Rotate(x, s)) if x.0 < a.0 && single_use(a.0) => {
+                        Some(Op::Rotate(x, s)) if x.0 < a.0 && read_through(a.0) => {
                             (x.0, *s, Some(a.0))
                         }
                         _ => (a.0, 0, None),
@@ -662,13 +749,7 @@ impl FusionPlan {
             shapes.push(shape);
         }
 
-        let mut groups = Vec::new();
-        let mut role = vec![Role::Node; ops.len()];
-        let mut assign = |node: usize, to: Role| {
-            if let Some(role) = role.get_mut(node) {
-                *role = to;
-            }
-        };
+        let mut found = Found::default();
         let roots = shapes.iter().zip(&absorbed).enumerate();
         for (root, (shape, &taken)) in roots {
             let Some(Shape {
@@ -683,39 +764,66 @@ impl FusionPlan {
                 continue;
             }
             // Walk the tree left to right; everything below the root is
-            // interior. (A loop, not recursion: a chain of adds is as deep
-            // as the program is long.)
-            let mut terms = Vec::new();
+            // covered. (A loop, not recursion: a chain of adds is as deep as
+            // the program is long.)
+            let (mut terms, mut covered, mut rotations) = (Vec::new(), Vec::new(), Vec::new());
             let mut stack = vec![root];
             while let Some(node) = stack.pop() {
                 match (shapes.get(node).copied().flatten(), ops.get(node)) {
                     (Some(Shape { leaf: None, .. }), Some(Op::Add(a, b))) => {
-                        assign(a.0, Role::Interior);
-                        assign(b.0, Role::Interior);
+                        covered.extend([a.0, b.0]);
                         stack.extend([b.0, a.0]);
                     }
                     (Some(Shape { leaf: Some(l), .. }), _) => {
                         let mut below = node;
                         while let Some(Op::Rescale(a)) = ops.get(below) {
-                            assign(a.0, Role::Interior);
+                            covered.push(a.0);
                             below = a.0;
                         }
                         if let Some(rotate) = l.rotate {
-                            assign(rotate, Role::Interior);
+                            covered.push(rotate);
+                            rotations.push(rotate);
                         }
                         terms.push((l.step, l.constant));
                     }
                     _ => {}
                 }
             }
-            assign(root, Role::Root(groups.len()));
-            groups.push(DotGroup {
+            found.groups.push(DotGroup {
                 source,
                 rescales,
                 terms,
             });
+            found.roots.push(root);
+            found.covered.push(covered);
+            found.rotations.push(rotations);
         }
-        FusionPlan { groups, role }
+        found
+    }
+
+    /// Partitions `groups` into bundles by `(source, rescales, steps)`, each
+    /// bundle in group order; returns the bundles and each group's bundle.
+    fn bundle(groups: &[DotGroup]) -> (Vec<Vec<usize>>, Vec<usize>) {
+        let mut bundles: Vec<Vec<usize>> = Vec::new();
+        let mut index: HashMap<(usize, usize, Vec<i64>), usize> = HashMap::new();
+        let bundle_of = groups
+            .iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let steps = group.terms.iter().map(|&(step, _)| step).collect();
+                let b = *index
+                    .entry((group.source, group.rescales, steps))
+                    .or_insert(bundles.len());
+                if b == bundles.len() {
+                    bundles.push(Vec::new());
+                }
+                if let Some(members) = bundles.get_mut(b) {
+                    members.push(g);
+                }
+                b
+            })
+            .collect();
+        (bundles, bundle_of)
     }
 }
 
@@ -1174,10 +1282,16 @@ impl CompiledProgram {
 
     /// Number of fused dot groups in the execution schedule: rotate →
     /// multiply → accumulate chains over one ciphertext that
-    /// [`CompiledProgram::execute_encrypted`] runs as a single
-    /// double-hoisted kernel call each.
+    /// [`CompiledProgram::execute_encrypted`] never evaluates node by node.
     pub fn fused_groups(&self) -> usize {
         self.plan.groups.len()
+    }
+
+    /// Number of kernel calls those groups take: groups over the same
+    /// source with the same rescale count and step list form one *bundle*
+    /// and run as one double-hoisted call with an output per group.
+    pub fn fused_bundles(&self) -> usize {
+        self.plan.bundles.len()
     }
 
     /// Number of compiled nodes those groups cover (their roots included):
@@ -1373,6 +1487,10 @@ impl CompiledProgram {
         // Constants are quantized where they are encoded: on a cache miss.
         let quantize = |values: &[f64]| S::quantize_const(ctx, values, self.options.scale_bits);
 
+        let no_group = || HeError::Mismatch("compiler invariant violated: no such group".into());
+        // Sums of bundle members computed at an earlier root of the bundle.
+        let mut ahead: Vec<Option<S::Ciphertext>> = self.plan.groups.iter().map(|_| None).collect();
+
         let mut vals: Vec<Slot<'_, S::Ciphertext>> = Vec::with_capacity(self.ops.len());
         for (op, role) in self.ops.iter().zip(&self.plan.role) {
             match role {
@@ -1382,30 +1500,48 @@ impl CompiledProgram {
                     continue;
                 }
                 Role::Root(g) => {
-                    // One kernel call for the whole group, then the leaves'
-                    // rescales once on the sum.
-                    let group = self.plan.groups.get(*g).ok_or_else(|| {
-                        HeError::Mismatch("compiler invariant violated: no such group".into())
-                    })?;
+                    if let Some(sum) = ahead.get_mut(*g).and_then(Option::take) {
+                        vals.push(Slot::Owned(sum));
+                        continue;
+                    }
+                    // The bundle's first root: one kernel call for every
+                    // group in it, then each group's rescales once on its
+                    // sum. Term `k` carries every member's `k`-th constant.
+                    let members = self.plan.bundle_of.get(*g);
+                    let members = members.and_then(|&b| self.plan.bundles.get(b));
+                    let members = members.ok_or_else(no_group)?;
+                    let group = self.plan.groups.get(*g).ok_or_else(no_group)?;
                     let x = ct_at(&vals, NodeId(group.source))?;
-                    let operands = group
+                    let operand = |member: usize, k: usize| {
+                        let term = self.plan.groups.get(member).and_then(|m| m.terms.get(k));
+                        let c = term.ok_or_else(no_group)?.1;
+                        let values = constant_at(NodeId(c))?;
+                        cache.dot_operand(c, x, || S::encode_for_dot(ctx, &quantize(values), x))
+                    };
+                    let terms = group
                         .terms
                         .iter()
-                        .map(|&(_, c)| {
-                            let values = constant_at(NodeId(c))?;
-                            cache.dot_operand(c, x, || S::encode_for_dot(ctx, &quantize(values), x))
+                        .enumerate()
+                        .map(|(k, &(step, _))| {
+                            let operands = members.iter().map(|&m| operand(m, k));
+                            Ok((step, operands.collect::<Result<Vec<_>, HeError>>()?))
                         })
                         .collect::<Result<Vec<_>, HeError>>()?;
-                    let steps = group.terms.iter().map(|&(step, _)| step);
-                    let terms: Vec<(i64, &DotOperand)> =
-                        steps.zip(operands.iter().map(|op| &**op)).collect();
-                    let mut sum = S::dot_operands(ctx, x, &terms, galois)?;
-                    if S::HAS_CHAIN {
-                        for _ in 0..group.rescales {
-                            sum = S::rescale(ctx, &sum)?;
+                    let sums = S::dot_operands_many(ctx, x, members.len(), &terms, galois)?;
+                    let mut own = None;
+                    for (&member, mut sum) in members.iter().zip(sums) {
+                        if S::HAS_CHAIN {
+                            for _ in 0..group.rescales {
+                                sum = S::rescale(ctx, &sum)?;
+                            }
+                        }
+                        if member == *g {
+                            own = Some(sum);
+                        } else if let Some(slot) = ahead.get_mut(member) {
+                            *slot = Some(sum);
                         }
                     }
-                    vals.push(Slot::Owned(sum));
+                    vals.push(Slot::Owned(own.ok_or_else(no_group)?));
                     continue;
                 }
             }
@@ -1478,7 +1614,7 @@ struct OperandSlot {
 enum Encoded<S: CompilerScheme> {
     /// For [`CompilerScheme::mul_operand`] / [`CompilerScheme::add_operand`].
     Site(Arc<S::Operand>),
-    /// For [`CompilerScheme::dot_operands`].
+    /// For [`CompilerScheme::dot_operands_many`].
     Dot(Arc<DotOperand>),
 }
 
@@ -1586,6 +1722,29 @@ impl<S: CompilerScheme> ExecCache<S> {
         match self.get_or_encode(node, OperandUse::Dot, ct, encode)? {
             Encoded::Dot(op) => Ok(op),
             Encoded::Site(_) => Err(HeError::Mismatch("operand cache kind".into())),
+        }
+    }
+}
+
+/// One resident compiled program: the schedule plus the cache of its
+/// encoded plaintext operands, so every evaluation after the first encodes
+/// nothing. What a server keeps per program it evaluates repeatedly — the
+/// serving tier's program cache and a session's resident layers alike.
+#[derive(Debug)]
+pub struct CachedProgram<S: CompilerScheme> {
+    /// The compiled, statically verified schedule.
+    pub compiled: CompiledProgram,
+    /// Encoded-operand cache shared by every evaluation of this program.
+    pub operands: ExecCache<S>,
+}
+
+impl<S: CompilerScheme> CachedProgram<S> {
+    /// `compiled` with an empty operand cache, unbounded: the working set is
+    /// the program's constants.
+    pub fn new(compiled: CompiledProgram) -> Self {
+        CachedProgram {
+            compiled,
+            operands: ExecCache::unbounded(),
         }
     }
 }
@@ -2158,6 +2317,30 @@ mod tests {
         assert_eq!(plan.groups[0].terms.len(), 2);
         assert_eq!(plan.role[7], Role::Root(0));
         assert!((8..12).all(|i| plan.role[i] == Role::Node));
+
+        // A rotation read by leaves of two dots with different step lists —
+        // two bundles, two calls — must stay a node, and then each dot reads
+        // two ciphertexts.
+        let ops = vec![
+            input(),
+            constant(),
+            Op::Rotate(n(0), 1),
+            Op::MulPlain(n(0), n(1)),
+            Op::MulPlain(n(2), n(1)),
+            Op::Add(n(3), n(4)),
+            Op::Rotate(n(0), 2),
+            Op::MulPlain(n(2), n(1)),
+            Op::MulPlain(n(6), n(1)),
+            Op::Add(n(7), n(8)),
+        ];
+        let plan = FusionPlan::derive(&ops, &[n(5), n(9)]);
+        assert!(plan.groups.is_empty(), "{:?}", plan.groups);
+        assert!(plan.role.iter().all(|r| *r == Role::Node));
+        // Read by the leaves of one dot only, it stays a node too: a
+        // single-group dot plans as if no rotation were shared.
+        let mut ops = ops;
+        ops.push(Op::Add(n(5), n(9)));
+        unfused(&ops, 10, "rotation shared inside one dot");
     }
 
     /// `program` with every ciphertext node also declared an output: the
@@ -2277,6 +2460,116 @@ mod tests {
         // The result sits where the schedule says: one level down, and at
         // the product scale over the dropped prime.
         assert_eq!(warm[0].level(), c.meta(c.outputs[0]).level);
+    }
+
+    /// The dots numbered `chains` over `x`, each `Σ_k rot(x, steps[k]) ⊙ c`
+    /// with its own constants, each an output; with `shared`, one rotation
+    /// per step serves every chain (the form `optimize` leaves), otherwise
+    /// every chain rotates for itself.
+    fn conv_like(chains: &[usize], steps: &[i64], shared: bool) -> Program {
+        let mut p = Program::new();
+        let x = p.input("x");
+        let rotate = |p: &mut Program, step: i64| if step == 0 { x } else { p.rotate(x, step) };
+        let taps: Vec<NodeId> = steps
+            .iter()
+            .map(|&s| if shared { rotate(&mut p, s) } else { x })
+            .collect();
+        for &chain in chains {
+            let mut acc = None;
+            for (k, (&step, &tap)) in steps.iter().zip(&taps).enumerate() {
+                let value = (chain * steps.len() + k) as f64 * 0.125;
+                let c = p.constant(&[value, 0.5, 1.0 - value, 0.25]);
+                let rotated = if shared { tap } else { rotate(&mut p, step) };
+                let term = p.mul_plain(rotated, c);
+                acc = Some(acc.map_or(term, |a| p.add(a, term)));
+            }
+            p.output(acc.unwrap());
+        }
+        p
+    }
+
+    #[test]
+    fn dots_over_one_source_and_one_step_list_are_one_bundle_shared_rotations_or_not() {
+        // A conv layer's shape: four diagonals over the same tap rotations.
+        // Written with a rotation per chain, or with the rotations shared —
+        // by hand or by `optimize`'s CSE — it is four groups in one kernel
+        // call, the rotations inside the call.
+        let steps = [-1, 0, 1, 2];
+        let unshared = conv_like(&[0, 1, 2, 3], &steps, false);
+        let forms = [
+            conv_like(&[0, 1, 2, 3], &steps, true),
+            optimize(&unshared),
+            unshared,
+        ];
+        let mut rotations = Vec::new();
+        for p in &forms {
+            let c = compile(p, &served_opts()).unwrap();
+            assert_eq!((c.fused_groups(), c.fused_bundles()), (4, 1));
+            assert_eq!(c.plan.bundles, vec![vec![0, 1, 2, 3]]);
+            // Nothing but the input and the constants is left a node.
+            let nodes = c.plan.role.iter().filter(|r| **r == Role::Node).count();
+            assert_eq!(nodes, 1 + 16);
+            rotations.push(c.counts.rotations);
+        }
+        assert_eq!(rotations, [3, 3, 12]);
+
+        // Different step lists over one source are two calls; the same list
+        // over another source too.
+        let mut p = conv_like(&[0, 1], &steps, true);
+        let x = NodeId(0);
+        let y = p.input("y");
+        for (src, list) in [(x, [1, 2]), (y, [-1, 0])] {
+            let mut acc = None;
+            for step in list {
+                let c = p.constant(&[1.0; 4]);
+                let r = if step == 0 { src } else { p.rotate(src, step) };
+                let term = p.mul_plain(r, c);
+                acc = Some(acc.map_or(term, |a| p.add(a, term)));
+            }
+            p.output(acc.unwrap());
+        }
+        let c = compile(&p, &served_opts()).unwrap();
+        assert_eq!((c.fused_groups(), c.fused_bundles()), (4, 3));
+        assert_eq!(c.plan.bundles, vec![vec![0, 1], vec![2], vec![3]]);
+    }
+
+    #[test]
+    fn a_bundle_is_bit_identical_to_its_groups_run_alone() {
+        // Two chains over the same rotations of one CKKS ciphertext, each
+        // product rescaled: bundled into one call, and each as a program of
+        // its own (one group, one call). The kernel's outputs do not depend
+        // on which others share the call, and neither do the rescales.
+        let steps = [0, 1, 3];
+        let bundled = conv_like(&[0, 1], &steps, true);
+        let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
+        let ctx = CkksContext::new(&params).unwrap();
+        let c = compile(&bundled, &served_opts()).unwrap();
+        assert_eq!((c.fused_groups(), c.fused_bundles()), (2, 1));
+        assert_eq!(c.plan.groups[0].rescales, 1);
+        let mut rng = Blake3Rng::from_seed(b"bundle vs groups");
+        let keys = ctx.keygen(&mut rng);
+        let relin = ctx.relin_key(keys.secret_key(), &mut rng);
+        let galois = ctx
+            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .unwrap();
+        let pt = ctx.encode(&[0.5, -0.25, 1.0, 0.75]).unwrap();
+        let mut inputs = HashMap::new();
+        inputs.insert(
+            "x".to_string(),
+            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+        );
+        let run = |c: &CompiledProgram| {
+            c.execute_encrypted::<Ckks>(&ctx, &inputs, &relin, &galois)
+                .unwrap()
+        };
+        let wire = |ct: &CkksCiphertext| choco_he::serialize::ckks_ciphertext_to_bytes(ct);
+        let together = run(&c);
+        for (chain, out) in together.iter().enumerate() {
+            let single = compile(&conv_like(&[chain], &steps, true), &served_opts()).unwrap();
+            assert_eq!((single.fused_groups(), single.fused_bundles()), (1, 1));
+            assert_eq!(wire(out), wire(&run(&single)[0]), "chain {chain}");
+            assert_eq!(out.level(), c.meta(c.outputs[chain]).level);
+        }
     }
 
     #[test]

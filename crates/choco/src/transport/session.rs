@@ -24,17 +24,62 @@
 //!   under BFV, remaining rescale levels under CKKS, via
 //!   [`HeScheme::health`] — and, when it drops below the floor, performs a
 //!   client-aided refresh round (download → decrypt → re-encrypt → upload,
-//!   one extra round in the ledger) instead of letting the computation die.
+//!   one extra round in the ledger) instead of letting the computation die;
+//! * the server half keeps the compiled programs it runs repeatedly — a
+//!   conv layer per weight set — with their encoded operands
+//!   ([`Session::run_resident`]), so a workload's second inference encodes
+//!   nothing.
 
 use super::channel::Channel;
 use super::checkpoint::SessionCheckpoint;
 use super::fault::FaultStats;
 use super::frame::{self, FrameKind, TagKey};
 use super::TransportError;
+use crate::compiler::{CachedProgram, CompiledProgram, CompilerScheme};
 use crate::protocol::{Client, CommLedger, Server};
+use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::params::{HeParams, SchemeType};
-use choco_he::{Bfv, Ckks, HeScheme};
+use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_prng::Blake3Rng;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Compiled programs a session's server half keeps resident; past this the
+/// least recently used one is dropped.
+const RESIDENT_PROGRAMS: usize = 8;
+
+/// What a session does with a resident [`CachedProgram`] of its scheme. A
+/// trait rather than the type because a session takes any [`HeScheme`],
+/// while a compiled program needs a [`CompilerScheme`].
+trait Resident<S: HeScheme>: Send + Sync {
+    /// The program over `inputs` under `server`'s keys, through its operand
+    /// cache.
+    fn run(
+        &self,
+        server: &Server<S>,
+        inputs: &HashMap<String, S::Ciphertext>,
+    ) -> Result<Vec<S::Ciphertext>, HeError>;
+
+    /// The operand cache's counters (`misses` = encodes).
+    fn operand_counters(&self) -> CacheCounters;
+}
+
+impl<S: CompilerScheme> Resident<S> for CachedProgram<S> {
+    fn run(
+        &self,
+        server: &Server<S>,
+        inputs: &HashMap<String, S::Ciphertext>,
+    ) -> Result<Vec<S::Ciphertext>, HeError> {
+        let (ctx, relin, galois) = (server.context(), server.relin_key(), server.galois_keys());
+        let cache = &self.operands;
+        self.compiled
+            .execute_encrypted_cached::<S>(ctx, inputs, relin, galois, cache)
+    }
+
+    fn operand_counters(&self) -> CacheCounters {
+        self.operands.counters()
+    }
+}
 
 /// Bounded-retry policy for one frame exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,6 +318,9 @@ pub struct Session<S: HeScheme, C: Channel = Box<dyn Channel>> {
     seed: Vec<u8>,
     crash: Option<CrashPlan>,
     ops: [u32; 4],
+    /// Server-side: compiled programs by their callers' exact definitions
+    /// (see [`Session::run_resident`]). Not checkpointed.
+    programs: OperandCache<Vec<u64>, Arc<dyn Resident<S>>>,
 }
 
 impl<S: HeScheme, C: Channel> Session<S, C> {
@@ -303,6 +351,7 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
             seed: seed.to_vec(),
             crash: None,
             ops: [0; 4],
+            programs: OperandCache::new(RESIDENT_PROGRAMS),
         })
     }
 
@@ -601,6 +650,7 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
             seed: ck.seed.clone(),
             crash: None,
             ops: [0; 4],
+            programs: OperandCache::new(RESIDENT_PROGRAMS),
         };
         session.reconnect()?;
         Ok((session, ck.progress))
@@ -663,6 +713,45 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
             &mut self.ledger,
         )?;
         Ok(S::ct_from_wire(&bytes)?)
+    }
+}
+
+impl<S: HeScheme, C: Channel> Session<S, C> {
+    /// Counters of the resident-program table (`misses` = compiles) and of
+    /// the resident programs' operand caches, summed (`misses` = encodes).
+    pub fn resident_counters(&self) -> (CacheCounters, CacheCounters) {
+        let mut operands = CacheCounters::default();
+        for program in self.programs.values() {
+            operands.absorb(&program.operand_counters());
+        }
+        (self.programs.counters(), operands)
+    }
+}
+
+impl<S: CompilerScheme, C: Channel> Session<S, C> {
+    /// Runs, server-side, the compiled program the server half keeps for
+    /// `key` over `inputs` — `key` being the caller's exact definition of
+    /// the program, such as a conv layer's geometry and raw weights (a few
+    /// KB, never the program's expanded constants), and `build` compiling it
+    /// on a miss. The program keeps its encoded operands, so every run after
+    /// the first encodes nothing. The table holds a few programs, least
+    /// recently used evicted, and is not checkpointed: a resumed session
+    /// compiles again on first use.
+    ///
+    /// # Errors
+    ///
+    /// `build`'s error, nothing kept for a failed build; the executor's
+    /// errors.
+    pub fn run_resident<E: From<HeError>>(
+        &mut self,
+        key: &[u64],
+        build: impl FnOnce() -> Result<CompiledProgram, E>,
+        inputs: &HashMap<String, S::Ciphertext>,
+    ) -> Result<Vec<S::Ciphertext>, E> {
+        let program = self.programs.get_or_insert_with(&key.to_vec(), || {
+            Ok::<Arc<dyn Resident<S>>, E>(Arc::new(CachedProgram::<S>::new(build()?)))
+        })?;
+        Ok(program.run(&self.server, inputs)?)
     }
 }
 

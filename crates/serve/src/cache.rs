@@ -23,13 +23,13 @@
 //! cached. Counters on both layers let tests and live stats prove that
 //! warm traffic does zero recompilation and zero re-encoding.
 
-use choco::compiler::{compile, CompilerOptions, ExecCache};
+use choco::compiler::{compile, CompilerOptions};
 use choco::remote::program_from_wire;
 use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::{Bfv, Ckks};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-pub use choco::compiler::{CompiledProgram, CompilerScheme};
+pub use choco::compiler::{CachedProgram, CompiledProgram, CompilerScheme};
 
 /// The global cache key: `(params_hash, program_ref)`.
 pub type ProgramKey = ([u8; 32], [u8; 32]);
@@ -66,16 +66,6 @@ impl EvalScheme for Ckks {
     ) -> &Mutex<OperandCache<ProgramKey, Arc<CachedProgram<Ckks>>>> {
         &cache.ckks
     }
-}
-
-/// One resident compiled program: the schedule plus the shared cache of
-/// its encoded plaintext operands.
-#[derive(Debug)]
-pub struct CachedProgram<S: CompilerScheme> {
-    /// The compiled, statically verified schedule.
-    pub compiled: CompiledProgram,
-    /// Encoded-operand cache shared by every evaluation of this program.
-    pub operands: ExecCache<S>,
 }
 
 /// Result of a program lookup.
@@ -164,10 +154,7 @@ impl ServeCache {
             let compiled =
                 compile(&program, options).map_err(|e| LookupMiss::Failed(format!("{e:?}")))?;
             *lock(&self.compiles) += 1;
-            Ok(Arc::new(CachedProgram {
-                compiled,
-                operands: ExecCache::unbounded(),
-            }))
+            Ok(Arc::new(CachedProgram::new(compiled)))
         });
         match result {
             Ok(prog) => Ok(ProgramLookup::Ready(prog)),
