@@ -60,13 +60,22 @@ done
 # for byte the hand pass, a warm session encoding nothing, the LeNet layers'
 # rotations inside their key set (dnn unit tests); the download digests
 # pinned across builds (layer_bytes); and the crash-point sweep's conv cases.
+# `cargo test` exits 0 when a name filter matches no test, so every filtered
+# run must also report at least one passed test.
+filtered() {
+    local out
+    out=$("$@" 2>&1) || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    grep -Eq '^test result: ok\. [1-9][0-9]* passed' <<<"$out" \
+        || { echo "ci: the filter matched no test: $*"; return 1; }
+}
 for simd in 0 1; do
     for threads in 1 4; do
         matrix=(env CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q)
-        "${matrix[@]}" -p choco --lib compiler::tests
-        "${matrix[@]}" -p choco-apps --lib -- layer_program warm_session lenet_layer_programs
+        filtered "${matrix[@]}" -p choco --lib compiler::tests
+        filtered "${matrix[@]}" -p choco-apps --lib -- layer_program warm_session lenet_layer_programs
         "${matrix[@]}" -p choco-apps --test layer_bytes
-        "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
+        filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
     done
 done
 

@@ -27,7 +27,7 @@
 //! encoded weights, so only a layer's first inference encodes them.
 
 use crate::resumable::{
-    bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
+    bad_progress, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
     ResumableWorkload,
 };
 use choco::compiler::{compile, CompiledProgram, CompilerOptions, NodeId, Program};
@@ -39,7 +39,7 @@ use choco::transport::{Channel, Session, TransportError};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError, HeScheme};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// One layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -771,7 +771,7 @@ pub fn conv2d_plain_circular(
     out
 }
 
-const CONV_MAGIC: &[u8; 4] = b"RCV1";
+const CONV_MAGIC: &[u8; 4] = b"RCV2";
 
 /// How a conv layer's program compiles: integer weights at scale `2^0`,
 /// where BFV's quantization is the identity on values below `t`, and no
@@ -1083,63 +1083,42 @@ impl ConvPacking {
     }
 }
 
-/// One encrypted convolution layer as a step-granular state machine:
-/// step 0 packs + encrypts + uploads the input groups ([`ConvPacking`]);
-/// each later step downloads one *output group* — up to `B` output
-/// channels in one ciphertext — and extracts its feature maps. The server
-/// work is **one pass for the whole layer**, run by the first download
-/// step: per input ciphertext a watchdog guard and a compute tick, then the
-/// layer's compiled [`ConvPacking::program`], which the session keeps
-/// resident with its encoded weights
-/// ([`Session::run_resident`]) so a layer whose weights it has seen
-/// before encodes nothing. The output ciphertexts wait server-side until
-/// their step downloads them.
+/// One encrypted convolution layer as a state machine of one step — one
+/// client-aided round. The step packs, encrypts and uploads the input
+/// channels, [`ConvPacking`]'s channel groups one ciphertext each (one group
+/// whenever the layer fits the session's row); guards and ticks each input;
+/// runs the layer's compiled [`ConvPacking::program`], which the session
+/// keeps resident with its encoded weights ([`Session::run_resident`]) so a
+/// layer whose weights it has seen before encodes nothing; then downloads
+/// and decrypts every *output group* — up to `B` output channels in one
+/// ciphertext — in order, and ends the round.
 ///
-/// The input normally fits one ciphertext;
-/// [`run_encrypted_conv_layer_multi`] builds the same machine over several
-/// channel groups, one ciphertext each, whose diagonals are added
-/// server-side before the channel sum.
-///
-/// Because the input ciphertexts — and the output groups not yet
-/// downloaded — live on the (crashed) server across steps, resuming
-/// requires [`recover`](ResumableWorkload::recover), which re-uploads the
-/// inputs billed to `recovery_bytes` — never re-encrypting, so the client
-/// RNG stream stays on the uninterrupted run's schedule. The waiting outputs
-/// are not checkpointed: the next step recomputes the pass from the
-/// re-uploaded inputs and keeps the output groups still to come
-/// (bit-identical — an output group does not depend on which others share
-/// its pass) and does
-/// *not* guard again: the checkpointed inputs already are what the first
-/// pass's guard left, and a second refresh would draw client randomness the
-/// uninterrupted run never drew.
+/// Nothing stays on the server between steps: a crash anywhere inside the
+/// layer replays the whole layer from the checkpoint before it, whose client
+/// RNG position re-encrypts the same bytes.
 #[derive(Debug, Clone)]
 pub struct ResumableConvLayer {
-    /// Input channels partitioned into groups (the last may be short; the
-    /// packing zero-pads it), one ciphertext per group.
-    groups: Vec<Vec<Vec<u64>>>,
+    /// `in_ch` channel maps of `h·w` pixels.
+    input: Vec<Vec<u64>>,
     weights: Vec<Vec<Vec<u64>>>,
     h: usize,
     w: usize,
     f: usize,
-    /// The input ciphertexts as the server holds them (empty = not yet
-    /// uploaded). A guard that refreshes replaces its entry.
-    resident: Vec<Ciphertext>,
-    /// Server-side: one ciphertext per output group not yet downloaded,
-    /// next first (empty = the pass has to run). Not part of
-    /// [`progress`](ResumableWorkload::progress).
-    pending: VecDeque<Ciphertext>,
     maps: Vec<Vec<u64>>,
-    last_reply: Option<Ciphertext>,
+    /// The downloaded output groups, in order (empty until the step ran).
+    replies: Vec<Ciphertext>,
 }
 
 impl ResumableConvLayer {
     /// Starts a fresh layer run. Input: `in_ch` channel maps of `h·w`
-    /// 4-bit values (any count: [`ConvPacking`] zero-pads to a power of
-    /// two); weights `[out_ch][in_ch][f·f]` 4-bit values.
+    /// 4-bit values (any count: [`ConvPacking`] zero-pads a group to a power
+    /// of two); weights `[out_ch][in_ch][f·f]` 4-bit values.
     ///
     /// # Errors
     ///
-    /// [`HeError::Mismatch`] (wrapped) for empty inputs or weights.
+    /// [`HeError::Mismatch`] (wrapped) for empty inputs or weights, a map
+    /// that is not `h·w` pixels, a filter whose padding exceeds the map and
+    /// weights not shaped `[out_ch][in_ch][f·f]`.
     pub fn new(
         input: &[Vec<u64>],
         weights: &[Vec<Vec<u64>>],
@@ -1147,144 +1126,93 @@ impl ResumableConvLayer {
         w: usize,
         f: usize,
     ) -> Result<Self, TransportError> {
-        Self::grouped(input, weights, h, w, f, input.len())
-    }
-
-    /// [`Self::new`] with the input channels split into groups of `per_ct`.
-    fn grouped(
-        input: &[Vec<u64>],
-        weights: &[Vec<Vec<u64>>],
-        h: usize,
-        w: usize,
-        f: usize,
-        per_ct: usize,
-    ) -> Result<Self, TransportError> {
+        let refuse = |msg: String| Err(HeError::Mismatch(msg).into());
         if input.is_empty() || weights.is_empty() {
-            return Err(HeError::Mismatch("empty conv input or weights".into()).into());
+            return refuse("empty conv input or weights".into());
         }
-        let groups = input.chunks(per_ct).map(<[_]>::to_vec).collect();
+        if let Some(c) = input.iter().position(|map| map.len() != h * w) {
+            return refuse(format!("input channel {c} is not {h}x{w} pixels"));
+        }
+        if f == 0 || (f / 2) * (w + 1) > h * w {
+            return refuse(format!("a {f}x{f} filter's padding exceeds {h}x{w} maps"));
+        }
+        let shaped = |w_o: &Vec<Vec<u64>>| {
+            w_o.len() == input.len() && w_o.iter().all(|w_oc| w_oc.len() == f * f)
+        };
+        if let Some(o) = weights.iter().position(|w_o| !shaped(w_o)) {
+            let (in_ch, taps) = (input.len(), f * f);
+            return refuse(format!("weights of output {o} are not [{in_ch}][{taps}]"));
+        }
         Ok(ResumableConvLayer {
-            groups,
+            input: input.to_vec(),
             weights: weights.to_vec(),
             h,
             w,
             f,
-            resident: Vec::new(),
-            pending: VecDeque::new(),
             maps: Vec::new(),
-            last_reply: None,
+            replies: Vec::new(),
         })
     }
 
-    fn per_ct(&self) -> usize {
-        self.groups.first().map_or(0, Vec::len)
-    }
-
-    /// Per-output-channel feature maps computed so far (all of them once
-    /// done). Each matches [`conv2d_plain_circular`] exactly (the client
-    /// would discard border pixels for `valid` semantics).
+    /// Per-output-channel feature maps (all of them once done). Each
+    /// matches [`conv2d_plain_circular`] exactly (the client would discard
+    /// border pixels for `valid` semantics).
     pub fn maps(&self) -> &[Vec<u64>] {
         &self.maps
-    }
-
-    /// The layer's server work for every output group not yet downloaded:
-    /// per input group one compute tick, then the layer's program — looked
-    /// up in the session by the layer's definition, built and compiled on a
-    /// miss — through the executor and the program's operand cache. The
-    /// watchdog checks each input's remaining budget before its tick — on
-    /// the layer's first pass only (see the type docs). A pass after a
-    /// recovery runs the whole program and drops the output groups already
-    /// downloaded.
-    fn server_pass<C: Channel>(
-        &mut self,
-        session: &mut Session<Bfv, C>,
-        packing: &ConvPacking,
-    ) -> Result<VecDeque<Ciphertext>, TransportError> {
-        let first_pass = self.maps.is_empty();
-        for at_server in &mut self.resident {
-            if first_pass {
-                *at_server = session.guard(at_server)?;
-            }
-            session.compute_tick()?;
-        }
-        let (inputs, weights) = (self.resident.len(), &self.weights);
-        let t = session.server().context().plain_modulus();
-        let named: HashMap<String, Ciphertext> = self
-            .resident
-            .iter()
-            .enumerate()
-            .map(|(g, ct)| (ConvPacking::input_name(g), ct.clone()))
-            .collect();
-        let key = packing.layer_key(inputs, weights);
-        let build = || packing.compile_layer(inputs, weights, t);
-        let outputs = session.run_resident(&key, build, &named)?;
-        let downloaded = self.maps.len() / packing.blocks();
-        Ok(outputs.into_iter().skip(downloaded).collect())
     }
 }
 
 impl ResumableWorkload for ResumableConvLayer {
     type Scheme = Bfv;
 
-    /// Runs the next step: the initial upload, or one output group's
-    /// download (the first of which runs the layer's server pass).
-    /// A layer too large for its ciphertexts is [`HeError::Mismatch`]; a
-    /// restored map count that ends inside an output group is
-    /// [`TransportError::BadCheckpoint`].
+    /// Runs the layer's round. A channel too wide for the session's row is
+    /// [`HeError::Mismatch`].
     fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
         if self.is_done() {
             return Ok(());
         }
+        let (h, w, f) = (self.h, self.w, self.f);
         let row = session.server().slot_width();
-        let packing = ConvPacking::new(self.per_ct(), self.h, self.w, self.f, row)?;
-        if self.resident.is_empty() {
-            // Client: pack + encrypt + upload (framed, retried), one
-            // ciphertext per group.
-            let mut resident = Vec::with_capacity(self.groups.len());
-            for group in &self.groups {
-                let ct = session.client_mut().encrypt_slots(&packing.pack(group))?;
-                resident.push(session.upload(&ct)?);
-            }
-            self.resident = resident;
-            return Ok(());
+        let per_ct = channels_per_ct(self.input.len(), h, w, f, row)?;
+        let packing = ConvPacking::new(per_ct, h, w, f, row)?;
+        // Client: pack + encrypt + upload (framed, retried), one ciphertext
+        // per input group.
+        let mut uploaded = Vec::new();
+        for group in self.input.chunks(per_ct) {
+            let ct = session.client_mut().encrypt_slots(&packing.pack(group))?;
+            uploaded.push(session.upload(&ct)?);
         }
-
-        if self.pending.is_empty() {
-            // Output groups are `B` channels wide, which only the session's
-            // row fixes: `restore` cannot see a count that splits one.
-            if !self.maps.len().is_multiple_of(packing.blocks()) {
-                return Err(bad_progress(
-                    "channel maps end inside an output group of this row",
-                ));
-            }
-            self.pending = self.server_pass(session, &packing)?;
+        // Server: per input the watchdog, then a compute tick; then the
+        // layer's program — looked up in the session by the layer's
+        // definition, built and compiled on a miss.
+        let mut named = HashMap::new();
+        for (g, at_server) in uploaded.iter().enumerate() {
+            named.insert(ConvPacking::input_name(g), session.guard(at_server)?);
+            session.compute_tick()?;
         }
-        let next = self
-            .pending
-            .front()
-            .ok_or_else(|| HeError::Mismatch("conv layer has no output group".into()))?;
-        let back = session.download(next)?;
-        self.pending.pop_front();
-        let slots = session.client_mut().decrypt_slots(&back)?;
-        let outputs = self.weights.len() - self.maps.len();
-        let mut maps = packing.layout.extract(&slots);
-        maps.truncate(outputs);
-        self.maps.append(&mut maps);
-        self.last_reply = Some(back);
-        if self.is_done() {
-            session.ledger_mut().end_round();
+        let (inputs, weights) = (uploaded.len(), &self.weights);
+        let t = session.server().context().plain_modulus();
+        let key = packing.layer_key(inputs, weights);
+        let build = || packing.compile_layer(inputs, weights, t);
+        let outputs = session.run_resident(&key, build, &named)?;
+        // Client: download + decrypt every output group, `B` maps each.
+        let mut maps = Vec::with_capacity(outputs.len() * packing.blocks());
+        let mut replies = Vec::with_capacity(outputs.len());
+        for at_server in &outputs {
+            let back = session.download(at_server)?;
+            let slots = session.client_mut().decrypt_slots(&back)?;
+            maps.append(&mut packing.layout.extract(&slots));
+            replies.push(back);
         }
-        Ok(())
-    }
-
-    /// Re-uploads the resident input ciphertexts through
-    /// [`Session::recover_upload`] (billed to `recovery_bytes`), if the
-    /// upload step had completed. The next step recomputes the output
-    /// groups that were waiting server-side.
-    fn recover<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
-        for at_server in &mut self.resident {
-            *at_server = session.recover_upload(&Bfv::ct_to_wire(at_server))?;
+        if maps.len() < weights.len() {
+            // `run` would step a layer that is never done forever.
+            let lost = "conv layer program lost an output group";
+            return Err(HeError::Mismatch(lost.into()).into());
         }
+        maps.truncate(weights.len());
+        session.ledger_mut().end_round();
+        self.maps = maps;
+        self.replies = replies;
         Ok(())
     }
 
@@ -1294,42 +1222,35 @@ impl ResumableWorkload for ResumableConvLayer {
 
     fn progress(&self) -> Vec<u8> {
         let mut out = CONV_MAGIC.to_vec();
-        for g in 0..self.groups.len() {
-            put_ct::<Bfv>(&mut out, self.resident.get(g));
-        }
         put_maps(&mut out, &self.maps);
-        put_ct::<Bfv>(&mut out, self.last_reply.as_ref());
+        out.extend_from_slice(&(self.replies.len() as u32).to_le_bytes());
+        for reply in &self.replies {
+            put_ct::<Bfv>(&mut out, Some(reply));
+        }
         out
     }
 
-    /// Restores the uploaded inputs, the maps downloaded so far and the last
-    /// reply. Whether the map count ends on an output-group boundary depends
-    /// on the row width, so the next [`step`](ResumableWorkload::step)
-    /// checks that.
+    /// Restores the maps and the output groups a finished layer downloaded.
     fn restore(mut self, progress: &[u8]) -> Result<Self, TransportError> {
         let mut r = progress_cursor(progress, CONV_MAGIC)?;
-        let mut resident = Vec::with_capacity(self.groups.len());
-        for _ in 0..self.groups.len() {
-            resident.extend(read_ct::<Bfv>(&mut r)?);
-        }
-        if !resident.is_empty() && resident.len() != self.groups.len() {
-            return Err(bad_progress("only some input groups were uploaded"));
-        }
         let maps = read_maps(&mut r, self.weights.len(), self.h * self.w)?;
-        let last_reply = read_ct::<Bfv>(&mut r)?;
-        finish_progress(&r)?;
-        if !maps.is_empty() && resident.is_empty() {
-            return Err(bad_progress("channel maps recorded before any upload"));
+        let count = r.take_u32()? as usize;
+        if count > self.weights.len() {
+            return Err(bad_progress("more output groups than outputs"));
         }
-        self.resident = resident;
-        self.pending = VecDeque::new();
+        let mut replies = Vec::with_capacity(count);
+        for _ in 0..count {
+            let reply = read_ct::<Bfv>(&mut r)?;
+            replies.push(reply.ok_or_else(|| bad_progress("empty output group"))?);
+        }
+        finish_progress(&r)?;
         self.maps = maps;
-        self.last_reply = last_reply;
+        self.replies = replies;
         Ok(self)
     }
 
     fn final_ct_wire(&self) -> Vec<u8> {
-        ct_wire::<Bfv>(self.last_reply.as_ref())
+        self.replies.iter().flat_map(Bfv::ct_to_wire).collect()
     }
 }
 
@@ -1339,15 +1260,19 @@ impl ResumableWorkload for ResumableConvLayer {
 ///
 /// Every ciphertext crosses the session's framed channels with retries, and
 /// the noise watchdog guards each input ciphertext once, before the layer's
-/// server pass. Over a
+/// program. Over a
 /// [`DirectChannel`](choco::transport::DirectChannel) link this *is* the
 /// fault-free path, with identical primary ledger counters. Any channel
-/// count works: the input is zero-padded to a power of two.
+/// count works: input channels that do not fit one ciphertext row are split
+/// into power-of-two groups, one ciphertext each, whose diagonals the
+/// program adds before the channel sum; a group is zero-padded to a power
+/// of two.
 ///
 /// # Errors
 ///
 /// Typed [`TransportError`]s when the link is worse than the retry budget;
-/// HE-layer failures are wrapped in [`TransportError::He`].
+/// HE-layer failures, and the mis-shaped inputs [`ResumableConvLayer::new`]
+/// refuses, are wrapped in [`TransportError::He`].
 pub fn run_encrypted_conv_layer<C: Channel>(
     session: &mut Session<Bfv, C>,
     input: &[Vec<u64>],
@@ -1388,37 +1313,6 @@ pub(crate) fn conv_taps(
     taps
 }
 
-/// Runs an encrypted convolution layer whose input channels may exceed one
-/// ciphertext: channels are partitioned into power-of-two groups that each
-/// fit a ciphertext row, and the same [`ResumableConvLayer`] pass convolves
-/// each group and sums the groups' diagonals ciphertext-to-ciphertext
-/// server-side before the channel sum.
-///
-/// Falls back to the single-ciphertext layer when everything fits.
-///
-/// # Errors
-///
-/// Typed [`TransportError`]s when the link is worse than the retry budget;
-/// HE-layer failures are wrapped in [`TransportError::He`].
-pub fn run_encrypted_conv_layer_multi<C: Channel>(
-    session: &mut Session<Bfv, C>,
-    input: &[Vec<u64>],
-    weights: &[Vec<Vec<u64>>],
-    h: usize,
-    w: usize,
-    f: usize,
-) -> Result<Vec<Vec<u64>>, TransportError> {
-    let in_ch = input.len();
-    let row = session.server().context().degree() / 2;
-    let per_ct = channels_per_ct(in_ch, h, w, f, row)?;
-    if in_ch <= per_ct {
-        return run_encrypted_conv_layer(session, input, weights, h, w, f);
-    }
-    let mut layer = ResumableConvLayer::grouped(input, weights, h, w, f, per_ct)?;
-    layer.run(session)?;
-    Ok(layer.maps)
-}
-
 /// Galois rotation steps a conv layer of this shape needs: the filter taps
 /// plus the channel steps `stride·2^i`, `2^i < in_ch`, of the channel sum.
 pub fn conv_rotation_steps(in_ch: usize, h: usize, w: usize, f: usize) -> Vec<i64> {
@@ -1436,14 +1330,14 @@ pub fn conv_rotation_steps(in_ch: usize, h: usize, w: usize, f: usize) -> Vec<i6
     steps
 }
 
-/// Rotation steps for the multi-ciphertext conv path: like
-/// [`conv_rotation_steps`] but with the channel steps sized to the
-/// per-ciphertext channel-group capacity of `row` slots.
+/// Rotation steps of a conv layer at `row` slots: like
+/// [`conv_rotation_steps`] but with the channel steps sized to the channel
+/// group one ciphertext carries, for layers whose input does not fit one.
 ///
 /// # Errors
 ///
 /// [`HeError::Mismatch`] when one channel does not fit a `row`-slot row, as
-/// [`run_encrypted_conv_layer_multi`] refuses the layer.
+/// [`run_encrypted_conv_layer`] refuses the layer.
 pub fn conv_rotation_steps_multi(
     in_ch: usize,
     h: usize,
@@ -1459,7 +1353,7 @@ pub fn conv_rotation_steps_multi(
     ))
 }
 
-/// The channel-group size of the multi-ciphertext path: the largest power
+/// The channel-group size of a layer's input ciphertexts: the largest power
 /// of two of channels that fits a `row`-slot row, capped at `in_ch` rounded
 /// up to one.
 ///
@@ -1616,7 +1510,7 @@ mod tests {
             })
             .collect();
 
-        let got = run_encrypted_conv_layer_multi(&mut session, &input, &weights, h, w, f).unwrap();
+        let got = run_encrypted_conv_layer(&mut session, &input, &weights, h, w, f).unwrap();
         let t = session.server().context().plain_modulus();
         let want = conv2d_plain_circular(&input, &weights, h, w, f, t);
         assert_eq!(got, want);
@@ -1624,27 +1518,6 @@ mod tests {
         // output group of up to 4).
         assert_eq!(session.ledger().uploads, 2);
         assert_eq!(session.ledger().downloads, 1);
-    }
-
-    #[test]
-    fn multi_path_falls_back_to_single_ciphertext() {
-        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
-        let (h, w, f, in_ch) = (6usize, 6usize, 3usize, 2usize);
-        let steps = conv_rotation_steps(in_ch, h, w, f);
-        let mut session = Session::<Bfv>::direct(&params, b"multi fallback", &steps).unwrap();
-        let input: Vec<Vec<u64>> = (0..in_ch)
-            .map(|c| (0..h * w).map(|i| ((i + c) % 16) as u64).collect())
-            .collect();
-        let weights: Vec<Vec<Vec<u64>>> =
-            vec![(0..in_ch).map(|c| vec![(c + 1) as u64; f * f]).collect()];
-        let got = run_encrypted_conv_layer_multi(&mut session, &input, &weights, h, w, f).unwrap();
-        assert_eq!(
-            session.ledger().uploads,
-            1,
-            "small layer uses the single-ct path"
-        );
-        let t = session.server().context().plain_modulus();
-        assert_eq!(got, conv2d_plain_circular(&input, &weights, h, w, f, t));
     }
 
     #[test]
@@ -1717,92 +1590,95 @@ mod tests {
             let (input, weights) = seeded_layer(&mut rng, (in_ch, out_ch, side * side, f * f));
             let group_ch = in_ch.next_power_of_two().min(blocks);
             let steps = conv_rotation_steps(group_ch, side, side, f);
-            let run = |steps: &[i64], single: bool| {
+            let run = |steps: &[i64]| {
                 let mut session = Session::<Bfv>::direct(&params, b"packed", steps).unwrap();
-                let maps = if single {
-                    run_encrypted_conv_layer(&mut session, &input, &weights, side, side, f)
-                } else {
-                    run_encrypted_conv_layer_multi(&mut session, &input, &weights, side, side, f)
-                };
+                let maps = run_encrypted_conv_layer(&mut session, &input, &weights, side, side, f);
                 (maps, session.ledger().downloads)
             };
 
             let t = params.plain_modulus();
             let want = conv2d_plain_circular(&input, &weights, side, side, f, t);
-            let single_fits = in_ch.next_power_of_two() <= blocks;
-            for single in [false, true].into_iter().filter(|&s| !s || single_fits) {
-                let (maps, downloads) = run(&steps, single);
-                assert_eq!(maps.unwrap(), want, "{label} single={single}");
-                assert_eq!(downloads as usize, out_ch.div_ceil(blocks), "{label}");
-            }
+            let (maps, downloads) = run(&steps);
+            assert_eq!(maps.unwrap(), want, "{label}");
+            assert_eq!(downloads as usize, out_ch.div_ceil(blocks), "{label}");
             // Every channel step is load-bearing: tree or fold.
             let stride = (row / blocks) as i64;
             for (i, missing) in steps.iter().filter(|&&s| s >= stride).enumerate() {
                 let short: Vec<i64> = steps.iter().copied().filter(|s| s != missing).collect();
-                assert!(is_missing_key(run(&short, false).0), "{label}: step {i}");
+                assert!(is_missing_key(run(&short).0), "{label}: step {i}");
             }
         });
     }
 
     #[test]
-    fn non_power_of_two_channel_counts_run_through_both_runners() {
+    fn non_power_of_two_channel_counts_match_the_plain_conv() {
         // RGB-style first layers: the 3 input channels are padded to 4. At
         // a 512-slot row one group of 4 fits (B = 4); at 128 slots B = 1 and
-        // the multi runner takes 3 groups of one.
+        // the layer uploads 3 groups of one.
         let (h, w, f) = (8usize, 8usize, 3usize);
         for out_ch in [2usize, 5] {
             let mut rng = choco_prng::Blake3Rng::from_seed(b"rgb layer");
             let (input, weights) = seeded_layer(&mut rng, (3, out_ch, h * w, f * f));
-            for degree in [1024usize, 256] {
+            for (degree, groups) in [(1024usize, 1u32), (256, 3)] {
                 let params = HeParams::bfv_insecure(degree, &[45, 45, 46], 20).unwrap();
                 let row = degree / 2;
                 let steps = conv_rotation_steps_multi(3, h, w, f, row).unwrap();
                 let want = conv2d_plain_circular(&input, &weights, h, w, f, params.plain_modulus());
                 let mut session = Session::<Bfv>::direct(&params, b"rgb", &steps).unwrap();
-                let got = run_encrypted_conv_layer_multi(&mut session, &input, &weights, h, w, f);
-                assert_eq!(got.unwrap(), want, "multi, N={degree}, 3->{out_ch}");
-                if degree == 1024 {
-                    let got = run_encrypted_conv_layer(&mut session, &input, &weights, h, w, f);
-                    assert_eq!(got.unwrap(), want, "single, 3->{out_ch}");
-                }
+                let got = run_encrypted_conv_layer(&mut session, &input, &weights, h, w, f);
+                assert_eq!(got.unwrap(), want, "N={degree}, 3->{out_ch}");
+                assert_eq!(session.ledger().uploads, groups, "N={degree}, 3->{out_ch}");
             }
         }
     }
 
+    /// Runs `run_encrypted_conv_layer` over mis-shaped caller input and
+    /// returns the refusal, checking that nothing was encrypted or sent.
+    fn refusal(input: &[Vec<u64>], weights: &[Vec<Vec<u64>>], side: usize, f: usize) -> String {
+        let params = HeParams::bfv_insecure(256, &[45, 45, 46], 20).unwrap();
+        let steps = conv_rotation_steps(2, side, side, 3);
+        let mut session = Session::<Bfv>::direct(&params, b"mis-shaped", &steps).unwrap();
+        let result = run_encrypted_conv_layer(&mut session, input, weights, side, side, f);
+        assert_eq!(session.client_mut().encryption_count(), 0);
+        assert_eq!(session.ledger().uploads, 0);
+        match result {
+            Err(TransportError::He(HeError::Mismatch(msg))) => msg,
+            other => panic!("expected a Mismatch refusal, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn a_restored_map_count_inside_an_output_group_is_refused() {
-        // 8 × 8 at a 512-slot row: B = 4, so 6 outputs download as 4 + 2.
-        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
-        let mut rng = choco_prng::Blake3Rng::from_seed(b"mid-group");
-        let (input, weights) = seeded_layer(&mut rng, (2, 6, 64, 9));
-        let steps = conv_rotation_steps(2, 8, 8, 3);
-        let mut session = Session::<Bfv>::direct(&params, b"mid-group", &steps).unwrap();
-        let fresh = || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap();
-        let mut layer = fresh();
-        layer.step(&mut session).unwrap();
-        let blob_with = |maps: &[Vec<u64>]| {
-            let mut blob = CONV_MAGIC.to_vec();
-            put_ct::<Bfv>(&mut blob, layer.resident.first());
-            put_maps(&mut blob, maps);
-            put_ct::<Bfv>(&mut blob, None);
-            blob
-        };
-        let t = params.plain_modulus();
-        let want = conv2d_plain_circular(&input, &weights, 8, 8, 3, t);
-        let (first_group, _) = want.split_at(4);
-        // On a group boundary the layer resumes and finishes correctly.
-        let mut resumed = fresh().restore(&blob_with(first_group)).unwrap();
-        resumed.run(&mut session).unwrap();
-        assert_eq!(resumed.maps(), want);
-        // One map past it is refused before any server work.
-        let mut split = fresh().restore(&blob_with(&want[..5])).unwrap();
-        let downloads = session.ledger().downloads;
-        let err = split.step(&mut session).unwrap_err();
-        assert!(
-            matches!(err, TransportError::BadCheckpoint(ref m) if m.contains("inside an output group")),
-            "{err}"
-        );
-        assert_eq!(session.ledger().downloads, downloads);
+    fn a_map_that_is_not_h_by_w_pixels_is_refused() {
+        let weights = vec![vec![vec![1u64; 9]; 2]];
+        for pixels in [15, 17, 0] {
+            let input = vec![vec![1u64; 16], vec![1u64; pixels]];
+            let msg = refusal(&input, &weights, 4, 3);
+            assert!(msg.contains("channel 1 is not 4x4"), "{pixels}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_filter_whose_padding_exceeds_the_map_is_refused() {
+        // A 7 × 7 filter pads 3 · (2 + 1) = 9 slots around a 4-pixel map.
+        let input = vec![vec![1u64; 4]; 2];
+        let weights = vec![vec![vec![1u64; 49]; 2]];
+        let msg = refusal(&input, &weights, 2, 7);
+        assert!(msg.contains("padding exceeds 2x2"), "{msg}");
+    }
+
+    #[test]
+    fn weights_not_shaped_out_by_in_by_taps_are_refused() {
+        let input = vec![vec![1u64; 16]; 2];
+        let good = vec![vec![1u64; 9]; 2];
+        let missing_tap = vec![vec![1u64; 9], vec![1u64; 8]];
+        let extra_tap = vec![vec![1u64; 10], vec![1u64; 9]];
+        let missing_channel = vec![vec![1u64; 9]];
+        let extra_channel = vec![vec![1u64; 9]; 3];
+        for bad in [missing_tap, extra_tap, missing_channel, extra_channel] {
+            let weights = vec![good.clone(), bad];
+            let msg = refusal(&input, &weights, 4, 3);
+            assert!(msg.contains("weights of output 1 are not [2][9]"), "{msg}");
+        }
     }
 
     #[test]
@@ -1945,7 +1821,9 @@ mod tests {
                 let (input, weights) = seeded_layer(&mut rng, (in_ch, out_ch, side * side, 25));
                 let mut layer = ResumableConvLayer::new(&input, &weights, side, side, 5).unwrap();
                 layer.run(&mut session).unwrap();
-                let reply = layer.last_reply.as_ref().unwrap();
+                let [reply] = layer.replies.as_slice() else {
+                    panic!("{in_ch}->{out_ch}: not one output group");
+                };
                 let budget = session.client_mut().noise_budget(reply);
                 assert!(
                     budget >= 7.0,

@@ -33,7 +33,6 @@
 // form is clearer than zipped iterators for these numeric kernels.
 #![allow(clippy::needless_range_loop)]
 
-pub mod batched;
 pub mod circuits;
 pub mod client_ops;
 pub mod distance;

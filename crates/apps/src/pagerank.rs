@@ -15,6 +15,7 @@ use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_f64s, read_ct, read_f64s,
     ResumableWorkload,
 };
+use choco::compiler::CompilerScheme;
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::CommLedger;
 use choco::transport::{Channel, LinkConfig, Session, TransportError};
@@ -202,7 +203,7 @@ impl<S: HeScheme> ResumablePagerank<S> {
     }
 }
 
-impl<S: HeScheme> ResumableWorkload for ResumablePagerank<S> {
+impl<S: CompilerScheme> ResumableWorkload for ResumablePagerank<S> {
     type Scheme = S;
 
     /// Runs one refresh burst.
@@ -329,7 +330,7 @@ impl<S: HeScheme> ResumableWorkload for ResumablePagerank<S> {
 /// reported before any key is generated. Transport errors when the link
 /// defeats the retry policy; HE-layer failures as
 /// [`ResumablePagerank::step`], wrapped in [`TransportError::He`].
-pub fn pagerank_encrypted<S: HeScheme>(
+pub fn pagerank_encrypted<S: CompilerScheme>(
     graph: &Graph,
     damping: f64,
     total_iterations: u32,

@@ -6,13 +6,8 @@
 //!
 //! * [`crate::pagerank::ResumablePagerank`] — one refresh burst per step
 //!   (BFV or CKKS);
-//! * [`crate::dnn::ResumableConvLayer`] — one upload step, then one output
-//!   group's download per step: up to `row / stride` output channels packed
-//!   in one ciphertext (the first download runs the layer's one server
-//!   pass); after a resume its [`recover`](ResumableWorkload::recover)
-//!   re-uploads the server-resident input ciphertexts, billed to
-//!   [`choco::CommLedger::recovery_bytes`], and the next step recomputes the
-//!   output groups that were waiting server-side;
+//! * [`crate::dnn::ResumableConvLayer`] — the whole layer in one step: the
+//!   input groups up, the layer's compiled program, every output group down;
 //! * [`crate::pipeline::ResumablePipeline`] — one network stage per step
 //!   (conv1, conv2, FC), the FC output sentinel-checked via
 //!   [`Session::download_checked`];
@@ -25,9 +20,12 @@
 //! [`Session::checkpoint`] between steps instead and, after a crash
 //! ([`TransportError::Crashed`] or a real process death), rebuilds session
 //! and workload from the last checkpoint with [`Session::resume`] +
-//! [`ResumableWorkload::restore`] + [`ResumableWorkload::recover`] and
-//! continues exactly where the run left off. Client-aided workloads run in
-//! process (their sessions over [`choco::transport::DirectChannel`] or a
+//! [`ResumableWorkload::restore`] and continues exactly where the run left
+//! off. Every step downloads what it computed: nothing is server-resident
+//! between steps, so a resumed run replays the interrupted step from its
+//! start and re-establishes nothing on the server. Client-aided workloads
+//! run in process (their sessions over
+//! [`choco::transport::DirectChannel`] or a
 //! [`choco::transport::FaultyChannel`]); what crosses a real socket is the
 //! remote evaluator's protocol ([`crate::remote`]).
 //!
@@ -49,14 +47,17 @@
 //! from the checkpoint seal around the whole blob; `restore` still
 //! validates shape and never panics on garbage.
 
+use choco::compiler::CompilerScheme;
 use choco::transport::{put_blob, Channel, Session, TransportError, WireCursor};
 use choco_he::HeScheme;
 
 /// A client-aided workload as a step-granular state machine over a
-/// [`Session`] of scheme [`Self::Scheme`].
+/// [`Session`] of scheme [`Self::Scheme`]. A step is one or more whole
+/// client-aided rounds, so between steps the server holds nothing a resumed
+/// client would have to re-establish.
 pub trait ResumableWorkload: Sized {
     /// The HE scheme the workload's sessions run.
-    type Scheme: HeScheme;
+    type Scheme: CompilerScheme;
 
     /// Advances by one step (a no-op once [`Self::is_done`]).
     ///
@@ -70,20 +71,6 @@ pub trait ResumableWorkload: Sized {
         &mut self,
         session: &mut Session<Self::Scheme, C>,
     ) -> Result<(), TransportError>;
-
-    /// Re-establishes server-side state after a [`Session::resume`]. Call
-    /// once, before the next [`Self::step`]. Workloads that keep no
-    /// ciphertext resident on the server between steps need nothing.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from recovery uploads.
-    fn recover<C: Channel>(
-        &mut self,
-        _session: &mut Session<Self::Scheme, C>,
-    ) -> Result<(), TransportError> {
-        Ok(())
-    }
 
     /// Whether every step has completed.
     fn is_done(&self) -> bool;
@@ -100,9 +87,10 @@ pub trait ResumableWorkload: Sized {
     /// do not fit the configuration.
     fn restore(self, progress: &[u8]) -> Result<Self, TransportError>;
 
-    /// Wire bytes of the most recently downloaded result ciphertext (empty
-    /// until the first download) — the bit-identity witness crash sweeps
-    /// compare against the uninterrupted run.
+    /// Wire bytes of the most recently downloaded result, every ciphertext
+    /// of it in download order (empty until the first download) — the
+    /// bit-identity witness crash sweeps compare against the uninterrupted
+    /// run.
     fn final_ct_wire(&self) -> Vec<u8>;
 
     /// Steps to completion — the whole of a one-shot run.
@@ -302,7 +290,7 @@ mod tests {
         put_blob(&mut garbage, &[7; 33]);
         assert!(is_bad_checkpoint(pagerank().restore(&garbage)));
 
-        // Conv layer: the mid-run blobs carry the resident input ciphertext.
+        // Conv layer: one step, whose blob carries the downloaded output.
         let input: Vec<Vec<u64>> = vec![(0..64).map(|i| (i * 5 + 1) % 16).collect()];
         let weights: Vec<Vec<Vec<u64>>> = (0..2)
             .map(|c| vec![(0..9).map(|i| ((i + c * 3) % 16) as u64).collect()])
@@ -314,7 +302,8 @@ mod tests {
             || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap(),
             &mut session,
         );
-        assert!(blobs[1].len() > blobs[0].len() + 4096, "no resident input");
+        assert_eq!(blobs.len(), 2, "one step per layer");
+        assert!(blobs[1].len() > blobs[0].len() + 4096, "no output group");
 
         // Pipeline: one blob per stage.
         let spec = LenetLikeSpec::tiny();

@@ -8,7 +8,8 @@
 //! deterministic [`CrashPlan`] each time. When the simulated crash fires,
 //! the harness rebuilds the session from the last durable checkpoint with
 //! [`Session::resume`], restores the workload driver from the progress
-//! blob the checkpoint carried, runs its recovery hook, and continues.
+//! blob the checkpoint carried, and continues: every step is one or more
+//! whole client-aided rounds, so nothing on the server needs restoring.
 //!
 //! The acceptance bar, per crash point:
 //!
@@ -21,18 +22,19 @@
 //! * the uninterrupted run bills zero recovery bytes, every crashed run
 //!   bills more than zero.
 
+use choco::compiler::CompilerScheme;
 use choco::protocol::CommLedger;
 use choco::transport::{
     Channel, CrashOp, CrashPlan, DirectChannel, FaultPlan, FaultyChannel, RetryPolicy, Session,
     TransportError,
 };
 use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
-use choco_apps::dnn::ResumableConvLayer;
+use choco_apps::dnn::{conv_rotation_steps, conv_rotation_steps_multi, ResumableConvLayer};
 use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
 use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec, ResumablePipeline};
 use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::HeParams;
-use choco_he::{Bfv, Ckks, HeScheme};
+use choco_he::{Bfv, Ckks};
 
 const OPS: [CrashOp; 4] = [
     CrashOp::Upload,
@@ -128,8 +130,6 @@ fn sweep<C, W>(
                         w = make_workload()
                             .restore(&progress)
                             .unwrap_or_else(|e| panic!("{point}: restore: {e}"));
-                        w.recover(&mut session)
-                            .unwrap_or_else(|e| panic!("{point}: recover: {e}"));
                     }
                     Err(e) => panic!("{point}: unexpected error: {e}"),
                 }
@@ -155,7 +155,12 @@ fn chaos_graph() -> Graph {
     Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]])
 }
 
-fn pagerank_sweep_over<S: HeScheme>(label: &str, params: &HeParams, burst: u32, scale_bits: u32) {
+fn pagerank_sweep_over<S: CompilerScheme>(
+    label: &str,
+    params: &HeParams,
+    burst: u32,
+    scale_bits: u32,
+) {
     let g = chaos_graph();
     let steps = pagerank_rotation_steps(g.len());
     sweep(
@@ -216,96 +221,66 @@ fn chaos_pagerank_bfv_over_faulty_links() {
     );
 }
 
-/// The conv layer keeps its input ciphertext resident on the server across
-/// steps, so this sweep is the one that exercises the recovery re-upload
-/// path. The refresh floor is forced sky-high so every guard triggers a
-/// refresh round, putting `CrashOp::Refresh` points on the map too.
-#[test]
-fn chaos_conv_layer_bfv_with_forced_refreshes() {
-    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
-    let input: Vec<Vec<u64>> = vec![(0..64).map(|i| (i * 5 + 1) % 16).collect()];
-    let weights: Vec<Vec<Vec<u64>>> = (0..2)
-        .map(|c| vec![(0..9).map(|i| ((i + c * 3) % 16) as u64).collect()])
+/// A conv layer is one step: a crash anywhere inside it replays the whole
+/// layer from the checkpoint before it. The refresh floor is forced
+/// sky-high so every guard triggers a refresh round, putting
+/// `CrashOp::Refresh` points on the map too. `groups` is the layer's
+/// (input, output) ciphertext count at `params`' row.
+fn conv_layer_sweep(
+    label: &str,
+    params: &HeParams,
+    (in_ch, out_ch): (usize, usize),
+    steps: &[i64],
+    groups: (u32, u32),
+) {
+    let input: Vec<Vec<u64>> = (0..in_ch)
+        .map(|c| (0..64).map(|i| (i * 5 + c as u64 + 1) % 16).collect())
         .collect();
-    let steps = choco_apps::dnn::conv_rotation_steps(1, 8, 8, 3);
-    sweep(
-        "conv/bfv",
-        || {
-            Session::<Bfv>::direct(&params, b"chaos-conv", &steps)
-                .unwrap()
-                .with_refresh_floor(10_000.0)
-        },
-        |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
-        || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap(),
-    );
-}
-
-/// A crash between two downloads of one layer. A download carries one
-/// output group: 8 × 8 maps at a 512-slot row are 4 blocks of 128 slots, so
-/// the layer's 6 outputs come down as groups of 4 and 2. The group still
-/// waiting server-side dies with the server and is in no checkpoint: the
-/// resumed run re-uploads the (already refreshed) input, recomputes the
-/// pass for the group still to come and must *not* guard again — under the
-/// forced floor a second guard would refresh a second time and draw client
-/// randomness the uninterrupted run never drew.
-#[test]
-fn chaos_conv_layer_crash_between_two_downloads_of_one_layer() {
-    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
-    let input: Vec<Vec<u64>> = (0..2)
-        .map(|c| (0..64).map(|i| (i * 5 + c + 1) % 16).collect())
-        .collect();
-    let weights: Vec<Vec<Vec<u64>>> = (0..6)
+    let weights: Vec<Vec<Vec<u64>>> = (0..out_ch)
         .map(|o| {
-            (0..2)
+            (0..in_ch)
                 .map(|c| (0..9).map(|i| ((i + o * 3 + c) % 16) as u64).collect())
                 .collect()
         })
         .collect();
-    let steps = choco_apps::dnn::conv_rotation_steps(2, 8, 8, 3);
     let make_session = || {
-        Session::<Bfv>::direct(&params, b"chaos-conv-mid", &steps)
+        Session::<Bfv>::direct(params, b"chaos-conv", steps)
             .unwrap()
             .with_refresh_floor(10_000.0)
     };
     let make_layer = || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap();
-
+    // Every input is uploaded and refreshed once, every output group
+    // downloaded once.
     let mut session = make_session();
-    let mut base = make_layer();
-    base.run(&mut session).unwrap();
-    let base_ledger = *session.ledger();
-    assert_eq!(base_ledger.refresh_rounds, 1, "one guard per layer");
-    assert_eq!(session.op_count(CrashOp::Download), 3);
-    let base_encryptions = session.client_mut().encryption_count();
+    make_layer().run(&mut session).unwrap();
+    let (inputs, outputs) = groups;
+    let ledger = session.ledger();
+    assert_eq!(ledger.refresh_rounds, inputs, "{label}: refreshes");
+    assert_eq!(ledger.uploads, 2 * inputs, "{label}: uploads");
+    assert_eq!(ledger.downloads, inputs + outputs, "{label}: downloads");
+    sweep(
+        label,
+        make_session,
+        |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
+        make_layer,
+    );
+}
 
-    // Download 1 is the refresh's, 2 outputs 0-3, 3 outputs 4-5.
-    let mut session = make_session();
-    session.arm_crash(CrashPlan {
-        op: CrashOp::Download,
-        nth: 3,
-    });
-    let mut layer = make_layer();
-    let mut ckpt = session.checkpoint(&layer.progress());
-    let mut crashed_after = None;
-    while !layer.is_done() {
-        match layer.step(&mut session) {
-            Ok(()) => ckpt = session.checkpoint(&layer.progress()),
-            Err(TransportError::Crashed { .. }) => {
-                let channel = || Box::new(DirectChannel::new()) as Box<dyn Channel>;
-                let (resumed, progress) = Session::resume(&ckpt, channel(), channel()).unwrap();
-                session = resumed;
-                layer = make_layer().restore(&progress).unwrap();
-                crashed_after = Some(layer.maps().len());
-                layer.recover(&mut session).unwrap();
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
-    assert_eq!(crashed_after, Some(4), "crash fell between two downloads");
-    assert_eq!(layer.final_ct_wire(), base.final_ct_wire());
-    assert_eq!(layer.maps(), base.maps());
-    assert_primary_lines_match("conv/mid-layer", &base_ledger, session.ledger());
-    assert!(session.ledger().recovery_bytes > 0);
-    assert_eq!(session.client_mut().encryption_count(), base_encryptions);
+#[test]
+fn chaos_conv_layer_bfv_with_forced_refreshes() {
+    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+    let steps = conv_rotation_steps(1, 8, 8, 3);
+    conv_layer_sweep("conv/bfv", &params, (1, 2), &steps, (1, 1));
+}
+
+/// Eight channels of 8 × 8 at a 512-slot row: 4 blocks of 128 slots, so the
+/// input is two groups of 4 and the 6 outputs come down as groups of 4 and
+/// 2 — a multi-group round, replayed whole.
+#[test]
+fn chaos_conv_layer_grouped_bfv_with_forced_refreshes() {
+    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+    let steps = conv_rotation_steps_multi(8, 8, 8, 3, 512).unwrap();
+    conv_layer_sweep("conv/bfv/grouped", &params, (8, 6), &steps, (2, 2));
 }
 
 #[test]

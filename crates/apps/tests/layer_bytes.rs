@@ -37,12 +37,12 @@ fn digest(blobs: &[Vec<u8>]) -> String {
     hash[..8].iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Steps a conv layer to completion and digests every downloaded output
-/// ciphertext (the reply of each step after the upload), in order.
+/// Runs a conv layer's round and digests every downloaded output
+/// ciphertext, in order.
 fn conv_layer_digest(
     params: &HeParams,
     (in_ch, h, w, f, out_ch): (usize, usize, usize, usize, usize),
-    output_groups: usize,
+    output_groups: u32,
 ) -> String {
     let steps = conv_rotation_steps(in_ch, h, w, f);
     let mut session = Session::<Bfv>::direct(params, b"cross-commit conv oracle", &steps).unwrap();
@@ -61,21 +61,16 @@ fn conv_layer_digest(
         })
         .collect();
     let mut layer = ResumableConvLayer::new(&input, &weights, h, w, f).unwrap();
-    let mut replies = Vec::new();
-    while !layer.is_done() {
-        layer.step(&mut session).unwrap();
-        let reply = layer.final_ct_wire();
-        if !reply.is_empty() {
-            replies.push(reply);
-        }
-    }
+    layer.run(&mut session).unwrap();
     assert_eq!(
-        replies.len(),
+        session.ledger().downloads,
         output_groups,
         "one download per output group"
     );
     assert_eq!(layer.maps().len(), out_ch);
-    digest(&replies)
+    // The round's output-group wires, concatenated in download order: the
+    // same bytes, so the same digest, as hashing them one by one.
+    digest(&[layer.final_ct_wire()])
 }
 
 #[test]

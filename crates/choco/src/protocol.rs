@@ -45,7 +45,7 @@ pub struct CommLedger {
     /// traffic itself is billed to the regular byte counters.
     pub refresh_rounds: u32,
     /// Extra wire bytes spent recovering from a crash: the reconnect
-    /// handshake plus any state re-uploaded after a resume. Kept separate
+    /// handshake after a resume. Kept separate
     /// from `upload_bytes` so a crash-interrupted run stays point-comparable
     /// to its uninterrupted twin.
     pub recovery_bytes: u64,
@@ -85,8 +85,8 @@ impl CommLedger {
         self.refresh_rounds += 1;
     }
 
-    /// Records `bytes` of crash-recovery traffic (reconnect handshake and
-    /// state re-uploads after a resume).
+    /// Records `bytes` of crash-recovery traffic (the reconnect handshake
+    /// after a resume).
     pub fn record_recovery(&mut self, bytes: usize) {
         self.recovery_bytes += bytes as u64;
     }

@@ -48,39 +48,6 @@ use std::sync::Arc;
 /// least recently used one is dropped.
 const RESIDENT_PROGRAMS: usize = 8;
 
-/// What a session does with a resident [`CachedProgram`] of its scheme. A
-/// trait rather than the type because a session takes any [`HeScheme`],
-/// while a compiled program needs a [`CompilerScheme`].
-trait Resident<S: HeScheme>: Send + Sync {
-    /// The program over `inputs` under `server`'s keys, through its operand
-    /// cache.
-    fn run(
-        &self,
-        server: &Server<S>,
-        inputs: &HashMap<String, S::Ciphertext>,
-    ) -> Result<Vec<S::Ciphertext>, HeError>;
-
-    /// The operand cache's counters (`misses` = encodes).
-    fn operand_counters(&self) -> CacheCounters;
-}
-
-impl<S: CompilerScheme> Resident<S> for CachedProgram<S> {
-    fn run(
-        &self,
-        server: &Server<S>,
-        inputs: &HashMap<String, S::Ciphertext>,
-    ) -> Result<Vec<S::Ciphertext>, HeError> {
-        let (ctx, relin, galois) = (server.context(), server.relin_key(), server.galois_keys());
-        let cache = &self.operands;
-        self.compiled
-            .execute_encrypted_cached::<S>(ctx, inputs, relin, galois, cache)
-    }
-
-    fn operand_counters(&self) -> CacheCounters {
-        self.operands.counters()
-    }
-}
-
 /// Bounded-retry policy for one frame exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -149,7 +116,7 @@ enum Direction {
 
 /// Which ledger line a transfer's first attempt bills: `Primary` is the
 /// regular upload/download accounting, `Recovery` is post-crash traffic
-/// (reconnect handshake, state re-uploads) kept on its own line so
+/// (the reconnect handshake) kept on its own line so
 /// crash-interrupted runs stay point-comparable to uninterrupted ones.
 #[derive(Clone, Copy)]
 enum Billing {
@@ -308,7 +275,7 @@ impl<C: Channel> Link<C> {
 /// `C`. The channel defaults to `Box<dyn Channel>` for heterogeneous links
 /// built from a [`LinkConfig`]; hot paths that want full monomorphization
 /// name a concrete channel via [`Session::over`].
-pub struct Session<S: HeScheme, C: Channel = Box<dyn Channel>> {
+pub struct Session<S: CompilerScheme, C: Channel = Box<dyn Channel>> {
     client: Client<S>,
     server: Server<S>,
     link: Link<C>,
@@ -320,10 +287,10 @@ pub struct Session<S: HeScheme, C: Channel = Box<dyn Channel>> {
     ops: [u32; 4],
     /// Server-side: compiled programs by their callers' exact definitions
     /// (see [`Session::run_resident`]). Not checkpointed.
-    programs: OperandCache<Vec<u64>, Arc<dyn Resident<S>>>,
+    programs: OperandCache<Vec<u64>, Arc<CachedProgram<S>>>,
 }
 
-impl<S: HeScheme, C: Channel> Session<S, C> {
+impl<S: CompilerScheme, C: Channel> Session<S, C> {
     /// Builds a session over concrete channels: keygen from `seed`, server
     /// provisioned with `rotation_steps`, frames exchanged over the given
     /// channels.
@@ -692,43 +659,16 @@ impl<S: HeScheme, C: Channel> Session<S, C> {
         Ok(())
     }
 
-    /// Re-uploads an already-encrypted ciphertext from its wire bytes after
-    /// a resume — *without* touching the client RNG, so recovery never
-    /// perturbs the deterministic encryption stream. Billed to
-    /// [`CommLedger::recovery_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Typed transport errors; [`TransportError::He`] if `wire` is not a
-    /// valid ciphertext.
-    pub fn recover_upload(&mut self, wire: &[u8]) -> Result<S::Ciphertext, TransportError> {
-        let ct = S::ct_from_wire(wire)?;
-        let billed = S::ct_bytes(&ct);
-        let bytes = self.link.transfer(
-            Direction::Upload,
-            ciphertext_kind::<S>(),
-            wire,
-            billed,
-            Billing::Recovery,
-            &mut self.ledger,
-        )?;
-        Ok(S::ct_from_wire(&bytes)?)
-    }
-}
-
-impl<S: HeScheme, C: Channel> Session<S, C> {
     /// Counters of the resident-program table (`misses` = compiles) and of
     /// the resident programs' operand caches, summed (`misses` = encodes).
     pub fn resident_counters(&self) -> (CacheCounters, CacheCounters) {
         let mut operands = CacheCounters::default();
         for program in self.programs.values() {
-            operands.absorb(&program.operand_counters());
+            operands.absorb(&program.operands.counters());
         }
         (self.programs.counters(), operands)
     }
-}
 
-impl<S: CompilerScheme, C: Channel> Session<S, C> {
     /// Runs, server-side, the compiled program the server half keeps for
     /// `key` over `inputs` — `key` being the caller's exact definition of
     /// the program, such as a conv layer's geometry and raw weights (a few
@@ -749,13 +689,24 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
         inputs: &HashMap<String, S::Ciphertext>,
     ) -> Result<Vec<S::Ciphertext>, E> {
         let program = self.programs.get_or_insert_with(&key.to_vec(), || {
-            Ok::<Arc<dyn Resident<S>>, E>(Arc::new(CachedProgram::<S>::new(build()?)))
+            Ok::<_, E>(Arc::new(CachedProgram::<S>::new(build()?)))
         })?;
-        Ok(program.run(&self.server, inputs)?)
+        let (ctx, relin, galois) = (
+            self.server.context(),
+            self.server.relin_key(),
+            self.server.galois_keys(),
+        );
+        Ok(program.compiled.execute_encrypted_cached::<S>(
+            ctx,
+            inputs,
+            relin,
+            galois,
+            &program.operands,
+        )?)
     }
 }
 
-impl<S: HeScheme> Session<S, Box<dyn Channel>> {
+impl<S: CompilerScheme> Session<S, Box<dyn Channel>> {
     /// Builds a session over boxed channels (the pre-generic constructor
     /// signature).
     ///
