@@ -54,12 +54,15 @@ for simd in 0 1; do
         CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q -p choco-he --test client_bytes
     done
 done
-# Conv layers as compiled programs, at every point of the matrix: the
+# LeNet's layers as compiled programs, at every point of the matrix: the
 # executor's bundles bit-identical to their groups run alone and a shared
-# rotation inside its bundle (compiler unit tests); a layer's program byte
-# for byte the hand pass, a warm session encoding nothing, the LeNet layers'
-# rotations inside their key set (dnn unit tests); the download digests
-# pinned across builds (layer_bytes); and the crash-point sweep's conv cases.
+# rotation inside its bundle (compiler unit tests); the FC's program byte for
+# byte the matvec kernel (linalg unit tests); a conv layer's program against
+# the plaintext convolution, a warm session encoding nothing, the LeNet
+# layers' rotations inside their key set, the FC's program resident and
+# never aliased with a conv layer's (dnn and pipeline unit tests); the
+# download digests pinned across builds (layer_bytes); and the crash-point
+# sweep's conv cases.
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -73,7 +76,8 @@ for simd in 0 1; do
     for threads in 1 4; do
         matrix=(env CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q)
         filtered "${matrix[@]}" -p choco --lib compiler::tests
-        filtered "${matrix[@]}" -p choco-apps --lib -- layer_program warm_session lenet_layer_programs
+        filtered "${matrix[@]}" -p choco --lib matvec_program
+        filtered "${matrix[@]}" -p choco-apps --lib -- packed_layer warm_session lenet_layer_programs fc_program
         "${matrix[@]}" -p choco-apps --test layer_bytes
         filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
     done
@@ -152,15 +156,14 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # which the fusion plan must then run node by node, and a bundle of a conv
 # layer's 4 diagonals over 25 shared tap rotations (set B) as one kernel
 # call (`exec_conv_bundled`) against its 4 groups one call each
-# (`exec_conv_groups`). Two DNN-layer kernels are gated at set B, each
-# against the layer's previous kernel: a 4 -> 8 channel 8 x 8 conv layer
-# (25 taps) as its compiled program on the warm executor
-# (`conv_layer_program`: 16 blocks, 4 diagonals in one kernel call over
-# cached operands, 3 rotate-adds, one output ciphertext) against the same
-# channel-diagonal pass by hand (`conv_layer_packed`, 100 operand encodes
-# per call; >= 1.3x), and the 10 x 128 FC through the hybrid matvec
-# (`matvec_hybrid`, 16 diagonals + 3 folds) against its 128 full diagonals
-# (>= 2.0x). The client's calls
+# (`exec_conv_groups`). At set B the 10 x 128 FC through the hybrid matvec
+# (`matvec_hybrid`, 16 diagonals + 3 folds) is gated against its 128 full
+# diagonals (>= 2.0x), and a 4 -> 8 channel 8 x 8 conv layer (25 taps) is
+# timed as its compiled program on the warm executor (`conv_layer_program`:
+# 16 blocks, 4 diagonals in one kernel call over cached operands, 3
+# rotate-adds, one output ciphertext) after its output is checked against
+# the plaintext convolution; no twin is left to gate it against. The
+# client's calls
 # are gated against their twins too (sets A and B, CKKS at C): the BFV
 # noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
 # CKKS decode (limb composition; >= 2.0x) against the big-integer loops they

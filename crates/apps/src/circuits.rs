@@ -23,7 +23,7 @@ use crate::dnn::{conv_rotation_steps, conv_taps};
 use crate::pagerank::pagerank_rotation_steps;
 use crate::pipeline::{all_rotation_steps, LenetLikeSpec};
 use choco::compiler::Program;
-use choco::linalg::matvec_hybrid_shape;
+use choco::linalg::matvec_program;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 
@@ -67,38 +67,19 @@ pub fn all_workloads() -> Vec<WorkloadCircuit> {
     ]
 }
 
-/// The pipeline's encrypted fully-connected stage: the hybrid matvec of
-/// [`choco::linalg::matvec_diagonals`] over a `classes × fc_inputs` matrix
-/// at the kernel's own split ([`matvec_hybrid_shape`]) — one rotation +
-/// plaintext multiply per extended diagonal, accumulated, then one
-/// rotate-add per fold — followed by a plaintext bias add. Multiplicative
+/// The pipeline's encrypted fully-connected stage: [`matvec_program`], the
+/// program `ResumablePipeline` runs, over synthesized `classes × fc_inputs`
+/// weights — one rotation + plaintext multiply per extended diagonal of the
+/// hybrid split, accumulated, then one rotate-add per fold. Multiplicative
 /// depth 1.
 pub fn pipeline_program(spec: &LenetLikeSpec) -> Program {
-    let m = spec.fc_inputs();
-    let (depth, folds) = matvec_hybrid_shape(spec.classes, m);
-    let mut prog = Program::new();
-    let x = prog.input("activations");
-    let mut acc = None;
-    for d in 0..depth {
-        let diag: Vec<f64> = (0..m).map(|j| (((j + d) % 16) + 1) as f64).collect();
-        let c = prog.constant(&diag);
-        let rot = if d == 0 { x } else { prog.rotate(x, d as i64) };
-        let term = prog.mul_plain(rot, c);
-        acc = Some(match acc {
-            None => term,
-            Some(a) => prog.add(a, term),
-        });
-    }
-    let mut sum = acc.unwrap_or(x);
-    for step in folds {
-        let r = prog.rotate(sum, step as i64);
-        sum = prog.add(sum, r);
-    }
-    let bias: Vec<f64> = (0..m).map(|j| (j % 7) as f64).collect();
-    let b = prog.constant(&bias);
-    let out = prog.add_plain(sum, b);
-    prog.output(out);
-    prog
+    let weights: Vec<Vec<f64>> = (0..spec.classes)
+        .map(|r| {
+            let row = 0..spec.fc_inputs();
+            row.map(|c| (((r + c) % 16) + 1) as f64).collect()
+        })
+        .collect();
+    matvec_program(&weights)
 }
 
 /// One stacked convolution layer: the filter-tap rotations of
@@ -216,6 +197,7 @@ pub fn distance_program(dims: usize, n_points: usize, slots: usize) -> Program {
 mod tests {
     use super::*;
     use choco::compiler::{compile, CompilerOptions};
+    use choco::linalg::matvec_hybrid_shape;
 
     fn opts() -> CompilerOptions {
         CompilerOptions {
@@ -275,7 +257,7 @@ mod tests {
         // The IR twins are real programs, not just rotation manifests:
         // plaintext execution must succeed on shape-matched inputs.
         let mut inputs = std::collections::HashMap::new();
-        for name in ["activations", "channels", "ranks", "query", "points"] {
+        for name in ["x", "channels", "ranks", "query", "points"] {
             let v: Vec<f64> = (0..16).map(|i| i as f64 * 0.1).collect();
             inputs.insert(name.to_string(), v);
         }

@@ -24,7 +24,7 @@ use crate::resumable::{
     ResumableWorkload,
 };
 use choco::protocol::{CommLedger, Server};
-use choco::transport::{Channel, Session, TransportError};
+use choco::transport::{Session, TransportError};
 use choco_he::ckks::CkksCiphertext;
 use choco_he::{Ckks, HeError};
 
@@ -123,9 +123,9 @@ fn validate_point_set(query: &[f64], points: &[Vec<f64>]) -> Result<(), HeError>
 /// Typed [`TransportError`]s when the link defeats the retry budget;
 /// HE-layer failures — capacity, missing keys, empty or ragged point sets
 /// ([`HeError::Mismatch`]) — wrapped in [`TransportError::He`].
-pub fn encrypted_distances<C: Channel>(
+pub fn encrypted_distances(
     variant: PackingVariant,
-    session: &mut Session<Ckks, C>,
+    session: &mut Session<Ckks>,
     query: &[f64],
     points: &[Vec<f64>],
 ) -> Result<DistanceResult, TransportError> {
@@ -255,8 +255,8 @@ fn point_major_extract(slots_out: &[f64], n: usize, stride: usize, collapse: boo
 /// each block's result and packs all distances densely into the low slots
 /// before replying (extra server work, single dense output — the
 /// client-optimal variant of §5.4).
-fn point_major<C: Channel>(
-    session: &mut Session<Ckks, C>,
+fn point_major(
+    session: &mut Session<Ckks>,
     query: &[f64],
     points: &[Vec<f64>],
     collapse: bool,
@@ -354,8 +354,8 @@ fn dimension_batch_server(
 /// Dimension-major family: one ciphertext per dimension (the stacked form
 /// packs several dimensions into one ciphertext at `n`-slot strides and
 /// folds them with rotations). Output is a single dense distance vector.
-fn dimension_major<C: Channel>(
-    session: &mut Session<Ckks, C>,
+fn dimension_major(
+    session: &mut Session<Ckks>,
     query: &[f64],
     points: &[Vec<f64>],
 ) -> Result<DistanceResult, TransportError> {
@@ -556,7 +556,7 @@ impl ResumableWorkload for ResumableKmeans {
     type Scheme = Ckks;
 
     /// Runs one K-Means iteration.
-    fn step<C: Channel>(&mut self, session: &mut Session<Ckks, C>) -> Result<(), TransportError> {
+    fn step(&mut self, session: &mut Session<Ckks>) -> Result<(), TransportError> {
         if self.is_done() {
             return Ok(());
         }
@@ -644,9 +644,9 @@ impl ResumableWorkload for ResumableKmeans {
 ///
 /// Propagates transport and HE errors from the distance kernels; empty
 /// inputs are reported as [`HeError::Mismatch`].
-pub fn kmeans_encrypted<C: Channel>(
+pub fn kmeans_encrypted(
     variant: PackingVariant,
-    session: &mut Session<Ckks, C>,
+    session: &mut Session<Ckks>,
     points: &[Vec<f64>],
     initial_centroids: &[Vec<f64>],
     max_iterations: u32,

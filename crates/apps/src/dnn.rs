@@ -24,18 +24,18 @@
 //! a download ([`ResumableConvLayer`]) — the count [`client_aided_plan`]
 //! plans with, up to each map's power-of-two stride. The server half is a
 //! compiled program ([`ConvPacking::program`]) the session keeps with its
-//! encoded weights, so only a layer's first inference encodes them.
+//! encoded weights, so only a layer's first inference encodes them; it is
+//! checked against the plaintext reference [`conv2d_plain_circular`].
 
 use crate::resumable::{
     bad_progress, finish_progress, progress_cursor, put_ct, put_maps, read_ct, read_maps,
     ResumableWorkload,
 };
 use choco::compiler::{compile, CompiledProgram, CompilerOptions, NodeId, Program};
-use choco::linalg::{matvec_hybrid_shape, stacked_conv, ConvTap};
-use choco::protocol::Server;
+use choco::linalg::matvec_hybrid_shape;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
-use choco::transport::{Channel, Session, TransportError};
+use choco::transport::{Session, TransportError};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError, HeScheme};
@@ -773,10 +773,10 @@ pub fn conv2d_plain_circular(
 
 const CONV_MAGIC: &[u8; 4] = b"RCV2";
 
-/// How a conv layer's program compiles: integer weights at scale `2^0`,
+/// How a LeNet layer's program compiles: integer weights at scale `2^0`,
 /// where BFV's quantization is the identity on values below `t`, and no
 /// rescaling chain to schedule.
-const LAYER_OPTIONS: CompilerOptions = CompilerOptions {
+pub(crate) const LAYER_OPTIONS: CompilerOptions = CompilerOptions {
     scale_bits: 0,
     prime_bits: 0,
     max_levels: 1,
@@ -813,9 +813,7 @@ fn tap_shifts(f: usize, w: usize) -> impl Iterator<Item = i64> {
 /// [`Self::program`] is that server half as a compiled-IR program, the form
 /// a layer runs ([`ResumableConvLayer`]): the executor makes each input
 /// group's diagonals one kernel call and keeps the encoded weights across
-/// runs. [`Self::server_pass`] computes the same ciphertexts through
-/// [`stacked_conv`], encoding every weight on every call; it is kept as the
-/// program's bit-identity oracle and bench twin.
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvPacking {
     /// The `B` blocks of the whole row.
@@ -901,34 +899,6 @@ impl ConvPacking {
             .collect()
     }
 
-    /// One output group's `Σ_d rotate(X_d, d·stride)` as a rotate-add tree —
-    /// each level adds the upper half, rotated by its offset, onto the lower
-    /// — then its folds.
-    fn sum_diagonals(
-        &self,
-        server: &Server<Bfv>,
-        mut sums: Vec<Ciphertext>,
-        folds: &[usize],
-    ) -> Result<Ciphertext, HeError> {
-        let stride = self.layout.stride();
-        while sums.len() > 1 {
-            let upper = sums.split_off(sums.len() / 2);
-            let step = (upper.len() * stride) as i64;
-            sums = sums
-                .iter()
-                .zip(&upper)
-                .map(|(lo, hi)| server.add(lo, &server.rotate(hi, step)?))
-                .collect::<Result<_, HeError>>()?;
-        }
-        let mut acc = sums
-            .pop()
-            .ok_or_else(|| HeError::Mismatch("conv layer has no input group".into()))?;
-        for fold in folds {
-            acc = server.add(&acc, &server.rotate(&acc, (fold * stride) as i64)?)?;
-        }
-        Ok(acc)
-    }
-
     /// The name of input group `g` in [`Self::program`].
     pub fn input_name(g: usize) -> String {
         format!("group{g}")
@@ -940,8 +910,9 @@ impl ConvPacking {
     /// input group one rotation per filter tap, shared by every diagonal,
     /// and one dot chain per diagonal in tap order over broadcast weight
     /// constants; the diagonals summed across input groups; then per output
-    /// group the rotate-add tree and the folds, and one output per output
-    /// group — the ciphertexts [`Self::server_pass`] returns, in order.
+    /// group `Σ_d rotate(X_d, d·stride)` as a rotate-add tree — each level
+    /// adds the upper half, rotated by its offset, onto the lower — and the
+    /// folds, and one output per output group, in order.
     pub fn program(&self, inputs: usize, weights: &[Vec<Vec<u64>>], t: u64) -> Program {
         let mut p = Program::new();
         let output_groups = || weights.chunks(self.blocks());
@@ -975,7 +946,6 @@ impl ConvPacking {
         let mut diagonals = diagonals.into_iter();
         for outputs in output_groups() {
             let (depth, folds) = self.shape(outputs.len());
-            // The tree and folds of `sum_diagonals`, node for node.
             let mut sums: Vec<NodeId> = diagonals.by_ref().take(depth).collect();
             while sums.len() > 1 {
                 let upper = sums.split_off(sums.len() / 2);
@@ -1016,10 +986,10 @@ impl ConvPacking {
     }
 
     /// What [`Self::program`] is a function of, exactly: the packing, the
-    /// input-group count and the raw weights with their shape — the key a
-    /// session keeps the compiled layer under. A few KB; the program's
-    /// constants are `B · stride` slots per weight.
-    fn layer_key(&self, inputs: usize, weights: &[Vec<Vec<u64>>]) -> Vec<u64> {
+    /// input-group count and the raw weights with their shape, behind
+    /// [`CONV_KEY_TAG`] — the key a session keeps the compiled layer under.
+    /// A few KB; the program's constants are `B · stride` slots per weight.
+    pub(crate) fn layer_key(&self, inputs: usize, weights: &[Vec<Vec<u64>>]) -> Vec<u64> {
         let geometry = [
             self.blocks(),
             self.layout.stride(),
@@ -1028,7 +998,8 @@ impl ConvPacking {
             self.w,
             inputs,
         ];
-        let mut key: Vec<u64> = geometry.iter().map(|&v| v as u64).collect();
+        let mut key = vec![CONV_KEY_TAG];
+        key.extend(geometry.iter().map(|&v| v as u64));
         for w_o in weights {
             key.push(w_o.len() as u64);
             for w_oc in w_o {
@@ -1038,50 +1009,13 @@ impl ConvPacking {
         }
         key
     }
-
-    /// The server half of a layer: input group `g` uploaded as
-    /// `inputs[g]` (channels `g·C'` onward, [`Self::pack`]ed), weights
-    /// `[out][in][f·f]`. One [`stacked_conv`] per input group, the groups'
-    /// diagonals summed, then each output group's tree and folds: one
-    /// ciphertext per `B` outputs, in order — byte for byte what
-    /// [`Self::program`] computes, with every weight encoded again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rotation (missing Galois key) and encoding errors; no
-    /// input group or no output is [`HeError::Mismatch`].
-    pub fn server_pass(
-        &self,
-        server: &Server<Bfv>,
-        inputs: &[Ciphertext],
-        weights: &[Vec<Vec<u64>>],
-    ) -> Result<Vec<Ciphertext>, HeError> {
-        let output_groups = || weights.chunks(self.blocks());
-        let mut diagonals: Vec<Ciphertext> = Vec::new();
-        for (g, ct) in inputs.iter().enumerate() {
-            let taps: Vec<Vec<ConvTap>> = output_groups()
-                .flat_map(|outputs| self.diagonal_taps(outputs, g))
-                .collect();
-            let partials = stacked_conv(server, ct, &self.layout, &taps)?;
-            diagonals = if diagonals.is_empty() {
-                partials
-            } else {
-                diagonals
-                    .iter()
-                    .zip(&partials)
-                    .map(|(total, partial)| server.add(total, partial))
-                    .collect::<Result<_, HeError>>()?
-            };
-        }
-        let mut diagonals = diagonals.into_iter();
-        output_groups()
-            .map(|outputs| {
-                let (depth, folds) = self.shape(outputs.len());
-                self.sum_diagonals(server, diagonals.by_ref().take(depth).collect(), &folds)
-            })
-            .collect()
-    }
 }
+
+/// The leading word of a conv layer's resident-program key
+/// ([`Session::run_resident`]). Each kind of resident program leads its key
+/// with its own tag, so two kinds whose definitions spell the same numbers
+/// never share a table entry.
+pub(crate) const CONV_KEY_TAG: u64 = u64::from_le_bytes(*b"conv lyr");
 
 /// One encrypted convolution layer as a state machine of one step — one
 /// client-aided round. The step packs, encrypts and uploads the input
@@ -1167,7 +1101,7 @@ impl ResumableWorkload for ResumableConvLayer {
 
     /// Runs the layer's round. A channel too wide for the session's row is
     /// [`HeError::Mismatch`].
-    fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
+    fn step(&mut self, session: &mut Session<Bfv>) -> Result<(), TransportError> {
         if self.is_done() {
             return Ok(());
         }
@@ -1273,8 +1207,8 @@ impl ResumableWorkload for ResumableConvLayer {
 /// Typed [`TransportError`]s when the link is worse than the retry budget;
 /// HE-layer failures, and the mis-shaped inputs [`ResumableConvLayer::new`]
 /// refuses, are wrapped in [`TransportError::He`].
-pub fn run_encrypted_conv_layer<C: Channel>(
-    session: &mut Session<Bfv, C>,
+pub fn run_encrypted_conv_layer(
+    session: &mut Session<Bfv>,
     input: &[Vec<u64>],
     weights: &[Vec<Vec<u64>>],
     h: usize,
@@ -1284,6 +1218,17 @@ pub fn run_encrypted_conv_layer<C: Channel>(
     let mut layer = ResumableConvLayer::new(input, weights, h, w, f)?;
     layer.run(session)?;
     Ok(layer.maps)
+}
+
+/// One convolution tap: rotate the packed input by `shift` slots, then
+/// multiply by one weight per channel block, broadcast over the block.
+#[derive(Debug, Clone)]
+pub(crate) struct ConvTap {
+    /// Row-rotation distance (positive = left), bounded by the layout's
+    /// redundancy.
+    pub(crate) shift: i64,
+    /// One weight per channel block of the layout.
+    pub(crate) channel_weights: Vec<u64>,
 }
 
 /// Filter taps for one output channel over the `per_ct` input channels
@@ -1296,21 +1241,17 @@ pub(crate) fn conv_taps(
     f: usize,
     w: usize,
 ) -> Vec<ConvTap> {
-    let pad = f / 2;
-    let mut taps = Vec::with_capacity(f * f);
-    for dy in 0..f {
-        for dx in 0..f {
-            let shift = (dy as i64 - pad as i64) * w as i64 + (dx as i64 - pad as i64);
-            let channel_weights: Vec<u64> = (first_ch..first_ch + per_ct)
-                .map(|c| out_weights.get(c).map_or(0, |wc| wc[dy * f + dx]))
-                .collect();
-            taps.push(ConvTap {
-                shift,
-                channel_weights,
-            });
-        }
-    }
-    taps
+    let channels = first_ch..first_ch + per_ct;
+    tap_shifts(f, w)
+        .enumerate()
+        .map(|(k, shift)| ConvTap {
+            shift,
+            channel_weights: channels
+                .clone()
+                .map(|c| out_weights.get(c).map_or(0, |wc| wc[k]))
+                .collect(),
+        })
+        .collect()
 }
 
 /// Galois rotation steps a conv layer of this shape needs: the filter taps
@@ -1381,7 +1322,6 @@ fn channels_per_ct(
 mod tests {
     use super::*;
     use choco::compiler::Op;
-    use choco::protocol::Client;
 
     #[test]
     fn conv_rotation_steps_cover_every_kernel_rotation() {
@@ -1601,6 +1541,12 @@ mod tests {
             let (maps, downloads) = run(&steps);
             assert_eq!(maps.unwrap(), want, "{label}");
             assert_eq!(downloads as usize, out_ch.div_ceil(blocks), "{label}");
+            // One fused bundle per input group; a lone tap is a multiply.
+            let inputs = in_ch.div_ceil(group_ch);
+            let packing = ConvPacking::new(group_ch, side, side, f, row).unwrap();
+            let compiled = packing.compile_layer(inputs, &weights, t).unwrap();
+            let calls = if f == 1 { 0 } else { inputs };
+            assert_eq!(compiled.fused_bundles(), calls, "{label}");
             // Every channel step is load-bearing: tree or fold.
             let stride = (row / blocks) as i64;
             for (i, missing) in steps.iter().filter(|&&s| s >= stride).enumerate() {
@@ -1679,58 +1625,6 @@ mod tests {
             let msg = refusal(&input, &weights, 4, 3);
             assert!(msg.contains("weights of output 1 are not [2][9]"), "{msg}");
         }
-    }
-
-    #[test]
-    fn the_layer_program_is_byte_identical_to_the_hand_pass() {
-        // Rows of 512 slots over 4 × 4 and 8 × 8 maps: 4 to 32 blocks, so
-        // 1–8 channels per input group, 1–2 input groups, 1–2 output groups,
-        // with and without folds.
-        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
-        let (row, t) = (params.degree() / 2, params.plain_modulus());
-        choco_quickprop::run_cases("conv program vs hand pass", 24, |g| {
-            let side = [4, 8][g.usize_in(0, 2)];
-            let f = [1, 3, 5][g.usize_in(0, 3)];
-            let blocks = ConvPacking::new(1, side, side, f, row).unwrap().blocks();
-            let channels = g.usize_in(1, blocks.min(8) + 1);
-            let inputs = g.usize_in(1, 3);
-            let output_groups = g.usize_in(1, 3);
-            let out_ch = g.usize_in((output_groups - 1) * blocks + 1, output_groups * blocks + 1);
-            let label = format!("{side}x{side} f={f} {inputs}x{channels}->{out_ch} B={blocks}");
-            let packing = ConvPacking::new(channels, side, side, f, row).unwrap();
-            let mut rng = choco_prng::Blake3Rng::from_seed(label.as_bytes());
-            let shape = (inputs * channels, out_ch, side * side, f * f);
-            let (input, weights) = seeded_layer(&mut rng, shape);
-            let steps = conv_rotation_steps(channels.next_power_of_two(), side, side, f);
-            let mut client = Client::<Bfv>::new(&params, label.as_bytes()).unwrap();
-            let server = client.provision_server(&steps).unwrap();
-            let cts: Vec<Ciphertext> = input
-                .chunks(channels)
-                .map(|group| client.encrypt_slots(&packing.pack(group)).unwrap())
-                .collect();
-
-            let hand = packing.server_pass(&server, &cts, &weights).unwrap();
-            let compiled = packing.compile_layer(inputs, &weights, t).unwrap();
-            let named = cts
-                .iter()
-                .enumerate()
-                .map(|(i, ct)| (ConvPacking::input_name(i), ct.clone()))
-                .collect();
-            let program = compiled
-                .execute_encrypted::<Bfv>(
-                    server.context(),
-                    &named,
-                    server.relin_key(),
-                    server.galois_keys(),
-                )
-                .unwrap();
-            let wire = |cts: &[Ciphertext]| cts.iter().map(Bfv::ct_to_wire).collect::<Vec<_>>();
-            assert_eq!(wire(&program), wire(&hand), "{label}");
-            assert_eq!(program.len(), out_ch.div_ceil(blocks), "{label}");
-            // One kernel call per input group; a lone tap is a multiply.
-            let calls = if f == 1 { 0 } else { inputs };
-            assert_eq!(compiled.fused_bundles(), calls, "{label}");
-        });
     }
 
     #[test]

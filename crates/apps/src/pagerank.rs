@@ -18,7 +18,7 @@ use crate::resumable::{
 use choco::compiler::CompilerScheme;
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::CommLedger;
-use choco::transport::{Channel, LinkConfig, Session, TransportError};
+use choco::transport::{LinkConfig, Session, TransportError};
 use choco_he::params::{max_coeff_bits_128, HeParams, SchemeType, WORD_BYTES};
 use choco_he::{HeError, HeScheme};
 
@@ -212,7 +212,7 @@ impl<S: CompilerScheme> ResumableWorkload for ResumablePagerank<S> {
     /// `iters_per_refresh` exceeds what the prime chain supports — the
     /// Figure 13 tradeoff surfacing as an API error; an oversized graph is
     /// [`HeError::Mismatch`].
-    fn step<C: Channel>(&mut self, session: &mut Session<S, C>) -> Result<(), TransportError> {
+    fn step(&mut self, session: &mut Session<S>) -> Result<(), TransportError> {
         if self.is_done() {
             return Ok(());
         }

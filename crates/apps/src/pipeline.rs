@@ -12,21 +12,27 @@
 //! [`ResumablePipeline`] that [`run_encrypted`] steps to completion, generic
 //! over the transport: a [`LinkConfig::direct`] link is the fault-free paper
 //! protocol, any other link adds framed retries and watchdog refreshes
-//! without changing the numbers.
+//! without changing the numbers. Every server half is a compiled program
+//! the session keeps resident: the conv layers' [`crate::dnn::ConvPacking`]
+//! programs and the FC's [`matvec_program`].
 
 pub use crate::client_ops::{max_pool2x2, requantize};
-use crate::dnn::{conv2d_plain_circular, conv_rotation_steps, run_encrypted_conv_layer};
+use crate::dnn::{
+    conv2d_plain_circular, conv_rotation_steps, run_encrypted_conv_layer, LAYER_OPTIONS,
+};
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_maps, put_u64s, read_ct,
     read_maps, read_u64s, ResumableWorkload,
 };
-use choco::linalg::{matvec_diagonals, matvec_rotation_steps, replicate_for_matvec};
+use choco::compiler::compile;
+use choco::linalg::{matvec_program, matvec_rotation_steps, replicate_for_matvec};
 use choco::protocol::CommLedger;
-use choco::transport::{Channel, LinkConfig, Session, TransportError, WireCursor};
+use choco::transport::{LinkConfig, Session, TransportError, WireCursor};
 use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError};
 use choco_prng::Blake3Rng;
+use std::collections::HashMap;
 
 /// Geometry of a two-conv + FC quantized network (LeNet-style).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,23 +168,38 @@ impl ResumablePipeline {
     /// # Errors
     ///
     /// [`HeError::Mismatch`] (wrapped) when the image does not match the
-    /// spec geometry or the spec has no output class.
+    /// spec geometry, the spec has no output class or more classes than FC
+    /// inputs, or the weights are not shaped `[conv1_ch][1][f²]`,
+    /// `[conv2_ch][conv1_ch][f²]` and `[classes][fc_inputs]` — refused
+    /// here, before anything is encrypted.
     pub fn new(
         spec: &LenetLikeSpec,
         weights: &LenetLikeWeights,
         image: &[u64],
     ) -> Result<Self, TransportError> {
-        if image.len() != spec.img * spec.img {
-            return Err(HeError::Mismatch(format!(
-                "image has {} pixels, spec wants {}x{}",
-                image.len(),
-                spec.img,
-                spec.img
-            ))
-            .into());
+        let refuse = |msg: String| Err(HeError::Mismatch(msg).into());
+        let (img, f2, fc_inputs) = (spec.img, spec.filter * spec.filter, spec.fc_inputs());
+        let (pixels, classes) = (image.len(), spec.classes);
+        if pixels != img * img {
+            return refuse(format!("image has {pixels} pixels, spec wants {img}x{img}"));
         }
-        if spec.classes == 0 {
-            return Err(HeError::Mismatch("need at least one output class".into()).into());
+        if classes == 0 || classes > fc_inputs {
+            return refuse(format!("need 1 to {fc_inputs} output classes"));
+        }
+        let shaped = |w: &[Vec<Vec<u64>>], outs: usize, ins: usize| {
+            let taps = |w_o: &Vec<Vec<u64>>| w_o.iter().all(|w_oc| w_oc.len() == f2);
+            w.len() == outs && w.iter().all(|w_o| w_o.len() == ins && taps(w_o))
+        };
+        let (c1, c2) = (spec.conv1_ch, spec.conv2_ch);
+        if !shaped(&weights.conv1, c1, 1) {
+            return refuse(format!("conv1 weights are not [{c1}][1][{f2}]"));
+        }
+        if !shaped(&weights.conv2, c2, c1) {
+            return refuse(format!("conv2 weights are not [{c2}][{c1}][{f2}]"));
+        }
+        let fc = &weights.fc;
+        if fc.len() != classes || fc.iter().any(|row| row.len() != fc_inputs) {
+            return refuse(format!("FC weights are not [{classes}][{fc_inputs}]"));
         }
         Ok(ResumablePipeline {
             spec: *spec,
@@ -212,6 +233,13 @@ fn argmax(logits: &[u64]) -> usize {
         .unwrap_or(0)
 }
 
+/// One FC logit, `row · features mod t`, accumulated without overflow.
+fn logit(row: &[u64], features: &[u64], t: u64) -> u64 {
+    let (pairs, t) = (row.iter().zip(features), t as u128);
+    let dot: u128 = pairs.map(|(&w, &x)| w as u128 * x as u128 % t).sum();
+    (dot % t) as u64
+}
+
 /// Client-side stage boundary: requantize + pool every channel map.
 fn pool_maps(maps: &[Vec<u64>], side: usize) -> Vec<Vec<u64>> {
     maps.iter()
@@ -223,7 +251,7 @@ impl ResumableWorkload for ResumablePipeline {
     type Scheme = Bfv;
 
     /// Runs the next network stage.
-    fn step<C: Channel>(&mut self, session: &mut Session<Bfv, C>) -> Result<(), TransportError> {
+    fn step(&mut self, session: &mut Session<Bfv>) -> Result<(), TransportError> {
         let spec = self.spec;
         let p1 = spec.img / 2;
         match self.stage {
@@ -259,23 +287,20 @@ impl ResumableWorkload for ResumablePipeline {
                 let row = session.server().context().degree() / 2;
                 let t = session.server().context().plain_modulus();
                 let features = self.pooled2.concat();
-                // The sentinel: class 0's logit, computed exactly in
-                // plaintext (mod t, u128 accumulation) from state the
-                // client already holds.
+                // The sentinel: class 0's logit, computed exactly from state
+                // the client already holds.
                 let class0 =
                     self.weights.fc.first().ok_or_else(|| {
                         HeError::Mismatch("FC layer has no class weight rows".into())
                     })?;
-                let expected0 = class0.iter().zip(&features).fold(0u64, |acc, (w, x)| {
-                    ((acc as u128 + (*w as u128 * *x as u128) % t as u128) % t as u128) as u64
-                });
+                let expected0 = logit(class0, &features, t);
                 let ct = session
                     .client_mut()
                     .encrypt_slots(&replicate_for_matvec(&features, row))?;
                 let uploaded = session.upload(&ct)?;
                 let at_server = session.guard(&uploaded)?;
                 session.compute_tick()?;
-                let logits_ct = matvec_diagonals(session.server(), &at_server, &self.weights.fc)?;
+                let logits_ct = run_fc(session, &self.weights.fc, at_server)?;
                 let (back, slots) = session.download_checked(&logits_ct, &[(0, expected0)], 0.0)?;
                 session.ledger_mut().end_round();
                 self.logits = slots[..spec.classes].to_vec();
@@ -348,6 +373,40 @@ impl ResumableWorkload for ResumablePipeline {
     }
 }
 
+/// The leading word of the FC's resident-program key, distinct from a conv
+/// layer's ([`crate::dnn::ConvPacking`]).
+const FC_KEY_TAG: u64 = u64::from_le_bytes(*b"fc layer");
+
+/// What the FC's program is a function of: its shape and raw weights,
+/// behind [`FC_KEY_TAG`].
+fn fc_key(fc: &[Vec<u64>]) -> Vec<u64> {
+    let cols = fc.first().map_or(0, Vec::len);
+    let mut key = vec![FC_KEY_TAG, fc.len() as u64, cols as u64];
+    key.extend(fc.iter().flatten());
+    key
+}
+
+/// The FC's server half: [`matvec_program`] over the weights reduced mod
+/// `t`, compiled like a conv layer ([`LAYER_OPTIONS`]) and kept resident in
+/// the session under [`fc_key`], run over the uploaded features.
+fn run_fc(
+    session: &mut Session<Bfv>,
+    fc: &[Vec<u64>],
+    features: Ciphertext,
+) -> Result<Ciphertext, TransportError> {
+    let t = session.server().context().plain_modulus();
+    let build = || {
+        let reduced = |row: &Vec<u64>| row.iter().map(|&w| (w % t) as f64).collect();
+        let matrix: Vec<Vec<f64>> = fc.iter().map(reduced).collect();
+        compile(&matvec_program(&matrix), &LAYER_OPTIONS)
+            .map_err(|e| HeError::Mismatch(format!("FC program: {e}")))
+    };
+    let inputs = HashMap::from([("x".to_string(), features)]);
+    let mut outputs = session.run_resident(&fc_key(fc), build, &inputs)?;
+    let logits = outputs.pop();
+    logits.ok_or_else(|| HeError::Mismatch("FC program has no output".into()).into())
+}
+
 /// Runs the full encrypted pipeline ([`ResumablePipeline`]) over the given
 /// link.
 ///
@@ -406,11 +465,7 @@ pub fn run_plain(
     let logits: Vec<u64> = weights
         .fc
         .iter()
-        .map(|row| {
-            row.iter()
-                .zip(&features)
-                .fold(0u64, |acc, (w, x)| (acc + w * x) % t)
-        })
+        .map(|row| logit(row, &features, t))
         .collect();
     let class = argmax(&logits);
     (logits, class)
@@ -504,5 +559,124 @@ mod tests {
         // 16), and the sentinel check decrypts the FC reply once, not in
         // addition.
         assert_eq!(enc.crypto_ops, (3, 3));
+    }
+
+    /// Asserts `ResumablePipeline::new` refuses the tiny spec's seeded
+    /// weights after each of `edits`, naming the shape they should have.
+    fn assert_refused(edits: &[fn(&mut LenetLikeWeights)], shape: &str) {
+        let spec = LenetLikeSpec::tiny();
+        let image = vec![1u64; spec.img * spec.img];
+        for edit in edits {
+            let mut weights = seeded_weights(&spec, b"mis-shaped");
+            edit(&mut weights);
+            match ResumablePipeline::new(&spec, &weights, &image) {
+                Err(TransportError::He(HeError::Mismatch(msg))) => {
+                    assert!(msg.contains(shape), "{msg}")
+                }
+                other => panic!("expected a Mismatch refusal, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fc_rows_of_the_wrong_length_are_refused() {
+        // They used to compute another product, which the class-0 sentinel
+        // then blamed on the server.
+        let edits: [fn(&mut LenetLikeWeights); 2] = [|w| w.fc[1].truncate(15), |w| w.fc[0].push(1)];
+        assert_refused(&edits, "FC weights are not [4][16]");
+    }
+
+    #[test]
+    fn fewer_fc_rows_than_classes_are_refused() {
+        // They used to come back as zeros and fold partial sums, unreported.
+        assert_refused(&[|w| w.fc.truncate(3)], "FC weights are not [4][16]");
+    }
+
+    #[test]
+    fn mis_shaped_conv_weights_are_refused() {
+        let conv1: [fn(&mut LenetLikeWeights); 3] = [
+            |w| w.conv1.truncate(1),
+            |w| w.conv1[0].push(vec![1; 9]),
+            |w| w.conv1[1][0].truncate(8),
+        ];
+        assert_refused(&conv1, "conv1 weights are not [2][1][9]");
+        let conv2: [fn(&mut LenetLikeWeights); 3] = [
+            |w| w.conv2.push(vec![vec![1; 9]; 2]),
+            |w| w.conv2[3].truncate(1),
+            |w| w.conv2[0][1].push(1),
+        ];
+        assert_refused(&conv2, "conv2 weights are not [4][2][9]");
+    }
+
+    #[test]
+    fn a_warm_session_encodes_the_fc_program_once() {
+        let spec = LenetLikeSpec::tiny();
+        let weights = seeded_weights(&spec, b"warm fc");
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+        let t = params.plain_modulus();
+        let steps = all_rotation_steps(&spec, 512);
+        let mut session = Session::<Bfv>::direct(&params, b"warm fc", &steps).unwrap();
+        // Operand encodes so far, after each stage of one inference.
+        let mut infer = |seed: usize| {
+            let image: Vec<u64> = (0..spec.img * spec.img)
+                .map(|i| ((i * 7 + seed) % 16) as u64)
+                .collect();
+            let mut run = ResumablePipeline::new(&spec, &weights, &image).unwrap();
+            let mut encodes = Vec::new();
+            while !run.is_done() {
+                run.step(&mut session).unwrap();
+                encodes.push(session.resident_counters().1.misses);
+            }
+            assert_eq!(run.logits(), run_plain(&spec, &weights, &image, t).0);
+            encodes
+        };
+        let first = infer(3);
+        // The FC's 4 diagonals are encoded by the first inference's FC stage.
+        let (depth, _) = choco::linalg::matvec_hybrid_shape(spec.classes, spec.fc_inputs());
+        assert_eq!(first[2] - first[1], depth as u64);
+        let flat = vec![first[2]; 3];
+        assert_eq!(infer(5), flat);
+        assert_eq!(infer(11), flat);
+        // conv1, conv2 and the FC: three programs, each compiled once.
+        assert_eq!(session.resident_counters().0.misses, 3);
+    }
+
+    #[test]
+    fn an_fc_program_and_a_conv_layer_of_the_same_numbers_do_not_alias() {
+        // 63 channels of 8 × 8 into four 1 × 1 outputs at a 512-slot row (8
+        // blocks of 64, eight input groups): untagged, the layer's key reads
+        // as the key of an 8 × 64 FC.
+        use crate::dnn::{conv_rotation_steps_multi, ConvPacking};
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
+        let t = params.plain_modulus();
+        let weights: Vec<Vec<Vec<u64>>> = (0..4)
+            .map(|o| (0..63).map(|c| vec![(o + c) % 16]).collect())
+            .collect();
+        let conv_key = ConvPacking::new(8, 8, 8, 1, 512)
+            .unwrap()
+            .layer_key(8, &weights);
+        let (rows, cols) = (conv_key[1] as usize, conv_key[2] as usize);
+        assert_eq!((rows, cols), (8, 64));
+        let fc: Vec<Vec<u64>> = conv_key[3..].chunks(cols).map(<[u64]>::to_vec).collect();
+        assert_eq!(fc_key(&fc)[1..], conv_key[1..]);
+        assert_ne!(fc_key(&fc), conv_key);
+
+        let mut steps = conv_rotation_steps_multi(63, 8, 8, 1, 512).unwrap();
+        steps.extend(matvec_rotation_steps(rows, cols));
+        let mut session = Session::<Bfv>::direct(&params, b"tagged keys", &steps).unwrap();
+        let input: Vec<Vec<u64>> = (0..63)
+            .map(|c| (0..64).map(|i| (i + c) % 16).collect())
+            .collect();
+        let maps = run_encrypted_conv_layer(&mut session, &input, &weights, 8, 8, 1).unwrap();
+        assert_eq!(maps, conv2d_plain_circular(&input, &weights, 8, 8, 1, t));
+        let features: Vec<u64> = (0..64).map(|i| i % 16).collect();
+        let packed = replicate_for_matvec(&features, 512);
+        let ct = session.client_mut().encrypt_slots(&packed).unwrap();
+        let logits = run_fc(&mut session, &fc, ct).unwrap();
+        let slots = session.client_mut().decrypt_slots(&logits).unwrap();
+        let want: Vec<u64> = fc.iter().map(|row| logit(row, &features, t)).collect();
+        assert_eq!(slots[..rows], want);
+        // Each run compiled its own program: neither found the other's.
+        assert_eq!(session.resident_counters().0.misses, 2);
     }
 }

@@ -48,7 +48,7 @@
 //! validates shape and never panics on garbage.
 
 use choco::compiler::CompilerScheme;
-use choco::transport::{put_blob, Channel, Session, TransportError, WireCursor};
+use choco::transport::{put_blob, Session, TransportError, WireCursor};
 use choco_he::HeScheme;
 
 /// A client-aided workload as a step-granular state machine over a
@@ -67,10 +67,7 @@ pub trait ResumableWorkload: Sized {
     /// [`TransportError::Crashed`]. A failed step may leave the instance
     /// part-way through its update: continue from the last checkpointed
     /// [`Self::progress`], not from the instance.
-    fn step<C: Channel>(
-        &mut self,
-        session: &mut Session<Self::Scheme, C>,
-    ) -> Result<(), TransportError>;
+    fn step(&mut self, session: &mut Session<Self::Scheme>) -> Result<(), TransportError>;
 
     /// Whether every step has completed.
     fn is_done(&self) -> bool;
@@ -98,10 +95,7 @@ pub trait ResumableWorkload: Sized {
     /// # Errors
     ///
     /// The first step error.
-    fn run<C: Channel>(
-        &mut self,
-        session: &mut Session<Self::Scheme, C>,
-    ) -> Result<(), TransportError> {
+    fn run(&mut self, session: &mut Session<Self::Scheme>) -> Result<(), TransportError> {
         while !self.is_done() {
             self.step(session)?;
         }

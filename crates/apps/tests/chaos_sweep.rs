@@ -25,8 +25,8 @@
 use choco::compiler::CompilerScheme;
 use choco::protocol::CommLedger;
 use choco::transport::{
-    Channel, CrashOp, CrashPlan, DirectChannel, FaultPlan, FaultyChannel, RetryPolicy, Session,
-    TransportError,
+    Channel, CrashOp, CrashPlan, DirectChannel, FaultPlan, FaultyChannel, LinkConfig, RetryPolicy,
+    Session, TransportError,
 };
 use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
 use choco_apps::dnn::{conv_rotation_steps, conv_rotation_steps_multi, ResumableConvLayer};
@@ -65,15 +65,12 @@ fn assert_primary_lines_match(label: &str, base: &CommLedger, got: &CommLedger) 
 /// one fresh post-crash channel per direction; `make_workload` builds the
 /// workload a fresh run starts from — and, after a crash, the instance the
 /// checkpointed progress blob is restored into.
-fn sweep<C, W>(
+fn sweep<W: ResumableWorkload>(
     label: &str,
-    make_session: impl Fn() -> Session<W::Scheme, C>,
-    resume_channel: impl Fn(&'static str) -> C,
+    make_session: impl Fn() -> Session<W::Scheme>,
+    resume_channel: impl Fn(&'static str) -> Box<dyn Channel>,
     make_workload: impl Fn() -> W,
-) where
-    C: Channel,
-    W: ResumableWorkload,
-{
+) {
     // Uninterrupted baseline.
     let mut session = make_session();
     let mut w = make_workload();
@@ -206,17 +203,14 @@ fn chaos_pagerank_bfv_over_faulty_links() {
     sweep(
         "pagerank/bfv/faulty",
         || {
-            Session::<Bfv, FaultyChannel>::over(
-                &params,
-                b"chaos-pagerank",
-                &steps,
-                FaultyChannel::new(b"chaos-up", plan),
-                FaultyChannel::new(b"chaos-down", plan),
+            let link = LinkConfig {
+                uplink: Box::new(FaultyChannel::new(b"chaos-up", plan)),
+                downlink: Box::new(FaultyChannel::new(b"chaos-down", plan)),
                 policy,
-            )
-            .unwrap()
+            };
+            Session::<Bfv>::with_link(&params, b"chaos-pagerank", &steps, link).unwrap()
         },
-        |dir| FaultyChannel::new(dir.as_bytes(), plan),
+        |dir| Box::new(FaultyChannel::new(dir.as_bytes(), plan)),
         || ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap(),
     );
 }

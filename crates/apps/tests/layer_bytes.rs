@@ -14,7 +14,10 @@
 //!   order — is the channel-diagonal pass's, bit for bit;
 //! * a matvec whose column count has no power-of-two factor to fold over
 //!   (square, or an odd column count) *is* the full-diagonal kernel, bit
-//!   for bit, under both schemes.
+//!   for bit, under both schemes;
+//! * the FC reply of a whole LeNet-style inference — two conv rounds, then
+//!   the hybrid matvec — is the same ciphertext however the FC is run. It
+//!   was recorded while the FC still ran `matvec_diagonals` by hand.
 //!
 //! Re-record them only for a change that means to move those bytes, and say
 //! so.
@@ -23,6 +26,9 @@ use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::Client;
 use choco::transport::Session;
 use choco_apps::dnn::{conv_rotation_steps, ResumableConvLayer};
+use choco_apps::pipeline::{
+    all_rotation_steps, run_plain, seeded_weights, LenetLikeSpec, ResumablePipeline,
+};
 use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, Ckks, HeScheme};
@@ -92,6 +98,26 @@ fn conv_layer_output_group_bytes_are_pinned() {
         conv_layer_digest(&HeParams::set_b(), (4, 8, 8, 5, 8), 1),
         "a99cac5dffb454e6"
     );
+}
+
+#[test]
+fn pipeline_fc_reply_bytes_are_pinned() {
+    // The tiny network end to end, as `pipeline::run_encrypted` runs it over
+    // a direct link.
+    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+    let spec = LenetLikeSpec::tiny();
+    let weights = seeded_weights(&spec, b"cross-commit pipeline oracle");
+    let image: Vec<u64> = (0..spec.img * spec.img)
+        .map(|i| ((i * 7 + 3) % 16) as u64)
+        .collect();
+    let steps = all_rotation_steps(&spec, params.degree() / 2);
+    let mut session =
+        Session::<Bfv>::direct(&params, b"cross-commit pipeline oracle", &steps).unwrap();
+    let mut run = ResumablePipeline::new(&spec, &weights, &image).unwrap();
+    run.run(&mut session).unwrap();
+    let t = params.plain_modulus();
+    assert_eq!(run.logits(), run_plain(&spec, &weights, &image, t).0);
+    assert_eq!(digest(&[run.final_ct_wire()]), "6f1bd5ec82f0a82a");
 }
 
 /// `matrix · x` through `matvec_diagonals` from one fixed seed; the digest

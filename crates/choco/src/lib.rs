@@ -17,7 +17,7 @@
 //! * **Channel stacking** ([`stacking`]): redundant per-channel windows are
 //!   stacked at power-of-two strides in one ciphertext, so convolutions
 //!   align with plain rotations only and channel accumulation is a
-//!   logarithmic rotate-add tree ([`linalg`]).
+//!   logarithmic rotate-add tree, split like [`linalg`]'s matvec.
 //! * **Client-driven parameter minimization** ([`params`]): choose the
 //!   smallest `(N, k, t)` that meets 128-bit security and the workload's
 //!   noise demand, shrinking every ciphertext the client must touch.

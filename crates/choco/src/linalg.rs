@@ -1,121 +1,23 @@
-//! Encrypted linear algebra built on rotational redundancy (§3.3).
+//! Encrypted linear algebra: the diagonal matrix-vector product.
 //!
-//! Two kernels cover the paper's workloads:
-//!
-//! * [`stacked_conv`] — convolution over channel-stacked, redundantly packed
-//!   inputs: one rotation per filter tap *for the whole layer* (every output
-//!   shares the pass) and one plaintext multiply per tap and output, no
-//!   masking multiplies (the headline win of rotational redundancy). Its
-//!   weights are per channel *block*, so a conv layer's channel-diagonal
-//!   packing (`choco_apps::dnn::ConvPacking`) runs its diagonals through it
-//!   and sums channels with the same hybrid split as the FC below;
-//! * [`matvec_diagonals`] — diagonal matrix-vector product for
-//!   fully-connected layers and PageRank-style iterations, generic over the
-//!   scheme (`u64` slots under BFV, `f64` under CKKS). It is Gazelle's
-//!   *hybrid* method: as many extended diagonals as the matrix has rows
-//!   (rounded up to a divisor of the column count), then a few rotate-adds
-//!   folding the partial sums — which for a square matrix is exactly the
-//!   Halevi–Shoup diagonal method, no folds. [`matvec_rotation_steps`] is
-//!   the Galois-key set that kernel needs, derived from the shape the same
-//!   way the kernel derives its rotations ([`matvec_hybrid_shape`]).
+//! [`matvec_diagonals`] multiplies a plaintext matrix into an encrypted
+//! vector — fully-connected layers and PageRank-style iterations — generic
+//! over the scheme (`u64` slots under BFV, `f64` under CKKS). It is
+//! Gazelle's *hybrid* method: as many extended diagonals as the matrix has
+//! rows (rounded up to a divisor of the column count), then a few
+//! rotate-adds folding the partial sums — which for a square matrix is
+//! exactly the Halevi–Shoup diagonal method, no folds.
+//! [`matvec_rotation_steps`] is the Galois-key set that kernel needs,
+//! derived from the shape the same way the kernel derives its rotations
+//! ([`matvec_hybrid_shape`]). [`matvec_program`] is the same product as a
+//! compiler-IR [`Program`], node for node: the form a session keeps
+//! resident with its encoded diagonals, and the form `choco-verify` checks.
+//! A conv layer's channel-diagonal packing (`choco_apps::dnn::ConvPacking`)
+//! sums its channels with the same hybrid split.
 
+use crate::compiler::Program;
 use crate::protocol::Server;
-use crate::stacking::StackedLayout;
-use choco_he::bfv::Ciphertext;
-use choco_he::{Bfv, HeError, HeScheme};
-
-/// One convolution tap: rotate the stacked input by `shift` slots, then
-/// multiply by per-block weights broadcast over each channel block.
-#[derive(Debug, Clone)]
-pub struct ConvTap {
-    /// Row-rotation distance (positive = left), bounded by the layout's
-    /// redundancy.
-    pub shift: i64,
-    /// One weight per channel block of the layout.
-    pub channel_weights: Vec<u64>,
-}
-
-/// Applies the taps of every output of a layer to one stacked ciphertext
-/// in a single pass: `out_o = Σ_taps rotate(ct, shift) ⊙ weights_o`
-/// for each tap list `outputs[o]`. All outputs shift the same input by the
-/// same distances (that is what makes them one layer), so each tap's
-/// rotation is key-switched once and multiply-accumulated into every
-/// output ([`choco_he::bfv::Evaluator::dot_rotations_many`]); output `o` is,
-/// bit for bit, what this function returns for `&outputs[o..=o]`.
-///
-/// Every output term passes through exactly **one** plaintext
-/// multiplication, so noise grows as a single multiply plus `log2(#taps)`
-/// bits of accumulation — the "optimal multiplication efficiency" the paper
-/// claims for rotational redundancy.
-///
-/// # Errors
-///
-/// Propagates rotation (missing Galois key) and encoding errors.
-/// [`HeError::Mismatch`]: no outputs, an empty tap list, outputs whose shift
-/// lists differ, a tap shift exceeding the layout redundancy, or a tap whose
-/// weight count is not the layout's channel count.
-pub fn stacked_conv(
-    server: &Server<Bfv>,
-    ct: &Ciphertext,
-    layout: &StackedLayout,
-    outputs: &[Vec<ConvTap>],
-) -> Result<Vec<Ciphertext>, HeError> {
-    let Some(first) = outputs.first() else {
-        return Err(HeError::Mismatch(
-            "convolution needs at least one output".into(),
-        ));
-    };
-    if first.is_empty() {
-        return Err(HeError::Mismatch(
-            "convolution needs at least one tap".into(),
-        ));
-    }
-    let redundancy = layout.channel_layout().redundancy();
-    for taps in outputs {
-        if !taps
-            .iter()
-            .map(|t| t.shift)
-            .eq(first.iter().map(|t| t.shift))
-        {
-            return Err(HeError::Mismatch(
-                "outputs of one convolution must share their tap shifts".into(),
-            ));
-        }
-        for tap in taps {
-            if tap.shift.unsigned_abs() as usize > redundancy {
-                return Err(HeError::Mismatch(format!(
-                    "tap shift {} exceeds redundancy {redundancy}",
-                    tap.shift
-                )));
-            }
-            if tap.channel_weights.len() != layout.channels() {
-                return Err(HeError::Mismatch(format!(
-                    "tap carries {} channel weights for {} stacked channels",
-                    tap.channel_weights.len(),
-                    layout.channels()
-                )));
-            }
-        }
-    }
-    // All tap shifts rotate the same input, so the fused kernel shares one
-    // hoisted decomposition across them and collapses each output's tap
-    // products into a single NTT-domain inner product with one key-switch
-    // rounding. Term k carries tap k of every output, encoded as it is
-    // consumed.
-    let eval = server.evaluator();
-    let terms = first.iter().enumerate().map(|(k, tap)| {
-        let operands = outputs
-            .iter()
-            .filter_map(|taps| taps.get(k))
-            .map(|tap| {
-                let weights = layout.broadcast_weights(&tap.channel_weights);
-                eval.dot_operand(&server.encode(&weights)?)
-            })
-            .collect::<Result<Vec<_>, HeError>>()?;
-        Ok((tap.shift, operands))
-    });
-    eval.dot_rotations_many(ct, outputs.len(), terms, server.galois_keys())
-}
+use choco_he::{HeError, HeScheme};
 
 /// Replicates an `n`-vector twice in a slot row so that row rotations by up
 /// to `n` read `x[(i+d) mod n]` at slot `i` — the packing
@@ -156,6 +58,24 @@ pub fn matvec_hybrid_shape(rows: usize, cols: usize) -> (usize, Vec<usize>) {
 pub fn matvec_rotation_steps(rows: usize, cols: usize) -> Vec<i64> {
     let (depth, folds) = matvec_hybrid_shape(rows, cols);
     (1..depth).chain(folds).map(|s| s as i64).collect()
+}
+
+/// Extended diagonal `d` of a `depth`-deep split, `len` slots long:
+/// `M[i mod depth][(i + d) mod cols]` at slot `i < cols`, zero past `cols`
+/// and where row `i mod depth` does not exist.
+fn extended_diagonal<V: Copy + Default>(
+    matrix: &[Vec<V>],
+    depth: usize,
+    d: usize,
+    len: usize,
+) -> Vec<V> {
+    let cols = matrix.first().map_or(0, Vec::len);
+    let mut diag = vec![V::default(); len];
+    for (i, s) in diag.iter_mut().enumerate().take(cols) {
+        let entry = matrix.get(i % depth).and_then(|r| r.get((i + d) % cols));
+        *s = entry.copied().unwrap_or_default();
+    }
+    diag
 }
 
 /// Diagonal matrix-vector product `y = M·x`, generic over the scheme (`u64`
@@ -212,14 +132,7 @@ pub fn matvec_diagonals<S: HeScheme>(
     }
     let (depth, folds) = matvec_hybrid_shape(rows, cols);
     let diagonals: Vec<(i64, Vec<S::Value>)> = (0..depth)
-        .map(|d| {
-            let mut diag = vec![S::Value::default(); width];
-            for (i, s) in diag.iter_mut().enumerate().take(cols) {
-                let entry = matrix.get(i % depth).and_then(|r| r.get((i + d) % cols));
-                *s = entry.copied().unwrap_or_default();
-            }
-            (d as i64, diag)
-        })
+        .map(|d| (d as i64, extended_diagonal(matrix, depth, d, width)))
         .collect();
     let mut acc = server.dot_diagonals(ct_x, &diagonals)?;
     for step in folds {
@@ -228,55 +141,54 @@ pub fn matvec_diagonals<S: HeScheme>(
     Ok(acc)
 }
 
+/// [`matvec_diagonals`] as a compiler-IR program over the input `x` (the
+/// vector packed by [`replicate_for_matvec`]), node for node: term `d <
+/// depth` multiplies `x` — rotated by `d` when `d > 0` — by extended
+/// diagonal `d` as a `cols`-slot constant, the terms are summed in order,
+/// and each fold of [`matvec_hybrid_shape`] is one rotate-add; one output.
+/// The executor runs the terms as one fused dot, so under BFV, compiled at
+/// scale `2^0` over a matrix of integers below `t`, the program returns the
+/// kernel's ciphertext byte for byte. Its rotations are
+/// [`matvec_rotation_steps`]; `rows ≤ cols` is the caller's to keep, as
+/// [`matvec_diagonals`] requires it. An empty matrix yields a program with
+/// no output, which [`compile`](crate::compiler::compile) refuses.
+pub fn matvec_program(matrix: &[Vec<f64>]) -> Program {
+    let cols = matrix.first().map_or(0, Vec::len);
+    let (depth, folds) = matvec_hybrid_shape(matrix.len(), cols);
+    let mut p = Program::new();
+    let x = p.input("x");
+    let mut acc = None;
+    for d in 0..depth {
+        let diagonal = p.constant(&extended_diagonal(matrix, depth, d, cols));
+        let rotated = if d == 0 { x } else { p.rotate(x, d as i64) };
+        let term = p.mul_plain(rotated, diagonal);
+        acc = Some(acc.map_or(term, |a| p.add(a, term)));
+    }
+    if let Some(mut acc) = acc {
+        for fold in folds {
+            let rotated = p.rotate(acc, fold as i64);
+            acc = p.add(acc, rotated);
+        }
+        p.output(acc);
+    }
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::{compile, CompilerOptions};
     use crate::protocol::Client;
-    use crate::rotation::RedundantLayout;
+    use choco_he::bfv::Ciphertext;
     use choco_he::params::HeParams;
-    use choco_he::Ckks;
+    use choco_he::{Bfv, Ckks};
+    use std::collections::HashMap;
 
     fn setup(steps: &[i64]) -> (Client<Bfv>, Server<Bfv>) {
         let params = HeParams::bfv_insecure(1024, &[40, 40, 41], 17).unwrap();
         let mut client = Client::<Bfv>::new(&params, b"linalg").unwrap();
         let server = client.provision_server(steps).unwrap();
         (client, server)
-    }
-
-    #[test]
-    fn stacked_conv_matches_plain_reference() {
-        // 1D conv, 2 channels of 8 samples, 3-tap filter [1, 2, 3] per
-        // channel with channel weights (ch0: w, ch1: 2w).
-        let layout = StackedLayout::new(2, RedundantLayout::new(8, 2));
-        let (mut client, server) = setup(&[1, -1, (layout.stride()) as i64]);
-        let ch0: Vec<u64> = (1..=8).collect();
-        let ch1: Vec<u64> = (11..=18).collect();
-        let slots = layout.pack(&[ch0.clone(), ch1.clone()]);
-        let ct = client.encrypt_slots(&slots).unwrap();
-        let taps = vec![
-            ConvTap {
-                shift: -1,
-                channel_weights: vec![1, 2],
-            },
-            ConvTap {
-                shift: 0,
-                channel_weights: vec![2, 4],
-            },
-            ConvTap {
-                shift: 1,
-                channel_weights: vec![3, 6],
-            },
-        ];
-        let out = stacked_conv(&server, &ct, &layout, &[taps]).unwrap();
-        let got = layout.extract(&client.decrypt_slots(&out[0]).unwrap());
-        // Reference: per-channel circular conv with taps at -1/0/+1.
-        let reference = |v: &[u64], w: &[u64; 3]| -> Vec<u64> {
-            (0..8)
-                .map(|j| w[0] * v[(j + 7) % 8] + w[1] * v[j] + w[2] * v[(j + 1) % 8])
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(got[0], reference(&ch0, &[1, 2, 3]));
-        assert_eq!(got[1], reference(&ch1, &[2, 4, 6]));
     }
 
     #[test]
@@ -297,37 +209,6 @@ mod tests {
             let want: u64 = row.iter().zip(&x).map(|(m, v)| m * v).sum();
             assert_eq!(got[i], want, "row {i}");
         }
-    }
-
-    #[test]
-    fn conv_consumes_single_multiply_of_noise() {
-        // The whole conv (3 taps) should cost roughly ONE plaintext multiply
-        // of budget, not three — terms are multiplied independently then
-        // added.
-        let layout = StackedLayout::new(2, RedundantLayout::new(8, 2));
-        let (mut client, server) = setup(&[1, -1]);
-        let slots = layout.pack(&[vec![1; 8], vec![2; 8]]);
-        let ct = client.encrypt_slots(&slots).unwrap();
-        let fresh = client.noise_budget(&ct);
-        let taps = vec![
-            ConvTap {
-                shift: -1,
-                channel_weights: vec![3, 1],
-            },
-            ConvTap {
-                shift: 0,
-                channel_weights: vec![2, 2],
-            },
-            ConvTap {
-                shift: 1,
-                channel_weights: vec![1, 3],
-            },
-        ];
-        let out = stacked_conv(&server, &ct, &layout, &[taps]).unwrap();
-        let after = client.noise_budget(&out[0]);
-        let cost = fresh - after;
-        // One multiply at t≈17 bits costs ≲ t_bits + 7 + slack.
-        assert!(cost < 40.0, "conv cost {cost} bits");
     }
 
     #[test]
@@ -383,42 +264,6 @@ mod tests {
         // short of its folds.
         let fits = matvec_diagonals(&server, &ct, &[vec![1; 256]]);
         assert!(matches!(fits, Err(HeError::MissingGaloisKey(_))));
-    }
-
-    #[test]
-    fn stacked_conv_rejects_malformed_outputs() {
-        let layout = StackedLayout::new(2, RedundantLayout::new(8, 2));
-        let (mut client, server) = setup(&[1, -1]);
-        let ct = client
-            .encrypt_slots(&layout.pack(&[vec![1; 8], vec![2; 8]]))
-            .unwrap();
-        let tap = |shift: i64, weights: &[u64]| ConvTap {
-            shift,
-            channel_weights: weights.to_vec(),
-        };
-        let good = vec![tap(-1, &[1, 2]), tap(1, &[3, 4])];
-        let rejects = |outputs: &[Vec<ConvTap>], why: &str| {
-            assert_mismatch(stacked_conv(&server, &ct, &layout, outputs), why)
-        };
-        rejects(&[], "at least one output");
-        rejects(&[vec![]], "at least one tap");
-        rejects(&[vec![tap(3, &[1, 2])]], "exceeds redundancy");
-        // One weight, three weights: neither is the layout's two channels.
-        rejects(&[vec![tap(1, &[1])]], "channel weights");
-        rejects(&[good.clone(), vec![tap(-1, &[1, 2, 3])]], "share");
-        // Same taps in another order, and one tap short.
-        let swapped = vec![tap(1, &[3, 4]), tap(-1, &[1, 2])];
-        rejects(&[good.clone(), swapped], "share their tap shifts");
-        rejects(
-            &[good.clone(), good[..1].to_vec()],
-            "share their tap shifts",
-        );
-        assert_eq!(
-            stacked_conv(&server, &ct, &layout, &[good.clone(), good])
-                .unwrap()
-                .len(),
-            2
-        );
     }
 
     #[test]
@@ -511,6 +356,62 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// Provisions `client` for a `rows × cols` matvec, draws the matrix
+    /// (entries `below(t)`) and an input (`below(16)`), and asserts that
+    /// `matvec_program`, compiled at scale `2^0` and executed, returns
+    /// `matvec_diagonals`' ciphertext byte for byte.
+    fn assert_program_is_the_kernel(
+        client: &mut Client<Bfv>,
+        (rows, cols): (usize, usize),
+        below: &mut dyn FnMut(u64) -> u64,
+    ) {
+        let steps = matvec_rotation_steps(rows, cols);
+        let server = client.provision_server(&steps).unwrap();
+        let t = server.context().plain_modulus();
+        let matrix: Vec<Vec<u64>> = (0..rows)
+            .map(|_| (0..cols).map(|_| below(t)).collect())
+            .collect();
+        let x: Vec<u64> = (0..cols).map(|_| below(16)).collect();
+        let packed = replicate_for_matvec(&x, server.slot_width());
+        let ct = client.encrypt_slots(&packed).unwrap();
+        let reals: Vec<Vec<f64>> = matrix
+            .iter()
+            .map(|row| row.iter().map(|&w| w as f64).collect())
+            .collect();
+        let opts = CompilerOptions {
+            scale_bits: 0,
+            prime_bits: 0,
+            max_levels: 1,
+        };
+        let compiled = compile(&matvec_program(&reals), &opts).unwrap();
+        let mut sorted = steps.clone();
+        sorted.sort_unstable();
+        assert_eq!(compiled.rotation_steps(), sorted);
+        let inputs = HashMap::from([("x".to_string(), ct.clone())]);
+        let (ctx, relin, galois) = (server.context(), server.relin_key(), server.galois_keys());
+        let program = compiled
+            .execute_encrypted::<Bfv>(ctx, &inputs, relin, galois)
+            .unwrap();
+        let kernel = matvec_diagonals(&server, &ct, &matrix).unwrap();
+        let wire = |cts: &[Ciphertext]| cts.iter().map(Bfv::ct_to_wire).collect::<Vec<_>>();
+        assert!(wire(&program) == wire(&[kernel]), "{rows}x{cols}");
+    }
+
+    #[test]
+    fn matvec_program_is_the_kernel_byte_for_byte() {
+        // Every shape `random_shape` draws, folded or not, at a 512-slot row.
+        let params = HeParams::bfv_insecure(1024, &[40, 40, 41], 17).unwrap();
+        choco_quickprop::run_cases("matvec program vs kernel", 16, |g| {
+            let shape = random_shape(g);
+            let mut client = Client::<Bfv>::new(&params, &g.u64().to_le_bytes()).unwrap();
+            assert_program_is_the_kernel(&mut client, shape, &mut |n| g.u64_below(n));
+        });
+        // The benchmark's FC at paper set B: 16 diagonals, 3 folds.
+        let mut client = Client::<Bfv>::new(&HeParams::set_b(), b"fc program").unwrap();
+        let mut rng = choco_prng::Blake3Rng::from_seed(b"fc program inputs");
+        assert_program_is_the_kernel(&mut client, (10, 128), &mut |n| rng.next_below(n));
     }
 
     #[test]

@@ -31,6 +31,8 @@ use crate::compiler::{CompilerOptions, CompilerScheme, NodeId, Op, Program};
 use crate::protocol::CommLedger;
 use crate::transport::frame::{decode_frame, encode_frame, FrameKind};
 use crate::transport::tcp::{dial, BlobIo, Redialer, TcpOptions};
+pub use crate::transport::wire::params_to_wire;
+use crate::transport::wire::read_params;
 use crate::transport::{put_blob, RetryPolicy, TagKey, TransportError, WireCursor};
 use choco_he::params::{HeParams, SchemeType};
 use choco_prng::blake3;
@@ -66,26 +68,6 @@ fn bad(msg: impl Into<String>) -> TransportError {
 // Parameter recipe
 // ---------------------------------------------------------------------------
 
-/// Serializes a parameter set as a deterministic rebuild recipe (the same
-/// approach as the session checkpoint format): scheme, security mode,
-/// degree, plain modulus, scale bits, and the prime-bit list.
-pub fn params_to_wire(params: &HeParams) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + 4 * params.prime_bits().len());
-    out.push(match params.scheme() {
-        SchemeType::Bfv => 1u8,
-        SchemeType::Ckks => 2u8,
-    });
-    out.push(params.is_security_checked() as u8);
-    out.extend_from_slice(&(params.degree() as u32).to_le_bytes());
-    out.extend_from_slice(&params.plain_modulus().to_le_bytes());
-    out.extend_from_slice(&params.scale_bits().to_le_bytes());
-    out.extend_from_slice(&(params.prime_bits().len() as u16).to_le_bytes());
-    for bits in params.prime_bits() {
-        out.extend_from_slice(&bits.to_le_bytes());
-    }
-    out
-}
-
 /// Rebuilds a parameter set from its recipe and cross-checks the derived
 /// values against the recorded ones.
 ///
@@ -98,32 +80,6 @@ pub fn params_from_wire(rest: &mut &[u8]) -> Result<HeParams, TransportError> {
     let params = read_params(&mut cursor)?;
     *rest = cursor.rest();
     Ok(params)
-}
-
-fn read_params(rest: &mut WireCursor) -> Result<HeParams, TransportError> {
-    let scheme = match rest.take_u8()? {
-        1 => SchemeType::Bfv,
-        2 => SchemeType::Ckks,
-        other => return Err(bad(format!("unknown scheme byte {other}"))),
-    };
-    let checked = match rest.take_u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(bad(format!("bad security flag {other}"))),
-    };
-    let n = rest.take_u32()? as usize;
-    let plain_modulus = rest.take_u64()?;
-    let scale_bits = rest.take_u32()?;
-    let prime_count = rest.take_u16()? as usize;
-    if prime_count > 64 {
-        return Err(bad(format!("implausible prime count {prime_count}")));
-    }
-    let mut prime_bits = Vec::with_capacity(prime_count);
-    for _ in 0..prime_count {
-        prime_bits.push(rest.take_u32()?);
-    }
-    HeParams::from_recipe(scheme, checked, n, &prime_bits, plain_modulus, scale_bits)
-        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))
 }
 
 /// The cache key component identifying a parameter set: BLAKE3 over its

@@ -61,35 +61,6 @@ pub trait Channel {
     }
 }
 
-/// Boxed channels delegate, so heterogeneous links (`Box<dyn Channel>`) fit
-/// anywhere a concrete channel type does — the erased default of
-/// [`Session`](super::Session).
-impl Channel for Box<dyn Channel> {
-    fn send(&mut self, wire: Vec<u8>) {
-        (**self).send(wire);
-    }
-
-    fn recv(&mut self) -> Option<Delivery> {
-        (**self).recv()
-    }
-
-    fn pending(&self) -> usize {
-        (**self).pending()
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        (**self).fault_stats()
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        (**self).export_state()
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        (**self).import_state(bytes)
-    }
-}
-
 /// A perfect in-memory channel: every frame arrives intact, in order, with
 /// zero latency.
 #[derive(Debug, Default)]

@@ -5,8 +5,9 @@
 //! bit-identical results:
 //!
 //! * the parameter **recipe** (scheme, degree, prime bit-lengths, plain
-//!   modulus / scale bits, security flag) — parameters are rebuilt
-//!   deterministically on resume and cross-checked against the recorded
+//!   modulus / scale bits, security flag) in the one encoding every wire
+//!   format shares ([`params_to_wire`]) — parameters are rebuilt
+//!   deterministically on parse and cross-checked against the recorded
 //!   values;
 //! * the client's key bundle and the server's evaluation keys, via the
 //!   [`HeScheme`](choco_he::HeScheme) key wire hooks;
@@ -27,7 +28,7 @@
 //! server.
 
 use super::session::RetryPolicy;
-use super::wire::{put_blob, WireCursor};
+use super::wire::{params_to_wire, put_blob, read_params, WireCursor};
 use super::TransportError;
 use crate::protocol::CommLedger;
 use choco_he::params::{HeParams, SchemeType};
@@ -35,8 +36,9 @@ use choco_prng::blake3;
 
 /// Wire magic for checkpoint blobs.
 const MAGIC: [u8; 4] = *b"CKP1";
-/// Current checkpoint format version.
-const VERSION: u16 = 1;
+/// Current checkpoint format version (2: the parameter set is one
+/// [`params_to_wire`] recipe).
+const VERSION: u16 = 2;
 /// BLAKE3 seal length.
 const HASH_BYTES: usize = 32;
 
@@ -45,18 +47,9 @@ const HASH_BYTES: usize = 32;
 /// consumed by `Session::resume`; built by `Session::checkpoint`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionCheckpoint {
-    /// Scheme the session runs (must match the resuming `Session<S>`).
-    pub(crate) scheme: SchemeType,
-    /// Ring degree of the parameter set.
-    pub(crate) degree: u32,
-    /// Whether the parameter set passed the 128-bit security check.
-    pub(crate) security_checked: bool,
-    /// BFV plain modulus (0 under CKKS).
-    pub(crate) plain_modulus: u64,
-    /// CKKS scale exponent (0 under BFV).
-    pub(crate) scale_bits: u32,
-    /// Bit length of each RNS prime, in order.
-    pub(crate) prime_bits: Vec<u32>,
+    /// The session's parameter set; its scheme must match the resuming
+    /// `Session<S>`.
+    pub(crate) params: HeParams,
     /// The session seed (drives keygen, tags, jitter and fault schedules).
     pub(crate) seed: Vec<u8>,
     /// Client RNG position in bytes.
@@ -101,18 +94,7 @@ impl SessionCheckpoint {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(match self.scheme {
-            SchemeType::Bfv => 1,
-            SchemeType::Ckks => 2,
-        });
-        out.extend_from_slice(&self.degree.to_le_bytes());
-        out.push(u8::from(self.security_checked));
-        out.extend_from_slice(&self.plain_modulus.to_le_bytes());
-        out.extend_from_slice(&self.scale_bits.to_le_bytes());
-        out.extend_from_slice(&(self.prime_bits.len() as u32).to_le_bytes());
-        for &b in &self.prime_bits {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
+        out.extend_from_slice(&params_to_wire(&self.params));
         put_blob(&mut out, &self.seed);
         out.extend_from_slice(&self.client_rng_drawn.to_le_bytes());
         out.extend_from_slice(&self.enc_ops.to_le_bytes());
@@ -170,27 +152,12 @@ impl SessionCheckpoint {
         if version != VERSION {
             return Err(bad(format!("unsupported version {version}")));
         }
-        let scheme = match r.take_u8()? {
-            1 => SchemeType::Bfv,
-            2 => SchemeType::Ckks,
-            other => return Err(bad(format!("unknown scheme marker {other}"))),
-        };
-        let degree = r.take_u32()?;
-        let security_checked = match r.take_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(bad(format!("bad security flag {other}"))),
-        };
-        let plain_modulus = r.take_u64()?;
-        let scale_bits = r.take_u32()?;
-        let prime_count = r.take_u32()? as usize;
-        if prime_count == 0 || prime_count > 64 {
-            return Err(bad("implausible prime count"));
-        }
-        let mut prime_bits = Vec::with_capacity(prime_count);
-        for _ in 0..prime_count {
-            prime_bits.push(r.take_u32()?);
-        }
+        // Truncation is already `BadCheckpoint` on a sealed cursor; a recipe
+        // the rebuild refuses becomes one too.
+        let params = read_params(&mut r).map_err(|e| match e {
+            TransportError::BadCheckpoint(_) => e,
+            other => bad(format!("parameter recipe: {other}")),
+        })?;
         let seed = r.take_blob()?.to_vec();
         let client_rng_drawn = r.take_u64()?;
         let enc_ops = r.take_u64()?;
@@ -228,12 +195,7 @@ impl SessionCheckpoint {
             return Err(bad("trailing bytes in body"));
         }
         Ok(SessionCheckpoint {
-            scheme,
-            degree,
-            security_checked,
-            plain_modulus,
-            scale_bits,
-            prime_bits,
+            params,
             seed,
             client_rng_drawn,
             enc_ops,
@@ -255,7 +217,7 @@ impl SessionCheckpoint {
 
     /// The scheme this checkpoint was taken under.
     pub fn scheme(&self) -> SchemeType {
-        self.scheme
+        self.params.scheme()
     }
 
     /// The workload progress blob stored at checkpoint time.
@@ -267,25 +229,6 @@ impl SessionCheckpoint {
     pub fn ledger(&self) -> &CommLedger {
         &self.ledger
     }
-
-    /// Rebuilds the HE parameter set from the recorded recipe and verifies
-    /// it reproduces the recorded plain modulus / scale exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::BadCheckpoint`] if the recipe is invalid or
-    /// the deterministic rebuild disagrees with the recorded values.
-    pub(crate) fn rebuild_params(&self) -> Result<HeParams, TransportError> {
-        HeParams::from_recipe(
-            self.scheme,
-            self.security_checked,
-            self.degree as usize,
-            &self.prime_bits,
-            self.plain_modulus,
-            self.scale_bits,
-        )
-        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))
-    }
 }
 
 #[cfg(test)]
@@ -293,14 +236,8 @@ mod tests {
     use super::*;
 
     fn sample() -> SessionCheckpoint {
-        let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
         SessionCheckpoint {
-            scheme: SchemeType::Bfv,
-            degree: 256,
-            security_checked: false,
-            plain_modulus: params.plain_modulus(),
-            scale_bits: 0,
-            prime_bits: vec![40, 40, 41],
+            params: HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap(),
             seed: b"ckpt test seed".to_vec(),
             client_rng_drawn: 12345,
             enc_ops: 7,
@@ -365,18 +302,40 @@ mod tests {
         }
     }
 
+    /// `bytes` with its body edited by `edit` and sealed again, as a blob
+    /// `to_bytes` never wrote.
+    fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = bytes[..bytes.len() - HASH_BYTES].to_vec();
+        edit(&mut body);
+        let seal = blake3::hash(&body);
+        body.extend_from_slice(&seal);
+        body
+    }
+
     #[test]
     fn params_recipe_rebuilds_and_cross_checks() {
+        // The recipe follows magic and version: scheme, security flag,
+        // degree, then the plain modulus — set to one the recipe does not
+        // regenerate.
         let ck = sample();
-        let params = ck.rebuild_params().unwrap();
-        assert_eq!(params.degree(), 256);
-        assert_eq!(params.plain_modulus(), ck.plain_modulus);
-
-        let mut wrong = ck.clone();
-        wrong.plain_modulus = ck.plain_modulus + 2; // not what the recipe regenerates
+        let at = MAGIC.len() + 2 + 1 + 1 + 4;
+        let t = ck.params.plain_modulus();
+        let wrong = resealed(&ck.to_bytes(), |body| {
+            assert_eq!(body[at..at + 8], t.to_le_bytes());
+            body[at..at + 8].copy_from_slice(&(t + 2).to_le_bytes());
+        });
         assert!(matches!(
-            wrong.rebuild_params(),
+            SessionCheckpoint::from_bytes(&wrong),
             Err(TransportError::BadCheckpoint(_))
         ));
+    }
+
+    #[test]
+    fn a_version_1_blob_is_refused() {
+        let old = resealed(&sample().to_bytes(), |body| {
+            body[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&1u16.to_le_bytes());
+        });
+        let refused = TransportError::BadCheckpoint("unsupported version 1".into());
+        assert_eq!(SessionCheckpoint::from_bytes(&old), Err(refused));
     }
 }

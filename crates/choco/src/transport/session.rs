@@ -1,9 +1,9 @@
 //! Resilient protocol sessions: retries, backoff, and the health watchdog —
-//! one implementation, generic over scheme and channel.
+//! one implementation, generic over the scheme and run over any channel.
 //!
-//! A [`Session<S, C>`] owns both protocol roles plus the two directed
-//! channels between them, and replaces the bare `upload`/`download` helpers
-//! of [`crate::protocol`] with fault-tolerant exchanges. "Direct" and
+//! A [`Session<S>`] owns both protocol roles plus the two directed boxed
+//! [`Channel`]s between them, and replaces the bare `upload`/`download`
+//! helpers of [`crate::protocol`] with fault-tolerant exchanges. "Direct" and
 //! "resilient" are not separate code paths: a session over
 //! [`DirectChannel`](super::channel::DirectChannel) *is* the zero-fault
 //! instance, and bills identically to the fault-free protocol.
@@ -159,11 +159,10 @@ fn ciphertext_kind<S: HeScheme>() -> FrameKind {
 }
 
 /// The shared retry engine: everything except the scheme-specific
-/// serialization and refresh logic. Generic over the channel type so the
-/// common case — concrete channels known at compile time — monomorphizes.
-struct Link<C: Channel> {
-    uplink: C,
-    downlink: C,
+/// serialization and refresh logic.
+struct Link {
+    uplink: Box<dyn Channel>,
+    downlink: Box<dyn Channel>,
     tag_key: TagKey,
     policy: RetryPolicy,
     jitter: Blake3Rng,
@@ -171,8 +170,13 @@ struct Link<C: Channel> {
     next_seq: u64,
 }
 
-impl<C: Channel> Link<C> {
-    fn new(seed: &[u8], uplink: C, downlink: C, policy: RetryPolicy) -> Self {
+impl Link {
+    fn new(
+        seed: &[u8],
+        uplink: Box<dyn Channel>,
+        downlink: Box<dyn Channel>,
+        policy: RetryPolicy,
+    ) -> Self {
         Link {
             uplink,
             downlink,
@@ -271,14 +275,12 @@ impl<C: Channel> Link<C> {
     }
 }
 
-/// A fault-tolerant offload session, generic over scheme `S` and channel
-/// `C`. The channel defaults to `Box<dyn Channel>` for heterogeneous links
-/// built from a [`LinkConfig`]; hot paths that want full monomorphization
-/// name a concrete channel via [`Session::over`].
-pub struct Session<S: CompilerScheme, C: Channel = Box<dyn Channel>> {
+/// A fault-tolerant offload session, generic over scheme `S`, over the
+/// boxed channels of a [`LinkConfig`].
+pub struct Session<S: CompilerScheme> {
     client: Client<S>,
     server: Server<S>,
-    link: Link<C>,
+    link: Link,
     ledger: CommLedger,
     refresh_floor: f64,
     params: HeParams,
@@ -290,28 +292,26 @@ pub struct Session<S: CompilerScheme, C: Channel = Box<dyn Channel>> {
     programs: OperandCache<Vec<u64>, Arc<CachedProgram<S>>>,
 }
 
-impl<S: CompilerScheme, C: Channel> Session<S, C> {
-    /// Builds a session over concrete channels: keygen from `seed`, server
-    /// provisioned with `rotation_steps`, frames exchanged over the given
-    /// channels.
+impl<S: CompilerScheme> Session<S> {
+    /// Builds a session: keygen from `seed`, server provisioned with
+    /// `rotation_steps`, frames exchanged over `link`'s channels under its
+    /// retry policy.
     ///
     /// # Errors
     ///
     /// Propagates HE-layer setup failures.
-    pub fn over(
+    pub fn with_link(
         params: &HeParams,
         seed: &[u8],
         rotation_steps: &[i64],
-        uplink: C,
-        downlink: C,
-        policy: RetryPolicy,
+        link: LinkConfig,
     ) -> Result<Self, TransportError> {
         let mut client = Client::<S>::new(params, seed)?;
         let server = client.provision_server(rotation_steps)?;
         Ok(Session {
             client,
             server,
-            link: Link::new(seed, uplink, downlink, policy),
+            link: Link::new(seed, link.uplink, link.downlink, link.policy),
             ledger: CommLedger::new(),
             refresh_floor: S::HEALTH_FLOOR,
             params: params.clone(),
@@ -320,6 +320,20 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
             ops: [0; 4],
             programs: OperandCache::new(RESIDENT_PROGRAMS),
         })
+    }
+
+    /// Convenience constructor over perfect in-memory channels — the
+    /// zero-fault instance that replaces the old "direct" code path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates HE-layer setup failures.
+    pub fn direct(
+        params: &HeParams,
+        seed: &[u8],
+        rotation_steps: &[i64],
+    ) -> Result<Self, TransportError> {
+        Self::with_link(params, seed, rotation_steps, LinkConfig::direct())
     }
 
     /// Overrides the watchdog's refresh floor (noise-budget bits under
@@ -536,12 +550,7 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
     /// key and stays on the trusted client.
     pub fn checkpoint(&self, progress: &[u8]) -> Vec<u8> {
         SessionCheckpoint {
-            scheme: S::SCHEME,
-            degree: self.params.degree() as u32,
-            security_checked: self.params.is_security_checked(),
-            plain_modulus: self.params.plain_modulus(),
-            scale_bits: self.params.scale_bits(),
-            prime_bits: self.params.prime_bits().to_vec(),
+            params: self.params.clone(),
             seed: self.seed.clone(),
             client_rng_drawn: self.client.rng_bytes_drawn(),
             enc_ops: self.client.encryption_count(),
@@ -577,17 +586,20 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
     ///
     /// [`TransportError::BadCheckpoint`] on a malformed/tampered blob or a
     /// scheme/parameter mismatch; transport errors from the handshake.
-    pub fn resume(blob: &[u8], uplink: C, downlink: C) -> Result<(Self, Vec<u8>), TransportError> {
+    pub fn resume(
+        blob: &[u8],
+        mut uplink: Box<dyn Channel>,
+        mut downlink: Box<dyn Channel>,
+    ) -> Result<(Self, Vec<u8>), TransportError> {
         let ck = SessionCheckpoint::from_bytes(blob)?;
-        if ck.scheme != S::SCHEME {
+        if ck.scheme() != S::SCHEME {
             return Err(TransportError::BadCheckpoint(format!(
                 "checkpoint is for {:?}, session is {:?}",
-                ck.scheme,
+                ck.scheme(),
                 S::SCHEME
             )));
         }
-        let params = ck.rebuild_params()?;
-        let ctx = S::context(&params)?;
+        let ctx = S::context(&ck.params)?;
         let keys = S::keys_from_wire(&ctx, &ck.keys_wire)?;
         let relin = S::relin_from_wire(&ck.relin_wire)?;
         let galois = S::galois_from_wire(&ck.galois_wire)?;
@@ -599,8 +611,6 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
         rng.skip(ck.client_rng_drawn);
         let client = Client::<S>::from_parts(ctx.clone(), keys, rng, ck.enc_ops, ck.dec_ops);
         let server = Server::<S>::from_parts(ctx, public, relin, galois);
-        let mut uplink = uplink;
-        let mut downlink = downlink;
         uplink.import_state(&ck.uplink_state)?;
         downlink.import_state(&ck.downlink_state)?;
         let mut link = Link::new(&ck.seed, uplink, downlink, ck.policy);
@@ -613,7 +623,7 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
             link,
             ledger: ck.ledger,
             refresh_floor: ck.refresh_floor,
-            params,
+            params: ck.params,
             seed: ck.seed.clone(),
             crash: None,
             ops: [0; 4],
@@ -706,57 +716,7 @@ impl<S: CompilerScheme, C: Channel> Session<S, C> {
     }
 }
 
-impl<S: CompilerScheme> Session<S, Box<dyn Channel>> {
-    /// Builds a session over boxed channels (the pre-generic constructor
-    /// signature).
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE-layer setup failures.
-    pub fn new(
-        params: &HeParams,
-        seed: &[u8],
-        rotation_steps: &[i64],
-        uplink: Box<dyn Channel>,
-        downlink: Box<dyn Channel>,
-        policy: RetryPolicy,
-    ) -> Result<Self, TransportError> {
-        Self::over(params, seed, rotation_steps, uplink, downlink, policy)
-    }
-
-    /// Convenience constructor over perfect in-memory channels — the
-    /// zero-fault instance that replaces the old "direct" code path.
-    pub fn direct(
-        params: &HeParams,
-        seed: &[u8],
-        rotation_steps: &[i64],
-    ) -> Result<Self, TransportError> {
-        Self::with_link(params, seed, rotation_steps, LinkConfig::direct())
-    }
-
-    /// Builds a session from a bundled [`LinkConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates HE-layer setup failures.
-    pub fn with_link(
-        params: &HeParams,
-        seed: &[u8],
-        rotation_steps: &[i64],
-        link: LinkConfig,
-    ) -> Result<Self, TransportError> {
-        Self::over(
-            params,
-            seed,
-            rotation_steps,
-            link.uplink,
-            link.downlink,
-            link.policy,
-        )
-    }
-}
-
-impl<C: Channel> Session<Bfv, C> {
+impl Session<Bfv> {
     /// BFV-named convenience for [`Session::ensure_health`]: refresh when
     /// fewer than `min_bits` of invariant noise budget remain.
     ///
@@ -772,7 +732,7 @@ impl<C: Channel> Session<Bfv, C> {
     }
 }
 
-impl<C: Channel> Session<Ckks, C> {
+impl Session<Ckks> {
     /// CKKS-named convenience for [`Session::ensure_health`]: refresh when
     /// fewer than `min_levels` rescale levels remain.
     ///
@@ -791,15 +751,37 @@ impl<C: Channel> Session<Ckks, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::channel::DirectChannel;
     use crate::transport::fault::{FaultPlan, FaultyChannel};
 
     fn params() -> HeParams {
         HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap()
     }
 
-    fn faulty(seed: &[u8], plan: FaultPlan) -> Box<dyn Channel> {
-        Box::new(FaultyChannel::new(seed, plan))
+    /// A session seeded `seed` over faulty channels seeded `up` and `down`,
+    /// both under `plan`.
+    fn faulty<S: CompilerScheme>(
+        params: &HeParams,
+        seed: &[u8],
+        [up, down]: [&[u8]; 2],
+        plan: FaultPlan,
+        policy: RetryPolicy,
+    ) -> Session<S> {
+        let uplink = Box::new(FaultyChannel::new(up, plan));
+        let downlink = Box::new(FaultyChannel::new(down, plan));
+        let link = LinkConfig {
+            uplink,
+            downlink,
+            policy,
+        };
+        Session::with_link(params, seed, &[], link).unwrap()
+    }
+
+    /// The default policy with `max_attempts` attempts per exchange.
+    fn attempts(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::default()
+        }
     }
 
     #[test]
@@ -819,41 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn monomorphic_session_over_concrete_channels() {
-        // `Session::over` with a concrete channel type: no boxing, no dyn
-        // dispatch anywhere on the exchange path.
-        let mut s = Session::<Bfv, DirectChannel>::over(
-            &params(),
-            b"session mono",
-            &[],
-            DirectChannel::new(),
-            DirectChannel::new(),
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        let values: Vec<u64> = (0..256).map(|i| i * 3 % 97).collect();
-        let ct = s.client_mut().encrypt_slots(&values).unwrap();
-        let at_server = s.upload(&ct).unwrap();
-        let back = s.download(&at_server).unwrap();
-        assert_eq!(s.client_mut().decrypt_slots(&back).unwrap(), values);
-        assert_eq!(s.ledger().retransmit_bytes, 0);
-    }
-
-    #[test]
     fn flaky_link_recovers_and_bills_retransmits() {
         let plan = FaultPlan::flaky();
-        let mut s = Session::<Bfv>::new(
-            &params(),
-            b"session flaky",
-            &[],
-            faulty(b"up", plan),
-            faulty(b"down", plan),
-            RetryPolicy {
-                max_attempts: 16,
-                ..RetryPolicy::default()
-            },
-        )
-        .unwrap();
+        let up_down = [b"up".as_slice(), b"down"];
+        let mut s = faulty::<Bfv>(&params(), b"session flaky", up_down, plan, attempts(16));
         let values: Vec<u64> = (0..256).map(|i| i * 7 % 101).collect();
         for round in 0..10 {
             let ct = s.client_mut().encrypt_slots(&values).unwrap();
@@ -872,15 +823,10 @@ mod tests {
 
     #[test]
     fn blackhole_link_yields_typed_error() {
-        let mut s = Session::<Bfv>::new(
-            &params(),
-            b"session dead",
-            &[],
-            faulty(b"up", FaultPlan::blackhole()),
-            faulty(b"down", FaultPlan::blackhole()),
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let up_down = [b"up".as_slice(), b"down"];
+        let plan = FaultPlan::blackhole();
+        let policy = RetryPolicy::default();
+        let mut s = faulty::<Bfv>(&params(), b"session dead", up_down, plan, policy);
         let ct = s.client_mut().encrypt_slots(&[1; 256]).unwrap();
         match s.upload(&ct) {
             Err(TransportError::RetriesExhausted { attempts, .. }) => {
@@ -892,20 +838,15 @@ mod tests {
 
     #[test]
     fn timeout_budget_is_enforced() {
-        let mut s = Session::<Bfv>::new(
-            &params(),
-            b"session slow",
-            &[],
-            faulty(b"up", FaultPlan::blackhole()),
-            faulty(b"down", FaultPlan::blackhole()),
-            RetryPolicy {
-                max_attempts: 50,
-                base_backoff_ms: 100,
-                max_backoff_ms: 1000,
-                round_timeout_ms: 300,
-            },
-        )
-        .unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 50,
+            base_backoff_ms: 100,
+            max_backoff_ms: 1000,
+            round_timeout_ms: 300,
+        };
+        let up_down = [b"up".as_slice(), b"down"];
+        let plan = FaultPlan::blackhole();
+        let mut s = faulty::<Bfv>(&params(), b"session slow", up_down, plan, policy);
         let ct = s.client_mut().encrypt_slots(&[2; 256]).unwrap();
         match s.upload(&ct) {
             Err(TransportError::TimeoutExceeded {
@@ -969,18 +910,7 @@ mod tests {
         let plan = FaultPlan::lossless()
             .with_drop_rate(0.3)
             .with_corrupt_rate(0.2);
-        let mut s = Session::<Ckks>::new(
-            &params,
-            b"ckks session",
-            &[],
-            faulty(b"cu", plan),
-            faulty(b"cd", plan),
-            RetryPolicy {
-                max_attempts: 16,
-                ..RetryPolicy::default()
-            },
-        )
-        .unwrap();
+        let mut s = faulty::<Ckks>(&params, b"ckks session", [b"cu", b"cd"], plan, attempts(16));
         let values: Vec<f64> = (0..128).map(|i| i as f64 / 16.0).collect();
         let ct = s.client_mut().encrypt_values(&values).unwrap();
         let at_server = s.upload(&ct).unwrap();
@@ -1024,15 +954,9 @@ mod tests {
         let plan = FaultPlan::lossless()
             .with_duplicate_rate(1.0)
             .with_max_latency_ms(9);
-        let mut s = Session::<Bfv>::new(
-            &params(),
-            b"session dup",
-            &[],
-            faulty(b"dup-up", plan),
-            faulty(b"dup-down", plan),
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let up_down = [b"dup-up".as_slice(), b"dup-down"];
+        let policy = RetryPolicy::default();
+        let mut s = faulty::<Bfv>(&params(), b"session dup", up_down, plan, policy);
         let values: Vec<u64> = (0..256).map(|i| i * 11 % 103).collect();
         let mut ct_bytes = 0u64;
         for _ in 0..5 {
@@ -1111,16 +1035,9 @@ mod tests {
                 Box::new(FaultyChannel::new(b"ck-down", plan)) as Box<dyn Channel>,
             )
         };
-        let (up, down) = mk();
-        let mut s = Session::<Bfv>::new(
-            &params(),
-            b"session ckpt",
-            &[],
-            up,
-            down,
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let up_down = [b"ck-up".as_slice(), b"ck-down"];
+        let policy = RetryPolicy::default();
+        let mut s = faulty::<Bfv>(&params(), b"session ckpt", up_down, plan, policy);
         let values: Vec<u64> = (0..256).map(|i| i % 59).collect();
         let ct = s.client_mut().encrypt_slots(&values).unwrap();
         let at_server = s.upload(&ct).unwrap();

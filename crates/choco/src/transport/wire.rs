@@ -1,5 +1,6 @@
 //! The one bounds-checked cursor every [`TransportError`] wire format reads
-//! through, and the length-prefixed blob writer they share.
+//! through, the length-prefixed blob writer they share, and the one
+//! encoding of a parameter set ([`params_to_wire`]).
 //!
 //! The remote-evaluation messages and the TCP hello report a short input
 //! as [`TransportError::Truncated`]; the sealed formats (`CKP1` session
@@ -8,6 +9,7 @@
 //! read after that is the same code.
 
 use super::TransportError;
+use choco_he::params::{HeParams, SchemeType};
 
 /// Appends `bytes` behind a little-endian `u32` length prefix.
 pub fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -125,6 +127,62 @@ impl<'a> WireCursor<'a> {
         let len = self.take_u32()? as usize;
         self.take(len)
     }
+}
+
+/// Serializes a parameter set as a deterministic rebuild recipe: scheme,
+/// security mode, degree, plain modulus, scale bits, and the prime-bit list.
+/// The remote protocol's session setup and cache key and the session
+/// checkpoint all carry a parameter set this way.
+pub fn params_to_wire(params: &HeParams) -> Vec<u8> {
+    let mut out = Vec::with_capacity(32 + 4 * params.prime_bits().len());
+    out.push(match params.scheme() {
+        SchemeType::Bfv => 1u8,
+        SchemeType::Ckks => 2u8,
+    });
+    out.push(params.is_security_checked() as u8);
+    out.extend_from_slice(&(params.degree() as u32).to_le_bytes());
+    out.extend_from_slice(&params.plain_modulus().to_le_bytes());
+    out.extend_from_slice(&params.scale_bits().to_le_bytes());
+    out.extend_from_slice(&(params.prime_bits().len() as u16).to_le_bytes());
+    for bits in params.prime_bits() {
+        out.extend_from_slice(&bits.to_le_bytes());
+    }
+    out
+}
+
+/// Reads a [`params_to_wire`] recipe, rebuilds the parameter set and
+/// cross-checks the derived values against the recorded ones.
+///
+/// # Errors
+///
+/// The cursor's truncation error on short input;
+/// [`TransportError::Malformed`] on an unknown scheme or flag byte, an
+/// implausible prime count, or a recipe the rebuild rejects.
+pub(crate) fn read_params(rest: &mut WireCursor) -> Result<HeParams, TransportError> {
+    let bad = |msg: String| TransportError::Malformed(msg);
+    let scheme = match rest.take_u8()? {
+        1 => SchemeType::Bfv,
+        2 => SchemeType::Ckks,
+        other => return Err(bad(format!("unknown scheme byte {other}"))),
+    };
+    let checked = match rest.take_u8()? {
+        0 => false,
+        1 => true,
+        other => return Err(bad(format!("bad security flag {other}"))),
+    };
+    let n = rest.take_u32()? as usize;
+    let plain_modulus = rest.take_u64()?;
+    let scale_bits = rest.take_u32()?;
+    let prime_count = rest.take_u16()? as usize;
+    if prime_count > 64 {
+        return Err(bad(format!("implausible prime count {prime_count}")));
+    }
+    let mut prime_bits = Vec::with_capacity(prime_count);
+    for _ in 0..prime_count {
+        prime_bits.push(rest.take_u32()?);
+    }
+    HeParams::from_recipe(scheme, checked, n, &prime_bits, plain_modulus, scale_bits)
+        .map_err(|e| bad(format!("parameter recipe rejected: {e}")))
 }
 
 #[cfg(test)]
