@@ -62,7 +62,12 @@ done
 # layers' rotations inside their key set, the FC's program resident and
 # never aliased with a conv layer's (dnn and pipeline unit tests); the
 # download digests pinned across builds (layer_bytes); and the crash-point
-# sweep's conv cases.
+# sweep's conv cases. The compact upload, at every point of the matrix too:
+# a seeded encryption's wire round-trips byte for byte at its stated size
+# and decrypts, no evaluator output carries a seed, a seed is refused over
+# foreign moduli (scheme unit tests), and the compact decoder refuses
+# truncations, bad moduli and a huge-ring claim without allocating for it
+# (fuzz_serialize, remote_fuzz).
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -80,6 +85,9 @@ for simd in 0 1; do
         filtered "${matrix[@]}" -p choco-apps --lib -- packed_layer warm_session lenet_layer_programs fc_program
         "${matrix[@]}" -p choco-apps --test layer_bytes
         filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
+        filtered "${matrix[@]}" -p choco-he --lib -- generic_roundtrip carries_a_seed seed_expands
+        filtered "${matrix[@]}" -p choco-he --test fuzz_serialize -- compact huge_ring
+        filtered "${matrix[@]}" -p choco --test remote_fuzz -- compact_uploads huge_ring
     done
 done
 
@@ -171,7 +179,11 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # gates, and the BFV encrypt against the same encryption spelled with two
 # `mul_poly`s (>= 1.05x: `u` transformed once per prime into the key's
 # cached evaluation-domain rows, where the twin transforms `u` twice and
-# both key halves again). It asserts that BFV's
+# both key halves again), and in the same race the seeded upload form every
+# client encryption now takes against that cached Eq. 2 encryption (>= 1.0x,
+# sets A and B; CKKS at C): a compact upload must not cost the client more.
+# `seed_expand_a`, what the server pays to expand a set-A upload's `c1`, is
+# timed and not gated. It asserts that BFV's
 # scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
 # hand-inlined twin — the generic protocol core is monomorphized, so any
 # measurable gap is a regression (CKKS has no such twin any more: its

@@ -25,7 +25,10 @@
 //! decrypt and noise budget and the limb-composed CKKS decode are gated the
 //! same way against their big-integer references (at least 3.0x, 2.0x,
 //! 3.0x and 2.0x), the BFV encrypt against the same encryption spelled
-//! with two `mul_poly`s (at least 1.05x), the fused matvec, the fused
+//! with two `mul_poly`s (at least 1.05x) and, in the same race, the seeded
+//! upload `HeScheme::encrypt` makes against that Eq. 2 encrypt (at least
+//! 1.0x; CKKS too, at set C, with `seed_expand_a` timing the server's side
+//! of a compact upload), the fused matvec, the fused
 //! executor and the bundled one against their unfused twins (at least
 //! 1.5x), the hybrid matvec against its full diagonals (at least 2.0x). A
 //! `par` section times the worker pool's dispatch cost and every call site
@@ -54,7 +57,7 @@ use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::keyswitch::{generate_ksk, hoist_decompose, hoisted_accumulate};
 use choco_he::params::HeParams;
-use choco_he::rlwe::{GaloisKeys, PublicKey};
+use choco_he::rlwe::{expand_seed, GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::modops::{add_mod, sub_mod};
@@ -83,11 +86,11 @@ fn record(entries: &mut Vec<Entry>, window_ms: f64, name: &'static str, f: impl 
     });
 }
 
-/// Times the two twins of one kernel — `side(0)` the candidate, `side(1)`
-/// the simpler twin it has to beat — each the best of three interleaved
-/// windows.
-fn best_of_three(mut side: impl FnMut(usize) -> (f64, usize)) -> [(f64, usize); 2] {
-    let mut best = [(f64::INFINITY, 0usize); 2];
+/// Times the sides of one kernel race — `side(0)` the candidate, `side(1)`
+/// the simpler twin it has to beat (and, in a race of three, `side(2)` that
+/// twin's own twin) — each the best of three interleaved windows.
+fn best_of_three<const N: usize>(mut side: impl FnMut(usize) -> (f64, usize)) -> [(f64, usize); N] {
+    let mut best = [(f64::INFINITY, 0usize); N];
     for _ in 0..3 {
         for (i, slot) in best.iter_mut().enumerate() {
             let timing = side(i);
@@ -111,12 +114,13 @@ fn pooled_and_seq(window_ms: f64, mut f: impl FnMut()) -> [(f64, usize); 2] {
     best
 }
 
-/// Records `<kernel>_<label>` for both twins and returns `twin / candidate`.
-fn record_twins(
+/// Records `<kernel>_<label>` for every side and returns `side 1 / side 0`
+/// (twin / candidate).
+fn record_twins<const N: usize>(
     entries: &mut Vec<Entry>,
     kernel: &str,
-    labels: [&str; 2],
-    timings: [(f64, usize); 2],
+    labels: [&str; N],
+    timings: [(f64, usize); N],
 ) -> f64 {
     for (label, (seconds, iters)) in labels.into_iter().zip(timings) {
         let name = format!("{kernel}_{label}");
@@ -506,6 +510,8 @@ fn main() {
     // public key: its twin is the encryption spelled with two `mul_poly`s
     // (the key and `u` transformed again on every call).
     let mut rns_speedups: Vec<(String, f64)> = Vec::new();
+    // The encryptions' races: (speedup name, twin / candidate, gate).
+    let mut encrypt_gates: Vec<(String, f64, f64)> = Vec::new();
     let mut gated_twins = |entries: &mut Vec<Entry>,
                            name: String,
                            labels: [&str; 2],
@@ -582,25 +588,53 @@ fn main() {
             enc.encrypt(&pt, &mut cached_rng),
             encrypt_by_mul_poly(&ctx, keys.public_key(), &pt, &mut twin_rng)
         );
-        gated_twins(
+        // One race of three: the seeded upload `HeScheme::encrypt` makes,
+        // the Eq. 2 encryption against the key's cached evaluation-domain
+        // rows, and Eq. 2 spelled with two `mul_poly`s.
+        let mut seeded_rng = Blake3Rng::from_seed(seed);
+        let mut sides: [&mut dyn FnMut(); 3] = [
+            &mut || {
+                black_box(ctx.encrypt_symmetric(
+                    black_box(&pt),
+                    keys.secret_key(),
+                    &mut seeded_rng,
+                ));
+            },
+            &mut || {
+                black_box(enc.encrypt(black_box(&pt), &mut cached_rng));
+            },
+            &mut || {
+                black_box(encrypt_by_mul_poly(
+                    &ctx,
+                    keys.public_key(),
+                    black_box(&pt),
+                    &mut twin_rng,
+                ));
+            },
+        ];
+        let timings: [(f64, usize); 3] =
+            best_of_three(|side| measure(window_ms, &mut *sides[side]));
+        let name = format!("bfv_encrypt_{tag}");
+        record_twins(
             &mut entries,
-            format!("bfv_encrypt_{tag}"),
-            ["cached", "mul_poly"],
-            1.05,
-            [
-                &mut || {
-                    black_box(enc.encrypt(black_box(&pt), &mut cached_rng));
-                },
-                &mut || {
-                    black_box(encrypt_by_mul_poly(
-                        &ctx,
-                        keys.public_key(),
-                        black_box(&pt),
-                        &mut twin_rng,
-                    ));
-                },
-            ],
+            &name,
+            ["seeded", "cached", "mul_poly"],
+            timings,
         );
+        encrypt_gates.push((format!("{name}_speedup"), timings[2].0 / timings[1].0, 1.05));
+        encrypt_gates.push((
+            format!("{name}_seeded_speedup"),
+            timings[1].0 / timings[0].0,
+            1.0,
+        ));
+        if tag == "a" {
+            // What the server pays to expand a set-A upload's `c1`.
+            let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut seeded_rng);
+            let seed = ct.seed().expect("a symmetric encryption carries its seed");
+            record(&mut entries, window_ms, "seed_expand_a", || {
+                black_box(expand_seed(black_box(seed), set.degree()));
+            });
+        }
     }
     {
         let cparams = HeParams::set_c();
@@ -614,6 +648,33 @@ fn main() {
             .encrypt(&cctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
             .unwrap();
         let pt = cctx.decrypt(&ct, keys.secret_key());
+        // The seeded upload against the cached Eq. 2 encryption.
+        let fresh = cctx.encode(&values).unwrap();
+        let seed = b"bench kernels ckks encrypt";
+        let (mut seeded_rng, mut eq2_rng) =
+            (Blake3Rng::from_seed(seed), Blake3Rng::from_seed(seed));
+        let mut sides: [&mut dyn FnMut(); 2] = [
+            &mut || {
+                black_box(
+                    cctx.encrypt_symmetric(black_box(&fresh), keys.secret_key(), &mut seeded_rng)
+                        .unwrap(),
+                );
+            },
+            &mut || {
+                black_box(
+                    cctx.encrypt(black_box(&fresh), keys.public_key(), &mut eq2_rng)
+                        .unwrap(),
+                );
+            },
+        ];
+        let timings = best_of_three(|side| measure(window_ms, &mut *sides[side]));
+        let ratio = record_twins(
+            &mut entries,
+            "ckks_encrypt_c",
+            ["seeded", "cached"],
+            timings,
+        );
+        encrypt_gates.push(("ckks_encrypt_c_seeded_speedup".into(), ratio, 1.0));
         gated_twins(
             &mut entries,
             "ckks_decode_c".into(),
@@ -1018,11 +1079,26 @@ fn main() {
     }
     header(
         "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x, \
-         noise budget >= 3.0x, ckks decode >= 2.0x, encrypt >= 1.05x)",
+         noise budget >= 3.0x, ckks decode >= 2.0x)",
     );
     for (name, value) in rns_speedups.iter().chain(&rns_convert_ns) {
         println!("{name:<34} {value:.2}");
     }
+    header(
+        "encrypt speedups (twin / candidate; gate: cached Eq. 2 >= 1.05x its mul_poly spelling, \
+         seeded upload >= 1.0x the cached Eq. 2)",
+    );
+    for (name, ratio, gate) in &encrypt_gates {
+        println!("{name:<34} {ratio:.2}x");
+        assert!(
+            *ratio >= *gate,
+            "{name} is {ratio:.2}x (gate: >= {gate:.2}x)"
+        );
+    }
+    let encrypt_speedups: Vec<(String, f64)> = encrypt_gates
+        .into_iter()
+        .map(|(name, ratio, _)| (name, ratio))
+        .collect();
     header("par pool (one thread / pooled; gate: every kept site >= 1.0x)");
     println!("par_dispatch  {par_dispatch_us:.1} us");
     println!("par_capacity  {capacity:.2}x  (one spin task per thread, {threads} threads)");
@@ -1070,6 +1146,7 @@ fn main() {
             simd_speedups
                 .iter()
                 .chain(&rns_speedups)
+                .chain(&encrypt_speedups)
                 .chain(&rns_convert_ns)
                 .chain(&par_speedups)
                 .map(|(name, ratio)| (name.as_str(), *ratio)),

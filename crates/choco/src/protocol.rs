@@ -325,25 +325,6 @@ impl Client<Bfv> {
         self.decrypt(ct)
     }
 
-    /// Encrypts a slot vector with seed-compressed symmetric encryption:
-    /// the upload carries one polynomial plus a 32-byte seed — half the
-    /// bytes of [`Client::encrypt_slots`] (counted as one encryption op).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    // choco-lint: secret (public: values)
-    pub fn encrypt_slots_seeded(
-        &mut self,
-        values: &[u64],
-    ) -> Result<choco_he::bfv::SeededCiphertext, HeError> {
-        let pt = self.ctx.batch_encoder()?.encode(values)?;
-        self.enc_ops += 1;
-        Ok(self
-            .ctx
-            .encrypt_symmetric_seeded(&pt, self.keys.secret_key(), &mut self.rng))
-    }
-
     /// Remaining invariant noise budget of a ciphertext (diagnostics;
     /// BFV-named convenience for [`Client::health`]).
     pub fn noise_budget(&self, ct: &Ciphertext) -> f64 {
@@ -555,17 +536,6 @@ pub fn download<S: HeScheme>(ledger: &mut CommLedger, ct: &S::Ciphertext) -> S::
     ct.clone()
 }
 
-/// Transfers a seed-compressed BFV ciphertext client → server, recording
-/// its (halved) wire bytes, and expands it server-side.
-pub fn upload_seeded(
-    ledger: &mut CommLedger,
-    ct: &choco_he::bfv::SeededCiphertext,
-    server: &Server<Bfv>,
-) -> Ciphertext {
-    ledger.record_upload(ct.byte_size());
-    server.ctx.expand_seeded(ct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,31 +613,10 @@ mod tests {
         assert_eq!(client.encryption_count(), 1);
         assert_eq!(client.decryption_count(), 1);
         assert_eq!(ledger.rounds, 1);
-        // 2 polys × 1024 coeffs × 2 data residues × 8 bytes each way.
-        assert_eq!(ledger.upload_bytes, 32768);
+        // Up: the compact upload, c0 (1024 coeffs × 2 data residues × 8
+        // bytes), the 32-byte seed and its 2 moduli. Down: 2 polys.
+        assert_eq!(ledger.upload_bytes, 16384 + 32 + 16);
         assert_eq!(ledger.download_bytes, 32768);
-    }
-
-    #[test]
-    fn seeded_uploads_halve_client_traffic() {
-        let params = bfv_params();
-        let mut client = Client::<Bfv>::new(&params, b"seeded proto").unwrap();
-        let server = client.provision_server(&[1]).unwrap();
-        let mut ledger = CommLedger::new();
-        let values: Vec<u64> = (0..32).collect();
-
-        let plain_ct = client.encrypt_slots(&values).unwrap();
-        let full_bytes = plain_ct.byte_size();
-
-        let seeded = client.encrypt_slots_seeded(&values).unwrap();
-        let at_server = upload_seeded(&mut ledger, &seeded, &server);
-        assert_eq!(ledger.upload_bytes, (full_bytes / 2 + 32) as u64);
-
-        // Expanded ciphertext is fully functional server-side.
-        let rotated = server.rotate(&at_server, 1).unwrap();
-        let out = client.decrypt_slots(&rotated).unwrap();
-        assert_eq!(out[0], 1);
-        assert_eq!(client.encryption_count(), 2);
     }
 
     #[test]

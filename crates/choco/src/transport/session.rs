@@ -793,9 +793,14 @@ mod tests {
         let back = s.download(&at_server).unwrap();
         let out = s.client_mut().decrypt_slots(&back).unwrap();
         assert_eq!(out, values);
-        // Billing matches the fault-free protocol: payload bytes only.
-        assert_eq!(s.ledger().upload_bytes, ct.byte_size() as u64);
-        assert_eq!(s.ledger().download_bytes, ct.byte_size() as u64);
+        // Billing matches the fault-free protocol: payload bytes only. A
+        // fresh encryption is its compact frame — `c0`, the 32-byte seed of
+        // `c1` and a word per data prime — and the echo is that frame too.
+        let p = params();
+        let compact = p.ciphertext_bytes() / 2 + 32 + 8 * p.data_prime_count();
+        assert_eq!(ct.byte_size(), compact);
+        assert_eq!(s.ledger().upload_bytes, compact as u64);
+        assert_eq!(s.ledger().download_bytes, compact as u64);
         assert_eq!(s.ledger().retransmit_bytes, 0);
         assert_eq!(s.ledger().refresh_rounds, 0);
     }

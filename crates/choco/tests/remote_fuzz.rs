@@ -481,3 +481,103 @@ fn params_recipe_rejects_mutations_that_change_the_recipe() {
     let mut rest = mangled.as_slice();
     assert!(params_from_wire(&mut rest).is_err());
 }
+
+/// A request carrying real compact uploads (both schemes), as a client
+/// sends it: each input blob is `c0`, its moduli and the 32-byte seed of
+/// `c1`, which the server expands on decode.
+fn compact_upload_request() -> EvalRequest {
+    let mut identity = Program::new();
+    let x = identity.input("x");
+    identity.output(x);
+    let prep = PreparedProgram::new(&identity, &options()).unwrap();
+    let bfv = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
+    let ckks = HeParams::ckks_insecure(256, &[40, 40, 41], 30).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"remote fuzz compact");
+    let ctx = Bfv::context(&bfv).unwrap();
+    let keys = Bfv::keygen(&ctx, &mut rng);
+    let x = Bfv::encrypt(&ctx, &keys, &[1, 2, 3], &mut rng).unwrap();
+    let cctx = Ckks::context(&ckks).unwrap();
+    let ckeys = Ckks::keygen(&cctx, &mut rng);
+    let y = Ckks::encrypt(&cctx, &ckeys, &[0.5, -0.25], &mut rng).unwrap();
+    EvalRequest {
+        request_id: 9,
+        program_ref: prep.program_ref,
+        program: None,
+        deadline_ms: None,
+        inputs: vec![
+            ("x".into(), Bfv::ct_to_wire(&x)),
+            ("y".into(), Ckks::ct_to_wire(&y)),
+        ],
+    }
+}
+
+/// What the server does with a request's inputs: decode each under both
+/// schemes. An input either fails typed or re-encodes to its own bytes.
+fn decode_inputs(req: &EvalRequest) {
+    for (_, blob) in &req.inputs {
+        if let Ok(ct) = Bfv::ct_from_wire(blob) {
+            assert_eq!(&Bfv::ct_to_wire(&ct), blob);
+        }
+        if let Ok(ct) = Ckks::ct_from_wire(blob) {
+            assert_eq!(&Ckks::ct_to_wire(&ct), blob);
+        }
+    }
+}
+
+#[test]
+fn compact_uploads_survive_truncations_and_bit_flips_typed() {
+    let req = compact_upload_request();
+    let wire = req.to_wire();
+    let back = EvalRequest::from_wire(&wire).unwrap();
+    assert!(Bfv::ct_from_wire(&back.inputs[0].1).is_ok());
+    assert!(Ckks::ct_from_wire(&back.inputs[1].1).is_ok());
+    // Every truncation of the request is typed; every truncation of an
+    // input blob, carried whole by a well-formed request, is refused.
+    for cut in (0..wire.len()).step_by(61) {
+        assert!(EvalRequest::from_wire(&wire[..cut]).is_err(), "cut {cut}");
+    }
+    for (_, blob) in &req.inputs {
+        for cut in (0..blob.len()).step_by(37) {
+            let cut_blob = &blob[..cut];
+            assert!(Bfv::ct_from_wire(cut_blob).is_err() && Ckks::ct_from_wire(cut_blob).is_err());
+        }
+    }
+    run_cases("compact upload bit flips", 128, |g| {
+        let mut mangled = wire.clone();
+        for _ in 0..g.usize_in(1, 4) {
+            let i = g.usize_in(0, mangled.len());
+            mangled[i] ^= 1u8 << g.u64_below(8);
+        }
+        if let Ok(req) = EvalRequest::from_wire(&mangled) {
+            decode_inputs(&req);
+        }
+    });
+}
+
+#[test]
+fn a_64_byte_input_claiming_a_huge_ring_is_refused() {
+    // A compact header claiming one residue at N = 2^30, over a real NTT
+    // prime for that degree: expanding it would take 8 GiB. The request
+    // layer carries it as opaque bytes; the ciphertext decoder refuses it
+    // on its shape and length.
+    for (magic, tail) in [(*b"CHS1", 0usize), (*b"CHS2", 8)] {
+        let mut blob = magic.to_vec();
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        blob.extend_from_slice(&[0x40; 8][..tail]);
+        blob.extend_from_slice(&0x0004_000e_0000_0001u64.to_le_bytes());
+        blob.resize(64, 0xa5);
+        let mut req = compact_upload_request();
+        req.inputs[0].1 = blob;
+        let back = EvalRequest::from_wire(&req.to_wire()).unwrap();
+        for decoded in [
+            Bfv::ct_from_wire(&back.inputs[0].1).map(drop),
+            Ckks::ct_from_wire(&back.inputs[0].1).map(drop),
+        ] {
+            assert!(matches!(
+                decoded,
+                Err(choco_he::HeError::InvalidCiphertext(_))
+            ));
+        }
+    }
+}

@@ -20,7 +20,9 @@ use crate::batch::BatchEncoder;
 use crate::error::HeError;
 use crate::keyswitch::{galois_element_columns, galois_element_rows};
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{
+    self, DotOperand, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey,
+};
 use crate::rnspoly::RnsPoly;
 use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::par;
@@ -60,6 +62,9 @@ impl Plaintext {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     parts: Vec<RnsPoly>,
+    /// Set only by [`BfvContext::encrypt_symmetric`]: the seed `parts[1]`
+    /// expands from, which the wire sends in its place.
+    seed: Option<MaskSeed>,
 }
 
 impl Ciphertext {
@@ -70,7 +75,23 @@ impl Ciphertext {
     /// Panics on an empty component list.
     pub fn from_parts(parts: Vec<RnsPoly>) -> Self {
         assert!(!parts.is_empty(), "ciphertext needs at least one component");
-        Ciphertext { parts }
+        Ciphertext { parts, seed: None }
+    }
+
+    /// A fresh symmetric encryption `(c0, a)` whose mask `a` expands from
+    /// `seed` (compact-frame deserialization).
+    // choco-lint: ct-safe
+    pub(crate) fn seeded(parts: Vec<RnsPoly>, seed: MaskSeed) -> Self {
+        Ciphertext {
+            parts,
+            seed: Some(seed),
+        }
+    }
+
+    /// The seed standing for `c1` on the wire: set on a fresh symmetric
+    /// encryption, never on an evaluator output.
+    pub fn seed(&self) -> Option<&MaskSeed> {
+        self.seed.as_ref()
     }
 
     /// Number of polynomial components (2 or 3).
@@ -83,9 +104,15 @@ impl Ciphertext {
         &self.parts[i]
     }
 
-    /// Serialized size in bytes: `size · N · k_data · 8`.
+    /// Serialized payload size in bytes: `size · N · k_data · 8`, or for a
+    /// seeded ciphertext `N · k_data · 8` for `c0` plus the seed and its
+    /// moduli ([`MaskSeed::wire_bytes`]).
     pub fn byte_size(&self) -> usize {
-        self.parts.len() * self.parts[0].row_count() * self.parts[0].degree() * 8
+        let poly = self.parts[0].row_count() * self.parts[0].degree() * 8;
+        match &self.seed {
+            Some(seed) => poly + seed.wire_bytes(),
+            None => self.parts.len() * poly,
+        }
     }
 }
 
@@ -319,31 +346,20 @@ impl BfvContext {
         Encryptor { ctx: self, pk }
     }
 
-    /// Symmetric, seed-compressed encryption: `c1 = a` is derived from a
-    /// fresh 32-byte seed, `c0 = −(a·s + e) + Δ·m`, and only `(c0, seed)`
-    /// travels — halving the client's upload bytes.
+    /// Symmetric encryption with a seeded mask — the client's upload form:
+    /// `c0 = −(a·s + e) + Δ·m`, `c1 = a` expanded from a fresh 32-byte seed
+    /// ([`rlwe::encrypt_symmetric`]). The wire carries `c0` and the seed,
+    /// half the bytes of an [`Encryptor::encrypt`] ciphertext.
     // choco-lint: secret
-    pub fn encrypt_symmetric_seeded(
+    pub fn encrypt_symmetric(
         &self,
         pt: &Plaintext,
         sk: &SecretKey,
         rng: &mut Blake3Rng,
-    ) -> SeededCiphertext {
-        let (c0, seed) = rlwe::encrypt_symmetric_seeded(
-            sk,
-            &self.scaled_message(pt, &self.data),
-            &self.data,
-            rng,
-        );
-        SeededCiphertext { c0, seed }
-    }
-
-    /// Expands a seed-compressed ciphertext back to a standard two-component
-    /// ciphertext (the server does this on receipt).
-    pub fn expand_seeded(&self, ct: &SeededCiphertext) -> Ciphertext {
-        Ciphertext {
-            parts: vec![ct.c0.clone(), rlwe::expand_seed(&ct.seed, &self.data)],
-        }
+    ) -> Ciphertext {
+        let msg = self.scaled_message(pt, &self.data);
+        let (parts, seed) = rlwe::encrypt_symmetric(sk, &msg, &self.data, rng);
+        Ciphertext::seeded(parts, seed)
     }
 
     /// A decryptor bound to `sk`.
@@ -354,25 +370,6 @@ impl BfvContext {
     /// The homomorphic evaluator.
     pub fn evaluator(&self) -> Evaluator<'_> {
         Evaluator { ctx: self }
-    }
-}
-
-/// A symmetric-key ciphertext in seed-compressed form: the uniform `c1`
-/// component is represented by the 32-byte PRNG seed that regenerates it,
-/// so the client uploads `N·(k−1)·8 + 32` bytes instead of twice that.
-///
-/// Only the key holder can produce these (symmetric encryption), which is
-/// exactly the client-aided upload direction.
-#[derive(Debug, Clone)]
-pub struct SeededCiphertext {
-    c0: RnsPoly,
-    seed: [u8; 32],
-}
-
-impl SeededCiphertext {
-    /// Wire size in bytes: one polynomial plus the seed.
-    pub fn byte_size(&self) -> usize {
-        self.c0.row_count() * self.c0.degree() * 8 + 32
     }
 }
 
@@ -391,6 +388,7 @@ impl Encryptor<'_> {
         let ctx = self.ctx;
         Ciphertext {
             parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt, &ctx.data), &ctx.data, rng),
+            seed: None,
         }
     }
 
@@ -544,7 +542,7 @@ impl Evaluator<'_> {
     /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
         let parts = rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Homomorphic subtraction (operands at the same modulus level).
@@ -554,7 +552,7 @@ impl Evaluator<'_> {
     /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
         let parts = rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Negation.
@@ -569,15 +567,15 @@ impl Evaluator<'_> {
                 p
             })
             .collect();
-        Ciphertext { parts }
+        Ciphertext { parts, seed: None }
     }
 
     /// Adds a plaintext: `c0 += Δ·m`.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let ctx = self.ctx;
-        let mut out = a.clone();
-        out.parts[0].add_assign_poly(&ctx.scaled_message(pt, &ctx.data), &ctx.data);
-        out
+        let mut parts = a.parts.clone();
+        parts[0].add_assign_poly(&ctx.scaled_message(pt, &ctx.data), &ctx.data);
+        Ciphertext { parts, seed: None }
     }
 
     /// Multiplies by a plaintext polynomial (the workhorse of encrypted
@@ -589,7 +587,7 @@ impl Evaluator<'_> {
             .iter()
             .map(|p| p.mul_small_poly(pt.coeffs(), data))
             .collect();
-        Ciphertext { parts }
+        Ciphertext { parts, seed: None }
     }
 
     /// Ciphertext–ciphertext multiplication producing a 3-component result
@@ -681,7 +679,7 @@ impl Evaluator<'_> {
                 scale(d)
             })
             .collect();
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Relinearizes a 3-component ciphertext back to 2 components.
@@ -693,7 +691,7 @@ impl Evaluator<'_> {
     pub fn relinearize(&self, a: &Ciphertext, rk: &RelinKey) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
         let parts = rlwe::relinearize(&a.parts, rk, &ctx.full, &ctx.data)?;
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Convenience: multiply then relinearize.
@@ -730,7 +728,7 @@ impl Evaluator<'_> {
         let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, &ctx.full, &ctx.data)?;
         Ok(rotated
             .into_iter()
-            .map(|parts| Ciphertext { parts })
+            .map(|parts| Ciphertext { parts, seed: None })
             .collect())
     }
 
@@ -815,6 +813,7 @@ impl Evaluator<'_> {
         let (rows0, rows1): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
         Ok(Ciphertext {
             parts: vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)],
+            seed: None,
         })
     }
 
@@ -917,7 +916,10 @@ impl Evaluator<'_> {
         let ctx = self.ctx;
         let terms = rlwe::terms_of_steps(terms, ctx.degree(), galois_element_rows);
         let outs = rlwe::dot_galois(&a.parts, outputs, terms, gk, &ctx.full, &ctx.data)?;
-        Ok(outs.into_iter().map(|parts| Ciphertext { parts }).collect())
+        Ok(outs
+            .into_iter()
+            .map(|parts| Ciphertext { parts, seed: None })
+            .collect())
     }
 
     /// Switches a ciphertext down one modulus level (drops the last data
@@ -943,14 +945,14 @@ impl Evaluator<'_> {
             .iter()
             .map(|p| crate::keyswitch::mod_down(p, cur, next))
             .collect();
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Applies the Galois automorphism `x → x^element` with key switching.
     fn galois(&self, a: &Ciphertext, element: u64, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
         let parts = rlwe::apply_galois(&a.parts, element, gk, &ctx.full, &ctx.data)?;
-        Ok(Ciphertext { parts })
+        Ok(Ciphertext { parts, seed: None })
     }
 
     /// Rotates batched rows by `steps` (positive = left).
@@ -1262,42 +1264,6 @@ mod tests {
             ctx.evaluator().mod_switch_to_next(&switched).unwrap_err(),
             HeError::Mismatch(_)
         ));
-    }
-
-    #[test]
-    fn seeded_symmetric_encryption_roundtrips_at_half_the_bytes() {
-        let ctx = ctx_small();
-        let mut rng = rng();
-        let keys = ctx.keygen(&mut rng);
-        let t = ctx.plain_modulus();
-        let coeffs: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 11) % t).collect();
-        let pt = Plaintext::from_coeffs(coeffs.clone());
-        let seeded = ctx.encrypt_symmetric_seeded(&pt, keys.secret_key(), &mut rng);
-        let expanded = ctx.expand_seeded(&seeded);
-        // Half the wire bytes (plus the 32-byte seed).
-        assert_eq!(seeded.byte_size(), expanded.byte_size() / 2 + 32);
-        // Decrypts to the same plaintext.
-        let out = ctx.decryptor(keys.secret_key()).decrypt(&expanded);
-        assert_eq!(out.coeffs(), &coeffs[..]);
-        // Noise budget comparable to asymmetric encryption (in fact better:
-        // no pk re-randomization term).
-        let asym = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
-        let dec = ctx.decryptor(keys.secret_key());
-        assert!(dec.invariant_noise_budget(&expanded) >= dec.invariant_noise_budget(&asym) - 1.0);
-        // Expanded ciphertexts compose with normal homomorphic ops.
-        let sum = ctx.evaluator().add(&expanded, &asym).unwrap();
-        let out = dec.decrypt(&sum);
-        assert_eq!(out.coeffs()[1], (2 * coeffs[1]) % t);
-    }
-
-    #[test]
-    fn seeded_expansion_is_deterministic() {
-        let ctx = ctx_small();
-        let mut rng = rng();
-        let keys = ctx.keygen(&mut rng);
-        let pt = Plaintext::from_coeffs(vec![3; ctx.degree()]);
-        let seeded = ctx.encrypt_symmetric_seeded(&pt, keys.secret_key(), &mut rng);
-        assert_eq!(ctx.expand_seeded(&seeded), ctx.expand_seeded(&seeded));
     }
 
     #[test]

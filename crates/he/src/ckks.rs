@@ -14,7 +14,9 @@
 use crate::error::HeError;
 use crate::keyswitch::galois_element_ckks;
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{self, DotOperand, GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{
+    self, DotOperand, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey,
+};
 use crate::rnspoly::RnsPoly;
 use choco_math::bigint::limbs_to_f64;
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
@@ -50,6 +52,9 @@ pub struct CkksCiphertext {
     parts: Vec<RnsPoly>,
     level: usize,
     scale: f64,
+    /// Set only by [`CkksContext::encrypt_symmetric`]: the seed `parts[1]`
+    /// expands from, which the wire sends in its place.
+    seed: Option<MaskSeed>,
 }
 
 impl CkksCiphertext {
@@ -60,7 +65,26 @@ impl CkksCiphertext {
             parts,
             level,
             scale,
+            seed: None,
         }
+    }
+
+    /// A fresh symmetric encryption `(c0, a)` at `level` whose mask `a`
+    /// expands from `seed` (compact-frame deserialization).
+    // choco-lint: ct-safe
+    pub(crate) fn seeded(parts: Vec<RnsPoly>, level: usize, scale: f64, seed: MaskSeed) -> Self {
+        CkksCiphertext {
+            parts,
+            level,
+            scale,
+            seed: Some(seed),
+        }
+    }
+
+    /// The seed standing for `c1` on the wire: set on a fresh symmetric
+    /// encryption, never on an evaluator output.
+    pub fn seed(&self) -> Option<&MaskSeed> {
+        self.seed.as_ref()
     }
 
     /// Number of polynomial components.
@@ -83,9 +107,15 @@ impl CkksCiphertext {
         self.scale
     }
 
-    /// Serialized size in bytes at the current level.
+    /// Serialized payload size in bytes at the current level; a seeded
+    /// ciphertext counts `c0` plus the seed and its moduli
+    /// ([`MaskSeed::wire_bytes`]).
     pub fn byte_size(&self) -> usize {
-        self.parts.len() * self.level * self.parts[0].degree() * 8
+        let poly = self.level * self.parts[0].degree() * 8;
+        match &self.seed {
+            Some(seed) => poly + seed.wire_bytes(),
+            None => self.parts.len() * poly,
+        }
     }
 }
 
@@ -363,6 +393,17 @@ impl CkksContext {
         steps.iter().map(|&s| galois_element_ckks(s, n)).collect()
     }
 
+    /// Refuses a plaintext below the top level: encryption starts there.
+    fn require_top_level(&self, pt: &CkksPlaintext) -> Result<(), HeError> {
+        // choco-lint: allow(SEC001) level is public ciphertext metadata, not payload
+        if pt.level != self.top_level() {
+            return Err(HeError::Mismatch(
+                "encryption requires a top-level plaintext".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Encrypts a plaintext (must be at the top level).
     ///
     /// # Errors
@@ -375,17 +416,34 @@ impl CkksContext {
         pk: &PublicKey,
         rng: &mut Blake3Rng,
     ) -> Result<CkksCiphertext, HeError> {
-        // choco-lint: allow(SEC001) level is public ciphertext metadata, not payload
-        if pt.level != self.top_level() {
-            return Err(HeError::Mismatch(
-                "encryption requires a top-level plaintext".into(),
-            ));
-        }
+        self.require_top_level(pt)?;
         Ok(CkksCiphertext {
             parts: rlwe::encrypt(pk, &pt.poly, self.level_basis(pt.level), rng),
             level: pt.level,
             scale: pt.scale,
+            seed: None,
         })
+    }
+
+    /// Symmetric encryption with a seeded mask — the client's upload form:
+    /// `c0 = −(a·s + e) + m`, `c1 = a` expanded from a fresh 32-byte seed
+    /// ([`rlwe::encrypt_symmetric`]). The wire carries `c0` and the seed,
+    /// half the bytes of a [`CkksContext::encrypt`] ciphertext.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::Mismatch`] for a plaintext below the top level.
+    // choco-lint: secret
+    pub fn encrypt_symmetric(
+        &self,
+        pt: &CkksPlaintext,
+        sk: &SecretKey,
+        rng: &mut Blake3Rng,
+    ) -> Result<CkksCiphertext, HeError> {
+        self.require_top_level(pt)?;
+        let basis = self.level_basis(pt.level);
+        let (parts, seed) = rlwe::encrypt_symmetric(sk, &pt.poly, basis, rng);
+        Ok(CkksCiphertext::seeded(parts, pt.level, pt.scale, seed))
     }
 
     /// Decrypts to a plaintext at the ciphertext's level/scale.
@@ -426,6 +484,7 @@ impl CkksContext {
             parts: rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
             level: a.level,
             scale: a.scale,
+            seed: None,
         })
     }
 
@@ -440,6 +499,7 @@ impl CkksContext {
             parts: rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
             level: a.level,
             scale: a.scale,
+            seed: None,
         })
     }
 
@@ -457,9 +517,14 @@ impl CkksContext {
             return Err(HeError::Mismatch("plaintext level/scale mismatch".into()));
         }
         let basis = self.level_basis(a.level);
-        let mut out = a.clone();
-        out.parts[0].add_assign_poly(&pt.poly, basis);
-        Ok(out)
+        let mut parts = a.parts.clone();
+        parts[0].add_assign_poly(&pt.poly, basis);
+        Ok(CkksCiphertext {
+            parts,
+            level: a.level,
+            scale: a.scale,
+            seed: None,
+        })
     }
 
     /// Multiplies by a plaintext (scales multiply; rescale afterwards).
@@ -485,6 +550,7 @@ impl CkksContext {
             parts,
             level: a.level,
             scale: a.scale * pt.scale,
+            seed: None,
         })
     }
 
@@ -518,6 +584,7 @@ impl CkksContext {
             parts: rlwe::relinearize(&[d0, d1, d2], rk, &self.ks_bases[level - 1], basis)?,
             level,
             scale: a.scale * b.scale,
+            seed: None,
         })
     }
 
@@ -544,6 +611,7 @@ impl CkksContext {
             parts,
             level: a.level - 1,
             scale: a.scale / q_last as f64,
+            seed: None,
         })
     }
 
@@ -567,6 +635,7 @@ impl CkksContext {
             parts,
             level,
             scale: a.scale,
+            seed: None,
         })
     }
 
@@ -590,6 +659,7 @@ impl CkksContext {
             parts: rlwe::apply_galois(&a.parts, e, gk, ks_basis, basis)?,
             level: a.level,
             scale: a.scale,
+            seed: None,
         })
     }
 
@@ -614,6 +684,7 @@ impl CkksContext {
             parts,
             level: a.level,
             scale: a.scale,
+            seed: None,
         };
         Ok(rotated.into_iter().map(at_level).collect())
     }
@@ -670,6 +741,7 @@ impl CkksContext {
             parts,
             level: a.level,
             scale: a.scale * self.default_scale,
+            seed: None,
         };
         Ok(outs.into_iter().map(at_level).collect())
     }

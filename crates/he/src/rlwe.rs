@@ -2,7 +2,9 @@
 //!
 //! BFV and CKKS are the same ring-LWE computation below their encoders:
 //! keys are `(s, (−(a·s + e), a))`, public-key encryption is the paper's
-//! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), and every evaluation-key
+//! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), the client's upload form is
+//! the symmetric `(−(a·s + e) + msg, a)` whose mask `a` travels as a seed
+//! ([`encrypt_symmetric`]), and every evaluation-key
 //! operation — Galois automorphism, hoisted multi-rotation, the fused
 //! double-hoisted rotate-and-dot ([`dot_galois`]: one output, or several
 //! sharing every rotation's key switch), relinearization — is a key switch
@@ -23,8 +25,9 @@
 //! off the wire, so a wrong shape is input, not a bug.
 //!
 //! RNG draw order is part of the contract (checkpoints replay it): `s`, `a`,
-//! `e` for a key pair; `u`, `e1`, `e2` for an encryption; one
-//! [`generate_ksk`] per Galois element in list order.
+//! `e` for a key pair; `u`, `e1`, `e2` for an Eq. 2 encryption; the mask
+//! seed, then `e`, for a symmetric one; one [`generate_ksk`] per Galois
+//! element in list order.
 //!
 //! The client's side pays each transform once. Both keys carry their
 //! evaluation-domain rows beside the coefficient form that travels on the
@@ -266,30 +269,61 @@ pub fn dot_with_secret(parts: &[RnsPoly], sk: &SecretKey, basis: &RnsBasis) -> R
     }
 }
 
-/// Symmetric, seed-compressed encryption of `msg`: `c1 = a` is derived from
-/// a fresh 32-byte seed, `c0 = −(a·s + e) + msg`, and only `(c0, seed)`
-/// travels; [`expand_seed`] regenerates `c1` on the other side.
+/// What a compact wire frame sends in place of a fresh symmetric
+/// encryption's mask `c1 = a`: the 32-byte seed `a` expands from and the
+/// residue moduli it expands over ([`expand_seed`]). Only encryption sets
+/// one; no evaluator output carries it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskSeed {
+    pub(crate) bytes: [u8; 32],
+    pub(crate) moduli: Vec<u64>,
+}
+
+impl MaskSeed {
+    /// The residue moduli the mask expands over, in row order.
+    pub fn moduli(&self) -> &[u64] {
+        &self.moduli
+    }
+
+    /// Bytes it takes on the wire in place of `c1`: the seed and one word
+    /// per modulus.
+    pub fn wire_bytes(&self) -> usize {
+        32 + 8 * self.moduli.len()
+    }
+}
+
+/// Symmetric encryption of `msg` over `basis` with a seeded mask:
+/// `(c0, c1) = (−(a·s + e) + msg, a)`, where `a` expands from a fresh
+/// 32-byte seed drawn from `rng` ([`expand_seed`]). Returns both parts and
+/// the [`MaskSeed`] that stands for `c1` on the wire. RNG draw order: the
+/// seed, then `e`.
 // choco-lint: secret (public: basis)
-pub fn encrypt_symmetric_seeded(
+pub fn encrypt_symmetric(
     sk: &SecretKey,
     msg: &RnsPoly,
     basis: &RnsBasis,
     rng: &mut Blake3Rng,
-) -> (RnsPoly, [u8; 32]) {
-    let mut seed = [0u8; 32];
-    rng.fill_bytes(&mut seed);
-    let a = expand_seed(&seed, basis);
+) -> (Vec<RnsPoly>, MaskSeed) {
+    let mut bytes = [0u8; 32];
+    rng.fill_bytes(&mut bytes);
+    let seed = MaskSeed {
+        bytes,
+        moduli: basis.primes().to_vec(),
+    };
+    let a = expand_seed(&seed, basis.degree());
     let mut c0 = masked_zero(&a, &sk.ntt, basis, rng);
     c0.add_assign_poly(msg, basis);
-    (c0, seed)
+    (vec![c0, a], seed)
 }
 
-/// The uniform `c1` component a seed stands for.
+/// The uniform degree-`n` mask `a` a seed stands for, over its moduli. It
+/// needs no context, so a decoder expands a compact frame from the frame
+/// alone.
 // choco-lint: ct-safe
-pub fn expand_seed(seed: &[u8; 32], basis: &RnsBasis) -> RnsPoly {
-    // The label is part of the seeded-ciphertext format.
-    let mut a_rng = Blake3Rng::from_seed_labeled(seed, "bfv-seeded-c1");
-    RnsPoly::sample_uniform(&mut a_rng, basis)
+pub fn expand_seed(seed: &MaskSeed, n: usize) -> RnsPoly {
+    // The label is part of the compact wire format.
+    let mut a_rng = Blake3Rng::from_seed_labeled(&seed.bytes, "rlwe-seeded-c1");
+    RnsPoly::sample_uniform_masked(&mut a_rng, &seed.moduli, n)
 }
 
 /// Rejects parts that are not polynomials over `basis`.

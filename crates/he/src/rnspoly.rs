@@ -17,7 +17,9 @@ use choco_math::poly::{
 };
 use choco_math::pool::PolyPool;
 use choco_math::rns::{BaseConverter, RnsBasis};
-use choco_prng::sampler::{sample_error_signed, sample_ternary_signed, sample_uniform_into};
+use choco_prng::sampler::{
+    sample_error_signed, sample_ternary_signed, sample_uniform_into, sample_uniform_masked_into,
+};
 use choco_prng::Blake3Rng;
 
 /// A polynomial with `k` RNS residue rows of `n` coefficients each.
@@ -123,13 +125,29 @@ impl RnsPoly {
     /// per row.
     // choco-lint: secret (public: basis)
     pub fn sample_uniform(rng: &mut Blake3Rng, basis: &RnsBasis) -> Self {
-        let n = basis.degree();
-        let rows = basis
-            .primes()
+        Self::uniform_rows(basis.primes(), basis.degree(), |q, row| {
+            sample_uniform_into(rng, q, row)
+        })
+    }
+
+    /// A degree-`n` polynomial uniform modulo each of `primes`, drawn by
+    /// masked rejection ([`sample_uniform_masked_into`]) with no basis
+    /// built: the expansion of a ciphertext's mask seed, which a decoder
+    /// runs from the frame alone.
+    // choco-lint: secret (public: primes, n)
+    pub(crate) fn sample_uniform_masked(rng: &mut Blake3Rng, primes: &[u64], n: usize) -> Self {
+        Self::uniform_rows(primes, n, |q, row| sample_uniform_masked_into(rng, q, row))
+    }
+
+    /// One pooled row of `n` residues per prime, in order, each filled by
+    /// `fill_row`.
+    // choco-lint: secret (public: primes, n)
+    fn uniform_rows(primes: &[u64], n: usize, mut fill_row: impl FnMut(u64, &mut [u64])) -> Self {
+        let rows = primes
             .iter()
             .map(|&q| {
                 let mut row = PolyPool::take_scratch(n);
-                sample_uniform_into(rng, q, &mut row);
+                fill_row(q, &mut row);
                 row
             })
             .collect();

@@ -7,7 +7,9 @@
 //! both schemes the offload protocol needs:
 //!
 //! * role setup (context, key generation, evaluation keys),
-//! * the client boundary (encrypt / decrypt / health probe),
+//! * the client boundary (encrypt / decrypt / health probe) — an encryption
+//!   is the symmetric, seeded upload form, whose wire carries `c0` and a
+//!   32-byte seed in place of `c1`,
 //! * the server-side linear algebra (`add`, `add_plain`, `mul_plain`,
 //!   rotations, and the fused diagonal dot — one double-hoisted kernel,
 //!   [`crate::rlwe::dot_galois`], under both schemes),
@@ -29,7 +31,7 @@
 use crate::bfv::{self, BfvContext};
 use crate::ckks::{self, CkksContext};
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey};
+use crate::rlwe::{GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey};
 use crate::serialize;
 use crate::HeError;
 use choco_prng::Blake3Rng;
@@ -97,7 +99,11 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
         rng: &mut Blake3Rng,
     ) -> Result<Self::GaloisKeys, HeError>;
 
-    /// Encodes and encrypts a slot vector (the client boundary).
+    /// Encodes and encrypts a slot vector (the client boundary): a
+    /// symmetric encryption under the bundle's secret key whose mask `c1`
+    /// expands from a fresh 32-byte seed drawn from `rng`, so its wire is the
+    /// compact frame of `c0` and the seed. (The paper's public-key Eq. 2
+    /// stays on the scheme contexts.)
     ///
     /// # Errors
     ///
@@ -139,8 +145,19 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     /// Returns [`HeError`] on malformed bytes.
     fn ct_from_wire(bytes: &[u8]) -> Result<Self::Ciphertext, HeError>;
 
-    /// Payload size of a ciphertext (the quantity the ledger bills).
+    /// Payload size of a ciphertext (the quantity the ledger bills): its
+    /// compact frame's for a fresh encryption.
     fn ct_bytes(ct: &Self::Ciphertext) -> usize;
+
+    /// Refuses a ciphertext whose mask seed expands over moduli other than
+    /// `ctx`'s data primes at its level: a compact upload made for another
+    /// parameter set, which the evaluator would compute over the wrong
+    /// ring. A ciphertext without a seed passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::Mismatch`] naming both sets of moduli.
+    fn check_moduli(ctx: &Self::Context, ct: &Self::Ciphertext) -> Result<(), HeError>;
 
     /// Wire size of the public key (provisioning accounting).
     fn public_key_bytes(pk: &Self::PublicKey) -> usize;
@@ -283,6 +300,18 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     fn value_matches(got: Self::Value, want: Self::Value, tol: f64) -> bool;
 }
 
+/// [`HeScheme::check_moduli`] for a ciphertext's seed against the data
+/// primes `primes` of its level.
+fn check_seed_moduli(seed: Option<&MaskSeed>, primes: &[u64]) -> Result<(), HeError> {
+    match seed {
+        Some(seed) if seed.moduli() != primes => Err(HeError::Mismatch(format!(
+            "ciphertext seeded over moduli {:?} where the context's are {primes:?}",
+            seed.moduli()
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Marker for the exact integer scheme (BFV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bfv;
@@ -344,7 +373,7 @@ impl HeScheme for Bfv {
         rng: &mut Blake3Rng,
     ) -> Result<bfv::Ciphertext, HeError> {
         let pt = ctx.batch_encoder()?.encode(values)?;
-        Ok(ctx.encryptor(keys.public_key()).encrypt(&pt, rng))
+        Ok(ctx.encrypt_symmetric(&pt, keys.secret_key(), rng))
     }
 
     // choco-lint: secret (public: ctx, ct)
@@ -376,6 +405,10 @@ impl HeScheme for Bfv {
 
     fn ct_bytes(ct: &bfv::Ciphertext) -> usize {
         ct.byte_size()
+    }
+
+    fn check_moduli(ctx: &BfvContext, ct: &bfv::Ciphertext) -> Result<(), HeError> {
+        check_seed_moduli(ct.seed(), ctx.data_basis().primes())
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {
@@ -545,7 +578,7 @@ impl HeScheme for Ckks {
         rng: &mut Blake3Rng,
     ) -> Result<ckks::CkksCiphertext, HeError> {
         let pt = ctx.encode(values)?;
-        ctx.encrypt(&pt, keys.public_key(), rng)
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), rng)
     }
 
     // choco-lint: secret (public: ctx, ct)
@@ -576,6 +609,11 @@ impl HeScheme for Ckks {
 
     fn ct_bytes(ct: &ckks::CkksCiphertext) -> usize {
         ct.byte_size()
+    }
+
+    fn check_moduli(ctx: &CkksContext, ct: &ckks::CkksCiphertext) -> Result<(), HeError> {
+        let level = ct.level().min(ctx.top_level());
+        check_seed_moduli(ct.seed(), ctx.params().primes().get(..level).unwrap_or(&[]))
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {
@@ -694,23 +732,38 @@ mod tests {
     }
 
     /// The generic boundary round-trips for any scheme; exactness is
-    /// asserted by each monomorphization below.
-    fn roundtrip<S: HeScheme>(params: &HeParams, values: &[S::Value]) -> Vec<S::Value> {
+    /// asserted by each monomorphization below. A fresh encryption travels
+    /// as its compact frame of exactly `header + ct_bytes` bytes — `c0`, the
+    /// 32-byte seed and a word per data prime, `32 + 8k` more than half an
+    /// Eq. 2 ciphertext — and its decoding (`c1` expanded from the frame
+    /// alone) re-encodes to the same bytes. Returns the encryption, its
+    /// decoding and the decoding's decryption.
+    fn roundtrip<S: HeScheme>(
+        params: &HeParams,
+        values: &[S::Value],
+        header: usize,
+    ) -> (S::Ciphertext, S::Ciphertext, Vec<S::Value>) {
         let ctx = S::context(params).unwrap();
         let mut rng = rng();
         let keys = S::keygen(&ctx, &mut rng);
         let ct = S::encrypt(&ctx, &keys, values, &mut rng).unwrap();
-        assert!(S::ct_bytes(&ct) > 0);
+        let k = params.data_prime_count();
+        assert_eq!(S::ct_bytes(&ct), params.ciphertext_bytes() / 2 + 32 + 8 * k);
         let wire = S::ct_to_wire(&ct);
+        assert_eq!(wire.len(), header + S::ct_bytes(&ct));
         let back = S::ct_from_wire(&wire).unwrap();
-        S::decrypt(&ctx, &keys, &back).unwrap()
+        assert_eq!(S::ct_to_wire(&back), wire);
+        assert!(S::check_moduli(&ctx, &back).is_ok());
+        let out = S::decrypt(&ctx, &keys, &back).unwrap();
+        (ct, back, out)
     }
 
     #[test]
     fn bfv_generic_roundtrip_is_exact() {
         let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
         let values: Vec<u64> = (0..64).collect();
-        let out = roundtrip::<Bfv>(&params, &values);
+        let (ct, back, out) = roundtrip::<Bfv>(&params, &values, serialize::SEEDED_HEADER_BYTES);
+        assert_eq!(back, ct);
         assert_eq!(&out[..64], &values[..]);
     }
 
@@ -718,10 +771,82 @@ mod tests {
     fn ckks_generic_roundtrip_is_close() {
         let params = HeParams::ckks_insecure(1024, &[45, 45, 46], 38).unwrap();
         let values: Vec<f64> = (0..64).map(|i| i as f64 / 8.0).collect();
-        let out = roundtrip::<Ckks>(&params, &values);
+        let header = serialize::CKKS_SEEDED_HEADER_BYTES;
+        let (ct, back, out) = roundtrip::<Ckks>(&params, &values, header);
+        assert_eq!((back.part(0), back.part(1)), (ct.part(0), ct.part(1)));
+        assert_eq!((back.level(), back.scale()), (ct.level(), ct.scale()));
         for (g, w) in out.iter().zip(&values) {
             assert!((g - w).abs() < 1e-2, "{g} vs {w}");
         }
+    }
+
+    #[test]
+    fn a_seed_expands_over_the_context_moduli_only() {
+        // The same upload checked against a context of other primes at the
+        // same degree: refused as a mismatch, not evaluated.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+        let foreign = HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap();
+        let ctx = Bfv::context(&params).unwrap();
+        let mut r = rng();
+        let keys = Bfv::keygen(&ctx, &mut r);
+        let ct = Bfv::encrypt(&ctx, &keys, &[1, 2, 3], &mut r).unwrap();
+        let other = Bfv::context(&foreign).unwrap();
+        assert!(matches!(
+            Bfv::check_moduli(&other, &ct),
+            Err(HeError::Mismatch(_))
+        ));
+        // An evaluator output carries no seed, so there is nothing to check.
+        let sum = Bfv::add(&ctx, &ct, &ct).unwrap();
+        assert!(Bfv::check_moduli(&other, &sum).is_ok());
+    }
+
+    /// Every evaluator output of a seeded encryption is a plain ciphertext:
+    /// no seed, and a full frame on the wire. `products` makes the outputs
+    /// `HeScheme` does not carry (`multiply_relin`, CKKS `rescale`).
+    fn outputs_carry_no_seed<S: HeScheme>(
+        params: &HeParams,
+        has_seed: impl Fn(&S::Ciphertext) -> bool,
+        products: impl Fn(&S::Context, &S::Ciphertext, &S::RelinKey) -> Vec<S::Ciphertext>,
+    ) {
+        let ctx = S::context(params).unwrap();
+        let mut r = rng();
+        let keys = S::keygen(&ctx, &mut r);
+        let rk = S::relin_key(&ctx, &keys, &mut r).unwrap();
+        let gk = S::galois_keys(&ctx, &keys, &[1], &mut r).unwrap();
+        let zeros = vec![S::Value::default(); S::slot_width(&ctx)];
+        let ct = S::encrypt(&ctx, &keys, &zeros, &mut r).unwrap();
+        assert!(has_seed(&ct));
+        let mut outputs = vec![
+            S::add(&ctx, &ct, &ct).unwrap(),
+            S::add_plain(&ctx, &ct, &zeros).unwrap(),
+            S::rotate(&ctx, &ct, 1, &gk).unwrap(),
+            S::mul_plain(&ctx, &ct, &zeros).unwrap(),
+        ];
+        outputs.extend(products(&ctx, &ct, &rk));
+        for (i, out) in outputs.iter().enumerate() {
+            assert!(!has_seed(out), "output {i} carries a seed");
+            assert!(!S::ct_to_wire(out).starts_with(b"CHS"), "output {i}");
+        }
+    }
+
+    #[test]
+    fn no_evaluator_output_carries_a_seed() {
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+        outputs_carry_no_seed::<Bfv>(
+            &params,
+            |ct| ct.seed().is_some(),
+            |ctx, ct, rk| vec![ctx.evaluator().multiply_relin(ct, ct, rk).unwrap()],
+        );
+        let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
+        outputs_carry_no_seed::<Ckks>(
+            &params,
+            |ct| ct.seed().is_some(),
+            |ctx, ct, rk| {
+                let product = ctx.multiply_relin(ct, ct, rk).unwrap();
+                let rescaled = ctx.rescale(&product).unwrap();
+                vec![product, rescaled]
+            },
+        );
     }
 
     #[test]

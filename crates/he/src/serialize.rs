@@ -7,6 +7,15 @@
 //! The ledger in `choco::protocol` counts payload bytes, so serialized sizes
 //! and ledger sizes agree.
 //!
+//! A fresh encryption travels in *compact* form (`CHS1` / `CHS2`): the
+//! header, the residue moduli, the 32-byte seed its mask `c1` expands from
+//! ([`crate::rlwe::expand_seed`]) and `c0`'s residues — half the bytes of a
+//! full frame. The frame describes itself, so its decoder needs no context:
+//! it checks the shape, the exact length and every modulus (an NTT-friendly
+//! prime below `2^61` for the claimed degree) before it allocates, checks
+//! `c0`'s residues against them, and only then expands `c1`. A decoded
+//! compact ciphertext keeps its seed, so it re-encodes to the same bytes.
+//!
 //! Deserialization is fully checked: every read is bounds-validated and
 //! malformed frames surface as [`HeError::InvalidCiphertext`], never as a
 //! panic — the transport layer (`choco::transport`) feeds these functions
@@ -20,8 +29,9 @@ use crate::ckks::CkksCiphertext;
 use crate::error::HeError;
 use crate::keyswitch::KswitchKey;
 use crate::params::SchemeType;
-use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{self, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey};
 use crate::rnspoly::RnsPoly;
+use choco_math::prime::is_prime;
 use choco_math::rns::RnsBasis;
 use std::collections::HashMap;
 
@@ -30,6 +40,13 @@ const MAGIC: [u8; 4] = *b"CHO1";
 
 /// Magic tag for CKKS ciphertext frames.
 const CKKS_MAGIC: [u8; 4] = *b"CHO2";
+
+/// Magic tags for compact (seeded) BFV and CKKS ciphertext frames.
+const SEEDED_MAGIC: [u8; 4] = *b"CHS1";
+const CKKS_SEEDED_MAGIC: [u8; 4] = *b"CHS2";
+
+/// Largest ring degree a compact frame may claim.
+const MAX_SEEDED_DEGREE: usize = 1 << 17;
 
 /// Magic of a key blob: `CH`, the kind (`B`undle, `R`elin, `G`alois), then
 /// `1` for BFV or `2` for CKKS — the only byte in which the two schemes'
@@ -48,6 +65,12 @@ pub const HEADER_BYTES: usize = 16;
 
 /// CKKS header size in bytes (magic, parts, level, degree, scale).
 pub const CKKS_HEADER_BYTES: usize = 24;
+
+/// Compact BFV header size in bytes (magic, rows, degree).
+pub const SEEDED_HEADER_BYTES: usize = 12;
+
+/// Compact CKKS header size in bytes (magic, level, degree, scale).
+pub const CKKS_SEEDED_HEADER_BYTES: usize = 20;
 
 /// A bounds-checked little-endian reader over a byte slice.
 struct Reader<'a> {
@@ -119,8 +142,17 @@ fn read_polys(
     Ok(polys)
 }
 
-/// Serializes a BFV ciphertext: 16-byte header + little-endian residues.
+/// Serializes a BFV ciphertext: 16-byte header + little-endian residues,
+/// or the compact frame of a seeded one: 12-byte header (magic, rows,
+/// degree), moduli, seed, `c0`.
 pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
+    if let Some(seed) = ct.seed() {
+        let c0 = ct.part(0);
+        let mut head = SEEDED_MAGIC.to_vec();
+        head.extend_from_slice(&(c0.row_count() as u32).to_le_bytes());
+        head.extend_from_slice(&(c0.degree() as u32).to_le_bytes());
+        return seeded_frame(head, c0, seed);
+    }
     let parts = ct.size();
     let rows = ct.part(0).row_count();
     let n = ct.part(0).degree();
@@ -148,7 +180,14 @@ pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
 /// input bytes.
 pub fn ciphertext_from_bytes(bytes: &[u8]) -> Result<Ciphertext, HeError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
+    let magic = r.take(4)?;
+    if magic == SEEDED_MAGIC {
+        let rows = r.u32()? as usize;
+        let n = r.u32()? as usize;
+        let (parts, seed) = read_seeded_body(&mut r, rows, n, SEEDED_HEADER_BYTES)?;
+        return Ok(Ciphertext::seeded(parts, seed));
+    }
+    if magic != MAGIC {
         return Err(HeError::InvalidCiphertext("bad frame header".into()));
     }
     let parts = r.u32()? as usize;
@@ -170,11 +209,19 @@ pub fn ciphertext_from_bytes(bytes: &[u8]) -> Result<Ciphertext, HeError> {
 
 /// Serializes a CKKS ciphertext: 24-byte header (magic, parts, level,
 /// degree, scale bits) + little-endian residues of each part at the
-/// ciphertext's level.
+/// ciphertext's level, or the compact frame of a seeded one: 20-byte header
+/// (magic, level, degree, scale bits), moduli, seed, `c0`.
 pub fn ckks_ciphertext_to_bytes(ct: &CkksCiphertext) -> Vec<u8> {
     let parts = ct.size();
     let level = ct.level();
     let n = ct.part(0).degree();
+    if let Some(seed) = ct.seed() {
+        let mut head = CKKS_SEEDED_MAGIC.to_vec();
+        head.extend_from_slice(&(level as u32).to_le_bytes());
+        head.extend_from_slice(&(n as u32).to_le_bytes());
+        head.extend_from_slice(&ct.scale().to_bits().to_le_bytes());
+        return seeded_frame(head, ct.part(0), seed);
+    }
     let mut out = Vec::with_capacity(CKKS_HEADER_BYTES + parts * level * n * 8);
     out.extend_from_slice(&CKKS_MAGIC);
     out.extend_from_slice(&(parts as u32).to_le_bytes());
@@ -200,7 +247,15 @@ pub fn ckks_ciphertext_to_bytes(ct: &CkksCiphertext) -> Vec<u8> {
 /// scale). Never panics, regardless of input bytes.
 pub fn ckks_ciphertext_from_bytes(bytes: &[u8]) -> Result<CkksCiphertext, HeError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != CKKS_MAGIC {
+    let magic = r.take(4)?;
+    if magic == CKKS_SEEDED_MAGIC {
+        let level = r.u32()? as usize;
+        let n = r.u32()? as usize;
+        let scale = check_scale(r.f64()?)?;
+        let (parts, seed) = read_seeded_body(&mut r, level, n, CKKS_SEEDED_HEADER_BYTES)?;
+        return Ok(CkksCiphertext::seeded(parts, level, scale, seed));
+    }
+    if magic != CKKS_MAGIC {
         return Err(HeError::InvalidCiphertext("bad CKKS frame header".into()));
     }
     let parts = r.u32()? as usize;
@@ -212,11 +267,7 @@ pub fn ckks_ciphertext_from_bytes(bytes: &[u8]) -> Result<CkksCiphertext, HeErro
             "implausible CKKS frame shape".into(),
         ));
     }
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(HeError::InvalidCiphertext(format!(
-            "implausible CKKS scale {scale}"
-        )));
-    }
+    let scale = check_scale(scale)?;
     let expect = CKKS_HEADER_BYTES + parts * level * n * 8;
     if bytes.len() != expect {
         return Err(HeError::InvalidCiphertext(format!(
@@ -226,6 +277,83 @@ pub fn ckks_ciphertext_from_bytes(bytes: &[u8]) -> Result<CkksCiphertext, HeErro
     }
     let polys = read_polys(&mut r, parts, level, n)?;
     Ok(CkksCiphertext::from_parts(polys, level, scale))
+}
+
+/// A CKKS scale a frame may carry: finite and positive.
+fn check_scale(scale: f64) -> Result<f64, HeError> {
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(HeError::InvalidCiphertext(format!(
+            "implausible CKKS scale {scale}"
+        )));
+    }
+    Ok(scale)
+}
+
+/// A compact frame: `head` (magic and shape words), then the seed's moduli,
+/// its 32 bytes, and `c0`'s residues.
+fn seeded_frame(mut head: Vec<u8>, c0: &RnsPoly, seed: &MaskSeed) -> Vec<u8> {
+    head.reserve(seed.wire_bytes() + c0.row_count() * c0.degree() * 8);
+    for q in seed.moduli() {
+        head.extend_from_slice(&q.to_le_bytes());
+    }
+    head.extend_from_slice(&seed.bytes);
+    write_poly(&mut head, c0);
+    head
+}
+
+/// Refuses moduli a mask cannot be expanded over at degree `n`: each must
+/// be an NTT-friendly prime (`q ≡ 1 mod 2n`) below `2^61`, and no two
+/// equal.
+fn check_moduli(moduli: &[u64], n: usize) -> Result<(), HeError> {
+    let two_n = 2 * n as u64;
+    for (i, &q) in moduli.iter().enumerate() {
+        if q >= 1 << 61 || q % two_n != 1 || !is_prime(q) || moduli.iter().take(i).any(|&p| p == q)
+        {
+            return Err(HeError::InvalidCiphertext(format!(
+                "compact frame modulus {q} is not a distinct NTT prime for degree {n}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Reads the body of a compact frame of `rows` residues at degree `n`
+/// whose header took `header` bytes: checks the shape and the exact length
+/// before reading anything, the moduli before reading `c0`, and `c0`'s
+/// residues before expanding `c1`. Returns `[c0, c1]` and the seed.
+fn read_seeded_body(
+    r: &mut Reader<'_>,
+    rows: usize,
+    n: usize,
+    header: usize,
+) -> Result<(Vec<RnsPoly>, MaskSeed), HeError> {
+    if !(1..=32).contains(&rows) || !(16..=MAX_SEEDED_DEGREE).contains(&n) || !n.is_power_of_two() {
+        return Err(HeError::InvalidCiphertext(format!(
+            "implausible compact frame shape: {rows} residues at degree {n}"
+        )));
+    }
+    let expect = header + 8 * rows + 32 + rows * n * 8;
+    if r.bytes.len() != expect {
+        return Err(HeError::InvalidCiphertext(format!(
+            "compact frame length {} != expected {expect}",
+            r.bytes.len()
+        )));
+    }
+    let moduli = (0..rows).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+    check_moduli(&moduli, n)?;
+    let mut bytes = [0u8; 32];
+    bytes.copy_from_slice(r.take(32)?);
+    let c0 = read_polys(r, 1, rows, n)?
+        .pop()
+        .ok_or_else(|| HeError::InvalidCiphertext("missing c0".into()))?;
+    if !reduced_over(&c0, &moduli) {
+        return Err(HeError::InvalidCiphertext(
+            "compact frame residue not reduced modulo its prime".into(),
+        ));
+    }
+    let seed = MaskSeed { bytes, moduli };
+    let c1 = rlwe::expand_seed(&seed, n);
+    Ok((vec![c0, c1], seed))
 }
 
 // choco-lint: ct-safe

@@ -8,6 +8,12 @@
 //! one layer up). Key blobs (bundle, relinearization key, Galois set) go
 //! through one decoder per kind for both schemes, so both schemes' blobs are
 //! driven through each from one table.
+//!
+//! Compact frames (a fresh encryption: `c0`, its moduli and the 32-byte
+//! seed of `c1`) are an amplifier — the decoder expands the seed into a
+//! whole polynomial — so their decoder is also held to *bounded work*: a
+//! frame claiming a huge ring is refused before anything of that size is
+//! allocated, which this binary's allocator measures.
 
 use choco_he::bfv::{BfvContext, Plaintext};
 use choco_he::ckks::CkksContext;
@@ -20,7 +26,42 @@ use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 use choco_quickprop::{run_cases, Gen};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::RefUnwindSafe;
+
+/// The system allocator, recording the largest single request the calling
+/// thread has made since [`largest_allocation_during`] last reset it.
+struct PeakAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the bookkeeping is a
+// thread-local `Cell` with a const initializer, which never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: the caller's contract for `layout` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns the size of the largest single allocation it made.
+fn largest_allocation_during(f: impl FnOnce()) -> usize {
+    LARGEST.with(|l| l.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
 
 fn bfv_frame() -> Vec<u8> {
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
@@ -199,4 +240,138 @@ fn a_key_blob_of_one_scheme_is_never_accepted_as_the_others() {
             Err(HeError::InvalidKeyMaterial(_))
         ));
     }
+}
+
+/// A fresh encryption's compact frame under `S` at `params`.
+fn compact_frame<S: HeScheme>(params: &HeParams, values: &[S::Value]) -> Vec<u8> {
+    let ctx = S::context(params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"fuzz serialize compact");
+    let keys = S::keygen(&ctx, &mut rng);
+    S::ct_to_wire(&S::encrypt(&ctx, &keys, values, &mut rng).unwrap())
+}
+
+fn bfv_compact_frame() -> Vec<u8> {
+    let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
+    compact_frame::<Bfv>(&params, &(0..256).map(|i| i % 100).collect::<Vec<u64>>())
+}
+
+fn ckks_compact_frame() -> Vec<u8> {
+    let params = HeParams::ckks_insecure(256, &[45, 45, 46], 38).unwrap();
+    compact_frame::<Ckks>(
+        &params,
+        &(0..128).map(|i| i as f64 / 8.0).collect::<Vec<_>>(),
+    )
+}
+
+/// Decodes `bytes` as an `S` ciphertext; a frame the decoder accepts
+/// re-encodes to exactly its bytes (a decoded compact frame keeps its seed).
+fn decode_is_exact<S: HeScheme>(bytes: &[u8]) -> bool {
+    match S::ct_from_wire(bytes) {
+        Ok(ct) => {
+            assert_eq!(
+                S::ct_to_wire(&ct),
+                bytes,
+                "accepted frame re-encodes differently"
+            );
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn compact_decoders_never_panic_and_accept_only_what_they_reencode() {
+    let bfv = bfv_compact_frame();
+    let ckks = ckks_compact_frame();
+    assert!(decode_is_exact::<Bfv>(&bfv));
+    assert!(decode_is_exact::<Ckks>(&ckks));
+    run_cases("compact mutation fuzz", 256, |g| {
+        decode_is_exact::<Bfv>(&mutate(g, &bfv));
+        decode_is_exact::<Ckks>(&mutate(g, &ckks));
+    });
+    // A flipped seed byte is still a well-formed frame (the transport tag
+    // catches it); a flipped header, modulus or residue word mostly is not.
+    let mut flipped = bfv.clone();
+    flipped[12 + 2 * 8] ^= 1;
+    assert!(decode_is_exact::<Bfv>(&flipped));
+}
+
+#[test]
+fn compact_truncations_always_yield_typed_errors() {
+    for (frame, name) in [(bfv_compact_frame(), "bfv"), (ckks_compact_frame(), "ckks")] {
+        for len in 0..frame.len() {
+            let prefix = &frame[..len];
+            assert!(
+                Bfv::ct_from_wire(prefix).is_err() && Ckks::ct_from_wire(prefix).is_err(),
+                "{name} compact prefix of {len} bytes parsed"
+            );
+        }
+    }
+}
+
+#[test]
+fn compact_frames_with_bad_moduli_or_residues_are_refused() {
+    let frame = bfv_compact_frame();
+    // Moduli start after the 12-byte header; two of them, then the seed.
+    let modulus = |bytes: &[u8], i: usize| {
+        u64::from_le_bytes(bytes[12 + 8 * i..20 + 8 * i].try_into().unwrap())
+    };
+    let with_modulus = |i: usize, q: u64| {
+        let mut bytes = frame.clone();
+        bytes[12 + 8 * i..20 + 8 * i].copy_from_slice(&q.to_le_bytes());
+        bytes
+    };
+    let q0 = modulus(&frame, 0);
+    for (q, why) in [
+        (0, "zero"),
+        (1, "one"),
+        (q0 * 3, "composite"),
+        (modulus(&frame, 1), "duplicate"),
+        ((1 << 61) + 1, "too wide"),
+        (2 * 256 * 3 + 1, "1537 = 29 · 53"),
+    ] {
+        assert!(
+            Bfv::ct_from_wire(&with_modulus(0, q)).is_err(),
+            "modulus {q} ({why}) accepted"
+        );
+    }
+    // A prime that is not NTT-friendly for N = 256.
+    assert!(Bfv::ct_from_wire(&with_modulus(0, 1_000_000_007)).is_err());
+    // A c0 residue at or above its prime.
+    let mut bytes = frame.clone();
+    let c0 = 12 + 2 * 8 + 32;
+    bytes[c0..c0 + 8].copy_from_slice(&q0.to_le_bytes());
+    assert!(Bfv::ct_from_wire(&bytes).is_err());
+}
+
+#[test]
+fn a_compact_frame_claiming_a_huge_ring_is_refused_before_allocating() {
+    // ~64 bytes claiming N = 2^30 (one residue, or 32 of them): expanding
+    // it would allocate 8 GiB per residue. Its first modulus is a real NTT
+    // prime for that degree, so only the shape and length checks stand
+    // between the blob and the allocation.
+    const NTT_PRIME_2_30: u64 = 0x0004_000e_0000_0001; // 2^31 · 524 316 + 1
+    for (magic, tail) in [(*b"CHS1", 0usize), (*b"CHS2", 8)] {
+        for rows in [1u32, 32] {
+            let mut blob = magic.to_vec();
+            blob.extend_from_slice(&rows.to_le_bytes());
+            blob.extend_from_slice(&(1u32 << 30).to_le_bytes());
+            blob.extend_from_slice(&2f64.powi(30).to_bits().to_le_bytes()[..tail]);
+            blob.extend_from_slice(&NTT_PRIME_2_30.to_le_bytes());
+            blob.resize(64, 0x5a);
+            let largest = largest_allocation_during(|| {
+                assert!(Bfv::ct_from_wire(&blob).is_err());
+                assert!(Ckks::ct_from_wire(&blob).is_err());
+            });
+            assert!(
+                largest < 4096,
+                "decoder allocated {largest} bytes for a 64-byte blob"
+            );
+        }
+    }
+    // The measurement sees a real expansion: the honest frame allocates at
+    // least one residue row.
+    let frame = bfv_compact_frame();
+    let largest = largest_allocation_during(|| assert!(Bfv::ct_from_wire(&frame).is_ok()));
+    assert!(largest >= 256 * 8, "{largest}");
 }

@@ -5,7 +5,7 @@ use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
 use choco_he::rnspoly::RnsPoly;
-use choco_he::serialize::ciphertext_to_bytes;
+use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes};
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_prng::Blake3Rng;
 use choco_quickprop::run_cases;
@@ -171,7 +171,6 @@ fn ckks_encoder_is_linear() {
 #[test]
 fn serialization_roundtrips_any_fresh_ciphertext() {
     run_cases("serialization roundtrip", 12, |g| {
-        use choco_he::serialize::ciphertext_from_bytes;
         let ctx = bfv_ctx();
         let seed = g.u64();
         let mut rng = Blake3Rng::from_seed(&seed.to_le_bytes());
@@ -206,12 +205,13 @@ fn seeded_encryption_roundtrips_any_vector() {
             .collect();
         let encoder = ctx.batch_encoder().unwrap();
         let pt = encoder.encode(&values).unwrap();
-        let seeded = ctx.encrypt_symmetric_seeded(&pt, keys.secret_key(), &mut rng);
+        let seeded = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
+        let wire = ciphertext_to_bytes(&seeded);
+        let back = ciphertext_from_bytes(&wire).unwrap();
+        assert_eq!(back, seeded);
+        assert_eq!(ciphertext_to_bytes(&back), wire);
         let out = encoder
-            .decode(
-                &ctx.decryptor(keys.secret_key())
-                    .decrypt(&ctx.expand_seeded(&seeded)),
-            )
+            .decode(&ctx.decryptor(keys.secret_key()).decrypt(&back))
             .unwrap();
         assert_eq!(out, values);
     });
@@ -469,23 +469,27 @@ fn digest(blobs: &[&[u8]]) -> String {
 }
 
 /// Digests of everything a session persists or replays, from one fixed
-/// seed: the three key wires (Galois steps `[1, 3, −2]`), a fresh
+/// seed: the three key wires (Galois steps `[1, 3, −2]`), a fresh Eq. 2
 /// encryption, and the wires of `rotate(3)`, the hoisted many-rotation,
-/// `add`, `sub` and `multiply_relin`. The two operations `HeScheme` does
-/// not carry come in as closures.
+/// `add`, `sub` and `multiply_relin` on Eq. 2 encryptions; then the compact
+/// upload `HeScheme::encrypt` makes of the first vector. The operations
+/// `HeScheme` does not carry (Eq. 2 encryption among them) come in as
+/// closures.
 fn wire_digests<S: HeScheme>(
     params: &HeParams,
     values: [Vec<S::Value>; 2],
+    encrypt_eq2: impl Fn(&S::Context, &S::KeyBundle, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
     rotate_many: impl Fn(&S::Context, &S::Ciphertext, &S::GaloisKeys) -> Vec<S::Ciphertext>,
     multiply_relin: impl Fn(&S::Context, [&S::Ciphertext; 2], &S::RelinKey) -> S::Ciphertext,
-) -> [String; 7] {
+) -> [String; 8] {
     let ctx = S::context(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
     let keys = S::keygen(&ctx, &mut rng);
     let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
     let gk = S::galois_keys(&ctx, &keys, &[1, 3, -2], &mut rng).unwrap();
-    let a = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
-    let b = S::encrypt(&ctx, &keys, &values[1], &mut rng).unwrap();
+    let a = encrypt_eq2(&ctx, &keys, &values[0], &mut rng);
+    let b = encrypt_eq2(&ctx, &keys, &values[1], &mut rng);
+    let compact = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
     let many = rotate_many(&ctx, &a, &gk);
     let many: Vec<Vec<u8>> = many.iter().map(S::ct_to_wire).collect();
     let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
@@ -501,10 +505,11 @@ fn wire_digests<S: HeScheme>(
         digest(&[&S::ct_to_wire(&S::add(&ctx, &a, &b).unwrap())]),
         digest(&[&S::ct_to_wire(&S::sub(&ctx, &a, &b).unwrap())]),
         digest(&[&S::ct_to_wire(&multiply_relin(&ctx, [&a, &b], &rk))]),
+        digest(&[&S::ct_to_wire(&compact)]),
     ]
 }
 
-fn bfv_wire_digests(params: &HeParams) -> [String; 7] {
+fn bfv_wire_digests(params: &HeParams) -> [String; 8] {
     let t = params.plain_modulus();
     let n = params.degree() as u64;
     wire_digests::<Bfv>(
@@ -513,6 +518,10 @@ fn bfv_wire_digests(params: &HeParams) -> [String; 7] {
             (0..n).map(|i| i * 7 % t).collect(),
             (0..n).map(|i| (i * i + 3) % t).collect(),
         ],
+        |ctx, keys, values, rng| {
+            let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
+            ctx.encryptor(keys.public_key()).encrypt(&pt, rng)
+        },
         |ctx, ct, gk| {
             let eval = ctx.evaluator();
             eval.rotate_rows_many(ct, &[1, 3, -2], gk).unwrap()
@@ -521,7 +530,7 @@ fn bfv_wire_digests(params: &HeParams) -> [String; 7] {
     )
 }
 
-fn ckks_wire_digests(params: &HeParams) -> [String; 7] {
+fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
     let slots = params.degree() / 2;
     wire_digests::<Ckks>(
         params,
@@ -529,6 +538,10 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 7] {
             (0..slots).map(|i| (i % 17) as f64 / 4.0).collect(),
             (0..slots).map(|i| 2.0 - (i % 5) as f64).collect(),
         ],
+        |ctx, keys, values, rng| {
+            let pt = ctx.encode(values).unwrap();
+            ctx.encrypt(&pt, keys.public_key(), rng).unwrap()
+        },
         |ctx, ct, gk| ctx.rotate_many(ct, &[1, 3, -2], gk).unwrap(),
         |ctx, [a, b], rk| ctx.multiply_relin(a, b, rk).unwrap(),
     )
@@ -536,16 +549,18 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 7] {
 
 /// Persisted key material and replayed encryptions must not change from one
 /// build to the next: a checkpoint written by an older build resumes on this
-/// one. The digests below were recorded on the commit before BFV and CKKS
-/// were moved onto the shared `rlwe` core (this test, unchanged, passed
-/// there); a change to RNG draw order, operation order or a wire layout
-/// moves them. Re-record them only for a change that means to break that
-/// compatibility, and say so.
+/// one. The first seven digests of each set were recorded on the commit
+/// before BFV and CKKS were moved onto the shared `rlwe` core (that part of
+/// this test passed there); the eighth, the compact upload, when
+/// `HeScheme::encrypt` became the seeded symmetric encryption. A change to
+/// RNG draw order, operation order or a wire layout moves them. Re-record
+/// them only for a change that means to break that compatibility, and say
+/// so.
 #[test]
 fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
-    // keys ‖ relin ‖ galois, fresh, rotate(3), rotate-many, add, sub,
-    // multiply_relin — at the N = 1024 shapes `apps::remote` pins and at
-    // paper sets A and C.
+    // keys ‖ relin ‖ galois, fresh Eq. 2, rotate(3), rotate-many, add, sub,
+    // multiply_relin, compact upload — at the N = 1024 shapes `apps::remote`
+    // pins and at paper sets A and C.
     let bfv_1024 = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
     let ckks_1024 = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
     assert_eq!(
@@ -557,7 +572,8 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "29517e00754cec55",
             "78be086e40a1a59b",
             "d3eb3430d26604a0",
-            "fa9b7cd6039b5222"
+            "fa9b7cd6039b5222",
+            "d524b81b84bdb43e"
         ]
     );
     assert_eq!(
@@ -569,7 +585,8 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "1d79a540ef8830f5",
             "018c31680dac43ab",
             "d2516ab964fa8eb8",
-            "6405109bdca112a0"
+            "6405109bdca112a0",
+            "7ec021ed252405ad"
         ]
     );
     assert_eq!(
@@ -581,7 +598,8 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "d8b46e3e6bc232a9",
             "fb36894b18e35b9e",
             "c5ae99831bd7407f",
-            "5654e1c772e49440"
+            "5654e1c772e49440",
+            "b5b9aa6892fcee07"
         ]
     );
     assert_eq!(
@@ -593,7 +611,8 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "d80424af9dcf005c",
             "431367c6565aed69",
             "da946f4c0d5c032f",
-            "f44806e07411cc4f"
+            "f44806e07411cc4f",
+            "02f31fec3bb01c96"
         ]
     );
 }
@@ -935,5 +954,59 @@ fn ckks_fused_dot_matches_the_composition_of_public_ops() {
             Ckks::dot_diagonals(&ctx, &bottom, &diagonals, &gk),
             Err(choco_he::HeError::Mismatch(_))
         ));
+    }
+}
+
+/// A fresh seeded encryption carries one error term, `e`, where Eq. 2
+/// carries `u·e + e1 + e2·s`: at the paper's BFV sets A and B its invariant
+/// noise budget is at least an Eq. 2 encryption's of the same vector, and at
+/// set C its CKKS decrypt error is no larger. The static verifier's
+/// fresh-noise model is Eq. 2's, so it stays an upper bound for what the
+/// client uploads.
+#[test]
+fn a_seeded_upload_is_no_noisier_than_an_eq2_encryption() {
+    for params in [HeParams::set_a(), HeParams::set_b()] {
+        let ctx = BfvContext::new(&params).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"seeded vs eq2 noise");
+        let keys = ctx.keygen(&mut rng);
+        let dec = ctx.decryptor(keys.secret_key());
+        let t = ctx.plain_modulus();
+        for round in 0..4u64 {
+            let values: Vec<u64> = (0..ctx.degree() as u64)
+                .map(|i| (i * 31 + round) % t)
+                .collect();
+            let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
+            let eq2 = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+            let seeded = Bfv::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
+            let (seeded, eq2) = (
+                dec.invariant_noise_budget(&seeded),
+                dec.invariant_noise_budget(&eq2),
+            );
+            assert!(
+                seeded >= eq2,
+                "N = {}: seeded budget {seeded} < Eq. 2 budget {eq2}",
+                params.degree()
+            );
+        }
+    }
+    let ctx = CkksContext::new(&HeParams::set_c()).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"seeded vs eq2 ckks error");
+    let keys = ctx.keygen(&mut rng);
+    let max_error = |ct: &choco_he::ckks::CkksCiphertext, values: &[f64]| {
+        let got = ctx.decode(&ctx.decrypt(ct, keys.secret_key()));
+        got.iter()
+            .zip(values)
+            .map(|(g, v)| (g - v).abs())
+            .fold(0.0, f64::max)
+    };
+    for round in 0..4 {
+        let values: Vec<f64> = (0..ctx.slot_count())
+            .map(|i| ((i * 7 + round) % 23) as f64 / 4.0 - 2.0)
+            .collect();
+        let pt = ctx.encode(&values).unwrap();
+        let eq2 = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let seeded = Ckks::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
+        let (seeded, eq2) = (max_error(&seeded, &values), max_error(&eq2, &values));
+        assert!(seeded <= eq2, "seeded error {seeded} > Eq. 2 error {eq2}");
     }
 }

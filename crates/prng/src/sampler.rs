@@ -3,7 +3,8 @@
 //! Three distributions cover everything BFV/CKKS encryption needs (Eq. 2 of
 //! the paper: `u ← R_2` ternary, `e_1, e_2 ← χ` error):
 //!
-//! * uniform residues modulo `q` (public-key randomness),
+//! * uniform residues modulo `q` (public-key randomness; a division-free
+//!   masked variant expands a ciphertext's mask from its seed),
 //! * ternary coefficients in `{-1, 0, 1}` (secrets and encryption `u`),
 //! * clipped centered normal with σ = 3.2 and tail cut at 6σ — the same
 //!   error distribution SEAL uses.
@@ -46,6 +47,20 @@ fn uniform_from_bytes(bytes: &[u8], bound: u64) -> impl Iterator<Item = u64> + '
     bytes
         .chunks_exact(WORD)
         .filter_map(move |w| word_below(word(w), bound))
+}
+
+/// Values uniform in `[0, bound)` from a buffer of draws by masked
+/// rejection: each 8-byte word is cut to `bound`'s bit length and kept when
+/// below `bound` — no division, at least half the words kept, nearly all for
+/// a prime just below a power of two.
+// choco-lint: secret (public: bound)
+fn masked_from_bytes(bytes: &[u8], bound: u64) -> impl Iterator<Item = u64> + '_ {
+    let mask = u64::MAX.checked_shr(bound.leading_zeros()).unwrap_or(0);
+    bytes
+        .chunks_exact(WORD)
+        .map(move |w| word(w) & mask)
+        // choco-lint: allow(SEC001) rejection sampling on fresh randomness
+        .filter(move |&x| x < bound)
 }
 
 /// Ternary values from a buffer of draws: one per 8-byte word accepted
@@ -119,6 +134,21 @@ pub fn sample_uniform_into(rng: &mut Blake3Rng, q: u64, out: &mut [u64]) {
         out,
         WORD,
         |b, slots| store(uniform_from_bytes(b, q), slots),
+    );
+}
+
+/// Fills `out` with residues uniform in `[0, q)` by masked rejection
+/// ([`masked_from_bytes`]): a division-free sampler for public randomness
+/// expanded from a seed, whose stream differs from
+/// [`sample_uniform_into`]'s for the same bytes. `q` must be at least 1
+/// (callers pass primes): for `q = 0` no draw is ever kept.
+// choco-lint: secret (public: q, out)
+pub fn sample_uniform_masked_into(rng: &mut Blake3Rng, q: u64, out: &mut [u64]) {
+    fill_bulk(
+        |b| rng.fill_bytes(b),
+        out,
+        WORD,
+        |b, slots| store(masked_from_bytes(b, q), slots),
     );
 }
 
@@ -197,6 +227,26 @@ mod tests {
         let mean = v.iter().map(|&x| x as f64).sum::<f64>() / N as f64;
         let expect = Q as f64 / 2.0;
         assert!((mean - expect).abs() < 0.05 * Q as f64, "mean {mean}");
+    }
+
+    #[test]
+    fn masked_uniform_stays_in_range_and_spreads() {
+        // A bound far below its bit length's power of two (half the words
+        // rejected) and an NTT prime just below 2^45 (almost none).
+        for q in [(1u64 << 40) + 1, 35_184_372_088_833] {
+            let mut rng = Blake3Rng::from_seed(b"masked");
+            let mut v = vec![0; N];
+            sample_uniform_masked_into(&mut rng, q, &mut v);
+            assert!(v.iter().all(|&x| x < q));
+            let mean = v.iter().map(|&x| x as f64).sum::<f64>() / N as f64;
+            assert!(
+                (mean - q as f64 / 2.0).abs() < 0.05 * q as f64,
+                "mean {mean}"
+            );
+        }
+        let mut one = [7u64; 8];
+        sample_uniform_masked_into(&mut Blake3Rng::from_seed(b"q = 1"), 1, &mut one);
+        assert_eq!(one, [0; 8]);
     }
 
     #[test]

@@ -317,7 +317,9 @@ fn submit_eval<S: EvalScheme>(
 /// every plaintext encode while staying bit-identical (the cache stores
 /// exactly what the uncached path would compute). Execution failures are
 /// *poison* faults (they indict the program; the scheduler bisects and
-/// quarantines); rejected input blobs are job-local faults.
+/// quarantines); rejected input blobs — malformed, or a compact upload
+/// seeded over moduli that are not the session's data primes — are
+/// job-local faults.
 fn run_request<S: EvalScheme>(
     sess: &SchemeSession<S>,
     prog: &CachedProgram<S>,
@@ -326,7 +328,8 @@ fn run_request<S: EvalScheme>(
 ) -> JobOutcome {
     let mut named: HashMap<String, S::Ciphertext> = HashMap::new();
     for (name, wire) in inputs {
-        match S::ct_from_wire(wire) {
+        let ct = S::ct_from_wire(wire).and_then(|ct| S::check_moduli(&sess.ctx, &ct).map(|()| ct));
+        match ct {
             Ok(ct) => {
                 named.insert(name.clone(), ct);
             }

@@ -731,3 +731,94 @@ fn out_of_range_rotation_step_is_a_typed_refusal_on_a_live_connection() {
     assert_bad_rotation_step_is_refused::<Bfv>(SchemeType::Bfv);
     assert_bad_rotation_step_is_refused::<Ckks>(SchemeType::Ckks);
 }
+
+/// Tenant 1 uploads compact ciphertexts seeded over moduli of another
+/// parameter set (same ring degree, other primes) while tenant 2's
+/// pipelined pair waits in the same stalled round. The foreign inputs
+/// decode — their frames are well formed — and are refused as the
+/// tenant's own fault: a typed error, no bisection, no quarantine. Tenant
+/// 2's outputs are its local reference, byte for byte.
+fn assert_foreign_moduli_refused_without_harming_the_neighbour<
+    S: choco::compiler::CompilerScheme,
+>(
+    scheme: SchemeType,
+    foreign: choco_he::HeParams,
+) {
+    let config = ServeConfig {
+        eval_chaos: EvalChaos {
+            stall: Some((1, 250)),
+            ..EvalChaos::default()
+        },
+        ..ServeConfig::default()
+    };
+    let (server, addr) = bind(config, 2);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(scheme).unwrap();
+    assert_eq!(foreign.degree(), params.degree());
+    assert_ne!(foreign.primes(), params.primes());
+    let barrier = Arc::new(Barrier::new(2));
+
+    let intruder = {
+        let (addr, circuit, params) = (addr.clone(), circuit.clone(), params.clone());
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            let w = RemoteWorkload::<S>::prepare(&circuit, &params, b"foreign tenant").unwrap();
+            let ctx = S::context(&foreign).unwrap();
+            let mut rng = choco_prng::Blake3Rng::from_seed(b"foreign moduli");
+            let keys = S::keygen(&ctx, &mut rng);
+            let zeros = vec![S::Value::default(); S::slot_width(&ctx)];
+            let cts: Vec<(String, S::Ciphertext)> = w
+                .input_refs()
+                .iter()
+                .map(|(name, _)| {
+                    let ct = S::encrypt(&ctx, &keys, &zeros, &mut rng).unwrap();
+                    (name.to_string(), ct)
+                })
+                .collect();
+            let named: Vec<(&str, &S::Ciphertext)> =
+                cts.iter().map(|(n, ct)| (n.as_str(), ct)).collect();
+            let mut client = connect::<S>(&addr, 1, &w);
+            barrier.wait();
+            client
+                .evaluate(&w.prepared, &named)
+                .map(|outs| wires::<S>(&outs))
+        })
+    };
+    let w = RemoteWorkload::<S>::prepare(circuit, &params, b"neighbour tenant").unwrap();
+    let local = w.local_output_wires().unwrap();
+    let mut client = connect::<S>(&addr, 2, &w);
+    let inputs = w.input_refs();
+    barrier.wait();
+    let results = client
+        .evaluate_batch(&w.prepared, &[inputs.as_slice(), inputs.as_slice()])
+        .unwrap();
+    for outs in &results {
+        assert_eq!(wires::<S>(outs), local, "neighbour's output moved");
+    }
+    match intruder.join().expect("intruder thread panicked") {
+        Err(choco::transport::TransportError::Rejected(m)) => {
+            assert!(m.contains("rejected") && m.contains("moduli"), "{m}")
+        }
+        Err(e) => panic!("expected a typed refusal, got {e}"),
+        Ok(outs) => panic!("foreign inputs were evaluated into {} outputs", outs.len()),
+    }
+
+    let stats = server.shutdown();
+    let iso = stats.eval.isolation;
+    assert_eq!(iso.quarantined, 0, "{iso:?}");
+    assert_eq!(iso.bisections, 0, "{iso:?}");
+    assert_eq!(stats.eval.sched.batches, 1, "{:?}", stats.eval.sched);
+}
+
+#[test]
+fn compact_input_with_foreign_moduli_is_the_tenants_fault_only() {
+    assert_foreign_moduli_refused_without_harming_the_neighbour::<Bfv>(
+        SchemeType::Bfv,
+        choco_he::HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap(),
+    );
+    assert_foreign_moduli_refused_without_harming_the_neighbour::<Ckks>(
+        SchemeType::Ckks,
+        choco_he::HeParams::ckks_insecure(1024, &[50, 40, 45, 46], 30).unwrap(),
+    );
+}

@@ -46,10 +46,14 @@ fn client_aided_conv_layer_through_the_whole_stack() {
     assert_eq!(got, want);
     // Accounting: one upload, and one download for all three output
     // channels — they come back packed in one ciphertext (16 blocks of 64).
+    // The upload is compact: half a ciphertext (`c0`), the 32-byte seed of
+    // `c1` and one word per data prime.
     let ledger = session.ledger();
     assert_eq!(ledger.uploads, 1);
     assert_eq!(ledger.downloads, 1);
-    assert_eq!(ledger.total_bytes(), (2 * params.ciphertext_bytes()) as u64);
+    let upload = params.ciphertext_bytes() / 2 + 32 + 8 * params.data_prime_count();
+    assert_eq!(ledger.upload_bytes, upload as u64);
+    assert_eq!(ledger.download_bytes, params.ciphertext_bytes() as u64);
 }
 
 #[test]
