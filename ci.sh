@@ -67,7 +67,13 @@ done
 # and decrypts, no evaluator output carries a seed, a seed is refused over
 # foreign moduli (scheme unit tests), and the compact decoder refuses
 # truncations, bad moduli and a huge-ring claim without allocating for it
-# (fuzz_serialize, remote_fuzz).
+# (fuzz_serialize, remote_fuzz). PageRank bursts and the distance kernels
+# as resident programs, at every point of the matrix too: a second burst of
+# a length and a second K-Means iteration compile and encode nothing, and
+# the collapsed kernel's mask-and-shift is one fused dot (pagerank and
+# distance unit tests), BFV PageRank's replies and the
+# kernels' op counts pinned across builds (layer_bytes), and a workload
+# written once as a program runs under both schemes (protocol unit test).
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -83,6 +89,8 @@ for simd in 0 1; do
         filtered "${matrix[@]}" -p choco --lib compiler::tests
         filtered "${matrix[@]}" -p choco --lib matvec_program
         filtered "${matrix[@]}" -p choco-apps --lib -- packed_layer warm_session lenet_layer_programs fc_program
+        filtered "${matrix[@]}" -p choco-apps --lib -- second_burst second_kmeans_iteration collapse_is_one_fused_dot
+        filtered "${matrix[@]}" -p choco --lib generic_workload_runs_under_both_schemes
         "${matrix[@]}" -p choco-apps --test layer_bytes
         filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
         filtered "${matrix[@]}" -p choco-he --lib -- generic_roundtrip carries_a_seed seed_expands

@@ -18,7 +18,7 @@
 //! shifts, and depths matter — so the builders synthesize small
 //! deterministic constants instead of threading real model weights through.
 
-use crate::distance::distance_rotation_steps;
+use crate::distance::{dims_per_ciphertext, distance_rotation_steps};
 use crate::dnn::{conv_rotation_steps, conv_taps};
 use crate::pagerank::pagerank_rotation_steps;
 use crate::pipeline::{all_rotation_steps, LenetLikeSpec};
@@ -178,11 +178,7 @@ pub fn distance_program(dims: usize, n_points: usize, slots: usize) -> Program {
         let r = prog.rotate(acc, (b * stride - b) as i64);
         acc = prog.add(acc, r);
     }
-    let mut per_ct = 1usize;
-    while 2 * per_ct * n_points + n_points <= slots {
-        per_ct *= 2;
-    }
-    per_ct = per_ct.min(dims);
+    let per_ct = dims_per_ciphertext(n_points, slots).min(dims);
     let mut band = 1usize;
     while band < per_ct {
         let r = prog.rotate(acc, (band * n_points) as i64);

@@ -8,49 +8,54 @@
 //! benefit) in plaintext; the client decrypts distances and performs the
 //! non-linear `min` / argmin / label vote.
 //!
-//! Five packing variants of Figure 9 are implemented. They trade input
+//! Three packing variants of Figure 9 are implemented. They trade input
 //! utilization against output utilization:
 //!
-//! | variant                | input cts      | output cts | server extra |
-//! |------------------------|----------------|-----------|---------------|
-//! | point-major            | 1 (pt blocks)  | 1 sparse  | rotate tree   |
-//! | dimension-major        | d              | 1 dense   | none          |
-//! | stacked point-major    | 1 (small dims) | 1 sparse  | rotate tree   |
-//! | stacked dimension-major| ⌈d/stack⌉      | 1 dense   | rotate tree   |
-//! | collapsed point-major  | 1              | 1 dense   | masks + rots  |
+//! | variant               | input cts        | output cts | server extra        |
+//! |-----------------------|------------------|------------|---------------------|
+//! | point-major           | 1 (pt blocks)    | 1 sparse   | rotate tree         |
+//! | dimension-major       | ⌈d / per ct⌉     | 1 dense    | band folds          |
+//! | collapsed point-major | 1                | 1 dense    | rotate tree + a dot |
+//!
+//! Point-major puts each point's dimensions in a power-of-two block, so
+//! small dimension counts stack many points in one ciphertext; dimension-
+//! major stacks as many dimensions as fit in `n`-slot bands and folds them,
+//! so small point counts stack many dimensions. Each variant's server half
+//! is one compiled program over the session's point set
+//! (`kernel_program`), which the session keeps resident: a K-Means run
+//! compiles and encodes it once.
 
+use crate::dnn::resident_options;
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_f64s, read_ct, read_f64s,
     ResumableWorkload,
 };
-use choco::protocol::{CommLedger, Server};
+use choco::compiler::{compile, NodeId, Program};
+use choco::protocol::CommLedger;
 use choco::transport::{Session, TransportError};
 use choco_he::ckks::CkksCiphertext;
 use choco_he::{Ckks, HeError};
+use std::collections::HashMap;
 
 /// Packing variants of Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackingVariant {
-    /// One point's dimensions per power-of-two block.
+    /// One point's dimensions per power-of-two block; the query replicated
+    /// into every block.
     PointMajor,
-    /// One dimension across all points per ciphertext.
+    /// One dimension across all points per `n`-slot band, as many bands
+    /// per ciphertext as fit; the server folds the bands together.
     DimensionMajor,
-    /// Multiple points per block row (small dimension counts).
-    StackedPointMajor,
-    /// Multiple dimensions per ciphertext (small point counts).
-    StackedDimensionMajor,
     /// Point-major input, masked/accumulated into one dense output.
     CollapsedPointMajor,
 }
 
 impl PackingVariant {
-    /// All five variants in Figure 9 order.
-    pub fn all() -> [PackingVariant; 5] {
+    /// All three variants in Figure 9 order.
+    pub fn all() -> [PackingVariant; 3] {
         [
             PackingVariant::PointMajor,
             PackingVariant::DimensionMajor,
-            PackingVariant::StackedPointMajor,
-            PackingVariant::StackedDimensionMajor,
             PackingVariant::CollapsedPointMajor,
         ]
     }
@@ -60,8 +65,6 @@ impl PackingVariant {
         match self {
             PackingVariant::PointMajor => "point-major",
             PackingVariant::DimensionMajor => "dimension-major",
-            PackingVariant::StackedPointMajor => "stacked point-major",
-            PackingVariant::StackedDimensionMajor => "stacked dimension-major",
             PackingVariant::CollapsedPointMajor => "collapsed point-major",
         }
     }
@@ -78,7 +81,8 @@ pub struct DistanceResult {
     pub encryptions: u64,
     /// Client decryptions performed.
     pub decryptions: u64,
-    /// Homomorphic operation count on the server (rough server-cost proxy).
+    /// Homomorphic operations the server evaluates (rough server-cost
+    /// proxy): the compiled kernel's op nodes.
     pub server_ops: u64,
     /// The reply ciphertext as delivered — the bit-identity witness
     /// [`ResumableKmeans`] keeps for its checkpoint progress.
@@ -108,12 +112,176 @@ fn validate_point_set(query: &[f64], points: &[Vec<f64>]) -> Result<(), HeError>
     Ok(())
 }
 
+/// The leading word of a distance kernel's resident-program key, distinct
+/// from every other kind's.
+pub(crate) const DISTANCE_KEY_TAG: u64 = u64::from_le_bytes(*b"distance");
+
+/// What [`kernel_program`] is a function of in one session, exactly: the
+/// variant and the point set with its shape, behind [`DISTANCE_KEY_TAG`].
+pub(crate) fn kernel_key(variant: PackingVariant, points: &[Vec<f64>]) -> Vec<u64> {
+    let (d, n) = (points.first().map_or(0, Vec::len), points.len());
+    let mut key = vec![DISTANCE_KEY_TAG, variant as u64, d as u64, n as u64];
+    key.extend(points.iter().flatten().map(|v| v.to_bits()));
+    key
+}
+
+/// The name of the kernel program's `i`-th input: the query ciphertext, or
+/// under dimension-major the `i`-th dimension batch.
+fn input_name(i: usize) -> String {
+    format!("q{i}")
+}
+
+/// How many dimensions fit in one ciphertext at `n`-slot strides. Slot
+/// rotations wrap cyclically, so the fold tree needs the top band plus one
+/// band of headroom to stay clear of wrapped-in values; cap at the largest
+/// power of two with `per_ct·n + n ≤ slots`.
+pub(crate) fn dims_per_ciphertext(n: usize, slots: usize) -> usize {
+    let mut per_ct = 1usize;
+    while 2 * per_ct * n + n <= slots {
+        per_ct *= 2;
+    }
+    per_ct
+}
+
+/// Dimension-major's batches of a `d`-dimensional query over `n` points at
+/// `slots` slots: `(first dimension, dimensions)`, one per uploaded
+/// ciphertext.
+fn dimension_batches(d: usize, n: usize, slots: usize) -> Vec<(usize, usize)> {
+    let per_ct = dims_per_ciphertext(n, slots).min(d);
+    (0..d)
+        .step_by(per_ct)
+        .map(|dim| (dim, per_ct.min(d - dim)))
+        .collect()
+}
+
+/// The client's upload slots for `variant`: point-major's query replicated
+/// into every point block, or dimension-major's batches, `q_dim` broadcast
+/// across the `n` points of each band.
+fn client_slots(
+    variant: PackingVariant,
+    query: &[f64],
+    n: usize,
+    slots: usize,
+) -> Result<Vec<Vec<f64>>, HeError> {
+    let d = query.len();
+    if variant == PackingVariant::DimensionMajor {
+        if n > slots {
+            return Err(HeError::Mismatch(
+                "too many points for one ciphertext".into(),
+            ));
+        }
+        let band = |&(dim, batch): &(usize, usize)| -> Vec<f64> {
+            let coords = query[dim..dim + batch].iter();
+            coords.flat_map(|&q| std::iter::repeat_n(q, n)).collect()
+        };
+        return Ok(dimension_batches(d, n, slots).iter().map(band).collect());
+    }
+    let stride = block_stride(d);
+    if n * stride > slots {
+        return Err(HeError::Mismatch(
+            "point-major packing exceeds ciphertext capacity".into(),
+        ));
+    }
+    let mut qslots = vec![0.0f64; n * stride];
+    for block in qslots.chunks_mut(stride) {
+        block[..d].copy_from_slice(query);
+    }
+    Ok(vec![qslots])
+}
+
+/// Squares `diff`, then sums `count` slot runs `unit` apart onto the first
+/// with one rotate-add per doubling: by `unit`, `2·unit`, … below
+/// `count·unit`.
+fn square_and_fold(p: &mut Program, diff: NodeId, count: usize, unit: usize) -> NodeId {
+    let mut acc = p.mul(diff, diff);
+    let mut runs = 1;
+    while runs < count {
+        let rotated = p.rotate(acc, (runs * unit) as i64);
+        acc = p.add(acc, rotated);
+        runs <<= 1;
+    }
+    acc
+}
+
+/// The server half of `variant` over `points` at `slots` slots, as one
+/// program over the uploaded query ciphertexts (`q0`, `q1`, …): `q − p` (a
+/// plaintext add of the negated points, packed as the client packs the
+/// query), the square, then
+///
+/// * point-major: the rotate-add tree over each power-of-two block, which
+///   leaves each distance at its block's slot 0;
+/// * collapsed point-major: that tree, then one dot `Σ_b rot(acc, b·stride
+///   − b) ⊙ e_b` — a rotation and mask per block moving block `b`'s head to
+///   slot `b`, one chain the executor fuses into a hoisted dot;
+/// * dimension-major: per dimension batch the band folds onto band 0, then
+///   the batches' sum.
+///
+/// One output: the reply.
+pub(crate) fn kernel_program(
+    variant: PackingVariant,
+    points: &[Vec<f64>],
+    slots: usize,
+) -> Program {
+    let d = points.first().map_or(0, Vec::len);
+    let n = points.len();
+    let mut p = Program::new();
+    let reply = if variant == PackingVariant::DimensionMajor {
+        let mut total = None;
+        for (i, (dim, batch)) in dimension_batches(d, n, slots).into_iter().enumerate() {
+            let x = p.input(&input_name(i));
+            let coords = (dim..dim + batch).flat_map(|j| points.iter().map(move |pt| -pt[j]));
+            let negated = p.constant(&coords.collect::<Vec<f64>>());
+            let diff = p.add_plain(x, negated);
+            let folded = square_and_fold(&mut p, diff, batch, n);
+            total = Some(total.map_or(folded, |t| p.add(t, folded)));
+        }
+        total
+    } else {
+        let stride = block_stride(d);
+        let x = p.input(&input_name(0));
+        let mut negated = vec![0.0f64; n * stride];
+        for (block, pt) in negated.chunks_mut(stride).zip(points) {
+            for (slot, &v) in block.iter_mut().zip(pt) {
+                *slot = -v;
+            }
+        }
+        let negated = p.constant(&negated);
+        let diff = p.add_plain(x, negated);
+        let acc = square_and_fold(&mut p, diff, stride, 1);
+        if variant == PackingVariant::CollapsedPointMajor {
+            let mut dense = None;
+            for b in 0..n {
+                let mut head = vec![0.0f64; n * stride];
+                head[b] = 1.0;
+                let mask = p.constant(&head);
+                let shifted = if b == 0 {
+                    acc
+                } else {
+                    p.rotate(acc, (b * stride - b) as i64)
+                };
+                let term = p.mul_plain(shifted, mask);
+                dense = Some(dense.map_or(term, |s| p.add(s, term)));
+            }
+            dense
+        } else {
+            Some(acc)
+        }
+    };
+    if let Some(reply) = reply {
+        p.output(reply);
+    }
+    p
+}
+
 /// Computes squared distances with the requested packing variant over the
 /// session's link.
 ///
 /// `query` has `d` coordinates; `points` is `n` reference points of the same
-/// dimension, held in plaintext by the server. Every ciphertext crosses the
-/// session's framed, retried channels; over a
+/// dimension, held in plaintext by the server. The client packs, encrypts
+/// and uploads the query; the server runs the variant's `kernel_program`
+/// for `points`, which the session keeps resident; the client downloads and
+/// decrypts the one reply. Every ciphertext crosses the session's framed,
+/// retried channels; over a
 /// [`DirectChannel`](choco::transport::DirectChannel) link this is the
 /// fault-free paper protocol. The reported ledger covers only this call
 /// (the session's cumulative ledger keeps growing).
@@ -130,18 +298,45 @@ pub fn encrypted_distances(
     points: &[Vec<f64>],
 ) -> Result<DistanceResult, TransportError> {
     validate_point_set(query, points)?;
+    let n = points.len();
+    let slots = session.server().context().slot_count();
+    let uploads = client_slots(variant, query, n, slots)?;
     let before = *session.ledger();
-    let mut res = match variant {
-        PackingVariant::PointMajor | PackingVariant::StackedPointMajor => {
-            point_major(session, query, points, false)
-        }
-        PackingVariant::CollapsedPointMajor => point_major(session, query, points, true),
-        PackingVariant::DimensionMajor | PackingVariant::StackedDimensionMajor => {
-            dimension_major(session, query, points)
-        }
-    }?;
-    res.ledger = ledger_delta(session.ledger(), &before);
-    Ok(res)
+    let mut inputs = HashMap::new();
+    for (i, values) in uploads.iter().enumerate() {
+        let ct = session.client_mut().encrypt_values(values)?;
+        inputs.insert(input_name(i), session.upload(&ct)?);
+    }
+    let options = resident_options(session.params());
+    let build = |_: &_| {
+        compile(&kernel_program(variant, points, slots), &options)
+            .map_err(|e| HeError::Mismatch(format!("distance program: {e}")))
+    };
+    let key = kernel_key(variant, points);
+    let reply = session.run_resident(&key, build, &inputs)?.pop();
+    let reply = reply.ok_or_else(|| HeError::Mismatch("distance program has no output".into()))?;
+    let server_ops = session
+        .resident_program(&key)
+        .map_or(0, |program| program.counts.total());
+    let back = session.download(&reply)?;
+    session.ledger_mut().end_round();
+    let out = session.client_mut().decrypt_values(&back)?;
+    let distances = if variant == PackingVariant::PointMajor {
+        let stride = block_stride(query.len());
+        out.iter().step_by(stride).take(n).copied().collect()
+    } else {
+        out[..n].to_vec()
+    };
+    let ledger = ledger_delta(session.ledger(), &before);
+    let client = session.client_mut();
+    Ok(DistanceResult {
+        distances,
+        ledger,
+        encryptions: client.encryption_count(),
+        decryptions: client.decryption_count(),
+        server_ops,
+        reply: back,
+    })
 }
 
 /// Per-call traffic: the session ledger's growth since `before`.
@@ -156,250 +351,6 @@ fn ledger_delta(after: &CommLedger, before: &CommLedger) -> CommLedger {
         refresh_rounds: after.refresh_rounds - before.refresh_rounds,
         recovery_bytes: after.recovery_bytes - before.recovery_bytes,
     }
-}
-
-/// Client-side point-major packing: the query replicated into every point
-/// block.
-fn point_major_qslots(query: &[f64], n: usize, stride: usize) -> Vec<f64> {
-    let d = query.len();
-    let mut qslots = vec![0.0f64; n * stride];
-    for b in 0..n {
-        qslots[b * stride..b * stride + d].copy_from_slice(query);
-    }
-    qslots
-}
-
-/// Server-side point-major computation: diff = q − p (plaintext add of −p),
-/// square, rotate-add dims; optionally collapse block heads into dense low
-/// slots. Returns the reply ciphertext and the homomorphic op count.
-fn point_major_server(
-    server: &Server<Ckks>,
-    at_server: &CkksCiphertext,
-    points: &[Vec<f64>],
-    stride: usize,
-    collapse: bool,
-) -> Result<(CkksCiphertext, u64), HeError> {
-    let n = points.len();
-    let mut server_ops = 0u64;
-    let ctx = server.context();
-    let mut pslots = vec![0.0f64; n * stride];
-    for (b, p) in points.iter().enumerate() {
-        for (j, &v) in p.iter().enumerate() {
-            pslots[b * stride + j] = -v;
-        }
-    }
-    let ppt = server.encode_at(&pslots, at_server.level(), at_server.scale())?;
-    let diff = ctx.add_plain(at_server, &ppt)?;
-    server_ops += 1;
-    let sq = ctx.multiply_relin(&diff, &diff, server.relin_key())?;
-    let sq = ctx.rescale(&sq)?;
-    server_ops += 2;
-
-    // Rotate-add tree over the (power-of-two) block stride.
-    let mut acc = sq;
-    let mut step = 1usize;
-    while step < stride {
-        let rot = ctx.rotate(&acc, step as i64, server.galois_keys())?;
-        acc = ctx.add(&acc, &rot)?;
-        server_ops += 2;
-        step <<= 1;
-    }
-    // Distances now sit at each block's slot 0 (sparse, 1/stride utilized).
-
-    let reply = if collapse {
-        // Rotate-then-mask (equivalent to masking block b's head then
-        // shifting it to slot b, since the mask commutes with the shift):
-        // every rotation acts on the same `acc`, so all of them share one
-        // hoisted key-switch decomposition.
-        let shifts: Vec<i64> = (1..n).map(|b| (b * stride - b) as i64).collect();
-        let rotated = if shifts.is_empty() {
-            Vec::new()
-        } else {
-            server_ops += shifts.len() as u64;
-            ctx.rotate_many(&acc, &shifts, server.galois_keys())?
-        };
-        let mut collapsed: Option<CkksCiphertext> = None;
-        for (b, rot) in std::iter::once(&acc).chain(rotated.iter()).enumerate() {
-            let mut mask = vec![0.0f64; n * stride];
-            mask[b] = 1.0;
-            let mpt = server.encode_at(&mask, rot.level(), ctx.default_scale())?;
-            let picked = ctx.multiply_plain(rot, &mpt)?;
-            let picked = ctx.rescale(&picked)?;
-            server_ops += 2;
-            collapsed = Some(match collapsed {
-                None => picked,
-                Some(c) => {
-                    server_ops += 1;
-                    ctx.add(&c, &picked)?
-                }
-            });
-        }
-        collapsed.ok_or_else(|| HeError::Mismatch("need at least one point".into()))?
-    } else {
-        acc
-    };
-    Ok((reply, server_ops))
-}
-
-/// Reads the distances out of a decrypted point-major reply.
-fn point_major_extract(slots_out: &[f64], n: usize, stride: usize, collapse: bool) -> Vec<f64> {
-    if collapse {
-        (0..n).map(|b| slots_out[b]).collect()
-    } else {
-        (0..n).map(|b| slots_out[b * stride]).collect()
-    }
-}
-
-/// Point-major family: query replicated per point block; per-block
-/// rotate-add tree accumulates dimensions. With `collapse`, the server masks
-/// each block's result and packs all distances densely into the low slots
-/// before replying (extra server work, single dense output — the
-/// client-optimal variant of §5.4).
-fn point_major(
-    session: &mut Session<Ckks>,
-    query: &[f64],
-    points: &[Vec<f64>],
-    collapse: bool,
-) -> Result<DistanceResult, TransportError> {
-    let n = points.len();
-    let stride = block_stride(query.len());
-    let slots = session.server().context().slot_count();
-    if n * stride > slots {
-        return Err(
-            HeError::Mismatch("point-major packing exceeds ciphertext capacity".into()).into(),
-        );
-    }
-
-    let ct = session
-        .client_mut()
-        .encrypt_values(&point_major_qslots(query, n, stride))?;
-    let at_server = session.upload(&ct)?;
-    let (reply, server_ops) =
-        point_major_server(session.server(), &at_server, points, stride, collapse)?;
-    let back = session.download(&reply)?;
-    session.ledger_mut().end_round();
-    let slots_out = session.client_mut().decrypt_values(&back)?;
-    Ok(DistanceResult {
-        distances: point_major_extract(&slots_out, n, stride, collapse),
-        ledger: CommLedger::new(), // overwritten by the caller with the delta
-        encryptions: session.client_mut().encryption_count(),
-        decryptions: session.client_mut().decryption_count(),
-        server_ops,
-        reply: back,
-    })
-}
-
-/// How many dimensions fit in one ciphertext at `n`-slot strides. Slot
-/// rotations wrap cyclically, so the fold tree needs the top band plus one
-/// band of headroom to stay clear of wrapped-in values; cap at the largest
-/// power of two with `per_ct·n + n ≤ slots`.
-fn dims_per_ciphertext(n: usize, slots: usize) -> usize {
-    let mut per_ct = 1usize;
-    while 2 * per_ct * n + n <= slots {
-        per_ct *= 2;
-    }
-    per_ct
-}
-
-/// Client-side packing of one dimension batch: broadcast `q_dim` across the
-/// `n` points of each stacked band (and the negated point coordinates the
-/// server will add).
-fn dimension_batch_slots(
-    query: &[f64],
-    points: &[Vec<f64>],
-    dim: usize,
-    batch: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let n = points.len();
-    let mut qslots = vec![0.0f64; batch * n];
-    let mut pslots = vec![0.0f64; batch * n];
-    for b in 0..batch {
-        for i in 0..n {
-            qslots[b * n + i] = query[dim + b];
-            pslots[b * n + i] = -points[i][dim + b];
-        }
-    }
-    (qslots, pslots)
-}
-
-/// Server-side work for one dimension batch: diff, square, fold stacked
-/// bands onto band 0. Returns the partial-sum ciphertext and op count.
-fn dimension_batch_server(
-    server: &Server<Ckks>,
-    at_server: &CkksCiphertext,
-    pslots: &[f64],
-    batch: usize,
-    n: usize,
-) -> Result<(CkksCiphertext, u64), HeError> {
-    let ctx = server.context();
-    let mut server_ops = 0u64;
-    let ppt = server.encode_at(pslots, at_server.level(), at_server.scale())?;
-    let diff = ctx.add_plain(at_server, &ppt)?;
-    server_ops += 1;
-    let sq = ctx.multiply_relin(&diff, &diff, server.relin_key())?;
-    let mut sq = ctx.rescale(&sq)?;
-    server_ops += 2;
-    // Fold stacked bands onto band 0.
-    let mut band = 1usize;
-    while band < batch {
-        // Fold by the largest power-of-two band count.
-        let rot = ctx.rotate(&sq, (band * n) as i64, server.galois_keys())?;
-        sq = ctx.add(&sq, &rot)?;
-        server_ops += 2;
-        band <<= 1;
-    }
-    Ok((sq, server_ops))
-}
-
-/// Dimension-major family: one ciphertext per dimension (the stacked form
-/// packs several dimensions into one ciphertext at `n`-slot strides and
-/// folds them with rotations). Output is a single dense distance vector.
-fn dimension_major(
-    session: &mut Session<Ckks>,
-    query: &[f64],
-    points: &[Vec<f64>],
-) -> Result<DistanceResult, TransportError> {
-    let d = query.len();
-    let n = points.len();
-    let slots = session.server().context().slot_count();
-    if n > slots {
-        return Err(HeError::Mismatch("too many points for one ciphertext".into()).into());
-    }
-
-    let mut server_ops = 0u64;
-    let per_ct = dims_per_ciphertext(n, slots).min(d);
-    let mut total: Option<CkksCiphertext> = None;
-    let mut dim = 0usize;
-    while dim < d {
-        let batch = per_ct.min(d - dim);
-        let (qslots, pslots) = dimension_batch_slots(query, points, dim, batch);
-        let ct = session.client_mut().encrypt_values(&qslots)?;
-        let at_server = session.upload(&ct)?;
-        let (sq, ops) = dimension_batch_server(session.server(), &at_server, &pslots, batch, n)?;
-        server_ops += ops;
-        total = Some(match total {
-            None => sq,
-            Some(tt) => {
-                server_ops += 1;
-                session.server().context().add(&tt, &sq)?
-            }
-        });
-        dim += batch;
-    }
-    let reply = total.ok_or_else(|| {
-        TransportError::He(HeError::Mismatch("need at least one dimension".into()))
-    })?;
-    let back = session.download(&reply)?;
-    session.ledger_mut().end_round();
-    let out = session.client_mut().decrypt_values(&back)?;
-    Ok(DistanceResult {
-        distances: out[..n].to_vec(),
-        ledger: CommLedger::new(), // overwritten by the caller with the delta
-        encryptions: session.client_mut().encryption_count(),
-        decryptions: session.client_mut().decryption_count(),
-        server_ops,
-        reply: back,
-    })
 }
 
 /// Plaintext reference: squared Euclidean distances.
@@ -685,11 +636,8 @@ pub fn distance_rotation_steps(dims: usize, n_points: usize, slots: usize) -> Ve
             steps.push((b * stride - b) as i64);
         }
     }
-    // Stacked-dimension folds (same band cap as `dimension_major`).
-    let mut per_ct = 1usize;
-    while 2 * per_ct * n_points + n_points <= slots {
-        per_ct *= 2;
-    }
+    // Dimension-major's band folds.
+    let per_ct = dims_per_ciphertext(n_points, slots);
     let mut band = 1usize;
     while band < per_ct {
         steps.push((band * n_points) as i64);
@@ -790,6 +738,19 @@ mod tests {
         assert!(collapsed.server_ops > plain.server_ops);
         // ...to produce a dense output the client reads directly.
         assert_eq!(collapsed.distances.len(), n);
+    }
+
+    #[test]
+    fn the_collapse_is_one_fused_dot() {
+        // Collapsed point-major's per-block mask and shift is one dot
+        // chain, fused: the n masked products, their rescales, the n − 1
+        // shifts and the n − 1 adds summing them.
+        let (_, points) = test_data(4, 6);
+        let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
+        let program = kernel_program(PackingVariant::CollapsedPointMajor, &points, 512);
+        let compiled = compile(&program, &resident_options(&params)).unwrap();
+        let fused = (compiled.fused_groups(), compiled.fused_nodes());
+        assert_eq!(fused, (1, 4 * 6 - 2));
     }
 
     #[test]
@@ -903,6 +864,28 @@ mod tests {
         assert_eq!(run.iterations, 2);
         for x in &run.centroids[0] {
             assert!((x - 1.0).abs() < 1e-12, "centroid {:?}", run.centroids[0]);
+        }
+    }
+
+    #[test]
+    fn a_second_kmeans_iteration_compiles_and_encodes_nothing() {
+        // Every centroid of every iteration runs the one program of the
+        // point set: the first centroid compiles it and encodes the negated
+        // points (and the collapse masks); nothing after that does.
+        let (_, points) = test_data(4, 6);
+        let init = vec![vec![0.5; 4], vec![1.5; 4]];
+        for variant in PackingVariant::all() {
+            let mut session = setup(4, 6);
+            // A zero tolerance never converges: the run takes every step.
+            let mut run = ResumableKmeans::new(variant, &points, &init, 2, 0.0).unwrap();
+            run.step(&mut session).unwrap();
+            let (programs, operands) = session.resident_counters();
+            assert_eq!(programs.misses, 1, "{}", variant.label());
+            run.step(&mut session).unwrap();
+            let (again, reused) = session.resident_counters();
+            assert_eq!(again.misses, 1, "{}", variant.label());
+            assert_eq!(reused.misses, operands.misses, "{}", variant.label());
+            assert!(reused.hits > operands.hits, "{}", variant.label());
         }
     }
 

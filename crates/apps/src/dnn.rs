@@ -36,8 +36,8 @@ use choco::linalg::matvec_hybrid_shape;
 use choco::rotation::RedundantLayout;
 use choco::stacking::StackedLayout;
 use choco::transport::{Session, TransportError};
-use choco_he::bfv::Ciphertext;
-use choco_he::params::HeParams;
+use choco_he::bfv::{BfvContext, Ciphertext};
+use choco_he::params::{HeParams, SchemeType};
 use choco_he::{Bfv, HeError, HeScheme};
 use std::collections::HashMap;
 
@@ -782,6 +782,22 @@ pub(crate) const LAYER_OPTIONS: CompilerOptions = CompilerOptions {
     max_levels: 1,
 };
 
+/// How a session-resident program compiles under `params`: BFV programs
+/// carry their constants as integers below `t`, quantized by the workload
+/// itself, so they compile like a LeNet layer ([`LAYER_OPTIONS`]); CKKS
+/// programs compile at the parameter set's own waterline — its scale, its
+/// first prime's width and its data-prime count.
+pub(crate) fn resident_options(params: &HeParams) -> CompilerOptions {
+    match params.scheme() {
+        SchemeType::Bfv => LAYER_OPTIONS,
+        SchemeType::Ckks => CompilerOptions {
+            scale_bits: params.scale_bits(),
+            prime_bits: params.prime_bits().first().copied().unwrap_or(0),
+            max_levels: params.data_prime_count(),
+        },
+    }
+}
+
 /// Row-rotation distance of every tap of an `f × f` filter over `w`-wide
 /// maps, in tap order (row-major over the filter).
 fn tap_shifts(f: usize, w: usize) -> impl Iterator<Item = i64> {
@@ -1125,9 +1141,8 @@ impl ResumableWorkload for ResumableConvLayer {
             session.compute_tick()?;
         }
         let (inputs, weights) = (uploaded.len(), &self.weights);
-        let t = session.server().context().plain_modulus();
         let key = packing.layer_key(inputs, weights);
-        let build = || packing.compile_layer(inputs, weights, t);
+        let build = |ctx: &BfvContext| packing.compile_layer(inputs, weights, ctx.plain_modulus());
         let outputs = session.run_resident(&key, build, &named)?;
         // Client: download + decrypt every output group, `B` maps each.
         let mut maps = Vec::with_capacity(outputs.len() * packing.blocks());

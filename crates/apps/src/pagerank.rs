@@ -7,20 +7,23 @@
 //! parameters beat long fully-encrypted runs*, and the optimal schedules fit
 //! the CHOCO-TACO envelope (`N ≤ 8192`, `k ≤ 3`).
 //!
-//! Both a real encrypted implementation (BFV fixed-point, via the diagonal
-//! matrix-vector kernel) and the analytic communication model behind
-//! Figure 13 live here.
+//! Both a real encrypted implementation, generic over the scheme, and the
+//! analytic communication model behind Figure 13 live here. Each refresh
+//! burst's server half is one compiled program (`burst_program`) that the
+//! session keeps resident, so a repeated burst compiles and encodes nothing.
 
+use crate::dnn::resident_options;
 use crate::resumable::{
     bad_progress, ct_wire, finish_progress, progress_cursor, put_ct, put_f64s, read_ct, read_f64s,
     ResumableWorkload,
 };
-use choco::compiler::CompilerScheme;
-use choco::linalg::{matvec_diagonals, replicate_for_matvec};
+use choco::compiler::{compile, CompilerScheme, Program};
+use choco::linalg::{matvec_into, replicate_for_matvec};
 use choco::protocol::CommLedger;
 use choco::transport::{LinkConfig, Session, TransportError};
 use choco_he::params::{max_coeff_bits_128, HeParams, SchemeType, WORD_BYTES};
 use choco_he::{HeError, HeScheme};
+use std::collections::HashMap;
 
 /// A row-stochastic link graph for PageRank.
 #[derive(Debug, Clone)]
@@ -99,9 +102,79 @@ pub fn pagerank_rotation_steps(n: usize) -> Vec<i64> {
 
 const PAGERANK_MAGIC: &[u8; 4] = b"RPG1";
 
+/// The leading word of a PageRank burst's resident-program key, distinct
+/// from every other kind's.
+pub(crate) const PAGERANK_KEY_TAG: u64 = u64::from_le_bytes(*b"pagerank");
+
+/// What [`burst_program`] is a function of, exactly: the graph's
+/// transition matrix, the damping, the burst length and the fixed-point
+/// scale, behind [`PAGERANK_KEY_TAG`] — the key a session keeps the
+/// compiled burst under.
+pub(crate) fn burst_key(graph: &Graph, damping: f64, burst: u32, scale_bits: u32) -> Vec<u64> {
+    let mut key = vec![PAGERANK_KEY_TAG, graph.len() as u64, burst.into()];
+    key.extend([scale_bits.into(), damping.to_bits()]);
+    key.extend(graph.transition.iter().flatten().map(|v| v.to_bits()));
+    key
+}
+
+/// `burst` encrypted PageRank iterations as one program over the input
+/// `ranks`, the rank vector packed by [`replicate_for_matvec`]. Each
+/// iteration is the damped transition matrix's diagonal matvec
+/// ([`matvec_into`]) plus the teleport vector; between two iterations the
+/// ranks are masked to their first copy and re-replicated with one
+/// rotate-add for the next matvec — the noise and level tax that makes long
+/// bursts lose to frequent refresh (§5.6).
+///
+/// Every constant is quantized here with [`HeScheme::quantize`] at the
+/// fixed-point depth where it meets the ranks — the matrix at 1, iteration
+/// `it`'s teleport vector at `it + 2` (every term carries that depth after
+/// the matvec), the mask at 0 — and enters the program as the slot values
+/// it quantized to. Under BFV those are integers below `t`, compiled at
+/// scale `2^0`; under CKKS quantization is the identity. An empty graph
+/// yields a program with no output, which [`compile`] refuses.
+pub(crate) fn burst_program<S: HeScheme>(
+    ctx: &S::Context,
+    graph: &Graph,
+    damping: f64,
+    burst: u32,
+    scale_bits: u32,
+) -> Program {
+    // A quantized vector's slot values as reals (dequantizing at depth 0
+    // strips no scale).
+    let fixed = |values: &[f64], depth| {
+        S::dequantize(ctx, &S::quantize(ctx, values, scale_bits, depth), 0, 0)
+    };
+    let n = graph.len();
+    let damped = |row: &Vec<f64>| row.iter().map(|&v| damping * v).collect::<Vec<_>>();
+    let matrix: Vec<Vec<f64>> = graph
+        .transition
+        .iter()
+        .map(|row| fixed(&damped(row), 1))
+        .collect();
+    let teleport = vec![(1.0 - damping) / n as f64; n];
+    let mut p = Program::new();
+    let mut ranks = p.input("ranks");
+    for it in 0..burst {
+        let Some(product) = matvec_into(&mut p, ranks, &matrix) else {
+            return p;
+        };
+        let constant = p.constant(&fixed(&teleport, it + 2));
+        ranks = p.add_plain(product, constant);
+        if it + 1 < burst {
+            let mask = p.constant(&fixed(&vec![1.0; n], 0));
+            let masked = p.mul_plain(ranks, mask);
+            let copy = p.rotate(masked, -(n as i64));
+            ranks = p.add(masked, copy);
+        }
+    }
+    p.output(ranks);
+    p
+}
+
 /// Client-aided PageRank as a burst-granular state machine, generic over
 /// the HE scheme: each step is one refresh burst — quantize + encrypt +
-/// upload, `burst` encrypted iterations, download, decrypt + renormalize.
+/// upload, `burst` encrypted iterations (`burst_program`, run by the
+/// session), download, decrypt + renormalize.
 ///
 /// Under BFV the matrix and ranks are quantized with `scale_bits`
 /// fractional bits via [`HeScheme::quantize`]: every encrypted iteration
@@ -121,18 +194,6 @@ pub struct ResumablePagerank<S: HeScheme> {
     ranks: Vec<f64>,
     done: u32,
     last_reply: Option<S::Ciphertext>,
-    /// Server-side plaintext operands, quantized on the first step (they
-    /// need the session's context) and reused by every later burst; not
-    /// part of the progress blob.
-    operands: Option<BurstOperands<S>>,
-}
-
-/// The damped transition matrix at fixed-point depth 1 and the
-/// re-replication mask at depth 0 (both identity-quantized under CKKS).
-#[derive(Debug)]
-struct BurstOperands<S: HeScheme> {
-    matrix: Vec<Vec<S::Value>>,
-    mask: Vec<S::Value>,
 }
 
 impl<S: HeScheme> ResumablePagerank<S> {
@@ -165,41 +226,12 @@ impl<S: HeScheme> ResumablePagerank<S> {
             ranks: vec![1.0 / n as f64; n],
             done: 0,
             last_reply: None,
-            operands: None,
         })
     }
 
     /// Current rank vector (final answer once done).
     pub fn ranks(&self) -> &[f64] {
         &self.ranks
-    }
-
-    fn burst_operands(
-        &self,
-        ctx: &S::Context,
-        width: usize,
-    ) -> Result<BurstOperands<S>, TransportError> {
-        let n = self.graph.len();
-        if 2 * n > width {
-            return Err(HeError::Mismatch("graph too large for one ciphertext row".into()).into());
-        }
-        let matrix = self
-            .graph
-            .transition
-            .iter()
-            .map(|row| {
-                let damped: Vec<f64> = row.iter().map(|&v| self.damping * v).collect();
-                S::quantize(ctx, &damped, self.scale_bits, 1)
-            })
-            .collect();
-        let mut mask = vec![0.0f64; width];
-        for s in mask.iter_mut().take(n) {
-            *s = 1.0;
-        }
-        Ok(BurstOperands {
-            matrix,
-            mask: S::quantize(ctx, &mask, self.scale_bits, 0),
-        })
     }
 }
 
@@ -218,48 +250,37 @@ impl<S: CompilerScheme> ResumableWorkload for ResumablePagerank<S> {
         }
         let n = self.graph.len();
         let width = session.server().slot_width();
-        let operands = match self.operands.take() {
-            Some(ready) => ready,
-            None => self.burst_operands(session.server().context(), width)?,
-        };
-        let BurstOperands { matrix, mask } = self.operands.insert(operands);
+        if 2 * n > width {
+            return Err(HeError::Mismatch("graph too large for one ciphertext row".into()).into());
+        }
         let burst = self
             .iters_per_refresh
             .min(self.total_iterations - self.done);
-        let teleport = (1.0 - self.damping) / n as f64;
 
-        // Client: quantize at depth 1, replicate for the diagonal kernel,
+        // Client: quantize at depth 1, replicate for the diagonal matvec,
         // encrypt, upload.
         let qr = S::quantize(session.server().context(), &self.ranks, self.scale_bits, 1);
         let replicated = replicate_for_matvec(&qr, width);
         let ct = session.client_mut().encrypt(&replicated)?;
         let uploaded = session.upload(&ct)?;
-        let mut at_server = session.guard(&uploaded)?;
+        let at_server = session.guard(&uploaded)?;
 
-        // Server: `burst` encrypted iterations. After iteration `it` every
-        // term carries depth `it + 2`, so teleport constants are injected
-        // at the matching depth and everything meets at depth `burst + 1`
-        // for the client to strip.
+        // Server: the burst's program — looked up in the session by its
+        // definition, built and compiled on a miss. Its terms meet at depth
+        // `burst + 1` for the client to strip.
         session.compute_tick()?;
-        for it in 0..burst {
-            at_server = matvec_diagonals(session.server(), &at_server, matrix)?;
-            let mut tvec = vec![0.0f64; width];
-            for s in tvec.iter_mut().take(n) {
-                *s = teleport;
-            }
-            let tq = S::quantize(session.server().context(), &tvec, self.scale_bits, it + 2);
-            at_server = session.server().add_plain(&at_server, &tq)?;
-            if it + 1 < burst {
-                // Continuous encrypted operation must re-replicate the rank
-                // vector for the next diagonal product: one masking multiply
-                // plus one rotation — exactly the noise/level tax that makes
-                // long bursts lose to frequent refresh (§5.6).
-                let masked = session.server().mul_plain(&at_server, mask)?;
-                let copy = session.server().rotate(&masked, -(n as i64))?;
-                at_server = session.server().add(&masked, &copy)?;
-            }
-        }
-        let back = session.download(&at_server)?;
+        let (graph, damping, scale_bits) = (&self.graph, self.damping, self.scale_bits);
+        let options = resident_options(session.params());
+        let build = |ctx: &S::Context| {
+            let program = burst_program::<S>(ctx, graph, damping, burst, scale_bits);
+            compile(&program, &options)
+                .map_err(|e| HeError::Mismatch(format!("PageRank burst program: {e}")))
+        };
+        let inputs = HashMap::from([("ranks".to_string(), at_server)]);
+        let key = burst_key(graph, damping, burst, scale_bits);
+        let reply = session.run_resident(&key, build, &inputs)?.pop();
+        let reply = reply.ok_or_else(|| HeError::Mismatch("burst program has no output".into()))?;
+        let back = session.download(&reply)?;
         session.ledger_mut().end_round();
 
         // Client: decrypt, strip the accumulated depth, renormalize to a
@@ -560,6 +581,38 @@ mod tests {
         }
         // Half the refreshes of the burst-1 schedule.
         assert_eq!(enc.ledger.rounds, 2);
+    }
+
+    #[test]
+    fn a_second_burst_of_a_length_compiles_and_encodes_nothing() {
+        // Bursts of 2, 2 and 1: the session compiles one program per burst
+        // length and encodes its constants on that length's first burst
+        // only — the matrix's 4 diagonals and a teleport vector per
+        // iteration plus the one mask of a 2-burst, 11 operands.
+        fn misses_per_burst<S: CompilerScheme>(
+            params: &HeParams,
+            scale_bits: u32,
+        ) -> Vec<(u64, u64)> {
+            let g = small_graph();
+            let steps = pagerank_rotation_steps(g.len());
+            let mut session = Session::<S>::direct(params, b"resident bursts", &steps).unwrap();
+            let mut run = ResumablePagerank::<S>::new(&g, 0.85, 5, 2, scale_bits).unwrap();
+            let mut misses = Vec::new();
+            while !run.is_done() {
+                run.step(&mut session).unwrap();
+                let (programs, operands) = session.resident_counters();
+                misses.push((programs.misses, operands.misses));
+            }
+            misses
+        }
+        let bfv = HeParams::bfv_insecure(1024, &[50, 50, 50, 51], 21).unwrap();
+        let ckks = HeParams::ckks_insecure(1024, &[45, 45, 45, 45, 46], 38).unwrap();
+        for misses in [
+            misses_per_burst::<Bfv>(&bfv, 6),
+            misses_per_burst::<Ckks>(&ckks, 0),
+        ] {
+            assert_eq!(misses, [(1, 11), (1, 11), (2, 16)]);
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use choco::compiler::compile;
 use choco::linalg::{matvec_program, matvec_rotation_steps, replicate_for_matvec};
 use choco::protocol::CommLedger;
 use choco::transport::{LinkConfig, Session, TransportError, WireCursor};
-use choco_he::bfv::Ciphertext;
+use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::params::HeParams;
 use choco_he::{Bfv, HeError};
 use choco_prng::Blake3Rng;
@@ -394,8 +394,8 @@ fn run_fc(
     fc: &[Vec<u64>],
     features: Ciphertext,
 ) -> Result<Ciphertext, TransportError> {
-    let t = session.server().context().plain_modulus();
-    let build = || {
+    let build = |ctx: &BfvContext| {
+        let t = ctx.plain_modulus();
         let reduced = |row: &Vec<u64>| row.iter().map(|&w| (w % t) as f64).collect();
         let matrix: Vec<Vec<f64>> = fc.iter().map(reduced).collect();
         compile(&matvec_program(&matrix), &LAYER_OPTIONS)
@@ -678,5 +678,19 @@ mod tests {
         assert_eq!(slots[..rows], want);
         // Each run compiled its own program: neither found the other's.
         assert_eq!(session.resident_counters().0.misses, 2);
+
+        // Every kind of resident key leads with its own tag word, so no two
+        // kinds alias whatever numbers follow it.
+        let graph = crate::pagerank::Graph::from_adjacency(&[vec![1], vec![0]]);
+        let point_major = crate::distance::PackingVariant::PointMajor;
+        let tags = [
+            conv_key[0],
+            fc_key(&fc)[0],
+            crate::pagerank::burst_key(&graph, 0.85, 1, 0)[0],
+            crate::distance::kernel_key(point_major, &[vec![0.5]])[0],
+        ];
+        for (i, tag) in tags.iter().enumerate() {
+            assert!(!tags[i + 1..].contains(tag), "tag {i} is shared");
+        }
     }
 }

@@ -25,13 +25,21 @@
 //! pointed back at the public-key Eq. 2, this file's previous digests
 //! pass unchanged).
 //!
+//! The PageRank digests were recorded while a burst still ran by hand on
+//! the server role (diagonal matvec, teleport add, mask + rotate
+//! re-replication): they pin the reply and the ranks of BFV PageRank
+//! however a burst is run. The distance kernels' server-op counts were
+//! recorded the same way, from the hand kernels' own tallies.
+//!
 //! Re-record them only for a change that means to move those bytes, and say
 //! so.
 
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::Client;
 use choco::transport::Session;
+use choco_apps::distance::{distance_rotation_steps, encrypted_distances, PackingVariant};
 use choco_apps::dnn::{conv_rotation_steps, ResumableConvLayer};
+use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
 use choco_apps::pipeline::{
     all_rotation_steps, run_plain, seeded_weights, LenetLikeSpec, ResumablePipeline,
 };
@@ -191,4 +199,64 @@ fn matvec_with_nothing_to_fold_is_the_full_diagonal_kernel_byte_for_byte() {
         matvec_digest::<Bfv>(&HeParams::set_a(), &ints(8, 8), &x8),
         "bf4752074073ca67"
     );
+}
+
+/// BFV PageRank over a 4-node graph with a dangling node, `iterations`
+/// iterations in bursts of `burst`, from one fixed seed: the digest of the
+/// last reply's wire followed by the final ranks' bits.
+fn pagerank_digest(params: &HeParams, iterations: u32, burst: u32, scale_bits: u32) -> String {
+    let graph = Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]]);
+    let steps = pagerank_rotation_steps(graph.len());
+    let mut session =
+        Session::<Bfv>::direct(params, b"cross-commit pagerank oracle", &steps).unwrap();
+    let mut run =
+        ResumablePagerank::<Bfv>::new(&graph, 0.85, iterations, burst, scale_bits).unwrap();
+    run.run(&mut session).unwrap();
+    let ranks: Vec<u8> = run.ranks().iter().flat_map(|r| r.to_le_bytes()).collect();
+    digest(&[run.final_ct_wire(), ranks])
+}
+
+#[test]
+fn bfv_pagerank_reply_bytes_are_pinned() {
+    // Burst 1: matvec and teleport add only.
+    let short = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap();
+    assert_eq!(pagerank_digest(&short, 3, 1, 10), "e6f6ae8c2b04c48d");
+    // Burst 2: the mask multiply and the rotate-add re-replication between
+    // the two iterations of each burst.
+    let long = HeParams::bfv_insecure(1024, &[50, 50, 50, 51], 21).unwrap();
+    assert_eq!(pagerank_digest(&long, 4, 2, 6), "1f7bc939895d642c");
+}
+
+#[test]
+fn distance_server_ops_are_pinned_at_the_fig11_shapes() {
+    // Figure 11's parameter set and shapes; a count per kept variant:
+    // point-major, dimension-major, collapsed point-major.
+    let params = HeParams::ckks(8192, &[50, 50, 40, 59], 40).unwrap();
+    let want = [
+        ((4usize, 16usize), [7u64, 7, 69]),
+        ((16, 16), [11, 11, 73]),
+        ((128, 32), [17, 31, 143]),
+    ];
+    let variants = [
+        PackingVariant::PointMajor,
+        PackingVariant::DimensionMajor,
+        PackingVariant::CollapsedPointMajor,
+    ];
+    for ((dims, n), counts) in want {
+        let steps = distance_rotation_steps(dims, n, params.slot_count());
+        let mut session =
+            Session::<Ckks>::direct(&params, b"cross-commit distance oracle", &steps).unwrap();
+        let query: Vec<f64> = (0..dims).map(|i| (i as f64 * 0.31).sin()).collect();
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|p| {
+                (0..dims)
+                    .map(|i| ((p * dims + i) as f64 * 0.17).cos())
+                    .collect()
+            })
+            .collect();
+        for (variant, want) in variants.into_iter().zip(counts) {
+            let res = encrypted_distances(variant, &mut session, &query, &points).unwrap();
+            assert_eq!(res.server_ops, want, "{} at ({dims}, {n})", variant.label());
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! Regenerates **Figure 11**: encrypted distance-calculation tradeoffs —
-//! server time, client time, and communication for the five packing
+//! server time, client time, and communication for the three packing
 //! variants of Figure 9, across representative (dimension, points) pairs.
 //!
 //! Server times are measured from the real CKKS kernels on this machine;
@@ -86,5 +86,4 @@ fn main() {
         }
     }
     note("collapsed point-major: most server ops, single dense reply — the client-optimized choice (§5.4)");
-    note("stacked variants win when dimensions are small (high ciphertext utilization)");
 }

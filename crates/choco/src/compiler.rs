@@ -57,11 +57,11 @@ use std::sync::{Arc, Mutex};
 /// The extra capability the compiled-program executor needs beyond
 /// [`HeScheme`]: explicit scale management and cacheable encoded operands.
 /// The compiler inserts `Rescale` and `ModSwitch` nodes itself, so the
-/// executor needs *raw* plaintext multiplication (no implicit rescale,
-/// unlike [`HeScheme::mul_plain`]), ciphertext multiplication with
-/// relinearization, and the two chain maintenance ops. Constant encoding is
-/// split into an explicit [`CompilerScheme::Operand`] step so a server can
-/// cache the encoded form across requests (see [`ExecCache`]).
+/// executor needs *raw* plaintext multiplication (no implicit rescale),
+/// ciphertext multiplication with relinearization, and the two chain
+/// maintenance ops. Constant encoding is split into an explicit
+/// [`CompilerScheme::Operand`] step so a server can cache the encoded form
+/// across requests (see [`ExecCache`]).
 ///
 /// Implemented for [`Ckks`] (the full rescaling chain) and for [`Bfv`],
 /// where the chain maintenance ops are identities: BFV has no rescaling
@@ -547,6 +547,16 @@ pub struct OpCounts {
     pub rescales: u32,
     /// Mod-switches inserted.
     pub mod_switches: u32,
+}
+
+impl OpCounts {
+    /// Every operation counted: one per compiled node that is neither an
+    /// input nor a constant.
+    pub fn total(&self) -> u64 {
+        let ops = [self.ct_mults, self.pt_mults, self.adds, self.rotations];
+        let inserted = [self.rescales, self.mod_switches];
+        ops.into_iter().chain(inserted).map(u64::from).sum()
+    }
 }
 
 /// One fused dot of the execution schedule: a tree of `Add` nodes whose

@@ -15,7 +15,7 @@
 //! A conv layer's channel-diagonal packing (`choco_apps::dnn::ConvPacking`)
 //! sums its channels with the same hybrid split.
 
-use crate::compiler::Program;
+use crate::compiler::{NodeId, Program};
 use crate::protocol::Server;
 use choco_he::{HeError, HeScheme};
 
@@ -153,10 +153,20 @@ pub fn matvec_diagonals<S: HeScheme>(
 /// [`matvec_diagonals`] requires it. An empty matrix yields a program with
 /// no output, which [`compile`](crate::compiler::compile) refuses.
 pub fn matvec_program(matrix: &[Vec<f64>]) -> Program {
-    let cols = matrix.first().map_or(0, Vec::len);
-    let (depth, folds) = matvec_hybrid_shape(matrix.len(), cols);
     let mut p = Program::new();
     let x = p.input("x");
+    if let Some(y) = matvec_into(&mut p, x, matrix) {
+        p.output(y);
+    }
+    p
+}
+
+/// Appends [`matvec_program`]'s nodes to `p` over the ciphertext node `x`
+/// and returns the product's node — `None` for an empty matrix, which adds
+/// nothing. For programs that compute past the product (PageRank's burst).
+pub fn matvec_into(p: &mut Program, x: NodeId, matrix: &[Vec<f64>]) -> Option<NodeId> {
+    let cols = matrix.first().map_or(0, Vec::len);
+    let (depth, folds) = matvec_hybrid_shape(matrix.len(), cols);
     let mut acc = None;
     for d in 0..depth {
         let diagonal = p.constant(&extended_diagonal(matrix, depth, d, cols));
@@ -164,14 +174,12 @@ pub fn matvec_program(matrix: &[Vec<f64>]) -> Program {
         let term = p.mul_plain(rotated, diagonal);
         acc = Some(acc.map_or(term, |a| p.add(a, term)));
     }
-    if let Some(mut acc) = acc {
-        for fold in folds {
-            let rotated = p.rotate(acc, fold as i64);
-            acc = p.add(acc, rotated);
-        }
-        p.output(acc);
+    let mut acc = acc?;
+    for fold in folds {
+        let rotated = p.rotate(acc, fold as i64);
+        acc = p.add(acc, rotated);
     }
-    p
+    Some(acc)
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //!
 //! The roles are [`Client<S>`] and [`Server<S>`] for any
 //! [`HeScheme`](choco_he::HeScheme) — `Client<Bfv>` for the exact integer
-//! workloads, `Client<Ckks>` for the approximate ones. Workloads written
-//! against the generic surface run under either scheme.
+//! workloads, `Client<Ckks>` for the approximate ones. A workload's server
+//! half is a compiled program ([`crate::compiler::Program`]), written once
+//! and run under either scheme.
 //!
 //! Every byte that crosses the link is recorded in a [`CommLedger`] — the
 //! quantity Figures 10, 11, 13 and 14 report — and the client counts its
@@ -251,17 +252,6 @@ impl<S: HeScheme> Client<S> {
         S::health(&self.ctx, &self.keys, ct)
     }
 
-    /// Quantizes reals into the scheme's slot domain at fixed-point depth
-    /// `depth` (see [`HeScheme::quantize`]).
-    pub fn quantize(&self, values: &[f64], scale_bits: u32, depth: u32) -> Vec<S::Value> {
-        S::quantize(&self.ctx, values, scale_bits, depth)
-    }
-
-    /// Inverse of [`Client::quantize`].
-    pub fn dequantize(&self, values: &[S::Value], scale_bits: u32, depth: u32) -> Vec<f64> {
-        S::dequantize(&self.ctx, values, scale_bits, depth)
-    }
-
     /// Number of encryptions performed so far.
     pub fn encryption_count(&self) -> u64 {
         self.enc_ops
@@ -361,8 +351,11 @@ impl Client<Ckks> {
 }
 
 /// The untrusted server role: holds public material only. Generic over the
-/// scheme `S`; exposes the scheme-generic evaluation surface workloads are
-/// written against.
+/// scheme `S`. Workloads do not call it op by op: their server work is a
+/// compiled program ([`crate::compiler`]) that a session runs against these
+/// keys. What it evaluates itself is the three calls the hand-run
+/// [`matvec_diagonals`](crate::linalg::matvec_diagonals) needs: `add`,
+/// `rotate` and the fused `dot_diagonals`.
 #[derive(Debug)]
 pub struct Server<S: HeScheme> {
     ctx: S::Context,
@@ -387,11 +380,6 @@ impl<S: HeScheme> Server<S> {
         &self.galois
     }
 
-    /// The public key (servers may encrypt fresh constants).
-    pub fn public_key(&self) -> &S::PublicKey {
-        &self.public
-    }
-
     /// One-time offline provisioning traffic: public key + relinearization
     /// key + Galois keys. Amortized across every later inference — the
     /// "offline preprocessing" Figure 10's totals include for the MPC
@@ -414,42 +402,6 @@ impl<S: HeScheme> Server<S> {
     /// Propagates operand mismatches.
     pub fn add(&self, a: &S::Ciphertext, b: &S::Ciphertext) -> Result<S::Ciphertext, HeError> {
         S::add(&self.ctx, a, b)
-    }
-
-    /// Ciphertext − ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operand mismatches.
-    pub fn sub(&self, a: &S::Ciphertext, b: &S::Ciphertext) -> Result<S::Ciphertext, HeError> {
-        S::sub(&self.ctx, a, b)
-    }
-
-    /// Ciphertext + plaintext vector (model constants are public in CHOCO's
-    /// trust model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn add_plain(
-        &self,
-        ct: &S::Ciphertext,
-        values: &[S::Value],
-    ) -> Result<S::Ciphertext, HeError> {
-        S::add_plain(&self.ctx, ct, values)
-    }
-
-    /// Ciphertext × plaintext vector; CKKS rescales afterwards (one level).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors and exhausted level chains.
-    pub fn mul_plain(
-        &self,
-        ct: &S::Ciphertext,
-        values: &[S::Value],
-    ) -> Result<S::Ciphertext, HeError> {
-        S::mul_plain(&self.ctx, ct, values)
     }
 
     /// Rotates slots left by `step` within the rotation group.
@@ -505,22 +457,6 @@ impl Server<Bfv> {
     /// The homomorphic evaluator.
     pub fn evaluator(&self) -> choco_he::bfv::Evaluator<'_> {
         self.ctx.evaluator()
-    }
-}
-
-impl Server<Ckks> {
-    /// Encodes server-side plaintext data at a level/scale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn encode_at(
-        &self,
-        values: &[f64],
-        level: usize,
-        scale: f64,
-    ) -> Result<choco_he::ckks::CkksPlaintext, HeError> {
-        self.ctx.encode_at(values, level, scale)
     }
 }
 
@@ -601,7 +537,8 @@ mod tests {
         let at_server = upload::<Bfv>(&mut ledger, &ct);
 
         // Server doubles the values homomorphically.
-        let doubled = server.mul_plain(&at_server, &vec![2u64; 512]).unwrap();
+        let two = server.encode(&[2u64; 512]).unwrap();
+        let doubled = server.evaluator().multiply_plain(&at_server, &two);
         let back = download::<Bfv>(&mut ledger, &doubled);
         ledger.end_round();
 
@@ -652,30 +589,50 @@ mod tests {
     #[test]
     fn generic_workload_runs_under_both_schemes() {
         // The same generic function body serves both schemes — the rule
-        // DESIGN.md §9 states: new workloads are written once, generically.
-        fn double_first_slots<S: HeScheme>(
+        // DESIGN.md §9 states: a workload is written once, as a program,
+        // and the server runs it compiled.
+        use crate::compiler::{compile, CompilerOptions, CompilerScheme, Program};
+        use std::collections::HashMap;
+
+        fn double_first_slots<S: CompilerScheme>(
             params: &HeParams,
+            opts: &CompilerOptions,
             inputs: &[f64],
         ) -> Result<Vec<f64>, HeError> {
+            let mut p = Program::new();
+            let x = p.input("x");
+            let two = p.constant(&vec![2.0; inputs.len()]);
+            let doubled = p.mul_plain(x, two);
+            p.output(doubled);
+            let program = compile(&p, opts).map_err(|e| HeError::Mismatch(e.to_string()))?;
+
             let mut client = Client::<S>::new(params, b"generic demo")?;
-            let server = client.provision_server(&[1])?;
-            let width = S::slot_width(client.context());
-            let mut padded = inputs.to_vec();
-            padded.resize(width, 0.0);
-            let q = client.quantize(&padded, 6, 1);
+            let server = client.provision_server(&[])?;
+            let q = S::quantize(client.context(), inputs, opts.scale_bits, 1);
             let ct = client.encrypt(&q)?;
-            let two = client.quantize(&vec![2.0; width], 6, 0);
-            let doubled = server.mul_plain(&ct, &two)?;
-            let slots = client.decrypt(&doubled)?;
-            Ok(client.dequantize(&slots, 6, 1)[..inputs.len()].to_vec())
+            let (ctx, relin, galois) = (server.context(), server.relin_key(), server.galois_keys());
+            let named = HashMap::from([("x".to_string(), ct)]);
+            let out = program.execute_encrypted::<S>(ctx, &named, relin, galois)?;
+            let slots = client.decrypt(&out[0])?;
+            // The product carries the input's scale times the constant's.
+            let out = S::dequantize(client.context(), &slots, opts.scale_bits, 2);
+            Ok(out[..inputs.len()].to_vec())
         }
 
         let inputs = [0.5f64, 1.25, 3.0];
         let bfv = HeParams::bfv_insecure(1024, &[45, 45, 46], 20).unwrap();
         let ckks = HeParams::ckks_insecure(1024, &[45, 45, 46], 38).unwrap();
+        // A BFV product's 6 + 6 scale bits stay under the compiler's rescale
+        // threshold (scale + half a prime), so BFV needs no chain; CKKS's
+        // 38 + 38 cross it, and the product is rescaled once.
+        let opts = |scale_bits| CompilerOptions {
+            scale_bits,
+            prime_bits: 45,
+            max_levels: 2,
+        };
         for out in [
-            double_first_slots::<Bfv>(&bfv, &inputs).unwrap(),
-            double_first_slots::<Ckks>(&ckks, &inputs).unwrap(),
+            double_first_slots::<Bfv>(&bfv, &opts(6), &inputs).unwrap(),
+            double_first_slots::<Ckks>(&ckks, &opts(38), &inputs).unwrap(),
         ] {
             for (o, i) in out.iter().zip(&inputs) {
                 assert!((o - 2.0 * i).abs() < 1e-2, "{o} vs {}", 2.0 * i);

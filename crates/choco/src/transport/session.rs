@@ -25,10 +25,12 @@
 //!   [`HeScheme::health`] — and, when it drops below the floor, performs a
 //!   client-aided refresh round (download → decrypt → re-encrypt → upload,
 //!   one extra round in the ledger) instead of letting the computation die;
-//! * the server half keeps the compiled programs it runs repeatedly — a
-//!   conv layer per weight set — with their encoded operands
-//!   ([`Session::run_resident`]), so a workload's second inference encodes
-//!   nothing.
+//! * the server half runs every workload's server work as a compiled
+//!   program and keeps the programs it runs repeatedly — a conv layer per
+//!   weight set, the FC, a PageRank burst per length, a distance kernel per
+//!   point set — with their encoded operands ([`Session::run_resident`]),
+//!   so a workload's second inference, burst or iteration compiles and
+//!   encodes nothing.
 
 use super::channel::Channel;
 use super::checkpoint::SessionCheckpoint;
@@ -353,6 +355,11 @@ impl<S: CompilerScheme> Session<S> {
         &self.server
     }
 
+    /// The parameter set both roles were built from.
+    pub fn params(&self) -> &HeParams {
+        &self.params
+    }
+
     /// The communication ledger.
     pub fn ledger(&self) -> &CommLedger {
         &self.ledger
@@ -669,6 +676,13 @@ impl<S: CompilerScheme> Session<S> {
         Ok(())
     }
 
+    /// The compiled program the server half keeps for `key`
+    /// ([`Session::run_resident`]), if it is resident. Leaves the table's
+    /// counters alone.
+    pub fn resident_program(&self, key: &[u64]) -> Option<&CompiledProgram> {
+        self.programs.peek(&key.to_vec()).map(|p| &p.compiled)
+    }
+
     /// Counters of the resident-program table (`misses` = compiles) and of
     /// the resident programs' operand caches, summed (`misses` = encodes).
     pub fn resident_counters(&self) -> (CacheCounters, CacheCounters) {
@@ -683,10 +697,10 @@ impl<S: CompilerScheme> Session<S> {
     /// `key` over `inputs` — `key` being the caller's exact definition of
     /// the program, such as a conv layer's geometry and raw weights (a few
     /// KB, never the program's expanded constants), and `build` compiling it
-    /// on a miss. The program keeps its encoded operands, so every run after
-    /// the first encodes nothing. The table holds a few programs, least
-    /// recently used evicted, and is not checkpointed: a resumed session
-    /// compiles again on first use.
+    /// against the server's context on a miss. The program keeps its
+    /// encoded operands, so every run after the first encodes nothing. The
+    /// table holds a few programs, least recently used evicted, and is not
+    /// checkpointed: a resumed session compiles again on first use.
     ///
     /// # Errors
     ///
@@ -695,17 +709,17 @@ impl<S: CompilerScheme> Session<S> {
     pub fn run_resident<E: From<HeError>>(
         &mut self,
         key: &[u64],
-        build: impl FnOnce() -> Result<CompiledProgram, E>,
+        build: impl FnOnce(&S::Context) -> Result<CompiledProgram, E>,
         inputs: &HashMap<String, S::Ciphertext>,
     ) -> Result<Vec<S::Ciphertext>, E> {
-        let program = self.programs.get_or_insert_with(&key.to_vec(), || {
-            Ok::<_, E>(Arc::new(CachedProgram::<S>::new(build()?)))
-        })?;
         let (ctx, relin, galois) = (
             self.server.context(),
             self.server.relin_key(),
             self.server.galois_keys(),
         );
+        let program = self.programs.get_or_insert_with(&key.to_vec(), || {
+            Ok::<_, E>(Arc::new(CachedProgram::<S>::new(build(ctx)?)))
+        })?;
         Ok(program.compiled.execute_encrypted_cached::<S>(
             ctx,
             inputs,
@@ -774,6 +788,16 @@ mod tests {
             policy,
         };
         Session::with_link(params, seed, &[], link).unwrap()
+    }
+
+    /// `ct` times the plaintext `values`, through the context's evaluator.
+    fn mul_plain(
+        s: &Session<Bfv>,
+        ct: &choco_he::bfv::Ciphertext,
+        values: &[u64],
+    ) -> choco_he::bfv::Ciphertext {
+        let pt = s.server().encode(values).unwrap();
+        s.server().evaluator().multiply_plain(ct, &pt)
     }
 
     /// The default policy with `max_attempts` attempts per exchange.
@@ -880,7 +904,7 @@ mod tests {
             if s.ledger().refresh_rounds > refreshed {
                 refreshed = s.ledger().refresh_rounds;
             }
-            at_server = s.server().mul_plain(&guarded, &weights).unwrap();
+            at_server = mul_plain(&s, &guarded, &weights);
         }
         assert!(refreshed > 0, "watchdog never refreshed");
         // The final ciphertext still decrypts to *something* well-formed —
@@ -895,7 +919,7 @@ mod tests {
         let mut s = Session::<Bfv>::direct(&params(), b"session refresh", &[]).unwrap();
         let ct = s.client_mut().encrypt_slots(&[5; 256]).unwrap();
         let at_server = s.upload(&ct).unwrap();
-        let worn = s.server().mul_plain(&at_server, &vec![7u64; 256]).unwrap();
+        let worn = mul_plain(&s, &at_server, &[7u64; 256]);
         let before = {
             let c = s.client_mut();
             c.noise_budget(&worn)
@@ -1017,7 +1041,7 @@ mod tests {
         let (_, slots) = s.download_checked(&at_server, &[(250, 77)], 0.0).unwrap();
         assert_eq!(slots[250], 77);
         // A computation that disturbs the sentinel is caught.
-        let doubled = s.server().mul_plain(&at_server, &vec![2u64; 256]).unwrap();
+        let doubled = mul_plain(&s, &at_server, &[2u64; 256]);
         match s.download_checked(&doubled, &[(250, 77)], 0.0) {
             Err(TransportError::SentinelMismatch { slot: 250 }) => {}
             other => panic!("expected SentinelMismatch, got {other:?}"),
@@ -1111,16 +1135,12 @@ mod tests {
         for _ in 0..(2 * ctx_levels) {
             at_server = s.ensure_level(&at_server, 2).unwrap();
             refreshes_seen = s.ledger().refresh_rounds;
-            let pt = s
-                .server()
+            let ctx = s.server().context();
+            let pt = ctx
                 .encode_at(&vec![0.5; 128], at_server.level(), at_server.scale())
                 .unwrap();
-            let prod = s
-                .server()
-                .context()
-                .multiply_plain(&at_server, &pt)
-                .unwrap();
-            at_server = s.server().context().rescale(&prod).unwrap();
+            let prod = ctx.multiply_plain(&at_server, &pt).unwrap();
+            at_server = ctx.rescale(&prod).unwrap();
         }
         assert!(refreshes_seen > 0, "level watchdog never refreshed");
     }

@@ -10,9 +10,11 @@
 //! * the client boundary (encrypt / decrypt / health probe) — an encryption
 //!   is the symmetric, seeded upload form, whose wire carries `c0` and a
 //!   32-byte seed in place of `c1`,
-//! * the server-side linear algebra (`add`, `add_plain`, `mul_plain`,
-//!   rotations, and the fused diagonal dot — one double-hoisted kernel,
-//!   [`crate::rlwe::dot_galois`], under both schemes),
+//! * the server-side ciphertext algebra (`add`, `sub`, rotations, and the
+//!   fused diagonal dot — one double-hoisted kernel,
+//!   [`crate::rlwe::dot_galois`], under both schemes); plaintext operands
+//!   are the compiled-program executor's, which encodes them once per use
+//!   site and caches them (`choco::compiler::CompilerScheme`),
 //! * wire serialization hooks for the transport layer, and
 //! * fixed-point **quantization hooks** that unify the two numeric models:
 //!   BFV carries an explicit scale `2^(scale_bits·depth)` modulo `t`, while
@@ -190,30 +192,6 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
         b: &Self::Ciphertext,
     ) -> Result<Self::Ciphertext, HeError>;
 
-    /// Ciphertext + plaintext vector. CKKS encodes the operand at the
-    /// ciphertext's current level and scale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures.
-    fn add_plain(
-        ctx: &Self::Context,
-        ct: &Self::Ciphertext,
-        values: &[Self::Value],
-    ) -> Result<Self::Ciphertext, HeError>;
-
-    /// Ciphertext × plaintext vector. CKKS encodes at the default scale and
-    /// rescales afterwards (one level); BFV multiplies in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures and exhausted level chains.
-    fn mul_plain(
-        ctx: &Self::Context,
-        ct: &Self::Ciphertext,
-        values: &[Self::Value],
-    ) -> Result<Self::Ciphertext, HeError>;
-
     /// Rotates slots left by `step` within the rotation group.
     ///
     /// # Errors
@@ -228,9 +206,8 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
 
     /// Fused diagonal dot kernel: `Σ_k rot(ct, shift_k) ⊙ diag_k` through
     /// the one double-hoisted kernel both schemes share
-    /// ([`crate::rlwe::dot_galois`]); CKKS rescales the sum once, as
-    /// [`HeScheme::mul_plain`] rescales a product. The workhorse of the
-    /// diagonal-method matvec.
+    /// ([`crate::rlwe::dot_galois`]); CKKS rescales the sum once. The
+    /// workhorse of the diagonal-method matvec.
     ///
     /// # Errors
     ///
@@ -439,24 +416,6 @@ impl HeScheme for Bfv {
         ctx.evaluator().sub(a, b)
     }
 
-    fn add_plain(
-        ctx: &BfvContext,
-        ct: &bfv::Ciphertext,
-        values: &[u64],
-    ) -> Result<bfv::Ciphertext, HeError> {
-        let pt = ctx.batch_encoder()?.encode(values)?;
-        Ok(ctx.evaluator().add_plain(ct, &pt))
-    }
-
-    fn mul_plain(
-        ctx: &BfvContext,
-        ct: &bfv::Ciphertext,
-        values: &[u64],
-    ) -> Result<bfv::Ciphertext, HeError> {
-        let pt = ctx.batch_encoder()?.encode(values)?;
-        Ok(ctx.evaluator().multiply_plain(ct, &pt))
-    }
-
     fn rotate(
         ctx: &BfvContext,
         ct: &bfv::Ciphertext,
@@ -644,24 +603,6 @@ impl HeScheme for Ckks {
         ctx.sub(a, b)
     }
 
-    fn add_plain(
-        ctx: &CkksContext,
-        ct: &ckks::CkksCiphertext,
-        values: &[f64],
-    ) -> Result<ckks::CkksCiphertext, HeError> {
-        let pt = ctx.encode_at(values, ct.level(), ct.scale())?;
-        ctx.add_plain(ct, &pt)
-    }
-
-    fn mul_plain(
-        ctx: &CkksContext,
-        ct: &ckks::CkksCiphertext,
-        values: &[f64],
-    ) -> Result<ckks::CkksCiphertext, HeError> {
-        let pt = ctx.encode_at(values, ct.level(), ctx.default_scale())?;
-        ctx.rescale(&ctx.multiply_plain(ct, &pt)?)
-    }
-
     fn rotate(
         ctx: &CkksContext,
         ct: &ckks::CkksCiphertext,
@@ -801,12 +742,14 @@ mod tests {
     }
 
     /// Every evaluator output of a seeded encryption is a plain ciphertext:
-    /// no seed, and a full frame on the wire. `products` makes the outputs
-    /// `HeScheme` does not carry (`multiply_relin`, CKKS `rescale`).
+    /// no seed, and a full frame on the wire. `context_ops` makes the
+    /// outputs `HeScheme` does not carry, through the scheme's context
+    /// evaluator: the plaintext add and multiply, `multiply_relin` and CKKS
+    /// `rescale`.
     fn outputs_carry_no_seed<S: HeScheme>(
         params: &HeParams,
         has_seed: impl Fn(&S::Ciphertext) -> bool,
-        products: impl Fn(&S::Context, &S::Ciphertext, &S::RelinKey) -> Vec<S::Ciphertext>,
+        context_ops: impl Fn(&S::Context, &S::Ciphertext, &S::RelinKey) -> Vec<S::Ciphertext>,
     ) {
         let ctx = S::context(params).unwrap();
         let mut r = rng();
@@ -818,11 +761,10 @@ mod tests {
         assert!(has_seed(&ct));
         let mut outputs = vec![
             S::add(&ctx, &ct, &ct).unwrap(),
-            S::add_plain(&ctx, &ct, &zeros).unwrap(),
+            S::sub(&ctx, &ct, &ct).unwrap(),
             S::rotate(&ctx, &ct, 1, &gk).unwrap(),
-            S::mul_plain(&ctx, &ct, &zeros).unwrap(),
         ];
-        outputs.extend(products(&ctx, &ct, &rk));
+        outputs.extend(context_ops(&ctx, &ct, &rk));
         for (i, out) in outputs.iter().enumerate() {
             assert!(!has_seed(out), "output {i} carries a seed");
             assert!(!S::ct_to_wire(out).starts_with(b"CHS"), "output {i}");
@@ -835,16 +777,29 @@ mod tests {
         outputs_carry_no_seed::<Bfv>(
             &params,
             |ct| ct.seed().is_some(),
-            |ctx, ct, rk| vec![ctx.evaluator().multiply_relin(ct, ct, rk).unwrap()],
+            |ctx, ct, rk| {
+                let eval = ctx.evaluator();
+                let zeros = ctx.batch_encoder().unwrap().encode(&[0]).unwrap();
+                vec![
+                    eval.add_plain(ct, &zeros),
+                    eval.multiply_plain(ct, &zeros),
+                    eval.multiply_relin(ct, ct, rk).unwrap(),
+                ]
+            },
         );
         let params = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
         outputs_carry_no_seed::<Ckks>(
             &params,
             |ct| ct.seed().is_some(),
             |ctx, ct, rk| {
+                let at = |scale| ctx.encode_at(&[0.0], ct.level(), scale).unwrap();
+                let sum = ctx.add_plain(ct, &at(ct.scale())).unwrap();
+                let scaled = ctx.multiply_plain(ct, &at(ctx.default_scale())).unwrap();
                 let product = ctx.multiply_relin(ct, ct, rk).unwrap();
-                let rescaled = ctx.rescale(&product).unwrap();
-                vec![product, rescaled]
+                let rescaled = [&scaled, &product].map(|c| ctx.rescale(c).unwrap());
+                let mut outputs = vec![sum, scaled, product];
+                outputs.extend(rescaled);
+                outputs
             },
         );
     }
@@ -935,7 +890,12 @@ mod tests {
         let ckeys = Ckks::keygen(&cctx, &mut r);
         let cct = Ckks::encrypt(&cctx, &ckeys, &[1.0; 64], &mut r).unwrap();
         assert_eq!(Ckks::health(&cctx, &ckeys, &cct), cctx.top_level() as f64);
-        let dropped = Ckks::mul_plain(&cctx, &cct, &vec![1.0; 64]).unwrap();
+        let one = cctx
+            .encode_at(&[1.0; 64], cct.level(), cctx.default_scale())
+            .unwrap();
+        let dropped = cctx
+            .rescale(&cctx.multiply_plain(&cct, &one).unwrap())
+            .unwrap();
         assert_eq!(
             Ckks::health(&cctx, &ckeys, &dropped),
             (cctx.top_level() - 1) as f64

@@ -1,6 +1,6 @@
 //! Privacy-preserving KNN: a client classifies its secret query against the
 //! server's point database using encrypted CKKS distance computation —
-//! comparing the five packing variants of Figure 9.
+//! comparing the three packing variants of Figure 9.
 //!
 //! ```sh
 //! cargo run --release --example knn_offload
@@ -53,6 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         assert_eq!(label, 1, "query belongs to cluster 1");
     }
-    println!("\nall five packings agree; collapsed point-major trades server work for minimal client traffic (§5.4)");
+    println!("\nall three packings agree; collapsed point-major trades server work for minimal client traffic (§5.4)");
     Ok(())
 }
