@@ -74,6 +74,12 @@ done
 # distance unit tests), BFV PageRank's replies and the
 # kernels' op counts pinned across builds (layer_bytes), and a workload
 # written once as a program runs under both schemes (protocol unit test).
+# Session resume, at every point of the matrix too: a resumed session
+# derives its keys again from the checkpoint's seed and steps, so its relin
+# and Galois wires and its next encryption must be bit-identical to the
+# uninterrupted session's whatever the thread count; a checkpoint grows by
+# its step list only; a foreign seed, a rewound client RNG and a step count
+# past the cap are refused (session and checkpoint unit tests).
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -91,6 +97,7 @@ for simd in 0 1; do
         filtered "${matrix[@]}" -p choco-apps --lib -- packed_layer warm_session lenet_layer_programs fc_program
         filtered "${matrix[@]}" -p choco-apps --lib -- second_burst second_kmeans_iteration collapse_is_one_fused_dot
         filtered "${matrix[@]}" -p choco --lib generic_workload_runs_under_both_schemes
+        filtered "${matrix[@]}" -p choco --lib -- resume_rederives resume_checkpoint_grows resume_refuses step_count_past_the_cap
         "${matrix[@]}" -p choco-apps --test layer_bytes
         filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
         filtered "${matrix[@]}" -p choco-he --lib -- generic_roundtrip carries_a_seed seed_expands

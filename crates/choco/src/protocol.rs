@@ -262,35 +262,24 @@ impl<S: HeScheme> Client<S> {
         self.dec_ops
     }
 
-    /// Rebuilds a client from checkpointed parts. The caller is responsible
-    /// for fast-forwarding `rng` to the checkpointed draw offset.
-    // choco-lint: secret (public: ctx)
-    pub(crate) fn from_parts(
-        ctx: S::Context,
-        keys: S::KeyBundle,
-        rng: Blake3Rng,
-        enc_ops: u64,
-        dec_ops: u64,
-    ) -> Self {
-        Client {
-            ctx,
-            keys,
-            rng,
-            enc_ops,
-            dec_ops,
-        }
-    }
-
-    /// The client's key bundle (checkpoint serialization only).
-    // choco-lint: secret
-    pub(crate) fn keys(&self) -> &S::KeyBundle {
-        &self.keys
-    }
-
     /// Bytes drawn from the client RNG so far — together with the session
     /// seed this pins the RNG state for exact resume.
     pub(crate) fn rng_bytes_drawn(&self) -> u64 {
         self.rng.bytes_drawn()
+    }
+
+    /// Moves the client to a checkpointed position: its RNG forward to
+    /// `rng_drawn` bytes, its op counters to `enc_ops` and `dec_ops`.
+    /// Returns `false`, changing nothing, when the RNG has already drawn
+    /// more than `rng_drawn` bytes.
+    pub(crate) fn fast_forward(&mut self, rng_drawn: u64, enc_ops: u64, dec_ops: u64) -> bool {
+        let Some(skip) = rng_drawn.checked_sub(self.rng.bytes_drawn()) else {
+            return false;
+        };
+        self.rng.skip(skip);
+        self.enc_ops = enc_ops;
+        self.dec_ops = dec_ops;
+        true
     }
 }
 
@@ -425,21 +414,6 @@ impl<S: HeScheme> Server<S> {
         diagonals: &[(i64, Vec<S::Value>)],
     ) -> Result<S::Ciphertext, HeError> {
         S::dot_diagonals(&self.ctx, ct, diagonals, &self.galois)
-    }
-
-    /// Rebuilds a server from checkpointed evaluation-key material.
-    pub(crate) fn from_parts(
-        ctx: S::Context,
-        public: S::PublicKey,
-        relin: S::RelinKey,
-        galois: S::GaloisKeys,
-    ) -> Self {
-        Server {
-            ctx,
-            public,
-            relin,
-            galois,
-        }
     }
 }
 

@@ -9,8 +9,8 @@
 //! * **Session setup** ([`SessionSetup`], magic `CRS1`): the parameter
 //!   recipe plus the tenant's relinearization and Galois keys in their
 //!   existing `CHR*`/`CHG*` wire formats, sent once right after the
-//!   authenticated TCP hello. Only *evaluation* keys ever cross the wire —
-//!   never the secret key, never the full `CHB*` bundle.
+//!   authenticated TCP hello. Only *evaluation* keys ever cross the wire:
+//!   the secret key has no wire format at all.
 //! * **Evaluate** ([`EvalRequest`], magic `CRQ1`): a [`CompiledProgram`]
 //!   reference (BLAKE3 over the canonical source-program wire form and the
 //!   compiler options) plus named input ciphertexts. The source program

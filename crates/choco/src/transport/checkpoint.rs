@@ -2,15 +2,19 @@
 //!
 //! A [`SessionCheckpoint`] captures everything a
 //! [`Session`](super::session::Session) needs to resume after a crash with
-//! bit-identical results:
+//! bit-identical results, and nothing the session seed already determines:
 //!
 //! * the parameter **recipe** (scheme, degree, prime bit-lengths, plain
 //!   modulus / scale bits, security flag) in the one encoding every wire
 //!   format shares ([`params_to_wire`]) — parameters are rebuilt
 //!   deterministically on parse and cross-checked against the recorded
 //!   values;
-//! * the client's key bundle and the server's evaluation keys, via the
-//!   [`HeScheme`](choco_he::HeScheme) key wire hooks;
+//! * the session seed and the rotation steps the server was provisioned
+//!   for — no key: every key is a pure function of those two and the
+//!   parameter set, so a resume derives them again exactly as
+//!   `Session::with_link` first did, and a 32-byte **key fingerprint**
+//!   (BLAKE3 of the relinearization key's wire form) catches a binary that
+//!   would derive different ones;
 //! * every RNG position (client encryption randomness, retry jitter) as a
 //!   byte offset into its deterministic stream — the streams are pure
 //!   functions of `(seed, offset)`, so a fast-forward replays them exactly;
@@ -23,9 +27,9 @@
 //! The body is sealed by a trailing unkeyed BLAKE3 hash (a *keyed* tag is
 //! impossible — the session seed itself travels inside the blob), so any
 //! truncation or bit-flip is rejected with a typed
-//! [`TransportError::BadCheckpoint`] before any field is trusted. The blob
-//! holds the **secret key**: it is client-side state, never sent to the
-//! server.
+//! [`TransportError::BadCheckpoint`] before any field is trusted. The seed
+//! derives the **secret key**: the blob is client-side state, never sent
+//! to the server.
 
 use super::session::RetryPolicy;
 use super::wire::{params_to_wire, put_blob, read_params, WireCursor};
@@ -37,10 +41,14 @@ use choco_prng::blake3;
 /// Wire magic for checkpoint blobs.
 const MAGIC: [u8; 4] = *b"CKP1";
 /// Current checkpoint format version (2: the parameter set is one
-/// [`params_to_wire`] recipe).
-const VERSION: u16 = 2;
-/// BLAKE3 seal length.
+/// [`params_to_wire`] recipe; 3: rotation steps and a key fingerprint in
+/// place of the keys).
+const VERSION: u16 = 3;
+/// BLAKE3 seal and key fingerprint length.
 const HASH_BYTES: usize = 32;
+/// Most rotation steps a checkpoint may list — as many Galois keys as a
+/// key-set decoder accepts.
+const MAX_ROTATION_STEPS: usize = 4096;
 
 /// Everything a [`Session`](super::session::Session) needs to resume,
 /// in plain decoded form. Produced by [`SessionCheckpoint::from_bytes`] and
@@ -70,12 +78,10 @@ pub struct SessionCheckpoint {
     pub(crate) refresh_floor: f64,
     /// Full communication ledger.
     pub(crate) ledger: CommLedger,
-    /// Serialized client key bundle (contains the secret key).
-    pub(crate) keys_wire: Vec<u8>,
-    /// Serialized relinearization key.
-    pub(crate) relin_wire: Vec<u8>,
-    /// Serialized Galois key set.
-    pub(crate) galois_wire: Vec<u8>,
+    /// The rotation steps the server was provisioned for.
+    pub(crate) rotation_steps: Vec<i64>,
+    /// BLAKE3 of the relinearization key's wire form.
+    pub(crate) key_fingerprint: [u8; HASH_BYTES],
     /// Opaque uplink channel state.
     pub(crate) uplink_state: Vec<u8>,
     /// Opaque downlink channel state.
@@ -115,9 +121,11 @@ impl SessionCheckpoint {
         out.extend_from_slice(&self.ledger.retransmit_bytes.to_le_bytes());
         out.extend_from_slice(&self.ledger.refresh_rounds.to_le_bytes());
         out.extend_from_slice(&self.ledger.recovery_bytes.to_le_bytes());
-        put_blob(&mut out, &self.keys_wire);
-        put_blob(&mut out, &self.relin_wire);
-        put_blob(&mut out, &self.galois_wire);
+        out.extend_from_slice(&(self.rotation_steps.len() as u32).to_le_bytes());
+        for step in &self.rotation_steps {
+            out.extend_from_slice(&step.to_le_bytes());
+        }
+        out.extend_from_slice(&self.key_fingerprint);
         put_blob(&mut out, &self.uplink_state);
         put_blob(&mut out, &self.downlink_state);
         put_blob(&mut out, &self.progress);
@@ -132,7 +140,8 @@ impl SessionCheckpoint {
     ///
     /// Returns [`TransportError::BadCheckpoint`] on a bad magic, unknown
     /// version, broken BLAKE3 seal (any truncation or bit-flip), or a
-    /// structurally implausible body. Never panics.
+    /// structurally implausible body — a rotation-step count past the cap
+    /// among them, refused before the list is read. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TransportError> {
         if bytes.len() < MAGIC.len() + HASH_BYTES {
             return Err(bad("shorter than header + seal"));
@@ -185,9 +194,16 @@ impl SessionCheckpoint {
             refresh_rounds: r.take_u32()?,
             recovery_bytes: r.take_u64()?,
         };
-        let keys_wire = r.take_blob()?.to_vec();
-        let relin_wire = r.take_blob()?.to_vec();
-        let galois_wire = r.take_blob()?.to_vec();
+        let step_count = r.take_u32()? as usize;
+        if step_count > MAX_ROTATION_STEPS {
+            return Err(bad(format!("implausible rotation-step count {step_count}")));
+        }
+        let mut rotation_steps = Vec::with_capacity(step_count);
+        for _ in 0..step_count {
+            rotation_steps.push(r.take_u64()? as i64);
+        }
+        let mut key_fingerprint = [0u8; HASH_BYTES];
+        key_fingerprint.copy_from_slice(r.take(HASH_BYTES)?);
         let uplink_state = r.take_blob()?.to_vec();
         let downlink_state = r.take_blob()?.to_vec();
         let progress = r.take_blob()?.to_vec();
@@ -206,9 +222,8 @@ impl SessionCheckpoint {
             jitter_drawn,
             refresh_floor,
             ledger,
-            keys_wire,
-            relin_wire,
-            galois_wire,
+            rotation_steps,
+            key_fingerprint,
             uplink_state,
             downlink_state,
             progress,
@@ -232,7 +247,7 @@ impl SessionCheckpoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample() -> SessionCheckpoint {
@@ -257,9 +272,8 @@ mod tests {
                 refresh_rounds: 1,
                 recovery_bytes: 10,
             },
-            keys_wire: vec![1, 2, 3],
-            relin_wire: vec![4, 5],
-            galois_wire: vec![6],
+            rotation_steps: vec![1, -2, 3],
+            key_fingerprint: [6; HASH_BYTES],
             uplink_state: vec![],
             downlink_state: vec![7, 8, 9, 10],
             progress: b"progress blob".to_vec(),
@@ -312,6 +326,40 @@ mod tests {
         body
     }
 
+    /// Checkpoint `bytes` resealed with its rotation-step count replaced by
+    /// `count`, the list itself left as it is.
+    pub(crate) fn claiming_steps(bytes: &[u8], count: u32) -> Vec<u8> {
+        let ck = SessionCheckpoint::from_bytes(bytes).unwrap();
+        // From the end: seal, the three trailing blobs, fingerprint, list.
+        let blobs = [&ck.uplink_state, &ck.downlink_state, &ck.progress];
+        let tail = HASH_BYTES
+            + blobs.iter().map(|b| 4 + b.len()).sum::<usize>()
+            + HASH_BYTES
+            + 8 * ck.rotation_steps.len();
+        let at = bytes.len() - tail - 4;
+        resealed(bytes, |body| {
+            let old = ck.rotation_steps.len() as u32;
+            assert_eq!(body[at..at + 4], old.to_le_bytes());
+            body[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        })
+    }
+
+    #[test]
+    fn a_step_count_past_the_cap_is_refused_before_the_list_is_read() {
+        let bytes = sample().to_bytes();
+        // At the cap the claim is only a short list: a truncation.
+        let at_cap = claiming_steps(&bytes, MAX_ROTATION_STEPS as u32);
+        let truncated = TransportError::BadCheckpoint("checkpoint body: truncated".into());
+        assert_eq!(SessionCheckpoint::from_bytes(&at_cap), Err(truncated));
+        // Past it the count alone is refused, whatever follows.
+        for count in [MAX_ROTATION_STEPS as u32 + 1, u32::MAX] {
+            let refused = format!("implausible rotation-step count {count}");
+            let claim = claiming_steps(&bytes, count);
+            let refused = TransportError::BadCheckpoint(refused);
+            assert_eq!(SessionCheckpoint::from_bytes(&claim), Err(refused));
+        }
+    }
+
     #[test]
     fn params_recipe_rebuilds_and_cross_checks() {
         // The recipe follows magic and version: scheme, security flag,
@@ -332,10 +380,13 @@ mod tests {
 
     #[test]
     fn a_version_1_blob_is_refused() {
-        let old = resealed(&sample().to_bytes(), |body| {
-            body[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&1u16.to_le_bytes());
-        });
-        let refused = TransportError::BadCheckpoint("unsupported version 1".into());
-        assert_eq!(SessionCheckpoint::from_bytes(&old), Err(refused));
+        for version in [1u16, 2] {
+            let old = resealed(&sample().to_bytes(), |body| {
+                body[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&version.to_le_bytes());
+            });
+            let refused = format!("unsupported version {version}");
+            let refused = TransportError::BadCheckpoint(refused);
+            assert_eq!(SessionCheckpoint::from_bytes(&old), Err(refused));
+        }
     }
 }

@@ -31,7 +31,8 @@
 //! On top of the lossy-link machinery, [`checkpoint`] and the session's
 //! [`session::Session::checkpoint`]/[`session::Session::resume`] pair make
 //! whole offload runs *crash-tolerant*: a versioned, hash-sealed
-//! [`checkpoint::SessionCheckpoint`] blob captures keys, counters, RNG
+//! [`checkpoint::SessionCheckpoint`] blob captures the seed and rotation
+//! steps the keys are derived from (never the keys), counters, RNG
 //! positions and in-flight channel state, and a seeded
 //! [`session::CrashPlan`] kills the run at a chosen operation so the
 //! kill→checkpoint→resume path is testable deterministically.

@@ -42,7 +42,7 @@ use crate::protocol::{Client, CommLedger, Server};
 use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::params::{HeParams, SchemeType};
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
-use choco_prng::Blake3Rng;
+use choco_prng::{blake3, Blake3Rng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -287,6 +287,7 @@ pub struct Session<S: CompilerScheme> {
     refresh_floor: f64,
     params: HeParams,
     seed: Vec<u8>,
+    rotation_steps: Vec<i64>,
     crash: Option<CrashPlan>,
     ops: [u32; 4],
     /// Server-side: compiled programs by their callers' exact definitions
@@ -318,6 +319,7 @@ impl<S: CompilerScheme> Session<S> {
             refresh_floor: S::HEALTH_FLOOR,
             params: params.clone(),
             seed: seed.to_vec(),
+            rotation_steps: rotation_steps.to_vec(),
             crash: None,
             ops: [0; 4],
             programs: OperandCache::new(RESIDENT_PROGRAMS),
@@ -550,11 +552,12 @@ impl<S: CompilerScheme> Session<S> {
         Ok(())
     }
 
-    /// Serializes the full session state — keys, RNG positions, sequence
-    /// cursor, clock, policy, ledger, in-flight channel state — plus the
-    /// caller's opaque `progress` blob into a durable, hash-sealed
-    /// checkpoint. Call at a step boundary; the blob contains the secret
-    /// key and stays on the trusted client.
+    /// Serializes the session state — seed, rotation steps, RNG positions,
+    /// sequence cursor, clock, policy, ledger, in-flight channel state —
+    /// plus the caller's opaque `progress` blob into a durable, hash-sealed
+    /// checkpoint. Call at a step boundary. The blob carries no key, only a
+    /// fingerprint of them; its seed derives the secret key, so it stays on
+    /// the trusted client.
     pub fn checkpoint(&self, progress: &[u8]) -> Vec<u8> {
         SessionCheckpoint {
             params: self.params.clone(),
@@ -568,9 +571,8 @@ impl<S: CompilerScheme> Session<S> {
             jitter_drawn: self.link.jitter.bytes_drawn(),
             refresh_floor: self.refresh_floor,
             ledger: self.ledger,
-            keys_wire: S::keys_to_wire(self.client.keys()),
-            relin_wire: S::relin_to_wire(self.server.relin_key()),
-            galois_wire: S::galois_to_wire(self.server.galois_keys()),
+            rotation_steps: self.rotation_steps.clone(),
+            key_fingerprint: self.key_fingerprint(),
             uplink_state: self.link.uplink.export_state(),
             downlink_state: self.link.downlink.export_state(),
             progress: progress.to_vec(),
@@ -578,10 +580,21 @@ impl<S: CompilerScheme> Session<S> {
         .to_bytes()
     }
 
+    /// BLAKE3 of the relinearization key's wire form: the checkpoint's
+    /// witness that a resume derived the keys this session holds.
+    fn key_fingerprint(&self) -> [u8; 32] {
+        blake3::hash(&S::relin_to_wire(self.server.relin_key()))
+    }
+
     /// Rebuilds a session from a checkpoint blob over freshly constructed
     /// channels (configured like the originals — e.g. same fault seed and
     /// plan), then runs the reconnect handshake. Returns the session and
     /// the workload progress blob stored at checkpoint time.
+    ///
+    /// The session is built as [`Session::with_link`] built the original —
+    /// keygen and provisioning from the checkpoint's seed and rotation
+    /// steps, so a resume costs one setup — and then moved to the
+    /// checkpointed state.
     ///
     /// Determinism guarantee: the client RNG and retry jitter resume at
     /// their exact byte offsets, so every ciphertext produced after a
@@ -591,8 +604,10 @@ impl<S: CompilerScheme> Session<S> {
     ///
     /// # Errors
     ///
-    /// [`TransportError::BadCheckpoint`] on a malformed/tampered blob or a
-    /// scheme/parameter mismatch; transport errors from the handshake.
+    /// [`TransportError::BadCheckpoint`] on a malformed/tampered blob, a
+    /// scheme/parameter mismatch, a client RNG position behind what keygen
+    /// and provisioning draw, or keys whose fingerprint is not the
+    /// checkpoint's; transport errors from the handshake.
     pub fn resume(
         blob: &[u8],
         mut uplink: Box<dyn Channel>,
@@ -606,36 +621,36 @@ impl<S: CompilerScheme> Session<S> {
                 S::SCHEME
             )));
         }
-        let ctx = S::context(&ck.params)?;
-        let keys = S::keys_from_wire(&ctx, &ck.keys_wire)?;
-        let relin = S::relin_from_wire(&ck.relin_wire)?;
-        let galois = S::galois_from_wire(&ck.galois_wire)?;
-        let public = S::public_key(&keys).clone();
-        // The client RNG stream is a pure function of (seed, offset):
-        // fast-forwarding past keygen, provisioning and every encryption so
-        // far makes the next draw identical to the uninterrupted run's.
-        let mut rng = Blake3Rng::from_seed(&ck.seed);
-        rng.skip(ck.client_rng_drawn);
-        let client = Client::<S>::from_parts(ctx.clone(), keys, rng, ck.enc_ops, ck.dec_ops);
-        let server = Server::<S>::from_parts(ctx, public, relin, galois);
         uplink.import_state(&ck.uplink_state)?;
         downlink.import_state(&ck.downlink_state)?;
-        let mut link = Link::new(&ck.seed, uplink, downlink, ck.policy);
-        link.jitter.skip(ck.jitter_drawn);
-        link.clock_ms = ck.clock_ms;
-        link.next_seq = ck.next_seq;
-        let mut session = Session {
-            client,
-            server,
-            link,
-            ledger: ck.ledger,
-            refresh_floor: ck.refresh_floor,
-            params: ck.params,
-            seed: ck.seed.clone(),
-            crash: None,
-            ops: [0; 4],
-            programs: OperandCache::new(RESIDENT_PROGRAMS),
+        let link = LinkConfig {
+            uplink,
+            downlink,
+            policy: ck.policy,
         };
+        let mut session = Self::with_link(&ck.params, &ck.seed, &ck.rotation_steps, link)?;
+        // The client RNG stream is a pure function of (seed, offset):
+        // fast-forwarding past every encryption since provisioning makes the
+        // next draw identical to the uninterrupted run's.
+        if !session
+            .client
+            .fast_forward(ck.client_rng_drawn, ck.enc_ops, ck.dec_ops)
+        {
+            return Err(TransportError::BadCheckpoint(format!(
+                "client RNG position {} is behind keygen and provisioning",
+                ck.client_rng_drawn
+            )));
+        }
+        session.link.jitter.skip(ck.jitter_drawn);
+        session.link.clock_ms = ck.clock_ms;
+        session.link.next_seq = ck.next_seq;
+        session.refresh_floor = ck.refresh_floor;
+        session.ledger = ck.ledger;
+        if session.key_fingerprint() != ck.key_fingerprint {
+            return Err(TransportError::BadCheckpoint(
+                "keys derived from the seed do not match the checkpoint's fingerprint".into(),
+            ));
+        }
         session.reconnect()?;
         Ok((session, ck.progress))
     }
@@ -765,6 +780,8 @@ impl Session<Ckks> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::channel::DirectChannel;
+    use crate::transport::checkpoint::tests::claiming_steps;
     use crate::transport::fault::{FaultPlan, FaultyChannel};
 
     fn params() -> HeParams {
@@ -1105,6 +1122,117 @@ mod tests {
             Err(TransportError::BadCheckpoint(_)) => {}
             other => panic!("expected BadCheckpoint, got {:?}", other.map(|_| ())),
         }
+    }
+
+    /// A direct session of `params` provisioned for `steps` that has
+    /// uploaded one encryption of `values`.
+    fn after_one_upload<S: CompilerScheme>(
+        params: &HeParams,
+        steps: &[i64],
+        values: &[S::Value],
+    ) -> Session<S> {
+        let mut s = Session::<S>::direct(params, b"session rederive", steps).unwrap();
+        let ct = s.client_mut().encrypt(values).unwrap();
+        s.upload(&ct).unwrap();
+        s
+    }
+
+    /// `blob` resumed over direct channels.
+    fn resume_direct<S: CompilerScheme>(blob: &[u8]) -> Result<Session<S>, TransportError> {
+        let (up, down) = (DirectChannel::new(), DirectChannel::new());
+        Session::<S>::resume(blob, Box::new(up), Box::new(down)).map(|(s, _)| s)
+    }
+
+    fn resume_rederives_the_keys_and_the_next_encryption<S: CompilerScheme>(
+        params: &HeParams,
+        values: &[S::Value],
+    ) {
+        let mut s = after_one_upload::<S>(params, &[1, 2, -3], values);
+        let mut r = resume_direct::<S>(&s.checkpoint(&[])).unwrap();
+        let (keys, again) = (s.server(), r.server());
+        let relin = S::relin_to_wire(keys.relin_key());
+        assert_eq!(S::relin_to_wire(again.relin_key()), relin);
+        let galois = S::galois_to_wire(keys.galois_keys());
+        assert_eq!(S::galois_to_wire(again.galois_keys()), galois);
+        let next = s.client_mut().encrypt(values).unwrap();
+        let replayed = r.client_mut().encrypt(values).unwrap();
+        assert_eq!(S::ct_to_wire(&replayed), S::ct_to_wire(&next));
+        assert_eq!(r.client_mut().encryption_count(), 2);
+        assert_eq!(r.ledger().upload_bytes, s.ledger().upload_bytes);
+    }
+
+    fn a_checkpoint_grows_by_its_step_list_only<S: CompilerScheme>(
+        params: &HeParams,
+        values: &[S::Value],
+    ) {
+        let one = after_one_upload::<S>(params, &[1], values).checkpoint(&[]);
+        let steps: Vec<i64> = (1..=40).collect();
+        let forty = after_one_upload::<S>(params, &steps, values).checkpoint(&[]);
+        assert_eq!(forty.len(), one.len() + 39 * 8);
+    }
+
+    fn resume_refuses_resealed_blobs<S: CompilerScheme>(params: &HeParams, values: &[S::Value]) {
+        let blob = after_one_upload::<S>(params, &[1], values).checkpoint(&[]);
+        let edited = |edit: fn(&mut SessionCheckpoint)| {
+            let mut ck = SessionCheckpoint::from_bytes(&blob).unwrap();
+            edit(&mut ck);
+            ck.to_bytes()
+        };
+        let refusal = |blob: &[u8]| match resume_direct::<S>(blob) {
+            Err(TransportError::BadCheckpoint(why)) => why,
+            other => panic!("expected BadCheckpoint, got {:?}", other.map(|_| ())),
+        };
+        // A seed of other keys is caught by the key fingerprint, a client
+        // RNG position behind provisioning by the fast-forward, a step count
+        // past the cap by the decoder before it reads the list.
+        let other_seed = refusal(&edited(|ck| ck.seed[0] ^= 1));
+        assert!(other_seed.contains("fingerprint"), "{other_seed}");
+        let rewound = refusal(&edited(|ck| ck.client_rng_drawn = 0));
+        assert!(rewound.contains("behind keygen"), "{rewound}");
+        let huge = refusal(&claiming_steps(&blob, u32::MAX));
+        assert!(huge.contains("rotation-step count"), "{huge}");
+    }
+
+    fn ckks_params() -> HeParams {
+        HeParams::ckks_insecure(256, &[45, 45, 46], 38).unwrap()
+    }
+
+    fn bfv_values() -> Vec<u64> {
+        (0..256).map(|i| i % 59).collect()
+    }
+
+    fn ckks_values() -> Vec<f64> {
+        (0..128).map(|i| (i % 11) as f64 / 8.0).collect()
+    }
+
+    #[test]
+    fn bfv_resume_rederives_the_keys_and_the_next_encryption() {
+        resume_rederives_the_keys_and_the_next_encryption::<Bfv>(&params(), &bfv_values());
+    }
+
+    #[test]
+    fn ckks_resume_rederives_the_keys_and_the_next_encryption() {
+        resume_rederives_the_keys_and_the_next_encryption::<Ckks>(&ckks_params(), &ckks_values());
+    }
+
+    #[test]
+    fn bfv_resume_checkpoint_grows_by_its_step_list_only() {
+        a_checkpoint_grows_by_its_step_list_only::<Bfv>(&params(), &bfv_values());
+    }
+
+    #[test]
+    fn ckks_resume_checkpoint_grows_by_its_step_list_only() {
+        a_checkpoint_grows_by_its_step_list_only::<Ckks>(&ckks_params(), &ckks_values());
+    }
+
+    #[test]
+    fn bfv_resume_refuses_resealed_blobs() {
+        resume_refuses_resealed_blobs::<Bfv>(&params(), &bfv_values());
+    }
+
+    #[test]
+    fn ckks_resume_refuses_resealed_blobs() {
+        resume_refuses_resealed_blobs::<Ckks>(&ckks_params(), &ckks_values());
     }
 
     #[test]

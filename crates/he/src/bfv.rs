@@ -254,12 +254,6 @@ impl BfvContext {
         &self.data
     }
 
-    /// The full basis — data primes and the special prime — the secret key
-    /// and key-switch keys live over.
-    pub(crate) fn full_basis(&self) -> &RnsBasis {
-        &self.full
-    }
-
     /// log2 of the data modulus `q`.
     pub fn q_bits(&self) -> f64 {
         self.data.modulus_bits()

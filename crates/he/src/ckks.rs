@@ -216,12 +216,6 @@ impl CkksContext {
         self.default_scale
     }
 
-    /// The full basis — data primes and the special prime — the secret key
-    /// and key-switch keys live over.
-    pub(crate) fn full_basis(&self) -> &RnsBasis {
-        &self.full
-    }
-
     fn level_basis(&self, level: usize) -> &RnsBasis {
         &self.level_bases[level - 1]
     }

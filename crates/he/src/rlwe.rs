@@ -30,13 +30,13 @@
 //! element in list order.
 //!
 //! The client's side pays each transform once. Both keys carry their
-//! evaluation-domain rows beside the coefficient form that travels on the
-//! wire, built once where the key is built ([`keygen`],
-//! [`crate::serialize::keys_from_bytes`]): an encryption transforms `u` once
-//! per prime and multiplies it into both public-key halves (one forward and
-//! two inverse NTTs per prime), a decryption multiplies the ciphertext's
-//! transformed components into the secret's rows ([`dot_with_secret`]), and
-//! key-switch keys are formed over the secret's rows directly. A prefix of
+//! evaluation-domain rows, built once where the key is built ([`keygen`]);
+//! the public key keeps its coefficient form beside them, the form that
+//! travels on the wire. An encryption transforms `u` once per prime and
+//! multiplies it into both public-key halves (one forward and two inverse
+//! NTTs per prime), a decryption multiplies the ciphertext's transformed
+//! components into the secret's rows ([`dot_with_secret`]), and key-switch
+//! keys are formed over the secret's rows directly. A prefix of
 //! the secret's rows is the secret at any level, as an NTT row depends only
 //! on its prime.
 
@@ -64,11 +64,10 @@ fn to_ntt(poly: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
 }
 
 /// The secret key: a ternary polynomial, kept over the full basis so key
-/// switching material can be generated, in coefficient form (the wire form)
-/// and as evaluation-domain rows.
+/// switching material can be generated, as evaluation-domain rows. It has
+/// no wire form: a client that needs it again derives it from its seed.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
-    pub(crate) full: RnsPoly,
     pub(crate) ntt: RnsPoly,
 }
 
@@ -76,8 +75,9 @@ impl SecretKey {
     /// The key whose coefficient form over `full` is `s`.
     // choco-lint: secret (public: full)
     pub(crate) fn new(s: RnsPoly, full: &RnsBasis) -> Self {
-        let ntt = to_ntt(&s, full);
-        SecretKey { full: s, ntt }
+        SecretKey {
+            ntt: to_ntt(&s, full),
+        }
     }
 }
 

@@ -15,7 +15,9 @@
 //!   [`crate::rlwe::dot_galois`], under both schemes); plaintext operands
 //!   are the compiled-program executor's, which encodes them once per use
 //!   site and caches them (`choco::compiler::CompilerScheme`),
-//! * wire serialization hooks for the transport layer, and
+//! * wire serialization hooks for ciphertexts and the server's evaluation
+//!   keys (the client's key bundle has none: a resumed session derives it
+//!   again from its seed), and
 //! * fixed-point **quantization hooks** that unify the two numeric models:
 //!   BFV carries an explicit scale `2^(scale_bits·depth)` modulo `t`, while
 //!   CKKS tracks its scale inside the ciphertext, so [`HeScheme::quantize`]
@@ -238,20 +240,6 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
         depth: u32,
     ) -> Vec<f64>;
 
-    /// Serializes the client's secret/public key bundle for durable session
-    /// checkpoints. The blob contains the **secret key** — checkpoint
-    /// storage is trusted client territory only.
-    fn keys_to_wire(keys: &Self::KeyBundle) -> Vec<u8>;
-
-    /// Deserializes a key bundle of `ctx`'s parameter set from a
-    /// checkpoint blob (and rebuilds the keys' evaluation-domain rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeError::InvalidKeyMaterial`] on malformed bytes or a
-    /// bundle of another parameter set.
-    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<Self::KeyBundle, HeError>;
-
     /// Serializes the relinearization key.
     fn relin_to_wire(rk: &Self::RelinKey) -> Vec<u8>;
 
@@ -453,16 +441,6 @@ impl HeScheme for Bfv {
         values.iter().map(|&v| v as f64 / factor).collect()
     }
 
-    // choco-lint: secret
-    fn keys_to_wire(keys: &KeyBundle) -> Vec<u8> {
-        serialize::keys_to_bytes(Self::SCHEME, keys)
-    }
-
-    // choco-lint: secret
-    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<KeyBundle, HeError> {
-        serialize::keys_from_bytes(Self::SCHEME, ctx.full_basis(), bytes)
-    }
-
     fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {
         serialize::relin_to_bytes(Self::SCHEME, rk)
     }
@@ -631,16 +609,6 @@ impl HeScheme for Ckks {
 
     fn dequantize(_ctx: &CkksContext, values: &[f64], _scale_bits: u32, _depth: u32) -> Vec<f64> {
         values.to_vec()
-    }
-
-    // choco-lint: secret
-    fn keys_to_wire(keys: &KeyBundle) -> Vec<u8> {
-        serialize::keys_to_bytes(Self::SCHEME, keys)
-    }
-
-    // choco-lint: secret
-    fn keys_from_wire(ctx: &Self::Context, bytes: &[u8]) -> Result<KeyBundle, HeError> {
-        serialize::keys_from_bytes(Self::SCHEME, ctx.full_basis(), bytes)
     }
 
     fn relin_to_wire(rk: &RelinKey) -> Vec<u8> {

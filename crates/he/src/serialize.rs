@@ -29,10 +29,9 @@ use crate::ckks::CkksCiphertext;
 use crate::error::HeError;
 use crate::keyswitch::KswitchKey;
 use crate::params::SchemeType;
-use crate::rlwe::{self, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey};
+use crate::rlwe::{self, GaloisKeys, MaskSeed, RelinKey};
 use crate::rnspoly::RnsPoly;
 use choco_math::prime::is_prime;
-use choco_math::rns::RnsBasis;
 use std::collections::HashMap;
 
 /// Magic tag for BFV ciphertext frames.
@@ -48,10 +47,9 @@ const CKKS_SEEDED_MAGIC: [u8; 4] = *b"CHS2";
 /// Largest ring degree a compact frame may claim.
 const MAX_SEEDED_DEGREE: usize = 1 << 17;
 
-/// Magic of a key blob: `CH`, the kind (`B`undle, `R`elin, `G`alois), then
+/// Magic of a key blob: `CH`, the kind (`R`elin or `G`alois), then
 /// `1` for BFV or `2` for CKKS — the only byte in which the two schemes'
 /// key wires differ.
-// choco-lint: ct-safe
 fn key_magic(kind: u8, scheme: SchemeType) -> [u8; 4] {
     let scheme = match scheme {
         SchemeType::Bfv => b'1',
@@ -79,7 +77,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    // choco-lint: ct-safe
     fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, off: 0 }
     }
@@ -120,7 +117,6 @@ impl<'a> Reader<'a> {
 }
 
 /// Reads `parts` polynomials of `rows × n` little-endian residues.
-// choco-lint: ct-safe
 fn read_polys(
     r: &mut Reader<'_>,
     parts: usize,
@@ -356,7 +352,6 @@ fn read_seeded_body(
     Ok((vec![c0, c1], seed))
 }
 
-// choco-lint: ct-safe
 fn write_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
     for r in 0..poly.row_count() {
         for &c in poly.row(r) {
@@ -365,13 +360,11 @@ fn write_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
     }
 }
 
-// choco-lint: ct-safe
 fn bad_keys(msg: &str) -> HeError {
     HeError::InvalidKeyMaterial(msg.into())
 }
 
 /// Opens a key blob: checks the magic, leaves the reader at the header words.
-// choco-lint: ct-safe
 fn open_key_blob(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, HeError> {
     let mut r = Reader::new(bytes);
     match r.take(4) {
@@ -382,95 +375,17 @@ fn open_key_blob(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, HeError> {
 }
 
 /// Reads one `u32` header word of a key blob.
-// choco-lint: ct-safe
 fn header_word(r: &mut Reader<'_>) -> Result<usize, HeError> {
     let word = r.u32().map_err(|_| bad_keys("truncated key-blob header"))?;
     Ok(word as usize)
 }
 
-/// Serializes a secret/public key bundle (`CHB1` / `CHB2` blob): magic,
-/// secret-key rows (full basis), public rows (top basis), degree, then
-/// secret ‖ P0 ‖ P1 residues.
-// choco-lint: secret (public: scheme)
-pub fn keys_to_bytes(scheme: SchemeType, keys: &KeyBundle) -> Vec<u8> {
-    let (secret, p0, p1) = (&keys.secret.full, &keys.public.p0, &keys.public.p1);
-    let full_rows = secret.row_count();
-    let data_rows = p0.row_count();
-    let n = secret.degree();
-    let mut out = Vec::with_capacity(16 + (full_rows + 2 * data_rows) * n * 8);
-    out.extend_from_slice(&key_magic(b'B', scheme));
-    out.extend_from_slice(&(full_rows as u32).to_le_bytes());
-    out.extend_from_slice(&(data_rows as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    write_poly(&mut out, secret);
-    write_poly(&mut out, p0);
-    write_poly(&mut out, p1);
-    out
-}
-
 /// Whether every residue of `poly` is below its row's prime — a polynomial
 /// the NTT can take. Scans every residue whatever it finds.
-// choco-lint: ct-safe
 fn reduced_over(poly: &RnsPoly, primes: &[u64]) -> bool {
     let rows = (0..poly.row_count()).map(|r| poly.row(r));
     rows.zip(primes).fold(true, |ok, (row, &q)| {
         row.iter().fold(ok, |ok, &x| ok & (x < q))
-    })
-}
-
-/// Deserializes a key bundle of the given scheme for the parameter set
-/// whose full basis (data primes and the special prime) is `full`, and
-/// builds the keys' evaluation-domain rows.
-///
-/// # Errors
-///
-/// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
-/// blob of the other scheme, one whose shape is not `full`'s and one with a
-/// residue not reduced modulo its prime. Never panics.
-// choco-lint: ct-safe
-pub fn keys_from_bytes(
-    scheme: SchemeType,
-    full: &RnsBasis,
-    bytes: &[u8],
-) -> Result<KeyBundle, HeError> {
-    let mut r = open_key_blob(bytes, key_magic(b'B', scheme))?;
-    let full_rows = header_word(&mut r)?;
-    let data_rows = header_word(&mut r)?;
-    let n = header_word(&mut r)?;
-    if full_rows == 0
-        || full_rows > 33
-        || data_rows == 0
-        || data_rows > 32
-        || data_rows > full_rows
-        || !n.is_power_of_two()
-    {
-        return Err(bad_keys("implausible key-bundle shape"));
-    }
-    if full_rows != full.len() || n != full.degree() {
-        return Err(bad_keys("key bundle of another parameter set"));
-    }
-    let expect = 16 + (full_rows + 2 * data_rows) * n * 8;
-    if bytes.len() != expect {
-        return Err(bad_keys("key-bundle length mismatch"));
-    }
-    let read = |r: &mut Reader<'_>, rows: usize| -> Result<RnsPoly, HeError> {
-        read_polys(r, 1, rows, n)
-            .ok()
-            .and_then(|mut p| p.pop())
-            .ok_or_else(|| bad_keys("truncated key polynomial"))
-    };
-    let secret = read(&mut r, full_rows)?;
-    let p0 = read(&mut r, data_rows)?;
-    let p1 = read(&mut r, data_rows)?;
-    if ![&secret, &p0, &p1]
-        .iter()
-        .fold(true, |ok, p| ok & reduced_over(p, full.primes()))
-    {
-        return Err(bad_keys("key residue not reduced modulo its prime"));
-    }
-    Ok(KeyBundle {
-        secret: SecretKey::new(secret, full),
-        public: PublicKey::new(p0, p1, full),
     })
 }
 
@@ -615,6 +530,7 @@ mod tests {
     use crate::bfv::{BfvContext, Plaintext};
     use crate::ckks::CkksContext;
     use crate::params::HeParams;
+    use crate::rlwe::KeyBundle;
     use choco_prng::Blake3Rng;
 
     fn sample_ct() -> (BfvContext, KeyBundle, Ciphertext) {
@@ -760,22 +676,22 @@ mod tests {
         }
     }
 
-    /// One scheme's key material from its sample context: the bundle, a
+    /// One scheme's evaluation keys from its sample context: a
     /// relinearization key and Galois keys for `steps`.
-    fn key_material(scheme: SchemeType, steps: &[i64]) -> (KeyBundle, RelinKey, GaloisKeys) {
+    fn key_material(scheme: SchemeType, steps: &[i64]) -> (RelinKey, GaloisKeys) {
         let mut rng = Blake3Rng::from_seed(b"serialize key material");
         match scheme {
             SchemeType::Bfv => {
                 let (ctx, keys, _) = sample_ct();
                 let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
                 let gk = ctx.galois_keys(keys.secret_key(), steps, &mut rng).unwrap();
-                (keys, rk, gk)
+                (rk, gk)
             }
             SchemeType::Ckks => {
                 let (ctx, keys, _) = sample_ckks();
                 let rk = ctx.relin_key(keys.secret_key(), &mut rng);
                 let gk = ctx.galois_keys(keys.secret_key(), steps, &mut rng).unwrap();
-                (keys, rk, gk)
+                (rk, gk)
             }
         }
     }
@@ -783,22 +699,10 @@ mod tests {
     /// A key-wire decoder with its output dropped.
     type Decoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
 
-    /// The full basis of `scheme`'s sample context.
-    fn full_basis(scheme: SchemeType) -> RnsBasis {
-        match scheme {
-            SchemeType::Bfv => sample_ct().0.full_basis().clone(),
-            SchemeType::Ckks => sample_ckks().0.full_basis().clone(),
-        }
-    }
-
-    /// The three key blobs of one scheme, each with its decoder (bundles
-    /// decode against the scheme's sample parameter set).
-    fn key_blobs(scheme: SchemeType) -> [(Vec<u8>, Decoder); 3] {
-        let (keys, rk, gk) = key_material(scheme, &[1, 2]);
+    /// The two key blobs of one scheme, each with its decoder.
+    fn key_blobs(scheme: SchemeType) -> [(Vec<u8>, Decoder); 2] {
+        let (rk, gk) = key_material(scheme, &[1, 2]);
         [
-            (keys_to_bytes(scheme, &keys), |s, b| {
-                keys_from_bytes(s, &full_basis(s), b).map(drop)
-            }),
             (relin_to_bytes(scheme, &rk), |s, b| {
                 relin_from_bytes(s, b).map(drop)
             }),
@@ -809,53 +713,9 @@ mod tests {
     }
 
     #[test]
-    fn key_bundle_roundtrips_exactly() {
-        for scheme in SCHEMES {
-            let (keys, _, _) = key_material(scheme, &[]);
-            let bytes = keys_to_bytes(scheme, &keys);
-            let back = keys_from_bytes(scheme, &full_basis(scheme), &bytes).unwrap();
-            // Bit-exact re-serialization proves the round trip lost nothing.
-            assert_eq!(keys_to_bytes(scheme, &back), bytes);
-            // The restored secret key must decrypt ciphertexts made under
-            // the original bundle.
-            match scheme {
-                SchemeType::Bfv => {
-                    let (ctx, _, ct) = sample_ct();
-                    let out = ctx.decryptor(back.secret_key()).decrypt(&ct);
-                    assert_eq!(out.coeffs()[5], 5);
-                }
-                SchemeType::Ckks => {
-                    let (ctx, _, ct) = sample_ckks();
-                    let out = ctx.decode(&ctx.decrypt(&ct, back.secret_key()));
-                    assert!((out[8] - 1.0).abs() < 1e-2);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn key_bundles_refuse_another_shape_and_unreduced_residues() {
-        let bad = |r: Result<KeyBundle, HeError>| matches!(r, Err(HeError::InvalidKeyMaterial(_)));
-        for scheme in SCHEMES {
-            let (keys, _, _) = key_material(scheme, &[]);
-            let blob = keys_to_bytes(scheme, &keys);
-            let full = full_basis(scheme);
-            assert!(keys_from_bytes(scheme, &full, &blob).is_ok());
-            // A basis of another prime count or degree.
-            assert!(bad(keys_from_bytes(scheme, &full.prefix(2), &blob)));
-            let half = RnsBasis::new(full.degree() / 2, full.primes()).unwrap();
-            assert!(bad(keys_from_bytes(scheme, &half, &blob)));
-            // The first secret residue pushed past its prime.
-            let mut unreduced = blob.clone();
-            unreduced[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-            assert!(bad(keys_from_bytes(scheme, &full, &unreduced)));
-        }
-    }
-
-    #[test]
     fn relin_keys_roundtrip_and_still_relinearize() {
         for scheme in SCHEMES {
-            let (_, rk, _) = key_material(scheme, &[]);
+            let (rk, _) = key_material(scheme, &[]);
             let bytes = relin_to_bytes(scheme, &rk);
             let back = relin_from_bytes(scheme, &bytes).unwrap();
             assert_eq!(relin_to_bytes(scheme, &back), bytes);
@@ -876,7 +736,7 @@ mod tests {
     #[test]
     fn galois_keys_roundtrip_sorted_and_deterministic() {
         for scheme in SCHEMES {
-            let (_, _, gk) = key_material(scheme, &[1, 3, -2]);
+            let (_, gk) = key_material(scheme, &[1, 3, -2]);
             let bytes = galois_to_bytes(scheme, &gk);
             let back = galois_from_bytes(scheme, &bytes).unwrap();
             assert_eq!(back.elements(), gk.elements());
@@ -924,7 +784,7 @@ mod tests {
                 wrong[0] = b'X';
                 assert!(bad(decode(scheme, &wrong)));
                 // One decoder serves both schemes: the other scheme's blob
-                // (`CHG1` to the CKKS decoder, `CHB2` to the BFV one, …) is
+                // (`CHG1` to the CKKS decoder, `CHR2` to the BFV one, …) is
                 // refused, never accepted.
                 assert!(bad(decode(other(scheme), &blob)));
                 // Truncations at several cut points — typed error, never a
@@ -942,7 +802,7 @@ mod tests {
                 assert!(bad(decode(scheme, &weird)));
             }
             // Galois elements must be strictly increasing (sorted + deduped).
-            let [_, _, (mut unsorted, decode)] = key_blobs(scheme);
+            let [_, (mut unsorted, decode)] = key_blobs(scheme);
             // Swap the first element id for u64::MAX so ordering breaks later.
             unsorted[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(bad(decode(scheme, &unsorted)));

@@ -5,7 +5,7 @@
 //! mangle reaches them verbatim. The contract is *never panic* — every
 //! mutated frame either fails with a typed [`HeError`] or parses as some
 //! well-formed ciphertext (semantic integrity is the transport tag's job,
-//! one layer up). Key blobs (bundle, relinearization key, Galois set) go
+//! one layer up). Key blobs (relinearization key, Galois set) go
 //! through one decoder per kind for both schemes, so both schemes' blobs are
 //! driven through each from one table.
 //!
@@ -20,15 +20,13 @@ use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
 use choco_he::serialize::{
     ciphertext_from_bytes, ciphertext_to_bytes, ckks_ciphertext_from_bytes,
-    ckks_ciphertext_to_bytes, galois_from_bytes, keys_from_bytes, relin_from_bytes,
+    ckks_ciphertext_to_bytes, galois_from_bytes, relin_from_bytes,
 };
 use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
-use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 use choco_quickprop::{run_cases, Gen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::panic::RefUnwindSafe;
 
 /// The system allocator, recording the largest single request the calling
 /// thread has made since [`largest_allocation_during`] last reset it.
@@ -164,33 +162,22 @@ fn truncations_always_yield_typed_errors() {
 }
 
 /// A key-wire decoder with its output dropped.
-type KeyDecoder = Box<dyn Fn(SchemeType, &[u8]) -> Result<(), HeError> + RefUnwindSafe>;
+type KeyDecoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
 
-/// One scheme's three key blobs, each with the decoder that reads it (the
-/// bundle against `params`' full basis).
+/// One scheme's two key blobs, each with the decoder that reads it.
 fn key_blobs<S: HeScheme>(params: &HeParams) -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
     let ctx = S::context(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"fuzz serialize keys");
     let keys = S::keygen(&ctx, &mut rng);
     let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
     let gk = S::galois_keys(&ctx, &keys, &[1, 2], &mut rng).unwrap();
-    let full = RnsBasis::new(params.degree(), params.primes()).unwrap();
     vec![
-        (
-            S::SCHEME,
-            S::keys_to_wire(&keys),
-            Box::new(move |s, b| keys_from_bytes(s, &full, b).map(drop)),
-        ),
-        (
-            S::SCHEME,
-            S::relin_to_wire(&rk),
-            Box::new(|s, b| relin_from_bytes(s, b).map(drop)),
-        ),
-        (
-            S::SCHEME,
-            S::galois_to_wire(&gk),
-            Box::new(|s, b| galois_from_bytes(s, b).map(drop)),
-        ),
+        (S::SCHEME, S::relin_to_wire(&rk), |s, b| {
+            relin_from_bytes(s, b).map(drop)
+        }),
+        (S::SCHEME, S::galois_to_wire(&gk), |s, b| {
+            galois_from_bytes(s, b).map(drop)
+        }),
     ]
 }
 
@@ -229,7 +216,7 @@ fn key_decoders_never_panic_and_answer_only_typed_key_errors() {
 fn a_key_blob_of_one_scheme_is_never_accepted_as_the_others() {
     // One decoder serves both schemes, so the scheme byte of the magic is
     // the only thing between a `CHG1` blob and the CKKS decoder (or a
-    // `CHB2` blob and the BFV one).
+    // `CHR2` blob and the BFV one).
     for (scheme, blob, decode) in all_key_blobs() {
         let other = match scheme {
             SchemeType::Bfv => SchemeType::Ckks,

@@ -468,8 +468,9 @@ fn digest(blobs: &[&[u8]]) -> String {
     hash[..8].iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Digests of everything a session persists or replays, from one fixed
-/// seed: the three key wires (Galois steps `[1, 3, −2]`), a fresh Eq. 2
+/// Digests of everything a session provisions or replays, from one fixed
+/// seed: the evaluation-key wires (relinearization, then Galois steps
+/// `[1, 3, −2]`), a fresh Eq. 2
 /// encryption, and the wires of `rotate(3)`, the hoisted many-rotation,
 /// `add`, `sub` and `multiply_relin` on Eq. 2 encryptions; then the compact
 /// upload `HeScheme::encrypt` makes of the first vector. The operations
@@ -494,11 +495,7 @@ fn wire_digests<S: HeScheme>(
     let many: Vec<Vec<u8>> = many.iter().map(S::ct_to_wire).collect();
     let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
     [
-        digest(&[
-            &S::keys_to_wire(&keys),
-            &S::relin_to_wire(&rk),
-            &S::galois_to_wire(&gk),
-        ]),
+        digest(&[&S::relin_to_wire(&rk), &S::galois_to_wire(&gk)]),
         digest(&[&S::ct_to_wire(&a)]),
         digest(&[&S::ct_to_wire(&S::rotate(&ctx, &a, 3, &gk).unwrap())]),
         digest(&many),
@@ -547,18 +544,21 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
     )
 }
 
-/// Persisted key material and replayed encryptions must not change from one
+/// Derived key material and replayed encryptions must not change from one
 /// build to the next: a checkpoint written by an older build resumes on this
-/// one. The first seven digests of each set were recorded on the commit
-/// before BFV and CKKS were moved onto the shared `rlwe` core (that part of
-/// this test passed there); the eighth, the compact upload, when
-/// `HeScheme::encrypt` became the seeded symmetric encryption. A change to
-/// RNG draw order, operation order or a wire layout moves them. Re-record
-/// them only for a change that means to break that compatibility, and say
-/// so.
+/// one, deriving its keys again from the seed. Digests 1 to 6 of each set
+/// were recorded on the commit before BFV and CKKS were moved onto the
+/// shared `rlwe` core (that part of this test passed there); the eighth,
+/// the compact upload, when `HeScheme::encrypt` became the seeded symmetric
+/// encryption; the first, over the evaluation keys alone, when the key
+/// bundle's wire format was deleted (its value read on the commit before,
+/// where those two wires were the same). Digests 1 and 7 are encryptions
+/// under the derived keys, so they pin the key pair too. A change to RNG
+/// draw order, operation order or a wire layout moves them. Re-record them
+/// only for a change that means to break that compatibility, and say so.
 #[test]
 fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
-    // keys ‖ relin ‖ galois, fresh Eq. 2, rotate(3), rotate-many, add, sub,
+    // relin ‖ galois, fresh Eq. 2, rotate(3), rotate-many, add, sub,
     // multiply_relin, compact upload — at the N = 1024 shapes `apps::remote`
     // pins and at paper sets A and C.
     let bfv_1024 = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
@@ -566,7 +566,7 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
     assert_eq!(
         bfv_wire_digests(&bfv_1024),
         [
-            "5ac09d871b9190b0",
+            "8aef84ff62f0449b",
             "67dfee1749bfaf94",
             "f036aa7c52d87815",
             "29517e00754cec55",
@@ -579,7 +579,7 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
     assert_eq!(
         bfv_wire_digests(&HeParams::set_a()),
         [
-            "bb9b6ec9003555bd",
+            "d3deda0592b6108b",
             "9f4c82ec9e51b9e4",
             "7fa09bace1c3eb8f",
             "1d79a540ef8830f5",
@@ -592,7 +592,7 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
     assert_eq!(
         ckks_wire_digests(&ckks_1024),
         [
-            "5680516af1659e0c",
+            "a8ec2e1252603937",
             "3a898403e83d6610",
             "fbcebc1ca0ca55b4",
             "d8b46e3e6bc232a9",
@@ -605,7 +605,7 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
     assert_eq!(
         ckks_wire_digests(&HeParams::set_c()),
         [
-            "ebb38a27f73b2d05",
+            "ea8e0a4503dadc14",
             "3f282289bc997eee",
             "b579db808932d901",
             "d80424af9dcf005c",
