@@ -133,10 +133,10 @@ echo "==> eval chaos: fault-isolated remote evaluation sweep"
 # Kill-point sweep over every evaluation stage x both schemes
 # (crates/apps/tests/chaos_eval.rs): hard server kills mid-evaluation must
 # drive to completion through reconnects with bit-identical outputs and
-# exact primary-ledger billing; poison jobs bisect out of batches, breakers
-# trip and recover, and restarted servers report dead requests from the
-# journal. The hard timeout guards against a retry loop that never
-# converges.
+# exact primary-ledger billing, the re-setup billed as recovery and every
+# unanswered request resent as a retransmit; poison jobs bisect out of
+# batches and breakers trip and recover. The hard timeout guards against a
+# retry loop that never converges.
 timeout 300 cargo test -q -p choco-apps --test chaos_eval
 
 echo "==> loopback serve smoke: real server process + load generator"

@@ -241,11 +241,13 @@ impl<S: CompilerScheme> RemoteWorkload<S> {
     }
 
     /// Drives `copies` pipelined evaluations of this workload through
-    /// `evaluator` to completion — across server loss, shed deadlines, and
-    /// journal-guided resends when the session was opened with
-    /// [`RemoteWorkload::connect_reliable`] — and returns each copy's
-    /// output ciphertext wire bytes, ready for bit-identity comparison
-    /// against [`RemoteWorkload::local_output_wires`].
+    /// `evaluator` with one [`RemoteEvaluator::evaluate_batch`] call and
+    /// returns each copy's output ciphertext wire bytes, ready for
+    /// bit-identity comparison against
+    /// [`RemoteWorkload::local_output_wires`]. A session opened with
+    /// [`RemoteWorkload::connect_reliable`] rides out server loss and shed
+    /// deadlines inside that call: it redials, re-uploads its keys and
+    /// resends every unanswered request.
     ///
     /// # Errors
     ///

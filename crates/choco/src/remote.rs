@@ -47,14 +47,6 @@ pub const SETUP_MAGIC: &[u8; 4] = b"CRS1";
 pub const REQUEST_MAGIC: &[u8; 4] = b"CRQ1";
 /// Magic prefix of a serialized response.
 pub const RESPONSE_MAGIC: &[u8; 4] = b"CRA1";
-/// Magic of a journal query: a resuming client asks the server which of
-/// its accepted-but-unanswered requests died with the previous process.
-pub const JOURNAL_MAGIC: &[u8; 4] = b"CRJ1";
-
-/// Upper bound on ids in a `DeadRequests` response — a parse-time guard
-/// mirroring [`MAX_PROGRAM_NODES`].
-pub const MAX_DEAD_IDS: usize = 1 << 16;
-
 /// Upper bound on IR nodes in an uploaded program — a parse-time guard so
 /// a hostile length field cannot drive allocation beyond what the frame
 /// size bound already admitted.
@@ -553,12 +545,6 @@ pub enum EvalResponse {
         /// The recorded failure that caused the quarantine.
         reason: String,
     },
-    /// Answer to a journal query: the request ids this session had
-    /// accepted but not answered when the previous server process died.
-    DeadRequests {
-        /// Ids that must be resent to ever complete.
-        request_ids: Vec<u64>,
-    },
 }
 
 impl EvalResponse {
@@ -611,22 +597,14 @@ impl EvalResponse {
                 out.extend_from_slice(&request_id.to_le_bytes());
                 put_blob(&mut out, reason.as_bytes());
             }
-            EvalResponse::DeadRequests { request_ids } => {
-                out.push(7);
-                out.extend_from_slice(&0u64.to_le_bytes());
-                out.extend_from_slice(&(request_ids.len() as u32).to_le_bytes());
-                for id in request_ids {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-            }
         }
         out
     }
 
     /// Reads just the echoed request id out of a serialized response —
-    /// what the server's journal needs to mark a delivery without a full
-    /// decode. `None` for ill-formed payloads and id-less responses
-    /// (`SetupOk`, `DeadRequests`).
+    /// what the server needs to tell an evaluation answer from a setup ack
+    /// without a full decode. `None` for ill-formed payloads and for
+    /// `SetupOk`, which answers no request.
     pub fn peek_request_id(payload: &[u8]) -> Option<u64> {
         let mut rest = WireCursor::new(payload);
         if rest.take(4).ok()? != RESPONSE_MAGIC {
@@ -678,17 +656,6 @@ impl EvalResponse {
             6 => {
                 let reason = String::from_utf8_lossy(rest.take_blob()?).into_owned();
                 EvalResponse::Quarantined { request_id, reason }
-            }
-            7 => {
-                let count = rest.take_u32()? as usize;
-                if count > MAX_DEAD_IDS {
-                    return Err(bad(format!("implausible dead-id count {count}")));
-                }
-                let mut request_ids = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    request_ids.push(rest.take_u64()?);
-                }
-                EvalResponse::DeadRequests { request_ids }
             }
             other => return Err(bad(format!("unknown response code {other}"))),
         };
@@ -771,14 +738,13 @@ impl BatchCollector {
         self.ids.get(slot).copied()
     }
 
-    /// `(slot, request_id)` for every unanswered slot, in batch order.
-    pub fn unanswered(&self) -> Vec<(usize, u64)> {
-        self.ids
+    /// Every unanswered slot, in batch order.
+    pub fn unanswered(&self) -> Vec<usize> {
+        self.done
             .iter()
-            .zip(&self.done)
             .enumerate()
-            .filter(|(_, (_, done))| !**done)
-            .map(|(slot, (id, _))| (slot, *id))
+            .filter(|(_, done)| !**done)
+            .map(|(slot, _)| slot)
             .collect()
     }
 
@@ -806,7 +772,7 @@ impl BatchCollector {
     /// # Errors
     ///
     /// Typed [`TransportError`]s for unknown ids, duplicate ids, mid-batch
-    /// setup acks or journal answers, and terminal server refusals
+    /// setup acks, and terminal server refusals
     /// ([`TransportError::Quarantined`], [`TransportError::Rejected`]).
     pub fn absorb(&mut self, resp: EvalResponse) -> Result<Absorbed, TransportError> {
         match resp {
@@ -850,7 +816,6 @@ impl BatchCollector {
                 "evaluate {request_id} refused: {message}"
             ))),
             EvalResponse::SetupOk => Err(bad("unexpected setup ack mid-batch")),
-            EvalResponse::DeadRequests { .. } => Err(bad("unexpected journal answer mid-batch")),
         }
     }
 }
@@ -869,14 +834,15 @@ impl BatchCollector {
 /// Connected via [`RemoteEvaluator::connect_reliable`], the client also
 /// survives server loss mid-batch: transient failures (connection loss,
 /// read timeout, `Unavailable`) trigger bounded retries with exponential
-/// backoff — redial with the resume flag, re-upload the session keys,
-/// query the server's eval journal for requests that died with the old
-/// process, and resend every unanswered request. Resends are billed to
-/// `recovery_bytes` (journal-confirmed deaths) or `retransmit_bytes`
-/// (everything else), never to the primary upload/download lines, so a
-/// crash-interrupted run stays point-comparable to its uninterrupted
-/// twin. Terminal refusals ([`TransportError::Quarantined`], cross-scheme
-/// setup rejection) are never retried.
+/// backoff — redial with the resume flag, re-upload the session keys, and
+/// resend every request that has no answer yet. It cannot know which of
+/// them the old server had received, and need not: a resend is the same
+/// request under the same id. The re-setup is billed to `recovery_bytes`
+/// and every resent request to `retransmit_bytes`, never to the primary
+/// upload/download lines, so a crash-interrupted run stays
+/// point-comparable to its uninterrupted twin. Terminal refusals
+/// ([`TransportError::Quarantined`], cross-scheme setup rejection) are
+/// never retried.
 pub struct RemoteEvaluator<S: CompilerScheme> {
     io: BlobIo,
     key: TagKey,
@@ -960,7 +926,7 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
     /// shared handle (a supervisor may repoint it at a restarted server),
     /// the initial dial retries per `policy`, and every later batch
     /// recovers from connection loss by redialing, re-uploading the setup,
-    /// querying the eval journal, and resending unanswered requests.
+    /// and resending every request it has no answer for.
     ///
     /// # Errors
     ///
@@ -1136,19 +1102,19 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                                 last: e.to_string(),
                             });
                         }
-                        let dead = self.recover()?;
+                        self.recover()?;
                         // Slots still queued here were never billed as
                         // transmitted: they keep their original bill (the
                         // primary upload line must match a fault-free run
                         // exactly) and body flag. Only already-sent,
-                        // unanswered slots become recovery resends — and
+                        // unanswered slots become retransmissions — and
                         // they go out first, so their attached program
                         // body reaches the successor before any body-less
                         // queued frame can draw a NeedProgram.
                         let mut merged = std::mem::take(&mut to_send);
                         let queued: BTreeSet<usize> = merged.iter().map(|&(s, _, _)| s).collect();
                         merged.extend(
-                            resend_plan(&coll, &dead)
+                            resend_plan(&coll)
                                 .into_iter()
                                 .filter(|(s, _, _)| !queued.contains(s)),
                         );
@@ -1210,8 +1176,8 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                             last: e.to_string(),
                         });
                     }
-                    let dead = self.recover()?;
-                    to_send = resend_plan(&coll, &dead);
+                    self.recover()?;
+                    to_send = resend_plan(&coll);
                 }
                 Err(e) => return Err(e),
             }
@@ -1247,10 +1213,9 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
         }
     }
 
-    /// Redial-with-resume, re-upload the session setup, and ask the eval
-    /// journal which accepted requests died with the old server process.
-    /// All recovery traffic is billed to `recovery_bytes`.
-    fn recover(&mut self) -> Result<BTreeSet<u64>, TransportError> {
+    /// Redial-with-resume and re-upload the session setup, both ways billed
+    /// to `recovery_bytes`. The caller then resends what is unanswered.
+    fn recover(&mut self) -> Result<(), TransportError> {
         let (addr, seed, tenant, session, setup_wire) = {
             let rc = self
                 .reconnect
@@ -1292,29 +1257,17 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
                 }
                 Err(e) => return Err(e),
             };
-            let exchange = |client: &mut Self, payload: &[u8]| {
-                client.send_payload(payload, Bill::Recovery)?;
-                client.read_response_billed(Bill::Recovery)
-            };
-            match exchange(self, &setup_wire) {
-                Ok(EvalResponse::SetupOk) => {}
+            let setup = self
+                .send_payload(&setup_wire, Bill::Recovery)
+                .and_then(|()| self.read_response_billed(Bill::Recovery));
+            match setup {
+                Ok(EvalResponse::SetupOk) => return Ok(()),
                 Ok(EvalResponse::Error { message, .. }) => {
                     return Err(TransportError::Rejected(format!(
                         "session re-setup refused: {message}"
                     )))
                 }
                 Ok(other) => return Err(bad(format!("unexpected re-setup response {other:?}"))),
-                Err(e) if is_transient(&e) => {
-                    last = e;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            match exchange(self, JOURNAL_MAGIC) {
-                Ok(EvalResponse::DeadRequests { request_ids }) => {
-                    return Ok(request_ids.into_iter().collect());
-                }
-                Ok(other) => return Err(bad(format!("unexpected journal answer {other:?}"))),
                 Err(e) if is_transient(&e) => {
                     last = e;
                     continue;
@@ -1386,21 +1339,13 @@ impl<S: CompilerScheme> RemoteEvaluator<S> {
 }
 
 /// After a recovery, every unanswered slot is resent with the program
-/// body attached (the restarted server's cache is cold) — billed to
-/// `recovery_bytes` when the journal confirmed the request died with the
-/// old process, `retransmit_bytes` otherwise.
-fn resend_plan(coll: &BatchCollector, dead: &BTreeSet<u64>) -> Vec<(usize, bool, Bill)> {
+/// body attached (the restarted server's cache is cold), billed to
+/// `retransmit_bytes`: the request already paid its primary upload.
+fn resend_plan(coll: &BatchCollector) -> Vec<(usize, bool, Bill)> {
     coll.unanswered()
         .into_iter()
         .rev()
-        .map(|(slot, id)| {
-            let bill = if dead.contains(&id) {
-                Bill::Recovery
-            } else {
-                Bill::Retransmit
-            };
-            (slot, true, bill)
-        })
+        .map(|slot| (slot, true, Bill::Retransmit))
         .collect()
 }
 

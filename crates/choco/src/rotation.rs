@@ -137,53 +137,6 @@ pub fn windowed_rotate_redundant(
     ctx.evaluator().rotate_rows(ct, r, gks)
 }
 
-/// Performs many windowed rotations of the *same* redundantly-packed
-/// ciphertext, sharing a single hoisted key-switch decomposition across all
-/// nonzero distances — the batched form of [`windowed_rotate_redundant`]
-/// for kernels that need every shift of one input (conv taps, matvec
-/// diagonals).
-///
-/// # Errors
-///
-/// Propagates missing-Galois-key and ciphertext-shape errors; a rotation
-/// distance exceeding the layout redundancy is reported as
-/// [`HeError::Mismatch`].
-pub fn windowed_rotate_redundant_many(
-    ctx: &BfvContext,
-    ct: &Ciphertext,
-    layout: &RedundantLayout,
-    rotations: &[i64],
-    gks: &GaloisKeys,
-) -> Result<Vec<Ciphertext>, HeError> {
-    for &r in rotations {
-        if r.unsigned_abs() as usize > layout.redundancy() {
-            return Err(HeError::Mismatch(format!(
-                "rotation {r} exceeds redundancy {}",
-                layout.redundancy()
-            )));
-        }
-    }
-    let steps: Vec<i64> = rotations.iter().copied().filter(|&r| r != 0).collect();
-    let mut hoisted = if steps.is_empty() {
-        Vec::new()
-    } else {
-        ctx.evaluator().rotate_rows_many(ct, &steps, gks)?
-    }
-    .into_iter();
-    rotations
-        .iter()
-        .map(|&r| {
-            if r == 0 {
-                Ok(ct.clone())
-            } else {
-                hoisted
-                    .next()
-                    .ok_or_else(|| HeError::Mismatch("one rotation per nonzero distance".into()))
-            }
-        })
-        .collect()
-}
-
 /// Performs a windowed rotation via the arbitrary-permutation baseline
 /// (Figure 4A): rotate + mask, counter-rotate + mask, add.
 ///

@@ -279,7 +279,7 @@ pub struct Hello {
     /// Tenant whose key registry entry authenticates this connection.
     pub tenant: u64,
     /// Client-chosen session id (distinguishes a tenant's parallel
-    /// sessions and names its eval journal across server restarts).
+    /// sessions; a redial of the session repeats it).
     pub session: u64,
     /// Whether this is a redial of a session that lost its connection.
     pub resume: bool,

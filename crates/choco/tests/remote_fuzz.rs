@@ -12,7 +12,7 @@ use choco::compiler::{CompilerOptions, Program};
 use choco::remote::{
     params_from_wire, params_hash, params_to_wire, program_from_wire, program_ref_of,
     program_to_wire, Absorbed, BatchCollector, EvalRequest, EvalResponse, PreparedProgram,
-    SessionSetup,
+    SessionSetup, RESPONSE_MAGIC,
 };
 use choco::transport::TransportError;
 use choco_he::params::HeParams;
@@ -317,15 +317,9 @@ fn batch_collector_accepts_out_of_order_and_types_id_games() {
         coll.absorb(out(99)),
         Err(TransportError::Malformed(msg)) if msg.contains("unexpected")
     ));
-    // Mid-batch setup acks and journal answers are protocol violations.
+    // A mid-batch setup ack is a protocol violation.
     assert!(matches!(
         coll.absorb(EvalResponse::SetupOk),
-        Err(TransportError::Malformed(_))
-    ));
-    assert!(matches!(
-        coll.absorb(EvalResponse::DeadRequests {
-            request_ids: vec![10]
-        }),
         Err(TransportError::Malformed(_))
     ));
     // Retryable refusals surface as typed outcomes bound to their slot.
@@ -374,7 +368,7 @@ fn mutated_pipelined_response_streams_never_panic_the_collector() {
         let mut coll = BatchCollector::new(ids.clone());
         for _ in 0..6 {
             let id = ids[g.usize_in(0, ids.len())];
-            let resp = match g.u64_below(6) {
+            let resp = match g.u64_below(5) {
                 0 => EvalResponse::Outputs {
                     request_id: id,
                     outputs: vec![g.bytes(24)],
@@ -385,12 +379,9 @@ fn mutated_pipelined_response_streams_never_panic_the_collector() {
                     request_id: id,
                     retry_after_ms: g.u64() % 5_000,
                 },
-                4 => EvalResponse::Quarantined {
+                _ => EvalResponse::Quarantined {
                     request_id: id,
                     reason: "fuzzed".into(),
-                },
-                _ => EvalResponse::DeadRequests {
-                    request_ids: ids.clone(),
                 },
             };
             let mut wire = resp.to_wire();
@@ -417,9 +408,9 @@ fn mutated_pipelined_response_streams_never_panic_the_collector() {
 
 #[test]
 fn fault_response_codes_roundtrip_and_truncations_are_typed() {
-    // The robustness-era response codes (4..=7): exact roundtrip, id
-    // peeking for the journal, typed errors at every truncation offset,
-    // and no panic under bit flips.
+    // The robustness-era response codes (4..=6): exact roundtrip, id
+    // peeking, typed errors at every truncation offset, and no panic
+    // under bit flips.
     let responses = [
         EvalResponse::DeadlineExceeded { request_id: 7 },
         EvalResponse::Unavailable {
@@ -429,9 +420,6 @@ fn fault_response_codes_roundtrip_and_truncations_are_typed() {
         EvalResponse::Quarantined {
             request_id: 9,
             reason: "rotation key missing".into(),
-        },
-        EvalResponse::DeadRequests {
-            request_ids: vec![3, 5, 8],
         },
     ];
     for resp in &responses {
@@ -444,7 +432,7 @@ fn fault_response_codes_roundtrip_and_truncations_are_typed() {
             | EvalResponse::Quarantined { request_id, .. } => {
                 assert_eq!(peeked, Some(*request_id));
             }
-            _ => assert_eq!(peeked, None, "DeadRequests carries no single id"),
+            other => panic!("{other:?} is not a fault response"),
         }
         for cut in 0..wire.len() {
             match EvalResponse::from_wire(&wire[..cut]) {
@@ -461,6 +449,29 @@ fn fault_response_codes_roundtrip_and_truncations_are_typed() {
         wire[i] ^= 1u8 << g.u64_below(8);
         let _ = EvalResponse::from_wire(&wire);
     });
+}
+
+#[test]
+fn retired_response_code_7_is_a_typed_error_at_every_length() {
+    // Code 7 once answered a query the protocol no longer has: the
+    // response magic, the code, an echoed id and a list of request ids.
+    // Whole or cut at any offset, it decodes to a typed error and carries
+    // no request id.
+    let mut wire = RESPONSE_MAGIC.to_vec();
+    wire.push(7);
+    wire.extend_from_slice(&0u64.to_le_bytes());
+    wire.extend_from_slice(&3u32.to_le_bytes());
+    for id in [3u64, 5, 8] {
+        wire.extend_from_slice(&id.to_le_bytes());
+    }
+    for cut in 0..=wire.len() {
+        match EvalResponse::from_wire(&wire[..cut]) {
+            Err(TransportError::Truncated { .. } | TransportError::Malformed(_)) => {}
+            Err(e) => panic!("code 7 cut at {cut} produced unexpected error {e}"),
+            Ok(got) => panic!("code 7 cut at {cut} decoded as {got:?}"),
+        }
+        assert_eq!(EvalResponse::peek_request_id(&wire[..cut]), None);
+    }
 }
 
 #[test]

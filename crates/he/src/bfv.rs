@@ -50,11 +50,6 @@ impl Plaintext {
     pub fn coeffs(&self) -> &[u64] {
         &self.coeffs
     }
-
-    /// Mutable coefficient access (used by the encoder).
-    pub fn coeffs_mut(&mut self) -> &mut [u64] {
-        &mut self.coeffs
-    }
 }
 
 /// A BFV ciphertext: 2 (fresh) or 3 (post-multiplication) polynomials over
@@ -384,12 +379,6 @@ impl Encryptor<'_> {
             parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt, &ctx.data), &ctx.data, rng),
             seed: None,
         }
-    }
-
-    /// Encrypts the all-zero plaintext (used by protocols to mask values).
-    pub fn encrypt_zero(&self, rng: &mut Blake3Rng) -> Ciphertext {
-        let zeros = Plaintext::from_coeffs(vec![0; self.ctx.degree()]);
-        self.encrypt(&zeros, rng)
     }
 }
 

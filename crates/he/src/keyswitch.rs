@@ -238,26 +238,6 @@ pub fn apply_ksk_hoisted(
     )
 }
 
-/// Like [`apply_ksk_hoisted`], but keeps the switched pair in the NTT
-/// domain over `level_basis` (exactly the forward transform of the
-/// [`apply_ksk_hoisted`] output — [`mod_down_ntt`] commutes with the NTT).
-/// The fast path for kernels that consume rotations inside further
-/// evaluation-domain arithmetic: only the special-prime row pays an
-/// inverse transform.
-pub fn apply_ksk_hoisted_ntt(
-    hoisted: &HoistedDigits,
-    perm: Option<&[usize]>,
-    ksk: &KswitchKey,
-    ks_basis: &RnsBasis,
-    level_basis: &RnsBasis,
-) -> (RnsPoly, RnsPoly) {
-    let (acc0, acc1) = hoisted_accumulate(hoisted, perm, ksk, ks_basis);
-    (
-        mod_down_ntt(&acc0, ks_basis, level_basis),
-        mod_down_ntt(&acc1, ks_basis, level_basis),
-    )
-}
-
 /// Shared digit-MAC core of the hoisted key-switch paths: accumulates
 /// `Σ_j perm(D_j) · ksk_j` in the NTT domain over the full ks basis. The
 /// result still carries the special-prime factor `P`; callers divide it

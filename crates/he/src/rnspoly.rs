@@ -479,16 +479,6 @@ pub fn sub(a: &RnsPoly, b: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
     }
 }
 
-/// Scalar helper used during mod-down: `x mod q` for a centered `i64`.
-pub fn signed_to_residue(v: i64, q: u64) -> u64 {
-    reduce_signed(v, q)
-}
-
-/// Adds `a*b` computed coefficient-wise with scalars (tests only).
-pub fn scalar_combine(a: u64, b: u64, q: u64) -> u64 {
-    add_mod(a, mul_mod(a, b, q), q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

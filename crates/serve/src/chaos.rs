@@ -239,7 +239,7 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, c2s: bo
 /// before the response is written back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalStage {
-    /// The request was admitted (and journaled) but not yet scheduled.
+    /// The request was admitted but not yet scheduled.
     Accept,
     /// The scheduler started a round and formed its batches.
     Coalesce,

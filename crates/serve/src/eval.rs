@@ -12,10 +12,9 @@
 //! Admission is fault-isolated: a quarantined `(params_hash,
 //! program_ref)` is refused with a typed `Quarantined` response before
 //! the scheduler ever sees it, and a tenant whose circuit breaker is open
-//! gets a typed `Unavailable { retry_after_ms }`. Admitted requests are
-//! journaled ([`crate::journal::JournalSet`]) *before* scheduling, so a
-//! hard-killed server can later tell the resuming client exactly which
-//! requests died. A `CRJ1` journal query answers with that dead set.
+//! gets a typed `Unavailable { retry_after_ms }`. Nothing about an
+//! admitted request outlives the process: if the server dies before
+//! answering, the client resends it after its redial.
 //!
 //! Everything here is typed-error territory: malformed setups, unknown
 //! programs, cross-scheme key blobs, and failed kernels all become
@@ -25,11 +24,8 @@
 use crate::cache::{EvalScheme, ProgramLookup, ServeCache};
 use crate::chaos::{EvalChaosState, EvalStage};
 use crate::isolate::{Admission, Isolation};
-use crate::journal::JournalSet;
 use crate::sched::{BatchScheduler, Job, JobFault, JobOutcome};
-use choco::remote::{
-    EvalRequest, EvalResponse, SessionSetup, JOURNAL_MAGIC, REQUEST_MAGIC, SETUP_MAGIC,
-};
+use choco::remote::{EvalRequest, EvalResponse, SessionSetup, REQUEST_MAGIC, SETUP_MAGIC};
 use choco::transport::FrameKind;
 use choco_he::params::SchemeType;
 use choco_he::{Bfv, Ckks};
@@ -51,8 +47,6 @@ pub struct EvalCounters {
     pub need_program: u64,
     /// Typed error responses produced (setup or evaluate).
     pub errors: u64,
-    /// `CRJ1` journal queries answered.
-    pub journal_queries: u64,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -99,12 +93,8 @@ pub struct EvalContext<'a> {
     pub reply: &'a Sender<Vec<u8>>,
     /// The authenticated tenant behind this connection.
     pub tenant: u64,
-    /// The connection's session id (journal key, with the tenant).
-    pub conn_session: u64,
     /// Quarantine + breaker state, checked at admission.
     pub isolation: &'a Arc<Isolation>,
-    /// The in-flight eval journal.
-    pub journal: &'a Arc<JournalSet>,
     /// Deterministic fault plan, if any.
     pub chaos: Option<&'a Arc<EvalChaosState>>,
     /// Flips the server's hard-kill switch (invoked by chaos triggers).
@@ -114,7 +104,7 @@ pub struct EvalContext<'a> {
 /// What the connection worker should do with one handled payload.
 pub enum EvalOutcome {
     /// Write this response payload now (setup acks, `NeedProgram`, typed
-    /// refusals and errors, journal answers).
+    /// refusals and errors).
     Immediate(Vec<u8>),
     /// A job was queued; the response will arrive on the reply channel.
     Submitted,
@@ -131,16 +121,6 @@ pub fn handle_eval_payload(payload: &[u8], ctx: &mut EvalContext) -> EvalOutcome
     }
     if payload.get(..4) == Some(REQUEST_MAGIC.as_slice()) {
         return handle_request(payload, ctx);
-    }
-    if payload.get(..4) == Some(JOURNAL_MAGIC.as_slice()) {
-        let dead = ctx.journal.dead_requests(ctx.tenant, ctx.conn_session);
-        lock(ctx.counters).journal_queries += 1;
-        return EvalOutcome::Immediate(
-            EvalResponse::DeadRequests {
-                request_ids: dead.into_iter().map(|d| d.request_id).collect(),
-            }
-            .to_wire(),
-        );
     }
     error_response(ctx.counters, 0, "unrecognized eval payload magic".into())
 }
@@ -244,11 +224,11 @@ fn submit_eval<S: EvalScheme>(
             return error_response(ctx.counters, request_id, format!("program rejected: {msg}"))
         }
     };
-    // Breaker last — the final gate before journaling and scheduling, so
-    // every admitted request (half-open probes included) is guaranteed to
-    // become a job whose outcome feeds back into the breaker. Checking it
-    // earlier lets a `NeedProgram` exchange consume the probe slot and
-    // wedge the tenant half-open with no outcome ever recorded.
+    // Breaker last — the final gate before scheduling, so every admitted
+    // request (half-open probes included) is guaranteed to become a job
+    // whose outcome feeds back into the breaker. Checking it earlier lets
+    // a `NeedProgram` exchange consume the probe slot and wedge the tenant
+    // half-open with no outcome ever recorded.
     if let Admission::Refuse { retry_after_ms } = ctx.isolation.admit(ctx.tenant) {
         return EvalOutcome::Immediate(
             EvalResponse::Unavailable {
@@ -258,17 +238,6 @@ fn submit_eval<S: EvalScheme>(
             .to_wire(),
         );
     }
-    // The accept is journaled (and flushed) before the scheduler sees the
-    // job: a hard kill anywhere downstream leaves the accept on disk with
-    // no matching deliver, which is exactly what the restarted server
-    // reports as dead.
-    ctx.journal.accept(
-        ctx.tenant,
-        ctx.conn_session,
-        request_id,
-        &req.program_ref,
-        &req.inputs,
-    );
     if let Some(chaos) = ctx.chaos {
         if chaos.kill_at(EvalStage::Accept) {
             (ctx.hard_kill)();

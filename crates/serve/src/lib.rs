@@ -33,17 +33,18 @@
 //!   with batch bisection in the scheduler (healthy co-batched jobs still
 //!   succeed), per-tenant circuit breakers with typed
 //!   `Unavailable { retry_after_ms }` refusals, and per-job dispatch
-//!   deadlines with typed `DeadlineExceeded` shedding,
-//! * the in-flight eval [`journal::JournalSet`] — the one thing kept in
-//!   `checkpoint_dir`: accepted requests are journaled before scheduling
-//!   and marked off after delivery, so a hard-killed server's successor
-//!   can tell a resuming client exactly which requests died and must be
-//!   resent, and
+//!   deadlines with typed `DeadlineExceeded` shedding, and
 //! * [`chaos::ChaosProxy`], a socket-level fault injector for the chaos
 //!   tests (mid-frame connection kills on either byte stream, per-chunk
 //!   delays, seeded bit-flips), plus [`chaos::EvalChaos`], the in-process
 //!   eval-pipeline fault plan (stage kills, injected job faults, dispatch
 //!   stalls).
+//!
+//! The server keeps nothing on disk. A killed server loses every request
+//! it had not answered, and its successor knows nothing of them: the
+//! client recovers them itself. `RemoteEvaluator::connect_reliable`
+//! redials, re-uploads the session keys and resends every request it has
+//! no answer for.
 
 #![forbid(unsafe_code)]
 // Panics hide protocol bugs: outside tests, prefer typed errors (PR 1's
@@ -55,7 +56,6 @@ pub mod cache;
 pub mod chaos;
 pub mod eval;
 pub mod isolate;
-pub mod journal;
 pub mod registry;
 pub mod sched;
 pub mod server;
@@ -64,7 +64,6 @@ pub use cache::{CachedProgram, EvalCacheStats, ProgramLookup, ServeCache};
 pub use chaos::{ChaosPlan, ChaosProxy, EvalChaos, EvalChaosState, EvalStage};
 pub use eval::{EvalCounters, EvalSession};
 pub use isolate::{Isolation, IsolationConfig, IsolationStats};
-pub use journal::{DeadRequest, JournalSet, JournalStats};
 pub use registry::TenantRegistry;
 pub use sched::{BatchScheduler, SchedStats};
 pub use server::{EvalStats, OffloadServer, ServeConfig, ServeStats};

@@ -9,22 +9,20 @@
 //! SIGTERM-equivalent in this libc-free build) on stdin, then drains
 //! gracefully: admission stops, scheduled batches are flushed and their
 //! results delivered, and the final stats are printed as one JSON line.
-//! With `--checkpoint-dir` the eval journal is kept there, so a later
-//! `choco-serve` over the same directory can tell reconnecting clients
-//! which requests died with this process.
+//! The process keeps nothing on disk: a client that loses its connection
+//! redials and resends whatever it has no answer for.
 
 #![forbid(unsafe_code)]
 
 use choco_serve::{OffloadServer, ServeConfig, TenantRegistry};
 use std::io::BufRead;
-use std::path::PathBuf;
 
 const USAGE: &str = "\
 choco-serve: offload server (batching, caching remote HE evaluator)
 
 USAGE:
   choco-serve [--addr HOST:PORT] [--max-sessions N] [--io-timeout-ms MS]
-              [--checkpoint-dir DIR] [--tenant ID=SEED]...
+              [--tenant ID=SEED]...
 
 OPTIONS:
   --addr HOST:PORT      listen address (default 127.0.0.1:7470; port 0 picks
@@ -32,13 +30,11 @@ OPTIONS:
   --max-sessions N      admission limit; further hellos get a typed
                         Overloaded ack (default 64)
   --io-timeout-ms MS    handshake/write timeout (default 5000)
-  --checkpoint-dir DIR  keep the eval journal here: a restarted server
-                        reports the requests its predecessor left unanswered
   --tenant ID=SEED      register a tenant (repeatable); the seed must equal
                         the client's session seed
 
 Runtime commands on stdin: `stats` prints a one-line JSON snapshot (serve,
-eval, cache, scheduler, isolation, and journal counters), `drain` (or EOF)
+eval, cache, scheduler, and isolation counters), `drain` (or EOF)
 drains gracefully, prints the same line for the final state, and exits.";
 
 fn fail(msg: &str) -> ! {
@@ -76,9 +72,6 @@ fn main() {
             "--io-timeout-ms" => {
                 config.io_timeout_ms =
                     parse_u64(&need(&mut args, "--io-timeout-ms"), "--io-timeout-ms");
-            }
-            "--checkpoint-dir" => {
-                config.checkpoint_dir = Some(PathBuf::from(need(&mut args, "--checkpoint-dir")));
             }
             "--tenant" => {
                 let spec = need(&mut args, "--tenant");

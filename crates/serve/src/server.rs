@@ -21,7 +21,7 @@
 //! The **writer** blocks on the connection's reply channel, which carries
 //! every response payload the server sends: immediate answers from the
 //! reader, evaluation results straight from the scheduler's jobs. A result
-//! is written, billed and journaled the moment its job delivers it —
+//! is written and billed the moment its job delivers it —
 //! nothing on the path polls — and because one thread writes,
 //! `EvalResponse` frames leave in the order of their server-side sequence
 //! counter.
@@ -42,17 +42,15 @@
 //! scheduled batch through the [`crate::sched::BatchScheduler`], lets
 //! every reader finish its current read and every writer run dry (a
 //! writer exits when the reader and the last in-flight job have dropped
-//! their ends of the reply channel), and returns once the server is idle.
-//! The eval journal marks a request delivered only after its response was
-//! written, so a drained server's journal (under `checkpoint_dir`) holds a
-//! deliver line for every request it accepted, and a server bound later
-//! over the same directory reports nothing dead.
+//! their ends of the reply channel), and returns once the server is idle,
+//! every request it accepted answered. The server keeps nothing on disk,
+//! so a server bound later starts from nothing: a client that loses an
+//! answer to a kill resends the request itself after its redial.
 
 use crate::cache::{EvalCacheStats, ServeCache};
 use crate::chaos::{EvalChaos, EvalChaosState, EvalStage};
 use crate::eval::{handle_eval_payload, refuse_frame_kind, EvalContext, EvalCounters, EvalOutcome};
 use crate::isolate::{Isolation, IsolationConfig, IsolationStats};
-use crate::journal::{JournalSet, JournalStats};
 use crate::registry::TenantRegistry;
 use crate::sched::{BatchScheduler, Hold, SchedHooks, SchedStats};
 use choco::remote::EvalResponse;
@@ -64,7 +62,6 @@ use choco::transport::{TagKey, MAX_FRAME_BYTES};
 use choco::LedgerBook;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -85,10 +82,6 @@ pub struct ServeConfig {
     /// Per-frame size bound (prefixes beyond it are rejected before any
     /// allocation).
     pub max_frame_bytes: u64,
-    /// The eval journal's directory: accepted and delivered requests are
-    /// logged here, and a server bound over it reports what its
-    /// predecessor left unanswered. `None` disables the journal.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Compiled programs cached per scheme before LRU eviction kicks in
     /// (0 = unbounded).
     pub program_cache_capacity: usize,
@@ -110,7 +103,6 @@ impl Default for ServeConfig {
             io_timeout_ms: 5_000,
             worker_poll_ms: 50,
             max_frame_bytes: MAX_FRAME_BYTES,
-            checkpoint_dir: None,
             program_cache_capacity: 32,
             batch_window_ms: 4,
             isolation: IsolationConfig::default(),
@@ -170,14 +162,13 @@ impl ServeStats {
         let cache = &self.eval.cache;
         let s = &self.eval.sched;
         let i = &self.eval.isolation;
-        let j = &self.eval.journal;
         format!(
             concat!(
                 "{{\"accepted\":{},\"resumed\":{},\"rejected\":{},\"bad_frames\":{},",
                 "\"tenants\":{},\"upload_bytes\":{},\"download_bytes\":{},",
                 "\"retransmit_bytes\":{},\"recovery_bytes\":{},",
                 "\"eval\":{{\"setups\":{},\"requests\":{},\"need_program\":{},",
-                "\"errors\":{},\"journal_queries\":{}}},",
+                "\"errors\":{}}},",
                 "\"cache\":{{\"program_hits\":{},\"program_misses\":{},",
                 "\"compiles\":{},\"operand_hits\":{},\"operand_misses\":{},",
                 "\"fused_groups\":{}}},",
@@ -186,9 +177,7 @@ impl ServeStats {
                 "\"held_rounds\":{}}},",
                 "\"isolation\":{{\"quarantined\":{},\"quarantine_refusals\":{},",
                 "\"open_breakers\":{},\"breaker_refusals\":{},\"bisections\":{},",
-                "\"shed_deadline\":{},\"faults\":{}}},",
-                "\"journal\":{{\"accepted\":{},\"delivered\":{},",
-                "\"reported_dead\":{}}}}}"
+                "\"shed_deadline\":{},\"faults\":{}}}}}"
             ),
             self.accepted,
             self.resumed,
@@ -207,7 +196,6 @@ impl ServeStats {
             c.requests,
             c.need_program,
             c.errors,
-            c.journal_queries,
             cache.programs.hits,
             cache.programs.misses,
             cache.compiles,
@@ -228,9 +216,6 @@ impl ServeStats {
             i.bisections,
             i.shed_deadline,
             i.faults,
-            j.accepted,
-            j.delivered,
-            j.reported_dead,
         )
     }
 }
@@ -249,8 +234,6 @@ pub struct EvalStats {
     pub sched: SchedStats,
     /// Quarantine, breaker, bisection, and shed counters.
     pub isolation: IsolationStats,
-    /// In-flight journal counters.
-    pub journal: JournalStats,
 }
 
 struct Shared {
@@ -267,11 +250,10 @@ struct Shared {
     eval_counters: Mutex<EvalCounters>,
     sched: BatchScheduler,
     isolation: Arc<Isolation>,
-    journals: Arc<JournalSet>,
     chaos: Option<Arc<EvalChaosState>>,
-    /// Set when the chaos plan "kills" the server: workers stop writing,
-    /// the accept loop exits, nothing is persisted — the in-process
-    /// equivalent of the process dying mid-pipeline.
+    /// Set when the chaos plan "kills" the server: workers stop writing
+    /// and the accept loop exits — the in-process equivalent of the
+    /// process dying mid-pipeline.
     hard_killed: Arc<AtomicBool>,
 }
 
@@ -312,9 +294,8 @@ pub struct OffloadServer {
 }
 
 impl OffloadServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), loads the
-    /// dead-request sets a predecessor's journal left in the checkpoint
-    /// directory, and starts accepting connections.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// starts accepting connections.
     ///
     /// # Errors
     ///
@@ -324,7 +305,6 @@ impl OffloadServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let isolation = Arc::new(Isolation::new(config.isolation));
-        let journals = Arc::new(JournalSet::open(config.checkpoint_dir.as_deref()));
         let chaos = (config.eval_chaos != EvalChaos::default())
             .then(|| Arc::new(EvalChaosState::new(config.eval_chaos)));
         let hard_killed = Arc::new(AtomicBool::new(false));
@@ -341,7 +321,6 @@ impl OffloadServer {
             eval_counters: Mutex::new(EvalCounters::default()),
             sched: BatchScheduler::with_hooks(config.batch_window_ms, hooks),
             isolation,
-            journals,
             chaos,
             hard_killed,
             config,
@@ -390,7 +369,6 @@ impl OffloadServer {
                 cache: self.shared.eval_cache.stats(),
                 sched: self.shared.sched.stats(),
                 isolation: self.shared.isolation.stats(),
-                journal: self.shared.journals.stats(),
             },
         }
     }
@@ -403,10 +381,9 @@ impl OffloadServer {
 
     /// Simulates the process dying right now: workers stop writing and
     /// close their sockets (an orderly FIN — responses already written
-    /// flush to the client), the accept loop exits, and nothing further
-    /// is persisted. The journal keeps whatever accepts were flushed, so
-    /// a server bound later over the same checkpoint directory reports
-    /// the unanswered requests as dead.
+    /// flush to the client), and the accept loop exits. Every request
+    /// still unanswered dies with the instance; a reliable client resends
+    /// it to whichever server it redials.
     pub fn hard_kill(&self) {
         self.shared.hard_killed.store(true, Ordering::SeqCst);
     }
@@ -416,8 +393,8 @@ impl OffloadServer {
     /// the reader poll plus the handshake timeout).
     pub fn drain(&self) {
         if self.shared.hard_killed.load(Ordering::SeqCst) {
-            // A dead process drains nothing; its journal is the only
-            // record it leaves behind.
+            // A dead process drains nothing: its unanswered requests are
+            // the clients' to resend.
             return;
         }
         self.shared.draining.store(true, Ordering::SeqCst);
@@ -543,7 +520,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let conn = Arc::new(Conn {
         shared: Arc::clone(shared),
         tenant: hello.tenant,
-        session: hello.session,
         key,
     });
     let (reply_tx, reply_rx) = mpsc::channel();
@@ -561,7 +537,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 struct Conn {
     shared: Arc<Shared>,
     tenant: u64,
-    session: u64,
     key: TagKey,
 }
 
@@ -569,9 +544,8 @@ impl Conn {
     /// Writes one `EvalResponse` frame under the server's own sequence
     /// counter to the connection's write half `out`, a clone of the socket
     /// the reader probes (hence the probe-tolerant write). The download is
-    /// billed — and the delivery journaled — only *after* the socket
-    /// accepted the bytes, so a hard kill can never bill a response the
-    /// client had no chance to receive.
+    /// billed only *after* the socket accepted the bytes, so a hard kill
+    /// can never bill a response the client had no chance to receive.
     fn write_response(
         &self,
         out: &TcpStream,
@@ -579,13 +553,12 @@ impl Conn {
         payload: &[u8],
     ) -> Result<(), ()> {
         let shared = &self.shared;
-        let request_id = EvalResponse::peek_request_id(payload);
-        if request_id.is_some() {
+        if EvalResponse::peek_request_id(payload).is_some() {
             // PreReply kill-point: the response exists but the process
             // dies before the write — the write below is what refuses it,
             // so whatever this function did ahead of its write would show.
-            // Only evaluation answers count occurrences — setup acks and
-            // journal answers are not replies to jobs.
+            // Only evaluation answers count occurrences — setup acks are
+            // not replies to jobs.
             if let Some(chaos) = shared.chaos.as_deref() {
                 if chaos.kill_at(EvalStage::PreReply) {
                     shared.hard_killed.store(true, Ordering::SeqCst);
@@ -600,9 +573,6 @@ impl Conn {
         let timeout = Duration::from_millis(shared.config.io_timeout_ms.max(1));
         write_all_beside_probe(out, &wire, timeout).map_err(|_| ())?;
         shared.bill_download(self.tenant, payload.len());
-        if let Some(id) = request_id {
-            shared.journals.deliver(self.tenant, self.session, id);
-        }
         Ok(())
     }
 }
@@ -612,7 +582,7 @@ impl Conn {
 /// kill; results still in flight are the writer's.
 fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Vec<u8>>) {
     let shared = &conn.shared;
-    let (tenant, session) = (conn.tenant, conn.session);
+    let tenant = conn.tenant;
     let poll = shared.config.worker_poll_ms.max(1);
     let mut eval_session = None;
     // Held from a request that has another right behind it until one that
@@ -658,9 +628,7 @@ fn conn_reader(io: &mut BlobIo, conn: &Conn, reply: mpsc::Sender<Vec<u8>>) {
             counters: &shared.eval_counters,
             reply: &reply,
             tenant,
-            conn_session: session,
             isolation: &shared.isolation,
-            journal: &shared.journals,
             chaos: shared.chaos.as_ref(),
             hard_kill: &hard_kill,
         };
@@ -697,7 +665,6 @@ fn conn_writer(conn: &Conn, out: &TcpStream, replies: &mpsc::Receiver<Vec<u8>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choco::remote::JOURNAL_MAGIC;
     use choco::transport::tcp::{dial, Redialer, TcpOptions};
     use choco::transport::TransportError;
     use std::time::Instant;
@@ -715,8 +682,10 @@ mod tests {
         let key = TagKey::from_session_seed(b"serve unit tenant 1");
         let opts = TcpOptions::default();
         let mut io = dial(&server.addr().to_string(), &key, 1, 1, false, &opts).unwrap();
-        // A journal query needs no session setup and is answered on the spot.
-        let wire = encode_frame(FrameKind::EvalRequest, 0, JOURNAL_MAGIC, &key);
+        // A payload of unknown magic needs no session setup and is answered
+        // on the spot, with a typed error.
+        let unknown = b"CRZ9";
+        let wire = encode_frame(FrameKind::EvalRequest, 0, unknown, &key);
         let mut downloaded = 0;
         let mut exchange = |io: &mut BlobIo, expect_seq: u64| {
             io.write_all(&wire).unwrap();
@@ -743,10 +712,10 @@ mod tests {
         assert_eq!((stats.accepted, stats.bad_frames), (1, 1));
         let ledger = stats.book.get(1).copied().unwrap();
         assert_eq!((ledger.uploads, ledger.downloads), (3, 3));
-        assert_eq!(ledger.upload_bytes, 3 * JOURNAL_MAGIC.len() as u64);
+        assert_eq!(ledger.upload_bytes, 3 * unknown.len() as u64);
         assert_eq!(ledger.download_bytes, downloaded);
         assert_eq!(ledger.retransmit_bytes, 0);
-        assert_eq!(stats.eval.counters.journal_queries, 3);
+        assert_eq!(stats.eval.counters.errors, 3);
     }
 
     #[test]
@@ -769,7 +738,6 @@ mod tests {
             "\"run_us\":",
             "\"held_rounds\":",
             "\"isolation\":{\"quarantined\":",
-            "\"journal\":{\"accepted\":",
         ] {
             assert!(line.contains(field), "missing {field} in {line}");
         }

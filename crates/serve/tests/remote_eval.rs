@@ -14,8 +14,7 @@
 //!   match *its own* local reference) and per-tenant billed (each book
 //!   ledger equals that client's own ledger, exactly);
 //! * **drain** — draining mid-batch still delivers every scheduled
-//!   result, and the journal marks every one of them delivered before the
-//!   drain returns;
+//!   result, each written and billed before the drain returns;
 //! * **billing by direction** — a request is an upload and a response a
 //!   download whatever its sequence number: a `(tenant, session)` id used
 //!   again, in one server's life or across a restart, bills like the first
@@ -26,14 +25,13 @@
 //!   exactly one round, both at `ServeConfig::default()`;
 //! * **one writer** — immediate and scheduled responses interleaved on
 //!   one connection leave under strictly increasing sequence numbers,
-//!   and a response the writer never wrote is neither billed nor
-//!   journaled.
+//!   and a response the writer never wrote is not billed.
 //!
 //! Where a test needs requests from *different* connections in one batch
 //! it stalls the scheduler's first round (`EvalChaos::stall`) and starts
 //! the clients off a barrier, instead of widening a window and hoping.
 
-use choco::remote::{EvalRequest, EvalResponse, RemoteEvaluator, SessionSetup, JOURNAL_MAGIC};
+use choco::remote::{EvalRequest, EvalResponse, RemoteEvaluator, SessionSetup};
 use choco::transport::frame::{decode_frame, encode_frame, FrameKind};
 use choco::transport::tcp::{dial, BlobIo, TcpOptions};
 use choco::transport::TagKey;
@@ -41,9 +39,7 @@ use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_params, RemoteWorkload};
 use choco_he::params::SchemeType;
 use choco_he::{Bfv, Ckks, HeScheme};
-use choco_serve::journal::{ACCEPT_BYTES, DELIVER_BYTES};
 use choco_serve::{EvalChaos, EvalStage, OffloadServer, ServeConfig, TenantRegistry};
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -440,21 +436,22 @@ fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exac
                 let local = w.local_output_wires().unwrap();
                 let mut client = RawClient::connect(&addr, tenant, &w);
                 // Everything goes out before anything is read: evaluations
-                // (answered by scheduler jobs) with journal queries and a
-                // reference to a program nobody uploaded (both answered by
-                // the reader on the spot) in between.
+                // (answered by scheduler jobs) with payloads of unknown
+                // magic and a reference to a program nobody uploaded (all
+                // answered by the reader on the spot) in between.
                 let unknown = EvalRequest {
                     program_ref: [0xAA; 32],
                     ..request(&w, 2, false)
                 };
+                let unknown_magic = b"CRZ9";
                 client.send(&request(&w, 0, true).to_wire());
-                client.send(JOURNAL_MAGIC);
+                client.send(unknown_magic);
                 client.send(&request(&w, 1, false).to_wire());
                 client.send(&unknown.to_wire());
-                client.send(JOURNAL_MAGIC);
+                client.send(unknown_magic);
                 client.send(&request(&w, 3, false).to_wire());
                 let mut evaluated = Vec::new();
-                let (mut journal_answers, mut need_program) = (0, 0);
+                let (mut errors, mut need_program) = (0, 0);
                 for expect_seq in 1..=6 {
                     let (seq, resp) = client.recv();
                     assert_eq!(seq, expect_seq, "tenant {tenant}: response out of sequence");
@@ -466,9 +463,9 @@ fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exac
                             assert_eq!(outputs, local, "tenant {tenant} request {request_id}");
                             evaluated.push(request_id);
                         }
-                        EvalResponse::DeadRequests { request_ids } => {
-                            assert!(request_ids.is_empty());
-                            journal_answers += 1;
+                        EvalResponse::Error { message, .. } => {
+                            assert!(message.contains("unrecognized"), "{message}");
+                            errors += 1;
                         }
                         EvalResponse::NeedProgram { request_id } => {
                             assert_eq!(request_id, 2);
@@ -479,7 +476,7 @@ fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exac
                 }
                 evaluated.sort_unstable();
                 assert_eq!(evaluated, vec![0, 1, 3]);
-                assert_eq!((journal_answers, need_program), (2, 1));
+                assert_eq!((errors, need_program), (2, 1));
                 (client.uploaded, client.downloaded)
             })
         })
@@ -495,28 +492,25 @@ fn interleaved_immediate_and_scheduled_responses_leave_in_sequence_and_bill_exac
         assert_eq!(book.download_bytes, downloaded, "tenant {tenant} download");
         assert_eq!((book.uploads, book.downloads), (7, 7), "tenant {tenant}");
     }
-    // Per tenant: three results and the `NeedProgram`.
-    assert_eq!(stats.eval.journal.delivered, 8);
+    // Per tenant: three evaluations, the `NeedProgram` and two errors.
+    let counters = stats.eval.counters;
+    assert_eq!(
+        (counters.requests, counters.need_program, counters.errors),
+        (6, 2, 4)
+    );
 }
 
 #[test]
 fn reused_session_id_bills_every_request_as_an_upload_within_and_across_a_restart() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("choco-remote-eval-reuse-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
     let params = workload_params(SchemeType::Bfv).unwrap();
     let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"reused id").unwrap();
-    // Two server lives over one checkpoint directory; in each, two clients
-    // in a row on the same (tenant 1, session 0), sequence numbers and
-    // request ids starting over every time.
+    // Two server lives; in each, two clients in a row on the same
+    // (tenant 1, session 0), sequence numbers and request ids starting
+    // over every time.
     for life in 0..2 {
-        let config = ServeConfig {
-            checkpoint_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        };
-        let (server, addr) = bind(config, 1);
+        let (server, addr) = bind(ServeConfig::default(), 1);
         let mut sum = choco::CommLedger::new();
         for _ in 0..2 {
             let mut client = connect::<Bfv>(&addr, 1, &w);
@@ -538,9 +532,7 @@ fn reused_session_id_bills_every_request_as_an_upload_within_and_across_a_restar
             "life {life}: downloads"
         );
         assert_eq!(book.retransmit_bytes, 0, "life {life}");
-        assert_eq!(stats.eval.journal.reported_dead, 0, "life {life}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -575,7 +567,7 @@ fn unsupported_frame_kind_is_billed_refused_with_a_typed_error_and_the_connectio
 }
 
 #[test]
-fn response_the_writer_never_wrote_is_neither_billed_nor_journaled() {
+fn response_the_writer_never_wrote_is_not_billed() {
     // The server dies between the first and the second response of one
     // batch: the second is refused at the socket, the third is still
     // queued behind it.
@@ -599,28 +591,23 @@ fn response_the_writer_never_wrote_is_neither_billed_nor_journaled() {
     assert!(server.was_hard_killed());
 
     let stats = server.shutdown();
-    let journal = stats.eval.journal;
-    assert_eq!((journal.accepted, journal.delivered), (3, 1), "{journal:?}");
+    assert_eq!(stats.eval.counters.requests, 3, "all three were admitted");
     // The setup ack and the one result that reached the socket: exactly
     // what the client counted coming in.
     let book = stats.book.get(1).expect("tenant 1 billed");
     let ledger = client.ledger();
-    assert_eq!(book.downloads, 2);
+    assert_eq!((book.downloads, ledger.downloads), (2, 2));
     assert_eq!(book.download_bytes, ledger.download_bytes);
     assert_eq!(book.upload_bytes, ledger.upload_bytes);
 }
 
 #[test]
-fn drain_mid_batch_delivers_results_before_the_journal_calls_them_delivered() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("choco-remote-eval-drain-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn drain_mid_batch_writes_and_bills_every_result_before_it_returns() {
     let config = ServeConfig {
-        checkpoint_dir: Some(dir.clone()),
         batch_window_ms: 120,
         ..ServeConfig::default()
     };
-    let (server, addr) = bind(config.clone(), 1);
+    let (server, addr) = bind(config, 1);
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pipeline").unwrap();
     let params = workload_params(SchemeType::Bfv).unwrap();
@@ -657,33 +644,15 @@ fn drain_mid_batch_delivers_results_before_the_journal_calls_them_delivered() {
     assert!(start.elapsed() < Duration::from_secs(10));
 
     let stats = server_handle.join().expect("server thread panicked");
-    // The book billed every response the client actually received, and
-    // once the drain has returned the journal on disk holds a deliver line
-    // for each of the four requests it accepted.
+    // Once the drain has returned, the book has billed a response for
+    // each of the four requests the server accepted, plus the setup ack:
+    // exactly what the client received.
     let book = stats.book.get(1).expect("tenant 1 billed");
     let ledger = client.ledger();
+    assert_eq!(stats.eval.counters.requests, 4);
+    assert_eq!((book.downloads, ledger.downloads), (5, 5));
     assert_eq!(book.download_bytes, ledger.download_bytes);
     assert_eq!(book.upload_bytes, ledger.upload_bytes);
-    let journal = stats.eval.journal;
-    assert_eq!((journal.accepted, journal.delivered), (4, 4), "{journal:?}");
-    let on_disk = std::fs::metadata(dir.join("t1_s0.cej")).map(|m| m.len());
-    assert_eq!(
-        on_disk.ok(),
-        Some(4 * (ACCEPT_BYTES + DELIVER_BYTES) as u64)
-    );
-    drop(client);
-
-    // A server re-bound over the same directory has nothing to report dead.
-    let (successor, addr) = bind(config, 1);
-    let mut resumed = RawClient::connect(&addr, 1, &w);
-    resumed.send(JOURNAL_MAGIC);
-    match resumed.recv() {
-        (1, EvalResponse::DeadRequests { request_ids }) => assert!(request_ids.is_empty()),
-        other => panic!("expected the journal's answer, got {other:?}"),
-    }
-    drop(resumed);
-    assert_eq!(successor.shutdown().eval.journal.reported_dead, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A wire program whose rotation step names no rotation at the session's

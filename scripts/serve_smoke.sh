@@ -3,11 +3,11 @@
 #   1. boot the real server process on an ephemeral port, run the load
 #      generator against it over TCP (evaluator protocol: key upload,
 #      sequential and pipelined evaluate rounds), take a stats snapshot,
-#      drain gracefully via stdin, and check the eval journal was kept;
-#   2. restart the server over the same checkpoint directory and re-run
-#      the same (tenant, session) ids — the restarted server must serve
-#      them like anyone else: zero failures and a drain summary billing
-#      exactly phase 1's upload/download bytes, none of it as retransmit.
+#      and drain gracefully via stdin;
+#   2. restart the server and re-run the same (tenant, session) ids — the
+#      restarted server must serve them like anyone else: zero failures
+#      and a drain summary billing exactly phase 1's upload/download
+#      bytes, none of it as retransmit.
 # ci.sh wraps this in a hard `timeout` so a hung accept loop or a
 # non-converging drain fails CI instead of wedging it.
 set -euo pipefail
@@ -36,7 +36,6 @@ boot_server() {
     mkfifo "$fifo"
     # Port 0 = kernel-assigned ephemeral port; the server prints the real one.
     "$SERVE" --addr 127.0.0.1:0 --max-sessions 8 \
-        --checkpoint-dir "$workdir/ckpt" \
         --tenant 1=serve-bench-tenant-1 --tenant 2=serve-bench-tenant-2 \
         <"$fifo" >"$log" 2>&1 &
     serve_pid=$!
@@ -74,17 +73,15 @@ boot_server first
 "$BENCH" --addr "$addr" --smoke --json "$workdir/bench1.json"
 drain_server
 grep -q '"failed_clients": 0' "$workdir/bench1.json" || { cat "$workdir/bench1.json"; echo "serve_smoke: phase-1 bench reported failures"; exit 1; }
-ls "$workdir/ckpt"/*.cej >/dev/null 2>&1 || { cat "$log"; echo "serve_smoke: no eval journal in the checkpoint directory"; exit 1; }
 # The stdin `stats` command and the drain summary each print one
-# machine-readable JSON line covering serve + eval + isolation + journal
-# counters.
-[[ $(grep -c '^{"accepted":.*"isolation":{"quarantined":.*"journal":{"accepted":' "$log") -eq 2 ]] \
+# machine-readable JSON line covering serve + eval + isolation counters.
+[[ $(grep -c '^{"accepted":.*"isolation":{"quarantined":' "$log") -eq 2 ]] \
     || { cat "$log"; echo "serve_smoke: expected a stats line and a drain summary line"; exit 1; }
 billed1=$(billed_bytes)
 
-# Phase 2: restart over the same checkpoint dir; the clients come back
-# under identical (tenant, session) ids with sequence numbers starting
-# over, and every request is billed as the fresh upload it is.
+# Phase 2: restart; the clients come back under identical (tenant,
+# session) ids with sequence numbers starting over, and every request is
+# billed as the fresh upload it is.
 boot_server second
 "$BENCH" --addr "$addr" --smoke --json "$workdir/bench2.json"
 drain_server
@@ -93,4 +90,4 @@ billed2=$(billed_bytes)
 [[ $billed1 == *'"retransmit_bytes":0' && $billed1 == "$billed2" ]] \
     || { cat "$log"; echo "serve_smoke: restarted server billed '$billed2', first run '$billed1' (want equal, no retransmit)"; exit 1; }
 
-echo "serve_smoke: OK (clean run + drain + journal kept + restart bills identically)"
+echo "serve_smoke: OK (clean run + drain + restart bills identically)"
