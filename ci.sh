@@ -80,6 +80,11 @@ done
 # uninterrupted session's whatever the thread count; a checkpoint grows by
 # its step list only; a foreign seed, a rewound client RNG and a step count
 # past the cap are refused (session and checkpoint unit tests).
+# Switched downloads, at every point of the matrix too: the four circuits'
+# outputs at sets A, B and the workload set decrypt the same switched or
+# not, the switch stays inside its ceiling and set B keeps both residues
+# (download_switch), and a re-submitted download is refused at the door
+# without quarantining the program (remote_eval).
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -103,6 +108,8 @@ for simd in 0 1; do
         filtered "${matrix[@]}" -p choco-he --lib -- generic_roundtrip carries_a_seed seed_expands
         filtered "${matrix[@]}" -p choco-he --test fuzz_serialize -- compact huge_ring
         filtered "${matrix[@]}" -p choco --test remote_fuzz -- compact_uploads huge_ring
+        filtered "${matrix[@]}" -p choco-apps --test download_switch
+        filtered "${matrix[@]}" -p choco-serve --test remote_eval resubmitted_download
     done
 done
 

@@ -1,13 +1,14 @@
 //! Ablation: client-communication optimizations beyond the paper's
 //! baseline accounting — seed-compressed symmetric uploads (c1 replaced by
 //! a 32-byte PRNG seed, the form every runtime upload takes) and
-//! modulus-switched downloads (dropping a residue before the server
-//! replies). Quantifies how much further the CHOCO communication column of
-//! Table 5 shrinks.
+//! modulus-switched downloads (the residues the runtime drops from every
+//! BFV program output where the parameter set licenses it). Quantifies how
+//! much further the CHOCO communication column of Table 5 shrinks.
 
 #![forbid(unsafe_code)]
 use choco_apps::dnn::{client_aided_plan, Network};
 use choco_bench::{header, note};
+use choco_he::bfv::BfvContext;
 use choco_he::params::HeParams;
 
 fn main() {
@@ -31,18 +32,11 @@ fn main() {
         // A compact upload: c0, the 32-byte seed and one word per modulus.
         let compact = ct / 2 + 32 + 8 * k_data;
         let seeded_up = ups * compact + downs * ct;
-        // Mod-switching drops one of k_data residues from each download.
-        let switched_down = if k_data >= 2 {
-            ups * ct + downs * ct * (k_data - 1) / k_data
-        } else {
-            baseline
-        };
-        let both = ups * compact
-            + if k_data >= 2 {
-                downs * ct * (k_data - 1) / k_data
-            } else {
-                downs * ct
-            };
+        // A download keeps the residues the runtime licenses.
+        let kept = BfvContext::new(&params).map_or(k_data, |c| c.download_level() as u64);
+        let switched = downs * ct * kept / k_data;
+        let switched_down = ups * ct + switched;
+        let both = ups * compact + switched;
         println!(
             "{:<8} {:>8.2}MB {:>10.2}MB {:>10.2}MB {:>10.2}MB {:>7.0}%",
             net.name,
@@ -54,6 +48,6 @@ fn main() {
         );
     }
     note("+seeded up is the runtime's upload: HeScheme::encrypt is the seeded symmetric encryption, billed as its compact frame");
-    note("+modswitch is implemented and tested in choco-he (mod_switch_to_next) but no served program ends in it yet");
-    note("they compose with rotational redundancy: at k_data = 2 both halve their direction, cutting Table 5 totals by ~50%");
+    note("+modswitch is the runtime's download: every BFV program output leaves at BfvContext::download_level, one residue of two at set A; set B licenses no switch, so the MNIST rows keep their baseline downloads");
+    note("they compose with rotational redundancy: at set A both halve their direction, cutting Table 5 totals by ~50%");
 }

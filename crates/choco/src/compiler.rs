@@ -51,6 +51,7 @@ use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::rlwe::DotOperand;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_verify::{Circuit, CircuitOp, NodeClaim, VerifyError, VerifyOptions, VerifyReport};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -76,7 +77,8 @@ pub trait CompilerScheme: HeScheme {
     /// Whether the scheme has a rescaling chain. Without one (BFV)
     /// [`CompilerScheme::rescale`] and [`CompilerScheme::mod_switch_down`]
     /// return their input, and the executor aliases such nodes to their
-    /// operand instead of copying a ciphertext through them.
+    /// operand instead of copying a ciphertext through them. A BFV output
+    /// still leaves at a lower level: [`CompilerScheme::download`].
     const HAS_CHAIN: bool;
 
     /// Ciphertext × ciphertext with relinearization.
@@ -200,6 +202,17 @@ pub trait CompilerScheme: HeScheme {
         ctx: &Self::Context,
         ct: &Self::Ciphertext,
     ) -> Result<Self::Ciphertext, HeError>;
+
+    /// The form a program output leaves the server in, applied by the
+    /// executor to every output: the same message at the fewest residues
+    /// the parameter set licenses. BFV switches down to
+    /// `BfvContext::download_level`; CKKS returns its input, every output
+    /// already sitting where the compiler's rescales left it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates modulus-switch failures.
+    fn download(ctx: &Self::Context, ct: &Self::Ciphertext) -> Result<Self::Ciphertext, HeError>;
 }
 
 impl CompilerScheme for Ckks {
@@ -285,12 +298,17 @@ impl CompilerScheme for Ckks {
     fn mod_switch_down(ctx: &CkksContext, ct: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
         ctx.mod_switch_to(ct, ct.level() - 1)
     }
+
+    fn download(_ctx: &CkksContext, ct: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
+        Ok(ct.clone())
+    }
 }
 
 impl CompilerScheme for Bfv {
     type Operand = choco_he::bfv::Plaintext;
     // BFV carries no rescaling chain: the schedule's `Rescale` and
-    // `ModSwitch` nodes are scale bookkeeping only.
+    // `ModSwitch` nodes are scale bookkeeping only. Its one modulus switch
+    // is `download`'s, after the program.
     const HAS_CHAIN: bool = false;
 
     fn mul_ct(
@@ -380,6 +398,18 @@ impl CompilerScheme for Bfv {
         ct: &choco_he::bfv::Ciphertext,
     ) -> Result<choco_he::bfv::Ciphertext, HeError> {
         Ok(ct.clone())
+    }
+
+    fn download(
+        ctx: &choco_he::bfv::BfvContext,
+        ct: &choco_he::bfv::Ciphertext,
+    ) -> Result<choco_he::bfv::Ciphertext, HeError> {
+        let eval = ctx.evaluator();
+        let mut out = Cow::Borrowed(ct);
+        while out.level() > ctx.download_level() {
+            out = Cow::Owned(eval.mod_switch_to_next(&out)?);
+        }
+        Ok(out.into_owned())
     }
 }
 
@@ -1403,8 +1433,11 @@ impl CompiledProgram {
     ///
     /// Inputs must be encrypted at the top level with the compiler's
     /// waterline scale. Constants are encoded on demand at each use site's
-    /// level and scale. Associated types are not injective, so callers
-    /// usually name the scheme: `prog.execute_encrypted::<Ckks>(…)`.
+    /// level and scale. Every output is returned in its download form
+    /// ([`CompilerScheme::download`]), so whoever runs the program — the
+    /// server or this local oracle — hands back the same ciphertext.
+    /// Associated types are not injective, so callers usually name the
+    /// scheme: `prog.execute_encrypted::<Ckks>(…)`.
     ///
     /// # Errors
     ///
@@ -1443,6 +1476,41 @@ impl CompiledProgram {
         relin: &S::RelinKey,
         galois: &S::GaloisKeys,
         cache: &ExecCache<S>,
+    ) -> Result<Vec<S::Ciphertext>, HeError> {
+        let download = |ct: &S::Ciphertext| S::download(ctx, ct);
+        self.run_encrypted::<S>(ctx, inputs, relin, galois, cache, download)
+    }
+
+    /// [`CompiledProgram::execute_encrypted`] without the download step:
+    /// every output at the level its last node left it. The oracle the
+    /// download switch ([`CompilerScheme::download`]) is measured against;
+    /// nothing serves these.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledProgram::execute_encrypted`].
+    pub fn execute_encrypted_unswitched<S: CompilerScheme>(
+        &self,
+        ctx: &S::Context,
+        inputs: &HashMap<String, S::Ciphertext>,
+        relin: &S::RelinKey,
+        galois: &S::GaloisKeys,
+    ) -> Result<Vec<S::Ciphertext>, HeError> {
+        let cache = ExecCache::<S>::unbounded();
+        let keep = |ct: &S::Ciphertext| Ok(ct.clone());
+        self.run_encrypted::<S>(ctx, inputs, relin, galois, &cache, keep)
+    }
+
+    /// The executor: runs every node, then hands each output through
+    /// `finish`.
+    fn run_encrypted<S: CompilerScheme>(
+        &self,
+        ctx: &S::Context,
+        inputs: &HashMap<String, S::Ciphertext>,
+        relin: &S::RelinKey,
+        galois: &S::GaloisKeys,
+        cache: &ExecCache<S>,
+        finish: impl Fn(&S::Ciphertext) -> Result<S::Ciphertext, HeError>,
     ) -> Result<Vec<S::Ciphertext>, HeError> {
         // Programs built through `compile` are verified by construction;
         // re-check in debug builds to catch `from_raw_parts` corruption at
@@ -1593,7 +1661,7 @@ impl CompiledProgram {
         }
         self.outputs
             .iter()
-            .map(|o| ct_at(&vals, *o).cloned())
+            .map(|o| finish(ct_at(&vals, *o)?))
             .collect()
     }
 }

@@ -185,7 +185,7 @@ pub fn matvec_into(p: &mut Program, x: NodeId, matrix: &[Vec<f64>]) -> Option<No
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{compile, CompilerOptions};
+    use crate::compiler::{compile, CompilerOptions, CompilerScheme};
     use crate::protocol::Client;
     use choco_he::bfv::Ciphertext;
     use choco_he::params::HeParams;
@@ -369,7 +369,8 @@ mod tests {
     /// Provisions `client` for a `rows × cols` matvec, draws the matrix
     /// (entries `below(t)`) and an input (`below(16)`), and asserts that
     /// `matvec_program`, compiled at scale `2^0` and executed, returns
-    /// `matvec_diagonals`' ciphertext byte for byte.
+    /// `matvec_diagonals`' ciphertext byte for byte, once that is in the
+    /// download form every program output takes (`CompilerScheme::download`).
     fn assert_program_is_the_kernel(
         client: &mut Client<Bfv>,
         (rows, cols): (usize, usize),
@@ -403,6 +404,7 @@ mod tests {
             .execute_encrypted::<Bfv>(ctx, &inputs, relin, galois)
             .unwrap();
         let kernel = matvec_diagonals(&server, &ct, &matrix).unwrap();
+        let kernel = Bfv::download(ctx, &kernel).unwrap();
         let wire = |cts: &[Ciphertext]| cts.iter().map(Bfv::ct_to_wire).collect::<Vec<_>>();
         assert!(wire(&program) == wire(&[kernel]), "{rows}x{cols}");
     }

@@ -89,6 +89,13 @@ impl Ciphertext {
         self.seed.as_ref()
     }
 
+    /// Modulus level: the number of data residues each component carries
+    /// (the parameter set's data-prime count when fresh, fewer once
+    /// modulus-switched for download).
+    pub fn level(&self) -> usize {
+        self.parts.first().map_or(0, RnsPoly::row_count)
+    }
+
     /// Number of polynomial components (2 or 3).
     pub fn size(&self) -> usize {
         self.parts.len()
@@ -111,6 +118,16 @@ impl Ciphertext {
     }
 }
 
+/// The least noise-budget ceiling ([`BfvContext::switch_ceiling_bits`]) a
+/// level must keep for a server→client download to be switched down to it
+/// ([`BfvContext::download_level`]).
+pub const DOWNLOAD_CEILING_BITS: f64 = 10.0;
+
+/// [`BfvContext::switch_ceiling_bits`] of the level whose basis is `basis`.
+fn switch_ceiling(basis: &RnsBasis, t: u64) -> f64 {
+    basis.modulus_bits() - 2.0 * (t as f64).log2() - 1.0
+}
+
 /// Precomputed context for one BFV parameter set.
 #[derive(Debug, Clone)]
 pub struct BfvContext {
@@ -130,6 +147,9 @@ pub struct BfvContext {
     /// Per level: the `q_level → {t}` conversion and `−q_level^{-1} mod t`,
     /// which turn `[t·x]_q` into the decrypted coefficient.
     level_to_plain: Vec<(BaseConverter, u64)>,
+    /// The level every download is switched down to
+    /// ([`BfvContext::download_level`]).
+    download_level: usize,
     /// `q → ext` and `ext → q` conversions of the ct×ct multiply.
     to_ext: BaseConverter,
     from_ext: BaseConverter,
@@ -212,6 +232,10 @@ impl BfvContext {
             level_to_plain.push((BaseConverter::new(basis.clone(), &[t]), t - q_inv));
             level_bases.push(basis);
         }
+        let download_level = level_bases
+            .iter()
+            .position(|basis| switch_ceiling(basis, t) >= DOWNLOAD_CEILING_BITS)
+            .map_or(data.len(), |below| below + 1);
         let batch = BatchEncoder::new(n, t).ok().map(Arc::new);
         Ok(BfvContext {
             params: params.clone(),
@@ -221,6 +245,7 @@ impl BfvContext {
             level_bases,
             level_deltas,
             level_to_plain,
+            download_level,
             to_ext,
             from_ext,
             q_inv_mod_ext,
@@ -252,6 +277,29 @@ impl BfvContext {
     /// log2 of the data modulus `q`.
     pub fn q_bits(&self) -> f64 {
         self.data.modulus_bits()
+    }
+
+    /// The noise-budget ceiling, in bits, of a ciphertext switched down to
+    /// `level` data residues: `log2(q_level) − 2·log2(t) − 1`, or `None`
+    /// for a level the parameter set does not have. However much budget a
+    /// ciphertext had, the switch leaves it at most about this much, and
+    /// it adds at most `2^-(ceiling+1)` of invariant noise: the message
+    /// term scaled by `Δ_level` instead of `q_level/t` is off by
+    /// `(q_level mod t)·m/q_level < t²/(2·q_level)`, and the rounding of
+    /// both components is smaller by orders of magnitude.
+    pub fn switch_ceiling_bits(&self, level: usize) -> Option<f64> {
+        let basis = self.level_bases.get(level.checked_sub(1)?)?;
+        Some(switch_ceiling(basis, self.t))
+    }
+
+    /// The level a server→client download travels at: the lowest whose
+    /// [`BfvContext::switch_ceiling_bits`] is at least
+    /// [`DOWNLOAD_CEILING_BITS`], or the data-prime count when no lower
+    /// level qualifies. A fact of the parameter set, computed once here:
+    /// switching there can turn a correct result into a wrong one only if
+    /// its budget was already under `−log2(1 − 2^-10)` ≈ 0.0014 bits.
+    pub fn download_level(&self) -> usize {
+        self.download_level
     }
 
     /// The SIMD batch encoder.
@@ -907,15 +955,18 @@ impl Evaluator<'_> {
 
     /// Switches a ciphertext down one modulus level (drops the last data
     /// prime with rounding): the message is preserved, the wire size shrinks
-    /// by one residue per component, and a little noise headroom is spent.
-    /// CHOCO clients use this to compress server→client downloads.
+    /// by one residue per component, and the noise budget is capped at the
+    /// new level's [`BfvContext::switch_ceiling_bits`]. The executor applies
+    /// it to every program output down to [`BfvContext::download_level`]
+    /// (`CompilerScheme::download` in `choco`), so downloads travel at
+    /// the fewest residues the parameter set licenses.
     ///
     /// # Errors
     ///
     /// Returns [`HeError::Mismatch`] when the ciphertext is already at the
     /// lowest level.
     pub fn mod_switch_to_next(&self, a: &Ciphertext) -> Result<Ciphertext, HeError> {
-        let rows = a.parts[0].row_count();
+        let rows = a.level();
         if rows <= 1 {
             return Err(HeError::Mismatch(
                 "cannot modulus-switch below one residue".into(),

@@ -153,14 +153,17 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     /// compact frame's for a fresh encryption.
     fn ct_bytes(ct: &Self::Ciphertext) -> usize;
 
-    /// Refuses a ciphertext whose mask seed expands over moduli other than
-    /// `ctx`'s data primes at its level: a compact upload made for another
-    /// parameter set, which the evaluator would compute over the wrong
-    /// ring. A ciphertext without a seed passes.
+    /// Refuses a ciphertext that cannot be a program input in `ctx`: one
+    /// below the top modulus level (such as a download, which leaves the
+    /// server switched down, re-submitted), or one whose mask seed expands
+    /// over moduli other than `ctx`'s data primes — a compact upload made
+    /// for another parameter set, which the evaluator would compute over
+    /// the wrong ring.
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] naming both sets of moduli.
+    /// Returns [`HeError::Mismatch`] naming the levels or both sets of
+    /// moduli.
     fn check_moduli(ctx: &Self::Context, ct: &Self::Ciphertext) -> Result<(), HeError>;
 
     /// Wire size of the public key (provisioning accounting).
@@ -265,9 +268,19 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     fn value_matches(got: Self::Value, want: Self::Value, tol: f64) -> bool;
 }
 
-/// [`HeScheme::check_moduli`] for a ciphertext's seed against the data
-/// primes `primes` of its level.
-fn check_seed_moduli(seed: Option<&MaskSeed>, primes: &[u64]) -> Result<(), HeError> {
+/// [`HeScheme::check_moduli`] for a ciphertext at `level` with mask seed
+/// `seed` against a context whose top level has the data primes `primes`.
+fn check_input_moduli(
+    level: usize,
+    seed: Option<&MaskSeed>,
+    primes: &[u64],
+) -> Result<(), HeError> {
+    if level != primes.len() {
+        return Err(HeError::Mismatch(format!(
+            "ciphertext at level {level} where inputs enter at the top level {}",
+            primes.len()
+        )));
+    }
     match seed {
         Some(seed) if seed.moduli() != primes => Err(HeError::Mismatch(format!(
             "ciphertext seeded over moduli {:?} where the context's are {primes:?}",
@@ -373,7 +386,7 @@ impl HeScheme for Bfv {
     }
 
     fn check_moduli(ctx: &BfvContext, ct: &bfv::Ciphertext) -> Result<(), HeError> {
-        check_seed_moduli(ct.seed(), ctx.data_basis().primes())
+        check_input_moduli(ct.level(), ct.seed(), ctx.data_basis().primes())
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {
@@ -549,8 +562,8 @@ impl HeScheme for Ckks {
     }
 
     fn check_moduli(ctx: &CkksContext, ct: &ckks::CkksCiphertext) -> Result<(), HeError> {
-        let level = ct.level().min(ctx.top_level());
-        check_seed_moduli(ct.seed(), ctx.params().primes().get(..level).unwrap_or(&[]))
+        let top = ctx.params().primes().get(..ctx.top_level());
+        check_input_moduli(ct.level(), ct.seed(), top.unwrap_or(&[]))
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {

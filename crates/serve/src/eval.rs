@@ -286,9 +286,10 @@ fn submit_eval<S: EvalScheme>(
 /// every plaintext encode while staying bit-identical (the cache stores
 /// exactly what the uncached path would compute). Execution failures are
 /// *poison* faults (they indict the program; the scheduler bisects and
-/// quarantines); rejected input blobs — malformed, or a compact upload
-/// seeded over moduli that are not the session's data primes — are
-/// job-local faults.
+/// quarantines); rejected input blobs — malformed, a compact upload
+/// seeded over moduli that are not the session's data primes, or a
+/// ciphertext below the top level such as a re-submitted download
+/// ([`choco_he::HeScheme::check_moduli`]) — are job-local faults.
 fn run_request<S: EvalScheme>(
     sess: &SchemeSession<S>,
     prog: &CachedProgram<S>,

@@ -791,3 +791,53 @@ fn compact_input_with_foreign_moduli_is_the_tenants_fault_only() {
         choco_he::HeParams::ckks_insecure(1024, &[50, 40, 45, 46], 30).unwrap(),
     );
 }
+
+/// Tenant 1 re-submits its own download as the next request's input. A
+/// BFV output leaves the server switched down to one residue and a CKKS
+/// one where the rescales left it, below the top level either way, so the
+/// input is refused at the door: a typed error, the tenant's own fault,
+/// no bisection and no quarantine of the shared program. Tenant 2's next
+/// request on that program is its local reference, byte for byte.
+fn assert_resubmitted_download_is_refused_at_the_door<S: choco::compiler::CompilerScheme>(
+    scheme: SchemeType,
+) {
+    let (server, addr) = bind(ServeConfig::default(), 2);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(scheme).unwrap();
+    let w = RemoteWorkload::<S>::prepare(circuit, &params, b"resubmitting tenant").unwrap();
+    let mut client = connect::<S>(&addr, 1, &w);
+    let outs = client.evaluate(&w.prepared, &w.input_refs()).unwrap();
+    assert_eq!(wires::<S>(&outs), w.local_output_wires().unwrap());
+    let resubmitted: Vec<(&str, &S::Ciphertext)> = w
+        .input_refs()
+        .into_iter()
+        .map(|(name, _)| (name, &outs[0]))
+        .collect();
+    match client.evaluate(&w.prepared, &resubmitted) {
+        Err(choco::transport::TransportError::Rejected(m)) => {
+            assert!(m.contains("rejected") && m.contains("top level"), "{m}")
+        }
+        Err(e) => panic!("expected a typed refusal, got {e}"),
+        Ok(outs) => panic!("a download was evaluated into {} outputs", outs.len()),
+    }
+
+    let w = RemoteWorkload::<S>::prepare(circuit, &params, b"neighbour tenant").unwrap();
+    let mut neighbour = connect::<S>(&addr, 2, &w);
+    let outs = neighbour.evaluate(&w.prepared, &w.input_refs()).unwrap();
+    assert_eq!(
+        wires::<S>(&outs),
+        w.local_output_wires().unwrap(),
+        "neighbour's output moved"
+    );
+    let stats = server.shutdown();
+    let iso = stats.eval.isolation;
+    assert_eq!(iso.quarantined, 0, "{iso:?}");
+    assert_eq!(iso.bisections, 0, "{iso:?}");
+}
+
+#[test]
+fn resubmitted_download_is_refused_at_the_door_not_quarantined() {
+    assert_resubmitted_download_is_refused_at_the_door::<Bfv>(SchemeType::Bfv);
+    assert_resubmitted_download_is_refused_at_the_door::<Ckks>(SchemeType::Ckks);
+}
