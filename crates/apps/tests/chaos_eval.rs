@@ -20,7 +20,8 @@
 //! The isolation tests then prove the scheduler's blast-radius bounds: a
 //! poison job co-batched with three healthy tenants is bisected out
 //! (healthy results correct and billed), its program group is quarantined
-//! (second submission refused without entering the scheduler), a stalled
+//! (second submission refused without entering the scheduler), a fault
+//! that does not recur is bisected away with nothing quarantined, a stalled
 //! dispatch sheds past-deadline jobs with a typed response the client
 //! retries through, and an error storm trips the tenant's breaker open —
 //! typed `Unavailable` — until a half-open probe succeeds. Last, a bit
@@ -432,6 +433,56 @@ fn stalled_dispatch_sheds_past_deadline_jobs_and_client_retries() {
         "{:?}",
         stats.eval.isolation
     );
+    assert_eq!(stats.eval.counters.errors, 0);
+}
+
+/// A fault that does not recur (chaos fails the first job run, once) in a
+/// pipelined batch of three: the scheduler bisects, every job — the one
+/// that faulted included — re-runs bit-identically, and since no isolated
+/// job faults again nothing is quarantined and the client never retries.
+#[test]
+fn transient_fault_is_bisected_away_and_nothing_quarantined() {
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"transient-fault").unwrap();
+    let local = w.local_output_wires().unwrap();
+
+    let server = bind_server(
+        1,
+        EvalChaos {
+            fail_job: Some(1),
+            ..EvalChaos::default()
+        },
+    );
+    let mut client = RemoteEvaluator::<Bfv>::connect(
+        &server.addr().to_string(),
+        tenant_seed(TENANT).as_bytes(),
+        TENANT,
+        0,
+        &w.params,
+        &w.relin,
+        &w.galois,
+        &wide_opts(),
+    )
+    .unwrap();
+    let inputs = w.input_refs();
+    let batch = [inputs.as_slice(); COPIES];
+    let results = client
+        .evaluate_batch(&w.prepared, &batch)
+        .unwrap_or_else(|e| panic!("batch with a transient fault failed: {e}"));
+    assert_eq!(results.len(), COPIES);
+    for (i, outs) in results.iter().enumerate() {
+        let wires: Vec<Vec<u8>> = outs.iter().map(Bfv::ct_to_wire).collect();
+        assert_eq!(wires, local, "job {i}: wrong result after bisection");
+    }
+    assert_eq!(client.ledger().retransmit_bytes, 0);
+
+    let stats = server.shutdown();
+    let (sched, iso) = (stats.eval.sched, stats.eval.isolation);
+    assert_eq!(sched.max_batch, COPIES as u64, "one dispatch: {sched:?}");
+    assert_eq!(iso.bisections, 1, "{iso:?}");
+    assert_eq!((iso.faults, iso.quarantined), (0, 0), "{iso:?}");
     assert_eq!(stats.eval.counters.errors, 0);
 }
 

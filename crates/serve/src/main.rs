@@ -29,7 +29,7 @@ OPTIONS:
                         an ephemeral port)
   --max-sessions N      admission limit; further hellos get a typed
                         Overloaded ack (default 64)
-  --io-timeout-ms MS    handshake/write timeout (default 5000)
+  --io-timeout-ms MS    handshake/write timeout, at least 1 (default 5000)
   --tenant ID=SEED      register a tenant (repeatable); the seed must equal
                         the client's session seed
 
@@ -72,6 +72,11 @@ fn main() {
             "--io-timeout-ms" => {
                 config.io_timeout_ms =
                     parse_u64(&need(&mut args, "--io-timeout-ms"), "--io-timeout-ms");
+                // A zero deadline leaves a client no time to send its
+                // hello.
+                if config.io_timeout_ms == 0 {
+                    fail("--io-timeout-ms must be at least 1");
+                }
             }
             "--tenant" => {
                 let spec = need(&mut args, "--tenant");

@@ -152,10 +152,9 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Renders the stats as one machine-readable JSON line — what the
-    /// `choco-serve` `stats` stdin command and its drain summary print,
-    /// and what `choco-serve-bench` embeds in its report. Hand-rolled (the
-    /// workspace takes no serialization dependency); every value is an
-    /// unsigned integer, so no escaping is ever needed.
+    /// `choco-serve` `stats` stdin command and its drain summary print.
+    /// Hand-rolled (the workspace takes no serialization dependency); every
+    /// value is an unsigned integer, so no escaping is ever needed.
     pub fn to_json_line(&self) -> String {
         let total = self.book.combined();
         let c = &self.eval.counters;
@@ -398,8 +397,12 @@ impl OffloadServer {
             return;
         }
         self.shared.draining.store(true, Ordering::SeqCst);
+        let config = &self.shared.config;
         let budget = Duration::from_millis(
-            self.shared.config.io_timeout_ms + 4 * self.shared.config.worker_poll_ms + 1_000,
+            config
+                .io_timeout_ms
+                .saturating_add(config.worker_poll_ms.saturating_mul(4))
+                .saturating_add(1_000),
         );
         // Scheduled batches first: a connection is done once its writer
         // has seen its last in-flight response, which only arrives once
@@ -459,7 +462,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         shared.config.io_timeout_ms.max(1),
     )));
 
-    let hello = match io.read_msg(HELLO_BYTES, shared.config.io_timeout_ms) {
+    let hello = match io.read_msg(HELLO_BYTES, shared.config.io_timeout_ms.max(1)) {
         Ok(Some(bytes)) => match decode_hello(&bytes) {
             Ok(h) => h,
             Err(_) => {
@@ -741,6 +744,50 @@ mod tests {
         ] {
             assert!(line.contains(field), "missing {field} in {line}");
         }
+    }
+
+    #[test]
+    fn a_zero_io_timeout_still_reads_the_hello() {
+        let config = ServeConfig {
+            io_timeout_ms: 0,
+            ..ServeConfig::default()
+        };
+        let server = OffloadServer::bind("127.0.0.1:0", config, registry()).unwrap();
+        let key = TagKey::from_session_seed(b"serve unit tenant 1");
+        let io = dial(
+            &server.addr().to_string(),
+            &key,
+            1,
+            1,
+            false,
+            &TcpOptions::default(),
+        )
+        .unwrap();
+        let stats = server.shutdown();
+        drop(io);
+        assert_eq!((stats.accepted, stats.rejected_malformed), (1, 0));
+    }
+
+    #[test]
+    fn the_largest_io_timeout_admits_and_drains_without_overflow() {
+        let config = ServeConfig {
+            io_timeout_ms: u64::MAX,
+            ..ServeConfig::default()
+        };
+        let server = OffloadServer::bind("127.0.0.1:0", config, registry()).unwrap();
+        let key = TagKey::from_session_seed(b"serve unit tenant 1");
+        let io = dial(
+            &server.addr().to_string(),
+            &key,
+            1,
+            1,
+            false,
+            &TcpOptions::default(),
+        )
+        .unwrap();
+        let stats = server.shutdown();
+        drop(io);
+        assert_eq!((stats.accepted, stats.rejected_malformed), (1, 0));
     }
 
     #[test]
