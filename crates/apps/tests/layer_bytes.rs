@@ -39,8 +39,15 @@
 //! the ranks unchanged. The other parameter sets here license no switch,
 //! so their digests did not move.
 //!
+//! Every digest hashes the residues the wires decode to, laid out in the
+//! 8-byte residue layout they were recorded over ([`legacy_wire`]), so
+//! packing the frames moved none of them.
+//!
 //! Re-record them only for a change that means to move those bytes, and say
 //! so.
+
+#[path = "../../he/tests/common/legacy_wire.rs"]
+mod legacy_wire;
 
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::Client;
@@ -52,7 +59,7 @@ use choco_apps::pipeline::{
     all_rotation_steps, run_plain, seeded_weights, LenetLikeSpec, ResumablePipeline,
 };
 use choco_apps::resumable::ResumableWorkload;
-use choco_he::params::HeParams;
+use choco_he::params::{HeParams, SchemeType};
 use choco_he::{Bfv, Ckks, HeScheme};
 
 /// Short hex BLAKE3 digest of the concatenated wire blobs.
@@ -98,7 +105,10 @@ fn conv_layer_digest(
     assert_eq!(layer.maps().len(), out_ch);
     // The round's output-group wires, concatenated in download order: the
     // same bytes, so the same digest, as hashing them one by one.
-    digest(&[layer.final_ct_wire()])
+    digest(&[legacy_wire::ciphertexts(
+        SchemeType::Bfv,
+        &layer.final_ct_wire(),
+    )])
 }
 
 #[test]
@@ -139,7 +149,8 @@ fn pipeline_fc_reply_bytes_are_pinned() {
     run.run(&mut session).unwrap();
     let t = params.plain_modulus();
     assert_eq!(run.logits(), run_plain(&spec, &weights, &image, t).0);
-    assert_eq!(digest(&[run.final_ct_wire()]), "c3a7a8a165a59ef1");
+    let reply = legacy_wire::ciphertexts(SchemeType::Bfv, &run.final_ct_wire());
+    assert_eq!(digest(&[reply]), "c3a7a8a165a59ef1");
 }
 
 /// `matrix · x` through `matvec_diagonals` from one fixed seed; the digest
@@ -156,7 +167,7 @@ fn matvec_digest<S: HeScheme>(
         .encrypt(&replicate_for_matvec(x, server.slot_width()))
         .unwrap();
     let y = matvec_diagonals(&server, &ct, matrix).unwrap();
-    digest(&[S::ct_to_wire(&y)])
+    digest(&[legacy_wire::ciphertexts(S::SCHEME, &S::ct_to_wire(&y))])
 }
 
 #[test]
@@ -221,7 +232,8 @@ fn pagerank_digest(params: &HeParams, iterations: u32, burst: u32, scale_bits: u
         ResumablePagerank::<Bfv>::new(&graph, 0.85, iterations, burst, scale_bits).unwrap();
     run.run(&mut session).unwrap();
     let ranks: Vec<u8> = run.ranks().iter().flat_map(|r| r.to_le_bytes()).collect();
-    digest(&[run.final_ct_wire(), ranks])
+    let reply = legacy_wire::ciphertexts(SchemeType::Bfv, &run.final_ct_wire());
+    digest(&[reply, ranks])
 }
 
 #[test]

@@ -253,7 +253,7 @@ fn encrypt_by_mul_poly(
     c0.add_assign_poly(&msg, basis);
     let mut c1 = p1.mul_poly(&u, basis);
     c1.add_assign_poly(&e2, basis);
-    Ciphertext::from_parts(vec![c0, c1])
+    Ciphertext::from_parts(vec![c0, c1], basis.primes())
 }
 
 /// Per-diagonal path: one key-switch decomposition per rotation, one
@@ -632,7 +632,7 @@ fn main() {
             let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut seeded_rng);
             let seed = ct.seed().expect("a symmetric encryption carries its seed");
             record(&mut entries, window_ms, "seed_expand_a", || {
-                black_box(expand_seed(black_box(seed), set.degree()));
+                black_box(expand_seed(black_box(seed), ct.moduli(), set.degree()));
             });
         }
     }

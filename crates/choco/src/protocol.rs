@@ -524,10 +524,11 @@ mod tests {
         assert_eq!(client.encryption_count(), 1);
         assert_eq!(client.decryption_count(), 1);
         assert_eq!(ledger.rounds, 1);
-        // Up: the compact upload, c0 (1024 coeffs × 2 data residues × 8
-        // bytes), the 32-byte seed and its 2 moduli. Down: 2 polys.
-        assert_eq!(ledger.upload_bytes, 16384 + 32 + 16);
-        assert_eq!(ledger.download_bytes, 32768);
+        // Up: the compact upload, c0 (1024 coeffs × 2 data residues at
+        // 40 bits, 5 bytes each), the 32-byte seed and its 2 moduli. Down:
+        // the 2 moduli and 2 polys.
+        assert_eq!(ledger.upload_bytes, 10240 + 32 + 16);
+        assert_eq!(ledger.download_bytes, 16 + 2 * 10240);
     }
 
     #[test]

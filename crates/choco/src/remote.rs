@@ -34,7 +34,8 @@ use crate::transport::tcp::{dial, BlobIo, Redialer, TcpOptions};
 pub use crate::transport::wire::params_to_wire;
 use crate::transport::wire::read_params;
 use crate::transport::{put_blob, RetryPolicy, TagKey, TransportError, WireCursor};
-use choco_he::params::{HeParams, SchemeType};
+use choco_he::params::HeParams;
+use choco_he::serialize;
 use choco_prng::blake3;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
@@ -324,9 +325,9 @@ impl PreparedProgram {
 pub struct SessionSetup {
     /// The tenant's parameter set (recipe form).
     pub params: HeParams,
-    /// Relinearization key, `CHR1`/`CHR2` wire form.
+    /// Relinearization key, `CPR1`/`CPR2` wire form.
     pub relin_wire: Vec<u8>,
-    /// Galois keys, `CHG1`/`CHG2` wire form.
+    /// Galois keys, `CPG1`/`CPG2` wire form.
     pub galois_wire: Vec<u8>,
 }
 
@@ -362,17 +363,15 @@ impl SessionSetup {
         if !rest.is_empty() {
             return Err(bad("trailing bytes after setup"));
         }
-        let (relin_magic, galois_magic): (&[u8], &[u8]) = match params.scheme() {
-            SchemeType::Bfv => (b"CHR1", b"CHG1"),
-            SchemeType::Ckks => (b"CHR2", b"CHG2"),
-        };
-        if relin_wire.get(..4) != Some(relin_magic) {
+        let relin_magic = serialize::magic(b'R', params.scheme());
+        let galois_magic = serialize::magic(b'G', params.scheme());
+        if relin_wire.get(..4) != Some(relin_magic.as_slice()) {
             return Err(bad(format!(
                 "relin key wire does not match the {:?} parameter scheme",
                 params.scheme()
             )));
         }
-        if galois_wire.get(..4) != Some(galois_magic) {
+        if galois_wire.get(..4) != Some(galois_magic.as_slice()) {
             return Err(bad(format!(
                 "galois key wire does not match the {:?} parameter scheme",
                 params.scheme()

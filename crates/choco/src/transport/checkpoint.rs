@@ -42,8 +42,9 @@ use choco_prng::blake3;
 const MAGIC: [u8; 4] = *b"CKP1";
 /// Current checkpoint format version (2: the parameter set is one
 /// [`params_to_wire`] recipe; 3: rotation steps and a key fingerprint in
-/// place of the keys).
-const VERSION: u16 = 3;
+/// place of the keys; 4: the fingerprint hashes the packed relinearization
+/// wire, so a version-3 fingerprint could never match).
+const VERSION: u16 = 4;
 /// BLAKE3 seal and key fingerprint length.
 const HASH_BYTES: usize = 32;
 /// Most rotation steps a checkpoint may list — as many Galois keys as a
@@ -326,6 +327,13 @@ pub(crate) mod tests {
         body
     }
 
+    /// Checkpoint `bytes` resealed under format `version`.
+    pub(crate) fn with_version(bytes: &[u8], version: u16) -> Vec<u8> {
+        resealed(bytes, |body| {
+            body[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&version.to_le_bytes());
+        })
+    }
+
     /// Checkpoint `bytes` resealed with its rotation-step count replaced by
     /// `count`, the list itself left as it is.
     pub(crate) fn claiming_steps(bytes: &[u8], count: u32) -> Vec<u8> {
@@ -380,10 +388,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_version_1_blob_is_refused() {
-        for version in [1u16, 2] {
-            let old = resealed(&sample().to_bytes(), |body| {
-                body[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&version.to_le_bytes());
-            });
+        for version in [1u16, 2, 3] {
+            let old = with_version(&sample().to_bytes(), version);
             let refused = format!("unsupported version {version}");
             let refused = TransportError::BadCheckpoint(refused);
             assert_eq!(SessionCheckpoint::from_bytes(&old), Err(refused));

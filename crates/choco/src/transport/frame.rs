@@ -28,9 +28,9 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 8 + TAG_BYTES;
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// A serialized BFV ciphertext (`CHO1` payload).
+    /// A serialized BFV ciphertext (`CPO1` / `CPS1` payload).
     BfvCiphertext,
-    /// A serialized CKKS ciphertext (`CHO2` payload).
+    /// A serialized CKKS ciphertext (`CPO2` / `CPS2` payload).
     CkksCiphertext,
     /// Plaintext slot data (e.g. decrypted intermediates in tests).
     Plaintext,

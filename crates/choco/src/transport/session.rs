@@ -781,7 +781,7 @@ impl Session<Ckks> {
 mod tests {
     use super::*;
     use crate::transport::channel::DirectChannel;
-    use crate::transport::checkpoint::tests::claiming_steps;
+    use crate::transport::checkpoint::tests::{claiming_steps, with_version};
     use crate::transport::fault::{FaultPlan, FaultyChannel};
 
     fn params() -> HeParams {
@@ -835,10 +835,10 @@ mod tests {
         let out = s.client_mut().decrypt_slots(&back).unwrap();
         assert_eq!(out, values);
         // Billing matches the fault-free protocol: payload bytes only. A
-        // fresh encryption is its compact frame — `c0`, the 32-byte seed of
-        // `c1` and a word per data prime — and the echo is that frame too.
-        let p = params();
-        let compact = p.ciphertext_bytes() / 2 + 32 + 8 * p.data_prime_count();
+        // fresh encryption is its compact frame — `c0` (256 coeffs × 2 data
+        // residues at 40 bits, 5 bytes each), the 32-byte seed of `c1` and a
+        // word per data prime — and the echo is that frame too.
+        let compact = 256 * 2 * 5 + 32 + 8 * 2;
         assert_eq!(ct.byte_size(), compact);
         assert_eq!(s.ledger().upload_bytes, compact as u64);
         assert_eq!(s.ledger().download_bytes, compact as u64);
@@ -1191,6 +1191,22 @@ mod tests {
         assert!(rewound.contains("behind keygen"), "{rewound}");
         let huge = refusal(&claiming_steps(&blob, u32::MAX));
         assert!(huge.contains("rotation-step count"), "{huge}");
+    }
+
+    /// A version-3 checkpoint fingerprinted the 8-byte relinearization
+    /// wire, so its fingerprint can never match keys derived now: it is
+    /// refused as the format it is, before any key is derived, never
+    /// misreported as a key mismatch.
+    #[test]
+    fn resume_refuses_a_version_3_checkpoint_as_unsupported() {
+        let blob = after_one_upload::<Bfv>(&params(), &[1], &bfv_values()).checkpoint(&[]);
+        assert!(resume_direct::<Bfv>(&blob).is_ok());
+        match resume_direct::<Bfv>(&with_version(&blob, 3)) {
+            Err(TransportError::BadCheckpoint(why)) => {
+                assert_eq!(why, "unsupported version 3")
+            }
+            other => panic!("expected BadCheckpoint, got {:?}", other.map(|_| ())),
+        }
     }
 
     fn ckks_params() -> HeParams {

@@ -571,7 +571,7 @@ fn a_64_byte_input_claiming_a_huge_ring_is_refused() {
     // prime for that degree: expanding it would take 8 GiB. The request
     // layer carries it as opaque bytes; the ciphertext decoder refuses it
     // on its shape and length.
-    for (magic, tail) in [(*b"CHS1", 0usize), (*b"CHS2", 8)] {
+    for (magic, tail) in [(*b"CPS1", 0usize), (*b"CPS2", 8)] {
         let mut blob = magic.to_vec();
         blob.extend_from_slice(&1u32.to_le_bytes());
         blob.extend_from_slice(&(1u32 << 30).to_le_bytes());

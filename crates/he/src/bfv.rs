@@ -24,6 +24,7 @@ use crate::rlwe::{
     self, DotOperand, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey,
 };
 use crate::rnspoly::RnsPoly;
+use crate::serialize;
 use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute};
 use choco_math::par;
 use choco_math::pool::PolyPool;
@@ -57,29 +58,48 @@ impl Plaintext {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     parts: Vec<RnsPoly>,
+    /// One prime per residue row of every part: the data primes, or the
+    /// prefix of them a modulus switch left. The wire carries them.
+    moduli: Arc<[u64]>,
     /// Set only by [`BfvContext::encrypt_symmetric`]: the seed `parts[1]`
     /// expands from, which the wire sends in its place.
     seed: Option<MaskSeed>,
 }
 
 impl Ciphertext {
-    /// Assembles a ciphertext from raw components (deserialization path).
+    /// Assembles a ciphertext from raw components whose residue rows are
+    /// modulo `moduli`, in order (deserialization path).
     ///
     /// # Panics
     ///
     /// Panics on an empty component list.
-    pub fn from_parts(parts: Vec<RnsPoly>) -> Self {
+    pub fn from_parts(parts: Vec<RnsPoly>, moduli: &[u64]) -> Self {
         assert!(!parts.is_empty(), "ciphertext needs at least one component");
-        Ciphertext { parts, seed: None }
-    }
-
-    /// A fresh symmetric encryption `(c0, a)` whose mask `a` expands from
-    /// `seed` (compact-frame deserialization).
-    // choco-lint: ct-safe
-    pub(crate) fn seeded(parts: Vec<RnsPoly>, seed: MaskSeed) -> Self {
         Ciphertext {
             parts,
+            moduli: moduli.into(),
+            seed: None,
+        }
+    }
+
+    /// A fresh symmetric encryption `(c0, a)` over `moduli` whose mask `a`
+    /// expands from `seed` (compact-frame deserialization).
+    // choco-lint: ct-safe
+    pub(crate) fn seeded(parts: Vec<RnsPoly>, moduli: &[u64], seed: MaskSeed) -> Self {
+        Ciphertext {
+            parts,
+            moduli: moduli.into(),
             seed: Some(seed),
+        }
+    }
+
+    /// An evaluator output at this ciphertext's level: `parts` over the
+    /// same moduli, with no seed.
+    fn evaluated(&self, parts: Vec<RnsPoly>) -> Self {
+        Ciphertext {
+            parts,
+            moduli: self.moduli.clone(),
+            seed: None,
         }
     }
 
@@ -89,11 +109,21 @@ impl Ciphertext {
         self.seed.as_ref()
     }
 
+    /// The residue moduli, one per row of every component.
+    pub fn moduli(&self) -> &[u64] {
+        &self.moduli
+    }
+
     /// Modulus level: the number of data residues each component carries
     /// (the parameter set's data-prime count when fresh, fewer once
     /// modulus-switched for download).
     pub fn level(&self) -> usize {
         self.parts.first().map_or(0, RnsPoly::row_count)
+    }
+
+    /// Ring degree `N`.
+    pub fn degree(&self) -> usize {
+        self.parts.first().map_or(0, RnsPoly::degree)
     }
 
     /// Number of polynomial components (2 or 3).
@@ -106,15 +136,17 @@ impl Ciphertext {
         &self.parts[i]
     }
 
-    /// Serialized payload size in bytes: `size · N · k_data · 8`, or for a
-    /// seeded ciphertext `N · k_data · 8` for `c0` plus the seed and its
-    /// moduli ([`MaskSeed::wire_bytes`]).
+    /// Serialized payload size in bytes — everything of its frame past
+    /// the header ([`serialize::payload_bytes`]): the moduli, then every
+    /// component (or, seeded, the seed and `c0`), each residue at its
+    /// prime's width.
     pub fn byte_size(&self) -> usize {
-        let poly = self.parts[0].row_count() * self.parts[0].degree() * 8;
-        match &self.seed {
-            Some(seed) => poly + seed.wire_bytes(),
-            None => self.parts.len() * poly,
-        }
+        serialize::payload_bytes(
+            self.degree(),
+            &self.moduli,
+            self.size(),
+            self.seed.is_some(),
+        )
     }
 }
 
@@ -396,7 +428,7 @@ impl BfvContext {
     ) -> Ciphertext {
         let msg = self.scaled_message(pt, &self.data);
         let (parts, seed) = rlwe::encrypt_symmetric(sk, &msg, &self.data, rng);
-        Ciphertext::seeded(parts, seed)
+        Ciphertext::seeded(parts, self.data.primes(), seed)
     }
 
     /// A decryptor bound to `sk`.
@@ -425,6 +457,7 @@ impl Encryptor<'_> {
         let ctx = self.ctx;
         Ciphertext {
             parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt, &ctx.data), &ctx.data, rng),
+            moduli: ctx.data.primes().into(),
             seed: None,
         }
     }
@@ -573,7 +606,7 @@ impl Evaluator<'_> {
     /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
         let parts = rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
-        Ok(Ciphertext { parts, seed: None })
+        Ok(a.evaluated(parts))
     }
 
     /// Homomorphic subtraction (operands at the same modulus level).
@@ -583,7 +616,7 @@ impl Evaluator<'_> {
     /// Returns [`HeError::Mismatch`] when sizes or levels differ.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
         let parts = rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a)?)?;
-        Ok(Ciphertext { parts, seed: None })
+        Ok(a.evaluated(parts))
     }
 
     /// Negation.
@@ -598,7 +631,7 @@ impl Evaluator<'_> {
                 p
             })
             .collect();
-        Ciphertext { parts, seed: None }
+        a.evaluated(parts)
     }
 
     /// Adds a plaintext: `c0 += Δ·m`.
@@ -606,7 +639,7 @@ impl Evaluator<'_> {
         let ctx = self.ctx;
         let mut parts = a.parts.clone();
         parts[0].add_assign_poly(&ctx.scaled_message(pt, &ctx.data), &ctx.data);
-        Ciphertext { parts, seed: None }
+        a.evaluated(parts)
     }
 
     /// Multiplies by a plaintext polynomial (the workhorse of encrypted
@@ -618,7 +651,7 @@ impl Evaluator<'_> {
             .iter()
             .map(|p| p.mul_small_poly(pt.coeffs(), data))
             .collect();
-        Ciphertext { parts, seed: None }
+        a.evaluated(parts)
     }
 
     /// Ciphertext–ciphertext multiplication producing a 3-component result
@@ -710,7 +743,7 @@ impl Evaluator<'_> {
                 scale(d)
             })
             .collect();
-        Ok(Ciphertext { parts, seed: None })
+        Ok(a.evaluated(parts))
     }
 
     /// Relinearizes a 3-component ciphertext back to 2 components.
@@ -722,7 +755,7 @@ impl Evaluator<'_> {
     pub fn relinearize(&self, a: &Ciphertext, rk: &RelinKey) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
         let parts = rlwe::relinearize(&a.parts, rk, &ctx.full, &ctx.data)?;
-        Ok(Ciphertext { parts, seed: None })
+        Ok(a.evaluated(parts))
     }
 
     /// Convenience: multiply then relinearize.
@@ -759,7 +792,7 @@ impl Evaluator<'_> {
         let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, &ctx.full, &ctx.data)?;
         Ok(rotated
             .into_iter()
-            .map(|parts| Ciphertext { parts, seed: None })
+            .map(|parts| a.evaluated(parts))
             .collect())
     }
 
@@ -844,6 +877,7 @@ impl Evaluator<'_> {
         let (rows0, rows1): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
         Ok(Ciphertext {
             parts: vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)],
+            moduli: basis.primes().into(),
             seed: None,
         })
     }
@@ -947,10 +981,7 @@ impl Evaluator<'_> {
         let ctx = self.ctx;
         let terms = rlwe::terms_of_steps(terms, ctx.degree(), galois_element_rows);
         let outs = rlwe::dot_galois(&a.parts, outputs, terms, gk, &ctx.full, &ctx.data)?;
-        Ok(outs
-            .into_iter()
-            .map(|parts| Ciphertext { parts, seed: None })
-            .collect())
+        Ok(outs.into_iter().map(|parts| a.evaluated(parts)).collect())
     }
 
     /// Switches a ciphertext down one modulus level (drops the last data
@@ -979,14 +1010,18 @@ impl Evaluator<'_> {
             .iter()
             .map(|p| crate::keyswitch::mod_down(p, cur, next))
             .collect();
-        Ok(Ciphertext { parts, seed: None })
+        Ok(Ciphertext {
+            parts,
+            moduli: next.primes().into(),
+            seed: None,
+        })
     }
 
     /// Applies the Galois automorphism `x → x^element` with key switching.
     fn galois(&self, a: &Ciphertext, element: u64, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
         let parts = rlwe::apply_galois(&a.parts, element, gk, &ctx.full, &ctx.data)?;
-        Ok(Ciphertext { parts, seed: None })
+        Ok(a.evaluated(parts))
     }
 
     /// Rotates batched rows by `steps` (positive = left).

@@ -18,6 +18,7 @@ use crate::rlwe::{
     self, DotOperand, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey,
 };
 use crate::rnspoly::RnsPoly;
+use crate::serialize;
 use choco_math::bigint::limbs_to_f64;
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
 use choco_math::modops::reduce_signed;
@@ -50,7 +51,9 @@ impl CkksPlaintext {
 #[derive(Debug, Clone)]
 pub struct CkksCiphertext {
     parts: Vec<RnsPoly>,
-    level: usize,
+    /// The active data primes, one per residue row of every part: their
+    /// count is the level. The wire carries them.
+    moduli: Arc<[u64]>,
     scale: f64,
     /// Set only by [`CkksContext::encrypt_symmetric`]: the seed `parts[1]`
     /// expands from, which the wire sends in its place.
@@ -58,26 +61,39 @@ pub struct CkksCiphertext {
 }
 
 impl CkksCiphertext {
-    /// Reassembles a ciphertext from raw parts (wire deserialization).
-    pub fn from_parts(parts: Vec<RnsPoly>, level: usize, scale: f64) -> Self {
+    /// Reassembles a ciphertext from raw parts whose residue rows are modulo
+    /// `moduli`, in order — the level is their count (wire
+    /// deserialization).
+    pub fn from_parts(parts: Vec<RnsPoly>, moduli: &[u64], scale: f64) -> Self {
         assert!(!parts.is_empty(), "ciphertext needs at least one part");
         CkksCiphertext {
             parts,
-            level,
+            moduli: moduli.into(),
             scale,
             seed: None,
         }
     }
 
-    /// A fresh symmetric encryption `(c0, a)` at `level` whose mask `a`
+    /// A fresh symmetric encryption `(c0, a)` over `moduli` whose mask `a`
     /// expands from `seed` (compact-frame deserialization).
     // choco-lint: ct-safe
-    pub(crate) fn seeded(parts: Vec<RnsPoly>, level: usize, scale: f64, seed: MaskSeed) -> Self {
+    pub(crate) fn seeded(parts: Vec<RnsPoly>, moduli: &[u64], scale: f64, seed: MaskSeed) -> Self {
         CkksCiphertext {
             parts,
-            level,
+            moduli: moduli.into(),
             scale,
             seed: Some(seed),
+        }
+    }
+
+    /// An evaluator output at this ciphertext's level: `parts` over the
+    /// same moduli at `scale`, with no seed.
+    fn evaluated(&self, parts: Vec<RnsPoly>, scale: f64) -> Self {
+        CkksCiphertext {
+            parts,
+            moduli: self.moduli.clone(),
+            scale,
+            seed: None,
         }
     }
 
@@ -85,6 +101,11 @@ impl CkksCiphertext {
     /// encryption, never on an evaluator output.
     pub fn seed(&self) -> Option<&MaskSeed> {
         self.seed.as_ref()
+    }
+
+    /// The active data primes, one per residue row of every part.
+    pub fn moduli(&self) -> &[u64] {
+        &self.moduli
     }
 
     /// Number of polynomial components.
@@ -99,7 +120,12 @@ impl CkksCiphertext {
 
     /// Level (number of active data primes).
     pub fn level(&self) -> usize {
-        self.level
+        self.moduli.len()
+    }
+
+    /// Ring degree `N`.
+    pub fn degree(&self) -> usize {
+        self.parts.first().map_or(0, RnsPoly::degree)
     }
 
     /// Fixed-point scale.
@@ -107,15 +133,17 @@ impl CkksCiphertext {
         self.scale
     }
 
-    /// Serialized payload size in bytes at the current level; a seeded
-    /// ciphertext counts `c0` plus the seed and its moduli
-    /// ([`MaskSeed::wire_bytes`]).
+    /// Serialized payload size in bytes at the current level — everything
+    /// of its frame past the header ([`serialize::payload_bytes`]): the
+    /// moduli, then every part (or, seeded, the seed and `c0`), each
+    /// residue at its prime's width.
     pub fn byte_size(&self) -> usize {
-        let poly = self.level * self.parts[0].degree() * 8;
-        match &self.seed {
-            Some(seed) => poly + seed.wire_bytes(),
-            None => self.parts.len() * poly,
-        }
+        serialize::payload_bytes(
+            self.degree(),
+            &self.moduli,
+            self.size(),
+            self.seed.is_some(),
+        )
     }
 }
 
@@ -411,9 +439,10 @@ impl CkksContext {
         rng: &mut Blake3Rng,
     ) -> Result<CkksCiphertext, HeError> {
         self.require_top_level(pt)?;
+        let basis = self.level_basis(pt.level);
         Ok(CkksCiphertext {
-            parts: rlwe::encrypt(pk, &pt.poly, self.level_basis(pt.level), rng),
-            level: pt.level,
+            parts: rlwe::encrypt(pk, &pt.poly, basis, rng),
+            moduli: basis.primes().into(),
             scale: pt.scale,
             seed: None,
         })
@@ -437,24 +466,30 @@ impl CkksContext {
         self.require_top_level(pt)?;
         let basis = self.level_basis(pt.level);
         let (parts, seed) = rlwe::encrypt_symmetric(sk, &pt.poly, basis, rng);
-        Ok(CkksCiphertext::seeded(parts, pt.level, pt.scale, seed))
+        Ok(CkksCiphertext::seeded(
+            parts,
+            basis.primes(),
+            pt.scale,
+            seed,
+        ))
     }
 
     /// Decrypts to a plaintext at the ciphertext's level/scale.
     // choco-lint: secret
     pub fn decrypt(&self, ct: &CkksCiphertext, sk: &SecretKey) -> CkksPlaintext {
         CkksPlaintext {
-            poly: rlwe::dot_with_secret(&ct.parts, sk, self.level_basis(ct.level)),
-            level: ct.level,
+            poly: rlwe::dot_with_secret(&ct.parts, sk, self.level_basis(ct.level())),
+            level: ct.level(),
             scale: ct.scale,
         }
     }
 
     fn check_compatible(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<(), HeError> {
-        if a.level != b.level {
+        if a.level() != b.level() {
             return Err(HeError::Mismatch(format!(
                 "levels {} vs {}",
-                a.level, b.level
+                a.level(),
+                b.level()
             )));
         }
         let ratio = a.scale / b.scale;
@@ -474,12 +509,8 @@ impl CkksContext {
     /// Returns [`HeError::Mismatch`] on level/scale/size mismatch.
     pub fn add(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
         self.check_compatible(a, b)?;
-        Ok(CkksCiphertext {
-            parts: rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
-            level: a.level,
-            scale: a.scale,
-            seed: None,
-        })
+        let parts = rlwe::add_parts(&a.parts, &b.parts, self.level_basis(a.level()))?;
+        Ok(a.evaluated(parts, a.scale))
     }
 
     /// Homomorphic subtraction.
@@ -489,12 +520,8 @@ impl CkksContext {
     /// Returns [`HeError::Mismatch`] on level/scale/size mismatch.
     pub fn sub(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
         self.check_compatible(a, b)?;
-        Ok(CkksCiphertext {
-            parts: rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a.level))?,
-            level: a.level,
-            scale: a.scale,
-            seed: None,
-        })
+        let parts = rlwe::sub_parts(&a.parts, &b.parts, self.level_basis(a.level()))?;
+        Ok(a.evaluated(parts, a.scale))
     }
 
     /// Adds a plaintext.
@@ -507,18 +534,13 @@ impl CkksContext {
         a: &CkksCiphertext,
         pt: &CkksPlaintext,
     ) -> Result<CkksCiphertext, HeError> {
-        if a.level != pt.level || (a.scale / pt.scale - 1.0).abs() > 0.01 {
+        if a.level() != pt.level || (a.scale / pt.scale - 1.0).abs() > 0.01 {
             return Err(HeError::Mismatch("plaintext level/scale mismatch".into()));
         }
-        let basis = self.level_basis(a.level);
+        let basis = self.level_basis(a.level());
         let mut parts = a.parts.clone();
         parts[0].add_assign_poly(&pt.poly, basis);
-        Ok(CkksCiphertext {
-            parts,
-            level: a.level,
-            scale: a.scale,
-            seed: None,
-        })
+        Ok(a.evaluated(parts, a.scale))
     }
 
     /// Multiplies by a plaintext (scales multiply; rescale afterwards).
@@ -531,21 +553,16 @@ impl CkksContext {
         a: &CkksCiphertext,
         pt: &CkksPlaintext,
     ) -> Result<CkksCiphertext, HeError> {
-        if a.level != pt.level {
+        if a.level() != pt.level {
             return Err(HeError::Mismatch("plaintext level mismatch".into()));
         }
-        let basis = self.level_basis(a.level);
+        let basis = self.level_basis(a.level());
         let parts = a
             .parts
             .iter()
             .map(|p| p.mul_poly(&pt.poly, basis))
             .collect();
-        Ok(CkksCiphertext {
-            parts,
-            level: a.level,
-            scale: a.scale * pt.scale,
-            seed: None,
-        })
+        Ok(a.evaluated(parts, a.scale * pt.scale))
     }
 
     /// Ciphertext multiplication with immediate relinearization.
@@ -560,7 +577,7 @@ impl CkksContext {
         b: &CkksCiphertext,
         rk: &RelinKey,
     ) -> Result<CkksCiphertext, HeError> {
-        if a.level != b.level {
+        if a.level() != b.level() {
             return Err(HeError::Mismatch("levels differ".into()));
         }
         if a.size() != 2 || b.size() != 2 {
@@ -568,18 +585,14 @@ impl CkksContext {
                 "multiply requires 2-component operands".into(),
             ));
         }
-        let level = a.level;
+        let level = a.level();
         let basis = self.level_basis(level);
         let d0 = a.parts[0].mul_poly(&b.parts[0], basis);
         let mut d1 = a.parts[0].mul_poly(&b.parts[1], basis);
         d1.add_assign_poly(&a.parts[1].mul_poly(&b.parts[0], basis), basis);
         let d2 = a.parts[1].mul_poly(&b.parts[1], basis);
-        Ok(CkksCiphertext {
-            parts: rlwe::relinearize(&[d0, d1, d2], rk, &self.ks_bases[level - 1], basis)?,
-            level,
-            scale: a.scale * b.scale,
-            seed: None,
-        })
+        let parts = rlwe::relinearize(&[d0, d1, d2], rk, &self.ks_bases[level - 1], basis)?;
+        Ok(a.evaluated(parts, a.scale * b.scale))
     }
 
     /// Rescales: divides by the level's last prime, dropping one level.
@@ -588,12 +601,13 @@ impl CkksContext {
     ///
     /// Returns [`HeError::Mismatch`] at level 1 (nothing left to drop).
     pub fn rescale(&self, a: &CkksCiphertext) -> Result<CkksCiphertext, HeError> {
-        if a.level <= 1 {
+        let level = a.level();
+        if level <= 1 {
             return Err(HeError::Mismatch("cannot rescale below level 1".into()));
         }
-        let cur = self.level_basis(a.level);
-        let next = self.level_basis(a.level - 1);
-        let q_last = cur.primes()[a.level - 1];
+        let cur = self.level_basis(level);
+        let next = self.level_basis(level - 1);
+        let q_last = cur.primes()[level - 1];
         let parts = a
             .parts
             .iter()
@@ -603,7 +617,7 @@ impl CkksContext {
             .collect();
         Ok(CkksCiphertext {
             parts,
-            level: a.level - 1,
+            moduli: next.primes().into(),
             scale: a.scale / q_last as f64,
             seed: None,
         })
@@ -621,13 +635,13 @@ impl CkksContext {
         a: &CkksCiphertext,
         level: usize,
     ) -> Result<CkksCiphertext, HeError> {
-        if level == 0 || level > a.level {
+        if level == 0 || level > a.level() {
             return Err(HeError::Mismatch("invalid mod-switch target".into()));
         }
         let parts = a.parts.iter().map(|p| p.prefix(level)).collect();
         Ok(CkksCiphertext {
             parts,
-            level,
+            moduli: self.level_basis(level).primes().into(),
             scale: a.scale,
             seed: None,
         })
@@ -648,13 +662,9 @@ impl CkksContext {
         gk: &GaloisKeys,
     ) -> Result<CkksCiphertext, HeError> {
         let e = galois_element_ckks(steps, self.degree())?;
-        let (ks_basis, basis) = (&self.ks_bases[a.level - 1], self.level_basis(a.level));
-        Ok(CkksCiphertext {
-            parts: rlwe::apply_galois(&a.parts, e, gk, ks_basis, basis)?,
-            level: a.level,
-            scale: a.scale,
-            seed: None,
-        })
+        let (ks_basis, basis) = (&self.ks_bases[a.level() - 1], self.level_basis(a.level()));
+        let parts = rlwe::apply_galois(&a.parts, e, gk, ks_basis, basis)?;
+        Ok(a.evaluated(parts, a.scale))
     }
 
     /// Rotates the same ciphertext by many step counts with one shared
@@ -672,15 +682,12 @@ impl CkksContext {
         gk: &GaloisKeys,
     ) -> Result<Vec<CkksCiphertext>, HeError> {
         let elements = self.slot_elements(steps)?;
-        let (ks_basis, basis) = (&self.ks_bases[a.level - 1], self.level_basis(a.level));
+        let (ks_basis, basis) = (&self.ks_bases[a.level() - 1], self.level_basis(a.level()));
         let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, ks_basis, basis)?;
-        let at_level = |parts| CkksCiphertext {
-            parts,
-            level: a.level,
-            scale: a.scale,
-            seed: None,
-        };
-        Ok(rotated.into_iter().map(at_level).collect())
+        Ok(rotated
+            .into_iter()
+            .map(|parts| a.evaluated(parts, a.scale))
+            .collect())
     }
 
     /// Fused rotate-and-dot: `Σ_k rotate(a, s_k) ⊙ m_k` (step 0 meaning `a`
@@ -729,15 +736,13 @@ impl CkksContext {
         gk: &GaloisKeys,
     ) -> Result<Vec<CkksCiphertext>, HeError> {
         let terms = rlwe::terms_of_steps(terms, self.degree(), galois_element_ckks);
-        let (ks_basis, basis) = self.bases_at(a.level)?;
+        let (ks_basis, basis) = self.bases_at(a.level())?;
         let outs = rlwe::dot_galois(&a.parts, outputs, terms, gk, ks_basis, basis)?;
-        let at_level = |parts| CkksCiphertext {
-            parts,
-            level: a.level,
-            scale: a.scale * self.default_scale,
-            seed: None,
-        };
-        Ok(outs.into_iter().map(at_level).collect())
+        let scale = a.scale * self.default_scale;
+        Ok(outs
+            .into_iter()
+            .map(|parts| a.evaluated(parts, scale))
+            .collect())
     }
 }
 

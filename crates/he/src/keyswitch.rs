@@ -32,7 +32,8 @@ use choco_prng::Blake3Rng;
 #[derive(Debug, Clone)]
 pub struct KswitchKey {
     pairs: Vec<(RnsPoly, RnsPoly)>,
-    full_prime_count: usize,
+    /// The full basis's primes, special prime last: one per pair row.
+    moduli: Vec<u64>,
 }
 
 impl KswitchKey {
@@ -41,10 +42,11 @@ impl KswitchKey {
         self.pairs.len()
     }
 
-    /// Serialized size in bytes (`2 polys × k residues × N × 8` per digit).
+    /// Size in the paper's provisioning model, 8 bytes per residue
+    /// (`2 polys × k residues × N × 8` per digit). The wire packs each
+    /// residue at its prime's width (`serialize::relin_to_bytes`).
     pub fn size_bytes(&self) -> usize {
-        let n = self.pairs[0].0.degree();
-        self.pairs.len() * 2 * self.full_prime_count * n * 8
+        self.pairs.len() * 2 * self.moduli.len() * self.degree() * 8
     }
 
     /// The `(b_j, a_j)` digit pairs in NTT form (wire serialization).
@@ -52,27 +54,37 @@ impl KswitchKey {
         &self.pairs
     }
 
-    /// Number of primes in the full basis the pairs are stored over.
-    pub fn full_prime_count(&self) -> usize {
-        self.full_prime_count
+    /// The primes of the full basis the pairs are stored over, special
+    /// prime last.
+    pub fn moduli(&self) -> &[u64] {
+        &self.moduli
     }
 
-    /// Reassembles a key from raw digit pairs (wire deserialization).
+    /// The ring degree of the pairs.
+    pub fn degree(&self) -> usize {
+        self.pairs.first().map_or(0, |(b, _)| b.degree())
+    }
+
+    /// Whether the key lives over `moduli` at degree `n`.
+    pub fn is_over(&self, moduli: &[u64], n: usize) -> bool {
+        self.moduli == moduli && self.degree() == n
+    }
+
+    /// Reassembles a key from raw digit pairs over `moduli` (wire
+    /// deserialization).
     ///
     /// Returns `None` when the shape is inconsistent: no digits, or a pair
-    /// whose polynomials do not span `full_prime_count` residue rows.
-    pub fn from_parts(pairs: Vec<(RnsPoly, RnsPoly)>, full_prime_count: usize) -> Option<Self> {
+    /// whose polynomials do not span one residue row per modulus.
+    pub fn from_parts(pairs: Vec<(RnsPoly, RnsPoly)>, moduli: Vec<u64>) -> Option<Self> {
+        let k = moduli.len();
         if pairs.is_empty()
-            || pairs.iter().any(|(b, a)| {
-                b.row_count() != full_prime_count || a.row_count() != full_prime_count
-            })
+            || pairs
+                .iter()
+                .any(|(b, a)| b.row_count() != k || a.row_count() != k)
         {
             return None;
         }
-        Some(KswitchKey {
-            pairs,
-            full_prime_count,
-        })
+        Some(KswitchKey { pairs, moduli })
     }
 }
 
@@ -132,7 +144,7 @@ pub fn generate_ksk(
         .collect();
     KswitchKey {
         pairs,
-        full_prime_count: k,
+        moduli: full.primes().to_vec(),
     }
 }
 
@@ -258,7 +270,7 @@ pub fn hoisted_accumulate(
         "ks basis must add the special prime"
     );
     assert!(level <= ksk.pairs.len(), "level exceeds key digit count");
-    let k_storage = ksk.full_prime_count;
+    let k_storage = ksk.moduli.len();
 
     // Accumulate in NTT form, one (acc0, acc1) row pair per ks prime. Rows
     // are independent, so this is the parallel axis; within a row the digit

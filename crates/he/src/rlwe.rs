@@ -143,9 +143,14 @@ pub struct RelinKey {
 }
 
 impl RelinKey {
-    /// Serialized size in bytes.
+    /// Size in the paper's provisioning model ([`KswitchKey::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.ksk.size_bytes()
+    }
+
+    /// The key-switching key itself.
+    pub fn key_switching_key(&self) -> &KswitchKey {
+        &self.ksk
     }
 }
 
@@ -163,9 +168,21 @@ impl GaloisKeys {
         v
     }
 
-    /// Serialized size in bytes of all keys.
+    /// Size of all keys in the paper's provisioning model
+    /// ([`KswitchKey::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.keys.values().map(|k| k.size_bytes()).sum()
+    }
+
+    /// The key for `element`, if the set holds one.
+    pub fn get(&self, element: u64) -> Option<&KswitchKey> {
+        self.keys.get(&element)
+    }
+
+    /// Whether every key lives over `moduli` at degree `n`; true of an
+    /// empty set.
+    pub fn all_over(&self, moduli: &[u64], n: usize) -> bool {
+        self.keys.values().all(|k| k.is_over(moduli, n))
     }
 
     /// The key for `element`, or [`HeError::MissingGaloisKey`].
@@ -270,25 +287,21 @@ pub fn dot_with_secret(parts: &[RnsPoly], sk: &SecretKey, basis: &RnsBasis) -> R
 }
 
 /// What a compact wire frame sends in place of a fresh symmetric
-/// encryption's mask `c1 = a`: the 32-byte seed `a` expands from and the
-/// residue moduli it expands over ([`expand_seed`]). Only encryption sets
-/// one; no evaluator output carries it.
+/// encryption's mask `c1 = a`: the 32-byte seed `a` expands over the
+/// ciphertext's moduli ([`expand_seed`]). Only encryption sets one; no
+/// evaluator output carries it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskSeed {
     pub(crate) bytes: [u8; 32],
-    pub(crate) moduli: Vec<u64>,
 }
 
 impl MaskSeed {
-    /// The residue moduli the mask expands over, in row order.
-    pub fn moduli(&self) -> &[u64] {
-        &self.moduli
-    }
+    /// Bytes it takes on the wire in place of `c1`.
+    pub const WIRE_BYTES: usize = 32;
 
-    /// Bytes it takes on the wire in place of `c1`: the seed and one word
-    /// per modulus.
-    pub fn wire_bytes(&self) -> usize {
-        32 + 8 * self.moduli.len()
+    /// The seed itself: public, it travels in the clear.
+    pub fn bytes(&self) -> &[u8; 32] {
+        &self.bytes
     }
 }
 
@@ -306,24 +319,21 @@ pub fn encrypt_symmetric(
 ) -> (Vec<RnsPoly>, MaskSeed) {
     let mut bytes = [0u8; 32];
     rng.fill_bytes(&mut bytes);
-    let seed = MaskSeed {
-        bytes,
-        moduli: basis.primes().to_vec(),
-    };
-    let a = expand_seed(&seed, basis.degree());
+    let seed = MaskSeed { bytes };
+    let a = expand_seed(&seed, basis.primes(), basis.degree());
     let mut c0 = masked_zero(&a, &sk.ntt, basis, rng);
     c0.add_assign_poly(msg, basis);
     (vec![c0, a], seed)
 }
 
-/// The uniform degree-`n` mask `a` a seed stands for, over its moduli. It
+/// The uniform degree-`n` mask `a` a seed stands for, over `moduli`. It
 /// needs no context, so a decoder expands a compact frame from the frame
 /// alone.
 // choco-lint: ct-safe
-pub fn expand_seed(seed: &MaskSeed, n: usize) -> RnsPoly {
+pub fn expand_seed(seed: &MaskSeed, moduli: &[u64], n: usize) -> RnsPoly {
     // The label is part of the compact wire format.
     let mut a_rng = Blake3Rng::from_seed_labeled(&seed.bytes, "rlwe-seeded-c1");
-    RnsPoly::sample_uniform_masked(&mut a_rng, &seed.moduli, n)
+    RnsPoly::sample_uniform_masked(&mut a_rng, moduli, n)
 }
 
 /// Rejects parts that are not polynomials over `basis`.

@@ -35,7 +35,7 @@
 use crate::bfv::{self, BfvContext};
 use crate::ckks::{self, CkksContext};
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey};
+use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey};
 use crate::serialize;
 use crate::HeError;
 use choco_prng::Blake3Rng;
@@ -155,16 +155,30 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
 
     /// Refuses a ciphertext that cannot be a program input in `ctx`: one
     /// below the top modulus level (such as a download, which leaves the
-    /// server switched down, re-submitted), or one whose mask seed expands
-    /// over moduli other than `ctx`'s data primes — a compact upload made
-    /// for another parameter set, which the evaluator would compute over
-    /// the wrong ring.
+    /// server switched down, re-submitted), or one over moduli other than
+    /// `ctx`'s data primes or at another degree — an upload made for
+    /// another parameter set, which the evaluator would compute over the
+    /// wrong ring. Every frame carries its moduli, full or compact.
     ///
     /// # Errors
     ///
     /// Returns [`HeError::Mismatch`] naming the levels or both sets of
     /// moduli.
     fn check_moduli(ctx: &Self::Context, ct: &Self::Ciphertext) -> Result<(), HeError>;
+
+    /// Refuses evaluation keys that cannot serve `ctx`: a relinearization
+    /// or Galois key over moduli other than `ctx`'s full basis, or at
+    /// another degree — keys made for another parameter set, which would
+    /// key-switch over the wrong ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::Mismatch`] naming both sets of moduli.
+    fn check_keys(
+        ctx: &Self::Context,
+        rk: &Self::RelinKey,
+        gk: &Self::GaloisKeys,
+    ) -> Result<(), HeError>;
 
     /// Wire size of the public key (provisioning accounting).
     fn public_key_bytes(pk: &Self::PublicKey) -> usize;
@@ -268,26 +282,45 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     fn value_matches(got: Self::Value, want: Self::Value, tol: f64) -> bool;
 }
 
-/// [`HeScheme::check_moduli`] for a ciphertext at `level` with mask seed
-/// `seed` against a context whose top level has the data primes `primes`.
+/// [`HeScheme::check_moduli`] for a degree-`degree` ciphertext over
+/// `moduli` against a context of degree `n` whose top level has the data
+/// primes `primes`.
 fn check_input_moduli(
-    level: usize,
-    seed: Option<&MaskSeed>,
+    moduli: &[u64],
+    degree: usize,
     primes: &[u64],
+    n: usize,
 ) -> Result<(), HeError> {
-    if level != primes.len() {
+    if moduli.len() != primes.len() {
         return Err(HeError::Mismatch(format!(
-            "ciphertext at level {level} where inputs enter at the top level {}",
+            "ciphertext at level {} where inputs enter at the top level {}",
+            moduli.len(),
             primes.len()
         )));
     }
-    match seed {
-        Some(seed) if seed.moduli() != primes => Err(HeError::Mismatch(format!(
-            "ciphertext seeded over moduli {:?} where the context's are {primes:?}",
-            seed.moduli()
-        ))),
-        _ => Ok(()),
+    if moduli != primes || degree != n {
+        return Err(HeError::Mismatch(format!(
+            "ciphertext over moduli {moduli:?} at degree {degree} where the context's are \
+             {primes:?} at degree {n}"
+        )));
     }
+    Ok(())
+}
+
+/// [`HeScheme::check_keys`] against the parameter set `params`: both keys
+/// must live over its full basis at its degree.
+fn check_key_moduli(rk: &RelinKey, gk: &GaloisKeys, params: &HeParams) -> Result<(), HeError> {
+    let (primes, n) = (params.primes(), params.degree());
+    let which = if !rk.key_switching_key().is_over(primes, n) {
+        "relinearization key"
+    } else if !gk.all_over(primes, n) {
+        "Galois key"
+    } else {
+        return Ok(());
+    };
+    Err(HeError::Mismatch(format!(
+        "{which} not over the parameter set's moduli {primes:?} at degree {n}"
+    )))
 }
 
 /// Marker for the exact integer scheme (BFV).
@@ -386,7 +419,12 @@ impl HeScheme for Bfv {
     }
 
     fn check_moduli(ctx: &BfvContext, ct: &bfv::Ciphertext) -> Result<(), HeError> {
-        check_input_moduli(ct.level(), ct.seed(), ctx.data_basis().primes())
+        let primes = ctx.data_basis().primes();
+        check_input_moduli(ct.moduli(), ct.degree(), primes, ctx.degree())
+    }
+
+    fn check_keys(ctx: &BfvContext, rk: &RelinKey, gk: &GaloisKeys) -> Result<(), HeError> {
+        check_key_moduli(rk, gk, ctx.params())
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {
@@ -563,7 +601,11 @@ impl HeScheme for Ckks {
 
     fn check_moduli(ctx: &CkksContext, ct: &ckks::CkksCiphertext) -> Result<(), HeError> {
         let top = ctx.params().primes().get(..ctx.top_level());
-        check_input_moduli(ct.level(), ct.seed(), top.unwrap_or(&[]))
+        check_input_moduli(ct.moduli(), ct.degree(), top.unwrap_or(&[]), ctx.degree())
+    }
+
+    fn check_keys(ctx: &CkksContext, rk: &RelinKey, gk: &GaloisKeys) -> Result<(), HeError> {
+        check_key_moduli(rk, gk, ctx.params())
     }
 
     fn public_key_bytes(pk: &PublicKey) -> usize {
@@ -655,11 +697,11 @@ mod tests {
 
     /// The generic boundary round-trips for any scheme; exactness is
     /// asserted by each monomorphization below. A fresh encryption travels
-    /// as its compact frame of exactly `header + ct_bytes` bytes — `c0`, the
-    /// 32-byte seed and a word per data prime, `32 + 8k` more than half an
-    /// Eq. 2 ciphertext — and its decoding (`c1` expanded from the frame
-    /// alone) re-encodes to the same bytes. Returns the encryption, its
-    /// decoding and the decoding's decryption.
+    /// as its compact frame of exactly `header + ct_bytes` bytes — `c0`
+    /// packed at its primes' widths, the 32-byte seed and a word per data
+    /// prime — and its decoding (`c1` expanded from the frame alone)
+    /// re-encodes to the same bytes. Returns the encryption, its decoding
+    /// and the decoding's decryption.
     fn roundtrip<S: HeScheme>(
         params: &HeParams,
         values: &[S::Value],
@@ -670,7 +712,9 @@ mod tests {
         let keys = S::keygen(&ctx, &mut rng);
         let ct = S::encrypt(&ctx, &keys, values, &mut rng).unwrap();
         let k = params.data_prime_count();
-        assert_eq!(S::ct_bytes(&ct), params.ciphertext_bytes() / 2 + 32 + 8 * k);
+        let c0 = serialize::packed_bytes(params.degree(), &params.primes()[..k]);
+        assert_eq!(S::ct_bytes(&ct), c0 + 32 + 8 * k);
+        assert!(c0 < params.ciphertext_bytes() / 2);
         let wire = S::ct_to_wire(&ct);
         assert_eq!(wire.len(), header + S::ct_bytes(&ct));
         let back = S::ct_from_wire(&wire).unwrap();
@@ -702,10 +746,62 @@ mod tests {
         }
     }
 
+    /// The ledger bills `ct_bytes`; the link carries the frame. At every
+    /// paper set, both schemes, compact and full frames (3-part products
+    /// too) and every level down to one residue, they differ by exactly the
+    /// frame's header.
+    #[test]
+    fn ct_bytes_is_the_frame_past_its_header_at_every_set_and_level() {
+        let billed = |bytes: usize, wire: Vec<u8>, header: usize| {
+            assert_eq!(bytes, wire.len() - header);
+        };
+        for params in [HeParams::set_a(), HeParams::set_b()] {
+            let ctx = Bfv::context(&params).unwrap();
+            let keys = Bfv::keygen(&ctx, &mut rng());
+            let compact = Bfv::encrypt(&ctx, &keys, &[1, 2, 3], &mut rng()).unwrap();
+            let header = serialize::SEEDED_HEADER_BYTES;
+            billed(Bfv::ct_bytes(&compact), Bfv::ct_to_wire(&compact), header);
+            let eval = ctx.evaluator();
+            let mut full = Bfv::add(&ctx, &compact, &compact).unwrap();
+            let mut levels = 0;
+            loop {
+                // A 3-part product exists at the full data modulus only.
+                let product = eval.multiply(&full, &full).ok();
+                for ct in std::iter::once(&full).chain(&product) {
+                    billed(
+                        Bfv::ct_bytes(ct),
+                        Bfv::ct_to_wire(ct),
+                        serialize::HEADER_BYTES,
+                    );
+                }
+                levels += 1;
+                match eval.mod_switch_to_next(&full) {
+                    Ok(next) => full = next,
+                    Err(_) => break,
+                }
+            }
+            assert_eq!(levels, params.data_prime_count());
+        }
+        let params = HeParams::set_c();
+        let ctx = Ckks::context(&params).unwrap();
+        let keys = Ckks::keygen(&ctx, &mut rng());
+        let compact = Ckks::encrypt(&ctx, &keys, &[0.5, 0.25], &mut rng()).unwrap();
+        let header = serialize::CKKS_SEEDED_HEADER_BYTES;
+        billed(Ckks::ct_bytes(&compact), Ckks::ct_to_wire(&compact), header);
+        let full = Ckks::add(&ctx, &compact, &compact).unwrap();
+        for level in (1..=ctx.top_level()).rev() {
+            let ct = ctx.mod_switch_to(&full, level).unwrap();
+            let header = serialize::CKKS_HEADER_BYTES;
+            billed(Ckks::ct_bytes(&ct), Ckks::ct_to_wire(&ct), header);
+        }
+    }
+
     #[test]
     fn a_seed_expands_over_the_context_moduli_only() {
         // The same upload checked against a context of other primes at the
-        // same degree: refused as a mismatch, not evaluated.
+        // same degree: refused as a mismatch, not evaluated. An evaluator
+        // output's full frame carries its moduli too, so it is refused the
+        // same way.
         let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
         let foreign = HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap();
         let ctx = Bfv::context(&params).unwrap();
@@ -717,9 +813,38 @@ mod tests {
             Bfv::check_moduli(&other, &ct),
             Err(HeError::Mismatch(_))
         ));
-        // An evaluator output carries no seed, so there is nothing to check.
-        let sum = Bfv::add(&ctx, &ct, &ct).unwrap();
-        assert!(Bfv::check_moduli(&other, &sum).is_ok());
+        let sum = Bfv::ct_from_wire(&Bfv::ct_to_wire(&Bfv::add(&ctx, &ct, &ct).unwrap())).unwrap();
+        assert!(sum.seed().is_none());
+        assert!(Bfv::check_moduli(&ctx, &sum).is_ok());
+        assert!(matches!(
+            Bfv::check_moduli(&other, &sum),
+            Err(HeError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn keys_are_checked_against_the_context_they_serve() {
+        let own = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
+        let foreign = HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap();
+        let keys_of = |params: &HeParams| {
+            let ctx = Bfv::context(params).unwrap();
+            let keys = Bfv::keygen(&ctx, &mut rng());
+            let rk = Bfv::relin_key(&ctx, &keys, &mut rng()).unwrap();
+            let gk = Bfv::galois_keys(&ctx, &keys, &[1], &mut rng()).unwrap();
+            (ctx, rk, gk)
+        };
+        let (ctx, rk, gk) = keys_of(&own);
+        let (_, foreign_rk, foreign_gk) = keys_of(&foreign);
+        assert_eq!(Bfv::check_keys(&ctx, &rk, &gk), Ok(()));
+        for (rk, gk, which) in [
+            (&foreign_rk, &gk, "relinearization key"),
+            (&rk, &foreign_gk, "Galois key"),
+        ] {
+            match Bfv::check_keys(&ctx, rk, gk) {
+                Err(HeError::Mismatch(why)) => assert!(why.starts_with(which), "{why}"),
+                other => panic!("expected a mismatch, got {other:?}"),
+            }
+        }
     }
 
     /// Every evaluator output of a seeded encryption is a plain ciphertext:

@@ -1,28 +1,46 @@
-//! Wire formats for ciphertexts and plaintexts.
+//! Wire formats for ciphertexts and evaluation keys.
 //!
-//! The paper's communication accounting assumes `s · N · (k−1) · 8` bytes
-//! per ciphertext (Table 3); this module makes that concrete: ciphertexts
-//! serialize to exactly that many payload bytes plus a fixed header (magic,
-//! component count, residue count / level, degree, and for CKKS the scale).
-//! The ledger in `choco::protocol` counts payload bytes, so serialized sizes
-//! and ledger sizes agree.
+//! Every frame packs its residues at their primes' widths: row `i` of a
+//! polynomial over moduli `q_0, …, q_{k−1}` is written LSB-first at
+//! `w_i = 64 − q_i.leading_zeros()` bits per coefficient, in `⌈N·w_i/8⌉`
+//! bytes whose padding bits are zero ([`residue_bits`], [`packed_bytes`]).
+//! A set-B residue (36 or 37 bits) takes 4.5 bytes where an 8-byte word
+//! would carry 28 zero bits. The paper's Table 3 size, `s · N · (k−1) · 8`,
+//! stays `HeParams::ciphertext_bytes`' model; the ledger bills what a frame
+//! carries past its header ([`payload_bytes`], `Ciphertext::byte_size`).
 //!
-//! A fresh encryption travels in *compact* form (`CHS1` / `CHS2`): the
-//! header, the residue moduli, the 32-byte seed its mask `c1` expands from
-//! ([`crate::rlwe::expand_seed`]) and `c0`'s residues — half the bytes of a
-//! full frame. The frame describes itself, so its decoder needs no context:
-//! it checks the shape, the exact length and every modulus (an NTT-friendly
-//! prime below `2^61` for the claimed degree) before it allocates, checks
-//! `c0`'s residues against them, and only then expands `c1`. A decoded
-//! compact ciphertext keeps its seed, so it re-encodes to the same bytes.
+//! Frames, integers little-endian, `moduli` one `u64` per residue row:
+//!
+//! * a ciphertext, `CPO1 | parts:u32 | rows:u32 | N:u32 | moduli | parts`
+//!   (BFV) or `CPO2 | parts:u32 | level:u32 | N:u32 | scale:f64 | moduli |
+//!   parts` (CKKS) — every evaluator output;
+//! * a *compact* ciphertext, `CPS1 | rows | N | moduli | seed:32B | c0` or
+//!   `CPS2 | level | N | scale | moduli | seed | c0` — a fresh encryption,
+//!   whose mask `c1` expands from the seed ([`crate::rlwe::expand_seed`]):
+//!   half the bytes of a full frame. A decoded compact ciphertext keeps its
+//!   seed, so it re-encodes to the same bytes;
+//! * a relinearization key, `CPR1`/`CPR2 | digits | primes | N | moduli |
+//!   digits × (b, a)`, and a Galois key set, `CPG1`/`CPG2 | count | digits |
+//!   primes | N | moduli | count × (element:u64 | digits × (b, a))`, over
+//!   the full basis, special prime last.
+//!
+//! Every frame describes itself, so its decoder needs no context: it checks
+//! the shape, every modulus (a distinct NTT-friendly prime below `2^61` for
+//! the claimed degree) and the exact length they imply before it allocates,
+//! then unpacks each residue, refusing one that is not below its prime and
+//! any nonzero padding bit — a decoder accepts exactly the bytes its
+//! encoder writes. A compact frame's `c1` is expanded only after `c0` has
+//! passed. Frames of the retired 8-byte layout (`CH…` magics) are refused
+//! like any other bad magic.
 //!
 //! Deserialization is fully checked: every read is bounds-validated and
-//! malformed frames surface as [`HeError::InvalidCiphertext`], never as a
-//! panic — the transport layer (`choco::transport`) feeds these functions
-//! bytes that crossed a lossy link, so "attacker-shaped" input is the normal
-//! case, not the exception. Integrity (detecting *valid-shaped but altered*
-//! frames) is layered above via the transport's keyed BLAKE3 tags;
-//! [`ciphertext_from_bytes`] alone accepts any well-formed frame.
+//! malformed frames surface as [`HeError::InvalidCiphertext`] (key blobs:
+//! [`HeError::InvalidKeyMaterial`]), never as a panic — the transport layer
+//! (`choco::transport`) feeds these functions bytes that crossed a lossy
+//! link, so "attacker-shaped" input is the normal case, not the exception.
+//! Integrity (detecting *valid-shaped but altered* frames) is layered above
+//! via the transport's keyed BLAKE3 tags; [`ciphertext_from_bytes`] alone
+//! accepts any well-formed frame.
 
 use crate::bfv::Ciphertext;
 use crate::ckks::CkksCiphertext;
@@ -31,31 +49,30 @@ use crate::keyswitch::KswitchKey;
 use crate::params::SchemeType;
 use crate::rlwe::{self, GaloisKeys, MaskSeed, RelinKey};
 use crate::rnspoly::RnsPoly;
+use choco_math::pool::PolyPool;
 use choco_math::prime::is_prime;
 use std::collections::HashMap;
 
-/// Magic tag for BFV ciphertext frames.
-const MAGIC: [u8; 4] = *b"CHO1";
+/// Smallest and largest ring degree a frame may claim.
+const MIN_DEGREE: usize = 16;
+const MAX_DEGREE: usize = 1 << 17;
 
-/// Magic tag for CKKS ciphertext frames.
-const CKKS_MAGIC: [u8; 4] = *b"CHO2";
+/// Most residue rows (or key-switching digits) a frame may claim.
+const MAX_ROWS: usize = 32;
 
-/// Magic tags for compact (seeded) BFV and CKKS ciphertext frames.
-const SEEDED_MAGIC: [u8; 4] = *b"CHS1";
-const CKKS_SEEDED_MAGIC: [u8; 4] = *b"CHS2";
+/// Most keys a Galois set may hold.
+const MAX_GALOIS_KEYS: usize = 4096;
 
-/// Largest ring degree a compact frame may claim.
-const MAX_SEEDED_DEGREE: usize = 1 << 17;
-
-/// Magic of a key blob: `CH`, the kind (`R`elin or `G`alois), then
-/// `1` for BFV or `2` for CKKS — the only byte in which the two schemes'
-/// key wires differ.
-fn key_magic(kind: u8, scheme: SchemeType) -> [u8; 4] {
+/// Magic of a frame: `CP` (packed residues), the kind — `O` a ciphertext,
+/// `S` a compact one, `R` a relinearization key, `G` a Galois key set —
+/// then `1` for BFV or `2` for CKKS, the only byte in which the two
+/// schemes' frames of a kind differ.
+pub fn magic(kind: u8, scheme: SchemeType) -> [u8; 4] {
     let scheme = match scheme {
         SchemeType::Bfv => b'1',
         SchemeType::Ckks => b'2',
     };
-    [b'C', b'H', kind, scheme]
+    [b'C', b'P', kind, scheme]
 }
 
 /// BFV header size in bytes (magic, parts, rows, degree).
@@ -69,6 +86,84 @@ pub const SEEDED_HEADER_BYTES: usize = 12;
 
 /// Compact CKKS header size in bytes (magic, level, degree, scale).
 pub const CKKS_SEEDED_HEADER_BYTES: usize = 20;
+
+/// Bits one residue modulo `q` takes on the wire: `q`'s bit length.
+pub fn residue_bits(q: u64) -> usize {
+    (u64::BITS - q.leading_zeros()) as usize
+}
+
+/// Bytes a degree-`n` polynomial over `moduli` takes on the wire: each
+/// residue row packed at its prime's width.
+pub fn packed_bytes(n: usize, moduli: &[u64]) -> usize {
+    moduli
+        .iter()
+        .map(|&q| (n * residue_bits(q)).div_ceil(8))
+        .sum()
+}
+
+/// Bytes a ciphertext frame carries past its header: one word per modulus,
+/// then the 32-byte seed and `c0` if `seeded`, else `parts` polynomials of
+/// degree `n`, all packed over `moduli`.
+pub fn payload_bytes(n: usize, moduli: &[u64], parts: usize, seeded: bool) -> usize {
+    let polys = if seeded {
+        MaskSeed::WIRE_BYTES + packed_bytes(n, moduli)
+    } else {
+        parts * packed_bytes(n, moduli)
+    };
+    8 * moduli.len() + polys
+}
+
+fn push_u32(out: &mut Vec<u8>, word: usize) {
+    out.extend_from_slice(&(word as u32).to_le_bytes());
+}
+
+/// Appends `row` LSB-first at `w` bits per residue, zero-padded to a whole
+/// byte. Every residue must fit in `w` bits.
+fn pack_row(out: &mut Vec<u8>, row: &[u64], w: usize) {
+    let mut acc = 0u128;
+    let mut bits = 0;
+    for &x in row {
+        debug_assert!(x >> w == 0, "residue {x} wider than {w} bits");
+        acc |= u128::from(x) << bits;
+        bits += w;
+        if bits >= 64 {
+            out.extend_from_slice(&(acc as u64).to_le_bytes());
+            acc >>= 64;
+            bits -= 64;
+        }
+    }
+    out.extend(acc.to_le_bytes().iter().take(bits.div_ceil(8)));
+}
+
+/// Appends `poly`'s residue rows, row `i` packed at `moduli[i]`'s width.
+fn write_poly(out: &mut Vec<u8>, poly: &RnsPoly, moduli: &[u64]) {
+    for (r, &q) in (0..poly.row_count()).zip(moduli) {
+        pack_row(out, poly.row(r), residue_bits(q));
+    }
+}
+
+/// Appends a ciphertext's body after its header words: the moduli, then
+/// the seed and `c0` of a seeded ciphertext, or every part of another.
+fn write_body<'a>(
+    out: &mut Vec<u8>,
+    mut parts: impl Iterator<Item = &'a RnsPoly>,
+    moduli: &[u64],
+    seed: Option<&MaskSeed>,
+) {
+    for q in moduli {
+        out.extend_from_slice(&q.to_le_bytes());
+    }
+    if let Some(seed) = seed {
+        out.extend_from_slice(seed.bytes());
+        if let Some(c0) = parts.next() {
+            write_poly(out, c0, moduli);
+        }
+        return;
+    }
+    for part in parts {
+        write_poly(out, part, moduli);
+    }
+}
 
 /// A bounds-checked little-endian reader over a byte slice.
 struct Reader<'a> {
@@ -86,193 +181,258 @@ impl<'a> Reader<'a> {
             .off
             .checked_add(n)
             .ok_or_else(|| HeError::InvalidCiphertext("frame offset overflow".into()))?;
-        if end > self.bytes.len() {
-            return Err(HeError::InvalidCiphertext(format!(
+        let out = self.bytes.get(self.off..end).ok_or_else(|| {
+            HeError::InvalidCiphertext(format!(
                 "truncated frame: need {end} bytes, have {}",
                 self.bytes.len()
-            )));
-        }
-        let out = &self.bytes[self.off..end];
+            ))
+        })?;
         self.off = end;
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, HeError> {
-        let b = self.take(4)?;
+    fn u32(&mut self) -> Result<usize, HeError> {
         let mut buf = [0u8; 4];
-        buf.copy_from_slice(b);
-        Ok(u32::from_le_bytes(buf))
+        buf.copy_from_slice(self.take(4)?);
+        Ok(u32::from_le_bytes(buf) as usize)
     }
 
     fn u64(&mut self) -> Result<u64, HeError> {
-        let b = self.take(8)?;
         let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
+        buf.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn f64(&mut self) -> Result<f64, HeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-/// Reads `parts` polynomials of `rows × n` little-endian residues.
-fn read_polys(
-    r: &mut Reader<'_>,
-    parts: usize,
-    rows: usize,
-    n: usize,
-) -> Result<Vec<RnsPoly>, HeError> {
-    let mut polys = Vec::with_capacity(parts);
-    for _ in 0..parts {
-        let mut rows_vec = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(n);
-            for _ in 0..n {
-                row.push(r.u64()?);
-            }
-            rows_vec.push(row);
+    /// Refuses a frame that does not end exactly `rest` bytes past here.
+    fn expect_rest(&self, rest: Option<usize>) -> Result<(), HeError> {
+        let expect = rest.and_then(|rest| self.off.checked_add(rest));
+        if expect != Some(self.bytes.len()) {
+            return Err(HeError::InvalidCiphertext(format!(
+                "frame length {} != expected {expect:?}",
+                self.bytes.len()
+            )));
         }
-        polys.push(RnsPoly::from_rows(rows_vec));
+        Ok(())
     }
-    Ok(polys)
+
+    /// Reads `rows` modulus words and checks them for degree `n`
+    /// ([`check_moduli`]).
+    fn moduli(&mut self, rows: usize, n: usize) -> Result<Vec<u64>, HeError> {
+        let moduli = (0..rows).map(|_| self.u64());
+        let moduli = moduli.collect::<Result<Vec<_>, _>>()?;
+        check_moduli(&moduli, n)?;
+        Ok(moduli)
+    }
+
+    /// Reads one row of `n` residues modulo `q` packed at `q`'s width,
+    /// refusing a residue not below `q` and a nonzero padding bit. Scans
+    /// the whole row whatever it finds.
+    fn unpack_row(&mut self, n: usize, q: u64) -> Result<Vec<u64>, HeError> {
+        let w = residue_bits(q);
+        let mask = u64::MAX.checked_shr(64 - w as u32).unwrap_or(0);
+        let bytes = self.take((n * w).div_ceil(8))?;
+        let mut row = PolyPool::take_scratch(n);
+        let mut reduced = true;
+        for (j, x) in row.iter_mut().enumerate() {
+            // Residue `j` starts at bit `j·w`: its 16-byte window holds it
+            // whole (`w ≤ 64`, shift ≤ 7), zero-extended past the row's end.
+            let (at, shift) = ((j * w) / 8, (j * w) % 8);
+            let window = match bytes.get(at..at + 16) {
+                Some(window) => u128::from_le_bytes(window.try_into().unwrap_or_default()),
+                None => {
+                    let mut buf = [0u8; 16];
+                    let rest = bytes.iter().skip(at);
+                    buf.iter_mut().zip(rest).for_each(|(b, &v)| *b = v);
+                    u128::from_le_bytes(buf)
+                }
+            };
+            *x = (window >> shift) as u64 & mask;
+            reduced &= *x < q;
+        }
+        let used = (n * w) % 8;
+        let padded = used != 0 && bytes.last().is_some_and(|&last| last >> used != 0);
+        let why = if !reduced {
+            format!("residue not reduced modulo its prime {q}")
+        } else if padded {
+            "nonzero padding bits after a packed residue row".into()
+        } else {
+            return Ok(row);
+        };
+        PolyPool::recycle(row);
+        Err(HeError::InvalidCiphertext(why))
+    }
+
+    /// Reads a degree-`n` polynomial over `moduli`.
+    fn poly(&mut self, n: usize, moduli: &[u64]) -> Result<RnsPoly, HeError> {
+        let rows = moduli.iter().map(|&q| self.unpack_row(n, q));
+        Ok(RnsPoly::from_rows(rows.collect::<Result<_, _>>()?))
+    }
+
+    /// Reads the body of a ciphertext frame whose header ends here and
+    /// claimed `parts` parts of `rows` residues at degree `n`: the moduli
+    /// and the exact length they imply before anything else, then the
+    /// seed, `c0` and `c1` expanded from the seed of a compact frame, or
+    /// every part of another.
+    fn ciphertext_body(
+        &mut self,
+        parts: usize,
+        rows: usize,
+        n: usize,
+        seeded: bool,
+    ) -> Result<Body, HeError> {
+        check_shape(rows, n)?;
+        if !(1..=3).contains(&parts) {
+            return Err(HeError::InvalidCiphertext(format!(
+                "implausible frame shape: {parts} parts"
+            )));
+        }
+        let moduli = self.moduli(rows, n)?;
+        self.expect_rest(Some(payload_bytes(n, &moduli, parts, seeded) - 8 * rows))?;
+        if !seeded {
+            let parts = (0..parts).map(|_| self.poly(n, &moduli));
+            let parts = parts.collect::<Result<_, _>>()?;
+            return Ok(Body {
+                parts,
+                moduli,
+                seed: None,
+            });
+        }
+        let mut bytes = [0u8; MaskSeed::WIRE_BYTES];
+        bytes.copy_from_slice(self.take(MaskSeed::WIRE_BYTES)?);
+        let seed = MaskSeed { bytes };
+        let c0 = self.poly(n, &moduli)?;
+        let c1 = rlwe::expand_seed(&seed, &moduli, n);
+        Ok(Body {
+            parts: vec![c0, c1],
+            moduli,
+            seed: Some(seed),
+        })
+    }
+
+    /// Reads a ciphertext magic of `scheme`: whether the frame is compact.
+    fn ciphertext_magic(&mut self, scheme: SchemeType) -> Result<bool, HeError> {
+        let got = self.take(4)?;
+        if got == magic(b'S', scheme) {
+            Ok(true)
+        } else if got == magic(b'O', scheme) {
+            Ok(false)
+        } else {
+            Err(HeError::InvalidCiphertext(format!(
+                "bad {scheme:?} ciphertext magic {got:?}"
+            )))
+        }
+    }
 }
 
-/// Serializes a BFV ciphertext: 16-byte header + little-endian residues,
-/// or the compact frame of a seeded one: 12-byte header (magic, rows,
-/// degree), moduli, seed, `c0`.
+/// A decoded ciphertext frame's body.
+struct Body {
+    parts: Vec<RnsPoly>,
+    moduli: Vec<u64>,
+    seed: Option<MaskSeed>,
+}
+
+/// Refuses a frame shape outside the decoders' bounds: `rows` residue rows
+/// (or digits) in `1..=32` at a power-of-two degree `n` in `16..=2^17`.
+fn check_shape(rows: usize, n: usize) -> Result<(), HeError> {
+    if !(1..=MAX_ROWS).contains(&rows)
+        || !(MIN_DEGREE..=MAX_DEGREE).contains(&n)
+        || !n.is_power_of_two()
+    {
+        return Err(HeError::InvalidCiphertext(format!(
+            "implausible frame shape: {rows} residues at degree {n}"
+        )));
+    }
+    Ok(())
+}
+
+/// Refuses moduli no polynomial of degree `n` can live over: each must be an
+/// NTT-friendly prime (`q ≡ 1 mod 2n`) below `2^61`, and no two equal.
+fn check_moduli(moduli: &[u64], n: usize) -> Result<(), HeError> {
+    let two_n = 2 * n as u64;
+    for (i, &q) in moduli.iter().enumerate() {
+        if q >= 1 << 61 || q % two_n != 1 || !is_prime(q) || moduli.iter().take(i).any(|&p| p == q)
+        {
+            return Err(HeError::InvalidCiphertext(format!(
+                "frame modulus {q} is not a distinct NTT prime for degree {n}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Serializes a BFV ciphertext: its `CPO1` frame, or the compact `CPS1`
+/// frame of a seeded one.
 pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
-    if let Some(seed) = ct.seed() {
-        let c0 = ct.part(0);
-        let mut head = SEEDED_MAGIC.to_vec();
-        head.extend_from_slice(&(c0.row_count() as u32).to_le_bytes());
-        head.extend_from_slice(&(c0.degree() as u32).to_le_bytes());
-        return seeded_frame(head, c0, seed);
+    let mut out = Vec::with_capacity(HEADER_BYTES + ct.byte_size());
+    if ct.seed().is_some() {
+        out.extend_from_slice(&magic(b'S', SchemeType::Bfv));
+    } else {
+        out.extend_from_slice(&magic(b'O', SchemeType::Bfv));
+        push_u32(&mut out, ct.size());
     }
-    let parts = ct.size();
-    let rows = ct.part(0).row_count();
-    let n = ct.part(0).degree();
-    let mut out = Vec::with_capacity(HEADER_BYTES + parts * rows * n * 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(parts as u32).to_le_bytes());
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    for p in 0..parts {
-        for r in 0..rows {
-            for &c in ct.part(p).row(r) {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-    }
+    push_u32(&mut out, ct.moduli().len());
+    push_u32(&mut out, ct.degree());
+    let parts = (0..ct.size()).map(|i| ct.part(i));
+    write_body(&mut out, parts, ct.moduli(), ct.seed());
     out
 }
 
-/// Deserializes a BFV ciphertext frame.
+/// Deserializes a BFV ciphertext frame, full or compact.
 ///
 /// # Errors
 ///
-/// Returns [`HeError::InvalidCiphertext`] on malformed frames (bad magic,
-/// truncated payload, or implausible shape). Never panics, regardless of
-/// input bytes.
+/// Returns [`HeError::InvalidCiphertext`] on malformed frames: bad magic,
+/// truncated or overlong payload, implausible shape, bad moduli, a residue
+/// not below its prime or a nonzero padding bit. Never panics, regardless
+/// of input bytes.
 pub fn ciphertext_from_bytes(bytes: &[u8]) -> Result<Ciphertext, HeError> {
     let mut r = Reader::new(bytes);
-    let magic = r.take(4)?;
-    if magic == SEEDED_MAGIC {
-        let rows = r.u32()? as usize;
-        let n = r.u32()? as usize;
-        let (parts, seed) = read_seeded_body(&mut r, rows, n, SEEDED_HEADER_BYTES)?;
-        return Ok(Ciphertext::seeded(parts, seed));
-    }
-    if magic != MAGIC {
-        return Err(HeError::InvalidCiphertext("bad frame header".into()));
-    }
-    let parts = r.u32()? as usize;
-    let rows = r.u32()? as usize;
-    let n = r.u32()? as usize;
-    if parts == 0 || parts > 3 || rows == 0 || rows > 32 || !n.is_power_of_two() {
-        return Err(HeError::InvalidCiphertext("implausible frame shape".into()));
-    }
-    let expect = HEADER_BYTES + parts * rows * n * 8;
-    if bytes.len() != expect {
-        return Err(HeError::InvalidCiphertext(format!(
-            "frame length {} != expected {expect}",
-            bytes.len()
-        )));
-    }
-    let polys = read_polys(&mut r, parts, rows, n)?;
-    Ok(Ciphertext::from_parts(polys))
+    let seeded = r.ciphertext_magic(SchemeType::Bfv)?;
+    let parts = if seeded { 1 } else { r.u32()? };
+    let (rows, n) = (r.u32()?, r.u32()?);
+    let body = r.ciphertext_body(parts, rows, n, seeded)?;
+    Ok(match body.seed {
+        Some(seed) => Ciphertext::seeded(body.parts, &body.moduli, seed),
+        None => Ciphertext::from_parts(body.parts, &body.moduli),
+    })
 }
 
-/// Serializes a CKKS ciphertext: 24-byte header (magic, parts, level,
-/// degree, scale bits) + little-endian residues of each part at the
-/// ciphertext's level, or the compact frame of a seeded one: 20-byte header
-/// (magic, level, degree, scale bits), moduli, seed, `c0`.
+/// Serializes a CKKS ciphertext at its level: its `CPO2` frame, or the
+/// compact `CPS2` frame of a seeded one.
 pub fn ckks_ciphertext_to_bytes(ct: &CkksCiphertext) -> Vec<u8> {
-    let parts = ct.size();
-    let level = ct.level();
-    let n = ct.part(0).degree();
-    if let Some(seed) = ct.seed() {
-        let mut head = CKKS_SEEDED_MAGIC.to_vec();
-        head.extend_from_slice(&(level as u32).to_le_bytes());
-        head.extend_from_slice(&(n as u32).to_le_bytes());
-        head.extend_from_slice(&ct.scale().to_bits().to_le_bytes());
-        return seeded_frame(head, ct.part(0), seed);
+    let mut out = Vec::with_capacity(CKKS_HEADER_BYTES + ct.byte_size());
+    if ct.seed().is_some() {
+        out.extend_from_slice(&magic(b'S', SchemeType::Ckks));
+    } else {
+        out.extend_from_slice(&magic(b'O', SchemeType::Ckks));
+        push_u32(&mut out, ct.size());
     }
-    let mut out = Vec::with_capacity(CKKS_HEADER_BYTES + parts * level * n * 8);
-    out.extend_from_slice(&CKKS_MAGIC);
-    out.extend_from_slice(&(parts as u32).to_le_bytes());
-    out.extend_from_slice(&(level as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
+    push_u32(&mut out, ct.level());
+    push_u32(&mut out, ct.degree());
     out.extend_from_slice(&ct.scale().to_bits().to_le_bytes());
-    for p in 0..parts {
-        for r in 0..level {
-            for &c in ct.part(p).row(r) {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-    }
+    let parts = (0..ct.size()).map(|i| ct.part(i));
+    write_body(&mut out, parts, ct.moduli(), ct.seed());
     out
 }
 
-/// Deserializes a CKKS ciphertext frame.
+/// Deserializes a CKKS ciphertext frame, full or compact.
 ///
 /// # Errors
 ///
-/// Returns [`HeError::InvalidCiphertext`] on malformed frames (bad magic,
-/// truncated payload, implausible shape, or a non-finite / non-positive
-/// scale). Never panics, regardless of input bytes.
+/// Returns [`HeError::InvalidCiphertext`] on malformed frames, as
+/// [`ciphertext_from_bytes`], and on a non-finite or non-positive scale.
+/// Never panics, regardless of input bytes.
 pub fn ckks_ciphertext_from_bytes(bytes: &[u8]) -> Result<CkksCiphertext, HeError> {
     let mut r = Reader::new(bytes);
-    let magic = r.take(4)?;
-    if magic == CKKS_SEEDED_MAGIC {
-        let level = r.u32()? as usize;
-        let n = r.u32()? as usize;
-        let scale = check_scale(r.f64()?)?;
-        let (parts, seed) = read_seeded_body(&mut r, level, n, CKKS_SEEDED_HEADER_BYTES)?;
-        return Ok(CkksCiphertext::seeded(parts, level, scale, seed));
-    }
-    if magic != CKKS_MAGIC {
-        return Err(HeError::InvalidCiphertext("bad CKKS frame header".into()));
-    }
-    let parts = r.u32()? as usize;
-    let level = r.u32()? as usize;
-    let n = r.u32()? as usize;
-    let scale = r.f64()?;
-    if parts == 0 || parts > 3 || level == 0 || level > 32 || !n.is_power_of_two() {
-        return Err(HeError::InvalidCiphertext(
-            "implausible CKKS frame shape".into(),
-        ));
-    }
-    let scale = check_scale(scale)?;
-    let expect = CKKS_HEADER_BYTES + parts * level * n * 8;
-    if bytes.len() != expect {
-        return Err(HeError::InvalidCiphertext(format!(
-            "CKKS frame length {} != expected {expect}",
-            bytes.len()
-        )));
-    }
-    let polys = read_polys(&mut r, parts, level, n)?;
-    Ok(CkksCiphertext::from_parts(polys, level, scale))
+    let seeded = r.ciphertext_magic(SchemeType::Ckks)?;
+    let parts = if seeded { 1 } else { r.u32()? };
+    let (level, n) = (r.u32()?, r.u32()?);
+    let scale = check_scale(f64::from_bits(r.u64()?))?;
+    let body = r.ciphertext_body(parts, level, n, seeded)?;
+    Ok(match body.seed {
+        Some(seed) => CkksCiphertext::seeded(body.parts, &body.moduli, scale, seed),
+        None => CkksCiphertext::from_parts(body.parts, &body.moduli, scale),
+    })
 }
 
 /// A CKKS scale a frame may carry: finite and positive.
@@ -285,158 +445,89 @@ fn check_scale(scale: f64) -> Result<f64, HeError> {
     Ok(scale)
 }
 
-/// A compact frame: `head` (magic and shape words), then the seed's moduli,
-/// its 32 bytes, and `c0`'s residues.
-fn seeded_frame(mut head: Vec<u8>, c0: &RnsPoly, seed: &MaskSeed) -> Vec<u8> {
-    head.reserve(seed.wire_bytes() + c0.row_count() * c0.degree() * 8);
-    for q in seed.moduli() {
-        head.extend_from_slice(&q.to_le_bytes());
-    }
-    head.extend_from_slice(&seed.bytes);
-    write_poly(&mut head, c0);
-    head
-}
-
-/// Refuses moduli a mask cannot be expanded over at degree `n`: each must
-/// be an NTT-friendly prime (`q ≡ 1 mod 2n`) below `2^61`, and no two
-/// equal.
-fn check_moduli(moduli: &[u64], n: usize) -> Result<(), HeError> {
-    let two_n = 2 * n as u64;
-    for (i, &q) in moduli.iter().enumerate() {
-        if q >= 1 << 61 || q % two_n != 1 || !is_prime(q) || moduli.iter().take(i).any(|&p| p == q)
-        {
-            return Err(HeError::InvalidCiphertext(format!(
-                "compact frame modulus {q} is not a distinct NTT prime for degree {n}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Reads the body of a compact frame of `rows` residues at degree `n`
-/// whose header took `header` bytes: checks the shape and the exact length
-/// before reading anything, the moduli before reading `c0`, and `c0`'s
-/// residues before expanding `c1`. Returns `[c0, c1]` and the seed.
-fn read_seeded_body(
-    r: &mut Reader<'_>,
-    rows: usize,
-    n: usize,
-    header: usize,
-) -> Result<(Vec<RnsPoly>, MaskSeed), HeError> {
-    if !(1..=32).contains(&rows) || !(16..=MAX_SEEDED_DEGREE).contains(&n) || !n.is_power_of_two() {
-        return Err(HeError::InvalidCiphertext(format!(
-            "implausible compact frame shape: {rows} residues at degree {n}"
-        )));
-    }
-    let expect = header + 8 * rows + 32 + rows * n * 8;
-    if r.bytes.len() != expect {
-        return Err(HeError::InvalidCiphertext(format!(
-            "compact frame length {} != expected {expect}",
-            r.bytes.len()
-        )));
-    }
-    let moduli = (0..rows).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-    check_moduli(&moduli, n)?;
-    let mut bytes = [0u8; 32];
-    bytes.copy_from_slice(r.take(32)?);
-    let c0 = read_polys(r, 1, rows, n)?
-        .pop()
-        .ok_or_else(|| HeError::InvalidCiphertext("missing c0".into()))?;
-    if !reduced_over(&c0, &moduli) {
-        return Err(HeError::InvalidCiphertext(
-            "compact frame residue not reduced modulo its prime".into(),
-        ));
-    }
-    let seed = MaskSeed { bytes, moduli };
-    let c1 = rlwe::expand_seed(&seed, n);
-    Ok((vec![c0, c1], seed))
-}
-
-fn write_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
-    for r in 0..poly.row_count() {
-        for &c in poly.row(r) {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
+/// A key blob's decoding error: what the shared readers report as a
+/// malformed ciphertext frame is malformed key material here.
+fn key_error(e: HeError) -> HeError {
+    match e {
+        HeError::InvalidCiphertext(why) => HeError::InvalidKeyMaterial(why),
+        other => other,
     }
 }
 
-fn bad_keys(msg: &str) -> HeError {
-    HeError::InvalidKeyMaterial(msg.into())
-}
-
-/// Opens a key blob: checks the magic, leaves the reader at the header words.
-fn open_key_blob(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, HeError> {
+/// Opens a key blob of kind `kind`: checks the magic, leaves the reader at
+/// the header words.
+fn open_key_blob(bytes: &[u8], kind: u8, scheme: SchemeType) -> Result<Reader<'_>, HeError> {
     let mut r = Reader::new(bytes);
-    match r.take(4) {
-        Ok(m) if m == magic => Ok(r),
-        Ok(_) => Err(bad_keys("bad key-blob magic")),
-        Err(_) => Err(bad_keys("truncated key-blob header")),
+    if r.take(4)? != magic(kind, scheme) {
+        return Err(HeError::InvalidCiphertext(format!(
+            "bad {scheme:?} key-blob magic"
+        )));
+    }
+    Ok(r)
+}
+
+/// Appends a key-switching key set's shape words (digits, primes, degree)
+/// and moduli; an empty set writes three zero words.
+fn write_ksk_header(out: &mut Vec<u8>, ksk: Option<&KswitchKey>) {
+    let moduli: &[u64] = ksk.map_or(&[], KswitchKey::moduli);
+    push_u32(out, ksk.map_or(0, KswitchKey::digit_count));
+    push_u32(out, moduli.len());
+    push_u32(out, ksk.map_or(0, KswitchKey::degree));
+    for q in moduli {
+        out.extend_from_slice(&q.to_le_bytes());
     }
 }
 
-/// Reads one `u32` header word of a key blob.
-fn header_word(r: &mut Reader<'_>) -> Result<usize, HeError> {
-    let word = r.u32().map_err(|_| bad_keys("truncated key-blob header"))?;
-    Ok(word as usize)
-}
-
-/// Whether every residue of `poly` is below its row's prime — a polynomial
-/// the NTT can take. Scans every residue whatever it finds.
-fn reduced_over(poly: &RnsPoly, primes: &[u64]) -> bool {
-    let rows = (0..poly.row_count()).map(|r| poly.row(r));
-    rows.zip(primes).fold(true, |ok, (row, &q)| {
-        row.iter().fold(ok, |ok, &x| ok & (x < q))
-    })
-}
-
-/// The `(digits, full prime count, degree)` header of a key-switching key.
-fn ksk_shape(ksk: &KswitchKey) -> (usize, usize, usize) {
-    let n = ksk.pairs().first().map_or(0, |(b, _)| b.degree());
-    (ksk.digit_count(), ksk.full_prime_count(), n)
-}
-
-/// Writes one key-switching key's digit pairs (`b_j` then `a_j`, per digit).
+/// Appends one key-switching key's digit pairs (`b_j` then `a_j`, per
+/// digit).
 fn write_ksk_pairs(out: &mut Vec<u8>, ksk: &KswitchKey) {
     for (b, a) in ksk.pairs() {
-        write_poly(out, b);
-        write_poly(out, a);
+        write_poly(out, b, ksk.moduli());
+        write_poly(out, a, ksk.moduli());
     }
 }
 
-/// Reads one key-switching key of known shape.
-fn read_ksk(
-    r: &mut Reader<'_>,
+/// The shape of a key-switching key set read off its header.
+struct KskShape {
     digits: usize,
-    fpc: usize,
     n: usize,
-) -> Result<KswitchKey, HeError> {
-    let mut pairs = Vec::with_capacity(digits);
-    for _ in 0..digits {
-        let mut pair = read_polys(r, 2, fpc, n)?;
-        let a = pair.pop().ok_or_else(|| bad_keys("missing ksk digit"))?;
-        let b = pair.pop().ok_or_else(|| bad_keys("missing ksk digit"))?;
-        pairs.push((b, a));
-    }
-    KswitchKey::from_parts(pairs, fpc).ok_or_else(|| bad_keys("inconsistent ksk shape"))
+    moduli: Vec<u64>,
 }
 
-/// Validates a serialized key-switch shape: `digits` data primes plus one
-/// special prime.
-fn check_ksk_shape(digits: usize, fpc: usize, n: usize) -> Result<(), HeError> {
-    if digits == 0 || digits > 32 || fpc != digits + 1 || !n.is_power_of_two() {
-        return Err(bad_keys("implausible key-switch shape"));
+impl KskShape {
+    /// Reads the shape words and moduli of `count` keys, each preceded by
+    /// `lead` bytes, and checks that exactly they follow: `digits` data
+    /// primes plus one special prime at a plausible degree.
+    fn read(r: &mut Reader<'_>, count: usize, lead: usize) -> Result<Self, HeError> {
+        let (digits, primes, n) = (r.u32()?, r.u32()?, r.u32()?);
+        check_shape(digits, n)?;
+        if primes != digits + 1 {
+            return Err(HeError::InvalidCiphertext(format!(
+                "{digits} key-switching digits over {primes} primes"
+            )));
+        }
+        let moduli = r.moduli(primes, n)?;
+        let key = (2 * digits * packed_bytes(n, &moduli)).checked_add(lead);
+        r.expect_rest(key.and_then(|key| key.checked_mul(count)))?;
+        Ok(KskShape { digits, n, moduli })
     }
-    Ok(())
+
+    /// Reads one key-switching key of this shape.
+    fn read_key(&self, r: &mut Reader<'_>) -> Result<KswitchKey, HeError> {
+        let pairs = (0..self.digits).map(|_| {
+            let b = r.poly(self.n, &self.moduli)?;
+            Ok((b, r.poly(self.n, &self.moduli)?))
+        });
+        let pairs = pairs.collect::<Result<_, HeError>>()?;
+        KswitchKey::from_parts(pairs, self.moduli.clone())
+            .ok_or_else(|| HeError::InvalidCiphertext("inconsistent key-switch shape".into()))
+    }
 }
 
-/// Serializes a relinearization key (`CHR1` / `CHR2` blob).
+/// Serializes a relinearization key (`CPR1` / `CPR2` blob).
 pub fn relin_to_bytes(scheme: SchemeType, rk: &RelinKey) -> Vec<u8> {
-    let (digits, fpc, n) = ksk_shape(&rk.ksk);
-    let mut out = Vec::with_capacity(16 + digits * 2 * fpc * n * 8);
-    out.extend_from_slice(&key_magic(b'R', scheme));
-    out.extend_from_slice(&(digits as u32).to_le_bytes());
-    out.extend_from_slice(&(fpc as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
+    let mut out = magic(b'R', scheme).to_vec();
+    write_ksk_header(&mut out, Some(&rk.ksk));
     write_ksk_pairs(&mut out, &rk.ksk);
     out
 }
@@ -448,33 +539,25 @@ pub fn relin_to_bytes(scheme: SchemeType, rk: &RelinKey) -> Vec<u8> {
 /// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
 /// blob of the other scheme. Never panics.
 pub fn relin_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<RelinKey, HeError> {
-    let mut r = open_key_blob(bytes, key_magic(b'R', scheme))?;
-    let digits = header_word(&mut r)?;
-    let fpc = header_word(&mut r)?;
-    let n = header_word(&mut r)?;
-    check_ksk_shape(digits, fpc, n)?;
-    let expect = 16 + digits * 2 * fpc * n * 8;
-    if bytes.len() != expect {
-        return Err(bad_keys("relin-key length mismatch"));
-    }
-    let ksk =
-        read_ksk(&mut r, digits, fpc, n).map_err(|_| bad_keys("truncated relin-key payload"))?;
-    Ok(RelinKey { ksk })
+    let read = || {
+        let mut r = open_key_blob(bytes, b'R', scheme)?;
+        let shape = KskShape::read(&mut r, 1, 0)?;
+        Ok(RelinKey {
+            ksk: shape.read_key(&mut r)?,
+        })
+    };
+    read().map_err(key_error)
 }
 
-/// Serializes a Galois key set (`CHG1` / `CHG2` blob). Keys are written in
+/// Serializes a Galois key set (`CPG1` / `CPG2` blob). Keys are written in
 /// **sorted element order**, so serialization is deterministic regardless
 /// of map iteration order — a requirement for bit-identical checkpoints.
 pub fn galois_to_bytes(scheme: SchemeType, gk: &GaloisKeys) -> Vec<u8> {
     let mut keys: Vec<(&u64, &KswitchKey)> = gk.keys.iter().collect();
     keys.sort_unstable_by_key(|(e, _)| **e);
-    let (digits, fpc, n) = keys.first().map_or((0, 0, 0), |(_, k)| ksk_shape(k));
-    let mut out = Vec::with_capacity(20 + keys.len() * (8 + digits * 2 * fpc * n * 8));
-    out.extend_from_slice(&key_magic(b'G', scheme));
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(digits as u32).to_le_bytes());
-    out.extend_from_slice(&(fpc as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
+    let mut out = magic(b'G', scheme).to_vec();
+    push_u32(&mut out, keys.len());
+    write_ksk_header(&mut out, keys.first().map(|(_, k)| *k));
     for (e, k) in keys {
         out.extend_from_slice(&e.to_le_bytes());
         write_ksk_pairs(&mut out, k);
@@ -489,39 +572,41 @@ pub fn galois_to_bytes(scheme: SchemeType, gk: &GaloisKeys) -> Vec<u8> {
 /// Returns [`HeError::InvalidKeyMaterial`] on malformed blobs, including a
 /// blob of the other scheme. Never panics.
 pub fn galois_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<GaloisKeys, HeError> {
-    let mut r = open_key_blob(bytes, key_magic(b'G', scheme))?;
-    let count = header_word(&mut r)?;
-    let digits = header_word(&mut r)?;
-    let fpc = header_word(&mut r)?;
-    let n = header_word(&mut r)?;
-    if count > 4096 {
-        return Err(bad_keys("implausible galois-set size"));
-    }
-    if count == 0 {
-        if bytes.len() != 20 || digits != 0 || fpc != 0 {
-            return Err(bad_keys("malformed empty galois set"));
+    let read = || {
+        let mut r = open_key_blob(bytes, b'G', scheme)?;
+        let count = r.u32()?;
+        if count > MAX_GALOIS_KEYS {
+            return Err(HeError::InvalidCiphertext(format!(
+                "implausible galois-set size {count}"
+            )));
         }
-        return Ok(GaloisKeys {
-            keys: HashMap::new(),
-        });
-    }
-    check_ksk_shape(digits, fpc, n)?;
-    let expect = 20 + count * (8 + digits * 2 * fpc * n * 8);
-    if bytes.len() != expect {
-        return Err(bad_keys("galois-set length mismatch"));
-    }
-    let mut keys = HashMap::with_capacity(count);
-    let mut prev: Option<u64> = None;
-    for _ in 0..count {
-        let elem = r.u64().map_err(|_| bad_keys("truncated galois element"))?;
-        if prev.is_some_and(|p| p >= elem) {
-            return Err(bad_keys("galois elements not strictly increasing"));
+        if count == 0 {
+            if (r.u32()?, r.u32()?, r.u32()?) != (0, 0, 0) {
+                return Err(HeError::InvalidCiphertext(
+                    "malformed empty galois set".into(),
+                ));
+            }
+            r.expect_rest(Some(0))?;
+            return Ok(GaloisKeys {
+                keys: HashMap::new(),
+            });
         }
-        prev = Some(elem);
-        let ksk = read_ksk(&mut r, digits, fpc, n).map_err(|_| bad_keys("truncated galois key"))?;
-        keys.insert(elem, ksk);
-    }
-    Ok(GaloisKeys { keys })
+        let shape = KskShape::read(&mut r, count, 8)?;
+        let mut keys = HashMap::with_capacity(count);
+        let mut prev: Option<u64> = None;
+        for _ in 0..count {
+            let elem = r.u64()?;
+            if prev.is_some_and(|p| p >= elem) {
+                return Err(HeError::InvalidCiphertext(
+                    "galois elements not strictly increasing".into(),
+                ));
+            }
+            prev = Some(elem);
+            keys.insert(elem, shape.read_key(&mut r)?);
+        }
+        Ok(GaloisKeys { keys })
+    };
+    read().map_err(key_error)
 }
 
 #[cfg(test)]
@@ -565,12 +650,65 @@ mod tests {
     }
 
     #[test]
-    fn payload_matches_table3_accounting() {
+    fn payload_is_the_moduli_and_the_packed_residues() {
         let (_, _, ct) = sample_ct();
         let bytes = ciphertext_to_bytes(&ct);
         assert_eq!(bytes.len(), HEADER_BYTES + ct.byte_size());
-        // 2 parts × 2 data residues × 256 coeffs × 8 B
-        assert_eq!(ct.byte_size(), 2 * 2 * 256 * 8);
+        // 2 moduli words, then 2 parts × 2 data residues × 256 coeffs at
+        // 40 bits: 5 B each where Table 3's model bills 8.
+        assert_eq!(ct.byte_size(), 2 * 8 + 2 * 2 * 256 * 5);
+        let moduli: Vec<u8> = ct.moduli().iter().flat_map(|q| q.to_le_bytes()).collect();
+        assert_eq!(bytes[HEADER_BYTES..HEADER_BYTES + 16], moduli[..]);
+    }
+
+    #[test]
+    fn a_row_packs_lsb_first_and_unpacks_to_itself() {
+        // 3 residues at 5 bits (q = 31): 15 bits, 2 bytes, 1 padding bit.
+        let row = [0b10110, 0b00001, 0b11110];
+        let mut out = Vec::new();
+        pack_row(&mut out, &row, 5);
+        assert_eq!(out, [0b0011_0110, 0b0111_1000]);
+        assert_eq!(Reader::new(&out).unpack_row(3, 31).unwrap(), row);
+        // Every width a prime below 2^61 can have, at a length that leaves
+        // padding bits, with both ends of the residue range.
+        for w in 2..=61 {
+            let q = (1u64 << (w - 1)) | 1;
+            let row: Vec<u64> = (0..13u64)
+                .map(|i| [0, q - 1, i * 7919 % q][i as usize % 3])
+                .collect();
+            let mut out = Vec::new();
+            pack_row(&mut out, &row, w);
+            assert_eq!(out.len(), (13 * w).div_ceil(8));
+            assert_eq!(
+                Reader::new(&out).unpack_row(13, q).unwrap(),
+                row,
+                "width {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_row_with_a_residue_at_its_prime_or_a_padding_bit_is_refused() {
+        let invalid =
+            |r: Result<Vec<u64>, HeError>| matches!(r, Err(HeError::InvalidCiphertext(_)));
+        let mut out = Vec::new();
+        pack_row(&mut out, &[30, 0, 17], 5);
+        assert!(Reader::new(&out).unpack_row(3, 31).is_ok());
+        // The last byte's top bit is padding.
+        let mut padded = out.clone();
+        padded[1] |= 0x80;
+        assert!(invalid(Reader::new(&padded).unpack_row(3, 31)));
+        // 30 is below 31, but not below 29.
+        assert!(invalid(Reader::new(&out).unpack_row(3, 29)));
+        // A residue equal to its prime.
+        let mut at_q = Vec::new();
+        pack_row(&mut at_q, &[0, 31, 1], 5);
+        assert!(invalid(Reader::new(&at_q).unpack_row(3, 31)));
+        // Short and long rows.
+        assert!(invalid(Reader::new(&out[..1]).unpack_row(3, 31)));
+        assert!(Reader::new(&[out.clone(), vec![0]].concat())
+            .unpack_row(3, 31)
+            .is_ok_and(|row| row == [30, 0, 17]));
     }
 
     #[test]
@@ -600,8 +738,8 @@ mod tests {
         // keyed tags exist precisely to catch this before decryption.
         let (ctx, keys, ct) = sample_ct();
         let mut bytes = ciphertext_to_bytes(&ct);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
+        // The low bit of `c0`'s first residue, past the header and moduli.
+        bytes[HEADER_BYTES + 2 * 8] ^= 1;
         let tampered = ciphertext_from_bytes(&bytes).unwrap();
         let out = ctx.decryptor(keys.secret_key()).decrypt(&tampered);
         let orig = ctx.decryptor(keys.secret_key()).decrypt(&ct);
@@ -652,7 +790,7 @@ mod tests {
         let bytes = ckks_ciphertext_to_bytes(&ct);
         // Bad magic (a BFV frame is not a CKKS frame).
         let mut bad = bytes.clone();
-        bad[..4].copy_from_slice(b"CHO1");
+        bad[..4].copy_from_slice(&magic(b'O', SchemeType::Bfv));
         assert!(ckks_ciphertext_from_bytes(&bad).is_err());
         // Truncated.
         assert!(ckks_ciphertext_from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -803,8 +941,9 @@ mod tests {
             }
             // Galois elements must be strictly increasing (sorted + deduped).
             let [_, (mut unsorted, decode)] = key_blobs(scheme);
-            // Swap the first element id for u64::MAX so ordering breaks later.
-            unsorted[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+            // Swap the first element id (past the header and 3 moduli) for
+            // u64::MAX so ordering breaks later.
+            unsorted[44..52].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(bad(decode(scheme, &unsorted)));
         }
     }

@@ -8,10 +8,19 @@
 //!
 //! Besides paper sets A, B and C, two insecure N = 1024 chains with 3 and 4
 //! data primes cover composition moduli above 128 bits.
+//!
+//! The wire digests were recorded over the 8-byte residue layout that
+//! preceded packed frames. They hash a frame's decoded residues laid out
+//! that way ([`legacy_wire`]), so they still pin the ciphertexts; the
+//! packed frames themselves have pins of their own.
+
+mod common;
+
+use common::legacy_wire;
 
 use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
-use choco_he::params::HeParams;
+use choco_he::params::{HeParams, SchemeType};
 use choco_he::serialize::{ciphertext_to_bytes, ckks_ciphertext_to_bytes};
 use choco_prng::Blake3Rng;
 
@@ -59,7 +68,10 @@ fn bfv_slots(params: &HeParams, seed: &[u8]) -> [String; 4] {
     let square = eval.multiply_relin(&ct, &ct, &rk).unwrap();
     let switched = eval.mod_switch_to_next(&square).unwrap();
     [
-        wire_digest(&ciphertext_to_bytes(&ct)),
+        wire_digest(&legacy_wire::ciphertexts(
+            SchemeType::Bfv,
+            &ciphertext_to_bytes(&ct),
+        )),
         slots(&ct),
         slots(&square),
         slots(&switched),
@@ -106,8 +118,9 @@ fn ckks_decoded(params: &HeParams, seed: &[u8]) -> [String; 3] {
     let product = ctx.multiply_relin(&ct, &ct, &rk).unwrap();
     let rescaled = ctx.rescale(&product).unwrap();
     assert_eq!(rescaled.level(), ctx.top_level() - 1);
+    let wire = ckks_ciphertext_to_bytes(&ct);
     [
-        wire_digest(&ckks_ciphertext_to_bytes(&ct)),
+        wire_digest(&legacy_wire::ciphertexts(SchemeType::Ckks, &wire)),
         decoded(&ct),
         decoded(&rescaled),
     ]

@@ -317,18 +317,18 @@ fn mixed_level_and_mixed_size_operands_are_clean_errors_ckks() {
         two.part(1).clone(),
         two.part(1).clone(),
     ];
-    let three = CkksCiphertext::from_parts(parts, two.level(), two.scale());
+    let three = CkksCiphertext::from_parts(parts, two.moduli(), two.scale());
     let low = ctx.mod_switch_to(&two, 2).unwrap();
     let mismatch = |e: HeError| matches!(e, HeError::Mismatch(_));
     for (a, b) in [(&three, &two), (&two, &three), (&low, &two), (&two, &low)] {
         assert!(mismatch(ctx.add(a, b).unwrap_err()));
         assert!(mismatch(ctx.sub(a, b).unwrap_err()));
     }
-    // A level that lies about its rows (hand-built; the wire parser ties
-    // the two) is caught by the same check.
+    // Moduli that lie about the rows (hand-built; the wire parser ties
+    // the two) are caught by the same check.
     let lying = CkksCiphertext::from_parts(
         vec![low.part(0).clone(), low.part(1).clone()],
-        3,
+        two.moduli(),
         two.scale(),
     );
     assert!(mismatch(ctx.add(&lying, &two).unwrap_err()));

@@ -9,9 +9,12 @@
 //! through one decoder per kind for both schemes, so both schemes' blobs are
 //! driven through each from one table.
 //!
-//! Compact frames (a fresh encryption: `c0`, its moduli and the 32-byte
-//! seed of `c1`) are an amplifier — the decoder expands the seed into a
-//! whole polynomial — so their decoder is also held to *bounded work*: a
+//! Every decoder is also held to *exactness*: a frame it accepts re-encodes
+//! to exactly its bytes, so a residue at or above its prime and a set
+//! padding bit are refused, never silently reduced or dropped. Compact
+//! frames (a fresh encryption: `c0`, its moduli and the 32-byte seed of
+//! `c1`) are an amplifier — the decoder expands the seed into a whole
+//! polynomial — so every ciphertext decoder is held to *bounded work*: a
 //! frame claiming a huge ring is refused before anything of that size is
 //! allocated, which this binary's allocator measures.
 
@@ -20,7 +23,8 @@ use choco_he::ckks::CkksContext;
 use choco_he::params::HeParams;
 use choco_he::serialize::{
     ciphertext_from_bytes, ciphertext_to_bytes, ckks_ciphertext_from_bytes,
-    ckks_ciphertext_to_bytes, galois_from_bytes, relin_from_bytes,
+    ckks_ciphertext_to_bytes, galois_from_bytes, galois_to_bytes, relin_from_bytes, relin_to_bytes,
+    HEADER_BYTES,
 };
 use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
 use choco_prng::Blake3Rng;
@@ -115,20 +119,21 @@ fn mutate(g: &mut Gen, frame: &[u8]) -> Vec<u8> {
 #[test]
 fn bfv_deserializer_never_panics_on_mutations() {
     let frame = bfv_frame();
+    assert!(decode_is_exact::<Bfv>(&frame));
     run_cases("bfv mutation fuzz", 256, |g| {
-        let bytes = mutate(g, &frame);
         // Err or Ok are both acceptable; a panic fails the whole property
-        // (quickprop catches it and reports the case index).
-        let _ = ciphertext_from_bytes(&bytes);
+        // (quickprop catches it and reports the case index), and so does an
+        // accepted frame that re-encodes differently.
+        decode_is_exact::<Bfv>(&mutate(g, &frame));
     });
 }
 
 #[test]
 fn ckks_deserializer_never_panics_on_mutations() {
     let frame = ckks_frame();
+    assert!(decode_is_exact::<Ckks>(&frame));
     run_cases("ckks mutation fuzz", 256, |g| {
-        let bytes = mutate(g, &frame);
-        let _ = ckks_ciphertext_from_bytes(&bytes);
+        decode_is_exact::<Ckks>(&mutate(g, &frame));
     });
 }
 
@@ -161,8 +166,8 @@ fn truncations_always_yield_typed_errors() {
     }
 }
 
-/// A key-wire decoder with its output dropped.
-type KeyDecoder = fn(SchemeType, &[u8]) -> Result<(), HeError>;
+/// A key-wire decoder that re-encodes what it accepts.
+type KeyDecoder = fn(SchemeType, &[u8]) -> Result<Vec<u8>, HeError>;
 
 /// One scheme's two key blobs, each with the decoder that reads it.
 fn key_blobs<S: HeScheme>(params: &HeParams) -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
@@ -173,12 +178,27 @@ fn key_blobs<S: HeScheme>(params: &HeParams) -> Vec<(SchemeType, Vec<u8>, KeyDec
     let gk = S::galois_keys(&ctx, &keys, &[1, 2], &mut rng).unwrap();
     vec![
         (S::SCHEME, S::relin_to_wire(&rk), |s, b| {
-            relin_from_bytes(s, b).map(drop)
+            relin_from_bytes(s, b).map(|k| relin_to_bytes(s, &k))
         }),
         (S::SCHEME, S::galois_to_wire(&gk), |s, b| {
-            galois_from_bytes(s, b).map(drop)
+            galois_from_bytes(s, b).map(|k| galois_to_bytes(s, &k))
         }),
     ]
+}
+
+/// Decodes a key blob; one the decoder accepts re-encodes to exactly its
+/// bytes, and one it refuses is refused as key material.
+fn key_decode_is_exact(decode: KeyDecoder, scheme: SchemeType, bytes: &[u8]) -> bool {
+    match decode(scheme, bytes) {
+        Ok(again) => {
+            assert_eq!(again, bytes, "accepted key blob re-encodes differently");
+            true
+        }
+        Err(e) => {
+            assert!(matches!(e, HeError::InvalidKeyMaterial(_)), "{e}");
+            false
+        }
+    }
 }
 
 /// Both schemes' key blobs: the table every key-wire property runs over.
@@ -193,13 +213,11 @@ fn all_key_blobs() -> Vec<(SchemeType, Vec<u8>, KeyDecoder)> {
 #[test]
 fn key_decoders_never_panic_and_answer_only_typed_key_errors() {
     for (scheme, blob, decode) in all_key_blobs() {
-        assert_eq!(decode(scheme, &blob), Ok(()));
+        assert!(key_decode_is_exact(decode, scheme, &blob));
         run_cases("key blob mutation fuzz", 128, |g| {
             let bytes = mutate(g, &blob);
             for s in [SchemeType::Bfv, SchemeType::Ckks] {
-                if let Err(e) = decode(s, &bytes) {
-                    assert!(matches!(e, HeError::InvalidKeyMaterial(_)), "{e}");
-                }
+                key_decode_is_exact(decode, s, &bytes);
             }
         });
         // Every strict prefix fails cleanly.
@@ -215,8 +233,8 @@ fn key_decoders_never_panic_and_answer_only_typed_key_errors() {
 #[test]
 fn a_key_blob_of_one_scheme_is_never_accepted_as_the_others() {
     // One decoder serves both schemes, so the scheme byte of the magic is
-    // the only thing between a `CHG1` blob and the CKKS decoder (or a
-    // `CHR2` blob and the BFV one).
+    // the only thing between a `CPG1` blob and the CKKS decoder (or a
+    // `CPR2` blob and the BFV one).
     for (scheme, blob, decode) in all_key_blobs() {
         let other = match scheme {
             SchemeType::Bfv => SchemeType::Ckks,
@@ -338,9 +356,16 @@ fn a_compact_frame_claiming_a_huge_ring_is_refused_before_allocating() {
     // prime for that degree, so only the shape and length checks stand
     // between the blob and the allocation.
     const NTT_PRIME_2_30: u64 = 0x0004_000e_0000_0001; // 2^31 · 524 316 + 1
-    for (magic, tail) in [(*b"CHS1", 0usize), (*b"CHS2", 8)] {
+                                                       // Full frames carry their moduli too, and are held to the same bound.
+    for (magic, parts, tail) in [
+        (*b"CPS1", None, 0usize),
+        (*b"CPS2", None, 8),
+        (*b"CPO1", Some(2u32), 0),
+        (*b"CPO2", Some(2), 8),
+    ] {
         for rows in [1u32, 32] {
             let mut blob = magic.to_vec();
+            blob.extend(parts.map(u32::to_le_bytes).into_iter().flatten());
             blob.extend_from_slice(&rows.to_le_bytes());
             blob.extend_from_slice(&(1u32 << 30).to_le_bytes());
             blob.extend_from_slice(&2f64.powi(30).to_bits().to_le_bytes()[..tail]);
@@ -361,4 +386,97 @@ fn a_compact_frame_claiming_a_huge_ring_is_refused_before_allocating() {
     let frame = bfv_compact_frame();
     let largest = largest_allocation_during(|| assert!(Bfv::ct_from_wire(&frame).is_ok()));
     assert!(largest >= 256 * 8, "{largest}");
+}
+
+/// Overwrites residue `i` of the packed row that starts at byte `at`, `w`
+/// bits per residue, with `value`.
+fn set_residue(bytes: &mut [u8], at: usize, w: usize, i: usize, value: u64) {
+    for b in 0..w {
+        let bit = i * w + b;
+        let mask = 1u8 << (bit % 8);
+        if value >> b & 1 == 1 {
+            bytes[at + bit / 8] |= mask;
+        } else {
+            bytes[at + bit / 8] &= !mask;
+        }
+    }
+}
+
+/// The modulus word `i` of a frame whose moduli start at byte `at`.
+fn modulus(bytes: &[u8], at: usize, i: usize) -> u64 {
+    u64::from_le_bytes(bytes[at + 8 * i..at + 8 * i + 8].try_into().unwrap())
+}
+
+#[test]
+fn a_residue_at_its_prime_is_refused_in_every_frame_kind() {
+    // Each frame with its degree, where its moduli start, how many there
+    // are and where its first packed residue row starts. A row of a legal
+    // frame never ends in padding bits — N is a multiple of 8 — so the
+    // padding check is reached through the row codec's own unit tests in
+    // `serialize.rs`.
+    type Exact = Box<dyn Fn(&[u8]) -> bool>;
+    let blobs = all_key_blobs();
+    let key = |i: usize| -> (Vec<u8>, Exact) {
+        let (scheme, blob, decode) = blobs[i].clone();
+        (
+            blob,
+            Box::new(move |b: &[u8]| key_decode_is_exact(decode, scheme, b)),
+        )
+    };
+    let (relin, relin_exact) = key(0);
+    let (galois, galois_exact) = key(1);
+    let cases: Vec<(&str, Vec<u8>, Exact, [usize; 4])> = vec![
+        (
+            "bfv full",
+            bfv_frame(),
+            Box::new(decode_is_exact::<Bfv>),
+            [256, HEADER_BYTES, 2, HEADER_BYTES + 16],
+        ),
+        (
+            "ckks full",
+            ckks_frame(),
+            Box::new(decode_is_exact::<Ckks>),
+            [256, 24, 2, 24 + 16],
+        ),
+        (
+            "bfv compact",
+            bfv_compact_frame(),
+            Box::new(decode_is_exact::<Bfv>),
+            [256, 12, 2, 12 + 16 + 32],
+        ),
+        (
+            "ckks compact",
+            ckks_compact_frame(),
+            Box::new(decode_is_exact::<Ckks>),
+            [256, 20, 2, 20 + 16 + 32],
+        ),
+        ("relin key", relin, relin_exact, [64, 16, 3, 16 + 24]),
+        ("galois set", galois, galois_exact, [64, 20, 3, 20 + 24 + 8]),
+    ];
+    for (name, frame, exact, [n, moduli_at, rows, row_at]) in cases {
+        assert!(exact(&frame), "{name}: the honest frame");
+        let q = modulus(&frame, moduli_at, 0);
+        let w = (64 - q.leading_zeros()) as usize;
+        let all_ones = u64::MAX >> (64 - w);
+        for (i, value, accepted) in [
+            (0, q - 1, true),
+            (0, q, false),
+            (5, q, false),
+            (3, all_ones, false),
+        ] {
+            let mut bytes = frame.clone();
+            set_residue(&mut bytes, row_at, w, i, value);
+            assert_eq!(
+                exact(&bytes),
+                accepted,
+                "{name}: residue {i} = {value} (q = {q})"
+            );
+        }
+        // The frame's last residue, in a row over its last prime.
+        let last = modulus(&frame, moduli_at, rows - 1);
+        let w = (64 - last.leading_zeros()) as usize;
+        let mut bytes = frame.clone();
+        set_residue(&mut bytes, frame.len() - n * w / 8, w, n - 1, last);
+        assert!(!exact(&bytes), "{name}: last residue at its prime");
+    }
 }

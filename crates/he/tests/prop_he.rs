@@ -1,14 +1,18 @@
 //! Property-based tests of the HE schemes' homomorphic invariants
 //! (deterministic quickprop harness).
 
+mod common;
+
 use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::ckks::CkksContext;
-use choco_he::params::HeParams;
+use choco_he::params::{HeParams, SchemeType};
 use choco_he::rnspoly::RnsPoly;
-use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes};
+use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes, HEADER_BYTES};
 use choco_he::{Bfv, Ckks, HeScheme};
+use choco_math::prime::try_generate_ntt_primes;
 use choco_prng::Blake3Rng;
 use choco_quickprop::run_cases;
+use common::legacy_wire;
 
 fn bfv_ctx() -> BfvContext {
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
@@ -425,7 +429,7 @@ fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &s
 
     let mut garbage = |parts: usize| {
         let rows = (0..parts).map(|_| RnsPoly::sample_uniform(&mut rng, ctx.data_basis()));
-        Ciphertext::from_parts(rows.collect())
+        Ciphertext::from_parts(rows.collect(), ctx.data_basis().primes())
     };
     let (g, h) = (garbage(2), garbage(2));
     assert!(
@@ -491,18 +495,22 @@ fn wire_digests<S: HeScheme>(
     let a = encrypt_eq2(&ctx, &keys, &values[0], &mut rng);
     let b = encrypt_eq2(&ctx, &keys, &values[1], &mut rng);
     let compact = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
+    let wire = |ct: &S::Ciphertext| legacy_wire::ciphertexts(S::SCHEME, &S::ct_to_wire(ct));
     let many = rotate_many(&ctx, &a, &gk);
-    let many: Vec<Vec<u8>> = many.iter().map(S::ct_to_wire).collect();
+    let many: Vec<Vec<u8>> = many.iter().map(wire).collect();
     let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
     [
-        digest(&[&S::relin_to_wire(&rk), &S::galois_to_wire(&gk)]),
-        digest(&[&S::ct_to_wire(&a)]),
-        digest(&[&S::ct_to_wire(&S::rotate(&ctx, &a, 3, &gk).unwrap())]),
+        digest(&[
+            &legacy_wire::relin(S::SCHEME, &S::relin_to_wire(&rk)),
+            &legacy_wire::galois(S::SCHEME, &S::galois_to_wire(&gk)),
+        ]),
+        digest(&[&wire(&a)]),
+        digest(&[&wire(&S::rotate(&ctx, &a, 3, &gk).unwrap())]),
         digest(&many),
-        digest(&[&S::ct_to_wire(&S::add(&ctx, &a, &b).unwrap())]),
-        digest(&[&S::ct_to_wire(&S::sub(&ctx, &a, &b).unwrap())]),
-        digest(&[&S::ct_to_wire(&multiply_relin(&ctx, [&a, &b], &rk))]),
-        digest(&[&S::ct_to_wire(&compact)]),
+        digest(&[&wire(&S::add(&ctx, &a, &b).unwrap())]),
+        digest(&[&wire(&S::sub(&ctx, &a, &b).unwrap())]),
+        digest(&[&wire(&multiply_relin(&ctx, [&a, &b], &rk))]),
+        digest(&[&wire(&compact)]),
     ]
 }
 
@@ -545,7 +553,9 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
 }
 
 /// Derived key material and replayed encryptions must not change from one
-/// build to the next: a checkpoint written by an older build resumes on this
+/// build to the next (every digest in this file hashes the residues a frame
+/// decodes to in the 8-byte layout they were recorded over,
+/// [`legacy_wire`]; the packed frames have pins of their own): a checkpoint written by an older build resumes on this
 /// one, deriving its keys again from the seed. Digests 1 to 6 of each set
 /// were recorded on the commit before BFV and CKKS were moved onto the
 /// shared `rlwe` core (that part of this test passed there); the eighth,
@@ -617,6 +627,103 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
     );
 }
 
+/// The packed frames themselves, pinned from the build that introduced
+/// them: per paper set, a fresh Eq. 2 encryption's full frame, the compact
+/// frame of `HeScheme::encrypt`, and the relinearization and Galois wires,
+/// from [`wire_digests`]' seed. A change to the residue codec or to any
+/// frame layout moves them.
+#[test]
+fn packed_frames_are_byte_stable_across_builds() {
+    fn packed<S: HeScheme>(
+        params: &HeParams,
+        values: &[S::Value],
+        encrypt_eq2: impl Fn(&S::Context, &S::KeyBundle, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
+    ) -> [String; 3] {
+        let ctx = S::context(params).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
+        let keys = S::keygen(&ctx, &mut rng);
+        let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
+        let gk = S::galois_keys(&ctx, &keys, &[1, 3, -2], &mut rng).unwrap();
+        let full = encrypt_eq2(&ctx, &keys, values, &mut rng);
+        let compact = S::encrypt(&ctx, &keys, values, &mut rng).unwrap();
+        [
+            digest(&[&S::ct_to_wire(&full)]),
+            digest(&[&S::ct_to_wire(&compact)]),
+            digest(&[&S::relin_to_wire(&rk), &S::galois_to_wire(&gk)]),
+        ]
+    }
+    let bfv = |params: &HeParams| {
+        let t = params.plain_modulus();
+        let values: Vec<u64> = (0..params.degree() as u64).map(|i| i * 7 % t).collect();
+        packed::<Bfv>(params, &values, |ctx, keys, values, rng| {
+            let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
+            ctx.encryptor(keys.public_key()).encrypt(&pt, rng)
+        })
+    };
+    let set_c = HeParams::set_c();
+    let values: Vec<f64> = (0..set_c.degree() / 2)
+        .map(|i| (i % 17) as f64 / 4.0)
+        .collect();
+    let ckks = packed::<Ckks>(&set_c, &values, |ctx, keys, values, rng| {
+        let pt = ctx.encode(values).unwrap();
+        ctx.encrypt(&pt, keys.public_key(), rng).unwrap()
+    });
+    assert_eq!(
+        bfv(&HeParams::set_a()),
+        ["ddd9baa62bbcdb43", "5d4d5b70a7340781", "ba34304e76ff608e"]
+    );
+    assert_eq!(
+        bfv(&HeParams::set_b()),
+        ["01223f21a48ef87e", "03c50426d821be23", "0d7d5abbefa7faf0"]
+    );
+    assert_eq!(
+        ckks,
+        ["14ba561c48e107d1", "14f4a574cd83bd7c", "28f2ccbc50850a95"]
+    );
+}
+
+/// The residue codec is the identity at every row width an NTT prime has
+/// here (20 to 61 bits) and every degree from 16 to 2^15: a full frame of
+/// random residues, both ends of each row's range included, decodes to the
+/// ciphertext it encodes, at exactly the size the ledger bills — each
+/// residue at its prime's width, one word per modulus.
+#[test]
+fn packing_then_unpacking_is_the_identity_at_every_width_and_degree() {
+    let mut rng = Blake3Rng::from_seed(b"packed residue codec");
+    for w in 20..=61u32 {
+        for log_n in 4..=15 {
+            let n = 1usize << log_n;
+            let rows = 1 + (w as usize + log_n) % 3;
+            let moduli = (1..=rows)
+                .rev()
+                .find_map(|k| try_generate_ntt_primes(w, n, k))
+                .unwrap();
+            let mut part = || {
+                let mut row = |q: u64| -> Vec<u64> {
+                    (0..n as u64)
+                        .map(|j| match j % 5 {
+                            0 => 0,
+                            1 => q - 1,
+                            _ => rng.next_u64() % q,
+                        })
+                        .collect()
+                };
+                RnsPoly::from_rows(moduli.iter().map(|&q| row(q)).collect())
+            };
+            let ct = Ciphertext::from_parts(vec![part(), part()], &moduli);
+            let wire = ciphertext_to_bytes(&ct);
+            let packed = 8 * moduli.len() + 2 * moduli.len() * n * w as usize / 8;
+            assert_eq!(ct.byte_size(), packed, "width {w}, degree {n}");
+            assert_eq!(wire.len(), HEADER_BYTES + packed, "width {w}, degree {n}");
+            assert_eq!(
+                ciphertext_from_bytes(&wire).unwrap(),
+                ct,
+                "width {w}, degree {n}"
+            );
+        }
+    }
+}
+
 /// `dot_rotations_plain` from one fixed seed: steps cycle through
 /// `[0, 1, 3, −2]` (step 0 is the unrotated term; a step may repeat), one
 /// distinct plaintext per term.
@@ -644,7 +751,8 @@ fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
         })
         .collect();
     let fused = ctx.evaluator().dot_rotations_plain(&ct, &pairs, &gk);
-    digest(&[&ciphertext_to_bytes(&fused.unwrap())])
+    let wire = ciphertext_to_bytes(&fused.unwrap());
+    digest(&[&legacy_wire::ciphertexts(SchemeType::Bfv, &wire)])
 }
 
 /// The fused dot is the kernel `lenet_direct` spends its server time in; it
@@ -706,7 +814,10 @@ fn ckks_fused_dot_bytes_are_stable_across_builds_and_backends() {
         let (ctx, _, gk, ct, _) = ckks_dot_fixture(params);
         let diagonals = ckks_diagonals(ctx.slot_count(), terms);
         let out = Ckks::dot_diagonals(&ctx, &ct, &diagonals, &gk).unwrap();
-        digest(&[&Ckks::ct_to_wire(&out)])
+        digest(&[&legacy_wire::ciphertexts(
+            SchemeType::Ckks,
+            &Ckks::ct_to_wire(&out),
+        )])
     };
     let small = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
     assert_eq!(digest_of(&small, 40), "3f5da3aa7172ce05");

@@ -176,6 +176,9 @@ fn build_session<S: EvalScheme>(
     let ctx = S::context(&setup.params)?;
     let relin = S::relin_from_wire(&setup.relin_wire)?;
     let galois = S::galois_from_wire(&setup.galois_wire)?;
+    // Keys over another parameter set's moduli would key-switch over the
+    // wrong ring in the shared evaluator: refused here, the tenant's fault.
+    S::check_keys(&ctx, &relin, &galois)?;
     Ok(Arc::new(SchemeSession {
         ctx,
         relin,

@@ -701,10 +701,11 @@ fn out_of_range_rotation_step_is_a_typed_refusal_on_a_live_connection() {
     assert_bad_rotation_step_is_refused::<Ckks>(SchemeType::Ckks);
 }
 
-/// Tenant 1 uploads compact ciphertexts seeded over moduli of another
-/// parameter set (same ring degree, other primes) while tenant 2's
-/// pipelined pair waits in the same stalled round. The foreign inputs
-/// decode — their frames are well formed — and are refused as the
+/// Tenant 1 uploads ciphertexts over moduli of another parameter set (same
+/// ring degree and residue count, other primes) — compact uploads, or
+/// `full` evaluator outputs, whose frames carry their moduli too — while
+/// tenant 2's pipelined pair waits in the same stalled round. The foreign
+/// inputs decode — their frames are well formed — and are refused as the
 /// tenant's own fault: a typed error, no bisection, no quarantine. Tenant
 /// 2's outputs are its local reference, byte for byte.
 fn assert_foreign_moduli_refused_without_harming_the_neighbour<
@@ -712,6 +713,7 @@ fn assert_foreign_moduli_refused_without_harming_the_neighbour<
 >(
     scheme: SchemeType,
     foreign: choco_he::HeParams,
+    full: bool,
 ) {
     let config = ServeConfig {
         eval_chaos: EvalChaos {
@@ -725,6 +727,7 @@ fn assert_foreign_moduli_refused_without_harming_the_neighbour<
     let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
     let params = workload_params(scheme).unwrap();
     assert_eq!(foreign.degree(), params.degree());
+    assert_eq!(foreign.data_prime_count(), params.data_prime_count());
     assert_ne!(foreign.primes(), params.primes());
     let barrier = Arc::new(Barrier::new(2));
 
@@ -741,7 +744,10 @@ fn assert_foreign_moduli_refused_without_harming_the_neighbour<
                 .input_refs()
                 .iter()
                 .map(|(name, _)| {
-                    let ct = S::encrypt(&ctx, &keys, &zeros, &mut rng).unwrap();
+                    let mut ct = S::encrypt(&ctx, &keys, &zeros, &mut rng).unwrap();
+                    if full {
+                        ct = S::add(&ctx, &ct, &ct).unwrap();
+                    }
                     (name.to_string(), ct)
                 })
                 .collect();
@@ -785,10 +791,75 @@ fn compact_input_with_foreign_moduli_is_the_tenants_fault_only() {
     assert_foreign_moduli_refused_without_harming_the_neighbour::<Bfv>(
         SchemeType::Bfv,
         choco_he::HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap(),
+        false,
     );
     assert_foreign_moduli_refused_without_harming_the_neighbour::<Ckks>(
         SchemeType::Ckks,
         choco_he::HeParams::ckks_insecure(1024, &[50, 40, 45, 46], 30).unwrap(),
+        false,
+    );
+}
+
+#[test]
+fn full_frame_input_with_foreign_moduli_is_the_tenants_fault_only() {
+    assert_foreign_moduli_refused_without_harming_the_neighbour::<Bfv>(
+        SchemeType::Bfv,
+        choco_he::HeParams::bfv_insecure(1024, &[50, 40, 46], 17).unwrap(),
+        true,
+    );
+    assert_foreign_moduli_refused_without_harming_the_neighbour::<Ckks>(
+        SchemeType::Ckks,
+        choco_he::HeParams::ckks_insecure(1024, &[50, 40, 45, 46], 30).unwrap(),
+        true,
+    );
+}
+
+/// Tenant 1 sets up a session under set-B parameters with set A's
+/// evaluation keys. Every key blob carries the moduli it lives over, so the
+/// setup is refused at the door — a typed refusal naming the moduli, never
+/// a quarantine — and tenant 2, served alongside, gets its local reference
+/// byte for byte.
+#[test]
+fn keys_of_another_parameter_set_are_refused_at_session_setup() {
+    let (server, addr) = bind(ServeConfig::default(), 2);
+    let circuits = all_workloads();
+    let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
+    let set_a = choco_he::HeParams::set_a();
+    let keys_of_a = RemoteWorkload::<Bfv>::prepare(circuit, &set_a, b"set-A keys").unwrap();
+    let refused = RemoteEvaluator::<Bfv>::connect(
+        &addr,
+        tenant_seed(1).as_bytes(),
+        1,
+        0,
+        &choco_he::HeParams::set_b(),
+        &keys_of_a.relin,
+        &keys_of_a.galois,
+        &TcpOptions::default(),
+    );
+    match refused {
+        Err(choco::transport::TransportError::Rejected(m)) => {
+            assert!(m.contains("setup refused") && m.contains("moduli"), "{m}")
+        }
+        Err(e) => panic!("expected a typed setup refusal, got {e}"),
+        Ok(_) => panic!("set-A keys were accepted under set-B parameters"),
+    }
+
+    let params = workload_params(SchemeType::Bfv).unwrap();
+    let w = RemoteWorkload::<Bfv>::prepare(circuit, &params, b"neighbour tenant").unwrap();
+    let mut neighbour = connect::<Bfv>(&addr, 2, &w);
+    let outs = neighbour.evaluate(&w.prepared, &w.input_refs()).unwrap();
+    assert_eq!(
+        wires::<Bfv>(&outs),
+        w.local_output_wires().unwrap(),
+        "neighbour's output moved"
+    );
+    let stats = server.shutdown();
+    let iso = stats.eval.isolation;
+    assert_eq!(iso.quarantined, 0, "{iso:?}");
+    assert_eq!(iso.bisections, 0, "{iso:?}");
+    assert_eq!(
+        stats.eval.counters.setups, 1,
+        "only the neighbour's setup is accepted"
     );
 }
 

@@ -46,14 +46,16 @@ fn client_aided_conv_layer_through_the_whole_stack() {
     assert_eq!(got, want);
     // Accounting: one upload, and one download for all three output
     // channels — they come back packed in one ciphertext (16 blocks of 64).
-    // The upload is compact: half a ciphertext (`c0`), the 32-byte seed of
-    // `c1` and one word per data prime.
+    // Frames bill their residues at their primes' width: a 45-bit residue
+    // row of 2048 coefficients is 11 520 bytes. The upload is compact:
+    // `c0`'s two rows, the 32-byte seed of `c1` and one word per data
+    // prime; the download is the two words and both parts' rows.
     let ledger = session.ledger();
     assert_eq!(ledger.uploads, 1);
     assert_eq!(ledger.downloads, 1);
-    let upload = params.ciphertext_bytes() / 2 + 32 + 8 * params.data_prime_count();
-    assert_eq!(ledger.upload_bytes, upload as u64);
-    assert_eq!(ledger.download_bytes, params.ciphertext_bytes() as u64);
+    let row = 2048 * 45 / 8;
+    assert_eq!(ledger.upload_bytes, (2 * row + 32 + 2 * 8) as u64);
+    assert_eq!(ledger.download_bytes, (2 * 8 + 2 * 2 * row) as u64);
 }
 
 #[test]
