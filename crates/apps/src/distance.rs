@@ -348,7 +348,6 @@ fn ledger_delta(after: &CommLedger, before: &CommLedger) -> CommLedger {
         downloads: after.downloads - before.downloads,
         rounds: after.rounds - before.rounds,
         retransmit_bytes: after.retransmit_bytes - before.retransmit_bytes,
-        refresh_rounds: after.refresh_rounds - before.refresh_rounds,
         recovery_bytes: after.recovery_bytes - before.recovery_bytes,
     }
 }

@@ -1132,15 +1132,15 @@ impl ResumableWorkload for ResumableConvLayer {
             let ct = session.client_mut().encrypt_slots(&packing.pack(group))?;
             uploaded.push(session.upload(&ct)?);
         }
-        // Server: per input the watchdog, then a compute tick; then the
-        // layer's program — looked up in the session by the layer's
-        // definition, built and compiled on a miss.
+        // Server: a compute tick per input, then the layer's program —
+        // looked up in the session by the layer's definition, built and
+        // compiled on a miss.
+        let (inputs, weights) = (uploaded.len(), &self.weights);
         let mut named = HashMap::new();
-        for (g, at_server) in uploaded.iter().enumerate() {
-            named.insert(ConvPacking::input_name(g), session.guard(at_server)?);
+        for (g, at_server) in uploaded.into_iter().enumerate() {
+            named.insert(ConvPacking::input_name(g), at_server);
             session.compute_tick()?;
         }
-        let (inputs, weights) = (uploaded.len(), &self.weights);
         let key = packing.layer_key(inputs, weights);
         let build = |ctx: &BfvContext| packing.compile_layer(inputs, weights, ctx.plain_modulus());
         let outputs = session.run_resident(&key, build, &named)?;
@@ -1207,9 +1207,8 @@ impl ResumableWorkload for ResumableConvLayer {
 /// through the client-aided protocol session and returns the
 /// per-output-channel feature maps.
 ///
-/// Every ciphertext crosses the session's framed channels with retries, and
-/// the noise watchdog guards each input ciphertext once, before the layer's
-/// program. Over a
+/// Every ciphertext crosses the session's framed channels with retries. Over
+/// a
 /// [`DirectChannel`](choco::transport::DirectChannel) link this *is* the
 /// fault-free path, with identical primary ledger counters. Any channel
 /// count works: input channels that do not fit one ciphertext row are split
@@ -1733,7 +1732,7 @@ mod tests {
                 let [reply] = layer.replies.as_slice() else {
                     panic!("{in_ch}->{out_ch}: not one output group");
                 };
-                let budget = session.client_mut().noise_budget(reply);
+                let budget = session.client_mut().health(reply);
                 assert!(
                     budget >= 7.0,
                     "{in_ch}->{out_ch} input {input_no}: {budget:.1} bits left"

@@ -262,8 +262,7 @@ impl<S: CompilerScheme> ResumableWorkload for ResumablePagerank<S> {
         let qr = S::quantize(session.server().context(), &self.ranks, self.scale_bits, 1);
         let replicated = replicate_for_matvec(&qr, width);
         let ct = session.client_mut().encrypt(&replicated)?;
-        let uploaded = session.upload(&ct)?;
-        let at_server = session.guard(&uploaded)?;
+        let at_server = session.upload(&ct)?;
 
         // Server: the burst's program — looked up in the session by its
         // definition, built and compiled on a miss. Its terms meet at depth
@@ -340,8 +339,8 @@ impl<S: CompilerScheme> ResumableWorkload for ResumablePagerank<S> {
 /// the given link, generic over the HE scheme.
 ///
 /// A [`LinkConfig::direct`] link is the fault-free paper protocol; any
-/// other link adds framed retries (billed to `retransmit_bytes`) and arms
-/// the health watchdog before each burst without changing the ranks: under
+/// other link adds framed retries (billed to `retransmit_bytes`) without
+/// changing the ranks: under
 /// any fault schedule within the retry budget the result is bit-identical
 /// to the direct run.
 ///

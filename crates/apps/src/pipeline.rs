@@ -11,8 +11,8 @@
 //! There is one encrypted implementation, the stage-granular
 //! [`ResumablePipeline`] that [`run_encrypted`] steps to completion, generic
 //! over the transport: a [`LinkConfig::direct`] link is the fault-free paper
-//! protocol, any other link adds framed retries and watchdog refreshes
-//! without changing the numbers. Every server half is a compiled program
+//! protocol, any other link adds framed retries without changing the
+//! numbers. Every server half is a compiled program
 //! the session keeps resident: the conv layers' [`crate::dnn::ConvPacking`]
 //! programs and the FC's [`matvec_program`].
 
@@ -297,8 +297,7 @@ impl ResumableWorkload for ResumablePipeline {
                 let ct = session
                     .client_mut()
                     .encrypt_slots(&replicate_for_matvec(&features, row))?;
-                let uploaded = session.upload(&ct)?;
-                let at_server = session.guard(&uploaded)?;
+                let at_server = session.upload(&ct)?;
                 session.compute_tick()?;
                 let logits_ct = run_fc(session, &self.weights.fc, at_server)?;
                 let (back, slots) = session.download_checked(&logits_ct, &[(0, expected0)], 0.0)?;

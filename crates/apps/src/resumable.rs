@@ -34,7 +34,7 @@
 //! random draw comes from the checkpointed client RNG. Replaying a crashed
 //! step from the last checkpoint therefore reproduces the uninterrupted
 //! run's ciphertexts bit for bit, and the primary ledger lines (uploads,
-//! downloads, bytes, rounds, refreshes) land on identical totals; only
+//! downloads, bytes, rounds) land on identical totals; only
 //! `retransmit_bytes`, `recovery_bytes` and the simulated clock may
 //! differ. The crash-point sweep in `tests/chaos_sweep.rs` enforces this
 //! for every workload × crash point.

@@ -4,7 +4,7 @@
 //! uninterrupted and records (a) the serialized final result ciphertext
 //! and (b) the communication ledger. It then replays the workload once per
 //! crash point — the first and last occurrence of every session operation
-//! the baseline performed (upload, download, refresh, compute) — arming a
+//! the baseline performed (upload, download, compute) — arming a
 //! deterministic [`CrashPlan`] each time. When the simulated crash fires,
 //! the harness rebuilds the session from the last durable checkpoint with
 //! [`Session::resume`], restores the workload driver from the progress
@@ -16,7 +16,7 @@
 //! * the final result ciphertext is **bit-identical** to the uninterrupted
 //!   run's (the client RNG and all payloads replay exactly);
 //! * every *primary* ledger line (upload/download bytes and counts,
-//!   rounds, refresh rounds) matches the uninterrupted run — recovery
+//!   rounds) matches the uninterrupted run — recovery
 //!   traffic appears only in `recovery_bytes` (and, on faulty links,
 //!   `retransmit_bytes`);
 //! * the uninterrupted run bills zero recovery bytes, every crashed run
@@ -36,12 +36,7 @@ use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, Ckks};
 
-const OPS: [CrashOp; 4] = [
-    CrashOp::Upload,
-    CrashOp::Download,
-    CrashOp::Refresh,
-    CrashOp::Compute,
-];
+const OPS: [CrashOp; 3] = [CrashOp::Upload, CrashOp::Download, CrashOp::Compute];
 
 fn assert_primary_lines_match(label: &str, base: &CommLedger, got: &CommLedger) {
     assert_eq!(got.upload_bytes, base.upload_bytes, "{label}: upload_bytes");
@@ -52,10 +47,6 @@ fn assert_primary_lines_match(label: &str, base: &CommLedger, got: &CommLedger) 
     assert_eq!(got.uploads, base.uploads, "{label}: uploads");
     assert_eq!(got.downloads, base.downloads, "{label}: downloads");
     assert_eq!(got.rounds, base.rounds, "{label}: rounds");
-    assert_eq!(
-        got.refresh_rounds, base.refresh_rounds,
-        "{label}: refresh_rounds"
-    );
 }
 
 /// Runs one workload through the full kill → resume → compare sweep.
@@ -216,10 +207,10 @@ fn chaos_pagerank_bfv_over_faulty_links() {
 }
 
 /// A conv layer is one step: a crash anywhere inside it replays the whole
-/// layer from the checkpoint before it. The refresh floor is forced
-/// sky-high so every guard triggers a refresh round, putting
-/// `CrashOp::Refresh` points on the map too. `groups` is the layer's
-/// (input, output) ciphertext count at `params`' row.
+/// layer from the checkpoint before it. `groups` is the layer's (input,
+/// output) ciphertext count at `params`' row; with more than one of each,
+/// the first and last upload, download and compute tick are distinct
+/// crash points.
 fn conv_layer_sweep(
     label: &str,
     params: &HeParams,
@@ -237,21 +228,16 @@ fn conv_layer_sweep(
                 .collect()
         })
         .collect();
-    let make_session = || {
-        Session::<Bfv>::direct(params, b"chaos-conv", steps)
-            .unwrap()
-            .with_refresh_floor(10_000.0)
-    };
+    let make_session = || Session::<Bfv>::direct(params, b"chaos-conv", steps).unwrap();
     let make_layer = || ResumableConvLayer::new(&input, &weights, 8, 8, 3).unwrap();
-    // Every input is uploaded and refreshed once, every output group
-    // downloaded once.
+    // Every input group is uploaded once, every output group downloaded
+    // once.
     let mut session = make_session();
     make_layer().run(&mut session).unwrap();
     let (inputs, outputs) = groups;
     let ledger = session.ledger();
-    assert_eq!(ledger.refresh_rounds, inputs, "{label}: refreshes");
-    assert_eq!(ledger.uploads, 2 * inputs, "{label}: uploads");
-    assert_eq!(ledger.downloads, inputs + outputs, "{label}: downloads");
+    assert_eq!(ledger.uploads, inputs, "{label}: uploads");
+    assert_eq!(ledger.downloads, outputs, "{label}: downloads");
     sweep(
         label,
         make_session,
@@ -261,7 +247,7 @@ fn conv_layer_sweep(
 }
 
 #[test]
-fn chaos_conv_layer_bfv_with_forced_refreshes() {
+fn chaos_conv_layer_bfv() {
     let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
     let steps = conv_rotation_steps(1, 8, 8, 3);
     conv_layer_sweep("conv/bfv", &params, (1, 2), &steps, (1, 1));
@@ -271,7 +257,7 @@ fn chaos_conv_layer_bfv_with_forced_refreshes() {
 /// input is two groups of 4 and the 6 outputs come down as groups of 4 and
 /// 2 — a multi-group round, replayed whole.
 #[test]
-fn chaos_conv_layer_grouped_bfv_with_forced_refreshes() {
+fn chaos_conv_layer_grouped_bfv() {
     let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
     let steps = conv_rotation_steps_multi(8, 8, 8, 3, 512).unwrap();
     conv_layer_sweep("conv/bfv/grouped", &params, (8, 6), &steps, (2, 2));

@@ -7,9 +7,7 @@
 //!   bit-identical to the fault-free run — faults cost retransmitted bytes,
 //!   never correctness — and nothing panics;
 //! * a schedule *beyond* the budget surfaces a typed [`TransportError`]
-//!   instead of a wrong answer;
-//! * when noise runs out mid-workload, the session's watchdog buys more
-//!   depth with client-aided refresh rounds, visible in the ledger.
+//!   instead of a wrong answer.
 
 use choco::transport::{
     Channel, FaultPlan, FaultyChannel, LinkConfig, RetryPolicy, Session, TransportError,
@@ -19,7 +17,7 @@ use choco_apps::distance::{
 };
 use choco_apps::pipeline::{run_encrypted, seeded_weights, LenetLikeSpec};
 use choco_he::params::HeParams;
-use choco_he::{Bfv, Ckks};
+use choco_he::Ckks;
 use choco_quickprop::{run_cases, Gen};
 
 fn test_image(spec: &LenetLikeSpec) -> Vec<u64> {
@@ -106,7 +104,6 @@ fn dnn_pipeline_over_perfect_channels_matches_and_bills_nothing_extra() {
     .unwrap();
     assert_eq!(enc.logits, baseline.logits);
     assert_eq!(enc.ledger.retransmit_bytes, 0);
-    assert_eq!(enc.ledger.refresh_rounds, 0);
 }
 
 #[test]
@@ -124,38 +121,6 @@ fn dnn_pipeline_beyond_budget_fails_typed_not_wrong() {
         matches!(err, TransportError::RetriesExhausted { .. }),
         "expected RetriesExhausted, got {err}"
     );
-}
-
-#[test]
-fn watchdog_extends_multiply_depth_with_refresh_rounds() {
-    // A multiply-plain chain deeper than the parameters' noise budget
-    // allows: without the watchdog this dies with NoiseBudgetExhausted;
-    // with it, each low-budget checkpoint becomes a client-aided refresh
-    // round billed to the ledger.
-    let params = bfv_params();
-    let mut session = Session::<Bfv>::direct(&params, b"watchdog e2e", &[]).unwrap();
-    let values = vec![1u64; 16];
-    let ct = session.client_mut().encrypt_slots(&values).unwrap();
-    let mut at_server = session.upload(&ct).unwrap();
-    let two = session.server().encode(&[2u64; 16]).unwrap();
-    for _ in 0..24 {
-        at_server = session.ensure_budget(&at_server, 15.0).unwrap();
-        at_server = session
-            .server()
-            .evaluator()
-            .multiply_plain(&at_server, &two);
-    }
-    let back = session.download(&at_server).unwrap();
-    let slots = session.client_mut().decrypt_slots(&back).unwrap();
-    let t = session.server().context().plain_modulus();
-    let want = (0..24).fold(1u64, |acc, _| acc.wrapping_mul(2) % t);
-    assert_eq!(slots[0], want, "chain result wrong after refreshes");
-    let ledger = session.ledger();
-    assert!(
-        ledger.refresh_rounds > 0,
-        "a 24-deep chain must have triggered refreshes"
-    );
-    assert!(ledger.rounds >= ledger.refresh_rounds);
 }
 
 #[test]

@@ -470,7 +470,7 @@ mod tests {
                 .encrypt_slots(&replicate_for_matvec(&x, server.slot_width()))
                 .unwrap();
             let y = matvec_diagonals(&server, &ct, &matrix).unwrap();
-            let budget = client.noise_budget(&y);
+            let budget = client.health(&y);
             assert!(budget >= 4.0, "input {input}: {budget:.1} bits left");
             let got = client.decrypt_slots(&y).unwrap();
             for (i, row) in matrix.iter().enumerate() {

@@ -41,10 +41,6 @@ pub struct CommLedger {
     /// `upload_bytes`/`download_bytes` so Figure-10-style reports under a
     /// fault schedule stay point-comparable to the fault-free baseline.
     pub retransmit_bytes: u64,
-    /// Client-aided noise-refresh round trips triggered by the transport
-    /// watchdog (download → decrypt → re-encrypt → upload). The refresh
-    /// traffic itself is billed to the regular byte counters.
-    pub refresh_rounds: u32,
     /// Extra wire bytes spent recovering from a crash: the reconnect
     /// handshake after a resume. Kept separate
     /// from `upload_bytes` so a crash-interrupted run stays point-comparable
@@ -81,11 +77,6 @@ impl CommLedger {
         self.retransmit_bytes += bytes as u64;
     }
 
-    /// Records one watchdog-triggered noise-refresh round trip.
-    pub fn record_refresh(&mut self) {
-        self.refresh_rounds += 1;
-    }
-
     /// Records `bytes` of crash-recovery traffic (the reconnect handshake
     /// after a resume).
     pub fn record_recovery(&mut self, bytes: usize) {
@@ -110,7 +101,6 @@ impl CommLedger {
         self.downloads += other.downloads;
         self.rounds += other.rounds;
         self.retransmit_bytes += other.retransmit_bytes;
-        self.refresh_rounds += other.refresh_rounds;
         self.recovery_bytes += other.recovery_bytes;
     }
 }
@@ -246,8 +236,8 @@ impl<S: HeScheme> Client<S> {
     }
 
     /// Remaining computation headroom of a ciphertext: noise-budget bits
-    /// (BFV) or remaining rescale levels (CKKS). The transport watchdog
-    /// refreshes when this drops below the session's floor.
+    /// (BFV) or remaining rescale levels (CKKS). A diagnostic: it decrypts
+    /// with the secret key, so it measures what the client holds.
     pub fn health(&self, ct: &S::Ciphertext) -> f64 {
         S::health(&self.ctx, &self.keys, ct)
     }
@@ -302,12 +292,6 @@ impl Client<Bfv> {
     /// Propagates decoding errors.
     pub fn decrypt_slots(&mut self, ct: &Ciphertext) -> Result<Vec<u64>, HeError> {
         self.decrypt(ct)
-    }
-
-    /// Remaining invariant noise budget of a ciphertext (diagnostics;
-    /// BFV-named convenience for [`Client::health`]).
-    pub fn noise_budget(&self, ct: &Ciphertext) -> f64 {
-        self.health(ct)
     }
 }
 

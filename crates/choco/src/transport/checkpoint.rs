@@ -18,8 +18,8 @@
 //! * every RNG position (client encryption randomness, retry jitter) as a
 //!   byte offset into its deterministic stream — the streams are pure
 //!   functions of `(seed, offset)`, so a fast-forward replays them exactly;
-//! * the frame sequence cursor, simulated clock, retry policy, refresh
-//!   floor and the full [`CommLedger`];
+//! * the frame sequence cursor, simulated clock, retry policy and the full
+//!   [`CommLedger`];
 //! * opaque channel state (in-flight queue + fault-RNG offset) from
 //!   [`Channel::export_state`](super::channel::Channel::export_state); and
 //! * an opaque per-workload progress blob owned by the workload.
@@ -43,8 +43,9 @@ const MAGIC: [u8; 4] = *b"CKP1";
 /// Current checkpoint format version (2: the parameter set is one
 /// [`params_to_wire`] recipe; 3: rotation steps and a key fingerprint in
 /// place of the keys; 4: the fingerprint hashes the packed relinearization
-/// wire, so a version-3 fingerprint could never match).
-const VERSION: u16 = 4;
+/// wire, so a version-3 fingerprint could never match; 5: no refresh floor
+/// and no refresh-round count).
+const VERSION: u16 = 5;
 /// BLAKE3 seal and key fingerprint length.
 const HASH_BYTES: usize = 32;
 /// Most rotation steps a checkpoint may list — as many Galois keys as a
@@ -75,8 +76,6 @@ pub struct SessionCheckpoint {
     pub(crate) next_seq: u64,
     /// Retry-jitter RNG position in bytes.
     pub(crate) jitter_drawn: u64,
-    /// Watchdog refresh floor.
-    pub(crate) refresh_floor: f64,
     /// Full communication ledger.
     pub(crate) ledger: CommLedger,
     /// The rotation steps the server was provisioned for.
@@ -113,14 +112,12 @@ impl SessionCheckpoint {
         out.extend_from_slice(&self.clock_ms.to_le_bytes());
         out.extend_from_slice(&self.next_seq.to_le_bytes());
         out.extend_from_slice(&self.jitter_drawn.to_le_bytes());
-        out.extend_from_slice(&self.refresh_floor.to_bits().to_le_bytes());
         out.extend_from_slice(&self.ledger.upload_bytes.to_le_bytes());
         out.extend_from_slice(&self.ledger.download_bytes.to_le_bytes());
         out.extend_from_slice(&self.ledger.uploads.to_le_bytes());
         out.extend_from_slice(&self.ledger.downloads.to_le_bytes());
         out.extend_from_slice(&self.ledger.rounds.to_le_bytes());
         out.extend_from_slice(&self.ledger.retransmit_bytes.to_le_bytes());
-        out.extend_from_slice(&self.ledger.refresh_rounds.to_le_bytes());
         out.extend_from_slice(&self.ledger.recovery_bytes.to_le_bytes());
         out.extend_from_slice(&(self.rotation_steps.len() as u32).to_le_bytes());
         for step in &self.rotation_steps {
@@ -181,10 +178,6 @@ impl SessionCheckpoint {
         let clock_ms = r.take_u64()?;
         let next_seq = r.take_u64()?;
         let jitter_drawn = r.take_u64()?;
-        let refresh_floor = f64::from_bits(r.take_u64()?);
-        if !refresh_floor.is_finite() {
-            return Err(bad("non-finite refresh floor"));
-        }
         let ledger = CommLedger {
             upload_bytes: r.take_u64()?,
             download_bytes: r.take_u64()?,
@@ -192,7 +185,6 @@ impl SessionCheckpoint {
             downloads: r.take_u32()?,
             rounds: r.take_u32()?,
             retransmit_bytes: r.take_u64()?,
-            refresh_rounds: r.take_u32()?,
             recovery_bytes: r.take_u64()?,
         };
         let step_count = r.take_u32()? as usize;
@@ -221,7 +213,6 @@ impl SessionCheckpoint {
             clock_ms,
             next_seq,
             jitter_drawn,
-            refresh_floor,
             ledger,
             rotation_steps,
             key_fingerprint,
@@ -262,7 +253,6 @@ pub(crate) mod tests {
             clock_ms: 9001,
             next_seq: 42,
             jitter_drawn: 88,
-            refresh_floor: 8.0,
             ledger: CommLedger {
                 upload_bytes: 100,
                 download_bytes: 200,
@@ -270,7 +260,6 @@ pub(crate) mod tests {
                 downloads: 4,
                 rounds: 2,
                 retransmit_bytes: 50,
-                refresh_rounds: 1,
                 recovery_bytes: 10,
             },
             rotation_steps: vec![1, -2, 3],
@@ -388,7 +377,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_version_1_blob_is_refused() {
-        for version in [1u16, 2, 3] {
+        for version in [1u16, 2, 3, 4] {
             let old = with_version(&sample().to_bytes(), version);
             let refused = format!("unsupported version {version}");
             let refused = TransportError::BadCheckpoint(refused);

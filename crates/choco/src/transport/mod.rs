@@ -1,10 +1,10 @@
 //! Fault-tolerant client↔server transport for the offload protocol.
 //!
 //! The paper's evaluation assumes a perfect link: every ciphertext the
-//! client uploads arrives intact, and the noise budget is provisioned
-//! offline so no computation ever runs dry mid-protocol. This module keeps
-//! the protocol (and its communication accounting) honest when neither
-//! assumption holds:
+//! client uploads arrives intact. This module keeps the protocol (and its
+//! communication accounting) honest when it does not. Noise is not a
+//! transport concern: the parameter set bounds it before the run, and every
+//! client-aided round's decrypt → re-encrypt starts the next round fresh.
 //!
 //! * [`frame`] defines a length-delimited wire frame — kind, sequence
 //!   number, payload, and a keyed BLAKE3 integrity tag derived from the
@@ -19,10 +19,8 @@
 //! * [`session`] wraps a [`crate::protocol::Client`]/
 //!   [`crate::protocol::Server`] pair in a scheme-generic
 //!   [`session::Session`]: retries with bounded attempts and deterministic
-//!   exponential backoff, a per-round timeout budget, and a health watchdog
-//!   (noise budget under BFV, levels under CKKS) that converts would-be
-//!   [`choco_he::HeError::NoiseBudgetExhausted`] failures into client-aided
-//!   refresh rounds billed to the [`crate::CommLedger`].
+//!   exponential backoff and a per-round timeout budget, with every
+//!   transfer billed to the [`crate::CommLedger`].
 //!
 //! Everything is deterministic: channels and retry jitter are seeded, and
 //! time is a simulated millisecond clock, so a given `(seed, FaultPlan)`

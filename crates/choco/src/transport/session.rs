@@ -1,5 +1,5 @@
-//! Resilient protocol sessions: retries, backoff, and the health watchdog —
-//! one implementation, generic over the scheme and run over any channel.
+//! Resilient protocol sessions: retries, backoff and crash recovery — one
+//! implementation, generic over the scheme and run over any channel.
 //!
 //! A [`Session<S>`] owns both protocol roles plus the two directed boxed
 //! [`Channel`]s between them, and replaces the bare `upload`/`download`
@@ -19,12 +19,9 @@
 //!   protocol, keeping Figure-10-style reports comparable — while every
 //!   retransmission bills its full wire bytes to
 //!   [`CommLedger::retransmit_bytes`];
-//! * a scheme-generic health watchdog ([`Session::ensure_health`]) probes
-//!   each ciphertext's remaining headroom — invariant noise budget in bits
-//!   under BFV, remaining rescale levels under CKKS, via
-//!   [`HeScheme::health`] — and, when it drops below the floor, performs a
-//!   client-aided refresh round (download → decrypt → re-encrypt → upload,
-//!   one extra round in the ledger) instead of letting the computation die;
+//! * the session never decrypts a server-side ciphertext: noise is bounded
+//!   before the run by the parameter set, and each client-aided round's
+//!   download → decrypt → re-encrypt → upload starts the next round fresh;
 //! * the server half runs every workload's server work as a compiled
 //!   program and keeps the programs it runs repeatedly — a conv layer per
 //!   weight set, the FC, a PageRank burst per length, a distance kernel per
@@ -41,7 +38,7 @@ use crate::compiler::{CachedProgram, CompiledProgram, CompilerScheme};
 use crate::protocol::{Client, CommLedger, Server};
 use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::params::{HeParams, SchemeType};
-use choco_he::{Bfv, Ckks, HeError, HeScheme};
+use choco_he::{HeError, HeScheme};
 use choco_prng::{blake3, Blake3Rng};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,8 +130,6 @@ pub enum CrashOp {
     Upload,
     /// A server → client ciphertext transfer.
     Download,
-    /// A watchdog-triggered noise-refresh round trip.
-    Refresh,
     /// A server-side compute step (driven by [`Session::compute_tick`]).
     Compute,
 }
@@ -161,7 +156,7 @@ fn ciphertext_kind<S: HeScheme>() -> FrameKind {
 }
 
 /// The shared retry engine: everything except the scheme-specific
-/// serialization and refresh logic.
+/// serialization.
 struct Link {
     uplink: Box<dyn Channel>,
     downlink: Box<dyn Channel>,
@@ -284,12 +279,11 @@ pub struct Session<S: CompilerScheme> {
     server: Server<S>,
     link: Link,
     ledger: CommLedger,
-    refresh_floor: f64,
     params: HeParams,
     seed: Vec<u8>,
     rotation_steps: Vec<i64>,
     crash: Option<CrashPlan>,
-    ops: [u32; 4],
+    ops: [u32; 3],
     /// Server-side: compiled programs by their callers' exact definitions
     /// (see [`Session::run_resident`]). Not checkpointed.
     programs: OperandCache<Vec<u64>, Arc<CachedProgram<S>>>,
@@ -316,12 +310,11 @@ impl<S: CompilerScheme> Session<S> {
             server,
             link: Link::new(seed, link.uplink, link.downlink, link.policy),
             ledger: CommLedger::new(),
-            refresh_floor: S::HEALTH_FLOOR,
             params: params.clone(),
             seed: seed.to_vec(),
             rotation_steps: rotation_steps.to_vec(),
             crash: None,
-            ops: [0; 4],
+            ops: [0; 3],
             programs: OperandCache::new(RESIDENT_PROGRAMS),
         })
     }
@@ -338,13 +331,6 @@ impl<S: CompilerScheme> Session<S> {
         rotation_steps: &[i64],
     ) -> Result<Self, TransportError> {
         Self::with_link(params, seed, rotation_steps, LinkConfig::direct())
-    }
-
-    /// Overrides the watchdog's refresh floor (noise-budget bits under
-    /// BFV, remaining levels under CKKS).
-    pub fn with_refresh_floor(mut self, floor: f64) -> Self {
-        self.refresh_floor = floor;
-        self
     }
 
     /// The client role.
@@ -459,56 +445,16 @@ impl<S: CompilerScheme> Session<S> {
         Ok((back, values))
     }
 
-    /// The health watchdog: returns `ct` unchanged while its remaining
-    /// headroom ([`HeScheme::health`] — noise-budget bits under BFV,
-    /// levels under CKKS) stays at or above `floor`, otherwise runs a
-    /// client-aided refresh round and returns the re-encrypted ciphertext.
-    ///
-    /// The client can evaluate the headroom because it holds the secret
-    /// key; in the deployed protocol it tracks the same quantity
-    /// analytically from the public operation sequence (§4.4 parameter
-    /// model).
+    /// Returns `ct` unchanged. The benchmark crate's LeNet driver
+    /// (`benchmark/src/lenet.rs`) still calls it, and the benchmark changes
+    /// only together with its baseline; this method goes when that call
+    /// does. Nothing else calls it.
     ///
     /// # Errors
     ///
-    /// Transport errors from the refresh round trip.
-    pub fn ensure_health(
-        &mut self,
-        ct: &S::Ciphertext,
-        floor: f64,
-    ) -> Result<S::Ciphertext, TransportError> {
-        if self.client.health(ct) >= floor {
-            return Ok(ct.clone());
-        }
-        self.refresh(ct)
-    }
-
-    /// [`Self::ensure_health`] with the session's configured floor.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from the refresh round trip.
+    /// None: the `Result` keeps the driver's call compiling.
     pub fn guard(&mut self, ct: &S::Ciphertext) -> Result<S::Ciphertext, TransportError> {
-        self.ensure_health(ct, self.refresh_floor)
-    }
-
-    /// Client-aided refresh: download → decrypt → re-encrypt → upload.
-    /// Costs one extra protocol round, visible in the ledger as
-    /// `refresh_rounds += 1` plus the refresh traffic. Under CKKS the
-    /// re-encryption lands back at the top of the level chain.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from either leg of the round trip.
-    pub fn refresh(&mut self, ct: &S::Ciphertext) -> Result<S::Ciphertext, TransportError> {
-        self.crash_check(CrashOp::Refresh)?;
-        let at_client = self.download(ct)?;
-        let values = self.client.decrypt(&at_client)?;
-        let fresh = self.client.encrypt(&values)?;
-        let back = self.upload(&fresh)?;
-        self.ledger.record_refresh();
-        self.ledger.end_round();
-        Ok(back)
+        Ok(ct.clone())
     }
 
     /// Consumes the session, returning the roles and the final ledger.
@@ -569,7 +515,6 @@ impl<S: CompilerScheme> Session<S> {
             clock_ms: self.link.clock_ms,
             next_seq: self.link.next_seq,
             jitter_drawn: self.link.jitter.bytes_drawn(),
-            refresh_floor: self.refresh_floor,
             ledger: self.ledger,
             rotation_steps: self.rotation_steps.clone(),
             key_fingerprint: self.key_fingerprint(),
@@ -644,7 +589,6 @@ impl<S: CompilerScheme> Session<S> {
         session.link.jitter.skip(ck.jitter_drawn);
         session.link.clock_ms = ck.clock_ms;
         session.link.next_seq = ck.next_seq;
-        session.refresh_floor = ck.refresh_floor;
         session.ledger = ck.ledger;
         if session.key_fingerprint() != ck.key_fingerprint {
             return Err(TransportError::BadCheckpoint(
@@ -745,44 +689,13 @@ impl<S: CompilerScheme> Session<S> {
     }
 }
 
-impl Session<Bfv> {
-    /// BFV-named convenience for [`Session::ensure_health`]: refresh when
-    /// fewer than `min_bits` of invariant noise budget remain.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from the refresh round trip.
-    pub fn ensure_budget(
-        &mut self,
-        ct: &choco_he::bfv::Ciphertext,
-        min_bits: f64,
-    ) -> Result<choco_he::bfv::Ciphertext, TransportError> {
-        self.ensure_health(ct, min_bits)
-    }
-}
-
-impl Session<Ckks> {
-    /// CKKS-named convenience for [`Session::ensure_health`]: refresh when
-    /// fewer than `min_levels` rescale levels remain.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from the refresh round trip.
-    pub fn ensure_level(
-        &mut self,
-        ct: &choco_he::ckks::CkksCiphertext,
-        min_levels: usize,
-    ) -> Result<choco_he::ckks::CkksCiphertext, TransportError> {
-        self.ensure_health(ct, min_levels as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::channel::DirectChannel;
     use crate::transport::checkpoint::tests::{claiming_steps, with_version};
     use crate::transport::fault::{FaultPlan, FaultyChannel};
+    use choco_he::{Bfv, Ckks};
 
     fn params() -> HeParams {
         HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap()
@@ -843,7 +756,6 @@ mod tests {
         assert_eq!(s.ledger().upload_bytes, compact as u64);
         assert_eq!(s.ledger().download_bytes, compact as u64);
         assert_eq!(s.ledger().retransmit_bytes, 0);
-        assert_eq!(s.ledger().refresh_rounds, 0);
     }
 
     #[test]
@@ -904,50 +816,6 @@ mod tests {
             }
             other => panic!("expected TimeoutExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn watchdog_refreshes_exhausted_ciphertext() {
-        let mut s = Session::<Bfv>::direct(&params(), b"session watchdog", &[]).unwrap();
-        let values: Vec<u64> = (0..256).map(|i| i % 13).collect();
-        let ct = s.client_mut().encrypt_slots(&values).unwrap();
-        let mut at_server = s.upload(&ct).unwrap();
-        // Burn noise budget with repeated plain multiplications until the
-        // watchdog would trip.
-        let weights = vec![3u64; 256];
-        let mut refreshed = 0;
-        for _ in 0..64 {
-            let guarded = s.ensure_budget(&at_server, 15.0).unwrap();
-            if s.ledger().refresh_rounds > refreshed {
-                refreshed = s.ledger().refresh_rounds;
-            }
-            at_server = mul_plain(&s, &guarded, &weights);
-        }
-        assert!(refreshed > 0, "watchdog never refreshed");
-        // The final ciphertext still decrypts to *something* well-formed —
-        // the chain would have died without refreshes.
-        let back = s.download(&at_server).unwrap();
-        let out = s.client_mut().decrypt_slots(&back).unwrap();
-        assert_eq!(out.len(), 256);
-    }
-
-    #[test]
-    fn refresh_resets_noise_budget() {
-        let mut s = Session::<Bfv>::direct(&params(), b"session refresh", &[]).unwrap();
-        let ct = s.client_mut().encrypt_slots(&[5; 256]).unwrap();
-        let at_server = s.upload(&ct).unwrap();
-        let worn = mul_plain(&s, &at_server, &[7u64; 256]);
-        let before = {
-            let c = s.client_mut();
-            c.noise_budget(&worn)
-        };
-        let fresh = s.refresh(&worn).unwrap();
-        let after = s.client_mut().noise_budget(&fresh);
-        assert!(
-            after > before,
-            "refresh did not recover budget ({before} -> {after})"
-        );
-        assert_eq!(s.ledger().refresh_rounds, 1);
     }
 
     #[test]
@@ -1194,18 +1062,21 @@ mod tests {
     }
 
     /// A version-3 checkpoint fingerprinted the 8-byte relinearization
-    /// wire, so its fingerprint can never match keys derived now: it is
-    /// refused as the format it is, before any key is derived, never
-    /// misreported as a key mismatch.
+    /// wire, so its fingerprint can never match keys derived now, and a
+    /// version-4 one carries a refresh floor and count this format dropped:
+    /// each is refused as the format it is, before any key is derived,
+    /// never misreported as a key mismatch.
     #[test]
     fn resume_refuses_a_version_3_checkpoint_as_unsupported() {
         let blob = after_one_upload::<Bfv>(&params(), &[1], &bfv_values()).checkpoint(&[]);
         assert!(resume_direct::<Bfv>(&blob).is_ok());
-        match resume_direct::<Bfv>(&with_version(&blob, 3)) {
-            Err(TransportError::BadCheckpoint(why)) => {
-                assert_eq!(why, "unsupported version 3")
+        for version in [3u16, 4] {
+            match resume_direct::<Bfv>(&with_version(&blob, version)) {
+                Err(TransportError::BadCheckpoint(why)) => {
+                    assert_eq!(why, format!("unsupported version {version}"))
+                }
+                other => panic!("expected BadCheckpoint, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected BadCheckpoint, got {:?}", other.map(|_| ())),
         }
     }
 
@@ -1263,29 +1134,5 @@ mod tests {
         // Nothing was billed and the cursor did not wrap.
         assert_eq!(s.ledger().uploads, 0);
         assert_eq!(s.link.next_seq, u64::MAX);
-    }
-
-    #[test]
-    fn ckks_level_watchdog_refreshes() {
-        let params = HeParams::ckks_insecure(256, &[45, 45, 45, 46], 38).unwrap();
-        let mut s = Session::<Ckks>::direct(&params, b"ckks levels", &[]).unwrap();
-        let values: Vec<f64> = (0..128).map(|i| (i % 7) as f64 / 8.0).collect();
-        let ct = s.client_mut().encrypt_values(&values).unwrap();
-        let mut at_server = s.upload(&ct).unwrap();
-        let top = at_server.level();
-        // Rescale down until only one level remains, guarding each step.
-        let ctx_levels = top;
-        let mut refreshes_seen = 0;
-        for _ in 0..(2 * ctx_levels) {
-            at_server = s.ensure_level(&at_server, 2).unwrap();
-            refreshes_seen = s.ledger().refresh_rounds;
-            let ctx = s.server().context();
-            let pt = ctx
-                .encode_at(&vec![0.5; 128], at_server.level(), at_server.scale())
-                .unwrap();
-            let prod = ctx.multiply_plain(&at_server, &pt).unwrap();
-            at_server = ctx.rescale(&prod).unwrap();
-        }
-        assert!(refreshes_seen > 0, "level watchdog never refreshed");
     }
 }

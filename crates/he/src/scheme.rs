@@ -27,10 +27,11 @@
 //! ([`Bfv`], [`Ckks`]), so generic code monomorphizes — there is no dynamic
 //! dispatch anywhere on the hot path.
 //!
-//! The *health* probe generalizes the transport watchdog: for BFV it is the
-//! invariant noise budget in bits (refresh when it runs low), for CKKS the
-//! remaining rescaling levels (refresh before the chain runs out). A
-//! session refreshes when health drops below [`HeScheme::HEALTH_FLOOR`].
+//! The *health* probe measures a ciphertext's remaining headroom: for BFV
+//! the invariant noise budget in bits (which needs the secret key), for
+//! CKKS the remaining rescaling levels. It is a diagnostic; noise is bounded
+//! before a run, by the parameter choice and the verifier, not watched
+//! during one.
 
 use crate::bfv::{self, BfvContext};
 use crate::ckks::{self, CkksContext};
@@ -63,9 +64,6 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
 
     /// Which scheme this is (drives transport frame kinds and reports).
     const SCHEME: SchemeType;
-    /// Default watchdog floor for [`HeScheme::health`]: noise-budget bits
-    /// for BFV, remaining levels for CKKS.
-    const HEALTH_FLOOR: f64;
 
     /// Builds a context from parameters.
     ///
@@ -341,8 +339,6 @@ impl HeScheme for Bfv {
     type GaloisKeys = GaloisKeys;
 
     const SCHEME: SchemeType = SchemeType::Bfv;
-    /// Noise-budget bits below which a session refreshes.
-    const HEALTH_FLOOR: f64 = 8.0;
 
     fn context(params: &HeParams) -> Result<BfvContext, HeError> {
         BfvContext::new(params)
@@ -523,8 +519,6 @@ impl HeScheme for Ckks {
     type GaloisKeys = GaloisKeys;
 
     const SCHEME: SchemeType = SchemeType::Ckks;
-    /// Remaining levels below which a session refreshes.
-    const HEALTH_FLOOR: f64 = 2.0;
 
     fn context(params: &HeParams) -> Result<CkksContext, HeError> {
         CkksContext::new(params)
@@ -988,7 +982,7 @@ mod tests {
         let mut r = rng();
         let keys = Bfv::keygen(&ctx, &mut r);
         let ct = Bfv::encrypt(&ctx, &keys, &[1; 64], &mut r).unwrap();
-        assert!(Bfv::health(&ctx, &keys, &ct) > Bfv::HEALTH_FLOOR);
+        assert!(Bfv::health(&ctx, &keys, &ct) > 8.0);
 
         let cparams = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 38).unwrap();
         let cctx = Ckks::context(&cparams).unwrap();

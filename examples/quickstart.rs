@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let readings: Vec<u64> = (0..16).map(|i| 10 + i).collect();
     let layout = RedundantLayout::new(16, 2);
     let ct = client.encrypt_slots(&layout.pack(&readings))?;
-    println!("fresh noise budget: {:.0} bits", client.noise_budget(&ct));
+    println!("fresh noise budget: {:.0} bits", client.health(&ct));
 
     // Offload: the server shifts the window by +2 and doubles it.
     let at_server = upload::<Bfv>(&mut ledger, &ct);

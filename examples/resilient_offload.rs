@@ -3,7 +3,7 @@
 //! Runs the LeNet-like encrypted pipeline twice — once over perfect
 //! in-memory channels, once over seeded fault-injecting channels — and
 //! shows that the logits are bit-identical while the ledger separates the
-//! fault-tolerance cost (retransmitted bytes, refresh rounds) from the
+//! fault-tolerance cost (retransmitted bytes) from the
 //! paper-comparable upload/download columns.
 //!
 //! ```sh
@@ -68,8 +68,8 @@ fn main() {
         faulty.ledger.upload_bytes, faulty.ledger.download_bytes, faulty.ledger.rounds
     );
     println!(
-        "retransmitted {} B, refresh rounds {} (the fault-tolerance bill)",
-        faulty.ledger.retransmit_bytes, faulty.ledger.refresh_rounds
+        "retransmitted {} B (the fault-tolerance bill)",
+        faulty.ledger.retransmit_bytes
     );
 
     assert_eq!(
