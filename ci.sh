@@ -36,7 +36,7 @@ CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 
 echo "==> simd/scalar equivalence suite (CHOCO_SIMD=0 and =1, both thread counts)"
-# The dispatched forward NTT and modular add/sub must be bit-identical
+# The dispatched forward and inverse NTTs and modular add/sub must be bit-identical
 # whichever backend runs them (crates/math/tests/prop_math.rs asserts simd
 # == scalar == strict in-process; running the suites under both CHOCO_SIMD
 # settings additionally proves the forced-scalar build computes the same
@@ -187,11 +187,14 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # dot_diagonals is the three calls a hand copy would make). Every gated
 # ratio is the best of three interleaved windows per side, in smoke mode
 # too, where a window may hold a single iteration. Its simd section
-# times every vector kernel (forward NTT, modular add, modular sub; N = 4096
-# and 8192) against its scalar twin and fails on a ratio < 1.0, and on a
-# forward NTT whose better size reads < 2.0x, whenever the AVX2 backend is
-# active; on scalar-only hosts the gate is skipped (a note in the report,
-# not a failure). Its par section times every call site still routed
+# times every vector kernel (forward NTT, inverse NTT, modular add, modular
+# sub; N = 4096 and 8192) against its scalar twin and fails on a ratio
+# < 1.0, and on a forward NTT whose better size reads < 2.0x, whenever the
+# AVX2 backend is active; on scalar-only hosts the gate is skipped (a note
+# in the report, not a failure). Its barrett section times the Barrett
+# reducer's dyadic product and accumulator-row reduction against the same
+# loops spelled with `%` and fails on a ratio < 1.0 on any backend. Its
+# par section times every call site still routed
 # through the worker pool against its one-thread loop and fails on a ratio
 # < 1.0 — skipped, with a note, while the host is not running two threads
 # faster than one.

@@ -30,11 +30,11 @@ use choco::transport::{
 };
 use choco_apps::distance::{distance_rotation_steps, PackingVariant, ResumableKmeans};
 use choco_apps::dnn::{conv_rotation_steps, conv_rotation_steps_multi, ResumableConvLayer};
-use choco_apps::pagerank::{pagerank_rotation_steps, Graph, ResumablePagerank};
+use choco_apps::pagerank::{pagerank_plain, pagerank_rotation_steps, Graph, ResumablePagerank};
 use choco_apps::pipeline::{all_rotation_steps, seeded_weights, LenetLikeSpec, ResumablePipeline};
 use choco_apps::resumable::ResumableWorkload;
 use choco_he::params::HeParams;
-use choco_he::{Bfv, Ckks};
+use choco_he::{Bfv, Ckks, HeScheme};
 
 const OPS: [CrashOp; 3] = [CrashOp::Upload, CrashOp::Download, CrashOp::Compute];
 
@@ -49,7 +49,9 @@ fn assert_primary_lines_match(label: &str, base: &CommLedger, got: &CommLedger) 
     assert_eq!(got.rounds, base.rounds, "{label}: rounds");
 }
 
-/// Runs one workload through the full kill → resume → compare sweep.
+/// Runs one workload through the full kill → resume → compare sweep and
+/// returns the uninterrupted run's finished workload, whose result every
+/// crashed run reproduced bit for bit.
 ///
 /// `make_session` builds the session a fresh run starts from (the same
 /// construction for baseline and crashed runs); `resume_channel` builds
@@ -61,13 +63,14 @@ fn sweep<W: ResumableWorkload>(
     make_session: impl Fn() -> Session<W::Scheme>,
     resume_channel: impl Fn(&'static str) -> Box<dyn Channel>,
     make_workload: impl Fn() -> W,
-) {
+) -> W {
     // Uninterrupted baseline.
     let mut session = make_session();
-    let mut w = make_workload();
-    w.run(&mut session)
+    let mut baseline = make_workload();
+    baseline
+        .run(&mut session)
         .unwrap_or_else(|e| panic!("{label}: baseline step: {e}"));
-    let base_wire = w.final_ct_wire();
+    let base_wire = baseline.final_ct_wire();
     assert!(
         !base_wire.is_empty(),
         "{label}: baseline produced no result ciphertext"
@@ -137,10 +140,33 @@ fn sweep<W: ResumableWorkload>(
         }
     }
     assert!(exercised > 0, "{label}: no crash point exercised");
+    baseline
 }
 
 fn chaos_graph() -> Graph {
     Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]])
+}
+
+/// The BFV PageRank cases' chain. A burst of two is three chained plaintext
+/// multiplies, and its replies keep 24.6 and 24.4 bits here
+/// (`noise_margin.rs` measures this exact run).
+fn chaos_bfv_params() -> HeParams {
+    HeParams::bfv_insecure(1024, &[50, 50, 50, 51], 21).unwrap()
+}
+
+/// Scale bits of the BFV PageRank cases.
+const CHAOS_BFV_SCALE_BITS: u32 = 6;
+
+/// The four iterations' ranks must track the plaintext reference within the
+/// quantization tolerance.
+fn assert_ranks_track_plain<S: HeScheme>(label: &str, run: &ResumablePagerank<S>) {
+    let plain = pagerank_plain(&chaos_graph(), 0.85, 4);
+    for (i, (e, p)) in run.ranks().iter().zip(&plain).enumerate() {
+        assert!(
+            (e - p).abs() < 0.05,
+            "{label}: node {i}: encrypted {e} vs plain {p}"
+        );
+    }
 }
 
 fn pagerank_sweep_over<S: CompilerScheme>(
@@ -151,18 +177,18 @@ fn pagerank_sweep_over<S: CompilerScheme>(
 ) {
     let g = chaos_graph();
     let steps = pagerank_rotation_steps(g.len());
-    sweep(
+    let run = sweep(
         label,
         || Session::<S>::direct(params, b"chaos-pagerank", &steps).unwrap(),
         |_| Box::new(DirectChannel::new()) as Box<dyn Channel>,
         || ResumablePagerank::<S>::new(&g, 0.85, 4, burst, scale_bits).unwrap(),
     );
+    assert_ranks_track_plain(label, &run);
 }
 
 #[test]
 fn chaos_pagerank_bfv() {
-    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap();
-    pagerank_sweep_over::<Bfv>("pagerank/bfv", &params, 2, 10);
+    pagerank_sweep_over::<Bfv>("pagerank/bfv", &chaos_bfv_params(), 2, CHAOS_BFV_SCALE_BITS);
 }
 
 #[test]
@@ -178,7 +204,7 @@ fn chaos_pagerank_ckks() {
 /// reconnect) and `recovery_bytes` may differ.
 #[test]
 fn chaos_pagerank_bfv_over_faulty_links() {
-    let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 24).unwrap();
+    let params = chaos_bfv_params();
     let g = chaos_graph();
     let steps = pagerank_rotation_steps(g.len());
     let plan = FaultPlan::default()
@@ -191,7 +217,7 @@ fn chaos_pagerank_bfv_over_faulty_links() {
         max_backoff_ms: 64,
         round_timeout_ms: 1_000_000,
     };
-    sweep(
+    let run = sweep(
         "pagerank/bfv/faulty",
         || {
             let link = LinkConfig {
@@ -202,8 +228,9 @@ fn chaos_pagerank_bfv_over_faulty_links() {
             Session::<Bfv>::with_link(&params, b"chaos-pagerank", &steps, link).unwrap()
         },
         |dir| Box::new(FaultyChannel::new(dir.as_bytes(), plan)),
-        || ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, 10).unwrap(),
+        || ResumablePagerank::<Bfv>::new(&g, 0.85, 4, 2, CHAOS_BFV_SCALE_BITS).unwrap(),
     );
+    assert_ranks_track_plain("pagerank/bfv/faulty", &run);
 }
 
 /// A conv layer is one step: a crash anywhere inside it replays the whole

@@ -12,7 +12,9 @@
 //!   FC, one stage at a time;
 //! * one PageRank burst of one iteration — the only burst length a
 //!   workload runs at paper parameters — at set A, the served PageRank
-//!   workload's set, and at set B.
+//!   workload's set, and at set B;
+//! * the two-iteration bursts `chaos_sweep`'s BFV PageRank cases run, on
+//!   their chain.
 //!
 //! Every reply must keep at least one bit; the values are printed, and
 //! DESIGN.md §13 records them.
@@ -144,5 +146,21 @@ fn a_pagerank_burst_reply_keeps_a_margin_at_sets_a_and_b() {
             panic!("set {set}: expected one burst, got {}", per_burst.len());
         };
         assert_margins(&format!("set {set} PageRank burst"), reply);
+    }
+}
+
+/// Two-iteration bursts over `chaos_sweep`'s 4-node graph, on the chain its
+/// BFV PageRank cases run: N = 1024, `[50, 50, 50, 51]`, t = 21 bits,
+/// scale bits 6.
+#[test]
+fn two_iteration_bursts_keep_a_margin_on_the_chaos_chain() {
+    let graph = Graph::from_adjacency(&[vec![1, 2], vec![2], vec![0], vec![0, 2]]);
+    let params = HeParams::bfv_insecure(1024, &[50, 50, 50, 51], 21).unwrap();
+    let steps = pagerank_rotation_steps(graph.len());
+    let bursts = ResumablePagerank::<Bfv>::new(&graph, 0.85, 4, 2, 6).unwrap();
+    let per_burst = margins_per_step(bursts, &params, b"chaos-pagerank", &steps);
+    assert_eq!(per_burst.len(), 2, "four iterations in bursts of two");
+    for (i, reply) in per_burst.iter().enumerate() {
+        assert_margins(&format!("chaos chain burst {}", i + 1), reply);
     }
 }

@@ -21,7 +21,9 @@
 //! costs more than measurement noise — the generic core is monomorphized,
 //! so there is no dyn dispatch to pay for. A simd section
 //! times every kernel `choco_math::simd` vectorizes against its scalar twin
-//! and fails on one the vector code does not speed up; the RNS multiply,
+//! and fails on one the vector code does not speed up, and a barrett
+//! section does the same for `modops::Barrett` against the `%` it replaced
+//! in the dyadic product and the accumulator-row reduction; the RNS multiply,
 //! decrypt and noise budget and the limb-composed CKKS decode are gated the
 //! same way against their big-integer references (at least 3.0x, 2.0x,
 //! 3.0x and 2.0x), the BFV encrypt against the same encryption spelled
@@ -60,9 +62,10 @@ use choco_he::params::HeParams;
 use choco_he::rlwe::{expand_seed, GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
-use choco_math::modops::{add_mod, sub_mod};
+use choco_math::modops::{add_mod, mul_mod, sub_mod, Barrett};
 use choco_math::ntt::NttTable;
 use choco_math::par;
+use choco_math::poly::dyadic_assign;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::simd;
@@ -488,6 +491,7 @@ fn main() {
         };
         let fwd = kernel("ntt_forward", &|a| ts.forward(a), &|a| ts.forward_scalar(a));
         simd_ntt_speedup = simd_ntt_speedup.max(fwd);
+        kernel("ntt_inverse", &|a| ts.inverse(a), &|a| ts.inverse_scalar(a));
         kernel("add_mod", &|a| simd::add_mod_slices(a, &b, qs), &|a| {
             for (x, &y) in a.iter_mut().zip(&b) {
                 *x = add_mod(*x, y, qs);
@@ -498,6 +502,52 @@ fn main() {
                 *x = sub_mod(*x, y, qs);
             }
         });
+    }
+
+    header("barrett reducer vs the hardware/software divide it replaced (n=8192, 60-bit prime)");
+    // The dyadic product (`poly::dyadic_assign`) and the canonicalization of
+    // a key-switch accumulator row (32 products per u128 slot, the flush
+    // bound) against the same loops spelled with `%`.
+    let mut barrett_speedups: Vec<(String, f64)> = Vec::new();
+    {
+        let n = 8192;
+        let q = generate_ntt_primes(60, n, 1)[0];
+        let reducer = Barrett::new(q);
+        let mut out: Vec<u64> = (0..n).map(|_| rng.next_below(q)).collect();
+        let b: Vec<u64> = (0..n).map(|_| rng.next_below(q)).collect();
+        let sums: Vec<u128> = (0..n)
+            .map(|_| {
+                (0..32)
+                    .map(|_| u128::from(rng.next_below(q)) * u128::from(q - 1))
+                    .sum()
+            })
+            .collect();
+        let mut race = |name: &str, barrett: &dyn Fn(&mut [u64]), div: &dyn Fn(&mut [u64])| {
+            let timings = best_of_three(|side| {
+                let f = [barrett, div][side];
+                measure(window_ms, || f(black_box(&mut out)))
+            });
+            let ratio = record_twins(&mut entries, name, ["barrett", "div"], timings);
+            barrett_speedups.push((format!("{name}_barrett_speedup"), ratio));
+        };
+        race("dyadic_mul", &|a| dyadic_assign(a, &b, q), &|a| {
+            for (x, &y) in a.iter_mut().zip(&b) {
+                *x = mul_mod(*x, y, q);
+            }
+        });
+        race(
+            "reduce_row",
+            &|row| {
+                for (x, &v) in row.iter_mut().zip(&sums) {
+                    *x = reducer.reduce(v);
+                }
+            },
+            &|row| {
+                for (x, &v) in row.iter_mut().zip(&sums) {
+                    *x = (v % u128::from(q)) as u64;
+                }
+            },
+        );
     }
 
     header("RNS vs big-integer, and the client's cached key transforms (sets A, B, C)");
@@ -1053,9 +1103,21 @@ fn main() {
             "{name} is {ratio:.2}x its twin (gate: >= {gate:.1}x)"
         );
     }
-    header("simd speedups (scalar / simd; gate: every kernel >= 1.0x, forward NTT peak >= 2.0x)");
-    for (name, ratio) in &simd_speedups {
+    header(
+        "simd and barrett speedups (scalar / simd: ntt_forward, ntt_inverse, add_mod, sub_mod; \
+         div / barrett: dyadic_mul, reduce_row; gate: every kernel >= 1.0x, forward NTT peak \
+         >= 2.0x)",
+    );
+    for (name, ratio) in simd_speedups.iter().chain(&barrett_speedups) {
         println!("{name:<34} {ratio:.2}x");
+    }
+    // Same rule for the reducer, on any backend: where Barrett does not beat
+    // the divide, `%` is the simpler code to ship.
+    for (name, ratio) in &barrett_speedups {
+        assert!(
+            *ratio >= 1.0,
+            "{name} is {ratio:.2}x: reduce with % instead (gate: >= 1.0x)"
+        );
     }
     if backend.is_vector() {
         // ROADMAP's rule: a vector kernel that does not beat its scalar twin
@@ -1145,6 +1207,7 @@ fn main() {
         derived.extend(
             simd_speedups
                 .iter()
+                .chain(&barrett_speedups)
                 .chain(&rns_speedups)
                 .chain(&encrypt_speedups)
                 .chain(&rns_convert_ns)

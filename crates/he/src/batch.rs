@@ -15,7 +15,7 @@
 
 use crate::bfv::Plaintext;
 use crate::error::HeError;
-use choco_math::modops::mul_mod;
+use choco_math::modops::{mul_mod, Barrett};
 use choco_math::ntt::NttTable;
 use std::collections::HashMap;
 
@@ -101,9 +101,10 @@ impl BatchEncoder {
                 capacity: self.n,
             });
         }
+        let r = Barrett::new(self.t);
         let mut evals = vec![0u64; self.n];
         for (i, &v) in values.iter().enumerate() {
-            evals[self.slot_to_index[i]] = v % self.t;
+            evals[self.slot_to_index[i]] = r.reduce_u64(v);
         }
         self.table.inverse(&mut evals);
         Ok(Plaintext::from_coeffs(evals))
@@ -115,10 +116,8 @@ impl BatchEncoder {
     ///
     /// Returns [`HeError::TooManyValues`] when more than `N` values are given.
     pub fn encode_signed(&self, values: &[i64]) -> Result<Plaintext, HeError> {
-        let mapped: Vec<u64> = values
-            .iter()
-            .map(|&v| v.rem_euclid(self.t as i64) as u64)
-            .collect();
+        let r = Barrett::new(self.t);
+        let mapped: Vec<u64> = values.iter().map(|&v| r.reduce_i64(v)).collect();
         self.encode(&mapped)
     }
 

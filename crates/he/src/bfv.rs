@@ -25,7 +25,7 @@ use crate::rlwe::{
 };
 use crate::rnspoly::RnsPoly;
 use crate::serialize;
-use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute};
+use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute, Barrett};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::generate_ntt_primes;
@@ -831,7 +831,7 @@ impl Evaluator<'_> {
             return Err(HeError::Mismatch("plaintext degree mismatch".into()));
         }
         let acc: Vec<(Vec<u64>, Vec<u64>)> = par::par_map_range(rows, |i| {
-            let q = basis.primes()[i];
+            let r = Barrett::new(basis.primes()[i]);
             let table = &basis.ntt_tables()[i];
             // Raw u128 accumulation: products stay below 2^122, so 32 terms
             // fit before a lazy reduction. The modular sum is unique, so the
@@ -843,11 +843,11 @@ impl Evaluator<'_> {
             for (term, (ct, pt)) in cts.iter().zip(pts).enumerate() {
                 if term > 0 && term % 32 == 0 {
                     for v in acc0.iter_mut().chain(acc1.iter_mut()) {
-                        *v %= q as u128;
+                        *v = r.reduce(*v) as u128;
                     }
                 }
                 for (dst, &coeff) in pt_ntt.iter_mut().zip(pt.coeffs()) {
-                    *dst = coeff % q;
+                    *dst = r.reduce_u64(coeff);
                 }
                 table.forward(&mut pt_ntt);
                 for (part, acc) in ct.parts.iter().zip([&mut acc0, &mut acc1]) {
@@ -861,7 +861,7 @@ impl Evaluator<'_> {
             let reduce = |acc: Vec<u128>| -> Vec<u64> {
                 let mut out = PolyPool::take_scratch(acc.len());
                 for (x, &v) in out.iter_mut().zip(&acc) {
-                    *x = (v % q as u128) as u64;
+                    *x = r.reduce(v);
                 }
                 PolyPool::recycle_u128(acc);
                 out
@@ -897,8 +897,9 @@ impl Evaluator<'_> {
             return Err(HeError::Mismatch("plaintext degree mismatch".into()));
         }
         Ok(DotOperand::encode(full, |q, row| {
+            let r = Barrett::new(q);
             for (x, &c) in row.iter_mut().zip(pt.coeffs()) {
-                *x = c % q;
+                *x = r.reduce_u64(c);
             }
         }))
     }

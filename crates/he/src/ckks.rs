@@ -21,7 +21,7 @@ use crate::rnspoly::RnsPoly;
 use crate::serialize;
 use choco_math::bigint::limbs_to_f64;
 use choco_math::fft::{fft_forward, fft_inverse, Complex};
-use choco_math::modops::reduce_signed;
+use choco_math::modops::Barrett;
 use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 use std::borrow::Borrow;
@@ -302,8 +302,9 @@ impl CkksContext {
         let (ks_basis, _) = self.bases_at(level)?;
         let coeffs = self.embed(values, self.default_scale)?;
         Ok(DotOperand::encode(ks_basis, |q, row| {
+            let r = Barrett::new(q);
             for (x, &c) in row.iter_mut().zip(&coeffs) {
-                *x = reduce_signed(c, q);
+                *x = r.reduce_i64(c);
             }
         }))
     }

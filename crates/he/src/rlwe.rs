@@ -46,7 +46,7 @@ use crate::keyswitch::{
     HoistedDigits, KswitchKey,
 };
 use crate::rnspoly::{self, RnsPoly};
-use choco_math::modops::add_mod;
+use choco_math::modops::{add_mod, Barrett};
 use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
 use choco_math::par;
 use choco_math::pool::PolyPool;
@@ -529,10 +529,10 @@ fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
 }
 
 /// Canonical residues of an unreduced accumulator row.
-fn reduce_row(acc: &[u128], q: u64) -> Vec<u64> {
+fn reduce_row(acc: &[u128], r: Barrett) -> Vec<u64> {
     let mut out = PolyPool::take_scratch(acc.len());
     for (x, &v) in out.iter_mut().zip(acc) {
-        *x = (v % q as u128) as u64;
+        *x = r.reduce(v);
     }
     out
 }
@@ -601,7 +601,7 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         plain: (Vec<u128>, Vec<u128>),
     }
     struct RowAcc<'a> {
-        q: u64,
+        r: Barrett,
         switched: (Vec<u128>, Vec<u128>),
         data: Option<DataRow<'a>>,
     }
@@ -619,7 +619,7 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         .zip(data_rows.chain(std::iter::repeat(None)))
         .map(|(&q, data)| {
             let cell = |_| RowAcc {
-                q,
+                r: Barrett::new(q),
                 switched: zeroed(),
                 data: data.map(|(table, c0, c1)| DataRow {
                     table,
@@ -679,7 +679,7 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
                     let plain = row.data.as_mut().map(|d| &mut d.plain);
                     for sums in [Some(&mut row.switched), plain].into_iter().flatten() {
                         for v in sums.0.iter_mut().chain(sums.1.iter_mut()) {
-                            *v %= row.q as u128;
+                            *v = row.r.reduce(*v) as u128;
                         }
                     }
                 }
@@ -717,14 +717,14 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
     // Second hoisting: one rounded mod_down for an output's whole switched sum.
     let down = |sums: Vec<Vec<u64>>| mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis);
     let finish_output = |acc: Vec<RowAcc>| {
-        let m0 = down(acc.iter().map(|r| reduce_row(&r.switched.0, r.q)).collect());
-        let m1 = down(acc.iter().map(|r| reduce_row(&r.switched.1, r.q)).collect());
+        let m0 = down(acc.iter().map(|c| reduce_row(&c.switched.0, c.r)).collect());
+        let m1 = down(acc.iter().map(|c| reduce_row(&c.switched.1, c.r)).collect());
         let out = par::par_map(&acc, |i, row| {
             let d = row.data.as_ref()?;
             let finish = |plain: &[u128], down: &[u64]| {
-                let mut out = reduce_row(plain, row.q);
+                let mut out = reduce_row(plain, row.r);
                 for (dst, &m) in out.iter_mut().zip(down) {
-                    *dst = add_mod(*dst, m, row.q);
+                    *dst = add_mod(*dst, m, row.r.modulus());
                 }
                 d.table.inverse(&mut out);
                 out

@@ -9,7 +9,7 @@
 //! evaluation domain, where a row depends only on its prime.
 
 use choco_math::bigint::limbs_log2;
-use choco_math::modops::{add_mod, mul_mod, reduce_signed};
+use choco_math::modops::{add_mod, Barrett};
 use choco_math::ntt::apply_galois_ntt;
 use choco_math::par;
 use choco_math::poly::{
@@ -78,9 +78,10 @@ impl RnsPoly {
             .primes()
             .iter()
             .map(|&q| {
+                let r = Barrett::new(q);
                 let mut row = PolyPool::take_scratch(values.len());
                 for (x, &v) in row.iter_mut().zip(values) {
-                    *x = reduce_signed(v.into(), q);
+                    *x = r.reduce_i64(v.into());
                 }
                 row
             })
@@ -96,9 +97,10 @@ impl RnsPoly {
             .primes()
             .iter()
             .map(|&q| {
+                let r = Barrett::new(q);
                 let mut row = PolyPool::take_scratch(values.len());
                 for (x, &v) in row.iter_mut().zip(values) {
-                    *x = v % q;
+                    *x = r.reduce_u64(v);
                 }
                 row
             })
@@ -241,13 +243,13 @@ impl RnsPoly {
         basis: &RnsBasis,
     ) -> [RnsPoly; K] {
         let per_prime = par::par_map(basis.ntt_tables(), |i, table| {
-            let q = table.modulus();
+            let r = Barrett::new(table.modulus());
             let mut x = PolyPool::take_copy(self.row(i));
             table.forward(&mut x);
             let products = factors.map(|factor| {
                 let mut out = PolyPool::take_scratch(x.len());
                 for ((o, &a), &b) in out.iter_mut().zip(&x).zip(factor.row(i)) {
-                    *o = mul_mod(a, b, q);
+                    *o = r.mul_mod(a, b);
                 }
                 table.inverse(&mut out);
                 out
@@ -271,10 +273,10 @@ impl RnsPoly {
         let tables = basis.ntt_tables();
         let primes = basis.primes();
         let rows = par::par_map_range(self.rows.len(), |i| {
-            let q = primes[i];
+            let r = Barrett::new(primes[i]);
             let mut reduced = PolyPool::take_scratch(plain.len());
             for (x, &v) in reduced.iter_mut().zip(plain) {
-                *x = v % q;
+                *x = r.reduce_u64(v);
             }
             let out = tables[i].negacyclic_mul(&self.rows[i], &reduced);
             PolyPool::recycle(reduced);
@@ -424,6 +426,7 @@ pub fn dot_with_key_powers(
     let n = c0.degree();
     let rows = par::par_map(basis.ntt_tables(), |i, table| {
         let q = table.modulus();
+        let r = Barrett::new(q);
         let s = s_ntt.row(i);
         let mut acc = PolyPool::take_zeroed(n);
         let mut power = PolyPool::take_copy(s);
@@ -431,13 +434,13 @@ pub fn dot_with_key_powers(
         for (k, part) in higher.iter().enumerate() {
             if k > 0 {
                 for (p, &x) in power.iter_mut().zip(s) {
-                    *p = mul_mod(*p, x, q);
+                    *p = r.mul_mod(*p, x);
                 }
             }
             part_ntt.copy_from_slice(part.row(i));
             table.forward(&mut part_ntt);
             for ((a, &c), &p) in acc.iter_mut().zip(&part_ntt).zip(&power) {
-                *a = add_mod(*a, mul_mod(c, p, q), q);
+                *a = r.mul_add_mod(c, p, *a);
             }
         }
         table.inverse(&mut acc);

@@ -3,7 +3,8 @@
 //! This crate provides everything the HE layer (`choco-he`) needs and that
 //! the paper obtained from Microsoft SEAL's internals:
 //!
-//! * 64-bit modular arithmetic ([`modops`])
+//! * 64-bit modular arithmetic, and a precomputed Barrett reducer for
+//!   the hot loops ([`modops`])
 //! * deterministic Miller–Rabin primality and NTT-friendly prime generation
 //!   ([`prime`])
 //! * negacyclic Number Theoretic Transforms over `Z_q[x]/(x^N + 1)`
@@ -14,8 +15,8 @@
 //! * polynomial helpers over a single modulus ([`poly`])
 //! * a dependency-free persistent worker pool for slice-parallel kernels
 //!   ([`par`])
-//! * the AVX2 forward-NTT, modular add and modular subtract kernels,
-//!   runtime-dispatched ([`simd`])
+//! * the AVX2 forward-NTT, inverse-NTT, modular add and modular subtract
+//!   kernels, runtime-dispatched ([`simd`])
 //! * a size-classed buffer pool for zero-allocation steady state ([`pool`])
 //!
 //! Everything is implemented from scratch; no external arithmetic crates are

@@ -1,9 +1,11 @@
 //! 64-bit modular arithmetic primitives.
 //!
 //! All moduli handled by the HE stack fit in 61 bits (SEAL-style "up to
-//! 60-bit" primes plus headroom), so products fit in `u128` and the plain
-//! widening-multiply route is both simple and fast enough for a
-//! reproduction-quality library.
+//! 60-bit" primes plus headroom), so products fit in `u128`. The free
+//! functions take the widening-multiply-and-`%` route: simple, and the
+//! oracle for everything else. Hot loops reduce through a [`Barrett`]
+//! built once per row instead, since `%` on a `u128` is a call into the
+//! compiler's software division and `%` on a `u64` a hardware divide.
 
 /// Adds two residues modulo `q`.
 ///
@@ -176,6 +178,107 @@ pub fn reduce_2q(a: u64, q: u64) -> u64 {
     }
 }
 
+/// A precomputed Barrett reducer for one modulus `q`, `2 ≤ q < 2^63`:
+/// `⌊2^128/q⌋` reduces `u128` inputs, `⌊2^64/q⌋` reduces `u64` and `i64`
+/// ones, each with a few multiplies and one branch-free correction.
+///
+/// Both ratios are taken as `⌊(2^w − 1)/q⌋`, which differs from `⌊2^w/q⌋`
+/// only when `q` is a power of two. Either way the quotient estimate
+/// `⌊x·ratio/2^w⌋` falls short of `⌊x/q⌋` by at most one, so `x` minus
+/// the estimate times `q` lies in `[0, 2q)` and a single `min(r, r − q)`
+/// makes it canonical. Results equal `%` exactly.
+///
+/// Build one per row, never one per coefficient: [`Barrett::new`] pays
+/// the divisions the reductions then avoid.
+#[derive(Debug, Clone, Copy)]
+pub struct Barrett {
+    q: u64,
+    /// `⌊(2^128 − 1)/q⌋`, high and low word.
+    ratio_hi: u64,
+    ratio_lo: u64,
+    /// `⌊(2^64 − 1)/q⌋`.
+    ratio64: u64,
+    /// `2^64 mod q`: what a negative `i64` read as a `u64` is offset by.
+    two64: u64,
+}
+
+impl Barrett {
+    /// Precomputes the reducer for `q` (`2 ≤ q < 2^63`).
+    // choco-lint: modops
+    pub fn new(q: u64) -> Self {
+        debug_assert!((2..1 << 63).contains(&q), "barrett modulus out of range");
+        let ratio = u128::MAX / q as u128;
+        Barrett {
+            q,
+            ratio_hi: (ratio >> 64) as u64,
+            ratio_lo: ratio as u64,
+            ratio64: u64::MAX / q,
+            two64: ((1u128 << 64) % q as u128) as u64,
+        }
+    }
+
+    /// The modulus.
+    #[inline(always)]
+    pub fn modulus(&self) -> u64 {
+        self.q
+    }
+
+    /// `x mod q` for any `u128`.
+    #[inline(always)]
+    // choco-lint: modops
+    pub fn reduce(&self, x: u128) -> u64 {
+        let (x_hi, x_lo) = ((x >> 64) as u64, x as u64);
+        // Low word of ⌊x·ratio/2^128⌋: the remainder is below 2q < 2^64,
+        // so the quotient's high word never reaches it.
+        let carry = ((x_lo as u128 * self.ratio_lo as u128) >> 64) as u64;
+        let mid = (x_lo as u128 * self.ratio_hi as u128 + carry as u128)
+            .wrapping_add(x_hi as u128 * self.ratio_lo as u128);
+        let quotient = x_hi
+            .wrapping_mul(self.ratio_hi)
+            .wrapping_add((mid >> 64) as u64);
+        self.correct(x_lo.wrapping_sub(quotient.wrapping_mul(self.q)))
+    }
+
+    /// `x mod q` for a `u64`.
+    #[inline(always)]
+    // choco-lint: modops
+    pub fn reduce_u64(&self, x: u64) -> u64 {
+        let quotient = ((x as u128 * self.ratio64 as u128) >> 64) as u64;
+        self.correct(x.wrapping_sub(quotient.wrapping_mul(self.q)))
+    }
+
+    /// `x mod q` in `[0, q)` for an `i64`, negative or not.
+    #[inline(always)]
+    // choco-lint: modops
+    pub fn reduce_i64(&self, x: i64) -> u64 {
+        // A negative x reads as x + 2^64: take 2^64 mod q back off.
+        let r = self.reduce_u64(x as u64);
+        let d = r.wrapping_sub(self.two64 & (x >> 63) as u64);
+        d.min(d.wrapping_add(self.q))
+    }
+
+    /// `a·b mod q`.
+    #[inline(always)]
+    // choco-lint: modops
+    pub fn mul_mod(&self, a: u64, b: u64) -> u64 {
+        self.reduce(a as u128 * b as u128)
+    }
+
+    /// `(a·b + c) mod q`.
+    #[inline(always)]
+    // choco-lint: modops
+    pub fn mul_add_mod(&self, a: u64, b: u64, c: u64) -> u64 {
+        self.reduce(a as u128 * b as u128 + c as u128)
+    }
+
+    /// `[0, 2q) → [0, q)` without a branch: below `q`, `r − q` wraps high.
+    #[inline(always)]
+    // choco-lint: modops
+    fn correct(&self, r: u64) -> u64 {
+        r.min(r.wrapping_sub(self.q))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +384,23 @@ mod tests {
         }
         for a in [0u64, Q, 2 * Q, 3 * Q + 7, 4 * Q - 1] {
             assert_eq!(reduce_4q(a, Q), a % Q);
+        }
+    }
+
+    #[test]
+    fn barrett_matches_remainder_at_the_range_edges() {
+        for q in [2u64, 3, 1 << 20, Q, (1 << 63) - 25] {
+            let r = Barrett::new(q);
+            let wide = q as u128;
+            for x in [0, 1, wide - 1, wide, 7 * wide, u128::MAX - 1, u128::MAX] {
+                assert_eq!(r.reduce(x) as u128, x % wide, "q={q} x={x}");
+            }
+            for x in [0, 1, q - 1, q, u64::MAX] {
+                assert_eq!(r.reduce_u64(x), x % q, "q={q} x={x}");
+            }
+            for x in [0, -1, 1 - q as i64, -(q as i64), i64::MIN, i64::MAX] {
+                assert_eq!(r.reduce_i64(x), reduce_signed(x, q), "q={q} x={x}");
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::modops::{
     add_mod, inv_mod, mul_mod, mul_mod_shoup, mul_mod_shoup_lazy, reduce_4q, shoup_precompute,
-    sub_mod,
+    sub_mod, Barrett,
 };
 use crate::prime::{is_prime, primitive_nth_root};
 
@@ -216,11 +216,33 @@ impl NttTable {
     /// Uses lazy (Harvey) reduction: values stay in `[0, 2q)` between
     /// stages and the final `1/n` scaling multiply fully reduces, so the
     /// output is bit-identical to [`Self::inverse_strict`].
+    /// Dispatches to the vectorized [`crate::simd`] kernel when a backend
+    /// is active; the scalar and vector paths are bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.size()`.
     pub fn inverse(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "intt input length mismatch");
+        let vectorized = crate::simd::ntt_inverse_lazy(
+            a,
+            &self.inv_psi_rev,
+            &self.inv_psi_rev_shoup,
+            (self.n_inv, self.n_inv_shoup),
+            self.q,
+        );
+        if !vectorized {
+            self.inverse_scalar(a);
+        }
+    }
+
+    /// The scalar lazy inverse transform, bypassing SIMD dispatch: the
+    /// twin of [`Self::forward_scalar`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != self.size()`.
+    pub fn inverse_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "intt input length mismatch");
         let q = self.q;
         // choco-lint: lazy-domain
@@ -335,8 +357,9 @@ impl NttTable {
         let mut fb = crate::pool::PolyPool::take_copy(b);
         self.forward(&mut fa);
         self.forward(&mut fb);
-        for (x, y) in fa.iter_mut().zip(&fb) {
-            *x = mul_mod(*x, *y, self.q);
+        let r = Barrett::new(self.q);
+        for (x, &y) in fa.iter_mut().zip(&fb) {
+            *x = r.mul_mod(*x, y);
         }
         crate::pool::PolyPool::recycle(fb);
         self.inverse(&mut fa);

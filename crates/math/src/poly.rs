@@ -4,9 +4,7 @@
 //! modulo `q`; the ring structure (`x^N + 1`) is supplied by the caller via
 //! [`crate::ntt::NttTable`] where products are needed.
 
-use crate::modops::{
-    add_mod, mul_add_mod, mul_mod, mul_mod_shoup, neg_mod, shoup_precompute, sub_mod,
-};
+use crate::modops::{add_mod, mul_mod_shoup, neg_mod, shoup_precompute, sub_mod, Barrett};
 
 /// `a += b (mod q)` element-wise.
 ///
@@ -42,8 +40,9 @@ pub fn neg_assign(a: &mut [u64], q: u64) {
 /// Panics if the slices have different lengths.
 pub fn dyadic_assign(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "polynomial length mismatch");
+    let r = Barrett::new(q);
     for (x, &y) in a.iter_mut().zip(b) {
-        *x = mul_mod(*x, y, q);
+        *x = r.mul_mod(*x, y);
     }
 }
 
@@ -56,8 +55,9 @@ pub fn dyadic_assign(a: &mut [u64], b: &[u64], q: u64) {
 pub fn dyadic_acc_assign(acc: &mut [u64], a: &[u64], b: &[u64], q: u64) {
     assert_eq!(acc.len(), a.len(), "polynomial length mismatch");
     assert_eq!(acc.len(), b.len(), "polynomial length mismatch");
+    let r = Barrett::new(q);
     for ((x, &y), &z) in acc.iter_mut().zip(a).zip(b) {
-        *x = mul_add_mod(y, z, *x, q);
+        *x = r.mul_add_mod(y, z, *x);
     }
 }
 

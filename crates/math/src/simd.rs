@@ -1,10 +1,11 @@
-//! The three AVX2 kernels that beat their scalar twins on the bench: the
-//! Harvey lazy forward NTT and the row-wise modular add and subtract.
+//! The four AVX2 kernels that beat their scalar twins on the bench: the
+//! Harvey lazy forward and inverse NTTs and the row-wise modular add and
+//! subtract.
 //!
-//! Everything else in the crate — the inverse NTT, the Shoup scalar and
-//! dyadic multiplies — runs the scalar loops in [`crate::ntt`] and
-//! [`crate::poly`]; `bench_kernels` times each kernel kept here against
-//! its scalar twin and fails on a ratio below 1.0 (DESIGN.md §12).
+//! Everything else in the crate — the Shoup scalar and dyadic multiplies —
+//! runs the scalar loops in [`crate::ntt`] and [`crate::poly`];
+//! `bench_kernels` times each kernel kept here against its scalar twin and
+//! fails on a ratio below 1.0 (DESIGN.md §12).
 //!
 //! Apart from the single lifetime erasure in [`crate::par`], this is the
 //! only module in the workspace that contains `unsafe` code, and every
@@ -26,10 +27,13 @@
 //! Every vector kernel performs the *same* integer operations as its
 //! scalar twin in [`crate::modops`] / [`crate::ntt`] — Shoup high-half
 //! multiplies, wrapping low-half multiplies, conditional subtractions —
-//! just four lanes at a time. Modular arithmetic on `u64` is exact, so the
-//! results are bit-identical, not merely numerically close; the property
-//! suite in `crates/math/tests/prop_math.rs` and the `CHOCO_SIMD=0/1` CI
-//! matrix enforce this.
+//! just four lanes at a time. The one regrouping is the inverse NTT's last
+//! stage, which folds the `1/n` scaling into its twiddle instead of
+//! sweeping once more; both forms end in fully reduced residues, and those
+//! are unique. Modular arithmetic on `u64` is exact, so the results are
+//! bit-identical, not merely numerically close; the property suite in
+//! `crates/math/tests/prop_math.rs` and the `CHOCO_SIMD=0/1` CI matrix
+//! enforce this.
 //!
 //! # Dispatch model
 //!
@@ -134,6 +138,33 @@ pub(crate) fn ntt_forward_lazy(
     }
 }
 
+/// Vectorized in-place inverse lazy NTT (Gentleman–Sande, bit-reversed
+/// inverse twiddles, the `1/n` scaling folded into the last stage; output
+/// in `[0, q)`). `n_inv` is `(n⁻¹ mod q, its Shoup constant)`. Returns
+/// `false` when no vector backend is active — the caller runs its scalar
+/// path instead.
+///
+/// `a.len()` must be a power of two and equal the twiddle table length.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn ntt_inverse_lazy(
+    a: &mut [u64],
+    inv_psi_rev: &[u64],
+    inv_psi_rev_shoup: &[u64],
+    n_inv: (u64, u64),
+    q: u64,
+) -> bool {
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if a.len() >= MIN_VECTOR_N => {
+            // SAFETY: Backend::Avx2 is only returned after runtime
+            // detection confirmed the avx2 feature on this CPU.
+            unsafe { avx2::ntt_inverse(a, inv_psi_rev, inv_psi_rev_shoup, n_inv, q) };
+            true
+        }
+        _ => false,
+    }
+}
+
 /// `a[i] = add_mod(a[i], b[i], q)` over whole rows, vectorized when a
 /// backend is active (scalar fallback built in — callers never dispatch).
 ///
@@ -207,6 +238,23 @@ mod avx2 {
         debug_assert!(dst.len() >= 4);
         // SAFETY: the slice holds at least four elements; unaligned store.
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+
+    /// The two 4-lane halves of an 8-lane chunk.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load8(src: &[u64; 8]) -> (__m256i, __m256i) {
+        let (lo, hi) = src.split_at(4);
+        (load(lo), load(hi))
+    }
+
+    /// Stores `lo` and `hi` as the two halves of an 8-lane chunk.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store8(dst: &mut [u64; 8], lo: __m256i, hi: __m256i) {
+        let (l, h) = dst.split_at_mut(4);
+        store(l, lo);
+        store(h, hi);
     }
 
     /// High 64 bits of the unsigned 64×64 product, lane-wise.
@@ -288,30 +336,27 @@ mod avx2 {
         // Stages with butterfly span >= 4: one broadcast twiddle per block,
         // contiguous 4-lane loads on both block halves.
         while t >= 4 {
-            for i in 0..m {
-                let j1 = 2 * i * t;
-                let s = _mm256_set1_epi64x(psi_rev[m + i] as i64);
-                let s_sh = _mm256_set1_epi64x(psi_rev_shoup[m + i] as i64);
+            let tw = psi_rev[m..2 * m].iter().zip(&psi_rev_shoup[m..2 * m]);
+            for (block, (&s, &s_sh)) in a.chunks_exact_mut(2 * t).zip(tw) {
+                let s = _mm256_set1_epi64x(s as i64);
+                let s_sh = _mm256_set1_epi64x(s_sh as i64);
                 // Exact-chunk iteration over the two block halves: the
                 // compiler proves every lane access in range, so the loop
                 // body is branch-free. Two independent butterflies per
                 // 8-chunk keep the long Shoup multiply chains overlapped.
-                let (lo_half, hi_half) = a[j1..j1 + 2 * t].split_at_mut(t);
+                let (lo_half, hi_half) = block.split_at_mut(t);
                 let (l8, l_rem) = lo_half.as_chunks_mut::<8>();
                 let (h8, h_rem) = hi_half.as_chunks_mut::<8>();
                 for (lc, hc) in l8.iter_mut().zip(h8.iter_mut()) {
-                    let u0 = csub(load(&lc[..4]), two_q);
-                    let u1 = csub(load(&lc[4..]), two_q);
-                    let v0 = shoup_lazy(load(&hc[..4]), s, s_sh, qv);
-                    let v1 = shoup_lazy(load(&hc[4..]), s, s_sh, qv);
-                    store(&mut lc[..4], _mm256_add_epi64(u0, v0));
-                    store(&mut lc[4..], _mm256_add_epi64(u1, v1));
-                    store(
-                        &mut hc[..4],
+                    let (u0, u1) = load8(lc);
+                    let (v0, v1) = load8(hc);
+                    let (u0, u1) = (csub(u0, two_q), csub(u1, two_q));
+                    let v0 = shoup_lazy(v0, s, s_sh, qv);
+                    let v1 = shoup_lazy(v1, s, s_sh, qv);
+                    store8(lc, _mm256_add_epi64(u0, v0), _mm256_add_epi64(u1, v1));
+                    store8(
+                        hc,
                         _mm256_add_epi64(u0, _mm256_sub_epi64(two_q, v0)),
-                    );
-                    store(
-                        &mut hc[4..],
                         _mm256_add_epi64(u1, _mm256_sub_epi64(two_q, v1)),
                     );
                 }
@@ -336,8 +381,7 @@ mod avx2 {
             let (tw, _) = psi_rev[m..2 * m].as_chunks::<2>();
             let (tw_sh, _) = psi_rev_shoup[m..2 * m].as_chunks::<2>();
             for ((block, s2), s2_sh) in blocks.iter_mut().zip(tw).zip(tw_sh) {
-                let v0 = load(&block[..4]);
-                let v1 = load(&block[4..]);
+                let (v0, v1) = load8(block);
                 let u = _mm256_permute2x128_si256::<0x20>(v0, v1);
                 let v = _mm256_permute2x128_si256::<0x31>(v0, v1);
                 let s = spread2(s2);
@@ -346,8 +390,11 @@ mod avx2 {
                 let vv = shoup_lazy(v, s, s_sh, qv);
                 let lo = _mm256_add_epi64(uu, vv);
                 let hi = _mm256_add_epi64(uu, _mm256_sub_epi64(two_q, vv));
-                store(&mut block[..4], _mm256_permute2x128_si256::<0x20>(lo, hi));
-                store(&mut block[4..], _mm256_permute2x128_si256::<0x31>(lo, hi));
+                store8(
+                    block,
+                    _mm256_permute2x128_si256::<0x20>(lo, hi),
+                    _mm256_permute2x128_si256::<0x31>(lo, hi),
+                );
             }
             m <<= 1;
         }
@@ -359,8 +406,7 @@ mod avx2 {
             let (tw, _) = psi_rev[m..2 * m].as_chunks::<4>();
             let (tw_sh, _) = psi_rev_shoup[m..2 * m].as_chunks::<4>();
             for ((block, s4), s4_sh) in blocks.iter_mut().zip(tw).zip(tw_sh) {
-                let v0 = load(&block[..4]);
-                let v1 = load(&block[4..]);
+                let (v0, v1) = load8(block);
                 let e = _mm256_unpacklo_epi64(v0, v1); // [x0 x4 x2 x6]
                 let o = _mm256_unpackhi_epi64(v0, v1); // [x1 x5 x3 x7]
                 let u_vec = _mm256_permute4x64_epi64::<0b1101_1000>(e); // evens
@@ -373,9 +419,146 @@ mod avx2 {
                 let hi = reduce_4q_v(_mm256_add_epi64(uu, _mm256_sub_epi64(two_q, vv)), two_q, qv);
                 let lp = _mm256_permute4x64_epi64::<0b1101_1000>(lo); // [y0 y4 y2 y6]
                 let hp = _mm256_permute4x64_epi64::<0b1101_1000>(hi); // [y1 y5 y3 y7]
-                store(&mut block[..4], _mm256_unpacklo_epi64(lp, hp));
-                store(&mut block[4..], _mm256_unpackhi_epi64(lp, hp));
+                store8(
+                    block,
+                    _mm256_unpacklo_epi64(lp, hp),
+                    _mm256_unpackhi_epi64(lp, hp),
+                );
             }
+        }
+    }
+
+    /// Gentleman–Sande butterfly on lanes in `[0, 2q)`: the sum folded back
+    /// below `2q`, and the difference (offset by `2q`) times the twiddle,
+    /// lazily, so it lands in `[0, 2q)` as well.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn gs_butterfly(
+        u: __m256i,
+        v: __m256i,
+        (s, s_sh): (__m256i, __m256i),
+        q: __m256i,
+        two_q: __m256i,
+    ) -> (__m256i, __m256i) {
+        let sum = csub(_mm256_add_epi64(u, v), two_q);
+        let dif = shoup_lazy(_mm256_sub_epi64(_mm256_add_epi64(u, two_q), v), s, s_sh, q);
+        (sum, dif)
+    }
+
+    /// Inverse lazy NTT: [`ntt_forward`]'s stages in reverse order, with the
+    /// `1/n` scaling folded into the last (span `n/2`) stage. `a.len()` is
+    /// a power of two ≥ 8.
+    #[target_feature(enable = "avx2")]
+    pub fn ntt_inverse(
+        a: &mut [u64],
+        inv_psi_rev: &[u64],
+        inv_psi_rev_shoup: &[u64],
+        (n_inv, n_inv_shoup): (u64, u64),
+        q: u64,
+    ) {
+        let n = a.len();
+        debug_assert!(n >= 8 && n.is_power_of_two());
+        let qv = _mm256_set1_epi64x(q as i64);
+        let two_q = _mm256_set1_epi64x((2 * q) as i64);
+        // Span-1 stage (twiddles h = n/2 ..): pairs deinterleaved with
+        // unpack/permute, four butterflies per 8-chunk.
+        let h = n >> 1;
+        {
+            let (blocks, _) = a.as_chunks_mut::<8>();
+            let (tw, _) = inv_psi_rev[h..2 * h].as_chunks::<4>();
+            let (tw_sh, _) = inv_psi_rev_shoup[h..2 * h].as_chunks::<4>();
+            for ((block, s4), s4_sh) in blocks.iter_mut().zip(tw).zip(tw_sh) {
+                let (v0, v1) = load8(block);
+                let e = _mm256_unpacklo_epi64(v0, v1); // [x0 x4 x2 x6]
+                let o = _mm256_unpackhi_epi64(v0, v1); // [x1 x5 x3 x7]
+                let u = _mm256_permute4x64_epi64::<0b1101_1000>(e); // evens
+                let v = _mm256_permute4x64_epi64::<0b1101_1000>(o); // odds
+                let (sum, dif) = gs_butterfly(u, v, (load(s4), load(s4_sh)), qv, two_q);
+                let lp = _mm256_permute4x64_epi64::<0b1101_1000>(sum);
+                let hp = _mm256_permute4x64_epi64::<0b1101_1000>(dif);
+                store8(
+                    block,
+                    _mm256_unpacklo_epi64(lp, hp),
+                    _mm256_unpackhi_epi64(lp, hp),
+                );
+            }
+        }
+        // Span-2 stage (twiddles h = n/4 ..): blocks are [u0 u1 v0 v1],
+        // two per 8-chunk, gathered with 128-bit-lane permutes.
+        let h = h >> 1;
+        {
+            let (blocks, _) = a.as_chunks_mut::<8>();
+            let (tw, _) = inv_psi_rev[h..2 * h].as_chunks::<2>();
+            let (tw_sh, _) = inv_psi_rev_shoup[h..2 * h].as_chunks::<2>();
+            for ((block, s2), s2_sh) in blocks.iter_mut().zip(tw).zip(tw_sh) {
+                let (v0, v1) = load8(block);
+                let u = _mm256_permute2x128_si256::<0x20>(v0, v1);
+                let v = _mm256_permute2x128_si256::<0x31>(v0, v1);
+                let (sum, dif) = gs_butterfly(u, v, (spread2(s2), spread2(s2_sh)), qv, two_q);
+                store8(
+                    block,
+                    _mm256_permute2x128_si256::<0x20>(sum, dif),
+                    _mm256_permute2x128_si256::<0x31>(sum, dif),
+                );
+            }
+        }
+        // Stages with span >= 4 up to n/4: one broadcast twiddle per block,
+        // two butterflies per 8-chunk (see the forward transform).
+        let mut t = 4usize;
+        let mut h = h >> 1;
+        while h >= 2 {
+            let tw = inv_psi_rev[h..2 * h]
+                .iter()
+                .zip(&inv_psi_rev_shoup[h..2 * h]);
+            for (block, (&s, &s_sh)) in a.chunks_exact_mut(2 * t).zip(tw) {
+                let s = (
+                    _mm256_set1_epi64x(s as i64),
+                    _mm256_set1_epi64x(s_sh as i64),
+                );
+                let (lo_half, hi_half) = block.split_at_mut(t);
+                let (l8, l_rem) = lo_half.as_chunks_mut::<8>();
+                let (h8, h_rem) = hi_half.as_chunks_mut::<8>();
+                for (lc, hc) in l8.iter_mut().zip(h8.iter_mut()) {
+                    let (u0, u1) = load8(lc);
+                    let (v0, v1) = load8(hc);
+                    let (sum0, dif0) = gs_butterfly(u0, v0, s, qv, two_q);
+                    let (sum1, dif1) = gs_butterfly(u1, v1, s, qv, two_q);
+                    store8(lc, sum0, sum1);
+                    store8(hc, dif0, dif1);
+                }
+                // The t == 4 stage leaves one 4-lane remainder per half.
+                let (l4, _) = l_rem.as_chunks_mut::<4>();
+                let (h4, _) = h_rem.as_chunks_mut::<4>();
+                for (lc, hc) in l4.iter_mut().zip(h4.iter_mut()) {
+                    let (sum, dif) = gs_butterfly(load(lc), load(hc), s, qv, two_q);
+                    store(lc, sum);
+                    store(hc, dif);
+                }
+            }
+            t <<= 1;
+            h >>= 1;
+        }
+        // Last stage (span n/2, one twiddle) fused with the 1/n scaling: the
+        // sum is multiplied by n⁻¹ and the difference by s·n⁻¹, each with a
+        // full Shoup reduction, saving a separate scaling sweep and a
+        // multiply on every difference lane. Canonical residues are unique,
+        // so this is bit-identical to the two-pass scalar form.
+        debug_assert_eq!(t, n >> 1);
+        let s_ninv = crate::modops::mul_mod(inv_psi_rev[1], n_inv, q);
+        let s_ninv_sh = crate::modops::shoup_precompute(s_ninv, q);
+        let sv = _mm256_set1_epi64x(s_ninv as i64);
+        let sv_sh = _mm256_set1_epi64x(s_ninv_sh as i64);
+        let ni = _mm256_set1_epi64x(n_inv as i64);
+        let ni_sh = _mm256_set1_epi64x(n_inv_shoup as i64);
+        let (lo_half, hi_half) = a.split_at_mut(t);
+        let (lcs, _) = lo_half.as_chunks_mut::<4>();
+        let (hcs, _) = hi_half.as_chunks_mut::<4>();
+        for (lc, hc) in lcs.iter_mut().zip(hcs.iter_mut()) {
+            let (u, v) = (load(lc), load(hc));
+            let sum = csub(_mm256_add_epi64(u, v), two_q);
+            let dif = _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v);
+            store(lc, csub(shoup_lazy(sum, ni, ni_sh, qv), qv));
+            store(hc, csub(shoup_lazy(dif, sv, sv_sh, qv), qv));
         }
     }
 

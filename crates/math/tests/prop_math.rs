@@ -2,7 +2,9 @@
 //! quickprop harness; each property runs seeded random cases).
 
 use choco_math::bigint::{limbs_log2, limbs_to_f64, UBig};
-use choco_math::modops::{add_mod, center, inv_mod, mul_mod, pow_mod, sub_mod};
+use choco_math::modops::{
+    add_mod, center, inv_mod, mul_mod, pow_mod, reduce_signed, sub_mod, Barrett,
+};
 use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
 use choco_math::par;
 use choco_math::poly::apply_galois;
@@ -434,15 +436,16 @@ const SIMD_MOD_BITS: [u32; 6] = [30, 45, 55, 58, 60, 61];
 
 #[test]
 fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
-    // The dispatched forward transform must agree bit-for-bit with both the
-    // scalar lazy path and the fully-reduced strict reference, whatever
-    // backend `CHOCO_SIMD`/detection selected for this process (ci.sh runs
-    // this suite under CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4); the inverse
-    // has one (scalar lazy) path, checked against strict and the round trip.
+    // The dispatched transforms must agree bit-for-bit with both the scalar
+    // lazy paths and the fully-reduced strict references, whatever backend
+    // `CHOCO_SIMD`/detection selected for this process (ci.sh runs this
+    // suite under CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4), from the
+    // smallest vector size to twice the largest ring, on random inputs and
+    // on the all-(q − 1) input that maximizes every lazy intermediate.
     let mut tables = Vec::new();
-    for log_n in 10..=14 {
+    for log_n in 3..=15 {
         let n = 1usize << log_n;
-        for &bits in &SIMD_MOD_BITS {
+        for bits in [20, 30, 45, 55, 58, 60, 61] {
             let q = generate_ntt_primes(bits, n, 1)[0];
             tables.push(NttTable::new(n, q).unwrap());
         }
@@ -450,24 +453,88 @@ fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
     run_cases("dispatched ntt bit identity", 2, |g| {
         for t in &tables {
             let (n, q) = (t.size(), t.modulus());
-            let a: Vec<u64> = (0..n).map(|_| g.u64_below(q)).collect();
-            let ctx = format!("n={n}, q={q} ({} bits)", 64 - q.leading_zeros());
+            let random: Vec<u64> = (0..n).map(|_| g.u64_below(q)).collect();
+            for (input, a) in [("random", random), ("all q-1", vec![q - 1; n])] {
+                let ctx = format!("n={n}, q={q} ({} bits), {input}", 64 - q.leading_zeros());
 
-            let mut fwd = a.clone();
-            t.forward(&mut fwd);
-            let mut fwd_scalar = a.clone();
-            t.forward_scalar(&mut fwd_scalar);
-            assert_eq!(fwd, fwd_scalar, "forward simd != scalar: {ctx}");
-            let mut fwd_strict = a.clone();
-            t.forward_strict(&mut fwd_strict);
-            assert_eq!(fwd, fwd_strict, "forward lazy != strict: {ctx}");
+                let mut fwd = a.clone();
+                t.forward(&mut fwd);
+                let mut fwd_scalar = a.clone();
+                t.forward_scalar(&mut fwd_scalar);
+                assert_eq!(fwd, fwd_scalar, "forward simd != scalar: {ctx}");
+                let mut fwd_strict = a.clone();
+                t.forward_strict(&mut fwd_strict);
+                assert_eq!(fwd, fwd_strict, "forward lazy != strict: {ctx}");
 
-            let mut inv = fwd.clone();
-            t.inverse(&mut inv);
-            let mut inv_strict = fwd.clone();
-            t.inverse_strict(&mut inv_strict);
-            assert_eq!(inv, inv_strict, "inverse lazy != strict: {ctx}");
-            assert_eq!(inv, a, "roundtrip != identity: {ctx}");
+                let mut inv = a.clone();
+                t.inverse(&mut inv);
+                let mut inv_scalar = a.clone();
+                t.inverse_scalar(&mut inv_scalar);
+                assert_eq!(inv, inv_scalar, "inverse simd != scalar: {ctx}");
+                let mut inv_strict = a.clone();
+                t.inverse_strict(&mut inv_strict);
+                assert_eq!(inv, inv_strict, "inverse lazy != strict: {ctx}");
+
+                t.inverse(&mut fwd);
+                assert_eq!(fwd, a, "roundtrip != identity: {ctx}");
+            }
+        }
+    });
+}
+
+#[test]
+fn barrett_reducer_matches_remainder() {
+    // Random moduli of every width from 2 to 61 bits, the BFV plain moduli
+    // (17- to 24-bit primes ≡ 1 mod 2N), and the edge inputs: 0, q − 1,
+    // q, multiples of q, the 32-term accumulator bound 32·(q − 1)², and
+    // values around 2^127 and 2^128.
+    let plain: Vec<u64> = (17..=24)
+        .map(|bits| generate_ntt_primes(bits, 4096, 1)[0])
+        .collect();
+    run_cases("barrett matches %", 64, |g| {
+        let bits = g.u64_in(2, 62) as u32;
+        let random = g.u64_in(1 << (bits - 1), 1 << bits);
+        for q in [random, plain[g.usize_in(0, plain.len())]] {
+            let r = Barrett::new(q);
+            let wide = q as u128;
+            let k = g.u64() as u128;
+            let edges = [
+                0,
+                wide - 1,
+                wide,
+                k * wide,
+                32 * (wide - 1) * (wide - 1),
+                (1 << 127) - 1,
+                1 << 127,
+                (1 << 127) + g.u64() as u128,
+                u128::MAX - g.u64() as u128,
+                u128::MAX,
+            ];
+            let randoms = [
+                (g.u64() as u128) << 64 | g.u64() as u128,
+                g.u64() as u128 * g.u64() as u128,
+            ];
+            for x in edges.into_iter().chain(randoms) {
+                assert_eq!(r.reduce(x) as u128, x % wide, "u128 {x} mod {q}");
+            }
+            for x in [0, q - 1, q, u64::MAX, g.u64(), g.u64() >> g.u64_below(64)] {
+                assert_eq!(r.reduce_u64(x), x % q, "u64 {x} mod {q}");
+            }
+            let half = (q / 2) as i64;
+            for x in [
+                0,
+                -1,
+                i64::MIN,
+                i64::MAX,
+                g.i64(),
+                g.i64_in(-half - 1, half + 1),
+            ] {
+                assert_eq!(r.reduce_i64(x), reduce_signed(x, q), "i64 {x} mod {q}");
+            }
+            let (a, b, c) = (g.u64(), g.u64(), g.u64());
+            assert_eq!(r.mul_mod(a, b) as u128, a as u128 * b as u128 % wide);
+            let fused = a as u128 * b as u128 + c as u128;
+            assert_eq!(r.mul_add_mod(a, b, c) as u128, fused % wide);
         }
     });
 }
