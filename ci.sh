@@ -80,11 +80,13 @@ done
 # uninterrupted session's whatever the thread count; a checkpoint grows by
 # its step list only; a foreign seed, a rewound client RNG and a step count
 # past the cap are refused (session and checkpoint unit tests).
-# Switched downloads, at every point of the matrix too: the four circuits'
-# outputs at sets A, B and the workload set decrypt the same switched or
-# not, the switch stays inside its ceiling and set B keeps both residues
-# (download_switch), and a re-submitted download is refused at the door
-# without quarantining the program (remote_eval).
+# Compressed replies, at every point of the matrix too: the four circuits'
+# outputs at sets A, B and the workload set decrypt the same compressed or
+# not, compression stays inside its licence and every reply is the frame
+# its widths imply (download_switch), the reply decoder is total and exact
+# (fuzz_serialize), and a re-submitted download is refused at the door
+# without quarantining the program, at a set that lifts replies over one
+# residue and at one that lifts them over the top level (remote_eval).
 # `cargo test` exits 0 when a name filter matches no test, so every filtered
 # run must also report at least one passed test.
 filtered() {
@@ -106,7 +108,7 @@ for simd in 0 1; do
         "${matrix[@]}" -p choco-apps --test layer_bytes
         filtered "${matrix[@]}" -p choco-apps --test chaos_sweep chaos_conv_layer
         filtered "${matrix[@]}" -p choco-he --lib -- generic_roundtrip carries_a_seed seed_expands
-        filtered "${matrix[@]}" -p choco-he --test fuzz_serialize -- compact huge_ring
+        filtered "${matrix[@]}" -p choco-he --test fuzz_serialize -- compact huge_ring reply
         filtered "${matrix[@]}" -p choco --test remote_fuzz -- compact_uploads huge_ring
         filtered "${matrix[@]}" -p choco-apps --test download_switch
         filtered "${matrix[@]}" -p choco-serve --test remote_eval resubmitted_download
@@ -173,7 +175,7 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
 # CKKS decode (limb composition; >= 2.0x) against the big-integer loops they
 # replaced, next to the older multiply (>= 3.0x) and decrypt (>= 2.0x)
-# gates, and the BFV encrypt against the same encryption spelled with two
+# gates and the reply compression, both ways (sets A and B; >= 1.0x), and the BFV encrypt against the same encryption spelled with two
 # `mul_poly`s (>= 1.05x: `u` transformed once per prime into the key's
 # cached evaluation-domain rows, where the twin transforms `u` twice and
 # both key halves again), and in the same race the seeded upload form every

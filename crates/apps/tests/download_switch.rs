@@ -1,27 +1,32 @@
-//! The download switch, measured: every BFV program output leaves the
-//! executor switched down to `BfvContext::download_level`
-//! (`CompilerScheme::download`), and the switch is licensed by a parameter
-//! fact — the level's noise-budget ceiling `log2(q_rest) − 2·log2(t) − 1`
-//! at least 10 bits — not by a prediction of the program's noise.
+//! The download step, measured: every BFV program output leaves the
+//! executor compressed (`CompilerScheme::download`,
+//! `BfvContext::compress_reply`) — each component rounded to
+//! `k0 = ⌈log2 t⌉ + 11` and `k1 = ⌈log2 t⌉ + log2 N + 11` bits and lifted
+//! over `BfvContext::download_level`'s basis — under a licence that is a
+//! parameter fact, not a prediction of the program's noise: the rounding
+//! adds at most `t/2^{k0+1} + t·N/2^{k1+1} + t·(1+N)/(2q')` of invariant
+//! noise, under `2^-(DOWNLOAD_CEILING_BITS + 1)`.
 //!
 //! Over the four served workload programs at paper set A, the test-size
 //! `workload_params(Bfv)` and paper set B, this checks against the
-//! unswitched output of the same run:
+//! uncompressed output of the same run:
 //!
-//! * the switched and unswitched outputs decrypt to the same slots, and
+//! * the compressed and uncompressed outputs decrypt to the same slots, and
 //!   both to a mod-`t` plaintext reference of the program wherever the
 //!   program fits the set's noise budget;
-//! * the switch costs at most a bit below `min(budget, ceiling)`;
-//! * the formula ceiling is at most the measured one (a fresh encryption
-//!   switched down to one residue), at sets that license the switch and
-//!   at sets that refuse it;
-//! * set B licenses none: its outputs keep both residues, byte for byte.
+//! * compression costs at most a bit below `min(budget, licence)`;
+//! * a reply is the frame its widths imply, lifted over the download
+//!   level, and compressing it again changes nothing;
+//! * the formula ceiling of a lower level is at most the measured one (a
+//!   fresh encryption switched down to one residue), at sets that lift
+//!   replies over one residue and at sets that keep them at two.
 
 use choco::compiler::{CompilerScheme, Op};
 use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_he::bfv::{BfvContext, Ciphertext, DOWNLOAD_CEILING_BITS};
+use choco_he::bfv::{BfvContext, Ciphertext, DOWNLOAD_CEILING_BITS, REPLY_GUARD_BITS};
 use choco_he::params::{HeParams, SchemeType};
+use choco_he::serialize::REPLY_HEADER_BYTES;
 use choco_he::{Bfv, HeScheme};
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
@@ -92,40 +97,72 @@ fn measured_ceiling(ctx: &BfvContext) -> f64 {
 #[test]
 fn the_formula_ceiling_is_at_most_the_measured_one() {
     // (set, formula ceiling at one residue in hundredths of a bit,
-    // download level): two sets that license the switch, two that refuse
-    // it.
+    // download level, reply widths, a reply's payload bytes): two sets that
+    // lift replies over one residue, two that keep two.
     let sets = [
-        ("set A", HeParams::set_a(), 1104, 1),
+        ("set A", HeParams::set_a(), 1104, 1, [34, 47], 8 + 82_944),
         (
             "workload",
             workload_params(SchemeType::Bfv).unwrap(),
             1023,
             1,
+            [28, 38],
+            8 + 8_448,
         ),
-        ("set B", HeParams::set_b(), -5, 2),
+        ("set B", HeParams::set_b(), -5, 2, [29, 41], 16 + 35_840),
         (
             "18-bit t",
             HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap(),
             814,
             2,
+            [29, 39],
+            16 + 8_704,
         ),
     ];
-    for (set, params, ceiling_centibits, level) in sets {
+    for (set, params, ceiling_centibits, level, widths, payload) in sets {
         let ctx = BfvContext::new(&params).unwrap();
         let ceiling = ctx.switch_ceiling_bits(1).unwrap();
         assert_eq!((ceiling * 100.0).round() as i64, ceiling_centibits, "{set}");
         assert_eq!(ctx.download_level(), level, "{set}");
         assert_eq!(level == 1, ceiling >= DOWNLOAD_CEILING_BITS, "{set}");
+        assert_eq!(ctx.reply_widths(), Some(widths), "{set}");
+        // The licence, from the widths and the lift modulus.
+        let (t, n) = (ctx.plain_modulus() as f64, params.degree() as f64);
+        let q_bits: f64 = params.primes()[..level]
+            .iter()
+            .map(|&q| (q as f64).log2())
+            .sum();
+        let [k0, k1] = widths.map(|k| 2f64.powi(k as i32 + 1));
+        let added = t / k0 + t * n / k1 + t * (1.0 + n) / 2f64.powf(q_bits + 1.0);
+        assert!(
+            added <= 2f64.powf(-(DOWNLOAD_CEILING_BITS + 1.0)),
+            "{set}: {added}"
+        );
+        assert_eq!(
+            widths[0] + params.degree().trailing_zeros(),
+            widths[1],
+            "{set}"
+        );
+        assert!(widths[0] >= REPLY_GUARD_BITS + (t.log2() as u32), "{set}");
         let measured = measured_ceiling(&ctx);
         assert!(
             ceiling <= measured,
             "{set}: formula {ceiling} > measured {measured}"
         );
+        // A reply of a fresh encryption: its frame and its level.
+        let mut rng = Blake3Rng::from_seed(b"reply frame");
+        let keys = Bfv::keygen(&ctx, &mut rng);
+        let ct = Bfv::encrypt(&ctx, &keys, &[1, 2, 3], &mut rng).unwrap();
+        let reply = <Bfv as CompilerScheme>::download(&ctx, &ct).unwrap();
+        assert_eq!(reply.level(), level, "{set}");
+        assert_eq!(Bfv::ct_bytes(&reply), payload, "{set}");
+        assert_eq!(Bfv::ct_to_wire(&reply).len(), REPLY_HEADER_BYTES + payload);
+        assert_eq!(Bfv::decrypt(&ctx, &keys, &reply).unwrap()[..3], [1, 2, 3]);
     }
 }
 
 #[test]
-fn bfv_downloads_switch_exactly_where_the_ceiling_licenses_it() {
+fn bfv_replies_compress_within_the_licence() {
     let sets = [
         ("set A", HeParams::set_a()),
         ("workload", workload_params(SchemeType::Bfv).unwrap()),
@@ -134,47 +171,44 @@ fn bfv_downloads_switch_exactly_where_the_ceiling_licenses_it() {
     for (set, params) in sets {
         let ctx = BfvContext::new(&params).unwrap();
         let level = ctx.download_level();
-        let licensed = level < params.data_prime_count();
-        let ceiling = ctx.switch_ceiling_bits(level).unwrap();
         for circuit in all_workloads() {
             let name = circuit.name;
             let w = RemoteWorkload::<Bfv>::prepare(&circuit, &params, b"download gate").unwrap();
             let named: HashMap<String, Ciphertext> = w.inputs.iter().cloned().collect();
-            let unswitched = w
+            let uncompressed = w
                 .compiled
-                .execute_encrypted_unswitched::<Bfv>(&w.ctx, &named, &w.relin, &w.galois)
+                .execute_encrypted_uncompressed::<Bfv>(&w.ctx, &named, &w.relin, &w.galois)
                 .unwrap();
-            let switched = w.local_outputs().unwrap();
+            let compressed = w.local_outputs().unwrap();
             let want = reference(&w, &circuit);
-            assert_eq!(switched.len(), want.len(), "{set} {name}");
-            for ((low, high), want) in switched.iter().zip(&unswitched).zip(&want) {
-                assert_eq!(low.level(), level, "{set} {name}");
-                assert_eq!(high.level(), params.data_prime_count(), "{set} {name}");
-                let slots = Bfv::decrypt(&w.ctx, &w.keys, low).unwrap();
+            assert_eq!(compressed.len(), want.len(), "{set} {name}");
+            for ((reply, full), want) in compressed.iter().zip(&uncompressed).zip(&want) {
+                assert_eq!(reply.level(), level, "{set} {name}");
+                assert_eq!(full.level(), params.data_prime_count(), "{set} {name}");
+                assert_eq!(reply.reply().map(|r| r.widths()), ctx.reply_widths());
+                assert!(full.reply().is_none(), "{set} {name}");
+                assert!(Bfv::ct_bytes(reply) < Bfv::ct_bytes(full), "{set} {name}");
+                let again = <Bfv as CompilerScheme>::download(&w.ctx, reply).unwrap();
+                assert!(&again == reply, "{set} {name}: compressing twice");
+                let slots = Bfv::decrypt(&w.ctx, &w.keys, reply).unwrap();
                 assert!(
-                    slots == Bfv::decrypt(&w.ctx, &w.keys, high).unwrap(),
+                    slots == Bfv::decrypt(&w.ctx, &w.keys, full).unwrap(),
                     "{set} {name}"
                 );
                 // PageRank's program exhausts set B's budget before any
-                // switch (the verifier refuses it there, NOISE001): its
-                // output is not the reference, switched or not.
+                // download (the verifier refuses it there, NOISE001): its
+                // output is not the reference, compressed or not.
                 if (set, name) != ("set B", "pagerank") {
                     assert!(&slots == want, "{set} {name}: output is not the reference");
                 }
                 let (after, before) = (
-                    Bfv::health(&w.ctx, &w.keys, low),
-                    Bfv::health(&w.ctx, &w.keys, high),
+                    Bfv::health(&w.ctx, &w.keys, reply),
+                    Bfv::health(&w.ctx, &w.keys, full),
                 );
                 assert!(
-                    after >= before.min(ceiling) - 1.0,
-                    "{set} {name}: budget {before} fell to {after} (ceiling {ceiling})"
+                    after >= before.min(DOWNLOAD_CEILING_BITS) - 1.0,
+                    "{set} {name}: budget {before} fell to {after}"
                 );
-                if !licensed {
-                    assert!(
-                        Bfv::ct_to_wire(low) == Bfv::ct_to_wire(high),
-                        "{set} {name}"
-                    );
-                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Op-level kernel timing reporter for the parallel HE runtime.
 //!
 //! Times the kernels the runtime rework targets — strict vs. lazy NTT,
-//! BFV multiply, decrypt and noise budget and the CKKS decode against their
-//! big-integer references, the BFV encrypt against its two-`mul_poly`
+//! BFV multiply, decrypt, noise budget and reply compression and the CKKS
+//! decode against their big-integer references, the BFV encrypt against its two-`mul_poly`
 //! spelling, naive vs. hoisted rotation batches, the diagonal-method matvec of both
 //! schemes through the per-rotation path and through the fused
 //! double-hoisted dot, the compiled-program executor on the two served
@@ -24,9 +24,9 @@
 //! and fails on one the vector code does not speed up, and a barrett
 //! section does the same for `modops::Barrett` against the `%` it replaced
 //! in the dyadic product and the accumulator-row reduction; the RNS multiply,
-//! decrypt and noise budget and the limb-composed CKKS decode are gated the
-//! same way against their big-integer references (at least 3.0x, 2.0x,
-//! 3.0x and 2.0x), the BFV encrypt against the same encryption spelled
+//! decrypt, noise budget and reply compression and the limb-composed CKKS
+//! decode are gated the same way against their big-integer references (at
+//! least 3.0x, 2.0x, 3.0x, 1.0x and 2.0x), the BFV encrypt against the same encryption spelled
 //! with two `mul_poly`s (at least 1.05x) and, in the same race, the seeded
 //! upload `HeScheme::encrypt` makes against that Eq. 2 encrypt (at least
 //! 1.0x; CKKS too, at set C, with `seed_expand_a` timing the server's side
@@ -553,7 +553,8 @@ fn main() {
     header("RNS vs big-integer, and the client's cached key transforms (sets A, B, C)");
     // The production paths against the per-coefficient CRT oracle they
     // replaced, at the degrees of paper sets A (8192) and B (4096) — BFV
-    // multiply, decrypt and noise budget — and the CKKS decode at set C.
+    // multiply, decrypt, noise budget and reply compression — and the CKKS
+    // decode at set C.
     // ROADMAP's rule: the RNS / limb path exists because it beats the
     // reference; below the gate the reference is the simpler code to ship.
     // The same rule holds the BFV encrypt to its cached evaluation-domain
@@ -627,6 +628,22 @@ fn main() {
                 },
                 &mut || {
                     black_box(dec.invariant_noise_budget_reference(black_box(&ct)));
+                },
+            ],
+        );
+        // A program output's download form, compressed and lifted, against
+        // the same rounding both ways by big integers.
+        gated_twins(
+            &mut entries,
+            format!("bfv_compress_{tag}"),
+            RNS,
+            1.0,
+            [
+                &mut || {
+                    black_box(ctx.compress_reply(black_box(&ct)).unwrap());
+                },
+                &mut || {
+                    black_box(ctx.compress_reply_reference(black_box(&ct)).unwrap());
                 },
             ],
         );
@@ -1141,7 +1158,7 @@ fn main() {
     }
     header(
         "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x, \
-         noise budget >= 3.0x, ckks decode >= 2.0x)",
+         noise budget >= 3.0x, compress >= 1.0x, ckks decode >= 2.0x)",
     );
     for (name, value) in rns_speedups.iter().chain(&rns_convert_ns) {
         println!("{name:<34} {value:.2}");

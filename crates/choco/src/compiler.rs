@@ -51,7 +51,6 @@ use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::rlwe::DotOperand;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_verify::{Circuit, CircuitOp, NodeClaim, VerifyError, VerifyOptions, VerifyReport};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -78,7 +77,7 @@ pub trait CompilerScheme: HeScheme {
     /// [`CompilerScheme::rescale`] and [`CompilerScheme::mod_switch_down`]
     /// return their input, and the executor aliases such nodes to their
     /// operand instead of copying a ciphertext through them. A BFV output
-    /// still leaves at a lower level: [`CompilerScheme::download`].
+    /// still leaves compressed: [`CompilerScheme::download`].
     const HAS_CHAIN: bool;
 
     /// Ciphertext × ciphertext with relinearization.
@@ -204,14 +203,16 @@ pub trait CompilerScheme: HeScheme {
     ) -> Result<Self::Ciphertext, HeError>;
 
     /// The form a program output leaves the server in, applied by the
-    /// executor to every output: the same message at the fewest residues
-    /// the parameter set licenses. BFV switches down to
-    /// `BfvContext::download_level`; CKKS returns its input, every output
-    /// already sitting where the compiler's rescales left it.
+    /// executor to every output and by `Session::download`: the same
+    /// message in the fewest bits the parameter set licenses. BFV
+    /// compresses each component to `BfvContext::reply_widths` bits
+    /// (`BfvContext::compress_reply`), idempotently; CKKS returns its
+    /// input, every output already sitting where the compiler's rescales
+    /// left it.
     ///
     /// # Errors
     ///
-    /// Propagates modulus-switch failures.
+    /// Propagates compression failures.
     fn download(ctx: &Self::Context, ct: &Self::Ciphertext) -> Result<Self::Ciphertext, HeError>;
 }
 
@@ -307,8 +308,8 @@ impl CompilerScheme for Ckks {
 impl CompilerScheme for Bfv {
     type Operand = choco_he::bfv::Plaintext;
     // BFV carries no rescaling chain: the schedule's `Rescale` and
-    // `ModSwitch` nodes are scale bookkeeping only. Its one modulus switch
-    // is `download`'s, after the program.
+    // `ModSwitch` nodes are scale bookkeeping only. Its one change of
+    // modulus is `download`'s compression, after the program.
     const HAS_CHAIN: bool = false;
 
     fn mul_ct(
@@ -404,12 +405,7 @@ impl CompilerScheme for Bfv {
         ctx: &choco_he::bfv::BfvContext,
         ct: &choco_he::bfv::Ciphertext,
     ) -> Result<choco_he::bfv::Ciphertext, HeError> {
-        let eval = ctx.evaluator();
-        let mut out = Cow::Borrowed(ct);
-        while out.level() > ctx.download_level() {
-            out = Cow::Owned(eval.mod_switch_to_next(&out)?);
-        }
-        Ok(out.into_owned())
+        ctx.compress_reply(ct)
     }
 }
 
@@ -1482,14 +1478,14 @@ impl CompiledProgram {
     }
 
     /// [`CompiledProgram::execute_encrypted`] without the download step:
-    /// every output at the level its last node left it. The oracle the
-    /// download switch ([`CompilerScheme::download`]) is measured against;
-    /// nothing serves these.
+    /// every output as its last node left it. The oracle the download
+    /// step ([`CompilerScheme::download`]) is measured against; nothing
+    /// serves these.
     ///
     /// # Errors
     ///
     /// As [`CompiledProgram::execute_encrypted`].
-    pub fn execute_encrypted_unswitched<S: CompilerScheme>(
+    pub fn execute_encrypted_uncompressed<S: CompilerScheme>(
         &self,
         ctx: &S::Context,
         inputs: &HashMap<String, S::Ciphertext>,

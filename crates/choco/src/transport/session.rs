@@ -394,16 +394,20 @@ impl<S: CompilerScheme> Session<S> {
         Ok(S::ct_from_wire(&bytes)?)
     }
 
-    /// Sends a ciphertext server → client, retrying until it arrives
+    /// Sends a ciphertext server → client in its download form
+    /// ([`CompilerScheme::download`]: a BFV reply compressed, which a
+    /// resident program's output already is), retrying until it arrives
     /// intact.
     ///
     /// # Errors
     ///
-    /// Typed transport errors if the link is worse than the retry budget.
+    /// Typed transport errors if the link is worse than the retry budget;
+    /// HE errors from the download step.
     pub fn download(&mut self, ct: &S::Ciphertext) -> Result<S::Ciphertext, TransportError> {
         self.crash_check(CrashOp::Download)?;
-        let payload = S::ct_to_wire(ct);
-        let billed = S::ct_bytes(ct);
+        let ct = S::download(self.server.context(), ct)?;
+        let payload = S::ct_to_wire(&ct);
+        let billed = S::ct_bytes(&ct);
         let bytes = self.link.transfer(
             Direction::Download,
             ciphertext_kind::<S>(),
@@ -750,11 +754,15 @@ mod tests {
         // Billing matches the fault-free protocol: payload bytes only. A
         // fresh encryption is its compact frame — `c0` (256 coeffs × 2 data
         // residues at 40 bits, 5 bytes each), the 32-byte seed of `c1` and a
-        // word per data prime — and the echo is that frame too.
+        // word per data prime. The echo leaves as a compressed reply:
+        // `c0'` at 25 bits and `c1'` at 33 (14-bit `t`, N = 256), lifted
+        // over one prime, whose word it carries.
         let compact = 256 * 2 * 5 + 32 + 8 * 2;
+        let reply = 256 * (25 + 33) / 8 + 8;
         assert_eq!(ct.byte_size(), compact);
+        assert_eq!(back.byte_size(), reply);
         assert_eq!(s.ledger().upload_bytes, compact as u64);
-        assert_eq!(s.ledger().download_bytes, compact as u64);
+        assert_eq!(s.ledger().download_bytes, reply as u64);
         assert_eq!(s.ledger().retransmit_bytes, 0);
     }
 
@@ -872,18 +880,19 @@ mod tests {
         let policy = RetryPolicy::default();
         let mut s = faulty::<Bfv>(&params(), b"session dup", up_down, plan, policy);
         let values: Vec<u64> = (0..256).map(|i| i * 11 % 103).collect();
-        let mut ct_bytes = 0u64;
+        let (mut ct_bytes, mut reply_bytes) = (0u64, 0u64);
         for _ in 0..5 {
             let ct = s.client_mut().encrypt_slots(&values).unwrap();
             ct_bytes = ct.byte_size() as u64;
             let at_server = s.upload(&ct).unwrap();
             let back = s.download(&at_server).unwrap();
+            reply_bytes = back.byte_size() as u64;
             assert_eq!(s.client_mut().decrypt_slots(&back).unwrap(), values);
         }
         assert_eq!(s.ledger().uploads, 5);
         assert_eq!(s.ledger().downloads, 5);
         assert_eq!(s.ledger().upload_bytes, 5 * ct_bytes);
-        assert_eq!(s.ledger().download_bytes, 5 * ct_bytes);
+        assert_eq!(s.ledger().download_bytes, 5 * reply_bytes);
         assert_eq!(s.ledger().retransmit_bytes, 0);
         assert_eq!(s.uplink_stats().duplicated, 5);
         assert_eq!(s.downlink_stats().duplicated, 5);

@@ -275,6 +275,13 @@ impl<S: CompilerScheme> Bench<S> {
     fn run(&self, compiled: &CompiledProgram) -> Result<Vec<S::Ciphertext>, HeError> {
         compiled.execute_encrypted::<S>(&self.ctx, &self.inputs, &self.relin, &self.galois)
     }
+
+    /// [`Bench::run`] without the download step: the outputs as the
+    /// kernels left them, before a BFV reply's rounding.
+    fn run_uncompressed(&self, compiled: &CompiledProgram) -> Result<Vec<S::Ciphertext>, HeError> {
+        let (ctx, inputs) = (&self.ctx, &self.inputs);
+        compiled.execute_encrypted_uncompressed::<S>(ctx, inputs, &self.relin, &self.galois)
+    }
 }
 
 /// The plain semantics of `compiled` on real-valued `x`, `y`.
@@ -323,7 +330,11 @@ fn bfv_fused_execution_is_exact_and_no_noisier_than_its_unfused_twin() {
         // One key-switch rounding per dot instead of one per rotation, each
         // scaled by its constant. Next to what a plaintext multiply does to
         // the fresh noise that is little: the two budgets agree to a few
-        // thousandths of a bit, so "no less" is asserted to a hundredth.
+        // thousandths of a bit, so "no less" is asserted to a hundredth —
+        // on the kernels' outputs, before the download step rounds each
+        // reply by an amount of its own.
+        let got = &bench.run_uncompressed(&fused).unwrap()[0];
+        let want = &bench.run_uncompressed(&twin).unwrap()[0];
         let budget = |ct| Bfv::health(&bench.ctx, &bench.keys, ct);
         assert!(
             budget(got) >= budget(want) - 0.01,

@@ -25,11 +25,12 @@ use crate::rlwe::{
 };
 use crate::rnspoly::RnsPoly;
 use crate::serialize;
-use choco_math::modops::{inv_mod, mul_mod_shoup, shoup_precompute, Barrett};
+use choco_math::modops::{inv_mod, inv_mod_pow2, mul_mod_shoup, shoup_precompute, Barrett};
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
+use choco_math::UBig;
 use choco_prng::Blake3Rng;
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -64,6 +65,40 @@ pub struct Ciphertext {
     /// Set only by [`BfvContext::encrypt_symmetric`]: the seed `parts[1]`
     /// expands from, which the wire sends in its place.
     seed: Option<MaskSeed>,
+    /// Set only on a compressed reply ([`BfvContext::compress_reply`]): the
+    /// rows the wire sends in place of the parts, which are their lift.
+    reply: Option<CompressedReply>,
+}
+
+/// What a compressed reply carries on the wire: component `i` of a
+/// ciphertext over `q` rounded to `c_i' = round(2^{k_i}·c_i/q) mod 2^{k_i}`.
+/// A reply keeps these rows beside the parts they lift to, so it
+/// re-encodes to the bytes it was decoded from, as a compact ciphertext
+/// keeps its seed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompressedReply {
+    widths: [u32; 2],
+    rows: [Vec<u64>; 2],
+}
+
+impl Drop for CompressedReply {
+    fn drop(&mut self) {
+        for row in &mut self.rows {
+            PolyPool::recycle(std::mem::take(row));
+        }
+    }
+}
+
+impl CompressedReply {
+    /// The widths `(k0, k1)` the two components travel at.
+    pub fn widths(&self) -> [u32; 2] {
+        self.widths
+    }
+
+    /// The rounded components, `c_i'` in `[0, 2^{k_i})`.
+    pub(crate) fn rows(&self) -> &[Vec<u64>; 2] {
+        &self.rows
+    }
 }
 
 impl Ciphertext {
@@ -79,7 +114,43 @@ impl Ciphertext {
             parts,
             moduli: moduli.into(),
             seed: None,
+            reply: None,
         }
+    }
+
+    /// A compressed reply from its wire rows: each `c_i'` lifted to
+    /// `round(q'·c_i'/2^{k_i})` over `moduli`, whose product is `q'`
+    /// (compressed-frame deserialization, [`BfvContext::compress_reply`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::InvalidCiphertext`] unless both rows have the
+    /// same length, every value is below `2^{k_i}` and every `k_i` is a
+    /// width the lift is exact at (`check_reply_widths`).
+    pub fn from_reply(
+        widths: [u32; 2],
+        rows: [Vec<u64>; 2],
+        moduli: &[u64],
+    ) -> Result<Self, HeError> {
+        check_reply_widths(widths, moduli)?;
+        let [first, _] = &rows;
+        let n = first.len();
+        let fits = rows
+            .iter()
+            .zip(widths)
+            .all(|(row, k)| row.len() == n && row.iter().all(|&c| c >> k == 0));
+        if n == 0 || !fits {
+            return Err(HeError::InvalidCiphertext(
+                "compressed reply rows of unequal length or past their width".into(),
+            ));
+        }
+        let parts = rows.iter().zip(widths).map(|(row, k)| lift(row, k, moduli));
+        Ok(Ciphertext {
+            parts: parts.collect(),
+            moduli: moduli.into(),
+            seed: None,
+            reply: Some(CompressedReply { widths, rows }),
+        })
     }
 
     /// A fresh symmetric encryption `(c0, a)` over `moduli` whose mask `a`
@@ -90,6 +161,7 @@ impl Ciphertext {
             parts,
             moduli: moduli.into(),
             seed: Some(seed),
+            reply: None,
         }
     }
 
@@ -100,6 +172,7 @@ impl Ciphertext {
             parts,
             moduli: self.moduli.clone(),
             seed: None,
+            reply: None,
         }
     }
 
@@ -107,6 +180,12 @@ impl Ciphertext {
     /// encryption, never on an evaluator output.
     pub fn seed(&self) -> Option<&MaskSeed> {
         self.seed.as_ref()
+    }
+
+    /// The rows standing for the parts on the wire: set on a compressed
+    /// reply, never on an evaluator output.
+    pub fn reply(&self) -> Option<&CompressedReply> {
+        self.reply.as_ref()
     }
 
     /// The residue moduli, one per row of every component.
@@ -141,12 +220,17 @@ impl Ciphertext {
     /// component (or, seeded, the seed and `c0`), each residue at its
     /// prime's width.
     pub fn byte_size(&self) -> usize {
-        serialize::payload_bytes(
-            self.degree(),
-            &self.moduli,
-            self.size(),
-            self.seed.is_some(),
-        )
+        match &self.reply {
+            Some(reply) => {
+                serialize::reply_payload_bytes(self.degree(), &self.moduli, reply.widths)
+            }
+            None => serialize::payload_bytes(
+                self.degree(),
+                &self.moduli,
+                self.size(),
+                self.seed.is_some(),
+            ),
+        }
     }
 }
 
@@ -158,6 +242,113 @@ pub const DOWNLOAD_CEILING_BITS: f64 = 10.0;
 /// [`BfvContext::switch_ceiling_bits`] of the level whose basis is `basis`.
 fn switch_ceiling(basis: &RnsBasis, t: u64) -> f64 {
     basis.modulus_bits() - 2.0 * (t as f64).log2() - 1.0
+}
+
+/// Bits a compressed reply keeps past `⌈log2 t⌉` in `c0`, and past
+/// `⌈log2 t⌉ + log2 N` in `c1` ([`BfvContext::reply_widths`]): each
+/// component's rounding then adds at most `2^-(REPLY_GUARD_BITS + 1)` of
+/// invariant noise, half the `2^-(DOWNLOAD_CEILING_BITS + 1)` licence.
+pub const REPLY_GUARD_BITS: u32 = 11;
+
+/// The invariant noise a compressed reply adds at most, with widths
+/// `(k0, k1)` lifted over `q'`: `t/2^{k0+1}` from rounding `c0`,
+/// `t·N/2^{k1+1}` from rounding `c1` (ternary `s`, `‖s‖₁ ≤ N`) and
+/// `t·(1+N)/(2q')` from the lift's own rounding.
+fn reply_noise([k0, k1]: [u32; 2], q_bits: f64, t: u64, n: usize) -> f64 {
+    let (t, n) = (t as f64, n as f64);
+    t / 2f64.powi(k0 as i32 + 1)
+        + t * n / 2f64.powi(k1 as i32 + 1)
+        + t * (1.0 + n) / 2f64.powf(q_bits + 1.0)
+}
+
+/// Refuses reply widths the lift is not exact at over `moduli`: each `k_i`
+/// must lie in `1..62` (a [`BaseConverter`] target is below `2^62`) and
+/// below the bit length of `q' = Π moduli`. Then `2^{k_i} < q'`, so
+/// `round(2^{k_i}·ĉ/q')` of a lifted `ĉ` gives its `c_i'` back.
+///
+/// # Errors
+///
+/// Returns [`HeError::InvalidCiphertext`] naming the widths and `q'`'s bits.
+pub(crate) fn check_reply_widths(widths: [u32; 2], moduli: &[u64]) -> Result<(), HeError> {
+    let q = moduli.iter().fold(UBig::one(), |q, &m| q.mul_u64(m));
+    let q_bits = q.bit_len();
+    if moduli.is_empty() || widths.iter().any(|&k| !(1..62).contains(&k) || k >= q_bits) {
+        return Err(HeError::InvalidCiphertext(format!(
+            "compressed reply widths {widths:?} over a {q_bits}-bit modulus"
+        )));
+    }
+    Ok(())
+}
+
+/// `round(q'·c/2^k)` over `moduli` (`q' = Π moduli > 2^k`) for every `c` of
+/// `row`. With `v = q'·c mod 2^k` and `r` its centered value, `v` or
+/// `v − 2^k`, `round(q'·c/2^k) = (q'·c − r)/2^k ≡ −r·2^{-k}` modulo each
+/// `q'_j`: that is `−v·2^{-k}`, plus one where `r = v − 2^k`. Single words
+/// do it, with no branch: `q' mod 2^k`, one product modulo `2^k`, one per
+/// modulus. A tie, `v = 2^{k−1}`, rounds up, as [`UBig::div_round`] does.
+fn lift(row: &[u64], k: u32, moduli: &[u64]) -> RnsPoly {
+    let pow2 = 1u64 << k;
+    let q_mod = moduli.iter().fold(1u64, |q, &m| q.wrapping_mul(m)) & (pow2 - 1);
+    let q_shoup = shoup_precompute(q_mod, pow2);
+    let mut v = PolyPool::take_scratch(row.len());
+    for (v, &c) in v.iter_mut().zip(row) {
+        *v = mul_mod_shoup(c, q_mod, q_shoup, pow2);
+    }
+    let rows = moduli.iter().map(|&q| {
+        let w = q - inv_mod(pow2 % q, q);
+        let w_shoup = shoup_precompute(w, q);
+        let mut out = PolyPool::take_scratch(row.len());
+        for (o, &v) in out.iter_mut().zip(v.iter()) {
+            let x = mul_mod_shoup(v, w, w_shoup, q) + u64::from(v >= pow2 >> 1);
+            *o = x.min(x.wrapping_sub(q));
+        }
+        out
+    });
+    let lifted = RnsPoly::from_rows(rows.collect());
+    PolyPool::recycle(v);
+    lifted
+}
+
+/// `x ↦ round(m·x/q) mod m` over one level's basis `q`: with `r = [m·x]_q`
+/// centered, `round(m·x/q) = (m·x − r)/q ≡ −r·q^{-1}` modulo `m`, so one
+/// exact `q → {m}` conversion of `r` does it (`q` is odd: no ties).
+/// Decryption runs it with `m = t`, reply compression with `m = 2^k`.
+#[derive(Debug, Clone)]
+struct ScaleRound {
+    to_target: BaseConverter,
+    modulus: u64,
+    /// `−q^{-1} mod m` and its Shoup constant.
+    neg_q_inv: u64,
+    neg_q_inv_shoup: u64,
+}
+
+impl ScaleRound {
+    fn new(basis: &Arc<RnsBasis>, m: u64) -> Self {
+        let q_mod = basis.modulus().rem_u64(m);
+        let q_inv = if m.is_power_of_two() {
+            inv_mod_pow2(q_mod, m.trailing_zeros())
+        } else {
+            inv_mod(q_mod, m)
+        };
+        let neg_q_inv = m - q_inv;
+        ScaleRound {
+            to_target: BaseConverter::new(basis.clone(), &[m]),
+            modulus: m,
+            neg_q_inv,
+            neg_q_inv_shoup: shoup_precompute(neg_q_inv, m),
+        }
+    }
+
+    /// `round(m·x/q) mod m` per coefficient of `x`, a polynomial over the
+    /// basis this was built for.
+    // choco-lint: secret (public: self, basis)
+    fn apply(&self, mut x: RnsPoly, basis: &RnsBasis) -> Vec<u64> {
+        let m = self.modulus;
+        x.scalar_mul(m, basis);
+        let r = x.convert_centered(&self.to_target);
+        let scale = |&v: &u64| mul_mod_shoup(v, self.neg_q_inv, self.neg_q_inv_shoup, m);
+        r.row(0).iter().map(scale).collect()
+    }
 }
 
 /// Precomputed context for one BFV parameter set.
@@ -176,10 +367,14 @@ pub struct BfvContext {
     /// `Δ_l = ⌊q_l/t⌋` reduced modulo each prime of level `l`, aligned with
     /// `level_bases`; the last entry is the fresh-ciphertext `Δ`.
     level_deltas: Vec<Vec<u64>>,
-    /// Per level: the `q_level → {t}` conversion and `−q_level^{-1} mod t`,
-    /// which turn `[t·x]_q` into the decrypted coefficient.
-    level_to_plain: Vec<(BaseConverter, u64)>,
-    /// The level every download is switched down to
+    /// Per level: `x ↦ round(t·x/q_level) mod t`, decryption's last step.
+    level_to_plain: Vec<ScaleRound>,
+    /// The compressed-reply licence ([`BfvContext::reply_widths`]).
+    reply_widths: Option<[u32; 2]>,
+    /// Per level, when a reply is licensed: `x ↦ round(2^{k_i}·x/q_level)
+    /// mod 2^{k_i}` for each component's width.
+    level_to_reply: Vec<[ScaleRound; 2]>,
+    /// The level every compressed reply is lifted over
     /// ([`BfvContext::download_level`]).
     download_level: usize,
     /// `q → ext` and `ext → q` conversions of the ct×ct multiply.
@@ -260,14 +455,32 @@ impl BfvContext {
             };
             let delta = basis.modulus().divrem_u64(t).0;
             level_deltas.push(basis.primes().iter().map(|&q| delta.rem_u64(q)).collect());
-            let q_inv = inv_mod(basis.modulus().rem_u64(t), t);
-            level_to_plain.push((BaseConverter::new(basis.clone(), &[t]), t - q_inv));
+            level_to_plain.push(ScaleRound::new(&basis, t));
             level_bases.push(basis);
         }
-        let download_level = level_bases
-            .iter()
-            .position(|basis| switch_ceiling(basis, t) >= DOWNLOAD_CEILING_BITS)
-            .map_or(data.len(), |below| below + 1);
+        // A reply is lifted over the lowest level that keeps the noise-budget
+        // ceiling of a lower level (the full level needs none), is wide
+        // enough for the widths, and keeps the reply's added noise inside
+        // the licence.
+        let t_bits = u64::BITS - (t - 1).leading_zeros();
+        let widths = [0, n.trailing_zeros()].map(|extra| t_bits + extra + REPLY_GUARD_BITS);
+        let licence = 2f64.powf(-(DOWNLOAD_CEILING_BITS + 1.0));
+        let lift_level = level_bases.iter().position(|basis| {
+            (basis.len() == data.len() || switch_ceiling(basis, t) >= DOWNLOAD_CEILING_BITS)
+                && check_reply_widths(widths, basis.primes()).is_ok()
+                && reply_noise(widths, basis.modulus_bits(), t, n) <= licence
+        });
+        let (reply_widths, level_to_reply) = match lift_level {
+            Some(_) => (
+                Some(widths),
+                level_bases
+                    .iter()
+                    .map(|basis| widths.map(|k| ScaleRound::new(basis, 1 << k)))
+                    .collect(),
+            ),
+            None => (None, Vec::new()),
+        };
+        let download_level = lift_level.map_or(data.len(), |below| below + 1);
         let batch = BatchEncoder::new(n, t).ok().map(Arc::new);
         Ok(BfvContext {
             params: params.clone(),
@@ -277,6 +490,8 @@ impl BfvContext {
             level_bases,
             level_deltas,
             level_to_plain,
+            reply_widths,
+            level_to_reply,
             download_level,
             to_ext,
             from_ext,
@@ -324,14 +539,112 @@ impl BfvContext {
         Some(switch_ceiling(basis, self.t))
     }
 
-    /// The level a server→client download travels at: the lowest whose
+    /// The level a compressed reply is lifted over: the lowest whose
     /// [`BfvContext::switch_ceiling_bits`] is at least
-    /// [`DOWNLOAD_CEILING_BITS`], or the data-prime count when no lower
-    /// level qualifies. A fact of the parameter set, computed once here:
-    /// switching there can turn a correct result into a wrong one only if
-    /// its budget was already under `−log2(1 − 2^-10)` ≈ 0.0014 bits.
+    /// [`DOWNLOAD_CEILING_BITS`] (the data-prime count needs none), whose
+    /// modulus `q'` exceeds `2^{k1}` (`check_reply_widths`) and over
+    /// which the reply adds at most `2^-(DOWNLOAD_CEILING_BITS + 1)` of
+    /// invariant noise: `t/2^{k0+1} + t·N/2^{k1+1} + t·(1+N)/(2q')`. The
+    /// data-prime count when the set licenses no reply. A fact of the
+    /// parameter set, computed once here: a reply can turn a correct
+    /// result into a wrong one only if its budget was already under
+    /// `−log2(1 − 2^-10)` ≈ 0.0014 bits.
     pub fn download_level(&self) -> usize {
         self.download_level
+    }
+
+    /// The widths `(k0, k1)` = `(⌈log2 t⌉ + 11, ⌈log2 t⌉ + log2 N + 11)`
+    /// ([`REPLY_GUARD_BITS`]) every reply's components travel at, or
+    /// `None` when no level satisfies [`BfvContext::download_level`]'s
+    /// conditions and replies leave uncompressed.
+    pub fn reply_widths(&self) -> Option<[u32; 2]> {
+        self.reply_widths
+    }
+
+    /// The form a program output leaves the server in: each component
+    /// rounded to `c_i' = round(2^{k_i}·c_i/q) mod 2^{k_i}` at
+    /// [`BfvContext::reply_widths`] — decryption's scale-and-round with
+    /// `t → 2^{k_i}` — and lifted over [`BfvContext::download_level`]'s
+    /// basis ([`Ciphertext::from_reply`]), so the server holds the
+    /// ciphertext the client decodes. A reply comes back as it is, and so
+    /// does a ciphertext the set (no licence) or its size (three parts)
+    /// leaves uncompressed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::Mismatch`] for a ciphertext at no level of the
+    /// set.
+    pub fn compress_reply(&self, ct: &Ciphertext) -> Result<Ciphertext, HeError> {
+        let (Some(widths), [c0, c1], None) = (self.reply_widths, ct.parts.as_slice(), &ct.reply)
+        else {
+            return Ok(ct.clone());
+        };
+        let (basis, [round0, round1], lift_to) = self.reply_bases(ct)?;
+        let rows = [(c0, round0), (c1, round1)].map(|(c, round)| round.apply(c.clone(), basis));
+        Ciphertext::from_reply(widths, rows, lift_to.primes())
+    }
+
+    /// [`Self::compress_reply`] by big-integer CRT composition and Knuth
+    /// division of every coefficient, both ways: the independent oracle
+    /// the RNS path is tested (and benchmarked) against. Not a production
+    /// path.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compress_reply`].
+    #[doc(hidden)]
+    pub fn compress_reply_reference(&self, ct: &Ciphertext) -> Result<Ciphertext, HeError> {
+        let (Some(widths), [c0, c1], None) = (self.reply_widths, ct.parts.as_slice(), &ct.reply)
+        else {
+            return Ok(ct.clone());
+        };
+        let (basis, _, lift_to) = self.reply_bases(ct)?;
+        let (q, q_out) = (basis.modulus(), lift_to.modulus());
+        let n = self.degree();
+        let mut residues = vec![0; basis.len()];
+        let mut rows = [c0, c1].map(|_| Vec::with_capacity(n));
+        let mut parts = [c0, c1].map(|_| RnsPoly::zero(lift_to.len(), n));
+        for (((c, k), row), part) in [c0, c1].iter().zip(widths).zip(&mut rows).zip(&mut parts) {
+            let pow2 = UBig::one().shl(k);
+            for j in 0..n {
+                for (i, r) in residues.iter_mut().enumerate() {
+                    *r = c.row(i).get(j).copied().unwrap_or(0);
+                }
+                let rounded = basis.compose(&residues).shl(k).div_round(q).rem_u64(1 << k);
+                let lifted = lift_to.decompose(&q_out.mul_u64(rounded).div_round(&pow2));
+                for (i, r) in lifted.into_iter().enumerate() {
+                    if let Some(slot) = part.row_mut(i).get_mut(j) {
+                        *slot = r;
+                    }
+                }
+                row.push(rounded);
+            }
+        }
+        Ok(Ciphertext {
+            parts: parts.into(),
+            moduli: lift_to.primes().into(),
+            seed: None,
+            reply: Some(CompressedReply { widths, rows }),
+        })
+    }
+
+    /// The basis `ct` lives over, its level's reply roundings, and the
+    /// basis replies are lifted over.
+    fn reply_bases(
+        &self,
+        ct: &Ciphertext,
+    ) -> Result<(&RnsBasis, &[ScaleRound; 2], &RnsBasis), HeError> {
+        let at = |level: usize| {
+            let i = level.wrapping_sub(1);
+            self.level_bases.get(i).zip(self.level_to_reply.get(i))
+        };
+        let level = ct.level();
+        match (at(level), at(self.download_level)) {
+            (Some((basis, rounds)), Some((lift_to, _))) => Ok((basis, rounds, lift_to)),
+            _ => Err(HeError::Mismatch(format!(
+                "no modulus level with {level} residues"
+            ))),
+        }
     }
 
     /// The SIMD batch encoder.
@@ -459,6 +772,7 @@ impl Encryptor<'_> {
             parts: rlwe::encrypt(self.pk, &ctx.scaled_message(pt, &ctx.data), &ctx.data, rng),
             moduli: ctx.data.primes().into(),
             seed: None,
+            reply: None,
         }
     }
 }
@@ -494,14 +808,9 @@ impl Decryptor<'_> {
     /// With `r = [t·x]_q` centered, `⌊t·x/q⌉ = (t·x − r)/q ≡ −r·q^{-1}`
     /// modulo `t`, so one exact `q → {t}` conversion of `r` does it.
     // choco-lint: secret (public: basis)
-    fn plaintext_of(&self, mut x: RnsPoly, basis: &RnsBasis) -> Plaintext {
-        let t = self.ctx.t;
-        let (to_plain, neg_q_inv) = &self.ctx.level_to_plain[basis.len() - 1];
-        x.scalar_mul(t, basis);
-        let r = x.convert_centered(to_plain);
-        let shoup = shoup_precompute(*neg_q_inv, t);
-        let scale = |&v: &u64| mul_mod_shoup(v, *neg_q_inv, shoup, t);
-        Plaintext::from_coeffs(r.row(0).iter().map(scale).collect())
+    fn plaintext_of(&self, x: RnsPoly, basis: &RnsBasis) -> Plaintext {
+        let to_plain = &self.ctx.level_to_plain[basis.len() - 1];
+        Plaintext::from_coeffs(to_plain.apply(x, basis))
     }
 
     /// [`Self::decrypt`] by big-integer CRT composition and Knuth division
@@ -879,6 +1188,7 @@ impl Evaluator<'_> {
             parts: vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)],
             moduli: basis.primes().into(),
             seed: None,
+            reply: None,
         })
     }
 
@@ -988,10 +1298,10 @@ impl Evaluator<'_> {
     /// Switches a ciphertext down one modulus level (drops the last data
     /// prime with rounding): the message is preserved, the wire size shrinks
     /// by one residue per component, and the noise budget is capped at the
-    /// new level's [`BfvContext::switch_ceiling_bits`]. The executor applies
-    /// it to every program output down to [`BfvContext::download_level`]
-    /// (`CompilerScheme::download` in `choco`), so downloads travel at
-    /// the fewest residues the parameter set licenses.
+    /// new level's [`BfvContext::switch_ceiling_bits`]. No download takes
+    /// this path: a reply is compressed straight from its level
+    /// ([`BfvContext::compress_reply`]). It stays as the way tests reach a
+    /// lower level and measure that level's ceiling.
     ///
     /// # Errors
     ///
@@ -1015,6 +1325,7 @@ impl Evaluator<'_> {
             parts,
             moduli: next.primes().into(),
             seed: None,
+            reply: None,
         })
     }
 

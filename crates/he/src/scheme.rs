@@ -121,7 +121,9 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     ///
     /// # Errors
     ///
-    /// Propagates decoding failures.
+    /// Propagates decoding failures. A BFV reply compressed to widths
+    /// other than `ctx`'s licence is [`HeError::Mismatch`], before any
+    /// decryption.
     fn decrypt(
         ctx: &Self::Context,
         keys: &Self::KeyBundle,
@@ -152,8 +154,9 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     fn ct_bytes(ct: &Self::Ciphertext) -> usize;
 
     /// Refuses a ciphertext that cannot be a program input in `ctx`: one
-    /// below the top modulus level (such as a download, which leaves the
-    /// server switched down, re-submitted), or one over moduli other than
+    /// below the top modulus level or a compressed BFV reply (such as a
+    /// download re-submitted, whatever level it was lifted over), or one
+    /// over moduli other than
     /// `ctx`'s data primes or at another degree — an upload made for
     /// another parameter set, which the evaluator would compute over the
     /// wrong ring. Every frame carries its moduli, full or compact.
@@ -389,6 +392,13 @@ impl HeScheme for Bfv {
         keys: &KeyBundle,
         ct: &bfv::Ciphertext,
     ) -> Result<Vec<u64>, HeError> {
+        let widths = ct.reply().map(bfv::CompressedReply::widths);
+        if widths.is_some() && widths != ctx.reply_widths() {
+            return Err(HeError::Mismatch(format!(
+                "reply compressed to widths {widths:?}, not this set's licence {:?}",
+                ctx.reply_widths()
+            )));
+        }
         let pt = ctx.decryptor(keys.secret_key()).decrypt(ct);
         ctx.batch_encoder()?.decode(&pt)
     }
@@ -415,6 +425,12 @@ impl HeScheme for Bfv {
     }
 
     fn check_moduli(ctx: &BfvContext, ct: &bfv::Ciphertext) -> Result<(), HeError> {
+        if let Some(reply) = ct.reply() {
+            return Err(HeError::Mismatch(format!(
+                "a reply compressed to widths {:?} where inputs enter at the top level uncompressed",
+                reply.widths()
+            )));
+        }
         let primes = ctx.data_basis().primes();
         check_input_moduli(ct.moduli(), ct.degree(), primes, ctx.degree())
     }
@@ -742,8 +758,8 @@ mod tests {
 
     /// The ledger bills `ct_bytes`; the link carries the frame. At every
     /// paper set, both schemes, compact and full frames (3-part products
-    /// too) and every level down to one residue, they differ by exactly the
-    /// frame's header.
+    /// too), every level down to one residue and BFV's compressed replies,
+    /// they differ by exactly the frame's header.
     #[test]
     fn ct_bytes_is_the_frame_past_its_header_at_every_set_and_level() {
         let billed = |bytes: usize, wire: Vec<u8>, header: usize| {
@@ -775,6 +791,9 @@ mod tests {
                 }
             }
             assert_eq!(levels, params.data_prime_count());
+            let reply = ctx.compress_reply(&compact).unwrap();
+            let header = serialize::REPLY_HEADER_BYTES;
+            billed(Bfv::ct_bytes(&reply), Bfv::ct_to_wire(&reply), header);
         }
         let params = HeParams::set_c();
         let ctx = Ckks::context(&params).unwrap();
@@ -814,6 +833,29 @@ mod tests {
             Bfv::check_moduli(&other, &sum),
             Err(HeError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn a_reply_is_no_input_and_no_evaluator_output_is_a_reply() {
+        // An 18-bit `t` licenses no lower level: the reply is lifted over
+        // the data primes, so its marker alone keeps it out.
+        let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+        let ctx = Bfv::context(&params).unwrap();
+        let mut r = rng();
+        let keys = Bfv::keygen(&ctx, &mut r);
+        let ct = Bfv::encrypt(&ctx, &keys, &[1, 2, 3], &mut r).unwrap();
+        let reply = ctx
+            .compress_reply(&Bfv::add(&ctx, &ct, &ct).unwrap())
+            .unwrap();
+        assert_eq!(reply.moduli(), ctx.data_basis().primes());
+        match Bfv::check_moduli(&ctx, &reply) {
+            Err(HeError::Mismatch(why)) => assert!(why.contains("compressed"), "{why}"),
+            other => panic!("a reply was accepted as an input: {other:?}"),
+        }
+        let sum = Bfv::add(&ctx, &reply, &reply).unwrap();
+        assert!(sum.reply().is_none());
+        assert!(Bfv::ct_to_wire(&sum).starts_with(b"CPO1"));
+        assert_eq!(Bfv::decrypt(&ctx, &keys, &sum).unwrap()[..3], [4, 8, 12]);
     }
 
     #[test]

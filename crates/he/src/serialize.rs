@@ -19,6 +19,13 @@
 //!   whose mask `c1` expands from the seed ([`crate::rlwe::expand_seed`]):
 //!   half the bytes of a full frame. A decoded compact ciphertext keeps its
 //!   seed, so it re-encodes to the same bytes;
+//! * a *compressed reply*, `CPD1 | parts:u32 | rows | N | k0:u32 | k1:u32 |
+//!   moduli | c0' | c1'` — every BFV program output
+//!   ([`crate::bfv::BfvContext::compress_reply`]): `c_i'` packed at `k_i`
+//!   bits, lifted on decode to `round(q'·c_i'/2^{k_i})` over the moduli,
+//!   whose product is `q'` ([`crate::bfv::Ciphertext::from_reply`]). At set
+//!   B that is 70 bits a coefficient where the full frame packs 144. A
+//!   decoded reply keeps its rows, so it re-encodes to the same bytes;
 //! * a relinearization key, `CPR1`/`CPR2 | digits | primes | N | moduli |
 //!   digits × (b, a)`, and a Galois key set, `CPG1`/`CPG2 | count | digits |
 //!   primes | N | moduli | count × (element:u64 | digits × (b, a))`, over
@@ -30,8 +37,11 @@
 //! then unpacks each residue, refusing one that is not below its prime and
 //! any nonzero padding bit — a decoder accepts exactly the bytes its
 //! encoder writes. A compact frame's `c1` is expanded only after `c0` has
-//! passed. Frames of the retired 8-byte layout (`CH…` magics) are refused
-//! like any other bad magic.
+//! passed. A compressed reply must have two parts and widths the lift is
+//! exact at (`bfv::check_reply_widths`: `1 ≤ k_i < 62`, below the
+//! bits of `q'`); whether they are the client's licence is the client's
+//! check, before it decrypts. Frames of the retired 8-byte layout (`CH…`
+//! magics) are refused like any other bad magic.
 //!
 //! Deserialization is fully checked: every read is bounds-validated and
 //! malformed frames surface as [`HeError::InvalidCiphertext`] (key blobs:
@@ -42,7 +52,7 @@
 //! via the transport's keyed BLAKE3 tags; [`ciphertext_from_bytes`] alone
 //! accepts any well-formed frame.
 
-use crate::bfv::Ciphertext;
+use crate::bfv::{check_reply_widths, Ciphertext};
 use crate::ckks::CkksCiphertext;
 use crate::error::HeError;
 use crate::keyswitch::KswitchKey;
@@ -64,7 +74,8 @@ const MAX_ROWS: usize = 32;
 const MAX_GALOIS_KEYS: usize = 4096;
 
 /// Magic of a frame: `CP` (packed residues), the kind — `O` a ciphertext,
-/// `S` a compact one, `R` a relinearization key, `G` a Galois key set —
+/// `S` a compact one, `D` a compressed reply (BFV only), `R` a
+/// relinearization key, `G` a Galois key set —
 /// then `1` for BFV or `2` for CKKS, the only byte in which the two
 /// schemes' frames of a kind differ.
 pub fn magic(kind: u8, scheme: SchemeType) -> [u8; 4] {
@@ -86,6 +97,10 @@ pub const SEEDED_HEADER_BYTES: usize = 12;
 
 /// Compact CKKS header size in bytes (magic, level, degree, scale).
 pub const CKKS_SEEDED_HEADER_BYTES: usize = 20;
+
+/// Compressed-reply header size in bytes (magic, parts, rows, degree, both
+/// widths).
+pub const REPLY_HEADER_BYTES: usize = 24;
 
 /// Bits one residue modulo `q` takes on the wire: `q`'s bit length.
 pub fn residue_bits(q: u64) -> usize {
@@ -111,6 +126,13 @@ pub fn payload_bytes(n: usize, moduli: &[u64], parts: usize, seeded: bool) -> us
         parts * packed_bytes(n, moduli)
     };
     8 * moduli.len() + polys
+}
+
+/// Bytes a compressed reply's frame carries past its header: one word per
+/// modulus, then `c0'` and `c1'` of degree `n` packed at their widths.
+pub fn reply_payload_bytes(n: usize, moduli: &[u64], widths: [u32; 2]) -> usize {
+    let rows: usize = widths.iter().map(|&k| (n * k as usize).div_ceil(8)).sum();
+    8 * moduli.len() + rows
 }
 
 fn push_u32(out: &mut Vec<u8>, word: usize) {
@@ -228,7 +250,12 @@ impl<'a> Reader<'a> {
     /// refusing a residue not below `q` and a nonzero padding bit. Scans
     /// the whole row whatever it finds.
     fn unpack_row(&mut self, n: usize, q: u64) -> Result<Vec<u64>, HeError> {
-        let w = residue_bits(q);
+        self.unpack_bits(n, residue_bits(q), q)
+    }
+
+    /// Reads one row of `n` values packed at `w ≤ 64` bits, refusing a
+    /// value not below `q` and a nonzero padding bit.
+    fn unpack_bits(&mut self, n: usize, w: usize, q: u64) -> Result<Vec<u64>, HeError> {
         let mask = u64::MAX.checked_shr(64 - w as u32).unwrap_or(0);
         let bytes = self.take((n * w).div_ceil(8))?;
         let mut row = PolyPool::take_scratch(n);
@@ -309,18 +336,39 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads a ciphertext magic of `scheme`: whether the frame is compact.
-    fn ciphertext_magic(&mut self, scheme: SchemeType) -> Result<bool, HeError> {
+    /// Reads a ciphertext magic of `scheme` and returns its kind: `O`,
+    /// `S`, or (BFV) `D`.
+    fn ciphertext_kind(&mut self, scheme: SchemeType) -> Result<u8, HeError> {
         let got = self.take(4)?;
-        if got == magic(b'S', scheme) {
-            Ok(true)
-        } else if got == magic(b'O', scheme) {
-            Ok(false)
-        } else {
-            Err(HeError::InvalidCiphertext(format!(
-                "bad {scheme:?} ciphertext magic {got:?}"
-            )))
+        let kinds: &[u8] = match scheme {
+            SchemeType::Bfv => b"OSD",
+            SchemeType::Ckks => b"OS",
+        };
+        let kind = kinds.iter().find(|&&kind| got == magic(kind, scheme));
+        kind.copied().ok_or_else(|| {
+            HeError::InvalidCiphertext(format!("bad {scheme:?} ciphertext magic {got:?}"))
+        })
+    }
+
+    /// Reads a compressed reply whose magic ends here: two parts, widths
+    /// the lift is exact at over the moduli, then the exact length they
+    /// imply before the rows are unpacked and lifted.
+    fn reply(&mut self) -> Result<Ciphertext, HeError> {
+        let (parts, rows, n) = (self.u32()?, self.u32()?, self.u32()?);
+        let widths = [self.u32()?, self.u32()?].map(|k| k as u32);
+        check_shape(rows, n)?;
+        if parts != 2 {
+            return Err(HeError::InvalidCiphertext(format!(
+                "a compressed reply has 2 parts, not {parts}"
+            )));
         }
+        let moduli = self.moduli(rows, n)?;
+        check_reply_widths(widths, &moduli)?;
+        self.expect_rest(Some(reply_payload_bytes(n, &moduli, widths) - 8 * rows))?;
+        let [k0, k1] = widths;
+        let c0 = self.unpack_bits(n, k0 as usize, 1 << k0)?;
+        let c1 = self.unpack_bits(n, k1 as usize, 1 << k1)?;
+        Ciphertext::from_reply(widths, [c0, c1], &moduli)
     }
 }
 
@@ -360,10 +408,27 @@ fn check_moduli(moduli: &[u64], n: usize) -> Result<(), HeError> {
     Ok(())
 }
 
-/// Serializes a BFV ciphertext: its `CPO1` frame, or the compact `CPS1`
-/// frame of a seeded one.
+/// Serializes a BFV ciphertext: its `CPO1` frame, the compact `CPS1` frame
+/// of a seeded one, or the `CPD1` frame of a compressed reply.
 pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + ct.byte_size());
+    let mut out = Vec::with_capacity(REPLY_HEADER_BYTES + ct.byte_size());
+    if let Some(reply) = ct.reply() {
+        out.extend_from_slice(&magic(b'D', SchemeType::Bfv));
+        let widths = reply.widths();
+        for word in [2, ct.moduli().len(), ct.degree()]
+            .into_iter()
+            .chain(widths.map(|k| k as usize))
+        {
+            push_u32(&mut out, word);
+        }
+        for q in ct.moduli() {
+            out.extend_from_slice(&q.to_le_bytes());
+        }
+        for (row, k) in reply.rows().iter().zip(widths) {
+            pack_row(&mut out, row, k as usize);
+        }
+        return out;
+    }
     if ct.seed().is_some() {
         out.extend_from_slice(&magic(b'S', SchemeType::Bfv));
     } else {
@@ -377,17 +442,23 @@ pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
     out
 }
 
-/// Deserializes a BFV ciphertext frame, full or compact.
+/// Deserializes a BFV ciphertext frame, full, compact or a compressed
+/// reply.
 ///
 /// # Errors
 ///
 /// Returns [`HeError::InvalidCiphertext`] on malformed frames: bad magic,
 /// truncated or overlong payload, implausible shape, bad moduli, a residue
-/// not below its prime or a nonzero padding bit. Never panics, regardless
-/// of input bytes.
+/// not below its prime or a nonzero padding bit, and a reply of other than
+/// two parts or at widths its lift is not exact at. Never panics,
+/// regardless of input bytes.
 pub fn ciphertext_from_bytes(bytes: &[u8]) -> Result<Ciphertext, HeError> {
     let mut r = Reader::new(bytes);
-    let seeded = r.ciphertext_magic(SchemeType::Bfv)?;
+    let kind = r.ciphertext_kind(SchemeType::Bfv)?;
+    if kind == b'D' {
+        return r.reply();
+    }
+    let seeded = kind == b'S';
     let parts = if seeded { 1 } else { r.u32()? };
     let (rows, n) = (r.u32()?, r.u32()?);
     let body = r.ciphertext_body(parts, rows, n, seeded)?;
@@ -424,7 +495,7 @@ pub fn ckks_ciphertext_to_bytes(ct: &CkksCiphertext) -> Vec<u8> {
 /// Never panics, regardless of input bytes.
 pub fn ckks_ciphertext_from_bytes(bytes: &[u8]) -> Result<CkksCiphertext, HeError> {
     let mut r = Reader::new(bytes);
-    let seeded = r.ciphertext_magic(SchemeType::Ckks)?;
+    let seeded = r.ciphertext_kind(SchemeType::Ckks)? == b'S';
     let parts = if seeded { 1 } else { r.u32()? };
     let (level, n) = (r.u32()?, r.u32()?);
     let scale = check_scale(f64::from_bits(r.u64()?))?;
@@ -709,6 +780,37 @@ mod tests {
         assert!(Reader::new(&[out.clone(), vec![0]].concat())
             .unpack_row(3, 31)
             .is_ok_and(|row| row == [30, 0, 17]));
+    }
+
+    #[test]
+    fn a_reply_row_unpacks_at_its_width_and_refuses_padding() {
+        // 3 values at 5 bits below 2^5: 15 bits, 1 padding bit.
+        let row = [31, 0, 16];
+        let mut out = Vec::new();
+        pack_row(&mut out, &row, 5);
+        assert_eq!(Reader::new(&out).unpack_bits(3, 5, 1 << 5).unwrap(), row);
+        let mut padded = out.clone();
+        padded[1] |= 0x80;
+        assert!(matches!(
+            Reader::new(&padded).unpack_bits(3, 5, 1 << 5),
+            Err(HeError::InvalidCiphertext(_))
+        ));
+    }
+
+    #[test]
+    fn a_reply_frame_is_its_widths_and_roundtrips() {
+        let (ctx, keys, ct) = sample_ct();
+        let reply = ctx.compress_reply(&ct).unwrap();
+        let widths = ctx.reply_widths().unwrap();
+        assert_eq!(widths, [25, 33]);
+        let bytes = ciphertext_to_bytes(&reply);
+        assert_eq!(&bytes[..4], b"CPD1");
+        assert_eq!(bytes.len(), REPLY_HEADER_BYTES + reply.byte_size());
+        assert_eq!(reply.byte_size(), 8 + 256 * (25 + 33) / 8);
+        let back = ciphertext_from_bytes(&bytes).unwrap();
+        assert_eq!(back, reply);
+        let out = ctx.decryptor(keys.secret_key()).decrypt(&back);
+        assert_eq!(out.coeffs()[5], 5);
     }
 
     #[test]

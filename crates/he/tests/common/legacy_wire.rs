@@ -3,7 +3,8 @@
 //! little-endian `u64` word under the old `CH…` magics, key blobs and
 //! compact frames with their old headers. Hashing what a packed frame
 //! decodes to, laid out this way, proves the packed codec lossless and the
-//! kernels unmoved.
+//! kernels unmoved. A compressed reply (`CPD1`), which the old layout never
+//! had, is laid out as the full frame of the parts it lifts to.
 
 #![allow(dead_code)]
 
@@ -11,8 +12,8 @@ use choco_he::keyswitch::KswitchKey;
 use choco_he::rnspoly::RnsPoly;
 use choco_he::serialize::{
     ciphertext_from_bytes, ckks_ciphertext_from_bytes, galois_from_bytes, payload_bytes,
-    relin_from_bytes, CKKS_HEADER_BYTES, CKKS_SEEDED_HEADER_BYTES, HEADER_BYTES,
-    SEEDED_HEADER_BYTES,
+    relin_from_bytes, reply_payload_bytes, CKKS_HEADER_BYTES, CKKS_SEEDED_HEADER_BYTES,
+    HEADER_BYTES, REPLY_HEADER_BYTES, SEEDED_HEADER_BYTES,
 };
 use choco_he::SchemeType;
 
@@ -55,12 +56,14 @@ pub fn ciphertexts(scheme: SchemeType, mut wires: &[u8]) -> Vec<u8> {
 fn frame_len(scheme: SchemeType, wires: &[u8]) -> usize {
     let word = |i: usize| u32::from_le_bytes(wires[4 * i..4 * i + 4].try_into().unwrap()) as usize;
     let seeded = wires[2] == b'S';
+    let reply = wires[2] == b'D';
     let (parts, rows, n) = if seeded {
         (1, word(1), word(2))
     } else {
         (word(1), word(2), word(3))
     };
     let header = match (scheme, seeded) {
+        _ if reply => REPLY_HEADER_BYTES,
         (SchemeType::Bfv, true) => SEEDED_HEADER_BYTES,
         (SchemeType::Bfv, false) => HEADER_BYTES,
         (SchemeType::Ckks, true) => CKKS_SEEDED_HEADER_BYTES,
@@ -75,6 +78,9 @@ fn frame_len(scheme: SchemeType, wires: &[u8]) -> usize {
             )
         })
         .collect();
+    if reply {
+        return header + reply_payload_bytes(n, &moduli, [word(4), word(5)].map(|k| k as u32));
+    }
     header + payload_bytes(n, &moduli, parts, seeded)
 }
 

@@ -17,6 +17,18 @@
 //! polynomial — so every ciphertext decoder is held to *bounded work*: a
 //! frame claiming a huge ring is refused before anything of that size is
 //! allocated, which this binary's allocator measures.
+//!
+//! A compressed reply (`CPD1`: two parts rounded to `k0` and `k1` bits,
+//! lifted on decode over the moduli it carries) goes through the same
+//! three: mutations and truncations are typed errors or exact frames, a
+//! huge ring is refused before allocating, and each way a reply frame can
+//! be malformed — a width of 0, of 62 or more, or not below the lift
+//! modulus's bits, a part count other than 2, a wrong length — is refused
+//! as [`HeError::InvalidCiphertext`]. A reply frame has no padding bits
+//! (`N·k_i` is a multiple of 8 for every legal `N`), so its padding check
+//! is reached through the row codec's unit tests. Widths the frame carries
+//! correctly but that are not the client's licence decode, and the client
+//! refuses them before decrypting.
 
 use choco_he::bfv::{BfvContext, Plaintext};
 use choco_he::ckks::CkksContext;
@@ -24,7 +36,7 @@ use choco_he::params::HeParams;
 use choco_he::serialize::{
     ciphertext_from_bytes, ciphertext_to_bytes, ckks_ciphertext_from_bytes,
     ckks_ciphertext_to_bytes, galois_from_bytes, galois_to_bytes, relin_from_bytes, relin_to_bytes,
-    HEADER_BYTES,
+    HEADER_BYTES, REPLY_HEADER_BYTES,
 };
 use choco_he::{Bfv, Ckks, HeError, HeScheme, SchemeType};
 use choco_prng::Blake3Rng;
@@ -349,6 +361,116 @@ fn compact_frames_with_bad_moduli_or_residues_are_refused() {
     assert!(Bfv::ct_from_wire(&bytes).is_err());
 }
 
+/// A context whose replies are compressed, its keys, and the reply of an
+/// encryption: lifted over one 40-bit residue at widths `(25, 33)`.
+fn reply_setup() -> (BfvContext, choco_he::rlwe::KeyBundle, Vec<u8>) {
+    let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
+    let ctx = BfvContext::new(&params).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"fuzz serialize reply");
+    let keys = ctx.keygen(&mut rng);
+    let values: Vec<u64> = (0..256).map(|i| i % 100).collect();
+    let ct = Bfv::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
+    let reply = ciphertext_to_bytes(&ctx.compress_reply(&ct).unwrap());
+    (ctx, keys, reply)
+}
+
+fn reply_frame() -> Vec<u8> {
+    reply_setup().2
+}
+
+/// Header word `i` (after the magic) of a reply frame, set to `value`.
+fn with_word(frame: &[u8], i: usize, value: u32) -> Vec<u8> {
+    let mut bytes = frame.to_vec();
+    bytes[4 + 4 * i..8 + 4 * i].copy_from_slice(&value.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn reply_decoder_never_panics_and_accepts_only_what_it_reencodes() {
+    let frame = reply_frame();
+    assert_eq!(&frame[..4], b"CPD1");
+    assert_eq!(frame.len(), REPLY_HEADER_BYTES + 8 + 256 * (25 + 33) / 8);
+    assert!(decode_is_exact::<Bfv>(&frame));
+    assert!(Ckks::ct_from_wire(&frame).is_err());
+    run_cases("reply mutation fuzz", 256, |g| {
+        decode_is_exact::<Bfv>(&mutate(g, &frame));
+        // Noise behind a reply magic, to get past the first check.
+        let mut noise = b"CPD1".to_vec();
+        noise.extend(g.bytes(64));
+        decode_is_exact::<Bfv>(&noise);
+    });
+    // Any flipped bit of `c0'` or `c1'` is still a well-formed reply (the
+    // transport tag catches it): it lifts and re-encodes exactly.
+    for at in [REPLY_HEADER_BYTES + 8, frame.len() / 2, frame.len() - 1] {
+        let mut flipped = frame.clone();
+        flipped[at] ^= 0x41;
+        assert!(decode_is_exact::<Bfv>(&flipped), "flip at {at}");
+    }
+    for len in 0..frame.len() {
+        assert!(
+            Bfv::ct_from_wire(&frame[..len]).is_err(),
+            "reply prefix of {len} bytes parsed"
+        );
+    }
+}
+
+#[test]
+fn malformed_reply_frames_are_refused_as_invalid_ciphertexts() {
+    let frame = reply_frame();
+    let invalid =
+        |bytes: &[u8]| matches!(Bfv::ct_from_wire(bytes), Err(HeError::InvalidCiphertext(_)));
+    // Header words: parts, rows, N, k0, k1. The lift modulus is one 40-bit
+    // prime, so a width of 40 is not below its bits; 39 is, but then the
+    // length no longer matches.
+    for (what, word, value) in [
+        ("one part", 0, 1),
+        ("three parts", 0, 3),
+        ("k0 = 0", 3, 0),
+        ("k1 = 0", 4, 0),
+        ("k0 = 62", 3, 62),
+        ("k1 = 64", 4, 64),
+        ("k1 = 2^32 - 1", 4, u32::MAX),
+        ("k0 = 40", 3, 40),
+        ("k1 = 40", 4, 40),
+        ("k1 = 39, length for 33", 4, 39),
+        ("two rows, one modulus", 1, 2),
+    ] {
+        assert!(invalid(&with_word(&frame, word, value)), "{what} accepted");
+    }
+    // Widths the lift is exact at, with the length they imply, decode.
+    let mut wider = with_word(&frame, 4, 34);
+    wider.extend(vec![0; 256 / 8]);
+    assert!(decode_is_exact::<Bfv>(&wider));
+    // Wrong lengths.
+    let mut long = frame.clone();
+    long.push(0);
+    assert!(invalid(&long));
+    assert!(invalid(&frame[..frame.len() - 1]));
+    // A modulus that is no NTT prime for the degree.
+    let mut bad = frame.clone();
+    bad[REPLY_HEADER_BYTES..REPLY_HEADER_BYTES + 8]
+        .copy_from_slice(&1_000_000_007u64.to_le_bytes());
+    assert!(invalid(&bad));
+}
+
+#[test]
+fn the_client_refuses_a_reply_at_widths_other_than_its_licence() {
+    let (ctx, keys, frame) = reply_setup();
+    assert_eq!(ctx.reply_widths(), Some([25, 33]));
+    let reply = Bfv::ct_from_wire(&frame).unwrap();
+    let values = Bfv::decrypt(&ctx, &keys, &reply).unwrap();
+    assert_eq!(values[..3], [0, 1, 2]);
+    // A well-formed reply one bit wider in `c1`: the frame decodes, the
+    // client refuses it before decrypting.
+    let mut wider = with_word(&frame, 4, 34);
+    wider.extend(vec![0; 256 / 8]);
+    let foreign = Bfv::ct_from_wire(&wider).unwrap();
+    assert!(matches!(
+        Bfv::decrypt(&ctx, &keys, &foreign),
+        Err(HeError::Mismatch(_))
+    ));
+}
+
 #[test]
 fn a_compact_frame_claiming_a_huge_ring_is_refused_before_allocating() {
     // ~64 bytes claiming N = 2^30 (one residue, or 32 of them): expanding
@@ -357,18 +479,22 @@ fn a_compact_frame_claiming_a_huge_ring_is_refused_before_allocating() {
     // between the blob and the allocation.
     const NTT_PRIME_2_30: u64 = 0x0004_000e_0000_0001; // 2^31 · 524 316 + 1
                                                        // Full frames carry their moduli too, and are held to the same bound.
+                                                       // Compressed replies too: their widths come where the scale would.
+    let scale = 2f64.powi(30).to_bits().to_le_bytes();
+    let widths: Vec<u8> = [25u32, 33].iter().flat_map(|k| k.to_le_bytes()).collect();
     for (magic, parts, tail) in [
-        (*b"CPS1", None, 0usize),
-        (*b"CPS2", None, 8),
-        (*b"CPO1", Some(2u32), 0),
-        (*b"CPO2", Some(2), 8),
+        (*b"CPS1", None, &[][..]),
+        (*b"CPS2", None, &scale[..]),
+        (*b"CPO1", Some(2u32), &[][..]),
+        (*b"CPO2", Some(2), &scale[..]),
+        (*b"CPD1", Some(2), &widths[..]),
     ] {
         for rows in [1u32, 32] {
             let mut blob = magic.to_vec();
             blob.extend(parts.map(u32::to_le_bytes).into_iter().flatten());
             blob.extend_from_slice(&rows.to_le_bytes());
             blob.extend_from_slice(&(1u32 << 30).to_le_bytes());
-            blob.extend_from_slice(&2f64.powi(30).to_bits().to_le_bytes()[..tail]);
+            blob.extend_from_slice(tail);
             blob.extend_from_slice(&NTT_PRIME_2_30.to_le_bytes());
             blob.resize(64, 0x5a);
             let largest = largest_allocation_during(|| {

@@ -10,6 +10,7 @@ use choco_he::rnspoly::RnsPoly;
 use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes, HEADER_BYTES};
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::prime::try_generate_ntt_primes;
+use choco_math::UBig;
 use choco_prng::Blake3Rng;
 use choco_quickprop::run_cases;
 use common::legacy_wire;
@@ -460,6 +461,85 @@ fn rns_multiply_and_decrypt_match_reference_set_a() {
 #[test]
 fn rns_multiply_and_decrypt_match_reference_set_b() {
     assert_rns_paths_match_the_big_integer_reference(&HeParams::set_b(), "set B");
+}
+
+/// A compressed reply both ways is the big-integer oracle's, at sets A and
+/// B and a small set: on uniform rows with the edge coefficients `0` and
+/// `q − 1` planted, [`BfvContext::compress_reply`] equals
+/// [`BfvContext::compress_reply_reference`] row for row and part for part,
+/// the reply round-trips its frame, and compressing its lifted parts again
+/// gives the same reply (`2^k < q'`). The lift alone equals the oracle on
+/// rows of `0`, `1`, the tie `2^{k−1}`, its neighbours and `2^k − 1`.
+#[test]
+fn reply_compression_and_lift_match_the_big_integer_oracle() {
+    let sets = [
+        ("set A", HeParams::set_a()),
+        ("set B", HeParams::set_b()),
+        (
+            "N=256",
+            HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap(),
+        ),
+    ];
+    for (label, params) in sets {
+        let ctx = BfvContext::new(&params).unwrap();
+        let data = ctx.data_basis();
+        let widths = ctx.reply_widths().unwrap();
+        let mut rng = Blake3Rng::from_seed(label.as_bytes());
+        let parts = (0..2).map(|_| {
+            let mut part = RnsPoly::sample_uniform(&mut rng, data);
+            for (i, &q) in data.primes().iter().enumerate() {
+                part.row_mut(i)[..2].copy_from_slice(&[0, q - 1]);
+            }
+            part
+        });
+        let ct = Ciphertext::from_parts(parts.collect(), data.primes());
+        let reply = ctx.compress_reply(&ct).unwrap();
+        assert!(
+            reply == ctx.compress_reply_reference(&ct).unwrap(),
+            "{label}: compression differs from the big-integer oracle"
+        );
+        assert_eq!(reply.reply().unwrap().widths(), widths);
+        assert_eq!(reply.level(), ctx.download_level(), "{label}");
+        assert!(ciphertext_from_bytes(&ciphertext_to_bytes(&reply)).unwrap() == reply);
+        let lifted = (0..2).map(|i| reply.part(i).clone()).collect();
+        let lifted = Ciphertext::from_parts(lifted, reply.moduli());
+        assert!(ctx.compress_reply(&lifted).unwrap() == reply, "{label}");
+
+        let moduli = reply.moduli();
+        let q_out = moduli.iter().fold(UBig::one(), |q, &m| q.mul_u64(m));
+        let rows = widths.map(|k| {
+            let edges = [
+                0,
+                1,
+                (1 << (k - 1)) - 1,
+                1 << (k - 1),
+                (1 << (k - 1)) + 1,
+                (1 << k) - 1,
+            ];
+            (0..params.degree() as u64)
+                .map(|j| {
+                    edges
+                        .get(j as usize)
+                        .copied()
+                        .unwrap_or(j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - k))
+                })
+                .collect::<Vec<u64>>()
+        });
+        let lifted = Ciphertext::from_reply(widths, rows.clone(), moduli).unwrap();
+        for (i, (row, k)) in rows.iter().zip(widths).enumerate() {
+            let pow2 = UBig::one().shl(k);
+            for (j, &c) in row.iter().enumerate() {
+                let want = q_out.mul_u64(c).div_round(&pow2);
+                for (r, &q) in moduli.iter().enumerate() {
+                    assert_eq!(
+                        lifted.part(i).row(r)[j],
+                        want.rem_u64(q),
+                        "{label}: lift of {c} at {k} bits"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Short hex BLAKE3 digest of the concatenated wire blobs.

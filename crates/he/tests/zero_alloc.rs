@@ -2,8 +2,9 @@
 //! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
 //! rotation, fused rotation dot products under both schemes — one output,
 //! and eight over shared rotations —, decryption) and the client's round
-//! (encrypt → decrypt → noise budget under BFV, encrypt → decrypt → decode
-//! under CKKS) perform **zero fresh
+//! (encrypt → decrypt → noise budget, and a reply compressed, decoded and
+//! decrypted, under BFV; encrypt → decrypt → decode under CKKS) perform
+//! **zero fresh
 //! polynomial-buffer allocations** — every row and scratch buffer is served
 //! from the pool's free lists. The pool's global counters make this directly
 //! observable: over a warm evaluation loop, `fresh` must not move while
@@ -119,9 +120,12 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         let up = Bfv::encrypt(&ctx, &keys, &slots, rng).unwrap();
         let back = Bfv::decrypt(&ctx, &keys, &up).unwrap();
         let health = Bfv::health(&ctx, &keys, &up);
+        // A reply: compressed by the server, decoded (lifted) and decrypted.
+        let wire = Bfv::ct_to_wire(&ctx.compress_reply(&up).unwrap());
+        let reply = Bfv::decrypt(&ctx, &keys, &Bfv::ct_from_wire(&wire).unwrap()).unwrap();
         let cup = Ckks::encrypt(&cctx, &ckeys, &vals, rng).unwrap();
         let cback = Ckks::decrypt(&cctx, &ckeys, &cup).unwrap();
-        *out ^= back[1] ^ health.to_bits() ^ cback[1].to_bits();
+        *out ^= back[1] ^ health.to_bits() ^ cback[1].to_bits() ^ reply[1];
     };
 
     // The property must hold on the plain-loop path and through the `par`

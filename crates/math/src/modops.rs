@@ -87,6 +87,19 @@ pub fn inv_mod(a: u64, q: u64) -> u64 {
     pow_mod(a, q - 2, q)
 }
 
+/// The inverse of odd `a` modulo `2^bits` (`1 ≤ bits ≤ 64`) by Newton's
+/// iteration: `x = a` is right to 3 bits (an odd square is 1 mod 8), and
+/// each step `x ← x·(2 − a·x)` doubles that, so five reach 64.
+// choco-lint: modops
+pub fn inv_mod_pow2(a: u64, bits: u32) -> u64 {
+    debug_assert!(a & 1 == 1 && (1..=64).contains(&bits));
+    let mut x = a;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+    }
+    x & (u64::MAX >> (64 - bits))
+}
+
 /// Reduces an arbitrary `u64` into `[0, q)`.
 #[inline(always)]
 // choco-lint: modops
@@ -332,6 +345,18 @@ mod tests {
         for a in [1u64, 2, 3, 65537, Q - 2] {
             let inv = inv_mod(a, Q);
             assert_eq!(mul_mod(a, inv, Q), 1);
+        }
+    }
+
+    #[test]
+    fn power_of_two_inverse() {
+        for a in [1u64, 3, 0x7fff, Q, u64::MAX] {
+            for bits in [1, 2, 29, 41, 61, 64] {
+                let mask = u64::MAX >> (64 - bits);
+                let inv = inv_mod_pow2(a, bits);
+                assert!(inv <= mask);
+                assert_eq!(a.wrapping_mul(inv) & mask, 1 & mask, "{a} mod 2^{bits}");
+            }
         }
     }
 

@@ -37,7 +37,7 @@ use choco::transport::tcp::{dial, BlobIo, TcpOptions};
 use choco::transport::TagKey;
 use choco_apps::circuits::{all_workloads, WorkloadCircuit};
 use choco_apps::remote::{workload_params, RemoteWorkload};
-use choco_he::params::SchemeType;
+use choco_he::params::{HeParams, SchemeType};
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_serve::{EvalChaos, EvalStage, OffloadServer, ServeConfig, TenantRegistry};
 use std::sync::{Arc, Barrier};
@@ -864,19 +864,19 @@ fn keys_of_another_parameter_set_are_refused_at_session_setup() {
 }
 
 /// Tenant 1 re-submits its own download as the next request's input. A
-/// BFV output leaves the server switched down to one residue and a CKKS
-/// one where the rescales left it, below the top level either way, so the
-/// input is refused at the door: a typed error, the tenant's own fault,
-/// no bisection and no quarantine of the shared program. Tenant 2's next
-/// request on that program is its local reference, byte for byte.
+/// BFV output leaves the server a compressed reply and a CKKS one where
+/// the rescales left it, so the input is refused at the door: a typed
+/// error naming `why`, the tenant's own fault, no bisection and no
+/// quarantine of the shared program. Tenant 2's next request on that
+/// program is its local reference, byte for byte.
 fn assert_resubmitted_download_is_refused_at_the_door<S: choco::compiler::CompilerScheme>(
-    scheme: SchemeType,
+    params: &HeParams,
+    why: &str,
 ) {
     let (server, addr) = bind(ServeConfig::default(), 2);
     let circuits = all_workloads();
     let circuit = circuits.iter().find(|w| w.name == "pagerank").unwrap();
-    let params = workload_params(scheme).unwrap();
-    let w = RemoteWorkload::<S>::prepare(circuit, &params, b"resubmitting tenant").unwrap();
+    let w = RemoteWorkload::<S>::prepare(circuit, params, b"resubmitting tenant").unwrap();
     let mut client = connect::<S>(&addr, 1, &w);
     let outs = client.evaluate(&w.prepared, &w.input_refs()).unwrap();
     assert_eq!(wires::<S>(&outs), w.local_output_wires().unwrap());
@@ -887,13 +887,14 @@ fn assert_resubmitted_download_is_refused_at_the_door<S: choco::compiler::Compil
         .collect();
     match client.evaluate(&w.prepared, &resubmitted) {
         Err(choco::transport::TransportError::Rejected(m)) => {
-            assert!(m.contains("rejected") && m.contains("top level"), "{m}")
+            assert!(m.contains("rejected") && m.contains("top level"), "{m}");
+            assert!(m.contains(why), "{m}");
         }
         Err(e) => panic!("expected a typed refusal, got {e}"),
         Ok(outs) => panic!("a download was evaluated into {} outputs", outs.len()),
     }
 
-    let w = RemoteWorkload::<S>::prepare(circuit, &params, b"neighbour tenant").unwrap();
+    let w = RemoteWorkload::<S>::prepare(circuit, params, b"neighbour tenant").unwrap();
     let mut neighbour = connect::<S>(&addr, 2, &w);
     let outs = neighbour.evaluate(&w.prepared, &w.input_refs()).unwrap();
     assert_eq!(
@@ -909,6 +910,15 @@ fn assert_resubmitted_download_is_refused_at_the_door<S: choco::compiler::Compil
 
 #[test]
 fn resubmitted_download_is_refused_at_the_door_not_quarantined() {
-    assert_resubmitted_download_is_refused_at_the_door::<Bfv>(SchemeType::Bfv);
-    assert_resubmitted_download_is_refused_at_the_door::<Ckks>(SchemeType::Ckks);
+    let bfv = workload_params(SchemeType::Bfv).unwrap();
+    assert_resubmitted_download_is_refused_at_the_door::<Bfv>(&bfv, "compressed");
+    // An 18-bit `t` licenses no lower level: the reply is lifted over the
+    // full data basis, the top level's own moduli, so only its compressed
+    // marker tells it from an input.
+    let top = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
+    let ctx = choco_he::bfv::BfvContext::new(&top).unwrap();
+    assert_eq!(ctx.download_level(), top.data_prime_count());
+    assert_resubmitted_download_is_refused_at_the_door::<Bfv>(&top, "compressed");
+    let ckks = workload_params(SchemeType::Ckks).unwrap();
+    assert_resubmitted_download_is_refused_at_the_door::<Ckks>(&ckks, "level");
 }

@@ -49,13 +49,14 @@ fn client_aided_conv_layer_through_the_whole_stack() {
     // Frames bill their residues at their primes' width: a 45-bit residue
     // row of 2048 coefficients is 11 520 bytes. The upload is compact:
     // `c0`'s two rows, the 32-byte seed of `c1` and one word per data
-    // prime; the download is the two words and both parts' rows.
+    // prime; the download is a compressed reply, the two words and both
+    // parts rounded to 29 and 40 bits a coefficient (18-bit `t`, N = 2048).
     let ledger = session.ledger();
     assert_eq!(ledger.uploads, 1);
     assert_eq!(ledger.downloads, 1);
     let row = 2048 * 45 / 8;
     assert_eq!(ledger.upload_bytes, (2 * row + 32 + 2 * 8) as u64);
-    assert_eq!(ledger.download_bytes, (2 * 8 + 2 * 2 * row) as u64);
+    assert_eq!(ledger.download_bytes, (2 * 8 + 2048 * (29 + 40) / 8) as u64);
 }
 
 #[test]
