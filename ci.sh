@@ -175,7 +175,8 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
 # CKKS decode (limb composition; >= 2.0x) against the big-integer loops they
 # replaced, next to the older multiply (>= 3.0x) and decrypt (>= 2.0x)
-# gates and the reply compression, both ways (sets A and B; >= 1.0x), and the BFV encrypt against the same encryption spelled with two
+# gates, the squaring multiply against the general one on a clone of its
+# operand (set A; >= 1.0x) and the reply compression, both ways (sets A and B; >= 1.0x), and the BFV encrypt against the same encryption spelled with two
 # `mul_poly`s (>= 1.05x: `u` transformed once per prime into the key's
 # cached evaluation-domain rows, where the twin transforms `u` twice and
 # both key halves again), and in the same race the seeded upload form every

@@ -26,7 +26,8 @@
 //! in the dyadic product and the accumulator-row reduction; the RNS multiply,
 //! decrypt, noise budget and reply compression and the limb-composed CKKS
 //! decode are gated the same way against their big-integer references (at
-//! least 3.0x, 2.0x, 3.0x, 1.0x and 2.0x), the BFV encrypt against the same encryption spelled
+//! least 3.0x, 2.0x, 3.0x, 1.0x and 2.0x), the squaring multiply against the
+//! general one on a clone of its operand (at least 1.0x), the BFV encrypt against the same encryption spelled
 //! with two `mul_poly`s (at least 1.05x) and, in the same race, the seeded
 //! upload `HeScheme::encrypt` makes against that Eq. 2 encrypt (at least
 //! 1.0x; CKKS too, at set C, with `seed_expand_a` timing the server's side
@@ -603,6 +604,25 @@ fn main() {
                 },
             ],
         );
+        if tag == "a" {
+            // The squaring path `multiply(&ct, &ct)` takes, against the
+            // general path on a clone of the same ciphertext.
+            let twin = ct.clone();
+            gated_twins(
+                &mut entries,
+                "bfv_square_relin_a".into(),
+                ["square", "general"],
+                1.0,
+                [
+                    &mut || {
+                        black_box(eval.multiply_relin(black_box(&ct), &ct, &rk).unwrap());
+                    },
+                    &mut || {
+                        black_box(eval.multiply_relin(black_box(&ct), &twin, &rk).unwrap());
+                    },
+                ],
+            );
+        }
         gated_twins(
             &mut entries,
             format!("bfv_decrypt_{tag}"),
@@ -757,18 +777,19 @@ fn main() {
             ],
         );
     }
-    // The primitive itself at set A's shapes: the lift into the 5-prime
-    // tensor basis and the way back.
+    // The primitive itself at set A's shapes: the multiply's `q → P` and
+    // `P → q` conversions between the 2 data primes and the 3 auxiliary
+    // primes of the tensor basis.
     let mut rns_convert_ns: Vec<(String, f64)> = Vec::new();
     {
         let pa = HeParams::set_a();
         let n = pa.degree();
         let data = Arc::new(RnsBasis::new(n, &pa.primes()[..2]).unwrap());
-        let ext = Arc::new(RnsBasis::new(n, &generate_ntt_primes(59, n, 5)).unwrap());
+        let aux = Arc::new(RnsBasis::new(n, &generate_ntt_primes(59, n, 3)).unwrap());
         let mut rng = Blake3Rng::from_seed(b"bench kernels convert");
         for (name, from, to) in [
-            ("rns_convert_2to5", &data, &ext),
-            ("rns_convert_5to2", &ext, &data),
+            ("rns_convert_2to3", &data, &aux),
+            ("rns_convert_3to2", &aux, &data),
         ] {
             let conv = BaseConverter::new(from.clone(), to.primes());
             let x = RnsPoly::sample_uniform(&mut rng, from);
@@ -1157,8 +1178,8 @@ fn main() {
         note("scalar backend active: both twins ran the scalar loop, simd gate skipped");
     }
     header(
-        "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, decrypt >= 2.0x, \
-         noise budget >= 3.0x, compress >= 1.0x, ckks decode >= 2.0x)",
+        "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, square+relin \
+         >= 1.0x, decrypt >= 2.0x, noise budget >= 3.0x, compress >= 1.0x, ckks decode >= 2.0x)",
     );
     for (name, value) in rns_speedups.iter().chain(&rns_convert_ns) {
         println!("{name:<34} {value:.2}");

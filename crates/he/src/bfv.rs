@@ -8,10 +8,13 @@
 //!
 //! Ciphertexts live modulo the *data* modulus `q` (all primes but the last);
 //! the last prime is reserved for key switching. Ciphertext–ciphertext
-//! multiplication lifts operands exactly into an auxiliary NTT basis wide
-//! enough to hold the integer tensor product, then scales by `t/q` with
-//! exact rounding. Both it and decryption stay in RNS: every change of
-//! basis is a [`BaseConverter`] pass, which is exact (not BEHZ's
+//! multiplication (Halevi–Polyakov–Shoup) keeps each operand's `q` residues
+//! and lifts it exactly into `q ∪ P`, where the auxiliary primes `P` are
+//! wide enough for the integer tensor product and its `t/q` scaling; the
+//! scaled product comes back from `P` alone. That basis is built by the
+//! first multiply, and a ciphertext multiplied by itself is lifted and
+//! transformed once. Both the multiply and decryption stay in RNS: every
+//! change of basis is a [`BaseConverter`] pass, which is exact (not BEHZ's
 //! approximate conversion plus correction), so the results are bit-for-bit
 //! those of the big-integer CRT formulation kept as
 //! [`Evaluator::multiply_reference`] / [`Decryptor::decrypt_reference`].
@@ -28,12 +31,12 @@ use crate::serialize;
 use choco_math::modops::{inv_mod, inv_mod_pow2, mul_mod_shoup, shoup_precompute, Barrett};
 use choco_math::par;
 use choco_math::pool::PolyPool;
-use choco_math::prime::generate_ntt_primes;
+use choco_math::prime::try_generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::UBig;
 use choco_prng::Blake3Rng;
 use std::borrow::Borrow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A BFV plaintext: `N` coefficients modulo `t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,6 +354,93 @@ impl ScaleRound {
     }
 }
 
+/// The ct × ct multiply's basis `q ∪ P` (Halevi–Polyakov–Shoup): the data
+/// primes, then auxiliary primes whose product `P` is at least `4·t·N·q`,
+/// i.e. `bits(P) ≥ log2 q + log2 t + log2 N + 2`. That one bound covers both
+/// exact steps. The tensor product `d` of two centered operands has
+/// `|d| < N·q²/2`, so it is exact over `q·P` (`P > N·q`). Its scaled value
+/// `y = round(t·d/q)` has `|y| < t·N·q/2 + 1`, so it is exact over `P`.
+#[derive(Debug)]
+struct TensorBasis {
+    /// The auxiliary primes `P`.
+    aux: Arc<RnsBasis>,
+    /// `q ∪ P`, over the NTT tables of `q` and `P` ([`RnsBasis::concat`]).
+    basis: RnsBasis,
+    /// `q → P`: each operand's lift, and `[t·d]_q` carried to `P`.
+    to_aux: BaseConverter,
+    /// `P → q`: the scaled product back to the data basis.
+    from_aux: BaseConverter,
+    /// `q^{-1}` modulo each prime of `P`.
+    q_inv: Vec<u64>,
+}
+
+impl TensorBasis {
+    /// Picks the fewest fresh 59-bit NTT primes, none of `used`, whose
+    /// product reaches `4·t·N·q` over `data`'s `q`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError::InvalidParameters`] when too few such primes
+    /// exist for the degree.
+    fn new(data: &Arc<RnsBasis>, used: &[u64], t: u64) -> Result<Self, HeError> {
+        let n = data.degree();
+        let bound = data.modulus().mul_u64(t).mul_u64(4 * n as u64);
+        // Each 59-bit prime exceeds 2^58; `used` may claim some candidates.
+        let count = bound.bit_len() as usize / 58 + 1 + used.len();
+        let candidates = try_generate_ntt_primes(59, n, count).unwrap_or_default();
+        let mut product = UBig::one();
+        let mut aux = Vec::new();
+        for p in candidates.into_iter().filter(|p| !used.contains(p)) {
+            if product >= bound {
+                break;
+            }
+            product = product.mul_u64(p);
+            aux.push(p);
+        }
+        if product < bound {
+            return Err(HeError::InvalidParameters(format!(
+                "no {}-bit tensor basis of 59-bit primes for degree {n}",
+                bound.bit_len()
+            )));
+        }
+        let aux = Arc::new(RnsBasis::new(n, &aux)?);
+        let q_inv = aux
+            .primes()
+            .iter()
+            .map(|&p| inv_mod(data.modulus().rem_u64(p), p));
+        Ok(TensorBasis {
+            basis: data.concat(&aux)?,
+            to_aux: BaseConverter::new(data.clone(), aux.primes()),
+            from_aux: BaseConverter::new(aux.clone(), data.primes()),
+            q_inv: q_inv.collect(),
+            aux,
+        })
+    }
+
+    /// A data-basis polynomial's centered value over `q ∪ P`: its own `q`
+    /// rows, copied, then one `q → P` conversion.
+    fn lift(&self, p: &RnsPoly) -> RnsPoly {
+        p.extended(p.convert_centered(&self.to_aux))
+    }
+
+    /// `round(t·d/q)` over the data basis `data`, for an exact signed
+    /// integer polynomial `d` over `q ∪ P` in coefficient form. With
+    /// `r = [t·d]_q` centered (from the `q` rows, one `q → P` conversion),
+    /// `y = (t·d − r)/q` is an exact division, which over `P`, where `q` is
+    /// invertible, is a multiplication; one `P → q` conversion brings `y`
+    /// back.
+    fn scale(&self, d: RnsPoly, t: u64, data: &RnsBasis) -> RnsPoly {
+        let aux = &*self.aux;
+        let (mut td, mut y) = d.split_rows(data.len());
+        td.scalar_mul(t, data);
+        let r = td.convert_centered(&self.to_aux);
+        y.scalar_mul(t, aux);
+        y.sub_assign_poly(&r, aux);
+        y.scalar_mul_per_row(&self.q_inv, aux);
+        y.convert_centered(&self.from_aux)
+    }
+}
+
 /// Precomputed context for one BFV parameter set.
 #[derive(Debug, Clone)]
 pub struct BfvContext {
@@ -359,8 +449,6 @@ pub struct BfvContext {
     full: Arc<RnsBasis>,
     /// Data primes (fresh-ciphertext modulus `q`).
     data: Arc<RnsBasis>,
-    /// Auxiliary basis wide enough for the exact integer tensor product.
-    ext: Arc<RnsBasis>,
     /// Prefix bases of the data primes (`level_bases[l-1]` has `l` primes),
     /// used by modulus-switched ciphertexts.
     level_bases: Vec<Arc<RnsBasis>>,
@@ -377,11 +465,10 @@ pub struct BfvContext {
     /// The level every compressed reply is lifted over
     /// ([`BfvContext::download_level`]).
     download_level: usize,
-    /// `q → ext` and `ext → q` conversions of the ct×ct multiply.
-    to_ext: BaseConverter,
-    from_ext: BaseConverter,
-    /// `q^{-1}` modulo each ext prime.
-    q_inv_mod_ext: Vec<u64>,
+    /// The ct × ct multiply's basis `q ∪ P`, built by the first multiply
+    /// ([`BfvContext::tensor`]) and shared by every clone of the context:
+    /// a context that never multiplies two ciphertexts never builds it.
+    tensor: Arc<OnceLock<Result<TensorBasis, HeError>>>,
     t: u64,
     batch: Option<Arc<BatchEncoder>>,
 }
@@ -413,37 +500,6 @@ impl BfvContext {
                 "plain modulus divides the coefficient modulus".into(),
             ));
         }
-        // Extended basis for exact tensor products, with two bits of
-        // headroom: the product is below N·q²/2 and its t/q scaling below
-        // N·q·t/2 + 1, so 2·log2(q) + log2(N) + 2 bits (log2(t) in place of
-        // one log2(q) for a parameter set with t > q).
-        let q_bits = data.modulus_bits();
-        let needed_bits = q_bits + q_bits.max((t as f64).log2()) + (n as f64).log2() + 2.0;
-        let mut ext_primes = Vec::new();
-        let mut bits = 0.0;
-        let pool = generate_ntt_primes(
-            59,
-            n,
-            (needed_bits / 58.0).ceil() as usize + primes.len() + 2,
-        );
-        for p in pool {
-            if primes.contains(&p) {
-                continue;
-            }
-            bits += (p as f64).log2();
-            ext_primes.push(p);
-            if bits >= needed_bits {
-                break;
-            }
-        }
-        let ext = Arc::new(RnsBasis::new(n, &ext_primes)?);
-        let to_ext = BaseConverter::new(data.clone(), ext.primes());
-        let from_ext = BaseConverter::new(ext.clone(), data.primes());
-        let q_inv_mod_ext = ext
-            .primes()
-            .iter()
-            .map(|&p| inv_mod(data.modulus().rem_u64(p), p))
-            .collect();
         let mut level_bases = Vec::with_capacity(data.len());
         let mut level_deltas = Vec::with_capacity(data.len());
         let mut level_to_plain = Vec::with_capacity(data.len());
@@ -486,19 +542,28 @@ impl BfvContext {
             params: params.clone(),
             full,
             data,
-            ext,
             level_bases,
             level_deltas,
             level_to_plain,
             reply_widths,
             level_to_reply,
             download_level,
-            to_ext,
-            from_ext,
-            q_inv_mod_ext,
+            tensor: Arc::default(),
             t,
             batch,
         })
+    }
+
+    /// The ct × ct multiply's tensor basis, built on the first call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorBasis::new`]'s error, on this and every later call.
+    fn tensor(&self) -> Result<&TensorBasis, HeError> {
+        let built = self
+            .tensor
+            .get_or_init(|| TensorBasis::new(&self.data, self.params.primes(), self.t));
+        built.as_ref().map_err(HeError::clone)
     }
 
     /// The parameter set.
@@ -964,7 +1029,9 @@ impl Evaluator<'_> {
     }
 
     /// Ciphertext–ciphertext multiplication producing a 3-component result
-    /// (relinearize to get back to 2).
+    /// (relinearize to get back to 2). Passing the same ciphertext twice
+    /// (`multiply(&a, &a)`) squares it: one operand is lifted and
+    /// transformed instead of two, and the result is the same.
     ///
     /// # Errors
     ///
@@ -973,18 +1040,21 @@ impl Evaluator<'_> {
     /// data modulus (not modulus-switched).
     pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
+        let tensor = ctx.tensor()?;
         self.multiply_with(
             a,
             b,
-            |p| p.convert_centered(&ctx.to_ext),
-            |d| ctx.scale_from_ext(d),
+            std::ptr::eq(a, b),
+            &tensor.basis,
+            |p| tensor.lift(p),
+            |d| tensor.scale(d, ctx.t, &ctx.data),
         )
     }
 
     /// [`Self::multiply`] with the lift and the `t/q` scaling done by
-    /// big-integer CRT composition of every coefficient: the independent
-    /// oracle the RNS path is tested (and benchmarked) against. Not a
-    /// production path.
+    /// big-integer CRT composition of every coefficient, and never the
+    /// squaring shortcut: the independent oracle the RNS path is tested
+    /// (and benchmarked) against. Not a production path.
     ///
     /// # Errors
     ///
@@ -996,63 +1066,70 @@ impl Evaluator<'_> {
         b: &Ciphertext,
     ) -> Result<Ciphertext, HeError> {
         let ctx = self.ctx;
+        let basis = &ctx.tensor()?.basis;
         self.multiply_with(
             a,
             b,
-            |p| ctx.lift_to_ext_reference(p),
-            |d| ctx.scale_from_ext_reference(&d),
+            false,
+            basis,
+            |p| ctx.lift_reference(p, basis),
+            |d| ctx.scale_reference(&d, basis),
         )
     }
 
-    /// The tensor product over the extended basis, between a `lift` of the
-    /// four operand polynomials into it and a `scale` of the three exact
-    /// product polynomials by `t/q` back out of it.
+    /// The tensor product over `basis` (`q ∪ P`), between a `lift` of the
+    /// operand polynomials into it and a `scale` of the three exact product
+    /// polynomials by `t/q` back out of it. A `square` lifts and transforms
+    /// `a` alone, uses it for `b` too, and forms `d1 = 2·a0·a1`.
     fn multiply_with(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
+        square: bool,
+        basis: &RnsBasis,
         lift: impl Fn(&RnsPoly) -> RnsPoly,
         scale: impl Fn(RnsPoly) -> RnsPoly,
     ) -> Result<Ciphertext, HeError> {
-        if a.size() != 2 || b.size() != 2 {
+        let ([a0, a1], [b0, b1]) = (a.parts.as_slice(), b.parts.as_slice()) else {
             return Err(HeError::InvalidCiphertext(
                 "multiply requires 2-component operands".into(),
             ));
-        }
-        let ctx = self.ctx;
-        let ext = &*ctx.ext;
-        let rows = ctx.data.len();
-        if a.parts
-            .iter()
-            .chain(&b.parts)
-            .any(|p| p.row_count() != rows)
-        {
+        };
+        let rows = self.ctx.data.len();
+        if [a0, a1, b0, b1].iter().any(|p| p.row_count() != rows) {
             return Err(HeError::Mismatch(
                 "multiply requires operands at the full data modulus".into(),
             ));
         }
-        let [a0, a1, b0, b1] = [&a.parts[0], &a.parts[1], &b.parts[0], &b.parts[1]].map(|p| {
+        let transformed = |p: &RnsPoly| {
             let mut p = lift(p);
-            p.ntt_forward(ext);
+            p.ntt_forward(basis);
             p
+        };
+        let lifted_a = [a0, a1].map(transformed);
+        let lifted_b;
+        let [b0, b1] = if square {
+            &lifted_a
+        } else {
+            lifted_b = [b0, b1].map(transformed);
+            &lifted_b
+        };
+        let [a0, a1] = &lifted_a;
+        let mut d = [(); 3].map(|_| RnsPoly::zero(basis.len(), self.ctx.degree()));
+        let [d0, d1, d2] = &mut d;
+        d0.dyadic_accumulate(a0, b0, basis);
+        d1.dyadic_accumulate(a0, b1, basis);
+        if square {
+            d1.scalar_mul(2, basis);
+        } else {
+            d1.dyadic_accumulate(a1, b0, basis);
+        }
+        d2.dyadic_accumulate(a1, b1, basis);
+        let parts = d.into_iter().map(|mut d| {
+            d.ntt_inverse(basis);
+            scale(d)
         });
-        let k = ext.len();
-        let n = ctx.degree();
-        let mut d0 = RnsPoly::zero(k, n);
-        let mut d1 = RnsPoly::zero(k, n);
-        let mut d2 = RnsPoly::zero(k, n);
-        d0.dyadic_accumulate(&a0, &b0, ext);
-        d1.dyadic_accumulate(&a0, &b1, ext);
-        d1.dyadic_accumulate(&a1, &b0, ext);
-        d2.dyadic_accumulate(&a1, &b1, ext);
-        let parts = [d0, d1, d2]
-            .into_iter()
-            .map(|mut d| {
-                d.ntt_inverse(ext);
-                scale(d)
-            })
-            .collect();
-        Ok(a.evaluated(parts))
+        Ok(a.evaluated(parts.collect()))
     }
 
     /// Relinearizes a 3-component ciphertext back to 2 components.
@@ -1364,31 +1441,15 @@ impl Evaluator<'_> {
 }
 
 impl BfvContext {
-    /// Scales an extended-basis polynomial of exact signed integers `d` by
-    /// `t/q` with rounding, into the data basis. With `r = [t·d]_q`
-    /// centered, `⌊t·d/q⌉ = (t·d − r)/q` is an exact division, which over
-    /// the ext primes (where `q` is invertible) is a multiplication.
-    fn scale_from_ext(&self, mut d: RnsPoly) -> RnsPoly {
-        let (data, ext) = (&*self.data, &*self.ext);
-        let mut td = d.convert_centered(&self.from_ext);
-        td.scalar_mul(self.t, data);
-        let r = td.convert_centered(&self.to_ext);
-        d.scalar_mul(self.t, ext);
-        d.sub_assign_poly(&r, ext);
-        d.scalar_mul_per_row(&self.q_inv_mod_ext, ext);
-        d.convert_centered(&self.from_ext)
-    }
-
-    /// Exactly lifts a data-basis polynomial (centered) into the extended
-    /// multiplication basis, one big-integer composition per coefficient.
-    fn lift_to_ext_reference(&self, p: &RnsPoly) -> RnsPoly {
+    /// Exactly lifts a data-basis polynomial (centered) into the tensor
+    /// basis `basis`, one big-integer composition per coefficient.
+    fn lift_reference(&self, p: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
         let n = self.degree();
-        let ext = &*self.ext;
         let data = &*self.data;
-        let mut out = RnsPoly::zero(ext.len(), n);
+        let mut out = RnsPoly::zero(basis.len(), n);
         for j in 0..n {
             let (mag, neg) = p.coeff_centered(j, data);
-            let residues = ext.decompose_signed(&mag, neg);
+            let residues = basis.decompose_signed(&mag, neg);
             for (i, r) in residues.into_iter().enumerate() {
                 out.row_mut(i)[j] = r;
             }
@@ -1396,16 +1457,15 @@ impl BfvContext {
         out
     }
 
-    /// Composes an extended-basis polynomial (exact signed integers), scales
+    /// Composes a tensor-basis polynomial (exact signed integers), scales
     /// by `t/q` with big-integer rounding, and reduces into the data basis.
-    fn scale_from_ext_reference(&self, p: &RnsPoly) -> RnsPoly {
+    fn scale_reference(&self, p: &RnsPoly, basis: &RnsBasis) -> RnsPoly {
         let n = self.degree();
-        let ext = &*self.ext;
         let data = &*self.data;
         let q = data.modulus();
         let mut out = RnsPoly::zero(data.len(), n);
         for j in 0..n {
-            let (mag, neg) = p.coeff_centered(j, ext);
+            let (mag, neg) = p.coeff_centered(j, basis);
             let y = mag.mul_u64(self.t).div_round(q);
             let residues = data.decompose_signed(&y, neg);
             for (i, r) in residues.into_iter().enumerate() {
@@ -1645,6 +1705,79 @@ mod tests {
             ctx.evaluator().mod_switch_to_next(&switched).unwrap_err(),
             HeError::Mismatch(_)
         ));
+    }
+
+    /// `P ≥ 4·t·N·q` exactly, with no prime to spare, for every BFV set
+    /// the workspace builds: paper sets A and B, the remote workloads'
+    /// `[45, 45, 46]` set, the four-level chain the chaos and noise-margin
+    /// tests run, this module's small set and the `t > q` set of `prop_he`.
+    #[test]
+    fn tensor_basis_meets_its_bound_with_the_fewest_primes() {
+        let sets = [
+            ("set A", HeParams::set_a(), Some(3)),
+            ("set B", HeParams::set_b(), Some(2)),
+            (
+                "workloads",
+                HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap(),
+                None,
+            ),
+            (
+                "chaos chain",
+                HeParams::bfv_insecure(1024, &[50, 50, 50, 51], 21).unwrap(),
+                None,
+            ),
+            (
+                "small",
+                HeParams::bfv_insecure(1024, &[40, 40, 41], 17).unwrap(),
+                None,
+            ),
+            (
+                "t > q",
+                HeParams::bfv_insecure(64, &[20, 30], 40).unwrap(),
+                None,
+            ),
+        ];
+        for (label, params, aux_len) in sets {
+            let ctx = BfvContext::new(&params).unwrap();
+            let tensor = ctx.tensor().unwrap();
+            let (q, aux) = (ctx.data.modulus(), tensor.aux.primes());
+            let bound = q.mul_u64(ctx.t).mul_u64(4 * ctx.degree() as u64);
+            let product = |primes: &[u64]| primes.iter().fold(UBig::one(), |p, &x| p.mul_u64(x));
+            assert!(product(aux) >= bound, "{label}: P below 4·t·N·q");
+            assert!(product(&aux[1..]) < bound, "{label}: a prime to spare");
+            assert!(aux.iter().all(|p| !params.primes().contains(p)), "{label}");
+            assert_eq!(tensor.basis.primes(), [ctx.data.primes(), aux].concat());
+            if let Some(len) = aux_len {
+                assert_eq!(aux.len(), len, "{label}");
+            }
+        }
+    }
+
+    /// A context that only encrypts, rotates and decrypts never builds its
+    /// tensor basis; a clone taken before the first multiply, and one taken
+    /// after, both multiply to the same bytes as the original.
+    #[test]
+    fn only_a_multiply_builds_the_tensor_basis() {
+        let ctx = ctx_small();
+        let mut rng = rng();
+        let keys = ctx.keygen(&mut rng);
+        let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
+        let t = ctx.plain_modulus();
+        let pt = Plaintext::from_coeffs((0..ctx.degree() as u64).map(|i| i % t).collect());
+        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let rotated = ctx.evaluator().rotate_rows(&ct, 1, &gks).unwrap();
+        ctx.decryptor(keys.secret_key()).decrypt(&rotated);
+        assert!(ctx.tensor.get().is_none(), "built without a multiply");
+
+        let early = ctx.clone();
+        let product = early.evaluator().multiply(&ct, &rotated).unwrap();
+        assert!(ctx.tensor.get().is_some(), "a clone builds it for both");
+        let late = ctx.clone();
+        for other in [&ctx, &late] {
+            assert_eq!(other.evaluator().multiply(&ct, &rotated).unwrap(), product);
+        }
+        let reference = ctx.evaluator().multiply_reference(&ct, &rotated).unwrap();
+        assert_eq!(product, reference);
     }
 
     #[test]

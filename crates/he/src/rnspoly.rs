@@ -191,6 +191,23 @@ impl RnsPoly {
         }
     }
 
+    /// A copy of `self`'s rows followed by `lower`'s: the polynomial over a
+    /// basis of `self`'s primes then `lower`'s ([`RnsBasis::concat`]).
+    pub(crate) fn extended(&self, mut lower: RnsPoly) -> RnsPoly {
+        let copies = self.rows.iter().map(|r| PolyPool::take_copy(r));
+        RnsPoly {
+            rows: copies.chain(std::mem::take(&mut lower.rows)).collect(),
+        }
+    }
+
+    /// The first `k` rows and the rest, as two polynomials: the inverse of
+    /// [`Self::extended`].
+    pub(crate) fn split_rows(mut self, k: usize) -> (RnsPoly, RnsPoly) {
+        let mut rows = std::mem::take(&mut self.rows);
+        let lower = rows.split_off(k.min(rows.len()));
+        (RnsPoly { rows }, RnsPoly { rows: lower })
+    }
+
     fn check_match(&self, rhs: &RnsPoly) {
         assert_eq!(self.rows.len(), rhs.rows.len(), "row count mismatch");
         assert_eq!(self.degree(), rhs.degree(), "degree mismatch");

@@ -376,7 +376,9 @@ fn bfv_noise_budget_never_increases_under_ops() {
 /// `multiply` ≡ `multiply_reference` and `decrypt` ≡ `decrypt_reference`,
 /// byte for byte, on everything a ciphertext can be: fresh, squared twice
 /// (budget spent on the smaller sets), 3-part, at every modulus-switched
-/// level, and uniformly random rows (no budget at all).
+/// level, and uniformly random rows (no budget at all). Every square is
+/// checked on both multiply paths: the squaring one (`multiply(&a, &a)`) and
+/// the general one on a clone.
 fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &str) {
     let ctx = BfvContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(label.as_bytes());
@@ -402,6 +404,21 @@ fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &s
         );
         fast
     };
+    // `multiply(&a, &a)` takes the squaring path, `multiply(&a, &a.clone())`
+    // the general one; both must be the oracle's bytes.
+    let same_square = |a: &Ciphertext, what: &str| {
+        let reference = ciphertext_to_bytes(&eval.multiply_reference(a, a).unwrap());
+        let square = eval.multiply(a, a).unwrap();
+        assert!(
+            ciphertext_to_bytes(&square) == reference,
+            "{label}: the squaring path differs from the reference on {what}"
+        );
+        assert!(
+            ciphertext_to_bytes(&eval.multiply(a, &a.clone()).unwrap()) == reference,
+            "{label}: the general path differs from the reference on {what} squared"
+        );
+        square
+    };
     let same_plaintext_at_every_level = |ct: &Ciphertext, what: &str| {
         let mut ct = ct.clone();
         loop {
@@ -422,10 +439,14 @@ fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &s
     let ab = same_product(&a, &b, "fresh operands");
     same_plaintext_at_every_level(&ab, "a 3-part product");
     let mut squared = a;
-    for round in ["squared once", "squared twice"] {
-        let product = same_product(&squared, &squared, round);
+    for operand in [
+        "a fresh ciphertext",
+        "one squared once",
+        "one squared twice",
+    ] {
+        let product = same_square(&squared, operand);
         squared = eval.relinearize(&product, &rk).unwrap();
-        same_plaintext_at_every_level(&squared, round);
+        same_plaintext_at_every_level(&squared, &format!("the square of {operand}"));
     }
 
     let mut garbage = |parts: usize| {
@@ -441,14 +462,15 @@ fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &s
     same_plaintext_at_every_level(&garbage(3), "uniform rows, 3 parts");
     let gh = same_product(&g, &h, "uniform rows");
     same_plaintext_at_every_level(&gh, "a product of uniform rows");
+    same_square(&g, "uniform rows");
 }
 
 #[test]
 fn rns_multiply_and_decrypt_match_reference_small_set() {
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
     assert_rns_paths_match_the_big_integer_reference(&params, "insecure N=256");
-    // One data prime, and a plain modulus wider than it (t > q): the ext
-    // basis is sized by log2(t), not log2(q).
+    // One data prime, and a plain modulus wider than it (t > q): the
+    // tensor basis's auxiliary primes are sized by log2(t) as well.
     let params = HeParams::bfv_insecure(64, &[20, 30], 40).unwrap();
     assert_rns_paths_match_the_big_integer_reference(&params, "insecure N=64, t > q");
 }

@@ -106,21 +106,24 @@ impl RnsBasis {
     /// Returns [`RnsError::InvalidPrimes`] for an empty or duplicated prime
     /// list, and [`RnsError::Ntt`] if any prime is not NTT-friendly for `n`.
     pub fn new(n: usize, primes: &[u64]) -> Result<Self, RnsError> {
-        if primes.is_empty() {
-            return Err(RnsError::InvalidPrimes);
-        }
-        let mut sorted = primes.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != primes.len() {
-            return Err(RnsError::InvalidPrimes);
-        }
+        check_distinct(primes)?;
         let ntts = primes
             .iter()
             .map(|&q| NttTable::new(n, q))
             .collect::<Result<Vec<_>, _>>()?;
+        Self::from_tables(n, ntts)
+    }
+
+    /// The basis of `ntts`' primes, in order, over those tables: no table
+    /// is rebuilt, so no `q − 1` is factored again.
+    fn from_tables(n: usize, ntts: Vec<NttTable>) -> Result<Self, RnsError> {
+        let primes: Vec<u64> = ntts.iter().map(NttTable::modulus).collect();
+        check_distinct(&primes)?;
+        if ntts.iter().any(|table| table.size() != n) {
+            return Err(RnsError::InvalidPrimes);
+        }
         let mut modulus = UBig::one();
-        for &q in primes {
+        for &q in &primes {
             modulus = modulus.mul_u64(q);
         }
         let punctured: Vec<UBig> = primes.iter().map(|&q| modulus.divrem_u64(q).0).collect();
@@ -129,10 +132,10 @@ impl RnsBasis {
             .zip(&punctured)
             .map(|(&q, p)| inv_mod(p.rem_u64(q), q))
             .collect();
-        let limbs = ComposeLimbs::new(primes, &inv_punctured, &modulus, &punctured);
+        let limbs = ComposeLimbs::new(&primes, &inv_punctured, &modulus, &punctured);
         Ok(RnsBasis {
             n,
-            primes: primes.to_vec(),
+            primes,
             ntts,
             modulus,
             punctured,
@@ -193,7 +196,20 @@ impl RnsBasis {
     /// Panics if `k` is 0 or exceeds the basis size.
     pub fn prefix(&self, k: usize) -> RnsBasis {
         assert!(k >= 1 && k <= self.len(), "invalid sub-basis size");
-        RnsBasis::new(self.n, &self.primes[..k]).expect("prefix of a valid basis is valid")
+        RnsBasis::from_tables(self.n, self.ntts[..k].to_vec())
+            .expect("prefix of a valid basis is valid")
+    }
+
+    /// The basis of this basis's primes followed by `other`'s, over the NTT
+    /// tables both already hold.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RnsError::InvalidPrimes`] when the two share a prime or
+    /// differ in ring degree.
+    pub fn concat(&self, other: &RnsBasis) -> Result<RnsBasis, RnsError> {
+        let ntts = self.ntts.iter().chain(&other.ntts).cloned().collect();
+        RnsBasis::from_tables(self.n, ntts)
     }
 
     /// Limbs a [`Self::compose_centered_into`] buffer holds: enough for
@@ -283,6 +299,17 @@ impl RnsBasis {
             .map(|&q| signed_residue(magnitude.limbs(), negative, q))
             .collect()
     }
+}
+
+/// Refuses an empty or duplicated prime list.
+fn check_distinct(primes: &[u64]) -> Result<(), RnsError> {
+    let mut sorted = primes.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    if primes.is_empty() || sorted.len() != primes.len() {
+        return Err(RnsError::InvalidPrimes);
+    }
+    Ok(())
 }
 
 /// `±magnitude mod q` in `[0, q)`, for a magnitude given as limbs.
@@ -590,6 +617,26 @@ mod tests {
         let p = b.prefix(2);
         assert_eq!(p.primes(), &b.primes()[..2]);
         assert_eq!(p.degree(), b.degree());
+    }
+
+    #[test]
+    fn concat_keeps_both_sides_tables_and_refuses_a_shared_prime() {
+        let b = basis();
+        let aux = RnsBasis::new(64, &generate_ntt_primes(50, 64, 2)).unwrap();
+        let joined = b.concat(&aux).unwrap();
+        assert_eq!(joined.primes()[..3], *b.primes());
+        assert_eq!(joined.primes()[3..], *aux.primes());
+        assert_eq!(*joined.modulus(), b.modulus().mul(aux.modulus()));
+        let psis = |basis: &RnsBasis| -> Vec<u64> {
+            basis.ntt_tables().iter().map(NttTable::psi).collect()
+        };
+        assert_eq!(psis(&joined), [psis(&b), psis(&aux)].concat());
+        assert_eq!(b.concat(&b.prefix(1)).unwrap_err(), RnsError::InvalidPrimes);
+        let other_degree = RnsBasis::new(128, &generate_ntt_primes(50, 128, 1)).unwrap();
+        assert_eq!(
+            b.concat(&other_degree).unwrap_err(),
+            RnsError::InvalidPrimes
+        );
     }
 
     #[test]
