@@ -47,6 +47,11 @@ CHOCO_SIMD=0 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 CHOCO_SIMD=1 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
+# BLAKE3: the official vectors, and the 8-lane XOF and whole-chunk hashing
+# against the one-block scalar code in-process (crates/prng/tests/lanes.rs),
+# under both backends.
+CHOCO_SIMD=0 cargo test -q -p choco-prng
+CHOCO_SIMD=1 cargo test -q -p choco-prng
 # client_bytes: the client's decrypted slots, decoded f64 bits, noise-budget
 # bits and RNG positions, pinned across builds — at every point of the matrix.
 for simd in 0 1; do
@@ -183,7 +188,10 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # client encryption now takes against that cached Eq. 2 encryption (>= 1.0x,
 # sets A and B; CKKS at C): a compact upload must not cost the client more.
 # `seed_expand_a`, what the server pays to expand a set-A upload's `c1`, is
-# timed and not gated. It asserts that BFV's
+# timed and not gated. The 8-lane BLAKE3 kernels are raced against the
+# one-block scalar code after both give the same bytes: a 1 MiB XOF fill
+# (>= 2.0x) and the keyed tag over a set-A request's two seeded uploads
+# (>= 1.5x), gated whenever the AVX2 backend is active. It asserts that BFV's
 # scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
 # hand-inlined twin — the generic protocol core is monomorphized, so any
 # measurable gap is a regression (CKKS has no such twin any more: its

@@ -21,7 +21,9 @@
 //! costs more than measurement noise — the generic core is monomorphized,
 //! so there is no dyn dispatch to pay for. A simd section
 //! times every kernel `choco_math::simd` vectorizes against its scalar twin
-//! and fails on one the vector code does not speed up, and a barrett
+//! and fails on one the vector code does not speed up, as well as the
+//! 8-lane BLAKE3 XOF and keyed hash against the one-block scalar code (at
+//! least 2.0x and 1.5x, with the AVX2 backend), and a barrett
 //! section does the same for `modops::Barrett` against the `%` it replaced
 //! in the dyadic product and the accumulator-row reduction; the RNS multiply,
 //! decrypt, noise budget and reply compression and the limb-composed CKKS
@@ -70,6 +72,7 @@ use choco_math::poly::dyadic_assign;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::simd;
+use choco_prng::blake3::Hasher;
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -503,6 +506,77 @@ fn main() {
                 *x = sub_mod(*x, y, qs);
             }
         });
+    }
+
+    header(&format!(
+        "blake3 8-lane kernels vs the one-block scalar code (backend: {})",
+        backend.name()
+    ));
+    // The XOF under every encryption's draws and seed expansion (a 1 MiB
+    // `Blake3Rng::fill_bytes`), and the keyed hash under every frame tag
+    // (a set-A request's two seeded uploads, hashed as a frame tag is:
+    // kind byte, sequence number, payload), each against its scalar twin
+    // (`Blake3Rng::scalar`, `Hasher::scalar`) after both give the same
+    // bytes. (speedup name, scalar / wide, gate.)
+    let mut blake3_gates: Vec<(String, f64, f64)> = Vec::new();
+    {
+        let seed = b"bench kernels blake3 xof";
+        let (mut wide, mut scalar) = (
+            Blake3Rng::from_seed(seed),
+            Blake3Rng::from_seed(seed).scalar(),
+        );
+        let (mut out, mut twin_out) = (vec![0u8; 1 << 20], vec![0u8; 1 << 20]);
+        wide.fill_bytes(&mut out);
+        scalar.fill_bytes(&mut twin_out);
+        assert!(out == twin_out, "the wide XOF differs from the scalar one");
+        let mut sides: [&mut dyn FnMut(); 2] = [
+            &mut || {
+                wide.fill_bytes(black_box(&mut out));
+            },
+            &mut || {
+                scalar.fill_bytes(black_box(&mut twin_out));
+            },
+        ];
+        let timings = best_of_three(|side| measure(window_ms, &mut *sides[side]));
+        let ratio = record_twins(&mut entries, "blake3_xof", ["wide", "scalar"], timings);
+        blake3_gates.push(("blake3_xof_speedup".into(), ratio, 2.0));
+
+        let set = HeParams::set_a();
+        let ctx = BfvContext::new(&set).unwrap();
+        let mut rng = Blake3Rng::from_seed(b"bench kernels blake3 payload");
+        let keys = ctx.keygen(&mut rng);
+        let values: Vec<u64> = (0..set.degree() as u64).map(|i| i % 17).collect();
+        let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
+        let payload: Vec<u8> = (0..2)
+            .flat_map(|_| Bfv::ct_to_wire(&ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)))
+            .collect();
+        let key = [7u8; 32];
+        let tag = |mut h: Hasher| {
+            h.update(&[1]).update(&1u64.to_le_bytes()).update(&payload);
+            h.finalize()
+        };
+        assert_eq!(
+            tag(Hasher::new_keyed(&key)),
+            tag(Hasher::new_keyed(&key).scalar()),
+            "the wide keyed hash differs from the scalar one"
+        );
+        let mut sides: [&mut dyn FnMut(); 2] = [
+            &mut || {
+                black_box(tag(black_box(Hasher::new_keyed(&key))));
+            },
+            &mut || {
+                black_box(tag(black_box(Hasher::new_keyed(&key).scalar())));
+            },
+        ];
+        let timings = best_of_three(|side| measure(window_ms, &mut *sides[side]));
+        let ratio = record_twins(
+            &mut entries,
+            "blake3_keyed_hash",
+            ["wide", "scalar"],
+            timings,
+        );
+        note(&format!("keyed hash payload: {} bytes", payload.len()));
+        blake3_gates.push(("blake3_keyed_hash_speedup".into(), ratio, 1.5));
     }
 
     header("barrett reducer vs the hardware/software divide it replaced (n=8192, 60-bit prime)");
@@ -1177,6 +1251,24 @@ fn main() {
     } else {
         note("scalar backend active: both twins ran the scalar loop, simd gate skipped");
     }
+    header("blake3 speedups (scalar / wide; gate: xof >= 2.0x, keyed hash >= 1.5x)");
+    for (name, ratio, gate) in &blake3_gates {
+        println!("{name:<34} {ratio:.2}x");
+        // Same rule as the simd kernels above, with the margins a kernel
+        // under every draw and tag has to show.
+        if backend.is_vector() {
+            assert!(
+                *ratio >= *gate,
+                "{name} is {ratio:.2}x with the {} backend: hash one block at a time instead \
+                 (gate: >= {gate:.1}x)",
+                backend.name()
+            );
+        }
+    }
+    let blake3_speedups: Vec<(String, f64)> = blake3_gates
+        .into_iter()
+        .map(|(name, ratio, _)| (name, ratio))
+        .collect();
     header(
         "rns speedups (twin / candidate; gated above: multiply+relin >= 3.0x, square+relin \
          >= 1.0x, decrypt >= 2.0x, noise budget >= 3.0x, compress >= 1.0x, ckks decode >= 2.0x)",
@@ -1245,6 +1337,7 @@ fn main() {
         derived.extend(
             simd_speedups
                 .iter()
+                .chain(&blake3_speedups)
                 .chain(&barrett_speedups)
                 .chain(&rns_speedups)
                 .chain(&encrypt_speedups)

@@ -5,7 +5,7 @@
 //! ships a table of such primes; we generate them on demand with a
 //! deterministic Miller–Rabin test that is exact for all 64-bit integers.
 
-use crate::modops::{mul_mod, pow_mod};
+use crate::modops::{mul_add_mod, mul_mod, pow_mod};
 
 /// Witnesses sufficient for a deterministic Miller–Rabin test over `u64`
 /// (Sinclair's 7-witness set).
@@ -120,10 +120,9 @@ pub fn try_generate_plain_modulus(bits: u32, n: usize) -> Option<u64> {
 }
 
 /// Finds a generator (primitive root) of the multiplicative group of the
-/// prime field `Z_q`.
-///
-/// Uses the factorization of `q - 1` by trial division (fine for our
-/// NTT-friendly primes where `q - 1 = 2^a * odd-smallish`).
+/// prime field `Z_q`: the least `g` of order `q − 1`, tested against the
+/// distinct prime factors of `q − 1` (Brent–Pollard rho, so a fresh 62-bit
+/// prime costs microseconds, not the milliseconds trial division took).
 pub fn primitive_root(q: u64) -> u64 {
     let phi = q - 1;
     let factors = distinct_prime_factors(phi);
@@ -155,27 +154,161 @@ pub fn primitive_nth_root(order: u64, q: u64) -> u64 {
     root
 }
 
-fn distinct_prime_factors(mut n: u64) -> Vec<u64> {
-    let mut fs = Vec::new();
-    let mut d = 2u64;
-    while d.saturating_mul(d) <= n {
-        if n.is_multiple_of(d) {
-            fs.push(d);
-            while n.is_multiple_of(d) {
-                n /= d;
+/// The distinct prime factors of `n ≥ 1`, ascending: the power of two
+/// shifted out, then each odd composite part split by [`rho_divisor`] until
+/// [`is_prime`] accepts every part.
+fn distinct_prime_factors(n: u64) -> Vec<u64> {
+    let mut factors = Vec::new();
+    if n.is_multiple_of(2) {
+        factors.push(2);
+    }
+    let mut parts = vec![n >> n.trailing_zeros()];
+    while let Some(m) = parts.pop() {
+        if m == 1 {
+            continue;
+        }
+        if is_prime(m) {
+            factors.push(m);
+            continue;
+        }
+        let d = rho_divisor(m);
+        parts.extend([d, m / d]);
+    }
+    factors.sort_unstable();
+    factors.dedup();
+    factors
+}
+
+/// A divisor `1 < d < n` of the odd composite `n`: Brent's variant of
+/// Pollard's rho on `x ↦ x² + c mod n`, the differences multiplied together
+/// so one gcd covers up to 128 steps, and the steps of a batch that
+/// overshoots to `n` retaken one gcd at a time. A `c` whose cycle closes
+/// without splitting `n` is replaced by `c + 1`.
+fn rho_divisor(n: u64) -> u64 {
+    const BATCH: u64 = 128;
+    let mut c = 1;
+    loop {
+        let f = |x: u64| mul_add_mod(x, x, c, n);
+        let (mut x, mut y, mut ys) = (2u64, 2u64, 2u64);
+        let (mut g, mut r, mut acc) = (1u64, 1u64, 1u64);
+        while g == 1 {
+            x = y;
+            for _ in 0..r {
+                y = f(y);
+            }
+            let mut k = 0;
+            while k < r && g == 1 {
+                ys = y;
+                for _ in 0..BATCH.min(r - k) {
+                    y = f(y);
+                    acc = mul_mod(acc, x.abs_diff(y), n);
+                }
+                g = gcd(acc, n);
+                k += BATCH;
+            }
+            r *= 2;
+        }
+        if g == n {
+            loop {
+                ys = f(ys);
+                g = gcd(x.abs_diff(ys), n);
+                if g > 1 {
+                    break;
+                }
             }
         }
-        d += 1;
+        if g != n {
+            return g;
+        }
+        c += 1;
     }
-    if n > 1 {
-        fs.push(n);
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
-    fs
+    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The trial division [`distinct_prime_factors`] replaced: the oracle.
+    fn trial_division_factors(mut n: u64) -> Vec<u64> {
+        let mut fs = Vec::new();
+        let mut d = 2u64;
+        while d.saturating_mul(d) <= n {
+            if n.is_multiple_of(d) {
+                fs.push(d);
+                while n.is_multiple_of(d) {
+                    n /= d;
+                }
+            }
+            d += 1;
+        }
+        if n > 1 {
+            fs.push(n);
+        }
+        fs
+    }
+
+    /// [`primitive_root`]'s search over an explicit factor list.
+    fn root_from(q: u64, factors: &[u64]) -> u64 {
+        (2..q)
+            .find(|&g| factors.iter().all(|&f| pow_mod(g, (q - 1) / f, q) != 1))
+            .expect("a prime field has a generator")
+    }
+
+    #[test]
+    fn rho_matches_trial_division_on_every_table_prime() {
+        // Sets A, B and C, the 59-bit primes the BFV tensor bases draw
+        // from at both degrees, and eight primes of every size the
+        // generator accepts.
+        let mut primes = [
+            (58, 8192, 2),
+            (59, 8192, 1),
+            (36, 4096, 2),
+            (37, 4096, 1),
+            (60, 8192, 3),
+            (59, 8192, 8),
+            (59, 4096, 8),
+        ]
+        .into_iter()
+        .flat_map(|(bits, n, count)| generate_ntt_primes(bits, n, count))
+        .collect::<Vec<_>>();
+        for bits in 20..=62 {
+            primes.extend(generate_ntt_primes(bits, 1024, 8));
+        }
+        for q in primes {
+            let oracle = trial_division_factors(q - 1);
+            assert_eq!(distinct_prime_factors(q - 1), oracle, "q = {q}");
+            assert_eq!(primitive_root(q), root_from(q, &oracle), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn rho_splits_awkward_composites() {
+        // Prime squares and cubes, Carmichael numbers and a strong
+        // pseudoprime, and every small n.
+        for n in (1..5000u64).chain([
+            65_521 * 65_521,
+            7 * 7 * 7 * 13 * 13,
+            41_041,
+            3_825_123_056_546_413_051,
+        ]) {
+            assert_eq!(
+                distinct_prime_factors(n),
+                trial_division_factors(n),
+                "n = {n}"
+            );
+        }
+        // Two 32-bit primes, past what trial division finishes quickly.
+        let (p, q) = (4_294_967_279u64, 4_294_967_291u64);
+        assert_eq!(distinct_prime_factors(p * q), [p, q]);
+        assert_eq!(distinct_prime_factors(q * q), [q]);
+    }
 
     #[test]
     fn small_primes_classified() {

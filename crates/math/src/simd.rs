@@ -1,11 +1,14 @@
-//! The four AVX2 kernels that beat their scalar twins on the bench: the
-//! Harvey lazy forward and inverse NTTs and the row-wise modular add and
-//! subtract.
+//! The AVX2 kernels that beat their scalar twins on the bench: the Harvey
+//! lazy forward and inverse NTTs, the row-wise modular add and subtract,
+//! and the 8-lane BLAKE3 compression under `choco-prng`'s XOF
+//! ([`blake3_root8`]) and whole-chunk hashing ([`blake3_chunks8`]).
 //!
 //! Everything else in the crate — the Shoup scalar and dyadic multiplies —
-//! runs the scalar loops in [`crate::ntt`] and [`crate::poly`];
-//! `bench_kernels` times each kernel kept here against its scalar twin and
-//! fails on a ratio below 1.0 (DESIGN.md §12).
+//! runs the scalar loops in [`crate::ntt`] and [`crate::poly`], and the
+//! rest of BLAKE3 (parent nodes, partial chunks, short outputs) the scalar
+//! code in `choco_prng::blake3`; `bench_kernels` times each kernel kept here
+//! against its scalar twin and fails on a ratio below its gate (DESIGN.md
+//! §12).
 //!
 //! Apart from the single lifetime erasure in [`crate::par`], this is the
 //! only module in the workspace that contains `unsafe` code, and every
@@ -27,7 +30,10 @@
 //! Every vector kernel performs the *same* integer operations as its
 //! scalar twin in [`crate::modops`] / [`crate::ntt`] — Shoup high-half
 //! multiplies, wrapping low-half multiplies, conditional subtractions —
-//! just four lanes at a time. The one regrouping is the inverse NTT's last
+//! just four lanes at a time; the BLAKE3 kernels run eight independent
+//! compressions, one per `u32` lane, each the scalar compression's wrapping
+//! adds, xors and rotations word for word (`choco-prng`'s `tests/lanes.rs`
+//! holds them to the scalar code). The one regrouping is the inverse NTT's last
 //! stage, which folds the `1/n` scaling into its twiddle instead of
 //! sweeping once more; both forms end in fully reduced residues, and those
 //! are unique. Modular arithmetic on `u64` is exact, so the results are
@@ -208,6 +214,55 @@ pub fn sub_mod_slices(a: &mut [u64], b: &[u64], q: u64) {
     }
 }
 
+/// BLAKE3 root output blocks `counter..counter + 8` of one node — input
+/// chaining value `cv`, message `block` of `block_len` bytes, `flags`
+/// (ROOT included) — written to `out` 64 bytes per block, eight
+/// compressions at once. Returns `false` when no vector backend is active
+/// — the caller runs its scalar compressions instead.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn blake3_root8(
+    cv: &[u32; 8],
+    block: &[u32; 16],
+    counter: u64,
+    block_len: u32,
+    flags: u32,
+    out: &mut [u8; 512],
+) -> bool {
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            // SAFETY: backend detection guards the feature.
+            unsafe { avx2::blake3_root8(cv, block, counter, block_len, flags, out) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// The BLAKE3 chaining values of eight whole chunks that follow each other
+/// in `chunks`, chunk `j` at chunk counter `counter + j`, under `key` and
+/// `flags` (0, or KEYED_HASH), eight compressions at once. None of them may
+/// be the root. Returns `false` when no vector backend is active — the
+/// caller hashes the chunks one at a time instead.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn blake3_chunks8(
+    chunks: &[u8; 8192],
+    key: &[u32; 8],
+    counter: u64,
+    flags: u32,
+    cvs: &mut [[u32; 8]; 8],
+) -> bool {
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => {
+            // SAFETY: backend detection guards the feature.
+            unsafe { avx2::blake3_chunks8(chunks, key, counter, flags, cvs) };
+            true
+        }
+        _ => false,
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 kernels: 4×u64 lanes. x86 has no 64×64 vector multiply below
@@ -219,24 +274,36 @@ mod avx2 {
     //! Signed comparisons (`vpcmpgtq`) stand in for the unsigned compares
     //! of the scalar code: every value here is below `4q < 2^63`, where
     //! the two orders agree.
+    //!
+    //! The BLAKE3 kernels at the end use 8×u32 lanes instead.
 
     use super::{add_mod, sub_mod};
     use core::arch::x86_64::*;
 
+    /// The integer types a vector is loaded from and stored to: every bit
+    /// pattern is a value and there is no padding, so 32 bytes of them are
+    /// one `__m256i` and back.
+    trait Word: Copy {}
+    impl Word for u8 {}
+    impl Word for u32 {}
+    impl Word for u64 {}
+
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load(src: &[u64]) -> __m256i {
-        debug_assert!(src.len() >= 4);
-        // SAFETY: the slice holds at least four elements (checked above in
-        // debug builds, by construction in callers); unaligned load.
+    fn load<T: Word>(src: &[T]) -> __m256i {
+        debug_assert!(size_of_val(src) >= 32);
+        // SAFETY: the slice holds at least 32 bytes of plain integers
+        // (checked above in debug builds, by construction in callers);
+        // unaligned load.
         unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
     }
 
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn store(dst: &mut [u64], v: __m256i) {
-        debug_assert!(dst.len() >= 4);
-        // SAFETY: the slice holds at least four elements; unaligned store.
+    fn store<T: Word>(dst: &mut [T], v: __m256i) {
+        debug_assert!(size_of_val(dst) >= 32);
+        // SAFETY: the slice holds at least 32 bytes of plain integers, any
+        // bit pattern of which is valid; unaligned store.
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
     }
 
@@ -598,6 +665,306 @@ mod avx2 {
         }
         for (x, &y) in a[len4..].iter_mut().zip(&b[len4..]) {
             *x = sub_mod(*x, y, q);
+        }
+    }
+
+    // BLAKE3, eight compressions at once: lane `j` of every vector belongs
+    // to compression `j`, so the sixteen state words and sixteen message
+    // words of eight compressions are sixteen `__m256i` each, and one G is
+    // the scalar G's adds, xors and rotations on all eight at once.
+
+    /// BLAKE3's first four IV words: state words 8–11 of every compression.
+    const B3_IV: [u32; 4] = [0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A];
+    const B3_CHUNK_START: u32 = 1 << 0;
+    const B3_CHUNK_END: u32 = 1 << 1;
+
+    /// Four state or message words, one vector of eight lanes each.
+    type Quad = [__m256i; 4];
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat(x: u32) -> __m256i {
+        _mm256_set1_epi32(x as i32)
+    }
+
+    /// `x.rotate_right(16)` lane-wise: a byte shuffle.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotr16(x: __m256i) -> __m256i {
+        let order = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+        );
+        _mm256_shuffle_epi8(x, order)
+    }
+
+    /// `x.rotate_right(8)` lane-wise: a byte shuffle.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotr8(x: __m256i) -> __m256i {
+        let order = _mm256_setr_epi8(
+            1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12, //
+            1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12,
+        );
+        _mm256_shuffle_epi8(x, order)
+    }
+
+    /// `x.rotate_right(12)` lane-wise.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotr12(x: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_srli_epi32::<12>(x), _mm256_slli_epi32::<20>(x))
+    }
+
+    /// `x.rotate_right(7)` lane-wise.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotr7(x: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_srli_epi32::<7>(x), _mm256_slli_epi32::<25>(x))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn xor4(x: Quad, y: Quad) -> Quad {
+        let [x0, x1, x2, x3] = x;
+        let [y0, y1, y2, y3] = y;
+        [
+            _mm256_xor_si256(x0, y0),
+            _mm256_xor_si256(x1, y1),
+            _mm256_xor_si256(x2, y2),
+            _mm256_xor_si256(x3, y3),
+        ]
+    }
+
+    /// The scalar G on column `i` of the rows `a, b, c, d` for every `i`,
+    /// with message words `mx[i]` and `my[i]`, each step issued for all
+    /// four columns before the next, so their dependency chains overlap. A
+    /// macro, not a function, so that it always inlines and the state stays
+    /// in registers.
+    macro_rules! g4 {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $mx:expr, $my:expr) => {{
+            let (mx, my): (Quad, Quad) = ($mx, $my);
+            for (a, (b, m)) in $a.iter_mut().zip($b.iter().zip(mx)) {
+                *a = _mm256_add_epi32(_mm256_add_epi32(*a, *b), m);
+            }
+            for (d, a) in $d.iter_mut().zip(&$a) {
+                *d = rotr16(_mm256_xor_si256(*d, *a));
+            }
+            for (c, d) in $c.iter_mut().zip(&$d) {
+                *c = _mm256_add_epi32(*c, *d);
+            }
+            for (b, c) in $b.iter_mut().zip(&$c) {
+                *b = rotr12(_mm256_xor_si256(*b, *c));
+            }
+            for (a, (b, m)) in $a.iter_mut().zip($b.iter().zip(my)) {
+                *a = _mm256_add_epi32(_mm256_add_epi32(*a, *b), m);
+            }
+            for (d, a) in $d.iter_mut().zip(&$a) {
+                *d = rotr8(_mm256_xor_si256(*d, *a));
+            }
+            for (c, d) in $c.iter_mut().zip(&$d) {
+                *c = _mm256_add_epi32(*c, *d);
+            }
+            for (b, c) in $b.iter_mut().zip(&$c) {
+                *b = rotr7(_mm256_xor_si256(*b, *c));
+            }
+        }};
+    }
+
+    /// Eight compressions' state rows `[a, b, c, d]` (words 0–3, 4–7, 8–11,
+    /// 12–15) after the seven rounds, before the feed-forward; `cv` is the
+    /// input chaining value's two halves, `counter` the lanes' `(low, high)`
+    /// counter words.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn compress8(
+        cv: [Quad; 2],
+        m: [Quad; 4],
+        counter: (__m256i, __m256i),
+        block_len: u32,
+        flags: u32,
+    ) -> [Quad; 4] {
+        let [mut a, mut b] = cv;
+        let [iv0, iv1, iv2, iv3] = B3_IV;
+        let mut c = [splat(iv0), splat(iv1), splat(iv2), splat(iv3)];
+        let mut d = [counter.0, counter.1, splat(block_len), splat(flags)];
+        let [[m0, m1, m2, m3], [m4, m5, m6, m7], [m8, m9, m10, m11], [m12, m13, m14, m15]] = m;
+        let m = [
+            m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15,
+        ];
+        // One round on message `$m`, evaluating to the message permuted
+        // for the next. Written out seven times below, not looped: the loop
+        // does not unroll, and unrolled the permutation is a renaming
+        // rather than a shuffle through memory.
+        macro_rules! round {
+            ($m:expr) => {{
+                let [m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15] = $m;
+                // The columns.
+                g4!(a, b, c, d, [m0, m2, m4, m6], [m1, m3, m5, m7]);
+                // The diagonals: rows b, c and d turned left by one, two
+                // and three words line diagonal `i` up as column `i`, and
+                // back.
+                let ([b0, b1, b2, b3], [c0, c1, c2, c3], [d0, d1, d2, d3]) = (b, c, d);
+                (b, c, d) = ([b1, b2, b3, b0], [c2, c3, c0, c1], [d3, d0, d1, d2]);
+                g4!(a, b, c, d, [m8, m10, m12, m14], [m9, m11, m13, m15]);
+                let ([b1, b2, b3, b0], [c2, c3, c0, c1], [d3, d0, d1, d2]) = (b, c, d);
+                (b, c, d) = ([b0, b1, b2, b3], [c0, c1, c2, c3], [d0, d1, d2, d3]);
+                // BLAKE3's message permutation.
+                [
+                    m2, m6, m3, m10, m7, m0, m4, m13, m1, m11, m12, m5, m9, m14, m15, m8,
+                ]
+            }};
+        }
+        let m = round!(m);
+        let m = round!(m);
+        let m = round!(m);
+        let m = round!(m);
+        let m = round!(m);
+        let m = round!(m);
+        round!(m);
+        [a, b, c, d]
+    }
+
+    /// The low and high words of the counters `counter..counter + 8`, one
+    /// per lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn counters8(counter: u64) -> (__m256i, __m256i) {
+        let mut lo = [0u32; 8];
+        let mut hi = [0u32; 8];
+        for (j, (lo, hi)) in (0..).zip(lo.iter_mut().zip(&mut hi)) {
+            let c = counter.wrapping_add(j);
+            (*lo, *hi) = (c as u32, (c >> 32) as u32);
+        }
+        (load(&lo), load(&hi))
+    }
+
+    /// Eight words broadcast to all lanes, as two quads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat8(words: &[u32; 8]) -> [Quad; 2] {
+        let [w0, w1, w2, w3, w4, w5, w6, w7] = *words;
+        [
+            [splat(w0), splat(w1), splat(w2), splat(w3)],
+            [splat(w4), splat(w5), splat(w6), splat(w7)],
+        ]
+    }
+
+    /// The 8 × 8 transpose of `u32` words: lane `j` of output `i` is lane
+    /// `i` of input `j`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn transpose8([r0, r1, r2, r3, r4, r5, r6, r7]: [__m256i; 8]) -> [Quad; 2] {
+        // Pairs of rows interleaved word-wise, then pairs of those
+        // interleaved 64-bit-wise: each 128-bit half now holds four words
+        // of one column, and the halves are swapped into place last.
+        let t0 = _mm256_unpacklo_epi32(r0, r1);
+        let t1 = _mm256_unpackhi_epi32(r0, r1);
+        let t2 = _mm256_unpacklo_epi32(r2, r3);
+        let t3 = _mm256_unpackhi_epi32(r2, r3);
+        let t4 = _mm256_unpacklo_epi32(r4, r5);
+        let t5 = _mm256_unpackhi_epi32(r4, r5);
+        let t6 = _mm256_unpacklo_epi32(r6, r7);
+        let t7 = _mm256_unpackhi_epi32(r6, r7);
+        let u0 = _mm256_unpacklo_epi64(t0, t2); // column 0 | column 4, rows 0-3
+        let u1 = _mm256_unpackhi_epi64(t0, t2); // 1 | 5
+        let u2 = _mm256_unpacklo_epi64(t1, t3); // 2 | 6
+        let u3 = _mm256_unpackhi_epi64(t1, t3); // 3 | 7
+        let u4 = _mm256_unpacklo_epi64(t4, t6); // the same, rows 4-7
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        [
+            [
+                _mm256_permute2x128_si256::<0x20>(u0, u4),
+                _mm256_permute2x128_si256::<0x20>(u1, u5),
+                _mm256_permute2x128_si256::<0x20>(u2, u6),
+                _mm256_permute2x128_si256::<0x20>(u3, u7),
+            ],
+            [
+                _mm256_permute2x128_si256::<0x31>(u0, u4),
+                _mm256_permute2x128_si256::<0x31>(u1, u5),
+                _mm256_permute2x128_si256::<0x31>(u2, u6),
+                _mm256_permute2x128_si256::<0x31>(u3, u7),
+            ],
+        ]
+    }
+
+    /// Eight root output blocks of one node, counters `counter..counter +
+    /// 8`: every lane compresses the same chaining value and message.
+    #[target_feature(enable = "avx2")]
+    pub fn blake3_root8(
+        cv: &[u32; 8],
+        block: &[u32; 16],
+        counter: u64,
+        block_len: u32,
+        flags: u32,
+        out: &mut [u8; 512],
+    ) {
+        let h = splat8(cv);
+        let (words, _) = block.as_chunks::<8>();
+        let mut m = [[_mm256_setzero_si256(); 4]; 4];
+        for (m, words) in m.as_chunks_mut::<2>().0.iter_mut().zip(words) {
+            *m = splat8(words);
+        }
+        let [a, b, c, d] = compress8(h, m, counters8(counter), block_len, flags);
+        // The root's feed-forward: words 0–7 are (a, b) ^ (c, d), words
+        // 8–15 are (c, d) ^ cv; transposed back, lane `j` is block `j`.
+        let [[w0, w1, w2, w3], [w4, w5, w6, w7]] = [xor4(a, c), xor4(b, d)];
+        let low = transpose8([w0, w1, w2, w3, w4, w5, w6, w7]);
+        let [h_low, h_high] = h;
+        let [[w8, w9, w10, w11], [w12, w13, w14, w15]] = [xor4(c, h_low), xor4(d, h_high)];
+        let high = transpose8([w8, w9, w10, w11, w12, w13, w14, w15]);
+        let (blocks, _) = out.as_chunks_mut::<64>();
+        let columns = low.into_iter().flatten().zip(high.into_iter().flatten());
+        for (block, (low, high)) in blocks.iter_mut().zip(columns) {
+            let (first, second) = block.split_at_mut(32);
+            store(first, low);
+            store(second, high);
+        }
+    }
+
+    /// The chaining values of eight whole chunks, chunk `j` at
+    /// `chunks[1024·j..]` with counter `counter + j`.
+    #[target_feature(enable = "avx2")]
+    pub fn blake3_chunks8(
+        chunks: &[u8; 8192],
+        key: &[u32; 8],
+        counter: u64,
+        flags: u32,
+        cvs: &mut [[u32; 8]; 8],
+    ) {
+        let mut h = splat8(key);
+        let counter = counters8(counter);
+        let zero = _mm256_setzero_si256();
+        for block in 0..16 {
+            // Block `block` of every chunk as two rows of eight words per
+            // chunk, transposed so vector `i` holds word `i` of every chunk.
+            let mut low = [zero; 8];
+            let mut high = [zero; 8];
+            let rows = low.iter_mut().zip(&mut high);
+            for ((low, high), chunk) in rows.zip(chunks.chunks_exact(1024)) {
+                let (halves, _) = chunk[64 * block..64 * block + 64].as_chunks::<32>();
+                for (row, half) in [low, high].into_iter().zip(halves) {
+                    *row = load(half);
+                }
+            }
+            let [m0, m1] = transpose8(low);
+            let [m2, m3] = transpose8(high);
+            let mut block_flags = flags;
+            if block == 0 {
+                block_flags |= B3_CHUNK_START;
+            }
+            if block == 15 {
+                block_flags |= B3_CHUNK_END;
+            }
+            let [a, b, c, d] = compress8(h, [m0, m1, m2, m3], counter, 64, block_flags);
+            h = [xor4(a, c), xor4(b, d)];
+        }
+        let [[h0, h1, h2, h3], [h4, h5, h6, h7]] = h;
+        let lanes = transpose8([h0, h1, h2, h3, h4, h5, h6, h7]);
+        for (cv, lane) in cvs.iter_mut().zip(lanes.into_iter().flatten()) {
+            store(cv, lane);
         }
     }
 }

@@ -6,10 +6,23 @@
 //! hashing, keyed hashing, and XOF output — everything the CHOCO PRNG
 //! needs. Validated against the official test vectors in this module's
 //! tests.
+//!
+//! Two places compress eight blocks at once through
+//! [`choco_math::simd`]'s 8-lane kernels when a vector backend is active:
+//! the XOF, which produces output blocks eight counters at a time, and
+//! [`Hasher::update`], which hashes eight whole chunks at once when more
+//! input follows them (a chunk followed by more input is never the root).
+//! Both produce the bytes the one-block-at-a-time scalar code here does;
+//! [`Hasher::scalar`] and [`crate::Blake3Rng::scalar`] switch the 8-lane
+//! path off, so tests and benches can race one against the other.
+
+use choco_math::simd;
 
 const OUT_LEN: usize = 32;
 const BLOCK_LEN: usize = 64;
 const CHUNK_LEN: usize = 1024;
+/// Compressions the 8-lane kernels run at once.
+const LANES: usize = 8;
 
 const CHUNK_START: u32 = 1 << 0;
 const CHUNK_END: u32 = 1 << 1;
@@ -134,7 +147,24 @@ impl Output {
         ))
     }
 
-    fn root_output_bytes(&self, out: &mut [u8], mut counter: u64) {
+    /// Root output from block `counter` on: eight blocks per 8-lane
+    /// compression while `wide` and whole groups of eight remain, then one
+    /// block at a time.
+    fn root_output_bytes(&self, out: &mut [u8], mut counter: u64, wide: bool) {
+        let (cv, block) = (&self.input_chaining_value, &self.block_words);
+        let flags = self.flags | ROOT;
+        let (groups, rest) = out.as_chunks_mut::<{ LANES * BLOCK_LEN }>();
+        for group in groups {
+            if !(wide && simd::blake3_root8(cv, block, counter, self.block_len, flags, group)) {
+                self.root_blocks(group, counter);
+            }
+            counter += LANES as u64;
+        }
+        self.root_blocks(rest, counter);
+    }
+
+    /// Root output from block `counter` on, one compression per block.
+    fn root_blocks(&self, out: &mut [u8], mut counter: u64) {
         for out_block in out.chunks_mut(2 * OUT_LEN) {
             let words = compress(
                 &self.input_chaining_value,
@@ -253,6 +283,8 @@ pub struct Hasher {
     key_words: [u32; 8],
     cv_stack: Vec<[u32; 8]>,
     flags: u32,
+    /// Whether the 8-lane kernels may run (see [`Hasher::scalar`]).
+    wide: bool,
 }
 
 impl Default for Hasher {
@@ -284,7 +316,16 @@ impl Hasher {
             key_words,
             cv_stack: Vec::new(),
             flags,
+            wide: true,
         }
+    }
+
+    /// This hasher, and every output it finalizes, on the one-block-at-a-
+    /// time scalar code alone: the twin the 8-lane path is tested and
+    /// timed against. The bytes are the same either way.
+    pub fn scalar(mut self) -> Self {
+        self.wide = false;
+        self
     }
 
     fn add_chunk_chaining_value(&mut self, mut new_cv: [u32; 8], mut total_chunks: u64) {
@@ -308,12 +349,37 @@ impl Hasher {
                 self.add_chunk_chaining_value(chunk_cv, total_chunks);
                 self.chunk_state = ChunkState::new(self.key_words, total_chunks, self.flags);
             }
+            if let Some(rest) = self.update_wide(input) {
+                input = rest;
+                continue;
+            }
             let want = CHUNK_LEN - self.chunk_state.len();
             let take = want.min(input.len());
             self.chunk_state.update(&input[..take]);
             input = &input[take..];
         }
         self
+    }
+
+    /// Hashes the next eight whole chunks at once and returns the input
+    /// after them, or `None` (nothing absorbed) unless the current chunk is
+    /// empty, more input follows the eight — so none of them is the root —
+    /// and an 8-lane kernel runs.
+    fn update_wide<'a>(&mut self, input: &'a [u8]) -> Option<&'a [u8]> {
+        let (chunks, rest) = input.split_first_chunk::<{ LANES * CHUNK_LEN }>()?;
+        if !self.wide || self.chunk_state.len() != 0 || rest.is_empty() {
+            return None;
+        }
+        let counter = self.chunk_state.chunk_counter;
+        let mut cvs = [[0u32; 8]; LANES];
+        if !simd::blake3_chunks8(chunks, &self.key_words, counter, self.flags, &mut cvs) {
+            return None;
+        }
+        for (total_chunks, cv) in (counter + 1..).zip(cvs) {
+            self.add_chunk_chaining_value(cv, total_chunks);
+        }
+        self.chunk_state = ChunkState::new(self.key_words, counter + LANES as u64, self.flags);
+        Some(rest)
     }
 
     fn root(&self) -> Output {
@@ -327,13 +393,13 @@ impl Hasher {
     /// Produces the standard 32-byte digest.
     pub fn finalize(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
-        self.root().root_output_bytes(&mut out, 0);
+        self.root().root_output_bytes(&mut out, 0, self.wide);
         out
     }
 
     /// Fills `out` with extendable output (XOF) bytes starting at offset 0.
     pub fn finalize_xof(&self, out: &mut [u8]) {
-        self.root().root_output_bytes(out, 0);
+        self.root().root_output_bytes(out, 0, self.wide);
     }
 
     /// Returns an [`XofReader`] for streaming unbounded output.
@@ -341,33 +407,46 @@ impl Hasher {
         XofReader {
             output: self.root(),
             counter: 0,
-            buf: [0u8; 2 * OUT_LEN],
-            buf_pos: 2 * OUT_LEN,
+            buf: [0u8; LANES * BLOCK_LEN],
+            buf_pos: LANES * BLOCK_LEN,
+            wide: self.wide,
         }
     }
 }
 
-/// Streams XOF output 64 bytes at a time.
+/// Streams XOF output 512 bytes — eight output blocks, one 8-lane
+/// compression — at a time.
 ///
 /// Output blocks are indexed by a counter, so the stream is seekable:
-/// [`XofReader::skip`] costs one block whatever the distance.
+/// [`XofReader::skip`] costs one group of eight blocks whatever the
+/// distance.
 pub struct XofReader {
     output: Output,
-    /// Index of the block after the one in `buf`.
+    /// Index of the group of eight blocks after the one in `buf`.
     counter: u64,
-    buf: [u8; 2 * OUT_LEN],
+    buf: [u8; LANES * BLOCK_LEN],
     buf_pos: usize,
+    wide: bool,
 }
 
 impl XofReader {
-    /// Makes output block `index` the buffered one, read from `offset` on.
+    /// Makes group `index` (blocks `8·index..8·index + 8`) the buffered
+    /// one, read from `offset` on.
     fn load(&mut self, index: u64, offset: usize) {
-        self.output.root_output_bytes(&mut self.buf, index);
+        let first_block = index * LANES as u64;
+        self.output
+            .root_output_bytes(&mut self.buf, first_block, self.wide);
         self.counter = index + 1;
         self.buf_pos = offset;
     }
 
-    /// Fills `out` with the next output bytes, a buffered block's remainder
+    /// The scalar twin of this reader (see [`Hasher::scalar`]).
+    pub(crate) fn scalar(mut self) -> Self {
+        self.wide = false;
+        self
+    }
+
+    /// Fills `out` with the next output bytes, a buffered group's remainder
     /// at a time.
     pub fn fill(&mut self, mut out: &mut [u8]) {
         while !out.is_empty() {
@@ -383,14 +462,14 @@ impl XofReader {
         }
     }
 
-    /// Advances the stream by `n` bytes without producing them: the block
+    /// Advances the stream by `n` bytes without producing them: the group
     /// the new position falls in is generated, nothing before it.
     pub fn skip(&mut self, n: u64) {
-        let block = self.buf.len() as u64;
-        // The buffered block is `counter − 1`; a fresh reader (counter 0)
+        let group = self.buf.len() as u64;
+        // The buffered group is `counter − 1`; a fresh reader (counter 0)
         // holds an exhausted buffer, so this is 0 there.
-        let pos = self.counter * block - (block - self.buf_pos as u64) + n;
-        self.load(pos / block, (pos % block) as usize);
+        let pos = self.counter * group - (group - self.buf_pos as u64) + n;
+        self.load(pos / group, (pos % group) as usize);
     }
 }
 

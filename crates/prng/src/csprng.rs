@@ -49,6 +49,16 @@ impl Blake3Rng {
         }
     }
 
+    /// This generator on the one-block-at-a-time scalar XOF: the twin the
+    /// 8-lane path is tested and timed against (see
+    /// [`crate::blake3::Hasher::scalar`]). The stream is the same.
+    pub fn scalar(self) -> Self {
+        Blake3Rng {
+            reader: self.reader.scalar(),
+            ..self
+        }
+    }
+
     /// Fills `out` with random bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         self.reader.fill(out);
@@ -98,8 +108,8 @@ impl Blake3Rng {
     /// A generator's state is fully determined by its seed and
     /// [`Blake3Rng::bytes_drawn`], so `from_seed(s)` + `skip(n)` restores a
     /// checkpointed stream exactly — the primitive session resume is built
-    /// on. The XOF is seekable, so this costs one output block whatever `n`
-    /// is.
+    /// on. The XOF is seekable, so this costs one group of eight output
+    /// blocks whatever `n` is.
     pub fn skip(&mut self, n: u64) {
         self.reader.skip(n);
         self.bytes_drawn += n;
