@@ -14,18 +14,18 @@ fn main() {
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"bench bfv");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let encoder = ctx.batch_encoder().unwrap();
     let values: Vec<u64> = (0..params.degree() as u64).map(|i| i % 16).collect();
     let pt = encoder.encode(&values).unwrap();
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
     let eval = ctx.evaluator();
 
     let mut enc_rng = Blake3Rng::from_seed(b"bench bfv encrypt");
     bench("encrypt", || {
-        ctx.encryptor(keys.public_key())
-            .encrypt(black_box(&pt), &mut enc_rng)
+        ctx.encryptor(&pk).encrypt(black_box(&pt), &mut enc_rng)
     });
     bench("decrypt", || {
         ctx.decryptor(keys.secret_key()).decrypt(black_box(&ct))

@@ -14,19 +14,19 @@ fn main() {
     let ctx = CkksContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"bench ckks");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng);
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let values: Vec<f64> = (0..ctx.slot_count())
         .map(|i| (i as f64 * 0.01).sin())
         .collect();
     let pt = ctx.encode(&values).unwrap();
-    let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+    let ct = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
 
     bench("encode", || ctx.encode(black_box(&values)).unwrap());
     let mut enc_rng = Blake3Rng::from_seed(b"bench ckks encrypt");
     bench("encrypt", || {
-        ctx.encrypt(black_box(&pt), keys.public_key(), &mut enc_rng)
-            .unwrap()
+        ctx.encrypt(black_box(&pt), &pk, &mut enc_rng).unwrap()
     });
     bench("decrypt_decode", || {
         ctx.decode(&ctx.decrypt(black_box(&ct), keys.secret_key()))

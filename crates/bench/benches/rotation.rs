@@ -21,12 +21,16 @@ fn main() {
     let encoder = ctx.batch_encoder().unwrap();
     let layout = RedundantLayout::new(16, 4);
     let values: Vec<u64> = (1..=16).collect();
-    let ct_red = ctx
-        .encryptor(keys.public_key())
-        .encrypt(&encoder.encode(&layout.pack(&values)).unwrap(), &mut rng);
-    let ct_plain = ctx
-        .encryptor(keys.public_key())
-        .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+    let ct_red = ctx.encrypt_symmetric(
+        &encoder.encode(&layout.pack(&values)).unwrap(),
+        keys.secret_key(),
+        &mut rng,
+    );
+    let ct_plain = ctx.encrypt_symmetric(
+        &encoder.encode(&values).unwrap(),
+        keys.secret_key(),
+        &mut rng,
+    );
 
     bench("rotational_redundancy", || {
         windowed_rotate_redundant(&ctx, black_box(&ct_red), &layout, 3, &gks).unwrap()

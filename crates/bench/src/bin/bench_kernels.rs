@@ -657,10 +657,11 @@ fn main() {
         let ctx = BfvContext::new(&set).unwrap();
         let mut rng = Blake3Rng::from_seed(b"bench kernels bfv rns");
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
         let values: Vec<u64> = (0..set.degree() as u64).map(|i| i % 17).collect();
         let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
-        let enc = ctx.encryptor(keys.public_key());
+        let enc = ctx.encryptor(&pk);
         let ct = enc.encrypt(&pt, &mut rng);
         let (eval, dec) = (ctx.evaluator(), ctx.decryptor(keys.secret_key()));
         gated_twins(
@@ -747,7 +748,7 @@ fn main() {
             (Blake3Rng::from_seed(seed), Blake3Rng::from_seed(seed));
         assert_eq!(
             enc.encrypt(&pt, &mut cached_rng),
-            encrypt_by_mul_poly(&ctx, keys.public_key(), &pt, &mut twin_rng)
+            encrypt_by_mul_poly(&ctx, &pk, &pt, &mut twin_rng)
         );
         // One race of three: the seeded upload `HeScheme::encrypt` makes,
         // the Eq. 2 encryption against the key's cached evaluation-domain
@@ -767,7 +768,7 @@ fn main() {
             &mut || {
                 black_box(encrypt_by_mul_poly(
                     &ctx,
-                    keys.public_key(),
+                    &pk,
                     black_box(&pt),
                     &mut twin_rng,
                 ));
@@ -802,11 +803,12 @@ fn main() {
         let cctx = CkksContext::new(&cparams).unwrap();
         let mut rng = Blake3Rng::from_seed(b"bench kernels ckks decode");
         let keys = cctx.keygen(&mut rng);
+        let pk = cctx.public_key(keys.secret_key(), &mut rng);
         let values: Vec<f64> = (0..cctx.slot_count())
             .map(|i| (i % 17) as f64 * 0.25)
             .collect();
         let ct = cctx
-            .encrypt(&cctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+            .encrypt(&cctx.encode(&values).unwrap(), &pk, &mut rng)
             .unwrap();
         let pt = cctx.decrypt(&ct, keys.secret_key());
         // The seeded upload against the cached Eq. 2 encryption.
@@ -822,10 +824,7 @@ fn main() {
                 );
             },
             &mut || {
-                black_box(
-                    cctx.encrypt(black_box(&fresh), keys.public_key(), &mut eq2_rng)
-                        .unwrap(),
-                );
+                black_box(cctx.encrypt(black_box(&fresh), &pk, &mut eq2_rng).unwrap());
             },
         ];
         let timings = best_of_three(|side| measure(window_ms, &mut *sides[side]));
@@ -880,6 +879,7 @@ fn main() {
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"bench kernels bfv");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let cols = 16usize;
     let steps: Vec<i64> = (1..cols as i64).collect();
     let gks = ctx
@@ -888,7 +888,7 @@ fn main() {
     let encoder = ctx.batch_encoder().unwrap();
     let values: Vec<u64> = (0..params.degree() as u64).map(|i| i % 17).collect();
     let pt = encoder.encode(&values).unwrap();
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
     let eval = ctx.evaluator();
 
     header("kernel timings: rotation batch (15 steps)");
@@ -1014,6 +1014,7 @@ fn main() {
     let cctx = CkksContext::new(&cparams).unwrap();
     let mut crng = Blake3Rng::from_seed(b"bench kernels ckks");
     let ckeys = cctx.keygen(&mut crng);
+    let cpk = cctx.public_key(ckeys.secret_key(), &mut crng);
     let ccols = 8usize;
     let csteps: Vec<i64> = (1..ccols as i64).collect();
     let cgks = cctx
@@ -1023,7 +1024,7 @@ fn main() {
         .map(|i| (i % 17) as f64 * 0.25)
         .collect();
     let cpt = cctx.encode(&cvalues).unwrap();
-    let cct = cctx.encrypt(&cpt, ckeys.public_key(), &mut crng).unwrap();
+    let cct = cctx.encrypt(&cpt, &cpk, &mut crng).unwrap();
     let diags_ckks: Vec<(i64, Vec<f64>)> = (0..ccols)
         .map(|d| {
             let diag: Vec<f64> = (0..cctx.slot_count())
@@ -1134,15 +1135,14 @@ fn main() {
     let hoisted = hoist_decompose(&x, &ks_basis, &level_basis);
     let ctx_a = BfvContext::new(&pa).unwrap();
     let keys_a = ctx_a.keygen(&mut prng);
+    let pk_a = ctx_a.public_key(keys_a.secret_key(), &mut prng);
     let steps_a: Vec<i64> = (1..8).collect();
     let gks_a = ctx_a
         .galois_keys(keys_a.secret_key(), &steps_a, &mut prng)
         .unwrap();
     let vals_a: Vec<u64> = (0..pa.degree() as u64).map(|i| i % 17).collect();
     let pt_a = ctx_a.batch_encoder().unwrap().encode(&vals_a).unwrap();
-    let ct_a = ctx_a
-        .encryptor(keys_a.public_key())
-        .encrypt(&pt_a, &mut prng);
+    let ct_a = ctx_a.encryptor(&pk_a).encrypt(&pt_a, &mut prng);
     let eval_a = ctx_a.evaluator();
     let cts_a = vec![ct_a.clone(); 8];
     let pts_a = vec![pt_a.clone(); 8];

@@ -18,6 +18,7 @@ fn main() {
     let ctx = BfvContext::new(&params).expect("context");
     let mut rng = Blake3Rng::from_seed(b"table1");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).expect("relin");
     let gks = ctx
         .galois_keys(keys.secret_key(), &[1], &mut rng)
@@ -28,7 +29,7 @@ fn main() {
 
     let values: Vec<u64> = (0..params.degree() as u64).map(|i| i % 16).collect();
     let pt = encoder.encode(&values).expect("encode");
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
     let fresh = dec.invariant_noise_budget(&ct);
     let iters = 5;
 
@@ -38,7 +39,7 @@ fn main() {
     );
 
     let t_enc = timed_avg(iters, || {
-        let _ = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let _ = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
     });
     println!(
         "{:<22} {:>12} {:>16} {:<10}",

@@ -75,6 +75,7 @@ fn main() {
         let ctx = BfvContext::new(&params).expect("context");
         let mut rng = Blake3Rng::from_seed(b"table4");
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let gks = ctx
             .galois_keys(keys.secret_key(), &[3, -13], &mut rng)
             .expect("galois keys");
@@ -86,16 +87,14 @@ fn main() {
         let values: Vec<u64> = (1..=window as u64).collect();
 
         let pt = encoder.encode(&layout.pack(&values)).expect("encode");
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
         let initial = dec.invariant_noise_budget(&ct);
 
         let rotated = windowed_rotate_redundant(&ctx, &ct, &layout, 3, &gks).expect("rotate");
         let post_rotate = dec.invariant_noise_budget(&rotated);
 
         let plain_pt = encoder.encode(&values).expect("encode");
-        let ct2 = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&plain_pt, &mut rng);
+        let ct2 = ctx.encryptor(&pk).encrypt(&plain_pt, &mut rng);
         let permuted = windowed_rotate_masked(&ctx, &ct2, window, 3, &gks).expect("permute");
         let post_permute = dec.invariant_noise_budget(&permuted);
 

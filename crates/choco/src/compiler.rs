@@ -2033,7 +2033,8 @@ mod tests {
         let pt = ctx.encode(&x_vals).unwrap();
         enc_in.insert(
             "x".to_string(),
-            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+            ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+                .unwrap(),
         );
         let got_ct = c
             .execute_encrypted::<Ckks>(&ctx, &enc_in, &relin, &galois)
@@ -2165,7 +2166,8 @@ mod tests {
         let pt = ctx.encode(&[1.0; 8]).unwrap();
         inputs.insert(
             "x".to_string(),
-            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+            ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+                .unwrap(),
         );
 
         let cache = ExecCache::<Ckks>::new(16);
@@ -2515,7 +2517,8 @@ mod tests {
         let pt = ctx.encode(&[0.5; 8]).unwrap();
         inputs.insert(
             "x".to_string(),
-            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+            ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+                .unwrap(),
         );
         let cache = ExecCache::<Ckks>::unbounded();
         let run = || {
@@ -2630,7 +2633,8 @@ mod tests {
         let mut inputs = HashMap::new();
         inputs.insert(
             "x".to_string(),
-            ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap(),
+            ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+                .unwrap(),
         );
         let run = |c: &CompiledProgram| {
             c.execute_encrypted::<Ckks>(&ctx, &inputs, &relin, &galois)

@@ -2,10 +2,12 @@
 //! communication ledger — generic over the homomorphic scheme.
 //!
 //! CHOCO's trust model (§3.1): a trusted, resource-constrained client holds
-//! the secret key; an untrusted but semi-honest server holds only public
-//! material (encryption key, relinearization key, Galois keys) and performs
-//! every encrypted linear operation. The client decrypts intermediate
-//! results, applies non-linear plaintext operations, repacks, re-encrypts.
+//! the secret key and is the only party that encrypts; an untrusted but
+//! semi-honest server holds only public evaluation keys (relinearization
+//! key, Galois keys) and performs every encrypted linear operation, over
+//! plaintext operands (model weights) that are public. The client decrypts
+//! intermediate results, applies non-linear plaintext operations, repacks,
+//! re-encrypts.
 //!
 //! The roles are [`Client<S>`] and [`Server<S>`] for any
 //! [`HeScheme`](choco_he::HeScheme) — `Client<Bfv>` for the exact integer
@@ -18,7 +20,7 @@
 //! encryption/decryption operations, which the CHOCO-TACO model multiplies
 //! by per-op hardware costs (§5.2 methodology).
 
-use choco_he::bfv::{Ciphertext, Plaintext};
+use choco_he::bfv::Ciphertext;
 use choco_he::params::HeParams;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_prng::Blake3Rng;
@@ -196,8 +198,9 @@ impl<S: HeScheme> Client<S> {
         &self.ctx
     }
 
-    /// Provisions the untrusted server: public key, relin key, Galois keys
-    /// for the requested rotation steps. (One-time offline setup.)
+    /// Provisions the untrusted server with its evaluation keys: the relin
+    /// key and Galois keys for the requested rotation steps. (One-time
+    /// offline setup.)
     ///
     /// # Errors
     ///
@@ -207,7 +210,6 @@ impl<S: HeScheme> Client<S> {
         let galois = S::galois_keys(&self.ctx, &self.keys, rotation_steps, &mut self.rng)?;
         Ok(Server {
             ctx: self.ctx.clone(),
-            public: S::public_key(&self.keys).clone(),
             relin,
             galois,
         })
@@ -323,16 +325,16 @@ impl Client<Ckks> {
     }
 }
 
-/// The untrusted server role: holds public material only. Generic over the
-/// scheme `S`. Workloads do not call it op by op: their server work is a
-/// compiled program ([`crate::compiler`]) that a session runs against these
-/// keys. What it evaluates itself is the three calls the hand-run
+/// The untrusted server role: holds the context and the public evaluation
+/// keys, nothing more. Generic over the scheme `S`. Workloads do not call
+/// it op by op: their server work is a compiled program
+/// ([`crate::compiler`]) that a session runs against these keys. What it
+/// evaluates itself is the three calls the hand-run
 /// [`matvec_diagonals`](crate::linalg::matvec_diagonals) needs: `add`,
 /// `rotate` and the fused `dot_diagonals`.
 #[derive(Debug)]
 pub struct Server<S: HeScheme> {
     ctx: S::Context,
-    public: S::PublicKey,
     relin: S::RelinKey,
     galois: S::GaloisKeys,
 }
@@ -351,16 +353,6 @@ impl<S: HeScheme> Server<S> {
     /// The Galois key set.
     pub fn galois_keys(&self) -> &S::GaloisKeys {
         &self.galois
-    }
-
-    /// One-time offline provisioning traffic: public key + relinearization
-    /// key + Galois keys. Amortized across every later inference — the
-    /// "offline preprocessing" Figure 10's totals include for the MPC
-    /// baselines.
-    pub fn provisioning_bytes(&self) -> usize {
-        S::public_key_bytes(&self.public)
-            + S::relin_key_bytes(&self.relin)
-            + S::galois_keys_bytes(&self.galois)
     }
 
     /// Width of one rotation group (the packing unit for tiled kernels).
@@ -398,23 +390,6 @@ impl<S: HeScheme> Server<S> {
         diagonals: &[(i64, Vec<S::Value>)],
     ) -> Result<S::Ciphertext, HeError> {
         S::dot_diagonals(&self.ctx, ct, diagonals, &self.galois)
-    }
-}
-
-impl Server<Bfv> {
-    /// Encodes a plaintext vector server-side (model weights are public in
-    /// CHOCO's trust model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn encode(&self, values: &[u64]) -> Result<Plaintext, HeError> {
-        self.ctx.batch_encoder()?.encode(values)
-    }
-
-    /// The homomorphic evaluator.
-    pub fn evaluator(&self) -> choco_he::bfv::Evaluator<'_> {
-        self.ctx.evaluator()
     }
 }
 
@@ -495,8 +470,9 @@ mod tests {
         let at_server = upload::<Bfv>(&mut ledger, &ct);
 
         // Server doubles the values homomorphically.
-        let two = server.encode(&[2u64; 512]).unwrap();
-        let doubled = server.evaluator().multiply_plain(&at_server, &two);
+        let ctx = server.context();
+        let two = ctx.batch_encoder().unwrap().encode(&[2u64; 512]).unwrap();
+        let doubled = ctx.evaluator().multiply_plain(&at_server, &two);
         let back = download::<Bfv>(&mut ledger, &doubled);
         ledger.end_round();
 

@@ -239,7 +239,7 @@ mod tests {
         let values: Vec<u64> = (1..=16).collect();
         let packed = layout.pack(&values);
         let pt = encoder.encode(&packed).unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         for r in [1i64, 3, -2, -4] {
             let rotated = windowed_rotate_redundant(&ctx, &ct, &layout, r, &gks).unwrap();
             let slots = encoder
@@ -260,7 +260,7 @@ mod tests {
         let window = 16usize;
         let values: Vec<u64> = (1..=16).collect();
         let pt = encoder.encode(&values).unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let layout = RedundantLayout::new(window, window);
         for r in [1usize, 3, 4] {
             let rotated = windowed_rotate_masked(&ctx, &ct, window, r, &gks).unwrap();
@@ -278,26 +278,24 @@ mod tests {
     #[test]
     fn redundant_path_preserves_noise_budget_vs_masked() {
         // The paper's Table 4 claim in miniature: one redundant windowed
-        // rotation costs a few bits; the masked baseline costs tens.
+        // rotation costs a few bits; the masked baseline costs tens. Like
+        // Table 4, it starts from Eq. 2 encryptions.
         let (ctx, keys, gks, mut rng) = setup();
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let encoder = ctx.batch_encoder().unwrap();
         let dec = ctx.decryptor(keys.secret_key());
         let layout = RedundantLayout::new(16, 4);
         let values: Vec<u64> = (1..=16).collect();
 
         let packed_pt = encoder.encode(&layout.pack(&values)).unwrap();
-        let ct_red = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&packed_pt, &mut rng);
+        let ct_red = ctx.encryptor(&pk).encrypt(&packed_pt, &mut rng);
         let fresh = dec.invariant_noise_budget(&ct_red);
 
         let red = windowed_rotate_redundant(&ctx, &ct_red, &layout, 3, &gks).unwrap();
         let after_red = dec.invariant_noise_budget(&red);
 
         let plain_pt = encoder.encode(&values).unwrap();
-        let ct_mask = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&plain_pt, &mut rng);
+        let ct_mask = ctx.encryptor(&pk).encrypt(&plain_pt, &mut rng);
         let masked = windowed_rotate_masked(&ctx, &ct_mask, 16, 3, &gks).unwrap();
         let after_mask = dec.invariant_noise_budget(&masked);
 
@@ -319,7 +317,7 @@ mod tests {
         let pt = encoder
             .encode(&layout.pack(&[1, 2, 3, 4, 5, 6, 7, 8]))
             .unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let _ = windowed_rotate_redundant(&ctx, &ct, &layout, 3, &gks);
     }
 

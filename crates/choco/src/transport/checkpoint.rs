@@ -44,8 +44,10 @@ const MAGIC: [u8; 4] = *b"CKP1";
 /// [`params_to_wire`] recipe; 3: rotation steps and a key fingerprint in
 /// place of the keys; 4: the fingerprint hashes the packed relinearization
 /// wire, so a version-3 fingerprint could never match; 5: no refresh floor
-/// and no refresh-round count).
-const VERSION: u16 = 5;
+/// and no refresh-round count; 6: keygen stops drawing the public key, so
+/// the relinearization key a seed derives moved and a version-5 fingerprint
+/// could never match).
+const VERSION: u16 = 6;
 /// BLAKE3 seal and key fingerprint length.
 const HASH_BYTES: usize = 32;
 /// Most rotation steps a checkpoint may list — as many Galois keys as a
@@ -377,7 +379,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_version_1_blob_is_refused() {
-        for version in [1u16, 2, 3, 4] {
+        for version in [1u16, 2, 3, 4, 5] {
             let old = with_version(&sample().to_bytes(), version);
             let refused = format!("unsupported version {version}");
             let refused = TransportError::BadCheckpoint(refused);

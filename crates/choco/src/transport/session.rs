@@ -730,8 +730,9 @@ mod tests {
         ct: &choco_he::bfv::Ciphertext,
         values: &[u64],
     ) -> choco_he::bfv::Ciphertext {
-        let pt = s.server().encode(values).unwrap();
-        s.server().evaluator().multiply_plain(ct, &pt)
+        let ctx = s.server().context();
+        let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
+        ctx.evaluator().multiply_plain(ct, &pt)
     }
 
     /// The default policy with `max_attempts` attempts per exchange.
@@ -1071,15 +1072,17 @@ mod tests {
     }
 
     /// A version-3 checkpoint fingerprinted the 8-byte relinearization
-    /// wire, so its fingerprint can never match keys derived now, and a
-    /// version-4 one carries a refresh floor and count this format dropped:
-    /// each is refused as the format it is, before any key is derived,
-    /// never misreported as a key mismatch.
+    /// wire, so its fingerprint can never match keys derived now, a
+    /// version-4 one carries a refresh floor and count this format dropped,
+    /// and a version-5 one fingerprinted the relinearization key drawn after
+    /// a public key keygen no longer draws: each is refused as the format
+    /// it is, before any key is derived, never misreported as a key
+    /// mismatch.
     #[test]
     fn resume_refuses_a_version_3_checkpoint_as_unsupported() {
         let blob = after_one_upload::<Bfv>(&params(), &[1], &bfv_values()).checkpoint(&[]);
         assert!(resume_direct::<Bfv>(&blob).is_ok());
-        for version in [3u16, 4] {
+        for version in [3u16, 4, 5] {
             match resume_direct::<Bfv>(&with_version(&blob, version)) {
                 Err(TransportError::BadCheckpoint(why)) => {
                     assert_eq!(why, format!("unsupported version {version}"))

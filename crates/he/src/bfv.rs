@@ -723,10 +723,17 @@ impl BfvContext {
             .ok_or(HeError::BatchingUnsupported(self.t))
     }
 
-    /// Generates a fresh secret/public key pair.
+    /// Generates a fresh secret key.
     // choco-lint: secret
     pub fn keygen(&self, rng: &mut Blake3Rng) -> KeyBundle {
-        rlwe::keygen(&self.full, &self.data, rng)
+        rlwe::keygen(&self.full, rng)
+    }
+
+    /// Generates the paper's Eq. 2 public key for `sk` over the data basis
+    /// ([`rlwe::public_key`]), the key an [`Encryptor`] encrypts under.
+    // choco-lint: secret
+    pub fn public_key(&self, sk: &SecretKey, rng: &mut Blake3Rng) -> PublicKey {
+        rlwe::public_key(sk, &self.data, rng)
     }
 
     /// Generates a relinearization key for `s²`.
@@ -1495,10 +1502,11 @@ mod tests {
         let ctx = ctx_small();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let t = ctx.plain_modulus();
         let coeffs: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 37) % t).collect();
         let pt = Plaintext::from_coeffs(coeffs.clone());
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
         let out = ctx.decryptor(keys.secret_key()).decrypt(&ct);
         assert_eq!(out.coeffs(), &coeffs[..]);
     }
@@ -1508,8 +1516,9 @@ mod tests {
         let ctx = ctx_small();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
         let budget = ctx.decryptor(keys.secret_key()).invariant_noise_budget(&ct);
         // q_data = 80 bits, t = 17 bits, noise ~ 2^9 → expect ~52 bits.
         assert!(budget > 30.0, "budget {budget}");
@@ -1527,7 +1536,7 @@ mod tests {
         let dec = ctx.decryptor(keys.secret_key());
         let eval = ctx.evaluator();
         let pt = Plaintext::from_coeffs((0..ctx.degree() as u64).map(|i| i % 5).collect());
-        let fresh = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let fresh = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let mut cts = vec![fresh.clone()];
         for _ in 0..3 {
             let next = eval
@@ -1557,9 +1566,16 @@ mod tests {
         let t = ctx.plain_modulus();
         let a: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % t).collect();
         let b: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 3 + 1) % t).collect();
-        let enc = ctx.encryptor(keys.public_key());
-        let ca = enc.encrypt(&Plaintext::from_coeffs(a.clone()), &mut rng);
-        let cb = enc.encrypt(&Plaintext::from_coeffs(b.clone()), &mut rng);
+        let ca = ctx.encrypt_symmetric(
+            &Plaintext::from_coeffs(a.clone()),
+            keys.secret_key(),
+            &mut rng,
+        );
+        let cb = ctx.encrypt_symmetric(
+            &Plaintext::from_coeffs(b.clone()),
+            keys.secret_key(),
+            &mut rng,
+        );
         let sum = ctx.evaluator().add(&ca, &cb).unwrap();
         let out = ctx.decryptor(keys.secret_key()).decrypt(&sum);
         for i in 0..ctx.degree() {
@@ -1575,13 +1591,16 @@ mod tests {
         let t = ctx.plain_modulus();
         let a = vec![5u64; ctx.degree()];
         let b = vec![3u64; ctx.degree()];
-        let enc = ctx.encryptor(keys.public_key());
-        let ca = enc.encrypt(&Plaintext::from_coeffs(a), &mut rng);
+        let ca = ctx.encrypt_symmetric(&Plaintext::from_coeffs(a), keys.secret_key(), &mut rng);
         let with_plain = ctx.evaluator().add_plain(&ca, &Plaintext::from_coeffs(b));
         let out = ctx.decryptor(keys.secret_key()).decrypt(&with_plain);
         assert!(out.coeffs().iter().all(|&c| c == 8));
 
-        let cb = enc.encrypt(&Plaintext::from_coeffs(vec![1u64; ctx.degree()]), &mut rng);
+        let cb = ctx.encrypt_symmetric(
+            &Plaintext::from_coeffs(vec![1u64; ctx.degree()]),
+            keys.secret_key(),
+            &mut rng,
+        );
         let diff = ctx.evaluator().sub(&with_plain, &cb).unwrap();
         let out = ctx.decryptor(keys.secret_key()).decrypt(&diff);
         assert!(out.coeffs().iter().all(|&c| c == 7));
@@ -1602,8 +1621,7 @@ mod tests {
         let mut msg = vec![0u64; n];
         msg[0] = 7;
         msg[n - 1] = 2;
-        let enc = ctx.encryptor(keys.public_key());
-        let ct = enc.encrypt(&Plaintext::from_coeffs(msg), &mut rng);
+        let ct = ctx.encrypt_symmetric(&Plaintext::from_coeffs(msg), keys.secret_key(), &mut rng);
         let mut x = vec![0u64; n];
         x[1] = 1;
         let prod = ctx
@@ -1626,9 +1644,8 @@ mod tests {
         a[0] = 6;
         let mut b = vec![0u64; n];
         b[0] = 7;
-        let enc = ctx.encryptor(keys.public_key());
-        let ca = enc.encrypt(&Plaintext::from_coeffs(a), &mut rng);
-        let cb = enc.encrypt(&Plaintext::from_coeffs(b), &mut rng);
+        let ca = ctx.encrypt_symmetric(&Plaintext::from_coeffs(a), keys.secret_key(), &mut rng);
+        let cb = ctx.encrypt_symmetric(&Plaintext::from_coeffs(b), keys.secret_key(), &mut rng);
         let prod = ctx.evaluator().multiply(&ca, &cb).unwrap();
         assert_eq!(prod.size(), 3);
         // Degree-2 decryption works directly.
@@ -1648,10 +1665,9 @@ mod tests {
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
         let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
-        let enc = ctx.encryptor(keys.public_key());
         let dec = ctx.decryptor(keys.secret_key());
         let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
-        let ct = enc.encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let fresh = dec.invariant_noise_budget(&ct);
         let prod = ctx.evaluator().multiply_relin(&ct, &ct, &rk).unwrap();
         let after = dec.invariant_noise_budget(&prod);
@@ -1664,9 +1680,8 @@ mod tests {
         let ctx = ctx_small();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
-        let enc = ctx.encryptor(keys.public_key());
         let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
-        let c2 = enc.encrypt(&pt, &mut rng);
+        let c2 = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let c3 = ctx.evaluator().multiply(&c2, &c2).unwrap();
         assert!(matches!(
             ctx.evaluator().add(&c2, &c3).unwrap_err(),
@@ -1683,10 +1698,13 @@ mod tests {
         let ctx = ctx_small();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let t = ctx.plain_modulus();
         let coeffs: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 5 + 1) % t).collect();
         let pt = Plaintext::from_coeffs(coeffs.clone());
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        // An Eq. 2 ciphertext carries both parts, so its bytes halve with
+        // its residues.
+        let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
         let dec = ctx.decryptor(keys.secret_key());
         let before_bytes = ct.byte_size();
         let before_budget = dec.invariant_noise_budget(&ct);
@@ -1764,7 +1782,7 @@ mod tests {
         let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
         let t = ctx.plain_modulus();
         let pt = Plaintext::from_coeffs((0..ctx.degree() as u64).map(|i| i % t).collect());
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let rotated = ctx.evaluator().rotate_rows(&ct, 1, &gks).unwrap();
         ctx.decryptor(keys.secret_key()).decrypt(&rotated);
         assert!(ctx.tensor.get().is_none(), "built without a multiply");

@@ -382,10 +382,18 @@ impl CkksContext {
         self.slots_of(evals)
     }
 
-    /// Generates a fresh key pair.
+    /// Generates a fresh secret key.
     // choco-lint: secret
     pub fn keygen(&self, rng: &mut Blake3Rng) -> KeyBundle {
-        rlwe::keygen(&self.full, self.level_basis(self.top_level()), rng)
+        rlwe::keygen(&self.full, rng)
+    }
+
+    /// Generates the paper's Eq. 2 public key for `sk` over the top level
+    /// ([`rlwe::public_key`]), the key [`CkksContext::encrypt`] encrypts
+    /// under.
+    // choco-lint: secret
+    pub fn public_key(&self, sk: &SecretKey, rng: &mut Blake3Rng) -> PublicKey {
+        rlwe::public_key(sk, self.level_basis(self.top_level()), rng)
     }
 
     /// Generates the relinearization key.
@@ -790,7 +798,7 @@ mod tests {
             .map(|i| (i as f64).cos() * 9.0)
             .collect();
         let ct = ctx
-            .encrypt(&ctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&values).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let rescaled = ctx
             .rescale(&ctx.multiply_relin(&ct, &ct, &rk).unwrap())
@@ -807,9 +815,10 @@ mod tests {
         let ctx = ctx();
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64 / 100.0).collect();
         let pt = ctx.encode(&values).unwrap();
-        let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let ct = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
         let out = ctx.decode(&ctx.decrypt(&ct, keys.secret_key()));
         assert_close(&out, &values, 1e-4);
     }
@@ -822,10 +831,10 @@ mod tests {
         let a: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let b: Vec<f64> = (0..8).map(|i| 10.0 - i as f64).collect();
         let ca = ctx
-            .encrypt(&ctx.encode(&a).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&a).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let cb = ctx
-            .encrypt(&ctx.encode(&b).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&b).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let sum = ctx.add(&ca, &cb).unwrap();
         let out = ctx.decode(&ctx.decrypt(&sum, keys.secret_key()));
@@ -844,10 +853,10 @@ mod tests {
         let a: Vec<f64> = (0..8).map(|i| (i + 1) as f64).collect();
         let b: Vec<f64> = (0..8).map(|i| 0.5 * (i + 1) as f64).collect();
         let ca = ctx
-            .encrypt(&ctx.encode(&a).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&a).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let cb = ctx
-            .encrypt(&ctx.encode(&b).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&b).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let prod = ctx.multiply_relin(&ca, &cb, &rk).unwrap();
         let rescaled = ctx.rescale(&prod).unwrap();
@@ -865,7 +874,7 @@ mod tests {
         let a = vec![2.0, 3.0, 4.0];
         let w = vec![1.5, -2.0, 0.25];
         let ca = ctx
-            .encrypt(&ctx.encode(&a).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&a).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let pw = ctx.encode(&w).unwrap();
         let prod = ctx.multiply_plain(&ca, &pw).unwrap();
@@ -884,7 +893,7 @@ mod tests {
             .unwrap();
         let values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64).collect();
         let ct = ctx
-            .encrypt(&ctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&values).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let rot = ctx.rotate(&ct, 1, &gk).unwrap();
         let out = ctx.decode(&ctx.decrypt(&rot, keys.secret_key()));
@@ -906,7 +915,7 @@ mod tests {
         let keys = ctx.keygen(&mut rng);
         let a = vec![1.0, 2.0];
         let ct = ctx
-            .encrypt(&ctx.encode(&a).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&a).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let dropped = ctx.mod_switch_to(&ct, 2).unwrap();
         assert_eq!(dropped.level(), 2);
@@ -920,7 +929,7 @@ mod tests {
         let mut rng = rng();
         let keys = ctx.keygen(&mut rng);
         let ct = ctx
-            .encrypt(&ctx.encode(&[1.0]).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&[1.0]).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let low = ctx.mod_switch_to(&ct, 1).unwrap();
         assert!(ctx.add(&ct, &low).is_err());

@@ -34,7 +34,7 @@
 //! let keys = ctx.keygen(&mut rng);
 //! let values = vec![1u64, 2, 3, 4];
 //! let pt = ctx.batch_encoder()?.encode(&values)?;
-//! let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+//! let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
 //! let out = ctx.batch_encoder()?.decode(&ctx.decryptor(keys.secret_key()).decrypt(&ct))?;
 //! assert_eq!(&out[..4], &values[..]);
 //! # Ok(())

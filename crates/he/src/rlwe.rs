@@ -1,10 +1,12 @@
 //! The RLWE core under both schemes.
 //!
 //! BFV and CKKS are the same ring-LWE computation below their encoders:
-//! keys are `(s, (−(a·s + e), a))`, public-key encryption is the paper's
-//! Eq. 2 (`c = (P0·u + e1 + msg, P1·u + e2)`), the client's upload form is
-//! the symmetric `(−(a·s + e) + msg, a)` whose mask `a` travels as a seed
-//! ([`encrypt_symmetric`]), and every evaluation-key
+//! the client's key is the secret `s` ([`keygen`]), its upload form is the
+//! symmetric `(−(a·s + e) + msg, a)` whose mask `a` travels as a seed
+//! ([`encrypt_symmetric`]), the paper's Eq. 2 public-key encryption
+//! (`c = (P0·u + e1 + msg, P1·u + e2)` under `(−(a·s + e), a)`, built on
+//! request by [`public_key`]) stays for the reports that price it, and
+//! every evaluation-key
 //! operation — Galois automorphism, hoisted multi-rotation, the fused
 //! double-hoisted rotate-and-dot ([`dot_galois`]: one output, or several
 //! sharing every rotation's key switch), relinearization — is a key switch
@@ -24,15 +26,15 @@
 //! with [`HeError::InvalidCiphertext`] / [`HeError::Mismatch`]: parts parse
 //! off the wire, so a wrong shape is input, not a bug.
 //!
-//! RNG draw order is part of the contract (checkpoints replay it): `s`, `a`,
-//! `e` for a key pair; `u`, `e1`, `e2` for an Eq. 2 encryption; the mask
-//! seed, then `e`, for a symmetric one; one [`generate_ksk`] per Galois
-//! element in list order.
+//! RNG draw order is part of the contract (checkpoints replay it): `s` for
+//! a key; `a`, `e` for a public key; `u`, `e1`, `e2` for an Eq. 2
+//! encryption; the mask seed, then `e`, for a symmetric one; one
+//! [`generate_ksk`] per Galois element in list order.
 //!
 //! The client's side pays each transform once. Both keys carry their
-//! evaluation-domain rows, built once where the key is built ([`keygen`]);
-//! the public key keeps its coefficient form beside them, the form that
-//! travels on the wire. An encryption transforms `u` once per prime and
+//! evaluation-domain rows, built once where the key is built ([`keygen`],
+//! [`public_key`]); the public key keeps its coefficient form beside them.
+//! An Eq. 2 encryption transforms `u` once per prime and
 //! multiplies it into both public-key halves (one forward and two inverse
 //! NTTs per prime), a decryption multiplies the ciphertext's transformed
 //! components into the secret's rows ([`dot_with_secret`]), and key-switch
@@ -81,58 +83,35 @@ impl SecretKey {
     }
 }
 
-/// The public encryption key `(P0, P1) = (−(a·s + e), a)` over the top
-/// ciphertext basis, in coefficient form (the wire form) and as
-/// evaluation-domain rows.
+/// The paper's Eq. 2 public encryption key `(P0, P1) = (−(a·s + e), a)`
+/// over the top ciphertext basis, in coefficient form and as
+/// evaluation-domain rows. No runtime path uses it: it prices the Eq. 2
+/// encryption the paper reports ([`public_key`]).
 #[derive(Debug, Clone)]
 pub struct PublicKey {
-    pub(crate) p0: RnsPoly,
-    pub(crate) p1: RnsPoly,
+    p0: RnsPoly,
+    p1: RnsPoly,
     p0_ntt: RnsPoly,
     p1_ntt: RnsPoly,
 }
 
 impl PublicKey {
-    /// The key whose coefficient form over `top` is `(p0, p1)`. `top` may
-    /// also be a basis `top` is a prefix of: each row is transformed with
-    /// its own prime's table.
-    pub(crate) fn new(p0: RnsPoly, p1: RnsPoly, top: &RnsBasis) -> Self {
-        let (p0_ntt, p1_ntt) = (to_ntt(&p0, top), to_ntt(&p1, top));
-        PublicKey {
-            p0,
-            p1,
-            p0_ntt,
-            p1_ntt,
-        }
-    }
-
     /// The coefficient form `(P0, P1)`.
     pub fn parts(&self) -> (&RnsPoly, &RnsPoly) {
         (&self.p0, &self.p1)
     }
-
-    /// Serialized size in bytes (two top-basis polynomials).
-    pub fn byte_size(&self) -> usize {
-        2 * self.p0.row_count() * self.p0.degree() * 8
-    }
 }
 
-/// Secret/public key pair produced by [`keygen`].
+/// The client's key material produced by [`keygen`]: its secret key.
 #[derive(Debug, Clone)]
 pub struct KeyBundle {
     pub(crate) secret: SecretKey,
-    pub(crate) public: PublicKey,
 }
 
 impl KeyBundle {
     /// The secret key.
     pub fn secret_key(&self) -> &SecretKey {
         &self.secret
-    }
-
-    /// The public key.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.public
     }
 }
 
@@ -205,17 +184,26 @@ fn masked_zero(a: &RnsPoly, s_ntt: &RnsPoly, basis: &RnsBasis, rng: &mut Blake3R
     b
 }
 
-/// Generates a fresh key pair: the secret over `full` (data primes plus the
-/// special prime), the public key over `top`, the basis of a fresh
-/// ciphertext.
-// choco-lint: secret (public: full, top)
-pub fn keygen(full: &RnsBasis, top: &RnsBasis, rng: &mut Blake3Rng) -> KeyBundle {
-    let secret = SecretKey::new(RnsPoly::sample_ternary(rng, full), full);
-    let a = RnsPoly::sample_uniform(rng, top);
-    let p0 = masked_zero(&a, &secret.ntt, top, rng);
+/// Generates a fresh secret key over `full` (data primes plus the special
+/// prime). Every runtime encryption is symmetric under it.
+// choco-lint: secret (public: full)
+pub fn keygen(full: &RnsBasis, rng: &mut Blake3Rng) -> KeyBundle {
     KeyBundle {
-        secret,
-        public: PublicKey::new(p0, a, top),
+        secret: SecretKey::new(RnsPoly::sample_ternary(rng, full), full),
+    }
+}
+
+/// Generates the paper's Eq. 2 public key `(−(a·s + e), a)` over `top`,
+/// the basis of a fresh ciphertext: a uniform `a`, then the error `e`.
+// choco-lint: secret (public: top)
+pub fn public_key(sk: &SecretKey, top: &RnsBasis, rng: &mut Blake3Rng) -> PublicKey {
+    let a = RnsPoly::sample_uniform(rng, top);
+    let p0 = masked_zero(&a, &sk.ntt, top, rng);
+    PublicKey {
+        p0_ntt: to_ntt(&p0, top),
+        p1_ntt: to_ntt(&a, top),
+        p0,
+        p1: a,
     }
 }
 

@@ -36,7 +36,7 @@
 use crate::bfv::{self, BfvContext};
 use crate::ckks::{self, CkksContext};
 use crate::params::{HeParams, SchemeType};
-use crate::rlwe::{GaloisKeys, KeyBundle, PublicKey, RelinKey};
+use crate::rlwe::{GaloisKeys, KeyBundle, RelinKey};
 use crate::serialize;
 use crate::HeError;
 use choco_prng::Blake3Rng;
@@ -53,10 +53,9 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     type Context: Clone + std::fmt::Debug;
     /// A ciphertext.
     type Ciphertext: Clone + std::fmt::Debug;
-    /// Client key material (secret + public key).
+    /// Client key material: the secret key every encryption and
+    /// decryption uses.
     type KeyBundle: std::fmt::Debug;
-    /// The public encryption key (provisioned to the server).
-    type PublicKey: Clone + std::fmt::Debug;
     /// The relinearization key.
     type RelinKey: std::fmt::Debug;
     /// The Galois rotation key set.
@@ -72,11 +71,8 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
     /// Propagates parameter validation failures.
     fn context(params: &HeParams) -> Result<Self::Context, HeError>;
 
-    /// Generates a fresh secret/public key pair.
+    /// Generates a fresh secret key.
     fn keygen(ctx: &Self::Context, rng: &mut Blake3Rng) -> Self::KeyBundle;
-
-    /// The public key inside a bundle.
-    fn public_key(keys: &Self::KeyBundle) -> &Self::PublicKey;
 
     /// Generates the relinearization key.
     ///
@@ -180,12 +176,6 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
         rk: &Self::RelinKey,
         gk: &Self::GaloisKeys,
     ) -> Result<(), HeError>;
-
-    /// Wire size of the public key (provisioning accounting).
-    fn public_key_bytes(pk: &Self::PublicKey) -> usize;
-
-    /// Wire size of the relinearization key.
-    fn relin_key_bytes(rk: &Self::RelinKey) -> usize;
 
     /// Wire size of the Galois key set.
     fn galois_keys_bytes(gk: &Self::GaloisKeys) -> usize;
@@ -337,7 +327,6 @@ impl HeScheme for Bfv {
     type Context = BfvContext;
     type Ciphertext = bfv::Ciphertext;
     type KeyBundle = KeyBundle;
-    type PublicKey = PublicKey;
     type RelinKey = RelinKey;
     type GaloisKeys = GaloisKeys;
 
@@ -350,10 +339,6 @@ impl HeScheme for Bfv {
     // choco-lint: secret
     fn keygen(ctx: &BfvContext, rng: &mut Blake3Rng) -> KeyBundle {
         ctx.keygen(rng)
-    }
-
-    fn public_key(keys: &KeyBundle) -> &PublicKey {
-        keys.public_key()
     }
 
     // choco-lint: secret (public: ctx)
@@ -439,14 +424,6 @@ impl HeScheme for Bfv {
         check_key_moduli(rk, gk, ctx.params())
     }
 
-    fn public_key_bytes(pk: &PublicKey) -> usize {
-        pk.byte_size()
-    }
-
-    fn relin_key_bytes(rk: &RelinKey) -> usize {
-        rk.size_bytes()
-    }
-
     fn galois_keys_bytes(gk: &GaloisKeys) -> usize {
         gk.size_bytes()
     }
@@ -530,7 +507,6 @@ impl HeScheme for Ckks {
     type Context = CkksContext;
     type Ciphertext = ckks::CkksCiphertext;
     type KeyBundle = KeyBundle;
-    type PublicKey = PublicKey;
     type RelinKey = RelinKey;
     type GaloisKeys = GaloisKeys;
 
@@ -543,10 +519,6 @@ impl HeScheme for Ckks {
     // choco-lint: secret
     fn keygen(ctx: &CkksContext, rng: &mut Blake3Rng) -> KeyBundle {
         ctx.keygen(rng)
-    }
-
-    fn public_key(keys: &KeyBundle) -> &PublicKey {
-        keys.public_key()
     }
 
     // choco-lint: secret (public: ctx)
@@ -616,14 +588,6 @@ impl HeScheme for Ckks {
 
     fn check_keys(ctx: &CkksContext, rk: &RelinKey, gk: &GaloisKeys) -> Result<(), HeError> {
         check_key_moduli(rk, gk, ctx.params())
-    }
-
-    fn public_key_bytes(pk: &PublicKey) -> usize {
-        pk.byte_size()
-    }
-
-    fn relin_key_bytes(rk: &RelinKey) -> usize {
-        rk.size_bytes()
     }
 
     fn galois_keys_bytes(gk: &GaloisKeys) -> usize {

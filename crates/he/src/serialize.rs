@@ -694,8 +694,9 @@ mod tests {
         let ctx = BfvContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"serialize");
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let pt = Plaintext::from_coeffs((0..256u64).map(|i| i % 100).collect());
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
         (ctx, keys, ct)
     }
 
@@ -704,9 +705,10 @@ mod tests {
         let ctx = CkksContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"ckks serialize");
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64 / 8.0).collect();
         let pt = ctx.encode(&values).unwrap();
-        let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let ct = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
         (ctx, keys, ct)
     }
 

@@ -9,6 +9,11 @@
 //! Besides paper sets A, B and C, two insecure N = 1024 chains with 3 and 4
 //! data primes cover composition moduli above 128 bits.
 //!
+//! Runtime key generation draws the secret alone. The Eq. 2 helpers here
+//! draw the public key (`public_key`) straight after it, where key
+//! generation drew it until it stopped, so every value below reads as it
+//! did then; one pin holds the RNG position after key generation alone.
+//!
 //! The wire digests were recorded over the 8-byte residue layout that
 //! preceded packed frames. They hash a frame's decoded residues laid out
 //! that way ([`legacy_wire`]), so they still pin the ciphertexts; the
@@ -55,12 +60,13 @@ fn bfv_slots(params: &HeParams, seed: &[u8]) -> [String; 4] {
     let ctx = BfvContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(seed);
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     let encoder = ctx.batch_encoder().unwrap();
     let t = ctx.plain_modulus();
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 31 + 7) % t).collect();
     let ct = ctx
-        .encryptor(keys.public_key())
+        .encryptor(&pk)
         .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
     let dec = ctx.decryptor(keys.secret_key());
     let slots = |ct: &Ciphertext| digest(encoder.decode(&dec.decrypt(ct)).unwrap());
@@ -106,12 +112,13 @@ fn ckks_decoded(params: &HeParams, seed: &[u8]) -> [String; 3] {
     let ctx = CkksContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(seed);
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng);
     let values: Vec<f64> = (0..ctx.slot_count())
         .map(|i| ((i % 29) as f64 - 14.0) / 8.0)
         .collect();
     let ct = ctx
-        .encrypt(&ctx.encode(&values).unwrap(), keys.public_key(), &mut rng)
+        .encrypt(&ctx.encode(&values).unwrap(), &pk, &mut rng)
         .unwrap();
     let decoded =
         |ct: &CkksCiphertext| f64_digest(&ctx.decode(&ctx.decrypt(ct, keys.secret_key())));
@@ -141,11 +148,12 @@ fn noise_budgets(params: &HeParams, seed: &[u8]) -> Vec<u64> {
     let ctx = BfvContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(seed);
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     let encoder = ctx.batch_encoder().unwrap();
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 3).collect();
     let fresh = ctx
-        .encryptor(keys.public_key())
+        .encryptor(&pk)
         .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
     let dec = ctx.decryptor(keys.secret_key());
     let eval = ctx.evaluator();
@@ -197,13 +205,14 @@ fn rng_positions_bfv(params: &HeParams) -> Vec<u64> {
     let ctx = BfvContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"client bytes rng bfv");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let mut at = vec![rng.bytes_drawn()];
     ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     at.push(rng.bytes_drawn());
     ctx.galois_keys(keys.secret_key(), &[1, 2, -3], &mut rng)
         .unwrap();
     at.push(rng.bytes_drawn());
-    let enc = ctx.encryptor(keys.public_key());
+    let enc = ctx.encryptor(&pk);
     let pt = ctx.batch_encoder().unwrap().encode(&[5; 8]).unwrap();
     for _ in 0..3 {
         enc.encrypt(&pt, &mut rng);
@@ -216,6 +225,7 @@ fn rng_positions_ckks(params: &HeParams) -> Vec<u64> {
     let ctx = CkksContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"client bytes rng ckks");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let mut at = vec![rng.bytes_drawn()];
     ctx.relin_key(keys.secret_key(), &mut rng);
     at.push(rng.bytes_drawn());
@@ -224,7 +234,7 @@ fn rng_positions_ckks(params: &HeParams) -> Vec<u64> {
     at.push(rng.bytes_drawn());
     let pt = ctx.encode(&[0.5; 8]).unwrap();
     for _ in 0..3 {
-        ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        ctx.encrypt(&pt, &pk, &mut rng).unwrap();
         at.push(rng.bytes_drawn());
     }
     at
@@ -240,6 +250,21 @@ fn rng_position_after_keys_and_three_encryptions() {
         rng_positions_ckks(&HeParams::set_c()),
         [327680, 983040, 2949120, 3276800, 3604480, 3932160]
     );
+}
+
+/// `bytes_drawn` after runtime key generation alone — the secret, and
+/// nothing else — at sets B and C, from the seeds above.
+#[test]
+fn rng_position_after_runtime_keygen_alone() {
+    let mut rng = Blake3Rng::from_seed(b"client bytes rng bfv");
+    BfvContext::new(&HeParams::set_b())
+        .unwrap()
+        .keygen(&mut rng);
+    let mut crng = Blake3Rng::from_seed(b"client bytes rng ckks");
+    CkksContext::new(&HeParams::set_c())
+        .unwrap()
+        .keygen(&mut crng);
+    assert_eq!([rng.bytes_drawn(), crng.bytes_drawn()], [32768, 65536]);
 }
 
 #[test]

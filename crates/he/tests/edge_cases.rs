@@ -22,7 +22,7 @@ fn wrong_secret_key_decrypts_to_garbage() {
 
     let msg: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 7).collect();
     let pt = Plaintext::from_coeffs(msg.clone());
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let wrong = ctx.decryptor(other.secret_key()).decrypt(&ct);
     assert_ne!(wrong.coeffs(), &msg[..], "wrong key must not decrypt");
     // And the wrong key sees zero noise budget (pure noise).
@@ -51,9 +51,11 @@ fn noise_exhaustion_destroys_the_message() {
 
     let start: Vec<u64> = vec![3; ctx.degree()];
     let mut expect = start.clone();
-    let mut ct = ctx
-        .encryptor(keys.public_key())
-        .encrypt(&encoder.encode(&start).unwrap(), &mut rng);
+    let mut ct = ctx.encrypt_symmetric(
+        &encoder.encode(&start).unwrap(),
+        keys.secret_key(),
+        &mut rng,
+    );
     let mut budgets = vec![dec.invariant_noise_budget(&ct)];
     for _ in 0..10 {
         ct = eval.multiply_plain(&ct, &mpt);
@@ -115,7 +117,7 @@ fn missing_galois_key_is_a_clean_error() {
     let keys = ctx.keygen(&mut rng);
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     // Step 3 was never provisioned.
     let err = ctx.evaluator().rotate_rows(&ct, 3, &gks).unwrap_err();
     assert!(matches!(err, HeError::MissingGaloisKey(_)));
@@ -128,7 +130,7 @@ fn rotating_a_three_part_ciphertext_is_rejected() {
     let keys = ctx.keygen(&mut rng);
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let prod = ctx.evaluator().multiply(&ct, &ct).unwrap();
     assert!(matches!(
         ctx.evaluator().rotate_rows(&prod, 1, &gks).unwrap_err(),
@@ -148,7 +150,7 @@ fn multiplying_a_modulus_switched_ciphertext_is_a_clean_error() {
     let mut rng = Blake3Rng::from_seed(b"low level");
     let keys = ctx.keygen(&mut rng);
     let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
-    let full = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let full = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let low = eval.mod_switch_to_next(&full).unwrap();
     for (a, b) in [(&low, &low), (&low, &full), (&full, &low)] {
@@ -182,13 +184,13 @@ fn keygen_is_deterministic_per_seed() {
         let mut rng = Blake3Rng::from_seed(b"det seed");
         let keys = ctx.keygen(&mut rng);
         let pt = Plaintext::from_coeffs(vec![5; ctx.degree()]);
-        ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng)
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
     };
     let ct_b = {
         let mut rng = Blake3Rng::from_seed(b"det seed");
         let keys = ctx.keygen(&mut rng);
         let pt = Plaintext::from_coeffs(vec![5; ctx.degree()]);
-        ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng)
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
     };
     assert_eq!(ct_a, ct_b, "same seed, same keys, same ciphertext");
 }
@@ -220,7 +222,7 @@ fn out_of_range_rotation_steps_are_clean_errors_bfv() {
     let keys = ctx.keygen(&mut rng);
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
     for step in BAD_STEPS {
@@ -249,7 +251,7 @@ fn out_of_range_rotation_steps_are_clean_errors_ckks() {
     let keys = ctx.keygen(&mut rng);
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let ct = ctx
-        .encrypt(&ctx.encode(&[1.0]).unwrap(), keys.public_key(), &mut rng)
+        .encrypt_symmetric(&ctx.encode(&[1.0]).unwrap(), keys.secret_key(), &mut rng)
         .unwrap();
     let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
     for step in BAD_STEPS {
@@ -272,7 +274,7 @@ fn mixed_level_and_mixed_size_operands_are_clean_errors_bfv() {
     let gks = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let rk = ctx.relin_key(keys.secret_key(), &mut rng).unwrap();
     let pt = Plaintext::from_coeffs(vec![2; ctx.degree()]);
-    let full = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let full = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let low = eval.mod_switch_to_next(&full).unwrap();
     let three = eval.multiply(&full, &full).unwrap();
@@ -308,7 +310,7 @@ fn mixed_level_and_mixed_size_operands_are_clean_errors_ckks() {
     let mut rng = Blake3Rng::from_seed(b"mixed ckks");
     let keys = ctx.keygen(&mut rng);
     let two = ctx
-        .encrypt(&ctx.encode(&[1.5]).unwrap(), keys.public_key(), &mut rng)
+        .encrypt_symmetric(&ctx.encode(&[1.5]).unwrap(), keys.secret_key(), &mut rng)
         .unwrap();
     // A 3-component CKKS ciphertext never comes out of the evaluator
     // (multiply relinearizes at once) but parses off the wire.

@@ -82,8 +82,9 @@ fn bfv_frame() -> Vec<u8> {
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"fuzz serialize bfv");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let pt = Plaintext::from_coeffs((0..256u64).map(|i| i % 100).collect());
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
     ciphertext_to_bytes(&ct)
 }
 
@@ -92,9 +93,10 @@ fn ckks_frame() -> Vec<u8> {
     let ctx = CkksContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"fuzz serialize ckks");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let values: Vec<f64> = (0..ctx.slot_count()).map(|i| i as f64 / 8.0).collect();
     let pt = ctx.encode(&values).unwrap();
-    let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+    let ct = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
     ckks_ciphertext_to_bytes(&ct)
 }
 

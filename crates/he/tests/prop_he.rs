@@ -6,6 +6,7 @@ mod common;
 use choco_he::bfv::{BfvContext, Ciphertext};
 use choco_he::ckks::CkksContext;
 use choco_he::params::{HeParams, SchemeType};
+use choco_he::rlwe::PublicKey;
 use choco_he::rnspoly::RnsPoly;
 use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes, HEADER_BYTES};
 use choco_he::{Bfv, Ckks, HeScheme};
@@ -33,7 +34,7 @@ fn bfv_roundtrip_random_slot_vectors() {
             .collect();
         let encoder = ctx.batch_encoder().unwrap();
         let pt = encoder.encode(&values).unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let out = encoder
             .decode(&ctx.decryptor(keys.secret_key()).decrypt(&ct))
             .unwrap();
@@ -54,9 +55,8 @@ fn bfv_addition_is_homomorphic() {
         let b: Vec<u64> = (0..ctx.degree() as u64)
             .map(|i| i.rotate_left(7).wrapping_add(seed) % t)
             .collect();
-        let enc = ctx.encryptor(keys.public_key());
-        let ca = enc.encrypt(&encoder.encode(&a).unwrap(), &mut rng);
-        let cb = enc.encrypt(&encoder.encode(&b).unwrap(), &mut rng);
+        let ca = ctx.encrypt_symmetric(&encoder.encode(&a).unwrap(), keys.secret_key(), &mut rng);
+        let cb = ctx.encrypt_symmetric(&encoder.encode(&b).unwrap(), keys.secret_key(), &mut rng);
         let sum = ctx.evaluator().add(&ca, &cb).unwrap();
         let out = encoder
             .decode(&ctx.decryptor(keys.secret_key()).decrypt(&sum))
@@ -82,8 +82,7 @@ fn bfv_plain_multiplication_is_slotwise() {
         let w: Vec<u64> = (0..ctx.degree() as u64)
             .map(|i| (i.wrapping_add(seed >> 5)) % 16)
             .collect();
-        let enc = ctx.encryptor(keys.public_key());
-        let ca = enc.encrypt(&encoder.encode(&a).unwrap(), &mut rng);
+        let ca = ctx.encrypt_symmetric(&encoder.encode(&a).unwrap(), keys.secret_key(), &mut rng);
         let prod = ctx
             .evaluator()
             .multiply_plain(&ca, &encoder.encode(&w).unwrap());
@@ -109,9 +108,11 @@ fn bfv_rotation_permutes_rows() {
         let encoder = ctx.batch_encoder().unwrap();
         let half = ctx.degree() / 2;
         let values: Vec<u64> = (0..ctx.degree() as u64).collect();
-        let ct = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+        let ct = ctx.encrypt_symmetric(
+            &encoder.encode(&values).unwrap(),
+            keys.secret_key(),
+            &mut rng,
+        );
         let rot = ctx.evaluator().rotate_rows(&ct, step, &gks).unwrap();
         let out = encoder
             .decode(&ctx.decryptor(keys.secret_key()).decrypt(&rot))
@@ -137,10 +138,10 @@ fn ckks_add_tracks_float_sum() {
             .map(|i| ((i as u32).wrapping_add(seed) % 100) as f64 / 10.0)
             .collect();
         let ca = ctx
-            .encrypt(&ctx.encode(&a).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&a).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let cb = ctx
-            .encrypt(&ctx.encode(&b).unwrap(), keys.public_key(), &mut rng)
+            .encrypt_symmetric(&ctx.encode(&b).unwrap(), keys.secret_key(), &mut rng)
             .unwrap();
         let sum = ctx.add(&ca, &cb).unwrap();
         let out = ctx.decode(&ctx.decrypt(&sum, keys.secret_key()));
@@ -180,13 +181,14 @@ fn serialization_roundtrips_any_fresh_ciphertext() {
         let seed = g.u64();
         let mut rng = Blake3Rng::from_seed(&seed.to_le_bytes());
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let t = ctx.plain_modulus();
         let values: Vec<u64> = (0..ctx.degree() as u64)
             .map(|i| i.wrapping_add(seed) % t)
             .collect();
         let encoder = ctx.batch_encoder().unwrap();
         let ct = ctx
-            .encryptor(keys.public_key())
+            .encryptor(&pk)
             .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
         let back = ciphertext_from_bytes(&ciphertext_to_bytes(&ct)).unwrap();
         assert_eq!(&back, &ct);
@@ -238,9 +240,11 @@ fn hoisted_rotations_match_naive_per_step() {
         let values: Vec<u64> = (0..ctx.degree() as u64)
             .map(|i| i.wrapping_mul(seed | 1) % t)
             .collect();
-        let ct = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+        let ct = ctx.encrypt_symmetric(
+            &encoder.encode(&values).unwrap(),
+            keys.secret_key(),
+            &mut rng,
+        );
         let dec = ctx.decryptor(keys.secret_key());
         let hoisted = ctx.evaluator().rotate_rows_many(&ct, &steps, &gks).unwrap();
         for (s, h) in steps.iter().zip(&hoisted) {
@@ -274,9 +278,11 @@ fn fused_dot_rotations_matches_rotate_multiply_add_chain() {
             .unwrap();
         let encoder = ctx.batch_encoder().unwrap();
         let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i ^ seed) % t).collect();
-        let ct = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+        let ct = ctx.encrypt_symmetric(
+            &encoder.encode(&values).unwrap(),
+            keys.secret_key(),
+            &mut rng,
+        );
         let eval = ctx.evaluator();
         let pairs: Vec<_> = steps
             .iter()
@@ -336,7 +342,7 @@ fn parallel_and_sequential_evaluation_bit_identical() {
                 .map(|i| i.wrapping_add(seed) % t)
                 .collect();
             let pt = encoder.encode(&values).unwrap();
-            let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+            let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
             let prod = ctx.evaluator().multiply_plain(&ct, &pt);
             let rots = ctx
                 .evaluator()
@@ -364,7 +370,7 @@ fn bfv_noise_budget_never_increases_under_ops() {
         let dec = ctx.decryptor(keys.secret_key());
         let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 13).collect();
         let pt = encoder.encode(&values).unwrap();
-        let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+        let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
         let fresh = dec.invariant_noise_budget(&ct);
         let added = ctx.evaluator().add(&ct, &ct).unwrap();
         assert!(dec.invariant_noise_budget(&added) <= fresh + 0.5);
@@ -393,7 +399,7 @@ fn assert_rns_paths_match_the_big_integer_reference(params: &HeParams, label: &s
             .map(|i| i.wrapping_mul(salt).wrapping_add(salt >> 3) % t)
             .collect();
         let pt = encoder.encode(&values).unwrap();
-        ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng)
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
     };
     let same_product = |a: &Ciphertext, b: &Ciphertext, what: &str| {
         let fast = eval.multiply(a, b).unwrap();
@@ -575,27 +581,30 @@ fn digest(blobs: &[&[u8]]) -> String {
 }
 
 /// Digests of everything a session provisions or replays, from one fixed
-/// seed: the evaluation-key wires (relinearization, then Galois steps
-/// `[1, 3, −2]`), a fresh Eq. 2
+/// seed that also draws the Eq. 2 public key straight after the secret,
+/// where runtime keygen drew it until it stopped: the evaluation-key wires
+/// (relinearization, then Galois steps `[1, 3, −2]`), a fresh Eq. 2
 /// encryption, and the wires of `rotate(3)`, the hoisted many-rotation,
 /// `add`, `sub` and `multiply_relin` on Eq. 2 encryptions; then the compact
 /// upload `HeScheme::encrypt` makes of the first vector. The operations
-/// `HeScheme` does not carry (Eq. 2 encryption among them) come in as
-/// closures.
+/// `HeScheme` does not carry (the Eq. 2 key and encryption among them) come
+/// in as closures.
 fn wire_digests<S: HeScheme>(
     params: &HeParams,
     values: [Vec<S::Value>; 2],
-    encrypt_eq2: impl Fn(&S::Context, &S::KeyBundle, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
+    public_key: impl Fn(&S::Context, &S::KeyBundle, &mut Blake3Rng) -> PublicKey,
+    encrypt_eq2: impl Fn(&S::Context, &PublicKey, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
     rotate_many: impl Fn(&S::Context, &S::Ciphertext, &S::GaloisKeys) -> Vec<S::Ciphertext>,
     multiply_relin: impl Fn(&S::Context, [&S::Ciphertext; 2], &S::RelinKey) -> S::Ciphertext,
 ) -> [String; 8] {
     let ctx = S::context(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
     let keys = S::keygen(&ctx, &mut rng);
+    let pk = public_key(&ctx, &keys, &mut rng);
     let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
     let gk = S::galois_keys(&ctx, &keys, &[1, 3, -2], &mut rng).unwrap();
-    let a = encrypt_eq2(&ctx, &keys, &values[0], &mut rng);
-    let b = encrypt_eq2(&ctx, &keys, &values[1], &mut rng);
+    let a = encrypt_eq2(&ctx, &pk, &values[0], &mut rng);
+    let b = encrypt_eq2(&ctx, &pk, &values[1], &mut rng);
     let compact = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
     let wire = |ct: &S::Ciphertext| legacy_wire::ciphertexts(S::SCHEME, &S::ct_to_wire(ct));
     let many = rotate_many(&ctx, &a, &gk);
@@ -625,9 +634,10 @@ fn bfv_wire_digests(params: &HeParams) -> [String; 8] {
             (0..n).map(|i| i * 7 % t).collect(),
             (0..n).map(|i| (i * i + 3) % t).collect(),
         ],
-        |ctx, keys, values, rng| {
+        |ctx, keys, rng| ctx.public_key(keys.secret_key(), rng),
+        |ctx, pk, values, rng| {
             let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
-            ctx.encryptor(keys.public_key()).encrypt(&pt, rng)
+            ctx.encryptor(pk).encrypt(&pt, rng)
         },
         |ctx, ct, gk| {
             let eval = ctx.evaluator();
@@ -645,9 +655,10 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
             (0..slots).map(|i| (i % 17) as f64 / 4.0).collect(),
             (0..slots).map(|i| 2.0 - (i % 5) as f64).collect(),
         ],
-        |ctx, keys, values, rng| {
+        |ctx, keys, rng| ctx.public_key(keys.secret_key(), rng),
+        |ctx, pk, values, rng| {
             let pt = ctx.encode(values).unwrap();
-            ctx.encrypt(&pt, keys.public_key(), rng).unwrap()
+            ctx.encrypt(&pt, pk, rng).unwrap()
         },
         |ctx, ct, gk| ctx.rotate_many(ct, &[1, 3, -2], gk).unwrap(),
         |ctx, [a, b], rk| ctx.multiply_relin(a, b, rk).unwrap(),
@@ -665,7 +676,9 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
 /// encryption; the first, over the evaluation keys alone, when the key
 /// bundle's wire format was deleted (its value read on the commit before,
 /// where those two wires were the same). Digests 1 and 7 are encryptions
-/// under the derived keys, so they pin the key pair too. A change to RNG
+/// under the derived keys, so they pin the key pair too; they read the same
+/// since runtime key generation stopped drawing the public key, which these
+/// digests now draw themselves, where key generation drew it. A change to RNG
 /// draw order, operation order or a wire layout moves them. Re-record them
 /// only for a change that means to break that compatibility, and say so.
 #[test]
@@ -739,14 +752,16 @@ fn packed_frames_are_byte_stable_across_builds() {
     fn packed<S: HeScheme>(
         params: &HeParams,
         values: &[S::Value],
-        encrypt_eq2: impl Fn(&S::Context, &S::KeyBundle, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
+        public_key: impl Fn(&S::Context, &S::KeyBundle, &mut Blake3Rng) -> PublicKey,
+        encrypt_eq2: impl Fn(&S::Context, &PublicKey, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
     ) -> [String; 3] {
         let ctx = S::context(params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
         let keys = S::keygen(&ctx, &mut rng);
+        let pk = public_key(&ctx, &keys, &mut rng);
         let rk = S::relin_key(&ctx, &keys, &mut rng).unwrap();
         let gk = S::galois_keys(&ctx, &keys, &[1, 3, -2], &mut rng).unwrap();
-        let full = encrypt_eq2(&ctx, &keys, values, &mut rng);
+        let full = encrypt_eq2(&ctx, &pk, values, &mut rng);
         let compact = S::encrypt(&ctx, &keys, values, &mut rng).unwrap();
         [
             digest(&[&S::ct_to_wire(&full)]),
@@ -757,19 +772,29 @@ fn packed_frames_are_byte_stable_across_builds() {
     let bfv = |params: &HeParams| {
         let t = params.plain_modulus();
         let values: Vec<u64> = (0..params.degree() as u64).map(|i| i * 7 % t).collect();
-        packed::<Bfv>(params, &values, |ctx, keys, values, rng| {
-            let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
-            ctx.encryptor(keys.public_key()).encrypt(&pt, rng)
-        })
+        packed::<Bfv>(
+            params,
+            &values,
+            |ctx, keys, rng| ctx.public_key(keys.secret_key(), rng),
+            |ctx, pk, values, rng| {
+                let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
+                ctx.encryptor(pk).encrypt(&pt, rng)
+            },
+        )
     };
     let set_c = HeParams::set_c();
     let values: Vec<f64> = (0..set_c.degree() / 2)
         .map(|i| (i % 17) as f64 / 4.0)
         .collect();
-    let ckks = packed::<Ckks>(&set_c, &values, |ctx, keys, values, rng| {
-        let pt = ctx.encode(values).unwrap();
-        ctx.encrypt(&pt, keys.public_key(), rng).unwrap()
-    });
+    let ckks = packed::<Ckks>(
+        &set_c,
+        &values,
+        |ctx, keys, rng| ctx.public_key(keys.secret_key(), rng),
+        |ctx, pk, values, rng| {
+            let pt = ctx.encode(values).unwrap();
+            ctx.encrypt(&pt, pk, rng).unwrap()
+        },
+    );
     assert_eq!(
         bfv(&HeParams::set_a()),
         ["ddd9baa62bbcdb43", "5d4d5b70a7340781", "ba34304e76ff608e"]
@@ -833,6 +858,7 @@ fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
     let ctx = BfvContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"cross-commit fused dot oracle");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let gk = ctx
         .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
         .unwrap();
@@ -841,7 +867,7 @@ fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
     let n = ctx.degree() as u64;
     let values: Vec<u64> = (0..n).map(|i| i * 7 % t).collect();
     let ct = ctx
-        .encryptor(keys.public_key())
+        .encryptor(&pk)
         .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
     let pairs: Vec<_> = (0..terms as u64)
         .map(|k| {
@@ -884,6 +910,7 @@ fn ckks_dot_fixture(
     let ctx = CkksContext::new(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"cross-commit fused dot oracle");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let gk = ctx
         .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
         .unwrap();
@@ -891,7 +918,7 @@ fn ckks_dot_fixture(
         .map(|i| (i % 17) as f64 / 4.0 - 2.0)
         .collect();
     let pt = ctx.encode(&values).unwrap();
-    let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+    let ct = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
     (ctx, keys, gk, ct, values)
 }
 
@@ -973,9 +1000,11 @@ fn bfv_many_output_dot_equals_one_output_dots_byte_for_byte() {
         let encoder = ctx.batch_encoder().unwrap();
         let (t, n) = (ctx.plain_modulus(), ctx.degree() as u64);
         let values: Vec<u64> = (0..n).map(|i| i * 7 % t).collect();
-        let ct = ctx
-            .encryptor(keys.public_key())
-            .encrypt(&encoder.encode(&values).unwrap(), &mut rng);
+        let ct = ctx.encrypt_symmetric(
+            &encoder.encode(&values).unwrap(),
+            keys.secret_key(),
+            &mut rng,
+        );
         let eval = ctx.evaluator();
         let steps = many_output_steps(terms);
         // operands[k][o]: term k's factor for output o.
@@ -1023,7 +1052,9 @@ fn ckks_many_output_dot_equals_one_output_dots_byte_for_byte() {
         let slots = ctx.slot_count();
         let values: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 4.0 - 2.0).collect();
         let pt = ctx.encode(&values).unwrap();
-        let ct = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let ct = ctx
+            .encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+            .unwrap();
         let steps = many_output_steps(terms);
         let operands: Vec<Vec<_>> = (0..terms)
             .map(|k| {
@@ -1066,7 +1097,7 @@ fn many_output_dot_rejects_miscounted_operands_and_missing_keys() {
     let gk = ctx.galois_keys(keys.secret_key(), &[1], &mut rng).unwrap();
     let encoder = ctx.batch_encoder().unwrap();
     let pt = encoder.encode(&[3, 1, 4]).unwrap();
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let op = eval.dot_operand(&pt).unwrap();
     let dot = |outputs: usize, terms: &[(i64, &[&choco_he::rlwe::DotOperand])]| {
@@ -1182,6 +1213,7 @@ fn a_seeded_upload_is_no_noisier_than_an_eq2_encryption() {
         let ctx = BfvContext::new(&params).unwrap();
         let mut rng = Blake3Rng::from_seed(b"seeded vs eq2 noise");
         let keys = ctx.keygen(&mut rng);
+        let pk = ctx.public_key(keys.secret_key(), &mut rng);
         let dec = ctx.decryptor(keys.secret_key());
         let t = ctx.plain_modulus();
         for round in 0..4u64 {
@@ -1189,7 +1221,7 @@ fn a_seeded_upload_is_no_noisier_than_an_eq2_encryption() {
                 .map(|i| (i * 31 + round) % t)
                 .collect();
             let pt = ctx.batch_encoder().unwrap().encode(&values).unwrap();
-            let eq2 = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+            let eq2 = ctx.encryptor(&pk).encrypt(&pt, &mut rng);
             let seeded = Bfv::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
             let (seeded, eq2) = (
                 dec.invariant_noise_budget(&seeded),
@@ -1205,6 +1237,7 @@ fn a_seeded_upload_is_no_noisier_than_an_eq2_encryption() {
     let ctx = CkksContext::new(&HeParams::set_c()).unwrap();
     let mut rng = Blake3Rng::from_seed(b"seeded vs eq2 ckks error");
     let keys = ctx.keygen(&mut rng);
+    let pk = ctx.public_key(keys.secret_key(), &mut rng);
     let max_error = |ct: &choco_he::ckks::CkksCiphertext, values: &[f64]| {
         let got = ctx.decode(&ctx.decrypt(ct, keys.secret_key()));
         got.iter()
@@ -1217,7 +1250,7 @@ fn a_seeded_upload_is_no_noisier_than_an_eq2_encryption() {
             .map(|i| ((i * 7 + round) % 23) as f64 / 4.0 - 2.0)
             .collect();
         let pt = ctx.encode(&values).unwrap();
-        let eq2 = ctx.encrypt(&pt, keys.public_key(), &mut rng).unwrap();
+        let eq2 = ctx.encrypt(&pt, &pk, &mut rng).unwrap();
         let seeded = Ckks::encrypt(&ctx, &keys, &values, &mut rng).unwrap();
         let (seeded, eq2) = (max_error(&seeded, &values), max_error(&eq2, &values));
         assert!(seeded <= eq2, "seeded error {seeded} > Eq. 2 error {eq2}");

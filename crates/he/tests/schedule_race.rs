@@ -28,12 +28,8 @@ fn pipeline_bytes() -> Vec<u8> {
 
     let a: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 17 + 3) % t).collect();
     let b: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * 29 + 7) % t).collect();
-    let ca = ctx
-        .encryptor(keys.public_key())
-        .encrypt(&encoder.encode(&a).unwrap(), &mut rng);
-    let cb = ctx
-        .encryptor(keys.public_key())
-        .encrypt(&encoder.encode(&b).unwrap(), &mut rng);
+    let ca = ctx.encrypt_symmetric(&encoder.encode(&a).unwrap(), keys.secret_key(), &mut rng);
+    let cb = ctx.encrypt_symmetric(&encoder.encode(&b).unwrap(), keys.secret_key(), &mut rng);
 
     let eval = ctx.evaluator();
     let rot = eval.rotate_rows(&ca, 1, &gk).unwrap();

@@ -42,7 +42,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
     let t = ctx.plain_modulus();
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % t).collect();
     let pt = encoder.encode(&values).unwrap();
-    let ct = ctx.encryptor(keys.public_key()).encrypt(&pt, &mut rng);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let dec = ctx.decryptor(keys.secret_key());
     let pairs: Vec<_> = [0i64, 1, 2]
@@ -96,7 +96,9 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         .map(|i| (i % 7) as f64 / 8.0)
         .collect();
     let cpt = cctx.encode(&vals).unwrap();
-    let cct = cctx.encrypt(&cpt, ckeys.public_key(), &mut crng).unwrap();
+    let cct = cctx
+        .encrypt_symmetric(&cpt, ckeys.secret_key(), &mut crng)
+        .unwrap();
 
     let diagonals: Vec<(i64, Vec<f64>)> = [0i64, 1, 2]
         .iter()

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pt = ctx.encode(&x_vals)?;
     enc_inputs.insert(
         "x".to_string(),
-        ctx.encrypt(&pt, keys.public_key(), &mut rng)?,
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)?,
     );
     let out_ct = compiled.execute_encrypted::<Ckks>(&ctx, &enc_inputs, &relin, &galois)?;
     let got = ctx.decode(&ctx.decrypt(&out_ct[0], keys.secret_key()));

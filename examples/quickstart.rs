@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let at_server = upload::<Bfv>(&mut ledger, &ct);
     let ctx = server.context();
     let rotated = windowed_rotate_redundant(ctx, &at_server, &layout, 2, server.galois_keys())?;
-    let two = server.encode(&vec![2u64; ctx.degree() / 2])?;
+    let two = ctx.batch_encoder()?.encode(&vec![2u64; ctx.degree() / 2])?;
     let doubled = ctx.evaluator().multiply_plain(&rotated, &two);
     let reply = download::<Bfv>(&mut ledger, &doubled);
     ledger.end_round();

@@ -185,12 +185,11 @@ fn provisioning_traffic_is_accounted_and_amortizable() {
     let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 18).unwrap();
     let mut client = Client::<Bfv>::new(&params, b"provision").unwrap();
     let server = client.provision_server(&[1, 2, 4]).unwrap();
-    let bytes = server.provisioning_bytes();
-    // pk (2 polys) + relin (2 digits × 2 polys × 3 residues) + 4 galois keys
-    // (3 steps + column swap).
-    let poly = 2 * 1024 * 8; // one data-basis polynomial
+    let bytes = server.relin_key().size_bytes() + server.galois_keys().size_bytes();
+    // relin (2 digits × 2 polys × 3 residues) + 4 galois keys (3 steps +
+    // column swap).
     let ksk = 2 * 2 * 3 * 1024 * 8; // one key-switching key
-    assert_eq!(bytes, 2 * poly + ksk + 4 * ksk);
+    assert_eq!(bytes, ksk + 4 * ksk);
     // Provisioning is one-time: it exceeds a single ciphertext but amortizes
     // across inferences.
     assert!(bytes > params.ciphertext_bytes());
