@@ -121,7 +121,7 @@ for simd in 0 1; do
 done
 
 echo "==> zero-alloc steady state (PolyPool counters, both schemes)"
-# Warm keyswitch -> hoisted rotation -> matvec loops, and the client's
+# Warm keyswitch -> rotation -> fused-dot loops, and the client's
 # encrypt -> decrypt -> noise budget / decode round, must not touch the
 # allocator for polynomial buffers (crates/he/tests/zero_alloc.rs).
 cargo test -q --release -p choco-he --test zero_alloc
@@ -159,7 +159,7 @@ echo "==> eval chaos: fault-isolated remote evaluation sweep"
 # retry loop that never converges.
 timeout 300 cargo test -q -p choco-apps --test chaos_eval
 
-echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd and par gates)"
+echo "==> kernel bench reporter (smoke mode + fusion, layer, simd and par gates)"
 # Besides the kernel timings, bench_kernels asserts that what is fused beats
 # its unfused twin by >= 1.5x: the double-hoisted matvec against the
 # per-rotation composition under BFV (set B) and CKKS (set C), the
@@ -191,13 +191,12 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, generic-core, simd 
 # timed and not gated. The 8-lane BLAKE3 kernels are raced against the
 # one-block scalar code after both give the same bytes: a 1 MiB XOF fill
 # (>= 2.0x) and the keyed tag over a set-A request's two seeded uploads
-# (>= 1.5x), gated whenever the AVX2 backend is active. It asserts that BFV's
-# scheme-generic HeScheme::dot_diagonals stays within noise (< 1.25x) of a
-# hand-inlined twin — the generic protocol core is monomorphized, so any
-# measurable gap is a regression (CKKS has no such twin any more: its
-# dot_diagonals is the three calls a hand copy would make). Every gated
-# ratio is the best of three interleaved windows per side, in smoke mode
-# too, where a window may hold a single iteration. Its simd section
+# (>= 1.5x), gated whenever the AVX2 backend is active. No generic-core gate
+# is left: each scheme's HeScheme::dot_diagonals is the calls a hand copy
+# would make (encode a diagonal per term, one dot_rotations_many, and a
+# CKKS rescale), so a hand-inlined twin would race the same calls. Every
+# gated ratio is the best of three interleaved windows per side, in smoke
+# mode too, where a window may hold a single iteration. Its simd section
 # times every vector kernel (forward NTT, inverse NTT, modular add, modular
 # sub; N = 4096 and 8192) against its scalar twin and fails on a ratio
 # < 1.0, and on a forward NTT whose better size reads < 2.0x, whenever the

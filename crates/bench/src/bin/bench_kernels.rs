@@ -3,7 +3,7 @@
 //! Times the kernels the runtime rework targets — strict vs. lazy NTT,
 //! BFV multiply, decrypt, noise budget and reply compression and the CKKS
 //! decode against their big-integer references, the BFV encrypt against its two-`mul_poly`
-//! spelling, naive vs. hoisted rotation batches, the diagonal-method matvec of both
+//! spelling, a batch of rotations, the diagonal-method matvec of both
 //! schemes through the per-rotation path and through the fused
 //! double-hoisted dot, the compiled-program executor on the two served
 //! programs that contain a dot group against the same program with every
@@ -15,11 +15,10 @@
 //! program on the warm executor, after checking the output against the
 //! plaintext convolution; that layer has no twin left to race.
 //! Every ratio the binary asserts on is taken from the best of three
-//! interleaved windows per side, in smoke mode too. It also times the
-//! scheme-generic [`HeScheme::dot_diagonals`] entry point against a
-//! hand-inlined twin for BFV, and fails (exit 1) if the trait indirection
-//! costs more than measurement noise — the generic core is monomorphized,
-//! so there is no dyn dispatch to pay for. A simd section
+//! interleaved windows per side, in smoke mode too. Ungated, it times the
+//! negacyclic NTT product at N = 1024, 4096 and 8192, a windowed rotation
+//! by rotational redundancy and by masked permutation (set B), and the CKKS
+//! encode, decrypt-and-decode, multiply and rotation (set C). A simd section
 //! times every kernel `choco_math::simd` vectorizes against its scalar twin
 //! and fails on one the vector code does not speed up, as well as the
 //! 8-lane BLAKE3 XOF and keyed hash against the one-block scalar code (at
@@ -53,6 +52,7 @@ use choco::compiler::{
 };
 use choco::linalg::{matvec_diagonals, replicate_for_matvec};
 use choco::protocol::Client;
+use choco::rotation::{windowed_rotate_masked, windowed_rotate_redundant};
 use choco::{RedundantLayout, StackedLayout};
 use choco_apps::circuits::{dnn_conv_program, pagerank_program};
 use choco_apps::dnn::{conv2d_plain_circular, conv_rotation_steps, ConvPacking};
@@ -281,40 +281,22 @@ fn matvec_naive(
 }
 
 /// Hoisted path: decompose once, permute per diagonal, and keep the whole
-/// multiply/accumulate in the NTT domain (`dot_rotations_plain`).
+/// multiply/accumulate in the NTT domain (`dot_rotations_many`, each
+/// plaintext encoded as an operand as its term arrives).
 fn matvec_hoisted(
     ctx: &BfvContext,
     ct: &Ciphertext,
     pts: &[Plaintext],
     gks: &GaloisKeys,
 ) -> Ciphertext {
-    let pairs: Vec<(i64, Plaintext)> = pts
+    let eval = ctx.evaluator();
+    let terms = pts
         .iter()
         .enumerate()
-        .map(|(d, p)| (d as i64, p.clone()))
-        .collect();
-    ctx.evaluator()
-        .dot_rotations_plain(ct, &pairs, gks)
+        .map(|(d, p)| Ok((d as i64, [eval.dot_operand(p)?])));
+    eval.dot_rotations_many(ct, 1, terms, gks)
         .unwrap()
-}
-
-/// Hand-inlined twin of `<Bfv as HeScheme>::dot_diagonals`: encode each
-/// diagonal, then the fused hoisted inner product. Any gap between this and
-/// the trait call is pure indirection cost.
-fn bfv_matvec_direct(
-    ctx: &BfvContext,
-    ct: &Ciphertext,
-    diagonals: &[(i64, Vec<u64>)],
-    gks: &GaloisKeys,
-) -> Ciphertext {
-    let encoder = ctx.batch_encoder().unwrap();
-    let pairs: Vec<(i64, Plaintext)> = diagonals
-        .iter()
-        .map(|(s, d)| (*s, encoder.encode(d).unwrap()))
-        .collect();
-    ctx.evaluator()
-        .dot_rotations_plain(ct, &pairs, gks)
-        .unwrap()
+        .remove(0)
 }
 
 /// The unfused CKKS composition: one full key switch per rotation, one
@@ -467,6 +449,29 @@ fn main() {
     record(&mut entries, window_ms, "ntt_inverse_strict", || {
         table.inverse_strict(black_box(&mut buf))
     });
+
+    header("kernel timings: NTT negacyclic product (55-bit prime)");
+    // Two forward transforms, a dyadic product and an inverse, at the three
+    // ring degrees the parameter sets and the tests use, and the forward
+    // transform at the smallest.
+    let mut nrng = Blake3Rng::from_seed(b"bench kernels negacyclic");
+    for (sz, name) in [
+        (1024usize, "ntt_negacyclic_mul_1k"),
+        (4096, "ntt_negacyclic_mul_4k"),
+        (8192, "ntt_negacyclic_mul_8k"),
+    ] {
+        let qs = generate_ntt_primes(55, sz, 1)[0];
+        let ts = NttTable::new(sz, qs).unwrap();
+        let mut a: Vec<u64> = (0..sz).map(|_| nrng.next_below(qs)).collect();
+        if sz == 1024 {
+            record(&mut entries, window_ms, "ntt_forward_1k", || {
+                ts.forward(black_box(&mut a))
+            });
+        }
+        record(&mut entries, window_ms, name, || {
+            black_box(ts.negacyclic_mul(black_box(&a), black_box(&a)));
+        });
+    }
 
     header(&format!(
         "simd kernels vs their scalar twins (backend: {})",
@@ -897,8 +902,28 @@ fn main() {
             black_box(eval.rotate_rows(black_box(&ct), s, &gks).unwrap());
         }
     });
-    record(&mut entries, window_ms, "rotations_hoisted", || {
-        black_box(eval.rotate_rows_many(black_box(&ct), &steps, &gks).unwrap());
+
+    header("kernel timings: windowed rotation by 3 in a 16-slot window (Figure 4)");
+    // Rotational redundancy (one rotation of a redundantly packed window)
+    // and the masked permutation it replaces (two rotations, two masks).
+    let layout = RedundantLayout::new(16, 4);
+    let window_gks = ctx
+        .galois_keys(keys.secret_key(), &[3, -13], &mut rng)
+        .unwrap();
+    let window: Vec<u64> = (1..=16).collect();
+    let mut encrypt = |values: &[u64]| {
+        let pt = encoder.encode(values).unwrap();
+        ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng)
+    };
+    let (ct_redundant, ct_window) = (encrypt(&layout.pack(&window)), encrypt(&window));
+    record(&mut entries, window_ms, "windowed_rotate_redundant", || {
+        let out =
+            windowed_rotate_redundant(&ctx, black_box(&ct_redundant), &layout, 3, &window_gks);
+        black_box(out.unwrap());
+    });
+    record(&mut entries, window_ms, "windowed_rotate_masked", || {
+        let out = windowed_rotate_masked(&ctx, black_box(&ct_window), 16, 3, &window_gks);
+        black_box(out.unwrap());
     });
 
     header("kernel timings: diagonal matvec (16 diagonals)");
@@ -913,21 +938,6 @@ fn main() {
         measure(window_ms, || f(&ctx, black_box(&ct), &pts, &gks))
     });
     let mv = record_twins(&mut entries, "matvec", ["hoisted", "naive"], timings);
-
-    header("kernel timings: generic scheme core vs hand-inlined (BFV set B)");
-    let diags_bfv: Vec<(i64, Vec<u64>)> = (0..cols as u64)
-        .map(|d| {
-            let diag: Vec<u64> = (0..params.degree() as u64).map(|i| (i + d) % 13).collect();
-            (d as i64, diag)
-        })
-        .collect();
-    let timings = best_of_three(|side| {
-        measure(window_ms, || match side {
-            0 => bfv_matvec_direct(&ctx, black_box(&ct), &diags_bfv, &gks),
-            _ => Bfv::dot_diagonals(&ctx, black_box(&ct), &diags_bfv, &gks).unwrap(),
-        })
-    });
-    let bfv_overhead = record_twins(&mut entries, "bfv_matvec", ["direct", "generic"], timings);
 
     header("DNN layer kernels, as `lenet_direct` calls them (BFV set B)");
     // conv2's shape: 4 input channels of 8x8, a 5x5 filter (25 taps), 8
@@ -1041,6 +1051,21 @@ fn main() {
     });
     let ckks_mv = record_twins(&mut entries, "ckks_matvec", ["fused", "naive"], timings);
 
+    header("kernel timings: CKKS ops (set C)");
+    let crk = cctx.relin_key(ckeys.secret_key(), &mut crng);
+    record(&mut entries, window_ms, "ckks_encode_c", || {
+        black_box(cctx.encode(black_box(&cvalues)).unwrap());
+    });
+    record(&mut entries, window_ms, "ckks_decrypt_decode_c", || {
+        black_box(cctx.decode(&cctx.decrypt(black_box(&cct), ckeys.secret_key())));
+    });
+    record(&mut entries, window_ms, "ckks_multiply_relin_c", || {
+        black_box(cctx.multiply_relin(black_box(&cct), &cct, &crk).unwrap());
+    });
+    record(&mut entries, window_ms, "ckks_rotate_c", || {
+        black_box(cctx.rotate(black_box(&cct), 1, &cgks).unwrap());
+    });
+
     header("compiled-program executor, warm: dot groups fused vs every node an output");
     // The two served programs that contain a dot group, at the parameters
     // `benchmark/` serves them with (`pagerank_remote`, `conv_batched`).
@@ -1144,9 +1169,6 @@ fn main() {
     let pt_a = ctx_a.batch_encoder().unwrap().encode(&vals_a).unwrap();
     let ct_a = ctx_a.encryptor(&pk_a).encrypt(&pt_a, &mut prng);
     let eval_a = ctx_a.evaluator();
-    let cts_a = vec![ct_a.clone(); 8];
-    let pts_a = vec![pt_a.clone(); 8];
-    let pairs_a: Vec<(i64, Plaintext)> = (0..8).map(|d| (d, pt_a.clone())).collect();
     let mut par_speedups: Vec<(String, f64)> = Vec::new();
     let mut site = |name: &str, f: &dyn Fn()| {
         let timings = pooled_and_seq(window_ms, f);
@@ -1170,11 +1192,11 @@ fn main() {
             &ks_basis,
         ));
     });
-    site("dot_plain", &|| {
-        black_box(eval_a.dot_plain(black_box(&cts_a), &pts_a).unwrap());
-    });
-    site("dot_rotations_plain", &|| {
-        let out = eval_a.dot_rotations_plain(black_box(&ct_a), &pairs_a, &gks_a);
+    // The fused dot as `HeScheme::dot_diagonals` drives it: each term's
+    // operand encoded as it arrives.
+    site("dot_rotations_many", &|| {
+        let terms = (0..8).map(|d| Ok((d, [eval_a.dot_operand(&pt_a)?])));
+        let out = eval_a.dot_rotations_many(black_box(&ct_a), 1, terms, &gks_a);
         black_box(out.unwrap());
     });
     // Shared hosts give and take cores by the minute: bracket the rows.
@@ -1182,11 +1204,9 @@ fn main() {
 
     let fwd = seconds_of(&entries, "ntt_forward_strict") / seconds_of(&entries, "ntt_forward_lazy");
     let inv = seconds_of(&entries, "ntt_inverse_strict") / seconds_of(&entries, "ntt_inverse_lazy");
-    let rot = seconds_of(&entries, "rotations_naive") / seconds_of(&entries, "rotations_hoisted");
     header("speedups (old / new)");
     println!("ntt_forward   {fwd:.2}x");
     println!("ntt_inverse   {inv:.2}x");
-    println!("rotations     {rot:.2}x");
     header("fusion speedups (unfused twin / fused; gate: every one >= 1.5x)");
     let fusion_speedups = [
         ("matvec_speedup", mv),
@@ -1310,25 +1330,12 @@ fn main() {
     } else {
         note("host ran the pool's threads at < 1.4x one thread: par gate skipped");
     }
-    header("generic-core overhead (generic / hand-inlined; gate: < 1.25x)");
-    println!("bfv_matvec    {bfv_overhead:.3}x");
-    note(&format!("worker threads: {threads}"));
-    // The gate: HeScheme::dot_diagonals is monomorphized, so anything past
-    // measurement noise means a real regression (accidental dyn dispatch,
-    // an extra clone on the hot path, ...). CKKS has no such twin: its
-    // dot_diagonals is the same three calls a hand copy would make.
-    assert!(
-        bfv_overhead < 1.25,
-        "generic BFV matvec is {bfv_overhead:.3}x the hand-inlined path (gate: < 1.25x)"
-    );
 
     if let Some(path) = json_path {
         let mut derived = vec![
             ("ntt_forward_speedup", fwd),
             ("ntt_inverse_speedup", inv),
             ("simd_ntt_speedup", simd_ntt_speedup),
-            ("rotation_speedup", rot),
-            ("bfv_generic_overhead", bfv_overhead),
             ("par_dispatch_us", par_dispatch_us),
             ("par_capacity", capacity),
         ];

@@ -52,22 +52,12 @@ pub fn timed_avg(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// A plain-std micro-benchmark runner (offline substitute for Criterion:
-/// the container cannot fetch external crates, and the regeneration
-/// binaries only need stable relative timings, not statistical rigor).
-///
-/// Warms the closure up, then auto-scales the iteration count so each
-/// measurement window runs ≥ `min_window_ms`, and prints the mean time per
-/// iteration. Results of the closure are passed through `std::hint::black_box`
-/// to keep the optimizer honest.
-pub fn bench<T>(name: &str, f: impl FnMut() -> T) {
-    let (per_iter, iters) = measure(200.0, f);
-    println!("{name:<40} {:>12} ({iters} iters)", time_str(per_iter));
-}
-
-/// Measures a closure like [`bench`] but returns the numbers instead of
-/// printing them: `(seconds_per_iter, iters)`. `min_window_ms` bounds the
-/// measurement window so smoke runs can stay fast.
+/// A plain-std micro-benchmark loop (offline substitute for Criterion: the
+/// build cannot fetch external crates, and the reporters only need stable
+/// relative timings, not statistical rigor). Warms the closure up, then
+/// auto-scales the iteration count so the measurement window runs ≥
+/// `min_window_ms`, passing every result through `std::hint::black_box`;
+/// returns `(seconds_per_iter, iters)`.
 pub fn measure<T>(min_window_ms: f64, mut f: impl FnMut() -> T) -> (f64, usize) {
     // Warm-up and initial calibration.
     let (_, first) = timed(|| std::hint::black_box(f()));
@@ -76,11 +66,6 @@ pub fn measure<T>(min_window_ms: f64, mut f: impl FnMut() -> T) -> (f64, usize) 
         std::hint::black_box(f());
     });
     (per_iter, iters)
-}
-
-/// Prints the bench-group banner.
-pub fn bench_group(name: &str) {
-    println!("\n--- bench group: {name} ---");
 }
 
 #[cfg(test)]

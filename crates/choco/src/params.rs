@@ -11,6 +11,7 @@
 
 use choco_he::params::{max_coeff_bits_128, HeParams};
 use choco_he::HeError;
+use choco_verify::NoiseModel;
 
 /// Per-round operation profile of a client-aided workload (what the server
 /// executes between two client noise refreshes).
@@ -58,21 +59,15 @@ pub fn required_plain_bits(profile: &WorkloadProfile) -> u32 {
     (2 * profile.quant_bits + acc_bits + 1).max(13)
 }
 
-/// Estimates the noise-budget bits one round of the profile consumes on a
-/// degree-`n` ring with plaintext modulus of `t_bits` bits.
-///
-/// Model (matching the measured behaviour of `choco-he`):
-/// * fresh invariant noise ≈ `log2(6σ·√(2N))` bits,
-/// * each plaintext multiply (weights or masks) adds `t_bits + log2(√2N)`,
-/// * each rotation adds ~2 bits, each doubling of fan-in 1 bit.
-pub fn round_noise_bits(profile: &WorkloadProfile, n: usize, t_bits: u32) -> f64 {
-    let half_log_2n = 0.5 * (2.0 * n as f64).log2();
-    let fresh = (6.0 * 3.2f64).log2() + half_log_2n;
-    let per_mult = t_bits as f64 + half_log_2n;
+/// Estimates the noise-budget bits one round of the profile consumes under
+/// the verifier's BFV cost model: a fresh ciphertext's noise, one
+/// plaintext multiply per weight and per mask, [`NoiseModel::ROTATE_BITS`]
+/// per rotation and [`NoiseModel::ADD_BITS`] per doubling of fan-in.
+pub fn round_noise_bits(profile: &WorkloadProfile, model: &NoiseModel) -> f64 {
     let mults = (profile.plain_mults + profile.masked_permutes) as f64;
-    let rot = 2.0 * profile.rotations as f64;
-    let acc = (profile.accumulations.max(1) as f64).log2();
-    fresh + mults * per_mult + rot + acc
+    let rot = NoiseModel::ROTATE_BITS * profile.rotations as f64;
+    let acc = NoiseModel::ADD_BITS * (profile.accumulations.max(1) as f64).log2();
+    model.fresh_bits() + mults * model.plain_mult_bits() + rot + acc
 }
 
 /// Candidate coefficient-modulus chains per degree, smallest ciphertext
@@ -123,18 +118,12 @@ pub fn select_bfv_params(
             if total > max_bits {
                 continue;
             }
-            // Data modulus excludes the special prime.
-            let data_bits: u32 = if chain.len() > 1 {
-                chain[..chain.len() - 1].iter().sum()
-            } else {
-                chain[0]
-            };
-            let demand = rounds_between_refresh as f64 * round_noise_bits(profile, n, t_bits);
-            let budget = data_bits as f64 - t_bits as f64 - 1.0;
-            if budget <= demand {
+            let params = HeParams::bfv(n, &chain, t_bits)?;
+            let model = NoiseModel::from_params(&params);
+            let demand = rounds_between_refresh as f64 * round_noise_bits(profile, &model);
+            if model.budget_bits() <= demand {
                 continue;
             }
-            let params = HeParams::bfv(n, &chain, t_bits)?;
             let better = match &best {
                 None => true,
                 Some(b) => params.ciphertext_bytes() < b.ciphertext_bytes(),
@@ -175,8 +164,13 @@ mod tests {
         let choco = WorkloadProfile::choco_conv(64);
         let masked = WorkloadProfile::masked_conv(64);
         let t = required_plain_bits(&choco);
-        let a = round_noise_bits(&choco, 8192, t);
-        let b = round_noise_bits(&masked, 8192, t);
+        let model = NoiseModel {
+            n: 8192,
+            t_bits: t,
+            data_bits: 0,
+        };
+        let a = round_noise_bits(&choco, &model);
+        let b = round_noise_bits(&masked, &model);
         // Two extra plaintext multiplies ≈ 2·(t_bits + 7) more bits.
         assert!(b - a > 2.0 * t as f64, "masked {b} vs choco {a}");
     }

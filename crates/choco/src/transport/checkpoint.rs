@@ -46,7 +46,10 @@ const MAGIC: [u8; 4] = *b"CKP1";
 /// wire, so a version-3 fingerprint could never match; 5: no refresh floor
 /// and no refresh-round count; 6: keygen stops drawing the public key, so
 /// the relinearization key a seed derives moved and a version-5 fingerprint
-/// could never match).
+/// could never match). A BFV key set no longer carrying the column-swap key
+/// left it at 6: that key was drawn last, so a version-6 blob written with
+/// it has the same seed, steps and fingerprint, and its client RNG position
+/// is past what provisioning now draws, where resume fast-forwards to it.
 const VERSION: u16 = 6;
 /// BLAKE3 seal and key fingerprint length.
 const HASH_BYTES: usize = 32;

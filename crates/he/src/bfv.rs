@@ -21,7 +21,7 @@
 
 use crate::batch::BatchEncoder;
 use crate::error::HeError;
-use crate::keyswitch::{galois_element_columns, galois_element_rows};
+use crate::keyswitch::galois_element_rows;
 use crate::params::{HeParams, SchemeType};
 use crate::rlwe::{
     self, DotOperand, GaloisKeys, KeyBundle, MaskSeed, PublicKey, RelinKey, SecretKey,
@@ -29,7 +29,6 @@ use crate::rlwe::{
 use crate::rnspoly::RnsPoly;
 use crate::serialize;
 use choco_math::modops::{inv_mod, inv_mod_pow2, mul_mod_shoup, shoup_precompute, Barrett};
-use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::try_generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
@@ -746,8 +745,9 @@ impl BfvContext {
         Ok(rlwe::relin_key(sk, &self.full, &self.data, rng))
     }
 
-    /// Generates Galois keys for the given rotation steps (rows) plus the
-    /// column swap.
+    /// Generates Galois keys for the given row-rotation steps and nothing
+    /// else: one key per distinct rotation, drawn in ascending order of Galois
+    /// element.
     ///
     /// # Errors
     ///
@@ -761,19 +761,15 @@ impl BfvContext {
         rng: &mut Blake3Rng,
     ) -> Result<GaloisKeys, HeError> {
         self.require_special_prime()?;
-        let mut elements = self.row_elements(steps)?;
-        elements.push(galois_element_columns(self.degree()));
+        let n = self.degree();
+        let mut elements = steps
+            .iter()
+            .map(|&s| galois_element_rows(s, n))
+            .collect::<Result<Vec<_>, _>>()?;
         elements.sort_unstable();
-        elements.dedup();
         Ok(rlwe::galois_keys(
             sk, &elements, &self.full, &self.data, rng,
         ))
-    }
-
-    /// The Galois element of each row-rotation step.
-    fn row_elements(&self, steps: &[i64]) -> Result<Vec<u64>, HeError> {
-        let n = self.degree();
-        steps.iter().map(|&s| galois_element_rows(s, n)).collect()
     }
 
     fn require_special_prime(&self) -> Result<(), HeError> {
@@ -1000,21 +996,6 @@ impl Evaluator<'_> {
         Ok(a.evaluated(parts))
     }
 
-    /// Negation.
-    pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
-        let data = &*self.ctx.data;
-        let parts = a
-            .parts
-            .iter()
-            .map(|p| {
-                let mut p = p.clone();
-                p.neg_assign_poly(data);
-                p
-            })
-            .collect();
-        a.evaluated(parts)
-    }
-
     /// Adds a plaintext: `c0 += Δ·m`.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let ctx = self.ctx;
@@ -1166,121 +1147,11 @@ impl Evaluator<'_> {
         self.relinearize(&prod, rk)
     }
 
-    /// Rotates batched rows by each of `steps` (positive = left) from the
-    /// same input, sharing one hoisted decomposition across all rotations
-    /// ([`rlwe::apply_galois_many`]) — the fast path for diagonal-method
-    /// matvec and rotate-reduce kernels.
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::rotate_rows`], for any of the steps.
-    pub fn rotate_rows_many(
-        &self,
-        a: &Ciphertext,
-        steps: &[i64],
-        gk: &GaloisKeys,
-    ) -> Result<Vec<Ciphertext>, HeError> {
-        let ctx = self.ctx;
-        let elements = ctx.row_elements(steps)?;
-        let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, &ctx.full, &ctx.data)?;
-        Ok(rotated
-            .into_iter()
-            .map(|parts| a.evaluated(parts))
-            .collect())
-    }
-
-    /// Inner product against plaintext vectors: `Σ_i ct_i · pt_i` computed
-    /// with a single NTT-domain accumulation — one forward transform per
-    /// ciphertext row and one inverse per output row, instead of the
-    /// forward+inverse per term that `multiply_plain`+`add` chains pay.
-    /// The result is bit-identical to that chain (all arithmetic is exact).
-    ///
-    /// # Errors
-    ///
-    /// [`HeError::Mismatch`] on empty or unequal-length inputs or mixed
-    /// levels; [`HeError::InvalidCiphertext`] unless every ciphertext has 2
-    /// components.
-    pub fn dot_plain(&self, cts: &[Ciphertext], pts: &[Plaintext]) -> Result<Ciphertext, HeError> {
-        if cts.is_empty() || cts.len() != pts.len() {
-            return Err(HeError::Mismatch(format!(
-                "dot_plain needs matching non-empty inputs ({} cts, {} pts)",
-                cts.len(),
-                pts.len()
-            )));
-        }
-        if cts.iter().any(|c| c.size() != 2) {
-            return Err(HeError::InvalidCiphertext(
-                "dot_plain requires 2-component ciphertexts".into(),
-            ));
-        }
-        let rows = cts[0].parts[0].row_count();
-        if cts.iter().any(|c| c.parts[0].row_count() != rows) {
-            return Err(HeError::Mismatch("dot_plain inputs at mixed levels".into()));
-        }
-        let ctx = self.ctx;
-        let basis = &*ctx.level_bases[rows - 1];
-        let n = ctx.degree();
-        if pts.iter().any(|p| p.coeffs().len() != n) {
-            return Err(HeError::Mismatch("plaintext degree mismatch".into()));
-        }
-        let acc: Vec<(Vec<u64>, Vec<u64>)> = par::par_map_range(rows, |i| {
-            let r = Barrett::new(basis.primes()[i]);
-            let table = &basis.ntt_tables()[i];
-            // Raw u128 accumulation: products stay below 2^122, so 32 terms
-            // fit before a lazy reduction. The modular sum is unique, so the
-            // result is bit-identical to a multiply_plain/add chain.
-            let mut acc0 = PolyPool::take_zeroed_u128(n);
-            let mut acc1 = PolyPool::take_zeroed_u128(n);
-            let mut ct_ntt = PolyPool::take_scratch(n);
-            let mut pt_ntt = PolyPool::take_scratch(n);
-            for (term, (ct, pt)) in cts.iter().zip(pts).enumerate() {
-                if term > 0 && term % 32 == 0 {
-                    for v in acc0.iter_mut().chain(acc1.iter_mut()) {
-                        *v = r.reduce(*v) as u128;
-                    }
-                }
-                for (dst, &coeff) in pt_ntt.iter_mut().zip(pt.coeffs()) {
-                    *dst = r.reduce_u64(coeff);
-                }
-                table.forward(&mut pt_ntt);
-                for (part, acc) in ct.parts.iter().zip([&mut acc0, &mut acc1]) {
-                    ct_ntt.copy_from_slice(part.row(i));
-                    table.forward(&mut ct_ntt);
-                    for ((slot, &cv), &pv) in acc.iter_mut().zip(&ct_ntt).zip(&pt_ntt) {
-                        *slot += cv as u128 * pv as u128;
-                    }
-                }
-            }
-            let reduce = |acc: Vec<u128>| -> Vec<u64> {
-                let mut out = PolyPool::take_scratch(acc.len());
-                for (x, &v) in out.iter_mut().zip(&acc) {
-                    *x = r.reduce(v);
-                }
-                PolyPool::recycle_u128(acc);
-                out
-            };
-            let mut acc0 = reduce(acc0);
-            let mut acc1 = reduce(acc1);
-            table.inverse(&mut acc0);
-            table.inverse(&mut acc1);
-            PolyPool::recycle(ct_ntt);
-            PolyPool::recycle(pt_ntt);
-            (acc0, acc1)
-        });
-        let (rows0, rows1): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
-        Ok(Ciphertext {
-            parts: vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)],
-            moduli: basis.primes().into(),
-            seed: None,
-            reply: None,
-        })
-    }
-
     /// Encodes a plaintext as a fused-dot factor: its coefficients reduced
     /// into every prime of the full basis (data primes and the special
     /// prime), in the evaluation domain. Do this once for a plaintext that
     /// meets many ciphertexts and hand the result to
-    /// [`Evaluator::dot_rotations`].
+    /// [`Evaluator::dot_rotations_many`].
     ///
     /// # Errors
     ///
@@ -1298,74 +1169,31 @@ impl Evaluator<'_> {
         }))
     }
 
-    /// Fused rotate-and-dot: computes `Σ_k rotate_rows(a, s_k) ⊙ pt_k`
-    /// (step 0 meaning `a` itself) with the double-hoisted kernel both
-    /// schemes share, [`rlwe::dot_galois`]: one key-switch decomposition of
-    /// `a` for every rotation, one rounded `mod_down` for the whole sum.
-    /// Operands are encoded one term at a time; a caller that reuses its
-    /// plaintexts encodes them once with [`Evaluator::dot_operand`] and
-    /// calls [`Evaluator::dot_rotations`].
+    /// Fused rotate-and-dot, for one output or several over the *same*
+    /// rotations of `a`: each term carries one operand per output, and
+    /// output `o` is `Σ_k rotate_rows(a, s_k) ⊙ operand_{k,o}` (step 0
+    /// meaning `a` itself). It runs the double-hoisted kernel both schemes
+    /// share, [`rlwe::dot_galois`]: one key-switch decomposition of `a` for
+    /// every rotation, one rounded `mod_down` per output for the whole sum,
+    /// and every rotation's key switch paid once however many outputs weigh
+    /// it. Each output is, bit for bit, what the same call with that
+    /// output's operands alone returns. The shape of a convolution layer:
+    /// the taps shift one resident input, every output channel weighs them
+    /// differently.
     ///
     /// Decrypts to exactly the same plaintext as the equivalent
     /// `rotate_rows` / `multiply_plain` / `add` chain, with *less* noise:
     /// one key-switch rounding for the sum instead of one scaled by each
-    /// `pt_k` (the ciphertext bits differ for that reason).
+    /// operand (the ciphertext bits differ for that reason).
     ///
     /// # Errors
     ///
-    /// Returns [`HeError::Mismatch`] for empty input, plaintext length
-    /// mismatches or a modulus-switched input,
+    /// Returns [`HeError::Mismatch`] for no terms, no outputs, a term whose
+    /// operand count is not `outputs` or a modulus-switched input,
     /// [`HeError::InvalidCiphertext`] unless `a` has exactly two
     /// components, [`HeError::InvalidParameters`] for a step that names no
-    /// rotation, and [`HeError::MissingGaloisKey`] when a step's key is
-    /// absent from `gk`.
-    pub fn dot_rotations_plain(
-        &self,
-        a: &Ciphertext,
-        pairs: &[(i64, Plaintext)],
-        gk: &GaloisKeys,
-    ) -> Result<Ciphertext, HeError> {
-        let terms = pairs
-            .iter()
-            .map(|(step, pt)| Ok((*step, self.dot_operand(pt)?)));
-        self.dot_rotations(a, terms, gk)
-    }
-
-    /// [`Evaluator::dot_rotations_plain`] over already-encoded operands
-    /// (owned or borrowed), drawn from an iterator: the one-output case of
-    /// [`Evaluator::dot_rotations_many`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::dot_rotations_plain`], plus the first error the
-    /// iterator yields.
-    pub fn dot_rotations<O: Borrow<DotOperand>>(
-        &self,
-        a: &Ciphertext,
-        terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
-        gk: &GaloisKeys,
-    ) -> Result<Ciphertext, HeError> {
-        let terms = terms
-            .into_iter()
-            .map(|term| term.map(|(step, operand)| (step, [operand])));
-        self.dot_rotations_many(a, 1, terms, gk)?
-            .pop()
-            .ok_or_else(|| HeError::Mismatch("a fused dot needs an output".into()))
-    }
-
-    /// Several fused rotate-and-dots over the *same* rotations of `a` in one
-    /// pass: each term carries one operand per output, and output `o` is
-    /// `Σ_k rotate_rows(a, s_k) ⊙ operand_{k,o}` — bit for bit what
-    /// [`Evaluator::dot_rotations`] returns for that output's operands
-    /// alone, with every rotation's key switch paid once instead of once
-    /// per output ([`rlwe::dot_galois`]). The shape of a convolution layer:
-    /// the taps shift one resident input, every output channel weighs them
-    /// differently.
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::dot_rotations`]; a term whose operand count is not
-    /// `outputs`, or `outputs == 0`, is [`HeError::Mismatch`].
+    /// rotation, [`HeError::MissingGaloisKey`] when a step's key is absent
+    /// from `gk`, and the first error the iterator yields.
     pub fn dot_rotations_many<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         &self,
         a: &Ciphertext,
@@ -1435,15 +1263,6 @@ impl Evaluator<'_> {
         gk: &GaloisKeys,
     ) -> Result<Ciphertext, HeError> {
         self.galois(a, galois_element_rows(steps, self.ctx.degree())?, gk)
-    }
-
-    /// Swaps the two batched rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::rotate_rows`], less the step check.
-    pub fn rotate_columns(&self, a: &Ciphertext, gk: &GaloisKeys) -> Result<Ciphertext, HeError> {
-        self.galois(a, galois_element_columns(self.ctx.degree()), gk)
     }
 }
 
@@ -1605,7 +1424,7 @@ mod tests {
         let out = ctx.decryptor(keys.secret_key()).decrypt(&diff);
         assert!(out.coeffs().iter().all(|&c| c == 7));
 
-        let neg = ctx.evaluator().negate(&diff);
+        let neg = ctx.evaluator().sub(&cb, &with_plain).unwrap();
         let out = ctx.decryptor(keys.secret_key()).decrypt(&neg);
         assert!(out.coeffs().iter().all(|&c| c == t - 7));
     }

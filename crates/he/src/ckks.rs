@@ -292,7 +292,7 @@ impl CkksContext {
     /// the same integer polynomial [`CkksContext::encode_at`] produces at the
     /// default scale, reduced into the level's *key-switch* basis (data
     /// primes and the special prime) and taken to the evaluation domain.
-    /// Feed the result to [`CkksContext::dot_rotations`].
+    /// Feed the result to [`CkksContext::dot_rotations_many`].
     ///
     /// # Errors
     ///
@@ -414,14 +414,12 @@ impl CkksContext {
         rng: &mut Blake3Rng,
     ) -> Result<GaloisKeys, HeError> {
         let top = self.level_basis(self.top_level());
-        let elements = self.slot_elements(steps)?;
-        Ok(rlwe::galois_keys(sk, &elements, &self.full, top, rng))
-    }
-
-    /// The Galois element of each slot-rotation step.
-    fn slot_elements(&self, steps: &[i64]) -> Result<Vec<u64>, HeError> {
         let n = self.degree();
-        steps.iter().map(|&s| galois_element_ckks(s, n)).collect()
+        let elements = steps
+            .iter()
+            .map(|&s| galois_element_ckks(s, n))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(rlwe::galois_keys(sk, &elements, &self.full, top, rng))
     }
 
     /// Refuses a plaintext below the top level: encryption starts there.
@@ -676,67 +674,25 @@ impl CkksContext {
         Ok(a.evaluated(parts, a.scale))
     }
 
-    /// Rotates the same ciphertext by many step counts with one shared
-    /// ("hoisted") decomposition of `c1` ([`rlwe::apply_galois_many`]) — the
-    /// fast path for CKKS diagonal-method matvec. Each output decrypts
-    /// identically to [`CkksContext::rotate`] with the same noise growth.
-    ///
-    /// # Errors
-    ///
-    /// As [`CkksContext::rotate`], for any of the steps.
-    pub fn rotate_many(
-        &self,
-        a: &CkksCiphertext,
-        steps: &[i64],
-        gk: &GaloisKeys,
-    ) -> Result<Vec<CkksCiphertext>, HeError> {
-        let elements = self.slot_elements(steps)?;
-        let (ks_basis, basis) = (&self.ks_bases[a.level() - 1], self.level_basis(a.level()));
-        let rotated = rlwe::apply_galois_many(&a.parts, &elements, gk, ks_basis, basis)?;
-        Ok(rotated
-            .into_iter()
-            .map(|parts| a.evaluated(parts, a.scale))
-            .collect())
-    }
-
-    /// Fused rotate-and-dot: `Σ_k rotate(a, s_k) ⊙ m_k` (step 0 meaning `a`
+    /// Fused rotate-and-dot, for one output or several over the *same*
+    /// rotations of `a`: each term carries one operand per output, and
+    /// output `o` is `Σ_k rotate(a, s_k) ⊙ m_{k,o}` (step 0 meaning `a`
     /// itself) over operands from [`CkksContext::dot_operand`] at `a`'s
-    /// level, through the double-hoisted kernel both schemes share
+    /// level. It runs the double-hoisted kernel both schemes share
     /// ([`rlwe::dot_galois`]): one key-switch decomposition for every
-    /// rotation, one key-switch rounding for the whole sum. Like
-    /// [`CkksContext::multiply_plain`] it does not rescale: the result is at
-    /// `a`'s level with scale `a.scale · default_scale`. The one-output case
-    /// of [`CkksContext::dot_rotations_many`].
+    /// rotation, one key-switch rounding per output for the whole sum, and
+    /// every rotation's key switch paid once however many outputs weigh it.
+    /// Each output is, bit for bit, what the same call with that output's
+    /// operands alone returns. Like [`CkksContext::multiply_plain`] it does
+    /// not rescale: every output is at `a`'s level with scale
+    /// `a.scale · default_scale`.
     ///
     /// # Errors
     ///
-    /// As [`CkksContext::rotate`] for any nonzero step, [`HeError::Mismatch`]
-    /// for no terms or an operand encoded for another level, and the first
-    /// error the iterator yields.
-    pub fn dot_rotations<O: Borrow<DotOperand>>(
-        &self,
-        a: &CkksCiphertext,
-        terms: impl IntoIterator<Item = Result<(i64, O), HeError>>,
-        gk: &GaloisKeys,
-    ) -> Result<CkksCiphertext, HeError> {
-        let terms = terms
-            .into_iter()
-            .map(|term| term.map(|(step, operand)| (step, [operand])));
-        self.dot_rotations_many(a, 1, terms, gk)?
-            .pop()
-            .ok_or_else(|| HeError::Mismatch("a fused dot needs an output".into()))
-    }
-
-    /// Several fused rotate-and-dots over the *same* rotations of `a` in one
-    /// pass: each term carries one operand per output, and output `o` is,
-    /// bit for bit, what [`CkksContext::dot_rotations`] returns for that
-    /// output's operands alone — every rotation's key switch is paid once
-    /// instead of once per output.
-    ///
-    /// # Errors
-    ///
-    /// As [`CkksContext::dot_rotations`]; a term whose operand count is not
-    /// `outputs`, or `outputs == 0`, is [`HeError::Mismatch`].
+    /// As [`CkksContext::rotate`] for any nonzero step; [`HeError::Mismatch`]
+    /// for no terms, no outputs, a term whose operand count is not `outputs`
+    /// or an operand encoded for another level; and the first error the
+    /// iterator yields.
     pub fn dot_rotations_many<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         &self,
         a: &CkksCiphertext,

@@ -162,7 +162,13 @@ pub fn apply_ksk(
     level_basis: &RnsBasis,
 ) -> (RnsPoly, RnsPoly) {
     let hoisted = hoist_decompose(d_poly, ks_basis, level_basis);
-    apply_ksk_hoisted(&hoisted, None, ksk, ks_basis, level_basis)
+    let (mut acc0, mut acc1) = hoisted_accumulate(&hoisted, None, ksk, ks_basis);
+    acc0.ntt_inverse(ks_basis);
+    acc1.ntt_inverse(ks_basis);
+    (
+        mod_down(&acc0, ks_basis, level_basis),
+        mod_down(&acc1, ks_basis, level_basis),
+    )
 }
 
 /// The NTT-form decomposition digits of a key-switch input, computed once
@@ -188,7 +194,7 @@ impl HoistedDigits {
 
 /// Decomposes `d_poly` into NTT-form digits over `ks_basis` (the expensive
 /// half of key switching: `level · (level+1)` modular reductions + forward
-/// NTTs). The result feeds [`apply_ksk_hoisted`] any number of times.
+/// NTTs). The result feeds [`hoisted_accumulate`] any number of times.
 pub fn hoist_decompose(
     d_poly: &RnsPoly,
     ks_basis: &RnsBasis,
@@ -223,31 +229,6 @@ pub fn hoist_decompose(
         RnsPoly::from_rows(rows)
     });
     HoistedDigits { digits, level }
-}
-
-/// Applies a key-switching key to pre-decomposed digits, optionally
-/// permuting each digit by a Galois NTT permutation first (`perm = None`
-/// reproduces [`apply_ksk`] bit-for-bit).
-///
-/// With `Some(perm)` for the automorphism `x → x^e`, the permuted digits
-/// are the RNS residues of the *signed* Galois image of each digit (sign
-/// flips act as negation modulo every prime consistently), so the result is
-/// a valid key-switch of the rotated input with the same noise bound as the
-/// naive decompose-after-rotate path — the digit magnitudes are unchanged.
-pub fn apply_ksk_hoisted(
-    hoisted: &HoistedDigits,
-    perm: Option<&[usize]>,
-    ksk: &KswitchKey,
-    ks_basis: &RnsBasis,
-    level_basis: &RnsBasis,
-) -> (RnsPoly, RnsPoly) {
-    let (mut acc0, mut acc1) = hoisted_accumulate(hoisted, perm, ksk, ks_basis);
-    acc0.ntt_inverse(ks_basis);
-    acc1.ntt_inverse(ks_basis);
-    (
-        mod_down(&acc0, ks_basis, level_basis),
-        mod_down(&acc1, ks_basis, level_basis),
-    )
 }
 
 /// Shared digit-MAC core of the hoisted key-switch paths: accumulates
@@ -407,11 +388,6 @@ fn rotation_element(generator: u64, steps: i64, n: usize) -> Result<u64, HeError
 /// [`HeError::InvalidParameters`] if `steps == 0` or `|steps| >= n/2`.
 pub fn galois_element_rows(steps: i64, n: usize) -> Result<u64, HeError> {
     rotation_element(3, steps, n)
-}
-
-/// The Galois element for the row-swap (column rotation): `2N − 1`.
-pub fn galois_element_columns(n: usize) -> u64 {
-    2 * n as u64 - 1
 }
 
 /// The Galois element for a CKKS slot rotation by `steps`: `5^steps mod 2N`.
@@ -630,7 +606,6 @@ mod tests {
             assert_eq!(e % 2, 1);
             assert!(e < 2 * n as u64);
         }
-        assert_eq!(galois_element_columns(n), 2 * n as u64 - 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (`c = (P0·u + e1 + msg, P1·u + e2)` under `(−(a·s + e), a)`, built on
 //! request by [`public_key`]) stays for the reports that price it, and
 //! every evaluation-key
-//! operation — Galois automorphism, hoisted multi-rotation, the fused
+//! operation — Galois automorphism ([`apply_galois`]), the fused
 //! double-hoisted rotate-and-dot ([`dot_galois`]: one output, or several
 //! sharing every rotation's key switch), relinearization — is a key switch
 //! over a `(ks_basis, basis)` pair. This module holds that
@@ -44,8 +44,8 @@
 
 use crate::error::HeError;
 use crate::keyswitch::{
-    apply_ksk, apply_ksk_hoisted, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt,
-    HoistedDigits, KswitchKey,
+    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt, HoistedDigits,
+    KswitchKey,
 };
 use crate::rnspoly::{self, RnsPoly};
 use choco_math::modops::{add_mod, Barrett};
@@ -414,42 +414,6 @@ pub fn apply_galois(
     let mut c0 = c0.galois(element, basis);
     c0.add_assign_poly(&k0, basis);
     Ok(vec![c0, k1])
-}
-
-/// Applies many Galois automorphisms to the *same* ciphertext with one
-/// shared ("hoisted") decomposition: the expensive digit decomposition +
-/// forward NTTs of `c1` run once, and each element costs only a cheap
-/// NTT-domain permutation plus multiply-accumulate against its key.
-///
-/// The outputs decrypt identically to [`apply_galois`] on each element,
-/// with the same noise growth (the permuted digits have the same magnitudes
-/// as freshly decomposed ones).
-///
-/// # Errors
-///
-/// As [`apply_galois`], for any of the elements.
-pub fn apply_galois_many(
-    parts: &[RnsPoly],
-    elements: &[u64],
-    gk: &GaloisKeys,
-    ks_basis: &RnsBasis,
-    basis: &RnsBasis,
-) -> Result<Vec<Vec<RnsPoly>>, HeError> {
-    let (c0, c1) = two_parts(parts, basis)?;
-    let n = basis.degree();
-    // Decompose c1 once; every element below reuses these digits.
-    let hoisted = hoist_decompose(c1, ks_basis, basis);
-    elements
-        .iter()
-        .map(|&element| {
-            let ksk = gk.key_for(element)?;
-            let perm = galois_ntt_permutation(n, element);
-            let (k0, k1) = apply_ksk_hoisted(&hoisted, Some(&perm), ksk, ks_basis, basis);
-            let mut c0 = c0.galois(element, basis);
-            c0.add_assign_poly(&k0, basis);
-            Ok(vec![c0, k1])
-        })
-        .collect()
 }
 
 /// The Galois element of the identity automorphism: a [`dot_galois`] term

@@ -216,8 +216,10 @@ pub trait HeScheme: Sized + std::fmt::Debug + 'static {
 
     /// Fused diagonal dot kernel: `Σ_k rot(ct, shift_k) ⊙ diag_k` through
     /// the one double-hoisted kernel both schemes share
-    /// ([`crate::rlwe::dot_galois`]); CKKS rescales the sum once. The
-    /// workhorse of the diagonal-method matvec.
+    /// ([`crate::rlwe::dot_galois`]): one call to the scheme's
+    /// `dot_rotations_many` with one output, each diagonal encoded as its
+    /// term arrives; CKKS rescales the sum once. The workhorse of the
+    /// diagonal-method matvec.
     ///
     /// # Errors
     ///
@@ -312,6 +314,14 @@ fn check_key_moduli(rk: &RelinKey, gk: &GaloisKeys, params: &HeParams) -> Result
     Err(HeError::Mismatch(format!(
         "{which} not over the parameter set's moduli {primes:?} at degree {n}"
     )))
+}
+
+/// The ciphertext a one-output fused dot (`dot_rotations_many(ct, 1, …)`)
+/// returns.
+fn one_output<C>(mut outputs: Vec<C>) -> Result<C, HeError> {
+    outputs
+        .pop()
+        .ok_or_else(|| HeError::Mismatch("a fused dot needs an output".into()))
 }
 
 /// Marker for the exact integer scheme (BFV).
@@ -459,12 +469,12 @@ impl HeScheme for Bfv {
         diagonals: &[(i64, Vec<u64>)],
         gk: &GaloisKeys,
     ) -> Result<bfv::Ciphertext, HeError> {
-        let encoder = ctx.batch_encoder()?;
-        let pairs: Vec<(i64, bfv::Plaintext)> = diagonals
+        let (encoder, eval) = (ctx.batch_encoder()?, ctx.evaluator());
+        // One operand alive at a time.
+        let terms = diagonals
             .iter()
-            .map(|(shift, diag)| Ok((*shift, encoder.encode(diag)?)))
-            .collect::<Result<_, HeError>>()?;
-        ctx.evaluator().dot_rotations_plain(ct, &pairs, gk)
+            .map(|(shift, diag)| Ok((*shift, [eval.dot_operand(&encoder.encode(diag)?)?])));
+        one_output(eval.dot_rotations_many(ct, 1, terms, gk)?)
     }
 
     fn quantize(ctx: &BfvContext, values: &[f64], scale_bits: u32, depth: u32) -> Vec<u64> {
@@ -628,8 +638,8 @@ impl HeScheme for Ckks {
         // One operand alive at a time; one rescale for the whole dot.
         let terms = diagonals
             .iter()
-            .map(|(shift, diag)| Ok((*shift, ctx.dot_operand(diag, ct.level())?)));
-        ctx.rescale(&ctx.dot_rotations(ct, terms, gk)?)
+            .map(|(shift, diag)| Ok((*shift, [ctx.dot_operand(diag, ct.level())?])));
+        ctx.rescale(&one_output(ctx.dot_rotations_many(ct, 1, terms, gk)?)?)
     }
 
     fn quantize(_ctx: &CkksContext, values: &[f64], _scale_bits: u32, _depth: u32) -> Vec<f64> {

@@ -3,8 +3,11 @@
 
 use choco_he::bfv::{BfvContext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
+use choco_he::keyswitch::galois_element_rows;
 use choco_he::params::HeParams;
+use choco_he::rlwe;
 use choco_he::HeError;
+use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 
 fn ctx() -> BfvContext {
@@ -101,13 +104,23 @@ fn galois_keys_report_their_elements() {
     let mut rng = Blake3Rng::from_seed(b"gk");
     let keys = ctx.keygen(&mut rng);
     let gks = ctx
-        .galois_keys(keys.secret_key(), &[1, 2], &mut rng)
+        .galois_keys(keys.secret_key(), &[1, 3, -2], &mut rng)
         .unwrap();
-    let elements = gks.elements();
-    // Two rotation elements plus the column-swap element 2N−1.
-    assert_eq!(elements.len(), 3);
-    assert!(elements.contains(&(2 * ctx.degree() as u64 - 1)));
+    // Exactly the three rotations asked for: no column-swap key rides along.
+    let n = ctx.degree();
+    let mut want: Vec<u64> = [1, 3, -2]
+        .map(|s| galois_element_rows(s, n).unwrap())
+        .into();
+    want.sort_unstable();
+    assert_eq!(gks.elements(), want);
     assert!(gks.size_bytes() > 0);
+    // So the column swap (the automorphism 2N − 1) has no key to use.
+    let pt = Plaintext::from_coeffs(vec![1; n]);
+    let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
+    let full = RnsBasis::new(n, ctx.params().primes()).unwrap();
+    let parts = [ct.part(0).clone(), ct.part(1).clone()];
+    let swap = rlwe::apply_galois(&parts, 2 * n as u64 - 1, &gks, &full, ctx.data_basis());
+    assert!(matches!(swap, Err(HeError::MissingGaloisKey(_))));
 }
 
 #[test]
@@ -119,7 +132,12 @@ fn missing_galois_key_is_a_clean_error() {
     let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
     let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     // Step 3 was never provisioned.
-    let err = ctx.evaluator().rotate_rows(&ct, 3, &gks).unwrap_err();
+    let eval = ctx.evaluator();
+    let err = eval.rotate_rows(&ct, 3, &gks).unwrap_err();
+    assert!(matches!(err, HeError::MissingGaloisKey(_)));
+    let op = eval.dot_operand(&pt).unwrap();
+    let terms = [(1, [&op]), (3, [&op])].map(Ok);
+    let err = eval.dot_rotations_many(&ct, 1, terms, &gks).unwrap_err();
     assert!(matches!(err, HeError::MissingGaloisKey(_)));
 }
 
@@ -224,20 +242,18 @@ fn out_of_range_rotation_steps_are_clean_errors_bfv() {
     let pt = Plaintext::from_coeffs(vec![1; ctx.degree()]);
     let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
+    let op = eval.dot_operand(&pt).unwrap();
     let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
     for step in BAD_STEPS {
         assert!(bad(eval.rotate_rows(&ct, step, &gks).unwrap_err()));
-        assert!(bad(eval
-            .rotate_rows_many(&ct, &[1, step], &gks)
-            .unwrap_err()));
         assert!(bad(ctx
             .galois_keys(keys.secret_key(), &[1, step], &mut rng)
             .unwrap_err()));
         // Step 0 means "the ciphertext itself" to the fused dot.
         if step != 0 {
-            let pairs = [(step, pt.clone())];
+            let terms = [(1, [&op]), (step, [&op])].map(Ok);
             assert!(bad(eval
-                .dot_rotations_plain(&ct, &pairs, &gks)
+                .dot_rotations_many(&ct, 1, terms, &gks)
                 .unwrap_err()));
         }
     }
@@ -253,13 +269,19 @@ fn out_of_range_rotation_steps_are_clean_errors_ckks() {
     let ct = ctx
         .encrypt_symmetric(&ctx.encode(&[1.0]).unwrap(), keys.secret_key(), &mut rng)
         .unwrap();
+    let op = ctx.dot_operand(&[1.0], ct.level()).unwrap();
     let bad = |e: HeError| matches!(e, HeError::InvalidParameters(_));
     for step in BAD_STEPS {
         assert!(bad(ctx.rotate(&ct, step, &gks).unwrap_err()));
-        assert!(bad(ctx.rotate_many(&ct, &[1, step], &gks).unwrap_err()));
         assert!(bad(ctx
             .galois_keys(keys.secret_key(), &[1, step], &mut rng)
             .unwrap_err()));
+        if step != 0 {
+            let terms = [(1, [&op]), (step, [&op])].map(Ok);
+            assert!(bad(ctx
+                .dot_rotations_many(&ct, 1, terms, &gks)
+                .unwrap_err()));
+        }
     }
     assert!(ctx.rotate(&ct, 1, &gks).is_ok());
 }
@@ -296,9 +318,10 @@ fn mixed_level_and_mixed_size_operands_are_clean_errors_bfv() {
     assert!(dec.decrypt(&diff).coeffs().iter().all(|&c| c == 2));
     // Key switching exists at the full data modulus only.
     assert!(mismatch(eval.rotate_rows(&low, 1, &gks).unwrap_err()));
-    assert!(mismatch(eval.rotate_columns(&low, &gks).unwrap_err()));
+    let op = eval.dot_operand(&pt).unwrap();
+    let terms = [(0, [&op]), (1, [&op])].map(Ok);
     assert!(mismatch(
-        eval.rotate_rows_many(&low, &[1], &gks).unwrap_err()
+        eval.dot_rotations_many(&low, 1, terms, &gks).unwrap_err()
     ));
     let low_three = eval.mod_switch_to_next(&three).unwrap();
     assert!(mismatch(eval.relinearize(&low_three, &rk).unwrap_err()));

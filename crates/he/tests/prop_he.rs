@@ -3,13 +3,13 @@
 
 mod common;
 
-use choco_he::bfv::{BfvContext, Ciphertext};
+use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::CkksContext;
 use choco_he::params::{HeParams, SchemeType};
-use choco_he::rlwe::PublicKey;
+use choco_he::rlwe::{GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes, HEADER_BYTES};
-use choco_he::{Bfv, Ckks, HeScheme};
+use choco_he::{Bfv, Ckks, HeError, HeScheme};
 use choco_math::prime::try_generate_ntt_primes;
 use choco_math::UBig;
 use choco_prng::Blake3Rng;
@@ -19,6 +19,22 @@ use common::legacy_wire;
 fn bfv_ctx() -> BfvContext {
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
     BfvContext::new(&params).unwrap()
+}
+
+/// `Σ_k rotate_rows(ct, s_k) ⊙ pt_k` through the one-output fused dot,
+/// each plaintext encoded as its term arrives (what `Bfv::dot_diagonals`
+/// does after batch-encoding a diagonal).
+fn fused_dot(
+    ctx: &BfvContext,
+    ct: &Ciphertext,
+    pairs: &[(i64, Plaintext)],
+    gk: &GaloisKeys,
+) -> Result<Ciphertext, HeError> {
+    let eval = ctx.evaluator();
+    let terms = pairs
+        .iter()
+        .map(|(step, pt)| Ok((*step, [eval.dot_operand(pt)?])));
+    Ok(eval.dot_rotations_many(ct, 1, terms, gk)?.remove(0))
 }
 
 #[test]
@@ -246,7 +262,25 @@ fn hoisted_rotations_match_naive_per_step() {
             &mut rng,
         );
         let dec = ctx.decryptor(keys.secret_key());
-        let hoisted = ctx.evaluator().rotate_rows_many(&ct, &steps, &gks).unwrap();
+        // One fused dot with an output per step, output `o` weighing only
+        // its own step's term by the constant 1: every rotation shares one
+        // hoisted decomposition, and output `o` is `rotate_rows(ct, s_o)`.
+        let eval = ctx.evaluator();
+        let mut unit = vec![0; ctx.degree()];
+        let zero = eval
+            .dot_operand(&Plaintext::from_coeffs(unit.clone()))
+            .unwrap();
+        unit[0] = 1;
+        let one = eval.dot_operand(&Plaintext::from_coeffs(unit)).unwrap();
+        let terms = (0..steps.len()).map(|k| {
+            let ops: Vec<_> = (0..steps.len())
+                .map(|o| if o == k { &one } else { &zero })
+                .collect();
+            Ok((steps[k], ops))
+        });
+        let hoisted = eval
+            .dot_rotations_many(&ct, steps.len(), terms, &gks)
+            .unwrap();
         for (s, h) in steps.iter().zip(&hoisted) {
             let naive = ctx.evaluator().rotate_rows(&ct, *s, &gks).unwrap();
             assert_eq!(
@@ -294,7 +328,7 @@ fn fused_dot_rotations_matches_rotate_multiply_add_chain() {
                 (s, encoder.encode(&w).unwrap())
             })
             .collect();
-        let fused = eval.dot_rotations_plain(&ct, &pairs, &gks).unwrap();
+        let fused = fused_dot(&ctx, &ct, &pairs, &gks).unwrap();
         let mut chain: Option<choco_he::bfv::Ciphertext> = None;
         for (s, pt) in &pairs {
             let rot = if *s == 0 {
@@ -343,12 +377,10 @@ fn parallel_and_sequential_evaluation_bit_identical() {
                 .collect();
             let pt = encoder.encode(&values).unwrap();
             let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
-            let prod = ctx.evaluator().multiply_plain(&ct, &pt);
-            let rots = ctx
-                .evaluator()
-                .rotate_rows_many(&prod, &[1, 3], &gks)
-                .unwrap();
-            let out = ctx.evaluator().add(&rots[0], &rots[1]).unwrap();
+            let eval = ctx.evaluator();
+            let prod = eval.multiply_plain(&ct, &pt);
+            let rots = [1, 3].map(|s| eval.rotate_rows(&prod, s, &gks).unwrap());
+            let out = eval.add(&rots[0], &rots[1]).unwrap();
             choco_math::par::set_num_threads(0); // restore the default
             out
         };
@@ -584,8 +616,8 @@ fn digest(blobs: &[&[u8]]) -> String {
 /// seed that also draws the Eq. 2 public key straight after the secret,
 /// where runtime keygen drew it until it stopped: the evaluation-key wires
 /// (relinearization, then Galois steps `[1, 3, −2]`), a fresh Eq. 2
-/// encryption, and the wires of `rotate(3)`, the hoisted many-rotation,
-/// `add`, `sub` and `multiply_relin` on Eq. 2 encryptions; then the compact
+/// encryption, and the wires of `rotate(3)`, `add`, `sub` and
+/// `multiply_relin` on Eq. 2 encryptions; then the compact
 /// upload `HeScheme::encrypt` makes of the first vector. The operations
 /// `HeScheme` does not carry (the Eq. 2 key and encryption among them) come
 /// in as closures.
@@ -594,9 +626,8 @@ fn wire_digests<S: HeScheme>(
     values: [Vec<S::Value>; 2],
     public_key: impl Fn(&S::Context, &S::KeyBundle, &mut Blake3Rng) -> PublicKey,
     encrypt_eq2: impl Fn(&S::Context, &PublicKey, &[S::Value], &mut Blake3Rng) -> S::Ciphertext,
-    rotate_many: impl Fn(&S::Context, &S::Ciphertext, &S::GaloisKeys) -> Vec<S::Ciphertext>,
     multiply_relin: impl Fn(&S::Context, [&S::Ciphertext; 2], &S::RelinKey) -> S::Ciphertext,
-) -> [String; 8] {
+) -> [String; 7] {
     let ctx = S::context(params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"cross-commit wire oracle");
     let keys = S::keygen(&ctx, &mut rng);
@@ -607,9 +638,6 @@ fn wire_digests<S: HeScheme>(
     let b = encrypt_eq2(&ctx, &pk, &values[1], &mut rng);
     let compact = S::encrypt(&ctx, &keys, &values[0], &mut rng).unwrap();
     let wire = |ct: &S::Ciphertext| legacy_wire::ciphertexts(S::SCHEME, &S::ct_to_wire(ct));
-    let many = rotate_many(&ctx, &a, &gk);
-    let many: Vec<Vec<u8>> = many.iter().map(wire).collect();
-    let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
     [
         digest(&[
             &legacy_wire::relin(S::SCHEME, &S::relin_to_wire(&rk)),
@@ -617,7 +645,6 @@ fn wire_digests<S: HeScheme>(
         ]),
         digest(&[&wire(&a)]),
         digest(&[&wire(&S::rotate(&ctx, &a, 3, &gk).unwrap())]),
-        digest(&many),
         digest(&[&wire(&S::add(&ctx, &a, &b).unwrap())]),
         digest(&[&wire(&S::sub(&ctx, &a, &b).unwrap())]),
         digest(&[&wire(&multiply_relin(&ctx, [&a, &b], &rk))]),
@@ -625,7 +652,7 @@ fn wire_digests<S: HeScheme>(
     ]
 }
 
-fn bfv_wire_digests(params: &HeParams) -> [String; 8] {
+fn bfv_wire_digests(params: &HeParams) -> [String; 7] {
     let t = params.plain_modulus();
     let n = params.degree() as u64;
     wire_digests::<Bfv>(
@@ -639,15 +666,11 @@ fn bfv_wire_digests(params: &HeParams) -> [String; 8] {
             let pt = ctx.batch_encoder().unwrap().encode(values).unwrap();
             ctx.encryptor(pk).encrypt(&pt, rng)
         },
-        |ctx, ct, gk| {
-            let eval = ctx.evaluator();
-            eval.rotate_rows_many(ct, &[1, 3, -2], gk).unwrap()
-        },
         |ctx, [a, b], rk| ctx.evaluator().multiply_relin(a, b, rk).unwrap(),
     )
 }
 
-fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
+fn ckks_wire_digests(params: &HeParams) -> [String; 7] {
     let slots = params.degree() / 2;
     wire_digests::<Ckks>(
         params,
@@ -660,7 +683,6 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
             let pt = ctx.encode(values).unwrap();
             ctx.encrypt(&pt, pk, rng).unwrap()
         },
-        |ctx, ct, gk| ctx.rotate_many(ct, &[1, 3, -2], gk).unwrap(),
         |ctx, [a, b], rk| ctx.multiply_relin(a, b, rk).unwrap(),
     )
 }
@@ -668,50 +690,54 @@ fn ckks_wire_digests(params: &HeParams) -> [String; 8] {
 /// Derived key material and replayed encryptions must not change from one
 /// build to the next (every digest in this file hashes the residues a frame
 /// decodes to in the 8-byte layout they were recorded over,
-/// [`legacy_wire`]; the packed frames have pins of their own): a checkpoint written by an older build resumes on this
-/// one, deriving its keys again from the seed. Digests 1 to 6 of each set
-/// were recorded on the commit before BFV and CKKS were moved onto the
-/// shared `rlwe` core (that part of this test passed there); the eighth,
-/// the compact upload, when `HeScheme::encrypt` became the seeded symmetric
-/// encryption; the first, over the evaluation keys alone, when the key
-/// bundle's wire format was deleted (its value read on the commit before,
-/// where those two wires were the same). Digests 1 and 7 are encryptions
-/// under the derived keys, so they pin the key pair too; they read the same
-/// since runtime key generation stopped drawing the public key, which these
-/// digests now draw themselves, where key generation drew it. A change to RNG
-/// draw order, operation order or a wire layout moves them. Re-record them
-/// only for a change that means to break that compatibility, and say so.
+/// [`legacy_wire`]; the packed frames have pins of their own): a checkpoint
+/// written by an older build resumes on this one, deriving its keys again
+/// from the seed. Digests 1 to 5 of each set were recorded on the commit
+/// before BFV and CKKS were moved onto the shared `rlwe` core (that part of
+/// this test passed there); the seventh, the compact upload, when
+/// `HeScheme::encrypt` became the seeded symmetric encryption; the first,
+/// over the evaluation keys alone, when the key bundle's wire format was
+/// deleted (its value read on the commit before, where those two wires were
+/// the same). Digests 1 and 6 are encryptions under the derived keys, so
+/// they pin the key pair too; they read the same since runtime key
+/// generation stopped drawing the public key, which these digests now draw
+/// themselves, where key generation drew it. The BFV digests were
+/// re-recorded once more when a BFV key set stopped carrying the
+/// column-swap key: that key was drawn last, so the Galois wire lost one
+/// entry (the earlier key set less that entry encodes to the new first
+/// digest) and every later draw moved by one key (with the key drawn and
+/// dropped, the earlier digests 1 to 6 passed). A change to RNG draw order,
+/// operation order or a wire layout moves them. Re-record them only for a
+/// change that means to break that compatibility, and say so.
 #[test]
 fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
-    // relin ‖ galois, fresh Eq. 2, rotate(3), rotate-many, add, sub,
-    // multiply_relin, compact upload — at the N = 1024 shapes `apps::remote`
+    // relin ‖ galois, fresh Eq. 2, rotate(3), add, sub, multiply_relin,
+    // compact upload — at the N = 1024 shapes `apps::remote`
     // pins and at paper sets A and C.
     let bfv_1024 = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
     let ckks_1024 = HeParams::ckks_insecure(1024, &[45, 45, 45, 46], 30).unwrap();
     assert_eq!(
         bfv_wire_digests(&bfv_1024),
         [
-            "8aef84ff62f0449b",
-            "67dfee1749bfaf94",
-            "f036aa7c52d87815",
-            "29517e00754cec55",
-            "78be086e40a1a59b",
-            "d3eb3430d26604a0",
-            "fa9b7cd6039b5222",
-            "d524b81b84bdb43e"
+            "a7939b0e8243066f",
+            "bc4130d585b51b31",
+            "4d68e194b1730dc5",
+            "aa9b6b624ad88f19",
+            "89ed1a304c609ca2",
+            "01333c31ed354b55",
+            "bb3e25936f8c208c"
         ]
     );
     assert_eq!(
         bfv_wire_digests(&HeParams::set_a()),
         [
-            "d3deda0592b6108b",
-            "9f4c82ec9e51b9e4",
-            "7fa09bace1c3eb8f",
-            "1d79a540ef8830f5",
-            "018c31680dac43ab",
-            "d2516ab964fa8eb8",
-            "6405109bdca112a0",
-            "7ec021ed252405ad"
+            "d95c22c7100c1182",
+            "364d4fb7a281daec",
+            "1e490d29f3481b90",
+            "690bfdce31475728",
+            "c07fdf2d7a0a1df5",
+            "13e306957e96dd85",
+            "1d46b6a7939c72ec"
         ]
     );
     assert_eq!(
@@ -720,7 +746,6 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "a8ec2e1252603937",
             "3a898403e83d6610",
             "fbcebc1ca0ca55b4",
-            "d8b46e3e6bc232a9",
             "fb36894b18e35b9e",
             "c5ae99831bd7407f",
             "5654e1c772e49440",
@@ -733,7 +758,6 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
             "ea8e0a4503dadc14",
             "3f282289bc997eee",
             "b579db808932d901",
-            "d80424af9dcf005c",
             "431367c6565aed69",
             "da946f4c0d5c032f",
             "f44806e07411cc4f",
@@ -746,7 +770,10 @@ fn key_and_ciphertext_wires_are_byte_stable_across_builds() {
 /// them: per paper set, a fresh Eq. 2 encryption's full frame, the compact
 /// frame of `HeScheme::encrypt`, and the relinearization and Galois wires,
 /// from [`wire_digests`]' seed. A change to the residue codec or to any
-/// frame layout moves them.
+/// frame layout moves them. The BFV ones were re-recorded when a BFV key set
+/// stopped carrying the column-swap key (the earlier key set less that
+/// entry encodes to the new key digest; with the key drawn and dropped, the
+/// earlier frame digests passed).
 #[test]
 fn packed_frames_are_byte_stable_across_builds() {
     fn packed<S: HeScheme>(
@@ -797,11 +824,11 @@ fn packed_frames_are_byte_stable_across_builds() {
     );
     assert_eq!(
         bfv(&HeParams::set_a()),
-        ["ddd9baa62bbcdb43", "5d4d5b70a7340781", "ba34304e76ff608e"]
+        ["39a3b6f055fa096f", "a58deefeb3b4d6b9", "80143ae2ab4ceb2f"]
     );
     assert_eq!(
         bfv(&HeParams::set_b()),
-        ["01223f21a48ef87e", "03c50426d821be23", "0d7d5abbefa7faf0"]
+        ["6c3241fc33a25303", "39d051ff9e5463ba", "908a4b46c1a859cf"]
     );
     assert_eq!(
         ckks,
@@ -851,7 +878,7 @@ fn packing_then_unpacking_is_the_identity_at_every_width_and_degree() {
     }
 }
 
-/// `dot_rotations_plain` from one fixed seed: steps cycle through
+/// [`fused_dot`] from one fixed seed: steps cycle through
 /// `[0, 1, 3, −2]` (step 0 is the unrotated term; a step may repeat), one
 /// distinct plaintext per term.
 fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
@@ -878,22 +905,23 @@ fn fused_dot_digest(params: &HeParams, terms: usize) -> String {
             )
         })
         .collect();
-    let fused = ctx.evaluator().dot_rotations_plain(&ct, &pairs, &gk);
-    let wire = ciphertext_to_bytes(&fused.unwrap());
+    let wire = ciphertext_to_bytes(&fused_dot(&ctx, &ct, &pairs, &gk).unwrap());
     digest(&[&legacy_wire::ciphertexts(SchemeType::Bfv, &wire)])
 }
 
 /// The fused dot is the kernel `lenet_direct` spends its server time in; it
 /// was lifted into `rlwe::dot_galois` for both schemes, and BFV's output must
 /// not have moved by a bit. Digests recorded on the commit before the lift
-/// (this test, unchanged, passed there): 40 terms cross the 32-term
-/// lazy-reduction flush.
+/// (this test, unchanged, passed there), and re-recorded when a BFV key set
+/// stopped carrying the column-swap key, which moved the encryption drawn
+/// after the keys (with that key drawn and dropped, the earlier digests
+/// passed): 40 terms cross the 32-term lazy-reduction flush.
 #[test]
 fn bfv_fused_dot_bytes_are_those_of_the_kernel_before_the_lift() {
     let small = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
-    assert_eq!(fused_dot_digest(&small, 40), "d7d99ba81a660eed");
-    assert_eq!(fused_dot_digest(&HeParams::set_a(), 5), "05a5aae17d1c912a");
-    assert_eq!(fused_dot_digest(&HeParams::set_b(), 9), "7ad8c423d4ac4e99");
+    assert_eq!(fused_dot_digest(&small, 40), "f719deae391fbe24");
+    assert_eq!(fused_dot_digest(&HeParams::set_a(), 5), "ed119478f816b0a6");
+    assert_eq!(fused_dot_digest(&HeParams::set_b(), 9), "ad783b0838a978e9");
 }
 
 /// A CKKS context, its keys (Galois steps `[1, 3, −2]`) and an encryption of
@@ -1022,8 +1050,9 @@ fn bfv_many_output_dot_equals_one_output_dots_byte_for_byte() {
         assert_many_outputs_equal_single_outputs(
             label,
             |o| {
-                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[o])));
-                ciphertext_to_bytes(&eval.dot_rotations(&ct, terms, &gk).unwrap())
+                let terms = terms_of().map(|(s, ops)| Ok((s, [&ops[o]])));
+                let out = eval.dot_rotations_many(&ct, 1, terms, &gk).unwrap();
+                ciphertext_to_bytes(&out[0])
             },
             |m| {
                 let terms = terms_of().map(|(s, ops)| Ok((s, &ops[..m])));
@@ -1072,8 +1101,9 @@ fn ckks_many_output_dot_equals_one_output_dots_byte_for_byte() {
         assert_many_outputs_equal_single_outputs(
             label,
             |o| {
-                let terms = terms_of().map(|(s, ops)| Ok((s, &ops[o])));
-                Ckks::ct_to_wire(&ctx.dot_rotations(&ct, terms, &gk).unwrap())
+                let terms = terms_of().map(|(s, ops)| Ok((s, [&ops[o]])));
+                let out = ctx.dot_rotations_many(&ct, 1, terms, &gk).unwrap();
+                Ckks::ct_to_wire(&out[0])
             },
             |m| {
                 let terms = terms_of().map(|(s, ops)| Ok((s, &ops[..m])));
@@ -1089,7 +1119,6 @@ fn ckks_many_output_dot_equals_one_output_dots_byte_for_byte() {
 /// and a step without a key are refused, not indexed past.
 #[test]
 fn many_output_dot_rejects_miscounted_operands_and_missing_keys() {
-    use choco_he::HeError;
     let params = HeParams::bfv_insecure(1024, &[45, 45, 46], 17).unwrap();
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"many-output dot errors");

@@ -1,7 +1,7 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
-//! warm, the kernel hot path (ct×ct multiply, key switching, hoisted
-//! rotation, fused rotation dot products under both schemes — one output,
-//! and eight over shared rotations —, decryption) and the client's round
+//! warm, the kernel hot path (ct×ct multiply, key switching, rotations,
+//! fused rotation dot products under both schemes — one output, and eight
+//! over shared rotations —, decryption) and the client's round
 //! (encrypt → decrypt → noise budget, and a reply compressed, decoded and
 //! decrypted, under BFV; encrypt → decrypt → decode under CKKS) perform
 //! **zero fresh
@@ -28,7 +28,7 @@ use choco_prng::Blake3Rng;
 
 #[test]
 fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
-    // ---- BFV: keyswitch → hoisted rotation → matvec-style fused dot ----
+    // ---- BFV: keyswitch → rotations → matvec-style fused dot ----
     let params = HeParams::bfv_insecure(256, &[40, 40, 41], 14).unwrap();
     let ctx = BfvContext::new(&params).unwrap();
     let mut rng = Blake3Rng::from_seed(b"zero-alloc-bfv");
@@ -45,40 +45,44 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
     let ct = ctx.encrypt_symmetric(&pt, keys.secret_key(), &mut rng);
     let eval = ctx.evaluator();
     let dec = ctx.decryptor(keys.secret_key());
-    let pairs: Vec<_> = [0i64, 1, 2]
+    let diagonals: Vec<(i64, Vec<u64>)> = [0i64, 1, 2]
         .iter()
         .map(|&s| {
             let w: Vec<u64> = (0..ctx.degree() as u64)
                 .map(|i| (i + s as u64) % 8)
                 .collect();
-            (s, encoder.encode(&w).unwrap())
+            (s, w)
         })
         .collect();
 
     // A conv layer's pass: 8 output channels over the same three rotations.
-    let operands: Vec<Vec<_>> = pairs
+    let operands: Vec<Vec<_>> = diagonals
         .iter()
-        .map(|(_, pt)| (0..8).map(|_| eval.dot_operand(pt).unwrap()).collect())
+        .map(|(_, w)| {
+            let pt = encoder.encode(w).unwrap();
+            (0..8).map(|_| eval.dot_operand(&pt).unwrap()).collect()
+        })
         .collect();
 
     let bfv_round = |out: &mut u64| {
         // ct·ct multiply (base conversions in and out of the tensor
         // basis) + relinearization (key switch).
         let relin = eval.multiply_relin(&ct, &ct, &rk).unwrap();
-        // Hoisted rotation: one shared decomposition, several rotations.
-        let rots = eval.rotate_rows_many(&relin, &steps, &gks).unwrap();
-        // Matvec kernel: double-hoisted rotation dot product + NTT dot.
-        let fused = eval.dot_rotations_plain(&ct, &pairs, &gks).unwrap();
-        let terms = pairs
+        // Rotations, one key switch each.
+        let rots: Vec<_> = steps
+            .iter()
+            .map(|&s| eval.rotate_rows(&relin, s, &gks).unwrap())
+            .collect();
+        // Matvec kernel: the double-hoisted rotation dot product, operands
+        // encoded on the way in.
+        let fused = Bfv::dot_diagonals(&ctx, &ct, &diagonals, &gks).unwrap();
+        let terms = diagonals
             .iter()
             .zip(&operands)
             .map(|((s, _), ops)| Ok((*s, ops)));
         let layer = eval.dot_rotations_many(&ct, 8, terms, &gks).unwrap();
-        let dot = eval
-            .dot_plain(&[ct.clone(), fused], &[pt.clone(), pt.clone()])
-            .unwrap();
         // Client side: decrypt the reply.
-        let reply = dec.decrypt(&dot);
+        let reply = dec.decrypt(&fused);
         // Keep results observable so nothing is optimised away.
         *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0] ^ layer[7].part(1).row(0)[0];
     };

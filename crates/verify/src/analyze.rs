@@ -64,8 +64,9 @@ impl ValueKind {
     }
 }
 
-/// The BFV worst-case noise cost model, mirroring
-/// `choco::params::round_noise_bits`: fresh noise `log2(6σ) + ½log2(2N)`,
+/// The BFV worst-case noise cost model, the one set of noise constants
+/// (`choco::params::select_bfv_params` prices its candidates with it too):
+/// fresh noise `log2(6σ) + ½log2(2N)`,
 /// each plaintext multiply `t_bits + ½log2(2N)`, each ciphertext multiply
 /// `t_bits + log2(2N)`, rotations ~2 bits, additions and chain-maintenance
 /// ops ~1 bit. The budget is `data_bits − t_bits − 1`. Every figure is an
