@@ -160,54 +160,12 @@ echo "==> eval chaos: fault-isolated remote evaluation sweep"
 timeout 300 cargo test -q -p choco-apps --test chaos_eval
 
 echo "==> kernel bench reporter (smoke mode + fusion, layer, simd and par gates)"
-# Besides the kernel timings, bench_kernels asserts that what is fused beats
-# its unfused twin by >= 1.5x: the double-hoisted matvec against the
-# per-rotation composition under BFV (set B) and CKKS (set C), the
-# compiled-program executor on pagerank (set A) and the conv layer (set C)
-# against the same program with every interior node declared an output,
-# which the fusion plan must then run node by node, and a bundle of a conv
-# layer's 4 diagonals over 25 shared tap rotations (set B) as one kernel
-# call (`exec_conv_bundled`) against its 4 groups one call each
-# (`exec_conv_groups`). At set B the 10 x 128 FC through the hybrid matvec
-# (`matvec_hybrid`, 16 diagonals + 3 folds) is gated against its 128 full
-# diagonals (>= 2.0x), and a 4 -> 8 channel 8 x 8 conv layer (25 taps) is
-# timed as its compiled program on the warm executor (`conv_layer_program`:
-# 16 blocks, 4 diagonals in one kernel call over cached operands, 3
-# rotate-adds, one output ciphertext) after its output is checked against
-# the plaintext convolution; no twin is left to gate it against. The
-# client's calls
-# are gated against their twins too (sets A and B, CKKS at C): the BFV
-# noise budget (residue-wise x − Δ·m, limb composition; >= 3.0x) and the
-# CKKS decode (limb composition; >= 2.0x) against the big-integer loops they
-# replaced, next to the older multiply (>= 3.0x) and decrypt (>= 2.0x)
-# gates, the squaring multiply against the general one on a clone of its
-# operand (set A; >= 1.0x) and the reply compression, both ways (sets A and B; >= 1.0x), and the BFV encrypt against the same encryption spelled with two
-# `mul_poly`s (>= 1.05x: `u` transformed once per prime into the key's
-# cached evaluation-domain rows, where the twin transforms `u` twice and
-# both key halves again), and in the same race the seeded upload form every
-# client encryption now takes against that cached Eq. 2 encryption (>= 1.0x,
-# sets A and B; CKKS at C): a compact upload must not cost the client more.
-# `seed_expand_a`, what the server pays to expand a set-A upload's `c1`, is
-# timed and not gated. The 8-lane BLAKE3 kernels are raced against the
-# one-block scalar code after both give the same bytes: a 1 MiB XOF fill
-# (>= 2.0x) and the keyed tag over a set-A request's two seeded uploads
-# (>= 1.5x), gated whenever the AVX2 backend is active. No generic-core gate
-# is left: each scheme's HeScheme::dot_diagonals is the calls a hand copy
-# would make (encode a diagonal per term, one dot_rotations_many, and a
-# CKKS rescale), so a hand-inlined twin would race the same calls. Every
-# gated ratio is the best of three interleaved windows per side, in smoke
-# mode too, where a window may hold a single iteration. Its simd section
-# times every vector kernel (forward NTT, inverse NTT, modular add, modular
-# sub; N = 4096 and 8192) against its scalar twin and fails on a ratio
-# < 1.0, and on a forward NTT whose better size reads < 2.0x, whenever the
-# AVX2 backend is active; on scalar-only hosts the gate is skipped (a note
-# in the report, not a failure). Its barrett section times the Barrett
-# reducer's dyadic product and accumulator-row reduction against the same
-# loops spelled with `%` and fails on a ratio < 1.0 on any backend. Its
-# par section times every call site still routed
-# through the worker pool against its one-thread loop and fails on a ratio
-# < 1.0 — skipped, with a note, while the host is not running two threads
-# faster than one.
+# bench_kernels races every gated kernel against its simpler twin and fails
+# when a gate's median over 9 paired ratios falls below its threshold. The
+# gates, their thresholds and when each applies (simd and blake3 while the
+# AVX2 backend is active, par while the host runs two threads >= 1.4x one)
+# are the race table in crates/bench/src/bin/bench_kernels.rs; every run
+# prints that table with each gate's verdict.
 cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json /tmp/bench_kernels_smoke.json
 
 echo "==> benchmark package: build, unit tests, 1-second smoke of all four workloads"

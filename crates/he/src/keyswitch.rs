@@ -185,13 +185,6 @@ pub struct HoistedDigits {
     level: usize,
 }
 
-impl HoistedDigits {
-    /// Number of data primes at the level this decomposition was taken.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-}
-
 /// Decomposes `d_poly` into NTT-form digits over `ks_basis` (the expensive
 /// half of key switching: `level · (level+1)` modular reductions + forward
 /// NTTs). The result feeds [`hoisted_accumulate`] any number of times.
