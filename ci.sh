@@ -6,6 +6,10 @@
 # network.
 set -euo pipefail
 cd "$(dirname "$0")"
+# Scratch files live in a directory of this run's own, so two runs on one
+# host (a parent and a change, say) never read each other's output.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
 
 echo "==> cargo build --release"
 cargo build --release
@@ -17,8 +21,8 @@ echo "==> choco-verify (static circuit verification, both schemes)"
 # per-node dump must match what the verifier computes now — regenerate
 # with: cargo run --release -q --bin choco-verify -- --json > VERIFY_workloads.json
 cargo run --release -q --bin choco-verify -- --scheme both > /dev/null
-cargo run --release -q --bin choco-verify -- --json > /tmp/VERIFY_workloads.json
-diff -u VERIFY_workloads.json /tmp/VERIFY_workloads.json
+cargo run --release -q --bin choco-verify -- --json > "$scratch/VERIFY_workloads.json"
+diff -u VERIFY_workloads.json "$scratch/VERIFY_workloads.json"
 
 echo "==> cargo test (all workspace members)"
 cargo test -q --workspace
@@ -166,7 +170,7 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, simd and par gates)
 # AVX2 backend is active, par while the host runs two threads >= 1.4x one)
 # are the race table in crates/bench/src/bin/bench_kernels.rs; every run
 # prints that table with each gate's verdict.
-cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json /tmp/bench_kernels_smoke.json
+cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json "$scratch/bench_kernels_smoke.json"
 
 echo "==> benchmark package: build, unit tests, 1-second smoke of all four workloads"
 # benchmark/ is a package of its own (not a workspace member), so nothing
@@ -178,10 +182,10 @@ echo "==> benchmark package: build, unit tests, 1-second smoke of all four workl
 # git-ignored benchmark/target and benchmark/out.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --seconds 1 > /tmp/bench_smoke.out
-clean_runs=$(grep -c '^{"correct":true,"attempted":[0-9]*,"failed":0,' /tmp/bench_smoke.out || true)
+bash benchmark/run.sh --seconds 1 > "$scratch/bench_smoke.out"
+clean_runs=$(grep -c '^{"correct":true,"attempted":[0-9]*,"failed":0,' "$scratch/bench_smoke.out" || true)
 [ "$clean_runs" -eq 8 ] \
-    || { grep '^{"correct"' /tmp/bench_smoke.out | cut -c1-80; echo "ci: benchmark smoke: $clean_runs of 8 runs correct with zero failed ops"; exit 1; }
+    || { grep '^{"correct"' "$scratch/bench_smoke.out" | cut -c1-80; echo "ci: benchmark smoke: $clean_runs of 8 runs correct with zero failed ops"; exit 1; }
 
 echo "==> choco-lint (secret-independence, lazy-reduction, panic/unsafe audit)"
 # The committed lint.toml pins every allowlisted site by exact count; any

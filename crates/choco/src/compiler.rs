@@ -15,6 +15,10 @@
 //! 4. count operations by kind — the cost model parameter selection
 //!    consumes.
 //!
+//! The IR itself ([`Op`], [`NodeId`], [`NodeMeta`]) is defined in
+//! `choco-verify` and re-exported here, so the static verifier reads the
+//! compiler's own op lists.
+//!
 //! A reference executor runs compiled programs both on plaintext vectors
 //! and on real ciphertexts of any [`CompilerScheme`] (CKKS with the full
 //! rescaling chain; BFV with identity chain maintenance and fixed-point
@@ -50,7 +54,8 @@ use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::rlwe::DotOperand;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
-use choco_verify::{Circuit, CircuitOp, NodeClaim, VerifyError, VerifyOptions, VerifyReport};
+use choco_verify::{Circuit, VerifyError, VerifyOptions, VerifyReport};
+pub use choco_verify::{NodeId, NodeMeta, Op};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -409,50 +414,6 @@ impl CompilerScheme for Bfv {
     }
 }
 
-/// A node handle inside a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(usize);
-
-impl NodeId {
-    /// Builds a handle from a raw index. Intended for verifier tooling and
-    /// mutation tests; an out-of-range or forward-referencing id is rejected
-    /// by [`compile`] ([`CompileError::MalformedProgram`]) and by the static
-    /// verifier (`STRUCT001`), never executed.
-    pub fn new(index: usize) -> NodeId {
-        NodeId(index)
-    }
-
-    /// The raw node index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Operation kinds of the IR.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// An encrypted input, by name.
-    Input(String),
-    /// A plaintext constant vector (server-known, e.g. weights).
-    Constant(Vec<f64>),
-    /// Ciphertext + ciphertext.
-    Add(NodeId, NodeId),
-    /// Ciphertext − ciphertext.
-    Sub(NodeId, NodeId),
-    /// Ciphertext × ciphertext (with relinearization).
-    Mul(NodeId, NodeId),
-    /// Ciphertext × plaintext constant.
-    MulPlain(NodeId, NodeId),
-    /// Ciphertext + plaintext constant.
-    AddPlain(NodeId, NodeId),
-    /// Slot rotation (left by the given amount).
-    Rotate(NodeId, i64),
-    /// Divide by the level's last prime (inserted by the compiler).
-    Rescale(NodeId),
-    /// Drop to a lower level without rescaling (inserted by the compiler).
-    ModSwitch(NodeId),
-}
-
 /// An un-compiled dataflow program over encrypted vectors.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
@@ -468,7 +429,7 @@ impl Program {
 
     fn push(&mut self, op: Op) -> NodeId {
         self.ops.push(op);
-        NodeId(self.ops.len() - 1)
+        NodeId::new(self.ops.len() - 1)
     }
 
     /// Declares an encrypted input.
@@ -537,25 +498,16 @@ impl Program {
         &self.outputs
     }
 
-    /// Lowers the *source* program into the verifier's circuit form
-    /// (no claims: the schedule does not exist yet, so the verifier replays
-    /// the compiler's waterline scheduling abstractly).
-    pub fn to_circuit(&self) -> Circuit {
+    /// The verifier's view of the *source* program (no claims: the
+    /// schedule does not exist yet, so the verifier replays the compiler's
+    /// waterline scheduling abstractly).
+    pub fn to_circuit(&self) -> Circuit<'_> {
         Circuit {
-            ops: lower_ops(&self.ops),
-            outputs: self.outputs.iter().map(|o| o.0).collect(),
+            ops: &self.ops,
+            outputs: &self.outputs,
             claims: None,
         }
     }
-}
-
-/// Per-node metadata the compiler assigns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeMeta {
-    /// log2 of the fixed-point scale carried by the node's value.
-    pub scale_bits: f64,
-    /// Level (number of active data primes) the node's value lives at.
-    pub level: usize,
 }
 
 /// Operation counts of a compiled program (the cost model output).
@@ -652,23 +604,18 @@ impl FusionPlan {
     /// first pass reads through every rotation; if any shared one fails that
     /// test, a second pass keeps every shared rotation as a node — the
     /// single-use rule, which a program with no multi-group bundle plans by.
-    /// Total on any op list (`from_raw_parts` hands over unverified ones): a
-    /// reference that is not to an earlier node just does not fuse.
+    /// Total on any op list: a reference that is not to an earlier node just
+    /// does not fuse.
     fn derive(ops: &[Op], outputs: &[NodeId]) -> FusionPlan {
         // Consumers per node, an output counting as one more: a count of
         // exactly 1 means "consumed once and not an output".
         let mut uses = vec![0u32; ops.len()];
-        let operands = ops.iter().flat_map(|op| match op {
-            Op::Input(_) | Op::Constant(_) => [None, None],
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::MulPlain(a, b)
-            | Op::AddPlain(a, b) => [Some(a), Some(b)],
-            Op::Rotate(a, _) | Op::Rescale(a) | Op::ModSwitch(a) => [Some(a), None],
-        });
-        for id in operands.flatten().chain(outputs) {
-            if let Some(u) = uses.get_mut(id.0) {
+        for id in ops
+            .iter()
+            .flat_map(Op::operands)
+            .chain(outputs.iter().copied())
+        {
+            if let Some(u) = uses.get_mut(id.index()) {
                 *u += 1;
             }
         }
@@ -738,16 +685,20 @@ impl FusionPlan {
         let mut shapes: Vec<Option<Shape>> = Vec::with_capacity(ops.len());
         let mut absorbed = vec![false; ops.len()];
         for (i, op) in ops.iter().enumerate() {
-            let shape_of = |id: &NodeId| shapes.get(id.0).copied().flatten();
+            let shape_of = |id: &NodeId| shapes.get(id.index()).copied().flatten();
             let shape = match op {
-                Op::MulPlain(a, c) if a.0 < i && matches!(ops.get(c.0), Some(Op::Constant(_))) => {
-                    let (source, step, rotate) = match ops.get(a.0) {
-                        Some(Op::Rotate(x, s)) if x.0 < a.0 && read_through(a.0) => {
-                            (x.0, *s, Some(a.0))
+                Op::MulPlain(a, c)
+                    if a.index() < i && matches!(ops.get(c.index()), Some(Op::Constant(_))) =>
+                {
+                    let (source, step, rotate) = match ops.get(a.index()) {
+                        Some(Op::Rotate(x, s))
+                            if x.index() < a.index() && read_through(a.index()) =>
+                        {
+                            (x.index(), *s, Some(a.index()))
                         }
-                        _ => (a.0, 0, None),
+                        _ => (a.index(), 0, None),
                     };
-                    let constant = c.0;
+                    let constant = c.index();
                     Some(Shape {
                         source,
                         rescales: 0,
@@ -759,7 +710,7 @@ impl FusionPlan {
                     })
                 }
                 Op::Rescale(a) => shape_of(a)
-                    .filter(|inner| inner.leaf.is_some() && single_use(a.0))
+                    .filter(|inner| inner.leaf.is_some() && single_use(a.index()))
                     .map(|inner| Shape {
                         rescales: inner.rescales + 1,
                         ..inner
@@ -768,11 +719,11 @@ impl FusionPlan {
                     (Some(l), Some(r))
                         if l.source == r.source
                             && l.rescales == r.rescales
-                            && single_use(a.0)
-                            && single_use(b.0) =>
+                            && single_use(a.index())
+                            && single_use(b.index()) =>
                     {
                         for child in [a, b] {
-                            if let Some(flag) = absorbed.get_mut(child.0) {
+                            if let Some(flag) = absorbed.get_mut(child.index()) {
                                 *flag = true;
                             }
                         }
@@ -807,14 +758,14 @@ impl FusionPlan {
             while let Some(node) = stack.pop() {
                 match (shapes.get(node).copied().flatten(), ops.get(node)) {
                     (Some(Shape { leaf: None, .. }), Some(Op::Add(a, b))) => {
-                        covered.extend([a.0, b.0]);
-                        stack.extend([b.0, a.0]);
+                        covered.extend([a.index(), b.index()]);
+                        stack.extend([b.index(), a.index()]);
                     }
                     (Some(Shape { leaf: Some(l), .. }), _) => {
                         let mut below = node;
                         while let Some(Op::Rescale(a)) = ops.get(below) {
-                            covered.push(a.0);
-                            below = a.0;
+                            covered.push(a.index());
+                            below = a.index();
                         }
                         if let Some(rotate) = l.rotate {
                             covered.push(rotate);
@@ -865,17 +816,15 @@ impl FusionPlan {
 
 /// A program after scale/level assignment.
 ///
-/// Every value [`compile`] returns has already passed the static verifier
-/// (`choco-verify`), so holding a `CompiledProgram` built through the normal
-/// API is proof the circuit satisfies the level/scale/structure invariants.
-/// The only unverified constructor is [`CompiledProgram::from_raw_parts`].
+/// [`compile`] is the only constructor, and every value it returns has
+/// already passed the static verifier (`choco-verify`), so holding a
+/// `CompiledProgram` is proof the circuit satisfies the
+/// level/scale/structure invariants.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     ops: Vec<Op>,
     outputs: Vec<NodeId>,
     meta: Vec<NodeMeta>,
-    /// Rotation steps the program needs Galois keys for.
-    pub rotation_steps: Vec<i64>,
     /// Minimum data-prime chain length the program requires.
     pub required_levels: usize,
     /// Operation counts.
@@ -884,29 +833,6 @@ pub struct CompiledProgram {
     pub options: CompilerOptions,
     /// Which rotate → multiply → accumulate chains execute as one fused dot.
     plan: FusionPlan,
-}
-
-/// The raw fields of a [`CompiledProgram`], exposed so verifier tooling and
-/// mutation tests can corrupt a program in controlled ways and pin the
-/// verifier's rejection. [`CompiledProgram::from_raw_parts`] performs no
-/// validation — anything rebuilt this way must go back through
-/// [`CompiledProgram::verify`] before it is trusted.
-#[derive(Debug, Clone)]
-pub struct RawProgramParts {
-    /// Compiled op list (including inserted `Rescale`/`ModSwitch` nodes).
-    pub ops: Vec<Op>,
-    /// Output nodes.
-    pub outputs: Vec<NodeId>,
-    /// Per-node scale/level metadata.
-    pub meta: Vec<NodeMeta>,
-    /// Rotation steps the program needs Galois keys for.
-    pub rotation_steps: Vec<i64>,
-    /// Minimum data-prime chain length the program requires.
-    pub required_levels: usize,
-    /// Operation counts.
-    pub counts: OpCounts,
-    /// The compiler configuration the program was scheduled against.
-    pub options: CompilerOptions,
 }
 
 /// Compiler configuration.
@@ -971,34 +897,17 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 fn is_plain(ops: &[Op], id: NodeId) -> bool {
-    matches!(ops.get(id.0), Some(Op::Constant(_)))
-}
-
-/// Lowers an op list into the verifier's scheme-agnostic mirror.
-fn lower_ops(ops: &[Op]) -> Vec<CircuitOp> {
-    ops.iter()
-        .map(|op| match op {
-            Op::Input(name) => CircuitOp::Input(name.clone()),
-            Op::Constant(v) => CircuitOp::Constant { len: v.len() },
-            Op::Add(a, b) => CircuitOp::Add(a.0, b.0),
-            Op::Sub(a, b) => CircuitOp::Sub(a.0, b.0),
-            Op::Mul(a, b) => CircuitOp::Mul(a.0, b.0),
-            Op::MulPlain(a, c) => CircuitOp::MulPlain(a.0, c.0),
-            Op::AddPlain(a, c) => CircuitOp::AddPlain(a.0, c.0),
-            Op::Rotate(a, s) => CircuitOp::Rotate(a.0, *s),
-            Op::Rescale(a) => CircuitOp::Rescale(a.0),
-            Op::ModSwitch(a) => CircuitOp::ModSwitch(a.0),
-        })
-        .collect()
+    matches!(ops.get(id.index()), Some(Op::Constant(_)))
 }
 
 /// Compiles a program: assigns scales and levels, inserting `Rescale` after
 /// any multiply whose result scale crosses the waterline and `ModSwitch`
 /// where binary operands' levels differ.
 ///
-/// The compiled output is **verified by construction**: before returning,
-/// the schedule is lowered into `choco-verify`'s circuit form and checked
-/// against the full static rule set, so any scheduling bug surfaces here as
+/// This is the only constructor of a [`CompiledProgram`], and its output is
+/// **verified by construction**: before returning, `choco-verify` reads the
+/// schedule — the same op list and claims, no copy — and checks it against
+/// the full static rule set, so any scheduling bug surfaces here as
 /// [`CompileError::Verify`] instead of a wrong decrypt on the server.
 ///
 /// # Errors
@@ -1015,14 +924,13 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
     let mut meta: Vec<NodeMeta> = Vec::new();
     let mut remap: Vec<NodeId> = Vec::with_capacity(program.ops.len());
     let mut counts = OpCounts::default();
-    let mut rotation_steps = Vec::new();
     // Track the deepest level used (levels count down from max_levels).
     let mut min_level = opts.max_levels;
 
     let push = |ops: &mut Vec<Op>, meta: &mut Vec<NodeMeta>, op: Op, m: NodeMeta| -> NodeId {
         ops.push(op);
         meta.push(m);
-        NodeId(ops.len() - 1)
+        NodeId::new(ops.len() - 1)
     };
 
     // Rescale a node until its scale sits at the waterline.
@@ -1032,8 +940,8 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                                 min_level: &mut usize,
                                 mut id: NodeId|
      -> NodeId {
-        while meta[id.0].scale_bits > waterline + opts.prime_bits as f64 / 2.0 {
-            let m = meta[id.0];
+        while meta[id.index()].scale_bits > waterline + opts.prime_bits as f64 / 2.0 {
+            let m = meta[id.index()];
             if m.level == 0 {
                 // The chain is already exhausted; stop inserting rescales
                 // and pin the floor so the final depth check returns a
@@ -1048,7 +956,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
             };
             ops.push(Op::Rescale(id));
             meta.push(nm);
-            id = NodeId(ops.len() - 1);
+            id = NodeId::new(ops.len() - 1);
             counts.rescales += 1;
             *min_level = (*min_level).min(nm.level);
         }
@@ -1062,14 +970,14 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                      mut id: NodeId,
                      level: usize|
      -> NodeId {
-        while meta[id.0].level > level {
-            let m = meta[id.0];
+        while meta[id.index()].level > level {
+            let m = meta[id.index()];
             ops.push(Op::ModSwitch(id));
             meta.push(NodeMeta {
                 scale_bits: m.scale_bits,
                 level: m.level - 1,
             });
-            id = NodeId(ops.len() - 1);
+            id = NodeId::new(ops.len() - 1);
             counts.mod_switches += 1;
         }
         id
@@ -1081,7 +989,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
         // out-of-range reference (hand-built `NodeId`s only).
         let mapped_of = |remap: &[NodeId], id: NodeId| -> Result<NodeId, CompileError> {
             remap
-                .get(id.0)
+                .get(id.index())
                 .copied()
                 .ok_or(CompileError::MalformedProgram(i))
         };
@@ -1113,12 +1021,12 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                 // larger-scale operand.
                 ra = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, ra);
                 rb = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, rb);
-                let lvl = meta[ra.0].level.min(meta[rb.0].level);
+                let lvl = meta[ra.index()].level.min(meta[rb.index()].level);
                 ra = switch_to(&mut ops, &mut meta, &mut counts, ra, lvl);
                 rb = switch_to(&mut ops, &mut meta, &mut counts, rb, lvl);
                 counts.adds += 1;
                 let m = NodeMeta {
-                    scale_bits: meta[ra.0].scale_bits.max(meta[rb.0].scale_bits),
+                    scale_bits: meta[ra.index()].scale_bits.max(meta[rb.index()].scale_bits),
                     level: lvl,
                 };
                 let new_op = if matches!(op, Op::Add(..)) {
@@ -1135,12 +1043,12 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                 let (mut ra, mut rb) = (mapped_of(&remap, *a)?, mapped_of(&remap, *b)?);
                 ra = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, ra);
                 rb = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, rb);
-                let lvl = meta[ra.0].level.min(meta[rb.0].level);
+                let lvl = meta[ra.index()].level.min(meta[rb.index()].level);
                 ra = switch_to(&mut ops, &mut meta, &mut counts, ra, lvl);
                 rb = switch_to(&mut ops, &mut meta, &mut counts, rb, lvl);
                 counts.ct_mults += 1;
                 let m = NodeMeta {
-                    scale_bits: meta[ra.0].scale_bits + meta[rb.0].scale_bits,
+                    scale_bits: meta[ra.index()].scale_bits + meta[rb.index()].scale_bits,
                     level: lvl,
                 };
                 let id = push(&mut ops, &mut meta, Op::Mul(ra, rb), m);
@@ -1161,14 +1069,14 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                 if matches!(op, Op::MulPlain(..)) {
                     counts.pt_mults += 1;
                     let m = NodeMeta {
-                        scale_bits: meta[ra.0].scale_bits + waterline,
-                        level: meta[ra.0].level,
+                        scale_bits: meta[ra.index()].scale_bits + waterline,
+                        level: meta[ra.index()].level,
                     };
                     let id = push(&mut ops, &mut meta, Op::MulPlain(ra, rc), m);
                     rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, id)
                 } else {
                     counts.adds += 1;
-                    let m = meta[ra.0];
+                    let m = meta[ra.index()];
                     push(&mut ops, &mut meta, Op::AddPlain(ra, rc), m)
                 }
             }
@@ -1177,11 +1085,8 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
                     return Err(CompileError::KindMismatch(i));
                 }
                 counts.rotations += 1;
-                if *s != 0 && !rotation_steps.contains(s) {
-                    rotation_steps.push(*s);
-                }
                 let ra = mapped_of(&remap, *a)?;
-                let m = meta[ra.0];
+                let m = meta[ra.index()];
                 push(&mut ops, &mut meta, Op::Rotate(ra, *s), m)
             }
             Op::Rescale(_) | Op::ModSwitch(_) => {
@@ -1191,7 +1096,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
             }
         };
         remap.push(mapped);
-        min_level = min_level.min(meta[mapped.0].level);
+        min_level = min_level.min(meta[mapped.index()].level);
     }
 
     let required_levels = opts.max_levels - min_level + 1;
@@ -1201,15 +1106,14 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
             available: opts.max_levels,
         });
     }
-    rotation_steps.sort_unstable();
     let outputs = program
         .outputs
         .iter()
         .map(|o| {
             remap
-                .get(o.0)
+                .get(o.index())
                 .copied()
-                .ok_or(CompileError::MalformedProgram(o.0))
+                .ok_or(CompileError::MalformedProgram(o.index()))
         })
         .collect::<Result<Vec<_>, _>>()?;
     let compiled = CompiledProgram {
@@ -1217,7 +1121,6 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
         ops,
         outputs,
         meta,
-        rotation_steps,
         required_levels,
         counts,
         options: *opts,
@@ -1231,28 +1134,20 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
 impl CompiledProgram {
     /// Metadata of a node, if it exists.
     pub fn meta(&self, n: NodeId) -> NodeMeta {
-        self.meta.get(n.0).copied().unwrap_or(NodeMeta {
+        self.meta.get(n.index()).copied().unwrap_or(NodeMeta {
             scale_bits: 0.0,
             level: 0,
         })
     }
 
-    /// Lowers the compiled program into the verifier's circuit form,
-    /// carrying the compiler's per-node scale/level claims so the verifier
-    /// can cross-check them against its own recomputation.
-    pub fn to_circuit(&self) -> Circuit {
+    /// The verifier's view of the compiled program, carrying the
+    /// compiler's per-node scale/level claims so the verifier can
+    /// cross-check them against its own recomputation.
+    pub fn to_circuit(&self) -> Circuit<'_> {
         Circuit {
-            ops: lower_ops(&self.ops),
-            outputs: self.outputs.iter().map(|o| o.0).collect(),
-            claims: Some(
-                self.meta
-                    .iter()
-                    .map(|m| NodeClaim {
-                        scale_bits: m.scale_bits,
-                        level: m.level,
-                    })
-                    .collect(),
-            ),
+            ops: &self.ops,
+            outputs: &self.outputs,
+            claims: Some(&self.meta),
         }
     }
 
@@ -1275,35 +1170,6 @@ impl CompiledProgram {
     /// Returns [`VerifyError`] when any verification rule fires.
     pub fn verify(&self) -> Result<VerifyReport, VerifyError> {
         choco_verify::verify(&self.to_circuit(), &self.verify_options())
-    }
-
-    /// Decomposes the program into its raw fields (mutation-test API).
-    pub fn into_raw_parts(self) -> RawProgramParts {
-        RawProgramParts {
-            ops: self.ops,
-            outputs: self.outputs,
-            meta: self.meta,
-            rotation_steps: self.rotation_steps,
-            required_levels: self.required_levels,
-            counts: self.counts,
-            options: self.options,
-        }
-    }
-
-    /// Rebuilds a program from raw fields **without any validation** — the
-    /// escape hatch the mutation suite uses to construct corrupted twins.
-    /// Run [`CompiledProgram::verify`] before trusting the result.
-    pub fn from_raw_parts(parts: RawProgramParts) -> CompiledProgram {
-        CompiledProgram {
-            plan: FusionPlan::derive(&parts.ops, &parts.outputs),
-            ops: parts.ops,
-            outputs: parts.outputs,
-            meta: parts.meta,
-            rotation_steps: parts.rotation_steps,
-            required_levels: parts.required_levels,
-            counts: parts.counts,
-            options: parts.options,
-        }
     }
 
     /// The compiled op list length (including inserted ops).
@@ -1366,10 +1232,11 @@ impl CompiledProgram {
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<Vec<Vec<f64>>, CompileError> {
         // Operand lookups are in-bounds for any program built through
-        // `compile` (verified by construction); a miss can only come from
-        // `from_raw_parts` corruption and surfaces as a typed error.
+        // `compile` (verified by construction); a miss would still surface
+        // as a typed error, not a panic.
         fn node(vals: &[Vec<f64>], id: NodeId, at: usize) -> Result<&Vec<f64>, CompileError> {
-            vals.get(id.0).ok_or(CompileError::MalformedProgram(at))
+            vals.get(id.index())
+                .ok_or(CompileError::MalformedProgram(at))
         }
         let mut vals: Vec<Vec<f64>> = Vec::with_capacity(self.ops.len());
         for (i, op) in self.ops.iter().enumerate() {
@@ -1421,7 +1288,7 @@ impl CompiledProgram {
         }
         self.outputs
             .iter()
-            .map(|o| node(&vals, *o, o.0).cloned())
+            .map(|o| node(&vals, *o, o.index()).cloned())
             .collect()
     }
 
@@ -1509,8 +1376,7 @@ impl CompiledProgram {
         finish: impl Fn(&S::Ciphertext) -> Result<S::Ciphertext, HeError>,
     ) -> Result<Vec<S::Ciphertext>, HeError> {
         // Programs built through `compile` are verified by construction;
-        // re-check in debug builds to catch `from_raw_parts` corruption at
-        // the door instead of as a wrong decrypt.
+        // debug builds check it again at the door.
         debug_assert!(
             self.verify().is_ok(),
             "execute_encrypted on a program that fails static verification: {:?}",
@@ -1530,7 +1396,7 @@ impl CompiledProgram {
             Absent,
         }
         fn ct_at<'s, Ct>(vals: &'s [Slot<'_, Ct>], id: NodeId) -> Result<&'s Ct, HeError> {
-            let slot = match vals.get(id.0) {
+            let slot = match vals.get(id.index()) {
                 Some(Slot::Alias(to)) => vals.get(*to),
                 slot => slot,
             };
@@ -1547,12 +1413,12 @@ impl CompiledProgram {
         }
         fn alias_of<'a, Ct>(vals: &[Slot<'a, Ct>], id: NodeId) -> Result<Slot<'a, Ct>, HeError> {
             ct_at(vals, id)?;
-            Ok(match vals.get(id.0) {
+            Ok(match vals.get(id.index()) {
                 Some(Slot::Alias(to)) => Slot::Alias(*to),
-                _ => Slot::Alias(id.0),
+                _ => Slot::Alias(id.index()),
             })
         }
-        let constant_at = |id: NodeId| match self.ops.get(id.0) {
+        let constant_at = |id: NodeId| match self.ops.get(id.index()) {
             Some(Op::Constant(values)) => Ok(values.as_slice()),
             _ => Err(HeError::Mismatch(
                 "compiler invariant violated: constant operand expected".into(),
@@ -1585,11 +1451,11 @@ impl CompiledProgram {
                     let members = members.and_then(|&b| self.plan.bundles.get(b));
                     let members = members.ok_or_else(no_group)?;
                     let group = self.plan.groups.get(*g).ok_or_else(no_group)?;
-                    let x = ct_at(&vals, NodeId(group.source))?;
+                    let x = ct_at(&vals, NodeId::new(group.source))?;
                     let operand = |member: usize, k: usize| {
                         let term = self.plan.groups.get(member).and_then(|m| m.terms.get(k));
                         let c = term.ok_or_else(no_group)?.1;
-                        let values = constant_at(NodeId(c))?;
+                        let values = constant_at(NodeId::new(c))?;
                         cache.dot_operand(c, x, || S::encode_for_dot(ctx, &quantize(values), x))
                     };
                     let terms = group
@@ -1634,7 +1500,7 @@ impl CompiledProgram {
                 Op::MulPlain(a, c) => {
                     let x = ct_at(&vals, *a)?;
                     let values = constant_at(*c)?;
-                    let operand = cache.site_operand(c.0, OperandUse::Mul, x, || {
+                    let operand = cache.site_operand(c.index(), OperandUse::Mul, x, || {
                         S::encode_for_mul(ctx, &quantize(values), x)
                     })?;
                     Slot::Owned(S::mul_operand(ctx, x, &operand)?)
@@ -1642,7 +1508,7 @@ impl CompiledProgram {
                 Op::AddPlain(a, c) => {
                     let x = ct_at(&vals, *a)?;
                     let values = constant_at(*c)?;
-                    let operand = cache.site_operand(c.0, OperandUse::Add, x, || {
+                    let operand = cache.site_operand(c.index(), OperandUse::Add, x, || {
                         S::encode_for_add(ctx, &quantize(values), x)
                     })?;
                     Slot::Owned(S::add_operand(ctx, x, &operand)?)
@@ -1854,58 +1720,55 @@ pub fn optimize(program: &Program) -> Program {
             Op::Add(a, b) => {
                 // Addition commutes: canonicalize operand order.
                 let (x, y) = (
-                    remap[a.0].0.min(remap[b.0].0),
-                    remap[a.0].0.max(remap[b.0].0),
+                    remap[a.index()].index().min(remap[b.index()].index()),
+                    remap[a.index()].index().max(remap[b.index()].index()),
                 );
-                (
-                    Key::Add(x, y),
-                    Op::Add(NodeId(remap[a.0].0), NodeId(remap[b.0].0)),
-                )
+                (Key::Add(x, y), Op::Add(remap[a.index()], remap[b.index()]))
             }
             Op::Sub(a, b) => (
-                Key::Sub(remap[a.0].0, remap[b.0].0),
-                Op::Sub(remap[a.0], remap[b.0]),
+                Key::Sub(remap[a.index()].index(), remap[b.index()].index()),
+                Op::Sub(remap[a.index()], remap[b.index()]),
             ),
             Op::Mul(a, b) => {
                 let (x, y) = (
-                    remap[a.0].0.min(remap[b.0].0),
-                    remap[a.0].0.max(remap[b.0].0),
+                    remap[a.index()].index().min(remap[b.index()].index()),
+                    remap[a.index()].index().max(remap[b.index()].index()),
                 );
-                (
-                    Key::Mul(x, y),
-                    Op::Mul(NodeId(remap[a.0].0), NodeId(remap[b.0].0)),
-                )
+                (Key::Mul(x, y), Op::Mul(remap[a.index()], remap[b.index()]))
             }
             Op::MulPlain(a, c) => (
-                Key::MulPlain(remap[a.0].0, remap[c.0].0),
-                Op::MulPlain(remap[a.0], remap[c.0]),
+                Key::MulPlain(remap[a.index()].index(), remap[c.index()].index()),
+                Op::MulPlain(remap[a.index()], remap[c.index()]),
             ),
             Op::AddPlain(a, c) => (
-                Key::AddPlain(remap[a.0].0, remap[c.0].0),
-                Op::AddPlain(remap[a.0], remap[c.0]),
+                Key::AddPlain(remap[a.index()].index(), remap[c.index()].index()),
+                Op::AddPlain(remap[a.index()], remap[c.index()]),
             ),
             Op::Rotate(a, s) => {
                 if *s == 0 {
                     // rotate-by-zero is the identity.
-                    remap.push(remap[a.0]);
+                    remap.push(remap[a.index()]);
                     continue;
                 }
-                (Key::Rotate(remap[a.0].0, *s), Op::Rotate(remap[a.0], *s))
+                (
+                    Key::Rotate(remap[a.index()].index(), *s),
+                    Op::Rotate(remap[a.index()], *s),
+                )
             }
             Op::Rescale(_) | Op::ModSwitch(_) => {
                 // Source programs never contain these.
-                remap.push(NodeId(out.ops.len()));
+                remap.push(NodeId::new(out.ops.len()));
                 out.ops.push(op.clone());
                 continue;
             }
         };
         let id = *seen.entry(key).or_insert_with(|| {
             out.ops.push(new_op);
-            NodeId(out.ops.len() - 1)
+            NodeId::new(out.ops.len() - 1)
         });
         remap.push(id);
     }
-    out.outputs = program.outputs.iter().map(|o| remap[o.0]).collect();
+    out.outputs = program.outputs.iter().map(|o| remap[o.index()]).collect();
     out
 }
 
@@ -1987,9 +1850,7 @@ mod tests {
         inputs.insert("x".to_string(), vec![1.0, 2.0, 3.0, 4.0]);
         let out = c.execute_plain(&inputs).unwrap();
         assert_eq!(out[0], vec![3.0, 5.0, 7.0, 5.0]);
-        assert_eq!(c.rotation_steps, vec![1]);
-        // The derived view agrees with the field the compiler recorded.
-        assert_eq!(c.rotation_steps(), c.rotation_steps);
+        assert_eq!(c.rotation_steps(), vec![1]);
     }
 
     #[test]
@@ -2017,7 +1878,7 @@ mod tests {
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
         let galois = ctx
-            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .galois_keys(keys.secret_key(), &c.rotation_steps(), &mut rng)
             .unwrap();
 
         let x_vals: Vec<f64> = (0..8).map(|i| (i as f64 - 3.0) / 4.0).collect();
@@ -2072,7 +1933,7 @@ mod tests {
         let keys = <Bfv as HeScheme>::keygen(&ctx, &mut rng);
         let relin = <Bfv as HeScheme>::relin_key(&ctx, &keys, &mut rng).unwrap();
         let galois =
-            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &c.rotation_steps, &mut rng).unwrap();
+            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &c.rotation_steps(), &mut rng).unwrap();
 
         let width = <Bfv as HeScheme>::slot_width(&ctx);
         let values: Vec<u64> = (0..width as u64).collect();
@@ -2120,7 +1981,7 @@ mod tests {
         let keys = <Bfv as HeScheme>::keygen(&ctx, &mut rng);
         let relin = <Bfv as HeScheme>::relin_key(&ctx, &keys, &mut rng).unwrap();
         let galois =
-            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &c.rotation_steps, &mut rng).unwrap();
+            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &c.rotation_steps(), &mut rng).unwrap();
         let mut inputs = HashMap::new();
         inputs.insert(
             "x".to_string(),
@@ -2160,7 +2021,7 @@ mod tests {
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
         let galois = ctx
-            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .galois_keys(keys.secret_key(), &c.rotation_steps(), &mut rng)
             .unwrap();
         let mut inputs = HashMap::new();
         let pt = ctx.encode(&[1.0; 8]).unwrap();
@@ -2295,12 +2156,12 @@ mod tests {
 
     /// The plan of a hand-written compiled op list (node `i` is `ops[i]`).
     fn plan_of(ops: &[Op], output: usize) -> FusionPlan {
-        FusionPlan::derive(ops, &[NodeId(output)])
+        FusionPlan::derive(ops, &[NodeId::new(output)])
     }
 
     #[test]
     fn near_misses_are_not_fused() {
-        let n = NodeId;
+        let n = NodeId::new;
         let input = || Op::Input("x".into());
         let constant = || Op::Constant(vec![1.0]);
         // The reference: x·c + rot(x, 1)·c, each product rescaled once.
@@ -2371,8 +2232,8 @@ mod tests {
         ];
         unfused(&ops, 3, "one product added to itself");
 
-        // Unverified op lists (`from_raw_parts`) may point anywhere: a
-        // forward or missing reference does not fuse and does not panic.
+        // The plan is total on any op list: a forward or missing reference
+        // does not fuse and does not panic.
         let mut ops = fusible.clone();
         ops[2] = Op::MulPlain(n(6), n(1));
         ops[5] = Op::MulPlain(n(99), n(98));
@@ -2426,7 +2287,7 @@ mod tests {
         let mut twin = program.clone();
         for (i, op) in program.ops().iter().enumerate() {
             if !matches!(op, Op::Constant(_)) {
-                twin.output(NodeId(i));
+                twin.output(NodeId::new(i));
             }
         }
         twin
@@ -2461,7 +2322,7 @@ mod tests {
         let keys = <Bfv as HeScheme>::keygen(&ctx, &mut rng);
         let relin = <Bfv as HeScheme>::relin_key(&ctx, &keys, &mut rng).unwrap();
         let galois =
-            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &fused.rotation_steps, &mut rng).unwrap();
+            <Bfv as HeScheme>::galois_keys(&ctx, &keys, &fused.rotation_steps(), &mut rng).unwrap();
         let width = <Bfv as HeScheme>::slot_width(&ctx);
         let values: Vec<u64> = (0..width as u64).map(|i| i % 11).collect();
         let mut inputs = HashMap::new();
@@ -2511,7 +2372,7 @@ mod tests {
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
         let galois = ctx
-            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .galois_keys(keys.secret_key(), &c.rotation_steps(), &mut rng)
             .unwrap();
         let mut inputs = HashMap::new();
         let pt = ctx.encode(&[0.5; 8]).unwrap();
@@ -2593,7 +2454,7 @@ mod tests {
         // Different step lists over one source are two calls; the same list
         // over another source too.
         let mut p = conv_like(&[0, 1], &steps, true);
-        let x = NodeId(0);
+        let x = NodeId::new(0);
         let y = p.input("y");
         for (src, list) in [(x, [1, 2]), (y, [-1, 0])] {
             let mut acc = None;
@@ -2627,7 +2488,7 @@ mod tests {
         let keys = ctx.keygen(&mut rng);
         let relin = ctx.relin_key(keys.secret_key(), &mut rng);
         let galois = ctx
-            .galois_keys(keys.secret_key(), &c.rotation_steps, &mut rng)
+            .galois_keys(keys.secret_key(), &c.rotation_steps(), &mut rng)
             .unwrap();
         let pt = ctx.encode(&[0.5, -0.25, 1.0, 0.75]).unwrap();
         let mut inputs = HashMap::new();

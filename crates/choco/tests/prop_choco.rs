@@ -410,7 +410,7 @@ fn ckks_fused_execution_decodes_as_close_as_its_unfused_twin() {
 
 /// The node carrying a compiled program's first output.
 fn first_output(compiled: &CompiledProgram) -> NodeId {
-    compiled.clone().into_raw_parts().outputs[0]
+    compiled.to_circuit().outputs[0]
 }
 
 #[test]

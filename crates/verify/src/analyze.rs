@@ -1,7 +1,9 @@
 //! The abstract interpreter.
 //!
-//! One forward pass over the circuit computes, per node, an element of the
-//! product domain *kind × level × scale × noise × width*:
+//! One forward pass over the compiler's own op list — a source `Program`'s
+//! or a `CompiledProgram`'s, read through a [`Circuit`] view — computes,
+//! per node, an element of the product domain *kind × level × scale ×
+//! noise × width*:
 //!
 //! * **kind** — ciphertext or plaintext (exact);
 //! * **level** — remaining data primes, replaying the compiler's arithmetic
@@ -14,12 +16,13 @@
 //! * **width** — packed slot width, `Unknown ⊔ Exact(w)` (constants are
 //!   exact, encrypted inputs unknown, joins meet at binary ops).
 //!
-//! Compiled programs additionally carry the compiler's per-node claims;
+//! Compiled programs additionally carry the compiler's per-node claims
+//! ([`NodeMeta`](crate::NodeMeta));
 //! the pass cross-checks claim against recomputation (`LEVEL004` /
 //! `SCALE003`), which is what catches metadata corruption that a pure
 //! recomputation would silently repeat.
 
-use crate::circuit::{Circuit, CircuitOp};
+use crate::circuit::{Circuit, NodeId, Op};
 use crate::report::VerifyReport;
 use crate::{Diagnostic, RuleId, VerifyError};
 use choco_he::params::{HeParams, SchemeType};
@@ -311,13 +314,16 @@ fn join_width(
 /// sorted by (node, rule). On a malformed topology (`STRUCT001` or an
 /// out-of-range output) the states are empty: interpretation is not
 /// meaningful over a broken graph.
-pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, Vec<Diagnostic>) {
+pub fn analyze(
+    circuit: &Circuit<'_>,
+    opts: &VerifyOptions,
+) -> (Vec<AbstractState>, Vec<Diagnostic>) {
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     // --- structural pass -------------------------------------------------
     let mut malformed = false;
     for (i, op) in circuit.ops.iter().enumerate() {
-        for j in op.operands() {
+        for j in op.operands().map(NodeId::index) {
             if j >= i {
                 diags.push(Diagnostic::new(
                     RuleId::Struct001,
@@ -337,7 +343,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
             "program has no outputs",
         ));
     }
-    for &out in &circuit.outputs {
+    for out in circuit.outputs.iter().map(|o| o.index()) {
         if out >= circuit.ops.len() {
             diags.push(Diagnostic::new(
                 RuleId::Struct003,
@@ -358,7 +364,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
 
     // --- abstract pass ----------------------------------------------------
     let scheduled = circuit.is_scheduled();
-    let claims = circuit.claims.as_deref().unwrap_or(&[]);
+    let claims = circuit.claims.unwrap_or_default();
     let waterline = opts.waterline_bits as f64;
     let prime = opts.prime_bits as f64;
     let half_prime = prime / 2.0;
@@ -397,16 +403,17 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
     for (i, op) in circuit.ops.iter().enumerate() {
         let name = op.name();
         let state = match op {
-            CircuitOp::Input(_) => Work {
+            Op::Input(_) => Work {
                 kind: ValueKind::Cipher,
                 level: top,
                 scale: waterline,
                 noise: fresh_noise,
                 width: None,
             },
-            CircuitOp::Constant { len } => {
+            Op::Constant(values) => {
+                let len = values.len();
                 if let Some(slots) = opts.slot_count {
-                    if *len > slots {
+                    if len > slots {
                         diags.push(Diagnostic::new(
                             RuleId::Slot002,
                             i,
@@ -422,16 +429,17 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                     level: top,
                     scale: waterline,
                     noise: 0.0,
-                    width: Some(*len),
+                    width: Some(len),
                 }
             }
-            CircuitOp::Add(a, b) | CircuitOp::Sub(a, b) | CircuitOp::Mul(a, b) => {
-                check_kind(&work, i, name, *a, ValueKind::Cipher, &mut diags);
-                check_kind(&work, i, name, *b, ValueKind::Cipher, &mut diags);
-                consume(&work, i, name, *a, &mut diags);
-                consume(&work, i, name, *b, &mut diags);
-                let (wa, wb) = (virt(get(&work, *a)), virt(get(&work, *b)));
-                let is_mul = matches!(op, CircuitOp::Mul(..));
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
+                check_kind(&work, i, name, b, ValueKind::Cipher, &mut diags);
+                consume(&work, i, name, a, &mut diags);
+                consume(&work, i, name, b, &mut diags);
+                let (wa, wb) = (virt(get(&work, a)), virt(get(&work, b)));
+                let is_mul = matches!(op, Op::Mul(..));
                 if scheduled && wa.level != wb.level {
                     diags.push(Diagnostic::new(
                         RuleId::Level001,
@@ -485,13 +493,14 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                 }
                 w
             }
-            CircuitOp::MulPlain(a, c) | CircuitOp::AddPlain(a, c) => {
-                check_kind(&work, i, name, *a, ValueKind::Cipher, &mut diags);
-                check_kind(&work, i, name, *c, ValueKind::Plain, &mut diags);
-                consume(&work, i, name, *a, &mut diags);
-                let wa = virt(get(&work, *a));
-                let wc = get(&work, *c);
-                let is_mul = matches!(op, CircuitOp::MulPlain(..));
+            Op::MulPlain(a, c) | Op::AddPlain(a, c) => {
+                let (a, c) = (a.index(), c.index());
+                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
+                check_kind(&work, i, name, c, ValueKind::Plain, &mut diags);
+                consume(&work, i, name, a, &mut diags);
+                let wa = virt(get(&work, a));
+                let wc = get(&work, c);
+                let is_mul = matches!(op, Op::MulPlain(..));
                 let (scale, noise_cost) = if is_mul {
                     (
                         wa.scale + waterline,
@@ -515,9 +524,10 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                 }
                 w
             }
-            CircuitOp::Rotate(a, s) => {
-                check_kind(&work, i, name, *a, ValueKind::Cipher, &mut diags);
-                consume(&work, i, name, *a, &mut diags);
+            Op::Rotate(a, s) => {
+                let a = a.index();
+                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
+                consume(&work, i, name, a, &mut diags);
                 if *s != 0 {
                     if let Some(galois) = &opts.galois_steps {
                         if !galois.contains(s) {
@@ -532,7 +542,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                         }
                     }
                 }
-                let wa = get(&work, *a);
+                let wa = get(&work, a);
                 let rot_cost = if *s != 0 && opts.noise.is_some() {
                     NoiseModel::ROTATE_BITS
                 } else {
@@ -543,7 +553,8 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                     ..wa
                 }
             }
-            CircuitOp::Rescale(a) | CircuitOp::ModSwitch(a) => {
+            Op::Rescale(a) | Op::ModSwitch(a) => {
+                let a = a.index();
                 if !scheduled {
                     diags.push(Diagnostic::new(
                         RuleId::Struct002,
@@ -552,9 +563,9 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
                         "compiler-inserted op in a source program — only compile() may schedule these",
                     ));
                 }
-                check_kind(&work, i, name, *a, ValueKind::Cipher, &mut diags);
-                let wa = get(&work, *a);
-                let scale = if matches!(op, CircuitOp::Rescale(_)) {
+                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
+                let wa = get(&work, a);
+                let scale = if matches!(op, Op::Rescale(_)) {
                     wa.scale - prime
                 } else {
                     wa.scale
@@ -571,7 +582,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
         // LEVEL003 at the first node whose level underflows the tower.
         if state.kind == ValueKind::Cipher
             && state.level < 1
-            && op.operands().iter().all(|&j| get(&work, j).level >= 1)
+            && op.operands().all(|j| get(&work, j.index()).level >= 1)
         {
             diags.push(Diagnostic::new(
                 RuleId::Level003,
@@ -612,9 +623,9 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
     }
 
     // --- output rules -----------------------------------------------------
-    for &out in &circuit.outputs {
+    for out in circuit.outputs.iter().map(|o| o.index()) {
         let w = get(&work, out);
-        let name = circuit.ops.get(out).map_or("Output", CircuitOp::name);
+        let name = circuit.ops.get(out).map_or("Output", Op::name);
         if w.kind != ValueKind::Cipher {
             diags.push(Diagnostic::new(
                 RuleId::Struct003,
@@ -643,15 +654,15 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
     if let Some(model) = opts.noise {
         let budget = model.budget_bits();
         let mut live = vec![false; circuit.ops.len()];
-        for &out in &circuit.outputs {
-            if let Some(slot) = live.get_mut(out) {
+        for out in circuit.outputs {
+            if let Some(slot) = live.get_mut(out.index()) {
                 *slot = true;
             }
         }
         for (i, op) in circuit.ops.iter().enumerate().rev() {
             if live.get(i).copied().unwrap_or(false) {
                 for j in op.operands() {
-                    if let Some(slot) = live.get_mut(j) {
+                    if let Some(slot) = live.get_mut(j.index()) {
                         *slot = true;
                     }
                 }
@@ -661,7 +672,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
             let w = get(&work, i);
             let crossing = w.kind == ValueKind::Cipher
                 && w.noise >= budget
-                && op.operands().iter().all(|&j| get(&work, j).noise < budget);
+                && op.operands().all(|j| get(&work, j.index()).noise < budget);
             if live.get(i).copied().unwrap_or(false) && crossing {
                 diags.push(Diagnostic::new(
                     RuleId::Noise001,
@@ -697,7 +708,7 @@ pub fn analyze(circuit: &Circuit, opts: &VerifyOptions) -> (Vec<AbstractState>, 
 /// # Errors
 ///
 /// Returns [`VerifyError`] when any verification rule fires.
-pub fn verify(circuit: &Circuit, opts: &VerifyOptions) -> Result<VerifyReport, VerifyError> {
+pub fn verify(circuit: &Circuit<'_>, opts: &VerifyOptions) -> Result<VerifyReport, VerifyError> {
     let rep = VerifyReport::build(circuit, opts);
     if rep.diagnostics.is_empty() {
         Ok(rep)
@@ -711,94 +722,99 @@ pub fn verify(circuit: &Circuit, opts: &VerifyOptions) -> Result<VerifyReport, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{CircuitOp, NodeClaim};
+    use crate::circuit::NodeMeta;
 
-    fn unscheduled(ops: Vec<CircuitOp>, outputs: Vec<usize>) -> Circuit {
-        Circuit {
+    fn verify_source(
+        ops: &[Op],
+        outputs: &[NodeId],
+        opts: &VerifyOptions,
+    ) -> Result<VerifyReport, VerifyError> {
+        let circuit = Circuit {
             ops,
             outputs,
             claims: None,
-        }
+        };
+        verify(&circuit, opts)
     }
 
-    /// A scheduled circuit whose claims are taken from the scheduled
-    /// recomputation itself, so only the rule under test can fire. The
-    /// probe pass uses dummy claims — states never depend on claims, only
-    /// the cross-check diagnostics do.
-    fn scheduled(ops: Vec<CircuitOp>, outputs: Vec<usize>, opts: &VerifyOptions) -> Circuit {
+    /// Verifies `ops` as a scheduled circuit whose claims are taken from the
+    /// scheduled recomputation itself, so only the rule under test can fire.
+    /// The probe pass uses dummy claims — states never depend on claims,
+    /// only the cross-check diagnostics do.
+    fn verify_scheduled(
+        ops: &[Op],
+        outputs: &[NodeId],
+        opts: &VerifyOptions,
+    ) -> Result<VerifyReport, VerifyError> {
         let dummy = vec![
-            NodeClaim {
+            NodeMeta {
                 scale_bits: 0.0,
                 level: 0,
             };
             ops.len()
         ];
         let probe = Circuit {
-            ops: ops.clone(),
-            outputs: outputs.clone(),
-            claims: Some(dummy),
+            ops,
+            outputs,
+            claims: Some(&dummy),
         };
         let (states, _) = analyze(&probe, opts);
-        let claims = states
+        let claims: Vec<NodeMeta> = states
             .iter()
-            .map(|s| NodeClaim {
+            .map(|s| NodeMeta {
                 scale_bits: s.scale_bits,
                 level: s.level,
             })
             .collect();
-        Circuit {
-            ops,
-            outputs,
-            claims: Some(claims),
-        }
+        verify(
+            &Circuit {
+                claims: Some(&claims),
+                ..probe
+            },
+            opts,
+        )
+    }
+
+    fn n(index: usize) -> NodeId {
+        NodeId::new(index)
+    }
+
+    fn input(name: &str) -> Op {
+        Op::Input(name.into())
+    }
+
+    fn constant(len: usize) -> Op {
+        Op::Constant(vec![1.0; len])
     }
 
     #[test]
     fn struct002_plain_operand_where_cipher_required() {
-        let c = unscheduled(
-            vec![
-                CircuitOp::Input("x".into()),
-                CircuitOp::Constant { len: 4 },
-                CircuitOp::Add(0, 1),
-            ],
-            vec![2],
-        );
-        let err = verify(&c, &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
+        let ops = [input("x"), constant(4), Op::Add(n(0), n(1))];
+        let err = verify_source(&ops, &[n(2)], &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
         assert!(err.has(RuleId::Struct002, 2));
     }
 
     #[test]
     fn struct002_cipher_operand_where_plain_required() {
-        let c = unscheduled(
-            vec![
-                CircuitOp::Input("x".into()),
-                CircuitOp::Input("y".into()),
-                CircuitOp::MulPlain(0, 1),
-            ],
-            vec![2],
-        );
-        let err = verify(&c, &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
+        let ops = [input("x"), input("y"), Op::MulPlain(n(0), n(1))];
+        let err = verify_source(&ops, &[n(2)], &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
         assert!(err.has(RuleId::Struct002, 2));
     }
 
     #[test]
     fn struct002_compiler_op_in_source_program() {
-        let c = unscheduled(
-            vec![CircuitOp::Input("x".into()), CircuitOp::Rescale(0)],
-            vec![1],
-        );
-        let err = verify(&c, &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
+        let ops = [input("x"), Op::Rescale(n(0))];
+        let err = verify_source(&ops, &[n(1)], &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
         assert!(err.has(RuleId::Struct002, 1));
     }
 
     #[test]
     fn struct003_no_outputs_and_plain_output() {
-        let none = unscheduled(vec![CircuitOp::Input("x".into())], vec![]);
-        let err = verify(&none, &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
+        let err = verify_source(&[input("x")], &[], &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
         assert!(err.has(RuleId::Struct003, 0));
 
-        let plain = unscheduled(vec![CircuitOp::Constant { len: 4 }], vec![0]);
-        let err = verify(&plain, &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
+        let err =
+            verify_source(&[constant(4)], &[n(0)], &VerifyOptions::ckks(40, 40, 3)).unwrap_err();
         assert!(err.has(RuleId::Struct003, 0));
     }
 
@@ -808,19 +824,21 @@ mod tests {
         // fresh 2^40 input; with the tolerance tightened to 10 bits the
         // disagreement is flagged.
         let mut opts = VerifyOptions::ckks(40, 60, 3);
-        let ops = vec![
-            CircuitOp::Input("x".into()),
-            CircuitOp::Constant { len: 4 },
-            CircuitOp::MulPlain(0, 1),
-            CircuitOp::Rescale(2),
-            CircuitOp::ModSwitch(0),
-            CircuitOp::Add(3, 4),
+        let ops = [
+            input("x"),
+            constant(4),
+            Op::MulPlain(n(0), n(1)),
+            Op::Rescale(n(2)),
+            Op::ModSwitch(n(0)),
+            Op::Add(n(3), n(4)),
         ];
-        let c = scheduled(ops.clone(), vec![5], &opts);
-        assert!(verify(&c, &opts).is_ok(), "default half-prime band passes");
+        let out = [n(5)];
+        assert!(
+            verify_scheduled(&ops, &out, &opts).is_ok(),
+            "default half-prime band passes"
+        );
         opts.scale_tol_bits = 10.0;
-        let c = scheduled(ops, vec![5], &opts);
-        let err = verify(&c, &opts).unwrap_err();
+        let err = verify_scheduled(&ops, &out, &opts).unwrap_err();
         assert!(err.has(RuleId::Scale001, 5));
     }
 
@@ -830,42 +848,99 @@ mod tests {
         // bits off the waterline; nothing consumes it, so only the output
         // rule can complain.
         let opts = VerifyOptions::ckks(40, 60, 3);
-        let c = scheduled(
-            vec![
-                CircuitOp::Input("x".into()),
-                CircuitOp::Constant { len: 4 },
-                CircuitOp::MulPlain(0, 1),
-            ],
-            vec![2],
-            &opts,
-        );
-        let err = verify(&c, &opts).unwrap_err();
+        let ops = [input("x"), constant(4), Op::MulPlain(n(0), n(1))];
+        let err = verify_scheduled(&ops, &[n(2)], &opts).unwrap_err();
         assert!(err.has(RuleId::Scale002, 2));
     }
 
     #[test]
     fn slot002_constant_exceeds_slot_capacity() {
         let opts = VerifyOptions::ckks(40, 40, 3).with_slot_count(8);
-        let c = unscheduled(
-            vec![
-                CircuitOp::Input("x".into()),
-                CircuitOp::Constant { len: 16 },
-                CircuitOp::AddPlain(0, 1),
-            ],
-            vec![2],
-        );
-        let err = verify(&c, &opts).unwrap_err();
+        let ops = [input("x"), constant(16), Op::AddPlain(n(0), n(1))];
+        let err = verify_source(&ops, &[n(2)], &opts).unwrap_err();
         assert!(err.has(RuleId::Slot002, 1));
     }
 
     #[test]
     fn zero_step_rotation_needs_no_key() {
         let opts = VerifyOptions::ckks(40, 40, 3).with_galois_steps(&[]);
-        let c = unscheduled(
-            vec![CircuitOp::Input("x".into()), CircuitOp::Rotate(0, 0)],
-            vec![1],
+        let ops = [input("x"), Op::Rotate(n(0), 0)];
+        assert!(verify_source(&ops, &[n(1)], &opts).is_ok());
+    }
+
+    /// NOISE001's verdict depends on how a program associates its sums:
+    /// an `Add` costs `max(a, b) + 1` bits, so a k-term chain pays k − 1
+    /// bits where a balanced tree pays ⌈log2 k⌉. The executor runs both
+    /// shapes as the same fused dot. This pins today's gap so that any
+    /// change to the `Add` term is deliberate (ROADMAP item 3).
+    #[test]
+    fn noise_verdict_depends_on_sum_shape() {
+        // 64 plaintext-multiply leaves over one input, 63 of them rotated.
+        let mut ops = vec![input("x")];
+        let mut leaves = Vec::new();
+        for step in 0..64 {
+            let source = if step == 0 {
+                n(0)
+            } else {
+                ops.push(Op::Rotate(n(0), step));
+                n(ops.len() - 1)
+            };
+            ops.push(constant(64));
+            ops.push(Op::MulPlain(source, n(ops.len() - 1)));
+            leaves.push(n(ops.len() - 1));
+        }
+        fn add(ops: &mut Vec<Op>, a: NodeId, b: NodeId) -> NodeId {
+            ops.push(Op::Add(a, b));
+            n(ops.len() - 1)
+        }
+        // A left-leaning chain, as `matvec_into` builds it.
+        let mut chain_ops = ops.clone();
+        let mut chain = leaves[0];
+        for &leaf in &leaves[1..] {
+            chain = add(&mut chain_ops, chain, leaf);
+        }
+        // A balanced tree over the same leaves.
+        let mut tree_ops = ops;
+        let mut level = leaves;
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| add(&mut tree_ops, pair[0], pair[1]))
+                .collect();
+        }
+        let tree = level[0];
+
+        let model = NoiseModel {
+            n: 8192,
+            t_bits: 22,
+            data_bits: 116,
+        };
+        let opts = VerifyOptions::bfv(model, 3);
+        let run = |ops: &[Op], out: NodeId| {
+            let outputs = [out];
+            let circuit = Circuit {
+                ops,
+                outputs: &outputs,
+                claims: None,
+            };
+            let (states, diags) = analyze(&circuit, &opts);
+            (states[out.index()].noise_bits, diags)
+        };
+        let (chain_bits, chain_diags) = run(&chain_ops, chain);
+        let (tree_bits, tree_diags) = run(&tree_ops, tree);
+        assert!(
+            (chain_bits - 105.26).abs() < 0.01,
+            "chain: {chain_bits:.2} bits"
         );
-        assert!(verify(&c, &opts).is_ok());
+        assert!(
+            (tree_bits - 48.26).abs() < 0.01,
+            "tree: {tree_bits:.2} bits"
+        );
+        // 63 − 6 adds on the critical path, one bit each.
+        assert!((chain_bits - tree_bits - 57.0).abs() < 1e-9);
+        assert!(!chain_diags.is_empty());
+        assert!(chain_diags.iter().all(|d| d.rule == RuleId::Noise001));
+        assert!(tree_diags.is_empty(), "tree: {tree_diags:?}");
     }
 
     #[test]

@@ -1,133 +1,135 @@
-//! The scheme-agnostic circuit form the verifier analyzes.
+//! The program IR — one definition, shared by the compiler and the verifier.
 //!
-//! `choco-verify` sits *below* the compiler in the dependency graph, so it
-//! cannot see `choco::compiler::{Program, CompiledProgram}` directly.
-//! Instead the compiler lowers its IR into this mirror: plain `usize` node
-//! indices, constants reduced to their slot width (the verifier never needs
-//! the values), and — for compiled programs — the compiler's per-node
-//! scale/level claims, which the abstract interpreter cross-checks against
-//! its own recomputation (`LEVEL004`/`SCALE003`).
+//! `choco-verify` sits *below* the compiler in the dependency graph, so the
+//! IR lives here and `choco::compiler` re-exports it: a source `Program` and
+//! a `CompiledProgram` are lists of [`Op`]s over [`NodeId`]s, and a compiled
+//! one also carries one [`NodeMeta`] per node, the compiler's scale/level
+//! claim. The verifier reads either through a borrowed [`Circuit`] view —
+//! nothing is lowered or copied — and cross-checks the claims against its
+//! own recomputation (`LEVEL004`/`SCALE003`).
 
-/// One circuit operation. Operands are indices of earlier nodes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CircuitOp {
-    /// An encrypted input, by name (kept for diagnostics).
-    Input(String),
-    /// A plaintext constant, reduced to its packed slot width.
-    Constant {
-        /// Number of packed slots the constant occupies.
-        len: usize,
-    },
-    /// Ciphertext + ciphertext.
-    Add(usize, usize),
-    /// Ciphertext − ciphertext.
-    Sub(usize, usize),
-    /// Ciphertext × ciphertext.
-    Mul(usize, usize),
-    /// Ciphertext × plaintext constant.
-    MulPlain(usize, usize),
-    /// Ciphertext + plaintext constant.
-    AddPlain(usize, usize),
-    /// Slot rotation left by the given step.
-    Rotate(usize, i64),
-    /// Divide by the level's last prime (compiler-inserted).
-    Rescale(usize),
-    /// Drop one level without rescaling (compiler-inserted).
-    ModSwitch(usize),
+/// A node handle: the index of a node in its op list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NodeId(usize);
+
+impl NodeId {
+    /// Builds a handle from a raw index. An out-of-range or
+    /// forward-referencing id is rejected by the compiler
+    /// (`CompileError::MalformedProgram`) and by the verifier
+    /// (`STRUCT001`), never executed.
+    pub fn new(index: usize) -> NodeId {
+        NodeId(index)
+    }
+
+    /// The raw node index.
+    pub fn index(self) -> usize {
+        self.0
+    }
 }
 
-impl CircuitOp {
+/// Operation kinds of the IR. Operands are earlier nodes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Op {
+    /// An encrypted input, by name.
+    Input(String),
+    /// A plaintext constant vector (server-known, e.g. weights).
+    Constant(Vec<f64>),
+    /// Ciphertext + ciphertext.
+    Add(NodeId, NodeId),
+    /// Ciphertext − ciphertext.
+    Sub(NodeId, NodeId),
+    /// Ciphertext × ciphertext (with relinearization).
+    Mul(NodeId, NodeId),
+    /// Ciphertext × plaintext constant.
+    MulPlain(NodeId, NodeId),
+    /// Ciphertext + plaintext constant.
+    AddPlain(NodeId, NodeId),
+    /// Slot rotation (left by the given amount).
+    Rotate(NodeId, i64),
+    /// Divide by the level's last prime (inserted by the compiler).
+    Rescale(NodeId),
+    /// Drop to a lower level without rescaling (inserted by the compiler).
+    ModSwitch(NodeId),
+}
+
+impl Op {
     /// Short op-kind name used in diagnostics (`"Mul"`, `"Rescale"`, …).
     pub fn name(&self) -> &'static str {
         match self {
-            CircuitOp::Input(_) => "Input",
-            CircuitOp::Constant { .. } => "Constant",
-            CircuitOp::Add(..) => "Add",
-            CircuitOp::Sub(..) => "Sub",
-            CircuitOp::Mul(..) => "Mul",
-            CircuitOp::MulPlain(..) => "MulPlain",
-            CircuitOp::AddPlain(..) => "AddPlain",
-            CircuitOp::Rotate(..) => "Rotate",
-            CircuitOp::Rescale(_) => "Rescale",
-            CircuitOp::ModSwitch(_) => "ModSwitch",
+            Op::Input(_) => "Input",
+            Op::Constant(_) => "Constant",
+            Op::Add(..) => "Add",
+            Op::Sub(..) => "Sub",
+            Op::Mul(..) => "Mul",
+            Op::MulPlain(..) => "MulPlain",
+            Op::AddPlain(..) => "AddPlain",
+            Op::Rotate(..) => "Rotate",
+            Op::Rescale(_) => "Rescale",
+            Op::ModSwitch(_) => "ModSwitch",
         }
     }
 
-    /// Full rendering with operand indices (`"Mul(3, 5)"`), for the
-    /// per-node state dump.
+    /// Full rendering with operand indices (`"Mul(3, 5)"`, a constant by
+    /// its slot width: `"Constant[8]"`), for the per-node state dump.
     pub fn describe(&self) -> String {
         match self {
-            CircuitOp::Input(name) => format!("Input({name})"),
-            CircuitOp::Constant { len } => format!("Constant[{len}]"),
-            CircuitOp::Add(a, b) => format!("Add({a}, {b})"),
-            CircuitOp::Sub(a, b) => format!("Sub({a}, {b})"),
-            CircuitOp::Mul(a, b) => format!("Mul({a}, {b})"),
-            CircuitOp::MulPlain(a, c) => format!("MulPlain({a}, {c})"),
-            CircuitOp::AddPlain(a, c) => format!("AddPlain({a}, {c})"),
-            CircuitOp::Rotate(a, s) => format!("Rotate({a}, {s})"),
-            CircuitOp::Rescale(a) => format!("Rescale({a})"),
-            CircuitOp::ModSwitch(a) => format!("ModSwitch({a})"),
+            Op::Input(name) => format!("Input({name})"),
+            Op::Constant(values) => format!("Constant[{}]", values.len()),
+            Op::Add(a, b) => format!("Add({}, {})", a.0, b.0),
+            Op::Sub(a, b) => format!("Sub({}, {})", a.0, b.0),
+            Op::Mul(a, b) => format!("Mul({}, {})", a.0, b.0),
+            Op::MulPlain(a, c) => format!("MulPlain({}, {})", a.0, c.0),
+            Op::AddPlain(a, c) => format!("AddPlain({}, {})", a.0, c.0),
+            Op::Rotate(a, s) => format!("Rotate({}, {s})", a.0),
+            Op::Rescale(a) => format!("Rescale({})", a.0),
+            Op::ModSwitch(a) => format!("ModSwitch({})", a.0),
         }
     }
 
-    /// Operand indices, in order.
-    pub fn operands(&self) -> Vec<usize> {
-        match self {
-            CircuitOp::Input(_) | CircuitOp::Constant { .. } => Vec::new(),
-            CircuitOp::Add(a, b)
-            | CircuitOp::Sub(a, b)
-            | CircuitOp::Mul(a, b)
-            | CircuitOp::MulPlain(a, b)
-            | CircuitOp::AddPlain(a, b) => vec![*a, *b],
-            CircuitOp::Rotate(a, _) | CircuitOp::Rescale(a) | CircuitOp::ModSwitch(a) => {
-                vec![*a]
-            }
-        }
+    /// Operands, in order.
+    pub fn operands(&self) -> impl Iterator<Item = NodeId> {
+        let operands = match *self {
+            Op::Input(_) | Op::Constant(_) => [None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MulPlain(a, b)
+            | Op::AddPlain(a, b) => [Some(a), Some(b)],
+            Op::Rotate(a, _) | Op::Rescale(a) | Op::ModSwitch(a) => [Some(a), None],
+        };
+        operands.into_iter().flatten()
     }
 }
 
-/// The compiler's claimed metadata for one node of a compiled program —
-/// cross-checked against the verifier's own recomputation.
+/// Per-node metadata the compiler assigns — its claim, which the verifier
+/// cross-checks against its own recomputation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeClaim {
-    /// Claimed log2 fixed-point scale.
+pub struct NodeMeta {
+    /// log2 of the fixed-point scale carried by the node's value.
     pub scale_bits: f64,
-    /// Claimed level (active data primes).
+    /// Level (number of active data primes) the node's value lives at.
     pub level: usize,
 }
 
-/// A circuit to verify: op list, output nodes, and (for compiled programs)
-/// the compiler's per-node claims. `claims == None` marks an *unscheduled*
-/// source program: the analyzer then replays the compiler's scheduling
-/// abstractly (virtual rescales/mod-switches) to bound depth, but skips the
-/// discipline rules that only make sense once a schedule exists.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Circuit {
+/// A program as the verifier reads it: op list, output nodes, and (for
+/// compiled programs) the compiler's per-node claims. `claims == None`
+/// marks an *unscheduled* source program: the analyzer then replays the
+/// compiler's scheduling abstractly (virtual rescales/mod-switches) to
+/// bound depth, but skips the discipline rules that only make sense once a
+/// schedule exists.
+#[derive(Debug, Clone, Copy)]
+pub struct Circuit<'a> {
     /// Operations in topological order.
-    pub ops: Vec<CircuitOp>,
-    /// Output node indices (must be ciphertexts).
-    pub outputs: Vec<usize>,
-    /// Compiler claims, one per op, when lowered from a `CompiledProgram`.
-    pub claims: Option<Vec<NodeClaim>>,
+    pub ops: &'a [Op],
+    /// Output nodes (must be ciphertexts).
+    pub outputs: &'a [NodeId],
+    /// Compiler claims, one per op, for a compiled program.
+    pub claims: Option<&'a [NodeMeta]>,
 }
 
-impl Circuit {
+impl Circuit<'_> {
     /// True when per-node compiler claims are present (compiled program).
     pub fn is_scheduled(&self) -> bool {
         self.claims.is_some()
-    }
-
-    /// Distinct nonzero rotation steps the circuit requests, sorted.
-    pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut steps: Vec<i64> = Vec::new();
-        for op in &self.ops {
-            if let CircuitOp::Rotate(_, s) = op {
-                if *s != 0 && !steps.contains(s) {
-                    steps.push(*s);
-                }
-            }
-        }
-        steps.sort_unstable();
-        steps
     }
 }

@@ -3,8 +3,9 @@
 //! The offload model only works if the client can trust that a compiled
 //! circuit will decrypt correctly *before* paying to upload ciphertexts.
 //! This crate checks that — without executing anything — by abstract
-//! interpretation over a scheme-agnostic [`Circuit`] view of the compiler
-//! IR (CHET-style static checking; see DESIGN.md §13):
+//! interpretation over a borrowed [`Circuit`] view of the compiler's own
+//! IR, which lives here ([`Op`], [`NodeId`], [`NodeMeta`]; CHET-style
+//! static checking; see DESIGN.md §13):
 //!
 //! * **level/rescale discipline** (`LEVEL001–004`): binary operands meet at
 //!   the same level, every multiply is rescaled back to the waterline
@@ -32,7 +33,7 @@ pub mod circuit;
 pub mod report;
 
 pub use analyze::{analyze, verify, AbstractState, NoiseModel, Scheme, ValueKind, VerifyOptions};
-pub use circuit::{Circuit, CircuitOp, NodeClaim};
+pub use circuit::{Circuit, NodeId, NodeMeta, Op};
 pub use report::{NodeRow, VerifyReport};
 
 use std::fmt;

@@ -38,7 +38,7 @@ pub struct VerifyReport {
 impl VerifyReport {
     /// Runs [`analyze`] and packages states + diagnostics together — what
     /// the CLI renders even when verification fails.
-    pub fn build(circuit: &Circuit, opts: &VerifyOptions) -> VerifyReport {
+    pub fn build(circuit: &Circuit<'_>, opts: &VerifyOptions) -> VerifyReport {
         let (states, diagnostics) = analyze(circuit, opts);
         let rows = circuit
             .ops
@@ -54,7 +54,7 @@ impl VerifyReport {
         VerifyReport {
             scheme: opts.scheme,
             rows,
-            outputs: circuit.outputs.clone(),
+            outputs: circuit.outputs.iter().map(|o| o.index()).collect(),
             diagnostics,
         }
     }

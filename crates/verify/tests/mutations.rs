@@ -2,15 +2,16 @@
 //! the exact rule + node the verifier rejects it with.
 //!
 //! Each case follows the same shape: compile a fixture (verified by
-//! construction — the uncorrupted twin must pass), break one invariant via
-//! the `into_raw_parts`/`from_raw_parts` escape hatch, and assert the
-//! verifier names precisely the broken invariant at precisely the broken
-//! node. A verifier that flags the wrong rule, the wrong node, or the
-//! intact twin fails these tests just as hard as one that misses the
-//! corruption.
+//! construction — the uncorrupted twin must pass), break one invariant in a
+//! copy of its ops or claims, verify a [`Circuit`] view of that copy, and
+//! assert the verifier names precisely the broken invariant at precisely
+//! the broken node. The program itself is never corrupted: `compile()` is
+//! the only way to build one. A verifier that flags the wrong rule, the
+//! wrong node, or the intact twin fails these tests just as hard as one
+//! that misses the corruption.
 
-use choco::compiler::{compile, CompiledProgram, CompilerOptions, NodeId, Op, Program};
-use choco_verify::{verify, RuleId, Scheme, VerifyOptions};
+use choco::compiler::{compile, CompiledProgram, CompilerOptions, NodeId, NodeMeta, Op, Program};
+use choco_verify::{verify, Circuit, RuleId, Scheme, VerifyError, VerifyOptions, VerifyReport};
 
 /// Uniform-prime options: every post-rescale scale sits exactly on the
 /// waterline, so the fixtures are stable under all scale rules.
@@ -38,6 +39,27 @@ fn fixture() -> CompiledProgram {
     compile(&p, &opts()).expect("fixture compiles and self-verifies")
 }
 
+/// A copy of a compiled program's ops and claims, for a mutation to break.
+fn copy(compiled: &CompiledProgram) -> (Vec<Op>, Vec<NodeMeta>) {
+    let circuit = compiled.to_circuit();
+    let claims = circuit.claims.unwrap_or_default();
+    (circuit.ops.to_vec(), claims.to_vec())
+}
+
+/// Verifies a corrupted copy against the program's outputs and options.
+fn verify_copy(
+    compiled: &CompiledProgram,
+    ops: &[Op],
+    claims: &[NodeMeta],
+) -> Result<VerifyReport, VerifyError> {
+    let circuit = Circuit {
+        ops,
+        claims: Some(claims),
+        ..compiled.to_circuit()
+    };
+    verify(&circuit, &compiled.verify_options())
+}
+
 /// Index of the first op matching `pred`, which every mutation locates
 /// dynamically so the tests survive scheduling changes.
 fn find(ops: &[Op], pred: impl Fn(&Op) -> bool) -> usize {
@@ -59,16 +81,17 @@ fn uncorrupted_fixture_verifies_clean() {
 
 #[test]
 fn dropped_rescale_is_level002_at_the_consumer() {
-    let mut parts = fixture().into_raw_parts();
+    let compiled = fixture();
+    let (mut ops, claims) = copy(&compiled);
     // Rewire every consumer of the first Rescale to the raw product: the
     // schedule now claims a rescale nobody uses, and the consumer reads a
     // value still above the waterline band.
-    let resc = find(&parts.ops, |op| matches!(op, Op::Rescale(_)));
-    let Op::Rescale(raw) = parts.ops[resc].clone() else {
+    let resc = find(&ops, |op| matches!(op, Op::Rescale(_)));
+    let Op::Rescale(raw) = ops[resc].clone() else {
         unreachable!()
     };
     let mut consumer = None;
-    for (i, op) in parts.ops.iter_mut().enumerate().skip(resc + 1) {
+    for (i, op) in ops.iter_mut().enumerate().skip(resc + 1) {
         if let Op::Rotate(a, _) = op {
             if a.index() == resc {
                 *a = raw;
@@ -77,9 +100,7 @@ fn dropped_rescale_is_level002_at_the_consumer() {
         }
     }
     let consumer = consumer.expect("fixture rotates the rescaled product");
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("missing rescale must be rejected");
+    let err = verify_copy(&compiled, &ops, &claims).expect_err("missing rescale must be rejected");
     assert!(
         err.has(RuleId::Level002, consumer),
         "want LEVEL002 at node {consumer}, got: {}",
@@ -100,13 +121,13 @@ fn bypassed_modswitch_is_level001_at_the_join() {
     let compiled = compile(&p, &opts()).expect("fixture compiles");
     assert!(compiled.verify().is_ok());
 
-    let mut parts = compiled.into_raw_parts();
-    let ms = find(&parts.ops, |op| matches!(op, Op::ModSwitch(_)));
-    let Op::ModSwitch(raw) = parts.ops[ms].clone() else {
+    let (mut ops, claims) = copy(&compiled);
+    let ms = find(&ops, |op| matches!(op, Op::ModSwitch(_)));
+    let Op::ModSwitch(raw) = ops[ms].clone() else {
         unreachable!()
     };
     let mut join = None;
-    for (i, op) in parts.ops.iter_mut().enumerate().skip(ms + 1) {
+    for (i, op) in ops.iter_mut().enumerate().skip(ms + 1) {
         if let Op::Add(a, b) = op {
             if a.index() == ms {
                 *a = raw;
@@ -119,9 +140,7 @@ fn bypassed_modswitch_is_level001_at_the_join() {
         }
     }
     let join = join.expect("fixture adds across the ModSwitch");
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("level mismatch must be rejected");
+    let err = verify_copy(&compiled, &ops, &claims).expect_err("level mismatch must be rejected");
     assert!(
         err.has(RuleId::Level001, join),
         "want LEVEL001 at node {join}, got: {}",
@@ -131,12 +150,12 @@ fn bypassed_modswitch_is_level001_at_the_join() {
 
 #[test]
 fn skewed_level_claim_is_level004_at_the_skewed_node() {
-    let mut parts = fixture().into_raw_parts();
-    let mul = find(&parts.ops, |op| matches!(op, Op::Mul(..)));
-    parts.meta[mul].level += 1;
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("metadata corruption must be rejected");
+    let compiled = fixture();
+    let (ops, mut claims) = copy(&compiled);
+    let mul = find(&ops, |op| matches!(op, Op::Mul(..)));
+    claims[mul].level += 1;
+    let err =
+        verify_copy(&compiled, &ops, &claims).expect_err("metadata corruption must be rejected");
     assert!(
         err.has(RuleId::Level004, mul),
         "want LEVEL004 at node {mul}, got: {}",
@@ -146,12 +165,12 @@ fn skewed_level_claim_is_level004_at_the_skewed_node() {
 
 #[test]
 fn skewed_scale_claim_is_scale003_at_the_skewed_node() {
-    let mut parts = fixture().into_raw_parts();
-    let mul = find(&parts.ops, |op| matches!(op, Op::Mul(..)));
-    parts.meta[mul].scale_bits += 1.5;
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("metadata corruption must be rejected");
+    let compiled = fixture();
+    let (ops, mut claims) = copy(&compiled);
+    let mul = find(&ops, |op| matches!(op, Op::Mul(..)));
+    claims[mul].scale_bits += 1.5;
+    let err =
+        verify_copy(&compiled, &ops, &claims).expect_err("metadata corruption must be rejected");
     assert!(
         err.has(RuleId::Scale003, mul),
         "want SCALE003 at node {mul}, got: {}",
@@ -161,14 +180,11 @@ fn skewed_scale_claim_is_scale003_at_the_skewed_node() {
 
 #[test]
 fn removed_galois_step_is_key001_at_the_rotation() {
-    use choco_verify::CircuitOp;
     let compiled = fixture();
-    let circuit = compiled.to_circuit();
-    let rot = circuit
-        .ops
-        .iter()
-        .position(|op| matches!(op, CircuitOp::Rotate(_, s) if *s != 0))
-        .expect("fixture rotates");
+    let rot = find(
+        compiled.to_circuit().ops,
+        |op| matches!(op, Op::Rotate(_, s) if *s != 0),
+    );
     // The client provisions every step except the one the rotation needs.
     let full = compiled.rotation_steps();
     let missing: Vec<i64> = full.iter().copied().filter(|&s| s != 2).collect();
@@ -184,19 +200,17 @@ fn removed_galois_step_is_key001_at_the_rotation() {
 
 #[test]
 fn mismatched_constant_width_is_slot001_at_the_join() {
-    let mut parts = fixture().into_raw_parts();
+    let compiled = fixture();
+    let (mut ops, claims) = copy(&compiled);
     // Shrink the *last* constant: the widths meeting at the final AddPlain
     // now disagree (8 from the first constant's join vs 4).
-    let last_const = parts
-        .ops
+    let last_const = ops
         .iter()
         .rposition(|op| matches!(op, Op::Constant(_)))
         .expect("fixture has constants");
-    parts.ops[last_const] = Op::Constant(vec![2.0; 4]);
-    let join = find(&parts.ops, |op| matches!(op, Op::AddPlain(..)));
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("width mismatch must be rejected");
+    ops[last_const] = Op::Constant(vec![2.0; 4]);
+    let join = find(&ops, |op| matches!(op, Op::AddPlain(..)));
+    let err = verify_copy(&compiled, &ops, &claims).expect_err("width mismatch must be rejected");
     assert!(
         err.has(RuleId::Slot001, join),
         "want SLOT001 at node {join}, got: {}",
@@ -265,13 +279,13 @@ fn over_deep_mul_chain_is_noise001_under_bfv() {
 
 #[test]
 fn forward_reference_is_struct001_and_suppresses_interpretation() {
-    let mut parts = fixture().into_raw_parts();
-    let mul = find(&parts.ops, |op| matches!(op, Op::Mul(..)));
-    let n = parts.ops.len();
-    parts.ops[mul] = Op::Mul(NodeId::new(n + 3), NodeId::new(0));
-    let err = CompiledProgram::from_raw_parts(parts)
-        .verify()
-        .expect_err("forward reference must be rejected");
+    let compiled = fixture();
+    let (mut ops, claims) = copy(&compiled);
+    let mul = find(&ops, |op| matches!(op, Op::Mul(..)));
+    let n = ops.len();
+    ops[mul] = Op::Mul(NodeId::new(n + 3), NodeId::new(0));
+    let err =
+        verify_copy(&compiled, &ops, &claims).expect_err("forward reference must be rejected");
     assert!(
         err.has(RuleId::Struct001, mul),
         "want STRUCT001 at node {mul}, got: {}",

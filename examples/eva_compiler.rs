@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Blake3Rng::from_seed(b"eva example");
     let keys = ctx.keygen(&mut rng);
     let relin = ctx.relin_key(keys.secret_key(), &mut rng);
-    let galois = ctx.galois_keys(keys.secret_key(), &compiled.rotation_steps, &mut rng)?;
+    let galois = ctx.galois_keys(keys.secret_key(), &compiled.rotation_steps(), &mut rng)?;
 
     let x_vals: Vec<f64> = (0..8).map(|i| (i as f64) / 4.0 - 1.0).collect();
     let mut plain_inputs = HashMap::new();
