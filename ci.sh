@@ -198,6 +198,12 @@ cargo run --release -q -p choco-lint -- --workspace
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (broken or private intra-doc links, warnings are errors)"
+# A link rustdoc cannot resolve renders as plain text without a word of
+# complaint from the build. `--lib`: the choco-verify binary and library
+# share one output file name, which rustdoc refuses to document together.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -83,7 +83,7 @@ pub fn pipeline_program(spec: &LenetLikeSpec) -> Program {
 }
 
 /// One stacked convolution layer: the filter-tap rotations of
-/// [`conv_taps`] with per-tap plaintext mask multiplies, then the
+/// `conv_taps` with per-tap plaintext mask multiplies, then the
 /// `log2(in_ch)` rotate-add channel-accumulation tree over the stacked
 /// layout. Multiplicative depth 1.
 pub fn dnn_conv_program(in_ch: usize, h: usize, w: usize, f: usize) -> Program {

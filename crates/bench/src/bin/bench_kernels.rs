@@ -60,13 +60,15 @@ use choco_bench::{
 };
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
-use choco_he::keyswitch::{generate_ksk, hoist_decompose, hoisted_accumulate};
+use choco_he::keyswitch::{
+    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt,
+};
 use choco_he::params::HeParams;
 use choco_he::rlwe::{expand_seed, GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::modops::{add_mod, mul_mod, sub_mod, Barrett};
-use choco_math::ntt::NttTable;
+use choco_math::ntt::{galois_ntt_permutation, NttTable};
 use choco_math::par;
 use choco_math::poly::dyadic_assign;
 use choco_math::prime::generate_ntt_primes;
@@ -1093,6 +1095,10 @@ fn main() {
     let vals_a: Vec<u64> = (0..pa.degree() as u64).map(|i| i % 17).collect();
     let pt_a = keep(ctx_a.batch_encoder().unwrap().encode(&vals_a).unwrap());
     let ct_a = keep(ctx_a.encryptor(&pk_a).encrypt(pt_a, &mut prng));
+    let rk_a = keep(ctx_a.relin_key(keys_a.secret_key(), &mut prng).unwrap());
+    // The fused dot's shape: digits permuted for a row rotation by one.
+    let perm = keep(galois_ntt_permutation(pa.degree(), 3));
+    let switched = keep([0, 1].map(|_| RnsPoly::sample_uniform(&mut prng, ks_basis)));
     let mut site = |name: &str, sides| {
         races
             .race(name, sides)
@@ -1112,7 +1118,36 @@ fn main() {
     );
     site(
         "hoisted_accumulate",
-        pooled_and_one_thread(move || hoisted_accumulate(black_box(hoisted), None, ksk, ks_basis)),
+        pooled_and_one_thread(move || hoisted_accumulate(black_box(hoisted), perm, ksk, ks_basis)),
+    );
+    // The component sites: one pool task per ciphertext component. A lone
+    // key switch (every rotation and relinearization), the BFV square with
+    // its relinearization (the lifts and transforms, then the tensor
+    // outputs), the fused dot's two roundings, a reply's two roundings.
+    site(
+        "apply_ksk",
+        pooled_and_one_thread(move || apply_ksk(black_box(x), ksk, ks_basis, level_basis)),
+    );
+    site(
+        "square_relin",
+        pooled_and_one_thread(move || {
+            ctx_a
+                .evaluator()
+                .multiply_relin(black_box(ct_a), ct_a, rk_a)
+                .unwrap()
+        }),
+    );
+    site(
+        "mod_down_ntt_pair",
+        pooled_and_one_thread(move || {
+            par::par_map_array(black_box(switched).each_ref(), |s| {
+                mod_down_ntt(s, ks_basis, level_basis)
+            })
+        }),
+    );
+    site(
+        "compress_reply",
+        pooled_and_one_thread(move || ctx_a.compress_reply(black_box(ct_a)).unwrap()),
     );
     // The fused dot as `HeScheme::dot_diagonals` drives it: each term's
     // operand encoded as it arrives.

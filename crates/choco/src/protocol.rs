@@ -10,7 +10,7 @@
 //! re-encrypts.
 //!
 //! The roles are [`Client<S>`] and [`Server<S>`] for any
-//! [`HeScheme`](choco_he::HeScheme) — `Client<Bfv>` for the exact integer
+//! [`HeScheme`] — `Client<Bfv>` for the exact integer
 //! workloads, `Client<Ckks>` for the approximate ones. A workload's server
 //! half is a compiled program ([`crate::compiler::Program`]), written once
 //! and run under either scheme.

@@ -11,7 +11,7 @@
 //!   existing `CHR*`/`CHG*` wire formats, sent once right after the
 //!   authenticated TCP hello. Only *evaluation* keys ever cross the wire:
 //!   the secret key has no wire format at all.
-//! * **Evaluate** ([`EvalRequest`], magic `CRQ1`): a [`CompiledProgram`]
+//! * **Evaluate** ([`EvalRequest`], magic `CRQ1`): a [`CompiledProgram`](crate::compiler::CompiledProgram)
 //!   reference (BLAKE3 over the canonical source-program wire form and the
 //!   compiler options) plus named input ciphertexts. The source program
 //!   itself rides along only when the server has not seen the hash
@@ -87,7 +87,7 @@ pub fn params_hash(params: &HeParams) -> [u8; 32] {
 // ---------------------------------------------------------------------------
 
 /// Serializes a *source* program (no `Rescale`/`ModSwitch` nodes) into its
-/// canonical wire form — the bytes [`program_ref`] hashes.
+/// canonical wire form — the bytes [`program_ref_of`] hashes.
 ///
 /// # Errors
 ///

@@ -29,6 +29,7 @@ use crate::rlwe::{
 use crate::rnspoly::RnsPoly;
 use crate::serialize;
 use choco_math::modops::{inv_mod, inv_mod_pow2, mul_mod_shoup, shoup_precompute, Barrett};
+use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::prime::try_generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
@@ -644,7 +645,10 @@ impl BfvContext {
             return Ok(ct.clone());
         };
         let (basis, [round0, round1], lift_to) = self.reply_bases(ct)?;
-        let rows = [(c0, round0), (c1, round1)].map(|(c, round)| round.apply(c.clone(), basis));
+        // One pool task per component.
+        let rows = par::par_map_array([(c0, round0), (c1, round1)], |(c, round)| {
+            round.apply((*c).clone(), basis)
+        });
         Ciphertext::from_reply(widths, rows, lift_to.primes())
     }
 
@@ -1068,15 +1072,19 @@ impl Evaluator<'_> {
     /// The tensor product over `basis` (`q ∪ P`), between a `lift` of the
     /// operand polynomials into it and a `scale` of the three exact product
     /// polynomials by `t/q` back out of it. A `square` lifts and transforms
-    /// `a` alone, uses it for `b` too, and forms `d1 = 2·a0·a1`.
+    /// `a` alone and uses it for `b` too.
+    ///
+    /// Two rounds of pool tasks, one per component: each input component's
+    /// lift and forward transforms (2 tasks for a square, 4 otherwise), then
+    /// each output `d_i`'s products, inverse transforms and `scale`.
     fn multiply_with(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
         square: bool,
         basis: &RnsBasis,
-        lift: impl Fn(&RnsPoly) -> RnsPoly,
-        scale: impl Fn(RnsPoly) -> RnsPoly,
+        lift: impl Fn(&RnsPoly) -> RnsPoly + Sync,
+        scale: impl Fn(RnsPoly) -> RnsPoly + Sync,
     ) -> Result<Ciphertext, HeError> {
         let ([a0, a1], [b0, b1]) = (a.parts.as_slice(), b.parts.as_slice()) else {
             return Err(HeError::InvalidCiphertext(
@@ -1089,35 +1097,33 @@ impl Evaluator<'_> {
                 "multiply requires operands at the full data modulus".into(),
             ));
         }
-        let transformed = |p: &RnsPoly| {
+        let transformed = |p: &&RnsPoly| {
             let mut p = lift(p);
             p.ntt_forward(basis);
             p
         };
-        let lifted_a = [a0, a1].map(transformed);
+        let lifted_a;
         let lifted_b;
-        let [b0, b1] = if square {
-            &lifted_a
+        let ([a0, a1], [b0, b1]) = if square {
+            lifted_a = par::par_map_array([a0, a1], transformed);
+            (&lifted_a, &lifted_a)
         } else {
-            lifted_b = [b0, b1].map(transformed);
-            &lifted_b
+            let [a0, a1, b0, b1] = par::par_map_array([a0, a1, b0, b1], transformed);
+            (lifted_a, lifted_b) = ([a0, a1], [b0, b1]);
+            (&lifted_a, &lifted_b)
         };
-        let [a0, a1] = &lifted_a;
-        let mut d = [(); 3].map(|_| RnsPoly::zero(basis.len(), self.ctx.degree()));
-        let [d0, d1, d2] = &mut d;
-        d0.dyadic_accumulate(a0, b0, basis);
-        d1.dyadic_accumulate(a0, b1, basis);
-        if square {
-            d1.scalar_mul(2, basis);
-        } else {
-            d1.dyadic_accumulate(a1, b0, basis);
-        }
-        d2.dyadic_accumulate(a1, b1, basis);
-        let parts = d.into_iter().map(|mut d| {
+        // d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1.
+        let products: [&[(&RnsPoly, &RnsPoly)]; 3] =
+            [&[(a0, b0)], &[(a0, b1), (a1, b0)], &[(a1, b1)]];
+        let parts = par::par_map_array(products, |pairs| {
+            let mut d = RnsPoly::zero(basis.len(), self.ctx.degree());
+            for (x, y) in pairs.iter() {
+                d.dyadic_accumulate(x, y, basis);
+            }
             d.ntt_inverse(basis);
             scale(d)
         });
-        Ok(a.evaluated(parts.collect()))
+        Ok(a.evaluated(parts.into()))
     }
 
     /// Relinearizes a 3-component ciphertext back to 2 components.

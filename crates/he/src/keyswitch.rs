@@ -155,6 +155,11 @@ pub fn generate_ksk(
 /// `ks_basis` must contain the level's data primes followed by the special
 /// prime (i.e. `level + 1` primes), and `level_basis` its prefix of data
 /// primes. Both are precomputed by the scheme context.
+///
+/// After the digit-parallel decomposition, each output component is one
+/// pool task: its digit MAC over every ks row (the `b` or the `a` half of
+/// each key pair), its inverse transforms and its `mod_down`. The two tasks
+/// are equal, and nothing is left for the caller to run alone.
 pub fn apply_ksk(
     d_poly: &RnsPoly,
     ksk: &KswitchKey,
@@ -162,13 +167,17 @@ pub fn apply_ksk(
     level_basis: &RnsBasis,
 ) -> (RnsPoly, RnsPoly) {
     let hoisted = hoist_decompose(d_poly, ks_basis, level_basis);
-    let (mut acc0, mut acc1) = hoisted_accumulate(&hoisted, None, ksk, ks_basis);
-    acc0.ntt_inverse(ks_basis);
-    acc1.ntt_inverse(ks_basis);
-    (
-        mod_down(&acc0, ks_basis, level_basis),
-        mod_down(&acc1, ks_basis, level_basis),
-    )
+    check_geometry(&hoisted, ksk, ks_basis);
+    let [k0, k1] = par::par_map_array([Half::B, Half::A], |&half| {
+        let rows = (0..ks_basis.len()).map(|i| {
+            let [row] = mac_row(&hoisted, None, ksk, [half], ks_basis, i);
+            row
+        });
+        let mut acc = RnsPoly::from_rows(rows.collect());
+        acc.ntt_inverse(ks_basis);
+        mod_down(&acc, ks_basis, level_basis)
+    });
+    (k0, k1)
 }
 
 /// The NTT-form decomposition digits of a key-switch input, computed once
@@ -224,80 +233,129 @@ pub fn hoist_decompose(
     HoistedDigits { digits, level }
 }
 
-/// Shared digit-MAC core of the hoisted key-switch paths: accumulates
-/// `Σ_j perm(D_j) · ksk_j` in the NTT domain over the full ks basis. The
-/// result still carries the special-prime factor `P`; callers divide it
-/// out with [`mod_down`] / [`mod_down_ntt`] — immediately, or (second
-/// hoisting) after summing several switched terms, paying one rounding for
-/// the whole sum.
+/// The permuted digit-MAC of the hoisted key-switch path: accumulates
+/// `Σ_j perm(D_j) · ksk_j` in the NTT domain over the full ks basis, for
+/// the Galois permutation `perm` of the key's element. The result still
+/// carries the special-prime factor `P`; the caller divides it out with
+/// [`mod_down_ntt`] after summing several switched terms (second hoisting),
+/// paying one rounding for the whole sum.
+///
+/// Rows are independent, so they are the parallel axis: a row's two halves
+/// share its permuted digits.
 pub fn hoisted_accumulate(
     hoisted: &HoistedDigits,
-    perm: Option<&[usize]>,
+    perm: &[u32],
     ksk: &KswitchKey,
     ks_basis: &RnsBasis,
 ) -> (RnsPoly, RnsPoly) {
-    let level = hoisted.level;
-    let n = ks_basis.degree();
-    assert_eq!(
-        ks_basis.len(),
-        level + 1,
-        "ks basis must add the special prime"
-    );
-    assert!(level <= ksk.pairs.len(), "level exceeds key digit count");
-    let k_storage = ksk.moduli.len();
-
-    // Accumulate in NTT form, one (acc0, acc1) row pair per ks prime. Rows
-    // are independent, so this is the parallel axis; within a row the digit
-    // order matches the sequential implementation, keeping results
-    // bit-identical at any thread count.
-    let rows: Vec<(Vec<u64>, Vec<u64>)> = par::par_map_range(level + 1, |i| {
-        let r = Barrett::new(ks_basis.primes()[i]);
-        let storage_row = if i < level { i } else { k_storage - 1 };
-        // Products are < 2^122 (primes stay below 2^61), so 32 of them fit
-        // in a u128 accumulator; reduce lazily instead of per term. The
-        // modular sum is unique, so this is bit-identical to eager
-        // reduction.
-        // choco-lint: lazy-domain
-        let mut acc0 = PolyPool::take_zeroed_u128(n);
-        let mut acc1 = PolyPool::take_zeroed_u128(n);
-        let mut scratch = PolyPool::take_scratch(n);
-        for (j, digit) in hoisted.digits.iter().enumerate() {
-            if j > 0 && j % 32 == 0 {
-                for v in acc0.iter_mut().chain(acc1.iter_mut()) {
-                    *v = r.reduce(*v) as u128;
-                }
-            }
-            let d_row = digit.row(i);
-            let d: &[u64] = match perm {
-                Some(p) => {
-                    apply_galois_ntt(d_row, p, &mut scratch);
-                    &scratch
-                }
-                None => d_row,
-            };
-            let (b_ntt, a_ntt) = &ksk.pairs[j];
-            let b_row = b_ntt.row(storage_row);
-            let a_row = a_ntt.row(storage_row);
-            for (idx, &dv) in d.iter().enumerate() {
-                acc0[idx] += dv as u128 * b_row[idx] as u128;
-                acc1[idx] += dv as u128 * a_row[idx] as u128;
-            }
-        }
-        let reduce = |acc: Vec<u128>| -> Vec<u64> {
-            let mut out = PolyPool::take_scratch(acc.len());
-            for (x, &v) in out.iter_mut().zip(&acc) {
-                *x = r.reduce(v);
-            }
-            PolyPool::recycle_u128(acc);
-            out
-        };
-        let out = (reduce(acc0), reduce(acc1));
-        PolyPool::recycle(scratch);
-        // choco-lint: end-lazy-domain
-        out
+    check_geometry(hoisted, ksk, ks_basis);
+    let rows = par::par_map_range(ks_basis.len(), |i| {
+        let [b, a] = mac_row(hoisted, Some(perm), ksk, [Half::B, Half::A], ks_basis, i);
+        (b, a)
     });
     let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     (RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1))
+}
+
+/// Checks that `hoisted` was decomposed over `ks_basis` and that `ksk` has
+/// a digit for each of its level's primes.
+fn check_geometry(hoisted: &HoistedDigits, ksk: &KswitchKey, ks_basis: &RnsBasis) {
+    assert_eq!(
+        ks_basis.len(),
+        hoisted.level + 1,
+        "ks basis must add the special prime"
+    );
+    assert!(
+        hoisted.level <= ksk.pairs.len(),
+        "level exceeds key digit count"
+    );
+}
+
+/// One half of every `(b_j, a_j)` key pair: `b` switches into `c0`, `a`
+/// into `c1`.
+#[derive(Clone, Copy)]
+enum Half {
+    B,
+    A,
+}
+
+impl Half {
+    fn of(self, (b, a): &(RnsPoly, RnsPoly)) -> &RnsPoly {
+        match self {
+            Half::B => b,
+            Half::A => a,
+        }
+    }
+}
+
+/// Row `i` of the digit MAC `Σ_j perm(D_j) ⊙ K_j` over the ks basis, for
+/// each key half `K` of `halves`, reduced to canonical residues. Digits
+/// are permuted once per row, whatever the halves; `None` is the identity.
+fn mac_row<const H: usize>(
+    hoisted: &HoistedDigits,
+    perm: Option<&[u32]>,
+    ksk: &KswitchKey,
+    halves: [Half; H],
+    ks_basis: &RnsBasis,
+    i: usize,
+) -> [Vec<u64>; H] {
+    let n = ks_basis.degree();
+    let r = Barrett::new(ks_basis.primes()[i]);
+    // The special prime's row is the key's last, whatever the level.
+    let storage_row = if i < hoisted.level {
+        i
+    } else {
+        ksk.moduli.len() - 1
+    };
+    // Products are < 2^122 (primes stay below 2^61), so 32 of them fit in
+    // a u128 accumulator; reduce lazily instead of per term. The modular
+    // sum is unique, so this is bit-identical to eager reduction, in any
+    // order of rows and halves.
+    // choco-lint: lazy-domain
+    let mut acc = halves.map(|_| PolyPool::take_zeroed_u128(n));
+    let mut scratch = perm.map(|_| PolyPool::take_scratch(n));
+    for (j, (digit, pair)) in hoisted.digits.iter().zip(&ksk.pairs).enumerate() {
+        if j > 0 && j % 32 == 0 {
+            for v in acc.iter_mut().flatten() {
+                *v = r.reduce(*v) as u128;
+            }
+        }
+        let d: &[u64] = match (perm, scratch.as_mut()) {
+            (Some(p), Some(permuted)) => {
+                apply_galois_ntt(digit.row(i), p, permuted);
+                permuted
+            }
+            _ => digit.row(i),
+        };
+        for (acc, half) in acc.iter_mut().zip(halves) {
+            mac(acc, d, half.of(pair).row(storage_row));
+        }
+    }
+    if let Some(permuted) = scratch {
+        PolyPool::recycle(permuted);
+    }
+    acc.map(|acc| {
+        let out = reduce_row(&acc, r);
+        PolyPool::recycle_u128(acc);
+        out
+    })
+    // choco-lint: end-lazy-domain
+}
+
+/// `acc[j] += a[j] · b[j]`, unreduced.
+pub(crate) fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
+    for ((slot, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *slot += x as u128 * y as u128;
+    }
+}
+
+/// Canonical residues of an unreduced accumulator row.
+pub(crate) fn reduce_row(acc: &[u128], r: Barrett) -> Vec<u64> {
+    let mut out = PolyPool::take_scratch(acc.len());
+    for (x, &v) in out.iter_mut().zip(acc) {
+        *x = r.reduce(v);
+    }
+    out
 }
 
 /// Divides a polynomial over `ks_basis` (level primes + special prime last)

@@ -44,8 +44,8 @@
 
 use crate::error::HeError;
 use crate::keyswitch::{
-    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt, HoistedDigits,
-    KswitchKey,
+    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mac, mod_down_ntt, reduce_row,
+    HoistedDigits, KswitchKey,
 };
 use crate::rnspoly::{self, RnsPoly};
 use choco_math::modops::{add_mod, Barrett};
@@ -133,10 +133,40 @@ impl RelinKey {
     }
 }
 
+/// One key of a [`GaloisKeys`] set: the key-switching key for an element
+/// and that element's NTT-domain permutation
+/// ([`galois_ntt_permutation`]), built once with the key rather than per
+/// rotated term.
+#[derive(Debug, Clone)]
+pub(crate) struct GaloisKey {
+    pub(crate) ksk: KswitchKey,
+    pub(crate) perm: Vec<u32>,
+}
+
+impl GaloisKey {
+    /// A decoded key for `element`, with its permutation.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::InvalidCiphertext`] for an even element, which names no
+    /// automorphism of the ring.
+    pub(crate) fn new(element: u64, ksk: KswitchKey) -> Result<Self, HeError> {
+        if element & 1 == 0 {
+            return Err(HeError::InvalidCiphertext(format!(
+                "galois element {element} is even"
+            )));
+        }
+        Ok(GaloisKey {
+            perm: galois_ntt_permutation(ksk.degree(), element),
+            ksk,
+        })
+    }
+}
+
 /// A set of Galois keys, one per automorphism element.
 #[derive(Debug, Clone)]
 pub struct GaloisKeys {
-    pub(crate) keys: HashMap<u64, KswitchKey>,
+    pub(crate) keys: HashMap<u64, GaloisKey>,
 }
 
 impl GaloisKeys {
@@ -150,22 +180,22 @@ impl GaloisKeys {
     /// Size of all keys in the paper's provisioning model
     /// ([`KswitchKey::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
-        self.keys.values().map(|k| k.size_bytes()).sum()
+        self.keys.values().map(|k| k.ksk.size_bytes()).sum()
     }
 
     /// The key for `element`, if the set holds one.
     pub fn get(&self, element: u64) -> Option<&KswitchKey> {
-        self.keys.get(&element)
+        self.keys.get(&element).map(|k| &k.ksk)
     }
 
     /// Whether every key lives over `moduli` at degree `n`; true of an
     /// empty set.
     pub fn all_over(&self, moduli: &[u64], n: usize) -> bool {
-        self.keys.values().all(|k| k.is_over(moduli, n))
+        self.keys.values().all(|k| k.ksk.is_over(moduli, n))
     }
 
     /// The key for `element`, or [`HeError::MissingGaloisKey`].
-    pub(crate) fn key_for(&self, element: u64) -> Result<&KswitchKey, HeError> {
+    pub(crate) fn key_for(&self, element: u64) -> Result<&GaloisKey, HeError> {
         self.keys
             .get(&element)
             .ok_or(HeError::MissingGaloisKey(element))
@@ -220,7 +250,8 @@ pub fn relin_key(sk: &SecretKey, full: &RnsBasis, top: &RnsBasis, rng: &mut Blak
 
 /// Generates one Galois key per element of `elements`, in list order (the
 /// order fixes the RNG stream); an element seen twice is generated once.
-/// `σ(s)` is the Galois NTT permutation of the secret's rows.
+/// `σ(s)` is the Galois NTT permutation of the secret's rows; the key keeps
+/// the permutation.
 // choco-lint: secret (public: elements, full, top)
 pub fn galois_keys(
     sk: &SecretKey,
@@ -234,7 +265,10 @@ pub fn galois_keys(
         keys.entry(element).or_insert_with(|| {
             let perm = galois_ntt_permutation(full.degree(), element);
             let s_e = sk.ntt.galois_ntt(&perm);
-            generate_ksk(&sk.ntt, &s_e, full, top, rng)
+            GaloisKey {
+                ksk: generate_ksk(&sk.ntt, &s_e, full, top, rng),
+                perm,
+            }
         });
     }
     GaloisKeys { keys }
@@ -409,8 +443,8 @@ pub fn apply_galois(
     basis: &RnsBasis,
 ) -> Result<Vec<RnsPoly>, HeError> {
     let (c0, c1) = two_parts(parts, basis)?;
-    let ksk = gk.key_for(element)?;
-    let (k0, k1) = apply_ksk(&c1.galois(element, basis), ksk, ks_basis, basis);
+    let key = gk.key_for(element)?;
+    let (k0, k1) = apply_ksk(&c1.galois(element, basis), &key.ksk, ks_basis, basis);
     let mut c0 = c0.galois(element, basis);
     c0.add_assign_poly(&k0, basis);
     Ok(vec![c0, k1])
@@ -473,22 +507,6 @@ pub(crate) fn terms_of_steps<O>(
     })
 }
 
-/// `acc[j] += a[j] · b[j]`, unreduced.
-fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
-    for ((slot, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-        *slot += x as u128 * y as u128;
-    }
-}
-
-/// Canonical residues of an unreduced accumulator row.
-fn reduce_row(acc: &[u128], r: Barrett) -> Vec<u64> {
-    let mut out = PolyPool::take_scratch(acc.len());
-    for (x, &v) in out.iter_mut().zip(acc) {
-        *x = r.reduce(v);
-    }
-    out
-}
-
 /// Fused rotate-and-dot with *double hoisting*, for one or many outputs
 /// over the same rotations: `out_o = Σ_k σ_{e_k}(ct) ⊙ m_{k,o}` for Galois
 /// elements `e_k` of one 2-component ciphertext ([`IDENTITY_ELEMENT`]
@@ -539,10 +557,7 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         ));
     }
     let n = basis.degree();
-    let mut c0_ntt = c0.clone();
-    c0_ntt.ntt_forward(basis);
-    let mut c1_ntt = c1.clone();
-    c1_ntt.ntt_forward(basis);
+    let (c0_ntt, c1_ntt) = (to_ntt(c0, basis), to_ntt(c1, basis));
     // Per ks prime and output: the P-scaled key-switch sums; for the data
     // primes also the ciphertext rows and the unswitched sums Σ m ⊙ σ(c0)
     // and Σ m ⊙ c1 (the latter from identity terms only).
@@ -607,11 +622,10 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         let switched = if element == IDENTITY_ELEMENT {
             None
         } else {
-            let ksk = gk.key_for(element)?;
+            let key = gk.key_for(element)?;
             let digits = hoisted.get_or_insert_with(|| hoist_decompose(c1, ks_basis, basis));
-            let perm = galois_ntt_permutation(n, element);
-            let (s0, s1) = hoisted_accumulate(digits, Some(&perm), ksk, ks_basis);
-            Some((s0, s1, perm))
+            let (s0, s1) = hoisted_accumulate(digits, &key.perm, &key.ksk, ks_basis);
+            Some((s0, s1, &key.perm))
         };
         // Products stay below 2^122 (primes < 2^61): 32 fit a u128 slot.
         let flush = term > 0 && term % 32 == 0;
@@ -666,11 +680,14 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
             rows.push(cell);
         }
     }
-    // Second hoisting: one rounded mod_down for an output's whole switched sum.
-    let down = |sums: Vec<Vec<u64>>| mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis);
+    // Second hoisting: one rounded mod_down for an output's whole switched
+    // sum, one pool task per component.
+    let halves: [for<'r> fn(&'r RowAcc) -> &'r [u128]; 2] = [|c| &c.switched.0, |c| &c.switched.1];
     let finish_output = |acc: Vec<RowAcc>| {
-        let m0 = down(acc.iter().map(|c| reduce_row(&c.switched.0, c.r)).collect());
-        let m1 = down(acc.iter().map(|c| reduce_row(&c.switched.1, c.r)).collect());
+        let [m0, m1] = par::par_map_array(halves, |half| {
+            let sums = acc.iter().map(|c| reduce_row(half(c), c.r)).collect();
+            mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis)
+        });
         let out = par::par_map(&acc, |i, row| {
             let d = row.data.as_ref()?;
             let finish = |plain: &[u128], down: &[u64]| {

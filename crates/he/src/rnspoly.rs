@@ -338,7 +338,7 @@ impl RnsPoly {
     /// ([`choco_math::ntt::galois_ntt_permutation`]) to every row of an
     /// evaluation-domain polynomial: the transform of [`Self::galois`] of
     /// its coefficient form.
-    pub(crate) fn galois_ntt(&self, perm: &[usize]) -> RnsPoly {
+    pub(crate) fn galois_ntt(&self, perm: &[u32]) -> RnsPoly {
         let rows = self.rows.iter().map(|row| {
             let mut out = PolyPool::take_scratch(row.len());
             apply_galois_ntt(row, perm, &mut out);

@@ -57,7 +57,7 @@ use crate::ckks::CkksCiphertext;
 use crate::error::HeError;
 use crate::keyswitch::KswitchKey;
 use crate::params::SchemeType;
-use crate::rlwe::{self, GaloisKeys, MaskSeed, RelinKey};
+use crate::rlwe::{self, GaloisKey, GaloisKeys, MaskSeed, RelinKey};
 use crate::rnspoly::RnsPoly;
 use choco_math::pool::PolyPool;
 use choco_math::prime::is_prime;
@@ -624,7 +624,7 @@ pub fn relin_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<RelinKey, He
 /// **sorted element order**, so serialization is deterministic regardless
 /// of map iteration order — a requirement for bit-identical checkpoints.
 pub fn galois_to_bytes(scheme: SchemeType, gk: &GaloisKeys) -> Vec<u8> {
-    let mut keys: Vec<(&u64, &KswitchKey)> = gk.keys.iter().collect();
+    let mut keys: Vec<(&u64, &KswitchKey)> = gk.keys.iter().map(|(e, k)| (e, &k.ksk)).collect();
     keys.sort_unstable_by_key(|(e, _)| **e);
     let mut out = magic(b'G', scheme).to_vec();
     push_u32(&mut out, keys.len());
@@ -673,7 +673,7 @@ pub fn galois_from_bytes(scheme: SchemeType, bytes: &[u8]) -> Result<GaloisKeys,
                 ));
             }
             prev = Some(elem);
-            keys.insert(elem, shape.read_key(&mut r)?);
+            keys.insert(elem, GaloisKey::new(elem, shape.read_key(&mut r)?)?);
         }
         Ok(GaloisKeys { keys })
     };
@@ -1049,6 +1049,11 @@ mod tests {
             // u64::MAX so ordering breaks later.
             unsorted[44..52].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(bad(decode(scheme, &unsorted)));
+            // An even element names no automorphism, and has no NTT
+            // permutation to build: refused, never a panic.
+            let [_, (mut even, decode)] = key_blobs(scheme);
+            even[44..52].copy_from_slice(&2u64.to_le_bytes());
+            assert!(bad(decode(scheme, &even)));
         }
     }
 }

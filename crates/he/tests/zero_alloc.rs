@@ -14,8 +14,8 @@
 //! Scope note: "zero-alloc" is a statement about polynomial buffers (the
 //! `Vec<u64>` rows and `Vec<u128>` accumulators that dominate steady-state
 //! traffic), not about every allocation in the process. Small bookkeeping
-//! allocations — ciphertext part vectors, galois permutation tables, the
-//! plaintext a decryption returns, a sampler's byte buffer, a composition's
+//! allocations — ciphertext part vectors, the plaintext a decryption
+//! returns, a sampler's byte buffer, a composition's
 //! limb buffer — are outside the pool by design (see DESIGN.md §12).
 
 use choco_he::bfv::BfvContext;
@@ -157,6 +157,16 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
             for (row, acc) in spare {
                 PolyPool::recycle(row);
                 PolyPool::recycle_u128(acc);
+            }
+            // A base conversion leases one `(1 + k)·n` row block (k source
+            // primes: the multiply's lifts and scales, a decryption's and a
+            // reply's roundings), and the per-component tasks run two of
+            // them side by side, so those classes get a spare set too.
+            let blocks: Vec<_> = (2..=4)
+                .flat_map(|rows| (0..4).map(move |_| PolyPool::take_scratch(rows * n)))
+                .collect();
+            for block in blocks {
+                PolyPool::recycle(block);
             }
         }
         // Warm the pool: the first passes populate every size class the

@@ -379,20 +379,28 @@ impl NttTable {
 /// This is what makes rotation hoisting cheap: applying a Galois element to
 /// already-transformed key-switch digits is a pure gather.
 ///
+/// The table costs `n` bit reversals; a caller that applies one element
+/// many times builds it once (`choco_he`'s Galois keys carry theirs).
+///
 /// # Panics
 ///
-/// Panics if `n` is not a power of two `>= 2` or `e` is even.
+/// Panics if `n` is not a power of two in `[2, 2^32]` or `e` is even.
 // choco-lint: ct-safe
-pub fn galois_ntt_permutation(n: usize, e: u64) -> Vec<usize> {
-    assert!(n.is_power_of_two() && n >= 2, "invalid ntt size {n}");
+pub fn galois_ntt_permutation(n: usize, e: u64) -> Vec<u32> {
+    assert!(
+        n.is_power_of_two() && (2..=1 << 32).contains(&n),
+        "invalid ntt size {n}"
+    );
     assert!(e & 1 == 1, "galois element must be odd");
     let log_n = n.trailing_zeros();
-    let m = 2 * n as u64;
+    let mask = 2 * n as u64 - 1;
     (0..n)
         .map(|j| {
             let odd_exp = 2 * bit_reverse(j, log_n) as u64 + 1;
-            let exp = mul_mod(odd_exp, e, m);
-            bit_reverse(((exp - 1) / 2) as usize, log_n)
+            // 2n divides 2^64, so the wrapped product is exact modulo 2n;
+            // odd times odd stays odd.
+            let exp = odd_exp.wrapping_mul(e) & mask;
+            bit_reverse((exp >> 1) as usize, log_n) as u32
         })
         .collect()
 }
@@ -404,7 +412,7 @@ pub fn galois_ntt_permutation(n: usize, e: u64) -> Vec<usize> {
 ///
 /// Panics if the slice lengths disagree.
 #[inline]
-pub fn apply_galois_ntt(values: &[u64], perm: &[usize], out: &mut [u64]) {
+pub fn apply_galois_ntt(values: &[u64], perm: &[u32], out: &mut [u64]) {
     assert_eq!(
         values.len(),
         perm.len(),
@@ -412,7 +420,7 @@ pub fn apply_galois_ntt(values: &[u64], perm: &[usize], out: &mut [u64]) {
     );
     assert_eq!(values.len(), out.len(), "galois output length mismatch");
     for (o, &p) in out.iter_mut().zip(perm) {
-        *o = values[p];
+        *o = values[p as usize];
     }
 }
 

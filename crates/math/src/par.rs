@@ -7,7 +7,7 @@
 //! order regardless of thread count: every item is computed by exactly the
 //! same pure function and written to exactly the same slot.
 //!
-//! All three `par_*` primitives funnel into one internal `run`: it
+//! All four `par_*` primitives funnel into one internal `run`: it
 //! publishes the call's chunks to a process-wide pool of standing workers
 //! (started on first need, parked on a condvar in between) and then
 //! **claims chunks itself** until none is left. A call therefore never
@@ -387,9 +387,29 @@ where
     }
     let mut out: Vec<Option<O>> = (0..count).map(|_| None).collect();
     par_for_each_mut(&mut out, |i, slot| *slot = Some(f(i)));
-    out.into_iter()
-        .map(|o| o.expect("par_map_range: every slot is written by exactly one chunk"))
-        .collect()
+    out.into_iter().map(written).collect()
+}
+
+/// Maps `f` over a fixed-size array in parallel, one task per item, into
+/// an array: the shape of the few large tasks one request splits into (the
+/// components of a ciphertext), which a caller then destructures.
+pub fn par_map_array<I, O, F, const N: usize>(items: [I; N], f: F) -> [O; N]
+where
+    I: Sync,
+    O: Send,
+    F: Fn(&I) -> O + Sync,
+{
+    if num_threads().min(N) <= 1 {
+        return items.each_ref().map(f);
+    }
+    let mut work = items.each_ref().map(|item| (item, None));
+    par_for_each_mut(&mut work, |_, (item, slot)| *slot = Some(f(item)));
+    work.map(|(_, slot)| written(slot))
+}
+
+/// A slot of a `par_map_*` output after the call.
+fn written<O>(slot: Option<O>) -> O {
+    slot.expect("every slot is written by exactly one chunk")
 }
 
 #[cfg(test)]
@@ -419,7 +439,9 @@ mod tests {
             let ranged = par_map_range(base.len(), |i| {
                 base[i].wrapping_mul(31).wrapping_add(i as u64)
             });
+            let arrayed = par_map_array([3u64, 5, 7], |&x| x.wrapping_mul(31));
             set_num_threads(1);
+            assert_eq!(arrayed, [93, 155, 217], "map_array with {threads} threads");
             let expect: Vec<u64> = base
                 .iter()
                 .enumerate()
@@ -523,7 +545,13 @@ mod tests {
                 let ranged = par_map_range(base.len(), |i| {
                     base[i].wrapping_mul(0x9e37_79b9).wrapping_add(i as u64)
                 });
+                let arrayed = par_map_array([0usize, 1, 2, 3], |&i| mix(i, base[i]));
                 assert_eq!(a, expect, "for_each_mut seed {seed}, {threads} threads");
+                assert_eq!(
+                    arrayed[..],
+                    expect[..4],
+                    "map_array seed {seed}, {threads} threads"
+                );
                 assert_eq!(mapped, expect, "map seed {seed}, {threads} threads");
                 assert_eq!(ranged, expect, "map_range seed {seed}, {threads} threads");
             }

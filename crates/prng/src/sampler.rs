@@ -138,7 +138,7 @@ pub fn sample_uniform_into(rng: &mut Blake3Rng, q: u64, out: &mut [u64]) {
 }
 
 /// Fills `out` with residues uniform in `[0, q)` by masked rejection
-/// ([`masked_from_bytes`]): a division-free sampler for public randomness
+/// (`masked_from_bytes`): a division-free sampler for public randomness
 /// expanded from a seed, whose stream differs from
 /// [`sample_uniform_into`]'s for the same bytes. `q` must be at least 1
 /// (callers pass primes): for `q = 0` no draw is ever kept.

@@ -14,7 +14,7 @@
 //!   is reported as [`ProgramLookup::NeedProgram`] so the client resends
 //!   with the body.
 //! * Each cached entry is a [`CachedProgram`]: the verified
-//!   [`CompiledProgram`] plus its [`ExecCache`] of encoded plaintext
+//!   [`CompiledProgram`] plus its [`ExecCache`](choco::compiler::ExecCache) of encoded plaintext
 //!   operands, shared by every request (any tenant) that evaluates it.
 //!
 //! Sharing across tenants is safe by construction: cached artifacts are
