@@ -167,9 +167,11 @@ echo "==> kernel bench reporter (smoke mode + fusion, layer, simd and par gates)
 # bench_kernels races every gated kernel against its simpler twin and fails
 # when a gate's median over 9 paired ratios falls below its threshold. The
 # gates, their thresholds and when each applies (simd and blake3 while the
-# AVX2 backend is active, par while the host runs two threads >= 1.4x one)
+# AVX2 backend is active, par whenever the pool has more than one thread)
 # are the race table in crates/bench/src/bin/bench_kernels.rs; every run
-# prints that table with each gate's verdict.
+# prints that table with each gate's verdict. The par gates also need the
+# host to run the pool's threads >= 1.4x one: the par section is timed at
+# most twice more while it does not, and the par gates fail if it never does.
 cargo run --release -q -p choco-bench --bin bench_kernels -- --smoke --json "$scratch/bench_kernels_smoke.json"
 
 echo "==> benchmark package: build, unit tests, 1-second smoke of all four workloads"

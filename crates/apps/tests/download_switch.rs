@@ -12,9 +12,10 @@
 //! uncompressed output of the same run:
 //!
 //! * the compressed and uncompressed outputs decrypt to the same slots, and
-//!   both to a mod-`t` plaintext reference of the program wherever the
-//!   program fits the set's noise budget (wherever `choco-verify` accepts
-//!   it; where it refuses, the only rule that fires is NOISE001);
+//!   both to the program's `ModT` walk (slots mod `t`, rotations cyclic
+//!   within each batching row) wherever the program fits the set's noise
+//!   budget (wherever `choco-verify` accepts it; where it refuses, the only
+//!   rule that fires is NOISE001);
 //! * compression costs at most a bit below `min(budget, licence)`;
 //! * a reply is the frame its widths imply, lifted over the download
 //!   level, and compressing it again changes nothing;
@@ -22,67 +23,16 @@
 //!   fresh encryption switched down to one residue), at sets that lift
 //!   replies over one residue and at sets that keep them at two.
 
-use choco::compiler::{CompilerScheme, Op};
-use choco_apps::circuits::{all_workloads, WorkloadCircuit};
+use choco::compiler::CompilerScheme;
+use choco_apps::circuits::all_workloads;
 use choco_apps::remote::{workload_params, RemoteWorkload};
 use choco_he::bfv::{BfvContext, Ciphertext, DOWNLOAD_CEILING_BITS, REPLY_GUARD_BITS};
 use choco_he::params::{HeParams, SchemeType};
 use choco_he::serialize::REPLY_HEADER_BYTES;
 use choco_he::{Bfv, HeScheme};
 use choco_prng::Blake3Rng;
-use choco_verify::{verify, RuleId, VerifyOptions};
+use choco_verify::{verify, walk, ModT, RuleId, Slots, VerifyOptions};
 use std::collections::HashMap;
-
-/// The program's outputs over the quantized inputs of `w`, computed slot by
-/// slot modulo `t`: constants quantized as the executor quantizes them,
-/// rotations cyclic within each of the two batching rows.
-fn reference(w: &RemoteWorkload<Bfv>, circuit: &WorkloadCircuit) -> Vec<Vec<u64>> {
-    let t = w.ctx.plain_modulus();
-    let slots = w.ctx.degree();
-    let row = slots / 2;
-    let widen = |values: Vec<u64>| {
-        let mut v = values;
-        v.resize(slots, 0);
-        v
-    };
-    let inputs: HashMap<&str, Vec<u64>> = w
-        .inputs
-        .iter()
-        .map(|(name, ct)| {
-            let values = Bfv::decrypt(&w.ctx, &w.keys, ct).unwrap();
-            (name.as_str(), values)
-        })
-        .collect();
-    let zip = |a: &Vec<u64>, b: &Vec<u64>, f: &dyn Fn(u64, u64) -> u64| -> Vec<u64> {
-        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-    };
-    let mul = |x: u64, y: u64| ((x as u128 * y as u128) % t as u128) as u64;
-    let mut vals: Vec<Vec<u64>> = Vec::new();
-    for op in circuit.program.ops() {
-        let v = match op {
-            Op::Input(name) => inputs[name.as_str()].clone(),
-            Op::Constant(c) => widen(Bfv::quantize_const(&w.ctx, c, w.options.scale_bits)),
-            Op::Add(a, b) | Op::AddPlain(a, b) => {
-                zip(&vals[a.index()], &vals[b.index()], &|x, y| (x + y) % t)
-            }
-            Op::Sub(a, b) => zip(&vals[a.index()], &vals[b.index()], &|x, y| (x + t - y) % t),
-            Op::Mul(a, b) | Op::MulPlain(a, b) => zip(&vals[a.index()], &vals[b.index()], &mul),
-            Op::Rotate(a, s) => {
-                let v = &vals[a.index()];
-                (0..slots)
-                    .map(|j| {
-                        let base = j - j % row;
-                        v[base + (j % row + s.rem_euclid(row as i64) as usize) % row]
-                    })
-                    .collect()
-            }
-            Op::Rescale(a) | Op::ModSwitch(a) => vals[a.index()].clone(),
-        };
-        vals.push(v);
-    }
-    let outputs = circuit.program.output_ids();
-    outputs.iter().map(|o| vals[o.index()].clone()).collect()
-}
 
 /// The measured ceiling at one residue: the budget a fresh encryption
 /// keeps once switched down there.
@@ -182,7 +132,17 @@ fn bfv_replies_compress_within_the_licence() {
                 .execute_encrypted_uncompressed::<Bfv>(&w.ctx, &named, &w.relin, &w.galois)
                 .unwrap();
             let compressed = w.local_outputs().unwrap();
-            let want = reference(&w, &circuit);
+            // The program in the ring it runs in, over the decrypted inputs,
+            // its constants quantized as the executor quantizes them.
+            let decrypt = |(name, ct): &(String, Ciphertext)| {
+                (name.clone(), Bfv::decrypt(&w.ctx, &w.keys, ct).unwrap())
+            };
+            let inputs = w.inputs.iter().map(decrypt).collect();
+            let quantize = |c: &[f64]| Bfv::quantize_const(&w.ctx, c, w.options.scale_bits);
+            let mut ring = Slots::new(ModT::for_params(&params), &inputs, quantize);
+            let want = walk(&circuit.program.to_circuit(), &mut ring)
+                .unwrap()
+                .outputs;
             let opts = VerifyOptions::for_params(&params).with_galois_steps(&circuit.galois_steps);
             let verdict = verify(&circuit.program.to_circuit(), &opts);
             assert_eq!(compressed.len(), want.len(), "{set} {name}");

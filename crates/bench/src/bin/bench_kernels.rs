@@ -30,10 +30,13 @@
 //! a race's pairs are spread over the whole run. A gate reads the median of
 //! its paired `twin / candidate` ratios against its threshold; the gate
 //! table, with each threshold and the rule for when it applies (simd and
-//! blake3 gates while the AVX2 backend is active, `par` gates while the
-//! host runs two threads at ≥ 1.4× one), is the `gate` calls in `main` and
-//! is printed with every run. The report lists every gate, then exits
-//! non-zero naming every one that failed.
+//! blake3 gates while the AVX2 backend is active, `par` gates whenever the
+//! pool has more than one thread), is the `gate` calls in `main` and is
+//! printed with every run. The `par` gates also need the host to run the
+//! pool's threads at ≥ 1.4× one: while it does not, the `par` section is
+//! timed again, at most twice more, and if it never does they fail. The
+//! report lists every gate, then exits non-zero naming every one that
+//! failed.
 //!
 //! `--json <path>` additionally writes a machine-readable report: each
 //! side's median time and every gate's median, quartiles, wins (pairs at or
@@ -55,9 +58,7 @@ use choco::{RedundantLayout, StackedLayout};
 use choco_apps::circuits::{dnn_conv_program, pagerank_program};
 use choco_apps::dnn::{conv2d_plain_circular, conv_rotation_steps, ConvPacking};
 use choco_apps::remote::workload_options;
-use choco_bench::{
-    failures, header, note, side, time_str, GateResult, Races, Rule, Side, Timings, SWEEPS,
-};
+use choco_bench::{header, note, side, time_str, GateResult, Races, Rule, Side, Timings, SWEEPS};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::keyswitch::{
@@ -78,6 +79,13 @@ use choco_prng::blake3::Hasher;
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The `par_capacity` ratio the `par` gates need: below it, another
+/// process holds one of the pool's cores.
+const PAR_CAPACITY: f64 = 1.4;
+
+/// How many more times the `par` section is timed while capacity is short.
+const PAR_RETIMES: usize = 2;
 
 /// Keeps a race's inputs for the rest of the run: every sweep borrows them.
 fn keep<T>(value: T) -> &'static T {
@@ -1161,25 +1169,38 @@ fn main() {
         }),
     );
 
-    let timings = races.run(window_ms, SWEEPS);
+    let mut timings = races.run(window_ms, SWEEPS);
+    // A vCPU taken by someone else reads as no capacity, and then the par
+    // gates measure nothing: the par section is timed again, at most
+    // `PAR_RETIMES` more times, and its gates fail if capacity never holds.
+    let (par, capacity_race) = (races.index("par_dispatch"), races.index("par_capacity"));
+    let capacity = |timings: &Timings| timings.median_ratio(capacity_race, 1, 0);
+    let mut timed = 1;
+    while threads > 1 && capacity(&timings) < PAR_CAPACITY && timed <= PAR_RETIMES {
+        let section = par..races.races.len();
+        races.retime(&mut timings, section, window_ms, SWEEPS);
+        timed += 1;
+    }
     report_timings(&races, &timings);
-    let capacity = timings.median_ratio(races.index("par_capacity"), 1, 0);
+    let capacity = capacity(&timings);
     let applies = |rule| match rule {
         Rule::Always => true,
         Rule::Vector => backend.is_vector(),
-        Rule::Parallel => threads > 1 && capacity >= 1.4,
+        Rule::Parallel => threads > 1,
     };
     let results = races.judge(&timings, applies);
+    let unmet = |r: &GateResult| r.applied && r.rule == Rule::Parallel && capacity < PAR_CAPACITY;
     header(&format!(
         "gates (twin / candidate: median of {SWEEPS} paired ratios [quartiles], wins = pairs at \
          or above the threshold)"
     ));
     for r in &results {
         let s = &r.summary;
-        let verdict = match (r.applied, r.failed()) {
-            (false, _) => "not applied",
-            (true, false) => "pass",
-            (true, true) => "FAIL",
+        let verdict = match (r.applied, r.failed(), unmet(r)) {
+            (false, ..) => "not applied".to_string(),
+            (true, _, true) => format!("FAIL (capacity {capacity:.2}x)"),
+            (true, false, false) => "pass".to_string(),
+            (true, true, false) => "FAIL".to_string(),
         };
         println!(
             "{:<34} {:>7.2}x [{:.2}, {:.2}]  {}/{} >= {:.2}x  {verdict}",
@@ -1189,9 +1210,10 @@ fn main() {
     if !applies(Rule::Vector) {
         note("scalar backend active: both twins ran the scalar loop, simd and blake3 gates not applied");
     }
-    if !applies(Rule::Parallel) {
+    if threads > 1 && capacity < PAR_CAPACITY {
         note(&format!(
-            "host ran the pool's {threads} threads at {capacity:.2}x one thread: par gates not applied"
+            "host ran the pool's {threads} threads at {capacity:.2}x one thread after {timed} \
+             timings of the par section (gates need {PAR_CAPACITY}x): par gates fail"
         ));
     }
     if let Some(path) = json_path {
@@ -1205,14 +1227,22 @@ fn main() {
             &results,
         );
     }
-    let failed = failures(&results);
+    let failed: Vec<&GateResult> = results.iter().filter(|r| r.failed() || unmet(r)).collect();
     if !failed.is_empty() {
         // ROADMAP's rule: a kernel that does not beat its simpler twin on
         // the bench is deleted.
         for r in &failed {
             eprintln!(
-                "gate failed: {} is {:.2}x its twin (median of {} pairs; gate: >= {:.2}x)",
-                r.name, r.summary.median, r.summary.pairs, r.threshold
+                "gate failed: {} is {:.2}x its twin (median of {} pairs; gate: >= {:.2}x){}",
+                r.name,
+                r.summary.median,
+                r.summary.pairs,
+                r.threshold,
+                if unmet(r) {
+                    format!(" on a host at {capacity:.2}x par capacity after {timed} timings")
+                } else {
+                    String::new()
+                }
             );
         }
         std::process::exit(1);

@@ -166,6 +166,7 @@ impl Summary {
 pub struct GateResult {
     pub name: String,
     pub threshold: f64,
+    pub rule: Rule,
     pub applied: bool,
     pub summary: Summary,
 }
@@ -174,11 +175,6 @@ impl GateResult {
     pub fn failed(&self) -> bool {
         self.applied && self.summary.median < self.threshold
     }
-}
-
-/// Every failing gate of a report, in table order.
-pub fn failures(results: &[GateResult]) -> Vec<&GateResult> {
-    results.iter().filter(|r| r.failed()).collect()
 }
 
 /// The order sweep `sweep` times a race's sides in: forward on even
@@ -316,30 +312,40 @@ impl<'a> Races<'a> {
     /// side's iteration count, then `sweeps` sweeps each time one window
     /// per side of every race, the side order alternating by sweep.
     pub fn run(&mut self, window_ms: f64, sweeps: usize) -> Timings {
-        let iters: Vec<Vec<usize>> = self
-            .races
-            .iter_mut()
-            .map(|race| {
-                let sides = race.sides.iter_mut();
-                sides
-                    .map(|side| window_iters(window_ms, measure(window_ms, side).0))
-                    .collect()
-            })
-            .collect();
-        let mut seconds: Vec<Vec<Vec<f64>>> = self
-            .races
-            .iter()
-            .map(|race| vec![Vec::with_capacity(sweeps); race.sides.len()])
-            .collect();
+        let mut timings = Timings {
+            seconds: vec![Vec::new(); self.races.len()],
+            iters: vec![Vec::new(); self.races.len()],
+        };
+        self.retime(&mut timings, 0..self.races.len(), window_ms, sweeps);
+        timings
+    }
+
+    /// Times races `which` as [`Races::run`] does, in place of their
+    /// timings in `timings`; the other races keep theirs.
+    pub fn retime(
+        &mut self,
+        timings: &mut Timings,
+        which: std::ops::Range<usize>,
+        window_ms: f64,
+        sweeps: usize,
+    ) {
+        let first = which.start;
+        let races = &mut self.races[which];
+        for (r, race) in (first..).zip(races.iter_mut()) {
+            let sides = race.sides.iter_mut();
+            timings.iters[r] = sides
+                .map(|side| window_iters(window_ms, measure(window_ms, side).0))
+                .collect();
+            timings.seconds[r] = vec![Vec::with_capacity(sweeps); race.sides.len()];
+        }
         for sweep in 0..sweeps {
-            for (r, race) in self.races.iter_mut().enumerate() {
+            for (r, race) in (first..).zip(races.iter_mut()) {
                 for side in side_order(race.sides.len(), sweep) {
-                    let t = timed_avg(iters[r][side], &mut race.sides[side]);
-                    seconds[r][side].push(t);
+                    let t = timed_avg(timings.iters[r][side], &mut race.sides[side]);
+                    timings.seconds[r][side].push(t);
                 }
             }
         }
-        Timings { seconds, iters }
     }
 
     /// Every gate's verdict on `timings`; `applies` says which rules hold
@@ -364,6 +370,7 @@ impl<'a> Races<'a> {
                 GateResult {
                     name: gate.name.clone(),
                     threshold: gate.threshold,
+                    rule: gate.rule,
                     applied: applies(gate.rule),
                     summary: Summary::of(&ratios, gate.threshold),
                 }
@@ -449,6 +456,26 @@ mod tests {
     }
 
     #[test]
+    fn retime_replaces_only_the_races_it_times() {
+        let log = RefCell::new(Vec::new());
+        let mut table = Races::default();
+        let log_ref = &log;
+        let side = |id: usize| -> Side<'_> { Box::new(move || log_ref.borrow_mut().push(id)) };
+        table.race("kept", vec![("a", side(0))]);
+        table.race("again", vec![("a", side(1)), ("b", side(2))]);
+        let mut timings = table.run(0.0, 2);
+        let kept = timings.seconds[0].clone();
+        table.retime(&mut timings, 1..2, 0.0, 3);
+        assert_eq!(timings.seconds[0], kept);
+        assert_eq!(timings.seconds[1][1].len(), 3);
+        assert_eq!(timings.iters, [vec![1], vec![1, 1]]);
+        drop(table);
+        // After the first run's 2 + 4 calibration calls and 2 sweeps, the
+        // retime's calibration and 3 sweeps call race 1's sides only.
+        assert_eq!(log.into_inner()[12..], [1, 1, 2, 2, 1, 2, 2, 1, 1, 2]);
+    }
+
+    #[test]
     fn report_returns_every_failing_gate() {
         let pairs = |ratio: f64| vec![[1.0, ratio]; SWEEPS];
         let (mut table, timings) = synthetic(&[
@@ -459,7 +486,11 @@ mod tests {
         ]);
         table.peak("peak", 2.0, Rule::Always, &["first", "fine"]);
         let results = table.judge(&timings, |rule| rule != Rule::Parallel);
-        let failed: Vec<&str> = failures(&results).iter().map(|r| r.name.as_str()).collect();
+        let failed: Vec<&str> = results
+            .iter()
+            .filter(|r| r.failed())
+            .map(|r| r.name.as_str())
+            .collect();
         assert_eq!(failed, ["first_speedup", "second_speedup"]);
         // A gate whose rule does not hold is reported, not enforced.
         assert!(!results[3].applied && results[3].summary.median < 1.0);

@@ -54,7 +54,9 @@ use choco_he::cache::{CacheCounters, OperandCache};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
 use choco_he::rlwe::DotOperand;
 use choco_he::{Bfv, Ckks, HeError, HeScheme};
-use choco_verify::{Circuit, VerifyError, VerifyOptions, VerifyReport};
+use choco_verify::{
+    walk, Circuit, Domain, Reals, Slots, Step, VerifyError, VerifyOptions, VerifyReport, WalkError,
+};
 pub use choco_verify::{NodeId, NodeMeta, Op};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -896,8 +898,174 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-fn is_plain(ops: &[Op], id: NodeId) -> bool {
-    matches!(ops.get(id.index()), Some(Op::Constant(_)))
+impl From<WalkError> for CompileError {
+    fn from(e: WalkError) -> CompileError {
+        match e {
+            WalkError::MissingInput { name, .. } => CompileError::MissingInput(name),
+            WalkError::ForwardReference { node, .. } => CompileError::MalformedProgram(node),
+            WalkError::OutputOutOfRange { output } => CompileError::MalformedProgram(output),
+        }
+    }
+}
+
+/// The scheduling domain: a source node's value is the compiled node that
+/// carries it, and the op list grows by the `Rescale`s and `ModSwitch`es
+/// the waterline and level rules insert.
+struct Schedule<'a> {
+    opts: &'a CompilerOptions,
+    ops: Vec<Op>,
+    meta: Vec<NodeMeta>,
+    counts: OpCounts,
+    /// The deepest level used (levels count down from `max_levels`).
+    min_level: usize,
+}
+
+impl Schedule<'_> {
+    fn push(&mut self, op: Op, m: NodeMeta) -> NodeId {
+        self.ops.push(op);
+        self.meta.push(m);
+        self.min_level = self.min_level.min(m.level);
+        NodeId::new(self.ops.len() - 1)
+    }
+
+    /// The claim of a compiled node; every id here came from `push`.
+    fn meta(&self, id: NodeId) -> NodeMeta {
+        self.meta[id.index()]
+    }
+
+    /// Whether a compiled node is plaintext: a source constant compiles to
+    /// a `Constant`, and no other source node does.
+    fn is_plain(&self, id: NodeId) -> bool {
+        matches!(self.ops.get(id.index()), Some(Op::Constant(_)))
+    }
+
+    /// Rescales a node until its scale sits at the waterline.
+    fn rescale_to_waterline(&mut self, mut id: NodeId) -> NodeId {
+        let (waterline, prime) = (self.opts.scale_bits as f64, self.opts.prime_bits as f64);
+        while self.meta(id).scale_bits > waterline + prime / 2.0 {
+            let m = self.meta(id);
+            if m.level == 0 {
+                // The chain is already exhausted; stop inserting rescales
+                // and pin the floor so the final depth check returns a
+                // typed `DepthExceeded` (instead of underflowing here on
+                // adversarially deep programs).
+                self.min_level = 0;
+                break;
+            }
+            let nm = NodeMeta {
+                scale_bits: m.scale_bits - prime,
+                level: m.level - 1,
+            };
+            id = self.push(Op::Rescale(id), nm);
+            self.counts.rescales += 1;
+        }
+        id
+    }
+
+    /// Brings a node down to `level` with mod-switches.
+    fn switch_to(&mut self, mut id: NodeId, level: usize) -> NodeId {
+        while self.meta(id).level > level {
+            let m = self.meta(id);
+            let nm = NodeMeta {
+                scale_bits: m.scale_bits,
+                level: m.level - 1,
+            };
+            id = self.push(Op::ModSwitch(id), nm);
+            self.counts.mod_switches += 1;
+        }
+        id
+    }
+
+    /// A fresh node at the top of the chain.
+    fn top(&mut self, op: Op) -> Step<Self> {
+        let m = NodeMeta {
+            scale_bits: self.opts.scale_bits as f64,
+            level: self.opts.max_levels,
+        };
+        Ok(self.push(op, m))
+    }
+}
+
+impl Domain for Schedule<'_> {
+    type Value = NodeId;
+    type Error = CompileError;
+
+    fn input(&mut self, _at: usize, name: &str) -> Step<Self> {
+        self.top(Op::Input(name.to_string()))
+    }
+
+    fn constant(&mut self, _at: usize, values: &[f64]) -> Step<Self> {
+        self.top(Op::Constant(values.to_vec()))
+    }
+
+    fn binary(&mut self, at: usize, op: &Op, &a: &NodeId, &b: &NodeId) -> Step<Self> {
+        // A ciphertext first; the second operand is a plaintext exactly
+        // for `MulPlain` and `AddPlain`.
+        let with_plain = matches!(op, Op::MulPlain(..) | Op::AddPlain(..));
+        if self.is_plain(a) || (self.is_plain(b) != with_plain) {
+            return Err(CompileError::KindMismatch(at));
+        }
+        let ra = self.rescale_to_waterline(a);
+        if with_plain {
+            let m = self.meta(ra);
+            return Ok(if matches!(op, Op::MulPlain(..)) {
+                self.counts.pt_mults += 1;
+                let m = NodeMeta {
+                    scale_bits: m.scale_bits + self.opts.scale_bits as f64,
+                    ..m
+                };
+                let id = self.push(Op::MulPlain(ra, b), m);
+                self.rescale_to_waterline(id)
+            } else {
+                self.counts.adds += 1;
+                self.push(Op::AddPlain(ra, b), m)
+            });
+        }
+        // Align levels first, then scales must match: rescale the
+        // larger-scale operand.
+        let rb = self.rescale_to_waterline(b);
+        let level = self.meta(ra).level.min(self.meta(rb).level);
+        let (ra, rb) = (self.switch_to(ra, level), self.switch_to(rb, level));
+        let (sa, sb) = (self.meta(ra).scale_bits, self.meta(rb).scale_bits);
+        Ok(match op {
+            Op::Mul(..) => {
+                self.counts.ct_mults += 1;
+                let m = NodeMeta {
+                    scale_bits: sa + sb,
+                    level,
+                };
+                let id = self.push(Op::Mul(ra, rb), m);
+                self.rescale_to_waterline(id)
+            }
+            _ => {
+                self.counts.adds += 1;
+                let m = NodeMeta {
+                    scale_bits: sa.max(sb),
+                    level,
+                };
+                let new_op = if matches!(op, Op::Add(..)) {
+                    Op::Add(ra, rb)
+                } else {
+                    Op::Sub(ra, rb)
+                };
+                self.push(new_op, m)
+            }
+        })
+    }
+
+    fn unary(&mut self, at: usize, op: &Op, &a: &NodeId) -> Step<Self> {
+        // User programs never contain `Rescale` or `ModSwitch`; the
+        // compiler inserts them.
+        let &Op::Rotate(_, s) = op else {
+            return Err(CompileError::KindMismatch(at));
+        };
+        if self.is_plain(a) {
+            return Err(CompileError::KindMismatch(at));
+        }
+        self.counts.rotations += 1;
+        let m = self.meta(a);
+        Ok(self.push(Op::Rotate(a, s), m))
+    }
 }
 
 /// Compiles a program: assigns scales and levels, inserting `Rescale` after
@@ -917,188 +1085,21 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
     if program.outputs.is_empty() {
         return Err(CompileError::NoOutputs);
     }
-    let waterline = opts.scale_bits as f64;
-    // The compiled op list, rebuilt with inserted nodes; `remap[i]` is the
-    // compiled node carrying source node i's value.
-    let mut ops: Vec<Op> = Vec::with_capacity(program.ops.len() * 2);
-    let mut meta: Vec<NodeMeta> = Vec::new();
-    let mut remap: Vec<NodeId> = Vec::with_capacity(program.ops.len());
-    let mut counts = OpCounts::default();
-    // Track the deepest level used (levels count down from max_levels).
-    let mut min_level = opts.max_levels;
-
-    let push = |ops: &mut Vec<Op>, meta: &mut Vec<NodeMeta>, op: Op, m: NodeMeta| -> NodeId {
-        ops.push(op);
-        meta.push(m);
-        NodeId::new(ops.len() - 1)
+    let mut schedule = Schedule {
+        opts,
+        ops: Vec::with_capacity(program.ops.len() * 2),
+        meta: Vec::new(),
+        counts: OpCounts::default(),
+        min_level: opts.max_levels,
     };
-
-    // Rescale a node until its scale sits at the waterline.
-    let rescale_to_waterline = |ops: &mut Vec<Op>,
-                                meta: &mut Vec<NodeMeta>,
-                                counts: &mut OpCounts,
-                                min_level: &mut usize,
-                                mut id: NodeId|
-     -> NodeId {
-        while meta[id.index()].scale_bits > waterline + opts.prime_bits as f64 / 2.0 {
-            let m = meta[id.index()];
-            if m.level == 0 {
-                // The chain is already exhausted; stop inserting rescales
-                // and pin the floor so the final depth check returns a
-                // typed `DepthExceeded` (instead of underflowing here on
-                // adversarially deep programs).
-                *min_level = 0;
-                break;
-            }
-            let nm = NodeMeta {
-                scale_bits: m.scale_bits - opts.prime_bits as f64,
-                level: m.level - 1,
-            };
-            ops.push(Op::Rescale(id));
-            meta.push(nm);
-            id = NodeId::new(ops.len() - 1);
-            counts.rescales += 1;
-            *min_level = (*min_level).min(nm.level);
-        }
-        id
-    };
-
-    // Bring a node down to `level` with mod-switches.
-    let switch_to = |ops: &mut Vec<Op>,
-                     meta: &mut Vec<NodeMeta>,
-                     counts: &mut OpCounts,
-                     mut id: NodeId,
-                     level: usize|
-     -> NodeId {
-        while meta[id.index()].level > level {
-            let m = meta[id.index()];
-            ops.push(Op::ModSwitch(id));
-            meta.push(NodeMeta {
-                scale_bits: m.scale_bits,
-                level: m.level - 1,
-            });
-            id = NodeId::new(ops.len() - 1);
-            counts.mod_switches += 1;
-        }
-        id
-    };
-
-    for (i, op) in program.ops.iter().enumerate() {
-        // Operands must reference earlier nodes; `remap` holds exactly the
-        // nodes already processed, so a failed lookup is a forward or
-        // out-of-range reference (hand-built `NodeId`s only).
-        let mapped_of = |remap: &[NodeId], id: NodeId| -> Result<NodeId, CompileError> {
-            remap
-                .get(id.index())
-                .copied()
-                .ok_or(CompileError::MalformedProgram(i))
-        };
-        let mapped = match op {
-            Op::Input(name) => push(
-                &mut ops,
-                &mut meta,
-                Op::Input(name.clone()),
-                NodeMeta {
-                    scale_bits: waterline,
-                    level: opts.max_levels,
-                },
-            ),
-            Op::Constant(v) => push(
-                &mut ops,
-                &mut meta,
-                Op::Constant(v.clone()),
-                NodeMeta {
-                    scale_bits: waterline,
-                    level: opts.max_levels,
-                },
-            ),
-            Op::Add(a, b) | Op::Sub(a, b) => {
-                if is_plain(&program.ops, *a) || is_plain(&program.ops, *b) {
-                    return Err(CompileError::KindMismatch(i));
-                }
-                let (mut ra, mut rb) = (mapped_of(&remap, *a)?, mapped_of(&remap, *b)?);
-                // Align levels first, then scales must match: rescale the
-                // larger-scale operand.
-                ra = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, ra);
-                rb = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, rb);
-                let lvl = meta[ra.index()].level.min(meta[rb.index()].level);
-                ra = switch_to(&mut ops, &mut meta, &mut counts, ra, lvl);
-                rb = switch_to(&mut ops, &mut meta, &mut counts, rb, lvl);
-                counts.adds += 1;
-                let m = NodeMeta {
-                    scale_bits: meta[ra.index()].scale_bits.max(meta[rb.index()].scale_bits),
-                    level: lvl,
-                };
-                let new_op = if matches!(op, Op::Add(..)) {
-                    Op::Add(ra, rb)
-                } else {
-                    Op::Sub(ra, rb)
-                };
-                push(&mut ops, &mut meta, new_op, m)
-            }
-            Op::Mul(a, b) => {
-                if is_plain(&program.ops, *a) || is_plain(&program.ops, *b) {
-                    return Err(CompileError::KindMismatch(i));
-                }
-                let (mut ra, mut rb) = (mapped_of(&remap, *a)?, mapped_of(&remap, *b)?);
-                ra = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, ra);
-                rb = rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, rb);
-                let lvl = meta[ra.index()].level.min(meta[rb.index()].level);
-                ra = switch_to(&mut ops, &mut meta, &mut counts, ra, lvl);
-                rb = switch_to(&mut ops, &mut meta, &mut counts, rb, lvl);
-                counts.ct_mults += 1;
-                let m = NodeMeta {
-                    scale_bits: meta[ra.index()].scale_bits + meta[rb.index()].scale_bits,
-                    level: lvl,
-                };
-                let id = push(&mut ops, &mut meta, Op::Mul(ra, rb), m);
-                rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, id)
-            }
-            Op::MulPlain(a, c) | Op::AddPlain(a, c) => {
-                if is_plain(&program.ops, *a) || !is_plain(&program.ops, *c) {
-                    return Err(CompileError::KindMismatch(i));
-                }
-                let ra = rescale_to_waterline(
-                    &mut ops,
-                    &mut meta,
-                    &mut counts,
-                    &mut min_level,
-                    mapped_of(&remap, *a)?,
-                );
-                let rc = mapped_of(&remap, *c)?;
-                if matches!(op, Op::MulPlain(..)) {
-                    counts.pt_mults += 1;
-                    let m = NodeMeta {
-                        scale_bits: meta[ra.index()].scale_bits + waterline,
-                        level: meta[ra.index()].level,
-                    };
-                    let id = push(&mut ops, &mut meta, Op::MulPlain(ra, rc), m);
-                    rescale_to_waterline(&mut ops, &mut meta, &mut counts, &mut min_level, id)
-                } else {
-                    counts.adds += 1;
-                    let m = meta[ra.index()];
-                    push(&mut ops, &mut meta, Op::AddPlain(ra, rc), m)
-                }
-            }
-            Op::Rotate(a, s) => {
-                if is_plain(&program.ops, *a) {
-                    return Err(CompileError::KindMismatch(i));
-                }
-                counts.rotations += 1;
-                let ra = mapped_of(&remap, *a)?;
-                let m = meta[ra.index()];
-                push(&mut ops, &mut meta, Op::Rotate(ra, *s), m)
-            }
-            Op::Rescale(_) | Op::ModSwitch(_) => {
-                // User programs never contain these; the compiler inserts
-                // them.
-                return Err(CompileError::KindMismatch(i));
-            }
-        };
-        remap.push(mapped);
-        min_level = min_level.min(meta[mapped.index()].level);
-    }
-
+    let outputs = walk(&program.to_circuit(), &mut schedule)?.outputs;
+    let Schedule {
+        ops,
+        meta,
+        counts,
+        min_level,
+        ..
+    } = schedule;
     let required_levels = opts.max_levels - min_level + 1;
     if min_level < 1 {
         return Err(CompileError::DepthExceeded {
@@ -1106,16 +1107,6 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
             available: opts.max_levels,
         });
     }
-    let outputs = program
-        .outputs
-        .iter()
-        .map(|o| {
-            remap
-                .get(o.index())
-                .copied()
-                .ok_or(CompileError::MalformedProgram(o.index()))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
     let compiled = CompiledProgram {
         plan: FusionPlan::derive(&ops, &outputs),
         ops,
@@ -1221,7 +1212,10 @@ impl CompiledProgram {
         steps
     }
 
-    /// Executes on plaintext vectors (the reference semantics).
+    /// Executes on plaintext vectors: the real-valued [`walk`] ([`Reals`]),
+    /// each rotation cyclic over its vector's own length and each binary op
+    /// zipped to the shorter operand. A BFV program's answer is the
+    /// [`ModT`](choco_verify::ModT) walk in the ring it runs in.
     ///
     /// # Errors
     ///
@@ -1231,65 +1225,10 @@ impl CompiledProgram {
         &self,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<Vec<Vec<f64>>, CompileError> {
-        // Operand lookups are in-bounds for any program built through
-        // `compile` (verified by construction); a miss would still surface
-        // as a typed error, not a panic.
-        fn node(vals: &[Vec<f64>], id: NodeId, at: usize) -> Result<&Vec<f64>, CompileError> {
-            vals.get(id.index())
-                .ok_or(CompileError::MalformedProgram(at))
-        }
-        let mut vals: Vec<Vec<f64>> = Vec::with_capacity(self.ops.len());
-        for (i, op) in self.ops.iter().enumerate() {
-            let v = match op {
-                Op::Input(name) => inputs
-                    .get(name)
-                    .ok_or_else(|| CompileError::MissingInput(name.clone()))?
-                    .clone(),
-                Op::Constant(c) => c.clone(),
-                Op::Add(a, b) => node(&vals, *a, i)?
-                    .iter()
-                    .zip(node(&vals, *b, i)?)
-                    .map(|(x, y)| x + y)
-                    .collect(),
-                Op::Sub(a, b) => node(&vals, *a, i)?
-                    .iter()
-                    .zip(node(&vals, *b, i)?)
-                    .map(|(x, y)| x - y)
-                    .collect(),
-                Op::Mul(a, b) => node(&vals, *a, i)?
-                    .iter()
-                    .zip(node(&vals, *b, i)?)
-                    .map(|(x, y)| x * y)
-                    .collect(),
-                Op::MulPlain(a, c) => node(&vals, *a, i)?
-                    .iter()
-                    .zip(node(&vals, *c, i)?)
-                    .map(|(x, y)| x * y)
-                    .collect(),
-                Op::AddPlain(a, c) => node(&vals, *a, i)?
-                    .iter()
-                    .zip(node(&vals, *c, i)?)
-                    .map(|(x, y)| x + y)
-                    .collect(),
-                Op::Rotate(a, s) => {
-                    let v = node(&vals, *a, i)?;
-                    let n = v.len() as i64;
-                    (0..n)
-                        .map(|j| {
-                            v.get(((j + s).rem_euclid(n.max(1))) as usize)
-                                .copied()
-                                .unwrap_or(0.0)
-                        })
-                        .collect()
-                }
-                Op::Rescale(a) | Op::ModSwitch(a) => node(&vals, *a, i)?.clone(),
-            };
-            vals.push(v);
-        }
-        self.outputs
-            .iter()
-            .map(|o| node(&vals, *o, o.index()).cloned())
-            .collect()
+        let mut reals = Slots::new(Reals, inputs, <[f64]>::to_vec);
+        // A malformed program cannot come out of `compile`; the walk would
+        // still stop at it with a typed error, not a panic.
+        Ok(walk(&self.to_circuit(), &mut reals)?.outputs)
     }
 
     /// Executes on real ciphertexts of any [`CompilerScheme`].
@@ -1689,87 +1628,83 @@ impl<S: CompilerScheme> CachedProgram<S> {
     }
 }
 
+/// The rewriting domain of [`optimize`]: a source node's value is the node
+/// of the optimized program that carries it, one node per distinct op.
+#[derive(Default)]
+struct Cse {
+    out: Program,
+    seen: HashMap<CseKey, NodeId>,
+}
+
+#[derive(Hash, PartialEq, Eq)]
+enum CseKey {
+    Input(String),
+    Constant(Vec<u64>), // f64 bits for hashability
+    /// An op by name over its (rewritten) operands and rotation step.
+    Op(&'static str, usize, usize, i64),
+}
+
+impl Cse {
+    fn intern(&mut self, key: CseKey, op: Op) -> NodeId {
+        let out = &mut self.out;
+        *self.seen.entry(key).or_insert_with(|| out.push(op))
+    }
+}
+
+impl Domain for Cse {
+    type Value = NodeId;
+    type Error = WalkError;
+
+    fn input(&mut self, _at: usize, name: &str) -> Step<Self> {
+        Ok(self.intern(CseKey::Input(name.into()), Op::Input(name.into())))
+    }
+
+    fn constant(&mut self, _at: usize, values: &[f64]) -> Step<Self> {
+        let bits = values.iter().map(|x| x.to_bits()).collect();
+        Ok(self.intern(CseKey::Constant(bits), Op::Constant(values.to_vec())))
+    }
+
+    fn binary(&mut self, _at: usize, op: &Op, &a: &NodeId, &b: &NodeId) -> Step<Self> {
+        let (x, y) = (a.index(), b.index());
+        let (new_op, x, y) = match op {
+            // Addition and multiplication commute: canonicalize operand order.
+            Op::Add(..) => (Op::Add(a, b), x.min(y), x.max(y)),
+            Op::Mul(..) => (Op::Mul(a, b), x.min(y), x.max(y)),
+            Op::Sub(..) => (Op::Sub(a, b), x, y),
+            Op::MulPlain(..) => (Op::MulPlain(a, b), x, y),
+            _ => (Op::AddPlain(a, b), x, y),
+        };
+        Ok(self.intern(CseKey::Op(op.name(), x, y, 0), new_op))
+    }
+
+    fn unary(&mut self, _at: usize, op: &Op, &a: &NodeId) -> Step<Self> {
+        Ok(match *op {
+            // rotate-by-zero is the identity.
+            Op::Rotate(_, 0) => a,
+            Op::Rotate(_, s) => {
+                self.intern(CseKey::Op("Rotate", a.index(), 0, s), Op::Rotate(a, s))
+            }
+            // Source programs never contain these.
+            _ => self.out.push(op.clone()),
+        })
+    }
+}
+
 /// Structural optimization over the *source* program (run before
 /// [`compile`]): common-subexpression elimination plus rotation-by-zero and
 /// duplicate-constant folding. EVA applies the same class of rewrites before
 /// scale assignment; on encrypted programs every eliminated node is a saved
-/// homomorphic operation.
+/// homomorphic operation. A malformed program comes back as it is, for
+/// [`compile`] to refuse.
 pub fn optimize(program: &Program) -> Program {
-    use std::collections::HashMap;
-    #[derive(Hash, PartialEq, Eq)]
-    enum Key {
-        Input(String),
-        Constant(Vec<u64>), // f64 bits for hashability
-        Add(usize, usize),
-        Sub(usize, usize),
-        Mul(usize, usize),
-        MulPlain(usize, usize),
-        AddPlain(usize, usize),
-        Rotate(usize, i64),
+    let mut cse = Cse::default();
+    match walk(&program.to_circuit(), &mut cse) {
+        Ok(walked) => Program {
+            outputs: walked.outputs,
+            ..cse.out
+        },
+        Err(_) => program.clone(),
     }
-    let mut out = Program::new();
-    let mut remap: Vec<NodeId> = Vec::with_capacity(program.ops.len());
-    let mut seen: HashMap<Key, NodeId> = HashMap::new();
-    for op in &program.ops {
-        let (key, new_op) = match op {
-            Op::Input(n) => (Key::Input(n.clone()), Op::Input(n.clone())),
-            Op::Constant(v) => (
-                Key::Constant(v.iter().map(|x| x.to_bits()).collect()),
-                Op::Constant(v.clone()),
-            ),
-            Op::Add(a, b) => {
-                // Addition commutes: canonicalize operand order.
-                let (x, y) = (
-                    remap[a.index()].index().min(remap[b.index()].index()),
-                    remap[a.index()].index().max(remap[b.index()].index()),
-                );
-                (Key::Add(x, y), Op::Add(remap[a.index()], remap[b.index()]))
-            }
-            Op::Sub(a, b) => (
-                Key::Sub(remap[a.index()].index(), remap[b.index()].index()),
-                Op::Sub(remap[a.index()], remap[b.index()]),
-            ),
-            Op::Mul(a, b) => {
-                let (x, y) = (
-                    remap[a.index()].index().min(remap[b.index()].index()),
-                    remap[a.index()].index().max(remap[b.index()].index()),
-                );
-                (Key::Mul(x, y), Op::Mul(remap[a.index()], remap[b.index()]))
-            }
-            Op::MulPlain(a, c) => (
-                Key::MulPlain(remap[a.index()].index(), remap[c.index()].index()),
-                Op::MulPlain(remap[a.index()], remap[c.index()]),
-            ),
-            Op::AddPlain(a, c) => (
-                Key::AddPlain(remap[a.index()].index(), remap[c.index()].index()),
-                Op::AddPlain(remap[a.index()], remap[c.index()]),
-            ),
-            Op::Rotate(a, s) => {
-                if *s == 0 {
-                    // rotate-by-zero is the identity.
-                    remap.push(remap[a.index()]);
-                    continue;
-                }
-                (
-                    Key::Rotate(remap[a.index()].index(), *s),
-                    Op::Rotate(remap[a.index()], *s),
-                )
-            }
-            Op::Rescale(_) | Op::ModSwitch(_) => {
-                // Source programs never contain these.
-                remap.push(NodeId::new(out.ops.len()));
-                out.ops.push(op.clone());
-                continue;
-            }
-        };
-        let id = *seen.entry(key).or_insert_with(|| {
-            out.ops.push(new_op);
-            NodeId::new(out.ops.len() - 1)
-        });
-        remap.push(id);
-    }
-    out.outputs = program.outputs.iter().map(|o| remap[o.index()]).collect();
-    out
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The abstract interpreter.
 //!
-//! One forward pass over the compiler's own op list — a source `Program`'s
-//! or a `CompiledProgram`'s, read through a [`Circuit`] view — computes,
-//! per node, an element of the product domain *kind × level × scale ×
-//! noise × width*:
+//! One [`walk`] over the compiler's own op list — a source `Program`'s or
+//! a `CompiledProgram`'s, read through a [`Circuit`] view — computes, per
+//! node, an element of the product domain *kind × level × scale × noise ×
+//! width*:
 //!
 //! * **kind** — ciphertext or plaintext (exact);
 //! * **level** — remaining data primes, replaying the compiler's arithmetic
@@ -17,12 +17,11 @@
 //!   exact, encrypted inputs unknown, joins meet at binary ops).
 //!
 //! Compiled programs additionally carry the compiler's per-node claims
-//! ([`NodeMeta`](crate::NodeMeta));
-//! the pass cross-checks claim against recomputation (`LEVEL004` /
-//! `SCALE003`), which is what catches metadata corruption that a pure
-//! recomputation would silently repeat.
+//! ([`NodeMeta`]); the pass cross-checks claim against recomputation
+//! (`LEVEL004` / `SCALE003`), which is what catches metadata corruption
+//! that a pure recomputation would silently repeat.
 
-use crate::circuit::{Circuit, NodeId, Op};
+use crate::circuit::{walk, Circuit, Domain, NodeId, NodeMeta, Op, Step, WalkError, Walked};
 use crate::report::VerifyReport;
 use crate::{Diagnostic, RuleId, VerifyError};
 use choco_he::params::{HeParams, SchemeType};
@@ -244,46 +243,6 @@ struct Work {
     width: Option<usize>,
 }
 
-impl Work {
-    fn missing() -> Work {
-        Work {
-            kind: ValueKind::Cipher,
-            level: 0,
-            scale: 0.0,
-            noise: 0.0,
-            width: None,
-        }
-    }
-}
-
-fn get(work: &[Work], i: usize) -> Work {
-    work.get(i).copied().unwrap_or_else(Work::missing)
-}
-
-/// Pushes `STRUCT002` when operand `j` of node `i` is not of `want` kind.
-fn check_kind(
-    work: &[Work],
-    i: usize,
-    name: &str,
-    j: usize,
-    want: ValueKind,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let have = get(work, j).kind;
-    if have != want {
-        diags.push(Diagnostic::new(
-            RuleId::Struct002,
-            i,
-            name,
-            format!(
-                "operand {j} is a {} value where a {} is required",
-                have.name(),
-                want.name()
-            ),
-        ));
-    }
-}
-
 /// Joins two slot widths, reporting `SLOT001` on conflict; the result takes
 /// the smaller width (the truncating semantics the executors implement).
 fn join_width(
@@ -310,6 +269,252 @@ fn join_width(
     }
 }
 
+/// The abstract-state domain: what each op does to a node's kind, level,
+/// scale, noise and width, and every diagnostic it raises on the way.
+struct Abstract<'a> {
+    opts: &'a VerifyOptions,
+    /// The compiler's claims, empty for a source circuit.
+    claims: &'a [NodeMeta],
+    scheduled: bool,
+    waterline: f64,
+    prime: f64,
+    half_prime: f64,
+    diags: Vec<Diagnostic>,
+}
+
+impl Abstract<'_> {
+    fn push(&mut self, rule: RuleId, i: usize, name: &str, msg: impl Into<String>) {
+        self.diags.push(Diagnostic::new(rule, i, name, msg));
+    }
+
+    /// Pushes `STRUCT002` when operand `j` of node `i` is not of `want` kind.
+    fn check_kind(&mut self, i: usize, name: &str, j: usize, have: &Work, want: ValueKind) {
+        if have.kind != want {
+            let msg = format!(
+                "operand {j} is a {} value where a {} is required",
+                have.kind.name(),
+                want.name()
+            );
+            self.push(RuleId::Struct002, i, name, msg);
+        }
+    }
+
+    /// LEVEL002 (scheduled only): no op other than the scheduled `Rescale`
+    /// may consume a value still above the waterline band.
+    fn consume(&mut self, i: usize, name: &str, j: usize, w: &Work) {
+        let band = self.waterline + self.half_prime;
+        if self.scheduled && w.kind == ValueKind::Cipher && w.scale > band {
+            let msg = format!(
+                "operand {j} carries scale 2^{:.1} above the waterline band 2^{:.1} — a Rescale is missing",
+                w.scale, band
+            );
+            self.push(RuleId::Level002, i, name, msg);
+        }
+    }
+
+    /// What the compiler's `rescale_to_waterline` does to `w`.
+    fn rescaled(&self, mut w: Work) -> Work {
+        while w.scale > self.waterline + self.half_prime {
+            w.scale -= self.prime;
+            w.level -= 1;
+        }
+        w
+    }
+
+    /// Virtual rescale for *unscheduled* circuits: what the compiler would
+    /// do at this use site.
+    fn virt(&self, w: &Work) -> Work {
+        if self.scheduled {
+            *w
+        } else {
+            self.rescaled(*w)
+        }
+    }
+
+    /// Node `i`'s state, after `LEVEL003` (at the first node whose level
+    /// underflows the tower) and the cross-check of the compiler's claim.
+    fn settle(&mut self, i: usize, name: &str, state: Work, operands: &[&Work]) -> Work {
+        if state.kind == ValueKind::Cipher
+            && state.level < 1
+            && operands.iter().all(|w| w.level >= 1)
+        {
+            let msg = format!(
+                "level {} underflows the modulus tower (chain provides {}, min usable level is 1)",
+                state.level, self.opts.max_levels
+            );
+            self.push(RuleId::Level003, i, name, msg);
+        }
+        if let Some(claim) = self.claims.get(i).copied() {
+            if claim.level as i64 != state.level {
+                let msg = format!(
+                    "compiler claims level {} but recomputation gives {}",
+                    claim.level, state.level
+                );
+                self.push(RuleId::Level004, i, name, msg);
+            }
+            if self.opts.scheme == Scheme::Ckks && (claim.scale_bits - state.scale).abs() > 1e-6 {
+                let msg = format!(
+                    "compiler claims scale 2^{:.3} but recomputation gives 2^{:.3}",
+                    claim.scale_bits, state.scale
+                );
+                self.push(RuleId::Scale003, i, name, msg);
+            }
+        }
+        state
+    }
+}
+
+impl Domain for Abstract<'_> {
+    type Value = Work;
+    type Error = WalkError;
+
+    fn input(&mut self, i: usize, _name: &str) -> Step<Self> {
+        let state = Work {
+            kind: ValueKind::Cipher,
+            level: self.opts.max_levels as i64,
+            scale: self.waterline,
+            noise: self.opts.noise.map_or(0.0, |m| m.fresh_bits()),
+            width: None,
+        };
+        Ok(self.settle(i, "Input", state, &[]))
+    }
+
+    fn constant(&mut self, i: usize, values: &[f64]) -> Step<Self> {
+        let len = values.len();
+        if let Some(slots) = self.opts.slot_count.filter(|&slots| len > slots) {
+            let msg = format!("constant packs {len} slots but the parameter set provides {slots}");
+            self.push(RuleId::Slot002, i, "Constant", msg);
+        }
+        let state = Work {
+            kind: ValueKind::Plain,
+            level: self.opts.max_levels as i64,
+            scale: self.waterline,
+            noise: 0.0,
+            width: Some(len),
+        };
+        Ok(self.settle(i, "Constant", state, &[]))
+    }
+
+    fn binary(&mut self, i: usize, op: &Op, ga: &Work, gb: &Work) -> Step<Self> {
+        let (name, opts) = (op.name(), self.opts);
+        let mut ids = op.operands().map(NodeId::index);
+        let (a, b) = (ids.next().unwrap_or(i), ids.next().unwrap_or(i));
+        let mut state = if let Op::MulPlain(..) | Op::AddPlain(..) = op {
+            self.check_kind(i, name, a, ga, ValueKind::Cipher);
+            self.check_kind(i, name, b, gb, ValueKind::Plain);
+            self.consume(i, name, a, ga);
+            let wa = self.virt(ga);
+            let (scale, noise_cost) = if matches!(op, Op::MulPlain(..)) {
+                (
+                    wa.scale + self.waterline,
+                    opts.noise.map_or(0.0, |m| m.plain_mult_bits()),
+                )
+            } else {
+                (wa.scale, opts.noise.map_or(0.0, |_| NoiseModel::ADD_BITS))
+            };
+            Work {
+                kind: ValueKind::Cipher,
+                level: wa.level,
+                scale,
+                noise: wa.noise + noise_cost,
+                width: join_width(wa.width, gb.width, i, name, &mut self.diags),
+            }
+        } else {
+            self.check_kind(i, name, a, ga, ValueKind::Cipher);
+            self.check_kind(i, name, b, gb, ValueKind::Cipher);
+            self.consume(i, name, a, ga);
+            self.consume(i, name, b, gb);
+            let (wa, wb) = (self.virt(ga), self.virt(gb));
+            let is_mul = matches!(op, Op::Mul(..));
+            if self.scheduled && wa.level != wb.level {
+                let msg = format!(
+                    "operand levels differ: node {a} at level {} vs node {b} at level {} — a ModSwitch is missing",
+                    wa.level, wb.level
+                );
+                self.push(RuleId::Level001, i, name, msg);
+            }
+            if self.scheduled
+                && !is_mul
+                && opts.scheme == Scheme::Ckks
+                && (wa.scale - wb.scale).abs() > opts.scale_tol_bits
+            {
+                let msg = format!(
+                    "operand scales disagree beyond tolerance: 2^{:.1} vs 2^{:.1} (tol {:.1} bits)",
+                    wa.scale, wb.scale, opts.scale_tol_bits
+                );
+                self.push(RuleId::Scale001, i, name, msg);
+            }
+            let noise_cost = match (is_mul, opts.noise) {
+                (true, Some(m)) => m.ct_mult_bits(),
+                (false, Some(_)) => NoiseModel::ADD_BITS,
+                (_, None) => 0.0,
+            };
+            Work {
+                kind: ValueKind::Cipher,
+                level: wa.level.min(wb.level),
+                scale: if is_mul {
+                    wa.scale + wb.scale
+                } else {
+                    wa.scale.max(wb.scale)
+                },
+                noise: wa.noise.max(wb.noise) + noise_cost,
+                width: join_width(wa.width, wb.width, i, name, &mut self.diags),
+            }
+        };
+        if !self.scheduled && matches!(op, Op::Mul(..) | Op::MulPlain(..)) {
+            // The compiler rescales a fresh product immediately.
+            state = self.rescaled(state);
+        }
+        Ok(self.settle(i, name, state, &[ga, gb]))
+    }
+
+    fn unary(&mut self, i: usize, op: &Op, wa: &Work) -> Step<Self> {
+        let (name, opts) = (op.name(), self.opts);
+        let a = op.operands().next().map_or(i, NodeId::index);
+        let state = if let Op::Rotate(_, s) = *op {
+            self.check_kind(i, name, a, wa, ValueKind::Cipher);
+            self.consume(i, name, a, wa);
+            if let Some(galois) = opts
+                .galois_steps
+                .as_ref()
+                .filter(|g| s != 0 && !g.contains(&s))
+            {
+                let msg =
+                    format!("rotation step {s} is not covered by the Galois key set {galois:?}");
+                self.push(RuleId::Key001, i, name, msg);
+            }
+            let rot_cost = if s != 0 && opts.noise.is_some() {
+                NoiseModel::ROTATE_BITS
+            } else {
+                0.0
+            };
+            Work {
+                noise: wa.noise + rot_cost,
+                ..*wa
+            }
+        } else {
+            if !self.scheduled {
+                let msg =
+                    "compiler-inserted op in a source program — only compile() may schedule these";
+                self.push(RuleId::Struct002, i, name, msg);
+            }
+            self.check_kind(i, name, a, wa, ValueKind::Cipher);
+            Work {
+                kind: ValueKind::Cipher,
+                level: wa.level - 1,
+                scale: if matches!(op, Op::Rescale(_)) {
+                    wa.scale - self.prime
+                } else {
+                    wa.scale
+                },
+                noise: wa.noise + opts.noise.map_or(0.0, |_| NoiseModel::SWITCH_BITS),
+                width: wa.width,
+            }
+        };
+        Ok(self.settle(i, name, state, &[wa]))
+    }
+}
+
 /// Runs the abstract pass and returns per-node states plus all diagnostics,
 /// sorted by (node, rule). On a malformed topology (`STRUCT001` or an
 /// out-of-range output) the states are empty: interpretation is not
@@ -320,7 +525,7 @@ pub fn analyze(
 ) -> (Vec<AbstractState>, Vec<Diagnostic>) {
     let mut diags: Vec<Diagnostic> = Vec::new();
 
-    // --- structural pass -------------------------------------------------
+    // --- structural pass: every STRUCT001, where the walk stops at one ---
     let mut malformed = false;
     for (i, op) in circuit.ops.iter().enumerate() {
         for j in op.operands().map(NodeId::index) {
@@ -357,274 +562,31 @@ pub fn analyze(
             malformed = true;
         }
     }
-    if malformed {
-        diags.sort_by_key(|d| (d.node, d.rule));
-        return (Vec::new(), diags);
-    }
 
     // --- abstract pass ----------------------------------------------------
-    let scheduled = circuit.is_scheduled();
-    let claims = circuit.claims.unwrap_or_default();
-    let waterline = opts.waterline_bits as f64;
-    let prime = opts.prime_bits as f64;
-    let half_prime = prime / 2.0;
-    let top = opts.max_levels as i64;
-    let fresh_noise = opts.noise.map_or(0.0, |m| m.fresh_bits());
-    // Virtual rescale for *unscheduled* circuits: what the compiler's
-    // `rescale_to_waterline` would do at this use site.
-    let virt = |mut w: Work| -> Work {
-        if !scheduled {
-            while w.scale > waterline + half_prime {
-                w.scale -= prime;
-                w.level -= 1;
-            }
-        }
-        w
+    let mut domain = Abstract {
+        opts,
+        claims: circuit.claims.unwrap_or_default(),
+        scheduled: circuit.is_scheduled(),
+        waterline: opts.waterline_bits as f64,
+        prime: opts.prime_bits as f64,
+        half_prime: opts.prime_bits as f64 / 2.0,
+        diags,
     };
-    // LEVEL002 (scheduled only): no op other than the scheduled `Rescale`
-    // may consume a value still above the waterline band.
-    let consume = |work: &[Work], i: usize, name: &str, j: usize, diags: &mut Vec<Diagnostic>| {
-        let w = get(work, j);
-        if scheduled && w.kind == ValueKind::Cipher && w.scale > waterline + half_prime {
-            diags.push(Diagnostic::new(
-                RuleId::Level002,
-                i,
-                name,
-                format!(
-                    "operand {j} carries scale 2^{:.1} above the waterline band 2^{:.1} — a Rescale is missing",
-                    w.scale,
-                    waterline + half_prime
-                ),
-            ));
-        }
+    let walked = if malformed {
+        None
+    } else {
+        walk(circuit, &mut domain).ok()
     };
-
-    let mut work: Vec<Work> = Vec::with_capacity(circuit.ops.len());
-    for (i, op) in circuit.ops.iter().enumerate() {
-        let name = op.name();
-        let state = match op {
-            Op::Input(_) => Work {
-                kind: ValueKind::Cipher,
-                level: top,
-                scale: waterline,
-                noise: fresh_noise,
-                width: None,
-            },
-            Op::Constant(values) => {
-                let len = values.len();
-                if let Some(slots) = opts.slot_count {
-                    if len > slots {
-                        diags.push(Diagnostic::new(
-                            RuleId::Slot002,
-                            i,
-                            name,
-                            format!(
-                                "constant packs {len} slots but the parameter set provides {slots}"
-                            ),
-                        ));
-                    }
-                }
-                Work {
-                    kind: ValueKind::Plain,
-                    level: top,
-                    scale: waterline,
-                    noise: 0.0,
-                    width: Some(len),
-                }
-            }
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
-                let (a, b) = (a.index(), b.index());
-                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
-                check_kind(&work, i, name, b, ValueKind::Cipher, &mut diags);
-                consume(&work, i, name, a, &mut diags);
-                consume(&work, i, name, b, &mut diags);
-                let (wa, wb) = (virt(get(&work, a)), virt(get(&work, b)));
-                let is_mul = matches!(op, Op::Mul(..));
-                if scheduled && wa.level != wb.level {
-                    diags.push(Diagnostic::new(
-                        RuleId::Level001,
-                        i,
-                        name,
-                        format!(
-                            "operand levels differ: node {a} at level {} vs node {b} at level {} — a ModSwitch is missing",
-                            wa.level, wb.level
-                        ),
-                    ));
-                }
-                if scheduled
-                    && !is_mul
-                    && opts.scheme == Scheme::Ckks
-                    && (wa.scale - wb.scale).abs() > opts.scale_tol_bits
-                {
-                    diags.push(Diagnostic::new(
-                        RuleId::Scale001,
-                        i,
-                        name,
-                        format!(
-                            "operand scales disagree beyond tolerance: 2^{:.1} vs 2^{:.1} (tol {:.1} bits)",
-                            wa.scale, wb.scale, opts.scale_tol_bits
-                        ),
-                    ));
-                }
-                let level = wa.level.min(wb.level);
-                let scale = if is_mul {
-                    wa.scale + wb.scale
-                } else {
-                    wa.scale.max(wb.scale)
-                };
-                let noise_cost = match (is_mul, opts.noise) {
-                    (true, Some(m)) => m.ct_mult_bits(),
-                    (false, Some(_)) => NoiseModel::ADD_BITS,
-                    (_, None) => 0.0,
-                };
-                let mut w = Work {
-                    kind: ValueKind::Cipher,
-                    level,
-                    scale,
-                    noise: wa.noise.max(wb.noise) + noise_cost,
-                    width: join_width(wa.width, wb.width, i, name, &mut diags),
-                };
-                if !scheduled && is_mul {
-                    // The compiler rescales a fresh product immediately.
-                    while w.scale > waterline + half_prime {
-                        w.scale -= prime;
-                        w.level -= 1;
-                    }
-                }
-                w
-            }
-            Op::MulPlain(a, c) | Op::AddPlain(a, c) => {
-                let (a, c) = (a.index(), c.index());
-                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
-                check_kind(&work, i, name, c, ValueKind::Plain, &mut diags);
-                consume(&work, i, name, a, &mut diags);
-                let wa = virt(get(&work, a));
-                let wc = get(&work, c);
-                let is_mul = matches!(op, Op::MulPlain(..));
-                let (scale, noise_cost) = if is_mul {
-                    (
-                        wa.scale + waterline,
-                        opts.noise.map_or(0.0, |m| m.plain_mult_bits()),
-                    )
-                } else {
-                    (wa.scale, opts.noise.map_or(0.0, |_| NoiseModel::ADD_BITS))
-                };
-                let mut w = Work {
-                    kind: ValueKind::Cipher,
-                    level: wa.level,
-                    scale,
-                    noise: wa.noise + noise_cost,
-                    width: join_width(wa.width, wc.width, i, name, &mut diags),
-                };
-                if !scheduled && is_mul {
-                    while w.scale > waterline + half_prime {
-                        w.scale -= prime;
-                        w.level -= 1;
-                    }
-                }
-                w
-            }
-            Op::Rotate(a, s) => {
-                let a = a.index();
-                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
-                consume(&work, i, name, a, &mut diags);
-                if *s != 0 {
-                    if let Some(galois) = &opts.galois_steps {
-                        if !galois.contains(s) {
-                            diags.push(Diagnostic::new(
-                                RuleId::Key001,
-                                i,
-                                name,
-                                format!(
-                                    "rotation step {s} is not covered by the Galois key set {galois:?}"
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let wa = get(&work, a);
-                let rot_cost = if *s != 0 && opts.noise.is_some() {
-                    NoiseModel::ROTATE_BITS
-                } else {
-                    0.0
-                };
-                Work {
-                    noise: wa.noise + rot_cost,
-                    ..wa
-                }
-            }
-            Op::Rescale(a) | Op::ModSwitch(a) => {
-                let a = a.index();
-                if !scheduled {
-                    diags.push(Diagnostic::new(
-                        RuleId::Struct002,
-                        i,
-                        name,
-                        "compiler-inserted op in a source program — only compile() may schedule these",
-                    ));
-                }
-                check_kind(&work, i, name, a, ValueKind::Cipher, &mut diags);
-                let wa = get(&work, a);
-                let scale = if matches!(op, Op::Rescale(_)) {
-                    wa.scale - prime
-                } else {
-                    wa.scale
-                };
-                Work {
-                    kind: ValueKind::Cipher,
-                    level: wa.level - 1,
-                    scale,
-                    noise: wa.noise + opts.noise.map_or(0.0, |_| NoiseModel::SWITCH_BITS),
-                    width: wa.width,
-                }
-            }
-        };
-        // LEVEL003 at the first node whose level underflows the tower.
-        if state.kind == ValueKind::Cipher
-            && state.level < 1
-            && op.operands().all(|j| get(&work, j.index()).level >= 1)
-        {
-            diags.push(Diagnostic::new(
-                RuleId::Level003,
-                i,
-                name,
-                format!(
-                    "level {} underflows the modulus tower (chain provides {}, min usable level is 1)",
-                    state.level, opts.max_levels
-                ),
-            ));
-        }
-        // Cross-check the compiler's claims against the recomputation.
-        if let Some(claim) = claims.get(i) {
-            if claim.level as i64 != state.level {
-                diags.push(Diagnostic::new(
-                    RuleId::Level004,
-                    i,
-                    name,
-                    format!(
-                        "compiler claims level {} but recomputation gives {}",
-                        claim.level, state.level
-                    ),
-                ));
-            }
-            if opts.scheme == Scheme::Ckks && (claim.scale_bits - state.scale).abs() > 1e-6 {
-                diags.push(Diagnostic::new(
-                    RuleId::Scale003,
-                    i,
-                    name,
-                    format!(
-                        "compiler claims scale 2^{:.3} but recomputation gives 2^{:.3}",
-                        claim.scale_bits, state.scale
-                    ),
-                ));
-            }
-        }
-        work.push(state);
-    }
+    let mut diags = domain.diags;
+    let Some(Walked { nodes, outputs }) = walked else {
+        diags.sort_by_key(|d| (d.node, d.rule));
+        return (Vec::new(), diags);
+    };
 
     // --- output rules -----------------------------------------------------
-    for out in circuit.outputs.iter().map(|o| o.index()) {
-        let w = get(&work, out);
+    let (waterline, half_prime) = (domain.waterline, domain.half_prime);
+    for (out, w) in circuit.outputs.iter().map(|o| o.index()).zip(&outputs) {
         let name = circuit.ops.get(out).map_or("Output", Op::name);
         if w.kind != ValueKind::Cipher {
             diags.push(Diagnostic::new(
@@ -634,7 +596,7 @@ pub fn analyze(
                 "program output is not a ciphertext",
             ));
         }
-        if scheduled && opts.scheme == Scheme::Ckks {
+        if domain.scheduled && opts.scheme == Scheme::Ckks {
             let band = opts.scale_tol_bits.max(half_prime);
             if (w.scale - waterline).abs() > band {
                 diags.push(Diagnostic::new(
@@ -668,11 +630,11 @@ pub fn analyze(
                 }
             }
         }
-        for (i, op) in circuit.ops.iter().enumerate() {
-            let w = get(&work, i);
+        let noise = |j: NodeId| nodes.get(j.index()).map_or(0.0, |w| w.noise);
+        for (i, (op, w)) in circuit.ops.iter().zip(&nodes).enumerate() {
             let crossing = w.kind == ValueKind::Cipher
                 && w.noise >= budget
-                && op.operands().all(|j| get(&work, j.index()).noise < budget);
+                && op.operands().all(|j| noise(j) < budget);
             if live.get(i).copied().unwrap_or(false) && crossing {
                 diags.push(Diagnostic::new(
                     RuleId::Noise001,
@@ -689,7 +651,7 @@ pub fn analyze(
     }
 
     diags.sort_by_key(|d| (d.node, d.rule));
-    let states = work
+    let states = nodes
         .into_iter()
         .map(|w| AbstractState {
             kind: w.kind,

@@ -22,7 +22,9 @@
 //!   are mutually consistent and fit the parameter set's slot capacity.
 //!
 //! Structural soundness (`STRUCT001–003`) is checked first; the abstract
-//! pass only runs on well-formed graphs. Every diagnostic names the
+//! pass only runs on well-formed graphs. That pass is one [`Domain`] of the
+//! IR's one interpreter, [`walk`]; the plaintext semantics ([`Slots`] over
+//! [`Reals`] or [`ModT`]) are others. Every diagnostic names the
 //! offending node id, its op, and the violated invariant, in the same
 //! fixture-pinnable style as `choco-lint`.
 
@@ -33,7 +35,9 @@ pub mod circuit;
 pub mod report;
 
 pub use analyze::{analyze, verify, AbstractState, NoiseModel, Scheme, ValueKind, VerifyOptions};
-pub use circuit::{Circuit, NodeId, NodeMeta, Op};
+pub use circuit::{
+    walk, Circuit, Domain, ModT, NodeId, NodeMeta, Op, Reals, Ring, Slots, Step, WalkError, Walked,
+};
 pub use report::{NodeRow, VerifyReport};
 
 use std::fmt;
