@@ -61,15 +61,13 @@ use choco_apps::remote::workload_options;
 use choco_bench::{header, note, side, time_str, GateResult, Races, Rule, Side, Timings, SWEEPS};
 use choco_he::bfv::{BfvContext, Ciphertext, Plaintext};
 use choco_he::ckks::{CkksCiphertext, CkksContext};
-use choco_he::keyswitch::{
-    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mod_down_ntt,
-};
+use choco_he::keyswitch::{apply_ksk, generate_ksk, hoist_decompose, mod_down_ntt};
 use choco_he::params::HeParams;
-use choco_he::rlwe::{expand_seed, GaloisKeys, PublicKey};
+use choco_he::rlwe::{expand_seed, DotOperand, GaloisKeys, PublicKey};
 use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::modops::{add_mod, mul_mod, sub_mod, Barrett};
-use choco_math::ntt::{galois_ntt_permutation, NttTable};
+use choco_math::ntt::NttTable;
 use choco_math::par;
 use choco_math::poly::dyadic_assign;
 use choco_math::prime::generate_ntt_primes;
@@ -1029,12 +1027,14 @@ fn main() {
     // A bundle against its groups one kernel call each: conv2's 4
     // diagonals over its 25 shared tap rotations (BFV set B), as one
     // program with 4 outputs and as 4 programs of one.
-    let taps: Vec<i64> = conv_rotation_steps(1, 8, 8, 5)
-        .into_iter()
-        .chain([0])
-        .collect();
+    let taps: &Vec<i64> = keep(
+        conv_rotation_steps(1, 8, 8, 5)
+            .into_iter()
+            .chain([0])
+            .collect(),
+    );
     let dots = |chains: std::ops::Range<usize>| {
-        let program = conv_dots(chains, &taps, lserver.slot_width());
+        let program = conv_dots(chains, taps, lserver.slot_width());
         CachedProgram::<Bfv>::new(compile(&program, &workload_options()).unwrap())
     };
     let bundled = keep(dots(0..4));
@@ -1046,6 +1046,7 @@ fn main() {
         ),
         (4, 1)
     );
+    let conv_ct = keep(packed_ct.clone());
     let dot_inputs = keep(HashMap::from([("x".to_string(), packed_ct)]));
     let together = run(bundled, dot_inputs);
     for (o, group) in groups.iter().enumerate() {
@@ -1090,7 +1091,6 @@ fn main() {
     let mut sk2 = RnsPoly::zero(ks_basis.len(), ks_basis.degree());
     sk2.dyadic_accumulate(&sk, &sk, ks_basis);
     let ksk = keep(generate_ksk(&sk, &sk2, ks_basis, level_basis, &mut prng));
-    let hoisted = keep(hoist_decompose(x, ks_basis, level_basis));
     let ctx_a = keep(BfvContext::new(&pa).unwrap());
     let keys_a = ctx_a.keygen(&mut prng);
     let pk_a = ctx_a.public_key(keys_a.secret_key(), &mut prng);
@@ -1104,8 +1104,6 @@ fn main() {
     let pt_a = keep(ctx_a.batch_encoder().unwrap().encode(&vals_a).unwrap());
     let ct_a = keep(ctx_a.encryptor(&pk_a).encrypt(pt_a, &mut prng));
     let rk_a = keep(ctx_a.relin_key(keys_a.secret_key(), &mut prng).unwrap());
-    // The fused dot's shape: digits permuted for a row rotation by one.
-    let perm = keep(galois_ntt_permutation(pa.degree(), 3));
     let switched = keep([0, 1].map(|_| RnsPoly::sample_uniform(&mut prng, ks_basis)));
     let mut site = |name: &str, sides| {
         races
@@ -1123,10 +1121,6 @@ fn main() {
     site(
         "hoist_decompose",
         pooled_and_one_thread(move || hoist_decompose(black_box(x), ks_basis, level_basis)),
-    );
-    site(
-        "hoisted_accumulate",
-        pooled_and_one_thread(move || hoisted_accumulate(black_box(hoisted), perm, ksk, ks_basis)),
     );
     // The component sites: one pool task per ciphertext component. A lone
     // key switch (every rotation and relinearization), the BFV square with
@@ -1165,6 +1159,37 @@ fn main() {
             let eval = ctx_a.evaluator();
             let terms = (0..8).map(|d| Ok((d, [eval.dot_operand(pt_a)?])));
             eval.dot_rotations_many(black_box(ct_a), 1, terms, gks_a)
+                .unwrap()
+        }),
+    );
+    // `lenet_direct`'s conv2 dot: its 25 taps over cached operands, 4
+    // outputs, at set B (N = 4096), where every tile task is half the size.
+    let conv_eval = lserver.context().evaluator();
+    let conv_encoder = lserver.context().batch_encoder().unwrap();
+    let conv_operands: &Vec<Vec<DotOperand>> = keep(
+        (0..taps.len() as u64)
+            .map(|k| {
+                (0..4)
+                    .map(|o| {
+                        let w: Vec<u64> = (0..lserver.context().degree() as u64)
+                            .map(|i| (i + 3 * k + o) % 16)
+                            .collect();
+                        conv_eval
+                            .dot_operand(&conv_encoder.encode(&w).unwrap())
+                            .unwrap()
+                    })
+                    .collect()
+            })
+            .collect(),
+    );
+    site(
+        "dot_conv2_b",
+        pooled_and_one_thread(move || {
+            let terms = taps.iter().zip(conv_operands).map(|(&s, ops)| Ok((s, ops)));
+            lserver
+                .context()
+                .evaluator()
+                .dot_rotations_many(black_box(conv_ct), 4, terms, lserver.galois_keys())
                 .unwrap()
         }),
     );

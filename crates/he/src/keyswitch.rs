@@ -15,12 +15,18 @@
 //! key generated at the top level serves every CKKS level after rescaling.
 //! Applying the key to an input `d` uses the plain residues `D_j = [d]_{q_j}`
 //! as decomposition digits, accumulates `Σ_j D_j·(b_j, a_j)` over the active
-//! primes plus `P`, and divides by `P` with rounding.
+//! primes plus `P`, and divides by `P` with rounding ([`apply_ksk`]).
+//!
+//! A rotation's key switch can also stay `P`-scaled. The fused rotation dot
+//! (`rlwe::dot_galois`) decomposes `c1` once ([`hoist_decompose`]) and
+//! hands each chunk of terms to tile tasks (`DotTile`): per term, a tile
+//! computes the permuted digit MAC `Σ_j D_j[perm[x]]·(b_j, a_j)[x]` inside
+//! the outputs' sums, and the whole sum is divided by `P` once
+//! ([`mod_down_ntt`]).
 
 use crate::error::HeError;
 use crate::rnspoly::RnsPoly;
 use choco_math::modops::{add_mod, center, inv_mod, mul_mod, pow_mod, Barrett};
-use choco_math::ntt::apply_galois_ntt;
 use choco_math::par;
 use choco_math::poly::{scalar_mul_assign, sub_assign};
 use choco_math::pool::PolyPool;
@@ -169,10 +175,7 @@ pub fn apply_ksk(
     let hoisted = hoist_decompose(d_poly, ks_basis, level_basis);
     check_geometry(&hoisted, ksk, ks_basis);
     let [k0, k1] = par::par_map_array([Half::B, Half::A], |&half| {
-        let rows = (0..ks_basis.len()).map(|i| {
-            let [row] = mac_row(&hoisted, None, ksk, [half], ks_basis, i);
-            row
-        });
+        let rows = (0..ks_basis.len()).map(|i| mac_row(&hoisted, ksk, half, ks_basis, i));
         let mut acc = RnsPoly::from_rows(rows.collect());
         acc.ntt_inverse(ks_basis);
         mod_down(&acc, ks_basis, level_basis)
@@ -196,7 +199,8 @@ pub struct HoistedDigits {
 
 /// Decomposes `d_poly` into NTT-form digits over `ks_basis` (the expensive
 /// half of key switching: `level · (level+1)` modular reductions + forward
-/// NTTs). The result feeds [`hoisted_accumulate`] any number of times.
+/// NTTs). A fused dot's tile tasks (`DotTile`) read the result for every
+/// switched term.
 pub fn hoist_decompose(
     d_poly: &RnsPoly,
     ks_basis: &RnsBasis,
@@ -233,30 +237,6 @@ pub fn hoist_decompose(
     HoistedDigits { digits, level }
 }
 
-/// The permuted digit-MAC of the hoisted key-switch path: accumulates
-/// `Σ_j perm(D_j) · ksk_j` in the NTT domain over the full ks basis, for
-/// the Galois permutation `perm` of the key's element. The result still
-/// carries the special-prime factor `P`; the caller divides it out with
-/// [`mod_down_ntt`] after summing several switched terms (second hoisting),
-/// paying one rounding for the whole sum.
-///
-/// Rows are independent, so they are the parallel axis: a row's two halves
-/// share its permuted digits.
-pub fn hoisted_accumulate(
-    hoisted: &HoistedDigits,
-    perm: &[u32],
-    ksk: &KswitchKey,
-    ks_basis: &RnsBasis,
-) -> (RnsPoly, RnsPoly) {
-    check_geometry(hoisted, ksk, ks_basis);
-    let rows = par::par_map_range(ks_basis.len(), |i| {
-        let [b, a] = mac_row(hoisted, Some(perm), ksk, [Half::B, Half::A], ks_basis, i);
-        (b, a)
-    });
-    let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-    (RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1))
-}
-
 /// Checks that `hoisted` was decomposed over `ks_basis` and that `ksk` has
 /// a digit for each of its level's primes.
 fn check_geometry(hoisted: &HoistedDigits, ksk: &KswitchKey, ks_basis: &RnsBasis) {
@@ -269,6 +249,16 @@ fn check_geometry(hoisted: &HoistedDigits, ksk: &KswitchKey, ks_basis: &RnsBasis
         hoisted.level <= ksk.pairs.len(),
         "level exceeds key digit count"
     );
+}
+
+/// The key's storage row for ks row `i`: the special prime's row is the
+/// key's last, whatever the level.
+fn storage_row(hoisted: &HoistedDigits, ksk: &KswitchKey, i: usize) -> usize {
+    if i < hoisted.level {
+        i
+    } else {
+        ksk.moduli.len() - 1
+    }
 }
 
 /// One half of every `(b_j, a_j)` key pair: `b` switches into `c0`, `a`
@@ -288,74 +278,192 @@ impl Half {
     }
 }
 
-/// Row `i` of the digit MAC `Σ_j perm(D_j) ⊙ K_j` over the ks basis, for
-/// each key half `K` of `halves`, reduced to canonical residues. Digits
-/// are permuted once per row, whatever the halves; `None` is the identity.
-fn mac_row<const H: usize>(
+/// Row `i` of the digit MAC `Σ_j D_j ⊙ K_j` over the ks basis, for the key
+/// half `half`, reduced to canonical residues.
+fn mac_row(
     hoisted: &HoistedDigits,
-    perm: Option<&[u32]>,
     ksk: &KswitchKey,
-    halves: [Half; H],
+    half: Half,
     ks_basis: &RnsBasis,
     i: usize,
-) -> [Vec<u64>; H] {
-    let n = ks_basis.degree();
+) -> Vec<u64> {
     let r = Barrett::new(ks_basis.primes()[i]);
-    // The special prime's row is the key's last, whatever the level.
-    let storage_row = if i < hoisted.level {
-        i
-    } else {
-        ksk.moduli.len() - 1
-    };
+    let storage_row = storage_row(hoisted, ksk, i);
     // Products are < 2^122 (primes stay below 2^61), so 32 of them fit in
     // a u128 accumulator; reduce lazily instead of per term. The modular
     // sum is unique, so this is bit-identical to eager reduction, in any
     // order of rows and halves.
     // choco-lint: lazy-domain
-    let mut acc = halves.map(|_| PolyPool::take_zeroed_u128(n));
-    let mut scratch = perm.map(|_| PolyPool::take_scratch(n));
+    let mut acc = PolyPool::take_zeroed_u128(ks_basis.degree());
     for (j, (digit, pair)) in hoisted.digits.iter().zip(&ksk.pairs).enumerate() {
         if j > 0 && j % 32 == 0 {
-            for v in acc.iter_mut().flatten() {
+            for v in acc.iter_mut() {
                 *v = r.reduce(*v) as u128;
             }
         }
-        let d: &[u64] = match (perm, scratch.as_mut()) {
-            (Some(p), Some(permuted)) => {
-                apply_galois_ntt(digit.row(i), p, permuted);
-                permuted
-            }
-            _ => digit.row(i),
-        };
-        for (acc, half) in acc.iter_mut().zip(halves) {
-            mac(acc, d, half.of(pair).row(storage_row));
-        }
+        mac(&mut acc, digit.row(i), half.of(pair).row(storage_row));
     }
-    if let Some(permuted) = scratch {
-        PolyPool::recycle(permuted);
+    let mut out = PolyPool::take_scratch(acc.len());
+    for (x, &v) in out.iter_mut().zip(&acc) {
+        *x = r.reduce(v);
     }
-    acc.map(|acc| {
-        let out = reduce_row(&acc, r);
-        PolyPool::recycle_u128(acc);
-        out
-    })
+    PolyPool::recycle_u128(acc);
+    out
     // choco-lint: end-lazy-domain
 }
 
 /// `acc[j] += a[j] · b[j]`, unreduced.
-pub(crate) fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
+fn mac(acc: &mut [u128], a: &[u64], b: &[u64]) {
     for ((slot, &x), &y) in acc.iter_mut().zip(a).zip(b) {
         *slot += x as u128 * y as u128;
     }
 }
 
-/// Canonical residues of an unreduced accumulator row.
-pub(crate) fn reduce_row(acc: &[u128], r: Barrett) -> Vec<u64> {
-    let mut out = PolyPool::take_scratch(acc.len());
-    for (x, &v) in out.iter_mut().zip(acc) {
-        *x = r.reduce(v);
+/// The most terms one [`DotTile::accumulate`] call takes: products stay
+/// below 2^122 (primes < 2^61), so 32 of them fit a `u128` slot.
+pub(crate) const DOT_CHUNK: usize = 32;
+
+/// One term of a fused rotation dot ([`crate::rlwe::dot_galois`]) as its
+/// tile tasks read it.
+pub(crate) struct DotTerm<'a> {
+    /// A switched term's hoisted digits of `c1`, Galois permutation and
+    /// key; `None` for the identity, which takes the ciphertext as it
+    /// stands.
+    pub(crate) switch: Option<(&'a HoistedDigits, &'a [u32], &'a KswitchKey)>,
+    /// One factor per output, over the ks basis.
+    pub(crate) factors: Vec<&'a RnsPoly>,
+}
+
+/// The sums one output keeps at one tile, in canonical residues: the
+/// `P`-scaled switched pair and, at a data prime, the plain pair
+/// `(Σ m ⊙ σ(c0), Σ m ⊙ c1)`, the latter from identity terms only.
+pub(crate) type TileSums<'a> = ([&'a mut [u64]; 2], Option<[&'a mut [u64]; 2]>);
+
+/// One pool task of a fused rotation dot: the coefficients
+/// `start .. start + w` of ks prime `prime` (reduced by `r`), and, per
+/// output, that tile of the output's sums.
+pub(crate) struct DotTile<'a> {
+    pub(crate) prime: usize,
+    pub(crate) r: Barrett,
+    pub(crate) start: usize,
+    pub(crate) sums: Vec<TileSums<'a>>,
+}
+
+impl DotTile<'_> {
+    /// Adds a chunk of at most [`DOT_CHUNK`] terms to the tile's sums:
+    /// `ct` is the ciphertext's `(c0, c1)` in the evaluation domain over
+    /// the data primes. Per switched term the tile computes its permuted
+    /// digit MAC for both key halves and, at a data prime, gathers σ(c0);
+    /// per term and output it multiply-accumulates those into tile-local
+    /// `u128` sums, which are reduced and added into the output's sums once,
+    /// at the end. The modular sums are unique, so the result does not
+    /// depend on how terms are chunked or tiles are scheduled.
+    pub(crate) fn accumulate(&mut self, terms: &[DotTerm], ct: &[RnsPoly; 2], ks_basis: &RnsBasis) {
+        let (i, start, r) = (self.prime, self.start, self.r);
+        let w = self.sums.first().map_or(0, |([s0, _], _)| s0.len());
+        // The ciphertext's rows at a data prime; none at the special prime.
+        let [c0, c1] = ct;
+        let ct_rows = (i < c0.row_count()).then(|| [c0.row(i), c1.row(i)]);
+        // Four sums per output, side by side, and three scratch rows. Both
+        // buffers are two ring rows long at least, so every dot shape leases
+        // one pool class of each.
+        let least = 2 * ks_basis.degree();
+        // choco-lint: lazy-domain
+        let mut acc = PolyPool::take_zeroed_u128((4 * w * self.sums.len()).max(least));
+        let mut scratch = PolyPool::take_scratch((3 * w).max(least));
+        let (s0, rest) = scratch.split_at_mut(w);
+        let (s1, rest) = rest.split_at_mut(w);
+        let rotated = rest.split_at_mut(w).0;
+        for term in terms {
+            let factors = term.factors.iter().map(|f| f.row(i).split_at(start).1);
+            let sums = acc.chunks_exact_mut(4 * w).zip(factors);
+            match (term.switch, ct_rows) {
+                (Some((hoisted, perm, ksk)), _) => {
+                    check_geometry(hoisted, ksk, ks_basis);
+                    let perm = perm.split_at(start).1;
+                    permuted_digit_mac(hoisted, ksk, i, start, perm, r, [&mut *s0, &mut *s1]);
+                    if let Some([c0, _]) = ct_rows {
+                        for (x, &p) in rotated.iter_mut().zip(perm) {
+                            *x = c0[p as usize];
+                        }
+                    }
+                    for (acc, m) in sums {
+                        let (switched, plain) = acc.split_at_mut(2 * w);
+                        let (acc0, acc1) = switched.split_at_mut(w);
+                        mac(acc0, m, s0);
+                        mac(acc1, m, s1);
+                        if ct_rows.is_some() {
+                            mac(plain, m, rotated);
+                        }
+                    }
+                }
+                (None, Some([c0, c1])) => {
+                    for (acc, m) in sums {
+                        let (plain0, plain1) = acc.split_at_mut(2 * w).1.split_at_mut(w);
+                        mac(plain0, m, c0.split_at(start).1);
+                        mac(plain1, m, c1.split_at(start).1);
+                    }
+                }
+                (None, None) => {}
+            }
+        }
+        for (acc, (switched, plain)) in acc.chunks_exact(4 * w).zip(&mut self.sums) {
+            let rows = switched.iter_mut().chain(plain.iter_mut().flatten());
+            for (dst, acc) in rows.zip(acc.chunks_exact(w)) {
+                for (d, &v) in dst.iter_mut().zip(acc) {
+                    *d = r.reduce(v + *d as u128);
+                }
+            }
+        }
+        PolyPool::recycle_u128(acc);
+        PolyPool::recycle(scratch);
+        // choco-lint: end-lazy-domain
     }
-    out
+}
+
+/// `Σ_j D_j[perm[x]] · K_j[start + x]` for both key halves `K`, over one
+/// tile of ks row `i` (`perm` starts at the tile), reduced into `s0` and
+/// `s1`: one rotated term's key switch, still `P`-scaled. Digits go two at a time
+/// (every paper set has two data primes at the top level, one below it):
+/// one pass per pair, its products summed unreduced.
+fn permuted_digit_mac<'a>(
+    hoisted: &HoistedDigits,
+    ksk: &'a KswitchKey,
+    i: usize,
+    start: usize,
+    perm: &[u32],
+    r: Barrett,
+    [s0, s1]: [&mut [u64]; 2],
+) {
+    let storage_row = storage_row(hoisted, ksk, i);
+    let key = |k: &'a RnsPoly| -> &'a [u64] { k.row(storage_row).split_at(start).1 };
+    s0.fill(0);
+    s1.fill(0);
+    // choco-lint: lazy-domain
+    for (digits, pairs) in hoisted.digits.chunks(2).zip(ksk.pairs.chunks(2)) {
+        let out = s0.iter_mut().zip(s1.iter_mut()).zip(perm);
+        match (digits, pairs) {
+            ([d0, d1], [(b0, a0), (b1, a1), ..]) => {
+                let (d0, d1) = (d0.row(i), d1.row(i));
+                let keys = key(b0).iter().zip(key(b1)).zip(key(a0).iter().zip(key(a1)));
+                for (((o0, o1), &p), ((&b0, &b1), (&a0, &a1))) in out.zip(keys) {
+                    let (x0, x1) = (d0[p as usize] as u128, d1[p as usize] as u128);
+                    *o0 = r.reduce(*o0 as u128 + x0 * b0 as u128 + x1 * b1 as u128);
+                    *o1 = r.reduce(*o1 as u128 + x0 * a0 as u128 + x1 * a1 as u128);
+                }
+            }
+            ([d0], [(b0, a0), ..]) => {
+                let d0 = d0.row(i);
+                for (((o0, o1), &p), (&b0, &a0)) in out.zip(key(b0).iter().zip(key(a0))) {
+                    let x0 = d0[p as usize] as u128;
+                    *o0 = r.reduce(*o0 as u128 + x0 * b0 as u128);
+                    *o1 = r.reduce(*o1 as u128 + x0 * a0 as u128);
+                }
+            }
+            _ => {}
+        }
+    }
+    // choco-lint: end-lazy-domain
 }
 
 /// Divides a polynomial over `ks_basis` (level primes + special prime last)

@@ -9,7 +9,8 @@
 //! every evaluation-key
 //! operation — Galois automorphism ([`apply_galois`]), the fused
 //! double-hoisted rotate-and-dot ([`dot_galois`]: one output, or several
-//! sharing every rotation's key switch), relinearization — is a key switch
+//! sharing every rotation's key switch, in one pass per residue tile),
+//! relinearization — is a key switch
 //! over a `(ks_basis, basis)` pair. This module holds that
 //! computation once, as plain functions over ciphertext *parts*
 //! (`&[RnsPoly]`) and the bases the calling context already owns. The
@@ -44,12 +45,12 @@
 
 use crate::error::HeError;
 use crate::keyswitch::{
-    apply_ksk, generate_ksk, hoist_decompose, hoisted_accumulate, mac, mod_down_ntt, reduce_row,
-    HoistedDigits, KswitchKey,
+    apply_ksk, generate_ksk, hoist_decompose, mod_down_ntt, DotTerm, DotTile, HoistedDigits,
+    KswitchKey, DOT_CHUNK,
 };
 use crate::rnspoly::{self, RnsPoly};
 use choco_math::modops::{add_mod, Barrett};
-use choco_math::ntt::{apply_galois_ntt, galois_ntt_permutation, NttTable};
+use choco_math::ntt::galois_ntt_permutation;
 use choco_math::par;
 use choco_math::pool::PolyPool;
 use choco_math::rns::RnsBasis;
@@ -512,27 +513,38 @@ pub(crate) fn terms_of_steps<O>(
 /// elements `e_k` of one 2-component ciphertext ([`IDENTITY_ELEMENT`]
 /// meaning the ciphertext itself) and, per term, one plaintext factor per
 /// output. The digit decomposition of `c1` is shared by every element (first
-/// hoisting: computed once, on the first element that needs a key switch);
+/// hoisting: computed once, for the first chunk that needs a key switch);
 /// each switched term is multiplied by its factors and summed over the ks
 /// basis while it still carries the special-prime factor `P`, so a whole dot
 /// pays one rounded `mod_down` (second hoisting) instead of one per
 /// rotation; everything stays in the evaluation domain until one inverse
 /// transform per output row.
 ///
+/// One pass per residue tile: terms are taken in chunks of at most 32
+/// (`keyswitch::DOT_CHUNK`), and each chunk is one pool dispatch over tasks
+/// of (ks prime × coefficient tile) (`keyswitch::DotTile`). For each term
+/// of the chunk a task computes, over its tile, the term's permuted
+/// key-switch MAC for both key halves and, at a data prime, the rotated
+/// `c0`, and multiply-accumulates them into tile-local `u128` sums for
+/// every output; at the end of the chunk it reduces those into the
+/// outputs' canonical sums. A tile's sums take two rows' worth of `u128`
+/// slots (four per output and coefficient), so the tile narrows as outputs
+/// are added.
+///
 /// The outputs axis is what a layer with several output channels over one
 /// resident input needs: a term's Galois permutation, key-switch inner
-/// product and rotated `c0` rows are computed once and multiply-accumulated
+/// product and rotated `c0` tile are computed once and multiply-accumulated
 /// into every output's sums; only the sums, the `mod_down` and the inverse
 /// transforms are per output. Each output is, bit for bit, what the same
 /// call with that output's factors alone returns.
 ///
 /// Decrypts to what the `apply_galois` / multiply / add chain decrypts to,
 /// with less noise: one key-switch rounding for the sum instead of one per
-/// term, each scaled by its factor. Sums are exact (unreduced `u128` slots,
-/// flushed every 32 terms), so the output does not depend on the thread
-/// count. Terms arrive through an iterator so a caller with nothing cached
-/// can encode one term's operands at a time (no set of rotated ciphertexts
-/// is ever materialized either).
+/// term, each scaled by its factor. Sums are exact modular sums, so the
+/// output depends on neither the thread count nor the tiling. Terms arrive
+/// through an iterator, so a caller with nothing cached encodes one chunk's
+/// operands at a time (no set of rotated ciphertexts is ever materialized
+/// either).
 ///
 /// # Errors
 ///
@@ -557,162 +569,123 @@ pub fn dot_galois<O: Borrow<DotOperand>, T: AsRef<[O]>>(
         ));
     }
     let n = basis.degree();
-    let (c0_ntt, c1_ntt) = (to_ntt(c0, basis), to_ntt(c1, basis));
-    // Per ks prime and output: the P-scaled key-switch sums; for the data
-    // primes also the ciphertext rows and the unswitched sums Σ m ⊙ σ(c0)
-    // and Σ m ⊙ c1 (the latter from identity terms only).
-    struct DataRow<'a> {
-        table: &'a NttTable,
-        c0: &'a [u64],
-        c1: &'a [u64],
-        plain: (Vec<u128>, Vec<u128>),
-    }
-    struct RowAcc<'a> {
-        r: Barrett,
-        switched: (Vec<u128>, Vec<u128>),
-        data: Option<DataRow<'a>>,
-    }
-    let zeroed = || (PolyPool::take_zeroed_u128(n), PolyPool::take_zeroed_u128(n));
-    let data_rows = basis
-        .ntt_tables()
-        .iter()
-        .enumerate()
-        .map(|(i, table)| Some((table, c0_ntt.row(i), c1_ntt.row(i))));
-    // Outer axis: ks primes (the parallel one); inner: the outputs, side by
-    // side because they share each term's rotated rows.
-    let mut acc: Vec<Vec<RowAcc>> = ks_basis
-        .primes()
-        .iter()
-        .zip(data_rows.chain(std::iter::repeat(None)))
-        .map(|(&q, data)| {
-            let cell = |_| RowAcc {
-                r: Barrett::new(q),
-                switched: zeroed(),
-                data: data.map(|(table, c0, c1)| DataRow {
-                    table,
-                    c0,
-                    c1,
-                    plain: zeroed(),
-                }),
-            };
-            (0..outputs).map(cell).collect()
-        })
+    let ct = [to_ntt(c0, basis), to_ntt(c1, basis)];
+    // Per output, its canonical sums: the P-scaled switched pair over the
+    // ks basis, the plain pair over the data primes.
+    let zero_rows = |b: &RnsBasis| -> Vec<Vec<u64>> {
+        (0..b.len()).map(|_| PolyPool::take_zeroed(n)).collect()
+    };
+    let mut sums: Vec<[Vec<Vec<u64>>; 4]> = (0..outputs)
+        .map(|_| [ks_basis, ks_basis, basis, basis].map(zero_rows))
         .collect();
+    let mut tiles = dot_tiles(&mut sums, ks_basis.primes(), n);
     let mut hoisted: Option<HoistedDigits> = None;
-    for (term, next) in terms.enumerate() {
-        let (element, operands) = next?;
-        let factors: Vec<&RnsPoly> = operands.as_ref().iter().map(|o| &o.borrow().ntt).collect();
-        if factors.len() != outputs {
-            return Err(HeError::Mismatch(format!(
-                "dot term {term} carries {} operands for {outputs} outputs",
-                factors.len()
-            )));
+    let mut chunk = Vec::with_capacity(DOT_CHUNK);
+    let mut term = 0;
+    loop {
+        chunk.clear();
+        for next in terms.by_ref().take(DOT_CHUNK) {
+            let (element, operands) = next?;
+            let factors = operands.as_ref();
+            if factors.len() != outputs {
+                return Err(HeError::Mismatch(format!(
+                    "dot term {term} carries {} operands for {outputs} outputs",
+                    factors.len()
+                )));
+            }
+            if let Some(factor) = factors
+                .iter()
+                .map(|f| &f.borrow().ntt)
+                .find(|f| f.row_count() != ks_basis.len() || f.degree() != n)
+            {
+                return Err(HeError::Mismatch(format!(
+                    "dot operand of {} residues × degree {} where the key-switch basis is {} × {n}",
+                    factor.row_count(),
+                    factor.degree(),
+                    ks_basis.len()
+                )));
+            }
+            let key = match element {
+                IDENTITY_ELEMENT => None,
+                _ => Some(gk.key_for(element)?),
+            };
+            chunk.push((key, operands));
+            term += 1;
         }
-        if let Some(factor) = factors
+        if chunk.is_empty() {
+            break;
+        }
+        if hoisted.is_none() && chunk.iter().any(|(key, _)| key.is_some()) {
+            hoisted = Some(hoist_decompose(c1, ks_basis, basis));
+        }
+        // Every switched term finds the digits: they were hoisted above.
+        let view: Vec<DotTerm> = chunk
             .iter()
-            .find(|f| f.row_count() != ks_basis.len() || f.degree() != n)
-        {
-            return Err(HeError::Mismatch(format!(
-                "dot operand of {} residues × degree {} where the key-switch basis is {} × {n}",
-                factor.row_count(),
-                factor.degree(),
-                ks_basis.len()
-            )));
-        }
-        let switched = if element == IDENTITY_ELEMENT {
-            None
-        } else {
-            let key = gk.key_for(element)?;
-            let digits = hoisted.get_or_insert_with(|| hoist_decompose(c1, ks_basis, basis));
-            let (s0, s1) = hoisted_accumulate(digits, &key.perm, &key.ksk, ks_basis);
-            Some((s0, s1, &key.perm))
-        };
-        // Products stay below 2^122 (primes < 2^61): 32 fit a u128 slot.
-        let flush = term > 0 && term % 32 == 0;
-        par::par_for_each_mut(&mut acc, |i, cells| {
-            // σ(c0) over this prime: once per term, whatever the outputs.
-            let c0_row = cells
-                .first()
-                .and_then(|cell| cell.data.as_ref())
-                .map(|d| d.c0);
-            let rotated = switched.as_ref().zip(c0_row).map(|((_, _, perm), c0)| {
-                let mut rotated = PolyPool::take_scratch(n);
-                apply_galois_ntt(c0, perm, &mut rotated);
-                rotated
-            });
-            for (row, factor) in cells.iter_mut().zip(&factors) {
-                if flush {
-                    let plain = row.data.as_mut().map(|d| &mut d.plain);
-                    for sums in [Some(&mut row.switched), plain].into_iter().flatten() {
-                        for v in sums.0.iter_mut().chain(sums.1.iter_mut()) {
-                            *v = row.r.reduce(*v) as u128;
-                        }
-                    }
-                }
-                let m = factor.row(i);
-                match &switched {
-                    None => {
-                        if let Some(d) = &mut row.data {
-                            mac(&mut d.plain.0, m, d.c0);
-                            mac(&mut d.plain.1, m, d.c1);
-                        }
-                    }
-                    Some((s0, s1, _)) => {
-                        mac(&mut row.switched.0, m, s0.row(i));
-                        mac(&mut row.switched.1, m, s1.row(i));
-                        if let (Some(d), Some(rotated)) = (&mut row.data, &rotated) {
-                            mac(&mut d.plain.0, m, rotated);
-                        }
-                    }
-                }
-            }
-            if let Some(rotated) = rotated {
-                PolyPool::recycle(rotated);
-            }
+            .map(|(key, operands)| DotTerm {
+                switch: key
+                    .zip(hoisted.as_ref())
+                    .map(|(key, digits)| (digits, key.perm.as_slice(), &key.ksk)),
+                factors: operands.as_ref().iter().map(|o| &o.borrow().ntt).collect(),
+            })
+            .collect();
+        par::par_for_each_mut(&mut tiles, |_, tile| {
+            tile.accumulate(&view, &ct, ks_basis);
         });
-    }
-    // From here every output is on its own: regroup by output.
-    let mut by_output: Vec<Vec<RowAcc>> = (0..outputs)
-        .map(|_| Vec::with_capacity(acc.len()))
-        .collect();
-    for cells in acc {
-        for (rows, cell) in by_output.iter_mut().zip(cells) {
-            rows.push(cell);
-        }
     }
     // Second hoisting: one rounded mod_down for an output's whole switched
-    // sum, one pool task per component.
-    let halves: [for<'r> fn(&'r RowAcc) -> &'r [u128]; 2] = [|c| &c.switched.0, |c| &c.switched.1];
-    let finish_output = |acc: Vec<RowAcc>| {
-        let [m0, m1] = par::par_map_array(halves, |half| {
-            let sums = acc.iter().map(|c| reduce_row(half(c), c.r)).collect();
-            mod_down_ntt(&RnsPoly::from_rows(sums), ks_basis, basis)
+    // sum, one pool task per component; then the plain sums are added and
+    // each data row is inverse-transformed in place.
+    let finish_output = |[s0, s1, plain0, plain1]: [Vec<Vec<u64>>; 4]| {
+        let [m0, m1] = par::par_map_array([s0, s1].map(RnsPoly::from_rows), |switched| {
+            mod_down_ntt(switched, ks_basis, basis)
         });
-        let out = par::par_map(&acc, |i, row| {
-            let d = row.data.as_ref()?;
-            let finish = |plain: &[u128], down: &[u64]| {
-                let mut out = reduce_row(plain, row.r);
-                for (dst, &m) in out.iter_mut().zip(down) {
-                    *dst = add_mod(*dst, m, row.r.modulus());
+        let mut rows: Vec<_> = basis.ntt_tables().iter().zip(plain0).zip(plain1).collect();
+        par::par_for_each_mut(&mut rows, |i, ((table, row0), row1)| {
+            for (row, down) in [(row0, m0.row(i)), (row1, m1.row(i))] {
+                for (x, &m) in row.iter_mut().zip(down) {
+                    *x = add_mod(*x, m, table.modulus());
                 }
-                d.table.inverse(&mut out);
-                out
-            };
-            Some((finish(&d.plain.0, m0.row(i)), finish(&d.plain.1, m1.row(i))))
-        });
-        for row in acc {
-            for sums in [Some(row.switched), row.data.map(|d| d.plain)]
-                .into_iter()
-                .flatten()
-            {
-                PolyPool::recycle_u128(sums.0);
-                PolyPool::recycle_u128(sums.1);
+                table.inverse(row);
             }
-        }
-        let (rows0, rows1): (Vec<_>, Vec<_>) = out.into_iter().flatten().unzip();
+        });
+        let (rows0, rows1): (Vec<_>, Vec<_>) = rows.into_iter().map(|((_, a), b)| (a, b)).unzip();
         vec![RnsPoly::from_rows(rows0), RnsPoly::from_rows(rows1)]
     };
-    Ok(by_output.into_iter().map(finish_output).collect())
+    Ok(sums.into_iter().map(finish_output).collect())
+}
+
+/// The pool tasks of a fused dot ([`dot_galois`]) over its outputs' sums:
+/// one per (ks prime × coefficient tile), in row order, each holding that
+/// tile of every output's rows. A task's tile-local `u128` sums, four per
+/// output and coefficient, fill two rows' worth of slots: a tile narrows as
+/// outputs are added, and spans half a row for one.
+fn dot_tiles<'a>(sums: &'a mut [[Vec<Vec<u64>>; 4]], primes: &[u64], n: usize) -> Vec<DotTile<'a>> {
+    fn row_tiles(rows: &mut [Vec<u64>], tile: usize) -> impl Iterator<Item = &mut [u64]> {
+        rows.iter_mut().flat_map(move |row| row.chunks_mut(tile))
+    }
+    let tile = (n / (2 * sums.len())).max(1);
+    let mut columns: Vec<_> = sums
+        .iter_mut()
+        .map(|[s0, s1, plain0, plain1]| {
+            let switched = row_tiles(s0, tile).zip(row_tiles(s1, tile));
+            let plain = row_tiles(plain0, tile).zip(row_tiles(plain1, tile));
+            let plain = plain.map(|(a, b)| Some([a, b]));
+            switched
+                .map(|(a, b)| [a, b])
+                .zip(plain.chain(std::iter::repeat_with(|| None)))
+        })
+        .collect();
+    primes
+        .iter()
+        .enumerate()
+        .flat_map(|(prime, &q)| (0..n).step_by(tile).map(move |start| (prime, q, start)))
+        .map(|(prime, q, start)| DotTile {
+            prime,
+            r: Barrett::new(q),
+            start,
+            sums: columns.iter_mut().filter_map(Iterator::next).collect(),
+        })
+        .collect()
 }
 
 /// Folds the `s²`-keyed third component of `(c0, c1, c2)` back into a

@@ -7,7 +7,9 @@
 //! pool site of one request: the key switch's component tasks (rotations,
 //! relinearizations, under both schemes and at a reduced CKKS level), the
 //! BFV tensor product's lift tasks (two for a square, four for distinct
-//! operands) and output tasks, and the row- and digit-parallel sites.
+//! operands) and output tasks, the fused rotation dot's (ks prime ×
+//! coefficient tile) tasks across a chunk boundary and at a reduced CKKS
+//! level, and the row- and digit-parallel sites.
 
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
@@ -111,6 +113,78 @@ fn ckks_pipeline_bytes() -> Vec<u8> {
     ckks_ciphertext_to_bytes(&out)
 }
 
+/// A fused rotation dot of 35 terms, so it spans two chunks of at most 32,
+/// with 3 outputs and the identity term both first and mid-list.
+fn bfv_fused_dot_bytes() -> Vec<u8> {
+    let ctx = bfv_context();
+    let mut rng = Blake3Rng::from_seed(b"schedule race: fused dot");
+    let keys = ctx.keygen(&mut rng);
+    let steps: Vec<i64> = (1..=33).collect();
+    let gk = ctx
+        .galois_keys(keys.secret_key(), &steps, &mut rng)
+        .unwrap();
+    let encoder = ctx.batch_encoder().unwrap();
+    let t = ctx.plain_modulus();
+    let n = ctx.degree() as u64;
+    let a: Vec<u64> = (0..n).map(|i| (i * 13 + 5) % t).collect();
+    let ct = ctx.encrypt_symmetric(&encoder.encode(&a).unwrap(), keys.secret_key(), &mut rng);
+    let eval = ctx.evaluator();
+    let taps: Vec<i64> = [0]
+        .into_iter()
+        .chain(1..=17)
+        .chain([0])
+        .chain(18..=33)
+        .collect();
+    assert_eq!(taps.len(), 35);
+    let terms = taps.iter().enumerate().map(|(k, &step)| {
+        let operands = (0..3u64)
+            .map(|o| {
+                let w: Vec<u64> = (0..n).map(|i| (i + 7 * k as u64 + o) % 16).collect();
+                eval.dot_operand(&encoder.encode(&w)?)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((step, operands))
+    });
+    let outs = eval.dot_rotations_many(&ct, 3, terms, &gk).unwrap();
+    outs.iter().flat_map(ciphertext_to_bytes).collect()
+}
+
+/// A CKKS fused dot one level down, where the key-switch basis is the one
+/// data prime left plus the special prime, whose key row is the key's last.
+fn ckks_level_down_dot_bytes() -> Vec<u8> {
+    let ctx = CkksContext::new(&HeParams::ckks_insecure(1024, &[45, 45, 46], 38).unwrap()).unwrap();
+    let mut rng = Blake3Rng::from_seed(b"schedule race: ckks dot one level down");
+    let keys = ctx.keygen(&mut rng);
+    let rk = ctx.relin_key(keys.secret_key(), &mut rng);
+    let gk = ctx
+        .galois_keys(keys.secret_key(), &[1, 2, 5], &mut rng)
+        .unwrap();
+    let vals: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| (i % 11) as f64 / 16.0)
+        .collect();
+    let ct = ctx
+        .encrypt_symmetric(&ctx.encode(&vals).unwrap(), keys.secret_key(), &mut rng)
+        .unwrap();
+    let low = ctx
+        .rescale(&ctx.multiply_relin(&ct, &ct, &rk).unwrap())
+        .unwrap();
+    assert_eq!(low.level() + 1, ct.level());
+    let terms = [1i64, 0, 2, 5].into_iter().map(|step| {
+        let operands = (0..2)
+            .map(|o| {
+                let w: Vec<f64> = vals
+                    .iter()
+                    .map(|v| v * 0.25 + (step + o) as f64 / 8.0)
+                    .collect();
+                ctx.dot_operand(&w, low.level())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((step, operands))
+    });
+    let outs = ctx.dot_rotations_many(&low, 2, terms, &gk).unwrap();
+    outs.iter().flat_map(ckks_ciphertext_to_bytes).collect()
+}
+
 #[test]
 fn pipeline_bytes_are_schedule_independent() {
     assert_schedule_independent("bfv pipeline", pipeline_bytes);
@@ -124,4 +198,14 @@ fn bfv_multiply_of_distinct_ciphertexts_is_schedule_independent() {
 #[test]
 fn ckks_multiply_relin_rescale_rotate_is_schedule_independent() {
     assert_schedule_independent("ckks pipeline", ckks_pipeline_bytes);
+}
+
+#[test]
+fn fused_dot_across_a_chunk_boundary_is_schedule_independent() {
+    assert_schedule_independent("bfv fused dot", bfv_fused_dot_bytes);
+}
+
+#[test]
+fn ckks_fused_dot_one_level_down_is_schedule_independent() {
+    assert_schedule_independent("ckks fused dot one level down", ckks_level_down_dot_bytes);
 }

@@ -1,7 +1,7 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
 //! warm, the kernel hot path (ct×ct multiply, key switching, rotations,
-//! fused rotation dot products under both schemes — one output, and eight
-//! over shared rotations —, decryption) and the client's round
+//! fused rotation dot products under both schemes — one output, eight over
+//! shared rotations, and three over 34 terms, two chunks —, decryption) and the client's round
 //! (encrypt → decrypt → noise budget, and a reply compressed, decoded and
 //! decrypted, under BFV; encrypt → decrypt → decode under CKKS) perform
 //! **zero fresh
@@ -64,6 +64,19 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         })
         .collect();
 
+    // A dot past one chunk of terms: 34 terms cycling through the keyed
+    // steps and the identity, 3 outputs.
+    let long_operands: Vec<Vec<_>> = (0..4u64)
+        .map(|k| {
+            (0..3u64)
+                .map(|o| {
+                    let w: Vec<u64> = (0..ctx.degree() as u64).map(|i| (i * k + o) % 8).collect();
+                    eval.dot_operand(&encoder.encode(&w).unwrap()).unwrap()
+                })
+                .collect()
+        })
+        .collect();
+
     let bfv_round = |out: &mut u64| {
         // ct·ct multiply (base conversions in and out of the tensor
         // basis) + relinearization (key switch).
@@ -81,10 +94,15 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
             .zip(&operands)
             .map(|((s, _), ops)| Ok((*s, ops)));
         let layer = eval.dot_rotations_many(&ct, 8, terms, &gks).unwrap();
+        let long_terms = (0..34).map(|k| Ok((k as i64 % 4, &long_operands[k % 4])));
+        let long = eval.dot_rotations_many(&ct, 3, long_terms, &gks).unwrap();
         // Client side: decrypt the reply.
         let reply = dec.decrypt(&fused);
         // Keep results observable so nothing is optimised away.
-        *out ^= rots[0].part(0).row(0)[0] ^ reply.coeffs()[0] ^ layer[7].part(1).row(0)[0];
+        *out ^= rots[0].part(0).row(0)[0]
+            ^ reply.coeffs()[0]
+            ^ layer[7].part(1).row(0)[0]
+            ^ long[2].part(0).row(0)[0];
     };
 
     // ---- CKKS: multiply+relin (keyswitch) → rescale → rotations → fused dot ----
@@ -148,7 +166,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
             // up front; what is asserted is then schedule-independent. The
             // stock only adds buffers beyond what the one-thread pass left
             // behind, so it has to be larger than the loop's biggest
-            // simultaneous hold — the 8-output dot's 80 accumulators.
+            // simultaneous hold — the 8-output dot's 80 rows of sums.
             let n = ctx.degree();
             assert_eq!(n, cctx.degree());
             let spare: Vec<_> = (0..128)
@@ -167,6 +185,13 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
                 .collect();
             for block in blocks {
                 PolyPool::recycle(block);
+            }
+            // A fused dot's tile task leases a `2n` block of `u128` sums
+            // (and a `2n` scratch block, stocked above), two tasks side by
+            // side.
+            let sums: Vec<_> = (0..4).map(|_| PolyPool::take_zeroed_u128(2 * n)).collect();
+            for block in sums {
+                PolyPool::recycle_u128(block);
             }
         }
         // Warm the pool: the first passes populate every size class the
