@@ -41,8 +41,9 @@ CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 
 echo "==> simd/scalar equivalence suite (CHOCO_SIMD=0 and =1, both thread counts)"
 # The dispatched forward and inverse NTTs and modular add/sub must be bit-identical
-# whichever backend runs them (crates/math/tests/prop_math.rs asserts simd
-# == scalar == strict in-process; running the suites under both CHOCO_SIMD
+# whichever backend runs them (crates/math/tests/prop_math.rs calls every
+# transform kernel the CPU has — scalar, AVX2, AVX-512 IFMA — and asserts
+# each == strict in-process; running the suites under both CHOCO_SIMD
 # settings additionally proves the forced-scalar build computes the same
 # bits the vectorized build does, at every thread count).
 CHOCO_SIMD=0 CHOCO_THREADS=1 cargo test -q -p choco-math --test prop_math
@@ -166,8 +167,9 @@ timeout 300 cargo test -q -p choco-apps --test chaos_eval
 echo "==> kernel bench reporter (smoke mode + fusion, layer, simd and par gates)"
 # bench_kernels races every gated kernel against its simpler twin and fails
 # when a gate's median over 9 paired ratios falls below its threshold. The
-# gates, their thresholds and when each applies (simd and blake3 while the
-# AVX2 backend is active, par whenever the pool has more than one thread)
+# gates, their thresholds and when each applies (simd and blake3 while a
+# vector backend is active, ifma while the AVX-512 IFMA backend is, par
+# whenever the pool has more than one thread)
 # are the race table in crates/bench/src/bin/bench_kernels.rs; every run
 # prints that table with each gate's verdict. The par gates also need the
 # host to run the pool's threads >= 1.4x one: the par section is timed at

@@ -3,8 +3,9 @@
 //! Every timing is a race in one table: a candidate kernel and the simpler
 //! twins it has to beat, or a lone kernel timed on its own. The races are
 //! the strict vs. lazy NTT; the simd kernels of `choco_math::simd` against
-//! their scalar loops and the 8-lane BLAKE3 XOF and keyed hash against the
-//! one-block scalar code; `modops::Barrett` against the `%` it replaced;
+//! their scalar loops, the AVX-512 IFMA transforms against the AVX2 ones at
+//! a set-B-sized prime, and the 8-lane BLAKE3 XOF and keyed hash against
+//! the one-block scalar code; `modops::Barrett` against the `%` it replaced;
 //! the BFV multiply, decrypt, noise budget and reply compression and the
 //! CKKS decode against their big-integer references; the squaring multiply
 //! against the general one on a clone of its operand; the seeded upload,
@@ -30,9 +31,11 @@
 //! a race's pairs are spread over the whole run. A gate reads the median of
 //! its paired `twin / candidate` ratios against its threshold; the gate
 //! table, with each threshold and the rule for when it applies (simd and
-//! blake3 gates while the AVX2 backend is active, `par` gates whenever the
-//! pool has more than one thread), is the `gate` calls in `main` and is
-//! printed with every run. The `par` gates also need the host to run the
+//! blake3 gates while a vector backend is active, ifma gates while the
+//! AVX-512 IFMA backend is, `par` gates whenever the pool has more than one
+//! thread), is the `gate` calls in `main` and is printed with every run.
+//! A race may be timed over a multiple of the run's window
+//! ([`Races::window`]): `dyadic_mul`'s is 8. The `par` gates also need the host to run the
 //! pool's threads at ≥ 1.4× one: while it does not, the `par` section is
 //! timed again, at most twice more, and if it never does they fail. The
 //! report lists every gate, then exits non-zero naming every one that
@@ -72,7 +75,7 @@ use choco_math::par;
 use choco_math::poly::dyadic_assign;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
-use choco_math::simd;
+use choco_math::simd::{self, NttKernel};
 use choco_prng::blake3::Hasher;
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
@@ -479,12 +482,16 @@ fn main() {
         kernel(
             "ntt_forward",
             |a, _, t| t.forward(a),
-            |a, _, t| t.forward_scalar(a),
+            |a, _, t| {
+                t.forward_with(NttKernel::Scalar, a);
+            },
         );
         kernel(
             "ntt_inverse",
             |a, _, t| t.inverse(a),
-            |a, _, t| t.inverse_scalar(a),
+            |a, _, t| {
+                t.inverse_with(NttKernel::Scalar, a);
+            },
         );
         kernel(
             "add_mod",
@@ -509,6 +516,31 @@ fn main() {
     // peak holds on a host that is shedding cycles.
     let sizes = ["ntt_forward_4k", "ntt_forward_8k"];
     races.peak("simd_ntt_speedup", 2.0, Rule::Vector, &sizes);
+    // The IFMA transforms against the AVX2 kernels they replace, at a
+    // set-B-sized prime: 36 bits, N = 4096 (the 55-bit races above stay on
+    // AVX2 on every host). The candidate is the table's own kernel, IFMA on
+    // an IFMA backend; the twin is AVX2, or scalar where AVX2 cannot run.
+    {
+        let qb = generate_ntt_primes(36, 4096, 1)[0];
+        let tb = keep(NttTable::new(4096, qb).unwrap());
+        let ifma_active = backend == simd::Backend::Avx512;
+        assert_eq!(ifma_active, tb.kernel() == NttKernel::Ifma);
+        let a: Vec<u64> = (0..4096).map(|_| rng.next_below(qb)).collect();
+        type Transform = fn(&NttTable, NttKernel, &mut [u64]) -> bool;
+        let mut race = |name: &str, transform: Transform| {
+            let ifma = move |a: &mut [u64]| {
+                transform(tb, tb.kernel(), a);
+            };
+            let avx2 = move |a: &mut [u64]| {
+                let _ = transform(tb, NttKernel::Avx2, a) || transform(tb, NttKernel::Scalar, a);
+            };
+            races
+                .race(name, in_place(&a, ("ifma", ifma), ("avx2", avx2)))
+                .gate(format!("{name}_speedup"), 1.5, Rule::Ifma);
+        };
+        race("ntt_forward_4k_ifma", NttTable::forward_with);
+        race("ntt_inverse_4k_ifma", NttTable::inverse_with);
+    }
 
     // The XOF under every encryption's draws and seed expansion (a 1 MiB
     // `Blake3Rng::fill_bytes`), and the keyed hash under every frame tag
@@ -597,8 +629,13 @@ fn main() {
                 .zip(b)
                 .for_each(|(x, &y)| *x = mul_mod(*x, y, q))
         };
+        // The Barrett side's speed drifts on a shared 2-core host for
+        // longer than a smoke window, so this race alone is timed over 8
+        // windows a pair (in full mode the runner's 10 000-iteration cap
+        // binds first).
         races
             .race("dyadic_mul", in_place(&out, barrett, ("div", div)))
+            .window(8.0)
             .gate("dyadic_mul_barrett_speedup", 1.0, Rule::Always);
         let barrett = move |row: &mut [u64]| {
             row.iter_mut()
@@ -1211,6 +1248,7 @@ fn main() {
     let applies = |rule| match rule {
         Rule::Always => true,
         Rule::Vector => backend.is_vector(),
+        Rule::Ifma => backend == simd::Backend::Avx512,
         Rule::Parallel => threads > 1,
     };
     let results = races.judge(&timings, applies);
@@ -1234,6 +1272,11 @@ fn main() {
     }
     if !applies(Rule::Vector) {
         note("scalar backend active: both twins ran the scalar loop, simd and blake3 gates not applied");
+    }
+    if !applies(Rule::Ifma) {
+        note(
+            "no AVX-512 IFMA backend: both ifma twins ran the same kernel, ifma gates not applied",
+        );
     }
     if threads > 1 && capacity < PAR_CAPACITY {
         note(&format!(

@@ -88,6 +88,9 @@ pub enum Rule {
     /// While a vector backend is active (otherwise both sides run scalar
     /// code and the ratio measures nothing).
     Vector,
+    /// While the AVX-512 IFMA backend is active (otherwise its kernels do
+    /// not run).
+    Ifma,
     /// While the host runs the pool's threads faster than one thread.
     Parallel,
 }
@@ -105,6 +108,8 @@ pub struct Race<'a> {
     pub name: String,
     pub labels: Vec<&'static str>,
     sides: Vec<Side<'a>>,
+    /// This race's window, in multiples of the run's.
+    window: f64,
 }
 
 impl Race<'_> {
@@ -242,7 +247,15 @@ impl<'a> Races<'a> {
             name: name.into(),
             labels,
             sides,
+            window: 1.0,
         });
+        self
+    }
+
+    /// Times the last race over `factor` times the run's window.
+    pub fn window(&mut self, factor: f64) -> &mut Self {
+        let race = self.races.len() - 1;
+        self.races[race].window = factor;
         self
     }
 
@@ -332,6 +345,7 @@ impl<'a> Races<'a> {
         let first = which.start;
         let races = &mut self.races[which];
         for (r, race) in (first..).zip(races.iter_mut()) {
+            let window_ms = window_ms * race.window;
             let sides = race.sides.iter_mut();
             timings.iters[r] = sides
                 .map(|side| window_iters(window_ms, measure(window_ms, side).0))

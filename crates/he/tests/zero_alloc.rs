@@ -1,7 +1,10 @@
 //! Proof of the `PolyPool` steady-state property: once the evaluator is
 //! warm, the kernel hot path (ct×ct multiply, key switching, rotations,
 //! fused rotation dot products under both schemes — one output, eight over
-//! shared rotations, and three over 34 terms, two chunks —, decryption) and the client's round
+//! shared rotations, and three over 34 terms, two chunks —, decryption;
+//! and at set B's primes, which the IFMA transforms take on a host that
+//! has them, the forward and inverse transforms of a 3-row polynomial and
+//! a key switch) and the client's round
 //! (encrypt → decrypt → noise budget, and a reply compressed, decoded and
 //! decrypted, under BFV; encrypt → decrypt → decode under CKKS) perform
 //! **zero fresh
@@ -20,10 +23,13 @@
 
 use choco_he::bfv::BfvContext;
 use choco_he::ckks::CkksContext;
+use choco_he::keyswitch::{apply_ksk, generate_ksk};
 use choco_he::params::HeParams;
+use choco_he::rnspoly::RnsPoly;
 use choco_he::{Bfv, Ckks, HeScheme};
 use choco_math::par;
 use choco_math::pool::PolyPool;
+use choco_math::rns::RnsBasis;
 use choco_prng::Blake3Rng;
 
 #[test]
@@ -137,6 +143,28 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         *out ^= r2.part(0).row(0)[0] ^ dot.part(0).row(0)[0];
     };
 
+    // ---- set B (N = 4096, 36/36/37-bit primes): transforms and a key switch ----
+    let set_b = HeParams::set_b();
+    let ks_b = RnsBasis::new(set_b.degree(), set_b.primes()).unwrap();
+    let level_b = ks_b.prefix(ks_b.len() - 1);
+    let mut brng = Blake3Rng::from_seed(b"zero-alloc-set-b");
+    let mut sk_b = RnsPoly::sample_ternary(&mut brng, &ks_b);
+    sk_b.ntt_forward(&ks_b);
+    let mut sk2_b = RnsPoly::zero(ks_b.len(), ks_b.degree());
+    sk2_b.dyadic_accumulate(&sk_b, &sk_b, &ks_b);
+    let ksk_b = generate_ksk(&sk_b, &sk2_b, &ks_b, &level_b, &mut brng);
+    let rows_b = RnsPoly::sample_uniform(&mut brng, &ks_b);
+    let input_b = RnsPoly::sample_uniform(&mut brng, &level_b);
+    assert_eq!(rows_b.row_count(), 3);
+
+    let set_b_round = |out: &mut u64| {
+        let mut x = rows_b.clone();
+        x.ntt_forward(&ks_b);
+        x.ntt_inverse(&ks_b);
+        let (c0, c1) = apply_ksk(&input_b, &ksk_b, &ks_b, &level_b);
+        *out ^= x.row(2)[0] ^ c0.row(0)[0] ^ c1.row(1)[0];
+    };
+
     // ---- the client's round: what a session pays per upload and download ----
     let mut client_rng = Blake3Rng::from_seed(b"zero-alloc-client");
     let slots: Vec<u64> = (0..ctx.degree() as u64 / 2).map(|i| i % 7).collect();
@@ -166,15 +194,22 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
             // up front; what is asserted is then schedule-independent. The
             // stock only adds buffers beyond what the one-thread pass left
             // behind, so it has to be larger than the loop's biggest
-            // simultaneous hold — the 8-output dot's 80 rows of sums.
+            // simultaneous hold — the 8-output dot's 80 rows of sums — at
+            // both degrees the loop uses (the two contexts share one; set B
+            // has its own).
             let n = ctx.degree();
             assert_eq!(n, cctx.degree());
-            let spare: Vec<_> = (0..128)
-                .map(|_| (PolyPool::take_scratch(n), PolyPool::take_zeroed_u128(n)))
-                .collect();
-            for (row, acc) in spare {
-                PolyPool::recycle(row);
-                PolyPool::recycle_u128(acc);
+            for degree in [n, set_b.degree()] {
+                let spare: Vec<_> = (0..128)
+                    .map(|_| {
+                        let row = PolyPool::take_scratch(degree);
+                        (row, PolyPool::take_zeroed_u128(degree))
+                    })
+                    .collect();
+                for (row, acc) in spare {
+                    PolyPool::recycle(row);
+                    PolyPool::recycle_u128(acc);
+                }
             }
             // A base conversion leases one `(1 + k)·n` row block (k source
             // primes: the multiply's lifts and scales, a decryption's and a
@@ -199,6 +234,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         for _ in 0..2 {
             bfv_round(&mut sink);
             ckks_round(&mut sink);
+            set_b_round(&mut sink);
             client_round(&mut sink, &mut client_rng);
         }
 
@@ -206,6 +242,7 @@ fn warm_evaluation_loop_allocates_no_polynomial_buffers() {
         for _ in 0..8 {
             bfv_round(&mut sink);
             ckks_round(&mut sink);
+            set_b_round(&mut sink);
             client_round(&mut sink, &mut client_rng);
         }
         let after = PolyPool::stats();

@@ -13,6 +13,7 @@ use crate::modops::{
     sub_mod, Barrett,
 };
 use crate::prime::{is_prime, primitive_nth_root};
+use crate::simd::NttKernel;
 
 /// Upper bound (exclusive) on NTT moduli: `q < 2^61`.
 ///
@@ -40,6 +41,9 @@ pub struct NttTable {
     n_inv: u64,
     n_inv_shoup: u64,
     psi: u64,
+    /// The kernel [`Self::forward`] and [`Self::inverse`] run, chosen once
+    /// from the process backend, `n` and `q`.
+    kernel: NttKernel,
 }
 
 /// Errors produced when constructing an [`NttTable`].
@@ -122,6 +126,7 @@ impl NttTable {
             n_inv,
             n_inv_shoup: shoup_precompute(n_inv, q),
             psi,
+            kernel: NttKernel::select(n, q),
         })
     }
 
@@ -140,33 +145,48 @@ impl NttTable {
         self.q
     }
 
+    /// The kernel [`Self::forward`] and [`Self::inverse`] run: IFMA for
+    /// primes below [`crate::simd::IFMA_MODULUS_BOUND`] on an AVX-512 IFMA
+    /// backend, else AVX2 on a vector backend, else scalar.
+    pub fn kernel(&self) -> NttKernel {
+        self.kernel
+    }
+
     /// In-place forward negacyclic NTT.
     ///
     /// Uses lazy (Harvey) reduction: butterflies keep values in `[0, 4q)`
     /// and the final `[0, q)` correction is folded into the last butterfly
     /// stage, so the output is bit-identical to [`Self::forward_strict`].
-    /// Dispatches to the vectorized [`crate::simd`] kernel when a backend
-    /// is active; the scalar and vector paths are bit-identical.
+    /// Runs on [`Self::kernel`]; every kernel is bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.size()`.
     pub fn forward(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "ntt input length mismatch");
-        if !crate::simd::ntt_forward_lazy(a, &self.psi_rev, &self.psi_rev_shoup, self.q) {
+        if !self.forward_with(self.kernel, a) {
             self.forward_scalar(a);
         }
     }
 
-    /// The scalar lazy forward transform, bypassing SIMD dispatch. Public
-    /// so benches and equivalence tests can time/compare the two paths
-    /// explicitly.
+    /// [`Self::forward`] on `kernel`, bypassing the table's choice, so
+    /// benches and equivalence tests can time and compare the kernels.
+    /// Returns `false`, leaving `a` as it was, when `kernel` cannot run
+    /// this transform on this CPU (whatever `CHOCO_SIMD` selected).
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.size()`.
-    pub fn forward_scalar(&self, a: &mut [u64]) {
+    pub fn forward_with(&self, kernel: NttKernel, a: &mut [u64]) -> bool {
         assert_eq!(a.len(), self.n, "ntt input length mismatch");
+        if kernel == NttKernel::Scalar {
+            self.forward_scalar(a);
+            return true;
+        }
+        crate::simd::ntt_forward_lazy(kernel, a, &self.psi_rev, &self.psi_rev_shoup, self.q)
+    }
+
+    /// The scalar lazy forward transform.
+    fn forward_scalar(&self, a: &mut [u64]) {
         let q = self.q;
         // choco-lint: lazy-domain
         let two_q = 2 * q;
@@ -216,34 +236,40 @@ impl NttTable {
     /// Uses lazy (Harvey) reduction: values stay in `[0, 2q)` between
     /// stages and the final `1/n` scaling multiply fully reduces, so the
     /// output is bit-identical to [`Self::inverse_strict`].
-    /// Dispatches to the vectorized [`crate::simd`] kernel when a backend
-    /// is active; the scalar and vector paths are bit-identical.
+    /// Runs on [`Self::kernel`]; every kernel is bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.size()`.
     pub fn inverse(&self, a: &mut [u64]) {
+        if !self.inverse_with(self.kernel, a) {
+            self.inverse_scalar(a);
+        }
+    }
+
+    /// [`Self::inverse`] on `kernel`: the twin of [`Self::forward_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != self.size()`.
+    pub fn inverse_with(&self, kernel: NttKernel, a: &mut [u64]) -> bool {
         assert_eq!(a.len(), self.n, "intt input length mismatch");
-        let vectorized = crate::simd::ntt_inverse_lazy(
+        if kernel == NttKernel::Scalar {
+            self.inverse_scalar(a);
+            return true;
+        }
+        crate::simd::ntt_inverse_lazy(
+            kernel,
             a,
             &self.inv_psi_rev,
             &self.inv_psi_rev_shoup,
             (self.n_inv, self.n_inv_shoup),
             self.q,
-        );
-        if !vectorized {
-            self.inverse_scalar(a);
-        }
+        )
     }
 
-    /// The scalar lazy inverse transform, bypassing SIMD dispatch: the
-    /// twin of [`Self::forward_scalar`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.size()`.
-    pub fn inverse_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "intt input length mismatch");
+    /// The scalar lazy inverse transform.
+    fn inverse_scalar(&self, a: &mut [u64]) {
         let q = self.q;
         // choco-lint: lazy-domain
         let two_q = 2 * q;

@@ -1,53 +1,61 @@
-//! The AVX2 kernels that beat their scalar twins on the bench: the Harvey
-//! lazy forward and inverse NTTs, the row-wise modular add and subtract,
-//! and the 8-lane BLAKE3 compression under `choco-prng`'s XOF
+//! The vector kernels that beat their twins on the bench: the AVX2 Harvey
+//! lazy forward and inverse NTTs, the AVX-512 IFMA forward and inverse
+//! NTTs for primes below 2^50 ([`NttKernel`]), the row-wise modular add and
+//! subtract, and the 8-lane BLAKE3 compression under `choco-prng`'s XOF
 //! ([`blake3_root8`]) and whole-chunk hashing ([`blake3_chunks8`]).
 //!
 //! Everything else in the crate — the Shoup scalar and dyadic multiplies —
 //! runs the scalar loops in [`crate::ntt`] and [`crate::poly`], and the
 //! rest of BLAKE3 (parent nodes, partial chunks, short outputs) the scalar
 //! code in `choco_prng::blake3`; `bench_kernels` times each kernel kept here
-//! against its scalar twin and fails on a ratio below its gate (DESIGN.md
-//! §12).
+//! against its twin (the IFMA transforms against AVX2, the rest against
+//! scalar) and fails on a ratio below its gate (DESIGN.md §12).
 //!
 //! Apart from the single lifetime erasure in [`crate::par`], this is the
 //! only module in the workspace that contains `unsafe` code, and every
 //! unsafe token in it is one of exactly two shapes:
 //!
-//! 1. an unaligned vector load/store through a length-checked slice
-//!    pointer (`_mm256_loadu_si256` / `_mm256_storeu_si256`), and
+//! 1. an unaligned vector load/store through a length-checked slice or
+//!    array pointer (`_mm256_loadu_si256` / `_mm256_storeu_si256`, and
+//!    `_mm512_loadu_si512` / `_mm512_storeu_si512` of one `[u64; 8]`), and
 //! 2. a call from safe dispatch code into a `#[target_feature]` function,
-//!    guarded by the one-time runtime CPU detection below.
+//!    guarded by runtime CPU detection.
 //!
 //! All lane arithmetic uses the safe-intrinsics-in-`target_feature`
-//! rules (Rust ≥ 1.87). The crate root is `#![deny(unsafe_code)]` and this
-//! module opts out locally; `choco-lint` pins the exact unsafe token count
-//! in `lint.toml` (UNSAFE001/UNSAFE002) so any new unsafe site fails CI
-//! until it is reviewed.
+//! rules (Rust ≥ 1.89 for the AVX-512 ones). The crate root is
+//! `#![deny(unsafe_code)]` and this module opts out locally; `choco-lint`
+//! pins the exact unsafe token count in `lint.toml` (UNSAFE001/UNSAFE002)
+//! so any new unsafe site fails CI until it is reviewed.
 //!
 //! # Bit-identical by construction
 //!
-//! Every vector kernel performs the *same* integer operations as its
-//! scalar twin in [`crate::modops`] / [`crate::ntt`] — Shoup high-half
+//! Every AVX2 kernel performs the *same* integer operations as its scalar
+//! twin in [`crate::modops`] / [`crate::ntt`] — Shoup high-half
 //! multiplies, wrapping low-half multiplies, conditional subtractions —
 //! just four lanes at a time; the BLAKE3 kernels run eight independent
 //! compressions, one per `u32` lane, each the scalar compression's wrapping
 //! adds, xors and rotations word for word (`choco-prng`'s `tests/lanes.rs`
-//! holds them to the scalar code). The one regrouping is the inverse NTT's last
-//! stage, which folds the `1/n` scaling into its twiddle instead of
-//! sweeping once more; both forms end in fully reduced residues, and those
-//! are unique. Modular arithmetic on `u64` is exact, so the results are
-//! bit-identical, not merely numerically close; the property suite in
-//! `crates/math/tests/prop_math.rs` and the `CHOCO_SIMD=0/1` CI matrix
-//! enforce this.
+//! holds them to the scalar code). The IFMA transforms run the same
+//! butterflies eight lanes at a time with a 52-bit Shoup word, so their
+//! lazy intermediates are other representatives of the same residues. The
+//! inverse NTTs' vector forms fold the `1/n` scaling into the last stage's
+//! twiddle instead of sweeping once more. Every transform ends in fully
+//! reduced residues, and those are unique. Modular arithmetic on `u64` is
+//! exact, so the results are bit-identical, not merely numerically close;
+//! the property suite in `crates/math/tests/prop_math.rs` (each transform
+//! kernel called directly) and the `CHOCO_SIMD=0/1` CI matrix enforce this.
 //!
 //! # Dispatch model
 //!
 //! [`backend`] resolves once per process (`OnceLock`): `CHOCO_SIMD=0` (or
 //! `scalar`) forces the scalar reference the CI matrix compares against;
-//! any other value, or none, selects AVX2 when the CPU has it. Each public
-//! op dispatches on the cached backend and falls back to the scalar loop,
-//! so hosts without AVX2 run exactly the code a forced-scalar process runs.
+//! any other value, or none, selects [`Backend::Avx512`] when the CPU has
+//! AVX2, `avx512f` and `avx512ifma`, else [`Backend::Avx2`] when it has
+//! AVX2. The row ops and BLAKE3 run AVX2 on both vector backends. Each
+//! [`NttTable`](crate::ntt::NttTable) picks its transform kernel once, at
+//! construction: IFMA when the backend is `Avx512` and its prime is below
+//! [`IFMA_MODULUS_BOUND`], else AVX2 on a vector backend, else scalar. Hosts
+//! without AVX2 run exactly the code a forced-scalar process runs.
 
 // The workspace-wide forbid is relaxed to deny at the choco-math crate
 // root precisely so this audited module can opt back in.
@@ -63,10 +71,10 @@ pub enum Backend {
     Scalar,
     /// 4×u64 lanes via AVX2 on x86_64.
     Avx2,
-    /// Never returned; the last two variants stay only while `benchmark/`
-    /// matches on them.
+    /// AVX2, plus the AVX-512 IFMA transforms for primes below 2^50
+    /// ([`NttKernel::Ifma`]): x86_64 with `avx512f` and `avx512ifma`.
     Avx512,
-    /// Never returned.
+    /// Never returned; stays only while `benchmark/` matches on it.
     Neon,
 }
 
@@ -90,14 +98,18 @@ impl Backend {
 /// The process-wide backend: detected once, then cached.
 pub fn backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
-    *BACKEND.get_or_init(|| detect(std::env::var("CHOCO_SIMD").ok().as_deref(), have_avx2()))
+    *BACKEND.get_or_init(|| {
+        let forced = std::env::var("CHOCO_SIMD").ok();
+        detect(forced.as_deref(), have_avx2(), have_ifma())
+    })
 }
 
 /// `forced` is the `CHOCO_SIMD` value, if set: `0`/`scalar` selects the
 /// scalar reference, and nothing else changes the choice.
-fn detect(forced: Option<&str>, have_avx2: bool) -> Backend {
+fn detect(forced: Option<&str>, have_avx2: bool, have_ifma: bool) -> Backend {
     match forced.map(str::trim) {
         Some("0" | "scalar") => Backend::Scalar,
+        _ if have_avx2 && have_ifma => Backend::Avx512,
         _ if have_avx2 => Backend::Avx2,
         _ => Backend::Scalar,
     }
@@ -114,30 +126,93 @@ fn have_avx2() -> bool {
     }
 }
 
-/// Minimum transform size the vector NTT accepts; smaller inputs (only
-/// reachable from unit tests — HE rings start at 1024) fall back to scalar
-/// in the caller.
-const MIN_VECTOR_N: usize = 8;
+/// Whether the CPU has what the IFMA kernels are compiled for: `avx512f`
+/// and `avx512ifma`, and AVX2, which `avx512f` implies to the compiler and
+/// whose loads they share.
+fn have_ifma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        have_avx2()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Primes the IFMA transforms take: below `2^50`, so every lazy value
+/// (below `4q`) fits the 52-bit multiplier inputs of `vpmadd52{lo,hi}uq`.
+pub const IFMA_MODULUS_BOUND: u64 = 1 << 50;
+
+/// The kernel an [`NttTable`](crate::ntt::NttTable) runs its forward and
+/// inverse transforms on; every kernel returns the same canonical residues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NttKernel {
+    /// The scalar lazy loops in [`crate::ntt`].
+    Scalar,
+    /// AVX2, 4×u64 lanes, the 64-bit Shoup products built from 32-bit
+    /// partial products: any table prime, `n ≥ 8`.
+    Avx2,
+    /// AVX-512 IFMA, 8×u64 lanes, Shoup products on the native 52-bit
+    /// multiplier: primes below [`IFMA_MODULUS_BOUND`], `n ≥ 16`.
+    Ifma,
+}
+
+impl NttKernel {
+    /// The fastest kernel the process [`backend`] allows for an `n`-point
+    /// transform mod `q`.
+    pub(crate) fn select(n: usize, q: u64) -> NttKernel {
+        let allowed: &[NttKernel] = match backend() {
+            Backend::Avx512 => &[NttKernel::Ifma, NttKernel::Avx2],
+            Backend::Avx2 => &[NttKernel::Avx2],
+            Backend::Scalar | Backend::Neon => &[],
+        };
+        let runs = allowed.iter().find(|k| k.runs(n, q));
+        runs.copied().unwrap_or(NttKernel::Scalar)
+    }
+
+    /// Whether this CPU can run the kernel on an `n`-point transform mod
+    /// `q`, whatever `CHOCO_SIMD` selected.
+    fn runs(self, n: usize, q: u64) -> bool {
+        match self {
+            NttKernel::Scalar => true,
+            NttKernel::Avx2 => n >= 8 && have_avx2(),
+            NttKernel::Ifma => n >= 16 && q < IFMA_MODULUS_BOUND && have_ifma(),
+        }
+    }
+}
 
 /// Vectorized in-place forward lazy NTT (Cooley–Tukey, bit-reversed
 /// twiddles, final `[0,4q) → [0,q)` correction folded into the last
-/// stage). Returns `false` when no vector backend is active — the caller
-/// runs its scalar path instead.
+/// stage) on `kernel`. Returns `false` when `kernel` is
+/// [`NttKernel::Scalar`] or cannot run here — the caller runs its scalar
+/// path instead, or reports that the kernel did not run.
 ///
 /// `a.len()` must be a power of two and equal the twiddle table length.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn ntt_forward_lazy(
+    kernel: NttKernel,
     a: &mut [u64],
     psi_rev: &[u64],
     psi_rev_shoup: &[u64],
     q: u64,
 ) -> bool {
-    match backend() {
+    if !kernel.runs(a.len(), q) {
+        return false;
+    }
+    match kernel {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if a.len() >= MIN_VECTOR_N => {
-            // SAFETY: Backend::Avx2 is only returned after runtime
-            // detection confirmed the avx2 feature on this CPU.
+        NttKernel::Avx2 => {
+            // SAFETY: `runs` confirmed the avx2 feature on this CPU.
             unsafe { avx2::ntt_forward(a, psi_rev, psi_rev_shoup, q) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttKernel::Ifma => {
+            // SAFETY: `runs` confirmed avx2, avx512f and avx512ifma here.
+            unsafe { ifma::ntt_forward(a, psi_rev, psi_rev_shoup, q) };
             true
         }
         _ => false,
@@ -146,25 +221,33 @@ pub(crate) fn ntt_forward_lazy(
 
 /// Vectorized in-place inverse lazy NTT (Gentleman–Sande, bit-reversed
 /// inverse twiddles, the `1/n` scaling folded into the last stage; output
-/// in `[0, q)`). `n_inv` is `(n⁻¹ mod q, its Shoup constant)`. Returns
-/// `false` when no vector backend is active — the caller runs its scalar
-/// path instead.
+/// in `[0, q)`) on `kernel`. `n_inv` is `(n⁻¹ mod q, its Shoup constant)`.
+/// Returns `false` as [`ntt_forward_lazy`] does.
 ///
 /// `a.len()` must be a power of two and equal the twiddle table length.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn ntt_inverse_lazy(
+    kernel: NttKernel,
     a: &mut [u64],
     inv_psi_rev: &[u64],
     inv_psi_rev_shoup: &[u64],
     n_inv: (u64, u64),
     q: u64,
 ) -> bool {
-    match backend() {
+    if !kernel.runs(a.len(), q) {
+        return false;
+    }
+    match kernel {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if a.len() >= MIN_VECTOR_N => {
-            // SAFETY: Backend::Avx2 is only returned after runtime
-            // detection confirmed the avx2 feature on this CPU.
+        NttKernel::Avx2 => {
+            // SAFETY: `runs` confirmed the avx2 feature on this CPU.
             unsafe { avx2::ntt_inverse(a, inv_psi_rev, inv_psi_rev_shoup, n_inv, q) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        NttKernel::Ifma => {
+            // SAFETY: `runs` confirmed avx2, avx512f and avx512ifma here.
+            unsafe { ifma::ntt_inverse(a, inv_psi_rev, inv_psi_rev_shoup, n_inv, q) };
             true
         }
         _ => false,
@@ -181,8 +264,9 @@ pub fn add_mod_slices(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "row length mismatch");
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if a.len() >= 4 => {
-            // SAFETY: backend detection guards the feature.
+        Backend::Avx2 | Backend::Avx512 if a.len() >= 4 => {
+            // SAFETY: both backends are returned only after detection
+            // confirmed avx2.
             unsafe { avx2::add_mod_slices(a, b, q) }
         }
         _ => {
@@ -202,8 +286,9 @@ pub fn sub_mod_slices(a: &mut [u64], b: &[u64], q: u64) {
     assert_eq!(a.len(), b.len(), "row length mismatch");
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if a.len() >= 4 => {
-            // SAFETY: backend detection guards the feature.
+        Backend::Avx2 | Backend::Avx512 if a.len() >= 4 => {
+            // SAFETY: both backends are returned only after detection
+            // confirmed avx2.
             unsafe { avx2::sub_mod_slices(a, b, q) }
         }
         _ => {
@@ -230,8 +315,9 @@ pub fn blake3_root8(
 ) -> bool {
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: backend detection guards the feature.
+        Backend::Avx2 | Backend::Avx512 => {
+            // SAFETY: both backends are returned only after detection
+            // confirmed avx2.
             unsafe { avx2::blake3_root8(cv, block, counter, block_len, flags, out) };
             true
         }
@@ -254,8 +340,9 @@ pub fn blake3_chunks8(
 ) -> bool {
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: backend detection guards the feature.
+        Backend::Avx2 | Backend::Avx512 => {
+            // SAFETY: both backends are returned only after detection
+            // confirmed avx2.
             unsafe { avx2::blake3_chunks8(chunks, key, counter, flags, cvs) };
             true
         }
@@ -283,14 +370,14 @@ mod avx2 {
     /// The integer types a vector is loaded from and stored to: every bit
     /// pattern is a value and there is no padding, so 32 bytes of them are
     /// one `__m256i` and back.
-    trait Word: Copy {}
+    pub(super) trait Word: Copy {}
     impl Word for u8 {}
     impl Word for u32 {}
     impl Word for u64 {}
 
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load<T: Word>(src: &[T]) -> __m256i {
+    pub(super) fn load<T: Word>(src: &[T]) -> __m256i {
         debug_assert!(size_of_val(src) >= 32);
         // SAFETY: the slice holds at least 32 bytes of plain integers
         // (checked above in debug builds, by construction in callers);
@@ -969,6 +1056,344 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    //! AVX-512 IFMA kernels: 8×u64 lanes, for primes below
+    //! [`super::IFMA_MODULUS_BOUND`]. `vpmadd52luq` / `vpmadd52huq` add the
+    //! low or high 52 bits of a 52×52-bit product to a lane, which makes a
+    //! Shoup product with the word size `β = 2^52` three instructions: for
+    //! `x < 2^52`, `w < q` and `w' = ⌊w·2^52/q⌋`, `x·w − ⌊x·w'/2^52⌋·q`
+    //! lies in `[0, 2q)`, below `2^52`, so the low 52 bits of the difference
+    //! are the value. Lazy values stay below `4q ≤ 2^52`: that is the prime
+    //! bound. `w'` is the table's 64-bit Shoup constant `⌊w·2^64/q⌋`
+    //! shifted right by 12, so every kernel reads the same tables. The lazy
+    //! stages carry other representatives than the 64-bit kernels (another
+    //! `β`); the canonical residues they end in are the same.
+    //!
+    //! A conditional subtraction is `min(x, x − b)` on unsigned lanes: the
+    //! difference wraps above `x` exactly when `x < b`.
+    //!
+    //! The stages of span 4, 2 and 1 run inside two vectors, sixteen
+    //! coefficients at a time: `vpermt2q` gathers the butterflies' tops and
+    //! bottoms into one vector each and scatters the results back.
+
+    use core::arch::x86_64::*;
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(src: &[u64; 8]) -> __m512i {
+        // SAFETY: the array is 64 bytes of `u64`; unaligned load.
+        unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store(dst: &mut [u64; 8], v: __m512i) {
+        // SAFETY: the array is 64 bytes of `u64`, any bit pattern of which
+        // is valid; unaligned store.
+        unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
+    }
+
+    /// The modulus in every lane, with the constants the butterflies need.
+    #[derive(Clone, Copy)]
+    struct Modulus {
+        q: __m512i,
+        two_q: __m512i,
+        /// `2^52 − q`: `x·(2^52 − q) ≡ −x·q (mod 2^52)`.
+        neg_q: __m512i,
+        low52: __m512i,
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn modulus(q: u64) -> Modulus {
+        Modulus {
+            q: _mm512_set1_epi64(q as i64),
+            two_q: _mm512_set1_epi64((2 * q) as i64),
+            neg_q: _mm512_set1_epi64(((1u64 << 52) - q) as i64),
+            low52: _mm512_set1_epi64(((1u64 << 52) - 1) as i64),
+        }
+    }
+
+    /// Twiddles and their 52-bit Shoup constants, lane for lane.
+    type Twiddle = (__m512i, __m512i);
+
+    /// One twiddle in every lane.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn splat(w: u64, w_shoup: u64) -> Twiddle {
+        (
+            _mm512_set1_epi64(w as i64),
+            _mm512_set1_epi64((w_shoup >> 12) as i64),
+        )
+    }
+
+    /// Two twiddles, each in four lanes: the span-4 stage's two blocks.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn halves(&[w0, w1]: &[u64; 2], &[s0, s1]: &[u64; 2]) -> Twiddle {
+        let ((w0, s0), (w1, s1)) = (splat(w0, s0), splat(w1, s1));
+        (
+            _mm512_mask_blend_epi64(0xF0, w0, w1),
+            _mm512_mask_blend_epi64(0xF0, s0, s1),
+        )
+    }
+
+    /// Four twiddles, each in two lanes: the span-2 stage's four blocks.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn pairs(w: &[u64; 4], w_shoup: &[u64; 4]) -> Twiddle {
+        let spread = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
+        let four = |x: &[u64; 4]| _mm512_castsi256_si512(super::avx2::load(x));
+        (
+            _mm512_permutexvar_epi64(spread, four(w)),
+            _mm512_srli_epi64::<12>(_mm512_permutexvar_epi64(spread, four(w_shoup))),
+        )
+    }
+
+    /// Eight twiddles, one per lane: the span-1 stage's eight blocks.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn lanes(w: &[u64; 8], w_shoup: &[u64; 8]) -> Twiddle {
+        (load(w), _mm512_srli_epi64::<12>(load(w_shoup)))
+    }
+
+    /// `x·w mod q` in `[0, 2q)` for `x < 2^52`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn shoup_lazy(x: __m512i, (w, w_shoup): Twiddle, m: Modulus) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let hi = _mm512_madd52hi_epu64(zero, x, w_shoup);
+        let xw = _mm512_madd52lo_epu64(zero, x, w);
+        _mm512_and_si512(_mm512_madd52lo_epu64(xw, hi, m.neg_q), m.low52)
+    }
+
+    /// `if x >= bound { x - bound } else { x }` lane-wise.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn csub(x: __m512i, bound: __m512i) -> __m512i {
+        _mm512_min_epu64(x, _mm512_sub_epi64(x, bound))
+    }
+
+    /// Cooley–Tukey butterfly on lazy values below `4q`; both outputs stay
+    /// below `4q`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn ct(u: __m512i, v: __m512i, w: Twiddle, m: Modulus) -> (__m512i, __m512i) {
+        let u = csub(u, m.two_q);
+        let v = shoup_lazy(v, w, m);
+        let diff = _mm512_sub_epi64(m.two_q, v);
+        (_mm512_add_epi64(u, v), _mm512_add_epi64(u, diff))
+    }
+
+    /// Gentleman–Sande butterfly on values below `2q`; both outputs stay
+    /// below `2q`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn gs(u: __m512i, v: __m512i, w: Twiddle, m: Modulus) -> (__m512i, __m512i) {
+        let sum = csub(_mm512_add_epi64(u, v), m.two_q);
+        let diff = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
+        (sum, shoup_lazy(diff, w, m))
+    }
+
+    /// The lane shuffles of one in-register stage over sixteen
+    /// coefficients held as two vectors (`vpermt2q` indices: below 8 the
+    /// first operand's lanes, from 8 the second's).
+    struct Shuffle {
+        /// The butterflies' tops, out of the coefficients.
+        tops: __m512i,
+        /// Their bottoms.
+        bottoms: __m512i,
+        /// Coefficients 0–7, out of the results (tops, then bottoms).
+        low: __m512i,
+        /// Coefficients 8–15.
+        high: __m512i,
+    }
+
+    impl Shuffle {
+        /// The stage of span `t` ∈ {1, 2, 4}: blocks of `2t`
+        /// coefficients, the top half of each butterflied with the bottom.
+        #[target_feature(enable = "avx512f")]
+        fn new(t: u64) -> Shuffle {
+            let (mut tops, mut bottoms) = ([0u64; 8], [0u64; 8]);
+            let slots = tops.iter_mut().zip(&mut bottoms);
+            for (lane, (top, bottom)) in (0..8).zip(slots) {
+                *top = lane / t * 2 * t + lane % t;
+                *bottom = *top + t;
+            }
+            let mut back = [[0u64; 8]; 2];
+            for (k, lane) in (0..16).zip(back.iter_mut().flatten()) {
+                let (block, offset) = (k / (2 * t), k % (2 * t));
+                *lane = if offset < t {
+                    block * t + offset
+                } else {
+                    8 + block * t + offset - t
+                };
+            }
+            let [low, high] = back;
+            Shuffle {
+                tops: load(&tops),
+                bottoms: load(&bottoms),
+                low: load(&low),
+                high: load(&high),
+            }
+        }
+
+        /// The butterflies' `(tops, bottoms)` of coefficients `(x, y)`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn split(&self, (x, y): (__m512i, __m512i)) -> (__m512i, __m512i) {
+            (
+                _mm512_permutex2var_epi64(x, self.tops, y),
+                _mm512_permutex2var_epi64(x, self.bottoms, y),
+            )
+        }
+
+        /// The coefficients of the butterflies' results `(tops, bottoms)`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn join(&self, (u, v): (__m512i, __m512i)) -> (__m512i, __m512i) {
+            (
+                _mm512_permutex2var_epi64(u, self.low, v),
+                _mm512_permutex2var_epi64(u, self.high, v),
+            )
+        }
+    }
+
+    /// The twiddles of the in-register stages of span 4, 2 and 1 — table
+    /// entries `n/8..n/4`, `n/4..n/2` and `n/2..n` — as the runs of
+    /// sixteen coefficients use them: two, four and eight per run.
+    type RunTwiddles<'a> = (&'a [[u64; 2]], &'a [[u64; 4]], &'a [[u64; 8]]);
+
+    fn run_twiddles(table: &[u64]) -> RunTwiddles<'_> {
+        let n = table.len();
+        let (head, span1) = table.split_at(n / 2);
+        let (head, span2) = head.split_at(n / 4);
+        let (_, span4) = head.split_at(n / 8);
+        (
+            span4.as_chunks().0,
+            span2.as_chunks().0,
+            span1.as_chunks().0,
+        )
+    }
+
+    /// Forward lazy NTT: the stages of span ≥ 8 with one broadcast twiddle
+    /// per block, then spans 4, 2 and 1 in registers, the last with the
+    /// `[0, 4q) → [0, q)` correction. `a.len()` is a power of two ≥ 16.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn ntt_forward(a: &mut [u64], psi_rev: &[u64], psi_rev_shoup: &[u64], q: u64) {
+        let n = a.len();
+        debug_assert!(n >= 16 && n.is_power_of_two() && q < super::IFMA_MODULUS_BOUND);
+        let m = modulus(q);
+        let mut t = n >> 1;
+        while t >= 8 {
+            // Stage of span t: n / 2t blocks, twiddles n/2t.. in order.
+            let tw = psi_rev.iter().zip(psi_rev_shoup).skip(n / (2 * t));
+            for (block, (&w, &w_shoup)) in a.chunks_exact_mut(2 * t).zip(tw) {
+                let w = splat(w, w_shoup);
+                let (top, bottom) = block.split_at_mut(t);
+                let (top, _) = top.as_chunks_mut::<8>();
+                let (bottom, _) = bottom.as_chunks_mut::<8>();
+                for (x, y) in top.iter_mut().zip(bottom) {
+                    let (u, v) = ct(load(x), load(y), w, m);
+                    store(x, u);
+                    store(y, v);
+                }
+            }
+            t >>= 1;
+        }
+        let (s4, s2, s1) = (Shuffle::new(4), Shuffle::new(2), Shuffle::new(1));
+        let (w4, w2, w1) = run_twiddles(psi_rev);
+        let (w4_shoup, w2_shoup, w1_shoup) = run_twiddles(psi_rev_shoup);
+        let tw = (w4.iter().zip(w4_shoup))
+            .zip(w2.iter().zip(w2_shoup))
+            .zip(w1.iter().zip(w1_shoup));
+        let (runs, _) = a.as_chunks_mut::<8>();
+        let (runs, _) = runs.as_chunks_mut::<2>();
+        for ([x, y], ((w4, w2), w1)) in runs.iter_mut().zip(tw) {
+            let (u, v) = s4.split((load(x), load(y)));
+            let xy = s4.join(ct(u, v, halves(w4.0, w4.1), m));
+            let (u, v) = s2.split(xy);
+            let xy = s2.join(ct(u, v, pairs(w2.0, w2.1), m));
+            let (u, v) = s1.split(xy);
+            let (u, v) = ct(u, v, lanes(w1.0, w1.1), m);
+            let reduce = |x| csub(csub(x, m.two_q), m.q);
+            let (lo, hi) = s1.join((reduce(u), reduce(v)));
+            store(x, lo);
+            store(y, hi);
+        }
+    }
+
+    /// Inverse lazy NTT: spans 1, 2 and 4 in registers, the stages of span
+    /// 8 to `n/4` with one broadcast twiddle per block, and the last stage
+    /// (span `n/2`) fused with the `1/n` scaling as in the AVX2 kernel.
+    /// `a.len()` is a power of two ≥ 16.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub fn ntt_inverse(
+        a: &mut [u64],
+        inv_psi_rev: &[u64],
+        inv_psi_rev_shoup: &[u64],
+        (n_inv, n_inv_shoup): (u64, u64),
+        q: u64,
+    ) {
+        let n = a.len();
+        debug_assert!(n >= 16 && n.is_power_of_two() && q < super::IFMA_MODULUS_BOUND);
+        let m = modulus(q);
+        let (s1, s2, s4) = (Shuffle::new(1), Shuffle::new(2), Shuffle::new(4));
+        let (w4, w2, w1) = run_twiddles(inv_psi_rev);
+        let (w4_shoup, w2_shoup, w1_shoup) = run_twiddles(inv_psi_rev_shoup);
+        let tw = (w1.iter().zip(w1_shoup))
+            .zip(w2.iter().zip(w2_shoup))
+            .zip(w4.iter().zip(w4_shoup));
+        let (runs, _) = a.as_chunks_mut::<8>();
+        let (runs, _) = runs.as_chunks_mut::<2>();
+        for ([x, y], ((w1, w2), w4)) in runs.iter_mut().zip(tw) {
+            let (u, v) = s1.split((load(x), load(y)));
+            let xy = s1.join(gs(u, v, lanes(w1.0, w1.1), m));
+            let (u, v) = s2.split(xy);
+            let xy = s2.join(gs(u, v, pairs(w2.0, w2.1), m));
+            let (u, v) = s4.split(xy);
+            let (lo, hi) = s4.join(gs(u, v, halves(w4.0, w4.1), m));
+            store(x, lo);
+            store(y, hi);
+        }
+        let mut t = 8;
+        while t < n / 2 {
+            let tw = inv_psi_rev.iter().zip(inv_psi_rev_shoup).skip(n / (2 * t));
+            for (block, (&w, &w_shoup)) in a.chunks_exact_mut(2 * t).zip(tw) {
+                let w = splat(w, w_shoup);
+                let (top, bottom) = block.split_at_mut(t);
+                let (top, _) = top.as_chunks_mut::<8>();
+                let (bottom, _) = bottom.as_chunks_mut::<8>();
+                for (x, y) in top.iter_mut().zip(bottom) {
+                    let (sum, diff) = gs(load(x), load(y), w, m);
+                    store(x, sum);
+                    store(y, diff);
+                }
+            }
+            t <<= 1;
+        }
+        // The last stage, one block under twiddle s, with the 1/n scaling:
+        // the sum times n⁻¹ and the difference times s·n⁻¹, each reduced
+        // in full.
+        let n_inv_w = splat(n_inv, n_inv_shoup);
+        for (block, &s) in a.chunks_exact_mut(n).zip(inv_psi_rev.iter().skip(1)) {
+            let s_ninv = crate::modops::mul_mod(s, n_inv, q);
+            let s_ninv = splat(s_ninv, crate::modops::shoup_precompute(s_ninv, q));
+            let (top, bottom) = block.split_at_mut(n / 2);
+            let (top, _) = top.as_chunks_mut::<8>();
+            let (bottom, _) = bottom.as_chunks_mut::<8>();
+            for (x, y) in top.iter_mut().zip(bottom) {
+                let (u, v) = (load(x), load(y));
+                let sum = csub(_mm512_add_epi64(u, v), m.two_q);
+                let diff = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
+                store(x, csub(shoup_lazy(sum, n_inv_w, m), m.q));
+                store(y, csub(shoup_lazy(diff, s_ninv, m), m.q));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,17 +1406,18 @@ mod tests {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert!(!Backend::Scalar.is_vector());
         assert!(Backend::Avx2.is_vector());
+        assert!(Backend::Avx512.is_vector());
     }
 
     #[test]
     fn detect_honours_only_the_scalar_switch() {
-        for have_avx2 in [false, true] {
+        for (have_avx2, have_ifma) in [(false, false), (true, false), (true, true)] {
             for forced in ["0", "scalar", " scalar ", " 0\n"] {
-                assert_eq!(detect(Some(forced), have_avx2), Backend::Scalar);
+                assert_eq!(detect(Some(forced), have_avx2, have_ifma), Backend::Scalar);
             }
         }
         // "1", unset, junk and the retired backend names all mean "best
-        // available" — which is AVX2 or nothing.
+        // available": AVX-512 with IFMA, else AVX2, else nothing.
         for forced in [
             None,
             Some("1"),
@@ -1000,9 +1426,40 @@ mod tests {
             Some("avx512"),
             Some("neon"),
         ] {
-            assert_eq!(detect(forced, true), Backend::Avx2, "{forced:?}");
-            assert_eq!(detect(forced, false), Backend::Scalar, "{forced:?}");
+            assert_eq!(detect(forced, true, true), Backend::Avx512, "{forced:?}");
+            assert_eq!(detect(forced, true, false), Backend::Avx2, "{forced:?}");
+            assert_eq!(detect(forced, false, false), Backend::Scalar, "{forced:?}");
+            // The IFMA kernels call AVX2 code: IFMA alone selects nothing.
+            assert_eq!(detect(forced, false, true), Backend::Scalar, "{forced:?}");
         }
+    }
+
+    #[test]
+    fn primes_from_2_pow_50_never_take_the_ifma_kernel() {
+        use crate::ntt::NttTable;
+        use crate::prime::generate_ntt_primes;
+        let n = 4096;
+        for bits in [51, 55, 60] {
+            let q = generate_ntt_primes(bits, n, 1)[0];
+            assert!(q >= IFMA_MODULUS_BOUND);
+            let t = NttTable::new(n, q).unwrap();
+            assert_ne!(t.kernel(), NttKernel::Ifma, "{bits}-bit prime");
+            let row: Vec<u64> = (0..n as u64).map(|i| i * 7 % q).collect();
+            let mut a = row.clone();
+            assert!(!t.forward_with(NttKernel::Ifma, &mut a), "{bits} bits");
+            assert!(!t.inverse_with(NttKernel::Ifma, &mut a), "{bits} bits");
+            assert_eq!(a, row, "a kernel that did not run left the row alone");
+        }
+        // Below the bound the table takes IFMA exactly when the process
+        // backend is AVX-512 (CHOCO_SIMD=0 keeps it scalar).
+        let q = generate_ntt_primes(36, n, 1)[0];
+        let kernel = NttTable::new(n, q).unwrap().kernel();
+        let expect = match backend() {
+            Backend::Avx512 => NttKernel::Ifma,
+            Backend::Avx2 => NttKernel::Avx2,
+            Backend::Scalar | Backend::Neon => NttKernel::Scalar,
+        };
+        assert_eq!(kernel, expect);
     }
 
     #[test]

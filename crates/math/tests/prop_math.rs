@@ -10,6 +10,7 @@ use choco_math::par;
 use choco_math::poly::apply_galois;
 use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
+use choco_math::simd::NttKernel;
 use choco_quickprop::run_cases;
 use std::sync::Arc;
 
@@ -434,47 +435,75 @@ fn base_conversion_is_exact_at_the_centering_boundary() {
 /// 61-bit ceiling (`q` just below `2^61`, the lazy-reduction limit).
 const SIMD_MOD_BITS: [u32; 6] = [30, 45, 55, 58, 60, 61];
 
+/// Whether this CPU runs the kernel `NttTable::forward_with` offers
+/// for `kernel`, so that a kernel that declines where it should run fails
+/// the test instead of going untested.
+fn cpu_runs(kernel: NttKernel, n: usize, q: u64) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let (avx2, ifma) = (
+        std::arch::is_x86_feature_detected!("avx2"),
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma"),
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    let (avx2, ifma) = (false, false);
+    match kernel {
+        NttKernel::Scalar => true,
+        NttKernel::Avx2 => avx2 && n >= 8,
+        NttKernel::Ifma => ifma && n >= 16 && q < choco_math::simd::IFMA_MODULUS_BOUND,
+    }
+}
+
 #[test]
 fn dispatched_ntt_bit_identical_to_scalar_and_strict() {
-    // The dispatched transforms must agree bit-for-bit with both the scalar
-    // lazy paths and the fully-reduced strict references, whatever backend
-    // `CHOCO_SIMD`/detection selected for this process (ci.sh runs this
-    // suite under CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4), from the
-    // smallest vector size to twice the largest ring, on random inputs and
-    // on the all-(q − 1) input that maximizes every lazy intermediate.
+    // Each kernel, called directly, and the table's own choice must agree
+    // bit for bit with the fully-reduced strict references, whatever
+    // `CHOCO_SIMD` selected for this process (ci.sh runs this suite under
+    // CHOCO_SIMD=0 and =1 × CHOCO_THREADS=1/4), from the smallest vector
+    // size to twice the largest ring, on random inputs and on the
+    // all-(q − 1) input that maximizes every lazy intermediate. The moduli
+    // cover the paper's small primes (set B's 36 and 37 bits, plain moduli
+    // of 20 bits), the largest NTT prime below 2^50 (the IFMA bound), and
+    // the wide primes up to the 61-bit lazy-reduction ceiling.
     let mut tables = Vec::new();
     for log_n in 3..=15 {
         let n = 1usize << log_n;
-        for bits in [20, 30, 45, 55, 58, 60, 61] {
+        for bits in [20, 30, 36, 37, 45, 50, 55, 58, 60, 61] {
             let q = generate_ntt_primes(bits, n, 1)[0];
             tables.push(NttTable::new(n, q).unwrap());
         }
     }
-    run_cases("dispatched ntt bit identity", 2, |g| {
+    let kernels = [NttKernel::Scalar, NttKernel::Avx2, NttKernel::Ifma];
+    run_cases("ntt kernels bit identity", 2, |g| {
         for t in &tables {
             let (n, q) = (t.size(), t.modulus());
             let random: Vec<u64> = (0..n).map(|_| g.u64_below(q)).collect();
             for (input, a) in [("random", random), ("all q-1", vec![q - 1; n])] {
                 let ctx = format!("n={n}, q={q} ({} bits), {input}", 64 - q.leading_zeros());
+                let mut fwd_strict = a.clone();
+                t.forward_strict(&mut fwd_strict);
+                let mut inv_strict = a.clone();
+                t.inverse_strict(&mut inv_strict);
+                for kernel in kernels {
+                    let mut fwd = a.clone();
+                    let ran = t.forward_with(kernel, &mut fwd);
+                    assert_eq!(ran, cpu_runs(kernel, n, q), "{kernel:?} forward ran: {ctx}");
+                    let mut inv = a.clone();
+                    assert_eq!(t.inverse_with(kernel, &mut inv), ran, "{kernel:?}: {ctx}");
+                    if ran {
+                        assert_eq!(fwd, fwd_strict, "{kernel:?} forward != strict: {ctx}");
+                        assert_eq!(inv, inv_strict, "{kernel:?} inverse != strict: {ctx}");
+                    } else {
+                        assert_eq!((&fwd, &inv), (&a, &a), "{kernel:?} declined: {ctx}");
+                    }
+                }
 
                 let mut fwd = a.clone();
                 t.forward(&mut fwd);
-                let mut fwd_scalar = a.clone();
-                t.forward_scalar(&mut fwd_scalar);
-                assert_eq!(fwd, fwd_scalar, "forward simd != scalar: {ctx}");
-                let mut fwd_strict = a.clone();
-                t.forward_strict(&mut fwd_strict);
-                assert_eq!(fwd, fwd_strict, "forward lazy != strict: {ctx}");
-
+                assert_eq!(fwd, fwd_strict, "dispatched forward != strict: {ctx}");
                 let mut inv = a.clone();
                 t.inverse(&mut inv);
-                let mut inv_scalar = a.clone();
-                t.inverse_scalar(&mut inv_scalar);
-                assert_eq!(inv, inv_scalar, "inverse simd != scalar: {ctx}");
-                let mut inv_strict = a.clone();
-                t.inverse_strict(&mut inv_strict);
-                assert_eq!(inv, inv_strict, "inverse lazy != strict: {ctx}");
-
+                assert_eq!(inv, inv_strict, "dispatched inverse != strict: {ctx}");
                 t.inverse(&mut fwd);
                 assert_eq!(fwd, a, "roundtrip != identity: {ctx}");
             }
