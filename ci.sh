@@ -54,11 +54,17 @@ CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco-he --test prop_he
 CHOCO_SIMD=1 CHOCO_THREADS=4 cargo test -q -p choco --test prop_choco
 # BLAKE3: the official vectors, and the 8-lane XOF and whole-chunk hashing
 # against the one-block scalar code in-process (crates/prng/tests/lanes.rs),
-# under both backends.
+# under both backends. The error sampler: under CHOCO_SIMD=1 the
+# simd::box_muller parse held to the per-pair libm parse over 10^7 pairs, on
+# crafted rounding boundaries and on extreme words (sampler unit tests);
+# under CHOCO_SIMD=0 the kernel writes nothing and every pair takes libm.
 CHOCO_SIMD=0 cargo test -q -p choco-prng
 CHOCO_SIMD=1 cargo test -q -p choco-prng
 # client_bytes: the client's decrypted slots, decoded f64 bits, noise-budget
 # bits and RNG positions, pinned across builds — at every point of the matrix.
+# Its encryption digests make the CHOCO_SIMD=1 runs the end-to-end proof that
+# the Box–Muller kernel draws the ciphertexts the libm parse of CHOCO_SIMD=0
+# draws.
 for simd in 0 1; do
     for threads in 1 4; do
         CHOCO_SIMD=$simd CHOCO_THREADS=$threads cargo test -q -p choco-he --test client_bytes

@@ -4,10 +4,12 @@
 //! twins it has to beat, or a lone kernel timed on its own. The races are
 //! the strict vs. lazy NTT; the simd kernels of `choco_math::simd` against
 //! their scalar loops, the AVX-512 IFMA transforms against the AVX2 ones at
-//! a set-B-sized prime, and the 8-lane BLAKE3 XOF and keyed hash against
-//! the one-block scalar code; `modops::Barrett` against the `%` it replaced;
-//! the BFV multiply, decrypt, noise budget and reply compression and the
-//! CKKS decode against their big-integer references; the squaring multiply
+//! a set-B-sized prime, the 8-lane BLAKE3 XOF and keyed hash against the
+//! one-block scalar code, and the error draw's Box–Muller parse on
+//! `simd::box_muller` against one libm evaluation per pair (sets A and B);
+//! `modops::Barrett` against the `%` it replaced; the BFV multiply,
+//! decrypt, noise budget and reply compression and the CKKS decode against
+//! their big-integer references; the squaring multiply
 //! against the general one on a clone of its operand; the seeded upload,
 //! the cached Eq. 2 encryption and Eq. 2 spelled with two `mul_poly`s (BFV
 //! sets A and B; CKKS at set C without the last); the diagonal matvec of
@@ -30,10 +32,11 @@
 //! window per side of every race, the side order alternating by sweep, so
 //! a race's pairs are spread over the whole run. A gate reads the median of
 //! its paired `twin / candidate` ratios against its threshold; the gate
-//! table, with each threshold and the rule for when it applies (simd and
-//! blake3 gates while a vector backend is active, ifma gates while the
-//! AVX-512 IFMA backend is, `par` gates whenever the pool has more than one
-//! thread), is the `gate` calls in `main` and is printed with every run.
+//! table, with each threshold and the rule for when it applies (simd,
+//! blake3 and error-draw gates while a vector backend is active, ifma
+//! gates while the AVX-512 IFMA backend is, `par` gates whenever the pool
+//! has more than one thread), is the `gate` calls in `main` and is printed
+//! with every run.
 //! A race may be timed over a multiple of the run's window
 //! ([`Races::window`]): `dyadic_mul`'s is 8. The `par` gates also need the host to run the
 //! pool's threads at ≥ 1.4× one: while it does not, the `par` section is
@@ -77,6 +80,7 @@ use choco_math::prime::generate_ntt_primes;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_math::simd::{self, NttKernel};
 use choco_prng::blake3::Hasher;
+use choco_prng::sampler::{error_from_bytes, error_from_bytes_libm};
 use choco_prng::Blake3Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -599,6 +603,37 @@ fn main() {
                 move || tag(black_box(Hasher::new_keyed(&key).scalar())),
             )
             .gate("blake3_keyed_hash_speedup", 1.5, Rule::Vector);
+    }
+
+    // The error draw behind every encryption (one polynomial per seeded
+    // upload, three per Eq. 2 encryption, one per key-switch digit): the
+    // parse of a ring degree's Box–Muller pairs through
+    // `simd::box_muller`, which calls libm only at a rounding boundary,
+    // against the per-pair libm parse it replaced, on the same bytes after
+    // both give the same values.
+    races.section(format!(
+        "error draw: the Box-Muller kernel parse vs per-pair libm (backend: {})",
+        backend.name()
+    ));
+    for (tag, degree) in [
+        ("a", HeParams::set_a().degree()),
+        ("b", HeParams::set_b().degree()),
+    ] {
+        let mut pairs = vec![0u8; 16 * degree];
+        Blake3Rng::from_seed(b"bench kernels error draw").fill_bytes(&mut pairs);
+        let pairs: &Vec<u8> = keep(pairs);
+        assert!(
+            error_from_bytes(pairs).eq(error_from_bytes_libm(pairs)),
+            "the kernel parse differs from the libm parse"
+        );
+        races
+            .twins(
+                format!("error_draw_{tag}"),
+                ["kernel", "libm"],
+                move || error_from_bytes(black_box(pairs)).sum::<i64>(),
+                move || error_from_bytes_libm(black_box(pairs)).sum::<i64>(),
+            )
+            .gate(format!("error_draw_{tag}_speedup"), 1.5, Rule::Vector);
     }
 
     races.section(
@@ -1271,7 +1306,7 @@ fn main() {
         );
     }
     if !applies(Rule::Vector) {
-        note("scalar backend active: both twins ran the scalar loop, simd and blake3 gates not applied");
+        note("scalar backend active: both twins ran the scalar loop, simd, blake3 and error-draw gates not applied");
     }
     if !applies(Rule::Ifma) {
         note(

@@ -18,7 +18,7 @@ use choco_math::poly::{
 use choco_math::pool::PolyPool;
 use choco_math::rns::{BaseConverter, RnsBasis};
 use choco_prng::sampler::{
-    sample_error_signed, sample_ternary_signed, sample_uniform_into, sample_uniform_masked_into,
+    sample_error_blocks, sample_ternary_signed, sample_uniform_into, sample_uniform_masked_into,
 };
 use choco_prng::Blake3Rng;
 
@@ -47,6 +47,22 @@ impl Drop for RnsPoly {
             PolyPool::recycle(row);
         }
     }
+}
+
+/// An empty pooled row with room for `n` coefficients: a row built by
+/// appending can only hold what was appended, never a recycled buffer's
+/// old contents.
+// choco-lint: ct-safe
+fn empty_row(n: usize) -> Vec<u64> {
+    let mut row = PolyPool::take_scratch(n);
+    row.clear();
+    row
+}
+
+/// Appends the residues of the signed `values` modulo `r`'s prime to `row`.
+// choco-lint: secret (public: r)
+fn push_signed(row: &mut Vec<u64>, values: impl Iterator<Item = i64>, r: &Barrett) {
+    row.extend(values.map(|v| r.reduce_i64(v)));
 }
 
 impl RnsPoly {
@@ -78,11 +94,8 @@ impl RnsPoly {
             .primes()
             .iter()
             .map(|&q| {
-                let r = Barrett::new(q);
-                let mut row = PolyPool::take_scratch(values.len());
-                for (x, &v) in row.iter_mut().zip(values) {
-                    *x = r.reduce_i64(v.into());
-                }
+                let mut row = empty_row(values.len());
+                push_signed(&mut row, values.iter().map(|&v| v.into()), &Barrett::new(q));
                 row
             })
             .collect();
@@ -115,11 +128,20 @@ impl RnsPoly {
         Self::from_signed(&vals, basis)
     }
 
-    /// Samples clipped-normal error coefficients.
+    /// Samples clipped-normal error coefficients, each block of them
+    /// appended to every row as residues, with no vector of them kept.
     // choco-lint: secret (public: basis)
     pub fn sample_error(rng: &mut Blake3Rng, basis: &RnsBasis) -> Self {
-        let vals = sample_error_signed(rng, basis.degree());
-        Self::from_signed(&vals, basis)
+        let n = basis.degree();
+        let reducers: Vec<Barrett> = basis.primes().iter().map(|&q| Barrett::new(q)).collect();
+        let mut rows: Vec<Vec<u64>> = reducers.iter().map(|_| empty_row(n)).collect();
+        sample_error_blocks(rng, n, |values| {
+            for (row, r) in rows.iter_mut().zip(&reducers) {
+                push_signed(row, values.iter().copied(), r);
+            }
+        });
+        debug_assert!(rows.iter().all(|row| row.len() == n));
+        RnsPoly { rows }
     }
 
     /// Samples a uniform polynomial modulo the basis modulus (independent

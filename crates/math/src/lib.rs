@@ -15,8 +15,9 @@
 //! * polynomial helpers over a single modulus ([`poly`])
 //! * a dependency-free persistent worker pool for slice-parallel kernels
 //!   ([`par`])
-//! * the AVX2 forward-NTT, inverse-NTT, modular add and modular subtract
-//!   kernels, runtime-dispatched ([`simd`])
+//! * the vector kernels — AVX2 and AVX-512 IFMA NTTs, modular add and
+//!   subtract, 8-lane BLAKE3, the Box–Muller error draw — runtime-dispatched
+//!   ([`simd`])
 //! * a size-classed buffer pool for zero-allocation steady state ([`pool`])
 //!
 //! Everything is implemented from scratch; no external arithmetic crates are

@@ -1,8 +1,10 @@
 //! The vector kernels that beat their twins on the bench: the AVX2 Harvey
 //! lazy forward and inverse NTTs, the AVX-512 IFMA forward and inverse
 //! NTTs for primes below 2^50 ([`NttKernel`]), the row-wise modular add and
-//! subtract, and the 8-lane BLAKE3 compression under `choco-prng`'s XOF
-//! ([`blake3_root8`]) and whole-chunk hashing ([`blake3_chunks8`]).
+//! subtract, the 8-lane BLAKE3 compression under `choco-prng`'s XOF
+//! ([`blake3_root8`]) and whole-chunk hashing ([`blake3_chunks8`]), and the
+//! Box–Muller evaluation under `choco-prng`'s error sampler
+//! ([`box_muller`], AVX2 + FMA).
 //!
 //! Everything else in the crate — the Shoup scalar and dyadic multiplies —
 //! runs the scalar loops in [`crate::ntt`] and [`crate::poly`], and the
@@ -45,13 +47,20 @@
 //! the property suite in `crates/math/tests/prop_math.rs` (each transform
 //! kernel called directly) and the `CHOCO_SIMD=0/1` CI matrix enforce this.
 //!
+//! [`box_muller`] is the one floating-point kernel, and the one without a
+//! scalar arm: off AVX2 + FMA it writes nothing and `choco-prng` keeps its
+//! libm parse. Its output is an approximation by contract, and the bits
+//! that matter are the error values `choco-prng` rounds from it, which are
+//! exact by guard and fallback rather than by construction (DESIGN.md §12).
+//!
 //! # Dispatch model
 //!
 //! [`backend`] resolves once per process (`OnceLock`): `CHOCO_SIMD=0` (or
 //! `scalar`) forces the scalar reference the CI matrix compares against;
 //! any other value, or none, selects [`Backend::Avx512`] when the CPU has
 //! AVX2, `avx512f` and `avx512ifma`, else [`Backend::Avx2`] when it has
-//! AVX2. The row ops and BLAKE3 run AVX2 on both vector backends. Each
+//! AVX2. The row ops and BLAKE3 run AVX2 on both vector backends, and so
+//! does [`box_muller`] where the CPU also has FMA. Each
 //! [`NttTable`](crate::ntt::NttTable) picks its transform kernel once, at
 //! construction: IFMA when the backend is `Avx512` and its prime is below
 //! [`IFMA_MODULUS_BOUND`], else AVX2 on a vector backend, else scalar. Hosts
@@ -350,6 +359,87 @@ pub fn blake3_chunks8(
     }
 }
 
+/// Whether the CPU has what the Box–Muller vector arm is compiled for:
+/// AVX2 and FMA.
+fn have_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        have_avx2() && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `1/(2k + 1)` for `k = 0..=9`: `ln m = 2s·Σ s^{2k}/(2k + 1)` with
+/// `s = (m − 1)/(m + 1)`, and `|s| ≤ 0.1716` for `m ∈ [√½, √2)`, so the
+/// first term left out is below `2^-55` of the sum.
+const ATANH_SERIES: [f64; 10] = [
+    1.0,
+    1.0 / 3.0,
+    1.0 / 5.0,
+    1.0 / 7.0,
+    1.0 / 9.0,
+    1.0 / 11.0,
+    1.0 / 13.0,
+    1.0 / 15.0,
+    1.0 / 17.0,
+    1.0 / 19.0,
+];
+
+/// `(−1)^k (2π)^{2k} / (2k)!` for `k = 0..=10`: `cos 2πr` as a polynomial
+/// in `r²`, for `r ∈ [0, ¼]` (the angle in `[0, π/2]`), where the first
+/// term left out is below `2·10^-17`.
+const COS_SERIES: [f64; 11] = [
+    1.0,
+    -19.739208802178716,
+    64.9393940226683,
+    -85.45681720669373,
+    60.24464137187666,
+    -26.4262567833744,
+    7.903536371318469,
+    -1.714390711088672,
+    0.28200596845579123,
+    -0.03638284114254567,
+    0.0037798342006800396,
+];
+
+/// The bit pattern of `1.0`, and the mask of an `f64`'s mantissa field.
+const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// Box–Muller values `σ·√(−2 ln u1)·cos(2π u2)` of the 16-byte pairs in
+/// `pairs`, one per whole pair, written to the front of `out` (as many as
+/// both hold) where the backend is a vector one and the CPU has FMA; every
+/// other process gets nothing written, and `choco-prng` evaluates each pair
+/// by libm there, as it did before this kernel. A pair is two
+/// little-endian words `w1`, `w2`, and `u1`, `u2` are `choco-prng`'s
+/// `unit_f64` of them (the top 53 bits over `2^53`), `u1` raised to
+/// `f64::MIN_POSITIVE`.
+///
+/// The values are approximations, not libm's: `ln u1` is the exponent plus
+/// an atanh series on the mantissa reduced to `[√½, √2)`, and `cos 2πu2` an
+/// even polynomial on the angle folded to `[0, π/2]`, four lanes at a time
+/// on AVX2 + FMA. They lie within `10^-13` of the libm expression
+/// `choco-prng` samples by (DESIGN.md §12 derives the bound, its tests
+/// measure the gap), which is how its sampler can round them exactly: it
+/// takes libm wherever that gap could move a rounding.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+// choco-lint: ct-safe
+pub fn box_muller(pairs: &[u8], sigma: f64, out: &mut [f64]) {
+    if !(backend().is_vector() && have_fma()) {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let n = out.len().min(pairs.len() / 16);
+        let (pairs, _) = pairs.split_at(16 * n);
+        // SAFETY: called only after detection confirmed avx2 and fma.
+        unsafe { avx2::box_muller(pairs, sigma, out.split_at_mut(n).0) };
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 kernels: 4×u64 lanes. x86 has no 64×64 vector multiply below
@@ -364,16 +454,17 @@ mod avx2 {
     //!
     //! The BLAKE3 kernels at the end use 8×u32 lanes instead.
 
-    use super::{add_mod, sub_mod};
+    use super::{add_mod, sub_mod, ATANH_SERIES, COS_SERIES, MANTISSA, ONE_BITS};
     use core::arch::x86_64::*;
 
-    /// The integer types a vector is loaded from and stored to: every bit
+    /// The number types a vector is loaded from and stored to: every bit
     /// pattern is a value and there is no padding, so 32 bytes of them are
     /// one `__m256i` and back.
     pub(super) trait Word: Copy {}
     impl Word for u8 {}
     impl Word for u32 {}
     impl Word for u64 {}
+    impl Word for f64 {}
 
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -752,6 +843,124 @@ mod avx2 {
         }
         for (x, &y) in a[len4..].iter_mut().zip(&b[len4..]) {
             *x = sub_mod(*x, y, q);
+        }
+    }
+
+    /// `f64` lanes of integers below `2^52`: the integer in a double's
+    /// mantissa under the exponent of `2^52`, less `2^52` (both exact).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn small_to_f64(x: __m256i) -> __m256d {
+        let two52 = _mm256_set1_epi64x(0x4330_0000_0000_0000);
+        let as_double = _mm256_castsi256_pd(_mm256_or_si256(x, two52));
+        _mm256_sub_pd(as_double, _mm256_castsi256_pd(two52))
+    }
+
+    /// `unit_f64` lane-wise: the top 53 bits over `2^53`, exactly. The high
+    /// 21 bits ride in a double of exponent 84 and the low 32 in one of
+    /// exponent 52; their sum less `2^84 + 2^52` is the 53-bit integer.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn unit(w: __m256i) -> __m256d {
+        let x = _mm256_srli_epi64::<11>(w);
+        let hi = _mm256_or_si256(
+            _mm256_srli_epi64::<32>(x),
+            _mm256_set1_epi64x(0x4530_0000_0000_0000),
+        );
+        let lo = _mm256_or_si256(
+            _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFF_FFFF)),
+            _mm256_set1_epi64x(0x4330_0000_0000_0000),
+        );
+        let hi = _mm256_sub_pd(
+            _mm256_castsi256_pd(hi),
+            _mm256_set1_pd(f64::from_bits(0x4530_0000_0010_0000)),
+        );
+        let x = _mm256_add_pd(hi, _mm256_castsi256_pd(lo));
+        _mm256_mul_pd(x, _mm256_set1_pd(1.0 / (1u64 << 53) as f64))
+    }
+
+    /// `Σ c_k x^k` over `series` by Horner's rule on FMAs.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn horner(series: &[f64], x: __m256d) -> __m256d {
+        series.iter().rev().fold(_mm256_setzero_pd(), |acc, &c| {
+            _mm256_fmadd_pd(acc, x, _mm256_set1_pd(c))
+        })
+    }
+
+    /// `σ·√(−2 ln u1)·cos 2πu2` of four pairs, `w1` and `w2` their words
+    /// lane by lane. `ln u1 = e·ln 2 + ln m`, `m` the mantissa in `[1, 2)`
+    /// halved above `√2`, and `ln m = 2s·Σ s^{2k}/(2k + 1)` with
+    /// `s = (m − 1)/(m + 1)`. `cos 2πu2 = cos 2πt` for
+    /// `t = min(u2, 1 − u2) ∈ [0, ½]`, and past `¼` it is
+    /// `−cos 2π(½ − t)`; both differences are exact. Selects are blends
+    /// and masks.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn box_muller4(w1: __m256i, w2: __m256i, sigma: __m256d) -> __m256d {
+        let one = _mm256_set1_pd(1.0);
+        let half = _mm256_set1_pd(0.5);
+        let u1 = _mm256_max_pd(unit(w1), _mm256_set1_pd(f64::MIN_POSITIVE));
+        let u2 = unit(w2);
+        let bits = _mm256_castpd_si256(u1);
+        let m = _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_and_si256(bits, _mm256_set1_epi64x(MANTISSA as i64)),
+            _mm256_set1_epi64x(ONE_BITS as i64),
+        ));
+        let big = _mm256_cmp_pd::<_CMP_GT_OQ>(m, _mm256_set1_pd(std::f64::consts::SQRT_2));
+        let m = _mm256_mul_pd(m, _mm256_blendv_pd(one, half, big));
+        let e = _mm256_add_pd(
+            small_to_f64(_mm256_srli_epi64::<52>(bits)),
+            _mm256_sub_pd(_mm256_and_pd(big, one), _mm256_set1_pd(1023.0)),
+        );
+        let s = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+        let atanh = horner(&ATANH_SERIES, _mm256_mul_pd(s, s));
+        let ln_m = _mm256_mul_pd(_mm256_add_pd(s, s), atanh);
+        let ln_u1 = _mm256_fmadd_pd(e, _mm256_set1_pd(std::f64::consts::LN_2), ln_m);
+        let mag = _mm256_sqrt_pd(_mm256_mul_pd(ln_u1, _mm256_set1_pd(-2.0)));
+        let t = _mm256_min_pd(u2, _mm256_sub_pd(one, u2));
+        let r = _mm256_min_pd(t, _mm256_sub_pd(half, t));
+        let past = _mm256_cmp_pd::<_CMP_GT_OQ>(t, _mm256_set1_pd(0.25));
+        let cos = horner(&COS_SERIES, _mm256_mul_pd(r, r));
+        let cos = _mm256_xor_pd(cos, _mm256_and_pd(past, _mm256_set1_pd(-0.0)));
+        _mm256_mul_pd(_mm256_mul_pd(sigma, mag), cos)
+    }
+
+    /// [`box_muller4`] of one 64-byte quad of pairs, in pair order. The
+    /// quad is two vectors of `[w1, w2, w1, w2]`; unpacking them gives the
+    /// lanes in pair order 0, 2, 1, 3, which one permute puts back.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn box_muller_quad(quad: &[u8], sigma: __m256d) -> __m256i {
+        let (a, b) = quad.split_at(32);
+        let (a, b) = (load(a), load(b));
+        let z = box_muller4(
+            _mm256_unpacklo_epi64(a, b),
+            _mm256_unpackhi_epi64(a, b),
+            sigma,
+        );
+        _mm256_castpd_si256(_mm256_permute4x64_pd::<0b11_01_10_00>(z))
+    }
+
+    /// [`super::box_muller`] on `pairs.len() / 16` pairs into as many
+    /// slots of `out`, four pairs per step. The last one to three pairs are
+    /// copied into a zeroed quad and only their lanes are kept.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn box_muller(pairs: &[u8], sigma: f64, out: &mut [f64]) {
+        debug_assert_eq!(pairs.len(), 16 * out.len());
+        let sigma = _mm256_set1_pd(sigma);
+        let mut quads = pairs.chunks_exact(64);
+        let mut slots = out.chunks_exact_mut(4);
+        for (quad, slot) in (&mut quads).zip(&mut slots) {
+            store(slot, box_muller_quad(quad, sigma));
+        }
+        let (rest, tail) = (quads.remainder(), slots.into_remainder());
+        if !tail.is_empty() {
+            let mut quad = [0u8; 64];
+            quad.split_at_mut(rest.len()).0.copy_from_slice(rest);
+            let mut lanes = [0.0; 4];
+            store(&mut lanes, box_muller_quad(&quad, sigma));
+            tail.copy_from_slice(lanes.split_at(tail.len()).0);
         }
     }
 
@@ -1478,6 +1687,53 @@ mod tests {
         for i in 0..len {
             assert_eq!(add[i], add_mod(a[i], b[i], q));
             assert_eq!(sub[i], sub_mod(a[i], b[i], q));
+        }
+    }
+
+    #[test]
+    fn box_muller_agrees_with_libm_lane_for_lane_tails_included() {
+        // Pair counts that are not a multiple of four take the padded last
+        // quad; a short `out` bounds the write. Words from a fixed LCG, and
+        // the zero pair. Off the AVX2 + FMA arm nothing is written.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut words: Vec<u64> = (0..38)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x
+            })
+            .collect();
+        words.extend([0, 0]);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let libm: Vec<f64> = words
+            .chunks_exact(2)
+            .map(|w| {
+                let unit = |w: u64| (w >> 11) as f64 / (1u64 << 53) as f64;
+                let u1 = unit(w[0]).max(f64::MIN_POSITIVE);
+                let mag = (-2.0 * u1.ln()).sqrt();
+                3.2 * mag * (2.0 * std::f64::consts::PI * unit(w[1])).cos()
+            })
+            .collect();
+        let runs = backend().is_vector() && have_fma();
+        for pairs in 0..=libm.len() {
+            let (input, _) = bytes.split_at(16 * pairs);
+            let mut z = vec![f64::NAN; pairs + 1];
+            box_muller(input, 3.2, &mut z);
+            assert!(z[pairs].is_nan(), "no value past the last pair");
+            for (i, &exact) in libm.iter().take(pairs).enumerate() {
+                if runs {
+                    assert!((z[i] - exact).abs() < 1e-13, "{pairs}: lane {i}");
+                } else {
+                    assert!(z[i].is_nan(), "{pairs}: lane {i} written");
+                }
+            }
+            let mut short = vec![f64::NAN; pairs.saturating_sub(1)];
+            box_muller(input, 3.2, &mut short);
+            assert!(short
+                .iter()
+                .zip(&z)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }
